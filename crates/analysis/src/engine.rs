@@ -14,6 +14,12 @@
 //!   order-dependent accumulation), with any aggregate folded afterwards in
 //!   trace order.
 //!
+//! The three-level normality sweep has no serial counterpart to mirror: its
+//! groups — of all three levels — form one flat task list
+//! ([`crate::normality`]), which [`sweep_levels_parallel_with_arenas`] cuts
+//! into one contiguous part of near-equal sample count per worker; a single
+//! thread runs the same loop over the whole list.
+//!
 //! The only parallelism-sensitive construct — merging floating-point
 //! [`Moments`] partials — is confined to [`campaign_moments`], which
 //! documents its fixed-pool determinism.
@@ -23,23 +29,19 @@ use ebird_core::view::{fill_group_ms, AggregationLevel};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_delivery, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
-use ebird_stats::normality::{
-    battery_presorted, battery_with_scratch, BatteryScratch, NormalityOutcome,
-};
+use ebird_stats::normality::{battery_with_scratch, BatteryScratch, NormalityOutcome};
 use ebird_stats::reduce::Mergeable;
-use ebird_stats::sort::merge_sorted;
 use ebird_stats::Moments;
 
 use crate::laggard::{classify_unit, laggard_census, ClassifiedIteration, LaggardCensus};
 use crate::normality::{
-    sweep_levels_with_scratch, NormalitySweep, SweepObs, SweepScratch, SWEEP_LEVELS,
+    run_tasks, sweep_levels_with_scratch, NormalitySweep, SweepObs, SweepScratch, SweepTasks,
 };
 use crate::reclaim::{fold_units, reclaim_metrics, unit_reclaim, ReclaimMetrics, UnitReclaim};
 
-/// Long-lived scratch for the whole analysis engine: the serial sweep
-/// scratch (which doubles as the single-thread fast path's storage), one
-/// scratch value per pool worker for every parallel stage, and the flat
-/// sorted-group buffers the merged sweep phases share.
+/// Long-lived scratch for the whole analysis engine: one scratch value per
+/// pool worker for every parallel stage (worker 0's doubles as the
+/// single-thread fast path's storage).
 ///
 /// The parallel fast paths used to allocate all of this fresh inside every
 /// region body — per worker, per call — re-solving Shapiro–Wilk weight
@@ -48,21 +50,9 @@ use crate::reclaim::{fold_units, reclaim_metrics, unit_reclaim, ReclaimMetrics, 
 /// a one-off warm-up: a worker re-entering a region locks its own
 /// (uncontended) slot and finds its buffers ready from the previous call.
 pub struct EngineArenas {
-    pub(crate) sweep: SweepScratch,
-    pub(crate) sweep_workers: WorkerArenas<SweepWorker>,
+    pub(crate) sweep_workers: WorkerArenas<SweepScratch>,
     pub(crate) unit_ms: WorkerArenas<Vec<f64>>,
     pub(crate) sim: WorkerArenas<SimWorker>,
-    pub(crate) pi_sorted: Vec<f64>,
-    pub(crate) ai_sorted: Vec<f64>,
-    pub(crate) app_sorted: Vec<f64>,
-}
-
-/// One normality-sweep worker's scratch: the group-values buffer and the
-/// battery scratch (radix buffers + cached Shapiro–Wilk weights).
-#[derive(Default)]
-pub(crate) struct SweepWorker {
-    pub(crate) values: Vec<f64>,
-    pub(crate) battery: BatteryScratch,
 }
 
 /// One delivery-sweep worker's scratch: the arrivals buffer and the
@@ -77,13 +67,9 @@ impl EngineArenas {
     /// Arenas for a team of `workers` (≥ 1).
     pub fn new(workers: usize) -> Self {
         Self {
-            sweep: SweepScratch::new(),
             sweep_workers: WorkerArenas::new(workers),
             unit_ms: WorkerArenas::new(workers),
             sim: WorkerArenas::new(workers),
-            pi_sorted: Vec::new(),
-            ai_sorted: Vec::new(),
-            app_sorted: Vec::new(),
         }
     }
 
@@ -91,15 +77,6 @@ impl EngineArenas {
     pub fn for_pool(pool: &Pool) -> Self {
         Self::new(pool.threads())
     }
-}
-
-/// Grows `buf` to exactly `len` without preserving contents; every element
-/// is overwritten before being read by the sweep phases.
-fn uninit_slice(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    &mut buf[..len]
 }
 
 /// Generates every workload's campaign trace serially — the generation
@@ -171,16 +148,12 @@ pub fn sweep_parallel(
 
 /// Pool-parallel counterpart of [`crate::normality::sweep_levels`] —
 /// bit-identical to it (and therefore to three per-level [`sweep`] calls)
-/// for any pool size.
+/// for any pool size: the same kernel runs every group, and no group's
+/// result depends on another's. Per-worker [`BatteryScratch`]es produce
+/// bit-identical weights to a shared one because cached weight vectors are
+/// bit-identical to freshly solved ones.
 ///
-/// Phase structure mirrors the serial fast path: process-iteration groups
-/// are radix-sorted in parallel into a flat buffer (each worker block owns
-/// disjoint `(sorted slice, outcome slot)` pairs), application-iteration
-/// groups then k-way-merge their children's sorted slices in parallel, and
-/// the single application group merges serially. Per-worker
-/// [`BatteryScratch`]es produce bit-identical weights to the serial path's
-/// shared one because cached weight vectors are bit-identical to freshly
-/// solved ones.
+/// [`sweep`]: crate::normality::sweep
 pub fn sweep_levels_parallel(
     trace: &TimingTrace,
     alpha: f64,
@@ -190,15 +163,48 @@ pub fn sweep_levels_parallel(
     sweep_levels_parallel_with_arenas(trace, alpha, obs, pool, &mut EngineArenas::for_pool(pool))
 }
 
+/// Splits a trace shape's [`SweepTasks`] into `parts` contiguous runs of
+/// near-equal sample count (the cost model: every kernel step is linear in
+/// the group, and each level holds every sample once), returning the
+/// number of tasks per part. A function of the shape and `parts` only.
+///
+/// Each part takes tasks while that brings it closer to an equal share of
+/// what is left, and at least one if any remain — so an application group
+/// larger than a fair share (more than three parts) gets a part to itself
+/// and the rest is shared evenly among the others; with fewer tasks than
+/// parts the trailing parts are empty.
+fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
+    let mut remaining = 3 * tasks.0.total_samples();
+    let mut next = 0;
+    (0..parts)
+        .map(|part| {
+            let target = remaining / (parts - part);
+            let (start, mut taken) = (next, 0);
+            while next < tasks.len() {
+                let size = tasks.get(next).2;
+                if taken > 0 && 2 * taken + size > 2 * target {
+                    break;
+                }
+                taken += size;
+                next += 1;
+            }
+            remaining -= taken;
+            next - start
+        })
+        .collect()
+}
+
 /// [`sweep_levels_parallel`] with caller-owned [`EngineArenas`], so repeated
 /// sweeps (one per trace of a campaign, or per bench repeat) reuse the
-/// per-worker battery scratches and the flat sorted-group buffers.
+/// per-worker scratches: after the first call on a shape no scratch buffer
+/// grows, and a call allocates only its result.
 ///
-/// On a one-thread pool this **is** the serial sweep: the whole call runs
-/// inline through [`Pool::run_serial`] (no slots, no per-group closure
-/// dispatch), so `p = 1` parallel and serial are the same machine code over
-/// the same scratch — the zero-overhead fork/join property the pipeline
-/// bench gates.
+/// The trace's task list is cut into one contiguous part of near-equal
+/// sample count per worker and every worker runs the task loop over its
+/// part. On a one-thread pool this **is** the serial sweep: the whole call
+/// runs inline through [`Pool::run_serial`] (no slots, no closure dispatch), so
+/// `p = 1` parallel and serial are the same machine code over the same
+/// scratch — the zero-overhead fork/join property the pipeline bench gates.
 pub fn sweep_levels_parallel_with_arenas(
     trace: &TimingTrace,
     alpha: f64,
@@ -207,137 +213,26 @@ pub fn sweep_levels_parallel_with_arenas(
     arenas: &mut EngineArenas,
 ) -> [NormalitySweep; 3] {
     if pool.threads() == 1 {
-        let scratch = &mut arenas.sweep;
+        let scratch = arenas.sweep_workers.get_mut(0);
         return pool.run_serial(move || sweep_levels_with_scratch(trace, alpha, obs, scratch));
     }
-
-    let finite = trace
-        .samples()
-        .iter()
-        .map(ThreadSample::compute_time_ms)
-        .all(f64::is_finite);
-    if !finite {
-        return SWEEP_LEVELS.map(|level| sweep_parallel(trace, level, alpha, pool));
-    }
-
-    let shape = trace.shape();
-    let EngineArenas {
-        sweep,
-        sweep_workers,
-        pi_sorted,
-        ai_sorted,
-        app_sorted,
-        ..
-    } = arenas;
-
-    // Phase 1: process-iteration groups.
-    let pi_level = AggregationLevel::ProcessIteration;
-    let pi_groups = pi_level.group_count(trace);
-    let pi_size = shape.threads;
-    let pi_sorted = uninit_slice(pi_sorted, pi_groups * pi_size);
-    let mut pi_slots: Vec<(&mut [f64], [Option<NormalityOutcome>; 3])> = pi_sorted
-        .chunks_mut(pi_size)
-        .map(|s| (s, Default::default()))
-        .collect();
-    pool.parallel_chunks_mut(&mut pi_slots, |block, range, ctx| {
-        let mut worker = sweep_workers.slot(ctx.thread());
-        let SweepWorker { values, battery } = &mut *worker;
-        let cache_before = battery.cache_stats();
-        for (offset, (slice, out)) in block.iter_mut().enumerate() {
-            fill_group_ms(trace, pi_level, range.start + offset, values);
-            slice.copy_from_slice(values);
-            let t0 = obs.map(|o| o.now_ns());
-            battery.sort_in_place(slice);
-            if let (Some(o), Some(t0)) = (obs, t0) {
-                o.record_sort(t0);
-            }
-            if let Some(o) = obs {
-                o.record_batch_len(values.len());
-            }
-            *out = battery_presorted(values, slice, battery);
-        }
-        if let Some(o) = obs {
-            o.record_cache_delta(battery, cache_before);
-        }
-    });
-    let pi_outcomes: Vec<_> = pi_slots.into_iter().map(|(_, out)| out).collect();
-
-    // Phase 2: application-iteration groups merge their process-iteration
-    // children's sorted slices (read-only view of `pi_sorted`).
-    let ai_level = AggregationLevel::ApplicationIteration;
-    let ai_groups = ai_level.group_count(trace);
-    let ai_size = shape.samples_per_app_iteration();
-    let ai_sorted = uninit_slice(ai_sorted, ai_groups * ai_size);
-    let mut ai_slots: Vec<(&mut [f64], [Option<NormalityOutcome>; 3])> = ai_sorted
-        .chunks_mut(ai_size)
-        .map(|s| (s, Default::default()))
-        .collect();
-    let pi_view = &*pi_sorted;
-    pool.parallel_chunks_mut(&mut ai_slots, |block, range, ctx| {
-        let mut worker = sweep_workers.slot(ctx.thread());
-        let SweepWorker { values, battery } = &mut *worker;
-        let cache_before = battery.cache_stats();
-        let mut children: Vec<&[f64]> = Vec::with_capacity(shape.trials * shape.ranks);
-        for (offset, (slice, out)) in block.iter_mut().enumerate() {
-            let g = range.start + offset;
-            fill_group_ms(trace, ai_level, g, values);
-            children.clear();
-            for trial in 0..shape.trials {
-                for rank in 0..shape.ranks {
-                    let pi = (trial * shape.ranks + rank) * shape.iterations + g;
-                    children.push(&pi_view[pi * pi_size..(pi + 1) * pi_size]);
-                }
-            }
-            let t0 = obs.map(|o| o.now_ns());
-            merge_sorted(&children, slice);
-            if let (Some(o), Some(t0)) = (obs, t0) {
-                o.record_sort(t0);
-            }
-            if let Some(o) = obs {
-                o.record_batch_len(values.len());
-            }
-            *out = battery_presorted(values, slice, battery);
-        }
-        if let Some(o) = obs {
-            o.record_cache_delta(battery, cache_before);
-        }
-    });
-    let ai_outcomes: Vec<_> = ai_slots.into_iter().map(|(_, out)| out).collect();
-
-    // Phase 3: the single application group, serial — on the serial sweep
-    // scratch, whose weight cache persists across calls like the workers'.
-    let app_level = AggregationLevel::Application;
-    let mut values = Vec::new();
-    fill_group_ms(trace, app_level, 0, &mut values);
-    let app_sorted = uninit_slice(app_sorted, shape.total_samples());
-    let ai_children: Vec<&[f64]> = ai_sorted.chunks(ai_size).collect();
-    let t0 = obs.map(|o| o.now_ns());
-    merge_sorted(&ai_children, app_sorted);
-    if let (Some(o), Some(t0)) = (obs, t0) {
-        o.record_sort(t0);
-    }
-    let scratch = sweep.battery();
-    let cache_before = scratch.cache_stats();
-    if let Some(o) = obs {
-        o.record_batch_len(values.len());
-    }
-    let app_outcomes = vec![battery_presorted(&values, app_sorted, scratch)];
-    if let Some(o) = obs {
-        o.record_cache_delta(scratch, cache_before);
-    }
-
-    let mk =
-        |level: AggregationLevel, outcomes: Vec<[Option<NormalityOutcome>; 3]>| NormalitySweep {
-            level_label: level.label().to_string(),
-            alpha,
-            groups: outcomes.len(),
-            outcomes,
-        };
-    [
-        mk(pi_level, pi_outcomes),
-        mk(ai_level, ai_outcomes),
-        mk(app_level, app_outcomes),
-    ]
+    let tasks = SweepTasks(trace.shape());
+    let workers = &arenas.sweep_workers;
+    let mut outcomes = vec![Default::default(); tasks.len()];
+    pool.parallel_parts_mut(
+        &mut outcomes,
+        &partition_tasks(tasks, pool.threads()),
+        |block, range, ctx| {
+            run_tasks(
+                trace,
+                obs,
+                range.start,
+                block,
+                &mut workers.slot(ctx.thread()),
+            );
+        },
+    );
+    tasks.into_levels(outcomes, alpha)
 }
 
 /// Classifies every process-iteration at `threshold_ms` with units
@@ -597,7 +492,7 @@ pub(crate) fn unit_coords(shape: ebird_core::TraceShape, unit: usize) -> (usize,
 mod tests {
     use super::*;
     use crate::laggard::laggard_census;
-    use crate::normality::sweep;
+    use crate::normality::{sweep, SWEEP_LEVELS};
     use crate::reclaim::reclaim_metrics;
     use ebird_core::{SampleIndex, TraceShape};
     use ebird_partcomm::SerialLink;
@@ -666,6 +561,89 @@ mod tests {
             let groups = (tr.shape().process_iterations() + tr.shape().iterations + 1) as u64;
             assert_eq!(snap.histogram(SweepObs::SORT_NS).count(), groups);
             assert!(snap.counter(SweepObs::CACHE_MISS) > 0);
+        }
+    }
+
+    #[test]
+    fn task_partition_is_contiguous_complete_and_a_function_of_shape_and_parts() {
+        let shapes = [
+            TraceShape::new(2, 2, 9, 16).unwrap(),
+            TraceShape::new(10, 8, 200, 48).unwrap(),
+            TraceShape::new(1, 1, 1, 8).unwrap(), // 3 tasks
+            TraceShape::new(3, 1, 2, 5).unwrap(),
+        ];
+        for shape in shapes {
+            let tasks = SweepTasks(shape);
+            for parts in 1..=9 {
+                let lens = partition_tasks(tasks, parts);
+                // One run per part, in task order, covering every task once.
+                assert_eq!(lens.len(), parts);
+                assert_eq!(
+                    lens.iter().sum::<usize>(),
+                    tasks.len(),
+                    "{shape:?} / {parts}"
+                );
+                assert_eq!(lens, partition_tasks(tasks, parts), "not a pure function");
+                // Nobody idles while another part holds two tasks it could
+                // have shared, and no part exceeds an equal share by more
+                // than its largest (= first) task.
+                let share = (3 * shape.total_samples()).div_ceil(parts);
+                let mut first = 0;
+                for &len in &lens {
+                    let samples: usize = (first..first + len).map(|t| tasks.get(t).2).sum();
+                    if len > 0 {
+                        assert!(samples <= share + tasks.get(first).2, "{shape:?} / {parts}");
+                    }
+                    first += len;
+                }
+                if tasks.len() >= parts {
+                    assert!(lens.iter().all(|&l| l > 0), "{shape:?} / {parts}: {lens:?}");
+                } else {
+                    assert!(
+                        lens.iter().all(|&l| l <= 1),
+                        "{shape:?} / {parts}: {lens:?}"
+                    );
+                }
+            }
+        }
+        // Paper shape, five workers: the application group exceeds a fair
+        // share (768 000 > 3 × 768 000 / 5) and gets a worker to itself;
+        // the other four split the rest evenly, 384 000 samples each.
+        let paper = SweepTasks(TraceShape::new(10, 8, 200, 48).unwrap());
+        assert_eq!(partition_tasks(paper, 5), [1, 100, 100, 8000, 8000]);
+        assert_eq!(partition_tasks(paper, 2), [1 + 100, 100 + 16_000]);
+    }
+
+    #[test]
+    fn sweep_arenas_stop_growing_after_the_first_call_and_fit_the_owned_groups() {
+        let tr = mixed_trace();
+        let tasks = SweepTasks(tr.shape());
+        for workers in [1, 3] {
+            let pool = Pool::new(workers);
+            let mut arenas = EngineArenas::for_pool(&pool);
+            let mut capacities = Vec::new();
+            for _ in 0..3 {
+                sweep_levels_parallel_with_arenas(&tr, 0.05, None, &pool, &mut arenas);
+                capacities.push(
+                    (0..workers)
+                        .map(|w| arenas.sweep_workers.get_mut(w).capacities())
+                        .collect::<Vec<_>>(),
+                );
+            }
+            assert_eq!(capacities[1], capacities[2], "{workers} workers");
+            assert_eq!(capacities[0], capacities[1], "{workers} workers");
+            // Footprint: keys + tmp + sorted, each at most the worker's
+            // largest owned group (the first task of its part).
+            let mut first = 0;
+            for (w, len) in partition_tasks(tasks, workers).into_iter().enumerate() {
+                let largest = if len > 0 { tasks.get(first).2 } else { 0 };
+                let held: usize = capacities[2][w].iter().sum();
+                assert!(
+                    held <= 3 * largest,
+                    "worker {w}/{workers}: {held} > 3 × {largest}"
+                );
+                first += len;
+            }
         }
     }
 

@@ -1,15 +1,24 @@
 //! Normality sweeps across the paper's three aggregation levels.
+//!
+//! Two routes to the same outcomes. [`sweep`] runs one level: it
+//! materializes each group's millisecond floats and sorts those — simple,
+//! and the oracle. [`sweep_levels`] runs all three levels as one list of
+//! independent per-group tasks that sort the integer nanoseconds instead;
+//! [`crate::engine`] hands contiguous parts of that list to pool workers.
+//! The two are tested bit-identical.
 
 use std::sync::Arc;
 
-use ebird_core::view::{fill_group_ms, AggregationLevel};
-use ebird_core::{ThreadSample, TimingTrace};
+use ebird_core::sample::ns_to_ms;
+use ebird_core::view::{fill_group_ms, group_slices, AggregationLevel};
+use ebird_core::{TimingTrace, TraceShape};
 use ebird_obs::{Counter, Histogram, Registry};
 use ebird_stats::normality::{
-    battery_presorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
+    battery_sorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
     TestStatistic,
 };
-use ebird_stats::sort::merge_sorted_with_tmp;
+use ebird_stats::sort::sort_keys;
+use ebird_stats::Moments;
 use serde::{Deserialize, Serialize};
 
 /// Results of running the three-test battery over every group of one
@@ -79,6 +88,9 @@ impl NormalitySweep {
 /// ([`fill_group_ms`] + [`battery_with_scratch`]), so the sweep performs no
 /// per-group allocation; [`crate::engine::sweep_parallel`] fans the same
 /// per-group computation out over a thread pool with bit-identical outcomes.
+/// It sorts the millisecond floats themselves ([`ebird_stats::sort`]'s float
+/// sort), which makes it the independent oracle [`sweep_levels`] — which
+/// sorts integer nanoseconds — is tested against.
 pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> NormalitySweep {
     let groups = level.group_count(trace);
     let mut scratch = BatteryScratch::new();
@@ -98,7 +110,7 @@ pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> Normal
 }
 
 /// Observability handles for the normality sweep fast path: weight-cache
-/// hit/miss counters and a per-group sort/merge latency histogram, all
+/// hit/miss counters and a per-group sort latency histogram, all
 /// registered on a shared [`ebird_obs::Registry`] so `repro profile` and the
 /// pipeline bench surface them next to the span/pool metrics.
 #[derive(Clone)]
@@ -116,13 +128,13 @@ impl SweepObs {
     /// Counter name: Shapiro–Wilk weight-vector cache misses (fresh Blom
     /// score solves).
     pub const CACHE_MISS: &'static str = "sweep.weights.cache_miss";
-    /// Histogram name: nanoseconds spent radix-sorting (or k-way merging)
-    /// each group before the fused battery pass.
+    /// Histogram name: nanoseconds spent sorting each group's nanosecond
+    /// keys and converting them to milliseconds, before the fused battery
+    /// pass. One entry per group.
     pub const SORT_NS: &'static str = "sweep.sort.ns";
-    /// Histogram name: elements handed to the fused SW+AD batch-Φ kernel per
-    /// group — the buffer lengths the slice kernels stream over. One entry
-    /// per battery invocation, so `count` is the number of groups fused and
-    /// the distribution shows the batch sizes the autovectorized blocks see.
+    /// Histogram name: elements handed to the fused SW+AD kernel per group.
+    /// One entry per battery invocation, so `count` is the number of groups
+    /// fused and the distribution shows the group sizes the kernel sees.
     pub const BATCH_LEN: &'static str = "sweep.batch.len";
 
     /// Registers the sweep instruments on `registry`.
@@ -141,15 +153,10 @@ impl SweepObs {
         self.registry.now_ns()
     }
 
-    /// Records one group's sort (or merge) latency.
-    pub(crate) fn record_sort(&self, started_ns: u64) {
+    /// Records one group: its sort latency and its sample count.
+    pub(crate) fn record_group(&self, sort_started_ns: u64, len: usize) {
         self.sort_ns
-            .record(self.now_ns().saturating_sub(started_ns));
-    }
-
-    /// Records one fused-battery invocation's sample count (the batch-Φ
-    /// kernel's buffer length).
-    pub(crate) fn record_batch_len(&self, len: usize) {
+            .record(self.now_ns().saturating_sub(sort_started_ns));
         self.batch_len.record(len as u64);
     }
 
@@ -172,20 +179,18 @@ pub const SWEEP_LEVELS: [AggregationLevel; 3] = [
 ];
 
 /// Runs all three aggregation levels in one pass, bit-identical to calling
-/// [`sweep`] per level but sorting each sample **once**: process-iteration
-/// groups are radix-sorted into a flat buffer, and the nested levels'
-/// sorted views are produced by k-way merges of their children's sorted
-/// slices ([`merge_sorted`]) instead of re-sorting from scratch —
-/// application-iteration groups merge their process-iteration slices,
-/// and the application group merges the application-iteration slices.
+/// [`sweep`] per level. Every group of every level is an independent task
+/// of one flat list run by one kernel: gather the group's integer
+/// nanosecond compute times (streaming D'Agostino's moments in the same
+/// pass, so no raw copy is kept), radix-sort the integers, convert to
+/// milliseconds, run the fused Shapiro–Wilk + Anderson–Darling pass.
 ///
-/// Bit-identity of the merged views holds because compute times are
-/// `u64`-nanosecond backed (always finite, never `-0.0`), so equal sort
-/// keys imply equal bit patterns; as defense against any future non-finite
-/// trace source the function prescans the trace and falls back to three
-/// plain [`sweep`] calls if any sample is non-finite.
+/// Bit-identity with [`sweep`] holds by construction: the moments see
+/// [`fill_group_ms`]'s values in its order; [`ns_to_ms`] is monotone, so
+/// sorting before or after the conversion yields the same array; and the
+/// battery is the same code on the same sorted sample.
 ///
-/// When `obs` is provided, per-group sort/merge latencies land in the
+/// When `obs` is provided, per-group sort latencies land in the
 /// [`SweepObs::SORT_NS`] histogram and the Shapiro–Wilk weight-cache
 /// tallies in the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`]
 /// counters.
@@ -197,162 +202,164 @@ pub fn sweep_levels(
     sweep_levels_with_scratch(trace, alpha, obs, &mut SweepScratch::new())
 }
 
-/// Reusable storage for [`sweep_levels_with_scratch`]: the per-n battery
-/// scratch (radix buffers + cached Shapiro–Wilk weights) plus the flat
-/// sorted-group buffers and the merge ping-pong buffer. At paper scale one
-/// sweep touches ~25 MB of working storage; holding it here turns that into
-/// a one-off cost instead of an allocate-fault-free cycle per trace.
+/// One sweep worker's reusable storage: the battery scratch (cached
+/// Shapiro–Wilk weights + Φ block) and the three group-sized buffers of the
+/// kernel — nanosecond keys, the radix sort's ping-pong copy, the sorted
+/// milliseconds. Each grows to the largest group its worker is given, so a
+/// worker that owns the application group of a paper-scale trace holds
+/// 3 × 6.1 MB plus ≈ 3 MB of weights, and one that owns process-iterations
+/// only a few kilobytes.
 #[derive(Default)]
 pub struct SweepScratch {
     battery: BatteryScratch,
-    values: Vec<f64>,
-    pi_sorted: Vec<f64>,
-    ai_sorted: Vec<f64>,
-    app_sorted: Vec<f64>,
-    merge_tmp: Vec<f64>,
+    keys: Vec<u64>,
+    tmp: Vec<u64>,
+    sorted: Vec<f64>,
 }
 
 impl SweepScratch {
-    /// Empty scratch; buffers grow lazily to the largest shape swept.
+    /// Empty scratch; buffers grow lazily to the largest group swept.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The inner per-n battery scratch (weight cache included).
-    pub fn battery(&mut self) -> &mut BatteryScratch {
-        &mut self.battery
+    /// `[keys, tmp, sorted]` capacities in elements (8 bytes each).
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        [
+            self.keys.capacity(),
+            self.tmp.capacity(),
+            self.sorted.capacity(),
+        ]
+    }
+}
+
+/// The sweep's flat task list for one trace shape: every group of every
+/// level, largest first — the application group, then the
+/// application-iterations, then the process-iterations — so a contiguous
+/// part's first task is its largest and a costly group is never left for
+/// the end of a part.
+#[derive(Clone, Copy)]
+pub(crate) struct SweepTasks(pub(crate) TraceShape);
+
+impl SweepTasks {
+    /// Number of tasks (= groups over all three levels).
+    pub(crate) fn len(self) -> usize {
+        1 + self.0.iterations + self.0.process_iterations()
     }
 
-    /// Grows `buf` to exactly `len` without preserving contents; every
-    /// element is overwritten before being read by the sweep phases.
-    fn uninit_slice(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
-        if buf.len() < len {
-            buf.resize(len, 0.0);
+    /// `(level, group index within the level, samples in the group)` of
+    /// task `t`.
+    pub(crate) fn get(self, t: usize) -> (AggregationLevel, usize, usize) {
+        let shape = self.0;
+        match t.checked_sub(1) {
+            None => (AggregationLevel::Application, 0, shape.total_samples()),
+            Some(t) if t < shape.iterations => (
+                AggregationLevel::ApplicationIteration,
+                t,
+                shape.samples_per_app_iteration(),
+            ),
+            Some(t) => (
+                AggregationLevel::ProcessIteration,
+                t - shape.iterations,
+                shape.threads,
+            ),
         }
-        &mut buf[..len]
+    }
+
+    /// Splits outcomes in task order into the per-level results, in
+    /// [`SWEEP_LEVELS`] order.
+    pub(crate) fn into_levels(
+        self,
+        mut outcomes: Vec<[Option<NormalityOutcome>; 3]>,
+        alpha: f64,
+    ) -> [NormalitySweep; 3] {
+        debug_assert_eq!(outcomes.len(), self.len());
+        let pi = outcomes.split_off(1 + self.0.iterations);
+        let ai = outcomes.split_off(1);
+        // What is left is the application outcome in an allocation sized
+        // for every task; callers keep these results, so hand it back.
+        outcomes.shrink_to_fit();
+        let [pi_level, ai_level, app_level] = SWEEP_LEVELS;
+        let mk = |level: AggregationLevel, outcomes: Vec<_>| NormalitySweep {
+            level_label: level.label().to_string(),
+            alpha,
+            groups: outcomes.len(),
+            outcomes,
+        };
+        [mk(pi_level, pi), mk(ai_level, ai), mk(app_level, outcomes)]
+    }
+}
+
+/// Runs the contiguous tasks `first..first + out.len()` of `trace`'s
+/// [`SweepTasks`] into `out` — the loop every sweep worker runs, and the
+/// whole sweep on one thread.
+pub(crate) fn run_tasks(
+    trace: &TimingTrace,
+    obs: Option<&SweepObs>,
+    first: usize,
+    out: &mut [[Option<NormalityOutcome>; 3]],
+    scratch: &mut SweepScratch,
+) {
+    let tasks = SweepTasks(trace.shape());
+    let SweepScratch {
+        battery,
+        keys,
+        tmp,
+        sorted,
+    } = scratch;
+    if !out.is_empty() {
+        // The first task is the part's largest: size the buffers once, and
+        // exactly (amortized growth would hold up to twice the group).
+        let largest = tasks.get(first).2;
+        keys.clear();
+        keys.reserve_exact(largest);
+        sorted.clear();
+        sorted.reserve_exact(largest);
+        tmp.reserve_exact(largest.saturating_sub(tmp.len()));
+    }
+    let cache_before = battery.cache_stats();
+    for (offset, slot) in out.iter_mut().enumerate() {
+        let (level, group, _) = tasks.get(first + offset);
+        keys.clear();
+        let mut moments = Moments::new();
+        for slice in group_slices(trace, level, group) {
+            for s in slice {
+                keys.push(s.compute_time_ns());
+                moments.push(s.compute_time_ms());
+            }
+        }
+        let t0 = obs.map(|o| o.now_ns());
+        sort_keys(keys, tmp);
+        sorted.clear();
+        sorted.extend(keys.iter().map(|&ns| ns_to_ms(ns)));
+        if let (Some(o), Some(t0)) = (obs, t0) {
+            o.record_group(t0, sorted.len());
+        }
+        *slot = battery_sorted(&moments, sorted, battery);
+    }
+    if let Some(o) = obs {
+        o.record_cache_delta(battery, cache_before);
     }
 }
 
 /// [`sweep_levels`] with caller-owned [`SweepScratch`], so consecutive
 /// sweeps over same-shaped traces reuse the cached Shapiro–Wilk weight
 /// vectors (the application-level vector alone is hundreds of thousands of
-/// Newton solves) and the large sorted-group buffers instead of re-deriving
-/// and re-allocating them per trace. Bit-identical to [`sweep_levels`]:
-/// cached weights are bit-identical to freshly solved ones, and every
-/// reused buffer element is overwritten before it is read.
+/// Newton solves) and the group buffers instead of re-deriving and
+/// re-allocating them per trace. Bit-identical to [`sweep_levels`]: cached
+/// weights are bit-identical to freshly solved ones, and every reused
+/// buffer is refilled before it is read.
 pub fn sweep_levels_with_scratch(
     trace: &TimingTrace,
     alpha: f64,
     obs: Option<&SweepObs>,
     sweep_scratch: &mut SweepScratch,
 ) -> [NormalitySweep; 3] {
-    let finite = trace
-        .samples()
-        .iter()
-        .map(ThreadSample::compute_time_ms)
-        .all(f64::is_finite);
-    if !finite {
-        return SWEEP_LEVELS.map(|level| sweep(trace, level, alpha));
-    }
-
-    let shape = trace.shape();
-    let SweepScratch {
-        battery: scratch,
-        values,
-        pi_sorted,
-        ai_sorted,
-        app_sorted,
-        merge_tmp,
-    } = sweep_scratch;
-    let cache_before = scratch.cache_stats();
-
-    // Phase 1: process-iteration groups, each radix-sorted into its slice
-    // of one flat buffer (kept for the merge phases below).
-    let pi_level = AggregationLevel::ProcessIteration;
-    let pi_groups = pi_level.group_count(trace);
-    let pi_size = shape.threads;
-    let pi_sorted = SweepScratch::uninit_slice(pi_sorted, pi_groups * pi_size);
-    let mut pi_outcomes = Vec::with_capacity(pi_groups);
-    for (g, slice) in pi_sorted.chunks_mut(pi_size).enumerate() {
-        fill_group_ms(trace, pi_level, g, values);
-        slice.copy_from_slice(values);
-        let t0 = obs.map(|o| o.now_ns());
-        scratch.sort_in_place(slice);
-        if let (Some(o), Some(t0)) = (obs, t0) {
-            o.record_sort(t0);
-        }
-        if let Some(o) = obs {
-            o.record_batch_len(values.len());
-        }
-        pi_outcomes.push(battery_presorted(values, slice, scratch));
-    }
-
-    // Phase 2: application-iteration groups. Group `g` aggregates the
-    // process-iterations `(trial * ranks + rank) * iterations + g` in
-    // `(trial, rank)` order — exactly `fill_group_ms`'s concatenation order
-    // — so a stable k-way merge of those already-sorted slices reproduces
-    // the sorted group bit-for-bit.
-    let ai_level = AggregationLevel::ApplicationIteration;
-    let ai_groups = ai_level.group_count(trace);
-    let ai_size = shape.samples_per_app_iteration();
-    let ai_sorted = SweepScratch::uninit_slice(ai_sorted, ai_groups * ai_size);
-    let mut ai_outcomes = Vec::with_capacity(ai_groups);
-    let mut children: Vec<&[f64]> = Vec::with_capacity(shape.trials * shape.ranks);
-    for (g, out) in ai_sorted.chunks_mut(ai_size).enumerate() {
-        fill_group_ms(trace, ai_level, g, values);
-        children.clear();
-        for trial in 0..shape.trials {
-            for rank in 0..shape.ranks {
-                let pi = (trial * shape.ranks + rank) * shape.iterations + g;
-                children.push(&pi_sorted[pi * pi_size..(pi + 1) * pi_size]);
-            }
-        }
-        let t0 = obs.map(|o| o.now_ns());
-        merge_sorted_with_tmp(&children, out, merge_tmp);
-        if let (Some(o), Some(t0)) = (obs, t0) {
-            o.record_sort(t0);
-        }
-        if let Some(o) = obs {
-            o.record_batch_len(values.len());
-        }
-        ai_outcomes.push(battery_presorted(values, out, scratch));
-    }
-
-    // Phase 3: the single application group merges the application-
-    // iteration slices. The raw fill is trace order, a different
-    // concatenation than iteration-major — but with finite, never-negative-
-    // zero inputs equal keys imply equal bits, so the sorted view is the
-    // same array either way.
-    let app_level = AggregationLevel::Application;
-    fill_group_ms(trace, app_level, 0, values);
-    let app_sorted = SweepScratch::uninit_slice(app_sorted, shape.total_samples());
-    let ai_children: Vec<&[f64]> = ai_sorted.chunks(ai_size).collect();
-    let t0 = obs.map(|o| o.now_ns());
-    merge_sorted_with_tmp(&ai_children, app_sorted, merge_tmp);
-    if let (Some(o), Some(t0)) = (obs, t0) {
-        o.record_sort(t0);
-    }
-    if let Some(o) = obs {
-        o.record_batch_len(values.len());
-    }
-    let app_outcomes = vec![battery_presorted(values, app_sorted, scratch)];
-
-    if let Some(o) = obs {
-        o.record_cache_delta(scratch, cache_before);
-    }
-
-    let mk =
-        |level: AggregationLevel, outcomes: Vec<[Option<NormalityOutcome>; 3]>| NormalitySweep {
-            level_label: level.label().to_string(),
-            alpha,
-            groups: outcomes.len(),
-            outcomes,
-        };
-    [
-        mk(pi_level, pi_outcomes),
-        mk(ai_level, ai_outcomes),
-        mk(app_level, app_outcomes),
-    ]
+    let tasks = SweepTasks(trace.shape());
+    let mut outcomes = vec![Default::default(); tasks.len()];
+    run_tasks(trace, obs, 0, &mut outcomes, sweep_scratch);
+    tasks.into_levels(outcomes, alpha)
 }
 
 /// Pass rates of an arbitrary test battery over one aggregation level —
@@ -565,8 +572,8 @@ mod tests {
     }
 
     /// A trace mixing normal-ish groups, laggards and one flat (degenerate)
-    /// process-iteration — exercises every battery branch in the merged
-    /// sweep, including the `None` outcomes.
+    /// process-iteration — exercises every battery branch in the
+    /// three-level sweep, including the `None` outcomes.
     fn mixed_trace() -> TimingTrace {
         TimingTrace::from_fn("mixed", TraceShape::new(2, 3, 5, 16).unwrap(), |idx| {
             if idx.trial == 1 && idx.rank == 2 && idx.iteration == 3 {
@@ -612,8 +619,8 @@ mod tests {
         // every other group reuses a cached vector.
         assert_eq!(snap.counter(SweepObs::CACHE_MISS), 3);
         assert_eq!(snap.counter(SweepObs::CACHE_HIT), 48);
-        // One sort per process-iteration group, one merge per application-
-        // iteration group, one application-level merge.
+        // One sort per group: 40 process-iterations, 10 application-
+        // iterations, 1 application.
         assert_eq!(snap.histogram(SweepObs::SORT_NS).count(), 40 + 10 + 1);
         // One fused-battery batch per group; total elements = the group
         // sizes summed (40×16 + 10×64 + 1×640).

@@ -921,8 +921,8 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         }
     }
     {
-        // The merged fast path: all three levels in one pass, instrumented
-        // with the weight-cache counters and sort/merge histogram the
+        // The fast path: all three levels as one task list, instrumented
+        // with the weight-cache counters and per-group sort histogram the
         // rendering surfaces below.
         let sweep_obs = ebird_analysis::normality::SweepObs::new(&registry);
         let _span = stage(PROFILE_STAGES[3]);

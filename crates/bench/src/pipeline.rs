@@ -227,10 +227,10 @@ pub fn run_pipeline_workloads(
     // parallel the serial code plus one timestamped fork record.
     let mut arenas = EngineArenas::for_pool(pool);
 
-    // Stage 2: the three-level normality sweeps (merged fast path: one
-    // radix sort per process-iteration group, k-way merges for the nested
-    // levels, cached Shapiro–Wilk weights, batch-Φ fused SW+AD battery —
-    // instrumented via SweepObs).
+    // Stage 2: the three-level normality sweeps (fast path: every group of
+    // every level an independent task — integer-key radix sort, cached
+    // Shapiro–Wilk weights, blocked-Φ fused SW+AD battery — instrumented
+    // via SweepObs).
     let sweep_obs = SweepObs::new(&registry);
     let mut sweep_scratch = SweepScratch::new();
     let (sweep_serial_ms, sweeps) = time_best(repeats, || {

@@ -89,7 +89,7 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "  group sort/merge: {} groups, {:.1} ms total, p50 {:.3}-{:.3} ms, p95 {:.3}-{:.3} ms",
+        "  group sort: {} groups, {:.1} ms total, p50 {:.3}-{:.3} ms, p95 {:.3}-{:.3} ms",
         sorts.count(),
         ms(sorts.total()),
         ms(p50_lo),

@@ -35,7 +35,7 @@ impl ThreadSample {
     /// Compute time in milliseconds (the paper's reporting unit).
     #[inline]
     pub fn compute_time_ms(&self) -> f64 {
-        self.compute_time_ns() as f64 / 1.0e6
+        ns_to_ms(self.compute_time_ns())
     }
 
     /// `true` when `exit ≥ enter` (what a monotonic clock guarantees).
@@ -43,6 +43,16 @@ impl ThreadSample {
     pub fn is_monotone(&self) -> bool {
         self.exit_ns >= self.enter_ns
     }
+}
+
+/// Nanoseconds as `f64` milliseconds — the one definition of the conversion,
+/// so code that orders integer nanosecond keys first and converts afterwards
+/// (the normality sweep) yields the bits [`ThreadSample::compute_time_ms`]
+/// does. Monotone non-decreasing: both the rounding `u64 → f64` cast and the
+/// division by a positive constant preserve order.
+#[inline]
+pub fn ns_to_ms(ns: u64) -> f64 {
+    ns as f64 / 1.0e6
 }
 
 /// Logical coordinates of one sample in a job's data set.

@@ -95,9 +95,39 @@ pub fn group_coords(
     }
 }
 
+/// The samples of group `group` at `level` as contiguous slices of the trace,
+/// in [`grouped_ms`] value order: one slice for the application and
+/// process-iteration levels, one per `(trial, rank)` pair — trial-major — for
+/// an application iteration. The single definition of group membership and
+/// order that [`fill_group_ms`] and the normality sweep both iterate.
+///
+/// # Panics
+/// If `group` is out of range for the level.
+pub fn group_slices(
+    trace: &TimingTrace,
+    level: AggregationLevel,
+    group: usize,
+) -> impl Iterator<Item = &[ThreadSample]> {
+    let shape = trace.shape();
+    assert!(group < level.group_count(trace), "group out of range");
+    // Slice `k` of the group starts at `first + k * stride`.
+    let (first, count, len, stride) = match level {
+        AggregationLevel::Application => (0, 1, shape.total_samples(), 0),
+        AggregationLevel::ApplicationIteration => (
+            group * shape.threads,
+            shape.trials * shape.ranks,
+            shape.threads,
+            shape.iterations * shape.threads,
+        ),
+        AggregationLevel::ProcessIteration => (group * shape.threads, 1, shape.threads, 0),
+    };
+    let samples = trace.samples();
+    (0..count).map(move |k| &samples[first + k * stride..][..len])
+}
+
 /// Fills `out` with the compute times (ms) of group `group` at `level`,
-/// reusing `out`'s capacity — the allocation-free building block the sweep
-/// engine iterates with (serially or with one buffer per worker).
+/// reusing `out`'s capacity — the allocation-free building block the
+/// per-level sweeps iterate with (serially or with one buffer per worker).
 ///
 /// Group indices run `0..level.group_count(trace)` in [`grouped_ms`] order;
 /// value order inside a group matches [`grouped_ms`] exactly.
@@ -111,42 +141,8 @@ pub fn fill_group_ms(
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    let shape = trace.shape();
-    match level {
-        AggregationLevel::Application => {
-            assert_eq!(group, 0, "application level has exactly one group");
-            out.extend(trace.samples().iter().map(ThreadSample::compute_time_ms));
-        }
-        AggregationLevel::ApplicationIteration => {
-            assert!(group < shape.iterations, "iteration group out of range");
-            for trial in 0..shape.trials {
-                for rank in 0..shape.ranks {
-                    out.extend(
-                        trace
-                            .process_iteration(trial, rank, group)
-                            .expect("in range by construction")
-                            .iter()
-                            .map(ThreadSample::compute_time_ms),
-                    );
-                }
-            }
-        }
-        AggregationLevel::ProcessIteration => {
-            let (trial, rank, iteration) = group_coords(shape, level, group);
-            let (trial, rank, iteration) = (
-                trial.expect("pinned"),
-                rank.expect("pinned"),
-                iteration.expect("pinned"),
-            );
-            assert!(trial < shape.trials, "process-iteration group out of range");
-            out.extend(
-                trace
-                    .process_iteration(trial, rank, iteration)
-                    .expect("in range by construction")
-                    .iter()
-                    .map(ThreadSample::compute_time_ms),
-            );
-        }
+    for slice in group_slices(trace, level, group) {
+        out.extend(slice.iter().map(ThreadSample::compute_time_ms));
     }
 }
 
@@ -285,6 +281,30 @@ mod tests {
                 let (t, r, i) = group_coords(tr.shape(), level, g);
                 assert_eq!((t, r, i), (group.trial, group.rank, group.iteration));
             }
+        }
+    }
+
+    #[test]
+    fn group_slices_follow_the_trace_accessors_order() {
+        // Independent oracle: the trace's own per-level accessors.
+        let tr = trace();
+        let ms = |level, g| {
+            let mut buf = Vec::new();
+            fill_group_ms(&tr, level, g, &mut buf);
+            buf
+        };
+        assert_eq!(ms(AggregationLevel::Application, 0), tr.all_ms());
+        for i in 0..3 {
+            assert_eq!(
+                ms(AggregationLevel::ApplicationIteration, i),
+                tr.app_iteration_ms(i).unwrap()
+            );
+        }
+        for (g, (t, r, i, _)) in tr.iter_process_iterations().enumerate() {
+            assert_eq!(
+                ms(AggregationLevel::ProcessIteration, g),
+                tr.process_iteration_ms(t, r, i).unwrap()
+            );
         }
     }
 

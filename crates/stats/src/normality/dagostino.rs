@@ -63,24 +63,39 @@ impl DagostinoK2 {
     ) -> Result<(NormalityOutcome, f64, f64), StatsError> {
         ensure_len(sample, self.min_sample_size())?;
         ensure_finite(sample)?;
-        let m = Moments::from_slice(sample);
+        self.test_moments(&Moments::from_slice(sample))
+    }
+
+    /// [`test_with_components`](Self::test_with_components) for a caller that
+    /// already streamed the sample into `m` — bit-identical to it when the
+    /// pushes happened in the sample's order (the accumulator's rounding is
+    /// order-sensitive). The observations must have been finite.
+    ///
+    /// # Errors
+    /// [`StatsError::SampleTooSmall`] and [`StatsError::ZeroVariance`], as
+    /// [`NormalityTest::test`].
+    pub fn test_moments(&self, m: &Moments) -> Result<(NormalityOutcome, f64, f64), StatsError> {
+        let n = m.count() as usize;
+        if n < self.min_sample_size() {
+            return Err(StatsError::SampleTooSmall {
+                needed: self.min_sample_size(),
+                got: n,
+            });
+        }
         if m.variance_population() <= 0.0 {
             return Err(StatsError::ZeroVariance);
         }
-        let g1 = m.skewness();
-        let b2 = m.kurtosis();
-        let z1 = Self::skewness_z(g1, sample.len());
-        let z2 = Self::kurtosis_z(b2, sample.len());
+        let z1 = Self::skewness_z(m.skewness(), n);
+        let z2 = Self::kurtosis_z(m.kurtosis(), n);
         let k2 = z1 * z1 + z2 * z2;
-        let p = chi2_sf(k2, 2.0);
         Ok((
             NormalityOutcome {
                 statistic_kind: TestStatistic::DagostinoK2,
                 statistic: k2,
-                p_value: p,
-                n: sample.len(),
+                p_value: chi2_sf(k2, 2.0),
+                n,
                 // The transforms are asymptotic; below n = 20 scipy warns.
-                extrapolated: sample.len() < 20,
+                extrapolated: n < 20,
             },
             z1,
             z2,

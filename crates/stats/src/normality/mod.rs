@@ -22,8 +22,8 @@ pub mod shapiro_wilk;
 use serde::{Deserialize, Serialize};
 
 use crate::sort::{sort_floats, SortScratch};
-use crate::special::norm_log_cdf_sf_slice;
-use crate::{accumulate, StatsError};
+use crate::special::{norm_log_cdf_sf, norm_log_cdf_sf_slice};
+use crate::{accumulate, Moments, StatsError};
 
 /// Identifier for one of the three implemented tests; used in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -205,44 +205,45 @@ impl WeightCache {
     }
 }
 
-/// Reusable buffers for the fused kernel's batch Φ evaluation: the
-/// standardized order statistics `z` and the paired `ln Φ` / `ln(1 − Φ)`
-/// outputs, filled by one [`norm_log_cdf_sf_slice`] call per sample.
+/// Order-statistic pairs `(i, n−1−i)` the fused kernel evaluates Φ for at a
+/// time: 512 from each end of the sorted sample, so the `z`, `ln Φ` and
+/// `ln(1 − Φ)` blocks (24 KiB together) stay in L1 however large the group.
+const PHI_BLOCK: usize = 512;
+
+/// The fused kernel's Φ working set for one block of pairs: standardized
+/// order statistics and their two log tails, the block's low-end elements
+/// first (ascending), its high-end elements after them (ascending).
 #[derive(Debug, Clone, Default)]
-struct PhiBuffers {
+struct PhiBlock {
     z: Vec<f64>,
     log_cdf: Vec<f64>,
     log_sf: Vec<f64>,
 }
 
-impl PhiBuffers {
-    /// Standardizes `sorted` into `z` and batch-evaluates both log tails.
-    /// `z[i] = (sorted[i] − mean) / sd` is the exact expression the scalar
+impl PhiBlock {
+    /// Standardizes `low` then `high` into `z` and batch-evaluates both log
+    /// tails. `z = (x − mean) / sd` is the exact expression the scalar
     /// kernel fed to [`crate::special::norm_log_cdf_sf`], and the slice
-    /// kernel is bit-identical to that scalar call, so the returned buffers
-    /// carry exactly the values the per-element loop produced.
-    fn fill(&mut self, sorted: &[f64], mean: f64, sd: f64) -> (&[f64], &[f64]) {
-        let n = sorted.len();
+    /// kernel is bit-identical to that scalar call per element — wherever
+    /// the element sits in a buffer — so the returned blocks carry exactly
+    /// the values a whole-sample evaluation would.
+    fn fill(&mut self, low: &[f64], high: &[f64], mean: f64, sd: f64) -> (&[f64], &[f64]) {
         self.z.clear();
-        self.z.extend(sorted.iter().map(|&v| (v - mean) / sd));
-        if self.log_cdf.len() < n {
-            self.log_cdf.resize(n, 0.0);
-        }
-        if self.log_sf.len() < n {
-            self.log_sf.resize(n, 0.0);
-        }
-        let lc = &mut self.log_cdf[..n];
-        let ls = &mut self.log_sf[..n];
-        norm_log_cdf_sf_slice(&self.z, lc, ls);
-        (&*lc, &*ls)
+        self.z
+            .extend(low.iter().chain(high).map(|&v| (v - mean) / sd));
+        let n = self.z.len();
+        self.log_cdf.resize(n, 0.0);
+        self.log_sf.resize(n, 0.0);
+        norm_log_cdf_sf_slice(&self.z, &mut self.log_cdf, &mut self.log_sf);
+        (&self.log_cdf, &self.log_sf)
     }
 }
 
 /// Reusable buffers for allocation-free runs of the paper's three-test
 /// battery: one sorted copy of the sample (shared by Shapiro–Wilk and
 /// Anderson–Darling, which previously each sorted their own fresh `Vec`),
-/// the radix-sort scratch, the per-`n` [`WeightCache`], and the batch-Φ
-/// buffers the fused kernel streams through.
+/// the radix-sort scratch, the per-`n` [`WeightCache`], and the Φ block the
+/// fused kernel works through.
 ///
 /// One scratch per worker thread lets the sweep engine test tens of
 /// thousands of groups with zero allocations after warm-up.
@@ -251,7 +252,7 @@ pub struct BatteryScratch {
     sorted: Vec<f64>,
     sort: SortScratch,
     cache: WeightCache,
-    phi: PhiBuffers,
+    phi: PhiBlock,
 }
 
 impl BatteryScratch {
@@ -266,12 +267,6 @@ impl BatteryScratch {
         sort_floats(data, &mut self.sort);
     }
 
-    /// The scratch's weight cache, for callers that manage their own sorted
-    /// buffers (the merged multi-level sweep).
-    pub fn cache(&mut self) -> &mut WeightCache {
-        &mut self.cache
-    }
-
     /// `(hits, misses)` of the embedded weight cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -279,23 +274,24 @@ impl BatteryScratch {
 }
 
 /// The fused Shapiro–Wilk + Anderson–Darling kernel: one traversal of the
-/// sorted sample computes the symmetric-difference W sum and the paired
-/// `ln Φ(zᵢ) + ln(1 − Φ(z₍ₙ₋₁₋ᵢ₎))` A² terms, with the Φ logs batch-evaluated
-/// over the whole standardized buffer by [`norm_log_cdf_sf_slice`] (the
-/// sorted layout makes the slice kernel's interval-uniform fast path the
-/// common case) and weights/constants from the per-`n` cache.
+/// sorted sample, from both ends inwards, computes the symmetric-difference
+/// W sum and the paired `ln Φ(zᵢ) + ln(1 − Φ(z₍ₙ₋₁₋ᵢ₎))` A² terms. The Φ logs
+/// are batch-evaluated [`PHI_BLOCK`] pairs at a time by
+/// [`norm_log_cdf_sf_slice`] (the sorted layout makes the slice kernel's
+/// interval-uniform fast path the common case), weights/constants come from
+/// the per-`n` cache.
 ///
 /// Outcomes are bit-identical to the individual tests because every
 /// accumulator replays the exact sequence of the standalone paths:
 /// mean/ssq via [`accumulate::mean_ssq`], `sax` ascending (as in
 /// `w_from_sorted_with`), and the A² sum in `ad_pair_sum`'s pair order —
 /// the batch kernel is bit-identical to the per-element
-/// `norm_log_cdf_sf` calls it replaces, and hoisting those independent
-/// evaluations out of the loop does not reorder any accumulator.
+/// `norm_log_cdf_sf` calls it replaces, and evaluating those independent
+/// calls a block ahead of the loop does not reorder any accumulator.
 fn fused_sw_ad(
     sorted: &[f64],
     cache: &mut WeightCache,
-    phi: &mut PhiBuffers,
+    phi: &mut PhiBlock,
 ) -> (Option<NormalityOutcome>, Option<NormalityOutcome>) {
     let n = sorted.len();
     if n < 3 {
@@ -316,16 +312,24 @@ fn fused_sw_ad(
     let mut sax = 0.0;
     let mut s_ad = 0.0;
     if do_ad {
-        let (lc, ls) = phi.fill(sorted, mean, sd);
-        for (i, &ai) in a.iter().enumerate() {
-            let r = n - 1 - i;
-            sax += ai * (sorted[r] - sorted[i]);
-            s_ad += (2 * i + 1) as f64 * (lc[i] + ls[r]);
-            s_ad += (2 * r + 1) as f64 * (lc[r] + ls[i]);
+        for (block, ab) in a.chunks(PHI_BLOCK).enumerate() {
+            let (i0, len) = (block * PHI_BLOCK, ab.len());
+            // Pairs i0..i0+len: low elements i0.., high elements ..n−i0.
+            let (low, high) = (&sorted[i0..i0 + len], &sorted[n - i0 - len..n - i0]);
+            let (lc, ls) = phi.fill(low, high, mean, sd);
+            for (j, &ai) in ab.iter().enumerate() {
+                // Element i = i0 + j sits at j, element r = n−1−i at rj.
+                let (i, rj) = (i0 + j, 2 * len - 1 - j);
+                let r = n - 1 - i;
+                sax += ai * (high[len - 1 - j] - low[j]);
+                s_ad += (2 * i + 1) as f64 * (lc[j] + ls[rj]);
+                s_ad += (2 * r + 1) as f64 * (lc[rj] + ls[j]);
+            }
         }
         if n % 2 == 1 {
             let mid = n / 2;
-            s_ad += (2 * mid + 1) as f64 * (lc[mid] + ls[mid]);
+            let (lc, ls) = norm_log_cdf_sf((sorted[mid] - mean) / sd);
+            s_ad += (2 * mid + 1) as f64 * (lc + ls);
         }
     } else {
         for (i, &ai) in a.iter().enumerate() {
@@ -365,12 +369,11 @@ pub fn battery_with_scratch(
     sample: &[f64],
     scratch: &mut BatteryScratch,
 ) -> [Option<NormalityOutcome>; 3] {
-    let dag = dagostino::DagostinoK2.test(sample).ok();
     // A non-finite value fails every test's validation; skip the sort (whose
     // key mapping requires finite values) and report the same `None`s the
     // per-test calls would.
     if !sample.iter().all(|x| x.is_finite()) {
-        return [dag, None, None];
+        return [None; 3];
     }
     let BatteryScratch {
         sorted,
@@ -381,33 +384,49 @@ pub fn battery_with_scratch(
     sorted.clear();
     sorted.extend_from_slice(sample);
     sort_floats(sorted, sort);
+    let dag = dagostino::DagostinoK2.test_moments(&Moments::from_slice(sample));
     let (sw, ad) = fused_sw_ad(sorted, cache, phi);
-    [dag, sw, ad]
+    [dag.ok().map(|(o, _, _)| o), sw, ad]
 }
 
 /// [`battery_with_scratch`] for callers that already hold a sorted copy of
-/// the sample (the merged multi-level sweep, which k-way-merges its
-/// sub-groups' sorted buffers instead of re-sorting). `sample` must be the
-/// same multiset in raw group order — D'Agostino's moment sums are
-/// order-sensitive, so it sees exactly what the unsorted path sees. The
-/// scratch's own `sorted` buffer is untouched; only its weight cache and
-/// batch-Φ buffers are used.
+/// the sample. `sample` must be the same multiset in raw group order —
+/// D'Agostino's moment sums are order-sensitive, so it sees exactly what the
+/// unsorted path sees. The scratch's own `sorted` buffer is untouched; only
+/// its weight cache and Φ block are used.
 pub fn battery_presorted(
     sample: &[f64],
     sorted: &[f64],
     scratch: &mut BatteryScratch,
 ) -> [Option<NormalityOutcome>; 3] {
-    debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
+    if !sample.iter().all(|x| x.is_finite()) {
+        return [None; 3];
+    }
+    battery_sorted(&Moments::from_slice(sample), sorted, scratch)
+}
+
+/// [`battery_presorted`] for callers that streamed the sample into `moments`
+/// while gathering it and kept no raw copy (the normality sweep, which sorts
+/// integer keys). The pushes must have been of **finite** values in raw
+/// group order, `sorted` the same multiset ascending; outcomes are then
+/// bit-identical to [`battery_with_scratch`] on the raw sample.
+pub fn battery_sorted(
+    moments: &Moments,
+    sorted: &[f64],
+    scratch: &mut BatteryScratch,
+) -> [Option<NormalityOutcome>; 3] {
+    debug_assert_eq!(
+        moments.count(),
+        sorted.len() as u64,
+        "moments/sorted must match"
+    );
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
-        "`sorted` must be sorted ascending"
+        "`sorted` must be finite and sorted ascending"
     );
-    let dag = dagostino::DagostinoK2.test(sample).ok();
-    if !sample.iter().all(|x| x.is_finite()) {
-        return [dag, None, None];
-    }
+    let dag = dagostino::DagostinoK2.test_moments(moments);
     let (sw, ad) = fused_sw_ad(sorted, &mut scratch.cache, &mut scratch.phi);
-    [dag, sw, ad]
+    [dag.ok().map(|(o, _, _)| o), sw, ad]
 }
 
 /// Convenience: the standard battery in the order the paper tabulates them.

@@ -1,7 +1,11 @@
-//! Cache-friendly sorting of finite `f64` samples for the sweep hot path.
+//! Cache-friendly sorting of finite `f64` samples — and of the integer keys
+//! they came from — for the sweep hot path.
 //!
 //! The normality sweep sorts tens of thousands of groups per trace; a
 //! comparison sort pays a branch-mispredicting `partial_cmp` per comparison.
+//! Its samples are integer nanoseconds, which [`sort_keys`] radix-sorts
+//! directly; for samples that exist only as floats the rest of this module
+//! derives an integer key first.
 //! Finite doubles admit a **monotone fixed-width key**: flip the sign bit for
 //! positives and all bits for negatives, and unsigned `u64` order equals
 //! numeric order ([`f64_total_key`]). [`sort_floats`] exploits that with an
@@ -82,28 +86,12 @@ pub fn sort_floats(vals: &mut [f64], scratch: &mut SortScratch) {
     tmp_keys.resize(n, 0);
     tmp_vals.resize(n, 0.0);
 
-    // All eight digit histograms in one pass over the keys.
-    let mut hist = [[0u32; 256]; 8];
-    for &k in keys.iter() {
-        for (d, h) in hist.iter_mut().enumerate() {
-            h[((k >> (8 * d)) & 0xFF) as usize] += 1;
-        }
-    }
-
+    let hist = digit_histograms(keys);
     let mut in_tmp = false;
     for (d, h) in hist.iter().enumerate() {
-        // A single occupied bucket means this digit is constant: the scatter
-        // would be the identity permutation, so skip it (common for the high
-        // exponent bytes of millisecond-scale data).
-        if h.iter().any(|&c| c as usize == n) {
+        let Some(mut offsets) = digit_offsets(h, n) else {
             continue;
-        }
-        let mut offsets = [0u32; 256];
-        let mut run = 0u32;
-        for (o, &c) in offsets.iter_mut().zip(h.iter()) {
-            *o = run;
-            run += c;
-        }
+        };
         let shift = 8 * d as u32;
         if in_tmp {
             scatter(tmp_keys, tmp_vals, keys, vals, shift, &mut offsets);
@@ -114,6 +102,73 @@ pub fn sort_floats(vals: &mut [f64], scratch: &mut SortScratch) {
     }
     if in_tmp {
         vals.copy_from_slice(tmp_vals);
+    }
+}
+
+/// All eight 8-bit digit histograms of `keys` in one pass.
+fn digit_histograms(keys: &[u64]) -> [[u32; 256]; 8] {
+    assert!(keys.len() <= u32::MAX as usize, "radix counters are u32");
+    let mut hist = [[0u32; 256]; 8];
+    for &k in keys {
+        for (d, h) in hist.iter_mut().enumerate() {
+            h[((k >> (8 * d)) & 0xFF) as usize] += 1;
+        }
+    }
+    hist
+}
+
+/// Scatter start offsets (exclusive prefix sums) for one digit's histogram
+/// over `n` keys, or `None` when a single bucket holds all of them: the
+/// digit is constant, its scatter would be the identity permutation, and
+/// the pass is skipped (common for the high bytes of millisecond-scale
+/// data).
+fn digit_offsets(hist: &[u32; 256], n: usize) -> Option<[u32; 256]> {
+    if hist.iter().any(|&c| c as usize == n) {
+        return None;
+    }
+    let mut offsets = [0u32; 256];
+    let mut run = 0u32;
+    for (o, &c) in offsets.iter_mut().zip(hist) {
+        *o = run;
+        run += c;
+    }
+    Some(offsets)
+}
+
+/// Sorts integer `keys` ascending: the payload-free sibling of
+/// [`sort_floats`] for data that is ordered by an integer it already holds
+/// (the normality sweep sorts `u64` nanosecond compute times and converts
+/// to milliseconds afterwards). Equal keys are indistinguishable, so the
+/// result is simply *the* sorted array. Same structure as the float sort —
+/// insertion sort below 64 elements, else an 8×8-bit LSD radix sort
+/// skipping constant digits — but each pass moves 8 bytes per element
+/// instead of 16 and needs no key derivation. `tmp` is the ping-pong
+/// buffer, grown as needed; its contents are unspecified on entry and exit.
+pub fn sort_keys(keys: &mut [u64], tmp: &mut Vec<u64>) {
+    let n = keys.len();
+    if n < RADIX_THRESHOLD {
+        insertion_sort(keys);
+        return;
+    }
+    if tmp.len() < n {
+        tmp.resize(n, 0);
+    }
+    let (mut src, mut dst) = (&mut *keys, &mut tmp[..n]);
+    let mut in_tmp = false;
+    for (d, h) in digit_histograms(src).iter().enumerate() {
+        let Some(mut offsets) = digit_offsets(h, n) else {
+            continue;
+        };
+        for &k in src.iter() {
+            let b = ((k >> (8 * d)) & 0xFF) as usize;
+            dst[offsets[b] as usize] = k;
+            offsets[b] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_tmp = !in_tmp;
+    }
+    if in_tmp {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -137,7 +192,7 @@ fn scatter(
 
 /// Stable insertion sort (shift-only moves on strict `>`), matching the
 /// stable `partial_cmp` sort bit-for-bit on finite inputs.
-fn insertion_sort(vals: &mut [f64]) {
+fn insertion_sort<T: Copy + PartialOrd>(vals: &mut [T]) {
     for i in 1..vals.len() {
         let v = vals[i];
         let mut j = i;
@@ -154,8 +209,11 @@ fn insertion_sort(vals: &mut [f64]) {
 /// concatenation would: ties break by child index first, then by position
 /// within the child.
 ///
-/// The sweep engine uses this so nested aggregation levels reuse their
-/// sub-groups' sorted buffers instead of re-sorting raw values.
+/// No longer on the sweep's path — re-sorting integer keys ([`sort_keys`])
+/// measured cheaper than merging sorted children. Kept exported because
+/// `benchmark/src/layers.rs` times [`merge_sorted_with_tmp`] as
+/// `stats.merge_ns_per_elem`; the benchmark change that drops that probe
+/// can delete both functions with it.
 ///
 /// Implemented as ⌈log₂ k⌉ passes of adjacent stable two-way merges
 /// (ping-ponging between `out` and one temporary buffer) rather than a
@@ -171,10 +229,9 @@ pub fn merge_sorted(children: &[&[f64]], out: &mut [f64]) {
     merge_sorted_with_tmp(children, out, &mut Vec::new());
 }
 
-/// [`merge_sorted`] with a caller-owned ping-pong buffer, so hot loops
-/// (the sweep engine merges hundreds of groups per trace) avoid one
-/// `out`-sized allocation per merge. `tmp` is resized as needed; its
-/// contents on entry and exit are unspecified.
+/// [`merge_sorted`] with a caller-owned ping-pong buffer, so a loop of
+/// merges avoids one `out`-sized allocation each. `tmp` is resized as
+/// needed; its contents on entry and exit are unspecified.
 pub fn merge_sorted_with_tmp(children: &[&[f64]], out: &mut [f64], tmp: &mut Vec<f64>) {
     let total: usize = children.iter().map(|c| c.len()).sum();
     assert_eq!(out.len(), total, "merge output length mismatch");

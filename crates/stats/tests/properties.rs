@@ -8,12 +8,12 @@
 
 use ebird_stats::descriptive::{Moments, Summary};
 use ebird_stats::normality::{
-    anderson_darling::AndersonDarling, battery_with_scratch, dagostino::DagostinoK2,
-    jarque_bera::JarqueBera, lilliefors::Lilliefors, shapiro_wilk, shapiro_wilk::ShapiroWilk,
-    BatteryScratch, NormalityTest, WeightCache,
+    anderson_darling::AndersonDarling, battery_sorted, battery_with_scratch,
+    dagostino::DagostinoK2, jarque_bera::JarqueBera, lilliefors::Lilliefors, shapiro_wilk,
+    shapiro_wilk::ShapiroWilk, BatteryScratch, NormalityTest, WeightCache,
 };
 use ebird_stats::percentile::{percentile, PercentileSummary};
-use ebird_stats::sort::{merge_sorted, sort_floats, SortScratch};
+use ebird_stats::sort::{merge_sorted, sort_floats, sort_keys, SortScratch};
 use ebird_stats::special::{
     chi2_cdf, erf, erfc, erfc_slice, norm_cdf, norm_log_cdf, norm_log_cdf_sf,
     norm_log_cdf_sf_slice, norm_log_sf, norm_quantile,
@@ -82,6 +82,40 @@ fn arb_kernel_input() -> impl Strategy<Value = Vec<f64>> {
         }
         xs
     })
+}
+
+/// Deterministic `u64` stream (xorshift64*) for the generators below, which
+/// need more values per case than the strategy combinators conveniently give.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// `n` nanosecond keys as the sweep's integer sort sees them: `flavor` 0 is
+/// millisecond-scale timings with heavy duplication, 1 a narrow band (most
+/// radix digits constant), 2 the full `u64` range with 0, values above 2⁵³
+/// (where `u64 → f64` rounds) and `u64::MAX` stamped in.
+fn ns_keys(n: usize, flavor: usize, seed: u64) -> Vec<u64> {
+    let mut next = xorshift(seed);
+    let mut keys: Vec<u64> = (0..n)
+        .map(|_| match flavor {
+            0 => 10_000_000 + (next() % 5_000) * 1_000,
+            1 => 3_000_000 + next() % 200,
+            _ => next(),
+        })
+        .collect();
+    if flavor == 2 {
+        let specials = [0, u64::MAX, (1 << 53) + 1, (1 << 53) + 3, u64::MAX - 1, 0];
+        for (slot, special) in keys.iter_mut().step_by(5).zip(specials.into_iter().cycle()) {
+            *slot = special;
+        }
+    }
+    keys
 }
 
 /// A sample guaranteed to have spread (for scale-dependent tests).
@@ -305,6 +339,36 @@ proptest! {
     }
 
     #[test]
+    fn key_sort_then_convert_is_bit_identical_to_convert_then_float_sort(
+        seed in 0u64..u64::MAX,
+    ) {
+        // The sweep's order of operations (sort integer ns, convert to ms)
+        // against the oracle's (convert, then sort the floats), at lengths
+        // straddling the insertion/radix threshold (64) and well into radix
+        // territory. The conversion is `ebird_core::sample::ns_to_ms`'s.
+        let to_ms = |ns: u64| ns as f64 / 1.0e6;
+        // Largest first, so the shared ping-pong buffer is also exercised
+        // longer than the keys it serves.
+        let mut tmp = Vec::new();
+        for n in [1537usize, 1000, 65, 64, 63, 2, 1, 0] {
+            for flavor in 0..3 {
+                let keys = ns_keys(n, flavor, seed ^ (n * 3 + flavor) as u64);
+                let mut sorted_keys = keys.clone();
+                sort_keys(&mut sorted_keys, &mut tmp);
+                let mut reference = keys.clone();
+                reference.sort_unstable();
+                prop_assert_eq!(&sorted_keys, &reference, "n = {}, flavor {}", n, flavor);
+                let via_keys: Vec<u64> =
+                    sorted_keys.iter().map(|&k| to_ms(k).to_bits()).collect();
+                let mut floats: Vec<f64> = keys.iter().map(|&k| to_ms(k)).collect();
+                sort_floats(&mut floats, &mut SortScratch::new());
+                let via_floats: Vec<u64> = floats.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(via_keys, via_floats, "n = {}, flavor {}", n, flavor);
+            }
+        }
+    }
+
+    #[test]
     fn norm_log_cdf_sf_is_bitwise_equal_to_separate_evaluations(x in -40.0f64..40.0) {
         let (lc, ls) = norm_log_cdf_sf(x);
         prop_assert_eq!(lc.to_bits(), norm_log_cdf(x).to_bits());
@@ -332,6 +396,44 @@ proptest! {
             let (c, s) = norm_log_cdf_sf(x);
             prop_assert_eq!(lc[i].to_bits(), c.to_bits(), "lc, x = {}", x);
             prop_assert_eq!(ls[i].to_bits(), s.to_bits(), "ls, x = {}", x);
+        }
+    }
+}
+
+proptest! {
+    // Every case runs all 15 × 4 combinations; the standalone Shapiro–Wilk
+    // re-solves its weights each time, so a few cases are plenty.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn blocked_fused_battery_is_bit_identical_to_individual_tests(seed in 0u64..u64::MAX) {
+        // Sample sizes around the fused kernel's Φ block (512 pairs, so one
+        // block holds n = 1024): a partial block, exactly one, one pair
+        // more, two blocks plus one — odd and even — and sizes below each
+        // test's minimum. Fed through the moments-in entry, as the sweep
+        // does, on one scratch so the block buffers are reused across sizes.
+        let mut scratch = BatteryScratch::new();
+        let mut next = xorshift(seed);
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        for n in [3usize, 7, 8, 48, 511, 512, 513, 1023, 1024, 1025, 1026, 1027, 2049, 2050, 2051] {
+            for kind in 0..4 {
+                let sample: Vec<f64> = match kind {
+                    0 => vec![7.25; n],
+                    1 => (0..n).map(|_| -(1.0 - unit()).ln()).collect(),
+                    // Microsecond-grained timings: many exact duplicates.
+                    2 => (0..n).map(|_| (unit() * 4_000.0).floor() / 1.0e3).collect(),
+                    _ => (0..n).map(|_| 10.0 + unit() + unit() + unit()).collect(),
+                };
+                let mut sorted = sample.clone();
+                sort_floats(&mut sorted, &mut SortScratch::new());
+                let fused = battery_sorted(&Moments::from_slice(&sample), &sorted, &mut scratch);
+                let direct = [
+                    DagostinoK2.test(&sample).ok(),
+                    ShapiroWilk.test(&sample).ok(),
+                    AndersonDarling.test(&sample).ok(),
+                ];
+                prop_assert_eq!(fused, direct, "n = {}, kind = {}", n, kind);
+            }
         }
     }
 }

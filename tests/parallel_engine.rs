@@ -4,10 +4,11 @@
 //! normality sweep, the laggard census, and the reclaim metrics.
 
 use early_bird::analysis::engine::{
-    laggard_census_parallel, reclaim_metrics_parallel, sweep_parallel,
+    laggard_census_parallel, reclaim_metrics_parallel, sweep_levels_parallel_with_arenas,
+    sweep_parallel, EngineArenas,
 };
 use early_bird::analysis::laggard::laggard_census;
-use early_bird::analysis::normality::sweep;
+use early_bird::analysis::normality::{sweep, SWEEP_LEVELS};
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::cluster::{JobConfig, SyntheticApp};
 use early_bird::core::view::AggregationLevel;
@@ -58,5 +59,41 @@ proptest! {
         let census_par = laggard_census_parallel(&trace, 1.0, &pool);
         prop_assert_eq!(census.iterations, census_par.iterations);
         prop_assert_eq!(reclaim_metrics(&trace), reclaim_metrics_parallel(&trace, &pool));
+    }
+}
+
+/// The three-level sweep's flat task list against the per-level oracle
+/// (`sweep` sorts the millisecond floats; the task kernel sorts integer
+/// nanoseconds), for pool sizes on both sides of every partition regime:
+/// one thread (the inline serial loop), the application group sharing a
+/// part (2, 3), the application group exceeding a fair share and owning a
+/// part alone (5, 8), and — on the three-task shape — more workers than
+/// tasks, so some parts are empty. Each arena set is used twice, so warm
+/// scratch is covered too.
+#[test]
+fn sweep_levels_matches_per_level_sweeps_for_every_partition_regime() {
+    let shapes = [
+        JobConfig::new(2, 3, 7, 16), // 1 + 7 + 42 tasks
+        JobConfig::new(1, 1, 1, 24), // 3 tasks, one per level
+    ];
+    for (cfg, app) in shapes.iter().zip(&SyntheticApp::all()) {
+        let trace = app.generate(cfg, 20_230_421);
+        let oracle = SWEEP_LEVELS.map(|level| sweep(&trace, level, 0.05));
+        for workers in [1, 2, 3, 5, 8] {
+            let pool = Pool::new(workers);
+            let mut arenas = EngineArenas::for_pool(&pool);
+            for round in 0..2 {
+                let got = sweep_levels_parallel_with_arenas(&trace, 0.05, None, &pool, &mut arenas);
+                for (g, o) in got.iter().zip(&oracle) {
+                    assert_eq!(g.level_label, o.level_label);
+                    assert_eq!(g.groups, o.groups);
+                    assert_eq!(
+                        g.outcomes, o.outcomes,
+                        "{} @ {} workers, round {round}",
+                        g.level_label, workers
+                    );
+                }
+            }
+        }
     }
 }

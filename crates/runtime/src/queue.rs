@@ -1,12 +1,16 @@
 //! A closable priority job queue, and [`Pool::service`] to drain it with a
 //! thread team.
 //!
-//! The campaign service schedules scenario cells as jobs: higher-priority
-//! submissions overtake lower-priority ones, equal priorities run FIFO
-//! (submission order), and shutdown is a two-phase drain — [`JobQueue::close`]
-//! refuses new work while every already-queued job still runs. The queue is
-//! deliberately job-agnostic: it stores any `Send` payload, so the runtime
-//! layer stays free of protocol or scenario types.
+//! The campaign service schedules groups of scenario cells as jobs:
+//! higher-priority submissions overtake lower-priority ones, equal
+//! priorities run FIFO (submission order), and shutdown is a two-phase drain
+//! — [`JobQueue::close`] refuses new work while every already-queued job
+//! still runs. Depth is **weighted**: a job counts its
+//! [`push_weighted`](JobQueue::push_weighted) weight (the service passes
+//! the job's cell count, so bound and depth stay in cells) and `1` through
+//! plain [`push`](JobQueue::push). The queue is deliberately job-agnostic:
+//! it stores any `Send` payload, so the runtime layer stays free of
+//! protocol or scenario types.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -15,9 +19,10 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::pool::{Ctx, Pool};
 
-/// Metric handles an observed [`JobQueue`] publishes into: depth gauge,
-/// queue-wait histogram (enqueue → pop, the paper's "time spent waiting for
-/// a thread"), and push/refusal counters. Built once from a registry via
+/// Metric handles an observed [`JobQueue`] publishes into: depth gauge
+/// (queued weight), queue-wait histogram (enqueue → pop, one entry per job:
+/// the paper's "time spent waiting for a thread"), and push/refusal
+/// counters (per job). Built once from a registry via
 /// [`QueueMetrics::new`]; the queue then records lock-free on every
 /// push/pop. An unobserved queue (the default constructors) records
 /// nothing and pays only an `Option` check.
@@ -55,6 +60,8 @@ struct Entry<T> {
     /// Enqueue stamp (registry time) for the queue-wait histogram; 0 when
     /// the queue is unobserved.
     enqueued_ns: u64,
+    /// What this job counts toward the queue's depth.
+    weight: usize,
     job: T,
 }
 
@@ -86,8 +93,19 @@ struct State<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
     closed: bool,
-    /// Maximum queued (not-yet-popped) jobs; `usize::MAX` = unbounded.
+    /// Summed weight of the queued (not-yet-popped) jobs.
+    depth: usize,
+    /// Maximum depth; `usize::MAX` = unbounded. `depth <= capacity` always.
     capacity: usize,
+}
+
+impl<T> State<T> {
+    /// Pops the next entry, giving its weight back.
+    fn pop(&mut self) -> Option<Entry<T>> {
+        let entry = self.heap.pop()?;
+        self.depth -= entry.weight;
+        Some(entry)
+    }
 }
 
 /// Why a [`push`](JobQueue::push) was refused.
@@ -114,8 +132,8 @@ impl std::fmt::Display for PushError {
 ///
 /// * [`push`](JobQueue::push) enqueues at a priority (higher runs first;
 ///   equal priorities run in push order). Pushing to a closed queue is
-///   refused with [`PushError::Closed`]; pushing to a
-///   [`bounded`](JobQueue::bounded) queue at capacity is refused with
+///   refused with [`PushError::Closed`]; pushing more weight than a
+///   [`bounded`](JobQueue::bounded) queue has room for is refused with
 ///   [`PushError::Full`] — it never blocks, so producers can degrade
 ///   gracefully instead of wedging.
 /// * [`pop`](JobQueue::pop) blocks until a job is available, returning `None`
@@ -140,7 +158,7 @@ impl<T> std::fmt::Debug for JobQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.state.lock();
         f.debug_struct("JobQueue")
-            .field("len", &g.heap.len())
+            .field("len", &g.depth)
             .field("closed", &g.closed)
             .finish()
     }
@@ -153,13 +171,14 @@ impl<T> JobQueue<T> {
     }
 
     /// Creates an empty, open queue refusing pushes beyond `capacity` queued
-    /// jobs (jobs already popped by workers don't count).
+    /// weight (jobs already popped by workers don't count).
     pub fn bounded(capacity: usize) -> Self {
         JobQueue {
             state: Mutex::new(State {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
                 closed: false,
+                depth: 0,
                 capacity,
             }),
             available: Condvar::new(),
@@ -174,14 +193,23 @@ impl<T> JobQueue<T> {
         self
     }
 
-    /// Enqueues `job` at `priority` (higher = sooner; ties run FIFO).
-    /// Refuses — dropping the job — when the queue is closed or at capacity;
-    /// never blocks.
+    /// [`push_weighted`](JobQueue::push_weighted) at weight 1.
+    ///
+    /// # Errors
+    /// See [`push_weighted`](JobQueue::push_weighted).
+    pub fn push(&self, priority: i64, job: T) -> Result<(), PushError> {
+        self.push_weighted(priority, 1, job)
+    }
+
+    /// Enqueues `job` at `priority` (higher = sooner; ties run FIFO),
+    /// counting `weight` toward the depth until it is popped. Refuses —
+    /// dropping the job — when the queue is closed or `len + weight` would
+    /// exceed the capacity; never blocks.
     ///
     /// # Errors
     /// [`PushError::Closed`] after [`close`](JobQueue::close),
-    /// [`PushError::Full`] when a bounded queue is saturated.
-    pub fn push(&self, priority: i64, job: T) -> Result<(), PushError> {
+    /// [`PushError::Full`] when a bounded queue has no room for `weight`.
+    pub fn push_weighted(&self, priority: i64, weight: usize, job: T) -> Result<(), PushError> {
         let enqueued_ns = self.metrics.as_ref().map_or(0, |m| m.registry.now_ns());
         let mut g = self.state.lock();
         if g.closed {
@@ -190,7 +218,7 @@ impl<T> JobQueue<T> {
             }
             return Err(PushError::Closed);
         }
-        if g.heap.len() >= g.capacity {
+        if weight > g.capacity - g.depth {
             if let Some(m) = &self.metrics {
                 m.refused_full.incr();
             }
@@ -202,11 +230,13 @@ impl<T> JobQueue<T> {
             priority,
             seq,
             enqueued_ns,
+            weight,
             job,
         });
+        g.depth += weight;
         if let Some(m) = &self.metrics {
             m.pushed.incr();
-            m.depth.set(g.heap.len() as i64);
+            m.depth.set(g.depth as i64);
         }
         drop(g);
         self.available.notify_one();
@@ -228,8 +258,8 @@ impl<T> JobQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut g = self.state.lock();
         loop {
-            if let Some(entry) = g.heap.pop() {
-                let depth = g.heap.len();
+            if let Some(entry) = g.pop() {
+                let depth = g.depth;
                 drop(g);
                 self.record_pop(depth, entry.enqueued_ns);
                 return Some(entry.job);
@@ -245,8 +275,8 @@ impl<T> JobQueue<T> {
     /// (whether open-and-empty or closed).
     pub fn try_pop(&self) -> Option<T> {
         let mut g = self.state.lock();
-        let entry = g.heap.pop()?;
-        let depth = g.heap.len();
+        let entry = g.pop()?;
+        let depth = g.depth;
         drop(g);
         self.record_pop(depth, entry.enqueued_ns);
         Some(entry.job)
@@ -264,10 +294,11 @@ impl<T> JobQueue<T> {
         self.state.lock().closed
     }
 
-    /// Jobs currently queued (not yet popped) — the admission-control depth
-    /// signal.
+    /// Summed weight of the jobs currently queued (not yet popped) — the
+    /// admission-control depth signal; the job count while every push is
+    /// weight 1.
     pub fn len(&self) -> usize {
-        self.state.lock().heap.len()
+        self.state.lock().depth
     }
 
     /// The depth bound ([`usize::MAX`] for an unbounded queue).
@@ -277,7 +308,7 @@ impl<T> JobQueue<T> {
 
     /// Whether no jobs are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.state.lock().heap.is_empty()
     }
 }
 
@@ -372,6 +403,37 @@ mod tests {
         assert_eq!(q.push(0, 5), Err(PushError::Closed));
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, vec![4, 2]);
+    }
+
+    #[test]
+    fn weighted_depth_refuses_what_does_not_fit_and_pops_give_it_back() {
+        let registry = Arc::new(ebird_obs::Registry::wall());
+        let q = JobQueue::bounded(10).observed(QueueMetrics::new(&registry, "q"));
+        assert!(q.push_weighted(0, 4, "four").is_ok());
+        assert!(q.push_weighted(0, 6, "six").is_ok());
+        assert_eq!(q.len(), 10, "depth is summed weight, not job count");
+        // The gauge reads weight; pushes (and waits, refusals) count jobs.
+        assert_eq!(registry.snapshot().gauges["q.depth"], 10);
+        assert_eq!(registry.snapshot().counter("q.pushed"), 2);
+        // Full to the brim: not even weight 1 fits.
+        assert_eq!(q.push(0, "one"), Err(PushError::Full));
+        assert_eq!(q.pop(), Some("four"));
+        assert_eq!(q.len(), 6, "a pop gives the job's weight back");
+        // 6 + 5 > 10 is refused whole; 6 + 4 fits exactly.
+        assert_eq!(q.push_weighted(0, 5, "five"), Err(PushError::Full));
+        assert_eq!(q.len(), 6, "a refused job is not queued");
+        assert!(q.push_weighted(0, 4, "four again").is_ok());
+        assert_eq!(q.try_pop(), Some("six"));
+        assert_eq!(q.len(), 4);
+        // Heavier than the whole bound: never admissible, even when empty.
+        assert_eq!(q.pop(), Some("four again"));
+        assert!(q.is_empty());
+        assert_eq!(q.push_weighted(0, 11, "eleven"), Err(PushError::Full));
+        assert_eq!(q.len(), 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauges["q.depth"], 0);
+        assert_eq!(snap.histogram("q.wait_ns").count(), 3, "one wait per job");
+        assert_eq!(snap.counter("q.refused_full"), 3);
     }
 
     #[test]

@@ -467,6 +467,12 @@ impl ResultCache {
     /// Concurrent duplicate inserts are benign: the content address
     /// guarantees both writers carry identical bytes.
     pub fn insert(&self, key: &ContentKey, row: String) -> Arc<CachedRow> {
+        // Keep an exact-size copy, not the serializer's buffer: the byte
+        // budget counts `len`, so spare capacity (≈ 130 of a row's 512
+        // bytes) is resident but unbudgeted, and a copy — unlike
+        // `shrink_to_fit`, which splits the buffer in place — leaves the
+        // allocator a whole buffer to hand the next row's serializer.
+        let row = String::from(row.as_str());
         let entry = Arc::new(CachedRow {
             spec: key.content.clone(),
             row,

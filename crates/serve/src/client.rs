@@ -137,10 +137,16 @@ impl Connection {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), String> {
-        let line = reply_line(request);
+        self.send_line(reply_line(request))
+    }
+
+    /// Writes `line` and its terminator in **one** `write`: the socket is
+    /// `TCP_NODELAY`, so two writes would be two segments and wake the
+    /// server's `read_line` on a partial line.
+    fn send_line(&mut self, mut line: String) -> Result<(), String> {
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .map_err(|e| format!("sending request: {e}"))
     }
 
@@ -414,10 +420,7 @@ pub fn shutdown(addr: &str) -> Result<ShutdownReply, String> {
 /// Connection failures.
 pub fn raw_exchange(addr: &str, line: &str) -> Result<String, String> {
     let mut conn = Connection::open(addr)?;
-    conn.writer
-        .write_all(line.as_bytes())
-        .and_then(|()| conn.writer.write_all(b"\n"))
-        .map_err(|e| format!("sending raw line: {e}"))?;
+    conn.send_line(line.to_string())?;
     conn.read_line()
 }
 

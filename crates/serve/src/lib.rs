@@ -10,8 +10,9 @@
 //! * [`scenario`] — the config-driven campaign model (moved here from
 //!   `ebird-bench` so both the offline CLI and the service share it):
 //!   [`scenario::ScenarioMatrix`] resolves into typed
-//!   [`scenario::ResolvedCell`]s, each priced deterministically by
-//!   [`scenario::compute_cell`].
+//!   [`scenario::ResolvedCell`]s, priced deterministically a group at a
+//!   time by [`scenario::price_group`] (cells sharing their arrivals and
+//!   transport campaign share the work).
 //! * [`cache`] — the content-addressed result cache: key = FNV-1a 128 hash
 //!   of the cell spec's canonical JSON; hot tier in memory under an
 //!   [`s3fifo`] byte budget, cold tier as an append-only JSON Lines file
@@ -24,11 +25,12 @@
 //!   same cell share one computation instead of queueing duplicates.
 //! * [`protocol`] — the line-delimited JSON wire protocol (`submit`,
 //!   `fetch`, `status`, `shutdown`); see `PROTOCOL.md` for transcripts.
-//! * [`server`] — the TCP server: per-connection handler threads, cells
-//!   scheduled on a **bounded** priority [`ebird_runtime::JobQueue`]
-//!   serviced by a workspace [`ebird_runtime::Pool`] team, rows streamed
-//!   back in matrix order, saturated submits refused with a structured
-//!   `overloaded` reply, graceful drain on shutdown.
+//! * [`server`] — the TCP server: per-connection handler threads, each
+//!   group's uncached cells scheduled as one job on a **bounded** priority
+//!   [`ebird_runtime::JobQueue`] serviced by a workspace
+//!   [`ebird_runtime::Pool`] team, rows streamed back in matrix order
+//!   (flushed whenever the handler would wait), saturated submits refused
+//!   with a structured `overloaded` reply, graceful drain on shutdown.
 //! * [`client`] — the matching client calls (`repro submit` et al.), with
 //!   bounded exponential-backoff retry of `overloaded` refusals.
 //!

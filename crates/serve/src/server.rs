@@ -7,13 +7,34 @@
 //! cells from the [`ResultCache`] immediately, **subscribes** to cells
 //! another submission is already computing (single-flight coalescing via
 //! the [`InflightTable`] — each distinct cell is enqueued exactly once no
-//! matter how many clients race it), schedules the rest as jobs, and
-//! streams one row line per cell **in matrix order** as results become
-//! available (a reorder buffer holds out-of-order completions), so a
-//! served table is byte-identical to the offline `repro scenarios` table.
+//! matter how many clients race it), schedules the rest, and streams one
+//! row line per cell **in matrix order** as results become available (a
+//! reorder buffer holds out-of-order completions), so a served table is
+//! byte-identical to the offline `repro scenarios` table.
+//!
+//! The unit of scheduled work is the **group**, not the cell: the
+//! to-be-computed cells of one submission that share a pricing group
+//! ([`ResolvedCell::same_group`]) travel as one [`Job`], so a worker builds
+//! the group's arrivals and drives its transport campaign once
+//! ([`price_group`]) instead of once per (model × strategy) sibling — a
+//! cold `full` matrix is 36 jobs of 8 cells, not 288 jobs that each redo
+//! their group's work. Everything a client or another submission can
+//! observe stays per cell: cache keys, single-flight records, the
+//! `cached + coalesced + computed` accounting, and matrix-order streaming;
+//! siblings that were cached or joined are simply not in the job. The
+//! stated trade: a group is priced by one worker, so a submission that is
+//! one huge group does not spread over the team.
+//!
+//! The hand-off is as coarse as the work. A worker publishes a job's rows
+//! in one burst after caching and metering them, and the connection's
+//! reply writer is buffered and flushed only when the handler would
+//! otherwise wait — its result channel is empty, or the reply is complete
+//! — so a burst costs one `write`, a fully cached table a handful, and no
+//! ready row is ever held back across a wait.
 //!
 //! Under sustained load the server degrades to *refusals*, not to unbounded
-//! queueing: the job queue is bounded ([`ServerConfig::queue_bound`]), and a
+//! queueing: the job queue is bounded in cells ([`ServerConfig::queue_bound`];
+//! a job weighs its cell count), and a
 //! `submit` whose uncached cells would not all fit is refused whole with a
 //! structured `overloaded` reply carrying a retry-after hint (the built-in
 //! client retries with exponential backoff). The hot cache tier runs under
@@ -26,7 +47,7 @@
 //! the end), the worker team joins, and the cache's cold tier is flushed.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, LineWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +64,7 @@ use crate::protocol::{
     parse_request, reply_line, ErrorReply, MetricsReply, OverloadedReply, Request, ShutdownReply,
     StatusReply, SubmitFooter, SubmitHeader,
 };
-use crate::scenario::{compute_cell, ResolvedCell};
+use crate::scenario::{price_group, ResolvedCell, ScenarioRow};
 
 /// How long a connection read blocks before re-checking the stop flag, so
 /// idle keep-alive clients cannot stall a graceful shutdown.
@@ -55,7 +76,7 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// forever.
 const WRITE_STALL_LIMIT: Duration = Duration::from_secs(30);
 
-/// Default job-queue admission bound: deep enough that a healthy server
+/// Default job-queue admission bound, in cells: deep enough that a healthy server
 /// never refuses, shallow enough that backlog (and client-observed latency)
 /// stays bounded when submitters outrun the workers.
 pub const DEFAULT_QUEUE_BOUND: usize = 1024;
@@ -72,9 +93,9 @@ pub struct ServerConfig {
     /// Rows evicted under the budget remain reachable through the cold
     /// tier when one is configured.
     pub hot_bytes: Option<usize>,
-    /// Job-queue admission bound ([`usize::MAX`] = unbounded). A `submit`
-    /// whose uncached, un-coalesced cells would push the queue past this
-    /// depth is refused whole with an `overloaded` reply.
+    /// Job-queue admission bound, in cells ([`usize::MAX`] = unbounded). A
+    /// `submit` whose uncached, un-coalesced cells would push the queue past
+    /// this depth is refused whole with an `overloaded` reply.
     pub queue_bound: usize,
 }
 
@@ -89,28 +110,49 @@ impl Default for ServerConfig {
     }
 }
 
-/// One scheduled cell. Who wants the result lives in the single-flight
-/// table, not here: by the time a worker completes this job, submissions
-/// that arrived after it was enqueued may have subscribed too.
+/// The scheduled cells of one pricing group of one submission. Who wants
+/// the results lives in the single-flight table, not here: by the time a
+/// worker completes this job, submissions that arrived after it was
+/// enqueued may have subscribed too.
 struct Job {
-    /// Content address the finished row is cached under.
-    key: ContentKey,
-    cell: ResolvedCell,
+    /// Content address each finished row is cached under, `cells` order
+    /// (shared: the submitter registers the same keys after the push).
+    keys: Arc<[ContentKey]>,
+    /// Cells of one group ([`ResolvedCell::same_group`]), matrix order.
+    cells: Vec<ResolvedCell>,
 }
 
+/// The request verbs, as the per-verb metrics name them; `Error` stands for
+/// lines that failed to parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verb {
+    Submit,
+    Fetch,
+    Status,
+    Metrics,
+    Shutdown,
+    Error,
+}
+
+/// Metric-name segment of each [`Verb`], discriminant order.
+const VERB_NAMES: [&str; 6] = ["submit", "fetch", "status", "metrics", "shutdown", "error"];
+
 /// Pre-resolved handles into the server's [`Registry`], so the request
-/// hot path never takes the registry's name-map lock. Per-verb request
-/// histograms (`serve.request.{verb}.ns`) are still looked up by name —
-/// once per request, off the row-streaming path.
+/// hot path never takes the registry's name-map lock.
 struct ServeMetrics {
     registry: Arc<Registry>,
     /// All requests served, any verb (`serve.requests.total`).
     requests_total: Arc<Counter>,
+    /// Per-verb request counts (`serve.requests.{verb}`), [`Verb`] order.
+    requests: [Arc<Counter>; 6],
+    /// Per-verb reply latency (`serve.request.{verb}.ns`), [`Verb`] order.
+    request_ns: [Arc<Histogram>; 6],
     /// Request bytes consumed off client sockets (`serve.bytes.read`).
     bytes_read: Arc<Counter>,
     /// Reply bytes written to client sockets (`serve.bytes.written`).
     bytes_written: Arc<Counter>,
-    /// Wall time each worker spends pricing one cell (`serve.job.run_ns`).
+    /// Wall time a worker spends on one job — pricing, encoding and caching
+    /// its group's cells (`serve.job.run_ns`, one entry per job).
     job_run_ns: Arc<Histogram>,
     /// Total busy nanoseconds across the worker team
     /// (`serve.worker.busy_ns`) — utilization is this over uptime × team
@@ -134,6 +176,8 @@ impl ServeMetrics {
         ServeMetrics {
             registry: Arc::clone(registry),
             requests_total: registry.counter("serve.requests.total"),
+            requests: VERB_NAMES.map(|v| registry.counter(&format!("serve.requests.{v}"))),
+            request_ns: VERB_NAMES.map(|v| registry.histogram(&format!("serve.request.{v}.ns"))),
             bytes_read: registry.counter("serve.bytes.read"),
             bytes_written: registry.counter("serve.bytes.written"),
             job_run_ns: registry.histogram("serve.job.run_ns"),
@@ -149,22 +193,17 @@ impl ServeMetrics {
     /// Bumps the total and per-verb request counters. Called at dispatch
     /// time, *before* the reply is written, so any reply a client has in
     /// hand is already counted in the next snapshot it scrapes — including
-    /// a `metrics` reply, which therefore counts itself. `verb` is `error`
-    /// for lines that failed to parse.
-    fn count_request(&self, verb: &str) {
+    /// a `metrics` reply, which therefore counts itself.
+    fn count_request(&self, verb: Verb) {
         self.requests_total.incr();
-        self.registry
-            .counter(&format!("serve.requests.{verb}"))
-            .incr();
+        self.requests[verb as usize].incr();
     }
 
     /// Records the per-verb latency histogram once the reply (including a
     /// submit's full row stream) has been written.
-    fn record_request_latency(&self, verb: &str, start_ns: u64) {
+    fn record_request_latency(&self, verb: Verb, start_ns: u64) {
         let elapsed = self.registry.now_ns().saturating_sub(start_ns);
-        self.registry
-            .histogram(&format!("serve.request.{verb}.ns"))
-            .record(elapsed);
+        self.request_ns[verb as usize].record(elapsed);
     }
 }
 
@@ -197,6 +236,7 @@ struct Shared {
     threads: usize,
     addr: SocketAddr,
     stop: AtomicBool,
+    /// Cells of the jobs workers are pricing right now.
     inflight: AtomicUsize,
     submits: AtomicU64,
     /// Cells actually priced by workers (the duplicate-compute telltale:
@@ -206,6 +246,34 @@ struct Shared {
     coalesced_cells: AtomicU64,
     /// Submits refused by admission control.
     overloaded: AtomicU64,
+}
+
+impl Shared {
+    /// The state of a server answering on `addr`, loading the cache's cold
+    /// tier if configured.
+    fn new(config: &ServerConfig, addr: SocketAddr) -> Result<Shared, String> {
+        let registry = Arc::new(Registry::wall());
+        let mut cache = ResultCache::new(CacheConfig {
+            cold_dir: config.cache_dir.clone(),
+            hot_budget_bytes: config.hot_bytes,
+        })?;
+        cache.observe(CacheMetrics::new(&registry, "serve.cache"));
+        Ok(Shared {
+            metrics: ServeMetrics::new(&registry),
+            queue: JobQueue::bounded(config.queue_bound)
+                .observed(QueueMetrics::new(&registry, "serve.queue")),
+            cache,
+            single_flight: InflightTable::new(),
+            threads: config.threads,
+            addr,
+            stop: AtomicBool::new(false),
+            inflight: AtomicUsize::new(0),
+            submits: AtomicU64::new(0),
+            computed_cells: AtomicU64::new(0),
+            coalesced_cells: AtomicU64::new(0),
+            overloaded: AtomicU64::new(0),
+        })
+    }
 }
 
 /// A bound, not-yet-running campaign server.
@@ -232,29 +300,9 @@ impl Server {
         let local = listener
             .local_addr()
             .map_err(|e| format!("resolving local addr: {e}"))?;
-        let registry = Arc::new(Registry::wall());
-        let mut cache = ResultCache::new(CacheConfig {
-            cold_dir: config.cache_dir.clone(),
-            hot_budget_bytes: config.hot_bytes,
-        })?;
-        cache.observe(CacheMetrics::new(&registry, "serve.cache"));
         Ok(Server {
             listener,
-            shared: Arc::new(Shared {
-                metrics: ServeMetrics::new(&registry),
-                queue: JobQueue::bounded(config.queue_bound)
-                    .observed(QueueMetrics::new(&registry, "serve.queue")),
-                cache,
-                single_flight: InflightTable::new(),
-                threads: config.threads,
-                addr: local,
-                stop: AtomicBool::new(false),
-                inflight: AtomicUsize::new(0),
-                submits: AtomicU64::new(0),
-                computed_cells: AtomicU64::new(0),
-                coalesced_cells: AtomicU64::new(0),
-                overloaded: AtomicU64::new(0),
-            }),
+            shared: Arc::new(Shared::new(&config, local)?),
         })
     }
 
@@ -277,52 +325,7 @@ impl Server {
                 .name("ebird-serve-workers".into())
                 .spawn(move || {
                     let pool = Pool::new(shared.threads);
-                    pool.service(&shared.queue, |job: Job, _ctx| {
-                        // Service workers block on the queue between jobs, so
-                        // utilization is metered per job here rather than via
-                        // a PoolObserver around the (never-returning) region.
-                        let job_start = shared.metrics.registry.now_ns();
-                        shared.inflight.fetch_add(1, Ordering::SeqCst);
-                        // Each worker is already one team member; the
-                        // delivery campaign inside the cell runs inline on
-                        // a unit pool rather than forking a nested team.
-                        let outcome = compute_cell(&job.cell, &Pool::new(1)).and_then(|row| {
-                            let line = report::json_line(&row)
-                                .map_err(|e| format!("serializing scenario row: {e}"))?;
-                            // Only verified rows are pure functions of their
-                            // spec; a deadline miss is host scheduling, not
-                            // content, and must stay transient rather than
-                            // poison the cache (and its cold tier) forever.
-                            Ok(if row.transport_verified {
-                                shared.cache.insert(&job.key, line)
-                            } else {
-                                Arc::new(CachedRow {
-                                    spec: job.key.content().to_string(),
-                                    row: line,
-                                })
-                            })
-                        });
-                        shared.computed_cells.fetch_add(1, Ordering::SeqCst);
-                        // Decrement before reporting: once a submission has
-                        // streamed its last row, no job of its can still be
-                        // counted in flight.
-                        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                        // Fan the one result out to every subscribed
-                        // submission. The cache insert above happened first,
-                        // so a submitter observing the key's absence from
-                        // the table finds the cache populated instead. A
-                        // dropped receiver (client vanished mid-submit) is
-                        // not an error: the row is cached for the next ask.
-                        // Meter the job before fanning the result out:
-                        // once a subscriber has its last row it may scrape
-                        // `metrics`, and this job must already be visible.
-                        let busy = shared.metrics.registry.now_ns().saturating_sub(job_start);
-                        shared.metrics.job_run_ns.record(busy);
-                        shared.metrics.worker_busy_ns.add(busy);
-                        for sub in shared.single_flight.complete(&job.key) {
-                            let _ = sub.reply.send((sub.index, outcome.clone()));
-                        }
-                    });
+                    pool.service(&shared.queue, |job: Job, _ctx| run_job(&shared, job));
                 })
                 .map_err(|e| format!("spawning worker team: {e}"))?
         };
@@ -362,6 +365,79 @@ impl Server {
         let _ = scheduler.join();
         shared.cache.flush()?;
         Ok(())
+    }
+}
+
+/// Encodes a priced group's rows and makes them durable: one outcome per
+/// key, in order (a pricing failure is every cell's outcome). Only verified
+/// rows are pure functions of their spec; a deadline miss is host
+/// scheduling, not content, and must stay transient rather than poison the
+/// cache (and its cold tier) forever.
+fn settle(
+    cache: &ResultCache,
+    keys: &[ContentKey],
+    priced: Result<Vec<ScenarioRow>, String>,
+) -> Vec<Result<Arc<CachedRow>, String>> {
+    let rows = match priced {
+        Ok(rows) => rows,
+        Err(e) => return vec![Err(e); keys.len()],
+    };
+    keys.iter()
+        .zip(&rows)
+        .map(|(key, row)| {
+            let line =
+                report::json_line(row).map_err(|e| format!("serializing scenario row: {e}"))?;
+            Ok(if row.transport_verified {
+                cache.insert(key, line)
+            } else {
+                Arc::new(CachedRow {
+                    spec: key.content().to_string(),
+                    row: line,
+                })
+            })
+        })
+        .collect()
+}
+
+/// One worker's turn: price the job's group once, cache and meter, then
+/// publish every row in one burst.
+fn run_job(shared: &Shared, job: Job) {
+    // Service workers block on the queue between jobs, so utilization is
+    // metered per job here rather than via a PoolObserver around the
+    // (never-returning) region.
+    let job_start = shared.metrics.registry.now_ns();
+    let cells = job.cells.len();
+    shared.inflight.fetch_add(cells, Ordering::SeqCst);
+    // Each worker is already one team member; the delivery campaign inside
+    // the group runs inline on a unit pool rather than forking a nested
+    // team.
+    let outcomes = settle(
+        &shared.cache,
+        &job.keys,
+        price_group(&job.cells, &Pool::new(1)),
+    );
+    shared
+        .computed_cells
+        .fetch_add(cells as u64, Ordering::SeqCst);
+    // Decrement before reporting: once a submission has streamed its last
+    // row, no job of its can still be counted in flight.
+    shared.inflight.fetch_sub(cells, Ordering::SeqCst);
+    // Meter the job before fanning the results out: once a subscriber has
+    // its last row it may scrape `metrics`, and this job must already be
+    // visible.
+    let busy = shared.metrics.registry.now_ns().saturating_sub(job_start);
+    shared.metrics.job_run_ns.record(busy);
+    shared.metrics.worker_busy_ns.add(busy);
+    // Fan each result out to every subscribed submission, all rows back to
+    // back so a waiting handler wakes to the whole burst. The cache inserts
+    // above happened first, so a submitter observing a key's absence from
+    // the table finds the cache populated instead. A dropped receiver
+    // (client vanished mid-submit) is not an error: the row is cached for
+    // the next ask.
+    for (key, outcome) in job.keys.iter().zip(outcomes) {
+        for sub in shared.single_flight.complete(key) {
+            let _ = sub.reply.send((sub.index, outcome.clone()));
+        }
     }
 }
 
@@ -438,6 +514,22 @@ fn write_line(writer: &mut impl Write, line: &str) -> Result<(), String> {
         .map_err(|e| format!("client write failed: {e}"))
 }
 
+/// Hands the client everything written so far.
+fn flush(writer: &mut impl Write) -> Result<(), String> {
+    writer
+        .flush()
+        .map_err(|e| format!("client write failed: {e}"))
+}
+
+/// The connection's reply writer: buffered, so a reply reaches the socket in
+/// as few `write`s as it has waits — [`serve_request`] flushes at the end
+/// of each reply and [`handle_submit`] whenever it is about to block. The
+/// counting wrapper keeps `serve.bytes.written` exact without touching any
+/// handler signature.
+fn reply_writer<W: Write>(inner: W, written: &Counter) -> BufWriter<CountingWriter<'_, W>> {
+    BufWriter::new(CountingWriter { inner, written })
+}
+
 /// One connection: serve requests until EOF, connection error, or shutdown.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     stream.set_nodelay(true).ok();
@@ -447,60 +539,60 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    // LineWriter flushes at every newline: each row line streams as soon as
-    // its cell completes. The counting wrapper keeps `serve.bytes.written`
-    // exact without touching any handler signature.
-    let mut writer = LineWriter::new(CountingWriter {
-        inner: stream,
-        written: &shared.metrics.bytes_written,
-    });
+    let mut writer = reply_writer(stream, &shared.metrics.bytes_written);
     while let Some(line) = read_request_line(&mut reader, shared) {
-        // The request line plus the newline `read_request_line` trimmed.
-        shared.metrics.bytes_read.add(line.len() as u64 + 1);
-        let start_ns = shared.metrics.registry.now_ns();
-        let request = parse_request(&line);
-        let verb = match &request {
-            Err(_) => "error",
-            Ok(Request::Status) => "status",
-            Ok(Request::Metrics) => "metrics",
-            Ok(Request::Shutdown) => "shutdown",
-            Ok(Request::Submit { .. }) => "submit",
-            Ok(Request::Fetch { .. }) => "fetch",
-        };
-        shared.metrics.count_request(verb);
-        let outcome = match request {
-            Err(msg) => write_line(&mut writer, &reply_line(&ErrorReply::new(msg))),
-            Ok(Request::Status) => write_line(&mut writer, &reply_line(&status_reply(shared))),
-            Ok(Request::Metrics) => {
-                let snapshot = shared.metrics.registry.snapshot();
-                write_line(
-                    &mut writer,
-                    &reply_line(&MetricsReply::from_snapshot(&snapshot)),
-                )
-            }
-            Ok(Request::Shutdown) => {
-                let r = write_line(
-                    &mut writer,
-                    &reply_line(&ShutdownReply {
-                        ok: true,
-                        stopping: true,
-                    }),
-                );
-                begin_shutdown(shared);
-                r.and(Err("connection closed by shutdown".into()))
-            }
-            Ok(Request::Submit { matrix, priority }) => {
-                handle_submit(&matrix, priority, shared, &mut writer)
-            }
-            Ok(Request::Fetch { matrix }) => handle_fetch(&matrix, shared, &mut writer),
-        };
-        shared.metrics.record_request_latency(verb, start_ns);
         // Bound the drain: after a stop, finish the request just served but
         // accept no further ones on this connection.
-        if outcome.is_err() || shared.stop.load(Ordering::SeqCst) {
+        if serve_request(&line, shared, &mut writer).is_err() || shared.stop.load(Ordering::SeqCst)
+        {
             return;
         }
     }
+}
+
+/// One request line in, one complete reply out — written and flushed. An
+/// `Err` means the client is gone (a write failed), not that the request
+/// was bad: bad requests get an error *reply*.
+fn serve_request(line: &str, shared: &Shared, writer: &mut impl Write) -> Result<(), String> {
+    // The request line plus the newline `read_request_line` trimmed.
+    shared.metrics.bytes_read.add(line.len() as u64 + 1);
+    let start_ns = shared.metrics.registry.now_ns();
+    let request = parse_request(line);
+    let verb = match &request {
+        Err(_) => Verb::Error,
+        Ok(Request::Status) => Verb::Status,
+        Ok(Request::Metrics) => Verb::Metrics,
+        Ok(Request::Shutdown) => Verb::Shutdown,
+        Ok(Request::Submit { .. }) => Verb::Submit,
+        Ok(Request::Fetch { .. }) => Verb::Fetch,
+    };
+    shared.metrics.count_request(verb);
+    let outcome = match request {
+        Err(msg) => write_line(writer, &reply_line(&ErrorReply::new(msg))),
+        Ok(Request::Status) => write_line(writer, &reply_line(&status_reply(shared))),
+        Ok(Request::Metrics) => {
+            let snapshot = shared.metrics.registry.snapshot();
+            write_line(writer, &reply_line(&MetricsReply::from_snapshot(&snapshot)))
+        }
+        Ok(Request::Shutdown) => write_line(
+            writer,
+            &reply_line(&ShutdownReply {
+                ok: true,
+                stopping: true,
+            }),
+        ),
+        Ok(Request::Submit { matrix, priority }) => {
+            handle_submit(&matrix, priority, shared, writer)
+        }
+        Ok(Request::Fetch { matrix }) => handle_fetch(&matrix, shared, writer),
+    }
+    .and_then(|()| flush(writer));
+    if verb == Verb::Shutdown {
+        // Acknowledged (or the client is gone) — either way, stop.
+        begin_shutdown(shared);
+    }
+    shared.metrics.record_request_latency(verb, start_ns);
+    outcome
 }
 
 /// `usize::MAX` sentinels (unbounded) travel as `0` on the wire.
@@ -576,20 +668,63 @@ fn resolve_cells(
     }
 }
 
-/// Suggested back-off for a refused submit: a rough drain estimate for the
-/// queued backlog, clamped to a sane window.
-fn retry_after_hint(queued: usize, threads: usize) -> u64 {
-    ((queued as u64).saturating_mul(20) / threads.max(1) as u64).clamp(50, 2_000)
+/// Suggested back-off (ms) for a refused submit: how long the team needs to
+/// drain the `queued` cells at the pace it has measured on itself so far
+/// (`busy_ns` of worker time over `computed` cells), clamped to a sane
+/// window. Before the first job completes there is no pace; the floor
+/// applies and the client's own backoff takes over.
+fn retry_after_hint(busy_ns: u64, computed: u64, queued: usize, threads: usize) -> u64 {
+    let per_cell_ns = busy_ns / computed.max(1);
+    let drain_ns = per_cell_ns.saturating_mul(queued as u64) / threads.max(1) as u64;
+    (drain_ns / 1_000_000).clamp(50, 2_000)
 }
 
-/// What the classify pass decided for one not-yet-cached cell.
-enum CellPlan {
-    /// Subscribe to an in-flight computation (another submission's, or an
-    /// earlier duplicate occurrence within this same matrix).
-    Join(ContentKey),
-    /// Register and enqueue the one job for this cell (boxed: a resolved
-    /// cell is much larger than the join variant's bare key).
-    Schedule(ContentKey, Box<ResolvedCell>),
+/// The `overloaded` refusal: counted, then written in place of the frame.
+fn refuse_overloaded(
+    shared: &Shared,
+    queued: usize,
+    error: String,
+    writer: &mut impl Write,
+) -> Result<(), String> {
+    shared.overloaded.fetch_add(1, Ordering::SeqCst);
+    shared.metrics.submits_overloaded.incr();
+    write_line(
+        writer,
+        &reply_line(&OverloadedReply {
+            ok: false,
+            overloaded: true,
+            retry_after_ms: retry_after_hint(
+                shared.metrics.worker_busy_ns.get(),
+                shared.computed_cells.load(Ordering::SeqCst),
+                queued,
+                shared.threads,
+            ),
+            queued,
+            error,
+        }),
+    )
+}
+
+/// A job the classify pass is assembling: the cells it will carry, their
+/// keys, and where each sits in the submitter's matrix.
+#[derive(Default)]
+struct JobPlan {
+    indices: Vec<usize>,
+    keys: Vec<ContentKey>,
+    cells: Vec<ResolvedCell>,
+}
+
+impl JobPlan {
+    /// Whether `cell` belongs to the group this job prices.
+    fn takes(&self, cell: &ResolvedCell) -> bool {
+        self.cells.last().is_some_and(|last| last.same_group(cell))
+    }
+
+    fn push(&mut self, index: usize, key: ContentKey, cell: ResolvedCell) {
+        self.indices.push(index);
+        self.keys.push(key);
+        self.cells.push(cell);
+    }
 }
 
 fn handle_submit(
@@ -605,8 +740,8 @@ fn handle_submit(
     let total = cells.len();
     let (tx, rx) = mpsc::channel::<(usize, Result<Arc<CachedRow>, String>)>();
     let mut ready: Vec<Option<Arc<CachedRow>>> = vec![None; total];
-    let mut scheduled = 0usize;
-    let mut coalesced = 0usize;
+    let scheduled;
+    let coalesced;
     {
         // The whole classify → admit → schedule sequence runs under the
         // single-flight table lock: completions cannot retire an in-flight
@@ -618,112 +753,103 @@ fn handle_submit(
         let mut guard = shared.single_flight.lock();
 
         // Pass 1 — classify every cell without mutating anything, so an
-        // overloaded refusal leaves no trace to unwind.
-        let mut plans: Vec<(usize, CellPlan)> = Vec::new();
+        // overloaded refusal leaves no trace to unwind. Cells to compute
+        // fold into one job per pricing group (groups are contiguous in
+        // matrix order; cached or joined siblings are simply not in it).
+        let mut joins: Vec<(usize, ContentKey)> = Vec::new();
+        let mut jobs: Vec<JobPlan> = Vec::new();
         let mut planned: std::collections::HashSet<u128> = std::collections::HashSet::new();
         for (index, cell) in cells.into_iter().enumerate() {
             let key = cell.content_key();
             match guard.probe(&shared.cache, &key) {
                 Disposition::Cached(row) => ready[index] = Some(row),
-                Disposition::Inflight => plans.push((index, CellPlan::Join(key))),
+                Disposition::Inflight => joins.push((index, key)),
                 Disposition::Absent => {
-                    if planned.contains(&key.hash()) {
+                    if !planned.insert(key.hash()) {
                         // Same cell listed twice in this matrix: the first
                         // occurrence schedules, this one subscribes to it.
-                        plans.push((index, CellPlan::Join(key)));
+                        joins.push((index, key));
+                    } else if let Some(job) = jobs.last_mut().filter(|job| job.takes(&cell)) {
+                        job.push(index, key, cell);
                     } else {
-                        planned.insert(key.hash());
-                        plans.push((index, CellPlan::Schedule(key, Box::new(cell))));
+                        let mut job = JobPlan::default();
+                        job.push(index, key, cell);
+                        jobs.push(job);
                     }
                 }
             }
         }
+        scheduled = planned.len();
+        coalesced = joins.len();
 
-        // Admission: refuse the submit whole if its new jobs would not all
+        // Admission: refuse the submit whole if its new cells would not all
         // fit. Partial admission would stream a torn table.
-        let need = planned.len();
         let queued = shared.queue.len();
-        if queued + need > shared.queue.capacity() {
+        if queued + scheduled > shared.queue.capacity() {
             drop(guard);
-            shared.overloaded.fetch_add(1, Ordering::SeqCst);
-            shared.metrics.submits_overloaded.incr();
-            return write_line(
-                writer,
-                &reply_line(&OverloadedReply {
-                    ok: false,
-                    overloaded: true,
-                    retry_after_ms: retry_after_hint(queued, shared.threads),
-                    queued,
-                    error: format!(
-                        "queue saturated: {queued} queued + {need} new > bound {}",
-                        shared.queue.capacity()
-                    ),
-                }),
+            let error = format!(
+                "queue saturated: {queued} queued + {scheduled} new > bound {}",
+                shared.queue.capacity()
             );
+            return refuse_overloaded(shared, queued, error, writer);
         }
 
-        // Pass 2 — mutate: subscribe joins, register + enqueue schedules.
-        // In index order, so a matrix-internal duplicate's first occurrence
-        // registers before its later occurrences subscribe.
-        for (index, plan) in plans {
-            match plan {
-                CellPlan::Join(key) => {
-                    coalesced += 1;
-                    guard.subscribe(
-                        &key,
-                        Subscriber {
-                            index,
-                            reply: tx.clone(),
-                        },
-                    );
-                }
-                CellPlan::Schedule(key, cell) => {
-                    scheduled += 1;
-                    let job = Job {
-                        key: key.clone(),
-                        cell: *cell,
-                    };
-                    match shared.queue.push(priority, job) {
-                        Ok(()) => guard.register(
-                            &key,
+        // Pass 2 — mutate: enqueue each job and register its cells, then
+        // subscribe the joins (after, so a matrix-internal duplicate finds
+        // its first occurrence registered).
+        for JobPlan {
+            indices,
+            keys,
+            cells,
+        } in jobs
+        {
+            let keys: Arc<[ContentKey]> = keys.into();
+            let job = Job {
+                keys: Arc::clone(&keys),
+                cells,
+            };
+            match shared.queue.push_weighted(priority, indices.len(), job) {
+                Ok(()) => {
+                    for (index, key) in indices.into_iter().zip(keys.iter()) {
+                        guard.register(
+                            key,
                             Subscriber {
                                 index,
                                 reply: tx.clone(),
                             },
-                        ),
-                        Err(PushError::Closed) => {
-                            // Cells already registered keep their queued
-                            // jobs; workers drain them into the cache, and
-                            // `complete` clears their table records. Our rx
-                            // drops with this return, harmlessly.
-                            drop(guard);
-                            return write_line(
-                                writer,
-                                &reply_line(&ErrorReply::new("server is shutting down")),
-                            );
-                        }
-                        Err(PushError::Full) => {
-                            // Unreachable while the admission check above
-                            // shares this lock with every pusher, but refuse
-                            // rather than panic if the invariant ever bends.
-                            drop(guard);
-                            shared.overloaded.fetch_add(1, Ordering::SeqCst);
-                            shared.metrics.submits_overloaded.incr();
-                            let queued = shared.queue.len();
-                            return write_line(
-                                writer,
-                                &reply_line(&OverloadedReply {
-                                    ok: false,
-                                    overloaded: true,
-                                    retry_after_ms: retry_after_hint(queued, shared.threads),
-                                    queued,
-                                    error: "queue saturated mid-schedule".into(),
-                                }),
-                            );
-                        }
+                        );
                     }
                 }
+                Err(PushError::Closed) => {
+                    // Cells already registered keep their queued jobs;
+                    // workers drain them into the cache, and `complete`
+                    // clears their table records. Our rx drops with this
+                    // return, harmlessly.
+                    drop(guard);
+                    return write_line(
+                        writer,
+                        &reply_line(&ErrorReply::new("server is shutting down")),
+                    );
+                }
+                Err(PushError::Full) => {
+                    // Unreachable while the admission check above shares
+                    // this lock with every pusher, but refuse rather than
+                    // panic if the invariant ever bends.
+                    drop(guard);
+                    let queued = shared.queue.len();
+                    let error = "queue saturated mid-schedule".into();
+                    return refuse_overloaded(shared, queued, error, writer);
+                }
             }
+        }
+        for (index, key) in joins {
+            guard.subscribe(
+                &key,
+                Subscriber {
+                    index,
+                    reply: tx.clone(),
+                },
+            );
         }
     }
     drop(tx);
@@ -755,14 +881,22 @@ fn handle_submit(
             if let Some(e) = slot.take().or_else(|| extra.remove(&index)) {
                 break e;
             }
-            match rx.recv() {
-                Ok((done, Ok(e))) => {
+            let message = match rx.try_recv() {
+                // About to wait: the client gets every row written so far.
+                Err(mpsc::TryRecvError::Empty) => {
+                    flush(writer)?;
+                    rx.recv().ok()
+                }
+                received => received.ok(),
+            };
+            match message {
+                Some((done, Ok(e))) => {
                     if done == index {
                         break e;
                     }
                     extra.insert(done, e);
                 }
-                Ok((_done, Err(msg))) => {
+                Some((_done, Err(msg))) => {
                     // A pricing failure ends the stream with the protocol's
                     // error line (same shape as the shutdown-mid-submit
                     // path); the client reports it verbatim.
@@ -771,7 +905,7 @@ fn handle_submit(
                         &reply_line(&ErrorReply::new(format!("cell failed: {msg}"))),
                     );
                 }
-                Err(_) => {
+                None => {
                     // Every sender dropped with rows outstanding: only
                     // possible if the queue refused or lost jobs mid-drain.
                     return write_line(
@@ -845,4 +979,261 @@ fn handle_fetch(
             cached: total,
         }),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::MatrixSource;
+    use crate::scenario::ScenarioMatrix;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Instant;
+
+    /// What reached the "socket", and in how many flushes.
+    #[derive(Default)]
+    struct Wire {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    #[derive(Default)]
+    struct Tap {
+        wire: Mutex<Wire>,
+        flushed: Condvar,
+    }
+
+    /// A [`Write`] double standing in for the client socket behind
+    /// [`reply_writer`]: the reply buffer is far larger than any reply
+    /// here, so bytes arrive only when a handler flushes.
+    #[derive(Clone, Default)]
+    struct WireTap(Arc<Tap>);
+
+    impl Write for WireTap {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.wire.lock().unwrap().bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.wire.lock().unwrap().flushes += 1;
+            self.0.flushed.notify_all();
+            Ok(())
+        }
+    }
+
+    impl WireTap {
+        fn flushes(&self) -> usize {
+            self.0.wire.lock().unwrap().flushes
+        }
+
+        fn lines(&self) -> Vec<String> {
+            let wire = self.0.wire.lock().unwrap();
+            assert!(
+                wire.bytes.is_empty() || wire.bytes.ends_with(b"\n"),
+                "a flush delivered a torn line"
+            );
+            String::from_utf8(wire.bytes.clone())
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+
+        /// Blocks until exactly `count` lines have been flushed — the
+        /// handler is then waiting for rows nobody has produced yet — and
+        /// fails if they never arrive: a row held back across a wait.
+        fn wait_for_lines(&self, count: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut wire = self.0.wire.lock().unwrap();
+            loop {
+                let flushed = wire.bytes.iter().filter(|&&b| b == b'\n').count();
+                assert!(
+                    flushed <= count,
+                    "{flushed} lines flushed, expected {count}"
+                );
+                if flushed == count && wire.flushes > 0 {
+                    return;
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                assert!(
+                    !left.is_zero(),
+                    "only {flushed} of {count} lines reached the client while the handler waited"
+                );
+                wire = self.0.flushed.wait_timeout(wire, left).unwrap().0;
+            }
+        }
+    }
+
+    fn shared() -> Shared {
+        let config = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        Shared::new(&config, "127.0.0.1:0".parse().unwrap()).unwrap()
+    }
+
+    /// 3 groups (one per rank count) × 4 strategies = 12 cells.
+    fn three_group_matrix() -> ScenarioMatrix {
+        ScenarioMatrix {
+            apps: vec!["MiniFE".into()],
+            noise: vec!["baseline".into()],
+            ranks: vec![1, 2, 4],
+            ..ScenarioMatrix::smoke()
+        }
+    }
+
+    fn submit_line(matrix: &ScenarioMatrix) -> String {
+        reply_line(&Request::Submit {
+            matrix: MatrixSource::Inline(matrix.clone()),
+            priority: 0,
+        })
+    }
+
+    /// The matrix's offline table, encoded as the server encodes rows.
+    fn offline_lines(matrix: &ScenarioMatrix) -> Vec<String> {
+        crate::scenario::run_matrix(matrix, &Pool::new(1))
+            .unwrap()
+            .iter()
+            .map(|row| report::json_line(row).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn replies_that_never_wait_flush_exactly_once() {
+        let shared = shared();
+        let matrix = three_group_matrix();
+        let cells = matrix.resolve().unwrap().cells();
+        for group in cells.chunk_by(ResolvedCell::same_group) {
+            let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
+            settle(&shared.cache, &keys, price_group(group, &Pool::new(1)));
+        }
+        let fetch = reply_line(&Request::Fetch {
+            matrix: MatrixSource::Inline(matrix.clone()),
+        });
+        let status = reply_line(&Request::Status);
+        for (line, replied) in [
+            (submit_line(&matrix), 14),
+            (fetch, 14),
+            (status, 1),
+            ("not json".to_string(), 1),
+        ] {
+            let tap = WireTap::default();
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&line, &shared, &mut writer).unwrap();
+            assert_eq!(tap.flushes(), 1, "{line}");
+            let lines = tap.lines();
+            assert_eq!(lines.len(), replied, "{line}");
+            if replied == 14 {
+                assert_eq!(lines[1..13], offline_lines(&matrix)[..]);
+                assert!(lines[13].contains("\"computed\":0,"), "{}", lines[13]);
+            }
+        }
+        assert!(shared.queue.is_empty(), "nothing was scheduled");
+    }
+
+    #[test]
+    fn cold_stream_flushes_before_every_wait_and_holds_no_ready_row() {
+        let shared = shared();
+        let matrix = three_group_matrix();
+        let tap = WireTap::default();
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| {
+                let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+                serve_request(&submit_line(&matrix), &shared, &mut writer)
+            });
+            // This thread is the worker team, one job at a time: the
+            // handler must have flushed all it had (the header, then each
+            // earlier burst) before it waits for the job not yet run.
+            for group in 0..3 {
+                let job = shared.queue.pop().expect("three jobs, one per group");
+                assert_eq!(job.cells.len(), 4);
+                tap.wait_for_lines(1 + 4 * group);
+                run_job(&shared, job);
+            }
+            handler.join().unwrap().unwrap();
+        });
+        let lines = tap.lines();
+        assert_eq!(lines.len(), 14);
+        assert_eq!(lines[1..13], offline_lines(&matrix)[..]);
+        assert!(lines[13].contains("\"computed\":12,"), "{}", lines[13]);
+        // Header, one per burst the handler waited after, the reply's end;
+        // a handler that wakes mid-burst may add some, never one per line
+        // written.
+        assert!((4..=13).contains(&tap.flushes()), "{}", tap.flushes());
+        assert_eq!(
+            shared.metrics.bytes_written.get() as usize,
+            lines.iter().map(|l| l.len() + 1).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn jobs_finishing_out_of_order_still_stream_in_matrix_order() {
+        let shared = shared();
+        let matrix = three_group_matrix();
+        let tap = WireTap::default();
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| {
+                let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+                serve_request(&submit_line(&matrix), &shared, &mut writer)
+            });
+            let mut jobs: Vec<Job> = (0..3).map(|_| shared.queue.pop().unwrap()).collect();
+            // Last two groups first: their rows wait in the reorder buffer
+            // behind the header.
+            run_job(&shared, jobs.pop().unwrap());
+            run_job(&shared, jobs.pop().unwrap());
+            tap.wait_for_lines(1);
+            run_job(&shared, jobs.pop().unwrap());
+            handler.join().unwrap().unwrap();
+        });
+        assert_eq!(tap.lines()[1..13], offline_lines(&matrix)[..]);
+    }
+
+    #[test]
+    fn an_unverified_group_caches_none_of_its_rows() {
+        let cache = ResultCache::in_memory();
+        let cells = three_group_matrix().resolve().unwrap().cells();
+        let group = &cells[..4];
+        let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
+        let rows = price_group(group, &Pool::new(1)).unwrap();
+
+        // A deadline miss marks the whole group (one campaign, one verdict).
+        let mut missed = rows.clone();
+        for row in &mut missed {
+            row.transport_verified = false;
+        }
+        let outcomes = settle(&cache, &keys, Ok(missed));
+        assert_eq!(outcomes.len(), 4);
+        for (key, outcome) in keys.iter().zip(&outcomes) {
+            let served = outcome.as_ref().unwrap();
+            assert!(served.row.contains("\"transport_verified\":false"));
+            assert!(cache.lookup(key).is_none(), "a transient row was cached");
+        }
+        assert!(cache.is_empty());
+
+        // A pricing failure is every cell's outcome, and caches nothing.
+        let failed = settle(&cache, &keys, Err("workload `x`: boom".into()));
+        assert!(failed
+            .iter()
+            .all(|o| o.as_ref().unwrap_err().contains("boom")));
+        assert_eq!(failed.len(), 4);
+        assert!(cache.is_empty());
+
+        // The verified rows of the same group all land.
+        let outcomes = settle(&cache, &keys, Ok(rows));
+        assert!(outcomes.iter().all(Result::is_ok));
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn retry_hint_follows_the_measured_drain_rate() {
+        // 1 024 queued cells at a measured 15 µs each drain in ≈ 15 ms: the
+        // floor, not the 2 s a fixed 20 ms per cell used to advertise.
+        assert_eq!(retry_after_hint(15_000 * 4_096, 4_096, 1_024, 1), 50);
+        // 1 ms cells: 300 queued over 2 workers ≈ 150 ms.
+        assert_eq!(retry_after_hint(1_000_000 * 64, 64, 300, 2), 150);
+        // Genuinely slow cells clamp at the ceiling.
+        assert_eq!(retry_after_hint(20_000_000 * 10, 10, 1_024, 2), 2_000);
+        // Nothing measured yet: the floor.
+        assert_eq!(retry_after_hint(0, 0, 1_024, 1), 50);
+    }
 }

@@ -177,6 +177,66 @@ fn real_kernel_cell_round_trips_through_the_service_cache() {
     shutdown_and_join(&addr, handle);
 }
 
+/// A submission that overlaps the cache inside every group: the
+/// `omni-path` half of each group is prefilled, so each job carries only
+/// the group's `high-latency` cells — and the table is still the offline
+/// table, byte for byte.
+#[test]
+fn partially_cached_groups_compute_exactly_the_missing_cells() {
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 2,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let half = tiny_matrix();
+    let mut whole = tiny_matrix();
+    whole.links = vec!["omni-path".into(), "high-latency".into()];
+    let offline: Vec<String> = run_matrix(&whole, &Pool::new(2))
+        .unwrap()
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    assert_eq!(offline.len(), 32);
+
+    let prefill = client::submit(&addr, &MatrixSource::Inline(half), 0).unwrap();
+    assert_eq!(prefill.footer.computed, 16);
+    let outcome = client::submit(&addr, &MatrixSource::Inline(whole), 0).unwrap();
+    assert_eq!(outcome.rows, offline);
+    assert_eq!(outcome.footer.computed, 16, "exactly the missing cells");
+    assert_eq!(outcome.footer.cached, 16, "the prefilled half");
+    assert_eq!(outcome.footer.coalesced, 0);
+
+    // Four groups either way: 4 whole-group jobs, then 4 half-group jobs.
+    let m = client::metrics(&addr).unwrap();
+    assert_eq!(m.counter("serve.queue.pushed"), 8);
+    assert_eq!(m.counter("serve.cells.computed"), 32);
+    assert_eq!(client::status(&addr).unwrap().computed, 32);
+    shutdown_and_join(&addr, handle);
+}
+
+/// The unit of scheduled work is the group: a cold `full` campaign is 36
+/// jobs (3 apps × 4 noise regimes × 3 rank counts) carrying 288 cells.
+#[test]
+fn cold_full_submit_is_one_job_per_group() {
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 2,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let outcome = client::submit(&addr, &MatrixSource::Preset("full".into()), 0).unwrap();
+    assert_eq!(outcome.rows.len(), 288);
+    assert_eq!(outcome.footer.computed, 288);
+    let m = client::metrics(&addr).unwrap();
+    assert_eq!(m.counter("serve.queue.pushed"), 36);
+    assert_eq!(m.histogram("serve.queue.wait_ns").unwrap().count, 36);
+    assert_eq!(m.histogram("serve.job.run_ns").unwrap().count, 36);
+    assert_eq!(m.counter("serve.cells.computed"), 288);
+    let status = client::status(&addr).unwrap();
+    assert_eq!(status.computed, 288);
+    assert_eq!((status.queued, status.inflight), (0, 0));
+    shutdown_and_join(&addr, handle);
+}
+
 #[test]
 fn fetch_is_cache_only() {
     let (addr, handle) = start_server(ServerConfig {
@@ -392,13 +452,15 @@ fn metrics_verb_reconciles_with_the_request_history() {
         m.counter("serve.cells.total")
     );
 
-    // Every scheduled job waited in the bounded queue, then ran on a worker.
+    // Every scheduled job waited in the bounded queue, then ran on a worker
+    // — one job per pricing group (2 apps × 1 noise × 2 rank counts), each
+    // carrying its group's 4 cells.
     let wait = m.histogram("serve.queue.wait_ns").expect("queue wait");
-    assert_eq!(wait.count, 16);
+    assert_eq!(wait.count, 4);
     let run = m.histogram("serve.job.run_ns").expect("job run");
-    assert_eq!(run.count, 16);
+    assert_eq!(run.count, 4);
     assert!(m.counter("serve.worker.busy_ns") > 0);
-    assert_eq!(m.counter("serve.queue.pushed"), 16);
+    assert_eq!(m.counter("serve.queue.pushed"), 4);
 
     // The warm submit answered all 16 cells from the hot tier, timed.
     let hits = m.histogram("serve.cache.hit_ns").expect("cache hit");

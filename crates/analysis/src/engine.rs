@@ -1,28 +1,30 @@
-//! The parallel analysis engine: the paper's sweeps fanned out over the
-//! workspace's own fork/join runtime.
+//! The analysis engine: the paper's sweeps on the workspace's own fork/join
+//! runtime, one entry point per pipeline stage.
 //!
 //! The reproduction pipeline is embarrassingly parallel at the
 //! process-iteration (and, for normality, group) granularity — exactly the
-//! fork/join shape [`ebird_runtime::Pool`] implements — yet the seed ran
-//! every stage single-threaded. This module fans each sweep out with **bit
-//! identical** results to its serial counterpart:
+//! fork/join shape [`ebird_runtime::Pool`] implements. Every stage takes the
+//! pool it runs on, and its output is **bit identical** for any pool size:
 //!
-//! * every group/unit is computed by the same per-group kernel the serial
-//!   path uses (shared scratch-buffer code paths, not parallel-only
-//!   reimplementations), and
+//! * every group/unit is computed by one per-group kernel over per-worker
+//!   scratch ([`EngineArenas`]), whatever the team size, and
 //! * per-group outputs are written into pre-sized output slots (no
 //!   order-dependent accumulation), with any aggregate folded afterwards in
 //!   trace order.
 //!
-//! The three-level normality sweep has no serial counterpart to mirror: its
-//! groups — of all three levels — form one flat task list
-//! ([`crate::normality`]), which [`sweep_levels_parallel_with_arenas`] cuts
-//! into one contiguous part of near-equal sample count per worker; a single
-//! thread runs the same loop over the whole list.
+//! A one-thread pool *is* the serial API: a stage that sees
+//! `pool.threads() == 1` runs its loop inline through
+//! [`Pool::run_serial`] — no slots, no closure dispatch.
+//!
+//! The three-level normality sweep's groups — of all three levels — form one
+//! flat task list ([`crate::normality`]), which
+//! [`sweep_levels_parallel_with_arenas`] cuts into one contiguous part of
+//! near-equal sample count per worker; a single thread runs the same loop
+//! over the whole list.
 //!
 //! The only parallelism-sensitive construct — merging floating-point
-//! [`Moments`] partials — is confined to [`campaign_moments`], which
-//! documents its fixed-pool determinism.
+//! [`Moments`] partials — is confined to [`campaign_moments`] and the trace
+//! scan's moments, which document their fixed-pool determinism.
 
 use ebird_cluster::{JobConfig, Workload};
 use ebird_core::view::{fill_group_ms, AggregationLevel};
@@ -33,22 +35,18 @@ use ebird_stats::normality::{battery_with_scratch, BatteryScratch, NormalityOutc
 use ebird_stats::reduce::Mergeable;
 use ebird_stats::Moments;
 
-use crate::laggard::{classify_unit, laggard_census, ClassifiedIteration, LaggardCensus};
 use crate::normality::{
     run_tasks, sweep_levels_with_scratch, NormalitySweep, SweepObs, SweepScratch, SweepTasks,
 };
-use crate::reclaim::{fold_units, reclaim_metrics, unit_reclaim, ReclaimMetrics, UnitReclaim};
 
 /// Long-lived scratch for the whole analysis engine: one scratch value per
-/// pool worker for every parallel stage (worker 0's doubles as the
-/// single-thread fast path's storage).
+/// pool worker for every stage (worker 0's is the one-thread path's
+/// storage).
 ///
-/// The parallel fast paths used to allocate all of this fresh inside every
-/// region body — per worker, per call — re-solving Shapiro–Wilk weight
-/// vectors and re-faulting multi-megabyte buffers on every trace and every
-/// bench repeat. An `EngineArenas` built once per campaign turns that into
-/// a one-off warm-up: a worker re-entering a region locks its own
-/// (uncontended) slot and finds its buffers ready from the previous call.
+/// Built once per campaign, it makes Shapiro–Wilk weight solves and
+/// multi-megabyte buffer faults a one-off warm-up: a worker re-entering a
+/// region locks its own (uncontended) slot and finds its buffers ready from
+/// the previous call.
 pub struct EngineArenas {
     pub(crate) sweep_workers: WorkerArenas<SweepScratch>,
     pub(crate) unit_ms: WorkerArenas<Vec<f64>>,
@@ -79,30 +77,15 @@ impl EngineArenas {
     }
 }
 
-/// Generates every workload's campaign trace serially — the generation
+/// Generates every workload's campaign trace on `pool` — the generation
 /// stage of the analysis pipeline, generic over any [`Workload`]
 /// (calibrated synthetic apps, inline models, metered real kernels,
-/// mixtures).
+/// mixtures). The traces are bit-identical for any pool size (each
+/// workload's generator carries that guarantee; see
+/// [`Workload::generate_trace_parallel`]).
 ///
 /// # Errors
 /// The first workload's failure message, verbatim.
-pub fn generate_campaign(
-    workloads: &[&dyn Workload],
-    cfg: &JobConfig,
-    seed: u64,
-) -> Result<Vec<TimingTrace>, String> {
-    workloads
-        .iter()
-        .map(|w| w.generate_trace(cfg, seed))
-        .collect()
-}
-
-/// Pool-parallel counterpart of [`generate_campaign`] — bit-identical to it
-/// for any pool size (each workload's parallel generator carries that
-/// guarantee; see [`Workload::generate_trace_parallel`]).
-///
-/// # Errors
-/// As [`generate_campaign`].
 pub fn generate_campaign_parallel(
     workloads: &[&dyn Workload],
     cfg: &JobConfig,
@@ -116,8 +99,8 @@ pub fn generate_campaign_parallel(
 }
 
 /// Runs the three-test normality battery over every group of `level`, with
-/// groups distributed over `pool` — the parallel counterpart of
-/// [`crate::normality::sweep`], bit-identical to it for any pool size.
+/// groups distributed over `pool` — bit-identical to
+/// [`crate::normality::sweep`] for any pool size.
 ///
 /// Each worker owns a contiguous block of the outcome vector and reuses one
 /// values buffer plus one [`BatteryScratch`] (one sort per group, zero
@@ -144,23 +127,6 @@ pub fn sweep_parallel(
         groups,
         outcomes,
     }
-}
-
-/// Pool-parallel counterpart of [`crate::normality::sweep_levels`] —
-/// bit-identical to it (and therefore to three per-level [`sweep`] calls)
-/// for any pool size: the same kernel runs every group, and no group's
-/// result depends on another's. Per-worker [`BatteryScratch`]es produce
-/// bit-identical weights to a shared one because cached weight vectors are
-/// bit-identical to freshly solved ones.
-///
-/// [`sweep`]: crate::normality::sweep
-pub fn sweep_levels_parallel(
-    trace: &TimingTrace,
-    alpha: f64,
-    obs: Option<&SweepObs>,
-    pool: &Pool,
-) -> [NormalitySweep; 3] {
-    sweep_levels_parallel_with_arenas(trace, alpha, obs, pool, &mut EngineArenas::for_pool(pool))
 }
 
 /// Splits a trace shape's [`SweepTasks`] into `parts` contiguous runs of
@@ -194,17 +160,29 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
         .collect()
 }
 
-/// [`sweep_levels_parallel`] with caller-owned [`EngineArenas`], so repeated
-/// sweeps (one per trace of a campaign, or per bench repeat) reuse the
-/// per-worker scratches: after the first call on a shape no scratch buffer
-/// grows, and a call allocates only its result.
+/// Runs all three aggregation levels of the normality sweep on `pool`, in
+/// [`SWEEP_LEVELS`](crate::normality::SWEEP_LEVELS) order — bit-identical to
+/// three per-level [`sweep`] calls for any pool size: the same kernel runs
+/// every group, and no group's result depends on another's. Per-worker
+/// battery scratches produce bit-identical weights to a shared one because
+/// cached weight vectors are bit-identical to freshly solved ones.
+///
+/// The caller owns the [`EngineArenas`], so repeated sweeps (one per trace
+/// of a campaign) reuse the per-worker scratches: after the first call on a
+/// shape no scratch buffer grows, and a call allocates only its result.
 ///
 /// The trace's task list is cut into one contiguous part of near-equal
 /// sample count per worker and every worker runs the task loop over its
-/// part. On a one-thread pool this **is** the serial sweep: the whole call
-/// runs inline through [`Pool::run_serial`] (no slots, no closure dispatch), so
-/// `p = 1` parallel and serial are the same machine code over the same
-/// scratch — the zero-overhead fork/join property the pipeline bench gates.
+/// part. On a one-thread pool the whole call runs inline through
+/// [`Pool::run_serial`] (no slots, no closure dispatch) over worker 0's
+/// scratch.
+///
+/// When `obs` is provided, per-group sort latencies land in the
+/// [`SweepObs::SORT_NS`] histogram and the Shapiro–Wilk weight-cache
+/// tallies in the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`]
+/// counters.
+///
+/// [`sweep`]: crate::normality::sweep
 pub fn sweep_levels_parallel_with_arenas(
     trace: &TimingTrace,
     alpha: f64,
@@ -233,74 +211,6 @@ pub fn sweep_levels_parallel_with_arenas(
         },
     );
     tasks.into_levels(outcomes, alpha)
-}
-
-/// Classifies every process-iteration at `threshold_ms` with units
-/// distributed over `pool` — bit-identical to
-/// [`crate::laggard::laggard_census`] for any pool size.
-pub fn laggard_census_parallel(
-    trace: &TimingTrace,
-    threshold_ms: f64,
-    pool: &Pool,
-) -> LaggardCensus {
-    assert!(threshold_ms > 0.0, "threshold must be positive");
-    if pool.threads() == 1 {
-        return pool.run_serial(|| laggard_census(trace, threshold_ms));
-    }
-    let shape = trace.shape();
-    let units = shape.process_iterations();
-    let mut iterations: Vec<ClassifiedIteration> = vec![
-        ClassifiedIteration {
-            trial: 0,
-            rank: 0,
-            iteration: 0,
-            class: crate::laggard::ArrivalClass::NoLaggard,
-            magnitude_ms: 0.0,
-            median_ms: 0.0,
-            iqr_ms: 0.0,
-        };
-        units
-    ];
-    pool.parallel_chunks_mut(&mut iterations, |block, range, _ctx| {
-        let mut scratch = Vec::with_capacity(shape.threads);
-        for (offset, slot) in block.iter_mut().enumerate() {
-            let unit = range.start + offset;
-            let (trial, rank, iteration) = unit_coords(shape, unit);
-            let samples = trace
-                .process_iteration(trial, rank, iteration)
-                .expect("unit in range by construction");
-            *slot = classify_unit(trial, rank, iteration, samples, threshold_ms, &mut scratch);
-        }
-    });
-    LaggardCensus {
-        threshold_ms,
-        iterations,
-    }
-}
-
-/// Computes the §4.2 reclaim metrics with per-unit work distributed over
-/// `pool` — bit-identical to [`crate::reclaim::reclaim_metrics`] for any
-/// pool size: units are computed in parallel into trace-ordered slots, then
-/// folded serially in that order (the identical float-addition sequence the
-/// serial path performs).
-pub fn reclaim_metrics_parallel(trace: &TimingTrace, pool: &Pool) -> ReclaimMetrics {
-    if pool.threads() == 1 {
-        return pool.run_serial(|| reclaim_metrics(trace));
-    }
-    let shape = trace.shape();
-    let units = shape.process_iterations();
-    let mut per_unit: Vec<UnitReclaim> = vec![UnitReclaim::default(); units];
-    pool.parallel_chunks_mut(&mut per_unit, |block, range, _ctx| {
-        let mut scratch = Vec::with_capacity(shape.threads);
-        for (offset, slot) in block.iter_mut().enumerate() {
-            let (trial, rank, iteration) = unit_coords(shape, range.start + offset);
-            let samples = trace
-                .process_iteration(trial, rank, iteration)
-                .expect("unit in range by construction");
-            *slot = unit_reclaim(samples, &mut scratch);
-        }
-    });
-    fold_units(per_unit)
 }
 
 /// Builds the paper's Table 1 with each application's process-iteration
@@ -365,7 +275,7 @@ pub fn canonical_strategies(threads: usize) -> [Strategy; 4] {
     ]
 }
 
-fn delivery_unit<M: NetModel + ?Sized>(
+fn delivery_unit<M: NetModel>(
     arrivals_ms: &[f64],
     bytes_total: usize,
     model: &mut M,
@@ -375,61 +285,22 @@ fn delivery_unit<M: NetModel + ?Sized>(
         .map(|s| run_delivery(model, &[arrivals_ms], bytes_total, s, scratch))
 }
 
-/// Prices the [`canonical_strategies`] on every process-iteration's arrivals,
-/// serially — one `[bulk, early-bird, timeout, binned]` outcome row per
-/// process-iteration, trace order, every cell priced on `model` (reset by
-/// the kernel between runs; any single-rank [`NetModel`] works —
+/// Prices the [`canonical_strategies`] on every process-iteration's arrivals
+/// — one `[bulk, early-bird, timeout, binned]` outcome row per
+/// process-iteration, trace order. `make_model` builds one model per worker
+/// (reset by the kernel between runs; any single-rank [`NetModel`] works —
 /// [`SerialLink`](ebird_partcomm::SerialLink),
-/// [`LogGPLink`](ebird_partcomm::LogGPLink), a 1-rank fabric, or a boxed
-/// `dyn NetModel`).
+/// [`LogGPLink`](ebird_partcomm::LogGPLink), a 1-rank fabric).
+///
+/// Bit-identical for any pool size, because each unit runs the same
+/// scratch-based kernel independently into its own output slot. Workers
+/// reuse their simulation scratch from the caller-owned [`EngineArenas`]
+/// across traces, and a one-thread pool runs the sweep loop inline
+/// ([`Pool::run_serial`]) with no slot vector or closure dispatch.
 ///
 /// # Panics
-/// If `model` services more than one rank (each process-iteration is one
+/// If the model services more than one rank (each process-iteration is one
 /// sender's arrival set).
-pub fn delivery_sweep<M: NetModel + ?Sized>(
-    trace: &TimingTrace,
-    bytes_total: usize,
-    model: &mut M,
-) -> Vec<[DeliveryOutcome; 4]> {
-    let mut scratch = SimScratch::new();
-    let mut values = Vec::with_capacity(trace.shape().threads);
-    trace
-        .iter_process_iterations()
-        .map(|(_, _, _, samples)| {
-            values.clear();
-            values.extend(samples.iter().map(ThreadSample::compute_time_ms));
-            delivery_unit(&values, bytes_total, model, &mut scratch)
-        })
-        .collect()
-}
-
-/// Parallel counterpart of [`delivery_sweep`] — bit-identical for any pool
-/// size, because each unit runs the same scratch-based kernel independently
-/// into its own output slot. `make_model` builds one model per worker (the
-/// kernel resets it between cells).
-pub fn delivery_sweep_parallel<M, F>(
-    trace: &TimingTrace,
-    bytes_total: usize,
-    make_model: F,
-    pool: &Pool,
-) -> Vec<[DeliveryOutcome; 4]>
-where
-    M: NetModel,
-    F: Fn() -> M + Sync,
-{
-    delivery_sweep_parallel_with_arenas(
-        trace,
-        bytes_total,
-        make_model,
-        pool,
-        &mut EngineArenas::for_pool(pool),
-    )
-}
-
-/// [`delivery_sweep_parallel`] with caller-owned [`EngineArenas`]: workers
-/// reuse their simulation scratch across traces and repeats, and a
-/// one-thread pool runs the serial sweep loop inline ([`Pool::run_serial`])
-/// with no slot vector or closure dispatch.
 pub fn delivery_sweep_parallel_with_arenas<M, F>(
     trace: &TimingTrace,
     bytes_total: usize,
@@ -491,9 +362,7 @@ pub(crate) fn unit_coords(shape: ebird_core::TraceShape, unit: usize) -> (usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laggard::laggard_census;
     use crate::normality::{sweep, SWEEP_LEVELS};
-    use crate::reclaim::reclaim_metrics;
     use ebird_core::{SampleIndex, TraceShape};
     use ebird_partcomm::SerialLink;
 
@@ -545,17 +414,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_levels_is_bit_identical_to_serial_merged_and_per_level() {
+    fn sweep_levels_is_bit_identical_across_pool_sizes_and_to_per_level_sweeps() {
         let tr = mixed_trace();
-        let serial = crate::normality::sweep_levels(&tr, 0.05, None);
+        let oracle = SWEEP_LEVELS.map(|level| sweep(&tr, level, 0.05));
         for workers in [1, 2, 5] {
             let pool = Pool::new(workers);
             let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
             let obs = SweepObs::new(&registry);
-            let parallel = sweep_levels_parallel(&tr, 0.05, Some(&obs), &pool);
-            for ((p, s), level) in parallel.iter().zip(&serial).zip(SWEEP_LEVELS) {
-                assert_eq!(p.outcomes, s.outcomes, "{} × {workers}", level.label());
-                assert_eq!(p.outcomes, sweep(&tr, level, 0.05).outcomes);
+            let got = sweep_levels_parallel_with_arenas(
+                &tr,
+                0.05,
+                Some(&obs),
+                &pool,
+                &mut EngineArenas::for_pool(&pool),
+            );
+            for (g, o) in got.iter().zip(&oracle) {
+                assert_eq!(g.outcomes, o.outcomes, "{} × {workers}", o.level_label);
             }
             let snap = registry.snapshot();
             let groups = (tr.shape().process_iterations() + tr.shape().iterations + 1) as u64;
@@ -651,15 +525,26 @@ mod tests {
     fn arena_reuse_keeps_sweep_and_delivery_bit_identical() {
         // Warm arenas (cached weights, dirty buffers) must change nothing:
         // run every arena-backed stage twice on shared arenas and compare
-        // against the fresh-arena wrappers.
+        // against runs on fresh ones.
         let tr = mixed_trace();
         let link = ebird_partcomm::LinkModel::omni_path();
         for workers in [1, 3] {
             let pool = Pool::new(workers);
             let mut arenas = EngineArenas::for_pool(&pool);
-            let fresh_sweep = sweep_levels_parallel(&tr, 0.05, None, &pool);
-            let fresh_delivery =
-                delivery_sweep_parallel(&tr, 1_000_000, || SerialLink::new(link), &pool);
+            let fresh_sweep = sweep_levels_parallel_with_arenas(
+                &tr,
+                0.05,
+                None,
+                &pool,
+                &mut EngineArenas::for_pool(&pool),
+            );
+            let fresh_delivery = delivery_sweep_parallel_with_arenas(
+                &tr,
+                1_000_000,
+                || SerialLink::new(link),
+                &pool,
+                &mut EngineArenas::for_pool(&pool),
+            );
             for round in 0..2 {
                 let sw = sweep_levels_parallel_with_arenas(&tr, 0.05, None, &pool, &mut arenas);
                 for (a, b) in sw.iter().zip(&fresh_sweep) {
@@ -687,20 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_census_and_reclaim_are_bit_identical() {
-        let tr = mixed_trace();
-        let census = laggard_census(&tr, 1.0);
-        let metrics = reclaim_metrics(&tr);
-        for workers in [1, 3, 4] {
-            let pool = Pool::new(workers);
-            let pc = laggard_census_parallel(&tr, 1.0, &pool);
-            assert_eq!(census.iterations, pc.iterations, "{workers} workers");
-            let pm = reclaim_metrics_parallel(&tr, &pool);
-            assert_eq!(metrics, pm, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn campaign_moments_match_whole_trace_statistics() {
         let tr = mixed_trace();
         let pool = Pool::new(3);
@@ -717,24 +588,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threshold must be positive")]
-    fn parallel_census_rejects_nonpositive_threshold() {
-        laggard_census_parallel(&mixed_trace(), 0.0, &Pool::new(2));
-    }
-
-    #[test]
-    fn parallel_delivery_sweep_is_bit_identical() {
+    fn delivery_sweep_is_bit_identical_across_pool_sizes_and_to_per_cell_runs() {
         let tr = mixed_trace();
         let link = ebird_partcomm::LinkModel::omni_path();
-        let serial = delivery_sweep(&tr, 1_000_000, &mut SerialLink::new(link));
-        assert_eq!(serial.len(), tr.shape().process_iterations());
+        // The oracle: every cell priced on its own, on a fresh model and
+        // fresh scratch.
+        let oracle: Vec<[DeliveryOutcome; 4]> = tr
+            .iter_process_iterations()
+            .map(|(_, _, _, samples)| {
+                let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
+                canonical_strategies(ms.len()).map(|s| {
+                    run_delivery(
+                        &mut SerialLink::new(link),
+                        &[&ms],
+                        1_000_000,
+                        s,
+                        &mut SimScratch::new(),
+                    )
+                })
+            })
+            .collect();
+        assert_eq!(oracle.len(), tr.shape().process_iterations());
         for workers in [1, 2, 5] {
             let pool = Pool::new(workers);
-            let parallel = delivery_sweep_parallel(&tr, 1_000_000, || SerialLink::new(link), &pool);
-            assert_eq!(serial, parallel, "{workers} workers");
+            let got = delivery_sweep_parallel_with_arenas(
+                &tr,
+                1_000_000,
+                || SerialLink::new(link),
+                &pool,
+                &mut EngineArenas::for_pool(&pool),
+            );
+            assert_eq!(oracle, got, "{workers} workers");
         }
         // Every unit priced all four canonical strategies.
-        for row in &serial {
+        for row in &oracle {
             assert_eq!(row[0].strategy, Strategy::Bulk);
             assert_eq!(row[1].strategy, Strategy::EarlyBird);
             assert_eq!(row[0].messages, 1);
@@ -748,30 +635,42 @@ mod tests {
         let apps = SyntheticApp::all();
         let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
         let cfg = JobConfig::new(1, 2, 6, 4);
-        let serial = generate_campaign(&workloads, &cfg, 13).unwrap();
-        assert_eq!(serial.len(), 3);
-        assert_eq!(serial[0].app(), "MiniFE");
+        // The oracle: each workload's own pool-free generator.
+        let oracle: Vec<TimingTrace> = workloads
+            .iter()
+            .map(|w| w.generate_trace(&cfg, 13).unwrap())
+            .collect();
+        assert_eq!(oracle.len(), 3);
+        assert_eq!(oracle[0].app(), "MiniFE");
         for workers in [1, 3] {
             let pool = Pool::new(workers);
-            let parallel = generate_campaign_parallel(&workloads, &cfg, 13, &pool).unwrap();
-            assert_eq!(serial, parallel, "{workers} workers");
+            let got = generate_campaign_parallel(&workloads, &cfg, 13, &pool).unwrap();
+            assert_eq!(oracle, got, "{workers} workers");
         }
     }
 
     #[test]
     fn delivery_sweep_accepts_any_single_rank_model() {
-        // The sweep is model-agnostic: a boxed dyn NetModel prices the same
-        // trace, and a zero-gap LogGP link is bit-identical to the α/β
-        // SerialLink it degenerates to.
+        // The sweep is model-agnostic: a zero-gap LogGP link is
+        // bit-identical to the α/β SerialLink it degenerates to.
         let tr = mixed_trace();
         let link = ebird_partcomm::LinkModel::omni_path();
-        let over_serial = delivery_sweep(&tr, 1_000_000, &mut SerialLink::new(link));
-        let mut boxed: Box<dyn NetModel> = Box::new(ebird_partcomm::LogGPLink::new(
-            link.alpha_ms,
-            0.0,
-            link.beta_ms_per_byte,
-        ));
-        let over_loggp = delivery_sweep(&tr, 1_000_000, &mut *boxed);
+        let pool = Pool::new(1);
+        let mut arenas = EngineArenas::for_pool(&pool);
+        let over_serial = delivery_sweep_parallel_with_arenas(
+            &tr,
+            1_000_000,
+            || SerialLink::new(link),
+            &pool,
+            &mut arenas,
+        );
+        let over_loggp = delivery_sweep_parallel_with_arenas(
+            &tr,
+            1_000_000,
+            || ebird_partcomm::LogGPLink::new(link.alpha_ms, 0.0, link.beta_ms_per_byte),
+            &pool,
+            &mut arenas,
+        );
         assert_eq!(over_serial, over_loggp);
     }
 }

@@ -21,15 +21,15 @@
 //!   transmission could hide before the join.
 //! * [`report`] — plain-text table rendering and CSV export so the `repro`
 //!   binary can print paper-shaped artifacts.
-//! * [`engine`] — the parallel analysis engine: the normality/laggard/reclaim
-//!   sweeps fanned out over `ebird-runtime`'s own thread pool with
-//!   bit-identical outputs, plus a `Moments::merge`-based campaign reduction.
-//!   Long-lived per-worker scratch lives in [`engine::EngineArenas`]; a
-//!   one-thread pool runs every stage's serial loop inline (zero fork/join
-//!   overhead).
+//! * [`engine`] — the analysis engine: one entry point per pipeline stage
+//!   (generate, normality sweep, delivery sweep) on `ebird-runtime`'s own
+//!   thread pool, outputs bit-identical for any pool size, plus a
+//!   `Moments::merge`-based campaign reduction. Long-lived per-worker
+//!   scratch lives in [`engine::EngineArenas`]; a one-thread pool runs every
+//!   stage's loop inline (zero fork/join overhead).
 //! * [`scan`] — the single-pass trace scan fusing the laggard census, the
 //!   reclaim metrics and the campaign moments into one traversal,
-//!   bit-identical to the three standalone stages it replaces.
+//!   bit-identical to the three standalone traversals.
 
 #![warn(missing_docs)]
 
@@ -43,12 +43,9 @@ pub mod reclaim;
 pub mod report;
 pub mod scan;
 
-pub use engine::{
-    campaign_moments, laggard_census_parallel, reclaim_metrics_parallel, sweep_parallel,
-    table1_parallel, EngineArenas,
-};
+pub use engine::{campaign_moments, sweep_parallel, table1_parallel, EngineArenas};
 pub use laggard::{laggard_census, LaggardCensus};
 pub use normality::{table1, NormalitySweep, Table1};
 pub use percentile_series::{percentile_series, IqrStats};
 pub use reclaim::{reclaim_metrics, ReclaimMetrics};
-pub use scan::{trace_scan, trace_scan_parallel, TraceScan};
+pub use scan::TraceScan;

@@ -2,10 +2,11 @@
 //!
 //! Two routes to the same outcomes. [`sweep`] runs one level: it
 //! materializes each group's millisecond floats and sorts those — simple,
-//! and the oracle. [`sweep_levels`] runs all three levels as one list of
-//! independent per-group tasks that sort the integer nanoseconds instead;
-//! [`crate::engine`] hands contiguous parts of that list to pool workers.
-//! The two are tested bit-identical.
+//! and the oracle. The three-level sweep
+//! ([`crate::engine::sweep_levels_parallel_with_arenas`]) runs all three
+//! levels as one list of independent per-group tasks that sort the integer
+//! nanoseconds instead, handing contiguous parts of that list
+//! ([`run_tasks`]) to pool workers. The two are tested bit-identical.
 
 use std::sync::Arc;
 
@@ -89,8 +90,8 @@ impl NormalitySweep {
 /// per-group allocation; [`crate::engine::sweep_parallel`] fans the same
 /// per-group computation out over a thread pool with bit-identical outcomes.
 /// It sorts the millisecond floats themselves ([`ebird_stats::sort`]'s float
-/// sort), which makes it the independent oracle [`sweep_levels`] — which
-/// sorts integer nanoseconds — is tested against.
+/// sort), which makes it the independent oracle the three-level sweep —
+/// which sorts integer nanoseconds — is tested against.
 pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> NormalitySweep {
     let groups = level.group_count(trace);
     let mut scratch = BatteryScratch::new();
@@ -112,7 +113,7 @@ pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> Normal
 /// Observability handles for the normality sweep fast path: weight-cache
 /// hit/miss counters and a per-group sort latency histogram, all
 /// registered on a shared [`ebird_obs::Registry`] so `repro profile` and the
-/// pipeline bench surface them next to the span/pool metrics.
+/// benchmark surface them next to the span/pool metrics.
 #[derive(Clone)]
 pub struct SweepObs {
     registry: Arc<Registry>,
@@ -170,37 +171,13 @@ impl SweepObs {
     }
 }
 
-/// The three sweep levels in paper order — the order [`sweep_levels`]
-/// returns and the pipeline bench times.
+/// The three sweep levels in paper order — the order the three-level sweep
+/// returns.
 pub const SWEEP_LEVELS: [AggregationLevel; 3] = [
     AggregationLevel::ProcessIteration,
     AggregationLevel::ApplicationIteration,
     AggregationLevel::Application,
 ];
-
-/// Runs all three aggregation levels in one pass, bit-identical to calling
-/// [`sweep`] per level. Every group of every level is an independent task
-/// of one flat list run by one kernel: gather the group's integer
-/// nanosecond compute times (streaming D'Agostino's moments in the same
-/// pass, so no raw copy is kept), radix-sort the integers, convert to
-/// milliseconds, run the fused Shapiro–Wilk + Anderson–Darling pass.
-///
-/// Bit-identity with [`sweep`] holds by construction: the moments see
-/// [`fill_group_ms`]'s values in its order; [`ns_to_ms`] is monotone, so
-/// sorting before or after the conversion yields the same array; and the
-/// battery is the same code on the same sorted sample.
-///
-/// When `obs` is provided, per-group sort latencies land in the
-/// [`SweepObs::SORT_NS`] histogram and the Shapiro–Wilk weight-cache
-/// tallies in the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`]
-/// counters.
-pub fn sweep_levels(
-    trace: &TimingTrace,
-    alpha: f64,
-    obs: Option<&SweepObs>,
-) -> [NormalitySweep; 3] {
-    sweep_levels_with_scratch(trace, alpha, obs, &mut SweepScratch::new())
-}
 
 /// One sweep worker's reusable storage: the battery scratch (cached
 /// Shapiro–Wilk weights + Φ block) and the three group-sized buffers of the
@@ -210,21 +187,16 @@ pub fn sweep_levels(
 /// 3 × 6.1 MB plus ≈ 3 MB of weights, and one that owns process-iterations
 /// only a few kilobytes.
 #[derive(Default)]
-pub struct SweepScratch {
+pub(crate) struct SweepScratch {
     battery: BatteryScratch,
     keys: Vec<u64>,
     tmp: Vec<u64>,
     sorted: Vec<f64>,
 }
 
+#[cfg(test)]
 impl SweepScratch {
-    /// Empty scratch; buffers grow lazily to the largest group swept.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// `[keys, tmp, sorted]` capacities in elements (8 bytes each).
-    #[cfg(test)]
     pub(crate) fn capacities(&self) -> [usize; 3] {
         [
             self.keys.capacity(),
@@ -293,7 +265,16 @@ impl SweepTasks {
 
 /// Runs the contiguous tasks `first..first + out.len()` of `trace`'s
 /// [`SweepTasks`] into `out` — the loop every sweep worker runs, and the
-/// whole sweep on one thread.
+/// whole sweep on one thread. Every group of every level is an independent
+/// task run by one kernel: gather the group's integer nanosecond compute
+/// times (streaming D'Agostino's moments in the same pass, so no raw copy
+/// is kept), radix-sort the integers, convert to milliseconds, run the
+/// fused Shapiro–Wilk + Anderson–Darling pass.
+///
+/// Bit-identity with [`sweep`] holds by construction: the moments see
+/// [`fill_group_ms`]'s values in its order; [`ns_to_ms`] is monotone, so
+/// sorting before or after the conversion yields the same array; and the
+/// battery is the same code on the same sorted sample.
 pub(crate) fn run_tasks(
     trace: &TimingTrace,
     obs: Option<&SweepObs>,
@@ -343,14 +324,13 @@ pub(crate) fn run_tasks(
     }
 }
 
-/// [`sweep_levels`] with caller-owned [`SweepScratch`], so consecutive
-/// sweeps over same-shaped traces reuse the cached Shapiro–Wilk weight
-/// vectors (the application-level vector alone is hundreds of thousands of
-/// Newton solves) and the group buffers instead of re-deriving and
-/// re-allocating them per trace. Bit-identical to [`sweep_levels`]: cached
-/// weights are bit-identical to freshly solved ones, and every reused
-/// buffer is refilled before it is read.
-pub fn sweep_levels_with_scratch(
+/// The whole three-level sweep as one task loop — what a one-thread pool
+/// runs. Consecutive sweeps over same-shaped traces reuse `sweep_scratch`'s
+/// cached Shapiro–Wilk weight vectors (the application-level vector alone
+/// is hundreds of thousands of Newton solves) and group buffers; results do
+/// not depend on the reuse: cached weights are bit-identical to freshly
+/// solved ones, and every reused buffer is refilled before it is read.
+pub(crate) fn sweep_levels_with_scratch(
     trace: &TimingTrace,
     alpha: f64,
     obs: Option<&SweepObs>,
@@ -594,7 +574,7 @@ mod tests {
     #[test]
     fn sweep_levels_is_bit_identical_to_per_level_sweeps() {
         for tr in [normal_trace(16), skewed_trace(16), mixed_trace()] {
-            let merged = sweep_levels(&tr, 0.05, None);
+            let merged = sweep_levels_with_scratch(&tr, 0.05, None, &mut SweepScratch::default());
             for (m, level) in merged.iter().zip(SWEEP_LEVELS) {
                 let s = sweep(&tr, level, 0.05);
                 assert_eq!(m.outcomes, s.outcomes, "{} @ {}", tr.app(), level.label());
@@ -609,8 +589,9 @@ mod tests {
         let registry = Arc::new(Registry::wall());
         let obs = SweepObs::new(&registry);
         let tr = normal_trace(16); // shape (2, 2, 10, 16)
-        let with_obs = sweep_levels(&tr, 0.05, Some(&obs));
-        let without = sweep_levels(&tr, 0.05, None);
+        let with_obs =
+            sweep_levels_with_scratch(&tr, 0.05, Some(&obs), &mut SweepScratch::default());
+        let without = sweep_levels_with_scratch(&tr, 0.05, None, &mut SweepScratch::default());
         for (a, b) in with_obs.iter().zip(&without) {
             assert_eq!(a.outcomes, b.outcomes);
         }

@@ -1,24 +1,23 @@
 //! Single-pass trace scan: laggard census + reclaim metrics + campaign
 //! moments fused into one traversal.
 //!
-//! The pipeline used to walk every process-iteration three times — once to
-//! classify laggards, once for the §4.2 reclaim metrics, once for the
-//! campaign-wide moments — touching ~25 MB of trace three times for three
-//! answers that each need one look at the same samples. [`trace_scan`] makes
-//! one pass, running the *same per-unit kernels* the three stages used
-//! ([`classify_unit`](crate::laggard), [`unit_reclaim`](crate::reclaim),
-//! [`Moments::push`]), so every output is bit-identical to its retired
-//! standalone traversal:
+//! Classifying laggards, the §4.2 reclaim metrics and the campaign-wide
+//! moments each need one look at the same samples, so
+//! [`trace_scan_parallel_with_arenas`] makes one pass over the ~25 MB trace
+//! instead of three, running the *same per-unit kernels* the standalone
+//! traversals use ([`classify_unit`](crate::laggard),
+//! [`unit_reclaim`](crate::reclaim), [`Moments::push`]), so every output is
+//! bit-identical to its standalone traversal:
 //!
 //! * `census` ≡ [`laggard_census`](crate::laggard::laggard_census) — same
 //!   kernel, same unit order.
 //! * `reclaim` ≡ [`reclaim_metrics`](crate::reclaim::reclaim_metrics) — per
 //!   unit quantities folded in trace order, the identical float-addition
 //!   sequence.
-//! * `moments` ≡ `Moments::from_slice(&trace.all_ms())` in the serial scan
+//! * `moments` ≡ `Moments::from_slice(&trace.all_ms())` on a one-thread pool
 //!   (samples stream in trace order), and ≡
-//!   [`campaign_moments`](crate::engine::campaign_moments) for the same pool
-//!   in the parallel scan (same [`static_block`](ebird_runtime::static_block)
+//!   [`campaign_moments`](crate::engine::campaign_moments) on the same pool
+//!   for any size (same [`static_block`](ebird_runtime::static_block)
 //!   decomposition, partials merged in thread order).
 
 use ebird_core::{ThreadSample, TimingTrace};
@@ -39,17 +38,13 @@ pub struct TraceScan {
     pub census: LaggardCensus,
     /// Reclaim metrics (≡ `reclaim_metrics`).
     pub reclaim: ReclaimMetrics,
-    /// Campaign moments over every compute time (serial scan:
+    /// Campaign moments over every compute time (one-thread pool:
     /// ≡ `Moments::from_slice` over the whole trace).
     pub moments: Moments,
 }
 
-/// Scans `trace` once, producing census + reclaim + moments.
-///
-/// # Panics
-/// If `threshold_ms` is not positive.
-pub fn trace_scan(trace: &TimingTrace, threshold_ms: f64) -> TraceScan {
-    assert!(threshold_ms > 0.0, "threshold must be positive");
+/// The scan as one loop in trace order: what a one-thread pool runs.
+fn trace_scan(trace: &TimingTrace, threshold_ms: f64) -> TraceScan {
     let shape = trace.shape();
     let mut scratch: Vec<f64> = Vec::with_capacity(shape.threads);
     let mut iterations = Vec::with_capacity(shape.process_iterations());
@@ -79,22 +74,19 @@ pub fn trace_scan(trace: &TimingTrace, threshold_ms: f64) -> TraceScan {
     }
 }
 
-/// [`trace_scan`] fanned out over `pool` with a throwaway arena — see
-/// [`trace_scan_parallel_with_arenas`].
-pub fn trace_scan_parallel(trace: &TimingTrace, threshold_ms: f64, pool: &Pool) -> TraceScan {
-    trace_scan_parallel_with_arenas(trace, threshold_ms, pool, &mut EngineArenas::for_pool(pool))
-}
-
-/// Pool-parallel fused scan with caller-owned [`EngineArenas`].
+/// Scans `trace` once on `pool`, producing census + reclaim + moments, with
+/// per-worker scratch from the caller-owned [`EngineArenas`].
 ///
-/// Census and reclaim outputs are bit-identical to the serial
-/// [`trace_scan`] for any pool size (per-unit kernels into trace-ordered
-/// slots, aggregates folded in trace order). Moments are bit-identical to
+/// Census and reclaim outputs are bit-identical for any pool size (per-unit
+/// kernels into trace-ordered slots, aggregates folded in trace order).
+/// Moments are bit-identical to
 /// [`campaign_moments`](crate::engine::campaign_moments) on the same pool:
 /// each member streams its `static_block` of units into a local accumulator
-/// and partials merge in thread order — so a one-thread pool (which runs
-/// the serial scan inline via [`Pool::run_serial`]) is bit-identical to
-/// [`trace_scan`] in all three outputs.
+/// and partials merge in thread order. A one-thread pool runs the whole
+/// scan as one inline loop ([`Pool::run_serial`]).
+///
+/// # Panics
+/// If `threshold_ms` is not positive.
 pub fn trace_scan_parallel_with_arenas(
     trace: &TimingTrace,
     threshold_ms: f64,
@@ -200,10 +192,15 @@ mod tests {
         )
     }
 
+    fn scan_on(tr: &TimingTrace, threshold_ms: f64, workers: usize) -> TraceScan {
+        let pool = Pool::new(workers);
+        trace_scan_parallel_with_arenas(tr, threshold_ms, &pool, &mut EngineArenas::for_pool(&pool))
+    }
+
     #[test]
-    fn serial_scan_matches_the_three_retired_traversals() {
+    fn one_thread_scan_matches_the_three_standalone_traversals() {
         let tr = mixed_trace();
-        let scan = trace_scan(&tr, 1.0);
+        let scan = scan_on(&tr, 1.0, 1);
         let census = laggard_census(&tr, 1.0);
         assert_eq!(scan.census.threshold_ms, census.threshold_ms);
         assert_eq!(scan.census.iterations, census.iterations);
@@ -212,23 +209,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_is_bit_identical_across_pool_sizes() {
+    fn scan_is_bit_identical_across_pool_sizes() {
         let tr = mixed_trace();
-        let serial = trace_scan(&tr, 1.0);
+        let one = scan_on(&tr, 1.0, 1);
         for workers in [1, 2, 5] {
-            let pool = Pool::new(workers);
-            let par = trace_scan_parallel(&tr, 1.0, &pool);
-            assert_eq!(serial.census.iterations, par.census.iterations, "{workers}");
-            assert_eq!(serial.reclaim, par.reclaim, "{workers}");
+            let par = scan_on(&tr, 1.0, workers);
+            assert_eq!(one.census.iterations, par.census.iterations, "{workers}");
+            assert_eq!(one.reclaim, par.reclaim, "{workers}");
             // Moments merge in thread order: exact vs the campaign reduction
-            // on the same pool, exact vs serial at one thread.
-            assert_eq!(par.moments, campaign_moments(&tr, &pool), "{workers}");
+            // on the same pool, exact vs the one-thread scan at one thread.
+            assert_eq!(
+                par.moments,
+                campaign_moments(&tr, &Pool::new(workers)),
+                "{workers}"
+            );
             if workers == 1 {
-                assert_eq!(serial.moments, par.moments);
+                assert_eq!(one.moments, par.moments);
             }
-            assert_eq!(par.moments.count(), serial.moments.count());
-            assert_eq!(par.moments.min(), serial.moments.min());
-            assert_eq!(par.moments.max(), serial.moments.max());
+            assert_eq!(par.moments.count(), one.moments.count());
+            assert_eq!(par.moments.min(), one.moments.min());
+            assert_eq!(par.moments.max(), one.moments.max());
         }
     }
 
@@ -246,13 +246,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "threshold must be positive")]
-    fn scan_rejects_nonpositive_threshold() {
-        trace_scan(&mixed_trace(), 0.0);
+    fn one_thread_scan_rejects_nonpositive_threshold() {
+        scan_on(&mixed_trace(), 0.0, 1);
     }
 
     #[test]
     #[should_panic(expected = "threshold must be positive")]
     fn parallel_scan_rejects_nonpositive_threshold() {
-        trace_scan_parallel(&mixed_trace(), -1.0, &Pool::new(2));
+        scan_on(&mixed_trace(), -1.0, 2);
     }
 }

@@ -62,7 +62,8 @@ impl Spline3D {
 
     /// Builds a spline with seeded pseudo-random coefficients in `[-1, 1)` —
     /// a stand-in for the orbital coefficient tables miniQMC reads from HDF5
-    /// files we do not have (substitution documented in DESIGN.md).
+    /// files we do not have (a substitution: only the evaluation cost and
+    /// access pattern matter to thread timing, not the orbital values).
     pub fn random(n: usize, box_len: f64, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let coeffs = (0..n * n * n).map(|_| 2.0 * rng.next_f64() - 1.0).collect();

@@ -57,16 +57,18 @@
 //! ```
 //!
 //! Defaults: paper scale, synthetic source, seed 20230421, and one worker
-//! thread per host core (`--threads 1` forces the serial path). Synthetic
+//! thread per host core (a one-thread pool is the serial path). Synthetic
 //! generation and the normality sweeps run on the workspace's own thread
-//! pool; parallel results are bit-identical to serial, so `--threads` only
+//! pool; results are bit-identical for any pool size, so `--threads` only
 //! changes wall-clock time. The real source runs the live Rust kernels at
 //! reduced problem sizes (wall-clock shapes are host-dependent; the
 //! synthetic source is the calibrated one).
 
 use std::io::Write as _;
 
-use ebird_analysis::engine::{sweep_levels_parallel, sweep_parallel, table1_parallel};
+use ebird_analysis::engine::{
+    sweep_levels_parallel_with_arenas, sweep_parallel, table1_parallel, EngineArenas,
+};
 use ebird_analysis::figures::{self, bins};
 use ebird_analysis::laggard::{laggard_census, ArrivalClass};
 use ebird_analysis::percentile_series::{detect_phase_boundary, iqr_stats, percentile_series};
@@ -123,8 +125,8 @@ struct Options {
     queue_bound: usize,
     /// `submit`: queue priority (higher runs sooner).
     priority: i64,
-    /// Worker pool for generation and sweeps; parallel output is
-    /// bit-identical to serial, so this only affects wall-clock time.
+    /// Worker pool for generation and sweeps; output is bit-identical for
+    /// any pool size, so this only affects wall-clock time.
     pool: Pool,
 }
 
@@ -925,9 +927,16 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         // with the weight-cache counters and per-group sort histogram the
         // rendering surfaces below.
         let sweep_obs = ebird_analysis::normality::SweepObs::new(&registry);
+        let mut arenas = EngineArenas::for_pool(&pool);
         let _span = stage(PROFILE_STAGES[3]);
         for tr in &traces {
-            let _ = sweep_levels_parallel(tr, calibration::ALPHA, Some(&sweep_obs), &pool);
+            let _ = sweep_levels_parallel_with_arenas(
+                tr,
+                calibration::ALPHA,
+                Some(&sweep_obs),
+                &pool,
+                &mut arenas,
+            );
         }
     }
 

@@ -1,30 +1,28 @@
 //! # ebird-bench
 //!
-//! Benchmark harness and experiment regenerators.
+//! Experiment regenerators. (Measurement lives in the standalone
+//! `benchmark/` package, not here.)
 //!
 //! * The **`repro` binary** (`cargo run -p ebird-bench --bin repro --release`)
 //!   regenerates every table and figure of the paper from the calibrated
 //!   synthetic models (or, with `--source real`, from live runs of the Rust
 //!   proxy apps at reduced scale). See `repro --help`.
-//! * The **Criterion benches** (`cargo bench`) time each pipeline stage and
-//!   run the ablations DESIGN.md calls out.
 //! * The **scenario campaign** ([`scenario`], re-exported from
 //!   `ebird-serve` where it now lives so the campaign service can price the
 //!   same cells) sweeps a config-driven apps × strategies × links × noise ×
 //!   ranks matrix through the multi-rank fabric simulator
 //!   (`repro scenarios`, or served live via `repro serve` / `repro submit`).
 //!
-//! This library crate holds the pieces both share: canonical trace
-//! construction per experiment, seeds, and scale presets.
+//! This library crate holds the pieces the binaries share: the real-app
+//! trace runner, the profile renderer, seeds, and scale presets.
 
 #![warn(missing_docs)]
 
-pub mod pipeline;
 pub mod profile;
 
 pub use ebird_serve::scenario;
 
-use ebird_cluster::{JobConfig, SyntheticApp};
+use ebird_cluster::JobConfig;
 use ebird_core::TimingTrace;
 
 /// The workspace-wide default seed for regenerated experiments
@@ -57,19 +55,6 @@ impl Scale {
             _ => None,
         }
     }
-}
-
-/// Generates the synthetic campaign trace for one app at a scale.
-pub fn synthetic_trace(app: &SyntheticApp, scale: Scale, seed: u64) -> TimingTrace {
-    app.generate(&scale.config(), seed)
-}
-
-/// Generates all three apps' traces in paper order.
-pub fn all_synthetic_traces(scale: Scale, seed: u64) -> Vec<TimingTrace> {
-    SyntheticApp::all()
-        .iter()
-        .map(|a| synthetic_trace(a, scale, seed))
-        .collect()
 }
 
 /// Runs the real Rust proxy apps at test scale and returns their traces in
@@ -105,19 +90,6 @@ mod tests {
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("CI"), Some(Scale::Ci));
         assert_eq!(Scale::parse("huge"), None);
-    }
-
-    #[test]
-    fn ci_traces_have_expected_shape() {
-        let traces = all_synthetic_traces(Scale::Ci, DEFAULT_SEED);
-        assert_eq!(traces.len(), 3);
-        assert_eq!(traces[0].app(), "MiniFE");
-        assert_eq!(traces[1].app(), "MiniMD");
-        assert_eq!(traces[2].app(), "MiniQMC");
-        for t in &traces {
-            // 2 trials × 2 ranks × 50 iterations × 8 threads.
-            assert_eq!(t.shape().total_samples(), 1_600);
-        }
     }
 
     #[test]

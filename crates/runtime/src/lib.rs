@@ -11,23 +11,21 @@
 //! | `omp_get_thread_num()` | [`Ctx::thread`] |
 //! | `#pragma omp barrier` | [`barrier::SenseBarrier`], via [`Ctx::barrier`] |
 //! | `#pragma omp for` (static schedule) | [`schedule::static_block`], [`Pool::parallel_for_static`] |
-//! | `#pragma omp for schedule(dynamic, k)` | [`Pool::parallel_for_dynamic`] |
-//! | `#pragma omp for schedule(guided)` | [`Pool::parallel_for_guided`] |
 //! | `nowait` + per-thread exit stamps | [`Pool::timed_region`] |
 //!
-//! **Substitution note (documented in DESIGN.md):** OpenMP keeps one thread
-//! team alive for the whole program; [`Pool`] spawns scoped threads per
-//! region. The paper's Listing 1 inserts a barrier *before* the start stamps
-//! precisely so that start skew (from any source, including thread wake-up)
-//! cancels; our region entry does the same, so measured compute times are
-//! unaffected. A persistent team ([`persistent::PersistentPool`]) is provided
-//! as well, and the `instrumentation_overhead` bench compares both.
+//! Only the default static schedule is implemented: it is the one the
+//! paper's applications use (see [`schedule`]).
+//!
+//! **Substitution note:** OpenMP keeps one thread team alive for the whole
+//! program; [`Pool`] spawns scoped threads per region. The paper's Listing 1
+//! inserts a barrier *before* the start stamps precisely so that start skew
+//! (from any source, including thread wake-up) cancels; our region entry does
+//! the same, so measured compute times are unaffected.
 
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod barrier;
-pub mod persistent;
 pub mod pool;
 pub mod queue;
 pub mod schedule;
@@ -36,4 +34,4 @@ pub use arena::WorkerArenas;
 pub use barrier::SenseBarrier;
 pub use pool::{Ctx, Pool, PoolObserver};
 pub use queue::{JobQueue, PushError, QueueMetrics};
-pub use schedule::{static_block, Schedule};
+pub use schedule::static_block;

@@ -8,14 +8,13 @@
 //! it), then the join.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ebird_core::{Clock, TimedRegion};
 use parking_lot::Mutex;
 
 use crate::barrier::SenseBarrier;
-use crate::schedule::{cost_min_chunk, guided_chunk, static_block, GUIDED_TARGET_CHUNK_NS};
+use crate::schedule::static_block;
 
 /// Per-worker busy-time instrumentation for a [`Pool`].
 ///
@@ -268,66 +267,6 @@ impl Pool {
         });
     }
 
-    /// Dynamic-schedule loop: members grab `chunk`-sized blocks from a shared
-    /// counter until the range is exhausted (`schedule(dynamic, chunk)`).
-    pub fn parallel_for_dynamic<F>(&self, count: usize, chunk: usize, body: F)
-    where
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        assert!(chunk > 0, "dynamic chunk must be nonzero");
-        let next = AtomicUsize::new(0);
-        self.region(|ctx| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= count {
-                break;
-            }
-            for i in start..(start + chunk).min(count) {
-                body(i, ctx);
-            }
-        });
-    }
-
-    /// Guided-schedule loop: chunk sizes shrink as `⌈remaining/p⌉`, floored at
-    /// `min_chunk` (`schedule(guided, min_chunk)`).
-    pub fn parallel_for_guided<F>(&self, count: usize, min_chunk: usize, body: F)
-    where
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        assert!(min_chunk > 0, "guided min_chunk must be nonzero");
-        let next = Mutex::new(0usize);
-        self.region(|ctx| loop {
-            let range = {
-                let mut g = next.lock();
-                let remaining = count - *g;
-                let c = guided_chunk(remaining, ctx.nthreads(), min_chunk);
-                if c == 0 {
-                    break;
-                }
-                let start = *g;
-                *g += c;
-                start..start + c
-            };
-            for i in range {
-                body(i, ctx);
-            }
-        });
-    }
-
-    /// Cost-aware guided loop: like
-    /// [`parallel_for_guided`](Self::parallel_for_guided), but the minimum
-    /// chunk is derived from a caller-supplied per-iteration cost estimate so
-    /// every dispatch carries at least
-    /// [`crate::schedule::GUIDED_TARGET_CHUNK_NS`] of work — cheap iterations
-    /// get big chunks (amortizing the shared counter), expensive ones still
-    /// load-balance at single-iteration granularity.
-    pub fn parallel_for_guided_cost<F>(&self, count: usize, est_item_ns: u64, body: F)
-    where
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        let min_chunk = cost_min_chunk(est_item_ns, GUIDED_TARGET_CHUNK_NS);
-        self.parallel_for_guided(count, min_chunk, body);
-    }
-
     /// Static-schedule loop over an output slice: `data` is split into the
     /// same contiguous blocks as [`static_block`] and each member receives
     /// exclusive `&mut` access to its block — the safe-Rust shape of
@@ -490,24 +429,6 @@ impl Pool {
         self.record_fork(fork_start, busy0);
     }
 
-    /// Parallel sum reduction: `Σ f(i)` for `i in 0..count` under the static
-    /// schedule (the shape of OpenMP's `reduction(+: …)` clause). Each member
-    /// accumulates locally; partials merge once at the end.
-    pub fn parallel_sum<F>(&self, count: usize, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        let total = Mutex::new(0.0f64);
-        self.region(|ctx| {
-            let mut local = 0.0;
-            for i in static_block(count, ctx.nthreads(), ctx.thread()) {
-                local += f(i);
-            }
-            *total.lock() += local;
-        });
-        total.into_inner()
-    }
-
     /// Parallel fold-and-merge over `0..count` — the generic reduction the
     /// analysis engine runs its `Moments::merge`-style combines on.
     ///
@@ -577,72 +498,6 @@ impl Pool {
         });
     }
 
-    /// Instrumented dynamic-schedule loop: barrier → enter stamp → grab
-    /// chunks until exhausted → exit stamp → join. Used by the scheduling
-    /// ablation to ask how work stealing reshapes arrival distributions.
-    pub fn timed_for_dynamic<C, F>(
-        &self,
-        region: &TimedRegion<'_, C>,
-        iteration: usize,
-        count: usize,
-        chunk: usize,
-        body: F,
-    ) where
-        C: Clock + ?Sized,
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        assert!(chunk > 0, "dynamic chunk must be nonzero");
-        let next = AtomicUsize::new(0);
-        self.region(|ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= count {
-                    break;
-                }
-                for i in start..(start + chunk).min(count) {
-                    body(i, ctx);
-                }
-            });
-        });
-    }
-
-    /// Instrumented guided-schedule loop (see
-    /// [`parallel_for_guided`](Self::parallel_for_guided)).
-    pub fn timed_for_guided<C, F>(
-        &self,
-        region: &TimedRegion<'_, C>,
-        iteration: usize,
-        count: usize,
-        min_chunk: usize,
-        body: F,
-    ) where
-        C: Clock + ?Sized,
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        assert!(min_chunk > 0, "guided min_chunk must be nonzero");
-        let next = Mutex::new(0usize);
-        self.region(|ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || loop {
-                let range = {
-                    let mut g = next.lock();
-                    let remaining = count - *g;
-                    let c = guided_chunk(remaining, ctx.nthreads(), min_chunk);
-                    if c == 0 {
-                        break;
-                    }
-                    let start = *g;
-                    *g += c;
-                    start..start + c
-                };
-                for i in range {
-                    body(i, ctx);
-                }
-            });
-        });
-    }
-
     /// Instrumented variant of [`parallel_parts_mut`](Self::parallel_parts_mut):
     /// stamps wrap each member's exclusive, caller-sized block.
     pub fn timed_parts_mut<C, T, F>(
@@ -662,32 +517,13 @@ impl Pool {
             region.run(iteration, ctx.thread(), || body(block, range, ctx));
         });
     }
-
-    /// Instrumented variant of [`parallel_chunks_mut`](Self::parallel_chunks_mut):
-    /// stamps wrap each member's exclusive block.
-    pub fn timed_chunks_mut<C, T, F>(
-        &self,
-        region: &TimedRegion<'_, C>,
-        iteration: usize,
-        data: &mut [T],
-        body: F,
-    ) where
-        C: Clock + ?Sized,
-        T: Send,
-        F: Fn(&mut [T], Range<usize>, &Ctx<'_>) + Sync,
-    {
-        self.parallel_chunks_mut(data, |block, range, ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || body(block, range, ctx));
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebird_core::{IterationCollector, MonotonicClock, VirtualClock};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn region_runs_every_member_once() {
@@ -723,26 +559,6 @@ mod tests {
         let pool = Pool::new(4);
         let counts: Vec<AtomicU64> = (0..103).map(|_| AtomicU64::new(0)).collect();
         pool.parallel_for_static(103, |i, _| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn dynamic_for_covers_range_exactly_once() {
-        let pool = Pool::new(4);
-        let counts: Vec<AtomicU64> = (0..101).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for_dynamic(101, 7, |i, _| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn guided_for_covers_range_exactly_once() {
-        let pool = Pool::new(3);
-        let counts: Vec<AtomicU64> = (0..250).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for_guided(250, 4, |i, _| {
             counts[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
@@ -810,86 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_chunks_mut_combines_stamps_and_blocks() {
-        let pool = Pool::new(3);
-        let clock = VirtualClock::new(0);
-        let coll = IterationCollector::new(1, 3);
-        let region = TimedRegion::new(&clock, &coll);
-        let mut data = vec![0u32; 9];
-        pool.timed_chunks_mut(&region, 0, &mut data, |block, _, _| block.fill(1));
-        assert_eq!(data, vec![1; 9]);
-        assert_eq!(coll.completeness(), 1.0);
-    }
-
-    #[test]
-    fn timed_dynamic_covers_range_and_records() {
-        let pool = Pool::new(3);
-        let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(1, 3);
-        let region = TimedRegion::new(&clock, &coll);
-        let counts: Vec<AtomicU64> = (0..97).map(|_| AtomicU64::new(0)).collect();
-        pool.timed_for_dynamic(&region, 0, 97, 5, |i, _| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        assert_eq!(coll.completeness(), 1.0);
-    }
-
-    #[test]
-    fn timed_guided_covers_range_and_records() {
-        let pool = Pool::new(3);
-        let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(1, 3);
-        let region = TimedRegion::new(&clock, &coll);
-        let counts: Vec<AtomicU64> = (0..150).map(|_| AtomicU64::new(0)).collect();
-        pool.timed_for_guided(&region, 0, 150, 2, |i, _| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        assert_eq!(coll.completeness(), 1.0);
-    }
-
-    #[test]
-    fn dynamic_schedule_shrinks_imbalanced_makespan() {
-        // The ablation claim in one test: for a loop whose tail iterations
-        // are expensive, the static schedule hands the whole expensive tail
-        // to the last thread, while dynamic chunks share it — so the slowest
-        // thread's compute time (the fork/join makespan) must shrink.
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-            // On a single hardware thread both schedules serialize and the
-            // makespan comparison is pure scheduler noise.
-            return;
-        }
-        let pool = Pool::new(2);
-        let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(2, 2);
-        let region = TimedRegion::new(&clock, &coll);
-        let work = |i: usize| {
-            // The second half costs ~8× more per iteration.
-            let reps = if i >= 64 { 80_000u64 } else { 10_000 };
-            let mut acc = 0u64;
-            for k in 0..reps {
-                acc = acc.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
-        };
-        pool.timed_for_static(&region, 0, 128, |i, _| work(i));
-        pool.timed_for_dynamic(&region, 1, 128, 4, |i, _| work(i));
-        let makespan = |iter: usize| {
-            (0..2)
-                .map(|t| coll.sample(iter, t).unwrap().compute_time_ns())
-                .max()
-                .unwrap() as f64
-        };
-        let static_ms = makespan(0);
-        let dynamic_ms = makespan(1);
-        assert!(
-            dynamic_ms < 0.95 * static_ms,
-            "dynamic should shrink the makespan: static {static_ms} vs dynamic {dynamic_ms}"
-        );
-    }
-
-    #[test]
     fn parts_mut_respects_caller_lengths() {
         let pool = Pool::new(3);
         let mut data = vec![0usize; 10];
@@ -909,14 +645,6 @@ mod tests {
         let pool = Pool::new(2);
         let mut data = vec![0u8; 4];
         pool.parallel_parts_mut(&mut data, &[1, 2], |_, _, _| {});
-    }
-
-    #[test]
-    fn parallel_sum_matches_sequential() {
-        let pool = Pool::new(4);
-        let got = pool.parallel_sum(1001, |i| i as f64);
-        assert_eq!(got, 500_500.0);
-        assert_eq!(pool.parallel_sum(0, |_| 1.0), 0.0);
     }
 
     #[test]
@@ -1054,23 +782,6 @@ mod tests {
             hits
         });
         assert_eq!((r, hits), (1, 1));
-    }
-
-    #[test]
-    fn guided_cost_covers_range_exactly_once() {
-        let pool = Pool::new(3);
-        let counts: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        // 1 µs items → 50-iteration dispatch floor.
-        pool.parallel_for_guided_cost(500, 1_000, |i, _| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        // Degenerate estimates must not panic or skip work.
-        let hits = AtomicU64::new(0);
-        pool.parallel_for_guided_cost(10, 0, |_, _| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 10);
     }
 
     #[test]

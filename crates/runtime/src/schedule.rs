@@ -1,4 +1,4 @@
-//! Loop scheduling policies mirroring OpenMP's `schedule(...)` clause.
+//! The default static loop schedule of OpenMP's `omp for`.
 //!
 //! The paper's applications all use the *default static schedule*, whose
 //! integer-division imbalance is load-bearing for the analysis: MiniFE's
@@ -8,34 +8,6 @@
 //! (Section 4.2.1). [`static_block`] implements the libgomp rule exactly.
 
 use std::ops::Range;
-
-/// A loop scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// OpenMP default static: one contiguous block per thread, the first
-    /// `n mod p` threads get one extra iteration (libgomp's rule).
-    StaticBlock,
-    /// Static with an explicit chunk size, dealt round-robin
-    /// (`schedule(static, k)`).
-    StaticChunk(usize),
-    /// First-come-first-served chunks of fixed size (`schedule(dynamic, k)`).
-    Dynamic(usize),
-    /// Exponentially shrinking chunks down to a minimum
-    /// (`schedule(guided, k)`).
-    Guided(usize),
-}
-
-impl Schedule {
-    /// Human-readable label used by the ablation benches.
-    pub fn label(&self) -> String {
-        match self {
-            Schedule::StaticBlock => "static".into(),
-            Schedule::StaticChunk(k) => format!("static,{k}"),
-            Schedule::Dynamic(k) => format!("dynamic,{k}"),
-            Schedule::Guided(k) => format!("guided,{k}"),
-        }
-    }
-}
 
 /// The contiguous iteration block thread `t` of `p` executes for a loop of
 /// `n` iterations under the default static schedule (libgomp rule: the first
@@ -52,57 +24,6 @@ pub fn static_block(n: usize, p: usize, t: usize) -> Range<usize> {
         let start = r * (q + 1) + (t - r) * q;
         start..start + q
     }
-}
-
-/// All iteration indices thread `t` executes under `schedule(static, k)`:
-/// chunks of size `k` dealt round-robin. Returned as chunk ranges.
-pub fn static_chunks(n: usize, p: usize, t: usize, k: usize) -> Vec<Range<usize>> {
-    assert!(p > 0 && k > 0);
-    assert!(t < p);
-    let mut out = Vec::new();
-    let mut chunk_start = t * k;
-    while chunk_start < n {
-        out.push(chunk_start..(chunk_start + k).min(n));
-        chunk_start += p * k;
-    }
-    out
-}
-
-/// The chunk size a guided schedule hands out when `remaining` iterations are
-/// left for `p` threads with minimum chunk `k` (libgomp: `⌈remaining/p⌉`,
-/// floored at `k`).
-pub fn guided_chunk(remaining: usize, p: usize, k: usize) -> usize {
-    assert!(p > 0 && k > 0);
-    if remaining == 0 {
-        0
-    } else {
-        (remaining.div_ceil(p)).max(k).min(remaining)
-    }
-}
-
-/// The guided schedule's dispatch quantum: the amount of work one chunk
-/// should carry so the shared-counter lock is amortized to noise. 50 µs is
-/// ~3 orders of magnitude above the lock handoff cost while still yielding
-/// plenty of chunks for load balancing on realistic loops.
-pub const GUIDED_TARGET_CHUNK_NS: u64 = 50_000;
-
-/// Cost-aware minimum chunk for a guided schedule: the smallest chunk whose
-/// estimated running time reaches `target_chunk_ns`, i.e.
-/// `⌈target/cost⌉` floored at 1.
-///
-/// The plain `guided_chunk` floor is a pure iteration count; when iterations
-/// are cheap (a few µs — the sweep's per-group batteries) a count floor of 1
-/// lets the tail degenerate into per-iteration lock traffic. Deriving the
-/// floor from a per-item cost estimate keeps every dispatch above a fixed
-/// time quantum regardless of workload shape.
-pub fn cost_min_chunk(est_item_ns: u64, target_chunk_ns: u64) -> usize {
-    if est_item_ns == 0 {
-        // No estimate: fall back to the smallest legal floor.
-        return 1;
-    }
-    usize::try_from(target_chunk_ns.div_ceil(est_item_ns))
-        .unwrap_or(usize::MAX)
-        .max(1)
 }
 
 #[cfg(test)]
@@ -148,59 +69,6 @@ mod tests {
             prev_end = r.end;
         }
         assert_eq!(prev_end, 17);
-    }
-
-    #[test]
-    fn static_chunks_cover_everything_once() {
-        for (n, p, k) in [(100, 4, 7), (13, 5, 1), (64, 8, 8), (10, 3, 20)] {
-            let mut covered = vec![false; n];
-            for t in 0..p {
-                for r in static_chunks(n, p, t, k) {
-                    for i in r {
-                        assert!(!covered[i]);
-                        covered[i] = true;
-                    }
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "n={n} p={p} k={k}");
-        }
-    }
-
-    #[test]
-    fn guided_chunk_shrinks_monotonically() {
-        let mut remaining = 1000usize;
-        let mut prev = usize::MAX;
-        while remaining > 0 {
-            let c = guided_chunk(remaining, 8, 4);
-            assert!(c >= 1 && c <= remaining);
-            assert!(c <= prev);
-            prev = c;
-            remaining -= c;
-        }
-        assert_eq!(guided_chunk(0, 8, 4), 0);
-        // Minimum chunk is respected until the tail.
-        assert_eq!(guided_chunk(10, 8, 4), 4);
-        assert_eq!(guided_chunk(3, 8, 4), 3);
-    }
-
-    #[test]
-    fn cost_min_chunk_reaches_the_time_quantum() {
-        // 5 µs items, 50 µs quantum → 10 items per dispatch.
-        assert_eq!(cost_min_chunk(5_000, 50_000), 10);
-        // Items dearer than the quantum → floor of one.
-        assert_eq!(cost_min_chunk(80_000, 50_000), 1);
-        // Non-divisible costs round up.
-        assert_eq!(cost_min_chunk(3_000, 50_000), 17);
-        // No estimate degrades to the legal minimum, not a panic.
-        assert_eq!(cost_min_chunk(0, 50_000), 1);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(Schedule::StaticBlock.label(), "static");
-        assert_eq!(Schedule::StaticChunk(4).label(), "static,4");
-        assert_eq!(Schedule::Dynamic(2).label(), "dynamic,2");
-        assert_eq!(Schedule::Guided(1).label(), "guided,1");
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The analysis engine fans group-level work out across a thread pool; each
 //! worker accumulates a *partial* statistic over its block of groups and the
 //! partials combine at the join. [`Mergeable`] names the combine operation,
-//! [`merge_all`] folds any number of partials in their given order, and
-//! [`Moments`] (via [`Moments::merge`], the Pébay pairwise-update rule) is
-//! the workhorse instance.
+//! and [`Moments`] (via [`Moments::merge`], the Pébay pairwise-update rule)
+//! is the workhorse instance.
 //!
 //! Determinism note: merging floating-point partials is associative only up
 //! to rounding, so a merged [`Moments`] is deterministic for a *fixed* block
@@ -15,9 +14,7 @@
 //! never merged.
 //!
 //! Call sites: `ebird-analysis`'s `engine::campaign_moments` merges its
-//! per-worker partials through [`Mergeable`]; the pipeline benchmark folds
-//! per-application moments into a cross-application total with
-//! [`merge_all`].
+//! per-worker partials through [`Mergeable`], as does the fused trace scan.
 
 use crate::descriptive::Moments;
 
@@ -31,48 +28,5 @@ pub trait Mergeable {
 impl Mergeable for Moments {
     fn merge_with(&mut self, other: &Self) {
         self.merge(other);
-    }
-}
-
-/// Folds partials in iteration order into the first one; `None` when the
-/// iterator is empty.
-pub fn merge_all<M: Mergeable>(parts: impl IntoIterator<Item = M>) -> Option<M> {
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next()?;
-    for p in iter {
-        acc.merge_with(&p);
-    }
-    Some(acc)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_all_moments_equals_single_pass_statistics() {
-        let xs: Vec<f64> = (0..997).map(|i| ((i * 911) % 499) as f64 * 0.25).collect();
-        let whole = Moments::from_slice(&xs);
-        let parts: Vec<Moments> = xs.chunks(100).map(Moments::from_slice).collect();
-        let merged = merge_all(parts).unwrap();
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-6 * whole.variance());
-        assert!((merged.skewness() - whole.skewness()).abs() < 1e-8);
-        assert!((merged.kurtosis() - whole.kurtosis()).abs() < 1e-8);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_all_is_deterministic_for_fixed_decomposition() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin()).collect();
-        let run = || merge_all(xs.chunks(64).map(Moments::from_slice)).unwrap();
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn merge_all_of_empty_iterator_is_none() {
-        assert!(merge_all(std::iter::empty::<Moments>()).is_none());
     }
 }

@@ -1,18 +1,25 @@
-//! Cross-crate properties of the parallel analysis engine: for *any* campaign
-//! shape, seed, application, and worker count, the parallel paths must be
-//! bit-identical to their serial counterparts — generation, the three-level
-//! normality sweep, the laggard census, and the reclaim metrics.
+//! Cross-crate properties of the analysis engine: for *any* campaign shape,
+//! seed, application, and worker count, every stage's output must be
+//! bit-identical to a one-thread pool's and to its independent oracle —
+//! generation, the normality sweeps, the fused trace scan (laggard census,
+//! reclaim metrics, moments), and the delivery sweep.
 
 use early_bird::analysis::engine::{
-    laggard_census_parallel, reclaim_metrics_parallel, sweep_levels_parallel_with_arenas,
-    sweep_parallel, EngineArenas,
+    delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
+    sweep_levels_parallel_with_arenas, sweep_parallel, EngineArenas,
 };
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::normality::{sweep, SWEEP_LEVELS};
 use early_bird::analysis::reclaim::reclaim_metrics;
-use early_bird::cluster::{JobConfig, SyntheticApp};
+use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
+use early_bird::cluster::calibration::{ALPHA, LAGGARD_THRESHOLD_MS};
+use early_bird::cluster::{
+    JobConfig, MixtureComponent, RealKernelParams, SyntheticApp, Workload, WorkloadSpec,
+};
 use early_bird::core::view::AggregationLevel;
+use early_bird::partcomm::{LinkModel, SerialLink};
 use early_bird::runtime::Pool;
+use early_bird::stats::Moments;
 use proptest::prelude::*;
 
 proptest! {
@@ -54,11 +61,12 @@ proptest! {
             );
         }
 
-        // Laggard census and reclaim metrics: identical structs.
-        let census = laggard_census(&trace, 1.0);
-        let census_par = laggard_census_parallel(&trace, 1.0, &pool);
-        prop_assert_eq!(census.iterations, census_par.iterations);
-        prop_assert_eq!(reclaim_metrics(&trace), reclaim_metrics_parallel(&trace, &pool));
+        // Laggard census and reclaim metrics: the fused scan on any pool
+        // yields the standalone traversals' structs.
+        let scan =
+            trace_scan_parallel_with_arenas(&trace, 1.0, &pool, &mut EngineArenas::for_pool(&pool));
+        prop_assert_eq!(laggard_census(&trace, 1.0).iterations, scan.census.iterations);
+        prop_assert_eq!(reclaim_metrics(&trace), scan.reclaim);
     }
 }
 
@@ -94,6 +102,105 @@ fn sweep_levels_matches_per_level_sweeps_for_every_partition_regime() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The workload-generic pipeline — a named app, a mixture and a metered
+/// real kernel — through all four stage entry points at pools 1, 2 and 3
+/// on one reused arena set: pool N ≡ pool 1, and pool 1 ≡ the independent
+/// oracles (per-level `sweep`, `laggard_census`, `reclaim_metrics`,
+/// `Moments::from_slice`).
+#[test]
+fn generic_workloads_are_bit_identical_through_every_stage_entry_point() {
+    let named = |name: &str| WorkloadSpec::Named { name: name.into() };
+    let specs = [
+        named("MiniFE"),
+        WorkloadSpec::Mixture {
+            name: "fe+qmc".into(),
+            components: vec![
+                MixtureComponent {
+                    weight: 1.0,
+                    spec: named("MiniFE"),
+                },
+                MixtureComponent {
+                    weight: 1.0,
+                    spec: named("MiniQMC"),
+                },
+            ],
+        },
+        WorkloadSpec::RealKernel {
+            app: "MiniMD".into(),
+            params: RealKernelParams::default(),
+        },
+    ];
+    let resolved: Vec<_> = specs.iter().map(|s| s.resolve().unwrap()).collect();
+    let workloads: Vec<&dyn Workload> = resolved.iter().map(|w| w as &dyn Workload).collect();
+    let cfg = JobConfig::new(1, 2, 8, 4);
+    let link = LinkModel::omni_path();
+    let mut arenas = EngineArenas::new(3);
+
+    let mut run = |workers: usize| {
+        let pool = Pool::new(workers);
+        let traces = generate_campaign_parallel(&workloads, &cfg, 5, &pool).unwrap();
+        let per_trace: Vec<_> = traces
+            .iter()
+            .map(|tr| {
+                (
+                    sweep_levels_parallel_with_arenas(tr, ALPHA, None, &pool, &mut arenas)
+                        .map(|sw| sw.outcomes),
+                    trace_scan_parallel_with_arenas(tr, LAGGARD_THRESHOLD_MS, &pool, &mut arenas),
+                    delivery_sweep_parallel_with_arenas(
+                        tr,
+                        8_000_000,
+                        || SerialLink::new(link),
+                        &pool,
+                        &mut arenas,
+                    ),
+                )
+            })
+            .collect();
+        (traces, per_trace)
+    };
+
+    let (traces, one) = run(1);
+    assert_eq!(
+        traces.iter().map(|t| t.app()).collect::<Vec<_>>(),
+        ["MiniFE", "mix(fe+qmc)", "real(MiniMD)"],
+        "trace labels must be the workloads' canonical labels"
+    );
+    for (tr, (sweeps, scan, _)) in traces.iter().zip(&one) {
+        for (got, level) in sweeps.iter().zip(SWEEP_LEVELS) {
+            assert_eq!(got, &sweep(tr, level, ALPHA).outcomes, "{}", tr.app());
+        }
+        let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
+        assert_eq!(scan.census.iterations, census.iterations, "{}", tr.app());
+        assert_eq!(scan.reclaim, reclaim_metrics(tr), "{}", tr.app());
+        assert_eq!(
+            scan.moments,
+            Moments::from_slice(&tr.all_ms()),
+            "{}",
+            tr.app()
+        );
+    }
+    for workers in [2, 3] {
+        let (traces_n, many) = run(workers);
+        assert_eq!(traces, traces_n, "generation @ {workers}");
+        for ((a, b), tr) in one.iter().zip(&many).zip(&traces) {
+            assert_eq!(a.0, b.0, "sweep of {} @ {workers}", tr.app());
+            assert_eq!(a.1.census.iterations, b.1.census.iterations);
+            assert_eq!(
+                a.1.reclaim,
+                b.1.reclaim,
+                "reclaim of {} @ {workers}",
+                tr.app()
+            );
+            // Moments merge per-thread partials: count and extrema are
+            // exact for any pool size.
+            assert_eq!(b.1.moments.count(), tr.samples().len() as u64);
+            assert_eq!(a.1.moments.min(), b.1.moments.min());
+            assert_eq!(a.1.moments.max(), b.1.moments.max());
+            assert_eq!(a.2, b.2, "delivery of {} @ {workers}", tr.app());
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Cross-crate property tests: invariants that must hold for *any* trace,
 //! arrival set, or partition layout — not just the calibrated ones.
 
+use early_bird::analysis::engine::EngineArenas;
 use early_bird::analysis::laggard::{laggard_census, ArrivalClass};
 use early_bird::analysis::reclaim::{idle_ratio, reclaim_metrics, reclaimable_ms};
-use early_bird::analysis::scan::trace_scan;
+use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
 use early_bird::core::{ThreadSample, TimingTrace, TraceShape};
 use early_bird::partcomm::{simulate, LinkModel, Strategy};
+use early_bird::runtime::Pool;
 use early_bird::stats::descriptive::Moments;
 use early_bird::stats::percentile::PercentileSummary;
 use early_bird::stats::Histogram;
@@ -148,7 +150,12 @@ proptest! {
                 .set(idx, ThreadSample { enter_ns: 0, exit_ns: (v * 1e6).round() as u64 })
                 .unwrap();
         }
-        let scan = trace_scan(&trace, threshold);
+        let scan = trace_scan_parallel_with_arenas(
+            &trace,
+            threshold,
+            &Pool::new(1),
+            &mut EngineArenas::new(1),
+        );
         let census = laggard_census(&trace, threshold);
         prop_assert_eq!(scan.census.threshold_ms.to_bits(), census.threshold_ms.to_bits());
         prop_assert_eq!(scan.census.iterations, census.iterations);

@@ -27,17 +27,24 @@
 //! scan's moments, which document their fixed-pool determinism.
 
 use ebird_cluster::{JobConfig, Workload};
-use ebird_core::view::{fill_group_ms, AggregationLevel};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_delivery, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
-use ebird_stats::normality::{battery_with_scratch, BatteryScratch, NormalityOutcome};
 use ebird_stats::reduce::Mergeable;
 use ebird_stats::Moments;
 
 use crate::normality::{
     run_tasks, sweep_levels_with_scratch, NormalitySweep, SweepObs, SweepScratch, SweepTasks,
 };
+
+/// The pipeline's stages in execution order, one per stage entry:
+/// [`generate_campaign_parallel`], [`sweep_levels_parallel_with_arenas`],
+/// [`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas),
+/// [`delivery_sweep_parallel_with_arenas`]. These are the names a stage's
+/// wall-clock span (`span.{stage}.ns`) and its observed-pool busy counters
+/// (`pool.{stage}.w{n}.busy_ns`) carry, in `repro profile` and in the
+/// benchmark's layer table alike.
+pub const STAGES: [&str; 4] = ["generate", "normality-sweep", "trace-scan", "earlybird-sim"];
 
 /// Long-lived scratch for the whole analysis engine: one scratch value per
 /// pool worker for every stage (worker 0's is the one-thread path's
@@ -96,37 +103,6 @@ pub fn generate_campaign_parallel(
         .iter()
         .map(|w| w.generate_trace_parallel(cfg, seed, pool))
         .collect()
-}
-
-/// Runs the three-test normality battery over every group of `level`, with
-/// groups distributed over `pool` — bit-identical to
-/// [`crate::normality::sweep`] for any pool size.
-///
-/// Each worker owns a contiguous block of the outcome vector and reuses one
-/// values buffer plus one [`BatteryScratch`] (one sort per group, zero
-/// allocations after warm-up).
-pub fn sweep_parallel(
-    trace: &TimingTrace,
-    level: AggregationLevel,
-    alpha: f64,
-    pool: &Pool,
-) -> NormalitySweep {
-    let groups = level.group_count(trace);
-    let mut outcomes: Vec<[Option<NormalityOutcome>; 3]> = vec![Default::default(); groups];
-    pool.parallel_chunks_mut(&mut outcomes, |block, range, _ctx| {
-        let mut values = Vec::new();
-        let mut scratch = BatteryScratch::new();
-        for (offset, slot) in block.iter_mut().enumerate() {
-            fill_group_ms(trace, level, range.start + offset, &mut values);
-            *slot = battery_with_scratch(&values, &mut scratch);
-        }
-    });
-    NormalitySweep {
-        level_label: level.label().to_string(),
-        alpha,
-        groups,
-        outcomes,
-    }
 }
 
 /// Splits a trace shape's [`SweepTasks`] into `parts` contiguous runs of
@@ -213,28 +189,13 @@ pub fn sweep_levels_parallel_with_arenas(
     tasks.into_levels(outcomes, alpha)
 }
 
-/// Builds the paper's Table 1 with each application's process-iteration
-/// sweep running on `pool` — bit-identical to [`crate::normality::table1`].
-pub fn table1_parallel<'a>(
-    traces: impl IntoIterator<Item = &'a TimingTrace>,
-    alpha: f64,
-    pool: &Pool,
-) -> crate::normality::Table1 {
-    let rows = traces
-        .into_iter()
-        .map(|tr| {
-            let sw = sweep_parallel(tr, AggregationLevel::ProcessIteration, alpha, pool);
-            let pct = sw.pass_rates().map(|r| r * 100.0);
-            (tr.app().to_string(), pct)
-        })
-        .collect();
-    crate::normality::Table1 { alpha, rows }
-}
-
 /// Campaign-level moments (mean/variance/skewness/kurtosis/extrema over all
 /// compute times) via a [`Moments::merge`]-based parallel reduction: each
 /// worker streams its block of process-iterations into a local accumulator;
-/// partials merge in thread order at the join.
+/// partials merge in thread order at the join. Reference implementation;
+/// production goes through the trace scan
+/// ([`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas)),
+/// whose `moments` are tested bit-identical to this on the same pool.
 ///
 /// Deterministic for a fixed pool size; across different pool sizes the
 /// result may differ in the last ulp (floating-point merge order), never in
@@ -395,25 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_across_levels_and_pool_sizes() {
-        let tr = mixed_trace();
-        for level in [
-            AggregationLevel::Application,
-            AggregationLevel::ApplicationIteration,
-            AggregationLevel::ProcessIteration,
-        ] {
-            let serial = sweep(&tr, level, 0.05);
-            for workers in [1, 2, 5] {
-                let pool = Pool::new(workers);
-                let parallel = sweep_parallel(&tr, level, 0.05, &pool);
-                assert_eq!(serial.outcomes, parallel.outcomes, "{level:?} × {workers}");
-                assert_eq!(serial.groups, parallel.groups);
-                assert_eq!(serial.level_label, parallel.level_label);
-            }
-        }
-    }
-
-    #[test]
     fn sweep_levels_is_bit_identical_across_pool_sizes_and_to_per_level_sweeps() {
         let tr = mixed_trace();
         let oracle = SWEEP_LEVELS.map(|level| sweep(&tr, level, 0.05));
@@ -560,15 +502,6 @@ mod tests {
                 assert_eq!(dl, fresh_delivery, "round {round} × {workers}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_table1_matches_serial() {
-        let tr = mixed_trace();
-        let serial = crate::normality::table1([&tr], 0.05);
-        let parallel = table1_parallel([&tr], 0.05, &Pool::new(3));
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(serial.alpha, parallel.alpha);
     }
 
     #[test]

@@ -140,7 +140,10 @@ pub(crate) fn classify_unit(
     }
 }
 
-/// Classifies every process-iteration of `trace` at `threshold_ms`.
+/// Classifies every process-iteration of `trace` at `threshold_ms` — the
+/// reference implementation; production goes through
+/// [`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas),
+/// whose `census` the bit-identity tests compare against this.
 pub fn laggard_census(trace: &TimingTrace, threshold_ms: f64) -> LaggardCensus {
     assert!(threshold_ms > 0.0, "threshold must be positive");
     let mut scratch = Vec::with_capacity(trace.shape().threads);

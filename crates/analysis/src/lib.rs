@@ -7,6 +7,9 @@
 //!   levels; produces Table 1 (process-iteration pass rates), the
 //!   application-level verdicts, and the per-iteration results including the
 //!   paper's "eight MiniQMC iterations pass D'Agostino only" phenomenon.
+//!   Two routes: the three-level task kernel production runs (through
+//!   [`engine::sweep_levels_parallel_with_arenas`]) and the per-level
+//!   reference [`normality::sweep`] it is tested bit-identical to.
 //! * [`laggard`] — laggard census and distribution-class assignment
 //!   (the no-laggard / laggard split of Figures 5 and 7, plus MiniMD's
 //!   initial-phase class).
@@ -16,20 +19,21 @@
 //!   (Figures 4, 6, 8) and their IQR statistics.
 //! * [`figures`] — histogram builders for Figures 3, 5, 7, 9 with the
 //!   paper's bin widths, including exemplar selection.
-//! * [`overlap`] — Figure 2's overlap windows quantified: per-thread hideable
-//!   time and the bandwidth-bound fraction of a buffer that early-bird
-//!   transmission could hide before the join.
 //! * [`report`] — plain-text table rendering and CSV export so the `repro`
 //!   binary can print paper-shaped artifacts.
 //! * [`engine`] — the analysis engine: one entry point per pipeline stage
-//!   (generate, normality sweep, delivery sweep) on `ebird-runtime`'s own
-//!   thread pool, outputs bit-identical for any pool size, plus a
-//!   `Moments::merge`-based campaign reduction. Long-lived per-worker
-//!   scratch lives in [`engine::EngineArenas`]; a one-thread pool runs every
-//!   stage's loop inline (zero fork/join overhead).
-//! * [`scan`] — the single-pass trace scan fusing the laggard census, the
-//!   reclaim metrics and the campaign moments into one traversal,
-//!   bit-identical to the three standalone traversals.
+//!   ([`engine::STAGES`]: generate, normality sweep, trace scan, delivery
+//!   sweep) on `ebird-runtime`'s own thread pool, outputs bit-identical for
+//!   any pool size, plus a `Moments::merge`-based campaign reduction.
+//!   Long-lived per-worker scratch lives in [`engine::EngineArenas`]; a
+//!   one-thread pool runs every stage's loop inline (zero fork/join
+//!   overhead). Everything `repro` and the benchmark compute goes through
+//!   these entries.
+//! * [`scan`] — the trace-scan stage: one traversal fusing the laggard
+//!   census, the reclaim metrics and the campaign moments, bit-identical to
+//!   the three standalone reference traversals
+//!   ([`laggard::laggard_census`], [`reclaim::reclaim_metrics`],
+//!   `Moments::from_slice`).
 
 #![warn(missing_docs)]
 
@@ -37,15 +41,14 @@ pub mod engine;
 pub mod figures;
 pub mod laggard;
 pub mod normality;
-pub mod overlap;
 pub mod percentile_series;
 pub mod reclaim;
 pub mod report;
 pub mod scan;
 
-pub use engine::{campaign_moments, sweep_parallel, table1_parallel, EngineArenas};
+pub use engine::{campaign_moments, EngineArenas};
 pub use laggard::{laggard_census, LaggardCensus};
-pub use normality::{table1, NormalitySweep, Table1};
+pub use normality::{NormalitySweep, Table1};
 pub use percentile_series::{percentile_series, IqrStats};
 pub use reclaim::{reclaim_metrics, ReclaimMetrics};
 pub use scan::TraceScan;

@@ -1,12 +1,13 @@
 //! Normality sweeps across the paper's three aggregation levels.
 //!
-//! Two routes to the same outcomes. [`sweep`] runs one level: it
-//! materializes each group's millisecond floats and sorts those — simple,
-//! and the oracle. The three-level sweep
-//! ([`crate::engine::sweep_levels_parallel_with_arenas`]) runs all three
-//! levels as one list of independent per-group tasks that sort the integer
-//! nanoseconds instead, handing contiguous parts of that list
-//! ([`run_tasks`]) to pool workers. The two are tested bit-identical.
+//! Two routes to the same outcomes: one production, one reference. The
+//! three-level sweep ([`crate::engine::sweep_levels_parallel_with_arenas`])
+//! is what `repro` and the benchmark run: all three levels as one list of
+//! independent per-group tasks that sort the integer nanoseconds, contiguous
+//! parts of that list ([`run_tasks`]) handed to pool workers. [`sweep`] runs
+//! one level, materializing each group's millisecond floats and sorting
+//! those — simple, independent of the task kernel, and the reference every
+//! bit-identity test compares the production route against.
 
 use std::sync::Arc;
 
@@ -83,15 +84,16 @@ impl NormalitySweep {
     }
 }
 
-/// Runs the three-test battery over every group of `level`.
+/// Runs the three-test battery over every group of `level` — the reference
+/// implementation; production goes through
+/// [`crate::engine::sweep_levels_parallel_with_arenas`].
 ///
 /// Group values and sort buffers are reused across groups
 /// ([`fill_group_ms`] + [`battery_with_scratch`]), so the sweep performs no
-/// per-group allocation; [`crate::engine::sweep_parallel`] fans the same
-/// per-group computation out over a thread pool with bit-identical outcomes.
-/// It sorts the millisecond floats themselves ([`ebird_stats::sort`]'s float
-/// sort), which makes it the independent oracle the three-level sweep —
-/// which sorts integer nanoseconds — is tested against.
+/// per-group allocation. It sorts the millisecond floats themselves
+/// ([`ebird_stats::sort`]'s float sort), which makes it the independent
+/// oracle the three-level sweep — which sorts integer nanoseconds — is
+/// tested against.
 pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> NormalitySweep {
     let groups = level.group_count(trace);
     let mut scratch = BatteryScratch::new();
@@ -400,17 +402,19 @@ pub struct Table1 {
     pub rows: Vec<(String, [f64; 3])>,
 }
 
-/// Builds Table 1 from one trace per application.
-pub fn table1<'a>(traces: impl IntoIterator<Item = &'a TimingTrace>, alpha: f64) -> Table1 {
-    let rows = traces
-        .into_iter()
-        .map(|tr| {
-            let sw = sweep(tr, AggregationLevel::ProcessIteration, alpha);
-            let pct = sw.pass_rates().map(|r| r * 100.0);
-            (tr.app().to_string(), pct)
-        })
-        .collect();
-    Table1 { alpha, rows }
+impl Table1 {
+    /// Builds Table 1 from each application's process-iteration sweep —
+    /// `(application name, sweep)` pairs, one row per pair, in order.
+    pub fn from_sweeps<'a>(
+        alpha: f64,
+        sweeps: impl IntoIterator<Item = (&'a str, &'a NormalitySweep)>,
+    ) -> Self {
+        let rows = sweeps
+            .into_iter()
+            .map(|(app, sw)| (app.to_string(), sw.pass_rates().map(|r| r * 100.0)))
+            .collect();
+        Table1 { alpha, rows }
+    }
 }
 
 #[cfg(test)]
@@ -477,9 +481,9 @@ mod tests {
 
     #[test]
     fn table1_has_one_row_per_app() {
-        let a = normal_trace(16);
-        let b = skewed_trace(16);
-        let t = table1([&a, &b], 0.05);
+        let sweeps = [normal_trace(16), skewed_trace(16)]
+            .map(|tr| sweep(&tr, AggregationLevel::ProcessIteration, 0.05));
+        let t = Table1::from_sweeps(0.05, ["normal", "skewed"].into_iter().zip(&sweeps));
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0].0, "normal");
         assert!(t.rows[0].1[0] > 90.0);

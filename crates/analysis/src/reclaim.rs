@@ -12,8 +12,13 @@
 //! * **Average reclaimable time**: the per-iteration reclaimable time
 //!   "averaged over the entire data set".
 //!
-//! These are computed exactly as defined. EXPERIMENTS.md discusses where the
-//! paper's printed values cannot be reconciled with its own medians/IQRs.
+//! These are computed exactly as defined, and `repro metrics` prints them
+//! beside the paper's columns. The paper's printed values cannot be
+//! reconciled with its own medians/IQRs under these definitions — a 0.50
+//! idle ratio needs the mean arrival to be half the latest one, impossible
+//! with a 0.15 ms IQR around a 24.74 ms median — so they are printed for
+//! comparison only (`ebird_cluster::synthetic` does not calibrate its models
+//! to them).
 
 use ebird_core::{ThreadSample, TimingTrace};
 use serde::{Deserialize, Serialize};
@@ -107,7 +112,10 @@ pub(crate) fn fold_units(units: impl IntoIterator<Item = UnitReclaim>) -> Reclai
     }
 }
 
-/// Computes the §4.2 metrics over every process-iteration of `trace`.
+/// Computes the §4.2 metrics over every process-iteration of `trace` — the
+/// reference implementation; production goes through
+/// [`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas),
+/// whose `reclaim` the bit-identity tests compare against this.
 pub fn reclaim_metrics(trace: &TimingTrace) -> ReclaimMetrics {
     let mut scratch: Vec<f64> = Vec::with_capacity(trace.shape().threads);
     fold_units(

@@ -19,10 +19,11 @@
 //!                   running campaign server's observability snapshot
 //!                   (counters, gauges, latency histograms with
 //!                   p50/p95/p99 — the `metrics` protocol verb)
-//!   profile         run the trace-generation + normality pipeline on an
-//!                   observed pool and print a stage × worker busy-time
-//!                   table (which stage dominates, and how evenly its
-//!                   work spreads across the team)
+//!   profile         run the engine's four stages (generate, normality-sweep,
+//!                   trace-scan, earlybird-sim — the pipeline the benchmark
+//!                   gates) on an observed pool and print a stage × worker
+//!                   busy-time table (which stage dominates, and how evenly
+//!                   its work spreads across the team)
 //!   earlybird       delivery-strategy comparison on each app's arrivals
 //!   battery         extended 5-test normality battery (sensitivity check)
 //!   fit             fitted generative models extracted from the traces
@@ -58,32 +59,41 @@
 //!
 //! Defaults: paper scale, synthetic source, seed 20230421, and one worker
 //! thread per host core (a one-thread pool is the serial path). Synthetic
-//! generation and the normality sweeps run on the workspace's own thread
-//! pool; results are bit-identical for any pool size, so `--threads` only
-//! changes wall-clock time. The real source runs the live Rust kernels at
+//! generation, the normality sweeps and the trace scans go through the
+//! analysis engine's stage entries on the workspace's own thread pool — each
+//! trace is analysed once and every table and figure renders from that;
+//! results are bit-identical for any pool size, so `--threads` only changes
+//! wall-clock time. The real source runs the live Rust kernels at
 //! reduced problem sizes (wall-clock shapes are host-dependent; the
 //! synthetic source is the calibrated one).
 
 use std::io::Write as _;
 
 use ebird_analysis::engine::{
-    sweep_levels_parallel_with_arenas, sweep_parallel, table1_parallel, EngineArenas,
+    delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
+    sweep_levels_parallel_with_arenas, EngineArenas, STAGES,
 };
 use ebird_analysis::figures::{self, bins};
-use ebird_analysis::laggard::{laggard_census, ArrivalClass};
+use ebird_analysis::laggard::{ArrivalClass, LaggardCensus};
+use ebird_analysis::normality::{NormalitySweep, SweepObs, Table1};
 use ebird_analysis::percentile_series::{detect_phase_boundary, iqr_stats, percentile_series};
-use ebird_analysis::reclaim::reclaim_metrics;
 use ebird_analysis::report;
-use ebird_bench::scenario::{self, ScenarioMatrix};
+use ebird_analysis::scan::{trace_scan_parallel_with_arenas, TraceScan};
 use ebird_bench::{all_real_traces, Scale, DEFAULT_SEED};
 use ebird_cluster::calibration::{self, LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
+use ebird_cluster::{SyntheticApp, Workload};
 use ebird_core::view::AggregationLevel;
 use ebird_core::TimingTrace;
-use ebird_partcomm::{compare_strategies, LinkModel};
+use ebird_partcomm::{compare_strategies, LinkModel, SerialLink};
 use ebird_runtime::Pool;
+use ebird_serve::scenario::{self, ScenarioMatrix};
 
 /// Default campaign-service address for `serve`/`submit`/`fetch`/`shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4750";
+
+/// The paper's 8 MB partitioned buffer, priced by `earlybird` and by
+/// `profile`'s delivery stage.
+const BUFFER_BYTES: usize = 8_000_000;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -262,34 +272,69 @@ fn run(args: &[String]) -> Result<(), String> {
         _ => {}
     }
 
-    let traces = load_traces(&opts);
+    // Every table and figure below is a view of two engine stages: the
+    // three-level normality sweep of each trace (levels in `SWEEP_LEVELS`
+    // order: process-iteration, application-iteration, application) and the
+    // scan of one trace. An arm runs what it renders, once per trace.
+    let traces = load_traces(&opts)?;
+    let pool = &opts.pool;
+    let mut arenas = EngineArenas::new(pool.threads());
+    let sweep_all = |arenas: &mut EngineArenas| -> Vec<[NormalitySweep; 3]> {
+        traces
+            .iter()
+            .map(|tr| sweep_levels_parallel_with_arenas(tr, calibration::ALPHA, None, pool, arenas))
+            .collect()
+    };
+    let scan = |app: usize, arenas: &mut EngineArenas| {
+        trace_scan_parallel_with_arenas(&traces[app], LAGGARD_THRESHOLD_MS, pool, arenas)
+    };
+    let scan_all = |arenas: &mut EngineArenas| -> Vec<TraceScan> {
+        (0..traces.len()).map(|app| scan(app, arenas)).collect()
+    };
+    let a = &mut arenas;
     match experiment.as_str() {
-        "table1" => cmd_table1(&traces, &opts),
-        "app-normality" => cmd_app_normality(&traces, &opts),
-        "iter-normality" => cmd_iter_normality(&traces, &opts),
+        "table1" => cmd_table1(&traces, &sweep_all(a)),
+        "app-normality" => cmd_app_normality(&traces, &sweep_all(a)),
+        "iter-normality" => cmd_iter_normality(&traces, &sweep_all(a)),
         "fig3" => cmd_fig3(&traces, &opts)?,
-        "fig4" => cmd_percentiles(&traces[0], "fig4", &opts)?,
-        "fig6" => cmd_percentiles(&traces[1], "fig6", &opts)?,
-        "fig8" => cmd_percentiles(&traces[2], "fig8", &opts)?,
-        "fig5" => cmd_exemplars(&traces[0], 0, bins::FIG5_MS, "fig5", &opts)?,
-        "fig7" => cmd_fig7(&traces[1], &opts)?,
-        "fig9" => cmd_fig9(&traces[2], &opts)?,
-        "metrics" => cmd_metrics(&traces),
+        "fig4" => cmd_percentiles(&traces[0], &scan(0, a).census, "fig4", &opts)?,
+        "fig6" => cmd_percentiles(&traces[1], &scan(1, a).census, "fig6", &opts)?,
+        "fig8" => cmd_percentiles(&traces[2], &scan(2, a).census, "fig8", &opts)?,
+        "fig5" => cmd_exemplars(
+            &traces[0],
+            &scan(0, a).census,
+            0,
+            bins::FIG5_MS,
+            "fig5",
+            &opts,
+        )?,
+        "fig7" => cmd_fig7(&traces[1], &scan(1, a).census, &opts)?,
+        "fig9" => cmd_fig9(&traces[2], &scan(2, a).census, &opts)?,
+        "metrics" => cmd_metrics(&traces, &scan_all(a)),
         "earlybird" => cmd_earlybird(&traces),
         "battery" => cmd_battery(&traces),
         "fit" => cmd_fit(&traces),
         "all" => {
-            cmd_table1(&traces, &opts);
-            cmd_app_normality(&traces, &opts);
-            cmd_iter_normality(&traces, &opts);
+            let sweeps = sweep_all(a);
+            let scans = scan_all(a);
+            cmd_table1(&traces, &sweeps);
+            cmd_app_normality(&traces, &sweeps);
+            cmd_iter_normality(&traces, &sweeps);
             cmd_fig3(&traces, &opts)?;
-            cmd_percentiles(&traces[0], "fig4", &opts)?;
-            cmd_exemplars(&traces[0], 0, bins::FIG5_MS, "fig5", &opts)?;
-            cmd_percentiles(&traces[1], "fig6", &opts)?;
-            cmd_fig7(&traces[1], &opts)?;
-            cmd_percentiles(&traces[2], "fig8", &opts)?;
-            cmd_fig9(&traces[2], &opts)?;
-            cmd_metrics(&traces);
+            cmd_percentiles(&traces[0], &scans[0].census, "fig4", &opts)?;
+            cmd_exemplars(
+                &traces[0],
+                &scans[0].census,
+                0,
+                bins::FIG5_MS,
+                "fig5",
+                &opts,
+            )?;
+            cmd_percentiles(&traces[1], &scans[1].census, "fig6", &opts)?;
+            cmd_fig7(&traces[1], &scans[1].census, &opts)?;
+            cmd_percentiles(&traces[2], &scans[2].census, "fig8", &opts)?;
+            cmd_fig9(&traces[2], &scans[2].census, &opts)?;
+            cmd_metrics(&traces, &scans);
             cmd_earlybird(&traces);
             cmd_battery(&traces);
             cmd_fit(&traces);
@@ -299,13 +344,13 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_traces(opts: &Options) -> Vec<TimingTrace> {
+fn load_traces(opts: &Options) -> Result<Vec<TimingTrace>, String> {
     if opts.real {
         // Real kernels at paper thread counts would oversubscribe this host
         // meaninglessly; real mode always runs the CI shape.
         let cfg = ebird_cluster::JobConfig::ci_scale();
         eprintln!("# source: real kernels at CI scale {cfg:?}");
-        all_real_traces(&cfg, opts.seed)
+        Ok(all_real_traces(&cfg, opts.seed))
     } else {
         eprintln!(
             "# source: synthetic, scale {:?}, seed {}, {} worker thread(s)",
@@ -313,11 +358,16 @@ fn load_traces(opts: &Options) -> Vec<TimingTrace> {
             opts.seed,
             opts.pool.threads()
         );
-        ebird_cluster::SyntheticApp::all()
-            .iter()
-            .map(|a| a.generate_parallel(&opts.scale.config(), opts.seed, &opts.pool))
-            .collect()
+        generate_synthetic(opts, &opts.pool)
     }
+}
+
+/// The generation stage: the three calibrated apps' campaign traces, in
+/// paper order, on `pool`.
+fn generate_synthetic(opts: &Options, pool: &Pool) -> Result<Vec<TimingTrace>, String> {
+    let apps = SyntheticApp::all();
+    let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
+    generate_campaign_parallel(&workloads, &opts.scale.config(), opts.seed, pool)
 }
 
 fn write_csv(opts: &Options, name: &str, content: &str) -> Result<(), String> {
@@ -332,22 +382,20 @@ fn write_csv(opts: &Options, name: &str, content: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table1(traces: &[TimingTrace], opts: &Options) {
-    let t = table1_parallel(traces.iter(), calibration::ALPHA, &opts.pool);
+fn cmd_table1(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
+    let rows = traces
+        .iter()
+        .zip(sweeps)
+        .map(|(tr, [pi, _, _])| (tr.app(), pi));
+    let t = Table1::from_sweeps(calibration::ALPHA, rows);
     println!("{}", report::render_table1(&t));
     println!("paper Table 1:        MiniFE 3%/<1%/<1%   MiniMD 77%/74%/76%   MiniQMC 95%/96%/96%");
     println!();
 }
 
-fn cmd_app_normality(traces: &[TimingTrace], opts: &Options) {
+fn cmd_app_normality(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
     println!("Application-level normality (one test per app over all samples):");
-    for tr in traces {
-        let sw = sweep_parallel(
-            tr,
-            AggregationLevel::Application,
-            calibration::ALPHA,
-            &opts.pool,
-        );
+    for (tr, [_, _, sw]) in traces.iter().zip(sweeps) {
         let o = &sw.outcomes[0];
         let verdicts: Vec<String> = o
             .iter()
@@ -372,15 +420,9 @@ fn cmd_app_normality(traces: &[TimingTrace], opts: &Options) {
     println!();
 }
 
-fn cmd_iter_normality(traces: &[TimingTrace], opts: &Options) {
+fn cmd_iter_normality(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
     println!("Application-iteration-level normality (pass counts over iterations):");
-    for tr in traces {
-        let sw = sweep_parallel(
-            tr,
-            AggregationLevel::ApplicationIteration,
-            calibration::ALPHA,
-            &opts.pool,
-        );
+    for (tr, [_, sw, _]) in traces.iter().zip(sweeps) {
         let rates = sw.pass_rates();
         let dag_only = sw.dagostino_only_passes();
         println!(
@@ -419,7 +461,12 @@ fn cmd_fig3(traces: &[TimingTrace], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_percentiles(tr: &TimingTrace, label: &str, opts: &Options) -> Result<(), String> {
+fn cmd_percentiles(
+    tr: &TimingTrace,
+    census: &LaggardCensus,
+    label: &str,
+    opts: &Options,
+) -> Result<(), String> {
     let series = percentile_series(tr);
     let whole = iqr_stats(&series, 0, usize::MAX);
     println!(
@@ -431,7 +478,6 @@ fn cmd_percentiles(tr: &TimingTrace, label: &str, opts: &Options) -> Result<(), 
     );
     // The paper's IQR statistics are per process-iteration (its MiniQMC
     // 9.05/15.61 pair matches that level, not the pooled series).
-    let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
     let iqrs: Vec<f64> = census.iterations.iter().map(|c| c.iqr_ms).collect();
     let avg = iqrs.iter().sum::<f64>() / iqrs.len() as f64;
     let max = iqrs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -472,12 +518,12 @@ fn cmd_percentiles(tr: &TimingTrace, label: &str, opts: &Options) -> Result<(), 
 
 fn cmd_exemplars(
     tr: &TimingTrace,
+    census: &LaggardCensus,
     from_iteration: usize,
     bin_ms: f64,
     label: &str,
     opts: &Options,
 ) -> Result<(), String> {
-    let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
     let rate = census.laggard_rate_from(from_iteration);
     println!(
         "{label} {}: laggard rate (iters ≥ {from_iteration}) = {:.1}%  (no-laggard {:.1}%)",
@@ -485,7 +531,7 @@ fn cmd_exemplars(
         rate * 100.0,
         (1.0 - rate) * 100.0
     );
-    let (calm, laggard) = figures::class_exemplar_pair(tr, &census, from_iteration, bin_ms, label);
+    let (calm, laggard) = figures::class_exemplar_pair(tr, census, from_iteration, bin_ms, label);
     for fig in [calm, laggard].into_iter().flatten() {
         println!("{}", report::render_histogram(&fig, 40));
         write_csv(
@@ -498,9 +544,8 @@ fn cmd_exemplars(
     Ok(())
 }
 
-fn cmd_fig7(tr: &TimingTrace, opts: &Options) -> Result<(), String> {
+fn cmd_fig7(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<(), String> {
     // 7a: initial-phase exemplar (median-magnitude iteration < 19, 50 µs bins).
-    let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
     let early: Vec<_> = census
         .iterations
         .iter()
@@ -521,6 +566,7 @@ fn cmd_fig7(tr: &TimingTrace, opts: &Options) -> Result<(), String> {
     // 7b/7c: steady-state exemplar pair at 10 µs bins.
     cmd_exemplars(
         tr,
+        census,
         MINIMD_PHASE_BOUNDARY,
         bins::FIG7_STEADY_MS,
         "fig7",
@@ -528,8 +574,7 @@ fn cmd_fig7(tr: &TimingTrace, opts: &Options) -> Result<(), String> {
     )
 }
 
-fn cmd_fig9(tr: &TimingTrace, opts: &Options) -> Result<(), String> {
-    let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
+fn cmd_fig9(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<(), String> {
     // MiniQMC: any median-magnitude iteration typifies the wide distribution.
     let classes = [ArrivalClass::Laggard, ArrivalClass::NoLaggard];
     let exemplar = classes.iter().find_map(|&c| census.exemplar(c, 0));
@@ -550,15 +595,14 @@ fn cmd_fig9(tr: &TimingTrace, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(traces: &[TimingTrace]) {
-    for tr in traces {
-        let m = reclaim_metrics(tr);
+fn cmd_metrics(traces: &[TimingTrace], scans: &[TraceScan]) {
+    for (tr, scan) in traces.iter().zip(scans) {
+        let (m, census) = (&scan.reclaim, &scan.census);
         let t = calibration::targets_for(tr.app()).expect("known app");
         print!(
             "{}",
-            report::render_metrics(tr.app(), &m, t.reclaim_ms, t.idle_ratio, t.median_ms)
+            report::render_metrics(tr.app(), m, t.reclaim_ms, t.idle_ratio, t.median_ms)
         );
-        let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
         let from = if tr.app() == "MiniMD" {
             MINIMD_PHASE_BOUNDARY
         } else {
@@ -578,7 +622,7 @@ fn cmd_metrics(traces: &[TimingTrace]) {
         println!();
     }
     println!("note: the paper's reclaim/idle columns are internally inconsistent with its");
-    println!("medians/IQRs under its stated definitions; see EXPERIMENTS.md for discussion.");
+    println!("medians/IQRs under its stated definitions; see the analysis::reclaim module docs.");
     println!();
 }
 
@@ -886,12 +930,11 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
-    use ebird_bench::profile::{render_profile, PROFILE_STAGES};
+    use ebird_bench::profile::render_profile;
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
     let observer = PoolObserver::new(&registry);
     let pool = Pool::new(opts.pool.threads()).with_observer(observer.clone());
-    let cfg = opts.scale.config();
     let threads = pool.threads();
     eprintln!(
         "# profiling the synthetic pipeline: scale {:?}, seed {}, {} worker thread(s)",
@@ -900,40 +943,45 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
 
     // Each stage gets a wall-clock span and relabels the pool observer, so
     // `pool.{stage}.w{i}.busy_ns` splits busy time per stage per worker.
-    let stage = |name: &str| {
-        observer.set_stage(name);
-        registry.span(name)
+    let stage = |i: usize| {
+        observer.set_stage(STAGES[i]);
+        registry.span(STAGES[i])
     };
+    // The sweep's weight-cache counters and per-group sort histogram, which
+    // the rendering surfaces below the stage table.
+    let sweep_obs = SweepObs::new(&registry);
+    let mut arenas = EngineArenas::new(threads);
+    let link = LinkModel::omni_path();
 
-    let traces: Vec<TimingTrace> = {
-        let _span = stage(PROFILE_STAGES[0]);
-        ebird_cluster::SyntheticApp::all()
-            .iter()
-            .map(|a| a.generate_parallel(&cfg, opts.seed, &pool))
-            .collect()
+    let traces = {
+        let _span = stage(0);
+        generate_synthetic(opts, &pool)?
     };
     {
-        let _span = stage(PROFILE_STAGES[1]);
-        let _ = table1_parallel(traces.iter(), calibration::ALPHA, &pool);
-    }
-    {
-        let _span = stage(PROFILE_STAGES[2]);
-        for tr in &traces {
-            let _ = sweep_parallel(tr, AggregationLevel::Application, calibration::ALPHA, &pool);
-        }
-    }
-    {
-        // The fast path: all three levels as one task list, instrumented
-        // with the weight-cache counters and per-group sort histogram the
-        // rendering surfaces below.
-        let sweep_obs = ebird_analysis::normality::SweepObs::new(&registry);
-        let mut arenas = EngineArenas::for_pool(&pool);
-        let _span = stage(PROFILE_STAGES[3]);
+        let _span = stage(1);
         for tr in &traces {
             let _ = sweep_levels_parallel_with_arenas(
                 tr,
                 calibration::ALPHA,
                 Some(&sweep_obs),
+                &pool,
+                &mut arenas,
+            );
+        }
+    }
+    {
+        let _span = stage(2);
+        for tr in &traces {
+            let _ = trace_scan_parallel_with_arenas(tr, LAGGARD_THRESHOLD_MS, &pool, &mut arenas);
+        }
+    }
+    {
+        let _span = stage(3);
+        for tr in &traces {
+            let _ = delivery_sweep_parallel_with_arenas(
+                tr,
+                BUFFER_BYTES,
+                || SerialLink::new(link),
                 &pool,
                 &mut arenas,
             );
@@ -964,7 +1012,7 @@ fn cmd_earlybird(traces: &[TimingTrace]) {
             .expect("in range");
         for (link_name, link) in &links {
             println!("  {} over {link_name}:", tr.app());
-            for o in compare_strategies(&ms, 8_000_000, link) {
+            for o in compare_strategies(&ms, BUFFER_BYTES, link) {
                 println!(
                     "    {:<14} completion {:>9.3} ms  exposed {:>8.4} ms  messages {:>3}",
                     o.strategy.label(),

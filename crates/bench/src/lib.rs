@@ -7,11 +7,11 @@
 //!   regenerates every table and figure of the paper from the calibrated
 //!   synthetic models (or, with `--source real`, from live runs of the Rust
 //!   proxy apps at reduced scale). See `repro --help`.
-//! * The **scenario campaign** ([`scenario`], re-exported from
-//!   `ebird-serve` where it now lives so the campaign service can price the
-//!   same cells) sweeps a config-driven apps × strategies × links × noise ×
-//!   ranks matrix through the multi-rank fabric simulator
-//!   (`repro scenarios`, or served live via `repro serve` / `repro submit`).
+//! * The **scenario campaign** (`ebird_serve::scenario`, which lives there
+//!   so the campaign service can price the same cells) sweeps a
+//!   config-driven apps × strategies × links × noise × ranks matrix through
+//!   the multi-rank fabric simulator (`repro scenarios`, or served live via
+//!   `repro serve` / `repro submit`).
 //!
 //! This library crate holds the pieces the binaries share: the real-app
 //! trace runner, the profile renderer, seeds, and scale presets.
@@ -19,8 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod profile;
-
-pub use ebird_serve::scenario;
 
 use ebird_cluster::JobConfig;
 use ebird_core::TimingTrace;

@@ -1,6 +1,6 @@
 //! Rendering for `repro profile` — the pipeline's observability view.
 //!
-//! The profile command runs the generation + normality stages on an
+//! The profile command runs the engine's four stages ([`STAGES`]) on an
 //! observed pool and prints one table from the registry snapshot: per-stage
 //! span wall time, pool busy time, utilization and per-worker busy splits,
 //! followed by the normality-sweep fast-path instruments
@@ -12,12 +12,10 @@
 //! appears in the output — a silent rendering gap would hide a regression
 //! signal.
 
+use ebird_analysis::engine::STAGES;
 use ebird_analysis::normality::SweepObs;
 use ebird_obs::Snapshot;
 use ebird_runtime::PoolObserver;
-
-/// The stages `repro profile` runs and renders, in execution order.
-pub const PROFILE_STAGES: [&str; 4] = ["generate", "table1", "app-normality", "normality-sweep"];
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -34,7 +32,7 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         "stage", "wall ms", "busy ms", "util"
     );
     let mut dominant = ("", 0u64);
-    for st in PROFILE_STAGES {
+    for st in STAGES {
         let wall_ns = snap.histogram(&format!("span.{st}.ns")).total();
         let busy_ns = snap.counter(&PoolObserver::stage_counter(st));
         if busy_ns > dominant.1 {
@@ -148,7 +146,7 @@ mod tests {
             sentinels.push(s);
             s
         };
-        for st in PROFILE_STAGES {
+        for st in STAGES {
             // Wall / busy / worker-0 busy, all rendered in ms with one
             // decimal, so a sentinel of S ms renders as "S.0".
             registry

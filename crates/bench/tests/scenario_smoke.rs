@@ -4,10 +4,10 @@
 //! simulation.
 
 use ebird_analysis::report::json_lines;
-use ebird_bench::scenario::{link_by_name, run_matrix, ScenarioMatrix};
 use ebird_cluster::{NoiseRegime, SyntheticApp};
 use ebird_partcomm::{simulate, Strategy};
 use ebird_runtime::Pool;
+use ebird_serve::scenario::{link_by_name, run_matrix, ScenarioMatrix};
 
 #[test]
 fn smoke_matrix_runs_and_verifies_every_cell() {

@@ -1,10 +1,10 @@
 //! The paper's reported statistics as machine-checkable targets.
 //!
 //! Everything Section 4 reports numerically, collected in one place so the
-//! calibration tests, the `repro` binary and EXPERIMENTS.md all read from the
-//! same constants. Where the paper's own numbers are internally inconsistent
-//! (see the note in [`crate::synthetic`]), the target carries the printed
-//! value anyway — comparisons, not silent corrections, belong in reports.
+//! calibration tests and the `repro` binary read from the same constants.
+//! Where the paper's own numbers are internally inconsistent (see the note
+//! in [`crate::synthetic`]), the target carries the printed value anyway —
+//! comparisons, not silent corrections, belong in reports.
 
 use serde::{Deserialize, Serialize};
 

@@ -19,7 +19,8 @@
 //! medians and IQRs under its stated definitions (e.g. a 0.50 idle ratio
 //! requires the mean arrival to be half the maximum, impossible with a
 //! 0.15 ms IQR around a 24.74 ms median). We compute those metrics from their
-//! *definitions* and report the divergence in EXPERIMENTS.md.
+//! *definitions* (the `ebird-analysis` crate's `reclaim` module) and `repro
+//! metrics` prints the divergence.
 //!
 //! Determinism: every sample is derived from `(seed, app, trial, rank,
 //! iteration)` through hash-seeded [`Rng64`] streams, so any sub-range of a
@@ -503,7 +504,11 @@ impl SyntheticApp {
         }
     }
 
-    /// Generates a full campaign trace for `cfg` under `seed`.
+    /// Generates a full campaign trace for `cfg` under `seed` — the pool-free
+    /// reference implementation; production goes through the analysis
+    /// engine's generation stage (`generate_campaign_parallel`, which lands
+    /// in [`generate_parallel`](Self::generate_parallel)), tested
+    /// bit-identical to this loop.
     pub fn generate(&self, cfg: &JobConfig, seed: u64) -> TimingTrace {
         let shape = cfg.shape();
         let mut trace = TimingTrace::new(self.model.name.as_str(), shape);

@@ -1,6 +1,5 @@
 //! Trace persistence: JSON (full fidelity), CSV (interchange) and a compact
-//! little-endian binary format (speed) — plus generic JSON Lines helpers for
-//! append-only stores.
+//! little-endian binary format (speed).
 //!
 //! JSON captures the whole [`TimingTrace`] via serde and is the round-trip
 //! format the job runner uses for checkpointing. CSV is the flat
@@ -11,11 +10,6 @@
 //! paper-scale trace (768,000 samples ≈ 12 MB) loads in milliseconds instead
 //! of the seconds JSON parsing takes; it is the format the parallel pipeline
 //! benchmark and large campaign checkpoints use.
-//!
-//! The JSON Lines helpers ([`write_jsonl_line`]/[`read_jsonl`]) serialize any
-//! serde type one object per line. One line is one record, so a file both
-//! streams and appends safely — the shape the campaign service's on-disk
-//! result cache and the scenario campaign's row tables share.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -49,70 +43,6 @@ pub fn save_json(trace: &TimingTrace, path: impl AsRef<Path>) -> Result<(), Core
 pub fn load_json(path: impl AsRef<Path>) -> Result<TimingTrace, CoreError> {
     let file = File::open(path)?;
     read_json(BufReader::new(file))
-}
-
-/// Writes one record as a single JSON line (object text, then `\n`).
-///
-/// The record must serialize without embedded newlines — true for every type
-/// this workspace serializes (the serde stand-in's writer emits no raw
-/// control characters inside strings).
-///
-/// # Errors
-/// [`CoreError::Json`] on serialization failure, [`CoreError::Io`] on write
-/// failure.
-pub fn write_jsonl_line<W: Write, T: serde::Serialize>(
-    mut writer: W,
-    record: &T,
-) -> Result<(), CoreError> {
-    let line = serde_json::to_string(record)?;
-    debug_assert!(!line.contains('\n'), "JSON line must stay one line");
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    Ok(())
-}
-
-/// Reads every record of a JSON Lines stream (blank lines tolerated, so
-/// concatenated files load unchanged).
-///
-/// # Errors
-/// [`CoreError::Io`] on read failure; [`CoreError::Parse`] naming the first
-/// malformed line (1-based).
-pub fn read_jsonl<R: Read, T: serde::Deserialize>(reader: R) -> Result<Vec<T>, CoreError> {
-    let mut records = Vec::new();
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = serde_json::from_str(&line)
-            .map_err(|e| CoreError::Parse(format!("JSON line {}: {e}", lineno + 1)))?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Appends one record to a JSON Lines file, creating it if missing.
-///
-/// # Errors
-/// See [`write_jsonl_line`].
-pub fn append_jsonl<T: serde::Serialize>(
-    path: impl AsRef<Path>,
-    record: &T,
-) -> Result<(), CoreError> {
-    let file = File::options().create(true).append(true).open(path)?;
-    write_jsonl_line(file, record)
-}
-
-/// Loads a JSON Lines file; a missing file is an empty store, not an error.
-///
-/// # Errors
-/// See [`read_jsonl`].
-pub fn load_jsonl<T: serde::Deserialize>(path: impl AsRef<Path>) -> Result<Vec<T>, CoreError> {
-    match File::open(path) {
-        Ok(file) => read_jsonl(file),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(CoreError::Io(e)),
-    }
 }
 
 /// Magic bytes opening the binary trace format.
@@ -573,41 +503,6 @@ mod tests {
         extended.push(0);
         let e = read_binary(&extended[..]).unwrap_err();
         assert!(e.to_string().contains("trailing"));
-    }
-
-    #[test]
-    fn jsonl_roundtrip_in_memory() {
-        let rows = vec![vec![1.5f64, 2.5], vec![], vec![3.0]];
-        let mut buf = Vec::new();
-        for row in &rows {
-            write_jsonl_line(&mut buf, row).unwrap();
-        }
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        let back: Vec<Vec<f64>> = read_jsonl(&buf[..]).unwrap();
-        assert_eq!(back, rows);
-    }
-
-    #[test]
-    fn jsonl_tolerates_blank_lines_and_reports_bad_ones() {
-        let ok: Vec<u64> = read_jsonl("1\n\n2\n   \n3\n".as_bytes()).unwrap();
-        assert_eq!(ok, vec![1, 2, 3]);
-        let e = read_jsonl::<_, u64>("1\nnope\n".as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("JSON line 2"), "{e}");
-    }
-
-    #[test]
-    fn jsonl_file_append_and_load() {
-        let dir = std::env::temp_dir().join("ebird_core_io_jsonl_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.jsonl");
-        std::fs::remove_file(&path).ok();
-        // Missing file loads as empty.
-        assert!(load_jsonl::<u64>(&path).unwrap().is_empty());
-        append_jsonl(&path, &7u64).unwrap();
-        append_jsonl(&path, &11u64).unwrap();
-        assert_eq!(load_jsonl::<u64>(&path).unwrap(), vec![7, 11]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub use view::AggregationLevel;
 /// The workspace-wide default seed for regenerated experiments. Changing it
 /// changes every regenerated number, so it is fixed here at the base of the
 /// crate graph and referenced everywhere — the `repro` CLI, the scenario
-/// campaign, and the campaign service all default to it (EXPERIMENTS.md
-/// quotes results for this seed).
+/// campaign, and the campaign service all default to it.
 pub const DEFAULT_SEED: u64 = 20230421;
 
 /// Errors produced by the instrumentation core.

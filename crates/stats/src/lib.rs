@@ -21,10 +21,6 @@
 //! * [`dist`] — seeded sampling distributions (normal, log-normal, exponential,
 //!   mixtures) used by the synthetic cluster models; independent of `rand` so
 //!   the crate stays dependency-free.
-//! * [`ecdf`] — empirical distribution functions and Kolmogorov–Smirnov
-//!   distances, used for model-calibration diagnostics.
-//! * [`bootstrap`] — percentile-bootstrap confidence intervals, attached to
-//!   every regenerated point estimate in EXPERIMENTS.md.
 //! * [`reduce`] — mergeable partial statistics ([`Moments::merge`]-based) for
 //!   the parallel analysis engine's reductions.
 //! * [`sort`] — LSD radix sort of finite `f64` samples over a monotone `u64`
@@ -44,10 +40,8 @@
 #![deny(unsafe_code)]
 
 pub mod accumulate;
-pub mod bootstrap;
 pub mod descriptive;
 pub mod dist;
-pub mod ecdf;
 pub mod histogram;
 pub mod normality;
 pub mod percentile;

@@ -36,6 +36,29 @@
 //! let metrics = reclaim_metrics(&trace);
 //! assert!(metrics.idle_ratio > 0.0 && metrics.idle_ratio < 1.0);
 //! ```
+//!
+//! The production route — what `repro` and the benchmark run — is the
+//! analysis engine: one entry point per pipeline stage, each taking the pool
+//! it runs on (README's library quick-start, at CI scale):
+//!
+//! ```
+//! use early_bird::analysis::engine::{
+//!     generate_campaign_parallel, sweep_levels_parallel_with_arenas, EngineArenas,
+//! };
+//! use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
+//! use early_bird::runtime::Pool;
+//!
+//! let pool = Pool::new(2);
+//! let mut arenas = EngineArenas::new(pool.threads());
+//! let app = SyntheticApp::minife();
+//! let traces = generate_campaign_parallel(&[&app as &dyn Workload], &JobConfig::ci_scale(), 42, &pool)
+//!     .expect("synthetic apps always generate");
+//! // All three aggregation levels in one pass, process-iteration first.
+//! let [process_iteration, _app_iteration, _application] =
+//!     sweep_levels_parallel_with_arenas(&traces[0], 0.05, None, &pool, &mut arenas);
+//! assert_eq!(process_iteration.groups, traces[0].shape().process_iterations());
+//! assert!(process_iteration.pass_rates().iter().all(|r| (0.0..=1.0).contains(r)));
+//! ```
 
 pub use ebird_analysis as analysis;
 pub use ebird_apps as apps;

@@ -6,7 +6,7 @@
 
 use early_bird::analysis::engine::{
     delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
-    sweep_levels_parallel_with_arenas, sweep_parallel, EngineArenas,
+    sweep_levels_parallel_with_arenas, EngineArenas,
 };
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::normality::{sweep, SWEEP_LEVELS};
@@ -16,7 +16,6 @@ use early_bird::cluster::calibration::{ALPHA, LAGGARD_THRESHOLD_MS};
 use early_bird::cluster::{
     JobConfig, MixtureComponent, RealKernelParams, SyntheticApp, Workload, WorkloadSpec,
 };
-use early_bird::core::view::AggregationLevel;
 use early_bird::partcomm::{LinkModel, SerialLink};
 use early_bird::runtime::Pool;
 use early_bird::stats::Moments;
@@ -38,23 +37,20 @@ proptest! {
         let app = &SyntheticApp::all()[app_index];
         let cfg = JobConfig::new(trials, ranks, iterations, threads);
         let pool = Pool::new(workers);
+        let mut arenas = EngineArenas::new(workers);
 
         // Generation: same bytes from any pool size.
         let trace = app.generate(&cfg, seed);
         let trace_par = app.generate_parallel(&cfg, seed, &pool);
         prop_assert_eq!(&trace, &trace_par);
 
-        // Normality sweeps: identical outcomes at every aggregation level.
-        for level in [
-            AggregationLevel::Application,
-            AggregationLevel::ApplicationIteration,
-            AggregationLevel::ProcessIteration,
-        ] {
-            let serial = sweep(&trace, level, 0.05);
-            let parallel = sweep_parallel(&trace, level, 0.05, &pool);
+        // Normality sweep: the production route yields the per-level
+        // reference's outcomes at every aggregation level.
+        let sweeps = sweep_levels_parallel_with_arenas(&trace, 0.05, None, &pool, &mut arenas);
+        for (got, level) in sweeps.iter().zip(SWEEP_LEVELS) {
             prop_assert_eq!(
-                serial.outcomes,
-                parallel.outcomes,
+                &got.outcomes,
+                &sweep(&trace, level, 0.05).outcomes,
                 "sweep at {:?}, {} workers",
                 level,
                 workers
@@ -63,8 +59,7 @@ proptest! {
 
         // Laggard census and reclaim metrics: the fused scan on any pool
         // yields the standalone traversals' structs.
-        let scan =
-            trace_scan_parallel_with_arenas(&trace, 1.0, &pool, &mut EngineArenas::for_pool(&pool));
+        let scan = trace_scan_parallel_with_arenas(&trace, 1.0, &pool, &mut arenas);
         prop_assert_eq!(laggard_census(&trace, 1.0).iterations, scan.census.iterations);
         prop_assert_eq!(reclaim_metrics(&trace), scan.reclaim);
     }

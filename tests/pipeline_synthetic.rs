@@ -5,8 +5,9 @@
 //! to absorb seed-to-seed variation, tight enough that a regression in any
 //! crate (stats, cluster, analysis) trips them.
 
+use early_bird::analysis::engine::{sweep_levels_parallel_with_arenas, EngineArenas};
 use early_bird::analysis::laggard::laggard_census;
-use early_bird::analysis::normality::{sweep, table1};
+use early_bird::analysis::normality::{sweep, Table1};
 use early_bird::analysis::percentile_series::{
     detect_phase_boundary, iqr_stats, percentile_series,
 };
@@ -14,6 +15,7 @@ use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::cluster::calibration::{LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
 use early_bird::cluster::{JobConfig, SyntheticApp};
 use early_bird::core::view::AggregationLevel;
+use early_bird::runtime::Pool;
 
 /// A mid-size campaign: big enough for stable statistics, ~100 ms to build.
 /// 100 iterations keeps MiniMD's phase-1 fraction (19%) reasonably close to
@@ -24,11 +26,16 @@ fn campaign() -> JobConfig {
 
 #[test]
 fn table1_pass_rates_fall_in_paper_bands() {
-    let traces: Vec<_> = SyntheticApp::all()
-        .iter()
-        .map(|a| a.generate(&campaign(), 1))
-        .collect();
-    let t = table1(traces.iter(), 0.05);
+    // Built the way `repro table1` builds it: the engine's three-level
+    // sweep, whose first level is the process-iteration one.
+    let apps = SyntheticApp::all();
+    let (pool, mut arenas) = (Pool::new(2), EngineArenas::new(2));
+    let sweeps = apps.each_ref().map(|a| {
+        let tr = a.generate(&campaign(), 1);
+        let [pi, _, _] = sweep_levels_parallel_with_arenas(&tr, 0.05, None, &pool, &mut arenas);
+        pi
+    });
+    let t = Table1::from_sweeps(0.05, apps.iter().map(|a| a.name()).zip(&sweeps));
     let [fe, md, qmc] = [&t.rows[0].1, &t.rows[1].1, &t.rows[2].1];
     // MiniFE: strongly non-normal (paper 3 / <1 / <1 %).
     assert!(fe[0] < 12.0, "MiniFE D'Agostino pass {}", fe[0]);

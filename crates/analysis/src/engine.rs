@@ -12,15 +12,14 @@
 //!   order-dependent accumulation), with any aggregate folded afterwards in
 //!   trace order.
 //!
-//! A one-thread pool *is* the serial API: a stage that sees
-//! `pool.threads() == 1` runs its loop inline through
-//! [`Pool::run_serial`] — no slots, no closure dispatch.
+//! Each stage has one body, run by the pool's team at every size: a
+//! one-thread pool *is* the serial API, because a one-member team runs the
+//! body inline on the caller (see [`ebird_runtime::pool`]).
 //!
 //! The three-level normality sweep's groups — of all three levels — form one
 //! flat task list ([`crate::normality`]), which
 //! [`sweep_levels_parallel_with_arenas`] cuts into one contiguous part of
-//! near-equal sample count per worker; a single thread runs the same loop
-//! over the whole list.
+//! near-equal sample count per worker.
 //!
 //! The only parallelism-sensitive construct — merging floating-point
 //! [`Moments`] partials — is confined to [`campaign_moments`] and the trace
@@ -30,12 +29,9 @@ use ebird_cluster::{JobConfig, Workload};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_delivery, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
-use ebird_stats::reduce::Mergeable;
 use ebird_stats::Moments;
 
-use crate::normality::{
-    run_tasks, sweep_levels_with_scratch, NormalitySweep, SweepObs, SweepScratch, SweepTasks,
-};
+use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepScratch, SweepTasks};
 
 /// The pipeline's stages in execution order, one per stage entry:
 /// [`generate_campaign_parallel`], [`sweep_levels_parallel_with_arenas`],
@@ -47,8 +43,7 @@ use crate::normality::{
 pub const STAGES: [&str; 4] = ["generate", "normality-sweep", "trace-scan", "earlybird-sim"];
 
 /// Long-lived scratch for the whole analysis engine: one scratch value per
-/// pool worker for every stage (worker 0's is the one-thread path's
-/// storage).
+/// pool worker for every stage.
 ///
 /// Built once per campaign, it makes Shapiro–Wilk weight solves and
 /// multi-megabyte buffer faults a one-off warm-up: a worker re-entering a
@@ -149,9 +144,7 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 ///
 /// The trace's task list is cut into one contiguous part of near-equal
 /// sample count per worker and every worker runs the task loop over its
-/// part. On a one-thread pool the whole call runs inline through
-/// [`Pool::run_serial`] (no slots, no closure dispatch) over worker 0's
-/// scratch.
+/// part (a one-thread pool's single part is the whole list).
 ///
 /// When `obs` is provided, per-group sort latencies land in the
 /// [`SweepObs::SORT_NS`] histogram and the Shapiro–Wilk weight-cache
@@ -166,10 +159,6 @@ pub fn sweep_levels_parallel_with_arenas(
     pool: &Pool,
     arenas: &mut EngineArenas,
 ) -> [NormalitySweep; 3] {
-    if pool.threads() == 1 {
-        let scratch = arenas.sweep_workers.get_mut(0);
-        return pool.run_serial(move || sweep_levels_with_scratch(trace, alpha, obs, scratch));
-    }
     let tasks = SweepTasks(trace.shape());
     let workers = &arenas.sweep_workers;
     let mut outcomes = vec![Default::default(); tasks.len()];
@@ -207,7 +196,7 @@ pub fn campaign_moments(trace: &TimingTrace, pool: &Pool) -> Moments {
         units,
         Moments::new,
         |mut acc, unit| {
-            let (trial, rank, iteration) = unit_coords(shape, unit);
+            let (trial, rank, iteration) = shape.unit_coords(unit);
             let samples = trace
                 .process_iteration(trial, rank, iteration)
                 .expect("unit in range by construction");
@@ -217,7 +206,7 @@ pub fn campaign_moments(trace: &TimingTrace, pool: &Pool) -> Moments {
             acc
         },
         |mut a, b| {
-            a.merge_with(&b);
+            a.merge(&b);
             a
         },
     )
@@ -256,8 +245,7 @@ fn delivery_unit<M: NetModel>(
 /// Bit-identical for any pool size, because each unit runs the same
 /// scratch-based kernel independently into its own output slot. Workers
 /// reuse their simulation scratch from the caller-owned [`EngineArenas`]
-/// across traces, and a one-thread pool runs the sweep loop inline
-/// ([`Pool::run_serial`]) with no slot vector or closure dispatch.
+/// across traces.
 ///
 /// # Panics
 /// If the model services more than one rank (each process-iteration is one
@@ -273,22 +261,6 @@ where
     M: NetModel,
     F: Fn() -> M + Sync,
 {
-    if pool.threads() == 1 {
-        let worker = arenas.sim.get_mut(0);
-        return pool.run_serial(move || {
-            let mut model = make_model();
-            trace
-                .iter_process_iterations()
-                .map(|(_, _, _, samples)| {
-                    worker.values.clear();
-                    worker
-                        .values
-                        .extend(samples.iter().map(ThreadSample::compute_time_ms));
-                    delivery_unit(&worker.values, bytes_total, &mut model, &mut worker.scratch)
-                })
-                .collect()
-        });
-    }
     let shape = trace.shape();
     let units = shape.process_iterations();
     let sim = &arenas.sim;
@@ -298,7 +270,7 @@ where
         let SimWorker { values, scratch } = &mut *worker;
         let mut model = make_model();
         for (offset, slot) in block.iter_mut().enumerate() {
-            let (trial, rank, iteration) = unit_coords(shape, range.start + offset);
+            let (trial, rank, iteration) = shape.unit_coords(range.start + offset);
             let samples = trace
                 .process_iteration(trial, rank, iteration)
                 .expect("unit in range by construction");
@@ -310,14 +282,6 @@ where
     out.into_iter()
         .map(|o| o.expect("every unit simulated"))
         .collect()
-}
-
-/// Decodes a flat process-iteration index (trace order: trial-major,
-/// iteration innermost).
-pub(crate) fn unit_coords(shape: ebird_core::TraceShape, unit: usize) -> (usize, usize, usize) {
-    let iteration = unit % shape.iterations;
-    let rest = unit / shape.iterations;
-    (rest / shape.ranks, rest % shape.ranks, iteration)
 }
 
 #[cfg(test)]
@@ -568,11 +532,8 @@ mod tests {
         let apps = SyntheticApp::all();
         let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
         let cfg = JobConfig::new(1, 2, 6, 4);
-        // The oracle: each workload's own pool-free generator.
-        let oracle: Vec<TimingTrace> = workloads
-            .iter()
-            .map(|w| w.generate_trace(&cfg, 13).unwrap())
-            .collect();
+        // The oracle: each app's pool-free reference generator.
+        let oracle: Vec<TimingTrace> = apps.iter().map(|a| a.generate(&cfg, 13)).collect();
         assert_eq!(oracle.len(), 3);
         assert_eq!(oracle[0].app(), "MiniFE");
         for workers in [1, 3] {

@@ -111,8 +111,8 @@ impl LaggardCensus {
 }
 
 /// Classifies one process-iteration, reusing `scratch` for the millisecond
-/// values — the per-unit kernel shared by the serial census and the parallel
-/// engine (outcomes are bit-identical by construction).
+/// values — the per-unit kernel shared by the reference census and the
+/// trace scan (outcomes are bit-identical by construction).
 pub(crate) fn classify_unit(
     trial: usize,
     rank: usize,

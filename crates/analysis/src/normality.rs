@@ -266,8 +266,8 @@ impl SweepTasks {
 }
 
 /// Runs the contiguous tasks `first..first + out.len()` of `trace`'s
-/// [`SweepTasks`] into `out` — the loop every sweep worker runs, and the
-/// whole sweep on one thread. Every group of every level is an independent
+/// [`SweepTasks`] into `out` — the loop every sweep worker runs (one
+/// worker: the whole list). Every group of every level is an independent
 /// task run by one kernel: gather the group's integer nanosecond compute
 /// times (streaming D'Agostino's moments in the same pass, so no raw copy
 /// is kept), radix-sort the integers, convert to milliseconds, run the
@@ -277,6 +277,12 @@ impl SweepTasks {
 /// [`fill_group_ms`]'s values in its order; [`ns_to_ms`] is monotone, so
 /// sorting before or after the conversion yields the same array; and the
 /// battery is the same code on the same sorted sample.
+///
+/// Consecutive sweeps over same-shaped traces reuse `scratch`'s cached
+/// Shapiro–Wilk weight vectors (the application-level vector alone is
+/// hundreds of thousands of Newton solves) and group buffers; results do
+/// not depend on the reuse: cached weights are bit-identical to freshly
+/// solved ones, and every reused buffer is refilled before it is read.
 pub(crate) fn run_tasks(
     trace: &TimingTrace,
     obs: Option<&SweepObs>,
@@ -324,24 +330,6 @@ pub(crate) fn run_tasks(
     if let Some(o) = obs {
         o.record_cache_delta(battery, cache_before);
     }
-}
-
-/// The whole three-level sweep as one task loop — what a one-thread pool
-/// runs. Consecutive sweeps over same-shaped traces reuse `sweep_scratch`'s
-/// cached Shapiro–Wilk weight vectors (the application-level vector alone
-/// is hundreds of thousands of Newton solves) and group buffers; results do
-/// not depend on the reuse: cached weights are bit-identical to freshly
-/// solved ones, and every reused buffer is refilled before it is read.
-pub(crate) fn sweep_levels_with_scratch(
-    trace: &TimingTrace,
-    alpha: f64,
-    obs: Option<&SweepObs>,
-    sweep_scratch: &mut SweepScratch,
-) -> [NormalitySweep; 3] {
-    let tasks = SweepTasks(trace.shape());
-    let mut outcomes = vec![Default::default(); tasks.len()];
-    run_tasks(trace, obs, 0, &mut outcomes, sweep_scratch);
-    tasks.into_levels(outcomes, alpha)
 }
 
 /// Pass rates of an arbitrary test battery over one aggregation level —
@@ -575,10 +563,17 @@ mod tests {
         })
     }
 
+    /// The three-level sweep through its one entry, on a one-thread pool.
+    fn sweep_levels(tr: &TimingTrace, obs: Option<&SweepObs>) -> [NormalitySweep; 3] {
+        let pool = ebird_runtime::Pool::new(1);
+        let mut arenas = crate::engine::EngineArenas::new(1);
+        crate::engine::sweep_levels_parallel_with_arenas(tr, 0.05, obs, &pool, &mut arenas)
+    }
+
     #[test]
     fn sweep_levels_is_bit_identical_to_per_level_sweeps() {
         for tr in [normal_trace(16), skewed_trace(16), mixed_trace()] {
-            let merged = sweep_levels_with_scratch(&tr, 0.05, None, &mut SweepScratch::default());
+            let merged = sweep_levels(&tr, None);
             for (m, level) in merged.iter().zip(SWEEP_LEVELS) {
                 let s = sweep(&tr, level, 0.05);
                 assert_eq!(m.outcomes, s.outcomes, "{} @ {}", tr.app(), level.label());
@@ -593,9 +588,8 @@ mod tests {
         let registry = Arc::new(Registry::wall());
         let obs = SweepObs::new(&registry);
         let tr = normal_trace(16); // shape (2, 2, 10, 16)
-        let with_obs =
-            sweep_levels_with_scratch(&tr, 0.05, Some(&obs), &mut SweepScratch::default());
-        let without = sweep_levels_with_scratch(&tr, 0.05, None, &mut SweepScratch::default());
+        let with_obs = sweep_levels(&tr, Some(&obs));
+        let without = sweep_levels(&tr, None);
         for (a, b) in with_obs.iter().zip(&without) {
             assert_eq!(a.outcomes, b.outcomes);
         }

@@ -67,8 +67,8 @@ pub(crate) struct UnitReclaim {
 }
 
 /// Computes one process-iteration's reclaim quantities, reusing `scratch` —
-/// the per-unit kernel shared by the serial aggregate and the parallel
-/// engine (values are bit-identical by construction).
+/// the per-unit kernel shared by the reference aggregate and the trace
+/// scan (values are bit-identical by construction).
 pub(crate) fn unit_reclaim(samples: &[ThreadSample], scratch: &mut Vec<f64>) -> UnitReclaim {
     scratch.clear();
     scratch.extend(samples.iter().map(ThreadSample::compute_time_ms));

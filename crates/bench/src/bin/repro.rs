@@ -717,9 +717,9 @@ fn cmd_scenarios(opts: &Options) -> Result<(), String> {
     eprintln!(
         "# scenario campaign: {} cells ({} workloads × {} strategies × {} network models × {} noise × {} rank counts), {} worker thread(s)",
         matrix.len(),
-        matrix.apps.len() + matrix.workloads.len(),
+        matrix.workloads.len(),
         matrix.strategies.len(),
-        matrix.links.len() + matrix.models.len(),
+        matrix.models.len(),
         matrix.noise.len(),
         matrix.ranks.len(),
         opts.pool.threads()

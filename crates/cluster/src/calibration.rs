@@ -57,10 +57,6 @@ pub const MINIMD: AppTargets = AppTargets {
     idle_ratio: 0.5012,
 };
 
-/// MiniMD first-section IQR targets (iterations 1–19).
-pub const MINIMD_PHASE1_IQR_AVG_MS: f64 = 0.93;
-/// MiniMD first-section IQR maximum.
-pub const MINIMD_PHASE1_IQR_MAX_MS: f64 = 1.45;
 /// First steady-state iteration (0-based) in the MiniMD model.
 pub const MINIMD_PHASE_BOUNDARY: usize = 19;
 

@@ -19,8 +19,8 @@
 //!   all figures and tables deterministically on any machine.
 //!
 //! Both sources are unified behind the [`workload`] module's pluggable
-//! engine: the [`workload::Workload`] trait (generate a campaign trace,
-//! serial or pool-parallel, plus per-rank arrival sets) and the serde-able
+//! engine: the [`workload::Workload`] trait (generate a campaign trace on
+//! a pool, plus per-rank arrival sets) and the serde-able
 //! [`workload::WorkloadSpec`] (named calibrated apps, inline synthetic
 //! models, deterministic work-metered real-kernel runs, weighted
 //! mixtures) — so scenario campaigns name arrival shapes as data, the way

@@ -550,11 +550,7 @@ impl SyntheticApp {
             let mut scratch = vec![0.0; threads];
             let first_unit = range.start / threads;
             for (k, dst) in block.chunks_mut(threads).enumerate() {
-                let unit = first_unit + k;
-                let iteration = unit % shape.iterations;
-                let rest = unit / shape.iterations;
-                let rank = rest % shape.ranks;
-                let trial = rest / shape.ranks;
+                let (trial, rank, iteration) = shape.unit_coords(first_unit + k);
                 self.process_iteration_into(seed, trial, rank, iteration, &mut scratch);
                 Self::fill_unit(&scratch, dst);
             }

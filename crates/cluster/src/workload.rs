@@ -4,8 +4,8 @@
 //! ([`NetModelSpec`] naming any [`NetModel`]); this module does the same
 //! for the *workload* axis — the per-thread completion-time shapes the
 //! paper measures on MiniMD, MiniQMC and MiniFE. A [`Workload`] is anything
-//! that can generate a campaign [`TimingTrace`] (serially or on the
-//! workspace [`Pool`], bit-identically) and supply one process-iteration's
+//! that can generate a campaign [`TimingTrace`] on the workspace [`Pool`]
+//! (bit-identically for any pool size) and supply one process-iteration's
 //! per-rank arrival sets for delivery pricing. A [`WorkloadSpec`] is the
 //! serde shape that names one in matrix JSON:
 //!
@@ -104,30 +104,20 @@ pub trait Workload: Send + Sync {
     /// scenario row's `app` column.
     fn label(&self) -> String;
 
-    /// Generates a full campaign trace for `cfg` under `seed`, serially.
+    /// Generates a full campaign trace for `cfg` under `seed` on `pool` —
+    /// **bit-identical** for any pool size. (Workloads that are inherently
+    /// sequential, like real-kernel runs whose pool lives inside the
+    /// campaign runner, ignore `pool`.)
     ///
     /// # Errors
     /// A human-readable description of the failure (real-kernel invariant
     /// violations; synthetic workloads never fail).
-    fn generate_trace(&self, cfg: &JobConfig, seed: u64) -> Result<TimingTrace, String>;
-
-    /// Pool-parallel counterpart of [`generate_trace`](Self::generate_trace)
-    /// — **bit-identical** to it for any pool size. The default forwards to
-    /// the serial path (correct for workloads that are inherently
-    /// sequential, like real-kernel runs whose pool lives inside the
-    /// campaign runner).
-    ///
-    /// # Errors
-    /// As [`generate_trace`](Self::generate_trace).
     fn generate_trace_parallel(
         &self,
         cfg: &JobConfig,
         seed: u64,
         pool: &Pool,
-    ) -> Result<TimingTrace, String> {
-        let _ = pool;
-        self.generate_trace(cfg, seed)
-    }
+    ) -> Result<TimingTrace, String>;
 
     /// One process-iteration's per-thread arrival times (ms) for each of
     /// `ranks` concurrent ranks (trial 0) — the inputs the scenario
@@ -137,7 +127,7 @@ pub trait Workload: Send + Sync {
     /// metered, ns-rounded times.
     ///
     /// # Errors
-    /// As [`generate_trace`](Self::generate_trace).
+    /// As [`generate_trace_parallel`](Self::generate_trace_parallel).
     fn rank_arrivals_ms(
         &self,
         seed: u64,
@@ -150,10 +140,6 @@ pub trait Workload: Send + Sync {
 impl Workload for SyntheticApp {
     fn label(&self) -> String {
         self.name().to_string()
-    }
-
-    fn generate_trace(&self, cfg: &JobConfig, seed: u64) -> Result<TimingTrace, String> {
-        Ok(self.generate(cfg, seed))
     }
 
     fn generate_trace_parallel(
@@ -567,47 +553,6 @@ impl ResolvedWorkload {
             .position(|&(cum, _)| u < cum)
             .unwrap_or(components.len() - 1)
     }
-
-    /// Builds a mixture trace by copying each unit from the governing
-    /// component's trace (components generated with `generate`).
-    fn blend_traces(
-        name: &str,
-        components: &[(f64, ResolvedWorkload)],
-        total_weight: f64,
-        cfg: &JobConfig,
-        seed: u64,
-        mut generate: impl FnMut(&ResolvedWorkload) -> Result<TimingTrace, String>,
-    ) -> Result<TimingTrace, String> {
-        let traces: Vec<TimingTrace> = components
-            .iter()
-            .map(|(_, c)| generate(c))
-            .collect::<Result<_, _>>()?;
-        let mut out = TimingTrace::new(format!("mix({name})"), cfg.shape());
-        let tag = Self::mixture_tag(name);
-        for trial in 0..cfg.trials {
-            for rank in 0..cfg.ranks {
-                for iteration in 0..cfg.iterations {
-                    let k = Self::pick_component(
-                        components,
-                        total_weight,
-                        tag,
-                        seed,
-                        trial,
-                        rank,
-                        iteration,
-                    );
-                    let src = traces[k]
-                        .process_iteration(trial, rank, iteration)
-                        .expect("in range by construction");
-                    let dst = out
-                        .process_iteration_mut(trial, rank, iteration)
-                        .expect("in range by construction");
-                    dst.copy_from_slice(src);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl Workload for ResolvedWorkload {
@@ -616,20 +561,6 @@ impl Workload for ResolvedWorkload {
             ResolvedWorkload::Synthetic(app) => app.name().to_string(),
             ResolvedWorkload::Real(h) => format!("real({})", h.app),
             ResolvedWorkload::Mixture { name, .. } => format!("mix({name})"),
-        }
-    }
-
-    fn generate_trace(&self, cfg: &JobConfig, seed: u64) -> Result<TimingTrace, String> {
-        match self {
-            ResolvedWorkload::Synthetic(app) => Ok(app.generate(cfg, seed)),
-            ResolvedWorkload::Real(h) => h.generate(cfg, seed),
-            ResolvedWorkload::Mixture {
-                name,
-                components,
-                total_weight,
-            } => Self::blend_traces(name, components, *total_weight, cfg, seed, |c| {
-                c.generate_trace(cfg, seed)
-            }),
         }
     }
 
@@ -648,9 +579,39 @@ impl Workload for ResolvedWorkload {
                 name,
                 components,
                 total_weight,
-            } => Self::blend_traces(name, components, *total_weight, cfg, seed, |c| {
-                c.generate_trace_parallel(cfg, seed, pool)
-            }),
+            } => {
+                // Every unit is copied from the trace of the component that
+                // governs it.
+                let traces: Vec<TimingTrace> = components
+                    .iter()
+                    .map(|(_, c)| c.generate_trace_parallel(cfg, seed, pool))
+                    .collect::<Result<_, _>>()?;
+                let mut out = TimingTrace::new(format!("mix({name})"), cfg.shape());
+                let tag = Self::mixture_tag(name);
+                for trial in 0..cfg.trials {
+                    for rank in 0..cfg.ranks {
+                        for iteration in 0..cfg.iterations {
+                            let k = Self::pick_component(
+                                components,
+                                *total_weight,
+                                tag,
+                                seed,
+                                trial,
+                                rank,
+                                iteration,
+                            );
+                            let src = traces[k]
+                                .process_iteration(trial, rank, iteration)
+                                .expect("in range by construction");
+                            let dst = out
+                                .process_iteration_mut(trial, rank, iteration)
+                                .expect("in range by construction");
+                            dst.copy_from_slice(src);
+                        }
+                    }
+                }
+                Ok(out)
+            }
         }
     }
 
@@ -760,9 +721,11 @@ mod tests {
         let resolved = spec.resolve().unwrap();
         assert_eq!(resolved.label(), "MiniMD");
         let cfg = JobConfig::new(1, 2, 6, 4);
-        let via_spec = resolved.generate_trace(&cfg, 9).unwrap();
         let legacy = SyntheticApp::by_name("MiniMD").unwrap().generate(&cfg, 9);
-        assert_eq!(via_spec, legacy);
+        for workers in [1, 3] {
+            let via_spec = resolved.generate_trace_parallel(&cfg, 9, &Pool::new(workers));
+            assert_eq!(via_spec.unwrap(), legacy, "{workers} workers");
+        }
     }
 
     #[test]
@@ -842,7 +805,7 @@ mod tests {
             ],
         };
         let w = spec.resolve().unwrap();
-        let trace = w.generate_trace(&cfg, 11).unwrap();
+        let trace = w.generate_trace_parallel(&cfg, 11, &Pool::new(1)).unwrap();
         assert_eq!(trace.app(), "mix(blend)");
         let fe = SyntheticApp::minife().generate(&cfg, 11);
         let qmc = SyntheticApp::miniqmc().generate(&cfg, 11);
@@ -859,9 +822,9 @@ mod tests {
             }
         }
         assert!(from_fe > 5 && from_qmc > 5, "{from_fe} vs {from_qmc}");
-        // Parallel blending is bit-identical.
-        let par = w.generate_trace_parallel(&cfg, 11, &Pool::new(3)).unwrap();
-        assert_eq!(trace, par);
+        // Blending does not depend on the pool size.
+        let team = w.generate_trace_parallel(&cfg, 11, &Pool::new(3)).unwrap();
+        assert_eq!(trace, team);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The refactor's acceptance bar, pinned property-style:
 //!
 //! * `WorkloadSpec::Named` is **bit-identical** to the legacy
-//!   `SyntheticApp::by_name` path — traces (serial and pool-parallel) and
-//!   scenario rank-arrival sets alike, for any app, seed and campaign
-//!   shape;
+//!   `SyntheticApp::by_name` path — traces (on one thread and on any
+//!   pool, against the pool-free `SyntheticApp::generate`) and scenario
+//!   rank-arrival sets alike, for any app, seed and campaign shape;
 //! * a single-component `Mixture` is bit-identical to its underlying spec
 //!   (samples and arrivals; only the trace label differs, by design);
-//! * mixture blending commutes with pool-parallel generation.
+//! * mixture blending does not depend on the pool size.
 
 use ebird_cluster::{
     JobConfig, MixtureComponent, SyntheticApp, Workload, WorkloadSpec, BUILTIN_WORKLOAD_NAMES,
@@ -41,13 +41,12 @@ proptest! {
         let resolved = spec.resolve().unwrap();
         let legacy = SyntheticApp::by_name(name).unwrap();
 
-        let via_spec = resolved.generate_trace(&cfg, seed).unwrap();
         let via_legacy = legacy.generate(&cfg, seed);
-        prop_assert_eq!(&via_spec, &via_legacy);
-
-        let pool = Pool::new(workers);
-        let via_spec_par = resolved.generate_trace_parallel(&cfg, seed, &pool).unwrap();
-        prop_assert_eq!(&via_spec_par, &via_legacy);
+        for workers in [1, workers] {
+            let pool = Pool::new(workers);
+            let via_spec = resolved.generate_trace_parallel(&cfg, seed, &pool).unwrap();
+            prop_assert_eq!(&via_spec, &via_legacy);
+        }
 
         // The scenario path's arrivals: raw f64 draws, rank by rank,
         // exactly the pre-engine `process_iteration_ms` loop.
@@ -81,8 +80,9 @@ proptest! {
                 spec: underlying.clone(),
             }],
         };
-        let via_mixture = mixture.resolve().unwrap().generate_trace(&cfg, seed).unwrap();
-        let via_underlying = underlying.resolve().unwrap().generate_trace(&cfg, seed).unwrap();
+        let pool = Pool::new(1);
+        let via_mixture = mixture.resolve().unwrap().generate_trace_parallel(&cfg, seed, &pool).unwrap();
+        let via_underlying = SyntheticApp::by_name(name).unwrap().generate(&cfg, seed);
         // Labels differ by design (`mix(solo)` vs the app name); the
         // samples must be the same bytes.
         prop_assert_eq!(via_mixture.samples(), via_underlying.samples());
@@ -126,9 +126,9 @@ proptest! {
             ],
         };
         let resolved = mixture.resolve().unwrap();
-        let serial = resolved.generate_trace(&cfg, seed).unwrap();
+        let one = resolved.generate_trace_parallel(&cfg, seed, &Pool::new(1)).unwrap();
         let pool = Pool::new(workers);
-        let parallel = resolved.generate_trace_parallel(&cfg, seed, &pool).unwrap();
-        prop_assert_eq!(serial, parallel);
+        let team = resolved.generate_trace_parallel(&cfg, seed, &pool).unwrap();
+        prop_assert_eq!(one, team);
     }
 }

@@ -96,12 +96,6 @@ pub fn ns_to_ms(ns: u64) -> f64 {
     ns as f64 / 1.0e6
 }
 
-/// Converts nanoseconds to microseconds as `f64` (histogram bin widths are µs).
-#[inline]
-pub fn ns_to_us(ns: u64) -> f64 {
-    ns as f64 / 1.0e3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +158,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(ns_to_ms(1_500_000), 1.5);
-        assert_eq!(ns_to_us(1_500), 1.5);
         assert_eq!(ns_to_ms(0), 0.0);
     }
 }

@@ -94,19 +94,23 @@ impl TraceShape {
         )
     }
 
+    /// Decodes a flat process-iteration index in `0..process_iterations()`
+    /// (trace order: trial-major, iteration innermost) into
+    /// `(trial, rank, iteration)`.
+    pub fn unit_coords(&self, unit: usize) -> (usize, usize, usize) {
+        let iteration = unit % self.iterations;
+        let rest = unit / self.iterations;
+        (rest / self.ranks, rest % self.ranks, iteration)
+    }
+
     /// Inverse of [`flat`](TraceShape::flat).
     pub fn unflat(&self, flat: usize) -> SampleIndex {
-        let thread = flat % self.threads;
-        let rest = flat / self.threads;
-        let iteration = rest % self.iterations;
-        let rest = rest / self.iterations;
-        let rank = rest % self.ranks;
-        let trial = rest / self.ranks;
+        let (trial, rank, iteration) = self.unit_coords(flat / self.threads);
         SampleIndex {
             trial,
             rank,
             iteration,
-            thread,
+            thread: flat % self.threads,
         }
     }
 }
@@ -481,8 +485,9 @@ mod tests {
         let count = tr.iter_process_iterations().count();
         assert_eq!(count, 24);
         let mut seen = std::collections::HashSet::new();
-        for (t, r, i, _) in tr.iter_process_iterations() {
+        for (unit, (t, r, i, _)) in tr.iter_process_iterations().enumerate() {
             assert!(seen.insert((t, r, i)));
+            assert_eq!(tr.shape().unit_coords(unit), (t, r, i), "trace order");
         }
     }
 }

@@ -86,10 +86,7 @@ pub fn group_coords(
         AggregationLevel::Application => (None, None, None),
         AggregationLevel::ApplicationIteration => (None, None, Some(group)),
         AggregationLevel::ProcessIteration => {
-            let iteration = group % shape.iterations;
-            let rest = group / shape.iterations;
-            let rank = rest % shape.ranks;
-            let trial = rest / shape.ranks;
+            let (trial, rank, iteration) = shape.unit_coords(group);
             (Some(trial), Some(rank), Some(iteration))
         }
     }

@@ -113,7 +113,7 @@ impl HistogramSnapshot {
     }
 
     /// Fold `other` into `self` — per-bucket saturating add, exactly
-    /// associative and commutative (the `stats::reduce` merge discipline).
+    /// associative and commutative.
     pub fn merge_with(&mut self, other: &Self) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine = mine.saturating_add(*theirs);

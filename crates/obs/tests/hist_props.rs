@@ -1,5 +1,5 @@
-//! Property tests for the histogram algebra, mirroring the
-//! `stats::reduce` equivalence style: whatever the observations and
+//! Property tests for the histogram algebra, in the style of the
+//! `Moments::merge` equivalence tests: whatever the observations and
 //! however they are split across shards, merging must behave like one
 //! histogram, obey the monoid laws exactly, and quantile estimates must
 //! stay inside their proven bucket bounds.

@@ -415,11 +415,6 @@ impl HierarchicalFabric {
         rank / self.ranks_per_node
     }
 
-    /// The spine-tapered uplink model every hop is priced with.
-    pub fn effective_uplink(&self) -> &LinkModel {
-        &self.uplink_effective
-    }
-
     /// Read-only view of one rank's NIC.
     pub fn nic(&self, rank: usize) -> &SerialLink {
         &self.nics[rank]

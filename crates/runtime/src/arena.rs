@@ -1,13 +1,11 @@
 //! Per-worker scratch arenas for fork/join teams.
 //!
-//! The engine's parallel fast paths used to allocate fresh scratch (sort
-//! buffers, weight caches, simulation state) inside every region body —
-//! once per worker *per call* — which is exactly the task-indirection tax
-//! the paper's fork/join measurements attribute to naive runtimes. A
-//! [`WorkerArenas`] owns one scratch value per team member for the lifetime
-//! of the analysis, so a worker re-entering a region locks its own
-//! (uncontended) slot and finds its buffers already warm from the previous
-//! cell, trace, or bench repeat.
+//! A stage body needs scratch (sort buffers, weight caches, simulation
+//! state) that is expensive to build and cheap to reuse. A [`WorkerArenas`]
+//! owns one scratch value per team member for the lifetime of the analysis,
+//! so a member entering a region locks its own (uncontended) slot and finds
+//! its buffers already warm from the previous cell, trace, or repeat — at
+//! every team size, a one-member team included.
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -17,7 +15,7 @@ use parking_lot::{Mutex, MutexGuard};
 /// mutex is uncontended — it exists to make the aggregate `Sync` so region
 /// closures (which are `Fn` and shared across the team) can reach their
 /// member's scratch mutably. Outside a region, [`WorkerArenas::get_mut`]
-/// reaches a slot without locking at all.
+/// inspects a slot without locking at all.
 #[derive(Debug)]
 pub struct WorkerArenas<T> {
     slots: Vec<Mutex<T>>,
@@ -54,8 +52,8 @@ impl<T> WorkerArenas<T> {
         self.slots[thread].lock()
     }
 
-    /// Direct access to a slot through `&mut self` (no locking); for serial
-    /// paths and post-region inspection.
+    /// Direct access to a slot through `&mut self` (no locking); for
+    /// post-region inspection.
     pub fn get_mut(&mut self, thread: usize) -> &mut T {
         self.slots[thread].get_mut()
     }

@@ -14,7 +14,9 @@
 //! | `nowait` + per-thread exit stamps | [`Pool::timed_region`] |
 //!
 //! Only the default static schedule is implemented: it is the one the
-//! paper's applications use (see [`schedule`]).
+//! paper's applications use (see [`schedule`]). Fork/join itself is written
+//! once — every entry in the table is an adapter over one private primitive
+//! in [`pool`], and a one-member team runs its body inline on the caller.
 //!
 //! **Substitution note:** OpenMP keeps one thread team alive for the whole
 //! program; [`Pool`] spawns scoped threads per region. The paper's Listing 1

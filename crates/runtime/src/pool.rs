@@ -1,11 +1,15 @@
 //! The fork/join pool: scoped thread teams with OpenMP-like work sharing.
 //!
-//! [`Pool::region`] forks a team of `n` threads (the calling thread is member
-//! 0, as in OpenMP), runs the closure on every member, and joins. Work-sharing
-//! variants layer loop scheduling on top; `timed_*` variants add the paper's
-//! Listing-1 instrumentation: a team barrier, per-thread enter stamps, the
-//! thread's loop share, a per-thread exit stamp (`nowait` — no barrier before
-//! it), then the join.
+//! Fork/join is written once, in a private primitive: one payload per team
+//! member in, the body run on every member (the calling thread is member 0,
+//! as in OpenMP), each member's value out in thread order at the join. A
+//! one-member team runs the body inline on the caller — no thread is
+//! spawned — so every pool size runs the same code. [`Pool::region`], the
+//! work-sharing variants (static loop, disjoint `&mut` blocks, reduction)
+//! and [`Pool::service`] are adapters that choose the payloads; `timed_*`
+//! variants add the paper's Listing-1 instrumentation: a team barrier,
+//! per-thread enter stamps, the thread's loop share, a per-thread exit stamp
+//! (`nowait` — no barrier before it), then the join.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -18,10 +22,9 @@ use crate::schedule::static_block;
 
 /// Per-worker busy-time instrumentation for a [`Pool`].
 ///
-/// When attached ([`Pool::with_observer`]), every team-member body — across
-/// *all* fork paths: [`Pool::region`], [`Pool::parallel_chunks_mut`] and
-/// [`Pool::parallel_parts_mut`] — is bracketed with registry time stamps,
-/// accumulating into counters named
+/// When attached ([`Pool::with_observer`]), every team-member body of every
+/// fork is bracketed with registry time stamps, accumulating into counters
+/// named
 /// `pool.{stage}.w{thread}.busy_ns` (per worker) and
 /// `pool.{stage}.busy_ns` (team total). The *stage* label is set by the
 /// caller ([`PoolObserver::set_stage`]) between phases, so one observed
@@ -50,9 +53,8 @@ impl PoolObserver {
     /// Histogram carrying per-fork overhead: for every fork/join the pool
     /// executes, the region's wall time minus member 0's busy time — i.e.
     /// spawn + join + scheduling skew, the cost the paper's Listing 1 is
-    /// built to expose. At `p = 1` every fork runs inline on the calling
-    /// thread, so entries near zero are the direct evidence that the unified
-    /// serial/parallel codepath carries no task indirection.
+    /// built to expose. A one-member team runs inline on the calling thread,
+    /// so its entries are bookkeeping only: near zero.
     pub const FORK_NS: &'static str = "pool.fork.ns";
 
     /// An observer writing into `registry`, with the stage label initially
@@ -121,9 +123,9 @@ impl<'a> Ctx<'a> {
 
 /// A fork/join thread team factory of fixed size.
 ///
-/// Teams are forked per region with `std::thread::scope`, so region closures
-/// may borrow freely from the caller's stack — the idiomatic-safe equivalent
-/// of OpenMP's shared-by-default variables.
+/// Teams are forked per region as scoped threads, so region closures may
+/// borrow freely from the caller's stack — the idiomatic-safe equivalent of
+/// OpenMP's shared-by-default variables.
 #[derive(Debug, Clone)]
 pub struct Pool {
     n: usize,
@@ -137,8 +139,8 @@ impl Pool {
         Pool { n, observer: None }
     }
 
-    /// Attaches a [`PoolObserver`]: every member body in every fork path is
-    /// timed into per-stage/per-worker busy counters.
+    /// Attaches a [`PoolObserver`]: every member body of every fork is timed
+    /// into per-stage/per-worker busy counters.
     pub fn with_observer(mut self, observer: PoolObserver) -> Self {
         self.observer = Some(observer);
         self
@@ -154,56 +156,68 @@ impl Pool {
         self.n
     }
 
-    /// Runs one member body, timing it when an observer is attached.
-    fn run_member<R>(&self, thread: usize, f: impl FnOnce() -> R) -> R {
-        self.run_member_timed(thread, f).0
-    }
-
-    /// [`run_member`](Self::run_member), also returning the member's busy
-    /// time (0 when unobserved) so fork paths can subtract it from the
-    /// region's wall time to get the pure fork/join overhead.
-    fn run_member_timed<R>(&self, thread: usize, f: impl FnOnce() -> R) -> (R, u64) {
-        match &self.observer {
-            None => (f(), 0),
-            Some(o) => {
-                let start = o.registry.now_ns();
-                let r = f();
-                let busy = o.registry.now_ns().saturating_sub(start);
-                o.record(thread, busy);
-                (r, busy)
-            }
-        }
-    }
-
-    /// Stamp taken just before a fork (observed pools only).
-    fn fork_start(&self) -> Option<u64> {
-        self.observer.as_ref().map(|o| o.registry.now_ns())
-    }
-
-    /// Records one fork/join's overhead — region wall time minus member 0's
-    /// busy time — into the [`PoolObserver::FORK_NS`] histogram.
-    fn record_fork(&self, fork_start: Option<u64>, member0_busy_ns: u64) {
-        if let (Some(o), Some(t0)) = (&self.observer, fork_start) {
-            let wall = o.registry.now_ns().saturating_sub(t0);
-            o.fork_ns.record(wall.saturating_sub(member0_busy_ns));
-        }
-    }
-
-    /// Runs `f` inline on the calling thread as a one-member observed
-    /// "region": busy time lands in the stage counters and the (near-zero)
-    /// bookkeeping cost in the [`PoolObserver::FORK_NS`] histogram, exactly
-    /// like a `p = 1` [`region`](Self::region) fork — but with `FnOnce`
-    /// semantics, so serial fast paths holding `&mut` scratch can delegate
-    /// here without `Sync` bounds or interior mutability.
+    /// The fork/join primitive under every public entry: forks one team
+    /// member per payload, runs `body(payload, ctx)` on each, joins, and
+    /// returns the members' values in thread order. Member 0 is the calling
+    /// thread and members `1..` are scoped threads, so a one-member team
+    /// spawns nothing and runs `body` inline on the caller. A member's panic
+    /// resumes on the forking thread once the whole team has joined (the
+    /// scope waits for every member either way).
     ///
-    /// This is the unification hook: at `p = 1` the engine's `*_parallel`
-    /// entry points run the serial loop through this method, keeping the
-    /// profile's per-stage attribution while paying no task indirection.
-    pub fn run_serial<R>(&self, f: impl FnOnce() -> R) -> R {
-        let fork_start = self.fork_start();
-        let (r, busy) = self.run_member_timed(0, f);
-        self.record_fork(fork_start, busy);
-        r
+    /// With an observer attached, this is the one place a member body is
+    /// bracketed into the busy counters and a fork's overhead — region wall
+    /// time minus member 0's busy time — lands in
+    /// [`PoolObserver::FORK_NS`].
+    fn fork_join<P, R, F>(&self, payloads: Vec<P>, body: F) -> Vec<R>
+    where
+        P: Send,
+        R: Send,
+        F: Fn(P, &Ctx<'_>) -> R + Sync,
+    {
+        let n = self.n;
+        assert_eq!(payloads.len(), n, "one payload per team member");
+        let barrier = SenseBarrier::new(n);
+        let now_ns = || self.observer.as_ref().map_or(0, |o| o.registry.now_ns());
+        let member = |thread: usize, payload: P| {
+            let ctx = Ctx {
+                thread,
+                nthreads: n,
+                barrier: &barrier,
+            };
+            let start = now_ns();
+            let value = body(payload, &ctx);
+            let busy = now_ns().saturating_sub(start);
+            if let Some(o) = &self.observer {
+                o.record(thread, busy);
+            }
+            (value, busy)
+        };
+        let fork_start = now_ns();
+        let mut payloads = payloads.into_iter();
+        let first = payloads.next().expect("pool has at least one thread");
+        let (values, busy0) = std::thread::scope(|s| {
+            let member = &member;
+            let spawned: Vec<_> = (1..)
+                .zip(payloads)
+                .map(|(t, payload)| s.spawn(move || member(t, payload).0))
+                .collect();
+            let (value0, busy0) = member(0, first);
+            let mut values = Vec::with_capacity(n);
+            values.push(value0);
+            for handle in spawned {
+                values.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            (values, busy0)
+        });
+        if let Some(o) = &self.observer {
+            let wall = now_ns().saturating_sub(fork_start);
+            o.fork_ns.record(wall.saturating_sub(busy0));
+        }
+        values
     }
 
     /// Runs `f` on every team member concurrently and joins
@@ -212,45 +226,7 @@ impl Pool {
     where
         F: Fn(&Ctx<'_>) + Sync,
     {
-        let barrier = SenseBarrier::new(self.n);
-        let n = self.n;
-        let fork_start = self.fork_start();
-        if n == 1 {
-            let (_, busy) = self.run_member_timed(0, || {
-                f(&Ctx {
-                    thread: 0,
-                    nthreads: 1,
-                    barrier: &barrier,
-                })
-            });
-            self.record_fork(fork_start, busy);
-            return;
-        }
-        let busy0 = std::thread::scope(|s| {
-            for t in 1..n {
-                let barrier = &barrier;
-                let f = &f;
-                let this = &*self;
-                s.spawn(move || {
-                    this.run_member(t, || {
-                        f(&Ctx {
-                            thread: t,
-                            nthreads: n,
-                            barrier,
-                        })
-                    })
-                });
-            }
-            self.run_member_timed(0, || {
-                f(&Ctx {
-                    thread: 0,
-                    nthreads: n,
-                    barrier: &barrier,
-                })
-            })
-            .1
-        });
-        self.record_fork(fork_start, busy0);
+        self.fork_join(vec![(); self.n], |(), ctx| f(ctx));
     }
 
     /// Static-schedule loop: each member executes its contiguous
@@ -278,71 +254,10 @@ impl Pool {
         T: Send,
         F: Fn(&mut [T], Range<usize>, &Ctx<'_>) + Sync,
     {
-        let count = data.len();
-        let n = self.n;
-        // Pre-split into disjoint blocks so no unsafe aliasing is needed.
-        let mut parts: Vec<(&mut [T], Range<usize>)> = Vec::with_capacity(n);
-        let mut rest = data;
-        for t in 0..n {
-            let range = static_block(count, n, t);
-            let (head, tail) = rest.split_at_mut(range.len());
-            parts.push((head, range));
-            rest = tail;
-        }
-        let barrier = SenseBarrier::new(n);
-        let fork_start = self.fork_start();
-        if n == 1 {
-            let (block, range) = parts.pop().expect("one part");
-            let (_, busy) = self.run_member_timed(0, || {
-                body(
-                    block,
-                    range,
-                    &Ctx {
-                        thread: 0,
-                        nthreads: 1,
-                        barrier: &barrier,
-                    },
-                )
-            });
-            self.record_fork(fork_start, busy);
-            return;
-        }
-        let busy0 = std::thread::scope(|s| {
-            let mut iter = parts.into_iter().enumerate();
-            let (_, first) = iter.next().expect("at least one part");
-            for (t, (block, range)) in iter {
-                let barrier = &barrier;
-                let body = &body;
-                let this = &*self;
-                s.spawn(move || {
-                    this.run_member(t, || {
-                        body(
-                            block,
-                            range,
-                            &Ctx {
-                                thread: t,
-                                nthreads: n,
-                                barrier,
-                            },
-                        )
-                    })
-                });
-            }
-            let (block, range) = first;
-            self.run_member_timed(0, || {
-                body(
-                    block,
-                    range,
-                    &Ctx {
-                        thread: 0,
-                        nthreads: n,
-                        barrier: &barrier,
-                    },
-                )
-            })
-            .1
-        });
-        self.record_fork(fork_start, busy0);
+        let part_lens: Vec<usize> = (0..self.n)
+            .map(|t| static_block(data.len(), self.n, t).len())
+            .collect();
+        self.parallel_parts_mut(data, &part_lens, body);
     }
 
     /// Like [`parallel_chunks_mut`](Self::parallel_chunks_mut) but with
@@ -363,8 +278,8 @@ impl Pool {
             data.len(),
             "part lengths must cover data exactly"
         );
-        let n = self.n;
-        let mut parts: Vec<(&mut [T], Range<usize>)> = Vec::with_capacity(n);
+        // Pre-split into disjoint blocks so no unsafe aliasing is needed.
+        let mut parts: Vec<(&mut [T], Range<usize>)> = Vec::with_capacity(self.n);
         let mut rest = data;
         let mut start = 0usize;
         for &len in part_lens {
@@ -373,71 +288,19 @@ impl Pool {
             rest = tail;
             start += len;
         }
-        let barrier = SenseBarrier::new(n);
-        let fork_start = self.fork_start();
-        if n == 1 {
-            let (block, range) = parts.pop().expect("one part");
-            let (_, busy) = self.run_member_timed(0, || {
-                body(
-                    block,
-                    range,
-                    &Ctx {
-                        thread: 0,
-                        nthreads: 1,
-                        barrier: &barrier,
-                    },
-                )
-            });
-            self.record_fork(fork_start, busy);
-            return;
-        }
-        let busy0 = std::thread::scope(|s| {
-            let mut iter = parts.into_iter().enumerate();
-            let (_, first) = iter.next().expect("at least one part");
-            for (t, (block, range)) in iter {
-                let barrier = &barrier;
-                let body = &body;
-                let this = &*self;
-                s.spawn(move || {
-                    this.run_member(t, || {
-                        body(
-                            block,
-                            range,
-                            &Ctx {
-                                thread: t,
-                                nthreads: n,
-                                barrier,
-                            },
-                        )
-                    })
-                });
-            }
-            let (block, range) = first;
-            self.run_member_timed(0, || {
-                body(
-                    block,
-                    range,
-                    &Ctx {
-                        thread: 0,
-                        nthreads: n,
-                        barrier: &barrier,
-                    },
-                )
-            })
-            .1
-        });
-        self.record_fork(fork_start, busy0);
+        self.fork_join(parts, |(block, range), ctx| body(block, range, ctx));
     }
 
     /// Parallel fold-and-merge over `0..count` — the generic reduction the
     /// analysis engine runs its `Moments::merge`-style combines on.
     ///
     /// Each team member folds its contiguous [`static_block`] of indices into
-    /// a local accumulator (`init` → repeated `fold`); the per-member
-    /// partials then merge **in thread order** at the join. The block
-    /// decomposition and merge order are functions of `(count, threads)`
-    /// only, so the result is deterministic for a fixed pool size even when
-    /// `merge` is only associative up to floating-point rounding.
+    /// a local accumulator (`init` → repeated `fold`) and returns it; the
+    /// per-member partials then merge **in thread order** at the join. The
+    /// block decomposition and merge order are functions of
+    /// `(count, threads)` only, so the result is deterministic for a fixed
+    /// pool size even when `merge` is only associative up to floating-point
+    /// rounding.
     pub fn parallel_reduce<T, I, F, M>(&self, count: usize, init: I, fold: F, merge: M) -> T
     where
         T: Send,
@@ -445,19 +308,12 @@ impl Pool {
         F: Fn(T, usize) -> T + Sync,
         M: Fn(T, T) -> T + Sync,
     {
-        let slots: Vec<Mutex<Option<T>>> = (0..self.n).map(|_| Mutex::new(None)).collect();
-        self.region(|ctx| {
-            let mut acc = init();
-            for i in static_block(count, ctx.nthreads(), ctx.thread()) {
-                acc = fold(acc, i);
-            }
-            *slots[ctx.thread()].lock() = Some(acc);
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every member stores its partial"))
-            .reduce(merge)
-            .expect("pool has at least one thread")
+        self.fork_join(vec![(); self.n], |(), ctx| {
+            static_block(count, ctx.nthreads(), ctx.thread()).fold(init(), &fold)
+        })
+        .into_iter()
+        .reduce(merge)
+        .expect("pool has at least one thread")
     }
 
     /// Instrumented region: the paper's Listing 1.
@@ -473,28 +329,6 @@ impl Pool {
         self.region(|ctx| {
             ctx.barrier();
             region.run(iteration, ctx.thread(), || body(ctx));
-        });
-    }
-
-    /// Instrumented static-schedule loop
-    /// (`barrier; stamp; omp for nowait; stamp; join`).
-    pub fn timed_for_static<C, F>(
-        &self,
-        region: &TimedRegion<'_, C>,
-        iteration: usize,
-        count: usize,
-        body: F,
-    ) where
-        C: Clock + ?Sized,
-        F: Fn(usize, &Ctx<'_>) + Sync,
-    {
-        self.region(|ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || {
-                for i in static_block(count, ctx.nthreads(), ctx.thread()) {
-                    body(i, ctx);
-                }
-            });
         });
     }
 
@@ -612,20 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_for_static_measures_work_share() {
-        let pool = Pool::new(2);
-        let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(1, 2);
-        let region = TimedRegion::new(&clock, &coll);
-        let sum = AtomicU64::new(0);
-        pool.timed_for_static(&region, 0, 1000, |i, _| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 499_500);
-        assert_eq!(coll.completeness(), 1.0);
-    }
-
-    #[test]
     fn parts_mut_respects_caller_lengths() {
         let pool = Pool::new(3);
         let mut data = vec![0usize; 10];
@@ -737,7 +557,7 @@ mod tests {
         let mut data = vec![0u8; 4];
         pool.parallel_chunks_mut(&mut data, |_, _, _| {});
         pool.parallel_parts_mut(&mut data, &[3, 1], |_, _, _| {});
-        pool.run_serial(|| {});
+        pool.parallel_reduce(4, || 0usize, |acc, i| acc + i, |a, b| a + b);
 
         let snap = registry.snapshot();
         let forks = snap.histogram(PoolObserver::FORK_NS);
@@ -745,43 +565,99 @@ mod tests {
     }
 
     #[test]
-    fn run_serial_records_busy_time_and_near_zero_fork_overhead() {
-        let registry = Arc::new(ebird_obs::Registry::wall());
+    fn one_member_team_runs_inline_with_one_fork_and_one_busy_entry_per_call() {
+        let clock = Arc::new(ebird_obs::ManualClock::new());
+        let registry = Arc::new(ebird_obs::Registry::with_time(
+            Arc::clone(&clock) as Arc<dyn ebird_obs::TimeSource>
+        ));
         let observer = PoolObserver::new(&registry);
         let pool = Pool::new(1).with_observer(observer.clone());
-
-        observer.set_stage("serial");
-        let mut scratch = [0u64; 8];
-        let out = pool.run_serial(|| {
-            std::thread::sleep(std::time::Duration::from_micros(300));
-            scratch[0] = 9; // FnOnce: &mut captures need no Sync wrapper.
-            scratch[0]
-        });
-        assert_eq!(out, 9);
-
-        let snap = registry.snapshot();
-        let busy = snap.counter(&PoolObserver::worker_counter("serial", 0));
-        assert!(busy >= 100_000, "busy time attributed to the stage: {busy}");
-        let forks = snap.histogram(PoolObserver::FORK_NS);
-        assert_eq!(forks.count(), 1);
-        // The inline path's overhead is bookkeeping only — far below the
-        // body's own run time (which sits in the busy counter, not here).
-        assert!(
-            forks.total() < busy / 2,
-            "inline fork overhead {} vs busy {busy}",
-            forks.total()
-        );
+        let caller = std::thread::current().id();
+        // Every member body: on the calling thread, 700 metered ns long.
+        let member = || {
+            assert_eq!(std::thread::current().id(), caller, "spawned a thread");
+            clock.advance(700);
+        };
+        type Adapter<'a> = (&'static str, &'a dyn Fn(&Pool));
+        let adapters: [Adapter<'_>; 4] = [
+            ("region", &|pool| pool.region(|_| member())),
+            ("chunks", &|pool| {
+                pool.parallel_chunks_mut(&mut [0u8; 3], |block, range, _| {
+                    assert_eq!((block.len(), range), (3, 0..3));
+                    member();
+                })
+            }),
+            ("parts", &|pool| {
+                pool.parallel_parts_mut(&mut [0u8; 3], &[3], |block, range, _| {
+                    assert_eq!((block.len(), range), (3, 0..3));
+                    member();
+                })
+            }),
+            ("reduce", &|pool| {
+                let init = || {
+                    member();
+                    0usize
+                };
+                assert_eq!(pool.parallel_reduce(4, init, |a, i| a + i, |a, b| a + b), 6);
+            }),
+        ];
+        for (calls, (stage, call)) in (1u64..).zip(adapters) {
+            observer.set_stage(stage);
+            call(&pool);
+            let snap = registry.snapshot();
+            let busy = snap.counter(&PoolObserver::worker_counter(stage, 0));
+            assert_eq!(busy, 700, "{stage}: one w0 busy entry");
+            assert_eq!(snap.counter(&PoolObserver::stage_counter(stage)), 700);
+            // The clock only moves inside the body, so the fork's overhead
+            // (wall minus member 0's busy time) is exactly zero.
+            let forks = snap.histogram(PoolObserver::FORK_NS);
+            assert_eq!((forks.count(), forks.total()), (calls, 0), "{stage}");
+        }
+        // Unobserved, the same calls run the same inline path.
+        for (_, call) in adapters {
+            call(&Pool::new(1));
+        }
     }
 
     #[test]
-    fn unobserved_run_serial_is_passthrough() {
+    fn reduce_partials_reach_the_merge_in_thread_order() {
+        for p in [1, 2, 5] {
+            // Each member's partial is its own thread id, learned from the
+            // indices it folds (count = p ⇒ one index per member).
+            let order = Pool::new(p).parallel_reduce(
+                p,
+                Vec::new,
+                |mut acc, i| {
+                    acc.push(i);
+                    acc
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            );
+            assert_eq!(order, (0..p).collect::<Vec<_>>(), "p = {p}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_member_surfaces_on_the_forking_thread_after_the_team_joined() {
         let pool = Pool::new(4);
-        let mut hits = 0u32;
-        let r = pool.run_serial(|| {
-            hits += 1;
-            hits
-        });
-        assert_eq!((r, hits), (1, 1));
+        let finished = AtomicU64::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.region(|ctx| {
+                if ctx.thread() == 2 {
+                    panic!("member 2 failed");
+                }
+                // The survivors outlive the panic: the fork must still wait
+                // for them before it unwinds.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        let panic = caught.expect_err("the member's panic must reach the forking thread");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"member 2 failed"));
+        assert_eq!(finished.load(Ordering::SeqCst), 3, "team joined first");
     }
 
     #[test]

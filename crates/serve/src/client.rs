@@ -427,6 +427,105 @@ pub fn raw_exchange(addr: &str, line: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// Recovery from admission control, against a scripted server: two
+    /// `overloaded` refusals carrying a back-off hint, then a real
+    /// header/rows/footer. Every attempt is a fresh connection carrying the
+    /// same request; the rows arrive once; each sleep honours the hint and
+    /// stays inside what the policy allows.
+    #[test]
+    fn submit_with_retry_rides_out_scripted_refusals() {
+        const HINT_MS: u64 = 30;
+        let policy = RetryPolicy {
+            max_attempts: 5,
+            base_ms: 1,
+            cap_ms: 4,
+        };
+        let rows = [
+            "{\"app\":\"MiniFE\",\"n\":0}",
+            "{\"app\":\"MiniMD\",\"n\":1}",
+        ];
+        let refusal = reply_line(&OverloadedReply {
+            ok: false,
+            overloaded: true,
+            retry_after_ms: HINT_MS,
+            queued: 16,
+            error: "queue saturated".into(),
+        });
+        let mut stream = vec![reply_line(&SubmitHeader {
+            ok: true,
+            cells: rows.len(),
+            cached: 0,
+            coalesced: 0,
+            scheduled: rows.len(),
+        })];
+        stream.extend(rows.map(str::to_string));
+        stream.push(reply_line(&SubmitFooter {
+            done: true,
+            cells: rows.len(),
+            computed: rows.len(),
+            coalesced: 0,
+            cached: 0,
+        }));
+        let script = [refusal.clone(), refusal, stream.join("\n")];
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Answers one connection per script entry; returns each request
+        // line with the time it arrived.
+        let server = std::thread::spawn(move || {
+            script.map(|reply| {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut request = String::new();
+                BufReader::new(conn.try_clone().unwrap())
+                    .read_line(&mut request)
+                    .unwrap();
+                let arrived = Instant::now();
+                conn.write_all(format!("{reply}\n").as_bytes()).unwrap();
+                (request, arrived)
+            })
+        });
+
+        let mut seen = Vec::new();
+        let source = MatrixSource::Preset("smoke".into());
+        let outcome = submit_with_retry(&addr, &source, 0, &policy, |row| {
+            seen.push(row.to_string());
+        })
+        .expect("the third attempt is admitted");
+        let attempts = server.join().unwrap();
+
+        assert_eq!(outcome.rows, rows, "rows returned");
+        assert_eq!(
+            seen, rows,
+            "refused attempts deliver no row, the last each once"
+        );
+        assert_eq!(outcome.footer.computed, rows.len());
+        // Three attempts (the listener is gone: a fourth would have failed
+        // to connect), each the same request.
+        assert!(attempts
+            .iter()
+            .all(|(request, _)| *request == attempts[0].0));
+        for pair in attempts.windows(2) {
+            let slept = pair[1].1.duration_since(pair[0].1);
+            assert!(slept >= Duration::from_millis(HINT_MS), "{slept:?}");
+        }
+        // What the policy allows: the larger of its own (capped) backoff
+        // and the server's hint, plus at most half of that as jitter.
+        for retry in 0..4 {
+            for seed in [0, 1, 0x9e37_79b9, u64::MAX] {
+                let own = (1u64 << retry).min(policy.cap_ms);
+                let hinted = policy.delay(retry, HINT_MS, seed).as_millis() as u64;
+                assert!(
+                    (HINT_MS..HINT_MS + HINT_MS / 2).contains(&hinted),
+                    "{hinted}"
+                );
+                let unhinted = policy.delay(retry, 0, seed).as_millis() as u64;
+                assert!((own..=own + own / 2).contains(&unhinted), "{unhinted}");
+            }
+        }
+    }
 
     /// Every counter the server reports must appear in the rendered status
     /// block. Sentinel values are pairwise substring-free, so a match can

@@ -6,7 +6,7 @@
 //! scenario matrix:
 //!
 //! ```text
-//! apps (arrival shapes) × strategies × network models × noise regimes × ranks
+//! workloads (arrival shapes) × strategies × network models × noise regimes × ranks
 //! ```
 //!
 //! pricing every cell through the unified delivery kernel
@@ -24,27 +24,22 @@
 //! The matrix itself is plain serde data: load one from JSON with
 //! `--matrix`, or use the built-in presets ([`ScenarioMatrix::preset`]:
 //! `full`, `smoke`, `topology`, `topology-smoke`, `workload`,
-//! `workload-smoke`). Both variable axes are named two ways:
+//! `workload-smoke`). Each variable axis has one spelling:
 //!
-//! **Network models:**
-//! * the legacy `links` axis — link-model names priced as a flat contended
-//!   fabric at the matrix's `contention` (old matrix JSON keeps loading and
-//!   produces the same rows);
-//! * the `models` axis — [`NetModelSpec`] entries carrying their own
-//!   parameters (`{"Hierarchical":{...}}`, `{"LogGP":{...}}`,
-//!   `{"Fabric":{...}}`).
-//!
-//! **Workloads (arrival shapes):**
-//! * the legacy `apps` axis — calibrated synthetic apps by name, exactly as
-//!   before (old matrix JSON keeps loading and produces byte-identical
-//!   rows);
-//! * the `workloads` axis — [`WorkloadSpec`] entries: named apps, full
-//!   inline [`AppModel`](ebird_cluster::synthetic::AppModel)s, metered
-//!   real-kernel runs (`{"RealKernel":{"app":"MiniFE"}}`), and weighted
-//!   mixtures. `apps` enumerate first, preserving historical row order.
+//! * **`models`** — [`NetModelSpec`] entries carrying their own parameters
+//!   (`{"Fabric":{...}}`, `{"Hierarchical":{...}}`, `{"LogGP":{...}}`);
+//! * **`workloads`** — [`WorkloadSpec`] entries: named apps, full inline
+//!   [`AppModel`](ebird_cluster::synthetic::AppModel)s, metered real-kernel
+//!   runs (`{"RealKernel":{"app":"MiniFE"}}`), and weighted mixtures.
 //!   Real-kernel entries pair only with the `baseline` noise regime (they
 //!   are measured, not modelled); [`ScenarioMatrix::resolve`] rejects
 //!   other combinations.
+//!
+//! Matrix JSON written before those axes existed — `apps` (names) and
+//! `links` (link names priced as a flat fabric at the matrix's
+//! `contention`) — still loads: deserialization folds each legacy entry
+//! into the spec it always meant, ahead of the explicit specs, so old files
+//! produce the same rows in the same order.
 //!
 //! Pricing has one definition, [`price_group`], and one unit of work, the
 //! **group**: the cells that share a (workload, noise, ranks, threads,
@@ -79,7 +74,7 @@ use std::time::Duration;
 use ebird_cluster::synthetic::{AppModel, Phase};
 use ebird_cluster::{
     run_delivery_campaign, MixtureComponent, NoiseRegime, RealKernelParams, ResolvedWorkload,
-    Workload, WorkloadSpec,
+    Workload, WorkloadSpec, BUILTIN_WORKLOAD_NAMES,
 };
 use ebird_core::DEFAULT_SEED;
 use ebird_partcomm::{run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy};
@@ -92,41 +87,23 @@ pub use ebird_partcomm::link_by_name;
 /// genuinely dropped partition, not scheduler jitter, can expire it.
 pub const DEFAULT_DEADLINE_MS: f64 = 10_000.0;
 
-/// Serde default hook for [`ScenarioMatrix::deadline_ms`] — matrices saved
-/// before the field existed load with the historical 10 s deadline.
+/// Serde default hook for `deadline_ms` — matrices saved before the field
+/// existed load with the historical 10 s deadline.
 fn default_deadline_ms() -> f64 {
     DEFAULT_DEADLINE_MS
 }
 
 /// A scenario sweep definition — every axis of the campaign as data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioMatrix {
-    /// Legacy workload axis: calibrated application arrival shapes by name
-    /// (`MiniFE`, `MiniMD`, `MiniQMC`, case-insensitive). Kept
-    /// serde-defaulted so matrices may use `apps`,
-    /// [`workloads`](Self::workloads), or both (apps enumerate first,
-    /// preserving historical row order).
-    #[serde(default)]
-    pub apps: Vec<String>,
-    /// Workloads as data: each [`WorkloadSpec`] names any arrival shape —
+    /// The workload axis: each [`WorkloadSpec`] names an arrival shape —
     /// built-in apps, inline synthetic models, metered real-kernel runs,
-    /// weighted mixtures. Serde-defaulted so matrix JSON saved before the
-    /// field existed still loads.
-    #[serde(default)]
+    /// weighted mixtures.
     pub workloads: Vec<WorkloadSpec>,
     /// Delivery strategies to price.
     pub strategies: Vec<Strategy>,
-    /// Legacy network-model axis: link models by name (`omni-path`,
-    /// `high-latency`), each priced as a flat contended fabric at
-    /// [`contention`](Self::contention). Kept serde-defaulted so matrices
-    /// may use `links`, [`models`](Self::models), or both (links enumerate
-    /// first, preserving historical row order).
-    #[serde(default)]
-    pub links: Vec<String>,
-    /// Network models as data: each [`NetModelSpec`] carries its own
-    /// topology parameters. Serde-defaulted so matrix JSON saved before the
-    /// field existed still loads.
-    #[serde(default)]
+    /// The network-model axis: each [`NetModelSpec`] carries its own
+    /// topology parameters.
     pub models: Vec<NetModelSpec>,
     /// Noise regimes by label (`baseline`, `laggard`, `turbulent`,
     /// `contaminated`).
@@ -137,9 +114,9 @@ pub struct ScenarioMatrix {
     pub threads: usize,
     /// Buffer bytes each rank delivers.
     pub bytes_per_rank: usize,
-    /// Injection-rate contention coefficient ∈ [0, 1] applied to the legacy
-    /// [`links`](Self::links) axis ([`models`](Self::models) entries carry
-    /// their own contention parameters).
+    /// Injection-rate contention coefficient ∈ [0, 1] of the flat fabrics
+    /// that legacy `links` entries of matrix JSON fold into; echoed in every
+    /// row. [`models`](Self::models) entries carry their own.
     pub contention: f64,
     /// Which synthetic iteration supplies the arrivals (mid-campaign keeps
     /// MiniMD in its steady phase).
@@ -149,9 +126,81 @@ pub struct ScenarioMatrix {
     /// Delivery-campaign deadline in milliseconds: how long each receiver
     /// waits for its partitions before reporting the pair failed. Defaults
     /// to [`DEFAULT_DEADLINE_MS`] when absent from matrix JSON.
-    #[serde(default = "default_deadline_ms")]
     pub deadline_ms: f64,
 }
+
+/// Matrix JSON as it arrives: [`ScenarioMatrix`]'s fields plus the two
+/// legacy name axes, `apps` and `links`, that older files spell the
+/// workload and network-model axes with.
+#[derive(Deserialize)]
+struct MatrixWire {
+    #[serde(default)]
+    apps: Vec<String>,
+    #[serde(default)]
+    workloads: Vec<WorkloadSpec>,
+    strategies: Vec<Strategy>,
+    #[serde(default)]
+    links: Vec<String>,
+    #[serde(default)]
+    models: Vec<NetModelSpec>,
+    noise: Vec<String>,
+    ranks: Vec<usize>,
+    threads: usize,
+    bytes_per_rank: usize,
+    contention: f64,
+    iteration: usize,
+    seed: u64,
+    #[serde(default = "default_deadline_ms")]
+    deadline_ms: f64,
+}
+
+impl Deserialize for ScenarioMatrix {
+    /// Folds the legacy axes into today's: each `apps` name is the
+    /// [`WorkloadSpec::Named`] it always resolved to and each `links` name a
+    /// flat [`NetModelSpec::Fabric`] at the matrix's `contention`, legacy
+    /// entries first — the order (and so the rows) old files always had.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let wire = MatrixWire::from_value(value)?;
+        let mut workloads = named_workloads(wire.apps);
+        workloads.extend(wire.workloads);
+        let mut models = flat_fabrics(wire.links, wire.contention);
+        models.extend(wire.models);
+        Ok(ScenarioMatrix {
+            workloads,
+            strategies: wire.strategies,
+            models,
+            noise: wire.noise,
+            ranks: wire.ranks,
+            threads: wire.threads,
+            bytes_per_rank: wire.bytes_per_rank,
+            contention: wire.contention,
+            iteration: wire.iteration,
+            seed: wire.seed,
+            deadline_ms: wire.deadline_ms,
+        })
+    }
+}
+
+/// The calibrated apps `names`, as workload-axis entries.
+fn named_workloads<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Vec<WorkloadSpec> {
+    let named = |name: S| WorkloadSpec::Named { name: name.into() };
+    names.into_iter().map(named).collect()
+}
+
+/// Flat contended fabrics over the named `links`, as model-axis entries.
+fn flat_fabrics<S: Into<String>>(
+    links: impl IntoIterator<Item = S>,
+    contention: f64,
+) -> Vec<NetModelSpec> {
+    let fabric = |link: S| NetModelSpec::Fabric {
+        link: link.into(),
+        contention,
+    };
+    links.into_iter().map(fabric).collect()
+}
+
+/// Contention coefficient of every preset's flat fabrics.
+const PRESET_CONTENTION: f64 = 0.5;
 
 /// The built-in preset names, in the order [`ScenarioMatrix::preset`]
 /// advertises them.
@@ -208,9 +257,9 @@ fn ramp_steady_model() -> AppModel {
     }
 }
 
-/// The workload axis the `workload` presets sweep: one spec per
-/// [`WorkloadSpec`] variant beyond the legacy named apps — an inline
-/// synthetic model, a metered real-kernel run, and a weighted mixture.
+/// The workload axis the `workload` presets sweep beside the named apps:
+/// one spec per other [`WorkloadSpec`] variant — an inline synthetic model,
+/// a metered real-kernel run, and a weighted mixture.
 fn preset_workload_axis() -> Vec<WorkloadSpec> {
     vec![
         WorkloadSpec::Synthetic {
@@ -245,16 +294,14 @@ impl ScenarioMatrix {
     /// × 3 rank counts = 288 scenarios at paper-like 32-thread ranks.
     pub fn full() -> Self {
         ScenarioMatrix {
-            apps: vec!["MiniFE".into(), "MiniMD".into(), "MiniQMC".into()],
-            workloads: vec![],
+            workloads: named_workloads(BUILTIN_WORKLOAD_NAMES),
             strategies: vec![
                 Strategy::Bulk,
                 Strategy::EarlyBird,
                 Strategy::TimeoutFlush { timeout_ms: 1.0 },
                 Strategy::Binned { bins: 6 },
             ],
-            links: vec!["omni-path".into(), "high-latency".into()],
-            models: vec![],
+            models: flat_fabrics(["omni-path", "high-latency"], PRESET_CONTENTION),
             noise: vec![
                 "baseline".into(),
                 "laggard".into(),
@@ -264,7 +311,7 @@ impl ScenarioMatrix {
             ranks: vec![1, 4, 8],
             threads: 32,
             bytes_per_rank: 8_000_000,
-            contention: 0.5,
+            contention: PRESET_CONTENTION,
             iteration: 25,
             seed: DEFAULT_SEED,
             deadline_ms: DEFAULT_DEADLINE_MS,
@@ -275,7 +322,7 @@ impl ScenarioMatrix {
     /// regimes × 2 rank counts = 48 scenarios at 8-thread ranks.
     pub fn smoke() -> Self {
         ScenarioMatrix {
-            links: vec!["omni-path".into()],
+            models: flat_fabrics(["omni-path"], PRESET_CONTENTION),
             noise: vec!["baseline".into(), "laggard".into()],
             ranks: vec![1, 4],
             threads: 8,
@@ -289,7 +336,6 @@ impl ScenarioMatrix {
     /// 2 rank counts = 96 scenarios at 8-thread ranks.
     pub fn topology() -> Self {
         ScenarioMatrix {
-            links: vec![],
             models: vec![
                 NetModelSpec::Hierarchical {
                     link: "omni-path".into(),
@@ -330,8 +376,11 @@ impl ScenarioMatrix {
     /// which is measured, not modelled.
     pub fn workload() -> Self {
         ScenarioMatrix {
-            workloads: preset_workload_axis(),
-            links: vec!["omni-path".into(), "high-latency".into()],
+            workloads: [
+                named_workloads(BUILTIN_WORKLOAD_NAMES),
+                preset_workload_axis(),
+            ]
+            .concat(),
             noise: vec!["baseline".into()],
             ranks: vec![2, 4],
             threads: 8,
@@ -340,13 +389,13 @@ impl ScenarioMatrix {
         }
     }
 
-    /// The CI workload smoke: the three non-legacy workload specs alone ×
+    /// The CI workload smoke: the three non-named workload specs alone ×
     /// 4 strategies × 1 link × 1 noise regime × 1 rank count = 12
     /// scenarios.
     pub fn workload_smoke() -> Self {
         ScenarioMatrix {
-            apps: vec![],
-            links: vec!["omni-path".into()],
+            workloads: preset_workload_axis(),
+            models: flat_fabrics(["omni-path"], PRESET_CONTENTION),
             ranks: vec![4],
             ..Self::workload()
         }
@@ -374,21 +423,11 @@ impl ScenarioMatrix {
         }
     }
 
-    /// Number of network-model axis entries (legacy links + model specs).
-    fn model_axis_len(&self) -> usize {
-        self.links.len() + self.models.len()
-    }
-
-    /// Number of workload axis entries (legacy apps + workload specs).
-    fn workload_axis_len(&self) -> usize {
-        self.apps.len() + self.workloads.len()
-    }
-
     /// Number of scenarios this matrix spans.
     pub fn len(&self) -> usize {
-        self.workload_axis_len()
+        self.workloads.len()
             * self.strategies.len()
-            * self.model_axis_len()
+            * self.models.len()
             * self.noise.len()
             * self.ranks.len()
     }
@@ -425,62 +464,27 @@ impl ScenarioMatrix {
                 self.deadline_ms
             ));
         }
-        // The workload axis: legacy apps first (as Named specs, labelled by
-        // their config string so historical row labels survive verbatim),
-        // then explicit specs — matrix order within each group.
         let mut noise = Vec::with_capacity(self.noise.len());
         for name in &self.noise {
             let regime =
                 NoiseRegime::parse(name).ok_or_else(|| format!("unknown noise regime `{name}`"))?;
             noise.push(regime);
         }
-        let mut workloads = Vec::with_capacity(self.workload_axis_len());
-        for name in &self.apps {
-            let spec = WorkloadSpec::Named { name: name.clone() };
-            workloads.push(WorkloadAxisEntry {
-                label: name.clone(),
-                resolved: spec.resolve()?,
-                spec,
-            });
-        }
+        let mut workloads = Vec::with_capacity(self.workloads.len());
         for spec in &self.workloads {
-            workloads.push(WorkloadAxisEntry {
-                label: spec.label(),
-                resolved: spec.resolve()?,
-                spec: spec.clone(),
-            });
+            workloads.push((spec.clone(), spec.resolve()?));
         }
         // Every (workload, regime) pairing must be applicable — a
         // real-kernel workload under a non-baseline regime is a config
         // error, surfaced here rather than as a panic mid-campaign.
-        for entry in &workloads {
+        for (_, resolved) in &workloads {
             for &regime in &noise {
-                entry.resolved.with_noise_regime(regime)?;
+                resolved.with_noise_regime(regime)?;
             }
         }
-        // The network-model axis: legacy links first (as flat contended
-        // fabrics at the matrix contention), then explicit specs — matrix
-        // order within each group, so old matrices keep their row order.
-        let mut models = Vec::with_capacity(self.model_axis_len());
-        for name in &self.links {
-            let spec = NetModelSpec::Fabric {
-                link: name.clone(),
-                contention: self.contention,
-            };
-            let resolved = spec.resolve()?;
-            models.push(ModelAxisEntry {
-                label: spec.label(),
-                spec,
-                resolved,
-            });
-        }
+        let mut models = Vec::with_capacity(self.models.len());
         for spec in &self.models {
-            let resolved = spec.resolve()?;
-            models.push(ModelAxisEntry {
-                label: spec.label(),
-                spec: spec.clone(),
-                resolved,
-            });
+            models.push((spec.clone(), spec.resolve()?));
         }
         for &r in &self.ranks {
             if r == 0 {
@@ -514,36 +518,17 @@ impl ScenarioMatrix {
     }
 }
 
-/// One resolved entry of the workload axis: its row label (the config
-/// string for legacy `apps` entries, [`WorkloadSpec::label`] otherwise),
-/// the canonical spec (cache addressing), and the typed handle
-/// (generation/pricing).
-#[derive(Debug, Clone)]
-struct WorkloadAxisEntry {
-    label: String,
-    spec: WorkloadSpec,
-    resolved: ResolvedWorkload,
-}
-
-/// One resolved entry of the network-model axis: its row label, the
-/// canonical spec (cache addressing), and the typed handle (pricing).
-#[derive(Debug, Clone)]
-struct ModelAxisEntry {
-    label: String,
-    spec: NetModelSpec,
-    resolved: ResolvedNetModel,
-}
-
 /// A validated matrix with every name resolved into its typed handle.
 /// Constructed only by [`ScenarioMatrix::resolve`]; downstream code consumes
 /// handles instead of re-looking names up mid-campaign.
 #[derive(Debug, Clone)]
 pub struct ResolvedMatrix {
-    /// The workload axis, matrix order (legacy apps first, then specs).
-    workloads: Vec<WorkloadAxisEntry>,
+    /// The workload axis, matrix order: each canonical spec (cache
+    /// addressing, row label) with its typed handle (pricing).
+    workloads: Vec<(WorkloadSpec, ResolvedWorkload)>,
     strategies: Vec<Strategy>,
-    /// The network-model axis, matrix order (links first, then specs).
-    models: Vec<ModelAxisEntry>,
+    /// The network-model axis, matrix order: spec and typed handle.
+    models: Vec<(NetModelSpec, ResolvedNetModel)>,
     noise: Vec<NoiseRegime>,
     ranks: Vec<usize>,
     threads: usize,
@@ -581,22 +566,23 @@ impl ResolvedMatrix {
     /// [`CellSpec`] and the typed handles needed to price it independently.
     pub fn cells(&self) -> Vec<ResolvedCell> {
         let mut cells = Vec::with_capacity(self.len());
-        for w in &self.workloads {
+        let links: Vec<String> = self.models.iter().map(|(spec, _)| spec.label()).collect();
+        for (workload_spec, resolved) in &self.workloads {
+            let app = workload_spec.label();
             for &regime in &self.noise {
-                let workload = w
-                    .resolved
+                let workload = resolved
                     .with_noise_regime(regime)
                     .expect("pairing validated at resolve");
                 for &ranks in &self.ranks {
-                    for entry in &self.models {
+                    for ((model_spec, model), link) in self.models.iter().zip(&links) {
                         for &strategy in &self.strategies {
                             cells.push(ResolvedCell {
                                 spec: CellSpec {
-                                    app: w.label.clone(),
-                                    workload: w.spec.clone(),
+                                    app: app.clone(),
+                                    workload: workload_spec.clone(),
                                     strategy,
-                                    link: entry.label.clone(),
-                                    model: entry.spec.clone(),
+                                    link: link.clone(),
+                                    model: model_spec.clone(),
                                     noise: regime.label().to_string(),
                                     ranks,
                                     threads: self.threads,
@@ -607,7 +593,7 @@ impl ResolvedMatrix {
                                     deadline_ms: self.deadline_ms,
                                 },
                                 workload: workload.clone(),
-                                model: entry.resolved.clone(),
+                                model: model.clone(),
                             });
                         }
                     }
@@ -627,16 +613,15 @@ impl ResolvedMatrix {
 /// key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellSpec {
-    /// Workload display label (also the row's `app` column; for legacy
-    /// `apps` entries this is the config string as typed).
+    /// Workload display label ([`WorkloadSpec::label`]; also the row's
+    /// `app` column).
     pub app: String,
-    /// The workload, in full (legacy `apps` entries appear as
-    /// [`WorkloadSpec::Named`]).
+    /// The workload, in full.
     pub workload: WorkloadSpec,
     /// Delivery strategy.
     pub strategy: Strategy,
-    /// Network-model display label (also the row's `link` column; for
-    /// legacy `links` entries this is the link name).
+    /// Network-model display label ([`NetModelSpec::label`]; also the row's
+    /// `link` column).
     pub link: String,
     /// The network model, in full.
     pub model: NetModelSpec,
@@ -648,8 +633,8 @@ pub struct CellSpec {
     pub threads: usize,
     /// Buffer bytes per rank.
     pub bytes_per_rank: usize,
-    /// Legacy fabric contention coefficient (feeds `links`-derived models;
-    /// `models` entries carry their own).
+    /// The matrix's contention coefficient (see
+    /// [`ScenarioMatrix::contention`]; `model` carries its own).
     pub contention: f64,
     /// Synthetic iteration supplying the arrivals.
     pub iteration: usize,
@@ -810,8 +795,7 @@ pub struct ScenarioRow {
     pub app: String,
     /// Strategy label (see [`Strategy::label`]).
     pub strategy: String,
-    /// Network-model label (link name for legacy `links` entries,
-    /// [`NetModelSpec::label`] otherwise).
+    /// Network-model label ([`NetModelSpec::label`]).
     pub link: String,
     /// Noise regime label.
     pub noise: String,
@@ -821,7 +805,7 @@ pub struct ScenarioRow {
     pub threads: usize,
     /// Buffer bytes per rank.
     pub bytes_per_rank: usize,
-    /// Legacy fabric contention coefficient (see [`CellSpec::contention`]).
+    /// The matrix's contention coefficient (see [`CellSpec::contention`]).
     pub contention: f64,
     /// Whole-job completion (ms).
     pub completion_ms: f64,
@@ -970,30 +954,41 @@ mod tests {
         assert_eq!(back, ScenarioMatrix::smoke());
     }
 
+    /// The smoke campaign as hand-written matrix JSON, its workload and
+    /// network-model axes spelled by `axes` (no `deadline_ms`, like every
+    /// file older than that field).
+    fn smoke_json(axes: [&str; 2]) -> String {
+        format!(
+            r#"{{{},"strategies":["Bulk","EarlyBird",{{"TimeoutFlush":{{"timeout_ms":1.0}}}},{{"Binned":{{"bins":6}}}}],{},"noise":["baseline","laggard"],"ranks":[1,4],"threads":8,"bytes_per_rank":1000000,"contention":0.5,"iteration":25,"seed":{DEFAULT_SEED}}}"#,
+            axes[0], axes[1]
+        )
+    }
+
+    const LEGACY_APPS: &str = r#""apps":["MiniFE","MiniMD","MiniQMC"]"#;
+    const LEGACY_LINKS: &str = r#""links":["omni-path"]"#;
+    const NAMED_WORKLOADS: &str = r#""workloads":[{"Named":{"name":"MiniFE"}},{"Named":{"name":"MiniMD"}},{"Named":{"name":"MiniQMC"}}]"#;
+    const FABRIC_MODELS: &str = r#""models":[{"Fabric":{"link":"omni-path","contention":0.5}}]"#;
+
     #[test]
     fn matrix_json_without_models_field_loads() {
-        // Old-style matrix JSON predates the `models` axis entirely: it must
-        // load with an empty models list and produce the same cells.
-        let mut old_style = serde_json::to_string(&ScenarioMatrix::smoke()).unwrap();
-        let needle = ",\"models\":[]";
-        assert!(old_style.contains(needle), "{old_style}");
-        old_style = old_style.replace(needle, "");
+        // Old-style matrix JSON predates the `models` axis entirely: its
+        // `links` load as flat fabrics at the matrix contention.
+        let old_style = smoke_json([NAMED_WORKLOADS, LEGACY_LINKS]);
         let back: ScenarioMatrix = serde_json::from_str(&old_style).unwrap();
         assert_eq!(back, ScenarioMatrix::smoke());
-        assert!(back.models.is_empty());
         assert_eq!(back.len(), 48);
     }
 
     #[test]
     fn validation_rejects_bad_axes() {
         let mut m = ScenarioMatrix::smoke();
-        m.apps = vec!["hpcg".into()];
+        m.workloads = named_workloads(["hpcg"]);
         assert!(run_matrix(&m, &Pool::new(1)).unwrap_err().contains("hpcg"));
         let mut m = ScenarioMatrix::smoke();
-        m.links = vec!["carrier-pigeon".into()];
+        m.models = flat_fabrics(["carrier-pigeon"], m.contention);
         assert!(run_matrix(&m, &Pool::new(1)).is_err());
         let mut m = ScenarioMatrix::smoke();
-        m.links = vec![];
+        m.models = vec![];
         assert!(run_matrix(&m, &Pool::new(1))
             .unwrap_err()
             .contains("empty axis"));
@@ -1052,7 +1047,7 @@ mod tests {
         assert_eq!(cells[0].spec.strategy, Strategy::Bulk);
         // Strategy is the innermost axis.
         assert_eq!(cells[1].spec.strategy, Strategy::EarlyBird);
-        // Legacy links resolve to flat fabrics at the matrix contention.
+        // The preset's link is a flat fabric at the matrix contention.
         assert_eq!(
             cells[0].spec.model,
             NetModelSpec::Fabric {
@@ -1073,14 +1068,19 @@ mod tests {
 
     #[test]
     fn mixed_links_and_models_enumerate_links_first() {
-        let mut m = ScenarioMatrix::smoke();
-        m.models = vec![NetModelSpec::LogGP {
+        let loggp = NetModelSpec::LogGP {
             latency_ms: 1.0e-3,
             gap_ms: 0.0,
             gap_per_byte_ms: 8.0e-8,
             contention: 0.0,
-        }];
+        };
+        let both = format!(
+            "{LEGACY_LINKS},\"models\":[{}]",
+            serde_json::to_string(&loggp).unwrap()
+        );
+        let m: ScenarioMatrix = serde_json::from_str(&smoke_json([LEGACY_APPS, &both])).unwrap();
         assert_eq!(m.len(), 96); // model axis doubled
+        assert_eq!(m.models[1], loggp);
         let cells = m.resolve().unwrap().cells();
         let strategies = m.strategies.len();
         // Within one (app, noise, ranks) block: links block, then models.
@@ -1156,7 +1156,7 @@ mod tests {
         // One pricing definition, three callers, any split of a matrix into
         // jobs: same inputs, same functions ⇒ identical rows.
         let mut m = ScenarioMatrix::smoke();
-        m.apps = vec!["MiniMD".into()];
+        m.workloads = named_workloads(["MiniMD"]);
         m.noise = vec!["laggard".into()];
         m.ranks = vec![1, 2];
         rows_agree_however_split(&m);
@@ -1197,26 +1197,20 @@ mod tests {
 
     #[test]
     fn matrix_json_without_workloads_field_loads() {
-        // Matrix JSON saved before the workloads axis existed must load
-        // with an empty workloads list and produce the same cells.
-        let mut old_style = serde_json::to_string(&ScenarioMatrix::smoke()).unwrap();
-        let needle = ",\"workloads\":[]";
-        assert!(old_style.contains(needle), "{old_style}");
-        old_style = old_style.replace(needle, "");
+        // Matrix JSON saved before the workloads axis existed names its
+        // workloads under `apps`: they load as `Named` specs.
+        let old_style = smoke_json([LEGACY_APPS, FABRIC_MODELS]);
         let back: ScenarioMatrix = serde_json::from_str(&old_style).unwrap();
         assert_eq!(back, ScenarioMatrix::smoke());
-        assert!(back.workloads.is_empty());
         assert_eq!(back.len(), 48);
     }
 
     #[test]
     fn mixed_apps_and_workloads_enumerate_apps_first() {
-        let mut m = ScenarioMatrix::smoke();
+        let both = format!(r#"{LEGACY_APPS},"workloads":[{{"RealKernel":{{"app":"MiniQMC"}}}}]"#);
+        let mut m: ScenarioMatrix =
+            serde_json::from_str(&smoke_json([&both, LEGACY_LINKS])).unwrap();
         m.noise = vec!["baseline".into()];
-        m.workloads = vec![WorkloadSpec::RealKernel {
-            app: "MiniQMC".into(),
-            params: RealKernelParams::default(),
-        }];
         assert_eq!(m.len(), 4 * 4 * 2); // workload axis 3 apps + 1 spec
         let cells = m.resolve().unwrap().cells();
         let per_workload = m.strategies.len() * m.ranks.len();
@@ -1237,17 +1231,19 @@ mod tests {
 
     #[test]
     fn case_insensitive_apps_resolve_with_did_you_mean_errors() {
-        // Lowercase legacy names keep working (labelled as typed)...
-        let mut m = ScenarioMatrix::smoke();
-        m.apps = vec!["minife".into()];
+        // Lowercase legacy names keep working, labelled canonically like
+        // the `Named` specs they fold into...
+        let mut m: ScenarioMatrix =
+            serde_json::from_str(&smoke_json([r#""apps":["minife"]"#, LEGACY_LINKS])).unwrap();
+        assert_eq!(m.workloads, named_workloads(["minife"]));
         m.noise = vec!["baseline".into()];
         m.ranks = vec![1];
         m.strategies = vec![Strategy::Bulk];
         let rows = run_matrix(&m, &Pool::new(1)).unwrap();
-        assert_eq!(rows[0].app, "minife");
+        assert_eq!(rows[0].app, "MiniFE");
         // ...and near-misses get a suggestion in the rendered error.
         let mut m = ScenarioMatrix::smoke();
-        m.apps = vec!["minifee".into()];
+        m.workloads = named_workloads(["minifee"]);
         let err = run_matrix(&m, &Pool::new(1)).unwrap_err();
         assert!(err.contains("did you mean `MiniFE`"), "{err}");
     }

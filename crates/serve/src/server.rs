@@ -1074,12 +1074,13 @@ mod tests {
 
     /// 3 groups (one per rank count) × 4 strategies = 12 cells.
     fn three_group_matrix() -> ScenarioMatrix {
-        ScenarioMatrix {
-            apps: vec!["MiniFE".into()],
+        let mut matrix = ScenarioMatrix {
             noise: vec!["baseline".into()],
             ranks: vec![1, 2, 4],
             ..ScenarioMatrix::smoke()
-        }
+        };
+        matrix.workloads.truncate(1); // MiniFE
+        matrix
     }
 
     fn submit_line(matrix: &ScenarioMatrix) -> String {
@@ -1186,6 +1187,82 @@ mod tests {
             handler.join().unwrap().unwrap();
         });
         assert_eq!(tap.lines()[1..13], offline_lines(&matrix)[..]);
+    }
+
+    /// 2 apps × 2 rank counts = 4 groups × 4 strategies = 16 cells; a
+    /// different `bytes_per_rank` makes a disjoint set of cells.
+    fn four_group_matrix(bytes_per_rank: usize) -> ScenarioMatrix {
+        let mut matrix = ScenarioMatrix {
+            noise: vec!["baseline".into()],
+            ranks: vec![1, 2],
+            bytes_per_rank,
+            ..ScenarioMatrix::smoke()
+        };
+        matrix.workloads.truncate(2); // MiniFE, MiniMD
+        matrix
+    }
+
+    #[test]
+    fn a_saturated_queue_refuses_a_submit_whole_and_loses_or_doubles_no_work() {
+        // The bound is exactly one matrix deep and this thread is the only
+        // worker: A's jobs stay queued until it runs them, so B meets a
+        // full queue in every interleaving.
+        let config = ServerConfig {
+            threads: 1,
+            queue_bound: 16,
+            ..ServerConfig::default()
+        };
+        let shared = Shared::new(&config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let (a, b) = (four_group_matrix(1_000_000), four_group_matrix(2_000_000));
+        let submit = |matrix: &ScenarioMatrix, tap: &WireTap| {
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&submit_line(matrix), &shared, &mut writer)
+        };
+        // Waits for the submission's header, then works its four jobs off.
+        let run_queued_jobs = |tap: &WireTap| {
+            tap.wait_for_lines(1);
+            assert_eq!(shared.queue.len(), 16, "{:?}", tap.lines());
+            while let Some(job) = shared.queue.try_pop() {
+                run_job(&shared, job);
+            }
+        };
+        let (tap_a, tap_b, tap_retry) =
+            (WireTap::default(), WireTap::default(), WireTap::default());
+        std::thread::scope(|scope| {
+            let a_handler = scope.spawn(|| submit(&a, &tap_a));
+            tap_a.wait_for_lines(1);
+
+            // B cannot fit behind A: refused whole, with the evidence, and
+            // without a single-flight record or a queued job of its own.
+            submit(&b, &tap_b).unwrap();
+            let refused = tap_b.lines();
+            assert_eq!(refused.len(), 1, "{refused:?}");
+            let refusal: OverloadedReply = serde_json::from_str(&refused[0]).unwrap();
+            assert!(refusal.overloaded && !refusal.ok);
+            assert_eq!(refusal.queued, 16);
+            let status = status_reply(&shared);
+            assert_eq!(
+                (status.overloaded, status.queued, status.inflight_cells),
+                (1, 16, 16),
+                "the refused submit left a trace"
+            );
+
+            run_queued_jobs(&tap_a);
+            a_handler.join().unwrap().unwrap();
+            assert_eq!(tap_a.lines()[1..17], offline_lines(&a)[..]);
+
+            // The drained queue admits B's second attempt.
+            let b_handler = scope.spawn(|| submit(&b, &tap_retry));
+            run_queued_jobs(&tap_retry);
+            b_handler.join().unwrap().unwrap();
+            assert_eq!(tap_retry.lines()[1..17], offline_lines(&b)[..]);
+        });
+        let status = status_reply(&shared);
+        assert_eq!(status.computed, 32, "refusals must not lose or double work");
+        assert_eq!(
+            (status.overloaded, status.queued, status.inflight_cells),
+            (1, 0, 0)
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::net::TcpStream;
 use std::thread::JoinHandle;
 
+use ebird_cluster::WorkloadSpec;
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
 use ebird_serve::{client, MatrixSource, Server, ServerConfig};
@@ -15,7 +16,7 @@ use ebird_serve::{client, MatrixSource, Server, ServerConfig};
 /// 2 apps × 4 strategies × 1 link × 1 noise × 2 rank counts.
 fn tiny_matrix() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::smoke();
-    m.apps = vec!["MiniFE".into(), "MiniMD".into()];
+    m.workloads.truncate(2); // MiniFE, MiniMD
     m.noise = vec!["baseline".into()];
     m.ranks = vec![1, 2];
     m.threads = 4;
@@ -70,7 +71,9 @@ fn malformed_and_unknown_requests_get_error_replies() {
 
     // An invalid inline matrix fails resolution, not the connection.
     let mut bad = tiny_matrix();
-    bad.apps = vec!["hpcg".into()];
+    bad.workloads = vec![WorkloadSpec::Named {
+        name: "hpcg".into(),
+    }];
     let err = client::submit(&addr, &MatrixSource::Inline(bad), 0).unwrap_err();
     assert!(err.contains("invalid matrix"), "{err}");
     assert!(err.contains("hpcg"), "{err}");
@@ -190,7 +193,7 @@ fn partially_cached_groups_compute_exactly_the_missing_cells() {
     });
     let half = tiny_matrix();
     let mut whole = tiny_matrix();
-    whole.links = vec!["omni-path".into(), "high-latency".into()];
+    whole.models = ScenarioMatrix::full().models; // omni-path + high-latency
     let offline: Vec<String> = run_matrix(&whole, &Pool::new(2))
         .unwrap()
         .iter()

@@ -21,8 +21,6 @@
 //! * [`dist`] — seeded sampling distributions (normal, log-normal, exponential,
 //!   mixtures) used by the synthetic cluster models; independent of `rand` so
 //!   the crate stays dependency-free.
-//! * [`reduce`] — mergeable partial statistics ([`Moments::merge`]-based) for
-//!   the parallel analysis engine's reductions.
 //! * [`sort`] — LSD radix sort of finite `f64` samples over a monotone `u64`
 //!   key mapping, plus k-way merge of sorted sub-groups; bit-identical to a
 //!   stable `partial_cmp` sort and allocation-free with a reused scratch.
@@ -45,7 +43,6 @@ pub mod dist;
 pub mod histogram;
 pub mod normality;
 pub mod percentile;
-pub mod reduce;
 pub mod sort;
 pub mod special;
 pub mod timeseries;

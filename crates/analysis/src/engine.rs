@@ -212,9 +212,9 @@ pub fn campaign_moments(trace: &TimingTrace, pool: &Pool) -> Moments {
     )
 }
 
-/// The four canonical delivery strategies the sweeps price for a
-/// `threads`-partition buffer: bulk, early-bird, a 1 ms timeout flush, and
-/// √threads bins.
+/// The four canonical delivery strategies — the workspace's one definition
+/// of them — that the sweep prices for a `threads`-partition buffer: bulk,
+/// early-bird, a 1 ms timeout flush, and √threads bins.
 pub fn canonical_strategies(threads: usize) -> [Strategy; 4] {
     let bins = (threads as f64).sqrt().round().max(1.0) as usize;
     [

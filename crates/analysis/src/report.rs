@@ -7,10 +7,12 @@
 
 use std::fmt::Write as _;
 
-use ebird_stats::percentile::PercentileSummary;
+use ebird_partcomm::DeliveryOutcome;
+use ebird_stats::percentile::{median, PercentileSummary};
 use serde::Serialize;
 
 use crate::figures::FigureHistogram;
+use crate::laggard::{ArrivalClass, LaggardCensus};
 use crate::normality::Table1;
 use crate::reclaim::ReclaimMetrics;
 
@@ -71,6 +73,94 @@ pub fn render_metrics(
         "  mean max arrival      {:>10.2} ms   over {} process-iterations",
         measured.mean_max_ms, measured.iterations
     );
+    out
+}
+
+/// Renders one application × link block of the early-bird feasibility table
+/// from the delivery sweep's per-process-iteration outcome rows
+/// ([`delivery_sweep_parallel_with_arenas`](crate::engine::delivery_sweep_parallel_with_arenas))
+/// and the trace scan's census of the same trace (both in trace order, so
+/// they zip). Process-iterations before `from_iteration` are left out (an
+/// application's start-up phase).
+///
+/// One row per strategy the sweep priced: the median exposed cost and
+/// median message count over the process-iterations, then how many of them
+/// that strategy made *cheaper than bulk* (its exposed cost below bulk's on
+/// the same arrivals) — over all of them, over the laggard-containing ones
+/// and over the laggard-free ones, each as `share% (wins/units)`. With no
+/// process-iteration at or after `from_iteration` the block is its head
+/// line alone.
+///
+/// # Panics
+/// If `outcomes` and `census` do not cover the same process-iterations.
+pub fn render_earlybird(
+    app: &str,
+    link: &str,
+    outcomes: &[[DeliveryOutcome; 4]],
+    census: &LaggardCensus,
+    from_iteration: usize,
+) -> String {
+    assert_eq!(
+        outcomes.len(),
+        census.iterations.len(),
+        "one outcome row per classified process-iteration"
+    );
+    let units: Vec<(&[DeliveryOutcome; 4], bool)> = outcomes
+        .iter()
+        .zip(&census.iterations)
+        .filter(|(_, c)| c.iteration >= from_iteration)
+        .map(|(row, c)| (row, c.class == ArrivalClass::Laggard))
+        .collect();
+    let laggard_units = units.iter().filter(|(_, laggard)| *laggard).count();
+    let calm_units = units.len() - laggard_units;
+    let share = |wins: usize, of: usize| {
+        if of == 0 {
+            return "     - (0/0)".to_string();
+        }
+        format!("{:>5.1}% ({wins}/{of})", 100.0 * wins as f64 / of as f64)
+    };
+    let mut out = String::new();
+    let _ = write!(out, "  {app} over {link}");
+    if from_iteration > 0 {
+        let _ = write!(out, ", iterations ≥ {from_iteration}");
+    }
+    let _ = writeln!(
+        out,
+        ": {} process-iterations ({laggard_units} laggard-containing, {calm_units} laggard-free)",
+        units.len()
+    );
+    let Some((first, _)) = units.first() else {
+        return out;
+    };
+    let _ = writeln!(
+        out,
+        "    {:<18}{:>17}{:>13}   {:<22}{:<22}laggard-free",
+        "strategy", "median exposed ms", "median msgs", "cheaper than bulk", "with a laggard"
+    );
+    for s in 0..4 {
+        let (mut wins, mut laggard_wins) = (0, 0);
+        for (row, laggard) in &units {
+            if row[s].exposed_ms() < row[0].exposed_ms() {
+                wins += 1;
+                laggard_wins += usize::from(*laggard);
+            }
+        }
+        let exposed: Vec<f64> = units.iter().map(|(row, _)| row[s].exposed_ms()).collect();
+        let messages: Vec<f64> = units
+            .iter()
+            .map(|(row, _)| row[s].messages as f64)
+            .collect();
+        let _ = writeln!(
+            out,
+            "    {:<18}{:>17.4}{:>13.1}   {:<22}{:<22}{}",
+            first[s].strategy.label(),
+            median(&exposed).expect("units is non-empty and outcomes are finite"),
+            median(&messages).expect("units is non-empty"),
+            share(wins, units.len()),
+            share(laggard_wins, laggard_units),
+            share(wins - laggard_wins, calm_units),
+        );
+    }
     out
 }
 
@@ -188,6 +278,108 @@ mod tests {
         assert!(s.contains("0.0410"));
         assert!(s.contains("paper 0.1928"));
         assert!(s.contains("100 process-iterations"));
+    }
+
+    #[test]
+    fn earlybird_block_counts_what_a_hand_count_does() {
+        use crate::engine::{
+            canonical_strategies, delivery_sweep_parallel_with_arenas, EngineArenas,
+        };
+        use crate::scan::trace_scan_parallel_with_arenas;
+        use ebird_partcomm::{LinkModel, SerialLink};
+        use ebird_runtime::Pool;
+
+        // 1 × 2 × 5 × 16: every thread arrives at 10 ms, except that in four
+        // (rank, iteration) units thread 3 is a laggard at 20 ms. One of the
+        // four sits in iteration 0, which `from_iteration = 1` leaves out.
+        const LAGGARDS: [(usize, usize); 4] = [(0, 0), (0, 2), (1, 1), (1, 4)];
+        let tr = TimingTrace::from_fn(
+            "handmade",
+            TraceShape::new(1, 2, 5, 16).unwrap(),
+            |SampleIndex {
+                 rank,
+                 iteration,
+                 thread,
+                 ..
+             }| {
+                let late = thread == 3 && LAGGARDS.contains(&(rank, iteration));
+                ThreadSample::new(0, if late { 20_000_000 } else { 10_000_000 })
+            },
+        );
+        // 100 kB partitions over α = 50 µs, 1 GB/s: bulk exposes 1.65 ms. On
+        // identical arrivals early-bird and the bins serialize 16 and 4
+        // start-ups behind the last arrival (2.4 and 1.8 ms) and the 1 ms
+        // flush *is* bulk, so nothing beats bulk; behind a 10 ms laggard
+        // every strategy has long drained the rest and exposes only the
+        // laggard's message. Hence each non-bulk strategy wins exactly the
+        // laggard units.
+        let link = LinkModel::high_latency();
+        let pool = Pool::new(2);
+        let mut arenas = EngineArenas::new(2);
+        let census = trace_scan_parallel_with_arenas(&tr, 1.0, &pool, &mut arenas).census;
+        let outcomes = delivery_sweep_parallel_with_arenas(
+            &tr,
+            1_600_000,
+            || SerialLink::new(link),
+            &pool,
+            &mut arenas,
+        );
+
+        fn row<'a>(block: &'a str, label: &str) -> &'a str {
+            block
+                .lines()
+                .find(|l| l.trim_start().starts_with(label))
+                .unwrap_or_else(|| panic!("no `{label}` row in:\n{block}"))
+        }
+        // Every `(wins/units)` pair on a row, left to right.
+        fn shares(row: &str) -> Vec<(usize, usize)> {
+            row.split('(')
+                .skip(1)
+                .filter_map(|part| part.split_once(')')?.0.split_once('/'))
+                .filter_map(|(wins, of)| Some((wins.parse().ok()?, of.parse().ok()?)))
+                .collect()
+        }
+        for (from, laggards, units) in [(1, 3, 8), (0, 4, 10)] {
+            let block = render_earlybird("handmade", "high-latency", &outcomes, &census, from);
+            assert_eq!(block.lines().count(), 2 + 4, "{block}");
+            let head = block.lines().next().unwrap();
+            assert!(
+                head.contains(&format!("{units} process-iterations")),
+                "{head}"
+            );
+            assert!(
+                head.contains(&format!("{laggards} laggard-containing")),
+                "{head}"
+            );
+            assert_eq!(head.contains("iterations ≥ 1"), from == 1, "{head}");
+            for strategy in canonical_strategies(16) {
+                let label = strategy.label();
+                let [overall, laggard, calm] = shares(row(&block, &label))[..] else {
+                    panic!("three shares on the `{label}` row of:\n{block}");
+                };
+                let wins = if label == "bulk" { 0 } else { laggards };
+                assert_eq!(overall, (wins, units), "{label}, from {from}");
+                assert_eq!(laggard, (wins, laggards), "{label}, from {from}");
+                assert_eq!(calm, (0, units - laggards), "{label}, from {from}");
+                // The two classes partition the overall column.
+                assert_eq!(overall.0, laggard.0 + calm.0);
+                assert_eq!(overall.1, laggard.1 + calm.1);
+            }
+            // Medians: most units are calm, so early-bird's median exposes
+            // its 16 serialized start-ups and bulk's the whole buffer.
+            let (bulk, early) = (row(&block, "bulk"), row(&block, "early-bird"));
+            assert!(
+                bulk.contains(" 1.6500 ") && bulk.contains(" 1.0 "),
+                "{bulk}"
+            );
+            assert!(
+                early.contains(" 2.4000 ") && early.contains(" 16.0 "),
+                "{early}"
+            );
+        }
+        let from_1 = render_earlybird("handmade", "high-latency", &outcomes, &census, 1);
+        assert!(from_1.contains(" 37.5% (3/8)") && from_1.contains("100.0% (3/3)"));
+        assert!(from_1.contains("  0.0% (0/5)"), "{from_1}");
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!                   gates) on an observed pool and print a stage × worker
 //!                   busy-time table (which stage dominates, and how evenly
 //!                   its work spreads across the team)
-//!   earlybird       delivery-strategy comparison on each app's arrivals
+//!   earlybird       the feasibility answer: the four canonical delivery
+//!                   strategies priced on every process-iteration of each
+//!                   app over two links — median exposed cost and how often
+//!                   each strategy beats bulk, split by laggard class
 //!   battery         extended 5-test normality battery (sensitivity check)
 //!   fit             fitted generative models extracted from the traces
 //!   scenarios       multi-rank contention campaign (workloads × strategies
@@ -59,9 +62,10 @@
 //!
 //! Defaults: paper scale, synthetic source, seed 20230421, and one worker
 //! thread per host core (a one-thread pool is the serial path). Synthetic
-//! generation, the normality sweeps and the trace scans go through the
-//! analysis engine's stage entries on the workspace's own thread pool — each
-//! trace is analysed once and every table and figure renders from that;
+//! generation, the normality sweeps, the trace scans and the delivery sweeps
+//! go through the analysis engine's stage entries on the workspace's own
+//! thread pool — each trace is analysed once and every table and figure
+//! renders from that;
 //! results are bit-identical for any pool size, so `--threads` only changes
 //! wall-clock time. The real source runs the live Rust kernels at
 //! reduced problem sizes (wall-clock shapes are host-dependent; the
@@ -84,7 +88,7 @@ use ebird_cluster::calibration::{self, LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDA
 use ebird_cluster::{SyntheticApp, Workload};
 use ebird_core::view::AggregationLevel;
 use ebird_core::TimingTrace;
-use ebird_partcomm::{compare_strategies, LinkModel, SerialLink};
+use ebird_partcomm::{link_by_name, DeliveryOutcome, LinkModel, SerialLink};
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{self, ScenarioMatrix};
 
@@ -94,6 +98,14 @@ const DEFAULT_ADDR: &str = "127.0.0.1:4750";
 /// The paper's 8 MB partitioned buffer, priced by `earlybird` and by
 /// `profile`'s delivery stage.
 const BUFFER_BYTES: usize = 8_000_000;
+
+/// One trace's delivery sweep over one link: a `canonical_strategies`
+/// outcome row per process-iteration, trace order.
+type DeliverySweep = Vec<[DeliveryOutcome; 4]>;
+
+/// The links `earlybird` prices every trace over, in print order
+/// (`link_by_name` names).
+const EARLYBIRD_LINKS: [&str; 2] = ["omni-path", "high-latency"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -272,10 +284,11 @@ fn run(args: &[String]) -> Result<(), String> {
         _ => {}
     }
 
-    // Every table and figure below is a view of two engine stages: the
+    // Every table and figure below is a view of three engine stages: the
     // three-level normality sweep of each trace (levels in `SWEEP_LEVELS`
-    // order: process-iteration, application-iteration, application) and the
-    // scan of one trace. An arm runs what it renders, once per trace.
+    // order: process-iteration, application-iteration, application), the
+    // scan of one trace, and the delivery sweep of each trace over each of
+    // `EARLYBIRD_LINKS`. An arm runs what it renders, once per trace.
     let traces = load_traces(&opts)?;
     let pool = &opts.pool;
     let mut arenas = EngineArenas::new(pool.threads());
@@ -290,6 +303,26 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let scan_all = |arenas: &mut EngineArenas| -> Vec<TraceScan> {
         (0..traces.len()).map(|app| scan(app, arenas)).collect()
+    };
+    let deliver_all = |arenas: &mut EngineArenas| -> Vec<Vec<DeliverySweep>> {
+        traces
+            .iter()
+            .map(|tr| {
+                EARLYBIRD_LINKS
+                    .iter()
+                    .map(|name| {
+                        let link = link_by_name(name).expect("a built-in link");
+                        delivery_sweep_parallel_with_arenas(
+                            tr,
+                            BUFFER_BYTES,
+                            || SerialLink::new(link),
+                            pool,
+                            arenas,
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
     };
     let a = &mut arenas;
     match experiment.as_str() {
@@ -311,7 +344,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "fig7" => cmd_fig7(&traces[1], &scan(1, a).census, &opts)?,
         "fig9" => cmd_fig9(&traces[2], &scan(2, a).census, &opts)?,
         "metrics" => cmd_metrics(&traces, &scan_all(a)),
-        "earlybird" => cmd_earlybird(&traces),
+        "earlybird" => cmd_earlybird(&traces, &scan_all(a), &deliver_all(a)),
         "battery" => cmd_battery(&traces),
         "fit" => cmd_fit(&traces),
         "all" => {
@@ -335,7 +368,7 @@ fn run(args: &[String]) -> Result<(), String> {
             cmd_percentiles(&traces[2], &scans[2].census, "fig8", &opts)?;
             cmd_fig9(&traces[2], &scans[2].census, &opts)?;
             cmd_metrics(&traces, &scans);
-            cmd_earlybird(&traces);
+            cmd_earlybird(&traces, &scans, &deliver_all(a));
             cmd_battery(&traces);
             cmd_fit(&traces);
         }
@@ -595,6 +628,16 @@ fn cmd_fig9(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<
     Ok(())
 }
 
+/// First iteration of an app's steady state: the paper's laggard figures
+/// for MiniMD cover the section after its start-up phase.
+fn steady_state_from(tr: &TimingTrace) -> usize {
+    if tr.app() == "MiniMD" {
+        MINIMD_PHASE_BOUNDARY
+    } else {
+        0
+    }
+}
+
 fn cmd_metrics(traces: &[TimingTrace], scans: &[TraceScan]) {
     for (tr, scan) in traces.iter().zip(scans) {
         let (m, census) = (&scan.reclaim, &scan.census);
@@ -603,11 +646,7 @@ fn cmd_metrics(traces: &[TimingTrace], scans: &[TraceScan]) {
             "{}",
             report::render_metrics(tr.app(), m, t.reclaim_ms, t.idle_ratio, t.median_ms)
         );
-        let from = if tr.app() == "MiniMD" {
-            MINIMD_PHASE_BOUNDARY
-        } else {
-            0
-        };
+        let from = steady_state_from(tr);
         match t.laggard_rate {
             Some(paper) => println!(
                 "  laggard rate          {:>10.1}%     (paper {:.1}%)",
@@ -998,29 +1037,22 @@ fn cmd_shutdown(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_earlybird(traces: &[TimingTrace]) {
-    println!("Early-bird delivery simulation (8 MB partitioned buffer):");
-    let links = [
-        ("omni-path", LinkModel::omni_path()),
-        ("high-latency", LinkModel::high_latency()),
-    ];
-    for tr in traces {
-        // Use a mid-campaign process-iteration's arrivals.
-        let shape = tr.shape();
-        let ms = tr
-            .process_iteration_ms(0, 0, shape.iterations / 2)
-            .expect("in range");
-        for (link_name, link) in &links {
-            println!("  {} over {link_name}:", tr.app());
-            for o in compare_strategies(&ms, BUFFER_BYTES, link) {
-                println!(
-                    "    {:<14} completion {:>9.3} ms  exposed {:>8.4} ms  messages {:>3}",
-                    o.strategy.label(),
-                    o.completion_ms,
-                    o.exposed_ms(),
-                    o.messages
-                );
-            }
+fn cmd_earlybird(traces: &[TimingTrace], scans: &[TraceScan], deliveries: &[Vec<DeliverySweep>]) {
+    println!(
+        "Early-bird delivery sweep (8 MB partitioned buffer, every process-iteration priced):"
+    );
+    for ((tr, scan), per_link) in traces.iter().zip(scans).zip(deliveries) {
+        for (link_name, outcomes) in EARLYBIRD_LINKS.iter().zip(per_link) {
+            print!(
+                "{}",
+                report::render_earlybird(
+                    tr.app(),
+                    link_name,
+                    outcomes,
+                    &scan.census,
+                    steady_state_from(tr),
+                )
+            );
         }
     }
     println!();

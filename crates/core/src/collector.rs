@@ -10,8 +10,7 @@
 //! the transpose of the paper's arrays. All threads write "their" column at
 //! nearly the same instant (right after the barrier); thread-major layout
 //! gives each thread its own contiguous cache-line region, so the simultaneous
-//! writes never contend on a line. The `instrumentation_overhead` bench
-//! quantifies the cost (single-digit nanoseconds per stamp).
+//! writes never contend on a line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

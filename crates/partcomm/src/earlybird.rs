@@ -18,8 +18,8 @@
 //! The trade-off the paper hypothesizes falls out of the α/β model: with
 //! tight arrivals, early-bird pays `P·α` against bulk's single `α` and
 //! *loses*; with spread arrivals or laggards, early-bird overlaps transfers
-//! with the laggard's compute and wins. The `earlybird_strategies` bench
-//! quantifies this for all three applications' arrival shapes.
+//! with the laggard's compute and wins. `repro earlybird` quantifies this
+//! over every process-iteration of all three applications' campaigns.
 //!
 //! Every strategy reduces to a *message plan* — `(inject_ms, bytes)` pairs in
 //! nondecreasing injection order per rank — and **one** kernel,
@@ -370,60 +370,13 @@ pub fn simulate(
     link: &LinkModel,
     strategy: Strategy,
 ) -> DeliveryOutcome {
-    simulate_with_scratch(
-        arrivals_ms,
+    run_delivery(
+        &mut SerialLink::new(*link),
+        &[arrivals_ms],
         bytes_total,
-        link,
         strategy,
         &mut SimScratch::new(),
     )
-}
-
-/// [`simulate`] with caller-provided scratch buffers (identical outcomes;
-/// zero plan allocations after the buffers have grown to the partition
-/// count).
-///
-/// # Panics
-/// Same contract as [`simulate`].
-pub fn simulate_with_scratch(
-    arrivals_ms: &[f64],
-    bytes_total: usize,
-    link: &LinkModel,
-    strategy: Strategy,
-    scratch: &mut SimScratch,
-) -> DeliveryOutcome {
-    let mut model = SerialLink::new(*link);
-    run_delivery(&mut model, &[arrivals_ms], bytes_total, strategy, scratch)
-}
-
-/// Convenience: simulate all four canonical strategies (timeout = 10% of the
-/// arrival span, bins = √partitions) on one sender and return them
-/// bulk-first.
-pub fn compare_strategies(
-    arrivals_ms: &[f64],
-    bytes_total: usize,
-    link: &LinkModel,
-) -> Vec<DeliveryOutcome> {
-    let span = {
-        let max = arrivals_ms
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let min = arrivals_ms.iter().copied().fold(f64::INFINITY, f64::min);
-        (max - min).max(1e-6)
-    };
-    let bins = (arrivals_ms.len() as f64).sqrt().round().max(1.0) as usize;
-    [
-        Strategy::Bulk,
-        Strategy::EarlyBird,
-        Strategy::TimeoutFlush {
-            timeout_ms: span / 10.0,
-        },
-        Strategy::Binned { bins },
-    ]
-    .into_iter()
-    .map(|s| simulate(arrivals_ms, bytes_total, link, s))
-    .collect()
 }
 
 #[cfg(test)]
@@ -539,7 +492,13 @@ mod tests {
     #[test]
     fn all_strategies_deliver_all_bytes() {
         let link = LinkModel::omni_path();
-        for o in compare_strategies(&laggard_arrivals(), 8 * MB, &link) {
+        for s in [
+            Strategy::Bulk,
+            Strategy::EarlyBird,
+            Strategy::TimeoutFlush { timeout_ms: 0.7 },
+            Strategy::Binned { bins: 7 },
+        ] {
+            let o = simulate(&laggard_arrivals(), 8 * MB, &link, s);
             // Wire time accounts for every byte plus per-message α.
             let payload_ms = 8.0 * MB as f64 * link.beta_ms_per_byte;
             let expected = payload_ms + o.messages as f64 * link.alpha_ms;
@@ -589,7 +548,13 @@ mod tests {
                 },
             ] {
                 let fresh = simulate(&arrivals, 8 * MB, &link, s);
-                let reused = simulate_with_scratch(&arrivals, 8 * MB, &link, s, &mut scratch);
+                let reused = run_delivery(
+                    &mut SerialLink::new(link),
+                    &[&arrivals],
+                    8 * MB,
+                    s,
+                    &mut scratch,
+                );
                 assert_eq!(fresh, reused, "{} × {} arrivals", s.label(), arrivals.len());
             }
         }

@@ -40,10 +40,7 @@ pub mod partition;
 pub mod session;
 pub mod transport;
 
-pub use earlybird::{
-    compare_strategies, run_delivery, simulate, simulate_with_scratch, DeliveryOutcome,
-    RankDelivery, SimScratch, Strategy,
-};
+pub use earlybird::{run_delivery, simulate, DeliveryOutcome, RankDelivery, SimScratch, Strategy};
 pub use netmodel::{
     link_by_name, Fabric, HierarchicalFabric, LinkModel, LogGPLink, NetModel, NetModelSpec,
     ResolvedNetModel, SerialLink,

@@ -12,7 +12,7 @@
 //! * the boundary-jumping `TimeoutFlush` equals the exhaustive per-tick scan.
 
 use ebird_partcomm::{
-    run_delivery, simulate, DeliveryOutcome, Fabric, LinkModel, SimScratch, Strategy,
+    run_delivery, simulate, DeliveryOutcome, Fabric, LinkModel, SerialLink, SimScratch, Strategy,
 };
 // The partcomm `Strategy` enum shadows the prelude's generator trait of the
 // same name; pull the trait in anonymously for method syntax and name it
@@ -241,7 +241,7 @@ proptest! {
         ] {
             let fresh = simulate(&arrivals, bytes, &link, s);
             let reused =
-                ebird_partcomm::simulate_with_scratch(&arrivals, bytes, &link, s, &mut scratch);
+                run_delivery(&mut SerialLink::new(link), &[&arrivals], bytes, s, &mut scratch);
             prop_assert_eq!(fresh, reused);
         }
     }

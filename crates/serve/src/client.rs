@@ -247,7 +247,7 @@ fn streamed_with_retry(
                     std::thread::sleep(policy.delay(attempt, refusal.retry_after_ms, seed));
                 } else {
                     return Err(format!(
-                        "server overloaded after {attempts} attempt(s): {} ({} job(s) queued; last retry_after_ms {})",
+                        "server overloaded after {attempts} attempt(s): {} ({} cell(s) queued; last retry_after_ms {})",
                         refusal.error, refusal.queued, refusal.retry_after_ms
                     ));
                 }

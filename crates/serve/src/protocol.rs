@@ -194,7 +194,7 @@ pub struct OverloadedReply {
     pub overloaded: bool,
     /// Suggested client back-off before retrying, in milliseconds.
     pub retry_after_ms: u64,
-    /// Jobs queued at refusal time (the saturation evidence).
+    /// Cells queued at refusal time (the saturation evidence).
     pub queued: usize,
     /// Human-readable summary.
     pub error: String,
@@ -205,12 +205,12 @@ pub struct OverloadedReply {
 pub struct StatusReply {
     /// Always `true`.
     pub ok: bool,
-    /// Jobs waiting in the priority queue.
+    /// Cells waiting in the priority queue (summed over its jobs).
     pub queued: usize,
-    /// The queue's admission bound (`0` = unbounded).
+    /// The queue's admission bound, in cells (`0` = unbounded).
     #[serde(default)]
     pub queue_bound: usize,
-    /// Jobs popped by a worker and not yet finished.
+    /// Cells of jobs popped by a worker and not yet finished.
     pub inflight: usize,
     /// Distinct cells queued or computing (the single-flight table size).
     #[serde(default)]
@@ -612,7 +612,7 @@ mod tests {
             overloaded: true,
             retry_after_ms: 75,
             queued: 9,
-            error: "server overloaded: 9 jobs queued (bound 8)".into(),
+            error: "server overloaded: 9 cells queued (bound 8)".into(),
         };
         let line = reply_line(&o);
         let back: OverloadedReply = serde_json::from_str(&line).unwrap();

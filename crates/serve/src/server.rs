@@ -236,16 +236,20 @@ struct Shared {
     threads: usize,
     addr: SocketAddr,
     stop: AtomicBool,
-    /// Cells of the jobs workers are pricing right now.
+    // `status` tallies the registry does not hold (`coalesced` and
+    // `overloaded` it does: `status` reads those two from `metrics`). Each
+    // has a registry neighbour, but one counting elsewhere or something else:
+    /// Cells of the jobs workers are pricing right now — the queue's depth
+    /// gauge (`serve.queue.depth`) is the cells still *waiting*.
     inflight: AtomicUsize,
+    /// Submits whose matrix resolved — `serve.requests.submit` counts at
+    /// dispatch, so it includes those answered with an error reply.
     submits: AtomicU64,
-    /// Cells actually priced by workers (the duplicate-compute telltale:
-    /// with coalescing this equals *distinct* cells priced).
+    /// Cells actually priced by workers, bumped as each job finishes (the
+    /// duplicate-compute telltale: with coalescing this equals *distinct*
+    /// cells priced) — `serve.cells.computed` counts the same cells when
+    /// their submit is admitted, before any is priced.
     computed_cells: AtomicU64,
-    /// Cells that joined another submission's in-flight computation.
-    coalesced_cells: AtomicU64,
-    /// Submits refused by admission control.
-    overloaded: AtomicU64,
 }
 
 impl Shared {
@@ -270,8 +274,6 @@ impl Shared {
             inflight: AtomicUsize::new(0),
             submits: AtomicU64::new(0),
             computed_cells: AtomicU64::new(0),
-            coalesced_cells: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
         })
     }
 }
@@ -621,8 +623,8 @@ fn status_reply(shared: &Shared) -> StatusReply {
         ghost_hits: stats.ghost_hits,
         cold_hits: stats.cold_hits,
         computed: shared.computed_cells.load(Ordering::SeqCst),
-        coalesced: shared.coalesced_cells.load(Ordering::SeqCst),
-        overloaded: shared.overloaded.load(Ordering::SeqCst),
+        coalesced: shared.metrics.cells_coalesced.get(),
+        overloaded: shared.metrics.submits_overloaded.get(),
         submits: shared.submits.load(Ordering::SeqCst),
         threads: shared.threads,
     }
@@ -686,7 +688,6 @@ fn refuse_overloaded(
     error: String,
     writer: &mut impl Write,
 ) -> Result<(), String> {
-    shared.overloaded.fetch_add(1, Ordering::SeqCst);
     shared.metrics.submits_overloaded.incr();
     write_line(
         writer,
@@ -853,9 +854,6 @@ fn handle_submit(
         }
     }
     drop(tx);
-    shared
-        .coalesced_cells
-        .fetch_add(coalesced as u64, Ordering::SeqCst);
     let cached = total - scheduled - coalesced;
     // All four cell counters move together at this one point, so the
     // snapshot identity `total == cached + coalesced + computed` holds

@@ -5,7 +5,7 @@
 //! Shapiro–Wilk and Anderson–Darling; Lilliefors is the fourth classic
 //! normality test and exercises a different discrepancy notion (sup-norm of
 //! the CDF difference, rather than moments or order-statistic correlation).
-//! The extended battery lets the ablation benches ask whether the paper's
+//! The extended battery lets `repro battery` ask whether the paper's
 //! conclusions are test-battery-sensitive.
 //!
 //! The statistic is `D = sup |F̂(x) − Φ((x − x̄)/s)|`; because the parameters

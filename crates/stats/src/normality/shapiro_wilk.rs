@@ -29,11 +29,13 @@ use crate::{accumulate, ensure_finite, ensure_len, StatsError};
 use super::{NormalityOutcome, NormalityTest, TestStatistic};
 
 thread_local! {
-    /// Scratch for the public unsorted-entry paths ([`ShapiroWilk::test`],
-    /// [`ShapiroWilk::w_statistic`], [`ShapiroWilk::w_and_weights`]) so the
-    /// ablation benches that call them in a loop stop allocating a sorted
-    /// copy + weight vector per call. The sweep engine does not use this —
-    /// it owns a `BatteryScratch` per worker.
+    /// Scratch for the stand-alone entry paths ([`ShapiroWilk::test`],
+    /// [`ShapiroWilk::test_presorted`], [`ShapiroWilk::w_statistic`]) so
+    /// their loop callers — `repro battery` over every process-iteration,
+    /// `calibrate`, and the tests that hold the fused battery to the
+    /// stand-alone tests — do not allocate a sorted copy + weight vector
+    /// per call. The sweep engine does not use this — it owns a
+    /// `BatteryScratch` per worker.
     static UNSORTED_ENTRY_SCRATCH: RefCell<(Vec<f64>, SortScratch, Vec<f64>)> =
         RefCell::new((Vec::new(), SortScratch::new(), Vec::new()));
 }
@@ -232,18 +234,6 @@ impl ShapiroWilk {
         })
     }
 
-    /// Computes W plus the half-length positive weight vector `a₁..a_{n/2}`
-    /// (exposed for the ablation bench that studies weight truncation).
-    ///
-    /// The only allocation is the returned weight vector itself; sorting and
-    /// the internal weight build reuse a thread-local scratch.
-    pub fn w_and_weights(&self, sample: &[f64]) -> Result<(f64, Vec<f64>), StatsError> {
-        self.with_sorted_scratch(sample, |this, sorted, weights| {
-            let w = this.w_from_sorted(sorted, weights)?;
-            Ok((w, weights.clone()))
-        })
-    }
-
     /// Sorts `sample` into the thread-local scratch and hands the sorted view
     /// plus the reusable weight buffer to `body`.
     fn with_sorted_scratch<R>(
@@ -263,9 +253,9 @@ impl ShapiroWilk {
     }
 
     /// Computes W from an **already sorted** sample, reusing `a` for the
-    /// weight vector — the allocation-free core shared by
-    /// [`w_and_weights`](Self::w_and_weights) and the sweep engine (which
-    /// sorts once per group and shares the sorted buffer across tests).
+    /// weight vector — the allocation-free core shared by the unsorted
+    /// entries above and the sweep engine (which sorts once per group and
+    /// shares the sorted buffer across tests).
     ///
     /// # Errors
     /// Same contract as [`NormalityTest::test`].
@@ -372,7 +362,8 @@ mod tests {
 
     #[test]
     fn weights_are_normalized_and_decreasing() {
-        let (_, a) = ShapiroWilk.w_and_weights(&normal_scores(48)).unwrap();
+        let mut a = Vec::new();
+        blom_weights(48, &mut a);
         // Full vector is antisymmetric: Σ over all n of aᵢ² = 2 Σ half ≈ 1.
         let norm: f64 = 2.0 * a.iter().map(|v| v * v).sum::<f64>();
         assert!((norm - 1.0).abs() < 1e-3, "‖a‖² = {norm}");

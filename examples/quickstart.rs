@@ -5,12 +5,13 @@
 //! cargo run --example quickstart --release
 //! ```
 
+use early_bird::analysis::engine::canonical_strategies;
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::normality::{sweep, BATTERY_ORDER};
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::cluster::{JobConfig, SyntheticApp};
 use early_bird::core::view::AggregationLevel;
-use early_bird::partcomm::{compare_strategies, LinkModel};
+use early_bird::partcomm::{run_delivery, LinkModel, SerialLink, SimScratch};
 
 fn main() {
     // A small campaign of the paper's MiniFE model: 2 trials × 2 ranks ×
@@ -50,10 +51,14 @@ fn main() {
 
     // 3. Would early-bird delivery actually arrive earlier? Simulate a 4 MB
     //    partitioned buffer on an Omni-Path-like link using one iteration's
-    //    measured arrivals.
+    //    measured arrivals, under the four strategies the pipeline prices.
+    //    (`repro earlybird` does this for every process-iteration.)
     let arrivals = trace.process_iteration_ms(0, 0, 25).unwrap();
+    let mut link = SerialLink::new(LinkModel::omni_path());
+    let mut scratch = SimScratch::new();
     println!("  delivery of 4 MB over omni-path-like link:");
-    for outcome in compare_strategies(&arrivals, 4_000_000, &LinkModel::omni_path()) {
+    for strategy in canonical_strategies(arrivals.len()) {
+        let outcome = run_delivery(&mut link, &[&arrivals], 4_000_000, strategy, &mut scratch);
         println!(
             "    {:<16} complete at {:>8.3} ms ({} messages, {:.4} ms exposed)",
             outcome.strategy.label(),

@@ -2,8 +2,15 @@
 //! feed the early-bird delivery simulator, and the simulated outcomes must
 //! reproduce the Discussion section's qualitative conclusions.
 
-use early_bird::cluster::{JobConfig, SyntheticApp};
-use early_bird::partcomm::{simulate, LinkModel, Strategy};
+use early_bird::analysis::engine::{
+    delivery_sweep_parallel_with_arenas, generate_campaign_parallel, EngineArenas,
+};
+use early_bird::analysis::laggard::{ArrivalClass, ClassifiedIteration};
+use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
+use early_bird::cluster::calibration::{LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
+use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
+use early_bird::partcomm::{simulate, LinkModel, SerialLink, Strategy};
+use early_bird::runtime::Pool;
 
 const BUF: usize = 8_000_000;
 
@@ -166,4 +173,71 @@ fn reclaimable_time_bounds_the_overlap_win() {
             assert!(o.completion_ms >= o.last_arrival_ms);
         }
     }
+}
+
+#[test]
+fn across_the_campaign_early_bird_suits_miniqmc_and_minife_but_rarely_minimd() {
+    // The paper's macro-level conclusion ("across all threads across all
+    // runs"): MiniFE and MiniQMC suit early-bird delivery, MiniMD's steady
+    // state mostly does not. Priced by the engine's delivery stage on every
+    // process-iteration of a 2 × 2 × 60 × 48 campaign over a link whose
+    // start-up cost makes 48 messages dearer than one.
+    let link = LinkModel::high_latency();
+    let cfg = JobConfig::new(2, 2, 60, 48);
+    let apps = SyntheticApp::all();
+    let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
+    let analyse = |workers: usize| {
+        let pool = Pool::new(workers);
+        let mut arenas = EngineArenas::new(workers);
+        let traces = generate_campaign_parallel(&workloads, &cfg, 11, &pool).unwrap();
+        traces
+            .iter()
+            .map(|tr| {
+                let scan =
+                    trace_scan_parallel_with_arenas(tr, LAGGARD_THRESHOLD_MS, &pool, &mut arenas);
+                let outcomes = delivery_sweep_parallel_with_arenas(
+                    tr,
+                    BUF,
+                    || SerialLink::new(link),
+                    &pool,
+                    &mut arenas,
+                );
+                (scan.census.iterations, outcomes)
+            })
+            .collect::<Vec<_>>()
+    };
+    let analysed = analyse(1);
+    assert_eq!(analysed, analyse(3), "pool size must not change a bit");
+
+    // Share of the process-iterations `keep` selects whose early-bird
+    // exposed cost is below bulk's (outcome rows are [bulk, early-bird, ..]).
+    let share = |app: usize, keep: &dyn Fn(&ClassifiedIteration) -> bool| {
+        let (census, outcomes) = &analysed[app];
+        let kept: Vec<_> = census
+            .iter()
+            .zip(outcomes)
+            .filter(|(c, _)| keep(c))
+            .collect();
+        let wins = kept
+            .iter()
+            .filter(|(_, row)| row[1].exposed_ms() < row[0].exposed_ms())
+            .count();
+        wins as f64 / kept.len() as f64
+    };
+    let fe = share(0, &|_| true);
+    let md = share(1, &|c| c.iteration >= MINIMD_PHASE_BOUNDARY);
+    let qmc = share(2, &|_| true);
+    assert!(
+        md < fe && fe < qmc,
+        "MiniMD {md} < MiniFE {fe} < MiniQMC {qmc}"
+    );
+    assert!(md < 0.10 && qmc > 0.95, "MiniMD {md}, MiniQMC {qmc}");
+    // What early-bird hides behind is a laggard: MiniFE's win is its
+    // laggard-containing process-iterations, not its laggard-free ones.
+    let with_laggard = share(0, &|c| c.class == ArrivalClass::Laggard);
+    let without = share(0, &|c| c.class == ArrivalClass::NoLaggard);
+    assert!(
+        with_laggard > 0.5 && without < 0.05,
+        "MiniFE: {with_laggard} with a laggard vs {without} without"
+    );
 }

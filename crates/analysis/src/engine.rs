@@ -27,11 +27,12 @@
 
 use ebird_cluster::{JobConfig, Workload};
 use ebird_core::{ThreadSample, TimingTrace};
-use ebird_partcomm::{run_delivery, DeliveryOutcome, NetModel, SimScratch, Strategy};
+use ebird_partcomm::{run_deliveries, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
 use ebird_stats::Moments;
 
 use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepScratch, SweepTasks};
+use crate::unit::UnitOrder;
 
 /// The pipeline's stages in execution order, one per stage entry:
 /// [`generate_campaign_parallel`], [`sweep_levels_parallel_with_arenas`],
@@ -51,7 +52,7 @@ pub const STAGES: [&str; 4] = ["generate", "normality-sweep", "trace-scan", "ear
 /// the previous call.
 pub struct EngineArenas {
     pub(crate) sweep_workers: WorkerArenas<SweepScratch>,
-    pub(crate) unit_ms: WorkerArenas<Vec<f64>>,
+    pub(crate) unit_order: WorkerArenas<UnitOrder>,
     pub(crate) sim: WorkerArenas<SimWorker>,
 }
 
@@ -68,7 +69,7 @@ impl EngineArenas {
     pub fn new(workers: usize) -> Self {
         Self {
             sweep_workers: WorkerArenas::new(workers),
-            unit_ms: WorkerArenas::new(workers),
+            unit_order: WorkerArenas::new(workers),
             sim: WorkerArenas::new(workers),
         }
     }
@@ -231,8 +232,13 @@ fn delivery_unit<M: NetModel>(
     model: &mut M,
     scratch: &mut SimScratch,
 ) -> [DeliveryOutcome; 4] {
-    canonical_strategies(arrivals_ms.len())
-        .map(|s| run_delivery(model, &[arrivals_ms], bytes_total, s, scratch))
+    run_deliveries(
+        model,
+        &[arrivals_ms],
+        bytes_total,
+        canonical_strategies(arrivals_ms.len()),
+        scratch,
+    )
 }
 
 /// Prices the [`canonical_strategies`] on every process-iteration's arrivals
@@ -289,7 +295,7 @@ mod tests {
     use super::*;
     use crate::normality::{sweep, SWEEP_LEVELS};
     use ebird_core::{SampleIndex, TraceShape};
-    use ebird_partcomm::SerialLink;
+    use ebird_partcomm::{run_delivery, SerialLink};
 
     /// A mixed-shape trace: tight normal-ish groups with occasional laggards
     /// and one degenerate (flat) process-iteration.

@@ -5,10 +5,17 @@
 //! slower than the mean median thread"). Figures 5 and 7 typify the classes;
 //! this module finds the class of every process-iteration and picks
 //! representative exemplars for the histogram figures.
+//!
+//! The class is a function of the unit's order statistics (median,
+//! quartiles, maximum), so the per-unit kernel takes the unit's compute
+//! times already in ascending order — built once per unit from the trace's
+//! integer nanoseconds (`crate::unit`) — and sorts nothing itself.
 
-use ebird_core::{ThreadSample, TimingTrace};
+use ebird_core::TimingTrace;
 use ebird_stats::percentile::PercentileSummary;
 use serde::{Deserialize, Serialize};
+
+use crate::unit::UnitOrder;
 
 /// Class of one process-iteration's arrival distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -65,19 +72,19 @@ impl LaggardCensus {
     /// Laggard rate restricted to iterations `from..`, for phase-split apps
     /// (the paper's MiniMD 4.8% covers the steady-state section).
     pub fn laggard_rate_from(&self, from_iteration: usize) -> f64 {
-        let in_range: Vec<_> = self
+        let in_range = self
             .iterations
             .iter()
-            .filter(|c| c.iteration >= from_iteration)
-            .collect();
-        if in_range.is_empty() {
+            .filter(|c| c.iteration >= from_iteration);
+        let (mut total, mut laggards) = (0usize, 0usize);
+        for c in in_range {
+            total += 1;
+            laggards += usize::from(c.class == ArrivalClass::Laggard);
+        }
+        if total == 0 {
             return 0.0;
         }
-        let n = in_range
-            .iter()
-            .filter(|c| c.class == ArrivalClass::Laggard)
-            .count();
-        n as f64 / in_range.len() as f64
+        laggards as f64 / total as f64
     }
 
     /// Mean of per-iteration medians (the paper's "mean median thread
@@ -110,20 +117,18 @@ impl LaggardCensus {
     }
 }
 
-/// Classifies one process-iteration, reusing `scratch` for the millisecond
-/// values — the per-unit kernel shared by the reference census and the
-/// trace scan (outcomes are bit-identical by construction).
+/// Classifies one process-iteration from its compute times in ascending
+/// order ([`UnitOrder::sorted_ms`]): the per-unit kernel shared by the
+/// reference census and the trace scan (outcomes are bit-identical by
+/// construction).
 pub(crate) fn classify_unit(
     trial: usize,
     rank: usize,
     iteration: usize,
-    samples: &[ThreadSample],
+    sorted_ms: &[f64],
     threshold_ms: f64,
-    scratch: &mut Vec<f64>,
 ) -> ClassifiedIteration {
-    scratch.clear();
-    scratch.extend(samples.iter().map(ThreadSample::compute_time_ms));
-    let s = PercentileSummary::from_sample(scratch).expect("threads ≥ 1, finite");
+    let s = PercentileSummary::from_sorted(sorted_ms);
     let magnitude = s.max - s.p50;
     ClassifiedIteration {
         trial,
@@ -146,11 +151,17 @@ pub(crate) fn classify_unit(
 /// whose `census` the bit-identity tests compare against this.
 pub fn laggard_census(trace: &TimingTrace, threshold_ms: f64) -> LaggardCensus {
     assert!(threshold_ms > 0.0, "threshold must be positive");
-    let mut scratch = Vec::with_capacity(trace.shape().threads);
+    let mut order = UnitOrder::default();
     let iterations = trace
         .iter_process_iterations()
         .map(|(trial, rank, iteration, samples)| {
-            classify_unit(trial, rank, iteration, samples, threshold_ms, &mut scratch)
+            classify_unit(
+                trial,
+                rank,
+                iteration,
+                order.sorted_ms(samples),
+                threshold_ms,
+            )
         })
         .collect();
     LaggardCensus {

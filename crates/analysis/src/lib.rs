@@ -45,6 +45,7 @@ pub mod percentile_series;
 pub mod reclaim;
 pub mod report;
 pub mod scan;
+mod unit;
 
 pub use engine::{campaign_moments, EngineArenas};
 pub use laggard::{laggard_census, LaggardCensus};

@@ -19,9 +19,17 @@
 //! with a 0.15 ms IQR around a 24.74 ms median — so they are printed for
 //! comparison only (`ebird_cluster::synthetic` does not calibrate its models
 //! to them).
+//!
+//! The aggregate's per-unit kernel reads the unit's compute times already in
+//! ascending order — built once per unit from the trace's integer
+//! nanoseconds (`crate::unit`): the median needs the order, and summing
+//! `t_max − tᵢ` in that order is the one addition sequence every route
+//! shares.
 
 use ebird_core::{ThreadSample, TimingTrace};
 use serde::{Deserialize, Serialize};
+
+use crate::unit::UnitOrder;
 
 /// §4.2 metrics for one trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,20 +74,18 @@ pub(crate) struct UnitReclaim {
     pub(crate) max_ms: f64,
 }
 
-/// Computes one process-iteration's reclaim quantities, reusing `scratch` —
-/// the per-unit kernel shared by the reference aggregate and the trace
-/// scan (values are bit-identical by construction).
-pub(crate) fn unit_reclaim(samples: &[ThreadSample], scratch: &mut Vec<f64>) -> UnitReclaim {
-    scratch.clear();
-    scratch.extend(samples.iter().map(ThreadSample::compute_time_ms));
-    scratch.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let max = scratch[scratch.len() - 1];
-    let median = ebird_stats::percentile::percentile_of_sorted(scratch, 50.0);
-    let idle: f64 = scratch.iter().map(|&t| max - t).sum();
+/// Computes one process-iteration's reclaim quantities from its compute
+/// times in ascending order ([`UnitOrder::sorted_ms`]) — the per-unit kernel
+/// shared by the reference aggregate and the trace scan (values are
+/// bit-identical by construction).
+pub(crate) fn unit_reclaim(sorted_ms: &[f64]) -> UnitReclaim {
+    let max = sorted_ms[sorted_ms.len() - 1];
+    let median = ebird_stats::percentile::percentile_of_sorted(sorted_ms, 50.0);
+    let idle: f64 = sorted_ms.iter().map(|&t| max - t).sum();
     UnitReclaim {
         idle_ms: idle,
         ratio: if max > 0.0 {
-            idle / (max * scratch.len() as f64)
+            idle / (max * sorted_ms.len() as f64)
         } else {
             0.0
         },
@@ -117,11 +123,11 @@ pub(crate) fn fold_units(units: impl IntoIterator<Item = UnitReclaim>) -> Reclai
 /// [`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas),
 /// whose `reclaim` the bit-identity tests compare against this.
 pub fn reclaim_metrics(trace: &TimingTrace) -> ReclaimMetrics {
-    let mut scratch: Vec<f64> = Vec::with_capacity(trace.shape().threads);
+    let mut order = UnitOrder::default();
     fold_units(
         trace
             .iter_process_iterations()
-            .map(|(_, _, _, samples)| unit_reclaim(samples, &mut scratch)),
+            .map(|(_, _, _, samples)| unit_reclaim(order.sorted_ms(samples))),
     )
 }
 

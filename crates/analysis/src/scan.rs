@@ -1,13 +1,18 @@
 //! Single-pass trace scan: laggard census + reclaim metrics + campaign
 //! moments fused into one traversal.
 //!
-//! Classifying laggards, the §4.2 reclaim metrics and the campaign-wide
-//! moments each need one look at the same samples, so
-//! [`trace_scan_parallel_with_arenas`] makes one pass over the ~25 MB trace
-//! instead of three, running the *same per-unit kernels* the standalone
-//! traversals use ([`classify_unit`](crate::laggard),
-//! [`unit_reclaim`](crate::reclaim), [`Moments::push`]), so every output is
-//! bit-identical to its standalone traversal:
+//! Classifying laggards and the §4.2 reclaim metrics are both functions of a
+//! process-iteration's *order statistics*, and ordering the unit is what a
+//! unit costs (walking all 768 000 samples of a paper-scale trace takes
+//! ≈ 1.5 ms, one integer sort pass over its 16 000 units ≈ 4.4 ms, one float
+//! `sort_by` pass ≈ 12.5 ms). So [`trace_scan_parallel_with_arenas`] orders
+//! each unit **once** — one integer sort of its nanoseconds
+//! (`crate::unit`) — and hands the sorted milliseconds to the *same per-unit
+//! kernels* the standalone traversals use
+//! ([`classify_unit`](crate::laggard), [`unit_reclaim`](crate::reclaim));
+//! the campaign-wide moments stream the unit's samples in trace order
+//! ([`Moments::push`]). Every output is bit-identical to its standalone
+//! traversal:
 //!
 //! * `census` ≡ [`laggard_census`](crate::laggard::laggard_census) — same
 //!   kernel, same unit order.
@@ -86,25 +91,25 @@ pub fn trace_scan_parallel_with_arenas(
             }
         })
         .collect();
-    let unit_ms = &arenas.unit_ms;
+    let unit_order = &arenas.unit_order;
     // A team-long slice chunks into exactly one element per member.
     pool.parallel_chunks_mut(&mut parts, |part, _, ctx| {
         let part = &mut part[0];
-        let mut scratch = unit_ms.slot(ctx.thread());
+        let mut order = unit_order.slot(ctx.thread());
         for unit in static_block(units, team, ctx.thread()) {
             let (trial, rank, iteration) = shape.unit_coords(unit);
             let samples = trace
                 .process_iteration(trial, rank, iteration)
                 .expect("unit in range by construction");
+            let sorted_ms = order.sorted_ms(samples);
             part.iterations.push(classify_unit(
                 trial,
                 rank,
                 iteration,
-                samples,
+                sorted_ms,
                 threshold_ms,
-                &mut scratch,
             ));
-            part.per_unit.push(unit_reclaim(samples, &mut scratch));
+            part.per_unit.push(unit_reclaim(sorted_ms));
             for s in samples {
                 part.moments.push(ThreadSample::compute_time_ms(s));
             }

@@ -22,8 +22,9 @@
 //!   profile         run the engine's four stages (generate, normality-sweep,
 //!                   trace-scan, earlybird-sim — the pipeline the benchmark
 //!                   gates) on an observed pool and print a stage × worker
-//!                   busy-time table (which stage dominates, and how evenly
-//!                   its work spreads across the team)
+//!                   busy-time table (which stage dominates, what it costs
+//!                   per process-iteration — the µs/unit column — and how
+//!                   evenly its work spreads across the team)
 //!   earlybird       the feasibility answer: the four canonical delivery
 //!                   strategies priced on every process-iteration of each
 //!                   app over two links — median exposed cost and how often
@@ -969,7 +970,7 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
-    use ebird_bench::profile::render_profile;
+    use ebird_bench::profile::{render_profile, units_counter};
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
     let observer = PoolObserver::new(&registry);
@@ -996,6 +997,12 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         let _span = stage(0);
         generate_synthetic(opts, &pool)?
     };
+    // Every stage handles every process-iteration of the campaign once; the
+    // count beside each span turns a stage's busy time into a cost per unit.
+    let units: usize = traces.iter().map(|t| t.shape().process_iterations()).sum();
+    for st in STAGES {
+        registry.counter(&units_counter(st)).add(units as u64);
+    }
     {
         let _span = stage(1);
         for tr in &traces {

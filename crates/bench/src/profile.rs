@@ -2,7 +2,8 @@
 //!
 //! The profile command runs the engine's four stages ([`STAGES`]) on an
 //! observed pool and prints one table from the registry snapshot: per-stage
-//! span wall time, pool busy time, utilization and per-worker busy splits,
+//! span wall time, pool busy time, utilization, busy time per
+//! process-iteration handled ([`units_counter`]) and per-worker busy splits,
 //! followed by the normality-sweep fast-path instruments
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
 //! [`SweepObs::SORT_NS`] latency histogram and the [`SweepObs::BATCH_LEN`]
@@ -21,6 +22,13 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
+/// Counter name: process-iterations `stage` handled — recorded beside the
+/// stage's span, so the profile can say what one 48-sample unit costs
+/// (`µs/unit`), the number a per-unit regression shows up in first.
+pub fn units_counter(stage: &str) -> String {
+    format!("units.{stage}")
+}
+
 /// Renders the profile table from a registry snapshot.
 pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     use std::fmt::Write as _;
@@ -28,8 +36,8 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     let _ = writeln!(out, "Pipeline profile ({threads} worker thread(s)):");
     let _ = writeln!(
         out,
-        "{:<18}{:>12}{:>12}{:>7}  per-worker busy ms",
-        "stage", "wall ms", "busy ms", "util"
+        "{:<18}{:>12}{:>12}{:>7}{:>10}  per-worker busy ms",
+        "stage", "wall ms", "busy ms", "util", "µs/unit"
     );
     let mut dominant = ("", 0u64);
     for st in STAGES {
@@ -51,13 +59,20 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         } else {
             100.0 * busy_ns as f64 / (wall_ns as f64 * threads as f64)
         };
+        // Team busy time per process-iteration: CPU cost of one unit,
+        // whatever the team size.
+        let per_unit = match snap.counter(&units_counter(st)) {
+            0 => "-".to_string(),
+            units => format!("{:.2}", busy_ns as f64 / 1e3 / units as f64),
+        };
         let _ = writeln!(
             out,
-            "{:<18}{:>12.1}{:>12.1}{:>6.0}%  {}",
+            "{:<18}{:>12.1}{:>12.1}{:>6.0}%{:>10}  {}",
             st,
             ms(wall_ns),
             ms(busy_ns),
             util,
+            per_unit,
             per_worker.join(" ")
         );
     }
@@ -140,10 +155,10 @@ mod tests {
         let registry = Arc::new(Registry::wall());
         let mut sentinel = 101u64;
         let mut sentinels = Vec::new();
-        let mut next = |sentinels: &mut Vec<u64>| {
+        let mut next = |sentinels: &mut Vec<String>| {
             let s = sentinel;
             sentinel += 1;
-            sentinels.push(s);
+            sentinels.push(s.to_string());
             s
         };
         for st in STAGES {
@@ -152,12 +167,17 @@ mod tests {
             registry
                 .histogram(&format!("span.{st}.ns"))
                 .record(next(&mut sentinels) * 1_000_000);
+            let busy = next(&mut sentinels);
             registry
                 .counter(&PoolObserver::stage_counter(st))
-                .add(next(&mut sentinels) * 1_000_000);
+                .add(busy * 1_000_000);
             registry
                 .counter(&PoolObserver::worker_counter(st, 0))
                 .add(next(&mut sentinels) * 1_000_000);
+            // The unit count surfaces as busy µs ÷ units: 500 units under
+            // S ms of busy time render as "2S.00", which no other cell does.
+            registry.counter(&units_counter(st)).add(500);
+            sentinels.push(format!("{}.00", 2 * busy));
         }
         registry
             .counter(SweepObs::CACHE_HIT)
@@ -188,7 +208,7 @@ mod tests {
         let rendered = render_profile(&registry.snapshot(), 1);
         for s in sentinels {
             assert!(
-                rendered.contains(&s.to_string()),
+                rendered.contains(&s),
                 "metric with sentinel value {s} missing from rendered profile:\n{rendered}"
             );
         }
@@ -198,6 +218,7 @@ mod tests {
     fn render_profile_handles_empty_snapshot() {
         let registry = Arc::new(Registry::wall());
         let rendered = render_profile(&registry.snapshot(), 2);
+        assert!(rendered.contains("µs/unit"));
         assert!(rendered.contains("normality-sweep fast path"));
         assert!(rendered.contains("0 hits / 0 misses (0.0% hit rate)"));
         assert!(rendered.contains("fork/join overhead"));

@@ -23,13 +23,19 @@
 //!
 //! Every strategy reduces to a *message plan* — `(inject_ms, bytes)` pairs in
 //! nondecreasing injection order per rank — and **one** kernel,
-//! [`run_delivery`], prices those plans against any
+//! [`run_deliveries`], prices those plans against any
 //! [`NetModel`](crate::netmodel::NetModel): a single sender's
 //! [`SerialLink`](crate::netmodel::SerialLink), the whole-job
 //! [`Fabric`](crate::netmodel::Fabric) the paper's §2 argues about, a
 //! [`HierarchicalFabric`](crate::netmodel::HierarchicalFabric), or a
-//! [`LogGPLink`](crate::netmodel::LogGPLink). [`simulate`] is the
-//! single-sender convenience wrapper over the same kernel.
+//! [`LogGPLink`](crate::netmodel::LogGPLink). [`run_delivery`] is its
+//! one-strategy case and [`simulate`] the single-sender convenience wrapper
+//! over that.
+//!
+//! The model injects partitions *in arrival order*, and that order has one
+//! definition, [`arrival_order`]: an integer sort of `(arrival bits,
+//! partition)` keys. The kernel validates and orders an arrival set once per
+//! call, however many strategies it then prices against it.
 
 use std::borrow::Cow;
 
@@ -69,6 +75,13 @@ impl Strategy {
             }
             Strategy::Binned { bins } => Cow::Owned(format!("binned({bins})")),
         }
+    }
+
+    /// Whether the plan injects partitions in arrival order. These
+    /// strategies read the call's prepared order; `Bulk` and `Binned` need
+    /// only maxima, so a call pricing nothing else orders nothing.
+    fn follows_arrivals(self) -> bool {
+        matches!(self, Strategy::EarlyBird | Strategy::TimeoutFlush { .. })
     }
 }
 
@@ -125,15 +138,26 @@ impl DeliveryOutcome {
     }
 }
 
-/// Reusable buffers for the delivery kernel: the per-strategy working sets
-/// (arrival order, bin events, message plan) that [`run_delivery`] would
-/// otherwise allocate fresh on every call. One scratch per worker lets a
-/// trace-wide strategy sweep (thousands of process-iterations × strategies)
-/// run allocation-free after warm-up (modulo the outcome's own per-rank
-/// vector).
+/// Reusable buffers for the delivery kernel: the prepared arrival order of
+/// the set being priced and the per-strategy working sets (bin events,
+/// message plan) that a pricing call would otherwise allocate fresh. One
+/// scratch per worker lets a trace-wide strategy sweep (thousands of
+/// process-iterations × strategies) run allocation-free after warm-up
+/// (modulo the outcome's own per-rank vector).
+///
+/// Nothing in it outlives a call: [`run_deliveries`] re-validates and
+/// re-orders its arrival sets on entry, so a scratch reused across sets of
+/// any size — or left dirty by a panicking call — prices exactly like a
+/// fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
+    /// `(arrival bits, partition)` sort keys of the rank being ordered.
+    keys: Vec<(u64, usize)>,
+    /// Every rank's partitions in arrival order, rank after rank — filled
+    /// when a strategy of the call follows arrivals.
     order: Vec<usize>,
+    /// Every rank's last arrival.
+    last_arrivals: Vec<f64>,
     events: Vec<(f64, usize)>,
     plan: Vec<(f64, usize)>,
 }
@@ -145,13 +169,20 @@ impl SimScratch {
     }
 }
 
-/// Validates one arrival set and returns its last arrival.
-fn check_arrivals(arrivals_ms: &[f64], bytes_total: usize) -> f64 {
-    assert!(!arrivals_ms.is_empty(), "need at least one arrival");
+/// Panics unless every arrival is finite and non-negative — the contract of
+/// every entry, and what makes the integer keys of [`push_arrival_order`]
+/// order like the values.
+fn assert_arrivals_valid(arrivals_ms: &[f64]) {
     assert!(
         arrivals_ms.iter().all(|a| a.is_finite() && *a >= 0.0),
         "arrivals must be finite and non-negative"
     );
+}
+
+/// Validates one arrival set and returns its last arrival.
+fn check_arrivals(arrivals_ms: &[f64], bytes_total: usize) -> f64 {
+    assert!(!arrivals_ms.is_empty(), "need at least one arrival");
+    assert_arrivals_valid(arrivals_ms);
     assert!(
         bytes_total >= arrivals_ms.len(),
         "need ≥ 1 byte per partition"
@@ -162,29 +193,61 @@ fn check_arrivals(arrivals_ms: &[f64], bytes_total: usize) -> f64 {
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Builds the message plan of one sender under `strategy` into
-/// `scratch.plan`: `(inject_ms, bytes)` pairs in nondecreasing injection
-/// order. Every strategy reduces to such a plan, which is what lets the one
-/// kernel price a plan against any [`NetModel`] channel interchangeably.
+/// Appends the partitions of one validated arrival set to `order`, earliest
+/// arrival first, ties by partition index.
+///
+/// Finite non-negative doubles order exactly like their bit patterns, so the
+/// keys are integers: `(bits, partition)` pairs, `-0.0` keyed as `+0.0` (the
+/// two compare equal). The pairs are distinct, hence any correct sort of
+/// them yields the one order `partial_cmp().then(index)` defines.
+fn push_arrival_order(arrivals_ms: &[f64], keys: &mut Vec<(u64, usize)>, order: &mut Vec<usize>) {
+    keys.clear();
+    keys.extend(
+        arrivals_ms
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.abs().to_bits(), i)),
+    );
+    keys.sort_unstable();
+    order.extend(keys.iter().map(|&(_, i)| i));
+}
+
+/// Arrival order — the workspace's one definition of it: writes the indices
+/// of `arrivals_ms` into `order` (cleared first), earliest arrival first,
+/// ties by index. This is the order the delivery kernel injects early-bird
+/// partitions in, so anything that must agree with it (the transport
+/// campaign's `Pready` sequence) calls this instead of sorting on its own.
+///
+/// # Panics
+/// On a non-finite or negative arrival.
+pub fn arrival_order(arrivals_ms: &[f64], order: &mut Vec<usize>) {
+    assert_arrivals_valid(arrivals_ms);
+    order.clear();
+    push_arrival_order(arrivals_ms, &mut Vec::new(), order);
+}
+
+/// Builds the message plan of one sender under `strategy` into `plan`:
+/// `(inject_ms, bytes)` pairs in nondecreasing injection order. Every
+/// strategy reduces to such a plan, which is what lets the one kernel price
+/// a plan against any [`NetModel`] channel interchangeably.
+///
+/// `order` is the sender's [arrival order](arrival_order), prepared once per
+/// arrival set by [`run_deliveries`] for the strategies that
+/// [follow arrivals](Strategy::follows_arrivals) (the others get an empty
+/// slice): those plans read it, none sorts partitions.
 fn plan_messages(
     arrivals_ms: &[f64],
-    bytes_total: usize,
+    order: &[usize],
     last_arrival: f64,
+    bytes_total: usize,
     strategy: Strategy,
-    scratch: &mut SimScratch,
+    events: &mut Vec<(f64, usize)>,
+    plan: &mut Vec<(f64, usize)>,
 ) {
     let n = arrivals_ms.len();
-    let part_bytes = |i: usize| -> usize {
-        // Equal split, remainder on the leading partitions.
-        let q = bytes_total / n;
-        let r = bytes_total % n;
-        if i < r {
-            q + 1
-        } else {
-            q
-        }
-    };
-    let plan = &mut scratch.plan;
+    // Equal split, remainder on the leading partitions.
+    let (q, r) = (bytes_total / n, bytes_total % n);
+    let part_bytes = |i: usize| q + usize::from(i < r);
     plan.clear();
     match strategy {
         Strategy::Bulk => {
@@ -193,15 +256,6 @@ fn plan_messages(
         Strategy::EarlyBird => {
             // One message per partition at its thread's arrival, in arrival
             // order (ties broken by partition index).
-            let order = &mut scratch.order;
-            order.clear();
-            order.extend(0..n);
-            order.sort_by(|&a, &b| {
-                arrivals_ms[a]
-                    .partial_cmp(&arrivals_ms[b])
-                    .expect("finite")
-                    .then(a.cmp(&b))
-            });
             plan.extend(order.iter().map(|&i| (arrivals_ms[i], part_bytes(i))));
         }
         Strategy::TimeoutFlush { timeout_ms } => {
@@ -211,19 +265,12 @@ fn plan_messages(
             // visited *every* `timeout_ms` tick and rescanned all `n`
             // partitions at each — O((last_arrival/timeout)·n), a busy loop
             // for tiny timeouts against a late last arrival. This pass is
-            // O(n log n) regardless of the timeout/arrival-span ratio and
-            // produces the same flush groups: a flush at boundary `k`
-            // consumes exactly the not-yet-sent partitions with
+            // O(n) over the prepared order regardless of the
+            // timeout/arrival-span ratio and produces the same flush
+            // groups: a flush at boundary `k` consumes exactly the
+            // not-yet-sent partitions with
             // `arrival ≤ min(k·timeout, last_arrival)`.
-            let order = &mut scratch.order;
-            order.clear();
-            order.extend(0..n);
-            order.sort_by(|&a, &b| {
-                arrivals_ms[a]
-                    .partial_cmp(&arrivals_ms[b])
-                    .expect("finite")
-                    .then(a.cmp(&b))
-            });
+            //
             // Largest f64 whose neighbours are still 1 apart: tick counts
             // past 2⁵³ cannot step by ±1, so boundary correction would spin.
             const MAX_EXACT_TICK: f64 = 9_007_199_254_740_992.0;
@@ -261,23 +308,20 @@ fn plan_messages(
         }
         Strategy::Binned { bins } => {
             assert!(bins >= 1 && bins <= n, "bins must be in 1..=partitions");
-            // Contiguous partition groups; bin ready when slowest member is.
-            let events = &mut scratch.events;
+            // Contiguous partition groups, the leading `n % bins` one
+            // partition longer; a bin is ready when its slowest member is.
+            let (len, longer) = (n / bins, n % bins);
             events.clear();
             events.extend((0..bins).map(|b| {
-                let q = n / bins;
-                let r = n % bins;
-                let (start, len) = if b < r {
-                    (b * (q + 1), q + 1)
-                } else {
-                    (r * (q + 1) + (b - r) * q, q)
-                };
-                let ready = arrivals_ms[start..start + len]
+                let start = b * len + b.min(longer);
+                let end = start + len + usize::from(b < longer);
+                let ready = arrivals_ms[start..end]
                     .iter()
                     .copied()
                     .fold(f64::NEG_INFINITY, f64::max);
-                let bytes: usize = (start..start + len).map(part_bytes).sum();
-                (ready, bytes)
+                // Σ part_bytes over start..end: `q` each, one more for the
+                // partitions below `r`.
+                (ready, (end - start) * q + r.clamp(start, end) - start)
             }));
             events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
             plan.extend(events.iter().copied());
@@ -285,29 +329,9 @@ fn plan_messages(
     }
 }
 
-/// THE delivery kernel: prices every rank's message plan under `strategy`
-/// against `model` and returns the rank-aware outcome.
-///
-/// `rank_arrivals_ms[r][i]` is the compute-completion time of rank `r`'s
-/// thread `i`, which owns partition `i` of that rank's
-/// `bytes_per_rank`-byte buffer — precisely the paper's early-bird model
-/// (§2), scaled to a whole job. The model is [`reset`](NetModel::reset)
-/// before pricing, so one instance can be reused across strategies and
-/// arrival sets.
-///
-/// Every previous closed-form simulator is this kernel with a model plugged
-/// in: the old single-sender `simulate` is `run_delivery` over a
-/// [`SerialLink`](crate::netmodel::SerialLink) (see [`simulate`]), the old
-/// `simulate_fabric` is `run_delivery` over a
-/// [`Fabric`](crate::netmodel::Fabric) — bit-identical in both cases, which
-/// the `netmodel_equivalence` proptests pin against closed-form oracles.
-///
-/// # Panics
-/// On empty rank lists or arrivals, a model whose
-/// [`ranks`](NetModel::ranks) differs from `rank_arrivals_ms.len()`,
-/// non-finite times, fewer than one byte per partition, non-positive
-/// timeout, or zero bins.
-pub fn run_delivery<M, A>(
+/// Prices one strategy against arrival sets [`run_deliveries`] has already
+/// validated and ordered into `scratch.order` — the one pricing body.
+fn price<M, A>(
     model: &mut M,
     rank_arrivals_ms: &[A],
     bytes_per_rank: usize,
@@ -318,32 +342,48 @@ where
     M: NetModel + ?Sized,
     A: AsRef<[f64]>,
 {
-    assert!(!rank_arrivals_ms.is_empty(), "need at least one rank");
-    assert_eq!(
-        model.ranks(),
-        rank_arrivals_ms.len(),
-        "model rank count must match the arrival sets"
-    );
+    let SimScratch {
+        order,
+        last_arrivals,
+        events,
+        plan,
+        ..
+    } = scratch;
     model.reset();
     let mut per_rank = Vec::with_capacity(rank_arrivals_ms.len());
     let mut job_last_arrival = f64::NEG_INFINITY;
+    let mut ordered = 0;
     for (rank, arrivals_ms) in rank_arrivals_ms.iter().enumerate() {
         let arrivals_ms = arrivals_ms.as_ref();
-        let last_arrival = check_arrivals(arrivals_ms, bytes_per_rank);
+        let last_arrival = last_arrivals[rank];
         job_last_arrival = job_last_arrival.max(last_arrival);
-        plan_messages(arrivals_ms, bytes_per_rank, last_arrival, strategy, scratch);
+        let order: &[usize] = if strategy.follows_arrivals() {
+            &order[ordered..ordered + arrivals_ms.len()]
+        } else {
+            &[]
+        };
+        ordered += arrivals_ms.len();
+        plan_messages(
+            arrivals_ms,
+            order,
+            last_arrival,
+            bytes_per_rank,
+            strategy,
+            events,
+            plan,
+        );
         // Fold arrivals with max, not last-wins: serializing channels return
         // nondecreasing arrivals (where max IS the last value, bit for bit),
         // but a store-and-forward hop (HierarchicalFabric) can deliver a
         // small late message before a large earlier one.
         let mut completion = 0.0f64;
-        for &(inject_ms, bytes) in scratch.plan.iter() {
+        for &(inject_ms, bytes) in plan.iter() {
             completion = completion.max(model.inject(rank, inject_ms, bytes));
         }
         per_rank.push(RankDelivery {
             completion_ms: completion,
             last_arrival_ms: last_arrival,
-            messages: scratch.plan.len(),
+            messages: plan.len(),
             wire_ms: model.rank_busy_ms(rank),
         });
     }
@@ -355,6 +395,82 @@ where
         wire_ms: model.busy_ms(),
         per_rank,
     }
+}
+
+/// THE delivery kernel: prices every rank's message plan under each of
+/// `strategies` against `model` and returns the rank-aware outcomes, in
+/// strategy order.
+///
+/// `rank_arrivals_ms[r][i]` is the compute-completion time of rank `r`'s
+/// thread `i`, which owns partition `i` of that rank's
+/// `bytes_per_rank`-byte buffer — precisely the paper's early-bird model
+/// (§2), scaled to a whole job. The arrival sets are validated **once** and
+/// — when a strategy injects in arrival order — put in
+/// [arrival order](arrival_order) once, whatever the number of strategies;
+/// every strategy is then priced against that by the same body, on a model
+/// [`reset`](NetModel::reset) first — so one model instance can be reused
+/// across strategies and arrival sets, and each outcome equals its own
+/// [`run_delivery`] call's, bit for bit.
+///
+/// Every previous closed-form simulator is this kernel with a model plugged
+/// in: the old single-sender `simulate` is one strategy over a
+/// [`SerialLink`](crate::netmodel::SerialLink) (see [`simulate`]), the old
+/// `simulate_fabric` one strategy over a
+/// [`Fabric`](crate::netmodel::Fabric) — bit-identical in both cases, which
+/// the `netmodel_equivalence` proptests pin against closed-form oracles.
+///
+/// # Panics
+/// On empty rank lists or arrivals, a model whose
+/// [`ranks`](NetModel::ranks) differs from `rank_arrivals_ms.len()`,
+/// non-finite or negative times, fewer than one byte per partition,
+/// non-positive timeout, or zero bins.
+pub fn run_deliveries<M, A, const K: usize>(
+    model: &mut M,
+    rank_arrivals_ms: &[A],
+    bytes_per_rank: usize,
+    strategies: [Strategy; K],
+    scratch: &mut SimScratch,
+) -> [DeliveryOutcome; K]
+where
+    M: NetModel + ?Sized,
+    A: AsRef<[f64]>,
+{
+    assert!(!rank_arrivals_ms.is_empty(), "need at least one rank");
+    assert_eq!(
+        model.ranks(),
+        rank_arrivals_ms.len(),
+        "model rank count must match the arrival sets"
+    );
+    let in_order = strategies.iter().any(|s| s.follows_arrivals());
+    scratch.order.clear();
+    scratch.last_arrivals.clear();
+    for arrivals_ms in rank_arrivals_ms {
+        let arrivals_ms = arrivals_ms.as_ref();
+        scratch
+            .last_arrivals
+            .push(check_arrivals(arrivals_ms, bytes_per_rank));
+        if in_order {
+            push_arrival_order(arrivals_ms, &mut scratch.keys, &mut scratch.order);
+        }
+    }
+    strategies.map(|strategy| price(model, rank_arrivals_ms, bytes_per_rank, strategy, scratch))
+}
+
+/// One strategy through the kernel — [`run_deliveries`] with a one-element
+/// strategy list, same contract and panics.
+pub fn run_delivery<M, A>(
+    model: &mut M,
+    rank_arrivals_ms: &[A],
+    bytes_per_rank: usize,
+    strategy: Strategy,
+    scratch: &mut SimScratch,
+) -> DeliveryOutcome
+where
+    M: NetModel + ?Sized,
+    A: AsRef<[f64]>,
+{
+    let [outcome] = run_deliveries(model, rank_arrivals_ms, bytes_per_rank, [strategy], scratch);
+    outcome
 }
 
 /// Single-sender convenience: [`run_delivery`] over a fresh
@@ -400,6 +516,19 @@ mod tests {
         let mut v = tight_arrivals();
         v[13] = 32.0; // one laggard 7 ms late
         v
+    }
+
+    #[test]
+    fn arrival_order_is_by_value_then_index() {
+        let mut order = vec![7, 7, 7, 7, 7];
+        arrival_order(&[3.0, 1.0, 2.0, 1.0], &mut order);
+        assert_eq!(order, [1, 3, 2, 0]);
+        // The two zeros compare equal, so they tie and the index decides —
+        // whichever comes first (`total_cmp` would put -0.0 first).
+        arrival_order(&[0.0, -0.0], &mut order);
+        assert_eq!(order, [0, 1]);
+        arrival_order(&[-0.0, 0.0, 5e-324], &mut order);
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]

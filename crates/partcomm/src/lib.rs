@@ -25,9 +25,12 @@
 //! * [`earlybird`] — the delivery simulator: given per-thread arrival times
 //!   (measured or synthetic), compare **bulk-synchronous**, **early-bird
 //!   per-partition**, **timeout-flush** and **binned aggregation** strategies
-//!   (the Discussion section's proposals) through **one** kernel,
-//!   [`run_delivery`](earlybird::run_delivery), priced against any
-//!   [`NetModel`](netmodel::NetModel).
+//!   (the Discussion section's proposals) through **one** kernel —
+//!   [`run_deliveries`](earlybird::run_deliveries), which orders an arrival
+//!   set once ([`arrival_order`](earlybird::arrival_order)) and prices any
+//!   number of strategies against it;
+//!   [`run_delivery`](earlybird::run_delivery) is its one-strategy case —
+//!   priced against any [`NetModel`](netmodel::NetModel).
 //! * [`session`] — persistent partitioned sessions: the full
 //!   `Psend_init`/`Start`/`Pready`/`Parrived`/`Wait` lifecycle over the
 //!   transport, with eager per-partition (early-bird) transmission.
@@ -40,7 +43,10 @@ pub mod partition;
 pub mod session;
 pub mod transport;
 
-pub use earlybird::{run_delivery, simulate, DeliveryOutcome, RankDelivery, SimScratch, Strategy};
+pub use earlybird::{
+    arrival_order, run_deliveries, run_delivery, simulate, DeliveryOutcome, RankDelivery,
+    SimScratch, Strategy,
+};
 pub use netmodel::{
     link_by_name, Fabric, HierarchicalFabric, LinkModel, LogGPLink, NetModel, NetModelSpec,
     ResolvedNetModel, SerialLink,

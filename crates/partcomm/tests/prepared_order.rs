@@ -1,0 +1,203 @@
+//! One order per arrival set, any number of strategies.
+//!
+//! `run_deliveries` validates and orders its arrival sets once and prices
+//! every strategy of the call against that order; these proptests pin
+//!
+//! * a k-strategy call on a shared model and a dirty, reused scratch against
+//!   k one-strategy `run_delivery` calls, each on a fresh model and a fresh
+//!   scratch — bit for bit, for every network model;
+//! * `arrival_order` against the comparator sort it replaced
+//!   (`partial_cmp().then(index)`, stable),
+//!
+//! on arrival sets built to hit the order's edge cases: heavy ties, both
+//! zeros, single-partition ranks, ranks of unequal length.
+
+use ebird_partcomm::{
+    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, Fabric, HierarchicalFabric,
+    LinkModel, LogGPLink, NetModel, SerialLink, SimScratch, Strategy,
+};
+use proptest::prelude::*;
+
+/// Deterministic `u64` stream (xorshift64*): the cases below need more
+/// values than the strategy combinators conveniently give.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// `ranks` arrival sets of unequal length (1..=`max_len` partitions): values
+/// on a coarse grid (most arrivals tied with another), a few off-grid, and
+/// both zeros stamped into the first rank.
+fn rank_arrivals(ranks: usize, max_len: usize, next: &mut impl FnMut() -> u64) -> Vec<Vec<f64>> {
+    let mut sets: Vec<Vec<f64>> = (0..ranks)
+        .map(|_| {
+            let len = 1 + (next() as usize) % max_len;
+            (0..len)
+                .map(|_| match next() % 4 {
+                    0 => (next() % 1_000_000) as f64 / 1.0e4,
+                    _ => (next() % 12) as f64 * 0.5,
+                })
+                .collect()
+        })
+        .collect();
+    let first = &mut sets[0];
+    let len = first.len();
+    let at = (next() as usize) % len;
+    first[at] = -0.0;
+    if len > 1 {
+        first[(at + 1) % len] = 0.0;
+    }
+    sets
+}
+
+/// Every float of an outcome as bits (`PartialEq` alone would let `-0.0`
+/// pass for `0.0`), plus its counts.
+fn bits(o: &DeliveryOutcome) -> Vec<u64> {
+    let mut v = vec![
+        o.completion_ms.to_bits(),
+        o.last_arrival_ms.to_bits(),
+        o.wire_ms.to_bits(),
+        o.messages as u64,
+    ];
+    for r in &o.per_rank {
+        v.extend([
+            r.completion_ms.to_bits(),
+            r.last_arrival_ms.to_bits(),
+            r.wire_ms.to_bits(),
+            r.messages as u64,
+        ]);
+    }
+    v
+}
+
+/// Builds a fresh (idle) model.
+type MakeModel = Box<dyn Fn() -> Box<dyn NetModel>>;
+
+/// The four network models over `ranks` ranks (`SerialLink` is single-rank
+/// by definition, so it is offered for one rank only).
+fn models(ranks: usize) -> Vec<(&'static str, MakeModel)> {
+    let link = LinkModel::new(0.013, 1.0e-7);
+    let uplink = LinkModel::high_latency();
+    let mut all: Vec<(&'static str, MakeModel)> = vec![
+        (
+            "fabric",
+            Box::new(move || Box::new(Fabric::new(ranks, link, 0.5))),
+        ),
+        (
+            "hierarchical",
+            Box::new(move || Box::new(HierarchicalFabric::new(ranks, 2, link, uplink, 0.5, 0.25))),
+        ),
+        (
+            "loggp",
+            Box::new(move || Box::new(LogGPLink::with_ranks(ranks, 0.013, 0.002, 1.0e-7, 0.5))),
+        ),
+    ];
+    if ranks == 1 {
+        all.push(("serial", Box::new(move || Box::new(SerialLink::new(link)))));
+    }
+    all
+}
+
+/// One call pricing `strategies` on a shared model and `scratch` must equal
+/// one fresh-model, fresh-scratch `run_delivery` per strategy.
+fn assert_shared_order_prices_like_separate_calls<const K: usize>(
+    make: &dyn Fn() -> Box<dyn NetModel>,
+    sets: &[Vec<f64>],
+    bytes: usize,
+    strategies: [Strategy; K],
+    scratch: &mut SimScratch,
+    what: &str,
+) {
+    let together = run_deliveries(&mut *make(), sets, bytes, strategies, scratch);
+    for (got, s) in together.iter().zip(strategies) {
+        let alone = run_delivery(&mut *make(), sets, bytes, s, &mut SimScratch::new());
+        assert_eq!(got, &alone, "{what}: {}", s.label());
+        assert_eq!(bits(got), bits(&alone), "{what}: {}", s.label());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn many_strategies_on_one_order_equal_one_call_each(seed in 0u64..u64::MAX) {
+        let mut next = xorshift(seed);
+        // One scratch for the whole case: sets of different rank counts and
+        // sizes, larger and smaller alternating, leave it dirty in every way
+        // a sweep can.
+        let mut scratch = SimScratch::new();
+        for (ranks, max_len) in [(3, 40), (1, 5), (4, 64), (1, 48), (2, 1)] {
+            let sets = rank_arrivals(ranks, max_len, &mut next);
+            let shortest = sets.iter().map(Vec::len).min().unwrap_or(1);
+            let bytes = max_len + (next() % 1_000_000) as usize;
+            let timeout_ms = 0.05 + (next() % 400) as f64 / 100.0;
+            let bins = 1 + (next() as usize) % shortest;
+            for (name, make) in models(ranks) {
+                let what = format!("{name}, {ranks} rank(s) ≤ {max_len}");
+                // All four kinds, arrival-following ones neither first nor
+                // adjacent; then a call that follows no arrivals (nothing is
+                // ordered) and one that prices the same strategy twice.
+                assert_shared_order_prices_like_separate_calls(
+                    &*make,
+                    &sets,
+                    bytes,
+                    [
+                        Strategy::Binned { bins },
+                        Strategy::TimeoutFlush { timeout_ms },
+                        Strategy::Bulk,
+                        Strategy::EarlyBird,
+                    ],
+                    &mut scratch,
+                    &what,
+                );
+                assert_shared_order_prices_like_separate_calls(
+                    &*make,
+                    &sets,
+                    bytes,
+                    [Strategy::Bulk, Strategy::Binned { bins }],
+                    &mut scratch,
+                    &what,
+                );
+                assert_shared_order_prices_like_separate_calls(
+                    &*make,
+                    &sets,
+                    bytes,
+                    [Strategy::EarlyBird, Strategy::Bulk, Strategy::EarlyBird],
+                    &mut scratch,
+                    &what,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_order_equals_the_comparator_sort(seed in 0u64..u64::MAX) {
+        let mut next = xorshift(seed);
+        let mut order = Vec::new();
+        for max_len in [1, 2, 3, 48, 200] {
+            for arrivals in rank_arrivals(3, max_len, &mut next) {
+                let mut want: Vec<usize> = (0..arrivals.len()).collect();
+                want.sort_by(|&a, &b| {
+                    arrivals[a]
+                        .partial_cmp(&arrivals[b])
+                        .expect("finite")
+                        .then(a.cmp(&b))
+                });
+                // `order` arrives dirty from the previous set.
+                arrival_order(&arrivals, &mut order);
+                prop_assert_eq!(&order, &want, "{:?}", arrivals);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "finite and non-negative")]
+fn arrival_order_rejects_what_its_integer_keys_cannot_order() {
+    arrival_order(&[1.0, -1.0], &mut Vec::new());
+}

@@ -77,7 +77,9 @@ use ebird_cluster::{
     Workload, WorkloadSpec, BUILTIN_WORKLOAD_NAMES,
 };
 use ebird_core::DEFAULT_SEED;
-use ebird_partcomm::{run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy};
+use ebird_partcomm::{
+    arrival_order, run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy,
+};
 use ebird_runtime::Pool;
 use serde::{Deserialize, Serialize};
 
@@ -690,13 +692,13 @@ impl ResolvedCell {
 ///
 /// The group's arrivals are built and its delivery campaign (the mechanics
 /// check: the same rank count of real sessions, partitions readied in each
-/// rank's arrival order; a small payload keeps it fast, the delivery kernel
-/// prices the real byte count) is driven **once**; the `Bulk` baseline is
-/// priced once per run of adjacent cells sharing a network model. Rows are
-/// deterministic in everything but `transport_verified` (which only varies
-/// if the host fails to deliver within the deadline), so any split of a
-/// matrix into groups — whole, partial, or cell by cell — yields
-/// bit-identical rows.
+/// rank's [`arrival_order`] — the order the kernel injects them in; a small
+/// payload keeps it fast, the delivery kernel prices the real byte count)
+/// is driven **once**; the `Bulk` baseline is priced once per run of
+/// adjacent cells sharing a network model. Rows are deterministic in
+/// everything but `transport_verified` (which only varies if the host fails
+/// to deliver within the deadline), so any split of a matrix into groups —
+/// whole, partial, or cell by cell — yields bit-identical rows.
 ///
 /// # Errors
 /// A rendered workload failure: resolution validates names and ranges, but
@@ -721,7 +723,11 @@ pub fn price_group(cells: &[ResolvedCell], pool: &Pool) -> Result<Vec<ScenarioRo
         spec.ranks,
         spec.threads,
         spec.threads * 8,
-        |rank| argsort(&rank_arrivals[rank]),
+        |rank| {
+            let mut order = Vec::new();
+            arrival_order(&rank_arrivals[rank], &mut order);
+            order
+        },
         pool,
         Duration::from_secs_f64(spec.deadline_ms / 1000.0),
     )
@@ -842,14 +848,6 @@ pub fn run_matrix(matrix: &ScenarioMatrix, pool: &Pool) -> Result<Vec<ScenarioRo
         rows.extend(price_group(group, pool)?);
     }
     Ok(rows)
-}
-
-/// Indices of `values` sorted ascending (ties by index) — a rank's partition
-/// readiness order under early-bird delivery.
-fn argsort(values: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]).then(a.cmp(&b)));
-    order
 }
 
 /// Renders a short human summary of a finished campaign (stderr companion
@@ -1188,11 +1186,6 @@ mod tests {
         // The two model labels actually appear in the rows.
         assert!(rows.iter().any(|r| r.link.starts_with("hier(")));
         assert!(rows.iter().any(|r| r.link.starts_with("loggp(")));
-    }
-
-    #[test]
-    fn argsort_orders_by_value_then_index() {
-        assert_eq!(argsort(&[3.0, 1.0, 2.0, 1.0]), vec![1, 3, 2, 0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ensure_finite, ensure_len, StatsError};
+use crate::{ensure_finite, ensure_len, sorted_copy, StatsError};
 
 /// Single-pass accumulator for the first four central moments.
 ///
@@ -232,8 +232,7 @@ impl Summary {
         ensure_len(sample, 2)?;
         ensure_finite(sample)?;
         let m = Moments::from_slice(sample);
-        let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        let sorted = sorted_copy(sample);
         Ok(Summary {
             n: sample.len(),
             mean: m.mean(),

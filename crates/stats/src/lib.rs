@@ -115,6 +115,15 @@ pub(crate) fn ensure_len(sample: &[f64], needed: usize) -> Result<(), StatsError
     }
 }
 
+/// An ascending copy of a sample already checked finite — the stable
+/// `partial_cmp` order every order statistic of an unsorted sample is
+/// defined on.
+pub(crate) fn sorted_copy(sample: &[f64]) -> Vec<f64> {
+    let mut sorted = sample.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    sorted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ensure_finite, ensure_len, StatsError};
+use crate::{ensure_finite, ensure_len, sorted_copy, StatsError};
 
 /// Computes the `p`-th percentile (`0 ≤ p ≤ 100`) of an *unsorted* sample
 /// using type-7 linear interpolation. Allocates a sorted copy; use
@@ -25,9 +25,7 @@ pub fn percentile(sample: &[f64], p: f64) -> Result<f64, StatsError> {
             "percentile must be in [0, 100]",
         ));
     }
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    Ok(percentile_of_sorted(&sorted, p))
+    Ok(percentile_of_sorted(&sorted_copy(sample), p))
 }
 
 /// Type-7 percentile of an already **ascending-sorted** slice.
@@ -66,8 +64,7 @@ pub fn median(sample: &[f64]) -> Result<f64, StatsError> {
 pub fn iqr(sample: &[f64]) -> Result<f64, StatsError> {
     ensure_len(sample, 2)?;
     ensure_finite(sample)?;
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    let sorted = sorted_copy(sample);
     Ok(percentile_of_sorted(&sorted, 75.0) - percentile_of_sorted(&sorted, 25.0))
 }
 
@@ -101,9 +98,7 @@ impl PercentileSummary {
     pub fn from_sample(sample: &[f64]) -> Result<Self, StatsError> {
         ensure_len(sample, 1)?;
         ensure_finite(sample)?;
-        let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Ok(Self::from_sorted(&sorted))
+        Ok(Self::from_sorted(&sorted_copy(sample)))
     }
 
     /// Computes the summary from an **ascending-sorted** slice without

@@ -369,6 +369,26 @@ proptest! {
     }
 
     #[test]
+    fn key_sort_matches_the_stable_merge_sort_around_the_threshold(seed in 0u64..u64::MAX) {
+        // `sort_keys`' small path IS `slice::sort_unstable`, so the oracle
+        // here is the standard library's other sort (`slice::sort`, a stable
+        // merge sort): lengths on both sides of the radix threshold (64) and
+        // at the process-iteration size (48), with heavy duplication
+        // (flavors 0, 1) and 0 / `u64::MAX` stamped in (flavor 2).
+        let mut tmp = Vec::new();
+        for n in [0usize, 1, 2, 47, 48, 63, 64, 65] {
+            for flavor in 0..3 {
+                let keys = ns_keys(n, flavor, seed ^ (n * 3 + flavor) as u64);
+                let mut got = keys.clone();
+                sort_keys(&mut got, &mut tmp);
+                let mut want = keys;
+                want.sort();
+                prop_assert_eq!(got, want, "n = {}, flavor {}", n, flavor);
+            }
+        }
+    }
+
+    #[test]
     fn norm_log_cdf_sf_is_bitwise_equal_to_separate_evaluations(x in -40.0f64..40.0) {
         let (lc, ls) = norm_log_cdf_sf(x);
         prop_assert_eq!(lc.to_bits(), norm_log_cdf(x).to_bits());

@@ -95,11 +95,14 @@ fn real_compute_times_scale_with_problem_size() {
         Box::new(MiniQmc::new(p))
     })
     .unwrap();
-    let mean = |t: &early_bird::core::TimingTrace| {
-        let ms = t.all_ms();
-        ms.iter().sum::<f64>() / ms.len() as f64
-    };
-    let (m_short, m_long) = (mean(&short), mean(&long));
+    // Compare each trace's *fastest* sample, not its mean: on a shared host
+    // preemption only ever adds time to a sample, so the minimum of eight is
+    // the closest any of them gets to the work itself, while one descheduled
+    // 1× sample can drag a mean of eight past half the 4× mean (seen once
+    // in a full `cargo test --release` on two cores).
+    let fastest =
+        |t: &early_bird::core::TimingTrace| t.all_ms().into_iter().fold(f64::INFINITY, f64::min);
+    let (m_short, m_long) = (fastest(&short), fastest(&long));
     assert!(
         m_long > 2.0 * m_short,
         "4× sweeps should be ≫ 2× time: {m_short} vs {m_long}"

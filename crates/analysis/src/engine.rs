@@ -147,10 +147,11 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// sample count per worker and every worker runs the task loop over its
 /// part (a one-thread pool's single part is the whole list).
 ///
-/// When `obs` is provided, per-group sort latencies land in the
-/// [`SweepObs::SORT_NS`] histogram and the Shapiro–Wilk weight-cache
-/// tallies in the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`]
-/// counters.
+/// When `obs` is provided, each group's three layers are timed into the
+/// [`SweepObs::GATHER_NS`], [`SweepObs::SORT_NS`] and
+/// [`SweepObs::BATTERY_NS`] histograms (together they cover the workers'
+/// task loops) and the Shapiro–Wilk weight-cache tallies land in the
+/// [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`] counters.
 ///
 /// [`sweep`]: crate::normality::sweep
 pub fn sweep_levels_parallel_with_arenas(

@@ -7,7 +7,10 @@
 //! parts of that list ([`run_tasks`]) handed to pool workers. [`sweep`] runs
 //! one level, materializing each group's millisecond floats and sorting
 //! those — simple, independent of the task kernel, and the reference every
-//! bit-identity test compares the production route against.
+//! bit-identity test compares the production route against. Both end in the
+//! same fused battery kernel, which is a function of the sorted sample
+//! alone, so the routes differ in how the sorted milliseconds come to be
+//! and in nothing else.
 
 use std::sync::Arc;
 
@@ -20,7 +23,6 @@ use ebird_stats::normality::{
     TestStatistic,
 };
 use ebird_stats::sort::sort_keys;
-use ebird_stats::Moments;
 use serde::{Deserialize, Serialize};
 
 /// Results of running the three-test battery over every group of one
@@ -113,15 +115,18 @@ pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> Normal
 }
 
 /// Observability handles for the normality sweep fast path: weight-cache
-/// hit/miss counters and a per-group sort latency histogram, all
-/// registered on a shared [`ebird_obs::Registry`] so `repro profile` and the
-/// benchmark surface them next to the span/pool metrics.
+/// hit/miss counters and per-group latency histograms of the kernel's three
+/// layers (gather, sort + convert, battery), all registered on a shared
+/// [`ebird_obs::Registry`] so `repro profile` and the benchmark surface them
+/// next to the span/pool metrics.
 #[derive(Clone)]
 pub struct SweepObs {
     registry: Arc<Registry>,
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
+    gather_ns: Arc<Histogram>,
     sort_ns: Arc<Histogram>,
+    battery_ns: Arc<Histogram>,
     batch_len: Arc<Histogram>,
 }
 
@@ -131,11 +136,21 @@ impl SweepObs {
     /// Counter name: Shapiro–Wilk weight-vector cache misses (fresh Blom
     /// score solves).
     pub const CACHE_MISS: &'static str = "sweep.weights.cache_miss";
+    /// Histogram name: nanoseconds spent gathering each group's nanosecond
+    /// keys out of the trace. One entry per group. Together with
+    /// [`Self::SORT_NS`] and [`Self::BATTERY_NS`] this covers a worker's
+    /// whole task loop, so the three totals sum to the stage's busy time
+    /// (within 10 % at `--scale paper --threads 1`; the rest is the clock
+    /// reads and the fork/join around the loop).
+    pub const GATHER_NS: &'static str = "sweep.gather.ns";
     /// Histogram name: nanoseconds spent sorting each group's nanosecond
     /// keys and converting them to milliseconds, before the fused battery
     /// pass. One entry per group.
     pub const SORT_NS: &'static str = "sweep.sort.ns";
-    /// Histogram name: elements handed to the fused SW+AD kernel per group.
+    /// Histogram name: nanoseconds spent in the fused battery kernel (lane
+    /// sums, Φ blocks, the three statistics) per group. One entry per group.
+    pub const BATTERY_NS: &'static str = "sweep.battery.ns";
+    /// Histogram name: elements handed to the fused battery kernel per group.
     /// One entry per battery invocation, so `count` is the number of groups
     /// fused and the distribution shows the group sizes the kernel sees.
     pub const BATCH_LEN: &'static str = "sweep.batch.len";
@@ -146,7 +161,9 @@ impl SweepObs {
             registry: Arc::clone(registry),
             cache_hit: registry.counter(Self::CACHE_HIT),
             cache_miss: registry.counter(Self::CACHE_MISS),
+            gather_ns: registry.histogram(Self::GATHER_NS),
             sort_ns: registry.histogram(Self::SORT_NS),
+            battery_ns: registry.histogram(Self::BATTERY_NS),
             batch_len: registry.histogram(Self::BATCH_LEN),
         }
     }
@@ -156,11 +173,16 @@ impl SweepObs {
         self.registry.now_ns()
     }
 
-    /// Records one group: its sort latency and its sample count.
-    pub(crate) fn record_group(&self, sort_started_ns: u64, len: usize) {
-        self.sort_ns
-            .record(self.now_ns().saturating_sub(sort_started_ns));
+    /// Records one group of `len` samples from the four timestamps around
+    /// its three layers — `[gather start, sort start, battery start, end]` —
+    /// and returns the end, which is the next group's gather start.
+    pub(crate) fn record_group(&self, stamps: [u64; 4], len: usize) -> u64 {
+        let [t0, t1, t2, t3] = stamps;
+        self.gather_ns.record(t1.saturating_sub(t0));
+        self.sort_ns.record(t2.saturating_sub(t1));
+        self.battery_ns.record(t3.saturating_sub(t2));
         self.batch_len.record(len as u64);
+        t3
     }
 
     /// Folds the weight-cache tallies accumulated since `before` (an earlier
@@ -269,14 +291,13 @@ impl SweepTasks {
 /// [`SweepTasks`] into `out` — the loop every sweep worker runs (one
 /// worker: the whole list). Every group of every level is an independent
 /// task run by one kernel: gather the group's integer nanosecond compute
-/// times (streaming D'Agostino's moments in the same pass, so no raw copy
-/// is kept), radix-sort the integers, convert to milliseconds, run the
-/// fused Shapiro–Wilk + Anderson–Darling pass.
+/// times (no float work, no raw copy), radix-sort the integers, convert to
+/// milliseconds, run the fused three-test battery on the sorted sample.
 ///
-/// Bit-identity with [`sweep`] holds by construction: the moments see
-/// [`fill_group_ms`]'s values in its order; [`ns_to_ms`] is monotone, so
-/// sorting before or after the conversion yields the same array; and the
-/// battery is the same code on the same sorted sample.
+/// Bit-identity with [`sweep`] holds by construction: [`ns_to_ms`] is
+/// monotone, so sorting before or after the conversion yields the same
+/// array, and the battery is a function of that sorted array alone — the
+/// same code on the same sorted sample.
 ///
 /// Consecutive sweeps over same-shaped traces reuse `scratch`'s cached
 /// Shapiro–Wilk weight vectors (the application-level vector alone is
@@ -308,24 +329,24 @@ pub(crate) fn run_tasks(
         tmp.reserve_exact(largest.saturating_sub(tmp.len()));
     }
     let cache_before = battery.cache_stats();
+    // With an observer, each group's layers are timed back to back: the end
+    // of one group's battery is the start of the next group's gather.
+    let mut started = obs.map(|o| o.now_ns());
     for (offset, slot) in out.iter_mut().enumerate() {
         let (level, group, _) = tasks.get(first + offset);
         keys.clear();
-        let mut moments = Moments::new();
         for slice in group_slices(trace, level, group) {
-            for s in slice {
-                keys.push(s.compute_time_ns());
-                moments.push(s.compute_time_ms());
-            }
+            keys.extend(slice.iter().map(|s| s.compute_time_ns()));
         }
-        let t0 = obs.map(|o| o.now_ns());
+        let gathered = obs.map(|o| o.now_ns());
         sort_keys(keys, tmp);
         sorted.clear();
         sorted.extend(keys.iter().map(|&ns| ns_to_ms(ns)));
-        if let (Some(o), Some(t0)) = (obs, t0) {
-            o.record_group(t0, sorted.len());
+        let ordered = obs.map(|o| o.now_ns());
+        *slot = battery_sorted(sorted, battery);
+        if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
+            started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len()));
         }
-        *slot = battery_sorted(&moments, sorted, battery);
     }
     if let Some(o) = obs {
         o.record_cache_delta(battery, cache_before);
@@ -600,7 +621,9 @@ mod tests {
         assert_eq!(snap.counter(SweepObs::CACHE_HIT), 48);
         // One sort per group: 40 process-iterations, 10 application-
         // iterations, 1 application.
-        assert_eq!(snap.histogram(SweepObs::SORT_NS).count(), 40 + 10 + 1);
+        for layer in [SweepObs::GATHER_NS, SweepObs::SORT_NS, SweepObs::BATTERY_NS] {
+            assert_eq!(snap.histogram(layer).count(), 40 + 10 + 1, "{layer}");
+        }
         // One fused-battery batch per group; total elements = the group
         // sizes summed (40×16 + 10×64 + 1×640).
         let batches = snap.histogram(SweepObs::BATCH_LEN);

@@ -6,8 +6,9 @@
 //! process-iteration handled ([`units_counter`]) and per-worker busy splits,
 //! followed by the normality-sweep fast-path instruments
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
-//! [`SweepObs::SORT_NS`] latency histogram and the [`SweepObs::BATCH_LEN`]
-//! batch-Φ feed sizes) and the pool's [`PoolObserver::FORK_NS`] fork/join
+//! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
+//! [`SweepObs::GATHER_NS`], sort, [`SweepObs::BATTERY_NS`] — as shares of
+//! the stage's busy time, and the [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's [`PoolObserver::FORK_NS`] fork/join
 //! overhead histogram. Rendering lives in the library
 //! so a sentinel test can assert every metric the profile reads actually
 //! appears in the output — a silent rendering gap would hide a regression
@@ -110,6 +111,26 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         ms(p95_lo),
         ms(p95_hi)
     );
+    // The kernel's three layers cover a worker's whole task loop, so they
+    // sum to the stage's busy time (within 10 % at `--scale paper
+    // --threads 1`: clock reads and the fork/join are the rest).
+    let [gather, sort, battery] = [SweepObs::GATHER_NS, SweepObs::SORT_NS, SweepObs::BATTERY_NS]
+        .map(|name| snap.histogram(name).total());
+    let layers = gather + sort + battery;
+    let sweep_busy = snap.counter(&PoolObserver::stage_counter(STAGES[1]));
+    let share = if sweep_busy == 0 {
+        0.0
+    } else {
+        100.0 * layers as f64 / sweep_busy as f64
+    };
+    let _ = writeln!(
+        out,
+        "  layers: gather {:.1} ms + sort {:.1} ms + battery {:.1} ms = {:.1} ms ({share:.1}% of the stage's busy time)",
+        ms(gather),
+        ms(sort),
+        ms(battery),
+        ms(layers)
+    );
     let batches = snap.histogram(SweepObs::BATCH_LEN);
     let mean_batch = if batches.count() == 0 {
         0.0
@@ -192,6 +213,13 @@ mod tests {
         for _ in 0..count {
             hist.record(1_000_000);
         }
+        // The gather and battery layers render their totals in ms with one
+        // decimal, like the stage cells.
+        for layer in [SweepObs::GATHER_NS, SweepObs::BATTERY_NS] {
+            registry
+                .histogram(layer)
+                .record(next(&mut sentinels) * 1_000_000);
+        }
         // Batch-Φ kernel feed: count and element total are both rendered;
         // one-element batches make them the same sentinel.
         let batch_count = next(&mut sentinels);
@@ -223,5 +251,6 @@ mod tests {
         assert!(rendered.contains("0 hits / 0 misses (0.0% hit rate)"));
         assert!(rendered.contains("fork/join overhead"));
         assert!(rendered.contains("batch-phi kernel"));
+        assert!(rendered.contains("  layers: gather 0.0 ms + sort 0.0 ms + battery 0.0 ms"));
     }
 }

@@ -9,37 +9,76 @@
 //! over standardized, sorted observations, with the small-sample modification
 //! `A*² = A² (1 + 0.75/n + 2.25/n²)` (D'Agostino & Stephens 1986, Table 4.7).
 //!
+//! Each bracket is evaluated as **one** logarithm, of the product
+//! `Φ(zᵢ)·(1 − Φ(z_{n+1−i}))` ([`log_term`]): two `ln` calls were five
+//! eighths of a Φ evaluation's cost, and the sum needs the logs only added.
+//! Only a term whose product could leave the normal range — an order
+//! statistic ten or more standard deviations out — takes the two stable log
+//! tails instead.
+//!
 //! Decisions use the published critical values; p-values use the
 //! D'Agostino–Stephens piecewise-exponential approximation (the same one R's
 //! `nortest::ad.test` uses), which reproduces p = 0.05 at A*² = 0.752 and
 //! p = 0.01 at A*² = 1.035.
 
-use crate::special::norm_log_cdf_sf;
+use crate::special::{norm_cdf_sf, norm_log_cdf, norm_log_sf};
 use crate::{accumulate, ensure_finite, ensure_len, StatsError};
 
 use super::{NormalityOutcome, NormalityTest, TestStatistic};
 
-/// The Σ (2i+1)[ln Φ(zᵢ) + ln(1 − Φ(z₍ₙ₋₁₋ᵢ₎))] sum over a sorted,
-/// standardized sample, in **paired traversal order**: indices `i` and
-/// `n−1−i` are visited together so each element needs exactly one fused
-/// [`norm_log_cdf_sf`] evaluation (the sum uses both its log-CDF and its
-/// mirror partner's log-SF). The fused battery kernel replays this exact
-/// accumulation sequence, so both paths agree bit-for-bit.
+/// Smallest product [`log_term`] takes the logarithm of directly. With both
+/// operands inside `(−10, 10)` each factor is at least Φ(−10) ≈ 7.6e-24, so
+/// the bound does not bind; it makes "no term evaluates `ln(0)`" a property
+/// of the predicate itself instead of an argument about Φ.
+const MIN_DIRECT_PRODUCT: f64 = 1e-290;
+
+/// One bracket of the A² sum: `ln Φ(z_cdf) + ln(1 − Φ(z_sf))`, given
+/// `cdf = Φ(z_cdf)` and `sf = 1 − Φ(z_sf)`.
+///
+/// With both standardized values strictly inside `(−10, 10)` — the range
+/// where [`crate::special::norm_log_cdf`] itself takes the log of the direct
+/// CDF — the sum of the logs is the log of the product: one `ln`. Outside
+/// it (or for a product that is not safely normal) the term is today's
+/// `norm_log_cdf(z_cdf) + norm_log_sf(z_sf)`, whose Mills-ratio branch stays
+/// finite however far out a laggard sits. The rule reads only the term's own
+/// operands, and both the stand-alone sum ([`ad_pair_sum`]) and the fused
+/// battery kernel call this one function, so the two routes take the same
+/// branch for the same term by construction.
+#[inline]
+pub(crate) fn log_term(z_cdf: f64, cdf: f64, z_sf: f64, sf: f64) -> f64 {
+    let product = cdf * sf;
+    let direct = |z: f64| z > -10.0 && z < 10.0;
+    if direct(z_cdf) && direct(z_sf) && product >= MIN_DIRECT_PRODUCT {
+        product.ln()
+    } else {
+        norm_log_cdf(z_cdf) + norm_log_sf(z_sf)
+    }
+}
+
+/// The Σ (2i+1)·ln(Φ(zᵢ)·(1 − Φ(z₍ₙ₋₁₋ᵢ₎))) sum over a sorted sample,
+/// standardized on the fly, in **paired traversal order**: indices `i` and
+/// `n−1−i` are visited together so each element needs exactly one
+/// [`norm_cdf_sf`] evaluation (the sum uses both its CDF and its mirror
+/// partner's survival value). The fused battery kernel replays this exact
+/// accumulation sequence over [`crate::special::norm_cdf_sf_slice`]'s
+/// bit-identical batch values, so both paths agree bit-for-bit.
 pub(crate) fn ad_pair_sum(sorted: &[f64], mean: f64, sd: f64) -> f64 {
     let n = sorted.len();
     let z = |x: f64| (x - mean) / sd;
     let mut s = 0.0;
     for i in 0..n / 2 {
         let r = n - 1 - i;
-        let (lc_i, ls_i) = norm_log_cdf_sf(z(sorted[i]));
-        let (lc_r, ls_r) = norm_log_cdf_sf(z(sorted[r]));
-        s += (2 * i + 1) as f64 * (lc_i + ls_r);
-        s += (2 * r + 1) as f64 * (lc_r + ls_i);
+        let (z_i, z_r) = (z(sorted[i]), z(sorted[r]));
+        let (c_i, s_i) = norm_cdf_sf(z_i);
+        let (c_r, s_r) = norm_cdf_sf(z_r);
+        s += (2 * i + 1) as f64 * log_term(z_i, c_i, z_r, s_r);
+        s += (2 * r + 1) as f64 * log_term(z_r, c_r, z_i, s_i);
     }
     if n % 2 == 1 {
         let mid = n / 2;
-        let (lc, ls) = norm_log_cdf_sf(z(sorted[mid]));
-        s += (2 * mid + 1) as f64 * (lc + ls);
+        let z_m = z(sorted[mid]);
+        let (c, s_m) = norm_cdf_sf(z_m);
+        s += (2 * mid + 1) as f64 * log_term(z_m, c, z_m, s_m);
     }
     s
 }
@@ -218,6 +257,55 @@ mod tests {
                 "A*²={crit}: p={p}, want≈{want}"
             );
         }
+    }
+
+    #[test]
+    fn log_term_takes_one_log_inside_the_direct_range_and_two_tails_outside() {
+        let term = |z_cdf: f64, z_sf: f64| {
+            log_term(z_cdf, norm_cdf_sf(z_cdf).0, z_sf, norm_cdf_sf(z_sf).1)
+        };
+        let two_logs = |z_cdf: f64, z_sf: f64| norm_log_cdf(z_cdf) + norm_log_sf(z_sf);
+        // Strictly inside (−10, 10) on both sides: the log of the product,
+        // within rounding of the sum of the two logs.
+        for (a, b) in [
+            (-9.99, 9.99),
+            (-3.0, 2.0),
+            (0.0, 0.0),
+            (9.99, -9.99),
+            (1.5, -9.5),
+        ] {
+            let product = norm_cdf_sf(a).0 * norm_cdf_sf(b).1;
+            assert_eq!(term(a, b).to_bits(), product.ln().to_bits(), "({a}, {b})");
+            let want = two_logs(a, b);
+            assert!(
+                (term(a, b) - want).abs() <= 1e-13 * want.abs().max(1.0),
+                "({a}, {b})"
+            );
+        }
+        // On or beyond ±10 on either side: exactly the two stable log tails,
+        // finite however far out.
+        for (a, b) in [
+            (-10.0, 0.0),
+            (0.0, 10.0),
+            (10.0, -10.0),
+            (-62.0, 1.0),
+            (-1.0, 62.0),
+            (-40.0, 40.0),
+            (-1e6, 1e6),
+        ] {
+            assert_eq!(term(a, b).to_bits(), two_logs(a, b).to_bits(), "({a}, {b})");
+            assert!(term(a, b).is_finite(), "({a}, {b})");
+        }
+        // A product that is not safely normal never reaches `ln`, whatever
+        // the z's say.
+        assert_eq!(
+            log_term(-1.0, 1e-200, 1.0, 1e-200).to_bits(),
+            two_logs(-1.0, 1.0).to_bits()
+        );
+        assert_eq!(
+            log_term(-1.0, 0.0, 1.0, 0.5).to_bits(),
+            two_logs(-1.0, 1.0).to_bits()
+        );
     }
 
     #[test]

@@ -9,12 +9,51 @@
 //! Validity: the kurtosis transform needs `n ≥ 8` (scipy raises below that; we
 //! return [`StatsError::SampleTooSmall`]). The paper's smallest aggregation is
 //! 48 samples, comfortably inside range.
+//!
+//! `g₁` and `b₂` come from [`accumulate::central_sums`] **of the sorted
+//! sample** ([`shape_from_sums`], the one definition of sample skewness and
+//! kurtosis in this module tree): lane sums are order-sensitive in their
+//! last bits, so every route — the stand-alone test, which sorts a copy like
+//! Shapiro–Wilk and Anderson–Darling do, `test_presorted`, and the fused
+//! battery kernel, which shares the sums with W's denominator — sees the
+//! same order and agrees bit for bit.
 
-use crate::descriptive::Moments;
 use crate::special::{chi2_sf, norm_sf};
-use crate::{ensure_finite, ensure_len, StatsError};
+use crate::{accumulate, ensure_finite, ensure_len, sorted_copy, StatsError};
 
 use super::{NormalityOutcome, NormalityTest, TestStatistic};
+
+/// Biased sample skewness `g₁ = m₃ / m₂^{3/2}` and kurtosis `b₂ = m₄ / m₂²`
+/// (not excess; normal ⇒ 3) from the central power sums of `n` observations,
+/// `mₖ = Σdᵏ / n`.
+///
+/// # Errors
+/// [`StatsError::ZeroVariance`] unless `Σd² > 0`.
+pub(crate) fn shape_from_sums(
+    n: usize,
+    s2: f64,
+    s3: f64,
+    s4: f64,
+) -> Result<(f64, f64), StatsError> {
+    let nf = n as f64;
+    let m2 = s2 / nf;
+    if m2.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(StatsError::ZeroVariance);
+    }
+    Ok(((s3 / nf) / m2.powf(1.5), (s4 / nf) / (m2 * m2)))
+}
+
+/// [`shape_from_sums`] of an already sorted, finite sample of at least two
+/// values; degenerate samples are detected on the sorted range, exactly like
+/// the order-statistic tests do.
+pub(crate) fn shape_of_sorted(sorted: &[f64]) -> Result<(f64, f64), StatsError> {
+    let n = sorted.len();
+    if sorted[n - 1] - sorted[0] <= 0.0 {
+        return Err(StatsError::ZeroVariance);
+    }
+    let (_, s2, s3, s4) = accumulate::central_sums(sorted);
+    shape_from_sums(n, s2, s3, s4)
+}
 
 /// The K² omnibus test. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,32 +102,26 @@ impl DagostinoK2 {
     ) -> Result<(NormalityOutcome, f64, f64), StatsError> {
         ensure_len(sample, self.min_sample_size())?;
         ensure_finite(sample)?;
-        self.test_moments(&Moments::from_slice(sample))
+        self.components_sorted(&sorted_copy(sample))
     }
 
-    /// [`test_with_components`](Self::test_with_components) for a caller that
-    /// already streamed the sample into `m` — bit-identical to it when the
-    /// pushes happened in the sample's order (the accumulator's rounding is
-    /// order-sensitive). The observations must have been finite.
-    ///
-    /// # Errors
-    /// [`StatsError::SampleTooSmall`] and [`StatsError::ZeroVariance`], as
-    /// [`NormalityTest::test`].
-    pub fn test_moments(&self, m: &Moments) -> Result<(NormalityOutcome, f64, f64), StatsError> {
-        let n = m.count() as usize;
-        if n < self.min_sample_size() {
-            return Err(StatsError::SampleTooSmall {
-                needed: self.min_sample_size(),
-                got: n,
-            });
-        }
-        if m.variance_population() <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        let z1 = Self::skewness_z(m.skewness(), n);
-        let z2 = Self::kurtosis_z(m.kurtosis(), n);
+    /// The test on an already sorted, finite sample.
+    fn components_sorted(
+        &self,
+        sorted: &[f64],
+    ) -> Result<(NormalityOutcome, f64, f64), StatsError> {
+        ensure_len(sorted, self.min_sample_size())?;
+        let (g1, b2) = shape_of_sorted(sorted)?;
+        Ok(Self::from_shape(g1, b2, sorted.len()))
+    }
+
+    /// K², its χ²(2) p-value and the component z-scores from the sample's
+    /// `g₁`, `b₂` and size (`n ≥ 8`) — the one body every route ends in.
+    pub(crate) fn from_shape(g1: f64, b2: f64, n: usize) -> (NormalityOutcome, f64, f64) {
+        let z1 = Self::skewness_z(g1, n);
+        let z2 = Self::kurtosis_z(b2, n);
         let k2 = z1 * z1 + z2 * z2;
-        Ok((
+        (
             NormalityOutcome {
                 statistic_kind: TestStatistic::DagostinoK2,
                 statistic: k2,
@@ -99,18 +132,15 @@ impl DagostinoK2 {
             },
             z1,
             z2,
-        ))
+        )
     }
 
     /// Two-sided p-value of the skewness z-test alone (diagnostic helper).
     pub fn skewtest_p(sample: &[f64]) -> Result<f64, StatsError> {
         ensure_len(sample, 8)?;
         ensure_finite(sample)?;
-        let m = Moments::from_slice(sample);
-        if m.variance_population() <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        let z = Self::skewness_z(m.skewness(), sample.len());
+        let (g1, _) = shape_of_sorted(&sorted_copy(sample))?;
+        let z = Self::skewness_z(g1, sample.len());
         Ok(2.0 * norm_sf(z.abs()))
     }
 }
@@ -126,6 +156,16 @@ impl NormalityTest for DagostinoK2 {
 
     fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
         self.test_with_components(sample).map(|(o, _, _)| o)
+    }
+
+    fn test_presorted(
+        &self,
+        sample: &[f64],
+        sorted: &[f64],
+    ) -> Result<NormalityOutcome, StatsError> {
+        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
+        ensure_finite(sorted)?;
+        self.components_sorted(sorted).map(|(o, _, _)| o)
     }
 }
 
@@ -194,10 +234,60 @@ mod tests {
 
     #[test]
     fn p_value_is_exp_of_minus_half_k2() {
-        // χ²(2) survival is exactly exp(-x/2); sanity-check the wiring.
-        let xs = normal_scores(100);
-        let o = DagostinoK2.test(&xs).unwrap();
-        assert!((o.p_value - (-o.statistic / 2.0).exp()).abs() < 1e-10);
+        // χ²(2) survival is exactly exp(-x/2): the closed form, to the ulp
+        // (`-x / 2` and `-0.5 * x` are the same double).
+        for xs in [
+            normal_scores(100),
+            normal_scores(48),
+            vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+        ] {
+            let o = DagostinoK2.test(&xs).unwrap();
+            let want = (-o.statistic / 2.0).exp();
+            assert!(
+                (o.p_value - want).abs() <= 2.0 * f64::EPSILON * want,
+                "p = {}, exp(-K²/2) = {want}",
+                o.p_value
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_samples_have_zero_skew_component_exactly() {
+        // ±k/4 and 1..=8: every deviation, power and partial sum is a dyadic
+        // rational well inside 53 bits, so g₁ is exactly 0, hence Z₁ = 0 and
+        // K² = Z₂² with no rounding between them.
+        let quarters: Vec<f64> = (1..=24)
+            .flat_map(|k| [k as f64 / 4.0, -(k as f64) / 4.0])
+            .collect();
+        let ramp: Vec<f64> = (1..=8).map(f64::from).collect();
+        for xs in [quarters, ramp.clone()] {
+            let (o, z1, z2) = DagostinoK2.test_with_components(&xs).unwrap();
+            assert_eq!(z1, 0.0);
+            assert_eq!(o.statistic.to_bits(), (z2 * z2).to_bits());
+        }
+        // 1..=8 by hand: Σd² = 42, Σd⁴ = 388.5, so b₂ = (388.5/8)/(42/8)² =
+        // 48.5625/27.5625 = 37/21.
+        let (_, _, z2) = DagostinoK2.test_with_components(&ramp).unwrap();
+        assert_eq!(
+            z2.to_bits(),
+            DagostinoK2::kurtosis_z(37.0 / 21.0, 8).to_bits()
+        );
+    }
+
+    #[test]
+    fn presorted_route_and_any_permutation_agree_bit_for_bit() {
+        // The statistic is a function of the sorted sample: the order the
+        // caller holds the values in cannot reach it.
+        let xs: Vec<f64> = (0..97)
+            .map(|i| (((i * 37) % 101) as f64).sin() * 2.5 + 10.0)
+            .collect();
+        let mut reversed = xs.clone();
+        reversed.reverse();
+        let mut sorted = xs.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let direct = DagostinoK2.test(&xs).unwrap();
+        assert_eq!(direct, DagostinoK2.test(&reversed).unwrap());
+        assert_eq!(direct, DagostinoK2.test_presorted(&xs, &sorted).unwrap());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! column depends on those finite-sample corrections (JB is anti-conservative
 //! at n = 48, which the extended-battery test below demonstrates).
 
-use crate::descriptive::Moments;
 use crate::special::chi2_sf;
-use crate::{ensure_finite, ensure_len, StatsError};
+use crate::{ensure_finite, ensure_len, sorted_copy, StatsError};
 
+use super::dagostino::shape_of_sorted;
 use super::{NormalityOutcome, NormalityTest, TestStatistic};
 
 /// The Jarque–Bera test. Stateless; construct freely.
@@ -25,14 +25,29 @@ impl JarqueBera {
     pub fn jb_statistic(&self, sample: &[f64]) -> Result<f64, StatsError> {
         ensure_len(sample, self.min_sample_size())?;
         ensure_finite(sample)?;
-        let m = Moments::from_slice(sample);
-        if m.variance_population() <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        let g1 = m.skewness();
-        let b2 = m.kurtosis();
-        let n = sample.len() as f64;
+        self.jb_from_sorted(&sorted_copy(sample))
+    }
+
+    /// JB from an **already sorted** sample: `g₁` and `b₂` are the battery's
+    /// one definition ([`shape_of_sorted`], lane sums of the sorted values),
+    /// so the ablation's shared sorted buffer serves this test too.
+    fn jb_from_sorted(&self, sorted: &[f64]) -> Result<f64, StatsError> {
+        ensure_len(sorted, self.min_sample_size())?;
+        ensure_finite(sorted)?;
+        let (g1, b2) = shape_of_sorted(sorted)?;
+        let n = sorted.len() as f64;
         Ok(n / 6.0 * (g1 * g1 + (b2 - 3.0) * (b2 - 3.0) / 4.0))
+    }
+
+    fn outcome(jb: f64, n: usize) -> NormalityOutcome {
+        NormalityOutcome {
+            statistic_kind: TestStatistic::JarqueBera,
+            statistic: jb,
+            p_value: chi2_sf(jb, 2.0),
+            n,
+            // The χ²(2) limit is notoriously slow to kick in.
+            extrapolated: n < 2000,
+        }
     }
 }
 
@@ -46,21 +61,23 @@ impl NormalityTest for JarqueBera {
     }
 
     fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        let jb = self.jb_statistic(sample)?;
-        Ok(NormalityOutcome {
-            statistic_kind: TestStatistic::JarqueBera,
-            statistic: jb,
-            p_value: chi2_sf(jb, 2.0),
-            n: sample.len(),
-            // The χ²(2) limit is notoriously slow to kick in.
-            extrapolated: sample.len() < 2000,
-        })
+        Ok(Self::outcome(self.jb_statistic(sample)?, sample.len()))
+    }
+
+    fn test_presorted(
+        &self,
+        sample: &[f64],
+        sorted: &[f64],
+    ) -> Result<NormalityOutcome, StatsError> {
+        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
+        Ok(Self::outcome(self.jb_from_sorted(sorted)?, sorted.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptive::Moments;
     use crate::special::norm_quantile;
 
     fn normal_scores(n: usize) -> Vec<f64> {

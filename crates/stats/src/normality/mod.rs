@@ -12,6 +12,15 @@
 //! sweep them uniformly (Table 1 runs all three over 16,000 process-iteration
 //! sets per application). The paper uses a 5% significance level; the trait's
 //! [`NormalityTest::test`] takes α explicitly.
+//!
+//! The battery is **a function of the sorted sample alone**. Each statistic
+//! has one arithmetic — lane sums of the sorted values
+//! ([`crate::accumulate::central_sums`]) for W's denominator, A²'s
+//! standardization and K²'s `g₁`/`b₂`; one logarithm per A² term — that every
+//! route replays bit for bit: the three stand-alone tests (each sorts a
+//! copy), [`NormalityTest::test_presorted`], and the fused kernel behind
+//! [`battery_with_scratch`], [`battery_presorted`] and [`battery_sorted`],
+//! which computes all three in one pass over a sorted buffer.
 
 pub mod anderson_darling;
 pub mod dagostino;
@@ -22,8 +31,8 @@ pub mod shapiro_wilk;
 use serde::{Deserialize, Serialize};
 
 use crate::sort::{sort_floats, SortScratch};
-use crate::special::{norm_log_cdf_sf, norm_log_cdf_sf_slice};
-use crate::{accumulate, Moments, StatsError};
+use crate::special::{norm_cdf_sf, norm_cdf_sf_slice};
+use crate::{accumulate, StatsError};
 
 /// Identifier for one of the three implemented tests; used in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -107,10 +116,9 @@ pub trait NormalityTest {
     /// Runs the test given both the raw sample and an already-sorted copy of
     /// it, with the same outcome [`Self::test`] would produce on `sample`.
     ///
-    /// The default ignores `sorted`; order-statistic tests (Shapiro–Wilk,
-    /// Anderson–Darling, Lilliefors) override it to skip their internal sort,
-    /// which is what makes the sweep's shared-sorted-buffer path
-    /// allocation-free for the whole extended battery.
+    /// The default ignores `sorted`; every test of the extended battery
+    /// overrides it to skip its internal sort, which is what makes the
+    /// ablation's shared-sorted-buffer path allocation-free.
     ///
     /// # Errors
     /// Same contract as [`Self::test`].
@@ -206,44 +214,44 @@ impl WeightCache {
 }
 
 /// Order-statistic pairs `(i, n−1−i)` the fused kernel evaluates Φ for at a
-/// time: 512 from each end of the sorted sample, so the `z`, `ln Φ` and
-/// `ln(1 − Φ)` blocks (24 KiB together) stay in L1 however large the group.
+/// time: 512 from each end of the sorted sample, so the `z`, `Φ` and `1 − Φ`
+/// blocks (24 KiB together) stay in L1 however large the group.
 const PHI_BLOCK: usize = 512;
 
 /// The fused kernel's Φ working set for one block of pairs: standardized
-/// order statistics and their two log tails, the block's low-end elements
-/// first (ascending), its high-end elements after them (ascending).
+/// order statistics and their two tail probabilities, the block's low-end
+/// elements first (ascending), its high-end elements after them (ascending).
 #[derive(Debug, Clone, Default)]
 struct PhiBlock {
     z: Vec<f64>,
-    log_cdf: Vec<f64>,
-    log_sf: Vec<f64>,
+    cdf: Vec<f64>,
+    sf: Vec<f64>,
 }
 
 impl PhiBlock {
-    /// Standardizes `low` then `high` into `z` and batch-evaluates both log
-    /// tails. `z = (x − mean) / sd` is the exact expression the scalar
-    /// kernel fed to [`crate::special::norm_log_cdf_sf`], and the slice
-    /// kernel is bit-identical to that scalar call per element — wherever
-    /// the element sits in a buffer — so the returned blocks carry exactly
-    /// the values a whole-sample evaluation would.
-    fn fill(&mut self, low: &[f64], high: &[f64], mean: f64, sd: f64) -> (&[f64], &[f64]) {
+    /// Standardizes `low` then `high` into `z` and batch-evaluates both
+    /// tails; returns `(z, Φ(z), 1 − Φ(z))`. `z = (x − mean) / sd` is the
+    /// exact expression the stand-alone sum feeds to
+    /// [`crate::special::norm_cdf_sf`], and the slice kernel is bit-identical
+    /// to that scalar call per element — wherever the element sits in a
+    /// buffer — so the returned blocks carry exactly the values a
+    /// whole-sample evaluation would.
+    fn fill(&mut self, low: &[f64], high: &[f64], mean: f64, sd: f64) -> [&[f64]; 3] {
         self.z.clear();
         self.z
             .extend(low.iter().chain(high).map(|&v| (v - mean) / sd));
         let n = self.z.len();
-        self.log_cdf.resize(n, 0.0);
-        self.log_sf.resize(n, 0.0);
-        norm_log_cdf_sf_slice(&self.z, &mut self.log_cdf, &mut self.log_sf);
-        (&self.log_cdf, &self.log_sf)
+        self.cdf.resize(n, 0.0);
+        self.sf.resize(n, 0.0);
+        norm_cdf_sf_slice(&self.z, &mut self.cdf, &mut self.sf);
+        [&self.z, &self.cdf, &self.sf]
     }
 }
 
 /// Reusable buffers for allocation-free runs of the paper's three-test
-/// battery: one sorted copy of the sample (shared by Shapiro–Wilk and
-/// Anderson–Darling, which previously each sorted their own fresh `Vec`),
-/// the radix-sort scratch, the per-`n` [`WeightCache`], and the Φ block the
-/// fused kernel works through.
+/// battery: one sorted copy of the sample (shared by all three tests, which
+/// stand-alone each sort their own), the radix-sort scratch, the per-`n`
+/// [`WeightCache`], and the Φ block the fused kernel works through.
 ///
 /// One scratch per worker thread lets the sweep engine test tens of
 /// thousands of groups with zero allocations after warm-up.
@@ -273,39 +281,47 @@ impl BatteryScratch {
     }
 }
 
-/// The fused Shapiro–Wilk + Anderson–Darling kernel: one traversal of the
-/// sorted sample, from both ends inwards, computes the symmetric-difference
-/// W sum and the paired `ln Φ(zᵢ) + ln(1 − Φ(z₍ₙ₋₁₋ᵢ₎))` A² terms. The Φ logs
+/// The fused battery kernel: the three statistics as a function of the
+/// sorted sample alone. One lane pass ([`accumulate::central_sums`]) yields
+/// the mean and `Σd²` (W's denominator, A²'s standard deviation) together
+/// with `Σd³` and `Σd⁴` (K²'s `g₁` and `b₂`); one traversal from both ends
+/// inwards then computes the symmetric-difference W sum and the paired A²
+/// terms, one logarithm each ([`anderson_darling::log_term`]). Φ and 1 − Φ
 /// are batch-evaluated [`PHI_BLOCK`] pairs at a time by
-/// [`norm_log_cdf_sf_slice`] (the sorted layout makes the slice kernel's
+/// [`norm_cdf_sf_slice`] (the sorted layout makes the slice kernel's
 /// interval-uniform fast path the common case), weights/constants come from
 /// the per-`n` cache.
 ///
 /// Outcomes are bit-identical to the individual tests because every
-/// accumulator replays the exact sequence of the standalone paths:
-/// mean/ssq via [`accumulate::mean_ssq`], `sax` ascending (as in
-/// `w_from_sorted_with`), and the A² sum in `ad_pair_sum`'s pair order —
-/// the batch kernel is bit-identical to the per-element
-/// `norm_log_cdf_sf` calls it replaces, and evaluating those independent
-/// calls a block ahead of the loop does not reorder any accumulator.
-fn fused_sw_ad(
+/// accumulator replays the exact sequence of the standalone paths: the
+/// central sums of the sorted sample (as `DagostinoK2`, `w_from_sorted_with`
+/// and `a2_from_parts` take them), `sax` ascending, and the A² sum in
+/// `ad_pair_sum`'s pair order through the same `log_term` — the batch kernel
+/// is bit-identical to the per-element `norm_cdf_sf` calls it replaces, and
+/// evaluating those independent calls a block ahead of the loop does not
+/// reorder any accumulator.
+fn fused_battery(
     sorted: &[f64],
     cache: &mut WeightCache,
     phi: &mut PhiBlock,
-) -> (Option<NormalityOutcome>, Option<NormalityOutcome>) {
+) -> [Option<NormalityOutcome>; 3] {
     let n = sorted.len();
     if n < 3 {
-        // Below every order-statistic test's minimum sample size.
-        return (None, None);
+        // Below every test's minimum sample size.
+        return [None; 3];
     }
     if sorted[n - 1] - sorted[0] <= 0.0 {
-        // ZeroVariance for both tests (checked on the sorted range, exactly
-        // like the standalone paths).
-        return (None, None);
+        // ZeroVariance for all three tests (checked on the sorted range,
+        // exactly like the standalone paths).
+        return [None; 3];
     }
     let entry = cache.entry(n);
-    let (mean, ssq) = accumulate::mean_ssq(sorted);
+    let (mean, ssq, s3, s4) = accumulate::central_sums(sorted);
     let nf = n as f64;
+    let dag = match dagostino::shape_from_sums(n, ssq, s3, s4) {
+        Ok((g1, b2)) if n >= 8 => Some(dagostino::DagostinoK2::from_shape(g1, b2, n).0),
+        _ => None,
+    };
     let sd = (ssq / (nf - 1.0)).sqrt();
     let do_ad = n >= 8 && sd.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
     let a = &entry.weights[..];
@@ -316,20 +332,23 @@ fn fused_sw_ad(
             let (i0, len) = (block * PHI_BLOCK, ab.len());
             // Pairs i0..i0+len: low elements i0.., high elements ..n−i0.
             let (low, high) = (&sorted[i0..i0 + len], &sorted[n - i0 - len..n - i0]);
-            let (lc, ls) = phi.fill(low, high, mean, sd);
+            let [z, cdf, sf] = phi.fill(low, high, mean, sd);
             for (j, &ai) in ab.iter().enumerate() {
                 // Element i = i0 + j sits at j, element r = n−1−i at rj.
                 let (i, rj) = (i0 + j, 2 * len - 1 - j);
                 let r = n - 1 - i;
                 sax += ai * (high[len - 1 - j] - low[j]);
-                s_ad += (2 * i + 1) as f64 * (lc[j] + ls[rj]);
-                s_ad += (2 * r + 1) as f64 * (lc[rj] + ls[j]);
+                s_ad +=
+                    (2 * i + 1) as f64 * anderson_darling::log_term(z[j], cdf[j], z[rj], sf[rj]);
+                s_ad +=
+                    (2 * r + 1) as f64 * anderson_darling::log_term(z[rj], cdf[rj], z[j], sf[j]);
             }
         }
         if n % 2 == 1 {
             let mid = n / 2;
-            let (lc, ls) = norm_log_cdf_sf((sorted[mid] - mean) / sd);
-            s_ad += (2 * mid + 1) as f64 * (lc + ls);
+            let z = (sorted[mid] - mean) / sd;
+            let (cdf, sf) = norm_cdf_sf(z);
+            s_ad += (2 * mid + 1) as f64 * anderson_darling::log_term(z, cdf, z, sf);
         }
     } else {
         for (i, &ai) in a.iter().enumerate() {
@@ -354,13 +373,13 @@ fn fused_sw_ad(
             extrapolated: false,
         }
     });
-    (Some(sw), ad)
+    [dag, Some(sw), ad]
 }
 
 /// Runs the paper's three-test battery (D'Agostino K², Shapiro–Wilk,
 /// Anderson–Darling — [`BATTERY_ORDER`] in the analysis layer) on one sample
-/// through `scratch`: radix sort once, then the fused SW+AD kernel with
-/// cached per-`n` weights.
+/// through `scratch`: radix sort once, then the fused kernel with cached
+/// per-`n` weights.
 ///
 /// Outcomes are bit-identical to calling each test's
 /// [`NormalityTest::test`] on the unsorted sample; a test that cannot process
@@ -384,16 +403,14 @@ pub fn battery_with_scratch(
     sorted.clear();
     sorted.extend_from_slice(sample);
     sort_floats(sorted, sort);
-    let dag = dagostino::DagostinoK2.test_moments(&Moments::from_slice(sample));
-    let (sw, ad) = fused_sw_ad(sorted, cache, phi);
-    [dag.ok().map(|(o, _, _)| o), sw, ad]
+    fused_battery(sorted, cache, phi)
 }
 
 /// [`battery_with_scratch`] for callers that already hold a sorted copy of
-/// the sample. `sample` must be the same multiset in raw group order —
-/// D'Agostino's moment sums are order-sensitive, so it sees exactly what the
-/// unsorted path sees. The scratch's own `sorted` buffer is untouched; only
-/// its weight cache and Φ block are used.
+/// the sample. The battery is a function of the sorted sample alone;
+/// `sample` (the same multiset in any order) is only checked for non-finite
+/// values. The scratch's own `sorted` buffer is untouched; only its weight
+/// cache and Φ block are used.
 pub fn battery_presorted(
     sample: &[f64],
     sorted: &[f64],
@@ -402,31 +419,22 @@ pub fn battery_presorted(
     if !sample.iter().all(|x| x.is_finite()) {
         return [None; 3];
     }
-    battery_sorted(&Moments::from_slice(sample), sorted, scratch)
+    battery_sorted(sorted, scratch)
 }
 
-/// [`battery_presorted`] for callers that streamed the sample into `moments`
-/// while gathering it and kept no raw copy (the normality sweep, which sorts
-/// integer keys). The pushes must have been of **finite** values in raw
-/// group order, `sorted` the same multiset ascending; outcomes are then
-/// bit-identical to [`battery_with_scratch`] on the raw sample.
+/// The battery on a **finite**, ascending `sorted` sample — the entry for
+/// callers that never hold the sample in any other form (the normality
+/// sweep, which sorts integer keys). Outcomes are bit-identical to
+/// [`battery_with_scratch`] on any permutation of `sorted`.
 pub fn battery_sorted(
-    moments: &Moments,
     sorted: &[f64],
     scratch: &mut BatteryScratch,
 ) -> [Option<NormalityOutcome>; 3] {
-    debug_assert_eq!(
-        moments.count(),
-        sorted.len() as u64,
-        "moments/sorted must match"
-    );
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "`sorted` must be finite and sorted ascending"
     );
-    let dag = dagostino::DagostinoK2.test_moments(moments);
-    let (sw, ad) = fused_sw_ad(sorted, &mut scratch.cache, &mut scratch.phi);
-    [dag.ok().map(|(o, _, _)| o), sw, ad]
+    fused_battery(sorted, &mut scratch.cache, &mut scratch.phi)
 }
 
 /// Convenience: the standard battery in the order the paper tabulates them.

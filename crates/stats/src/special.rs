@@ -14,7 +14,13 @@
 //! * [`norm_cdf`]/[`norm_sf`]/[`norm_pdf`] — standard normal distribution.
 //! * [`norm_quantile`] — Abramowitz–Stegun 26.2.23 initial guess refined with
 //!   Newton iterations against the exact CDF; relative error ≈ 1e-14.
-//! * [`chi2_sf`]/[`chi2_cdf`] — chi-square distribution through `gammq`/`gammp`.
+//! * [`norm_cdf_sf_slice`] — `(Φ, 1 − Φ)` over a buffer in 8-lane blocks, the
+//!   slice kernel the normality battery runs (one log per Anderson–Darling
+//!   term is then taken of a *product* of its outputs);
+//!   [`norm_log_cdf_sf_slice`] is its log form — same block body, two logs
+//!   per element — which no production path calls and the benchmark times.
+//! * [`chi2_sf`]/[`chi2_cdf`] — chi-square distribution through
+//!   `gammq`/`gammp`; the closed form `exp(−x/2)` at 2 degrees of freedom.
 //!
 //! The unit tests pin these against published reference values (Abramowitz &
 //! Stegun tables, known quantiles) to at least 1e-10 unless noted.
@@ -385,25 +391,31 @@ pub fn norm_log_sf(x: f64) -> f64 {
     norm_log_cdf(-x)
 }
 
-/// `(ln Φ(x), ln(1 − Φ(x)))` with **one** incomplete-gamma evaluation instead
-/// of two — `Φ(x)` and `1 − Φ(x)` are `erfc` at mirrored arguments, which
-/// [`erfc_pair`] assembles from a single series/continued-fraction pass.
+/// `(Φ(x), 1 − Φ(x))` from **one** polynomial evaluation: the two tails are
+/// `erfc` at mirrored arguments, which [`erfc_pair`] assembles from a single
+/// fit. Bit-identical to `(norm_cdf(x), norm_sf(x))` for every non-NaN `x`.
+///
+/// This is the scalar the Anderson–Darling sum evaluates per order
+/// statistic (one `ln` of a *product* of two of these values per term, see
+/// `normality::anderson_darling`); [`norm_cdf_sf_slice`] is its batch form.
+pub(crate) fn norm_cdf_sf(x: f64) -> (f64, f64) {
+    // norm_cdf(x) = 0.5·erfc(u), norm_sf(x) = 0.5·erfc(−u), u = −x/√2.
+    let (cdf2, sf2) = erfc_pair(-x * std::f64::consts::FRAC_1_SQRT_2);
+    (0.5 * cdf2, 0.5 * sf2)
+}
+
+/// `(ln Φ(x), ln(1 − Φ(x)))` with **one** polynomial evaluation instead of
+/// two — the logs of [`norm_cdf_sf`]'s pair.
 ///
 /// Bit-identical to `(norm_log_cdf(x), norm_log_sf(x))` for every `x`
 /// (pinned by a unit test): inside `(−10, 10)` both components take the
-/// direct-CDF path and share the gamma core; outside, the near-0 side uses
-/// the Mills-ratio expansion (no gamma evaluation at all) and the near-1 side
+/// direct-CDF path and share the erfc core; outside, the near-0 side uses
+/// the Mills-ratio expansion (no erfc evaluation at all) and the near-1 side
 /// is the lone full evaluation.
-///
-/// This is the Anderson–Darling kernel's workhorse: the statistic pairs
-/// `ln Φ(zᵢ)` with `ln(1 − Φ(z_{n+1−i}))`, so evaluating both logs per
-/// element halves the sweep's special-function work.
 pub fn norm_log_cdf_sf(x: f64) -> (f64, f64) {
     if x > -10.0 && x < 10.0 {
-        let u = -x * std::f64::consts::FRAC_1_SQRT_2;
-        // norm_cdf(x) = 0.5·erfc(u), norm_sf(x) = 0.5·erfc(−u).
-        let (cdf2, sf2) = erfc_pair(u);
-        ((0.5 * cdf2).ln(), (0.5 * sf2).ln())
+        let (cdf, sf) = norm_cdf_sf(x);
+        (cdf.ln(), sf.ln())
     } else {
         (norm_log_cdf(x), norm_log_sf(x))
     }
@@ -480,13 +492,16 @@ pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
     }
 }
 
-/// One block of [`norm_log_cdf_sf_slice`]. The fast path requires every lane
-/// strictly inside `(−10, 10)` (the fused-pair branch of
-/// [`norm_log_cdf_sf`]) with the erfc arguments `u = −x/√2` nonzero and
-/// interval-uniform; it then replays [`erfc_pair`]'s assembly per lane.
-/// Anything else — Mills-ratio tails, zeros, non-finite lanes — falls back
-/// to the scalar function lane by lane.
-fn norm_log_cdf_sf_block(x: &[f64; BLOCK], lc: &mut [f64; BLOCK], ls: &mut [f64; BLOCK]) {
+/// One block of the two Φ slice kernels: the polynomial core both share.
+/// The fast path requires every lane strictly inside `(−10, 10)` (where
+/// [`norm_log_cdf_sf`] takes the logs of [`norm_cdf_sf`]) with the erfc
+/// arguments `u = −x/√2` nonzero and interval-uniform; it then replays
+/// [`erfc_pair`]'s assembly per lane, leaves `cdf[l] = Φ(x[l])`,
+/// `sf[l] = 1 − Φ(x[l])` with [`norm_cdf_sf`]'s bits and returns `true`.
+/// Anything else — Mills-ratio tails, zeros, non-finite lanes — returns
+/// `false` with the outputs untouched, and the caller evaluates its own
+/// scalar function lane by lane.
+fn norm_cdf_sf_block(x: &[f64; BLOCK], cdf: &mut [f64; BLOCK], sf: &mut [f64; BLOCK]) -> bool {
     let mut u = [0.0f64; BLOCK];
     let mut a = [0.0f64; BLOCK];
     for l in 0..BLOCK {
@@ -510,12 +525,7 @@ fn norm_log_cdf_sf_block(x: &[f64; BLOCK], lc: &mut [f64; BLOCK], ls: &mut [f64;
             m[l] = (-a[l] * a[l]).exp() * estrin12(&ERFCX_FAR, w * FAR_SCALE - FAR_SHIFT);
         }
     } else {
-        for l in 0..BLOCK {
-            let (c, s) = norm_log_cdf_sf(x[l]);
-            lc[l] = c;
-            ls[l] = s;
-        }
-        return;
+        return false;
     }
     for l in 0..BLOCK {
         // erfc_pair(u): m = erfc_mag(|u|), mirrored tail 2 − m.
@@ -524,34 +534,35 @@ fn norm_log_cdf_sf_block(x: &[f64; BLOCK], lc: &mut [f64; BLOCK], ls: &mut [f64;
         } else {
             (m[l], 2.0 - m[l])
         };
-        lc[l] = (0.5 * cdf2).ln();
-        ls[l] = (0.5 * sf2).ln();
+        cdf[l] = 0.5 * cdf2;
+        sf[l] = 0.5 * sf2;
     }
+    true
 }
 
-/// [`norm_log_cdf_sf`] over a whole buffer, bit-identical to the scalar loop
-/// (pinned by unit tests and proptests): `out_lc[i] = ln Φ(xs[i])`,
-/// `out_ls[i] = ln(1 − Φ(xs[i]))`.
-///
-/// This is the Anderson–Darling kernel's batch form: the fused SW+AD pass
-/// evaluates both logs for every standardized order statistic at once, so the
-/// polynomial core runs over contiguous memory in
-/// autovectorization-friendly [`BLOCK`]-wide blocks instead of one
-/// call-per-element through the battery loop.
-///
-/// # Panics
-/// Panics if the three slices have different lengths.
-pub fn norm_log_cdf_sf_slice(xs: &[f64], out_lc: &mut [f64], out_ls: &mut [f64]) {
-    assert_eq!(xs.len(), out_lc.len(), "norm_log_cdf_sf_slice: lc mismatch");
-    assert_eq!(xs.len(), out_ls.len(), "norm_log_cdf_sf_slice: ls mismatch");
+/// The driver of both Φ slice kernels: [`norm_cdf_sf_block`] over whole
+/// blocks, then — `LOG` — the two logs per lane, exactly
+/// [`norm_log_cdf_sf`]'s in-range expression; blocks the core declines and
+/// the tail go through the kernel's scalar function.
+fn norm_tails_slice<const LOG: bool>(xs: &[f64], out_cdf: &mut [f64], out_sf: &mut [f64]) {
+    let scalar: fn(f64) -> (f64, f64) = if LOG { norm_log_cdf_sf } else { norm_cdf_sf };
     let mut xb = xs.chunks_exact(BLOCK);
-    let mut cb = out_lc.chunks_exact_mut(BLOCK);
-    let mut sb = out_ls.chunks_exact_mut(BLOCK);
+    let mut cb = out_cdf.chunks_exact_mut(BLOCK);
+    let mut sb = out_sf.chunks_exact_mut(BLOCK);
     for ((x, c), s) in (&mut xb).zip(&mut cb).zip(&mut sb) {
         let x: &[f64; BLOCK] = x.try_into().expect("exact chunk");
         let c: &mut [f64; BLOCK] = c.try_into().expect("exact chunk");
         let s: &mut [f64; BLOCK] = s.try_into().expect("exact chunk");
-        norm_log_cdf_sf_block(x, c, s);
+        if !norm_cdf_sf_block(x, c, s) {
+            for l in 0..BLOCK {
+                (c[l], s[l]) = scalar(x[l]);
+            }
+        } else if LOG {
+            for l in 0..BLOCK {
+                c[l] = c[l].ln();
+                s[l] = s[l].ln();
+            }
+        }
     }
     for ((x, c), s) in xb
         .remainder()
@@ -559,10 +570,46 @@ pub fn norm_log_cdf_sf_slice(xs: &[f64], out_lc: &mut [f64], out_ls: &mut [f64])
         .zip(cb.into_remainder())
         .zip(sb.into_remainder())
     {
-        let (vc, vs) = norm_log_cdf_sf(*x);
-        *c = vc;
-        *s = vs;
+        (*c, *s) = scalar(*x);
     }
+}
+
+/// `out_cdf[i] = Φ(xs[i])`, `out_sf[i] = 1 − Φ(xs[i])` over a whole buffer —
+/// no logarithm taken — bit-identical to `(norm_cdf(x), norm_sf(x))` per
+/// element wherever it sits in the buffer (pinned by unit tests and
+/// proptests).
+///
+/// This is the slice kernel the normality battery runs: every
+/// Anderson–Darling term is `(2i+1)·ln(Φ(zᵢ)·(1 − Φ(z₍ₙ₋₁₋ᵢ₎)))`, so the
+/// fused pass batch-evaluates both tails of every standardized order
+/// statistic here and takes **one** log per term of their product, where
+/// [`norm_log_cdf_sf_slice`] would take two per element. The polynomial
+/// core runs over contiguous memory in autovectorization-friendly
+/// [`BLOCK`]-wide blocks (the same block body as the log form).
+///
+/// # Panics
+/// Panics if the three slices have different lengths.
+pub fn norm_cdf_sf_slice(xs: &[f64], out_cdf: &mut [f64], out_sf: &mut [f64]) {
+    assert_eq!(xs.len(), out_cdf.len(), "norm_cdf_sf_slice: cdf mismatch");
+    assert_eq!(xs.len(), out_sf.len(), "norm_cdf_sf_slice: sf mismatch");
+    norm_tails_slice::<false>(xs, out_cdf, out_sf);
+}
+
+/// [`norm_log_cdf_sf`] over a whole buffer, bit-identical to the scalar loop
+/// (pinned by unit tests and proptests): `out_lc[i] = ln Φ(xs[i])`,
+/// `out_ls[i] = ln(1 − Φ(xs[i]))`.
+///
+/// The log form of [`norm_cdf_sf_slice`] — one block body, two assemblies.
+/// No production path calls it any more (the battery takes one log per
+/// Anderson–Darling term, of a product); it stays for callers that want the
+/// two log tails themselves, and the benchmark times it.
+///
+/// # Panics
+/// Panics if the three slices have different lengths.
+pub fn norm_log_cdf_sf_slice(xs: &[f64], out_lc: &mut [f64], out_ls: &mut [f64]) {
+    assert_eq!(xs.len(), out_lc.len(), "norm_log_cdf_sf_slice: lc mismatch");
+    assert_eq!(xs.len(), out_ls.len(), "norm_log_cdf_sf_slice: ls mismatch");
+    norm_tails_slice::<true>(xs, out_lc, out_ls);
 }
 
 /// Inverse of the standard normal CDF (the quantile/probit function).
@@ -606,20 +653,32 @@ pub fn norm_quantile(p: f64) -> f64 {
 }
 
 /// Chi-square cumulative distribution function with `k` degrees of freedom.
+///
+/// At `k = 2` — the null distribution of K² and Jarque–Bera — this is the
+/// closed form `1 − exp(−x/2)`; other `k` go through [`gammp`].
 pub fn chi2_cdf(x: f64, k: f64) -> f64 {
     debug_assert!(k > 0.0, "chi2_cdf requires k > 0");
     if x <= 0.0 {
         0.0
+    } else if k == 2.0 {
+        -(-0.5 * x).exp_m1()
     } else {
         gammp(0.5 * k, 0.5 * x)
     }
 }
 
 /// Chi-square survival function (upper tail) with `k` degrees of freedom.
+///
+/// At `k = 2` this is exactly `exp(−x/2)`: one `exp`, where the general
+/// route through [`gammq`] iterates a series or continued fraction and
+/// inherits [`ln_gamma`]'s approximation error (a unit test holds the two
+/// within 1e-14 over `x ∈ [1e-3, 700]`, so the general route stays checked).
 pub fn chi2_sf(x: f64, k: f64) -> f64 {
     debug_assert!(k > 0.0, "chi2_sf requires k > 0");
     if x <= 0.0 {
         1.0
+    } else if k == 2.0 {
+        (-0.5 * x).exp()
     } else {
         gammq(0.5 * k, 0.5 * x)
     }
@@ -913,6 +972,48 @@ mod tests {
                 assert_eq!(ls[i].to_bits(), ws.to_bits(), "lnSF slice[{i}] at x={x}");
             }
         }
+    }
+
+    #[test]
+    fn norm_cdf_sf_is_bit_identical_to_separate_calls() {
+        let mut xs: Vec<f64> = (-400..=400).map(|i| i as f64 * 0.1).collect();
+        xs.extend([0.0, -0.0, 1e-300, -1e-300, f64::INFINITY, f64::NEG_INFINITY]);
+        for x in xs {
+            let (c, s) = norm_cdf_sf(x);
+            assert_eq!(c.to_bits(), norm_cdf(x).to_bits(), "Φ({x})");
+            assert_eq!(s.to_bits(), norm_sf(x).to_bits(), "SF({x})");
+        }
+    }
+
+    #[test]
+    fn norm_cdf_sf_slice_is_bit_identical_to_scalar_loop() {
+        for xs in slice_kernel_inputs() {
+            let mut cdf = vec![0.0; xs.len()];
+            let mut sf = vec![0.0; xs.len()];
+            norm_cdf_sf_slice(&xs, &mut cdf, &mut sf);
+            for (i, &x) in xs.iter().enumerate() {
+                let (wc, ws) = norm_cdf_sf(x);
+                assert_eq!(cdf[i].to_bits(), wc.to_bits(), "Φ slice[{i}] at x={x}");
+                assert_eq!(sf[i].to_bits(), ws.to_bits(), "SF slice[{i}] at x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn chi2_two_dof_closed_form_agrees_with_the_general_route() {
+        // 1e-3 … 700 on a geometric grid: the closed form against the
+        // series (x/2 < 2) and the continued fraction (beyond).
+        let mut x = 1e-3;
+        while x <= 700.0 {
+            let (sf, cdf) = (chi2_sf(x, 2.0), chi2_cdf(x, 2.0));
+            assert_eq!(sf.to_bits(), (-0.5 * x).exp().to_bits());
+            assert_close(sf, gammq(1.0, 0.5 * x), 1e-14, "χ²₂ SF vs gammq");
+            assert_close(cdf, gammp(1.0, 0.5 * x), 1e-14, "χ²₂ CDF vs gammp");
+            assert_close(sf + cdf, 1.0, 1e-15, "χ²₂ SF + CDF");
+            x *= 1.07;
+        }
+        assert_eq!(chi2_sf(0.0, 2.0), 1.0);
+        assert_eq!(chi2_cdf(0.0, 2.0), 0.0);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use ebird_stats::normality::{
 use ebird_stats::percentile::{percentile, PercentileSummary};
 use ebird_stats::sort::{merge_sorted, sort_floats, sort_keys, SortScratch};
 use ebird_stats::special::{
-    chi2_cdf, erf, erfc, erfc_slice, norm_cdf, norm_log_cdf, norm_log_cdf_sf,
-    norm_log_cdf_sf_slice, norm_log_sf, norm_quantile,
+    chi2_cdf, erf, erfc, erfc_slice, norm_cdf, norm_cdf_sf_slice, norm_log_cdf, norm_log_cdf_sf,
+    norm_log_cdf_sf_slice, norm_log_sf, norm_quantile, norm_sf,
 };
 use ebird_stats::Histogram;
 use proptest::prelude::*;
@@ -421,6 +421,102 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn norm_cdf_sf_slice_is_bitwise_equal_to_scalar(xs in arb_kernel_input()) {
+        let mut cdf = vec![0.0f64; xs.len()];
+        let mut sf = vec![0.0f64; xs.len()];
+        norm_cdf_sf_slice(&xs, &mut cdf, &mut sf);
+        // NaN lanes only have to leave their neighbours alone.
+        for (i, &x) in xs.iter().enumerate().filter(|(_, x)| !x.is_nan()) {
+            prop_assert_eq!(cdf[i].to_bits(), norm_cdf(x).to_bits(), "cdf, x = {}", x);
+            prop_assert_eq!(sf[i].to_bits(), norm_sf(x).to_bits(), "sf, x = {}", x);
+        }
+    }
+}
+
+/// A*² of a sorted sample by the textbook two-log formula, term by term in
+/// index order — what the one-log kernel must agree with to rounding. The
+/// standardization uses the kernel's own lane mean and `Σd²` so the `z`s
+/// are the same doubles and only the term arithmetic differs.
+fn a2_star_two_logs(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    let nf = n as f64;
+    let (mean, ssq) = ebird_stats::accumulate::mean_ssq(sorted);
+    let sd = (ssq / (nf - 1.0)).sqrt();
+    let z = |i: usize| (sorted[i] - mean) / sd;
+    let s: f64 = (0..n)
+        .map(|i| (2 * i + 1) as f64 * (norm_log_cdf(z(i)) + norm_log_sf(z(n - 1 - i))))
+        .sum();
+    (-nf - s / nf) * (1.0 + 0.75 / nf + 2.25 / (nf * nf))
+}
+
+/// Asserts the tail-safety contract of the one-log A² term on `sample`:
+/// finite, fused ≡ stand-alone bit for bit, and equal to the two-log formula
+/// to rounding (so no term took `ln(0)` or left the stable branch).
+fn assert_tail_safe(
+    sample: &[f64],
+    scratch: &mut BatteryScratch,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let alone = AndersonDarling.test(sample).expect("spread, finite, n ≥ 8");
+    let fused = battery_with_scratch(sample, scratch)[2].expect("same validation");
+    prop_assert!(alone.statistic.is_finite(), "A*² = {}", alone.statistic);
+    prop_assert_eq!(fused, alone);
+    let mut sorted = sample.to_vec();
+    sort_floats(&mut sorted, &mut SortScratch::new());
+    let want = a2_star_two_logs(&sorted);
+    prop_assert!(
+        (alone.statistic - want).abs() <= 1e-12 * want.abs(),
+        "n = {}: one-log {} vs two-log {}",
+        sample.len(),
+        alone.statistic,
+        want
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn one_log_ad_term_is_tail_safe(
+        seed in 0u64..u64::MAX,
+        log10_push in 2.0f64..6.0,
+        side in 0usize..2,
+    ) {
+        // A bell-ish sample (Irwin–Hall of three uniforms around 25 ms) with
+        // one value pushed out by 10²–10⁶ σ, then with an outlier on both
+        // sides: |z| of the pushed value runs up to ≈ √n, far beyond the
+        // ±10 where the term falls back to the two log tails.
+        let mut scratch = BatteryScratch::new();
+        let mut next = xorshift(seed);
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let push = [1.0, -1.0][side] * 10f64.powf(log10_push) * 0.5; // σ of the bell is 0.5
+        for n in [8usize, 48, 3840] {
+            let mut sample: Vec<f64> = (0..n).map(|_| 23.5 + unit() + unit() + unit()).collect();
+            sample[n / 3] += push;
+            assert_tail_safe(&sample, &mut scratch)?;
+            sample[2 * n / 3] -= 0.75 * push;
+            assert_tail_safe(&sample, &mut scratch)?;
+        }
+    }
+}
+
+#[test]
+fn ad_term_rule_is_the_same_at_exactly_plus_minus_ten_sigma() {
+    // 199 zeros and ±10: mean 0, Σd² = 200, sd = 1 — all exact — so the two
+    // extreme z are exactly ±10, the first values *outside* the one-log
+    // range. Both routes must send the same four terms down the two-tail
+    // branch, and the zeros (Φ = ½ exactly) down the product branch.
+    let mut sample = vec![0.0; 201];
+    (sample[17], sample[101]) = (10.0, -10.0);
+    let (mean, ssq) = ebird_stats::accumulate::mean_ssq(&sample);
+    assert_eq!((mean, ssq), (0.0, 200.0));
+    assert_tail_safe(&sample, &mut BatteryScratch::new()).unwrap();
+}
+
+proptest! {
     // Every case runs all 15 × 4 combinations; the standalone Shapiro–Wilk
     // re-solves its weights each time, so a few cases are plenty.
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -430,7 +526,7 @@ proptest! {
         // Sample sizes around the fused kernel's Φ block (512 pairs, so one
         // block holds n = 1024): a partial block, exactly one, one pair
         // more, two blocks plus one — odd and even — and sizes below each
-        // test's minimum. Fed through the moments-in entry, as the sweep
+        // test's minimum. Fed through the sorted-sample entry, as the sweep
         // does, on one scratch so the block buffers are reused across sizes.
         let mut scratch = BatteryScratch::new();
         let mut next = xorshift(seed);
@@ -446,7 +542,7 @@ proptest! {
                 };
                 let mut sorted = sample.clone();
                 sort_floats(&mut sorted, &mut SortScratch::new());
-                let fused = battery_sorted(&Moments::from_slice(&sample), &sorted, &mut scratch);
+                let fused = battery_sorted(&sorted, &mut scratch);
                 let direct = [
                     DagostinoK2.test(&sample).ok(),
                     ShapiroWilk.test(&sample).ok(),

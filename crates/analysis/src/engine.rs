@@ -227,21 +227,6 @@ pub fn canonical_strategies(threads: usize) -> [Strategy; 4] {
     ]
 }
 
-fn delivery_unit<M: NetModel>(
-    arrivals_ms: &[f64],
-    bytes_total: usize,
-    model: &mut M,
-    scratch: &mut SimScratch,
-) -> [DeliveryOutcome; 4] {
-    run_deliveries(
-        model,
-        &[arrivals_ms],
-        bytes_total,
-        canonical_strategies(arrivals_ms.len()),
-        scratch,
-    )
-}
-
 /// Prices the [`canonical_strategies`] on every process-iteration's arrivals
 /// — one `[bulk, early-bird, timeout, binned]` outcome row per
 /// process-iteration, trace order. `make_model` builds one model per worker
@@ -269,21 +254,27 @@ where
     F: Fn() -> M + Sync,
 {
     let shape = trace.shape();
-    let units = shape.process_iterations();
+    let threads = shape.threads;
+    // One strategy row per call: the partition count is the shape's.
+    let strategies = canonical_strategies(threads);
     let sim = &arenas.sim;
-    let mut out: Vec<Option<[DeliveryOutcome; 4]>> = vec![None; units];
+    let mut out: Vec<Option<[DeliveryOutcome; 4]>> = vec![None; shape.process_iterations()];
     pool.parallel_chunks_mut(&mut out, |block, range, ctx| {
         let mut worker = sim.slot(ctx.thread());
         let SimWorker { values, scratch } = &mut *worker;
         let mut model = make_model();
-        for (offset, slot) in block.iter_mut().enumerate() {
-            let (trial, rank, iteration) = shape.unit_coords(range.start + offset);
-            let samples = trace
-                .process_iteration(trial, rank, iteration)
-                .expect("unit in range by construction");
+        // Unit `u`'s samples are the `u`-th `threads`-long run of the trace.
+        let samples = &trace.samples()[range.start * threads..range.end * threads];
+        for (slot, unit) in block.iter_mut().zip(samples.chunks(threads)) {
             values.clear();
-            values.extend(samples.iter().map(ThreadSample::compute_time_ms));
-            *slot = Some(delivery_unit(values, bytes_total, &mut model, scratch));
+            values.extend(unit.iter().map(ThreadSample::compute_time_ms));
+            *slot = Some(run_deliveries(
+                &mut model,
+                &[values.as_slice()],
+                bytes_total,
+                strategies,
+                scratch,
+            ));
         }
     });
     out.into_iter()

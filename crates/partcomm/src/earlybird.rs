@@ -33,11 +33,19 @@
 //! over that.
 //!
 //! The model injects partitions *in arrival order*, and that order has one
-//! definition, [`arrival_order`]: an integer sort of `(arrival bits,
-//! partition)` keys. The kernel validates and orders an arrival set once per
+//! definition, [`arrival_order`]: an integer sort of one word per partition,
+//! `(arrival bits − the set's smallest) << index bits | partition` (a set
+//! whose bit range leaves the index no room sorts `(arrival bits, partition)`
+//! pairs instead). The kernel validates and orders an arrival set once per
 //! call, however many strategies it then prices against it.
+//!
+//! What a call allocates: with a warm [`SimScratch`], nothing for a one-rank
+//! job — its outcome carries the rank's [`RankDelivery`] inline — and one
+//! [`RankDeliveries`] vector per outcome for a multi-rank one.
 
 use std::borrow::Cow;
+use std::fmt;
+use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
 
@@ -99,6 +107,75 @@ pub struct RankDelivery {
     pub wire_ms: f64,
 }
 
+/// The per-rank outcomes of one delivery, rank order: a list that reads as a
+/// `[RankDelivery]` slice (it derefs to one), compares and clones by value
+/// and serializes as a JSON array — and holds a single rank's outcome
+/// inline, so the one-rank deliveries a trace-wide sweep produces by the
+/// hundred thousand own no heap cell each. Built by collecting
+/// [`RankDelivery`] values, which is how the kernel fills it.
+#[derive(Clone)]
+pub struct RankDeliveries(Ranks);
+
+#[derive(Clone)]
+enum Ranks {
+    One(RankDelivery),
+    Many(Vec<RankDelivery>),
+}
+
+impl FromIterator<RankDelivery> for RankDeliveries {
+    fn from_iter<I: IntoIterator<Item = RankDelivery>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        Self(match (iter.next(), iter.next()) {
+            (Some(only), None) => Ranks::One(only),
+            (first, second) => Ranks::Many(first.into_iter().chain(second).chain(iter).collect()),
+        })
+    }
+}
+
+impl Deref for RankDeliveries {
+    type Target = [RankDelivery];
+
+    fn deref(&self) -> &[RankDelivery] {
+        match &self.0 {
+            Ranks::One(only) => std::slice::from_ref(only),
+            Ranks::Many(ranks) => ranks,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a RankDeliveries {
+    type Item = &'a RankDelivery;
+    type IntoIter = std::slice::Iter<'a, RankDelivery>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for RankDeliveries {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for RankDeliveries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Serialize for RankDeliveries {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl Deserialize for RankDeliveries {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Vec::from_value(v).map(|ranks: Vec<RankDelivery>| ranks.into_iter().collect())
+    }
+}
+
 /// Result of simulating one strategy on one arrival set — rank-aware: the
 /// job-level view (completion of the slowest rank, totals across ranks)
 /// plus each rank's own [`RankDelivery`]. A single-sender simulation is the
@@ -117,7 +194,7 @@ pub struct DeliveryOutcome {
     /// Total wire-busy time across the whole model (ms).
     pub wire_ms: f64,
     /// Per-rank outcomes, rank order.
-    pub per_rank: Vec<RankDelivery>,
+    pub per_rank: RankDeliveries,
 }
 
 impl DeliveryOutcome {
@@ -142,8 +219,9 @@ impl DeliveryOutcome {
 /// the set being priced and the per-strategy working sets (bin events,
 /// message plan) that a pricing call would otherwise allocate fresh. One
 /// scratch per worker lets a trace-wide strategy sweep (thousands of
-/// process-iterations × strategies) run allocation-free after warm-up
-/// (modulo the outcome's own per-rank vector).
+/// process-iterations × strategies) run allocation-free after warm-up: a
+/// one-rank call allocates nothing, a multi-rank one its outcomes'
+/// [`RankDeliveries`] only.
 ///
 /// Nothing in it outlives a call: [`run_deliveries`] re-validates and
 /// re-orders its arrival sets on entry, so a scratch reused across sets of
@@ -151,7 +229,8 @@ impl DeliveryOutcome {
 /// fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    /// `(arrival bits, partition)` sort keys of the rank being ordered.
+    /// `(arrival bits, partition)` sort keys of a rank whose bit range does
+    /// not pack into one word (see [`push_arrival_order`]); unused otherwise.
     keys: Vec<(u64, usize)>,
     /// Every rank's partitions in arrival order, rank after rank — filled
     /// when a strategy of the call follows arrivals.
@@ -169,47 +248,95 @@ impl SimScratch {
     }
 }
 
-/// Panics unless every arrival is finite and non-negative — the contract of
-/// every entry, and what makes the integer keys of [`push_arrival_order`]
-/// order like the values.
-fn assert_arrivals_valid(arrivals_ms: &[f64]) {
-    assert!(
-        arrivals_ms.iter().all(|a| a.is_finite() && *a >= 0.0),
-        "arrivals must be finite and non-negative"
-    );
+/// What one pass over an arrival set yields: its last arrival and the range
+/// of its bit patterns (`-0.0` read as `+0.0`, the two compare equal).
+#[derive(Clone, Copy)]
+struct ArrivalSpan {
+    last_ms: f64,
+    min_bits: u64,
+    max_bits: u64,
 }
 
-/// Validates one arrival set and returns its last arrival.
-fn check_arrivals(arrivals_ms: &[f64], bytes_total: usize) -> f64 {
+/// Scans one arrival set, panicking unless every arrival is finite and
+/// non-negative — the contract of every entry, and what makes the integer
+/// keys of [`push_arrival_order`] order like the values.
+fn arrival_span(arrivals_ms: &[f64]) -> ArrivalSpan {
+    let mut valid = true;
+    let mut span = ArrivalSpan {
+        last_ms: f64::NEG_INFINITY,
+        min_bits: u64::MAX,
+        max_bits: 0,
+    };
+    for a in arrivals_ms {
+        valid &= a.is_finite() && *a >= 0.0;
+        let bits = a.abs().to_bits();
+        span.last_ms = span.last_ms.max(*a);
+        span.min_bits = span.min_bits.min(bits);
+        span.max_bits = span.max_bits.max(bits);
+    }
+    assert!(valid, "arrivals must be finite and non-negative");
+    span
+}
+
+/// Validates one arrival set and returns its span.
+fn check_arrivals(arrivals_ms: &[f64], bytes_total: usize) -> ArrivalSpan {
     assert!(!arrivals_ms.is_empty(), "need at least one arrival");
-    assert_arrivals_valid(arrivals_ms);
+    let span = arrival_span(arrivals_ms);
     assert!(
         bytes_total >= arrivals_ms.len(),
         "need ≥ 1 byte per partition"
     );
-    arrivals_ms
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max)
+    span
 }
 
 /// Appends the partitions of one validated arrival set to `order`, earliest
 /// arrival first, ties by partition index.
 ///
 /// Finite non-negative doubles order exactly like their bit patterns, so the
-/// keys are integers: `(bits, partition)` pairs, `-0.0` keyed as `+0.0` (the
-/// two compare equal). The pairs are distinct, hence any correct sort of
-/// them yields the one order `partial_cmp().then(index)` defines.
-fn push_arrival_order(arrivals_ms: &[f64], keys: &mut Vec<(u64, usize)>, order: &mut Vec<usize>) {
-    keys.clear();
-    keys.extend(
-        arrivals_ms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.abs().to_bits(), i)),
-    );
-    keys.sort_unstable();
-    order.extend(keys.iter().map(|&(_, i)| i));
+/// keys are integers, and the `(bits, partition)` pairs are distinct: any
+/// correct sort of them yields the one order `partial_cmp().then(index)`
+/// defines. When the set's bit range leaves room for the index — arrivals
+/// within a few orders of magnitude of each other, as every measured set is
+/// — a pair packs into one word, `(bits − min) << index_bits | partition`,
+/// built and sorted in `order` itself and masked down to the partition. A
+/// wider range (an arrival of exactly `0.0` beside a millisecond-scale one
+/// is enough) sorts the pairs themselves through `keys`; the choice reads
+/// the observed range and nothing else.
+fn push_arrival_order(
+    arrivals_ms: &[f64],
+    span: ArrivalSpan,
+    keys: &mut Vec<(u64, usize)>,
+    order: &mut Vec<usize>,
+) {
+    let n = arrivals_ms.len();
+    // Bits of the largest index, `n − 1`: none for a 1-partition set.
+    let index_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+    // An empty set has no range.
+    let range = span.max_bits.saturating_sub(span.min_bits);
+    let start = order.len();
+    if usize::try_from(range).is_ok_and(|r| r.leading_zeros() >= index_bits) {
+        order.extend(
+            arrivals_ms
+                .iter()
+                .enumerate()
+                .map(|(i, a)| ((a.abs().to_bits() - span.min_bits) as usize) << index_bits | i),
+        );
+        let packed = &mut order[start..];
+        packed.sort_unstable();
+        for key in packed {
+            *key &= (1 << index_bits) - 1;
+        }
+    } else {
+        keys.clear();
+        keys.extend(
+            arrivals_ms
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.abs().to_bits(), i)),
+        );
+        keys.sort_unstable();
+        order.extend(keys.iter().map(|&(_, i)| i));
+    }
 }
 
 /// Arrival order — the workspace's one definition of it: writes the indices
@@ -221,9 +348,9 @@ fn push_arrival_order(arrivals_ms: &[f64], keys: &mut Vec<(u64, usize)>, order: 
 /// # Panics
 /// On a non-finite or negative arrival.
 pub fn arrival_order(arrivals_ms: &[f64], order: &mut Vec<usize>) {
-    assert_arrivals_valid(arrivals_ms);
+    let span = arrival_span(arrivals_ms);
     order.clear();
-    push_arrival_order(arrivals_ms, &mut Vec::new(), order);
+    push_arrival_order(arrivals_ms, span, &mut Vec::new(), order);
 }
 
 /// Builds the message plan of one sender under `strategy` into `plan`:
@@ -350,10 +477,9 @@ where
         ..
     } = scratch;
     model.reset();
-    let mut per_rank = Vec::with_capacity(rank_arrivals_ms.len());
     let mut job_last_arrival = f64::NEG_INFINITY;
     let mut ordered = 0;
-    for (rank, arrivals_ms) in rank_arrivals_ms.iter().enumerate() {
+    let rank_delivery = |(rank, arrivals_ms): (usize, &A)| {
         let arrivals_ms = arrivals_ms.as_ref();
         let last_arrival = last_arrivals[rank];
         job_last_arrival = job_last_arrival.max(last_arrival);
@@ -380,13 +506,18 @@ where
         for &(inject_ms, bytes) in plan.iter() {
             completion = completion.max(model.inject(rank, inject_ms, bytes));
         }
-        per_rank.push(RankDelivery {
+        RankDelivery {
             completion_ms: completion,
             last_arrival_ms: last_arrival,
             messages: plan.len(),
             wire_ms: model.rank_busy_ms(rank),
-        });
-    }
+        }
+    };
+    let per_rank: RankDeliveries = rank_arrivals_ms
+        .iter()
+        .enumerate()
+        .map(rank_delivery)
+        .collect();
     DeliveryOutcome {
         strategy,
         completion_ms: model.completion_ms(),
@@ -446,11 +577,10 @@ where
     scratch.last_arrivals.clear();
     for arrivals_ms in rank_arrivals_ms {
         let arrivals_ms = arrivals_ms.as_ref();
-        scratch
-            .last_arrivals
-            .push(check_arrivals(arrivals_ms, bytes_per_rank));
+        let span = check_arrivals(arrivals_ms, bytes_per_rank);
+        scratch.last_arrivals.push(span.last_ms);
         if in_order {
-            push_arrival_order(arrivals_ms, &mut scratch.keys, &mut scratch.order);
+            push_arrival_order(arrivals_ms, span, &mut scratch.keys, &mut scratch.order);
         }
     }
     strategies.map(|strategy| price(model, rank_arrivals_ms, bytes_per_rank, strategy, scratch))
@@ -529,6 +659,105 @@ mod tests {
         assert_eq!(order, [0, 1]);
         arrival_order(&[-0.0, 0.0, 5e-324], &mut order);
         assert_eq!(order, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_one_partition_set_has_no_index_bits_to_shift_by() {
+        // `n − 1 = 0` takes zero index bits: a key derived as `word bits −
+        // index bits` shifts would shift by 64 here, which debug builds
+        // panic on. Widest possible values on both routes' inputs.
+        let mut order = Vec::new();
+        for a in [0.0, 25.0, f64::MAX] {
+            arrival_order(&[a], &mut order);
+            assert_eq!(order, [0]);
+        }
+        let o = simulate(&[f64::MAX], 1, &LinkModel::omni_path(), Strategy::EarlyBird);
+        assert_eq!(o.messages, 1);
+    }
+
+    #[test]
+    fn the_key_is_chosen_from_the_observed_bit_range_alone() {
+        // 48 partitions take 6 index bits, leaving the range 58: one
+        // pattern past that and the set sorts pairs — seen here by the pair
+        // buffer, which only that route touches.
+        let widest = u64::MAX >> 6;
+        let set = |range: u64| -> Vec<f64> {
+            let mut v: Vec<f64> = (0..48).map(|i| f64::from_bits(18 + (i * 5) % 7)).collect();
+            (v[3], v[40]) = (f64::from_bits(17 + range), f64::from_bits(17));
+            v
+        };
+        let mut link = SerialLink::new(LinkModel::omni_path());
+        for (range, pairs) in [(widest, 0), (widest + 1, 48)] {
+            let mut scratch = SimScratch::new();
+            let arrivals = set(range);
+            run_delivery(
+                &mut link,
+                &[&arrivals],
+                MB,
+                Strategy::EarlyBird,
+                &mut scratch,
+            );
+            assert_eq!(scratch.keys.len(), pairs, "range {range:#x}");
+            assert_eq!(scratch.order[0], 40);
+            assert_eq!(scratch.order[47], 3);
+        }
+        // What the campaigns produce — milliseconds on a ns grid — packs.
+        let mut scratch = SimScratch::new();
+        for arrivals in [spread_arrivals(), tight_arrivals(), laggard_arrivals()] {
+            run_delivery(
+                &mut link,
+                &[&arrivals],
+                MB,
+                Strategy::EarlyBird,
+                &mut scratch,
+            );
+        }
+        assert!(scratch.keys.is_empty());
+    }
+
+    #[test]
+    fn outcomes_keep_their_wire_form_and_fit_in_88_bytes() {
+        // The per-rank list is a JSON array whatever it holds inline: these
+        // are the strings the `Vec<RankDelivery>` field produced.
+        let link = LinkModel::new(1.0, 0.0009765625);
+        let one = simulate(&[0.0, 10.0], 2048, &link, Strategy::EarlyBird);
+        let sets = [vec![0.0, 10.0], vec![4.0], vec![2.0, 1.0, 3.0]];
+        let three = run_delivery(
+            &mut Fabric::new(3, link, 1.0),
+            &sets,
+            3072,
+            Strategy::TimeoutFlush { timeout_ms: 2.0 },
+            &mut SimScratch::new(),
+        );
+        let wire = [
+            concat!(
+                r#"{"strategy":"EarlyBird","completion_ms":12.0,"last_arrival_ms":10.0,"#,
+                r#""messages":2,"wire_ms":4.0,"per_rank":[{"completion_ms":12.0,"#,
+                r#""last_arrival_ms":10.0,"messages":2,"wire_ms":4.0}]}"#
+            ),
+            concat!(
+                r#"{"strategy":{"TimeoutFlush":{"timeout_ms":2.0}},"completion_ms":15.5,"#,
+                r#""last_arrival_ms":10.0,"messages":5,"wire_ms":32.0,"per_rank":["#,
+                r#"{"completion_ms":15.5,"last_arrival_ms":10.0,"messages":2,"wire_ms":11.0},"#,
+                r#"{"completion_ms":14.0,"last_arrival_ms":4.0,"messages":1,"wire_ms":10.0},"#,
+                r#"{"completion_ms":13.0,"last_arrival_ms":3.0,"messages":2,"wire_ms":11.0}]}"#
+            ),
+        ];
+        for (outcome, wire) in [&one, &three].into_iter().zip(wire) {
+            assert_eq!(serde_json::to_string(outcome).unwrap(), wire);
+            let back: DeliveryOutcome = serde_json::from_str(wire).unwrap();
+            assert_eq!(back, *outcome);
+            assert_eq!(back.ranks(), outcome.per_rank.len());
+        }
+        // By value, not by representation: a one-element list read off the
+        // wire equals the kernel's inline one, and a clone equals both.
+        let ranks: RankDeliveries = three.per_rank.iter().take(1).cloned().collect();
+        assert_eq!(ranks, ranks.clone());
+        assert_eq!(ranks[0], three.per_rank[0]);
+        assert_ne!(ranks, three.per_rank);
+        // 72 bytes plus a 48-byte heap chunk per outcome before the list
+        // went inline, 88 and no chunk after (64-bit targets).
+        assert!(std::mem::size_of::<DeliveryOutcome>() <= 96);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   (`partial_cmp().then(index)`, stable),
 //!
 //! on arrival sets built to hit the order's edge cases: heavy ties, both
-//! zeros, single-partition ranks, ranks of unequal length.
+//! zeros, single-partition ranks, ranks of unequal length — and, since the
+//! order packs `(arrival bits, partition)` into one word when the set's bit
+//! range leaves the index room and sorts pairs when it does not, on sets of
+//! either kind, up to a range sitting exactly on the packing limit.
 
 use ebird_partcomm::{
     arrival_order, run_deliveries, run_delivery, DeliveryOutcome, Fabric, HierarchicalFabric,
@@ -53,6 +56,58 @@ fn rank_arrivals(ranks: usize, max_len: usize, next: &mut impl FnMut() -> u64) -
         first[(at + 1) % len] = 0.0;
     }
     sets
+}
+
+/// The order `arrival_order` must produce: the stable comparator sort it
+/// replaced.
+fn comparator_order(arrivals: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by(|&a, &b| {
+        arrivals[a]
+            .partial_cmp(&arrivals[b])
+            .expect("finite")
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// Partition counts around the index-width steps (0, 1, 6, 6 | 7, 9 bits).
+const SIZES: [usize; 8] = [1, 2, 47, 48, 63, 64, 65, 300];
+
+/// Five `n`-partition arrival sets, one per way the order's key can come out:
+/// (a) a µs grid around 25 ms, heavily tied — what a measured set looks like,
+/// a few thousand ulps wide; (b) both zeros, the smallest subnormal and 1.0
+/// mixed — 2⁶² bit patterns wide, packable only while `n ≤ 2`; (c) values
+/// over `0.0 … 1e300`; (d) two sets whose bit range is exactly the widest
+/// that still packs beside `n`'s index, and one pattern wider.
+fn route_sets(n: usize, next: &mut impl FnMut() -> u64) -> [Vec<f64>; 5] {
+    let grid = (0..n)
+        .map(|_| 25.0 + (next() % 40) as f64 * 1.0e-3)
+        .collect();
+    let zeros = (0..n)
+        .map(|_| [0.0, -0.0, 5e-324, 1.0][(next() % 4) as usize])
+        .collect();
+    let mut wide: Vec<f64> = (0..n)
+        .map(|_| f64::from_bits(next() % 1.0e300f64.to_bits()))
+        .collect();
+    wide[(next() as usize) % n] = 0.0;
+    wide[(next() as usize) % n] = 1.0e300;
+    // The index takes the bits of `n − 1`; the range gets the rest of the
+    // word. No finite range reaches the limit while `n ≤ 2` (the limit is
+    // then past the largest finite pattern), so those sets stay narrow.
+    let index_bits = usize::BITS - (n - 1).leading_zeros();
+    let low = next() % 1000;
+    let [at_limit, past_limit] = [0, 1].map(|past| {
+        let mut edge: Vec<f64> = (0..n).map(|_| f64::from_bits(low + next() % 8)).collect();
+        if index_bits >= 2 {
+            // The set's smallest and largest pattern, side by side somewhere.
+            let at = (next() as usize) % (n - 1);
+            edge[at] = f64::from_bits(low);
+            edge[at + 1] = f64::from_bits(low + (u64::MAX >> index_bits) + past);
+        }
+        edge
+    });
+    [grid, zeros, wide, at_limit, past_limit]
 }
 
 /// Every float of an outcome as bits (`PartialEq` alone would let `-0.0`
@@ -181,16 +236,63 @@ proptest! {
         let mut order = Vec::new();
         for max_len in [1, 2, 3, 48, 200] {
             for arrivals in rank_arrivals(3, max_len, &mut next) {
-                let mut want: Vec<usize> = (0..arrivals.len()).collect();
-                want.sort_by(|&a, &b| {
-                    arrivals[a]
-                        .partial_cmp(&arrivals[b])
-                        .expect("finite")
-                        .then(a.cmp(&b))
-                });
+                let want = comparator_order(&arrivals);
                 // `order` arrives dirty from the previous set.
                 arrival_order(&arrivals, &mut order);
                 prop_assert_eq!(&order, &want, "{:?}", arrivals);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_and_pair_orders_are_the_comparator_order(seed in 0u64..u64::MAX) {
+        let mut next = xorshift(seed);
+        let link = LinkModel::new(0.013, 1.0e-7);
+        // One order buffer and one scratch across every size and route: a
+        // pair-sorted set leaves keys behind that a packed one must ignore.
+        let mut order = Vec::new();
+        let mut scratch = SimScratch::new();
+        for n in SIZES {
+            for arrivals in route_sets(n, &mut next) {
+                let want = comparator_order(&arrivals);
+                arrival_order(&arrivals, &mut order);
+                prop_assert_eq!(&order, &want, "{:?}", arrivals);
+
+                let bytes = n + (next() % 1_000_000) as usize;
+                let sets = [arrivals];
+                for (name, make) in models(1) {
+                    assert_shared_order_prices_like_separate_calls(
+                        &*make,
+                        &sets,
+                        bytes,
+                        [
+                            Strategy::TimeoutFlush { timeout_ms: 0.75 },
+                            Strategy::Bulk,
+                            Strategy::EarlyBird,
+                            Strategy::Binned { bins: 1 + n / 7 },
+                        ],
+                        &mut scratch,
+                        &format!("{name}, {n} partitions"),
+                    );
+                }
+                // The kernel injects in that order: early-bird over a
+                // serial link is the comparator order walked by hand.
+                let [arrivals] = sets;
+                let mut by_hand = SerialLink::new(link);
+                let mut done = 0.0f64;
+                for &i in &want {
+                    let part = bytes / n + usize::from(i < bytes % n);
+                    done = done.max(by_hand.inject(arrivals[i], part));
+                }
+                let early = run_delivery(
+                    &mut SerialLink::new(link),
+                    &[&arrivals],
+                    bytes,
+                    Strategy::EarlyBird,
+                    &mut scratch,
+                );
+                prop_assert_eq!(early.completion_ms.to_bits(), done.to_bits());
+                prop_assert_eq!(early.wire_ms.to_bits(), by_hand.busy_ms().to_bits());
             }
         }
     }

@@ -161,13 +161,46 @@ impl ContentKey {
     }
 }
 
-/// One cached result, shared by reference with every concurrent reader.
-#[derive(Debug, PartialEq, Eq)]
+/// One cached result, shared with every concurrent reader: a handle on one
+/// allocation holding the spec and the row back to back. Cloning bumps a
+/// reference count; dropping the last handle frees one chunk, of a size the
+/// allocator coalesces with its neighbours. One chunk and not a 64-byte
+/// `Arc` header beside two strings: glibc keeps a freed chunk that small in
+/// a fastbin, where it still fences its neighbours apart, so an arena full
+/// of freed entries is returned to the system only if an unrelated large
+/// free happens to land in it — resident memory after an eviction wave or a
+/// shutdown would depend on which thread had allocated what.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedRow {
+    /// The canonical spec JSON, then the row's JSON line.
+    text: Arc<str>,
+    /// Where the spec ends and the row begins.
+    spec_len: usize,
+}
+
+impl CachedRow {
+    /// An entry holding exact-size copies of `spec` and `row`.
+    pub fn new(spec: &str, row: &str) -> Self {
+        CachedRow {
+            text: [spec, row].concat().into(),
+            spec_len: spec.len(),
+        }
+    }
+
     /// Canonical spec JSON (collision guard + cold-tier provenance).
-    pub spec: String,
+    pub fn spec(&self) -> &str {
+        &self.text[..self.spec_len]
+    }
+
     /// The row's exact serialized JSON line (no trailing newline).
-    pub row: String,
+    pub fn row(&self) -> &str {
+        &self.text[self.spec_len..]
+    }
+
+    /// Bytes of spec and row together: what the hot tier's budget charges.
+    fn payload_bytes(&self) -> usize {
+        self.text.len()
+    }
 }
 
 /// The cold tier's on-disk record: one JSON line per cached cell.
@@ -349,15 +382,9 @@ impl ResultCache {
                         ));
                     }
                     index.insert(key.hash, (located.offset, located.len));
-                    let payload = r.spec.len() + r.row.len();
-                    hot.insert(
-                        key.hash,
-                        Arc::new(CachedRow {
-                            spec: r.spec,
-                            row: r.row,
-                        }),
-                        payload,
-                    );
+                    let entry = CachedRow::new(&r.spec, &r.row);
+                    let payload = entry.payload_bytes();
+                    hot.insert(key.hash, entry, payload);
                 }
                 if path.exists() {
                     let actual = std::fs::metadata(&path)
@@ -407,7 +434,7 @@ impl ResultCache {
     /// to a cold-tier point read (the row is then re-admitted hot). A hash
     /// collision (stored spec ≠ probed spec) counts as a miss in either
     /// tier.
-    pub fn lookup(&self, key: &ContentKey) -> Option<Arc<CachedRow>> {
+    pub fn lookup(&self, key: &ContentKey) -> Option<CachedRow> {
         let start = self.metrics.as_ref().map(|m| m.registry.now_ns());
         let (result, class) = self.lookup_classified(key);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
@@ -421,9 +448,9 @@ impl ResultCache {
         result
     }
 
-    fn lookup_classified(&self, key: &ContentKey) -> (Option<Arc<CachedRow>>, LookupClass) {
+    fn lookup_classified(&self, key: &ContentKey) -> (Option<CachedRow>, LookupClass) {
         if let Some(entry) = self.hot.lock().get(key.hash) {
-            if entry.spec == key.content {
+            if entry.spec() == key.content {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return (Some(entry), LookupClass::HotHit);
             }
@@ -442,14 +469,10 @@ impl ResultCache {
             };
             match read {
                 Some(Ok(r)) if r.spec == key.content => {
-                    let entry = Arc::new(CachedRow {
-                        spec: r.spec,
-                        row: r.row,
-                    });
-                    let payload = entry.spec.len() + entry.row.len();
+                    let entry = CachedRow::new(&r.spec, &r.row);
                     self.hot
                         .lock()
-                        .insert(key.hash, Arc::clone(&entry), payload);
+                        .insert(key.hash, entry.clone(), entry.payload_bytes());
                     self.cold_hits.fetch_add(1, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (Some(entry), LookupClass::ColdHit);
@@ -466,27 +489,22 @@ impl ResultCache {
     /// Inserts `row` under `key`, appending to the cold tier when present.
     /// Concurrent duplicate inserts are benign: the content address
     /// guarantees both writers carry identical bytes.
-    pub fn insert(&self, key: &ContentKey, row: String) -> Arc<CachedRow> {
+    pub fn insert(&self, key: &ContentKey, row: String) -> CachedRow {
         // Keep an exact-size copy, not the serializer's buffer: the byte
         // budget counts `len`, so spare capacity (≈ 130 of a row's 512
         // bytes) is resident but unbudgeted, and a copy — unlike
         // `shrink_to_fit`, which splits the buffer in place — leaves the
         // allocator a whole buffer to hand the next row's serializer.
-        let row = String::from(row.as_str());
-        let entry = Arc::new(CachedRow {
-            spec: key.content.clone(),
-            row,
-        });
-        let payload = entry.spec.len() + entry.row.len();
+        let entry = CachedRow::new(&key.content, &row);
         self.hot
             .lock()
-            .insert(key.hash, Arc::clone(&entry), payload);
+            .insert(key.hash, entry.clone(), entry.payload_bytes());
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if let Some(cold) = &self.cold {
             let record = ColdRecord {
                 key: key.hex(),
-                spec: entry.spec.clone(),
-                row: entry.row.clone(),
+                spec: entry.spec().to_string(),
+                row: entry.row().to_string(),
             };
             match serde_json::to_string(&record) {
                 Ok(line) => {
@@ -601,13 +619,31 @@ mod tests {
         assert!(cache.lookup(&key).is_none());
         cache.insert(&key, "row-a".into());
         let hit = cache.lookup(&key).expect("inserted");
-        assert_eq!(hit.row, "row-a");
+        assert_eq!(hit.row(), "row-a");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(
             (stats.evictions, stats.ghost_hits, stats.cold_hits),
             (0, 0, 0)
         );
+    }
+
+    #[test]
+    fn an_entry_is_one_buffer_shared_by_its_clones() {
+        let entry = CachedRow::new("spec-a", "row-a");
+        assert_eq!((entry.spec(), entry.row()), ("spec-a", "row-a"));
+        // Spec and row sit back to back, and a clone copies neither.
+        assert_eq!(
+            entry.spec().as_ptr().wrapping_add("spec-a".len()),
+            entry.row().as_ptr()
+        );
+        assert_eq!(entry.clone().row().as_ptr(), entry.row().as_ptr());
+        assert_eq!(entry.payload_bytes(), "spec-a".len() + "row-a".len());
+        // The split is part of the value: the same bytes cut elsewhere are
+        // another entry, and either side may be empty.
+        assert_ne!(CachedRow::new("ab", "c"), CachedRow::new("a", "bc"));
+        let bare = CachedRow::new("", "row");
+        assert_eq!((bare.spec(), bare.row()), ("", "row"));
     }
 
     #[test]
@@ -665,7 +701,7 @@ mod tests {
             let hit = cache
                 .lookup(&ContentKey::of(format!("spec-{i}")))
                 .unwrap_or_else(|| panic!("row {i} lost by eviction"));
-            assert_eq!(hit.row, format!("row-{i}"));
+            assert_eq!(hit.row(), format!("row-{i}"));
         }
         let stats = cache.stats();
         assert!(stats.cold_hits > 0, "some hits must have come from disk");
@@ -689,9 +725,9 @@ mod tests {
         let reloaded = ResultCache::with_cold_tier(&dir).unwrap();
         assert_eq!(reloaded.len(), 2);
         let hit = reloaded.lookup(&ContentKey::of("spec-1")).unwrap();
-        assert_eq!(hit.row, "row-1");
+        assert_eq!(hit.row(), "row-1");
         assert_eq!(
-            reloaded.lookup(&ContentKey::of("spec-2")).unwrap().row,
+            reloaded.lookup(&ContentKey::of("spec-2")).unwrap().row(),
             "row-2"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -749,7 +785,7 @@ mod tests {
         let reloaded = ResultCache::with_cold_tier(&dir).unwrap();
         assert_eq!(reloaded.len(), 2, "both good records load after the tear");
         assert_eq!(
-            reloaded.lookup(&ContentKey::of("spec-2")).unwrap().row,
+            reloaded.lookup(&ContentKey::of("spec-2")).unwrap().row(),
             "row-2"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -815,7 +851,7 @@ mod tests {
         cache.insert(&ContentKey::of("spec-1"), "row-1".into());
         assert_eq!(cache.len(), 0, "budget of 1 byte keeps nothing resident");
         let hit = cache.lookup(&ContentKey::of("spec-1")).expect("cold hit");
-        assert_eq!(hit.row, "row-1");
+        assert_eq!(hit.row(), "row-1");
         assert!(cache.stats().cold_hits >= 1);
         std::fs::remove_dir_all(&dir).ok();
     }

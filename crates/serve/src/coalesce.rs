@@ -7,7 +7,7 @@
 //! cell registers it here and enqueues the one job; every later requester
 //! **subscribes** to that computation instead of enqueueing its own. On
 //! completion the worker drains the subscriber list in one step, fanning the
-//! single result (an `Arc`, or the rendered pricing failure) out to every
+//! single result (a row handle, or the rendered pricing failure) out to every
 //! waiting submission.
 //!
 //! Correctness leans on the lock protocol, not luck: the submit path holds
@@ -21,7 +21,7 @@
 //! have produced.)
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -29,7 +29,7 @@ use crate::cache::{CachedRow, ContentKey, ResultCache};
 
 /// What a subscriber receives: its cell index within its own submission,
 /// plus the shared outcome (row, or rendered pricing failure).
-pub type CellOutcome = (usize, Result<Arc<CachedRow>, String>);
+pub type CellOutcome = (usize, Result<CachedRow, String>);
 
 /// One waiting submission: where the cell sits in its matrix and the
 /// submission's reply channel.
@@ -50,7 +50,7 @@ pub struct InflightTable {
 /// How a submit's cell probe resolved, under the table lock.
 pub enum Disposition {
     /// Already cached: the row, immediately.
-    Cached(Arc<CachedRow>),
+    Cached(CachedRow),
     /// Another submission's computation is in flight (probe only; call
     /// [`InflightGuard::subscribe`] to join it).
     Inflight,
@@ -169,7 +169,7 @@ mod tests {
         let subs = table.complete(&k);
         assert_eq!(subs.len(), 2);
         for s in subs {
-            s.reply.send((s.index, Ok(Arc::clone(&row)))).unwrap();
+            s.reply.send((s.index, Ok(row.clone()))).unwrap();
         }
         assert_eq!(rx1.recv().unwrap().0, 0);
         assert_eq!(rx2.recv().unwrap().0, 3);
@@ -207,7 +207,7 @@ mod tests {
         }
         let row = cache.insert(&k, "row".into());
         for s in table.complete(&k) {
-            s.reply.send((s.index, Ok(Arc::clone(&row)))).unwrap();
+            s.reply.send((s.index, Ok(row.clone()))).unwrap();
         }
         let mut seen: Vec<usize> = (0..2).map(|_| rx.recv().unwrap().0).collect();
         seen.sort_unstable();

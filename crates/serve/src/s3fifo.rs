@@ -19,13 +19,12 @@
 //! splicing on the read path — which is what lets the result cache sit on
 //! the server's every-request path under one short mutex hold.
 //!
-//! The store is value-agnostic: it tracks `Arc<CachedRow>`s by their
+//! The store is value-agnostic: it tracks `CachedRow` handles by their
 //! reported byte weight and enforces `bytes() <= budget` as a hard
 //! post-insert invariant (evicting down to empty if a single entry exceeds
-//! the budget outright — the caller still holds the returned `Arc`).
+//! the budget outright — the caller still holds its own handle).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use crate::cache::CachedRow;
 
@@ -33,7 +32,7 @@ use crate::cache::CachedRow;
 const FREQ_MAX: u8 = 3;
 
 /// Fixed per-entry bookkeeping overhead charged against the budget, beyond
-/// the spec + row payload bytes (map entry, queue slot, Arc, counters).
+/// the spec + row payload bytes (map entry, queue slot, reference counts, counters).
 pub const ENTRY_OVERHEAD_BYTES: usize = 64;
 
 /// Where a resident entry currently queues.
@@ -45,7 +44,7 @@ enum Tier {
 
 #[derive(Debug)]
 struct Resident {
-    row: Arc<CachedRow>,
+    row: CachedRow,
     /// Saturating hit counter; promotion/eviction currency.
     freq: u8,
     tier: Tier,
@@ -129,15 +128,15 @@ impl S3Fifo {
 
     /// Looks `key` up, bumping its hit counter on success. No queue motion
     /// happens on the read path.
-    pub fn get(&mut self, key: u128) -> Option<Arc<CachedRow>> {
+    pub fn get(&mut self, key: u128) -> Option<CachedRow> {
         let e = self.entries.get_mut(&key)?;
         e.freq = (e.freq + 1).min(FREQ_MAX);
-        Some(Arc::clone(&e.row))
+        Some(e.row.clone())
     }
 
     /// Inserts (or replaces) `row` under `key` with the given payload
     /// weight, then evicts until the budget holds again.
-    pub fn insert(&mut self, key: u128, row: Arc<CachedRow>, payload_bytes: usize) {
+    pub fn insert(&mut self, key: u128, row: CachedRow, payload_bytes: usize) {
         let charged = payload_bytes.saturating_add(ENTRY_OVERHEAD_BYTES);
         if let Some(e) = self.entries.get_mut(&key) {
             // Replacement (e.g. a recomputed duplicate): same key, possibly
@@ -256,8 +255,8 @@ impl S3Fifo {
     /// Iterates the resident rows in ascending key order — cold-tier
     /// bootstrap and tests. Sorted so the traversal is deterministic: the
     /// backing map's order is unspecified and must never reach output.
-    pub fn iter(&self) -> impl Iterator<Item = (&u128, &Arc<CachedRow>)> {
-        let mut keyed: Vec<(&u128, &Arc<CachedRow>)> =
+    pub fn iter(&self) -> impl Iterator<Item = (&u128, &CachedRow)> {
+        let mut keyed: Vec<(&u128, &CachedRow)> =
             self.entries.iter().map(|(k, e)| (k, &e.row)).collect();
         keyed.sort_by_key(|(k, _)| **k);
         keyed.into_iter()
@@ -268,11 +267,8 @@ impl S3Fifo {
 mod tests {
     use super::*;
 
-    fn row(tag: &str) -> Arc<CachedRow> {
-        Arc::new(CachedRow {
-            spec: format!("spec-{tag}"),
-            row: format!("row-{tag}"),
-        })
+    fn row(tag: &str) -> CachedRow {
+        CachedRow::new(&format!("spec-{tag}"), &format!("row-{tag}"))
     }
 
     /// Budget that fits exactly `n` entries of `payload` bytes each.
@@ -376,7 +372,7 @@ mod tests {
         s.insert(7, row("y"), 300);
         assert_eq!(s.len(), 1);
         assert_eq!(s.bytes(), b + 200);
-        assert_eq!(s.get(7).unwrap().row, "row-y");
+        assert_eq!(s.get(7).unwrap().row(), "row-y");
     }
 
     #[test]

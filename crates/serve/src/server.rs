@@ -379,7 +379,7 @@ fn settle(
     cache: &ResultCache,
     keys: &[ContentKey],
     priced: Result<Vec<ScenarioRow>, String>,
-) -> Vec<Result<Arc<CachedRow>, String>> {
+) -> Vec<Result<CachedRow, String>> {
     let rows = match priced {
         Ok(rows) => rows,
         Err(e) => return vec![Err(e); keys.len()],
@@ -392,10 +392,7 @@ fn settle(
             Ok(if row.transport_verified {
                 cache.insert(key, line)
             } else {
-                Arc::new(CachedRow {
-                    spec: key.content().to_string(),
-                    row: line,
-                })
+                CachedRow::new(key.content(), &line)
             })
         })
         .collect()
@@ -739,8 +736,8 @@ fn handle_submit(
     };
     shared.submits.fetch_add(1, Ordering::SeqCst);
     let total = cells.len();
-    let (tx, rx) = mpsc::channel::<(usize, Result<Arc<CachedRow>, String>)>();
-    let mut ready: Vec<Option<Arc<CachedRow>>> = vec![None; total];
+    let (tx, rx) = mpsc::channel::<(usize, Result<CachedRow, String>)>();
+    let mut ready: Vec<Option<CachedRow>> = vec![None; total];
     let scheduled;
     let coalesced;
     {
@@ -873,7 +870,7 @@ fn handle_submit(
         }),
     )?;
     // Stream rows in matrix order; out-of-order completions wait in `extra`.
-    let mut extra: HashMap<usize, Arc<CachedRow>> = HashMap::new();
+    let mut extra: HashMap<usize, CachedRow> = HashMap::new();
     for (index, slot) in ready.iter_mut().enumerate() {
         let entry = loop {
             if let Some(e) = slot.take().or_else(|| extra.remove(&index)) {
@@ -915,7 +912,7 @@ fn handle_submit(
                 }
             }
         };
-        write_line(writer, &entry.row)?;
+        write_line(writer, entry.row())?;
     }
     write_line(
         writer,
@@ -965,7 +962,7 @@ fn handle_fetch(
         }),
     )?;
     for entry in &rows {
-        write_line(writer, &entry.row)?;
+        write_line(writer, entry.row())?;
     }
     write_line(
         writer,
@@ -1280,7 +1277,7 @@ mod tests {
         assert_eq!(outcomes.len(), 4);
         for (key, outcome) in keys.iter().zip(&outcomes) {
             let served = outcome.as_ref().unwrap();
-            assert!(served.row.contains("\"transport_verified\":false"));
+            assert!(served.row().contains("\"transport_verified\":false"));
             assert!(cache.lookup(key).is_none(), "a transient row was cached");
         }
         assert!(cache.is_empty());

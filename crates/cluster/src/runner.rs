@@ -1,5 +1,4 @@
-//! Campaign runners: the *real* proxy applications, and multi-rank
-//! partitioned-delivery rounds.
+//! Campaign runner for the *real* proxy applications.
 //!
 //! [`run_real_campaign`] reproduces the paper's experimental procedure on
 //! live code: for each trial and each rank, build a fresh application
@@ -11,20 +10,13 @@
 //! rank-level concurrency would only add host-scheduler interference to the
 //! measurements without changing what is measured.
 //!
-//! [`run_delivery_campaign`] is the communication-side counterpart: it drives
-//! N concurrent `PsendSession`/`PrecvSession` rank pairs over one in-memory
-//! [`Transport`], fanned out over the workspace [`Pool`], verifying that
-//! every rank's partitioned buffer assembles byte-exactly on its receiver.
-//! Scenario campaigns use it to validate delivery mechanics alongside the
-//! fabric-priced timing simulation.
-
-use std::sync::Arc;
-use std::time::Duration;
+//! Nothing here communicates: scenario pricing needs thread arrivals only,
+//! and partitioned-session mechanics are pinned by `ebird-partcomm`'s
+//! `tests/session_mechanics.rs`.
 
 use ebird_core::{
     Clock, IterationCollector, MonotonicClock, ThreadSample, TimedRegion, TimingTrace,
 };
-use ebird_partcomm::{PrecvSession, PsendSession, Transport};
 use ebird_runtime::Pool;
 
 use crate::job::JobConfig;
@@ -213,129 +205,6 @@ where
     Ok(trace.expect("cfg dimensions validated above"))
 }
 
-/// Outcome of one sender→receiver rank pair of a delivery campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairOutcome {
-    /// Sending rank index.
-    pub rank: usize,
-    /// Whether the receiver assembled the sender's payload byte-exactly.
-    pub verified: bool,
-    /// The failure, if any (session errors and deadline expiries included).
-    pub error: Option<String>,
-}
-
-/// Result of driving one multi-rank partitioned-delivery round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeliveryCampaign {
-    /// Concurrent sender/receiver rank pairs driven.
-    pub ranks: usize,
-    /// Partitions per rank buffer.
-    pub partitions: usize,
-    /// Bytes per rank buffer.
-    pub payload_len: usize,
-    /// Per-pair outcomes, rank order.
-    pub pairs: Vec<PairOutcome>,
-}
-
-impl DeliveryCampaign {
-    /// Whether every rank pair delivered and verified.
-    pub fn all_verified(&self) -> bool {
-        self.pairs.iter().all(|p| p.verified)
-    }
-}
-
-/// Drives `ranks` concurrent [`PsendSession`]/[`PrecvSession`] pairs over one
-/// in-memory [`Transport`], with pairs fanned out over `pool`.
-///
-/// Pair `r` connects sender endpoint `r` to receiver endpoint `ranks + r`.
-/// Each sender starts a round with a deterministic per-rank payload and
-/// readies its partitions in `pready_order(r)` — typically the rank's thread
-/// arrival order from a synthetic model, so partition readiness replays the
-/// measured early-bird schedule. Receivers wait with `timeout`, so a dropped
-/// partition (an order that skips one) surfaces in [`PairOutcome::error`]
-/// rather than hanging the campaign.
-pub fn run_delivery_campaign<F>(
-    ranks: usize,
-    partitions: usize,
-    payload_len: usize,
-    pready_order: F,
-    pool: &Pool,
-    timeout: Duration,
-) -> DeliveryCampaign
-where
-    F: Fn(usize) -> Vec<usize> + Sync,
-{
-    assert!(ranks >= 1, "need at least one rank pair");
-    assert!(
-        partitions >= 1 && payload_len >= partitions,
-        "need ≥ 1 byte per partition"
-    );
-    struct Pair {
-        rank: usize,
-        send: PsendSession,
-        recv: PrecvSession,
-        payload: Vec<u8>,
-        outcome: Option<PairOutcome>,
-    }
-
-    let mut endpoints = Transport::connect(2 * ranks);
-    let receivers = endpoints.split_off(ranks);
-    let mut pairs: Vec<Pair> = endpoints
-        .into_iter()
-        .zip(receivers)
-        .enumerate()
-        .map(|(rank, (send_ep, recv_ep))| Pair {
-            rank,
-            send: PsendSession::init(Arc::new(send_ep), ranks + rank, partitions, payload_len),
-            recv: PrecvSession::init(recv_ep, partitions, payload_len),
-            payload: (0..payload_len)
-                .map(|j| (rank.wrapping_mul(131).wrapping_add(j.wrapping_mul(17)) & 0xFF) as u8)
-                .collect(),
-            outcome: None,
-        })
-        .collect();
-
-    pool.parallel_chunks_mut(&mut pairs, |block, _range, _ctx| {
-        for pair in block.iter_mut() {
-            let order = pready_order(pair.rank);
-            let send = &pair.send;
-            let recv = &mut pair.recv;
-            let payload = &pair.payload;
-            let driven = (|| -> Result<bool, String> {
-                send.start(payload).map_err(|e| e.to_string())?;
-                recv.start();
-                for &p in &order {
-                    send.pready(p).map_err(|e| e.to_string())?;
-                }
-                let assembled = recv.wait_deadline(timeout).map_err(|e| e.to_string())?;
-                Ok(assembled == payload.as_slice())
-            })();
-            pair.outcome = Some(match driven {
-                Ok(verified) => PairOutcome {
-                    rank: pair.rank,
-                    verified,
-                    error: None,
-                },
-                Err(error) => PairOutcome {
-                    rank: pair.rank,
-                    verified: false,
-                    error: Some(error),
-                },
-            });
-        }
-    });
-
-    DeliveryCampaign {
-        ranks,
-        partitions,
-        payload_len,
-        pairs: pairs
-            .into_iter()
-            .map(|p| p.outcome.expect("every pair driven"))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,54 +248,6 @@ mod tests {
         .unwrap();
         assert_eq!(trace.app(), "MiniQMC");
         assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
-    }
-
-    #[test]
-    fn delivery_campaign_verifies_every_rank_pair() {
-        // 6 concurrent rank pairs × 8 partitions, arrival orders scrambled
-        // per rank, fanned over a 3-worker pool.
-        let pool = Pool::new(3);
-        let campaign = run_delivery_campaign(
-            6,
-            8,
-            8 * 16,
-            |rank| {
-                let mut order: Vec<usize> = (0..8).collect();
-                order.rotate_left(rank % 8);
-                order.reverse();
-                order
-            },
-            &pool,
-            Duration::from_secs(5),
-        );
-        assert_eq!(campaign.pairs.len(), 6);
-        assert!(campaign.all_verified(), "{:?}", campaign.pairs);
-    }
-
-    #[test]
-    fn delivery_campaign_surfaces_dropped_partition() {
-        let pool = Pool::new(2);
-        // Rank 1 never readies partition 3: its receiver must time out with
-        // an error instead of hanging the campaign.
-        let campaign = run_delivery_campaign(
-            2,
-            4,
-            64,
-            |rank| {
-                if rank == 1 {
-                    vec![0, 1, 2]
-                } else {
-                    vec![0, 1, 2, 3]
-                }
-            },
-            &pool,
-            Duration::from_millis(50),
-        );
-        assert!(campaign.pairs[0].verified);
-        assert!(!campaign.pairs[1].verified);
-        let err = campaign.pairs[1].error.as_deref().unwrap();
-        assert!(err.contains("deadline"), "error: {err}");
-        assert!(!campaign.all_verified());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   `ebird-bench` so both the offline CLI and the service share it):
 //!   [`scenario::ScenarioMatrix`] resolves into typed
 //!   [`scenario::ResolvedCell`]s, priced deterministically a group at a
-//!   time by [`scenario::price_group`] (cells sharing their arrivals and
-//!   transport campaign share the work).
+//!   time by [`scenario::price_group`] (cells sharing their arrivals share
+//!   the work; a row is a pure function of its cell).
 //! * [`cache`] — the content-addressed result cache: key = FNV-1a 128 hash
 //!   of the cell spec's canonical JSON; hot tier in memory under an
 //!   [`s3fifo`] byte budget, cold tier as an append-only JSON Lines file

@@ -13,13 +13,15 @@
 //! ([`ebird_partcomm::run_delivery`]) over any
 //! [`NetModel`](ebird_partcomm::NetModel) — the flat contended fabric, a
 //! two-level [`HierarchicalFabric`](ebird_partcomm::HierarchicalFabric), a
-//! gap-throttled [`LogGPLink`](ebird_partcomm::LogGPLink) — and validating
-//! delivery mechanics by driving the same rank count of real
-//! `PsendSession`/`PrecvSession` pairs over the in-memory transport
-//! ([`ebird_cluster::run_delivery_campaign`]). Each cell emits one JSON
-//! table row (see [`ebird_analysis::report::json_lines`]), so adding a
-//! workload — or a whole topology — to the campaign means adding a config
-//! entry, not code.
+//! gap-throttled [`LogGPLink`](ebird_partcomm::LogGPLink). A row is a pure
+//! function of its cell — thread arrivals in, priced delivery out, the way
+//! the paper prices early-bird delivery — so pricing starts no thread, opens
+//! no channel and reads no clock. (What a partitioned session delivers,
+//! refuses and times out on is a property of `ebird_partcomm::session`,
+//! pinned once by that crate's `tests/session_mechanics.rs`, not re-run per
+//! group.) Each cell emits one JSON table row (see
+//! [`ebird_analysis::report::json_lines`]), so adding a workload — or a
+//! whole topology — to the campaign means adding a config entry, not code.
 //!
 //! The matrix itself is plain serde data: load one from JSON with
 //! `--matrix`, or use the built-in presets ([`ScenarioMatrix::preset`]:
@@ -43,11 +45,10 @@
 //!
 //! Pricing has one definition, [`price_group`], and one unit of work, the
 //! **group**: the cells that share a (workload, noise, ranks, threads,
-//! iteration, seed, deadline) combination — contiguous in
+//! iteration, seed) combination — contiguous in
 //! [`ResolvedMatrix::cells`] order — and therefore share their rank
-//! arrivals and their transport campaign, which are built once per group
-//! (and the `Bulk` baseline once per network model within it). Three
-//! callers drive it:
+//! arrivals, which are built once per group (and the `Bulk` baseline once
+//! per network model within it). Three callers drive it:
 //!
 //! * the offline `repro scenarios` path, [`run_matrix`], prices every group
 //!   of the matrix in axis order;
@@ -62,35 +63,30 @@
 //! A group is priced by one thread, so a submission that is one huge group
 //! (one workload × noise × ranks combination fanned across hundreds of
 //! models and strategies) does not spread over the worker team — the price
-//! of never repeating a group's arrivals and campaign, which for a `full`
-//! matrix priced cell by cell was 5× the useful work.
+//! of never repeating a group's arrivals.
 //!
 //! Every caller runs the same deterministic kernel on the same inputs, so
 //! rows are bit-identical however a matrix is split into jobs — the
 //! property the service's cache and the CI serve-smoke diff rely on.
 
-use std::time::Duration;
-
 use ebird_cluster::synthetic::{AppModel, Phase};
 use ebird_cluster::{
-    run_delivery_campaign, MixtureComponent, NoiseRegime, RealKernelParams, ResolvedWorkload,
-    Workload, WorkloadSpec, BUILTIN_WORKLOAD_NAMES,
+    MixtureComponent, NoiseRegime, RealKernelParams, ResolvedWorkload, Workload, WorkloadSpec,
+    BUILTIN_WORKLOAD_NAMES,
 };
 use ebird_core::DEFAULT_SEED;
-use ebird_partcomm::{
-    arrival_order, run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy,
-};
-use ebird_runtime::Pool;
+use ebird_partcomm::{run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy};
 use serde::{Deserialize, Serialize};
 
 pub use ebird_partcomm::link_by_name;
 
-/// Default delivery-campaign deadline (ms): generous enough that only a
-/// genuinely dropped partition, not scheduler jitter, can expire it.
+/// Default of the inert [`ScenarioMatrix::deadline_ms`] field: the value
+/// every preset and every matrix JSON without the field carries into its
+/// content keys.
 pub const DEFAULT_DEADLINE_MS: f64 = 10_000.0;
 
 /// Serde default hook for `deadline_ms` — matrices saved before the field
-/// existed load with the historical 10 s deadline.
+/// existed load with the historical 10 s value.
 fn default_deadline_ms() -> f64 {
     DEFAULT_DEADLINE_MS
 }
@@ -125,9 +121,13 @@ pub struct ScenarioMatrix {
     pub iteration: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Delivery-campaign deadline in milliseconds: how long each receiver
-    /// waits for its partitions before reporting the pair failed. Defaults
-    /// to [`DEFAULT_DEADLINE_MS`] when absent from matrix JSON.
+    /// **Inert.** Once the deadline of a per-group transport check that
+    /// pricing no longer runs; still accepted, validated by
+    /// [`resolve`](Self::resolve) (positive and finite) and carried into
+    /// every [`CellSpec`] — so content keys, and every cold tier on disk,
+    /// stay what they were — but no row depends on it. Defaults to
+    /// [`DEFAULT_DEADLINE_MS`] when absent from matrix JSON; leaves the wire
+    /// together with `transport_verified`, under one key-version bump.
     pub deadline_ms: f64,
 }
 
@@ -558,11 +558,6 @@ impl ResolvedMatrix {
         self.len() == 0
     }
 
-    /// The campaign deadline as a [`Duration`].
-    pub fn deadline(&self) -> Duration {
-        Duration::from_secs_f64(self.deadline_ms / 1000.0)
-    }
-
     /// Every cell in canonical row order (workloads ▸ noise ▸ ranks ▸
     /// models ▸ strategies), each carrying its content-addressable
     /// [`CellSpec`] and the typed handles needed to price it independently.
@@ -642,7 +637,8 @@ pub struct CellSpec {
     pub iteration: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Delivery-campaign deadline (ms).
+    /// Inert ([`ScenarioMatrix::deadline_ms`]): part of the content key,
+    /// read by no pricing code.
     pub deadline_ms: f64,
 }
 
@@ -659,17 +655,16 @@ pub struct ResolvedCell {
 
 impl ResolvedCell {
     /// Whether `other` belongs to this cell's pricing **group**: the cells
-    /// whose rank arrivals and delivery campaign are the same computation —
-    /// equal workload, noise regime, ranks, threads, iteration, seed and
-    /// deadline. Groups are contiguous in [`ResolvedMatrix::cells`] order
-    /// (network models and strategies are the two innermost axes).
+    /// that share their rank arrivals — equal workload, noise regime, ranks,
+    /// threads, iteration and seed. Groups are contiguous in
+    /// [`ResolvedMatrix::cells`] order (network models and strategies are
+    /// the two innermost axes).
     pub fn same_group(&self, other: &ResolvedCell) -> bool {
         let (a, b) = (&self.spec, &other.spec);
         a.ranks == b.ranks
             && a.seed == b.seed
             && a.threads == b.threads
             && a.iteration == b.iteration
-            && a.deadline_ms == b.deadline_ms
             && a.noise == b.noise
             && a.workload == b.workload
     }
@@ -684,21 +679,18 @@ impl ResolvedCell {
     }
 }
 
-/// Prices one **group** — cells that share their rank arrivals and delivery
-/// campaign (see [`ResolvedCell::same_group`]) — returning one row per
-/// cell, in order. This is the one pricing definition: [`run_matrix`] calls
-/// it per group of the matrix, [`compute_cell`] with a group of one, and
-/// the service's workers with the not-yet-cached cells of a group.
+/// Prices one **group** — cells that share their rank arrivals (see
+/// [`ResolvedCell::same_group`]) — returning one row per cell, in order.
+/// This is the one pricing definition: [`run_matrix`] calls it per group of
+/// the matrix, [`compute_cell`] with a group of one, and the service's
+/// workers with the not-yet-cached cells of a group.
 ///
-/// The group's arrivals are built and its delivery campaign (the mechanics
-/// check: the same rank count of real sessions, partitions readied in each
-/// rank's [`arrival_order`] — the order the kernel injects them in; a small
-/// payload keeps it fast, the delivery kernel prices the real byte count)
-/// is driven **once**; the `Bulk` baseline is priced once per run of
-/// adjacent cells sharing a network model. Rows are deterministic in
-/// everything but `transport_verified` (which only varies if the host fails
-/// to deliver within the deadline), so any split of a matrix into groups —
-/// whole, partial, or cell by cell — yields bit-identical rows.
+/// Arrivals → [`run_delivery`] per cell → rows, and nothing else: the
+/// group's arrivals are built once and the `Bulk` baseline is priced once
+/// per run of adjacent cells sharing a network model. Every row is a pure
+/// function of its [`CellSpec`] — no thread, channel, clock or host property
+/// is consulted — so any split of a matrix into groups — whole, partial, or
+/// cell by cell — yields bit-identical rows, on any host, every time.
 ///
 /// # Errors
 /// A rendered workload failure: resolution validates names and ranges, but
@@ -707,7 +699,7 @@ impl ResolvedCell {
 /// here (and as a protocol error line in the service) rather than as a
 /// panic. Cells spanning more than one group are refused too: rows priced
 /// from another group's arrivals must never be cached as content.
-pub fn price_group(cells: &[ResolvedCell], pool: &Pool) -> Result<Vec<ScenarioRow>, String> {
+pub fn price_group(cells: &[ResolvedCell]) -> Result<Vec<ScenarioRow>, String> {
     let Some(first) = cells.first() else {
         return Ok(Vec::new());
     };
@@ -719,19 +711,6 @@ pub fn price_group(cells: &[ResolvedCell], pool: &Pool) -> Result<Vec<ScenarioRo
         .workload
         .rank_arrivals_ms(spec.seed, spec.ranks, spec.iteration, spec.threads)
         .map_err(|e| format!("workload `{}`: {e}", spec.app))?;
-    let transport_verified = run_delivery_campaign(
-        spec.ranks,
-        spec.threads,
-        spec.threads * 8,
-        |rank| {
-            let mut order = Vec::new();
-            arrival_order(&rank_arrivals[rank], &mut order);
-            order
-        },
-        pool,
-        Duration::from_secs_f64(spec.deadline_ms / 1000.0),
-    )
-    .all_verified();
     let mut scratch = SimScratch::new();
     let mut rows = Vec::with_capacity(cells.len());
     for run in cells.chunk_by(|a, b| {
@@ -774,22 +753,42 @@ pub fn price_group(cells: &[ResolvedCell], pool: &Pool) -> Result<Vec<ScenarioRo
                 messages: outcome.messages,
                 wire_ms: outcome.wire_ms,
                 bulk_exposed_ms: bulk.exposed_ms(),
-                speedup_vs_bulk: bulk.exposed_ms() / outcome.exposed_ms(),
-                transport_verified,
+                speedup_vs_bulk: speedup_vs_bulk(bulk.exposed_ms(), outcome.exposed_ms()),
+                transport_verified: true,
             });
         }
     }
     Ok(rows)
 }
 
+/// `bulk_exposed_ms / exposed_ms`, finite for every pair of non-negative
+/// costs: a strategy that exposes exactly what bulk does prices as `1.0` —
+/// what `x / x` already is for every positive `x`, and what a free network
+/// (both costs zero, `0 / 0`) means too — and one that exposes nothing where
+/// bulk exposes something saturates at [`f64::MAX`] instead of `∞`. JSON has
+/// no spelling for NaN or ∞ (the encoder writes `null`), and a row is cached
+/// under its content key forever.
+fn speedup_vs_bulk(bulk_exposed_ms: f64, exposed_ms: f64) -> f64 {
+    if exposed_ms == bulk_exposed_ms {
+        1.0
+    } else {
+        (bulk_exposed_ms / exposed_ms).min(f64::MAX)
+    }
+}
+
 /// Prices one cell on its own — [`price_group`] with a group of one, so the
 /// row is bit-identical to the same cell's row from [`run_matrix`] or from
 /// any larger group.
 ///
+/// `_pool` is unused and stays for the reason [`run_matrix`]'s does.
+///
 /// # Errors
 /// See [`price_group`].
-pub fn compute_cell(cell: &ResolvedCell, pool: &Pool) -> Result<ScenarioRow, String> {
-    let mut rows = price_group(std::slice::from_ref(cell), pool)?;
+pub fn compute_cell(
+    cell: &ResolvedCell,
+    _pool: &ebird_runtime::Pool,
+) -> Result<ScenarioRow, String> {
+    let mut rows = price_group(std::slice::from_ref(cell))?;
     rows.pop()
         .ok_or_else(|| "pricing returned no row for the cell".to_string())
 }
@@ -827,25 +826,33 @@ pub struct ScenarioRow {
     pub bulk_exposed_ms: f64,
     /// `bulk_exposed_ms / exposed_ms` (> 1 ⇒ this strategy beats bulk).
     pub speedup_vs_bulk: f64,
-    /// Whether the same rank count of real partitioned sessions delivered
-    /// and verified byte-exactly over the in-memory transport.
+    /// The constant `true`: session mechanics are pinned by `partcomm`'s
+    /// session suite (`tests/session_mechanics.rs`), not checked per row.
+    /// Kept so rows stay byte-identical to every cached one; leaves the
+    /// wire together with `deadline_ms`.
     pub transport_verified: bool,
 }
 
 /// Runs every scenario of `matrix`, one row per cell in axis order
 /// (workloads ▸ noise ▸ ranks ▸ models ▸ strategies): [`price_group`] over
-/// each group of [`ResolvedMatrix::cells`], so delivery mechanics are
-/// validated once per (workload, noise, ranks) combination on `pool`.
+/// each group of [`ResolvedMatrix::cells`].
+///
+/// `_pool` is unused — pricing forks nothing. The parameter stays because
+/// `benchmark/src/layers.rs` compiles against this signature and a code PR
+/// may not edit `benchmark/`; it goes with ROADMAP item 1.
 ///
 /// # Errors
 /// The first axis-validation failure, verbatim from
 /// [`ScenarioMatrix::resolve`], or a pricing-time workload failure (see
 /// [`price_group`]).
-pub fn run_matrix(matrix: &ScenarioMatrix, pool: &Pool) -> Result<Vec<ScenarioRow>, String> {
+pub fn run_matrix(
+    matrix: &ScenarioMatrix,
+    _pool: &ebird_runtime::Pool,
+) -> Result<Vec<ScenarioRow>, String> {
     let cells = matrix.resolve()?.cells();
     let mut rows = Vec::with_capacity(cells.len());
     for group in cells.chunk_by(ResolvedCell::same_group) {
-        rows.extend(price_group(group, pool)?);
+        rows.extend(price_group(group)?);
     }
     Ok(rows)
 }
@@ -854,7 +861,6 @@ pub fn run_matrix(matrix: &ScenarioMatrix, pool: &Pool) -> Result<Vec<ScenarioRo
 /// to the JSON rows).
 pub fn summarize(rows: &[ScenarioRow]) -> String {
     use std::fmt::Write as _;
-    let verified = rows.iter().filter(|r| r.transport_verified).count();
     let beats_bulk = rows
         .iter()
         .filter(|r| r.strategy != "bulk" && r.speedup_vs_bulk > 1.0)
@@ -863,8 +869,7 @@ pub fn summarize(rows: &[ScenarioRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} scenarios; transport verified {verified}/{}; {beats_bulk}/{non_bulk} non-bulk cells beat bulk",
-        rows.len(),
+        "{} scenarios; {beats_bulk}/{non_bulk} non-bulk cells beat bulk",
         rows.len(),
     );
     if let Some(best) = rows
@@ -891,6 +896,7 @@ pub fn summarize(rows: &[ScenarioRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebird_runtime::Pool;
 
     #[test]
     fn presets_cover_the_advertised_cells() {
@@ -950,6 +956,25 @@ mod tests {
         let back: ScenarioMatrix = serde_json::from_str(&with_field).unwrap();
         assert_eq!(back.deadline_ms, DEFAULT_DEADLINE_MS);
         assert_eq!(back, ScenarioMatrix::smoke());
+        // The compatibility trade: the field is inert — two matrices
+        // differing only in it price bit-identical rows — yet still part of
+        // every cell's content key, so keys minted while it meant something
+        // (and every cold tier holding them) stay valid.
+        let mut other = back.clone();
+        other.deadline_ms = 2_500.0;
+        assert_eq!(
+            run_matrix(&back, &Pool::new(1)).unwrap(),
+            run_matrix(&other, &Pool::new(1)).unwrap()
+        );
+        let keys = |m: &ScenarioMatrix| -> Vec<String> {
+            let cells = m.resolve().unwrap().cells();
+            cells.iter().map(|c| c.content_key().hex()).collect()
+        };
+        let (default_keys, other_keys) = (keys(&back), keys(&other));
+        assert_eq!(default_keys.len(), other_keys.len());
+        for (a, b) in default_keys.iter().zip(&other_keys) {
+            assert_ne!(a, b, "deadline_ms must stay in the content key");
+        }
     }
 
     /// The smoke campaign as hand-written matrix JSON, its workload and
@@ -1019,17 +1044,6 @@ mod tests {
         assert!(run_matrix(&m, &Pool::new(1))
             .unwrap_err()
             .contains("warp-drive"));
-    }
-
-    #[test]
-    fn custom_deadline_threads_through_to_failure_detection() {
-        // A matrix whose campaign cannot miss its deadline succeeds with a
-        // tight-but-sane one; the field must actually reach the campaign
-        // (not silently fall back to 10 s), which we verify via resolve().
-        let mut m = ScenarioMatrix::smoke();
-        m.deadline_ms = 2_500.0;
-        let resolved = m.resolve().unwrap();
-        assert_eq!(resolved.deadline(), Duration::from_millis(2_500));
     }
 
     #[test]
@@ -1128,7 +1142,7 @@ mod tests {
         assert_eq!(rows.len(), cells.len());
         let mut at = 0;
         for group in cells.chunk_by(ResolvedCell::same_group) {
-            let whole = price_group(group, &pool).unwrap();
+            let whole = price_group(group).unwrap();
             assert_eq!(whole, rows[at..at + group.len()]);
             let odd: Vec<ResolvedCell> = group.iter().skip(1).step_by(2).cloned().collect();
             if !odd.is_empty() {
@@ -1137,7 +1151,7 @@ mod tests {
                     .skip(1)
                     .step_by(2)
                     .collect();
-                let partial = price_group(&odd, &pool).unwrap();
+                let partial = price_group(&odd).unwrap();
                 assert_eq!(partial.iter().collect::<Vec<_>>(), expected);
             }
             at += group.len();
@@ -1173,9 +1187,88 @@ mod tests {
     #[test]
     fn price_group_refuses_cells_of_two_groups() {
         let cells = ScenarioMatrix::smoke().resolve().unwrap().cells();
-        let err = price_group(&cells, &Pool::new(1)).unwrap_err();
+        let err = price_group(&cells).unwrap_err();
         assert!(err.contains("group boundary"), "{err}");
-        assert_eq!(price_group(&[], &Pool::new(1)), Ok(vec![]));
+        assert_eq!(price_group(&[]), Ok(vec![]));
+    }
+
+    /// The row encodes without a `null` and decodes back to itself.
+    fn assert_round_trips_finite(row: &ScenarioRow) {
+        assert!(row.speedup_vs_bulk.is_finite(), "{row:?}");
+        let line = ebird_analysis::report::json_line(row).unwrap();
+        assert!(!line.contains("null"), "{line}");
+        let back: ScenarioRow = serde_json::from_str(&line).unwrap();
+        assert_eq!(&back, row);
+    }
+
+    #[test]
+    fn a_free_network_prices_every_number_finite() {
+        // All three specs pass `NetModelSpec::resolve` (`v >= 0.0`; `zero`
+        // is a named link) and make bulk's exposed cost exactly zero: the
+        // all-zero LogGP and the zero-link fabric on every row, the gap-only
+        // LogGP on (at least) its `bulk` row. `0 / 0` used to be emitted —
+        // and cached — as `"speedup_vs_bulk":null`.
+        let free = NetModelSpec::LogGP {
+            latency_ms: 0.0,
+            gap_ms: 0.0,
+            gap_per_byte_ms: 0.0,
+            contention: 0.0,
+        };
+        let gap_only = NetModelSpec::LogGP {
+            latency_ms: 0.0,
+            gap_ms: 2.0e-3,
+            gap_per_byte_ms: 0.0,
+            contention: 0.5,
+        };
+        let zero_link = NetModelSpec::Fabric {
+            link: "zero".into(),
+            contention: 0.5,
+        };
+        for (spec, all_free) in [(free, true), (gap_only, false), (zero_link, true)] {
+            let mut m = ScenarioMatrix::topology_smoke();
+            m.models = vec![spec];
+            let rows = run_matrix(&m, &Pool::new(1)).unwrap();
+            assert_eq!(rows.len(), 12);
+            for row in &rows {
+                assert_eq!(row.bulk_exposed_ms, 0.0, "{row:?}");
+                if all_free || row.strategy == "bulk" {
+                    assert_eq!(row.exposed_ms, 0.0, "{row:?}");
+                    assert_eq!(row.speedup_vs_bulk, 1.0, "{row:?}");
+                }
+                assert_round_trips_finite(row);
+            }
+        }
+        // A per-byte cost so small that one partition's transfer rounds
+        // away against a ≈ 30 ms arrival while the whole buffer's does not:
+        // early-bird exposes exactly nothing, bulk something — `x / 0`,
+        // emitted as `null` like `0 / 0` was. It saturates instead.
+        let mut m = ScenarioMatrix::topology_smoke();
+        m.ranks = vec![1];
+        m.models = vec![NetModelSpec::LogGP {
+            latency_ms: 0.0,
+            gap_ms: 0.0,
+            gap_per_byte_ms: 1.0e-20,
+            contention: 0.0,
+        }];
+        let rows = run_matrix(&m, &Pool::new(1)).unwrap();
+        let mut saturated = 0;
+        for row in &rows {
+            assert!(row.bulk_exposed_ms > 0.0, "{row:?}");
+            if row.exposed_ms == 0.0 {
+                assert_eq!(row.speedup_vs_bulk, f64::MAX, "{row:?}");
+                saturated += 1;
+            }
+            assert_round_trips_finite(row);
+        }
+        assert!(saturated > 0, "{rows:?}");
+        // The rule itself: equal costs are 1.0, a zero cost against a
+        // positive bulk saturates instead of overflowing, and everything
+        // else is the plain quotient.
+        assert_eq!(speedup_vs_bulk(0.0, 0.0), 1.0);
+        assert_eq!(speedup_vs_bulk(0.25, 0.25), 0.25 / 0.25);
+        assert_eq!(speedup_vs_bulk(3.0, 1.5), 2.0);
+        assert_eq!(speedup_vs_bulk(0.0, 1.5), 0.0);
+        assert_eq!(speedup_vs_bulk(1.5, 0.0), f64::MAX);
     }
 
     #[test]

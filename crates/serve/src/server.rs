@@ -15,15 +15,16 @@
 //! The unit of scheduled work is the **group**, not the cell: the
 //! to-be-computed cells of one submission that share a pricing group
 //! ([`ResolvedCell::same_group`]) travel as one [`Job`], so a worker builds
-//! the group's arrivals and drives its transport campaign once
-//! ([`price_group`]) instead of once per (model × strategy) sibling — a
-//! cold `full` matrix is 36 jobs of 8 cells, not 288 jobs that each redo
-//! their group's work. Everything a client or another submission can
-//! observe stays per cell: cache keys, single-flight records, the
-//! `cached + coalesced + computed` accounting, and matrix-order streaming;
-//! siblings that were cached or joined are simply not in the job. The
-//! stated trade: a group is priced by one worker, so a submission that is
-//! one huge group does not spread over the team.
+//! the group's arrivals once ([`price_group`]) instead of once per
+//! (model × strategy) sibling — a cold `full` matrix is 36 jobs of 8
+//! cells, not 288 jobs that each redo their group's work. Pricing is a pure
+//! function of the cells (no thread, channel or clock behind it), so every
+//! priced row is content and every one is cached. Everything a client or
+//! another submission can observe stays per cell: cache keys, single-flight
+//! records, the `cached + coalesced + computed` accounting, and matrix-order
+//! streaming; siblings that were cached or joined are simply not in the
+//! job. The stated trade: a group is priced by one worker, so a submission
+//! that is one huge group does not spread over the team.
 //!
 //! The hand-off is as coarse as the work. A worker publishes a job's rows
 //! in one burst after caching and metering them, and the connection's
@@ -371,10 +372,9 @@ impl Server {
 }
 
 /// Encodes a priced group's rows and makes them durable: one outcome per
-/// key, in order (a pricing failure is every cell's outcome). Only verified
-/// rows are pure functions of their spec; a deadline miss is host
-/// scheduling, not content, and must stay transient rather than poison the
-/// cache (and its cold tier) forever.
+/// key, in order (a pricing failure is every cell's outcome and caches
+/// nothing). Every priced row is a pure function of its spec, so every one
+/// is cached.
 fn settle(
     cache: &ResultCache,
     keys: &[ContentKey],
@@ -389,11 +389,7 @@ fn settle(
         .map(|(key, row)| {
             let line =
                 report::json_line(row).map_err(|e| format!("serializing scenario row: {e}"))?;
-            Ok(if row.transport_verified {
-                cache.insert(key, line)
-            } else {
-                CachedRow::new(key.content(), &line)
-            })
+            Ok(cache.insert(key, line))
         })
         .collect()
 }
@@ -407,14 +403,7 @@ fn run_job(shared: &Shared, job: Job) {
     let job_start = shared.metrics.registry.now_ns();
     let cells = job.cells.len();
     shared.inflight.fetch_add(cells, Ordering::SeqCst);
-    // Each worker is already one team member; the delivery campaign inside
-    // the group runs inline on a unit pool rather than forking a nested
-    // team.
-    let outcomes = settle(
-        &shared.cache,
-        &job.keys,
-        price_group(&job.cells, &Pool::new(1)),
-    );
+    let outcomes = settle(&shared.cache, &job.keys, price_group(&job.cells));
     shared
         .computed_cells
         .fetch_add(cells as u64, Ordering::SeqCst);
@@ -1101,7 +1090,7 @@ mod tests {
         let cells = matrix.resolve().unwrap().cells();
         for group in cells.chunk_by(ResolvedCell::same_group) {
             let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
-            settle(&shared.cache, &keys, price_group(group, &Pool::new(1)));
+            settle(&shared.cache, &keys, price_group(group));
         }
         let fetch = reply_line(&Request::Fetch {
             matrix: MatrixSource::Inline(matrix.clone()),
@@ -1261,28 +1250,11 @@ mod tests {
     }
 
     #[test]
-    fn an_unverified_group_caches_none_of_its_rows() {
+    fn a_pricing_failure_is_every_cells_outcome_and_caches_nothing() {
         let cache = ResultCache::in_memory();
         let cells = three_group_matrix().resolve().unwrap().cells();
         let group = &cells[..4];
         let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
-        let rows = price_group(group, &Pool::new(1)).unwrap();
-
-        // A deadline miss marks the whole group (one campaign, one verdict).
-        let mut missed = rows.clone();
-        for row in &mut missed {
-            row.transport_verified = false;
-        }
-        let outcomes = settle(&cache, &keys, Ok(missed));
-        assert_eq!(outcomes.len(), 4);
-        for (key, outcome) in keys.iter().zip(&outcomes) {
-            let served = outcome.as_ref().unwrap();
-            assert!(served.row().contains("\"transport_verified\":false"));
-            assert!(cache.lookup(key).is_none(), "a transient row was cached");
-        }
-        assert!(cache.is_empty());
-
-        // A pricing failure is every cell's outcome, and caches nothing.
         let failed = settle(&cache, &keys, Err("workload `x`: boom".into()));
         assert!(failed
             .iter()
@@ -1290,8 +1262,8 @@ mod tests {
         assert_eq!(failed.len(), 4);
         assert!(cache.is_empty());
 
-        // The verified rows of the same group all land.
-        let outcomes = settle(&cache, &keys, Ok(rows));
+        // Every priced row lands: one insert route.
+        let outcomes = settle(&cache, &keys, price_group(group));
         assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 4);
     }

@@ -953,7 +953,7 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
-    use ebird_bench::profile::{render_profile, units_counter};
+    use ebird_bench::profile::{render_profile, units_counter, TRACE_SAMPLES};
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
     let observer = PoolObserver::new(&registry);
@@ -986,6 +986,8 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     for st in STAGES {
         registry.counter(&units_counter(st)).add(units as u64);
     }
+    let samples: usize = traces.iter().map(|t| t.samples().len()).sum();
+    registry.counter(TRACE_SAMPLES).add(samples as u64);
     {
         let _span = stage(1);
         for tr in &traces {

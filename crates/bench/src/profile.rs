@@ -3,7 +3,8 @@
 //! The profile command runs the engine's four stages ([`STAGES`]) on an
 //! observed pool and prints one table from the registry snapshot: per-stage
 //! span wall time, pool busy time, utilization, busy time per
-//! process-iteration handled ([`units_counter`]) and per-worker busy splits,
+//! process-iteration handled ([`units_counter`]) and per-worker busy splits
+//! under a header that states the traces' footprint ([`TRACE_SAMPLES`]),
 //! followed by the normality-sweep fast-path instruments
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
 //! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
@@ -16,6 +17,7 @@
 
 use ebird_analysis::engine::STAGES;
 use ebird_analysis::normality::SweepObs;
+use ebird_core::ThreadSample;
 use ebird_obs::Snapshot;
 use ebird_runtime::PoolObserver;
 
@@ -30,11 +32,22 @@ pub fn units_counter(stage: &str) -> String {
     format!("units.{stage}")
 }
 
+/// Counter name: samples the profiled traces hold — what every stage
+/// streams, and (at one word a sample) the traces' resident footprint in the
+/// profile's header.
+pub const TRACE_SAMPLES: &str = "trace.samples";
+
 /// Renders the profile table from a registry snapshot.
 pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "Pipeline profile ({threads} worker thread(s)):");
+    let samples = snap.counter(TRACE_SAMPLES);
+    let sample_bytes = std::mem::size_of::<ThreadSample>() as u64;
+    let _ = writeln!(
+        out,
+        "Pipeline profile ({threads} worker thread(s); traces: {samples} samples × {sample_bytes} B = {:.1} MiB):",
+        (samples * sample_bytes) as f64 / (1 << 20) as f64
+    );
     let _ = writeln!(
         out,
         "{:<18}{:>12}{:>12}{:>7}{:>10}  per-worker busy ms",
@@ -233,6 +246,10 @@ mod tests {
         for _ in 0..fork_count {
             fork_hist.record(1_000_000);
         }
+        // The sample count renders as itself, beside its footprint.
+        let samples = next(&mut sentinels);
+        registry.counter(TRACE_SAMPLES).add(samples);
+        sentinels.push(format!("traces: {samples} samples × 8 B"));
         let rendered = render_profile(&registry.snapshot(), 1);
         for s in sentinels {
             assert!(
@@ -247,6 +264,7 @@ mod tests {
         let registry = Arc::new(Registry::wall());
         let rendered = render_profile(&registry.snapshot(), 2);
         assert!(rendered.contains("µs/unit"));
+        assert!(rendered.contains("traces: 0 samples × 8 B = 0.0 MiB"));
         assert!(rendered.contains("normality-sweep fast path"));
         assert!(rendered.contains("0 hits / 0 misses (0.0% hit rate)"));
         assert!(rendered.contains("fork/join overhead"));

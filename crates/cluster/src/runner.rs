@@ -187,10 +187,10 @@ where
                         for (slot, &n) in dst.iter_mut().zip(&ops) {
                             // Clamp to ≥ 1 ns: samples must stay positive
                             // even for a degenerate zero-work partition.
-                            *slot = ThreadSample {
-                                enter_ns: 0,
-                                exit_ns: ((n as f64 * ns_per_op).round() as u64).max(1),
-                            };
+                            *slot = ThreadSample::new(
+                                0,
+                                ((n as f64 * ns_per_op).round() as u64).max(1),
+                            );
                         }
                     }
                     app.verify().map_err(|message| RunnerError::AppInvariant {
@@ -219,7 +219,6 @@ mod tests {
         .unwrap();
         assert_eq!(trace.app(), "MiniFE");
         assert_eq!(trace.shape(), cfg.shape());
-        trace.validate().unwrap();
         // Every sample must be a real measurement (> 0 compute time).
         assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
     }
@@ -274,7 +273,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "metered traces must be bit-identical across runs");
-        a.validate().unwrap();
         assert!(a.samples().iter().all(|s| s.compute_time_ns() > 0));
         // The ops-derived shape is not flat: different threads see different
         // neighbor counts once the lattice melts.
@@ -307,7 +305,6 @@ mod tests {
                 run_real_campaign_with(&cfg, factory, RealTiming::Metered { ns_per_op: 100.0 })
                     .unwrap();
             assert_eq!(trace.app(), name);
-            trace.validate().unwrap();
             assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
         }
     }

@@ -454,9 +454,12 @@ impl RealKernelHandle {
         // Re-label under the workload's canonical label (`real(<app>)`), so
         // a metered run is never mistaken for the calibrated synthetic
         // shape of the same kernel.
-        let mut trace = TimingTrace::new(format!("real({})", self.app), cfg.shape());
-        trace.samples_mut().copy_from_slice(measured.samples());
-        Ok(trace)
+        TimingTrace::from_samples(
+            format!("real({})", self.app),
+            cfg.shape(),
+            measured.samples().to_vec(),
+        )
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -586,7 +589,7 @@ impl Workload for ResolvedWorkload {
                     .iter()
                     .map(|(_, c)| c.generate_trace_parallel(cfg, seed, pool))
                     .collect::<Result<_, _>>()?;
-                let mut out = TimingTrace::new(format!("mix({name})"), cfg.shape());
+                let mut samples = Vec::with_capacity(cfg.shape().total_samples());
                 let tag = Self::mixture_tag(name);
                 for trial in 0..cfg.trials {
                     for rank in 0..cfg.ranks {
@@ -603,14 +606,12 @@ impl Workload for ResolvedWorkload {
                             let src = traces[k]
                                 .process_iteration(trial, rank, iteration)
                                 .expect("in range by construction");
-                            let dst = out
-                                .process_iteration_mut(trial, rank, iteration)
-                                .expect("in range by construction");
-                            dst.copy_from_slice(src);
+                            samples.extend_from_slice(src);
                         }
                     }
                 }
-                Ok(out)
+                TimingTrace::from_samples(format!("mix({name})"), cfg.shape(), samples)
+                    .map_err(|e| e.to_string())
             }
         }
     }

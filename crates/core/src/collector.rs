@@ -4,7 +4,10 @@
 //! inside the parallel region. The equivalent here is [`IterationCollector`]:
 //! a preallocated `(iterations × threads)` grid of atomic slots that worker
 //! threads write with relaxed stores — no locks, no allocation, nothing that
-//! could perturb the measured arrival times.
+//! could perturb the measured arrival times. The two stamps live only here:
+//! reading a slot back ([`IterationCollector::sample`],
+//! [`IterationCollector::drain_into`]) subtracts them into the one-word
+//! [`ThreadSample`] the trace keeps.
 //!
 //! **Layout note.** Slots are stored *thread-major* (`[thread][iteration]`),
 //! the transpose of the paper's arrays. All threads write "their" column at
@@ -87,10 +90,7 @@ impl IterationCollector {
     pub fn sample(&self, iteration: usize, thread: usize) -> Option<ThreadSample> {
         let e = self.enter[self.slot(iteration, thread)].load(Ordering::Relaxed);
         let x = self.exit[self.slot(iteration, thread)].load(Ordering::Relaxed);
-        (e != UNSET && x != UNSET).then_some(ThreadSample {
-            enter_ns: e,
-            exit_ns: x,
-        })
+        (e != UNSET && x != UNSET).then(|| ThreadSample::new(e, x))
     }
 
     /// Fraction of slots with both stamps recorded (diagnostic).
@@ -110,8 +110,8 @@ impl IterationCollector {
         done as f64 / (self.iterations * self.threads) as f64
     }
 
-    /// Copies all recorded samples into `trace` at `(trial, rank, ·, ·)`.
-    /// Unrecorded slots become zero samples.
+    /// Writes every recorded slot's compute time into `trace` at
+    /// `(trial, rank, ·, ·)`. Unrecorded slots become zero samples.
     ///
     /// # Errors
     /// [`CoreError::ShapeMismatch`] if the trace's iteration/thread dimensions
@@ -140,7 +140,7 @@ impl IterationCollector {
                 let enter_ns = e.load(Ordering::Relaxed);
                 let exit_ns = x.load(Ordering::Relaxed);
                 if enter_ns != UNSET && exit_ns != UNSET {
-                    block[iteration * self.threads + thread] = ThreadSample { enter_ns, exit_ns };
+                    block[iteration * self.threads + thread] = ThreadSample::new(enter_ns, exit_ns);
                 }
             }
         }
@@ -168,13 +168,7 @@ mod tests {
         let c = IterationCollector::new(3, 2);
         c.record_enter(1, 0, 100);
         c.record_exit(1, 0, 250);
-        assert_eq!(
-            c.sample(1, 0),
-            Some(ThreadSample {
-                enter_ns: 100,
-                exit_ns: 250
-            })
-        );
+        assert_eq!(c.sample(1, 0), Some(ThreadSample::new(100, 250)));
         assert_eq!(c.sample(0, 0), None, "unrecorded slot");
         assert_eq!(c.sample(1, 1), None, "other thread untouched");
     }

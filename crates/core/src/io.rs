@@ -1,23 +1,61 @@
 //! Trace persistence: JSON (full fidelity), CSV (interchange) and a compact
 //! little-endian binary format (speed).
 //!
-//! JSON captures the whole [`TimingTrace`] via serde and is the round-trip
-//! format the job runner uses for checkpointing. CSV is the flat
-//! `trial,rank,iteration,thread,enter_ns,exit_ns` table that external plotting
+//! All three store what a [`TimingTrace`] holds — the application name, the
+//! four dimension sizes and one compute time in nanoseconds per sample — and
+//! each has one writer and one reader. JSON is the trace's serde form
+//! (`{"app":…,"shape":{…},"samples":[ns, ns, …]}`). CSV is the flat
+//! `app,trial,rank,iteration,thread,compute_ns` table that external plotting
 //! tools (the paper's figures were produced with NumPy/Matplotlib) consume.
 //! The binary format ([`write_binary`]/[`read_binary`]) stores the same dense
-//! sample grid as raw little-endian `u64` pairs behind a fixed header, so a
-//! paper-scale trace (768,000 samples ≈ 12 MB) loads in milliseconds instead
-//! of the seconds JSON parsing takes; it is the format the parallel pipeline
-//! benchmark and large campaign checkpoints use.
+//! column as raw little-endian `u64`s behind a fixed header, so a
+//! paper-scale trace (768,000 samples ≈ 6 MB) loads in milliseconds instead
+//! of the seconds JSON parsing takes.
+//!
+//! A reader's input is outside the program: whatever the bytes, a reader
+//! returns a trace whose every accessor is in range, or a [`CoreError`] —
+//! dimensions are bounded by `MAX_TRACE_DIM` (2²⁴) before anything is sized
+//! from them, and the sample count must match the shape.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use serde::Deserialize;
+
 use crate::sample::{SampleIndex, ThreadSample};
 use crate::trace::{TimingTrace, TraceShape};
 use crate::CoreError;
+
+/// Upper bound a reader accepts per shape dimension **and** for the
+/// dimensions' product, guarding `TraceShape::total_samples()`'s unchecked
+/// multiply and the `total × 8`-byte allocation against corrupt input (the
+/// paper-scale trace is 10 × 8 × 200 × 48 = 768,000 samples; this leaves
+/// ~20× headroom).
+const MAX_TRACE_DIM: u64 = 1 << 24;
+
+/// The shape a file declares, if every dimension and their product are
+/// within `MAX_TRACE_DIM`.
+///
+/// # Errors
+/// [`CoreError::Parse`] naming the limit; [`CoreError::EmptyShape`] for a
+/// zero dimension.
+fn checked_shape(dims: [u64; 4]) -> Result<TraceShape, CoreError> {
+    if let Some(d) = dims.iter().find(|&&d| d > MAX_TRACE_DIM) {
+        return Err(CoreError::Parse(format!(
+            "shape dimension {d} exceeds limit {MAX_TRACE_DIM}"
+        )));
+    }
+    // Four dimensions at the per-dimension cap would overflow the product.
+    dims.iter()
+        .try_fold(1u64, |acc, &d| acc.checked_mul(d))
+        .filter(|&total| total <= MAX_TRACE_DIM)
+        .ok_or_else(|| {
+            CoreError::Parse(format!("total sample count exceeds limit {MAX_TRACE_DIM}"))
+        })?;
+    let [trials, ranks, iterations, threads] = dims.map(|d| d as usize);
+    TraceShape::new(trials, ranks, iterations, threads)
+}
 
 /// Writes a trace as JSON to any writer.
 pub fn write_json<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), CoreError> {
@@ -26,8 +64,27 @@ pub fn write_json<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), CoreEr
 }
 
 /// Reads a trace from JSON.
+///
+/// # Errors
+/// [`CoreError::Json`] for malformed text or a missing field,
+/// [`CoreError::Parse`] / [`CoreError::EmptyShape`] for an out-of-range
+/// shape, [`CoreError::ShapeMismatch`] when the sample count is not the
+/// shape's.
 pub fn read_json<R: Read>(reader: R) -> Result<TimingTrace, CoreError> {
-    Ok(serde_json::from_reader(reader)?)
+    /// What [`write_json`] emits, before any of it is trusted.
+    #[derive(Deserialize)]
+    struct TraceFile {
+        app: String,
+        shape: TraceShape,
+        samples: Vec<ThreadSample>,
+    }
+    let TraceFile {
+        app,
+        shape,
+        samples,
+    } = serde_json::from_reader(reader)?;
+    let dims = [shape.trials, shape.ranks, shape.iterations, shape.threads];
+    TimingTrace::from_samples(app, checked_shape(dims.map(|d| d as u64))?, samples)
 }
 
 /// Saves a trace to a JSON file (buffered).
@@ -48,35 +105,30 @@ pub fn load_json(path: impl AsRef<Path>) -> Result<TimingTrace, CoreError> {
 /// Magic bytes opening the binary trace format.
 pub const BINARY_MAGIC: [u8; 8] = *b"EBTRACE\x01";
 
-/// Current binary format version.
-pub const BINARY_VERSION: u32 = 1;
+/// Current binary format version. Version 1 stored an enter and an exit
+/// stamp per sample; no file of it was ever written outside tests, and
+/// [`read_binary`] refuses it.
+pub const BINARY_VERSION: u32 = 2;
 
 /// Upper bound accepted for the application-name length field, guarding
 /// against allocating from a corrupt header.
 const MAX_APP_NAME_BYTES: u32 = 4096;
 
-/// Upper bound accepted per shape dimension **and** for the dimensions'
-/// product when reading, guarding the `total × 16`-byte allocation against
-/// corrupt headers (the paper-scale trace is 10 × 8 × 200 × 48 = 768,000
-/// samples; this leaves ~20× headroom).
-const MAX_BINARY_DIM: u64 = 1 << 24;
-
 /// Writes a trace in the compact binary format:
 ///
 /// ```text
 /// magic        8 × u8   "EBTRACE\x01"
-/// version      u32 LE
+/// version      u32 LE   2
 /// app_len      u32 LE
 /// app          app_len × u8 (UTF-8)
 /// trials       u64 LE
 /// ranks        u64 LE
 /// iterations   u64 LE
 /// threads      u64 LE
-/// samples      total × (enter_ns u64 LE, exit_ns u64 LE), thread innermost
+/// samples      total × compute_ns u64 LE, thread innermost
 /// ```
 ///
-/// Every `u64` value round-trips exactly, including the `u64::MAX` "unset"
-/// sentinel collectors use for unrecorded slots.
+/// Every `u64` value round-trips exactly.
 ///
 /// # Errors
 /// [`CoreError::Io`] on write failure.
@@ -96,11 +148,10 @@ pub fn write_binary<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), Core
         w.write_all(&(dim as u64).to_le_bytes())?;
     }
     // Serialize samples through one flat byte buffer: a single large
-    // `write_all` instead of 2 × 768,000 small writes.
-    let mut bytes = Vec::with_capacity(trace.samples().len() * 16);
+    // `write_all` instead of 768,000 small writes.
+    let mut bytes = Vec::with_capacity(trace.samples().len() * 8);
     for s in trace.samples() {
-        bytes.extend_from_slice(&s.enter_ns.to_le_bytes());
-        bytes.extend_from_slice(&s.exit_ns.to_le_bytes());
+        bytes.extend_from_slice(&s.compute_time_ns().to_le_bytes());
     }
     w.write_all(&bytes)?;
     w.flush()?;
@@ -143,46 +194,19 @@ pub fn read_binary<R: Read>(reader: R) -> Result<TimingTrace, CoreError> {
     for d in &mut dims {
         r.read_exact(&mut u64_buf)?;
         *d = u64::from_le_bytes(u64_buf);
-        if *d > MAX_BINARY_DIM {
-            return Err(CoreError::Parse(format!(
-                "shape dimension {d} exceeds limit {MAX_BINARY_DIM}"
-            )));
-        }
     }
-    // Bound the *product* too, not just each dimension: four dims at the
-    // per-dim cap would overflow `TraceShape::total_samples()`'s unchecked
-    // multiply. The per-sample cap doubles as an allocation guard.
-    let total = dims
-        .iter()
-        .try_fold(1u64, |acc, &d| acc.checked_mul(d))
-        .filter(|&t| t <= MAX_BINARY_DIM)
-        .ok_or_else(|| {
-            CoreError::Parse(format!("total sample count exceeds limit {MAX_BINARY_DIM}"))
-        })?;
-    let shape = TraceShape::new(
-        dims[0] as usize,
-        dims[1] as usize,
-        dims[2] as usize,
-        dims[3] as usize,
-    )?;
-    debug_assert_eq!(shape.total_samples() as u64, total);
-    let byte_len = (total as usize)
-        .checked_mul(16)
-        .ok_or_else(|| CoreError::Parse("sample count overflows".into()))?;
-    let mut bytes = vec![0u8; byte_len];
+    let shape = checked_shape(dims)?;
+    let mut bytes = vec![0u8; shape.total_samples() * 8];
     r.read_exact(&mut bytes)?;
     let mut probe = [0u8; 1];
     if r.read(&mut probe)? != 0 {
         return Err(CoreError::Parse("trailing bytes after samples".into()));
     }
-    let mut trace = TimingTrace::new(app, shape);
-    for (slot, chunk) in trace.samples_mut().iter_mut().zip(bytes.chunks_exact(16)) {
-        *slot = ThreadSample {
-            enter_ns: u64::from_le_bytes(chunk[0..8].try_into().expect("8-byte chunk half")),
-            exit_ns: u64::from_le_bytes(chunk[8..16].try_into().expect("8-byte chunk half")),
-        };
-    }
-    Ok(trace)
+    let samples = bytes
+        .chunks_exact(8)
+        .map(|word| ThreadSample::new(0, u64::from_le_bytes(word.try_into().expect("8 bytes"))))
+        .collect();
+    TimingTrace::from_samples(app, shape, samples)
 }
 
 /// Saves a trace to a binary file.
@@ -202,7 +226,7 @@ pub fn load_binary(path: impl AsRef<Path>) -> Result<TimingTrace, CoreError> {
 }
 
 /// CSV header used by [`write_csv`].
-pub const CSV_HEADER: &str = "app,trial,rank,iteration,thread,enter_ns,exit_ns,compute_ns";
+pub const CSV_HEADER: &str = "app,trial,rank,iteration,thread,compute_ns";
 
 /// Writes a trace as CSV (one row per sample, header first).
 pub fn write_csv<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), CoreError> {
@@ -213,14 +237,12 @@ pub fn write_csv<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), CoreErr
         let idx = shape.unflat(flat);
         writeln!(
             w,
-            "{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{}",
             trace.app(),
             idx.trial,
             idx.rank,
             idx.iteration,
             idx.thread,
-            s.enter_ns,
-            s.exit_ns,
             s.compute_time_ns()
         )?;
     }
@@ -231,7 +253,13 @@ pub fn write_csv<W: Write>(trace: &TimingTrace, writer: W) -> Result<(), CoreErr
 /// Reads a CSV produced by [`write_csv`] back into a trace.
 ///
 /// The shape is inferred from the maximum index in each dimension, so the file
-/// must contain a complete dense grid (which [`write_csv`] always emits).
+/// must contain a complete dense grid (which [`write_csv`] always emits):
+/// every slot of the inferred shape written by exactly one row.
+///
+/// # Errors
+/// [`CoreError::Parse`] naming the offending line for a malformed row, an
+/// index beyond `MAX_TRACE_DIM` or a slot written twice, and for a row
+/// count that is not the inferred shape's.
 pub fn read_csv<R: Read>(reader: R) -> Result<TimingTrace, CoreError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines
@@ -241,60 +269,59 @@ pub fn read_csv<R: Read>(reader: R) -> Result<TimingTrace, CoreError> {
         return Err(CoreError::Parse(format!("unexpected header: {header}")));
     }
     let mut app: Option<String> = None;
-    let mut rows: Vec<(SampleIndex, ThreadSample)> = Vec::new();
-    let (mut max_t, mut max_r, mut max_i, mut max_th) = (0usize, 0usize, 0usize, 0usize);
+    let mut rows: Vec<(usize, SampleIndex, u64)> = Vec::new();
+    let mut max_index = [0u64; 4];
     for (lineno, line) in lines.enumerate() {
+        let lineno = lineno + 2;
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
         let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 8 {
+        if fields.len() != 6 {
             return Err(CoreError::Parse(format!(
-                "line {}: expected 8 fields, got {}",
-                lineno + 2,
+                "line {lineno}: expected 6 fields, got {}",
                 fields.len()
             )));
         }
-        let parse_usize = |s: &str, what: &str| {
-            s.trim().parse::<usize>().map_err(|e| {
-                CoreError::Parse(format!("line {}: bad {what} `{s}`: {e}", lineno + 2))
-            })
-        };
         let parse_u64 = |s: &str, what: &str| {
-            s.trim().parse::<u64>().map_err(|e| {
-                CoreError::Parse(format!("line {}: bad {what} `{s}`: {e}", lineno + 2))
-            })
+            s.trim()
+                .parse::<u64>()
+                .map_err(|e| CoreError::Parse(format!("line {lineno}: bad {what} `{s}`: {e}")))
         };
         match &app {
             None => app = Some(fields[0].to_string()),
             Some(a) if a != fields[0] => {
                 return Err(CoreError::Parse(format!(
-                    "line {}: mixed apps `{a}` and `{}`",
-                    lineno + 2,
+                    "line {lineno}: mixed apps `{a}` and `{}`",
                     fields[0]
                 )))
             }
             _ => {}
         }
-        let idx = SampleIndex::new(
-            parse_usize(fields[1], "trial")?,
-            parse_usize(fields[2], "rank")?,
-            parse_usize(fields[3], "iteration")?,
-            parse_usize(fields[4], "thread")?,
-        );
-        let s = ThreadSample {
-            enter_ns: parse_u64(fields[5], "enter_ns")?,
-            exit_ns: parse_u64(fields[6], "exit_ns")?,
-        };
-        max_t = max_t.max(idx.trial);
-        max_r = max_r.max(idx.rank);
-        max_i = max_i.max(idx.iteration);
-        max_th = max_th.max(idx.thread);
-        rows.push((idx, s));
+        let mut index = [0u64; 4];
+        for (k, what) in ["trial", "rank", "iteration", "thread"]
+            .into_iter()
+            .enumerate()
+        {
+            index[k] = parse_u64(fields[1 + k], what)?;
+            if index[k] >= MAX_TRACE_DIM {
+                return Err(CoreError::Parse(format!(
+                    "line {lineno}: {what} index {} exceeds limit {MAX_TRACE_DIM}",
+                    index[k]
+                )));
+            }
+            max_index[k] = max_index[k].max(index[k]);
+        }
+        let [trial, rank, iteration, thread] = index.map(|i| i as usize);
+        rows.push((
+            lineno,
+            SampleIndex::new(trial, rank, iteration, thread),
+            parse_u64(fields[5], "compute_ns")?,
+        ));
     }
     let app = app.ok_or_else(|| CoreError::Parse("CSV has no data rows".into()))?;
-    let shape = TraceShape::new(max_t + 1, max_r + 1, max_i + 1, max_th + 1)?;
+    let shape = checked_shape(max_index.map(|i| i + 1))?;
     if rows.len() != shape.total_samples() {
         return Err(CoreError::Parse(format!(
             "CSV has {} rows but inferred shape needs {}",
@@ -302,9 +329,18 @@ pub fn read_csv<R: Read>(reader: R) -> Result<TimingTrace, CoreError> {
             shape.total_samples()
         )));
     }
+    // As many rows as slots: every slot is written exactly once unless some
+    // row repeats another's index, which also leaves a hole elsewhere.
     let mut trace = TimingTrace::new(app, shape);
-    for (idx, s) in rows {
-        trace.set(idx, s)?;
+    let mut written = vec![false; rows.len()];
+    for (lineno, idx, compute_ns) in rows {
+        let flat = shape.flat(idx)?;
+        if std::mem::replace(&mut written[flat], true) {
+            return Err(CoreError::Parse(format!(
+                "line {lineno}: second row for sample {idx}, so another sample has none"
+            )));
+        }
+        trace.samples_mut()[flat] = ThreadSample::new(0, compute_ns);
     }
     Ok(trace)
 }
@@ -362,19 +398,19 @@ mod tests {
     fn csv_rejects_wrong_field_count() {
         let data = format!("{CSV_HEADER}\nMiniFE,0,0,0\n");
         let e = read_csv(data.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("expected 8 fields"));
+        assert!(e.to_string().contains("expected 6 fields"));
     }
 
     #[test]
     fn csv_rejects_unparseable_numbers() {
-        let data = format!("{CSV_HEADER}\nMiniFE,0,0,0,zero,1,2,1\n");
+        let data = format!("{CSV_HEADER}\nMiniFE,0,0,0,zero,1\n");
         let e = read_csv(data.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("bad thread"));
     }
 
     #[test]
     fn csv_rejects_incomplete_grid() {
-        let data = format!("{CSV_HEADER}\nMiniFE,0,0,0,1,1,2,1\n");
+        let data = format!("{CSV_HEADER}\nMiniFE,0,0,0,1,1\n");
         // Single row claims thread index 1 exists, so shape needs 2 samples.
         let e = read_csv(data.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("rows"));
@@ -382,7 +418,7 @@ mod tests {
 
     #[test]
     fn csv_rejects_mixed_apps() {
-        let data = format!("{CSV_HEADER}\nA,0,0,0,0,1,2,1\nB,0,0,0,1,1,2,1\n");
+        let data = format!("{CSV_HEADER}\nA,0,0,0,0,1\nB,0,0,0,1,1\n");
         let e = read_csv(data.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("mixed apps"));
     }
@@ -401,34 +437,82 @@ mod tests {
         write_binary(&trace, &mut buf).unwrap();
         assert_eq!(
             buf.len(),
-            8 + 4 + 4 + trace.app().len() + 32 + trace.samples().len() * 16
+            8 + 4 + 4 + trace.app().len() + 32 + trace.samples().len() * 8
         );
         let back = read_binary(&buf[..]).unwrap();
         assert_eq!(trace, back);
     }
 
     #[test]
-    fn binary_preserves_u64_max_sentinel() {
-        // Unrecorded collector slots carry u64::MAX stamps; they must
-        // round-trip exactly (they would lose precision through an f64).
-        let trace = TimingTrace::from_fn("sentinel", TraceShape::new(1, 1, 2, 3).unwrap(), |idx| {
-            if idx.thread == 1 {
-                ThreadSample {
-                    enter_ns: u64::MAX,
-                    exit_ns: u64::MAX,
-                }
-            } else {
-                ThreadSample::new(7, 11)
-            }
+    fn every_format_preserves_extreme_compute_times() {
+        // 0 is what an unrecorded collector slot stores; u64::MAX would lose
+        // precision through an f64.
+        let extremes = [0, 1, u64::MAX];
+        let trace = TimingTrace::from_fn("extremes", TraceShape::new(1, 1, 2, 3).unwrap(), |idx| {
+            ThreadSample::new(0, extremes[idx.thread])
         });
-        let mut buf = Vec::new();
-        write_binary(&trace, &mut buf).unwrap();
-        let back = read_binary(&buf[..]).unwrap();
-        assert_eq!(trace, back);
+        let (mut bin, mut json, mut csv) = (Vec::new(), Vec::new(), Vec::new());
+        write_binary(&trace, &mut bin).unwrap();
+        write_json(&trace, &mut json).unwrap();
+        write_csv(&trace, &mut csv).unwrap();
+        assert_eq!(read_binary(&bin[..]).unwrap(), trace);
+        assert_eq!(read_json(&json[..]).unwrap(), trace);
+        assert_eq!(read_csv(&csv[..]).unwrap(), trace);
         assert_eq!(
-            back.get(SampleIndex::new(0, 0, 0, 1)).unwrap().enter_ns,
-            u64::MAX
+            String::from_utf8(json).unwrap(),
+            format!(
+                "{{\"app\":\"extremes\",\"shape\":{{\"trials\":1,\"ranks\":1,\"iterations\":2,\
+                 \"threads\":3}},\"samples\":[0,1,{max},0,1,{max}]}}",
+                max = u64::MAX
+            ),
+            "samples are bare integers"
         );
+    }
+
+    #[test]
+    fn csv_rejects_a_duplicated_row_and_the_hole_it_leaves() {
+        // Two rows, a two-slot shape — but both rows claim thread 1, so
+        // thread 0 was never written. The parent loaded this as (0, 7).
+        let data = format!("{CSV_HEADER}\nA,0,0,0,1,5\nA,0,0,0,1,7\n");
+        let e = read_csv(data.as_bytes()).unwrap_err();
+        assert!(matches!(e, CoreError::Parse(_)), "{e}");
+        assert!(e.to_string().contains("line 3: second row"), "{e}");
+    }
+
+    #[test]
+    fn csv_rejects_indices_beyond_the_dimension_cap() {
+        // 2^32 per dimension overflowed `total_samples()`'s multiply.
+        let data = format!("{CSV_HEADER}\nA,4294967296,4294967296,0,0,1\n");
+        let e = read_csv(data.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 2: trial index"), "{e}");
+        // Each index under the cap, their product over it.
+        let data = format!("{CSV_HEADER}\nA,16777215,16777215,0,0,1\n");
+        let e = read_csv(data.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("total sample count"), "{e}");
+    }
+
+    #[test]
+    fn json_rejects_a_sample_count_that_is_not_the_shapes() {
+        let shape = |t: u64, th: u64| {
+            format!("{{\"trials\":{t},\"ranks\":1,\"iterations\":2,\"threads\":{th}}}")
+        };
+        let file = |shape: String| format!("{{\"app\":\"A\",\"shape\":{shape},\"samples\":[1]}}");
+        // The parent loaded this and panicked on the first slice.
+        assert!(matches!(
+            read_json(file(shape(1, 2)).as_bytes()),
+            Err(CoreError::ShapeMismatch)
+        ));
+        assert!(matches!(
+            read_json(file(shape(0, 2)).as_bytes()),
+            Err(CoreError::EmptyShape)
+        ));
+        let e = read_json(file(shape(1 << 40, 1 << 40)).as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("exceeds limit"), "{e}");
+        let missing = "{\"app\":\"A\",\"samples\":[1]}";
+        assert!(matches!(
+            read_json(missing.as_bytes()),
+            Err(CoreError::Json(_))
+        ));
     }
 
     #[test]
@@ -452,6 +536,12 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         let e = read_binary(&buf[..]).unwrap_err();
         assert!(e.to_string().contains("version 99"));
+        // Version 1 (two stamps per sample) is not read as version 2.
+        let mut v1 = Vec::new();
+        write_binary(&sample_trace(), &mut v1).unwrap();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let e = read_binary(&v1[..]).unwrap_err();
+        assert!(e.to_string().contains("unsupported binary trace version 1"));
     }
 
     #[test]
@@ -470,7 +560,9 @@ mod tests {
         buf.extend_from_slice(&BINARY_VERSION.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(b'x');
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        for d in [1, 1, 1, u64::MAX] {
+            buf.extend_from_slice(&d.to_le_bytes());
+        }
         let e = read_binary(&buf[..]).unwrap_err();
         assert!(e.to_string().contains("exceeds limit"));
 
@@ -515,13 +607,6 @@ mod tests {
         assert_eq!(
             read_json(&json[..]).unwrap(),
             read_binary(&bin[..]).unwrap()
-        );
-        // Binary is the compact one.
-        assert!(
-            bin.len() < json.len(),
-            "bin {} vs json {}",
-            bin.len(),
-            json.len()
         );
     }
 }

@@ -80,6 +80,7 @@ impl<'a, C: Clock + ?Sized> TimedRegion<'a, C> {
 mod tests {
     use super::*;
     use crate::clock::{MonotonicClock, VirtualClock};
+    use crate::sample::ThreadSample;
 
     #[test]
     fn run_records_both_stamps_and_returns_output() {
@@ -91,10 +92,8 @@ mod tests {
             "done"
         });
         assert_eq!(out, "done");
-        let s = coll.sample(1, 0).unwrap();
-        assert_eq!(s.enter_ns, 1000);
-        assert_eq!(s.exit_ns, 1500);
-        assert_eq!(s.compute_time_ns(), 500);
+        assert_eq!(coll.sample(1, 0), Some(ThreadSample::new(1000, 1500)));
+        assert_eq!(coll.sample(1, 0).unwrap().compute_time_ns(), 500);
     }
 
     #[test]

@@ -1,47 +1,59 @@
 //! Per-thread timing samples and the dense 4-D index arithmetic.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// One thread's measurement for one parallel region execution: the raw
-/// enter/exit timestamps from a per-core monotonic clock.
+/// One thread's measurement for one parallel region execution: its *compute
+/// time*, the nanoseconds between the enter and exit stamps a per-core
+/// monotonic clock took around the work-sharing loop.
 ///
-/// Raw stamps are **not** comparable across threads; use
-/// [`compute_time_ns`](ThreadSample::compute_time_ns), which cancels per-core
-/// clock offsets by subtraction — the paper's derived metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Raw stamps are **not** comparable across threads, so they are not kept:
+/// [`new`](ThreadSample::new) subtracts them once, where they are taken,
+/// which cancels the per-core clock offset — the paper's derived metric and
+/// the only number any analysis stage reads. A sample is one machine word,
+/// and a sample with `exit < enter` cannot be represented.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadSample {
-    /// Timestamp when the thread entered the work-sharing loop (after the
-    /// synchronizing barrier of Listing 1).
-    pub enter_ns: u64,
-    /// Timestamp when the thread left the loop (`nowait`: no barrier first).
-    pub exit_ns: u64,
+    compute_ns: u64,
 }
 
 impl ThreadSample {
-    /// Creates a sample; debug-asserts monotonicity.
+    /// Creates a sample from the stamp taken when the thread entered the
+    /// work-sharing loop (after the synchronizing barrier of Listing 1) and
+    /// the one taken when it left (`nowait`: no barrier first).
+    /// Debug-asserts monotonicity; a release build stores zero for a corrupt
+    /// pair rather than panicking in an analysis run.
+    #[inline]
     pub fn new(enter_ns: u64, exit_ns: u64) -> Self {
         debug_assert!(exit_ns >= enter_ns, "exit {exit_ns} < enter {enter_ns}");
-        ThreadSample { enter_ns, exit_ns }
+        ThreadSample {
+            compute_ns: exit_ns.saturating_sub(enter_ns),
+        }
     }
 
     /// The paper's *compute time*: elapsed nanoseconds inside the loop.
-    /// Saturates at zero if the sample is corrupt rather than panicking in
-    /// release analysis runs.
     #[inline]
     pub fn compute_time_ns(&self) -> u64 {
-        self.exit_ns.saturating_sub(self.enter_ns)
+        self.compute_ns
     }
 
     /// Compute time in milliseconds (the paper's reporting unit).
     #[inline]
     pub fn compute_time_ms(&self) -> f64 {
-        ns_to_ms(self.compute_time_ns())
+        ns_to_ms(self.compute_ns)
     }
+}
 
-    /// `true` when `exit ≥ enter` (what a monotonic clock guarantees).
-    #[inline]
-    pub fn is_monotone(&self) -> bool {
-        self.exit_ns >= self.enter_ns
+/// A sample persists as its bare nanosecond count (written by hand: the
+/// vendored derive has no `transparent`).
+impl Serialize for ThreadSample {
+    fn to_value(&self) -> Value {
+        self.compute_ns.to_value()
+    }
+}
+
+impl Deserialize for ThreadSample {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        u64::from_value(v).map(|compute_ns| ThreadSample { compute_ns })
     }
 }
 
@@ -99,24 +111,21 @@ mod tests {
         let s = ThreadSample::new(1_000, 3_500_000);
         assert_eq!(s.compute_time_ns(), 3_499_000);
         assert!((s.compute_time_ms() - 3.499).abs() < 1e-12);
-        assert!(s.is_monotone());
     }
 
+    /// `new` debug-asserts `exit ≥ enter`; where that is compiled out, the
+    /// corrupt pair stores zero.
     #[test]
-    fn compute_time_saturates_on_corrupt_sample() {
-        let s = ThreadSample {
-            enter_ns: 100,
-            exit_ns: 50,
-        };
-        assert_eq!(s.compute_time_ns(), 0);
-        assert!(!s.is_monotone());
+    #[cfg_attr(debug_assertions, should_panic(expected = "exit 50 < enter 100"))]
+    fn corrupt_stamps_saturate_to_zero() {
+        assert_eq!(ThreadSample::new(100, 50).compute_time_ns(), 0);
     }
 
     #[test]
     fn zero_length_sample_is_valid() {
         let s = ThreadSample::new(42, 42);
         assert_eq!(s.compute_time_ns(), 0);
-        assert!(s.is_monotone());
+        assert_eq!(s, ThreadSample::default());
     }
 
     #[test]
@@ -129,6 +138,7 @@ mod tests {
     fn sample_serde_roundtrip() {
         let s = ThreadSample::new(7, 19);
         let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json, "12", "a bare integer");
         let back: ThreadSample = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
     }

@@ -1,10 +1,12 @@
 //! `TimingTrace`: the dense `(trial, rank, iteration, thread)` sample store.
 //!
 //! The paper's data set per application is 10 trials × 8 ranks ×
-//! 200 iterations × 48 threads = 768,000 samples. The trace stores samples
-//! densely with *thread* innermost, so one **process-iteration** — the paper's
-//! finest aggregation unit (one rank's thread pool in one iteration) — is a
-//! contiguous slice, and one **application iteration** is a strided gather.
+//! 200 iterations × 48 threads = 768,000 samples. The trace stores them as
+//! one dense column of compute times — 8 bytes a sample, 5.9 MiB per
+//! application at that scale — with *thread* innermost, so one
+//! **process-iteration** — the paper's finest aggregation unit (one rank's
+//! thread pool in one iteration) — is a contiguous slice, and one
+//! **application iteration** is a strided gather.
 
 use serde::{Deserialize, Serialize};
 
@@ -115,8 +117,11 @@ impl TraceShape {
     }
 }
 
-/// A complete timing data set for one application run campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A complete timing data set for one application run campaign. Holds
+/// exactly `shape.total_samples()` samples: every constructor sizes or checks
+/// the column, and `io::read_json` — the one way a trace is deserialized —
+/// goes through [`from_samples`](Self::from_samples).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimingTrace {
     app: String,
     shape: TraceShape,
@@ -131,6 +136,29 @@ impl TimingTrace {
             shape,
             samples: vec![ThreadSample::default(); shape.total_samples()],
         }
+    }
+
+    /// Wraps an already-filled sample column (thread innermost, the layout of
+    /// [`samples`](Self::samples)) without copying it — how bulk producers
+    /// that push each sample once (parallel generation, the file readers)
+    /// hand their storage over.
+    ///
+    /// # Errors
+    /// [`CoreError::ShapeMismatch`] unless `samples` holds exactly
+    /// `shape.total_samples()` entries.
+    pub fn from_samples(
+        app: impl Into<String>,
+        shape: TraceShape,
+        samples: Vec<ThreadSample>,
+    ) -> Result<Self, CoreError> {
+        if samples.len() != shape.total_samples() {
+            return Err(CoreError::ShapeMismatch);
+        }
+        Ok(TimingTrace {
+            app: app.into(),
+            shape,
+            samples,
+        })
     }
 
     /// Builds a trace by evaluating `f` at every index (used by the synthetic
@@ -179,10 +207,9 @@ impl TimingTrace {
     }
 
     /// Mutable access to the flat sample array (thread innermost, same layout
-    /// as [`samples`](Self::samples)). Intended for bulk writers — binary
-    /// loading and parallel generation — that fill disjoint regions; shape
-    /// invariants are the trace's, monotonicity is the writer's
-    /// ([`validate`](Self::validate) checks it).
+    /// as [`samples`](Self::samples)). Intended for bulk writers that fill
+    /// disjoint regions of an existing trace; the length is the trace's and
+    /// cannot change through the slice.
     pub fn samples_mut(&mut self) -> &mut [ThreadSample] {
         &mut self.samples
     }
@@ -292,19 +319,6 @@ impl TimingTrace {
                 })
             })
         })
-    }
-
-    /// Verifies every sample satisfies `exit ≥ enter`.
-    ///
-    /// # Errors
-    /// [`CoreError::NonMonotonicSample`] with the first offending flat index.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        for (at, s) in self.samples.iter().enumerate() {
-            if !s.is_monotone() {
-                return Err(CoreError::NonMonotonicSample { at });
-            }
-        }
-        Ok(())
     }
 
     /// Concatenates another trace's trials onto this one (same app, same
@@ -418,7 +432,7 @@ mod tests {
         let pi = tr.process_iteration(1, 1, 1).unwrap();
         assert_eq!(pi.len(), 5);
         for (t, s) in pi.iter().enumerate() {
-            assert_eq!(s.exit_ns, t as u64);
+            assert_eq!(s.compute_time_ns(), t as u64);
         }
     }
 
@@ -441,21 +455,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_corrupt_sample() {
-        let mut tr = TimingTrace::new("f", small_shape());
-        assert!(tr.validate().is_ok());
-        tr.set(
-            SampleIndex::new(0, 0, 0, 0),
-            ThreadSample {
-                enter_ns: 5,
-                exit_ns: 1,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            tr.validate(),
-            Err(CoreError::NonMonotonicSample { at: 0 })
-        ));
+    fn from_samples_checks_the_length_and_keeps_the_storage() {
+        let shape = small_shape();
+        let column: Vec<ThreadSample> = (0..120).map(|ns| ThreadSample::new(0, ns)).collect();
+        let storage = column.as_ptr();
+        let tr = TimingTrace::from_samples("f", shape, column).unwrap();
+        assert_eq!(tr.samples().as_ptr(), storage, "no copy");
+        let last = tr.get(SampleIndex::new(1, 2, 3, 4)).unwrap();
+        assert_eq!(last.compute_time_ns(), 119);
+        for len in [0, 119, 121] {
+            assert!(matches!(
+                TimingTrace::from_samples("f", shape, vec![ThreadSample::default(); len]),
+                Err(CoreError::ShapeMismatch)
+            ));
+        }
     }
 
     #[test]
@@ -466,8 +479,9 @@ mod tests {
         assert_eq!(a.shape().trials, 4);
         assert_eq!(a.samples().len(), 240);
         // Trial 0..2 come from a, 2..4 from b.
-        assert_eq!(a.get(SampleIndex::new(0, 0, 0, 0)).unwrap().exit_ns, 1);
-        assert_eq!(a.get(SampleIndex::new(3, 2, 3, 4)).unwrap().exit_ns, 2);
+        let at = |t, r, i, th| a.get(SampleIndex::new(t, r, i, th)).unwrap();
+        assert_eq!(at(0, 0, 0, 0).compute_time_ns(), 1);
+        assert_eq!(at(3, 2, 3, 4).compute_time_ns(), 2);
     }
 
     #[test]

@@ -18,7 +18,6 @@ fn minife_live_campaign_analyzes_cleanly() {
         Box::new(MiniFe::new(MiniFeParams::test_scale()))
     })
     .unwrap();
-    trace.validate().unwrap();
     // Every sample is a genuine measurement.
     assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
     // The analysis layer accepts live traces end to end.

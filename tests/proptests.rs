@@ -20,10 +20,7 @@ fn arb_arrivals() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
 
 fn samples_from_ms(ms: &[f64]) -> Vec<ThreadSample> {
     ms.iter()
-        .map(|&v| ThreadSample {
-            enter_ns: 0,
-            exit_ns: (v * 1e6).round() as u64,
-        })
+        .map(|&v| ThreadSample::new(0, (v * 1e6).round() as u64))
         .collect()
 }
 
@@ -70,7 +67,7 @@ proptest! {
             trace
                 .set(
                     early_bird::core::SampleIndex::new(0, 0, 0, t),
-                    ThreadSample { enter_ns: 0, exit_ns: (v * 1e6).round() as u64 },
+                    ThreadSample::new(0, (v * 1e6).round() as u64),
                 )
                 .unwrap();
         }
@@ -147,7 +144,7 @@ proptest! {
             // Rotate the generated arrivals per unit so units differ.
             let v = ms[(flat * 7 + flat / threads) % threads];
             trace
-                .set(idx, ThreadSample { enter_ns: 0, exit_ns: (v * 1e6).round() as u64 })
+                .set(idx, ThreadSample::new(0, (v * 1e6).round() as u64))
                 .unwrap();
         }
         let scan = trace_scan_parallel_with_arenas(

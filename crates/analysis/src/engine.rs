@@ -231,8 +231,8 @@ pub fn canonical_strategies(threads: usize) -> [Strategy; 4] {
 /// — one `[bulk, early-bird, timeout, binned]` outcome row per
 /// process-iteration, trace order. `make_model` builds one model per worker
 /// (reset by the kernel between runs; any single-rank [`NetModel`] works —
-/// [`SerialLink`](ebird_partcomm::SerialLink),
-/// [`LogGPLink`](ebird_partcomm::LogGPLink), a 1-rank fabric).
+/// [`SerialLink`](ebird_partcomm::SerialLink) or a 1-rank
+/// [`Fabric`](ebird_partcomm::Fabric) of any spelling).
 ///
 /// Bit-identical for any pool size, because each unit runs the same
 /// scratch-based kernel independently into its own output slot. Workers
@@ -543,10 +543,18 @@ mod tests {
 
     #[test]
     fn delivery_sweep_accepts_any_single_rank_model() {
-        // The sweep is model-agnostic: a zero-gap LogGP link is
-        // bit-identical to the α/β SerialLink it degenerates to.
+        // The sweep is model-agnostic: a zero-gap LogGP fabric of one rank
+        // is bit-identical to the α/β SerialLink it degenerates to.
         let tr = mixed_trace();
         let link = ebird_partcomm::LinkModel::omni_path();
+        let loggp = ebird_partcomm::NetModelSpec::LogGP {
+            latency_ms: link.alpha_ms,
+            gap_ms: 0.0,
+            gap_per_byte_ms: link.beta_ms_per_byte,
+            contention: 0.5,
+        }
+        .resolve()
+        .unwrap();
         let pool = Pool::new(1);
         let mut arenas = EngineArenas::for_pool(&pool);
         let over_serial = delivery_sweep_parallel_with_arenas(
@@ -559,7 +567,7 @@ mod tests {
         let over_loggp = delivery_sweep_parallel_with_arenas(
             &tr,
             1_000_000,
-            || ebird_partcomm::LogGPLink::new(link.alpha_ms, 0.0, link.beta_ms_per_byte),
+            || loggp.build(1),
             &pool,
             &mut arenas,
         );

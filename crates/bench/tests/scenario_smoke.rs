@@ -5,9 +5,25 @@
 
 use ebird_analysis::report::json_lines;
 use ebird_cluster::{NoiseRegime, SyntheticApp};
-use ebird_partcomm::{simulate, Strategy};
+use ebird_partcomm::{run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy};
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{link_by_name, run_matrix, ScenarioMatrix};
+
+/// One strategy for one sender over a fresh link.
+fn simulate(
+    arrivals_ms: &[f64],
+    bytes_total: usize,
+    link: &LinkModel,
+    strategy: Strategy,
+) -> DeliveryOutcome {
+    run_delivery(
+        &mut SerialLink::new(*link),
+        &[arrivals_ms],
+        bytes_total,
+        strategy,
+        &mut SimScratch::new(),
+    )
+}
 
 #[test]
 fn smoke_matrix_runs_and_verifies_every_cell() {

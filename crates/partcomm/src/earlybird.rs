@@ -23,14 +23,13 @@
 //!
 //! Every strategy reduces to a *message plan* — `(inject_ms, bytes)` pairs in
 //! nondecreasing injection order per rank — and **one** kernel,
-//! [`run_deliveries`], prices those plans against any
+//! [`run_deliveries`], prices those plans against a
 //! [`NetModel`](crate::netmodel::NetModel): a single sender's
-//! [`SerialLink`](crate::netmodel::SerialLink), the whole-job
-//! [`Fabric`](crate::netmodel::Fabric) the paper's §2 argues about, a
-//! [`HierarchicalFabric`](crate::netmodel::HierarchicalFabric), or a
-//! [`LogGPLink`](crate::netmodel::LogGPLink). [`run_delivery`] is its
-//! one-strategy case and [`simulate`] the single-sender convenience wrapper
-//! over that.
+//! [`SerialLink`](crate::netmodel::SerialLink) or the whole-job
+//! [`Fabric`](crate::netmodel::Fabric) the paper's §2 argues about (flat,
+//! hierarchical or LogGP-gapped — one type, see
+//! [`NetModelSpec`](crate::netmodel::NetModelSpec)). [`run_delivery`] is its
+//! one-strategy case.
 //!
 //! The model injects partitions *in arrival order*, and that order has one
 //! definition, [`arrival_order`]: an integer sort of one word per partition,
@@ -49,7 +48,7 @@ use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
 
-use crate::netmodel::{LinkModel, NetModel, SerialLink};
+use crate::netmodel::NetModel;
 
 /// A delivery strategy for one partitioned buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -501,8 +500,8 @@ where
         );
         // Fold arrivals with max, not last-wins: serializing channels return
         // nondecreasing arrivals (where max IS the last value, bit for bit),
-        // but a store-and-forward hop (HierarchicalFabric) can deliver a
-        // small late message before a large earlier one.
+        // but a fabric's store-and-forward hop can deliver a small late
+        // message before a large earlier one.
         let mut completion = 0.0f64;
         for &(inject_ms, bytes) in plan.iter() {
             completion = completion.max(model.inject(rank, inject_ms, bytes));
@@ -546,7 +545,7 @@ where
 ///
 /// Every previous closed-form simulator is this kernel with a model plugged
 /// in: the old single-sender `simulate` is one strategy over a
-/// [`SerialLink`](crate::netmodel::SerialLink) (see [`simulate`]), the old
+/// [`SerialLink`](crate::netmodel::SerialLink), the old
 /// `simulate_fabric` one strategy over a
 /// [`Fabric`](crate::netmodel::Fabric) — bit-identical in both cases, which
 /// the `netmodel_equivalence` proptests pin against closed-form oracles.
@@ -604,34 +603,28 @@ where
     outcome
 }
 
-/// Single-sender convenience: [`run_delivery`] over a fresh
-/// [`SerialLink`](crate::netmodel::SerialLink) priced with `link` —
-/// `arrivals_ms[i]` is the compute-completion time of thread `i`, which
-/// owns partition `i`.
-///
-/// # Panics
-/// Same contract as [`run_delivery`].
-pub fn simulate(
-    arrivals_ms: &[f64],
-    bytes_total: usize,
-    link: &LinkModel,
-    strategy: Strategy,
-) -> DeliveryOutcome {
-    run_delivery(
-        &mut SerialLink::new(*link),
-        &[arrivals_ms],
-        bytes_total,
-        strategy,
-        &mut SimScratch::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::Fabric;
+    use crate::netmodel::{Fabric, LinkModel, NetModelSpec, SerialLink};
 
     const MB: usize = 1_000_000;
+
+    /// One strategy for one sender over a fresh link.
+    fn simulate(
+        arrivals_ms: &[f64],
+        bytes_total: usize,
+        link: &LinkModel,
+        strategy: Strategy,
+    ) -> DeliveryOutcome {
+        run_delivery(
+            &mut SerialLink::new(*link),
+            &[arrivals_ms],
+            bytes_total,
+            strategy,
+            &mut SimScratch::new(),
+        )
+    }
 
     fn spread_arrivals() -> Vec<f64> {
         // MiniQMC-like: wide spread 30..70 ms.
@@ -1294,17 +1287,16 @@ mod tests {
         // a fat-uplink hierarchy, 9 early partitions flushed at t=1 (big
         // message, long hop) and one laggard flushed at t=2 (tiny message,
         // short hop).
-        use crate::netmodel::HierarchicalFabric;
         let mut arrivals = vec![0.0; 9];
         arrivals.push(1.2);
-        let mut hier = HierarchicalFabric::new(
-            1,
-            1,
-            LinkModel::omni_path(),
-            LinkModel::high_latency(),
-            0.0,
-            0.0,
-        );
+        let spec = NetModelSpec::Hierarchical {
+            link: "omni-path".into(),
+            uplink: "high-latency".into(),
+            ranks_per_node: 1,
+            nic_contention: 0.0,
+            uplink_contention: 0.0,
+        };
+        let mut hier = spec.resolve().unwrap().build(1);
         let o = run_delivery(
             &mut hier,
             &[arrivals],

@@ -14,13 +14,13 @@
 //!   per-partition readiness flags with safe, lock-free publication.
 //! * [`transport`] — an in-memory rank-to-rank message transport (the MPI
 //!   substitute), with real threaded send/recv.
-//! * [`netmodel`] — pluggable network cost models behind the
-//!   [`NetModel`](netmodel::NetModel) trait: the α + β·bytes
-//!   [`SerialLink`](netmodel::SerialLink), the multi-rank contended
-//!   [`Fabric`](netmodel::Fabric), the two-level
-//!   [`HierarchicalFabric`](netmodel::HierarchicalFabric), and the
-//!   gap-throttled [`LogGPLink`](netmodel::LogGPLink) — plus the serde-able
-//!   [`NetModelSpec`](netmodel::NetModelSpec) naming any of them in
+//! * [`netmodel`] — the network cost model behind the
+//!   [`NetModel`](netmodel::NetModel) trait: the α + β·bytes (optionally
+//!   gap-throttled) [`SerialLink`](netmodel::SerialLink) channel, and the
+//!   multi-rank [`Fabric`](netmodel::Fabric) — per-rank channels under
+//!   node-local contention behind a spine-contended store-and-forward hop —
+//!   plus the serde-able [`NetModelSpec`](netmodel::NetModelSpec) whose flat,
+//!   hierarchical and LogGP spellings name its parameter settings in
 //!   scenario-matrix JSON.
 //! * [`earlybird`] — the delivery simulator: given per-thread arrival times
 //!   (measured or synthetic), compare **bulk-synchronous**, **early-bird
@@ -30,7 +30,7 @@
 //!   set once ([`arrival_order`](earlybird::arrival_order)) and prices any
 //!   number of strategies against it;
 //!   [`run_delivery`](earlybird::run_delivery) is its one-strategy case —
-//!   priced against any [`NetModel`](netmodel::NetModel).
+//!   priced against a [`NetModel`](netmodel::NetModel).
 //! * [`session`] — persistent partitioned sessions: the full
 //!   `Psend_init`/`Start`/`Pready`/`Parrived`/`Wait` lifecycle over the
 //!   transport, with eager per-partition (early-bird) transmission.
@@ -44,12 +44,11 @@ pub mod session;
 pub mod transport;
 
 pub use earlybird::{
-    arrival_order, run_deliveries, run_delivery, simulate, DeliveryOutcome, RankDeliveries,
-    RankDelivery, SimScratch, Strategy,
+    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, RankDeliveries, RankDelivery,
+    SimScratch, Strategy,
 };
 pub use netmodel::{
-    link_by_name, Fabric, HierarchicalFabric, LinkModel, LogGPLink, NetModel, NetModelSpec,
-    ResolvedNetModel, SerialLink,
+    link_by_name, Fabric, LinkModel, NetModel, NetModelSpec, ResolvedNetModel, SerialLink,
 };
 pub use partition::PartitionedBuffer;
 pub use session::{PrecvSession, PsendSession, SessionError};

@@ -1,28 +1,32 @@
-//! Pluggable network cost models behind one [`NetModel`] trait.
+//! The network cost model: one [`Fabric`] of per-rank channels behind a
+//! store-and-forward hop, priced through the [`NetModel`] trait.
 //!
-//! Delivery simulation needs a network cost model, not a real network. Every
-//! model here answers the same three questions — *when does a message
-//! injected at time t arrive*, *when has all traffic drained*, and *how much
-//! wire time was spent* — behind the [`NetModel`] trait, so the one delivery
-//! kernel ([`crate::earlybird::run_delivery`]) prices any topology and new
-//! topologies are data ([`NetModelSpec`]), not new simulator copies.
+//! Delivery simulation needs a network cost model, not a real network. The
+//! model answers three questions — *when does a message injected at time t
+//! arrive*, *when has all traffic drained*, and *how much wire time was
+//! spent* — behind the [`NetModel`] trait, so the one delivery kernel
+//! ([`crate::earlybird::run_delivery`]) prices any topology, and topologies
+//! are data ([`NetModelSpec`]), not new simulator copies.
 //!
-//! The models:
+//! There is one channel and one fabric:
 //!
-//! * [`SerialLink`] — the classic postal/LogP-style single channel: one
-//!   message of `n` bytes costs `α + β·n` ([`LinkModel`]), and messages
-//!   serialize in injection order — the same serialization an MPI
-//!   implementation's send engine applies to one peer connection.
-//! * [`Fabric`] — a whole job: one serializing NIC per sending rank behind a
-//!   shared spine whose effective bandwidth tapers with configurable
-//!   injection-rate contention.
-//! * [`HierarchicalFabric`] — two levels: per-node NICs (node-local
-//!   contention among the node's ranks) under per-switch uplinks priced as a
-//!   store-and-forward hop (spine contention among switches).
-//! * [`LogGPLink`] — a LogGP-style channel: per-message latency `L`,
-//!   per-byte Gap `G`, and a per-message gap `g` that throttles how fast
-//!   consecutive messages may *start* — a rate limit the α/β model cannot
-//!   express.
+//! * [`SerialLink`] — a postal/LogP-style serializing channel: one message
+//!   of `n` bytes costs `α + β·n` ([`LinkModel`]), messages serialize in
+//!   injection order — the serialization an MPI implementation's send engine
+//!   applies to one peer connection — and consecutive message *starts* are at
+//!   least a per-message gap `g` apart (LogGP's injection-rate limit; `0` for
+//!   every link [`SerialLink::new`] builds, where it never binds).
+//! * [`Fabric`] — a whole job: one [`SerialLink`] per sending rank, ranks
+//!   packed onto nodes whose ranks contend for node-local injection
+//!   bandwidth, then a store-and-forward uplink hop whose bandwidth tapers
+//!   with spine contention among the nodes.
+//!
+//! [`NetModelSpec`]'s three spellings are parameter settings of that fabric:
+//! `Fabric` is one node behind a free hop, `LogGP` the same with link
+//! `(L, G)` and gap `g`, `Hierarchical` the general case. Where two settings
+//! coincide the prices are bit-identical: a 1-rank fabric is a bare
+//! [`SerialLink`], a one-node hierarchy with a [zero](LinkModel::zero)
+//! uplink is the flat fabric, and a `g = 0` LogGP channel is the α/β link.
 //!
 //! Default parameters approximate the paper's Omni-Path fabric: ~1 µs
 //! startup, 100 Gbit/s ≈ 12.5 GB/s.
@@ -59,8 +63,7 @@ impl LinkModel {
         LinkModel::new(50.0e-3, 1.0 / 1.0e9 * 1.0e3)
     }
 
-    /// A free link (α = β = 0) — the degenerate uplink that collapses a
-    /// [`HierarchicalFabric`] onto a flat [`Fabric`].
+    /// A free link (α = β = 0) — the uplink hop of a flat [`Fabric`].
     pub fn zero() -> Self {
         LinkModel::new(0.0, 0.0)
     }
@@ -115,12 +118,18 @@ pub trait NetModel {
 
 /// A single serializing channel priced by its own [`LinkModel`]: messages
 /// injected at given times depart in injection-time order, each occupying
-/// the link for its `α + β·bytes` transfer time.
+/// the link for its `α + β·bytes` transfer time and starting no sooner than
+/// the per-message gap after the previous start.
 #[derive(Debug, Clone)]
 pub struct SerialLink {
     link: LinkModel,
+    /// Minimum interval between message starts `g` (ms).
+    gap_ms: f64,
     /// Time the link becomes free (ms).
     free_at_ms: f64,
+    /// Start time of the most recent message (`−∞` before the first, so the
+    /// gap never delays an initial injection).
+    last_start_ms: f64,
     /// Cumulative busy time (ms) — utilization diagnostics.
     busy_ms: f64,
     /// Most recent injection time (ms) — enforces the nondecreasing-injection
@@ -129,23 +138,28 @@ pub struct SerialLink {
 }
 
 impl SerialLink {
-    /// A fresh, idle link priced with `link`.
+    /// A fresh, idle, gapless link priced with `link`.
     pub fn new(link: LinkModel) -> Self {
+        SerialLink::gapped(link, 0.0)
+    }
+
+    /// A fresh, idle link priced with `link` whose message starts are at
+    /// least `gap_ms` apart.
+    fn gapped(link: LinkModel, gap_ms: f64) -> Self {
         SerialLink {
             link,
+            gap_ms,
             free_at_ms: 0.0,
+            last_start_ms: f64::NEG_INFINITY,
             busy_ms: 0.0,
             last_inject_ms: 0.0,
         }
     }
 
-    /// The cost model this link prices with.
-    pub fn link(&self) -> &LinkModel {
-        &self.link
-    }
-
     /// Injects a `bytes`-byte message at `inject_ms`; returns its completion
-    /// (last-byte delivery) time.
+    /// (last-byte delivery) time. The message starts at
+    /// `max(inject_ms, link free, previous start + g)`; a gap of 0 never
+    /// binds, because the previous start is never after the link frees.
     ///
     /// Messages must be injected in nondecreasing order of injection time
     /// (callers sort first); debug builds assert it against the tracked last
@@ -162,27 +176,13 @@ impl SerialLink {
             self.last_inject_ms
         );
         self.last_inject_ms = inject_ms;
-        let start = inject_ms.max(self.free_at_ms);
+        let start = inject_ms
+            .max(self.free_at_ms)
+            .max(self.last_start_ms + self.gap_ms);
+        self.last_start_ms = start;
         self.free_at_ms = start + transfer_ms;
         self.busy_ms += transfer_ms;
         self.free_at_ms
-    }
-
-    /// Time the link becomes idle after all injected traffic.
-    pub fn free_at_ms(&self) -> f64 {
-        self.free_at_ms
-    }
-
-    /// Total wire-busy time so far.
-    pub fn busy_ms(&self) -> f64 {
-        self.busy_ms
-    }
-
-    /// Forgets all injected traffic (the cost model is kept).
-    pub fn reset(&mut self) {
-        self.free_at_ms = 0.0;
-        self.busy_ms = 0.0;
-        self.last_inject_ms = 0.0;
     }
 }
 
@@ -210,225 +210,59 @@ impl NetModel for SerialLink {
     }
 
     fn reset(&mut self) {
-        SerialLink::reset(self);
+        *self = SerialLink::gapped(self.link, self.gap_ms);
     }
 }
 
-/// A whole-job fabric: one serializing NIC per sending rank behind a shared
-/// spine with configurable injection-rate contention.
-///
-/// Each rank owns a [`SerialLink`] — its NIC serializes that rank's
-/// injections exactly like the single-sender model — while contention for
-/// the shared spine is priced by tapering effective per-byte bandwidth:
-///
-/// ```text
-/// β_eff = β · (1 + contention · (ranks − 1))
-/// ```
-///
-/// `contention = 0` models full bisection bandwidth (ranks never slow each
-/// other down); `contention = 1` models one fully shared bottleneck
-/// (aggregate bandwidth fixed at a single link's worth however many ranks
-/// inject). α is untouched: message startup is a per-NIC property. With one
-/// rank the taper factor is exactly `1.0`, so a 1-rank fabric is
-/// bit-identical to a bare [`SerialLink`] at any contention setting.
-#[derive(Debug, Clone)]
-pub struct Fabric {
-    effective: LinkModel,
-    contention: f64,
-    nics: Vec<SerialLink>,
-}
-
-impl Fabric {
-    /// A fabric of `ranks` idle NICs sharing `link` under `contention`
-    /// ∈ `[0, 1]`.
-    pub fn new(ranks: usize, link: LinkModel, contention: f64) -> Self {
-        assert!(ranks >= 1, "need at least one rank");
-        assert!(
-            (0.0..=1.0).contains(&contention),
-            "contention must be in [0, 1]"
-        );
-        let taper = 1.0 + contention * (ranks - 1) as f64;
-        let effective = LinkModel::new(link.alpha_ms, link.beta_ms_per_byte * taper);
-        Fabric {
-            effective,
-            contention,
-            nics: vec![SerialLink::new(effective); ranks],
-        }
-    }
-
-    /// Number of sending ranks.
-    pub fn ranks(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// The contention coefficient this fabric was built with.
-    pub fn contention(&self) -> f64 {
-        self.contention
-    }
-
-    /// The contention-tapered link model every injection is priced with.
-    pub fn effective_link(&self) -> &LinkModel {
-        &self.effective
-    }
-
-    /// Injects a `bytes`-byte message from `rank` at `inject_ms`; returns its
-    /// completion time. Per-rank injections must be nondecreasing in time
-    /// (same contract as [`SerialLink::inject`]); different ranks are
-    /// independent channels and may interleave freely.
-    pub fn inject(&mut self, rank: usize, inject_ms: f64, bytes: usize) -> f64 {
-        self.nics[rank].inject(inject_ms, bytes)
-    }
-
-    /// Read-only view of one rank's NIC.
-    pub fn nic(&self, rank: usize) -> &SerialLink {
-        &self.nics[rank]
-    }
-
-    /// Time the whole job's traffic has drained (max NIC free time).
-    pub fn completion_ms(&self) -> f64 {
-        self.nics
-            .iter()
-            .map(SerialLink::free_at_ms)
-            .fold(0.0, f64::max)
-    }
-
-    /// Total wire-busy time across all NICs.
-    pub fn busy_ms(&self) -> f64 {
-        self.nics.iter().map(SerialLink::busy_ms).sum()
-    }
-
-    /// Forgets all injected traffic on every NIC.
-    pub fn reset(&mut self) {
-        for nic in &mut self.nics {
-            nic.reset();
-        }
-    }
-}
-
-impl NetModel for Fabric {
-    fn ranks(&self) -> usize {
-        Fabric::ranks(self)
-    }
-
-    fn inject(&mut self, rank: usize, when_ms: f64, bytes: usize) -> f64 {
-        Fabric::inject(self, rank, when_ms, bytes)
-    }
-
-    fn completion_ms(&self) -> f64 {
-        Fabric::completion_ms(self)
-    }
-
-    fn busy_ms(&self) -> f64 {
-        Fabric::busy_ms(self)
-    }
-
-    fn rank_busy_ms(&self, rank: usize) -> f64 {
-        self.nics[rank].busy_ms()
-    }
-
-    fn reset(&mut self) {
-        Fabric::reset(self);
-    }
-}
-
-/// A two-level topology: per-node NICs under per-switch uplinks.
+/// A whole job: one serializing [`SerialLink`] per sending rank behind a
+/// store-and-forward uplink hop.
 ///
 /// Ranks are packed onto nodes `ranks_per_node` at a time (the last node may
 /// be partially filled); each node hangs off its own switch uplink, and the
-/// uplinks share a spine. Contention is priced at both levels with the same
-/// closed-form taper the flat [`Fabric`] uses — real queueing happens at the
-/// per-rank NICs, exactly as in [`Fabric`]:
+/// uplinks share a spine. Contention is priced at both levels by tapering
+/// per-byte cost — real queueing happens at the per-rank channels:
 ///
-/// * a rank's NIC prices bytes at
-///   `β_nic · (1 + nic_contention · (node_occupancy − 1))` — the node's
-///   ranks contend for node-local injection bandwidth;
-/// * the uplink hop is store-and-forward: arrival = NIC completion +
+/// * a rank's channel prices bytes at
+///   `β · (1 + contention · (node_occupancy − 1))` — the node's ranks contend
+///   for node-local injection bandwidth;
+/// * the uplink hop is store-and-forward: arrival = channel completion +
 ///   `α_up + β_up · (1 + uplink_contention · (nodes − 1)) · bytes` — the
 ///   switches contend for the spine.
 ///
-/// Degenerate identity: with a single node (`ranks_per_node ≥ ranks`) and a
-/// zero-cost uplink ([`LinkModel::zero`]), every arrival, busy time, and
-/// completion is bit-identical to `Fabric::new(ranks, nic, nic_contention)`.
+/// `contention = 0` models full bisection bandwidth (ranks never slow each
+/// other down); `contention = 1` one fully shared bottleneck (aggregate
+/// bandwidth fixed at a single link's worth however many ranks inject). α
+/// and the gap are per-channel properties and are not tapered. With one rank
+/// the taper factor is exactly `1.0`, so a 1-rank flat fabric is
+/// bit-identical to a bare [`SerialLink`] at any contention setting.
 #[derive(Debug, Clone)]
-pub struct HierarchicalFabric {
-    ranks_per_node: usize,
-    nodes: usize,
-    uplink_effective: LinkModel,
+pub struct Fabric {
     nics: Vec<SerialLink>,
+    /// The spine-tapered hop every message takes after its channel.
+    uplink: LinkModel,
     /// Per-rank uplink wire time (ms).
     uplink_wire_ms: Vec<f64>,
     /// Running max of returned arrival times (ms).
     completion_ms: f64,
 }
 
-impl HierarchicalFabric {
-    /// A fabric of `ranks` ranks packed `ranks_per_node` to a node, NICs
-    /// priced with `nic` under `nic_contention`, uplinks priced with
-    /// `uplink` under `uplink_contention` (both contentions ∈ `[0, 1]`).
-    pub fn new(
-        ranks: usize,
-        ranks_per_node: usize,
-        nic: LinkModel,
-        uplink: LinkModel,
-        nic_contention: f64,
-        uplink_contention: f64,
-    ) -> Self {
-        assert!(ranks >= 1, "need at least one rank");
-        assert!(ranks_per_node >= 1, "need at least one rank per node");
-        assert!(
-            (0.0..=1.0).contains(&nic_contention),
-            "nic contention must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&uplink_contention),
-            "uplink contention must be in [0, 1]"
-        );
-        let nodes = ranks.div_ceil(ranks_per_node);
-        let spine_taper = 1.0 + uplink_contention * (nodes - 1) as f64;
-        let uplink_effective =
-            LinkModel::new(uplink.alpha_ms, uplink.beta_ms_per_byte * spine_taper);
-        let nics = (0..ranks)
-            .map(|rank| {
-                let node = rank / ranks_per_node;
-                let occupancy = (ranks - node * ranks_per_node).min(ranks_per_node);
-                let taper = 1.0 + nic_contention * (occupancy - 1) as f64;
-                SerialLink::new(LinkModel::new(nic.alpha_ms, nic.beta_ms_per_byte * taper))
-            })
-            .collect();
-        HierarchicalFabric {
-            ranks_per_node,
-            nodes,
-            uplink_effective,
-            nics,
-            uplink_wire_ms: vec![0.0; ranks],
-            completion_ms: 0.0,
-        }
-    }
-
-    /// Number of nodes (switch uplinks).
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The node hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.ranks_per_node
-    }
-
-    /// Read-only view of one rank's NIC.
-    pub fn nic(&self, rank: usize) -> &SerialLink {
-        &self.nics[rank]
+impl Fabric {
+    /// A flat fabric: `ranks` idle channels on one node sharing `link` under
+    /// `contention` ∈ `[0, 1]`, behind a free hop —
+    /// `β_eff = β · (1 + contention · (ranks − 1))`.
+    pub fn new(ranks: usize, link: LinkModel, contention: f64) -> Self {
+        ResolvedNetModel::one_node(link, 0.0, contention).build(ranks)
     }
 }
 
-impl NetModel for HierarchicalFabric {
+impl NetModel for Fabric {
     fn ranks(&self) -> usize {
         self.nics.len()
     }
 
     fn inject(&mut self, rank: usize, when_ms: f64, bytes: usize) -> f64 {
         let nic_done = self.nics[rank].inject(when_ms, bytes);
-        let hop = self.uplink_effective.transfer_ms(bytes);
+        let hop = self.uplink.transfer_ms(bytes);
         self.uplink_wire_ms[rank] += hop;
         let arrival = nic_done + hop;
         self.completion_ms = self.completion_ms.max(arrival);
@@ -440,172 +274,36 @@ impl NetModel for HierarchicalFabric {
     }
 
     fn busy_ms(&self) -> f64 {
-        self.nics.iter().map(SerialLink::busy_ms).sum::<f64>()
+        self.nics.iter().map(|nic| nic.busy_ms).sum::<f64>()
             + self.uplink_wire_ms.iter().sum::<f64>()
     }
 
     fn rank_busy_ms(&self, rank: usize) -> f64 {
-        self.nics[rank].busy_ms() + self.uplink_wire_ms[rank]
+        self.nics[rank].busy_ms + self.uplink_wire_ms[rank]
     }
 
     fn reset(&mut self) {
         for nic in &mut self.nics {
             nic.reset();
         }
-        for wire in &mut self.uplink_wire_ms {
-            *wire = 0.0;
-        }
+        self.uplink_wire_ms.fill(0.0);
         self.completion_ms = 0.0;
     }
 }
 
-/// One LogGP-style channel's mutable state.
-#[derive(Debug, Clone)]
-struct GapChannel {
-    free_at_ms: f64,
-    /// Start time of the most recent message (`−∞` before the first, so the
-    /// gap constraint never delays an initial injection).
-    last_start_ms: f64,
-    busy_ms: f64,
-    last_inject_ms: f64,
-}
+/// Upper bound on each LogGP parameter (`latency_ms`, `gap_ms` in ms;
+/// `gap_per_byte_ms` in ms per byte): ≈ 32 years. It keeps every price
+/// finite — a job of 2⁴⁰ ranks at full contention, each sending
+/// `usize::MAX` bytes in 65 535 messages, sums to under 10⁶⁰ ms of wire
+/// time — where an unbounded finite parameter overflowed to ∞ (a `null` in
+/// a cached row).
+const LOGGP_MAX_MS: f64 = 1.0e12;
 
-impl GapChannel {
-    fn fresh() -> Self {
-        GapChannel {
-            free_at_ms: 0.0,
-            last_start_ms: f64::NEG_INFINITY,
-            busy_ms: 0.0,
-            last_inject_ms: 0.0,
-        }
-    }
-}
-
-/// A LogGP-style link: per-message latency `L`, per-byte Gap `G`, and a
-/// per-message gap `g` throttling consecutive message *starts* on one
-/// channel — the injection-rate limit the α/β [`LinkModel`] cannot express.
-///
-/// One message of `n` bytes occupies its channel for `L + G·n`, starting at
-/// `max(inject time, channel free, previous start + g)`. With `g = 0` the
-/// gap constraint is inert and the channel is bit-identical to a
-/// [`SerialLink`] over `LinkModel { alpha_ms: L, beta_ms_per_byte: G }` —
-/// including each message's transfer time, which is computed with exactly
-/// [`LinkModel::transfer_ms`]'s arithmetic.
-///
-/// Multi-rank form: one independent channel per rank, with spine contention
-/// priced by tapering `G` exactly like [`Fabric`] tapers β
-/// (`G_eff = G · (1 + contention · (ranks − 1))`); `g` and `L` are
-/// per-channel properties and are not tapered.
-#[derive(Debug, Clone)]
-pub struct LogGPLink {
-    latency_ms: f64,
-    gap_ms: f64,
-    /// Contention-tapered per-byte Gap.
-    gap_per_byte_ms: f64,
-    channels: Vec<GapChannel>,
-}
-
-impl LogGPLink {
-    /// A single idle channel with the given parameters (all non-negative and
-    /// finite).
-    pub fn new(latency_ms: f64, gap_ms: f64, gap_per_byte_ms: f64) -> Self {
-        LogGPLink::with_ranks(1, latency_ms, gap_ms, gap_per_byte_ms, 0.0)
-    }
-
-    /// `ranks` independent channels under spine `contention` ∈ `[0, 1]`.
-    pub fn with_ranks(
-        ranks: usize,
-        latency_ms: f64,
-        gap_ms: f64,
-        gap_per_byte_ms: f64,
-        contention: f64,
-    ) -> Self {
-        assert!(ranks >= 1, "need at least one rank");
-        assert!(latency_ms >= 0.0 && latency_ms.is_finite());
-        assert!(gap_ms >= 0.0 && gap_ms.is_finite());
-        assert!(gap_per_byte_ms >= 0.0 && gap_per_byte_ms.is_finite());
-        assert!(
-            (0.0..=1.0).contains(&contention),
-            "contention must be in [0, 1]"
-        );
-        let taper = 1.0 + contention * (ranks - 1) as f64;
-        LogGPLink {
-            latency_ms,
-            gap_ms,
-            gap_per_byte_ms: gap_per_byte_ms * taper,
-            channels: vec![GapChannel::fresh(); ranks],
-        }
-    }
-
-    /// The per-message gap `g`.
-    pub fn gap_ms(&self) -> f64 {
-        self.gap_ms
-    }
-
-    /// The contention-tapered per-byte Gap every byte is priced with.
-    pub fn effective_gap_per_byte_ms(&self) -> f64 {
-        self.gap_per_byte_ms
-    }
-
-    /// Wire time of one `bytes`-byte message (ms) — `L + G_eff·bytes`, the
-    /// same arithmetic as [`LinkModel::transfer_ms`].
-    pub fn transfer_ms(&self, bytes: usize) -> f64 {
-        self.latency_ms + self.gap_per_byte_ms * bytes as f64
-    }
-}
-
-impl NetModel for LogGPLink {
-    fn ranks(&self) -> usize {
-        self.channels.len()
-    }
-
-    fn inject(&mut self, rank: usize, when_ms: f64, bytes: usize) -> f64 {
-        let transfer_ms = self.latency_ms + self.gap_per_byte_ms * bytes as f64;
-        let ch = &mut self.channels[rank];
-        debug_assert!(when_ms >= 0.0);
-        debug_assert!(
-            when_ms >= ch.last_inject_ms,
-            "messages must be injected in nondecreasing time order \
-             ({when_ms} ms after {} ms)",
-            ch.last_inject_ms
-        );
-        ch.last_inject_ms = when_ms;
-        let start = when_ms
-            .max(ch.free_at_ms)
-            .max(ch.last_start_ms + self.gap_ms);
-        ch.last_start_ms = start;
-        ch.free_at_ms = start + transfer_ms;
-        ch.busy_ms += transfer_ms;
-        ch.free_at_ms
-    }
-
-    fn completion_ms(&self) -> f64 {
-        self.channels
-            .iter()
-            .map(|ch| ch.free_at_ms)
-            .fold(0.0, f64::max)
-    }
-
-    fn busy_ms(&self) -> f64 {
-        self.channels.iter().map(|ch| ch.busy_ms).sum()
-    }
-
-    fn rank_busy_ms(&self, rank: usize) -> f64 {
-        self.channels[rank].busy_ms
-    }
-
-    fn reset(&mut self) {
-        for ch in &mut self.channels {
-            *ch = GapChannel::fresh();
-        }
-    }
-}
-
-/// A network model as scenario-matrix data: the serde shape that names any
-/// [`NetModel`] in matrix JSON. Specs resolve into typed
-/// [`ResolvedNetModel`] handles (name lookups and range checks happen once,
-/// at resolve time) which then [`build`](ResolvedNetModel::build) a fresh
-/// model per pricing run.
+/// A network model as scenario-matrix data: the serde shape that names a
+/// [`Fabric`] in matrix JSON. Specs resolve into typed [`ResolvedNetModel`]
+/// handles (name lookups and range checks happen once, at resolve time)
+/// which then [`build`](ResolvedNetModel::build) a fresh fabric per pricing
+/// run. The three variants are three spellings of the one fabric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NetModelSpec {
     /// Flat contended fabric over a named α/β link — the model behind the
@@ -683,10 +381,7 @@ impl NetModelSpec {
         match self {
             NetModelSpec::Fabric { link, contention } => {
                 contention_in_range("contention", *contention)?;
-                Ok(ResolvedNetModel::Fabric {
-                    link: link_of(link)?,
-                    contention: *contention,
-                })
+                Ok(ResolvedNetModel::one_node(link_of(link)?, 0.0, *contention))
             }
             NetModelSpec::Hierarchical {
                 link,
@@ -700,11 +395,12 @@ impl NetModelSpec {
                 }
                 contention_in_range("nic_contention", *nic_contention)?;
                 contention_in_range("uplink_contention", *uplink_contention)?;
-                Ok(ResolvedNetModel::Hierarchical {
+                Ok(ResolvedNetModel {
                     link: link_of(link)?,
-                    uplink: link_of(uplink)?,
+                    gap_ms: 0.0,
+                    contention: *nic_contention,
                     ranks_per_node: *ranks_per_node,
-                    nic_contention: *nic_contention,
+                    uplink: link_of(uplink)?,
                     uplink_contention: *uplink_contention,
                 })
             }
@@ -719,93 +415,80 @@ impl NetModelSpec {
                     ("gap_ms", *gap_ms),
                     ("gap_per_byte_ms", *gap_per_byte_ms),
                 ] {
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err(format!("{label} {v} must be finite and non-negative"));
+                    if !(0.0..=LOGGP_MAX_MS).contains(&v) {
+                        return Err(format!("{label} {v} outside [0, {LOGGP_MAX_MS:e}]"));
                     }
                 }
                 contention_in_range("contention", *contention)?;
-                Ok(ResolvedNetModel::LogGP {
-                    latency_ms: *latency_ms,
-                    gap_ms: *gap_ms,
-                    gap_per_byte_ms: *gap_per_byte_ms,
-                    contention: *contention,
-                })
+                Ok(ResolvedNetModel::one_node(
+                    LinkModel::new(*latency_ms, *gap_per_byte_ms),
+                    *gap_ms,
+                    *contention,
+                ))
             }
         }
     }
 }
 
-/// A validated [`NetModelSpec`] with every name resolved into its typed
-/// handle. Constructed only by [`NetModelSpec::resolve`]; building a model
-/// from it is infallible.
+/// A validated [`NetModelSpec`]: the [`Fabric`]'s parameters with every name
+/// resolved. Constructed only by [`NetModelSpec::resolve`] (and
+/// [`Fabric::new`]); building a fabric from it is infallible.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ResolvedNetModel {
-    /// Flat contended fabric.
-    Fabric {
-        /// Base link model.
-        link: LinkModel,
-        /// Spine contention coefficient.
-        contention: f64,
-    },
-    /// Two-level topology.
-    Hierarchical {
-        /// NIC link model.
-        link: LinkModel,
-        /// Uplink link model.
-        uplink: LinkModel,
-        /// Ranks per node.
-        ranks_per_node: usize,
-        /// Node-local contention.
-        nic_contention: f64,
-        /// Spine contention.
-        uplink_contention: f64,
-    },
-    /// LogGP-style channels.
-    LogGP {
-        /// Per-message latency (ms).
-        latency_ms: f64,
-        /// Minimum interval between message starts (ms).
-        gap_ms: f64,
-        /// Per-byte Gap (ms).
-        gap_per_byte_ms: f64,
-        /// Spine contention tapering the Gap.
-        contention: f64,
-    },
+pub struct ResolvedNetModel {
+    /// Per-rank channel link, before the node-local taper.
+    link: LinkModel,
+    /// Per-channel gap between message starts (ms).
+    gap_ms: f64,
+    /// Node-local contention among a node's ranks.
+    contention: f64,
+    /// Ranks per node (`usize::MAX`: one node, whatever the rank count).
+    ranks_per_node: usize,
+    /// Uplink hop link, before the spine taper.
+    uplink: LinkModel,
+    /// Spine contention among the nodes' uplinks.
+    uplink_contention: f64,
 }
 
 impl ResolvedNetModel {
-    /// Builds a fresh model instance servicing `ranks` sending ranks.
-    pub fn build(&self, ranks: usize) -> Box<dyn NetModel> {
-        match *self {
-            ResolvedNetModel::Fabric { link, contention } => {
-                Box::new(Fabric::new(ranks, link, contention))
-            }
-            ResolvedNetModel::Hierarchical {
-                link,
-                uplink,
-                ranks_per_node,
-                nic_contention,
-                uplink_contention,
-            } => Box::new(HierarchicalFabric::new(
-                ranks,
-                ranks_per_node,
-                link,
-                uplink,
-                nic_contention,
-                uplink_contention,
-            )),
-            ResolvedNetModel::LogGP {
-                latency_ms,
-                gap_ms,
-                gap_per_byte_ms,
-                contention,
-            } => Box::new(LogGPLink::with_ranks(
-                ranks,
-                latency_ms,
-                gap_ms,
-                gap_per_byte_ms,
-                contention,
-            )),
+    /// Every rank on one node behind a free hop.
+    fn one_node(link: LinkModel, gap_ms: f64, contention: f64) -> Self {
+        ResolvedNetModel {
+            link,
+            gap_ms,
+            contention,
+            ranks_per_node: usize::MAX,
+            uplink: LinkModel::zero(),
+            uplink_contention: 0.0,
+        }
+    }
+
+    /// Builds a fresh fabric servicing `ranks` sending ranks.
+    pub fn build(&self, ranks: usize) -> Fabric {
+        assert!(ranks >= 1, "need at least one rank");
+        assert!(
+            (0.0..=1.0).contains(&self.contention) && (0.0..=1.0).contains(&self.uplink_contention),
+            "contention must be in [0, 1]"
+        );
+        let nodes = ranks.div_ceil(self.ranks_per_node);
+        let spine_taper = 1.0 + self.uplink_contention * (nodes - 1) as f64;
+        let uplink = LinkModel::new(
+            self.uplink.alpha_ms,
+            self.uplink.beta_ms_per_byte * spine_taper,
+        );
+        let nics = (0..ranks)
+            .map(|rank| {
+                let node = rank / self.ranks_per_node;
+                let occupancy = (ranks - node * self.ranks_per_node).min(self.ranks_per_node);
+                let taper = 1.0 + self.contention * (occupancy - 1) as f64;
+                let link = LinkModel::new(self.link.alpha_ms, self.link.beta_ms_per_byte * taper);
+                SerialLink::gapped(link, self.gap_ms)
+            })
+            .collect();
+        Fabric {
+            nics,
+            uplink,
+            uplink_wire_ms: vec![0.0; ranks],
+            completion_ms: 0.0,
         }
     }
 }
@@ -813,6 +496,26 @@ impl ResolvedNetModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fabric over explicit parameters (what a spec resolves to).
+    fn fabric(
+        ranks: usize,
+        ranks_per_node: usize,
+        link: LinkModel,
+        uplink: LinkModel,
+        contention: f64,
+        uplink_contention: f64,
+    ) -> Fabric {
+        ResolvedNetModel {
+            link,
+            gap_ms: 0.0,
+            contention,
+            ranks_per_node,
+            uplink,
+            uplink_contention,
+        }
+        .build(ranks)
+    }
 
     #[test]
     fn transfer_cost_is_affine() {
@@ -878,10 +581,10 @@ mod tests {
     #[test]
     fn reset_restores_the_fresh_state() {
         let model = LinkModel::omni_path();
-        let mut link = SerialLink::new(model);
+        let mut link = SerialLink::gapped(model, 0.5);
         link.inject(1.0, 4096);
         link.reset();
-        let mut fresh = SerialLink::new(model);
+        let mut fresh = SerialLink::gapped(model, 0.5);
         assert_eq!(link.inject(0.5, 512), fresh.inject(0.5, 512));
         assert_eq!(link.busy_ms(), fresh.busy_ms());
     }
@@ -914,12 +617,9 @@ mod tests {
                 let b = link.inject(t, bytes);
                 assert_eq!(a, b, "contention {contention}");
             }
-            assert_eq!(fabric.completion_ms(), link.free_at_ms());
+            assert_eq!(fabric.completion_ms(), link.completion_ms());
             assert_eq!(fabric.busy_ms(), link.busy_ms());
-            assert_eq!(
-                fabric.effective_link().beta_ms_per_byte,
-                model.beta_ms_per_byte
-            );
+            assert_eq!(fabric.nics[0].link, model);
         }
     }
 
@@ -968,22 +668,21 @@ mod tests {
 
     #[test]
     fn hierarchical_degenerates_to_flat_fabric() {
-        // One node + zero-cost uplink ⇒ bit-identical to Fabric, arrival by
-        // arrival and counter by counter.
+        // One node + zero-cost uplink ⇒ bit-identical to the flat fabric,
+        // arrival by arrival and counter by counter, at any spine contention.
         let nic = LinkModel::omni_path();
         for contention in [0.0, 0.4, 1.0] {
             let mut flat = Fabric::new(3, nic, contention);
-            let mut hier = HierarchicalFabric::new(3, 3, nic, LinkModel::zero(), contention, 0.7);
-            assert_eq!(hier.nodes(), 1);
+            let mut hier = fabric(3, 3, nic, LinkModel::zero(), contention, 0.7);
             for (rank, t, bytes) in [(0, 0.5, 40_000), (1, 0.5, 9_000), (0, 2.0, 512)] {
                 let a = flat.inject(rank, t, bytes);
-                let b = NetModel::inject(&mut hier, rank, t, bytes);
+                let b = hier.inject(rank, t, bytes);
                 assert_eq!(a, b, "contention {contention}");
             }
-            assert_eq!(NetModel::completion_ms(&hier), Fabric::completion_ms(&flat));
-            assert_eq!(NetModel::busy_ms(&hier), Fabric::busy_ms(&flat));
+            assert_eq!(hier.completion_ms(), flat.completion_ms());
+            assert_eq!(hier.busy_ms(), flat.busy_ms());
             for rank in 0..3 {
-                assert_eq!(hier.rank_busy_ms(rank), flat.nic(rank).busy_ms());
+                assert_eq!(hier.rank_busy_ms(rank), flat.rank_busy_ms(rank));
             }
         }
     }
@@ -992,13 +691,9 @@ mod tests {
     fn hierarchical_uplink_hop_delays_arrival() {
         let nic = LinkModel::omni_path();
         let uplink = LinkModel::high_latency();
-        // 4 ranks on 2 nodes: node taper uses occupancy 2, spine taper 2
-        // nodes.
-        let mut hier = HierarchicalFabric::new(4, 2, nic, uplink, 0.0, 0.0);
-        assert_eq!(hier.nodes(), 2);
-        assert_eq!(hier.node_of(1), 0);
-        assert_eq!(hier.node_of(2), 1);
-        let arrival = NetModel::inject(&mut hier, 0, 0.0, 1_000_000);
+        // 4 ranks on 2 nodes, no contention at either level.
+        let mut hier = fabric(4, 2, nic, uplink, 0.0, 0.0);
+        let arrival = hier.inject(0, 0.0, 1_000_000);
         let nic_only = SerialLink::new(nic).inject(0.0, 1_000_000);
         assert_eq!(arrival, nic_only + uplink.transfer_ms(1_000_000));
         // The hop counts as wire time.
@@ -1013,10 +708,9 @@ mod tests {
         // 5 ranks, 2 per node ⇒ nodes of occupancy 2, 2, 1. The lone rank on
         // the last node sees no node-local contention.
         let nic = LinkModel::new(0.0, 1.0e-6);
-        let mut hier = HierarchicalFabric::new(5, 2, nic, LinkModel::zero(), 1.0, 0.0);
-        assert_eq!(hier.nodes(), 3);
-        let crowded = NetModel::inject(&mut hier, 0, 0.0, 1_000);
-        let lone = NetModel::inject(&mut hier, 4, 0.0, 1_000);
+        let mut hier = fabric(5, 2, nic, LinkModel::zero(), 1.0, 0.0);
+        let crowded = hier.inject(0, 0.0, 1_000);
+        let lone = hier.inject(4, 0.0, 1_000);
         assert_eq!(crowded, 2.0e-3); // β doubled by the node mate
         assert_eq!(lone, 1.0e-3); // solo occupancy ⇒ bare β
     }
@@ -1025,11 +719,11 @@ mod tests {
     fn loggp_gap_throttles_message_rate() {
         // Three zero-size messages injected back-to-back: with g = 2 ms the
         // starts are 0, 2, 4 even though each transfer takes only 1 ms.
-        let mut link = LogGPLink::new(1.0, 2.0, 0.0);
-        assert_eq!(NetModel::inject(&mut link, 0, 0.0, 0), 1.0);
-        assert_eq!(NetModel::inject(&mut link, 0, 0.0, 0), 3.0);
-        assert_eq!(NetModel::inject(&mut link, 0, 0.0, 0), 5.0);
-        assert_eq!(NetModel::busy_ms(&link), 3.0);
+        let mut link = SerialLink::gapped(LinkModel::new(1.0, 0.0), 2.0);
+        assert_eq!(link.inject(0.0, 0), 1.0);
+        assert_eq!(link.inject(0.0, 0), 3.0);
+        assert_eq!(link.inject(0.0, 0), 5.0);
+        assert_eq!(link.busy_ms(), 3.0);
     }
 
     #[test]
@@ -1037,54 +731,70 @@ mod tests {
         // g = 0: bit-identical to SerialLink over LinkModel(L, G), message
         // by message.
         let (l, g_byte) = (0.05, 2.0e-7);
-        let mut loggp = LogGPLink::new(l, 0.0, g_byte);
+        let spec = NetModelSpec::LogGP {
+            latency_ms: l,
+            gap_ms: 0.0,
+            gap_per_byte_ms: g_byte,
+            contention: 0.5,
+        };
+        let mut loggp = spec.resolve().unwrap().build(1);
         let mut serial = SerialLink::new(LinkModel::new(l, g_byte));
         for (t, bytes) in [(0.0, 1_000_000), (0.01, 64), (5.0, 123_456)] {
-            assert_eq!(
-                NetModel::inject(&mut loggp, 0, t, bytes),
-                serial.inject(t, bytes)
-            );
+            assert_eq!(loggp.inject(0, t, bytes), serial.inject(t, bytes));
         }
-        assert_eq!(NetModel::completion_ms(&loggp), serial.free_at_ms());
-        assert_eq!(NetModel::busy_ms(&loggp), serial.busy_ms());
-        assert_eq!(loggp.transfer_ms(4096), serial.link().transfer_ms(4096));
+        assert_eq!(loggp.completion_ms(), serial.completion_ms());
+        assert_eq!(loggp.busy_ms(), serial.busy_ms());
     }
 
     #[test]
     fn loggp_contention_tapers_the_per_byte_gap() {
-        let link = LogGPLink::with_ranks(4, 0.0, 0.0, 1.0e-6, 1.0);
-        assert_eq!(link.effective_gap_per_byte_ms(), 4.0e-6);
-        assert_eq!(link.gap_ms(), 0.0);
+        let spec = NetModelSpec::LogGP {
+            latency_ms: 0.0,
+            gap_ms: 0.25,
+            gap_per_byte_ms: 1.0e-6,
+            contention: 1.0,
+        };
+        let link = spec.resolve().unwrap().build(4);
+        for nic in &link.nics {
+            assert_eq!(nic.link, LinkModel::new(0.0, 4.0e-6));
+            assert_eq!(nic.gap_ms, 0.25);
+        }
+    }
+
+    /// Prices a few injections, resets, and requires the same prices again.
+    fn reprices_identically_after_reset<M: NetModel>(model: &mut M) {
+        let ranks = model.ranks().min(2);
+        let first: Vec<f64> = (0..ranks).map(|r| model.inject(r, 0.5, 10_000)).collect();
+        let (busy, completion) = (model.busy_ms(), model.completion_ms());
+        model.reset();
+        assert_eq!(model.busy_ms(), 0.0);
+        assert_eq!(model.completion_ms(), 0.0);
+        let again: Vec<f64> = (0..ranks).map(|r| model.inject(r, 0.5, 10_000)).collect();
+        assert_eq!(first, again);
+        assert_eq!(model.busy_ms(), busy);
+        assert_eq!(model.completion_ms(), completion);
     }
 
     #[test]
     fn model_reset_reprices_identically() {
         let nic = LinkModel::omni_path();
-        let mut models: Vec<Box<dyn NetModel>> = vec![
-            Box::new(SerialLink::new(nic)),
-            Box::new(Fabric::new(2, nic, 0.5)),
-            Box::new(HierarchicalFabric::new(
-                4,
-                2,
-                nic,
-                LinkModel::high_latency(),
-                0.5,
-                0.5,
-            )),
-            Box::new(LogGPLink::with_ranks(2, 0.01, 0.002, 1.0e-7, 0.5)),
-        ];
-        for model in &mut models {
-            let ranks = model.ranks().min(2);
-            let first: Vec<f64> = (0..ranks).map(|r| model.inject(r, 0.5, 10_000)).collect();
-            let (busy, completion) = (model.busy_ms(), model.completion_ms());
-            model.reset();
-            assert_eq!(model.busy_ms(), 0.0);
-            assert_eq!(model.completion_ms(), 0.0);
-            let again: Vec<f64> = (0..ranks).map(|r| model.inject(r, 0.5, 10_000)).collect();
-            assert_eq!(first, again);
-            assert_eq!(model.busy_ms(), busy);
-            assert_eq!(model.completion_ms(), completion);
-        }
+        reprices_identically_after_reset(&mut SerialLink::gapped(nic, 0.002));
+        reprices_identically_after_reset(&mut Fabric::new(2, nic, 0.5));
+        reprices_identically_after_reset(&mut fabric(
+            4,
+            2,
+            nic,
+            LinkModel::high_latency(),
+            0.5,
+            0.5,
+        ));
+        let loggp = NetModelSpec::LogGP {
+            latency_ms: 0.01,
+            gap_ms: 0.002,
+            gap_per_byte_ms: 1.0e-7,
+            contention: 0.5,
+        };
+        reprices_identically_after_reset(&mut loggp.resolve().unwrap().build(2));
     }
 
     #[test]
@@ -1094,10 +804,10 @@ mod tests {
             contention: 0.5,
         };
         assert_eq!(fabric.label(), "omni-path");
-        assert!(matches!(
+        assert_eq!(
             fabric.resolve().unwrap(),
-            ResolvedNetModel::Fabric { .. }
-        ));
+            ResolvedNetModel::one_node(LinkModel::omni_path(), 0.0, 0.5)
+        );
 
         let hier = NetModelSpec::Hierarchical {
             link: "omni-path".into(),
@@ -1116,7 +826,10 @@ mod tests {
             contention: 0.5,
         };
         assert_eq!(loggp.label(), "loggp(L0.001,g0.002,G0.00000008,c0.5)");
-        assert!(loggp.resolve().is_ok());
+        assert_eq!(
+            loggp.resolve().unwrap(),
+            ResolvedNetModel::one_node(LinkModel::new(0.001, 8.0e-8), 0.002, 0.5)
+        );
         // Labels carry every distinguishing parameter, so two different
         // specs of the same family never render identically in row output.
         let mut other = hier.clone();
@@ -1147,15 +860,27 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("ranks_per_node"), "{err}");
 
-        let err = NetModelSpec::LogGP {
-            latency_ms: f64::NAN,
-            gap_ms: 0.0,
-            gap_per_byte_ms: 0.0,
+        let loggp = |latency_ms, gap_ms, gap_per_byte_ms| NetModelSpec::LogGP {
+            latency_ms,
+            gap_ms,
+            gap_per_byte_ms,
             contention: 0.0,
-        }
-        .resolve()
-        .unwrap_err();
+        };
+        let err = loggp(f64::NAN, 0.0, 0.0).resolve().unwrap_err();
         assert!(err.contains("latency_ms"), "{err}");
+        // Finite is not enough: 1e308 ms once priced to ∞.
+        let past = LOGGP_MAX_MS * 2.0;
+        for (spec, label) in [
+            (loggp(1e308, 0.0, 0.0), "latency_ms"),
+            (loggp(0.0, past, 0.0), "gap_ms"),
+            (loggp(0.0, 0.0, past), "gap_per_byte_ms"),
+        ] {
+            let err = spec.resolve().unwrap_err();
+            assert!(err.contains(label), "{err}");
+        }
+        assert!(loggp(LOGGP_MAX_MS, LOGGP_MAX_MS, LOGGP_MAX_MS)
+            .resolve()
+            .is_ok());
 
         let err = NetModelSpec::Fabric {
             link: "omni-path".into(),

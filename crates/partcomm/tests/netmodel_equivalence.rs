@@ -3,18 +3,19 @@
 //! `run_delivery` replaced two closed-form simulators (`simulate` over a
 //! `SerialLink`, `simulate_fabric` over a `Fabric`); these proptests pin the
 //! kernel against independent closed-form oracles reproducing the deleted
-//! bodies, and pin each new model's degenerate configuration onto the model
-//! it generalizes — all **bit-identical**, never approximate:
+//! bodies, and pin the one fabric's degenerate parameter settings onto the
+//! settings they coincide with — all **bit-identical**, never approximate:
 //!
 //! * `run_delivery::<SerialLink>` ≡ the old single-sender `simulate`;
 //! * `run_delivery::<Fabric>` ≡ the old `simulate_fabric` (per-rank NICs at
 //!   the contention-tapered β);
-//! * a 1-switch `HierarchicalFabric` with a zero-cost uplink ≡ `Fabric`;
-//! * a `LogGPLink` with `g = 0` ≡ `LinkModel` transfer times (and, message
+//! * a one-switch `Hierarchical` spec with a zero-cost uplink ≡ the flat
+//!   `Fabric`;
+//! * a `LogGP` spec with `g = 0` ≡ `LinkModel` transfer times (and, message
 //!   by message, a `SerialLink` over the same α/β).
 
 use ebird_partcomm::{
-    run_delivery, Fabric, HierarchicalFabric, LinkModel, LogGPLink, SerialLink, SimScratch,
+    link_by_name, run_delivery, Fabric, LinkModel, NetModel, NetModelSpec, SerialLink, SimScratch,
     Strategy,
 };
 use proptest::prelude::*;
@@ -30,6 +31,42 @@ fn arb_rank_arrivals() -> impl proptest::strategy::Strategy<Value = Vec<Vec<f64>
 
 fn arb_link() -> impl proptest::strategy::Strategy<Value = LinkModel> {
     (0.0f64..0.1).prop_map(|alpha| LinkModel::new(alpha, 1.0e-7))
+}
+
+/// A named link: the `Hierarchical` spelling takes link names, not values.
+fn arb_link_name() -> impl proptest::strategy::Strategy<Value = &'static str> {
+    (0usize..3).prop_map(|i| ["omni-path", "high-latency", "zero"][i])
+}
+
+/// The `Hierarchical` spelling, built for `ranks` ranks.
+fn hierarchy(
+    ranks: usize,
+    link: &str,
+    uplink: &str,
+    ranks_per_node: usize,
+    nic_contention: f64,
+    uplink_contention: f64,
+) -> Fabric {
+    let spec = NetModelSpec::Hierarchical {
+        link: link.into(),
+        uplink: uplink.into(),
+        ranks_per_node,
+        nic_contention,
+        uplink_contention,
+    };
+    spec.resolve().unwrap().build(ranks)
+}
+
+/// The `LogGP` spelling over `link`'s α/β with per-message gap `gap_ms`,
+/// built for one rank.
+fn loggp(link: &LinkModel, gap_ms: f64) -> Fabric {
+    let spec = NetModelSpec::LogGP {
+        latency_ms: link.alpha_ms,
+        gap_ms,
+        gap_per_byte_ms: link.beta_ms_per_byte,
+        contention: 0.0,
+    };
+    spec.resolve().unwrap().build(1)
 }
 
 fn arb_strategies(max_partitions: usize) -> [Strategy; 4] {
@@ -204,7 +241,7 @@ proptest! {
     #[test]
     fn one_switch_zero_uplink_hierarchy_is_the_flat_fabric(
         rank_arrivals in arb_rank_arrivals(),
-        link in arb_link(),
+        link in arb_link_name(),
         nic_contention in 0.0f64..1.0,
         uplink_contention in 0.0f64..1.0,
     ) {
@@ -214,7 +251,7 @@ proptest! {
         let mut scratch = SimScratch::new();
         for s in arb_strategies(min_parts) {
             let flat = run_delivery(
-                &mut Fabric::new(ranks, link, nic_contention),
+                &mut Fabric::new(ranks, link_by_name(link).unwrap(), nic_contention),
                 &rank_arrivals,
                 bytes,
                 s,
@@ -223,15 +260,7 @@ proptest! {
             // All ranks on one node (one switch uplink), uplink free: the
             // hierarchy collapses onto the flat fabric bit-for-bit whatever
             // the uplink contention.
-            let mut hier = HierarchicalFabric::new(
-                ranks,
-                ranks,
-                link,
-                LinkModel::zero(),
-                nic_contention,
-                uplink_contention,
-            );
-            prop_assert_eq!(hier.nodes(), 1);
+            let mut hier = hierarchy(ranks, link, "zero", ranks, nic_contention, uplink_contention);
             let layered = run_delivery(&mut hier, &rank_arrivals, bytes, s, &mut scratch);
             prop_assert_eq!(&layered, &flat, "{}", s.label());
         }
@@ -245,9 +274,10 @@ proptest! {
         let bytes = arrivals.len() + 50_000;
         // Transfer-time identity: L + G·n computed with LinkModel's exact
         // arithmetic.
-        let loggp = LogGPLink::new(link.alpha_ms, 0.0, link.beta_ms_per_byte);
+        let mut idle = loggp(&link, 0.0);
         for n in [0usize, 1, 4096, bytes] {
-            prop_assert_eq!(loggp.transfer_ms(n), link.transfer_ms(n));
+            idle.reset();
+            prop_assert_eq!(idle.inject(0, 0.0, n), link.transfer_ms(n));
         }
         // Whole-plan identity: with g = 0 the gap constraint is inert, so
         // every strategy prices bit-identically to the SerialLink.
@@ -261,7 +291,7 @@ proptest! {
                 &mut scratch,
             );
             let gapless = run_delivery(
-                &mut LogGPLink::new(link.alpha_ms, 0.0, link.beta_ms_per_byte),
+                &mut loggp(&link, 0.0),
                 &[arrivals.as_slice()],
                 bytes,
                 s,
@@ -281,14 +311,14 @@ proptest! {
         let mut scratch = SimScratch::new();
         for s in arb_strategies(arrivals.len()) {
             let gapless = run_delivery(
-                &mut LogGPLink::new(link.alpha_ms, 0.0, link.beta_ms_per_byte),
+                &mut loggp(&link, 0.0),
                 &[arrivals.as_slice()],
                 bytes,
                 s,
                 &mut scratch,
             );
             let gapped = run_delivery(
-                &mut LogGPLink::new(link.alpha_ms, gap, link.beta_ms_per_byte),
+                &mut loggp(&link, gap),
                 &[arrivals.as_slice()],
                 bytes,
                 s,
@@ -302,20 +332,16 @@ proptest! {
     #[test]
     fn hierarchy_uplink_and_spine_never_speed_the_job_up(
         rank_arrivals in arb_rank_arrivals(),
-        link in arb_link(),
+        link in arb_link_name(),
         ranks_per_node in 1usize..4,
     ) {
         let ranks = rank_arrivals.len();
         let bytes = rank_arrivals.iter().map(Vec::len).max().unwrap() + 50_000;
         let mut scratch = SimScratch::new();
         let mut prev = f64::NEG_INFINITY;
-        for (uplink, spine) in [
-            (LinkModel::zero(), 0.0),
-            (LinkModel::new(0.01, 1.0e-7), 0.0),
-            (LinkModel::new(0.01, 1.0e-7), 1.0),
-        ] {
+        for (uplink, spine) in [("zero", 0.0), ("omni-path", 0.0), ("omni-path", 1.0)] {
             let o = run_delivery(
-                &mut HierarchicalFabric::new(ranks, ranks_per_node, link, uplink, 0.5, spine),
+                &mut hierarchy(ranks, link, uplink, ranks_per_node, 0.5, spine),
                 &rank_arrivals,
                 bytes,
                 Strategy::EarlyBird,

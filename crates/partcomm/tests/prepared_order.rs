@@ -16,8 +16,8 @@
 //! either kind, up to a range sitting exactly on the packing limit.
 
 use ebird_partcomm::{
-    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, Fabric, HierarchicalFabric,
-    LinkModel, LogGPLink, NetModel, SerialLink, SimScratch, Strategy,
+    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, Fabric, LinkModel, NetModel,
+    NetModelSpec, SerialLink, SimScratch, Strategy,
 };
 use proptest::prelude::*;
 
@@ -133,11 +133,24 @@ fn bits(o: &DeliveryOutcome) -> Vec<u64> {
 /// Builds a fresh (idle) model.
 type MakeModel = Box<dyn Fn() -> Box<dyn NetModel>>;
 
-/// The four network models over `ranks` ranks (`SerialLink` is single-rank
-/// by definition, so it is offered for one rank only).
+/// The network model's four settings over `ranks` ranks (`SerialLink` is
+/// single-rank by definition, so it is offered for one rank only).
 fn models(ranks: usize) -> Vec<(&'static str, MakeModel)> {
     let link = LinkModel::new(0.013, 1.0e-7);
-    let uplink = LinkModel::high_latency();
+    let hierarchical = NetModelSpec::Hierarchical {
+        link: "omni-path".into(),
+        uplink: "high-latency".into(),
+        ranks_per_node: 2,
+        nic_contention: 0.5,
+        uplink_contention: 0.25,
+    };
+    let loggp = NetModelSpec::LogGP {
+        latency_ms: 0.013,
+        gap_ms: 0.002,
+        gap_per_byte_ms: 1.0e-7,
+        contention: 0.5,
+    };
+    let [hierarchical, loggp] = [hierarchical, loggp].map(|spec| spec.resolve().unwrap());
     let mut all: Vec<(&'static str, MakeModel)> = vec![
         (
             "fabric",
@@ -145,12 +158,9 @@ fn models(ranks: usize) -> Vec<(&'static str, MakeModel)> {
         ),
         (
             "hierarchical",
-            Box::new(move || Box::new(HierarchicalFabric::new(ranks, 2, link, uplink, 0.5, 0.25))),
+            Box::new(move || Box::new(hierarchical.build(ranks))),
         ),
-        (
-            "loggp",
-            Box::new(move || Box::new(LogGPLink::with_ranks(ranks, 0.013, 0.002, 1.0e-7, 0.5))),
-        ),
+        ("loggp", Box::new(move || Box::new(loggp.build(ranks)))),
     ];
     if ranks == 1 {
         all.push(("serial", Box::new(move || Box::new(SerialLink::new(link)))));

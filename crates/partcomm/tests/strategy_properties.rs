@@ -12,13 +12,29 @@
 //! * the boundary-jumping `TimeoutFlush` equals the exhaustive per-tick scan.
 
 use ebird_partcomm::{
-    run_delivery, simulate, DeliveryOutcome, Fabric, LinkModel, SerialLink, SimScratch, Strategy,
+    run_delivery, DeliveryOutcome, Fabric, LinkModel, SerialLink, SimScratch, Strategy,
 };
 // The partcomm `Strategy` enum shadows the prelude's generator trait of the
 // same name; pull the trait in anonymously for method syntax and name it
 // fully in return positions.
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
+
+/// One strategy for one sender over a fresh link.
+fn simulate(
+    arrivals_ms: &[f64],
+    bytes_total: usize,
+    link: &LinkModel,
+    strategy: Strategy,
+) -> DeliveryOutcome {
+    run_delivery(
+        &mut SerialLink::new(*link),
+        &[arrivals_ms],
+        bytes_total,
+        strategy,
+        &mut SimScratch::new(),
+    )
+}
 
 fn arb_arrivals() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 1..64)

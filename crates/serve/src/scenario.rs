@@ -10,18 +10,18 @@
 //! ```
 //!
 //! pricing every cell through the unified delivery kernel
-//! ([`ebird_partcomm::run_delivery`]) over any
-//! [`NetModel`](ebird_partcomm::NetModel) — the flat contended fabric, a
-//! two-level [`HierarchicalFabric`](ebird_partcomm::HierarchicalFabric), a
-//! gap-throttled [`LogGPLink`](ebird_partcomm::LogGPLink). A row is a pure
-//! function of its cell — thread arrivals in, priced delivery out, the way
-//! the paper prices early-bird delivery — so pricing starts no thread, opens
-//! no channel and reads no clock. (What a partitioned session delivers,
-//! refuses and times out on is a property of `ebird_partcomm::session`,
-//! pinned once by that crate's `tests/session_mechanics.rs`, not re-run per
-//! group.) Each cell emits one JSON table row (see
-//! [`ebird_analysis::report::json_lines`]), so adding a workload — or a
-//! whole topology — to the campaign means adding a config entry, not code.
+//! ([`ebird_partcomm::run_delivery`]) over the one network model, a
+//! [`Fabric`](ebird_partcomm::Fabric) — flat and contended, two-level, or
+//! gap-throttled LogGP, as the cell's [`NetModelSpec`] spells it. A row is
+//! a pure function of its cell — thread arrivals in, priced delivery out,
+//! the way the paper prices early-bird delivery — so pricing starts no
+//! thread, opens no channel and reads no clock. (What a partitioned session
+//! delivers, refuses and times out on is a property of
+//! `ebird_partcomm::session`, pinned once by that crate's
+//! `tests/session_mechanics.rs`, not re-run per group.) Each cell emits one
+//! JSON table row (see [`ebird_analysis::report::json_lines`]), so adding a
+//! workload — or a whole topology — to the campaign means adding a config
+//! entry, not code.
 //!
 //! The matrix itself is plain serde data: load one from JSON with
 //! `--matrix`, or use the built-in presets ([`ScenarioMatrix::preset`]:
@@ -203,6 +203,28 @@ fn flat_fabrics<S: Into<String>>(
 
 /// Contention coefficient of every preset's flat fabrics.
 const PRESET_CONTENTION: f64 = 0.5;
+
+/// The most arrival samples one cell may span: `ranks × threads`, and
+/// `ranks × (iteration + 1) × threads` for a workload that runs a metered
+/// real-kernel campaign (itself or as a mixture component) — the trace that
+/// campaign records up to the priced iteration. Pricing allocates in
+/// proportion, and an allocation failure aborts the process, so
+/// [`ScenarioMatrix::resolve`] refuses a larger cell before anything is
+/// allocated. ≥ 100× every preset: the largest, `workload`, spans
+/// 4 × 26 × 8 = 832.
+const MAX_CELL_SAMPLES: usize = 1 << 17;
+
+/// Whether `spec` runs a metered real-kernel campaign, itself or as a
+/// mixture component.
+fn runs_real_kernel(spec: &WorkloadSpec) -> bool {
+    match spec {
+        WorkloadSpec::RealKernel { .. } => true,
+        WorkloadSpec::Mixture { components, .. } => {
+            components.iter().any(|c| runs_real_kernel(&c.spec))
+        }
+        WorkloadSpec::Named { .. } | WorkloadSpec::Synthetic { .. } => false,
+    }
+}
 
 /// The built-in preset names, in the order [`ScenarioMatrix::preset`]
 /// advertises them.
@@ -488,9 +510,23 @@ impl ScenarioMatrix {
         for spec in &self.models {
             models.push((spec.clone(), spec.resolve()?));
         }
+        // Checked after the workloads resolve: that bounds mixture nesting.
+        let iterations = if self.workloads.iter().any(runs_real_kernel) {
+            self.iteration.saturating_add(1)
+        } else {
+            1
+        };
         for &r in &self.ranks {
             if r == 0 {
                 return Err("rank counts must be ≥ 1".into());
+            }
+            let samples = r.saturating_mul(iterations).saturating_mul(self.threads);
+            if samples > MAX_CELL_SAMPLES {
+                return Err(format!(
+                    "ranks {r} × threads {} × {iterations} generated iteration(s) \
+                     spans {samples} samples, above the {MAX_CELL_SAMPLES}-sample cell cap",
+                    self.threads
+                ));
             }
         }
         for s in &self.strategies {
@@ -719,7 +755,7 @@ pub fn price_group(cells: &[ResolvedCell]) -> Result<Vec<ScenarioRow>, String> {
         let bytes_per_rank = run[0].spec.bytes_per_rank;
         let mut model = run[0].model.build(spec.ranks);
         let bulk = run_delivery(
-            &mut *model,
+            &mut model,
             &rank_arrivals,
             bytes_per_rank,
             Strategy::Bulk,
@@ -731,7 +767,7 @@ pub fn price_group(cells: &[ResolvedCell]) -> Result<Vec<ScenarioRow>, String> {
                 bulk.clone()
             } else {
                 run_delivery(
-                    &mut *model,
+                    &mut model,
                     &rank_arrivals,
                     bytes_per_rank,
                     spec.strategy,
@@ -1047,6 +1083,44 @@ mod tests {
     }
 
     #[test]
+    fn resolve_bounds_the_samples_a_cell_spans() {
+        // A ≈ 300-byte matrix of 3 M ranks × 8 threads once peaked at 621 MB
+        // while pricing, linear in `ranks`; past the host's memory that is an
+        // allocation failure, which aborts. Refused before anything is
+        // allocated, down to one rank past the cap.
+        let mut m = ScenarioMatrix::smoke();
+        for ranks in [1 << 40, usize::MAX, MAX_CELL_SAMPLES / m.threads + 1] {
+            m.ranks = vec![1, ranks];
+            let err = m.resolve().unwrap_err();
+            assert!(err.contains("cell cap"), "{err}");
+        }
+        m.ranks = vec![MAX_CELL_SAMPLES / m.threads];
+        assert!(m.resolve().is_ok());
+        // A real-kernel campaign records every iteration up to the priced
+        // one, so the rank count that fits a synthetic cell does not fit it
+        // — whether the kernel runs alone or inside a mixture.
+        let mut m = ScenarioMatrix::workload_smoke();
+        let real = m.workloads.iter().position(runs_real_kernel).unwrap();
+        let nested = WorkloadSpec::Mixture {
+            name: "nested".into(),
+            components: vec![MixtureComponent {
+                weight: 1.0,
+                spec: m.workloads[real].clone(),
+            }],
+        };
+        m.ranks = vec![MAX_CELL_SAMPLES / m.threads];
+        let err = m.resolve().unwrap_err();
+        assert!(err.contains("× 26 generated iteration(s)"), "{err}");
+        m.workloads[real] = nested;
+        assert!(m.resolve().is_err());
+        m.ranks = vec![MAX_CELL_SAMPLES / (m.threads * 26)];
+        assert!(m.resolve().is_ok());
+        m.workloads.remove(real);
+        m.ranks = vec![MAX_CELL_SAMPLES / m.threads];
+        assert!(m.resolve().is_ok());
+    }
+
+    #[test]
     fn cells_enumerate_in_row_order() {
         let m = ScenarioMatrix::smoke();
         let resolved = m.resolve().unwrap();
@@ -1261,6 +1335,28 @@ mod tests {
             assert_round_trips_finite(row);
         }
         assert!(saturated > 0, "{rows:?}");
+        // The other end: every LogGP parameter at its bound (1e12 ms), the
+        // most bytes a rank can carry and the most samples a cell may span —
+        // as many threads as a rank may run, or as many ranks as the cap
+        // admits. `1e308` once overflowed to `∞`, emitted and cached as
+        // `null`.
+        for threads in [0xFFFF, 1] {
+            let mut m = ScenarioMatrix::topology_smoke();
+            m.workloads = named_workloads(["MiniQMC"]);
+            m.models = vec![NetModelSpec::LogGP {
+                latency_ms: 1.0e12,
+                gap_ms: 1.0e12,
+                gap_per_byte_ms: 1.0e12,
+                contention: 1.0,
+            }];
+            m.threads = threads;
+            m.ranks = vec![MAX_CELL_SAMPLES / threads];
+            m.bytes_per_rank = usize::MAX;
+            m.strategies[3] = Strategy::Binned { bins: threads };
+            for row in &run_matrix(&m, &Pool::new(1)).unwrap() {
+                assert_round_trips_finite(row);
+            }
+        }
         // The rule itself: equal costs are 1.0, a zero cost against a
         // positive bulk saturates instead of overflowing, and everything
         // else is the plain quotient.

@@ -1117,6 +1117,31 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_rank_count_is_refused_and_the_next_request_served() {
+        // 2⁴⁰ ranks would abort the process on allocation while pricing;
+        // resolve refuses the matrix first, so nothing is queued and the
+        // connection's next request is answered as usual.
+        let shared = shared();
+        let mut hostile = three_group_matrix();
+        hostile.ranks = vec![1 << 40];
+        for (line, reply) in [
+            (
+                submit_line(&hostile),
+                "\"error\":\"invalid matrix: ranks 1099511627776 ",
+            ),
+            (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
+        ] {
+            let tap = WireTap::default();
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&line, &shared, &mut writer).unwrap();
+            let lines = tap.lines();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].contains(reply), "{}", lines[0]);
+        }
+        assert!(shared.queue.is_empty());
+    }
+
+    #[test]
     fn cold_stream_flushes_before_every_wait_and_holds_no_ready_row() {
         let shared = shared();
         let matrix = three_group_matrix();

@@ -9,13 +9,14 @@
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::cluster::calibration::MINIMD_PHASE_BOUNDARY;
 use early_bird::cluster::{JobConfig, SyntheticApp};
-use early_bird::partcomm::{simulate, DeliveryOutcome, LinkModel, Strategy};
+use early_bird::partcomm::{run_deliveries, LinkModel, SerialLink, SimScratch, Strategy};
 
 const BUFFER: usize = 8_000_000;
 
 fn main() {
     let cfg = JobConfig::new(2, 4, 100, 48);
-    let link = LinkModel::omni_path();
+    let mut link = SerialLink::new(LinkModel::omni_path());
+    let mut scratch = SimScratch::new();
     println!("strategy recommendation per application (8 MB buffer, omni-path link)\n");
     for app in SyntheticApp::all() {
         let trace = app.generate(&cfg, 2023);
@@ -40,8 +41,8 @@ fn main() {
         let sample_iters: Vec<usize> = (from..cfg.iterations).step_by(7).collect();
         for &i in &sample_iters {
             let arrivals = trace.process_iteration_ms(0, 0, i).unwrap();
-            for (k, &s) in strategies.iter().enumerate() {
-                let o: DeliveryOutcome = simulate(&arrivals, BUFFER, &link, s);
+            let outcomes = run_deliveries(&mut link, &[arrivals], BUFFER, strategies, &mut scratch);
+            for (k, o) in outcomes.iter().enumerate() {
                 exposed[k] += o.exposed_ms();
                 msgs[k] += o.messages as f64;
             }

@@ -9,8 +9,26 @@ use early_bird::analysis::laggard::{ArrivalClass, ClassifiedIteration};
 use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
 use early_bird::cluster::calibration::{LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
 use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
-use early_bird::partcomm::{simulate, LinkModel, SerialLink, Strategy};
+use early_bird::partcomm::{
+    run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
+};
 use early_bird::runtime::Pool;
+
+/// One strategy for one sender over a fresh link.
+fn simulate(
+    arrivals_ms: &[f64],
+    bytes_total: usize,
+    link: &LinkModel,
+    strategy: Strategy,
+) -> DeliveryOutcome {
+    run_delivery(
+        &mut SerialLink::new(*link),
+        &[arrivals_ms],
+        bytes_total,
+        strategy,
+        &mut SimScratch::new(),
+    )
+}
 
 const BUF: usize = 8_000_000;
 

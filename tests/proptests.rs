@@ -6,12 +6,30 @@ use early_bird::analysis::laggard::{laggard_census, ArrivalClass};
 use early_bird::analysis::reclaim::{idle_ratio, reclaim_metrics, reclaimable_ms};
 use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
 use early_bird::core::{ThreadSample, TimingTrace, TraceShape};
-use early_bird::partcomm::{simulate, LinkModel, Strategy};
+use early_bird::partcomm::{
+    run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
+};
 use early_bird::runtime::Pool;
 use early_bird::stats::descriptive::Moments;
 use early_bird::stats::percentile::PercentileSummary;
 use early_bird::stats::Histogram;
 use proptest::prelude::*;
+
+/// One strategy for one sender over a fresh link.
+fn simulate(
+    arrivals_ms: &[f64],
+    bytes_total: usize,
+    link: &LinkModel,
+    strategy: Strategy,
+) -> DeliveryOutcome {
+    run_delivery(
+        &mut SerialLink::new(*link),
+        &[arrivals_ms],
+        bytes_total,
+        strategy,
+        &mut SimScratch::new(),
+    )
+}
 
 /// Arbitrary positive compute times in milliseconds (0.01 .. 100 ms).
 fn arb_arrivals() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {

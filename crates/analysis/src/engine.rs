@@ -410,15 +410,16 @@ mod tests {
             }
             assert_eq!(capacities[1], capacities[2], "{workers} workers");
             assert_eq!(capacities[0], capacities[1], "{workers} workers");
-            // Footprint: keys + tmp + sorted, each at most the worker's
-            // largest owned group (the first task of its part).
+            // Footprint: keys (the sorted milliseconds too) + tmp, each at
+            // most the worker's largest owned group (the first task of its
+            // part).
             let mut first = 0;
             for (w, len) in partition_tasks(tasks, workers).into_iter().enumerate() {
                 let largest = if len > 0 { tasks.get(first).2 } else { 0 };
                 let held: usize = capacities[2][w].iter().sum();
                 assert!(
-                    held <= 3 * largest,
-                    "worker {w}/{workers}: {held} > 3 × {largest}"
+                    held <= 2 * largest,
+                    "worker {w}/{workers}: {held} > 2 × {largest}"
                 );
                 first += len;
             }

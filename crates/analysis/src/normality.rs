@@ -204,29 +204,24 @@ pub const SWEEP_LEVELS: [AggregationLevel; 3] = [
 ];
 
 /// One sweep worker's reusable storage: the battery scratch (cached
-/// Shapiro–Wilk weights + Φ block) and the three group-sized buffers of the
-/// kernel — nanosecond keys, the radix sort's ping-pong copy, the sorted
-/// milliseconds. Each grows to the largest group its worker is given, so a
-/// worker that owns the application group of a paper-scale trace holds
-/// 3 × 6.1 MB plus ≈ 3 MB of weights, and one that owns process-iterations
-/// only a few kilobytes.
+/// Shapiro–Wilk weights + Φ block) and the two group-sized buffers of the
+/// kernel — nanosecond keys, which also hold the sorted milliseconds once
+/// converted in place, and the radix sort's ping-pong copy. Each grows to
+/// the largest group its worker is given, so a worker that owns the
+/// application group of a paper-scale trace holds 2 × 6.1 MB plus ≈ 3 MB of
+/// weights, and one that owns process-iterations only a few kilobytes.
 #[derive(Default)]
 pub(crate) struct SweepScratch {
     battery: BatteryScratch,
     keys: Vec<u64>,
     tmp: Vec<u64>,
-    sorted: Vec<f64>,
 }
 
 #[cfg(test)]
 impl SweepScratch {
-    /// `[keys, tmp, sorted]` capacities in elements (8 bytes each).
-    pub(crate) fn capacities(&self) -> [usize; 3] {
-        [
-            self.keys.capacity(),
-            self.tmp.capacity(),
-            self.sorted.capacity(),
-        ]
+    /// `[keys, tmp]` capacities in elements (8 bytes each).
+    pub(crate) fn capacities(&self) -> [usize; 2] {
+        [self.keys.capacity(), self.tmp.capacity()]
     }
 }
 
@@ -292,12 +287,18 @@ impl SweepTasks {
 /// worker: the whole list). Every group of every level is an independent
 /// task run by one kernel: gather the group's integer nanosecond compute
 /// times (no float work, no raw copy), radix-sort the integers, convert to
-/// milliseconds, run the fused three-test battery on the sorted sample.
+/// milliseconds in place, run the fused three-test battery on the sorted
+/// sample.
 ///
 /// Bit-identity with [`sweep`] holds by construction: [`ns_to_ms`] is
 /// monotone, so sorting before or after the conversion yields the same
 /// array, and the battery is a function of that sorted array alone — the
 /// same code on the same sorted sample.
+///
+/// The conversion reuses the keys' buffer: `u64` and `f64` share size and
+/// alignment, so std's in-place collect turns the sorted `Vec<u64>` into the
+/// `Vec<f64>` the battery reads, and the emptied `Vec<f64>` back into the
+/// next group's keys — no copy of the group, no allocation.
 ///
 /// Consecutive sweeps over same-shaped traces reuse `scratch`'s cached
 /// Shapiro–Wilk weight vectors (the application-level vector alone is
@@ -312,20 +313,13 @@ pub(crate) fn run_tasks(
     scratch: &mut SweepScratch,
 ) {
     let tasks = SweepTasks(trace.shape());
-    let SweepScratch {
-        battery,
-        keys,
-        tmp,
-        sorted,
-    } = scratch;
+    let SweepScratch { battery, keys, tmp } = scratch;
     if !out.is_empty() {
         // The first task is the part's largest: size the buffers once, and
         // exactly (amortized growth would hold up to twice the group).
         let largest = tasks.get(first).2;
         keys.clear();
         keys.reserve_exact(largest);
-        sorted.clear();
-        sorted.reserve_exact(largest);
         tmp.reserve_exact(largest.saturating_sub(tmp.len()));
     }
     let cache_before = battery.cache_stats();
@@ -340,13 +334,14 @@ pub(crate) fn run_tasks(
         }
         let gathered = obs.map(|o| o.now_ns());
         sort_keys(keys, tmp);
-        sorted.clear();
-        sorted.extend(keys.iter().map(|&ns| ns_to_ms(ns)));
+        let mut sorted: Vec<f64> = std::mem::take(keys).into_iter().map(ns_to_ms).collect();
         let ordered = obs.map(|o| o.now_ns());
-        *slot = battery_sorted(sorted, battery);
+        *slot = battery_sorted(&sorted, battery);
         if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
             started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len()));
         }
+        sorted.clear();
+        *keys = sorted.into_iter().map(f64::to_bits).collect();
     }
     if let Some(o) = obs {
         o.record_cache_delta(battery, cache_before);

@@ -90,15 +90,10 @@ impl Clock for VirtualClock {
     }
 }
 
-/// Converts nanoseconds to milliseconds as `f64` (the paper reports ms).
-#[inline]
-pub fn ns_to_ms(ns: u64) -> f64 {
-    ns as f64 / 1.0e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::ns_to_ms;
 
     #[test]
     fn monotonic_clock_never_goes_backwards() {

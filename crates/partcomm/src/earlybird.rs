@@ -39,14 +39,13 @@
 //! call, however many strategies it then prices against it.
 //!
 //! What a call allocates: with a warm [`SimScratch`], nothing for a one-rank
-//! job — its outcome carries the rank's [`RankDelivery`] inline — and one
-//! [`RankDeliveries`] vector per outcome for a multi-rank one.
+//! job — its one rank's [`RankDelivery`] *is* the job fields, so the outcome
+//! stores none — and the per-rank list of each outcome for a multi-rank one.
 
 use std::borrow::Cow;
-use std::fmt;
-use std::ops::Deref;
 
-use serde::{Deserialize, Serialize};
+use serde::value::get_field;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::netmodel::NetModel;
 
@@ -94,7 +93,7 @@ impl Strategy {
 
 /// One rank's share of a delivery: its partitions' plan priced on its
 /// channel of the shared model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RankDelivery {
     /// When this rank's buffer finished delivering (ms).
     pub completion_ms: f64,
@@ -106,80 +105,30 @@ pub struct RankDelivery {
     pub wire_ms: f64,
 }
 
-/// The per-rank outcomes of one delivery, rank order: a list that reads as a
-/// `[RankDelivery]` slice (it derefs to one), compares and clones by value
-/// and serializes as a JSON array — and holds a single rank's outcome
-/// inline, so the one-rank deliveries a trace-wide sweep produces by the
-/// hundred thousand own no heap cell each. Built by collecting
-/// [`RankDelivery`] values, which is how the kernel fills it.
-#[derive(Clone)]
-pub struct RankDeliveries(Ranks);
-
-#[derive(Clone)]
-enum Ranks {
-    One(RankDelivery),
-    Many(Vec<RankDelivery>),
-}
-
-impl FromIterator<RankDelivery> for RankDeliveries {
-    fn from_iter<I: IntoIterator<Item = RankDelivery>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        Self(match (iter.next(), iter.next()) {
-            (Some(only), None) => Ranks::One(only),
-            (first, second) => Ranks::Many(first.into_iter().chain(second).chain(iter).collect()),
-        })
-    }
-}
-
-impl Deref for RankDeliveries {
-    type Target = [RankDelivery];
-
-    fn deref(&self) -> &[RankDelivery] {
-        match &self.0 {
-            Ranks::One(only) => std::slice::from_ref(only),
-            Ranks::Many(ranks) => ranks,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a RankDeliveries {
-    type Item = &'a RankDelivery;
-    type IntoIter = std::slice::Iter<'a, RankDelivery>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl PartialEq for RankDeliveries {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl fmt::Debug for RankDeliveries {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl Serialize for RankDeliveries {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for RankDeliveries {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::from_value(v).map(|ranks: Vec<RankDelivery>| ranks.into_iter().collect())
+impl RankDelivery {
+    /// The fields as bit patterns — what "equal to the job fields" means for
+    /// a one-rank outcome (`==` would let `-0.0` pass for `0.0`).
+    fn bits(&self) -> [u64; 4] {
+        [
+            self.completion_ms.to_bits(),
+            self.last_arrival_ms.to_bits(),
+            self.messages as u64,
+            self.wire_ms.to_bits(),
+        ]
     }
 }
 
 /// Result of simulating one strategy on one arrival set — rank-aware: the
 /// job-level view (completion of the slowest rank, totals across ranks)
-/// plus each rank's own [`RankDelivery`]. A single-sender simulation is the
-/// 1-rank case (`per_rank.len() == 1`, job fields equal to the rank's).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// plus each rank's own [`RankDelivery`] ([`per_rank`](Self::per_rank)).
+///
+/// A single-sender simulation is the 1-rank case, where the one rank's
+/// delivery equals the job fields bit for bit: it is read off them rather
+/// than stored, so the one-rank outcomes a trace-wide sweep produces by the
+/// hundred thousand own no heap cell and carry no second copy. A multi-rank
+/// outcome holds its list behind one pointer. Either way the JSON form lists
+/// every rank under `"per_rank"`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryOutcome {
     /// The strategy simulated.
     pub strategy: Strategy,
@@ -192,8 +141,12 @@ pub struct DeliveryOutcome {
     pub messages: usize,
     /// Total wire-busy time across the whole model (ms).
     pub wire_ms: f64,
-    /// Per-rank outcomes, rank order.
-    pub per_rank: RankDeliveries,
+    /// Every rank's delivery, rank order, for two ranks or more; `None` for
+    /// one. The `Vec` is boxed whole because a thin pointer is one word
+    /// where a boxed slice or a bare `Vec` takes two or three — in every
+    /// outcome, while only multi-rank ones pay the extra indirection.
+    #[allow(clippy::box_collection)]
+    many_ranks: Option<Box<Vec<RankDelivery>>>,
 }
 
 impl DeliveryOutcome {
@@ -210,7 +163,83 @@ impl DeliveryOutcome {
 
     /// Number of sending ranks this outcome covers.
     pub fn ranks(&self) -> usize {
-        self.per_rank.len()
+        self.many_ranks.as_ref().map_or(1, |ranks| ranks.len())
+    }
+
+    /// Each rank's delivery, rank order ([`ranks`](Self::ranks) of them).
+    pub fn per_rank(&self) -> impl Iterator<Item = RankDelivery> + '_ {
+        let (only, many) = match self.many_ranks.as_deref() {
+            None => (Some(self.job_rank()), &[][..]),
+            Some(ranks) => (None, ranks.as_slice()),
+        };
+        only.into_iter().chain(many.iter().copied())
+    }
+
+    /// The job fields as one rank's delivery — a one-rank outcome's only
+    /// rank.
+    fn job_rank(&self) -> RankDelivery {
+        RankDelivery {
+            completion_ms: self.completion_ms,
+            last_arrival_ms: self.last_arrival_ms,
+            messages: self.messages,
+            wire_ms: self.wire_ms,
+        }
+    }
+}
+
+/// Written by hand so that a one-rank outcome, which stores no rank, still
+/// lists it: the job fields in declaration order, then `"per_rank"` as an
+/// array of every rank — what a derive gives a `per_rank: Vec<RankDelivery>`
+/// field.
+impl Serialize for DeliveryOutcome {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, value: Value| (name.to_string(), value);
+        Value::Object(vec![
+            field("strategy", self.strategy.to_value()),
+            field("completion_ms", self.completion_ms.to_value()),
+            field("last_arrival_ms", self.last_arrival_ms.to_value()),
+            field("messages", self.messages.to_value()),
+            field("wire_ms", self.wire_ms.to_value()),
+            field(
+                "per_rank",
+                Value::Array(self.per_rank().map(|rank| rank.to_value()).collect()),
+            ),
+        ])
+    }
+}
+
+/// Reads the form [`Serialize`] writes, and only outcomes the kernel can
+/// produce: `"per_rank"` must list at least one rank, and a lone rank must
+/// equal the job fields bit for bit.
+impl Deserialize for DeliveryOutcome {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let entries = v.as_object().ok_or_else(|| {
+            DeError::custom(format!(
+                "expected object (DeliveryOutcome), found {}",
+                v.kind()
+            ))
+        })?;
+        let field = |name: &str| get_field(entries, name);
+        let mut outcome = DeliveryOutcome {
+            strategy: Strategy::from_value(field("strategy")?)?,
+            completion_ms: f64::from_value(field("completion_ms")?)?,
+            last_arrival_ms: f64::from_value(field("last_arrival_ms")?)?,
+            messages: usize::from_value(field("messages")?)?,
+            wire_ms: f64::from_value(field("wire_ms")?)?,
+            many_ranks: None,
+        };
+        let ranks = Vec::<RankDelivery>::from_value(field("per_rank")?)?;
+        match ranks.as_slice() {
+            [] => Err(DeError::custom("`per_rank` lists no rank")),
+            [only] if only.bits() != outcome.job_rank().bits() => Err(DeError::custom(
+                "a one-rank `per_rank` must equal the job fields",
+            )),
+            [_] => Ok(outcome),
+            _ => {
+                outcome.many_ranks = Some(Box::new(ranks));
+                Ok(outcome)
+            }
+        }
     }
 }
 
@@ -219,8 +248,8 @@ impl DeliveryOutcome {
 /// message plan) that a pricing call would otherwise allocate fresh. One
 /// scratch per worker lets a trace-wide strategy sweep (thousands of
 /// process-iterations × strategies) run allocation-free after warm-up: a
-/// one-rank call allocates nothing, a multi-rank one its outcomes'
-/// [`RankDeliveries`] only.
+/// one-rank call allocates nothing, a multi-rank one its outcomes' per-rank
+/// lists only.
 ///
 /// Nothing in it outlives a call: [`run_deliveries`] re-validates and
 /// re-orders its arrival sets on entry, so a scratch reused across sets of
@@ -478,6 +507,7 @@ where
     } = scratch;
     model.reset();
     let mut job_last_arrival = f64::NEG_INFINITY;
+    let mut messages = 0;
     let mut ordered = 0;
     let rank_delivery = |(rank, arrivals_ms): (usize, &A)| {
         let arrivals_ms = arrivals_ms.as_ref();
@@ -506,6 +536,7 @@ where
         for &(inject_ms, bytes) in plan.iter() {
             completion = completion.max(model.inject(rank, inject_ms, bytes));
         }
+        messages += plan.len();
         RankDelivery {
             completion_ms: completion,
             last_arrival_ms: last_arrival,
@@ -513,19 +544,27 @@ where
             wire_ms: model.rank_busy_ms(rank),
         }
     };
-    let per_rank: RankDeliveries = rank_arrivals_ms
-        .iter()
-        .enumerate()
-        .map(rank_delivery)
-        .collect();
-    DeliveryOutcome {
+    let mut ranks = rank_arrivals_ms.iter().enumerate().map(rank_delivery);
+    let first = ranks.next().expect("run_deliveries checked for a rank");
+    let many_ranks = ranks
+        .next()
+        .map(|second| Box::new([first, second].into_iter().chain(ranks).collect()));
+    let outcome = DeliveryOutcome {
         strategy,
         completion_ms: model.completion_ms(),
         last_arrival_ms: job_last_arrival,
-        messages: per_rank.iter().map(|o| o.messages).sum(),
+        messages,
         wire_ms: model.busy_ms(),
-        per_rank,
-    }
+        many_ranks,
+    };
+    // A one-rank outcome stores no rank: the model's running max is its
+    // final free time and a one-term sum is its term, so the rank the plan
+    // priced is the job, bit for bit.
+    debug_assert!(
+        outcome.many_ranks.is_some() || first.bits() == outcome.job_rank().bits(),
+        "one rank's delivery {first:?} differs from its job's {outcome:?}"
+    );
+    outcome
 }
 
 /// THE delivery kernel: prices every rank's message plan under each of
@@ -710,9 +749,9 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_keep_their_wire_form_and_fit_in_88_bytes() {
-        // The per-rank list is a JSON array whatever it holds inline: these
-        // are the strings the `Vec<RankDelivery>` field produced.
+    fn outcomes_keep_their_wire_form_and_fit_in_56_bytes() {
+        // The per-rank list is a JSON array whether or not it is stored:
+        // these are the strings the `Vec<RankDelivery>` field produced.
         let link = LinkModel::new(1.0, 0.0009765625);
         let one = simulate(&[0.0, 10.0], 2048, &link, Strategy::EarlyBird);
         let sets = [vec![0.0, 10.0], vec![4.0], vec![2.0, 1.0, 3.0]];
@@ -741,17 +780,48 @@ mod tests {
             assert_eq!(serde_json::to_string(outcome).unwrap(), wire);
             let back: DeliveryOutcome = serde_json::from_str(wire).unwrap();
             assert_eq!(back, *outcome);
-            assert_eq!(back.ranks(), outcome.per_rank.len());
+            assert_eq!(back.ranks(), outcome.per_rank().count());
         }
-        // By value, not by representation: a one-element list read off the
-        // wire equals the kernel's inline one, and a clone equals both.
-        let ranks: RankDeliveries = three.per_rank.iter().take(1).cloned().collect();
-        assert_eq!(ranks, ranks.clone());
-        assert_eq!(ranks[0], three.per_rank[0]);
-        assert_ne!(ranks, three.per_rank);
-        // 72 bytes plus a 48-byte heap chunk per outcome before the list
-        // went inline, 88 and no chunk after (64-bit targets).
-        assert!(std::mem::size_of::<DeliveryOutcome>() <= 96);
+        assert_eq!(one.ranks(), 1);
+        assert_eq!(three.ranks(), 3);
+        // 72 bytes plus a 48-byte heap chunk per outcome while the list was
+        // a `Vec`, 88 with one rank inline, 56 with none stored (64-bit
+        // targets).
+        assert!(std::mem::size_of::<DeliveryOutcome>() <= 56);
+    }
+
+    #[test]
+    fn the_wire_form_admits_only_outcomes_the_kernel_produces() {
+        let job = concat!(
+            r#"{"strategy":"EarlyBird","completion_ms":12.0,"last_arrival_ms":10.0,"#,
+            r#""messages":2,"wire_ms":4.0,"per_rank":"#
+        );
+        let read =
+            |ranks: &str| serde_json::from_str::<DeliveryOutcome>(&format!("{job}{ranks}}}"));
+        let rank = |completion: &str| {
+            format!(
+                r#"{{"completion_ms":{completion},"last_arrival_ms":10.0,"messages":2,"wire_ms":4.0}}"#
+            )
+        };
+        assert_eq!(read(&format!("[{}]", rank("12.0"))).unwrap().ranks(), 1);
+        // No rank at all: `ranks()` would read 0, which no call returns.
+        let empty = read("[]").unwrap_err().to_string();
+        assert!(empty.contains("no rank"), "{empty}");
+        // A lone rank disagreeing with its job — in value, or only in the
+        // sign of a zero — has nowhere to be kept.
+        for completion in ["11.0", "-0.0"] {
+            let job = job.replace("12.0", "0.0");
+            let lone = format!("{job}[{}]}}", rank(completion));
+            let err = serde_json::from_str::<DeliveryOutcome>(&lone).unwrap_err();
+            assert!(
+                err.to_string().contains("job fields"),
+                "{completion}: {err}"
+            );
+        }
+        // Two ranks are a list, kept as read.
+        let two = read(&format!("[{},{}]", rank("12.0"), rank("11.0"))).unwrap();
+        assert_eq!(two.ranks(), 2);
+        assert_eq!(two.per_rank().nth(1).unwrap().completion_ms, 11.0);
     }
 
     #[test]
@@ -987,7 +1057,7 @@ mod tests {
         assert_eq!(job.completion_ms, 15.0);
         assert_eq!(job.exposed_ms(), 5.0);
         assert_eq!(job.ranks(), 2);
-        for rank in &job.per_rank {
+        for rank in job.per_rank() {
             assert_eq!(rank.completion_ms - rank.last_arrival_ms, 5.0);
         }
     }
@@ -1235,7 +1305,7 @@ mod tests {
             Strategy::EarlyBird,
             &mut SimScratch::new(),
         );
-        for (arrivals, rank_outcome) in per_rank.iter().zip(&job.per_rank) {
+        for (arrivals, rank_outcome) in per_rank.iter().zip(job.per_rank()) {
             let solo = simulate(arrivals, 8 * MB, &link, Strategy::EarlyBird);
             assert_eq!(rank_outcome.completion_ms, solo.completion_ms);
             assert_eq!(rank_outcome.last_arrival_ms, solo.last_arrival_ms);
@@ -1244,10 +1314,7 @@ mod tests {
         }
         assert_eq!(
             job.completion_ms,
-            job.per_rank
-                .iter()
-                .map(|o| o.completion_ms)
-                .fold(0.0, f64::max)
+            job.per_rank().map(|o| o.completion_ms).fold(0.0, f64::max)
         );
     }
 
@@ -1307,7 +1374,7 @@ mod tests {
         assert_eq!(o.messages, 2);
         // With one rank, the rank's completion IS the job completion — the
         // documented invariant the last-wins fold violated.
-        assert_eq!(o.per_rank[0].completion_ms, o.completion_ms);
+        assert_eq!(o.per_rank().next().unwrap().completion_ms, o.completion_ms);
         assert!(o.completion_ms >= o.last_arrival_ms);
     }
 

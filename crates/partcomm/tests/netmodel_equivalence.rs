@@ -185,8 +185,8 @@ proptest! {
             prop_assert_eq!(o.last_arrival_ms, last);
             prop_assert_eq!(o.messages, messages);
             prop_assert_eq!(o.wire_ms, wire);
-            prop_assert_eq!(o.per_rank.len(), 1);
-            prop_assert_eq!(o.per_rank[0].completion_ms, completion);
+            prop_assert_eq!(o.ranks(), 1);
+            prop_assert_eq!(o.per_rank().next().unwrap().completion_ms, completion);
         }
     }
 

@@ -119,7 +119,7 @@ fn bits(o: &DeliveryOutcome) -> Vec<u64> {
         o.wire_ms.to_bits(),
         o.messages as u64,
     ];
-    for r in &o.per_rank {
+    for r in o.per_rank() {
         v.extend([
             r.completion_ms.to_bits(),
             r.last_arrival_ms.to_bits(),

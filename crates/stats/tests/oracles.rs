@@ -1,14 +1,21 @@
 //! Oracles for the battery's arithmetic that are not the code under test
-//! (ROADMAP item 3a, the K² half): exact integer moments and the statistics'
-//! invariance under affine maps. The closed forms (symmetric samples, a
-//! hand-computed `b₂`) sit with `DagostinoK2`'s unit tests; the comparison
-//! against the previous arithmetic on whole campaigns is the workspace's
+//! (ROADMAP item 3a): exact integer moments and the statistics' invariance
+//! under affine maps for K², and Shapiro–Wilk's closed forms — the exact
+//! n = 3 distribution, `0 < W ≤ 1`, and `W = 1` on the weight vector's own
+//! affine images. The K² closed forms (symmetric samples, a hand-computed
+//! `b₂`) sit with `DagostinoK2`'s unit tests; the comparison against the
+//! previous arithmetic on whole campaigns is the workspace's
 //! `tests/normality_oracles.rs`.
+
+use std::f64::consts::PI;
 
 use ebird_stats::accumulate::central_sums;
 use ebird_stats::descriptive::Moments;
-use ebird_stats::dist::{Exponential, LogNormal, Normal, Rng64, Sample};
-use ebird_stats::normality::{battery_with_scratch, dagostino::DagostinoK2, BatteryScratch};
+use ebird_stats::dist::{Exponential, LogNormal, Normal, Rng64, Sample, Uniform};
+use ebird_stats::normality::shapiro_wilk::{blom_weights, ShapiroWilk};
+use ebird_stats::normality::{
+    battery_with_scratch, dagostino::DagostinoK2, BatteryScratch, NormalityOutcome, NormalityTest,
+};
 
 /// `Σ(x − x̄)ᵏ` for `k = 2, 3, 4` of an integer sample, exact up to the two
 /// final roundings: `Σ(n·x − Σx)ᵏ` is an integer (`i128`), and `nᵏ` is exact
@@ -146,6 +153,135 @@ fn battery_statistics_are_affine_invariant() {
                         want.statistic
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Shapiro–Wilk through both of its routes — the stand-alone test and the
+/// fused battery (its second slot) — which must agree bit for bit.
+fn shapiro_wilk(xs: &[f64], scratch: &mut BatteryScratch) -> NormalityOutcome {
+    let alone = ShapiroWilk.test(xs).expect("spread sample");
+    let fused = battery_with_scratch(xs, scratch)[1].expect("spread sample");
+    assert_eq!(alone, fused, "n = {}", xs.len());
+    alone
+}
+
+/// At n = 3, W has an exact distribution: `p = 6/π · (asin √W − asin √¾)`,
+/// and `asin √¾ = π/3`. Royston's fit is not involved, so the p-value is
+/// recomputed here from W alone, over seeded triples from W's whole range
+/// (¾ for a tie at either end, 1 for equal spacing).
+#[test]
+fn shapiro_wilk_p_at_n3_is_the_exact_arcsine_law() {
+    let mut rng = Rng64::new(0x5A3);
+    let mut scratch = BatteryScratch::new();
+    let normal = Normal::new(25.0, 0.4);
+    let exponential = Exponential::new(2.0);
+    let mut lowest_w = 1.0f64;
+    for i in 0..3000 {
+        let xs: Vec<f64> = match i % 3 {
+            0 => (0..3).map(|_| normal.sample(&mut rng)).collect(),
+            1 => (0..3).map(|_| exponential.sample(&mut rng)).collect(),
+            // Two near-ties and a far third: W close to its ¾ floor.
+            _ => {
+                let x = normal.sample(&mut rng);
+                vec![x, x + 1e-3 * rng.next_f64(), x + 1.0]
+            }
+        };
+        let o = shapiro_wilk(&xs, &mut scratch);
+        let w = o.statistic;
+        assert!((0.75 - 1e-12..=1.0).contains(&w), "{xs:?}: W = {w}");
+        let want = (6.0 / PI * (w.sqrt().asin() - PI / 3.0)).clamp(0.0, 1.0);
+        assert!(
+            (o.p_value - want).abs() <= 4.0 * f64::EPSILON,
+            "{xs:?}: W = {w}, p = {} vs {want}",
+            o.p_value
+        );
+        lowest_w = lowest_w.min(w);
+    }
+    // The triples reach the bottom of W's range, where p → 0.
+    assert!(lowest_w < 0.76, "lowest W {lowest_w}");
+}
+
+/// `0 < W ≤ 1` by Cauchy–Schwarz, whatever the sample: seeded draws from
+/// the repository's distributions plus one laggard, at a size of each of
+/// Royston's branches (n = 3, 4–11, ≥ 12) and at its edges. Both routes clamp
+/// W at 1 (`min(1.0)`), so rounding cannot push it past; the p-value stays a
+/// probability.
+#[test]
+fn shapiro_wilk_w_lies_in_the_unit_interval() {
+    let mut rng = Rng64::new(20230421);
+    let mut scratch = BatteryScratch::new();
+    let draws: [(&str, &dyn Sample); 4] = [
+        ("normal", &Normal::new(25.0, 0.4)),
+        ("uniform", &Uniform::new(0.0, 1.0)),
+        ("exponential", &Exponential::new(2.0)),
+        ("log-normal", &LogNormal::new(0.0, 0.5)),
+    ];
+    for n in [3usize, 4, 7, 11, 12, 48, 500] {
+        for (name, dist) in draws {
+            for laggard in [false, true] {
+                for _ in 0..20 {
+                    let mut xs: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+                    if laggard {
+                        xs[n / 2] += 1e3;
+                    }
+                    let o = shapiro_wilk(&xs, &mut scratch);
+                    assert!(
+                        o.statistic > 0.0 && o.statistic <= 1.0,
+                        "{name}, n = {n}, laggard {laggard}: W = {}",
+                        o.statistic
+                    );
+                    assert!(
+                        (0.0..=1.0).contains(&o.p_value),
+                        "{name}, n = {n}: p = {}",
+                        o.p_value
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// W is the squared correlation of the sorted sample with the weight vector
+/// (unit norm, mean zero), so any affine image `c·a + d` (c > 0) of the full
+/// antisymmetric vector — `−aᵢ` at the bottom, `+aᵢ` at the top, 0 in the
+/// middle for odd n — has W = 1 up to rounding, and the largest p the test
+/// can give. At n = 3 the rounding lands on the clamp and p is exactly 1.
+#[test]
+fn shapiro_wilk_w_is_one_on_the_weight_vector() {
+    let mut scratch = BatteryScratch::new();
+    let mut half = Vec::new();
+    for n in [3usize, 4, 5, 6, 7, 11, 12, 48, 500, 4999] {
+        blom_weights(n, &mut half);
+        let mut a: Vec<f64> = half.iter().rev().map(|w| -w).collect();
+        if n % 2 == 1 {
+            a.push(0.0);
+        }
+        a.extend(half.iter().copied());
+        let norm: f64 = a.iter().map(|w| w * w).sum();
+        assert!((norm - 1.0).abs() < 1e-12, "n = {n}: ‖a‖² = {norm}");
+        for (c, d) in [
+            (1.0, 0.0),
+            (1.0e-3, 0.0),
+            (1.0e6, 0.0),
+            (3.7, -120.5),
+            (0.25, 100.0),
+        ] {
+            let xs: Vec<f64> = a.iter().map(|w| c * w + d).collect();
+            let o = shapiro_wilk(&xs, &mut scratch);
+            assert!(
+                (1.0 - o.statistic).abs() <= 1e-12,
+                "n = {n}, x ↦ {c}·a + {d}: W = {}",
+                o.statistic
+            );
+            assert!(
+                o.p_value > 0.99,
+                "n = {n}, x ↦ {c}·a + {d}: p = {}",
+                o.p_value
+            );
+            if n == 3 {
+                assert_eq!((o.statistic, o.p_value), (1.0, 1.0), "x ↦ {c}·a + {d}");
             }
         }
     }

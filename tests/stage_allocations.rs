@@ -110,7 +110,12 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
             // worker and 17 / 21 / 11 on three for every app (the scan reads
             // 25 under the harness's output capture, which spawned threads
             // inherit). With a heap cell per outcome the delivery sweep read
-            // 804 and 1604 on one worker.
+            // 804 and 1604 on one worker. One worker spawns nothing, so its
+            // counts are exact: a sweep whose sorted milliseconds took a
+            // buffer of their own instead of the keys' would add to them.
+            if workers == 1 {
+                assert_eq!(on_small, [10, 6, 4], "{what}");
+            }
             for (stage, made) in ["sweep", "scan", "delivery"].into_iter().zip(on_small) {
                 assert!(
                     made <= 10 + 6 * workers,

@@ -22,7 +22,6 @@ use ebird_stats::normality::{
     battery_sorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
     TestStatistic,
 };
-use ebird_stats::sort::sort_keys;
 use serde::{Deserialize, Serialize};
 
 /// Results of running the three-test battery over every group of one
@@ -204,24 +203,23 @@ pub const SWEEP_LEVELS: [AggregationLevel; 3] = [
 ];
 
 /// One sweep worker's reusable storage: the battery scratch (cached
-/// Shapiro–Wilk weights + Φ block) and the two group-sized buffers of the
-/// kernel — nanosecond keys, which also hold the sorted milliseconds once
-/// converted in place, and the radix sort's ping-pong copy. Each grows to
-/// the largest group its worker is given, so a worker that owns the
-/// application group of a paper-scale trace holds 2 × 6.1 MB plus ≈ 3 MB of
-/// weights, and one that owns process-iterations only a few kilobytes.
+/// Shapiro–Wilk weights + Φ block) and the kernel's one group-sized buffer —
+/// nanosecond keys, sorted where they lie and then converted in place to
+/// the milliseconds the battery reads. It grows to the largest group its
+/// worker is given, so a worker that owns the application group of a
+/// paper-scale trace holds 6.1 MB plus ≈ 3 MB of weights, and one that owns
+/// process-iterations only a few kilobytes.
 #[derive(Default)]
 pub(crate) struct SweepScratch {
     battery: BatteryScratch,
     keys: Vec<u64>,
-    tmp: Vec<u64>,
 }
 
 #[cfg(test)]
 impl SweepScratch {
-    /// `[keys, tmp]` capacities in elements (8 bytes each).
-    pub(crate) fn capacities(&self) -> [usize; 2] {
-        [self.keys.capacity(), self.tmp.capacity()]
+    /// The keys' capacity in elements (8 bytes each).
+    pub(crate) fn capacity(&self) -> usize {
+        self.keys.capacity()
     }
 }
 
@@ -286,23 +284,25 @@ impl SweepTasks {
 /// [`SweepTasks`] into `out` — the loop every sweep worker runs (one
 /// worker: the whole list). Every group of every level is an independent
 /// task run by one kernel: gather the group's integer nanosecond compute
-/// times (no float work, no raw copy), radix-sort the integers, convert to
-/// milliseconds in place, run the fused three-test battery on the sorted
-/// sample.
+/// times (no float work, no raw copy), sort the integers where they lie,
+/// convert to milliseconds in place, run the fused three-test battery on the
+/// sorted sample.
 ///
-/// Bit-identity with [`sweep`] holds by construction: [`ns_to_ms`] is
+/// Bit-identity with [`sweep`] holds by construction: a sorted integer
+/// array is unique, so any correct sort yields it; [`ns_to_ms`] is
 /// monotone, so sorting before or after the conversion yields the same
-/// array, and the battery is a function of that sorted array alone — the
+/// array; and the battery is a function of that sorted array alone — the
 /// same code on the same sorted sample.
 ///
-/// The conversion reuses the keys' buffer: `u64` and `f64` share size and
-/// alignment, so std's in-place collect turns the sorted `Vec<u64>` into the
-/// `Vec<f64>` the battery reads, and the emptied `Vec<f64>` back into the
-/// next group's keys — no copy of the group, no allocation.
+/// The group never leaves the keys' buffer: std's unstable sort works in
+/// place, and `u64` and `f64` share size and alignment, so std's in-place
+/// collect turns the sorted `Vec<u64>` into the `Vec<f64>` the battery
+/// reads, and the emptied `Vec<f64>` back into the next group's keys — no
+/// copy of the group, no second buffer, no allocation.
 ///
 /// Consecutive sweeps over same-shaped traces reuse `scratch`'s cached
 /// Shapiro–Wilk weight vectors (the application-level vector alone is
-/// hundreds of thousands of Newton solves) and group buffers; results do
+/// hundreds of thousands of Newton solves) and group buffer; results do
 /// not depend on the reuse: cached weights are bit-identical to freshly
 /// solved ones, and every reused buffer is refilled before it is read.
 pub(crate) fn run_tasks(
@@ -313,14 +313,12 @@ pub(crate) fn run_tasks(
     scratch: &mut SweepScratch,
 ) {
     let tasks = SweepTasks(trace.shape());
-    let SweepScratch { battery, keys, tmp } = scratch;
+    let SweepScratch { battery, keys } = scratch;
     if !out.is_empty() {
-        // The first task is the part's largest: size the buffers once, and
+        // The first task is the part's largest: size the buffer once, and
         // exactly (amortized growth would hold up to twice the group).
-        let largest = tasks.get(first).2;
         keys.clear();
-        keys.reserve_exact(largest);
-        tmp.reserve_exact(largest.saturating_sub(tmp.len()));
+        keys.reserve_exact(tasks.get(first).2);
     }
     let cache_before = battery.cache_stats();
     // With an observer, each group's layers are timed back to back: the end
@@ -333,7 +331,7 @@ pub(crate) fn run_tasks(
             keys.extend(slice.iter().map(|s| s.compute_time_ns()));
         }
         let gathered = obs.map(|o| o.now_ns());
-        sort_keys(keys, tmp);
+        keys.sort_unstable();
         let mut sorted: Vec<f64> = std::mem::take(keys).into_iter().map(ns_to_ms).collect();
         let ordered = obs.map(|o| o.now_ns());
         *slot = battery_sorted(&sorted, battery);

@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use ebird_partcomm::DeliveryOutcome;
+use ebird_partcomm::{DeliveryOutcome, Strategy};
 use ebird_stats::percentile::{median, PercentileSummary};
 use serde::Serialize;
 
@@ -83,9 +83,12 @@ pub fn render_metrics(
 /// they zip). Process-iterations before `from_iteration` are left out (an
 /// application's start-up phase).
 ///
-/// One row per strategy the sweep priced: the median exposed cost and
-/// median message count over the process-iterations, then how many of them
-/// that strategy made *cheaper than bulk* (its exposed cost below bulk's on
+/// One row per strategy the sweep priced, labelled from `strategies` — what
+/// it priced, in the outcome rows' order: the sweep's
+/// [`canonical_strategies`](crate::engine::canonical_strategies) for the
+/// trace's thread count. Each row gives the median exposed cost and median
+/// message count over the process-iterations, then how many of them that
+/// strategy made *cheaper than bulk* (its exposed cost below bulk's on
 /// the same arrivals) — over all of them, over the laggard-containing ones
 /// and over the laggard-free ones, each as `share% (wins/units)`. With no
 /// process-iteration at or after `from_iteration` the block is its head
@@ -96,6 +99,7 @@ pub fn render_metrics(
 pub fn render_earlybird(
     app: &str,
     link: &str,
+    strategies: [Strategy; 4],
     outcomes: &[[DeliveryOutcome; 4]],
     census: &LaggardCensus,
     from_iteration: usize,
@@ -129,15 +133,15 @@ pub fn render_earlybird(
         ": {} process-iterations ({laggard_units} laggard-containing, {calm_units} laggard-free)",
         units.len()
     );
-    let Some((first, _)) = units.first() else {
+    if units.is_empty() {
         return out;
-    };
+    }
     let _ = writeln!(
         out,
         "    {:<18}{:>17}{:>13}   {:<22}{:<22}laggard-free",
         "strategy", "median exposed ms", "median msgs", "cheaper than bulk", "with a laggard"
     );
-    for s in 0..4 {
+    for (s, strategy) in strategies.iter().enumerate() {
         let (mut wins, mut laggard_wins) = (0, 0);
         for (row, laggard) in &units {
             if row[s].exposed_ms() < row[0].exposed_ms() {
@@ -153,7 +157,7 @@ pub fn render_earlybird(
         let _ = writeln!(
             out,
             "    {:<18}{:>17.4}{:>13.1}   {:<22}{:<22}{}",
-            first[s].strategy.label(),
+            strategy.label(),
             median(&exposed).expect("units is non-empty and outcomes are finite"),
             median(&messages).expect("units is non-empty"),
             share(wins, units.len()),
@@ -324,6 +328,7 @@ mod tests {
             &pool,
             &mut arenas,
         );
+        let strategies = canonical_strategies(16);
 
         fn row<'a>(block: &'a str, label: &str) -> &'a str {
             block
@@ -340,7 +345,14 @@ mod tests {
                 .collect()
         }
         for (from, laggards, units) in [(1, 3, 8), (0, 4, 10)] {
-            let block = render_earlybird("handmade", "high-latency", &outcomes, &census, from);
+            let block = render_earlybird(
+                "handmade",
+                "high-latency",
+                strategies,
+                &outcomes,
+                &census,
+                from,
+            );
             assert_eq!(block.lines().count(), 2 + 4, "{block}");
             let head = block.lines().next().unwrap();
             assert!(
@@ -352,7 +364,7 @@ mod tests {
                 "{head}"
             );
             assert_eq!(head.contains("iterations ≥ 1"), from == 1, "{head}");
-            for strategy in canonical_strategies(16) {
+            for strategy in strategies {
                 let label = strategy.label();
                 let [overall, laggard, calm] = shares(row(&block, &label))[..] else {
                     panic!("three shares on the `{label}` row of:\n{block}");
@@ -377,7 +389,14 @@ mod tests {
                 "{early}"
             );
         }
-        let from_1 = render_earlybird("handmade", "high-latency", &outcomes, &census, 1);
+        let from_1 = render_earlybird(
+            "handmade",
+            "high-latency",
+            strategies,
+            &outcomes,
+            &census,
+            1,
+        );
         assert!(from_1.contains(" 37.5% (3/8)") && from_1.contains("100.0% (3/3)"));
         assert!(from_1.contains("  0.0% (0/5)"), "{from_1}");
     }

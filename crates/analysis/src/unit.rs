@@ -11,14 +11,12 @@
 
 use ebird_core::sample::ns_to_ms;
 use ebird_core::ThreadSample;
-use ebird_stats::sort::sort_keys;
 
 /// Reusable buffers for ordering one process-iteration at a time; each
 /// grows to one unit's thread count.
 #[derive(Default)]
 pub(crate) struct UnitOrder {
     keys: Vec<u64>,
-    tmp: Vec<u64>,
     sorted_ms: Vec<f64>,
 }
 
@@ -32,7 +30,7 @@ impl UnitOrder {
         self.keys.clear();
         self.keys
             .extend(samples.iter().map(ThreadSample::compute_time_ns));
-        sort_keys(&mut self.keys, &mut self.tmp);
+        self.keys.sort_unstable();
         self.sorted_ms.clear();
         self.sorted_ms
             .extend(self.keys.iter().map(|&ns| ns_to_ms(ns)));
@@ -83,8 +81,7 @@ mod tests {
         #[test]
         fn sorted_once_kernels_equal_the_float_sorted_definitions(seed in 0u64..u64::MAX) {
             let mut next = xorshift(seed);
-            // One `UnitOrder` across sizes on both sides of `sort_keys`'
-            // radix threshold (64), shrinking and growing.
+            // One `UnitOrder` across sizes, shrinking and growing.
             let mut order = UnitOrder::default();
             for n in [200usize, 1, 65, 2, 64, 3, 63, 47, 48] {
                 for flavor in 0..3 {

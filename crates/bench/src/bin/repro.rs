@@ -75,7 +75,7 @@
 use std::io::Write as _;
 
 use ebird_analysis::engine::{
-    delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
+    canonical_strategies, delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
     sweep_levels_parallel_with_arenas, EngineArenas, STAGES,
 };
 use ebird_analysis::figures::{self, bins};
@@ -1040,6 +1040,7 @@ fn cmd_earlybird(traces: &[TimingTrace], scans: &[TraceScan], deliveries: &[Vec<
                 report::render_earlybird(
                     tr.app(),
                     link_name,
+                    canonical_strategies(tr.shape().threads),
                     outcomes,
                     &scan.census,
                     steady_state_from(tr),

@@ -38,14 +38,12 @@
 //! pairs instead). The kernel validates and orders an arrival set once per
 //! call, however many strategies it then prices against it.
 //!
-//! What a call allocates: with a warm [`SimScratch`], nothing for a one-rank
-//! job — its one rank's [`RankDelivery`] *is* the job fields, so the outcome
-//! stores none — and the per-rank list of each outcome for a multi-rank one.
+//! What a call allocates: with a warm [`SimScratch`], nothing, whatever the
+//! rank count — an outcome is four job-level numbers.
 
 use std::borrow::Cow;
 
-use serde::value::get_field;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::netmodel::NetModel;
 
@@ -91,47 +89,16 @@ impl Strategy {
     }
 }
 
-/// One rank's share of a delivery: its partitions' plan priced on its
-/// channel of the shared model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RankDelivery {
-    /// When this rank's buffer finished delivering (ms).
-    pub completion_ms: f64,
-    /// When this rank's last thread arrived (ms).
-    pub last_arrival_ms: f64,
-    /// Messages this rank injected (α count).
-    pub messages: usize,
-    /// Wire time attributable to this rank's messages (ms).
-    pub wire_ms: f64,
-}
-
-impl RankDelivery {
-    /// The fields as bit patterns — what "equal to the job fields" means for
-    /// a one-rank outcome (`==` would let `-0.0` pass for `0.0`).
-    fn bits(&self) -> [u64; 4] {
-        [
-            self.completion_ms.to_bits(),
-            self.last_arrival_ms.to_bits(),
-            self.messages as u64,
-            self.wire_ms.to_bits(),
-        ]
-    }
-}
-
-/// Result of simulating one strategy on one arrival set — rank-aware: the
-/// job-level view (completion of the slowest rank, totals across ranks)
-/// plus each rank's own [`RankDelivery`] ([`per_rank`](Self::per_rank)).
+/// Result of pricing one strategy on one job's arrival sets: the job-level
+/// view — when the slowest rank's buffer was delivered, the latest arrival,
+/// totals across ranks — and nothing else. A single-sender simulation is the
+/// one-rank case.
 ///
-/// A single-sender simulation is the 1-rank case, where the one rank's
-/// delivery equals the job fields bit for bit: it is read off them rather
-/// than stored, so the one-rank outcomes a trace-wide sweep produces by the
-/// hundred thousand own no heap cell and carry no second copy. A multi-rank
-/// outcome holds its list behind one pointer. Either way the JSON form lists
-/// every rank under `"per_rank"`.
-#[derive(Debug, Clone, PartialEq)]
+/// Four numbers, 32 bytes, no heap cell: a trace-wide sweep keeps them by
+/// the hundred thousand. The caller owns the strategy it priced
+/// ([`run_deliveries`] returns outcomes in strategy order).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DeliveryOutcome {
-    /// The strategy simulated.
-    pub strategy: Strategy,
     /// When the complete buffer (every rank's) has been delivered (ms).
     pub completion_ms: f64,
     /// The latest thread arrival across all ranks (the earliest any strategy
@@ -141,12 +108,6 @@ pub struct DeliveryOutcome {
     pub messages: usize,
     /// Total wire-busy time across the whole model (ms).
     pub wire_ms: f64,
-    /// Every rank's delivery, rank order, for two ranks or more; `None` for
-    /// one. The `Vec` is boxed whole because a thin pointer is one word
-    /// where a boxed slice or a bare `Vec` takes two or three — in every
-    /// outcome, while only multi-rank ones pay the extra indirection.
-    #[allow(clippy::box_collection)]
-    many_ranks: Option<Box<Vec<RankDelivery>>>,
 }
 
 impl DeliveryOutcome {
@@ -160,96 +121,14 @@ impl DeliveryOutcome {
     pub fn exposed_ms(&self) -> f64 {
         self.completion_ms - self.last_arrival_ms
     }
-
-    /// Number of sending ranks this outcome covers.
-    pub fn ranks(&self) -> usize {
-        self.many_ranks.as_ref().map_or(1, |ranks| ranks.len())
-    }
-
-    /// Each rank's delivery, rank order ([`ranks`](Self::ranks) of them).
-    pub fn per_rank(&self) -> impl Iterator<Item = RankDelivery> + '_ {
-        let (only, many) = match self.many_ranks.as_deref() {
-            None => (Some(self.job_rank()), &[][..]),
-            Some(ranks) => (None, ranks.as_slice()),
-        };
-        only.into_iter().chain(many.iter().copied())
-    }
-
-    /// The job fields as one rank's delivery — a one-rank outcome's only
-    /// rank.
-    fn job_rank(&self) -> RankDelivery {
-        RankDelivery {
-            completion_ms: self.completion_ms,
-            last_arrival_ms: self.last_arrival_ms,
-            messages: self.messages,
-            wire_ms: self.wire_ms,
-        }
-    }
-}
-
-/// Written by hand so that a one-rank outcome, which stores no rank, still
-/// lists it: the job fields in declaration order, then `"per_rank"` as an
-/// array of every rank — what a derive gives a `per_rank: Vec<RankDelivery>`
-/// field.
-impl Serialize for DeliveryOutcome {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, value: Value| (name.to_string(), value);
-        Value::Object(vec![
-            field("strategy", self.strategy.to_value()),
-            field("completion_ms", self.completion_ms.to_value()),
-            field("last_arrival_ms", self.last_arrival_ms.to_value()),
-            field("messages", self.messages.to_value()),
-            field("wire_ms", self.wire_ms.to_value()),
-            field(
-                "per_rank",
-                Value::Array(self.per_rank().map(|rank| rank.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-/// Reads the form [`Serialize`] writes, and only outcomes the kernel can
-/// produce: `"per_rank"` must list at least one rank, and a lone rank must
-/// equal the job fields bit for bit.
-impl Deserialize for DeliveryOutcome {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v.as_object().ok_or_else(|| {
-            DeError::custom(format!(
-                "expected object (DeliveryOutcome), found {}",
-                v.kind()
-            ))
-        })?;
-        let field = |name: &str| get_field(entries, name);
-        let mut outcome = DeliveryOutcome {
-            strategy: Strategy::from_value(field("strategy")?)?,
-            completion_ms: f64::from_value(field("completion_ms")?)?,
-            last_arrival_ms: f64::from_value(field("last_arrival_ms")?)?,
-            messages: usize::from_value(field("messages")?)?,
-            wire_ms: f64::from_value(field("wire_ms")?)?,
-            many_ranks: None,
-        };
-        let ranks = Vec::<RankDelivery>::from_value(field("per_rank")?)?;
-        match ranks.as_slice() {
-            [] => Err(DeError::custom("`per_rank` lists no rank")),
-            [only] if only.bits() != outcome.job_rank().bits() => Err(DeError::custom(
-                "a one-rank `per_rank` must equal the job fields",
-            )),
-            [_] => Ok(outcome),
-            _ => {
-                outcome.many_ranks = Some(Box::new(ranks));
-                Ok(outcome)
-            }
-        }
-    }
 }
 
 /// Reusable buffers for the delivery kernel: the prepared arrival order of
 /// the set being priced and the per-strategy working sets (bin events,
 /// message plan) that a pricing call would otherwise allocate fresh. One
 /// scratch per worker lets a trace-wide strategy sweep (thousands of
-/// process-iterations × strategies) run allocation-free after warm-up: a
-/// one-rank call allocates nothing, a multi-rank one its outcomes' per-rank
-/// lists only.
+/// process-iterations × strategies) run allocation-free after warm-up, at
+/// any rank count.
 ///
 /// Nothing in it outlives a call: [`run_deliveries`] re-validates and
 /// re-orders its arrival sets on entry, so a scratch reused across sets of
@@ -506,13 +385,13 @@ where
         ..
     } = scratch;
     model.reset();
-    let mut job_last_arrival = f64::NEG_INFINITY;
+    let mut last_arrival_ms = f64::NEG_INFINITY;
     let mut messages = 0;
     let mut ordered = 0;
-    let rank_delivery = |(rank, arrivals_ms): (usize, &A)| {
+    for (rank, arrivals_ms) in rank_arrivals_ms.iter().enumerate() {
         let arrivals_ms = arrivals_ms.as_ref();
         let last_arrival = last_arrivals[rank];
-        job_last_arrival = job_last_arrival.max(last_arrival);
+        last_arrival_ms = last_arrival_ms.max(last_arrival);
         let order: &[usize] = if strategy.follows_arrivals() {
             &order[ordered..ordered + arrivals_ms.len()]
         } else {
@@ -528,47 +407,24 @@ where
             events,
             plan,
         );
-        // Fold arrivals with max, not last-wins: serializing channels return
-        // nondecreasing arrivals (where max IS the last value, bit for bit),
-        // but a fabric's store-and-forward hop can deliver a small late
-        // message before a large earlier one.
-        let mut completion = 0.0f64;
         for &(inject_ms, bytes) in plan.iter() {
-            completion = completion.max(model.inject(rank, inject_ms, bytes));
+            model.inject(rank, inject_ms, bytes);
         }
         messages += plan.len();
-        RankDelivery {
-            completion_ms: completion,
-            last_arrival_ms: last_arrival,
-            messages: plan.len(),
-            wire_ms: model.rank_busy_ms(rank),
-        }
-    };
-    let mut ranks = rank_arrivals_ms.iter().enumerate().map(rank_delivery);
-    let first = ranks.next().expect("run_deliveries checked for a rank");
-    let many_ranks = ranks
-        .next()
-        .map(|second| Box::new([first, second].into_iter().chain(ranks).collect()));
-    let outcome = DeliveryOutcome {
-        strategy,
+    }
+    // The model's completion is its latest arrival, which need not be the
+    // last injection's: a fabric's store-and-forward hop can deliver a small
+    // late message before a large earlier one.
+    DeliveryOutcome {
         completion_ms: model.completion_ms(),
-        last_arrival_ms: job_last_arrival,
+        last_arrival_ms,
         messages,
         wire_ms: model.busy_ms(),
-        many_ranks,
-    };
-    // A one-rank outcome stores no rank: the model's running max is its
-    // final free time and a one-term sum is its term, so the rank the plan
-    // priced is the job, bit for bit.
-    debug_assert!(
-        outcome.many_ranks.is_some() || first.bits() == outcome.job_rank().bits(),
-        "one rank's delivery {first:?} differs from its job's {outcome:?}"
-    );
-    outcome
+    }
 }
 
 /// THE delivery kernel: prices every rank's message plan under each of
-/// `strategies` against `model` and returns the rank-aware outcomes, in
+/// `strategies` against `model` and returns the job-level outcomes, in
 /// strategy order.
 ///
 /// `rank_arrivals_ms[r][i]` is the compute-completion time of rank `r`'s
@@ -749,79 +605,17 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_keep_their_wire_form_and_fit_in_56_bytes() {
-        // The per-rank list is a JSON array whether or not it is stored:
-        // these are the strings the `Vec<RankDelivery>` field produced.
+    fn an_outcome_is_four_numbers_in_32_bytes_with_a_derived_wire_form() {
+        // The dyadic plan of `exposed_ms_is_pinned_on_a_known_plan`: every
+        // number is exact, so the JSON is too.
         let link = LinkModel::new(1.0, 0.0009765625);
-        let one = simulate(&[0.0, 10.0], 2048, &link, Strategy::EarlyBird);
-        let sets = [vec![0.0, 10.0], vec![4.0], vec![2.0, 1.0, 3.0]];
-        let three = run_delivery(
-            &mut Fabric::new(3, link, 1.0),
-            &sets,
-            3072,
-            Strategy::TimeoutFlush { timeout_ms: 2.0 },
-            &mut SimScratch::new(),
-        );
-        let wire = [
-            concat!(
-                r#"{"strategy":"EarlyBird","completion_ms":12.0,"last_arrival_ms":10.0,"#,
-                r#""messages":2,"wire_ms":4.0,"per_rank":[{"completion_ms":12.0,"#,
-                r#""last_arrival_ms":10.0,"messages":2,"wire_ms":4.0}]}"#
-            ),
-            concat!(
-                r#"{"strategy":{"TimeoutFlush":{"timeout_ms":2.0}},"completion_ms":15.5,"#,
-                r#""last_arrival_ms":10.0,"messages":5,"wire_ms":32.0,"per_rank":["#,
-                r#"{"completion_ms":15.5,"last_arrival_ms":10.0,"messages":2,"wire_ms":11.0},"#,
-                r#"{"completion_ms":14.0,"last_arrival_ms":4.0,"messages":1,"wire_ms":10.0},"#,
-                r#"{"completion_ms":13.0,"last_arrival_ms":3.0,"messages":2,"wire_ms":11.0}]}"#
-            ),
-        ];
-        for (outcome, wire) in [&one, &three].into_iter().zip(wire) {
-            assert_eq!(serde_json::to_string(outcome).unwrap(), wire);
-            let back: DeliveryOutcome = serde_json::from_str(wire).unwrap();
-            assert_eq!(back, *outcome);
-            assert_eq!(back.ranks(), outcome.per_rank().count());
-        }
-        assert_eq!(one.ranks(), 1);
-        assert_eq!(three.ranks(), 3);
-        // 72 bytes plus a 48-byte heap chunk per outcome while the list was
-        // a `Vec`, 88 with one rank inline, 56 with none stored (64-bit
-        // targets).
-        assert!(std::mem::size_of::<DeliveryOutcome>() <= 56);
-    }
-
-    #[test]
-    fn the_wire_form_admits_only_outcomes_the_kernel_produces() {
-        let job = concat!(
-            r#"{"strategy":"EarlyBird","completion_ms":12.0,"last_arrival_ms":10.0,"#,
-            r#""messages":2,"wire_ms":4.0,"per_rank":"#
-        );
-        let read =
-            |ranks: &str| serde_json::from_str::<DeliveryOutcome>(&format!("{job}{ranks}}}"));
-        let rank = |completion: &str| {
-            format!(
-                r#"{{"completion_ms":{completion},"last_arrival_ms":10.0,"messages":2,"wire_ms":4.0}}"#
-            )
-        };
-        assert_eq!(read(&format!("[{}]", rank("12.0"))).unwrap().ranks(), 1);
-        // No rank at all: `ranks()` would read 0, which no call returns.
-        let empty = read("[]").unwrap_err().to_string();
-        assert!(empty.contains("no rank"), "{empty}");
-        // A lone rank disagreeing with its job — in value, or only in the
-        // sign of a zero — has nowhere to be kept.
-        for completion in ["11.0", "-0.0"] {
-            let job = job.replace("12.0", "0.0");
-            let lone = format!("{job}[{}]}}", rank(completion));
-            let err = serde_json::from_str::<DeliveryOutcome>(&lone).unwrap_err();
-            assert!(
-                err.to_string().contains("job fields"),
-                "{completion}: {err}"
-            );
-        }
-        // Two ranks are a list, kept as read.
-        let two = read(&format!("[{},{}]", rank("12.0"), rank("11.0"))).unwrap();
-        assert_eq!(two.ranks(), 2);
-        assert_eq!(two.per_rank().nth(1).unwrap().completion_ms, 11.0);
+        let outcome = simulate(&[0.0, 10.0], 2048, &link, Strategy::EarlyBird);
+        let wire = r#"{"completion_ms":12.0,"last_arrival_ms":10.0,"messages":2,"wire_ms":4.0}"#;
+        assert_eq!(serde_json::to_string(&outcome).unwrap(), wire);
+        let back: DeliveryOutcome = serde_json::from_str(wire).unwrap();
+        assert_eq!(back, outcome);
+        // Four 8-byte fields and nothing else (64-bit targets).
+        assert_eq!(std::mem::size_of::<DeliveryOutcome>(), 32);
     }
 
     #[test]
@@ -927,7 +721,7 @@ mod tests {
             assert!(
                 (o.wire_ms - expected).abs() < 1e-6,
                 "{}: wire {} vs expected {expected}",
-                o.strategy.label(),
+                s.label(),
                 o.wire_ms
             );
             // No strategy can complete before the last arrival.
@@ -1056,10 +850,9 @@ mod tests {
         );
         assert_eq!(job.completion_ms, 15.0);
         assert_eq!(job.exposed_ms(), 5.0);
-        assert_eq!(job.ranks(), 2);
-        for rank in job.per_rank() {
-            assert_eq!(rank.completion_ms - rank.last_arrival_ms, 5.0);
-        }
+        // Job totals: one message per rank, 1 + 2·2 ms of wire each.
+        assert_eq!(job.messages, 2);
+        assert_eq!(job.wire_ms, 10.0);
     }
 
     /// The pre-fix `TimeoutFlush` simulation, verbatim modulo the
@@ -1288,34 +1081,8 @@ mod tests {
                     &mut scratch,
                 );
                 assert_eq!(whole, solo, "{}", s.label());
-                assert_eq!(whole.ranks(), 1);
             }
         }
-    }
-
-    #[test]
-    fn fabric_zero_contention_ranks_match_independent_links() {
-        let link = LinkModel::omni_path();
-        let per_rank: Vec<Vec<f64>> = vec![spread_arrivals(), tight_arrivals(), laggard_arrivals()];
-        let mut fabric = Fabric::new(3, link, 0.0);
-        let job = run_delivery(
-            &mut fabric,
-            &per_rank,
-            8 * MB,
-            Strategy::EarlyBird,
-            &mut SimScratch::new(),
-        );
-        for (arrivals, rank_outcome) in per_rank.iter().zip(job.per_rank()) {
-            let solo = simulate(arrivals, 8 * MB, &link, Strategy::EarlyBird);
-            assert_eq!(rank_outcome.completion_ms, solo.completion_ms);
-            assert_eq!(rank_outcome.last_arrival_ms, solo.last_arrival_ms);
-            assert_eq!(rank_outcome.messages, solo.messages);
-            assert_eq!(rank_outcome.wire_ms, solo.wire_ms);
-        }
-        assert_eq!(
-            job.completion_ms,
-            job.per_rank().map(|o| o.completion_ms).fold(0.0, f64::max)
-        );
     }
 
     #[test]
@@ -1347,12 +1114,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_completion_survives_out_of_order_arrivals() {
+    fn completion_survives_out_of_order_arrivals() {
         // Store-and-forward uplinks can deliver a small late message before
-        // a large earlier one (hops differ per message), so per-rank
-        // completion must fold arrivals with max, not take the last one:
-        // a fat-uplink hierarchy, 9 early partitions flushed at t=1 (big
-        // message, long hop) and one laggard flushed at t=2 (tiny message,
+        // a large earlier one (hops differ per message), so completion is
+        // the latest arrival, not the last injection's: a fat-uplink
+        // hierarchy, 9 early partitions flushed at t=1 (big message, long
+        // hop) and one laggard flushed at its arrival, t=1.2 (tiny message,
         // short hop).
         let mut arrivals = vec![0.0; 9];
         arrivals.push(1.2);
@@ -1363,18 +1130,21 @@ mod tests {
             nic_contention: 0.0,
             uplink_contention: 0.0,
         };
-        let mut hier = spec.resolve().unwrap().build(1);
+        let model = spec.resolve().unwrap();
         let o = run_delivery(
-            &mut hier,
+            &mut model.build(1),
             &[arrivals],
             MB,
             Strategy::TimeoutFlush { timeout_ms: 1.0 },
             &mut SimScratch::new(),
         );
         assert_eq!(o.messages, 2);
-        // With one rank, the rank's completion IS the job completion — the
-        // documented invariant the last-wins fold violated.
-        assert_eq!(o.per_rank().next().unwrap().completion_ms, o.completion_ms);
+        // The same two messages by hand: the early one lands last.
+        let mut by_hand = model.build(1);
+        let early = by_hand.inject(0, 1.0, 9 * MB / 10);
+        let late = by_hand.inject(0, 1.2, MB / 10);
+        assert!(late < early, "{late} vs {early}");
+        assert_eq!(o.completion_ms, early);
         assert!(o.completion_ms >= o.last_arrival_ms);
     }
 

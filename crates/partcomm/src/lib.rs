@@ -44,8 +44,7 @@ pub mod session;
 pub mod transport;
 
 pub use earlybird::{
-    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, RankDelivery, SimScratch,
-    Strategy,
+    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, SimScratch, Strategy,
 };
 pub use netmodel::{
     link_by_name, Fabric, LinkModel, NetModel, NetModelSpec, ResolvedNetModel, SerialLink,

@@ -109,9 +109,6 @@ pub trait NetModel {
     /// Total wire-busy time across the whole model.
     fn busy_ms(&self) -> f64;
 
-    /// Wire-busy time attributable to one rank's messages.
-    fn rank_busy_ms(&self, rank: usize) -> f64;
-
     /// Forgets all injected traffic, returning to the fresh state.
     fn reset(&mut self);
 }
@@ -204,11 +201,6 @@ impl NetModel for SerialLink {
         self.busy_ms
     }
 
-    fn rank_busy_ms(&self, rank: usize) -> f64 {
-        assert_eq!(rank, 0, "SerialLink has a single sending rank");
-        self.busy_ms
-    }
-
     fn reset(&mut self) {
         *self = SerialLink::gapped(self.link, self.gap_ms);
     }
@@ -240,7 +232,9 @@ pub struct Fabric {
     nics: Vec<SerialLink>,
     /// The spine-tapered hop every message takes after its channel.
     uplink: LinkModel,
-    /// Per-rank uplink wire time (ms).
+    /// Per-rank uplink wire time (ms). [`busy_ms`](NetModel::busy_ms) sums
+    /// it in rank order, so its bits do not depend on how the ranks'
+    /// injections interleaved.
     uplink_wire_ms: Vec<f64>,
     /// Running max of returned arrival times (ms).
     completion_ms: f64,
@@ -276,10 +270,6 @@ impl NetModel for Fabric {
     fn busy_ms(&self) -> f64 {
         self.nics.iter().map(|nic| nic.busy_ms).sum::<f64>()
             + self.uplink_wire_ms.iter().sum::<f64>()
-    }
-
-    fn rank_busy_ms(&self, rank: usize) -> f64 {
-        self.nics[rank].busy_ms + self.uplink_wire_ms[rank]
     }
 
     fn reset(&mut self) {
@@ -681,9 +671,6 @@ mod tests {
             }
             assert_eq!(hier.completion_ms(), flat.completion_ms());
             assert_eq!(hier.busy_ms(), flat.busy_ms());
-            for rank in 0..3 {
-                assert_eq!(hier.rank_busy_ms(rank), flat.rank_busy_ms(rank));
-            }
         }
     }
 
@@ -698,7 +685,7 @@ mod tests {
         assert_eq!(arrival, nic_only + uplink.transfer_ms(1_000_000));
         // The hop counts as wire time.
         assert_eq!(
-            hier.rank_busy_ms(0),
+            hier.busy_ms(),
             nic.transfer_ms(1_000_000) + uplink.transfer_ms(1_000_000)
         );
     }

@@ -9,6 +9,8 @@
 //! * `run_delivery::<SerialLink>` ≡ the old single-sender `simulate`;
 //! * `run_delivery::<Fabric>` ≡ the old `simulate_fabric` (per-rank NICs at
 //!   the contention-tapered β);
+//! * a zero-contention `Fabric` of R ranks ≡ R independent `SerialLink`s
+//!   folded at job level;
 //! * a one-switch `Hierarchical` spec with a zero-cost uplink ≡ the flat
 //!   `Fabric`;
 //! * a `LogGP` spec with `g = 0` ≡ `LinkModel` transfer times (and, message
@@ -185,8 +187,6 @@ proptest! {
             prop_assert_eq!(o.last_arrival_ms, last);
             prop_assert_eq!(o.messages, messages);
             prop_assert_eq!(o.wire_ms, wire);
-            prop_assert_eq!(o.ranks(), 1);
-            prop_assert_eq!(o.per_rank().next().unwrap().completion_ms, completion);
         }
     }
 
@@ -234,7 +234,54 @@ proptest! {
             // Both sides sum per-rank wire in rank order from 0.0 — the
             // identical float-addition sequence, so bits must match.
             prop_assert_eq!(o.wire_ms, job_wire);
-            prop_assert_eq!(o.ranks(), ranks);
+        }
+    }
+
+    #[test]
+    fn zero_contention_fabric_is_independent_links_folded_at_job_level(
+        rank_arrivals in proptest::collection::vec(
+            proptest::collection::vec(0.0f64..100.0, 1..24),
+            2..6,
+        ),
+        link in arb_link(),
+    ) {
+        // Full bisection bandwidth: no rank slows another, so the job is R
+        // single senders, each on its own `SerialLink`, folded at job level —
+        // completion and last arrival the maximum over ranks, messages the
+        // sum, wire the rank-order sum from 0.0 — bit for bit, for all four
+        // strategies (timeout flush included: both sides plan their messages
+        // in the same kernel).
+        let ranks = rank_arrivals.len();
+        let min_parts = rank_arrivals.iter().map(Vec::len).min().unwrap();
+        let bytes = rank_arrivals.iter().map(Vec::len).max().unwrap() + 50_000;
+        let mut scratch = SimScratch::new();
+        for s in arb_strategies(min_parts) {
+            let (mut completion, mut last, mut messages, mut wire) =
+                (f64::NEG_INFINITY, f64::NEG_INFINITY, 0usize, 0.0f64);
+            for arrivals in &rank_arrivals {
+                let solo = run_delivery(
+                    &mut SerialLink::new(link),
+                    &[arrivals.as_slice()],
+                    bytes,
+                    s,
+                    &mut scratch,
+                );
+                completion = completion.max(solo.completion_ms);
+                last = last.max(solo.last_arrival_ms);
+                messages += solo.messages;
+                wire += solo.wire_ms;
+            }
+            let job = run_delivery(
+                &mut Fabric::new(ranks, link, 0.0),
+                &rank_arrivals,
+                bytes,
+                s,
+                &mut scratch,
+            );
+            prop_assert_eq!(job.completion_ms.to_bits(), completion.to_bits(), "{}", s.label());
+            prop_assert_eq!(job.last_arrival_ms.to_bits(), last.to_bits(), "{}", s.label());
+            prop_assert_eq!(job.messages, messages, "{}", s.label());
+            prop_assert_eq!(job.wire_ms.to_bits(), wire.to_bits(), "{}", s.label());
         }
     }
 

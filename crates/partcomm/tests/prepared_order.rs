@@ -111,23 +111,14 @@ fn route_sets(n: usize, next: &mut impl FnMut() -> u64) -> [Vec<f64>; 5] {
 }
 
 /// Every float of an outcome as bits (`PartialEq` alone would let `-0.0`
-/// pass for `0.0`), plus its counts.
-fn bits(o: &DeliveryOutcome) -> Vec<u64> {
-    let mut v = vec![
+/// pass for `0.0`), plus its count.
+fn bits(o: &DeliveryOutcome) -> [u64; 4] {
+    [
         o.completion_ms.to_bits(),
         o.last_arrival_ms.to_bits(),
         o.wire_ms.to_bits(),
         o.messages as u64,
-    ];
-    for r in o.per_rank() {
-        v.extend([
-            r.completion_ms.to_bits(),
-            r.last_arrival_ms.to_bits(),
-            r.wire_ms.to_bits(),
-            r.messages as u64,
-        ]);
-    }
-    v
+    ]
 }
 
 /// Builds a fresh (idle) model.

@@ -764,7 +764,7 @@ pub fn price_group(cells: &[ResolvedCell]) -> Result<Vec<ScenarioRow>, String> {
         for cell in run {
             let spec = &cell.spec;
             let outcome = if spec.strategy == Strategy::Bulk {
-                bulk.clone()
+                bulk
             } else {
                 run_delivery(
                     &mut model,

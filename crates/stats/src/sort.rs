@@ -1,21 +1,17 @@
-//! Cache-friendly sorting of finite `f64` samples — and of the integer keys
-//! they came from — for the sweep hot path.
+//! Cache-friendly sorting of finite `f64` samples.
 //!
-//! The normality sweep sorts tens of thousands of groups per trace; a
-//! comparison sort pays a branch-mispredicting `partial_cmp` per comparison.
-//! Its samples are integer nanoseconds, which [`sort_keys`] radix-sorts
-//! directly; for samples that exist only as floats the rest of this module
-//! derives an integer key first.
+//! The pipeline's samples are integer nanoseconds, which its stages sort as
+//! integers with `slice::sort_unstable` — in place, and bit-identical to any
+//! other correct sort, because a sorted integer array is unique. This module
+//! serves samples that exist only as floats (the reference sweep, the
+//! stand-alone tests), where a comparison sort would pay a
+//! branch-mispredicting `partial_cmp` per comparison.
 //! Finite doubles admit a **monotone fixed-width key**: flip the sign bit for
 //! positives and all bits for negatives, and unsigned `u64` order equals
 //! numeric order ([`f64_total_key`]). [`sort_floats`] exploits that with an
 //! LSD radix sort — branch-free, O(n) passes, scratch buffers reused across
 //! groups — falling back to a stable insertion sort below
 //! [`RADIX_THRESHOLD`] where per-pass histogram setup would dominate.
-//! [`sort_keys`] has no ties to keep in order — a sorted integer array is
-//! unique — so below the threshold it hands the keys to
-//! `slice::sort_unstable`, which measures 3× faster than the insertion sort
-//! on a 48-key process-iteration.
 //!
 //! ## ±0.0 ordering (the one non-trivial tie)
 //!
@@ -33,11 +29,8 @@
 //! does).
 
 /// Below this length radix setup (256-counter histograms per digit) costs
-/// more than it saves: [`sort_floats`] runs a stable insertion sort instead
-/// and [`sort_keys`] the standard library's unstable sort. Process-iteration
-/// groups (n = threads ≈ 48) — one per unit in the normality sweep, one per
-/// unit in the trace scan — take [`sort_keys`]' small path;
-/// application-level groups (n up to 768,000) take radix.
+/// more than it saves, and [`sort_floats`] runs a stable insertion sort
+/// instead.
 const RADIX_THRESHOLD: usize = 64;
 
 /// Monotone `u64` key for a finite `f64`: unsigned key order == numeric
@@ -142,44 +135,6 @@ fn digit_offsets(hist: &[u32; 256], n: usize) -> Option<[u32; 256]> {
     Some(offsets)
 }
 
-/// Sorts integer `keys` ascending: the payload-free sibling of
-/// [`sort_floats`] for data that is ordered by an integer it already holds
-/// (the normality sweep and the trace scan sort `u64` nanosecond compute
-/// times and convert to milliseconds afterwards). Equal keys are indistinguishable, so the
-/// result is simply *the* sorted array, whichever correct sort produces it:
-/// `slice::sort_unstable` below 64 elements, else an 8×8-bit LSD radix sort
-/// skipping constant digits — the float sort's structure, but each pass
-/// moves 8 bytes per element instead of 16 and needs no key derivation.
-/// `tmp` is the ping-pong buffer, grown as needed (the small path leaves it
-/// alone); its contents are unspecified on entry and exit.
-pub fn sort_keys(keys: &mut [u64], tmp: &mut Vec<u64>) {
-    let n = keys.len();
-    if n < RADIX_THRESHOLD {
-        keys.sort_unstable();
-        return;
-    }
-    if tmp.len() < n {
-        tmp.resize(n, 0);
-    }
-    let (mut src, mut dst) = (&mut *keys, &mut tmp[..n]);
-    let mut in_tmp = false;
-    for (d, h) in digit_histograms(src).iter().enumerate() {
-        let Some(mut offsets) = digit_offsets(h, n) else {
-            continue;
-        };
-        for &k in src.iter() {
-            let b = ((k >> (8 * d)) & 0xFF) as usize;
-            dst[offsets[b] as usize] = k;
-            offsets[b] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        in_tmp = !in_tmp;
-    }
-    if in_tmp {
-        dst.copy_from_slice(src);
-    }
-}
-
 /// One stable counting-scatter pass on digit `shift/8`.
 fn scatter(
     src_keys: &[u64],
@@ -217,8 +172,8 @@ fn insertion_sort(vals: &mut [f64]) {
 /// concatenation would: ties break by child index first, then by position
 /// within the child.
 ///
-/// No longer on the sweep's path — re-sorting integer keys ([`sort_keys`])
-/// measured cheaper than merging sorted children. Kept exported because
+/// No longer on the sweep's path — re-sorting integer keys measured cheaper
+/// than merging sorted children. Kept exported because
 /// `benchmark/src/layers.rs` times [`merge_sorted_with_tmp`] as
 /// `stats.merge_ns_per_elem`; the benchmark change that drops that probe
 /// can delete both functions with it.

@@ -13,7 +13,7 @@ use ebird_stats::normality::{
     shapiro_wilk::ShapiroWilk, BatteryScratch, NormalityTest, WeightCache,
 };
 use ebird_stats::percentile::{percentile, PercentileSummary};
-use ebird_stats::sort::{merge_sorted, sort_floats, sort_keys, SortScratch};
+use ebird_stats::sort::{merge_sorted, sort_floats, SortScratch};
 use ebird_stats::special::{
     chi2_cdf, erf, erfc, erfc_slice, norm_cdf, norm_cdf_sf_slice, norm_log_cdf, norm_log_cdf_sf,
     norm_log_cdf_sf_slice, norm_log_sf, norm_quantile, norm_sf,
@@ -342,48 +342,23 @@ proptest! {
     fn key_sort_then_convert_is_bit_identical_to_convert_then_float_sort(
         seed in 0u64..u64::MAX,
     ) {
-        // The sweep's order of operations (sort integer ns, convert to ms)
-        // against the oracle's (convert, then sort the floats), at lengths
-        // straddling the insertion/radix threshold (64) and well into radix
-        // territory. The conversion is `ebird_core::sample::ns_to_ms`'s.
+        // The sweep's order of operations (sort integer ns with std's
+        // unstable sort, convert to ms) against the oracle's (convert, then
+        // sort the floats), at lengths straddling the float sort's
+        // insertion/radix threshold (64) and well into radix territory. The
+        // conversion is `ebird_core::sample::ns_to_ms`'s.
         let to_ms = |ns: u64| ns as f64 / 1.0e6;
-        // Largest first, so the shared ping-pong buffer is also exercised
-        // longer than the keys it serves.
-        let mut tmp = Vec::new();
-        for n in [1537usize, 1000, 65, 64, 63, 2, 1, 0] {
+        for n in [1537usize, 1000, 65, 64, 63, 48, 2, 1, 0] {
             for flavor in 0..3 {
                 let keys = ns_keys(n, flavor, seed ^ (n * 3 + flavor) as u64);
                 let mut sorted_keys = keys.clone();
-                sort_keys(&mut sorted_keys, &mut tmp);
-                let mut reference = keys.clone();
-                reference.sort_unstable();
-                prop_assert_eq!(&sorted_keys, &reference, "n = {}, flavor {}", n, flavor);
+                sorted_keys.sort_unstable();
                 let via_keys: Vec<u64> =
                     sorted_keys.iter().map(|&k| to_ms(k).to_bits()).collect();
                 let mut floats: Vec<f64> = keys.iter().map(|&k| to_ms(k)).collect();
                 sort_floats(&mut floats, &mut SortScratch::new());
                 let via_floats: Vec<u64> = floats.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(via_keys, via_floats, "n = {}, flavor {}", n, flavor);
-            }
-        }
-    }
-
-    #[test]
-    fn key_sort_matches_the_stable_merge_sort_around_the_threshold(seed in 0u64..u64::MAX) {
-        // `sort_keys`' small path IS `slice::sort_unstable`, so the oracle
-        // here is the standard library's other sort (`slice::sort`, a stable
-        // merge sort): lengths on both sides of the radix threshold (64) and
-        // at the process-iteration size (48), with heavy duplication
-        // (flavors 0, 1) and 0 / `u64::MAX` stamped in (flavor 2).
-        let mut tmp = Vec::new();
-        for n in [0usize, 1, 2, 47, 48, 63, 64, 65] {
-            for flavor in 0..3 {
-                let keys = ns_keys(n, flavor, seed ^ (n * 3 + flavor) as u64);
-                let mut got = keys.clone();
-                sort_keys(&mut got, &mut tmp);
-                let mut want = keys;
-                want.sort();
-                prop_assert_eq!(got, want, "n = {}, flavor {}", n, flavor);
             }
         }
     }

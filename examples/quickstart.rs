@@ -61,7 +61,7 @@ fn main() {
         let outcome = run_delivery(&mut link, &[&arrivals], 4_000_000, strategy, &mut scratch);
         println!(
             "    {:<16} complete at {:>8.3} ms ({} messages, {:.4} ms exposed)",
-            outcome.strategy.label(),
+            strategy.label(),
             outcome.completion_ms,
             outcome.messages,
             outcome.exposed_ms()

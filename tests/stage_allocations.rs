@@ -112,7 +112,10 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
             // inherit). With a heap cell per outcome the delivery sweep read
             // 804 and 1604 on one worker. One worker spawns nothing, so its
             // counts are exact: a sweep whose sorted milliseconds took a
-            // buffer of their own instead of the keys' would add to them.
+            // buffer of their own instead of the keys' would add to them, and
+            // so does a delivery table staged in `Option`s (5 on the
+            // ci-scale trace, 4 on the doubled one: a 32-byte outcome has no
+            // niche, so the collect out of the staged rows reallocates).
             if workers == 1 {
                 assert_eq!(on_small, [10, 6, 4], "{what}");
             }

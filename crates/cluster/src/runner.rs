@@ -10,9 +10,7 @@
 //! rank-level concurrency would only add host-scheduler interference to the
 //! measurements without changing what is measured.
 //!
-//! Nothing here communicates: scenario pricing needs thread arrivals only,
-//! and partitioned-session mechanics are pinned by `ebird-partcomm`'s
-//! `tests/session_mechanics.rs`.
+//! Nothing here communicates: scenario pricing needs thread arrivals only.
 
 use ebird_core::{
     Clock, IterationCollector, MonotonicClock, ThreadSample, TimedRegion, TimingTrace,

@@ -249,9 +249,8 @@ fn push_arrival_order(
 /// Arrival order — the workspace's one definition of it: writes the indices
 /// of `arrivals_ms` into `order` (cleared first), earliest arrival first,
 /// ties by index. This is the order the delivery kernel injects early-bird
-/// partitions in, so anything that must agree with it (the `Pready`
-/// sequence of `tests/session_mechanics.rs`) calls this instead of sorting
-/// on its own.
+/// partitions in, so anything that must agree with it calls this instead
+/// of sorting on its own.
 ///
 /// # Panics
 /// On a non-finite or negative arrival.

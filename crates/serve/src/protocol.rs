@@ -431,10 +431,11 @@ pub fn reply_line<T: Serialize>(reply: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_roundtrip() {
-        let reqs = [
+    /// One request of every verb and matrix source.
+    fn sample_requests() -> [Request; 6] {
+        [
             Request::Submit {
                 matrix: MatrixSource::Preset("smoke".into()),
                 priority: 3,
@@ -449,12 +450,53 @@ mod tests {
             Request::Status,
             Request::Metrics,
             Request::Shutdown,
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in sample_requests() {
             let line = reply_line(&req);
             assert!(!line.contains('\n'));
             let back = parse_request(&line).unwrap();
             assert_eq!(back, req);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_request_never_panics(
+            noise in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+            at in 0.0f64..1.0,
+            mask in 1u16..256,
+            depth in 0usize..20_001,
+            kinds in 0u64..u64::MAX,
+        ) {
+            // Arbitrary bytes, as a connection would hand them over.
+            let mut lines = vec![String::from_utf8_lossy(&noise).into_owned()];
+            // Each frame cut short, and with one byte flipped, at the same
+            // relative offset.
+            for frame in sample_requests().iter().map(reply_line) {
+                let cut = (at * frame.len() as f64) as usize;
+                lines.push(String::from_utf8_lossy(&frame.as_bytes()[..cut]).into_owned());
+                let mut flipped = frame.into_bytes();
+                flipped[cut] ^= mask as u8;
+                lines.push(String::from_utf8_lossy(&flipped).into_owned());
+            }
+            // A run of `[` / `{"k":` levels — far past the parser's recursion
+            // limit — bare and as a submit's matrix.
+            let nest: String = (0..depth)
+                .map(|d| if (kinds >> (d % 64)) & 1 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            lines.push(format!("{{\"verb\":\"submit\",\"matrix\":{nest}"));
+            lines.push(nest);
+            for line in &lines {
+                if let Err(e) = parse_request(line) {
+                    prop_assert!(e.starts_with("bad request: "), "{}", e);
+                }
+            }
         }
     }
 

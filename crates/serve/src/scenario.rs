@@ -15,10 +15,7 @@
 //! gap-throttled LogGP, as the cell's [`NetModelSpec`] spells it. A row is
 //! a pure function of its cell — thread arrivals in, priced delivery out,
 //! the way the paper prices early-bird delivery — so pricing starts no
-//! thread, opens no channel and reads no clock. (What a partitioned session
-//! delivers, refuses and times out on is a property of
-//! `ebird_partcomm::session`, pinned once by that crate's
-//! `tests/session_mechanics.rs`, not re-run per group.) Each cell emits one
+//! thread, opens no channel and reads no clock. Each cell emits one
 //! JSON table row (see [`ebird_analysis::report::json_lines`]), so adding a
 //! workload — or a whole topology — to the campaign means adding a config
 //! entry, not code.
@@ -862,9 +859,8 @@ pub struct ScenarioRow {
     pub bulk_exposed_ms: f64,
     /// `bulk_exposed_ms / exposed_ms` (> 1 ⇒ this strategy beats bulk).
     pub speedup_vs_bulk: f64,
-    /// The constant `true`: session mechanics are pinned by `partcomm`'s
-    /// session suite (`tests/session_mechanics.rs`), not checked per row.
-    /// Kept so rows stay byte-identical to every cached one; leaves the
+    /// The constant `true`, kept so rows and content keys stay
+    /// byte-identical to every cached one; nothing checks it. Leaves the
     /// wire together with `deadline_ms`.
     pub transport_verified: bool,
 }

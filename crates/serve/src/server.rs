@@ -1142,6 +1142,30 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_refused_and_the_next_request_served() {
+        // The JSON parser recurses once per bracket: past its nesting limit
+        // it must refuse the line, or 10 000 brackets overflow this
+        // thread's stack and abort the whole server.
+        let shared = shared();
+        let hostile = format!("{{\"verb\":\"submit\",\"matrix\":{}", "[".repeat(10_000));
+        for (line, reply) in [
+            (
+                hostile,
+                "\"error\":\"bad request: recursion limit exceeded at byte ",
+            ),
+            (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
+        ] {
+            let tap = WireTap::default();
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&line, &shared, &mut writer).unwrap();
+            let lines = tap.lines();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].contains(reply), "{}", lines[0]);
+        }
+        assert!(shared.queue.is_empty());
+    }
+
+    #[test]
     fn cold_stream_flushes_before_every_wait_and_holds_no_ready_row() {
         let shared = shared();
         let matrix = three_group_matrix();

@@ -20,7 +20,7 @@
 //! | [`stats`] | `ebird-stats` | normality tests, percentiles, histograms |
 //! | [`apps`] | `ebird-apps` | MiniFE / MiniMD / MiniQMC kernels |
 //! | [`cluster`] | `ebird-cluster` | job runner, OS-noise, synthetic timing models |
-//! | [`partcomm`] | `ebird-partcomm` | partitioned comm + early-bird delivery sim |
+//! | [`partcomm`] | `ebird-partcomm` | network model + early-bird delivery sim |
 //! | [`analysis`] | `ebird-analysis` | aggregation, metrics, paper figures/tables |
 //! | [`serve`] | `ebird-serve` | campaign service: TCP protocol, job queue, result cache |
 //!

@@ -22,6 +22,7 @@ use ebird_stats::normality::{
     battery_sorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
     TestStatistic,
 };
+use ebird_stats::sort::{sort_floats, SortScratch};
 use serde::{Deserialize, Serialize};
 
 /// Results of running the three-test battery over every group of one
@@ -350,12 +351,11 @@ pub(crate) fn run_tasks(
 /// the battery-sensitivity extension (is Table 1 an artifact of the paper's
 /// choice of three tests?). Returns `(test name, pass rate)` pairs.
 ///
-/// Groups stream through [`fill_group_ms`] into reused buffers and each
-/// group is sorted **once** (shared [`BatteryScratch`]); every test then
-/// consumes the presorted view via [`NormalityTest::test_presorted`]. The
-/// ablation therefore costs one sort per group regardless of battery size,
-/// and performs no per-group allocation — the same discipline as the main
-/// sweep.
+/// Each group streams through [`fill_group_ms`] into one reused buffer, is
+/// sorted there **once**, and every test reads it through
+/// [`NormalityTest::test_sorted`]: one sort per group whatever the battery's
+/// size. The milliseconds come from integer nanoseconds, so they are always
+/// finite.
 pub fn battery_pass_rates(
     trace: &TimingTrace,
     level: AggregationLevel,
@@ -364,25 +364,13 @@ pub fn battery_pass_rates(
 ) -> Vec<(&'static str, f64)> {
     let groups = level.group_count(trace);
     let mut values = Vec::new();
-    let mut sorted = Vec::new();
-    let mut scratch = BatteryScratch::new();
+    let mut sort = SortScratch::new();
     let mut passed = vec![0usize; battery.len()];
     for g in 0..groups {
         fill_group_ms(trace, level, g, &mut values);
-        if !values.iter().all(|v| v.is_finite()) {
-            // Every test rejects non-finite input; count the group as a
-            // failure for the whole battery without sorting it.
-            continue;
-        }
-        sorted.clear();
-        sorted.extend_from_slice(&values);
-        scratch.sort_in_place(&mut sorted);
+        sort_floats(&mut values, &mut sort);
         for (test, count) in battery.iter().zip(&mut passed) {
-            if test
-                .test_presorted(&values, &sorted)
-                .map(|o| o.passes(alpha))
-                .unwrap_or(false)
-            {
+            if test.test_sorted(&values).is_ok_and(|o| o.passes(alpha)) {
                 *count += 1;
             }
         }

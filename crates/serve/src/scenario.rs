@@ -211,6 +211,18 @@ const PRESET_CONTENTION: f64 = 0.5;
 /// 4 × 26 × 8 = 832.
 const MAX_CELL_SAMPLES: usize = 1 << 17;
 
+/// The most cells one matrix may span. Resolving materializes every cell,
+/// and an allocation failure aborts the process, so
+/// [`ScenarioMatrix::resolve`] refuses a larger product of axis lengths
+/// before anything is allocated. ≥ 200× every preset: the largest, `full`,
+/// spans 288.
+pub(crate) const MAX_MATRIX_CELLS: usize = 1 << 16;
+
+/// The product of a matrix's five axis lengths, saturating at `usize::MAX`.
+fn cell_count(axes: [usize; 5]) -> usize {
+    axes.into_iter().fold(1, usize::saturating_mul)
+}
+
 /// Whether `spec` runs a metered real-kernel campaign, itself or as a
 /// mixture component.
 fn runs_real_kernel(spec: &WorkloadSpec) -> bool {
@@ -444,13 +456,15 @@ impl ScenarioMatrix {
         }
     }
 
-    /// Number of scenarios this matrix spans.
+    /// Number of scenarios this matrix spans (saturating at `usize::MAX`).
     pub fn len(&self) -> usize {
-        self.workloads.len()
-            * self.strategies.len()
-            * self.models.len()
-            * self.noise.len()
-            * self.ranks.len()
+        cell_count([
+            self.workloads.len(),
+            self.strategies.len(),
+            self.models.len(),
+            self.noise.len(),
+            self.ranks.len(),
+        ])
     }
 
     /// Whether any axis is empty.
@@ -466,6 +480,17 @@ impl ScenarioMatrix {
     pub fn resolve(&self) -> Result<ResolvedMatrix, String> {
         if self.is_empty() {
             return Err("scenario matrix has an empty axis".into());
+        }
+        if self.len() > MAX_MATRIX_CELLS {
+            return Err(format!(
+                "{} workloads × {} strategies × {} models × {} noise regimes × {} rank counts \
+                 span more than the {MAX_MATRIX_CELLS}-cell cap",
+                self.workloads.len(),
+                self.strategies.len(),
+                self.models.len(),
+                self.noise.len(),
+                self.ranks.len()
+            ));
         }
         if self.threads == 0 || self.threads > 0xFFFF {
             return Err(format!("threads {} outside 1..=65535", self.threads));
@@ -577,11 +602,13 @@ pub struct ResolvedMatrix {
 impl ResolvedMatrix {
     /// Number of cells (same as the source matrix's [`ScenarioMatrix::len`]).
     pub fn len(&self) -> usize {
-        self.workloads.len()
-            * self.strategies.len()
-            * self.models.len()
-            * self.noise.len()
-            * self.ranks.len()
+        cell_count([
+            self.workloads.len(),
+            self.strategies.len(),
+            self.models.len(),
+            self.noise.len(),
+            self.ranks.len(),
+        ])
     }
 
     /// Resolved matrices are never empty ([`ScenarioMatrix::resolve`]
@@ -1076,6 +1103,47 @@ mod tests {
         assert!(run_matrix(&m, &Pool::new(1))
             .unwrap_err()
             .contains("warp-drive"));
+    }
+
+    #[test]
+    fn resolve_bounds_the_cells_a_matrix_spans() {
+        // One ≈ 600 KB submit line of 50 000 strategies × 100 000 ranks asked
+        // for 5·10⁹ cells; the allocation failure would abort the server.
+        // Refused before any cell is built, down to one cell past the cap.
+        let smoke = ScenarioMatrix::smoke();
+        let one_cell = ScenarioMatrix {
+            workloads: smoke.workloads[..1].to_vec(),
+            strategies: vec![Strategy::Bulk],
+            noise: vec!["baseline".into()],
+            ranks: vec![1],
+            ..smoke
+        };
+        let with_ranks = |ranks: usize| ScenarioMatrix {
+            ranks: vec![1; ranks],
+            ..one_cell.clone()
+        };
+        let hostile = ScenarioMatrix {
+            strategies: vec![Strategy::Bulk; 50_000],
+            ..with_ranks(100_000)
+        };
+        // A product past `usize::MAX` saturates instead of wrapping (or, in a
+        // debug build, panicking).
+        let axis = 1 << 13;
+        let overflowing = ScenarioMatrix {
+            workloads: vec![one_cell.workloads[0].clone(); axis],
+            strategies: vec![Strategy::Bulk; axis],
+            models: vec![one_cell.models[0].clone(); axis],
+            noise: vec!["baseline".into(); axis],
+            ranks: vec![1; axis],
+            ..one_cell.clone()
+        };
+        assert_eq!(overflowing.len(), usize::MAX);
+        for m in [hostile, overflowing, with_ranks(MAX_MATRIX_CELLS + 1)] {
+            let err = m.resolve().unwrap_err();
+            assert!(err.contains("65536-cell cap"), "{err}");
+        }
+        let at_cap = with_ranks(MAX_MATRIX_CELLS).resolve().unwrap();
+        assert_eq!(at_cap.len(), MAX_MATRIX_CELLS);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! the end), the worker team joins, and the cache's cold tier is flushed.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -76,6 +76,13 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// must not pin a connection thread (and with it, graceful shutdown)
 /// forever.
 const WRITE_STALL_LIMIT: Duration = Duration::from_secs(30);
+
+/// The longest request line a connection accepts, newline included. The
+/// read itself is bounded, so a client that streams bytes without a newline
+/// cannot grow a connection thread's buffer until allocation aborts the
+/// server. Far above any real frame: the largest preset sent inline
+/// (`workload`) is a 1 523-byte line.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Default job-queue admission bound, in cells: deep enough that a healthy server
 /// never refuses, shallow enough that backlog (and client-observed latency)
@@ -460,25 +467,35 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<(), String> {
 }
 
 /// Reads one line, polling the stop flag between read timeouts. Returns
-/// `None` on EOF / connection error / server stop with nothing buffered.
-fn read_request_line(reader: &mut BufReader<TcpStream>, shared: &Shared) -> Option<String> {
-    let mut line = String::new();
+/// `None` on EOF / connection error / server stop with nothing buffered, and
+/// the refusal for a line past [`MAX_REQUEST_LINE_BYTES`]: each read is
+/// capped at the room left (`Read::take`), because one `read_until` keeps
+/// appending for as long as bytes keep arriving.
+fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<Result<String, String>> {
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        let room = MAX_REQUEST_LINE_BYTES - line.len();
+        match (&mut *reader)
+            .take(room as u64)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) if room == 0 => {
+                return Some(Err(format!(
+                    "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+                )));
+            }
             Ok(0) => {
                 // EOF; serve a final unterminated line if one accumulated.
-                return (!line.trim().is_empty()).then(|| line.trim().to_string());
+                let text = String::from_utf8(line).ok()?;
+                return (!text.trim().is_empty()).then(|| Ok(text.trim().to_string()));
             }
-            Ok(_) => {
-                if line.ends_with('\n') {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        line.clear();
-                        continue;
-                    }
-                    return Some(trimmed.to_string());
+            Ok(_) if line.ends_with(b"\n") => {
+                let text = String::from_utf8(std::mem::take(&mut line)).ok()?;
+                if !text.trim().is_empty() {
+                    return Some(Ok(text.trim().to_string()));
                 }
             }
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -526,13 +543,28 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
     let mut writer = reply_writer(stream, &shared.metrics.bytes_written);
-    while let Some(line) = read_request_line(&mut reader, shared) {
+    serve_lines(&mut BufReader::new(read_half), &mut writer, shared);
+}
+
+/// Serves the request lines of one connection until EOF, a write failure,
+/// an oversized line or shutdown. An oversized line gets one error reply and
+/// ends the connection: its unread rest leaves nothing to frame the next
+/// request by.
+fn serve_lines(reader: &mut impl BufRead, writer: &mut impl Write, shared: &Shared) {
+    while let Some(line) = read_request_line(reader, shared) {
+        let served = match line {
+            Ok(line) => serve_request(&line, shared, writer),
+            Err(refusal) => {
+                shared.metrics.count_request(Verb::Error);
+                let _ = write_line(writer, &reply_line(&ErrorReply::new(refusal)))
+                    .and_then(|()| flush(writer));
+                return;
+            }
+        };
         // Bound the drain: after a stop, finish the request just served but
         // accept no further ones on this connection.
-        if serve_request(&line, shared, &mut writer).is_err() || shared.stop.load(Ordering::SeqCst)
-        {
+        if served.is_err() || shared.stop.load(Ordering::SeqCst) {
             return;
         }
     }
@@ -1137,6 +1169,66 @@ mod tests {
             let lines = tap.lines();
             assert_eq!(lines.len(), 1, "{lines:?}");
             assert!(lines[0].contains(reply), "{}", lines[0]);
+        }
+        assert!(shared.queue.is_empty());
+    }
+
+    #[test]
+    fn a_matrix_past_the_cell_cap_is_refused_and_the_next_request_served() {
+        // 4 strategies × 16 385 distinct rank counts = 65 540 distinct
+        // cells, four past the cap, each within the per-cell sample cap at
+        // 6 threads. Resolve refuses the matrix before a cell is built.
+        let shared = shared();
+        let mut hostile = three_group_matrix();
+        hostile.threads = 6;
+        hostile.ranks = (1..=crate::scenario::MAX_MATRIX_CELLS / 4 + 1).collect();
+        for (line, reply) in [
+            (
+                submit_line(&hostile),
+                "\"error\":\"invalid matrix: 1 workloads × 4 strategies × 1 models × \
+                 1 noise regimes × 16385 rank counts span more than the 65536-cell cap\"",
+            ),
+            (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
+        ] {
+            let tap = WireTap::default();
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&line, &shared, &mut writer).unwrap();
+            let lines = tap.lines();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].contains(reply), "{}", lines[0]);
+        }
+        assert!(shared.queue.is_empty());
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused_and_the_server_still_answers() {
+        // A client streaming bytes with no newline once grew a connection
+        // thread's line buffer until allocation aborted the server. The read
+        // stops at the bound, one error line answers, and the connection
+        // closes: the status request queued behind the line is not served
+        // on it, but a fresh connection's is.
+        let shared = shared();
+        let status = reply_line(&Request::Status);
+        let mut flood = vec![b' '; MAX_REQUEST_LINE_BYTES];
+        flood.extend(format!("x\n{status}\n").bytes());
+        let fits = format!(
+            "{}{status}\n",
+            " ".repeat(MAX_REQUEST_LINE_BYTES - status.len() - 1)
+        );
+        for (input, reply) in [
+            (
+                flood,
+                "{\"ok\":false,\"error\":\"request line exceeds 1048576 bytes\"}",
+            ),
+            (status.clone().into_bytes(), "{\"ok\":true,\"queued\":0,"),
+            (fits.into_bytes(), "{\"ok\":true,\"queued\":0,"),
+        ] {
+            let tap = WireTap::default();
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_lines(&mut input.as_slice(), &mut writer, &shared);
+            let lines = tap.lines();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].starts_with(reply), "{}", lines[0]);
         }
         assert!(shared.queue.is_empty());
     }

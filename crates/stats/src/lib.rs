@@ -17,7 +17,7 @@
 //!   conventions (10 µs / 50 µs / 1 ms bins), with merge and rendering support.
 //! * [`normality`] — the paper's three normality tests: D'Agostino's K²
 //!   omnibus test, Shapiro–Wilk (Royston's AS R94), and Anderson–Darling
-//!   (case 3, Stephens' correction).
+//!   (case 3, Stephens' correction), plus Lilliefors and Jarque–Bera.
 //! * [`dist`] — seeded sampling distributions (normal, log-normal, exponential,
 //!   mixtures) used by the synthetic cluster models; independent of `rand` so
 //!   the crate stays dependency-free.
@@ -26,9 +26,8 @@
 //!   stable `partial_cmp` sort and allocation-free with a reused scratch.
 //! * [`accumulate`] — deterministic chunked-lane summation used by every
 //!   sweep kernel so serial, parallel, and fused paths agree bit-for-bit.
-//! * [`timeseries`] — autocorrelation, rolling statistics and change-point
-//!   detection for iteration-indexed series (the "how do arrivals change
-//!   over a run" question).
+//! * [`timeseries`] — change-point detection for iteration-indexed series
+//!   (the "how do arrivals change over a run" question).
 //!
 //! All tests in the paper are two-sided at a 5% significance level; every test
 //! here reports both the raw statistic and a p-value so callers can pick their

@@ -22,9 +22,9 @@
 //! p = 0.01 at A*² = 1.035.
 
 use crate::special::{norm_cdf_sf, norm_log_cdf, norm_log_sf};
-use crate::{accumulate, ensure_finite, ensure_len, StatsError};
+use crate::{accumulate, StatsError};
 
-use super::{NormalityOutcome, NormalityTest, TestStatistic};
+use super::{check_sorted, NormalityOutcome, NormalityTest, TestStatistic};
 
 /// Smallest product [`log_term`] takes the logarithm of directly. With both
 /// operands inside `(−10, 10)` each factor is at least Φ(−10) ≈ 7.6e-24, so
@@ -100,80 +100,6 @@ pub const CRITICAL_TABLE: [(f64, f64); 4] =
 pub struct AndersonDarling;
 
 impl AndersonDarling {
-    /// Computes the *modified* statistic A*² for an unsorted sample.
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn a2_statistic(&self, sample: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sample, self.min_sample_size())?;
-        ensure_finite(sample)?;
-        let mut sorted = sample.to_vec();
-        crate::sort::sort_floats(&mut sorted, &mut crate::sort::SortScratch::new());
-        self.a2_from_parts(sample, &sorted)
-    }
-
-    /// A*² from the original sample plus an **already sorted** copy — the
-    /// allocation-free core the sweep engine calls with a shared per-worker
-    /// sorted buffer.
-    ///
-    /// The moments come from the *sorted* values via the deterministic lane
-    /// accumulators (summing a permutation would give different bits), and
-    /// standardization happens on the fly: `(x − x̄)/s` is strictly
-    /// increasing, so the sorted raw values yield the sorted z-scores with
-    /// bit-identical element values — no `z` buffer is needed at all.
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn a2_from_parts(&self, sample: &[f64], sorted: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sorted, self.min_sample_size())?;
-        // Validate both slices: `sorted` feeds everything numeric, but a
-        // non-finite value in the caller's raw sample must surface as an
-        // error, never as a NaN statistic.
-        ensure_finite(sorted)?;
-        ensure_finite(sample)?;
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0] <= w[1]),
-            "`sorted` must be sorted ascending"
-        );
-        let n = sorted.len();
-        let nf = n as f64;
-        // Degenerate samples are detected on the sorted range, not the
-        // computed variance: the lane-summed mean of n equal values can be an
-        // ulp off the value itself, leaving ssq tiny-but-positive.
-        if sorted[n - 1] - sorted[0] <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        let (mean, ssq) = accumulate::mean_ssq(sorted);
-        let sd = (ssq / (nf - 1.0)).sqrt(); // unbiased (n-1) denominator, as in scipy
-        if sd.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(StatsError::ZeroVariance);
-        }
-        let a2 = -nf - ad_pair_sum(sorted, mean, sd) / nf;
-        Ok(a2 * modification_factor(n))
-    }
-
-    /// Full test outcome from the original sample plus an **already sorted**
-    /// copy (the sweep engine's entry point; equals [`NormalityTest::test`]
-    /// bit-for-bit).
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn test_from_parts(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        let a2 = self.a2_from_parts(sample, sorted)?;
-        Ok(NormalityOutcome {
-            statistic_kind: TestStatistic::AndersonDarlingA2,
-            statistic: a2,
-            p_value: Self::p_value_for(a2),
-            n: sorted.len(),
-            extrapolated: false,
-        })
-    }
-
     /// D'Agostino–Stephens p-value approximation for a modified statistic.
     ///
     /// The published fit covers moderate statistics; its quadratic term turns
@@ -215,23 +141,27 @@ impl NormalityTest for AndersonDarling {
         8
     }
 
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        let a2 = self.a2_statistic(sample)?;
+    /// The moments come from the lane accumulators over the sorted values
+    /// (summing a permutation would give different bits), and `(x − x̄)/s`
+    /// is strictly increasing, so the sorted raw values standardize on the
+    /// fly into the sorted z-scores: no `z` buffer.
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        check_sorted(sorted, self.min_sample_size())?;
+        let n = sorted.len();
+        let nf = n as f64;
+        let (mean, ssq) = accumulate::mean_ssq(sorted);
+        let sd = (ssq / (nf - 1.0)).sqrt(); // unbiased (n-1) denominator, as in scipy
+        if sd.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(StatsError::ZeroVariance);
+        }
+        let a2 = (-nf - ad_pair_sum(sorted, mean, sd) / nf) * modification_factor(n);
         Ok(NormalityOutcome {
             statistic_kind: TestStatistic::AndersonDarlingA2,
             statistic: a2,
             p_value: Self::p_value_for(a2),
-            n: sample.len(),
+            n,
             extrapolated: false,
         })
-    }
-
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        self.test_from_parts(sample, sorted)
     }
 }
 
@@ -345,17 +275,17 @@ mod tests {
     fn statistic_is_location_scale_invariant() {
         let xs = normal_scores(48);
         let shifted: Vec<f64> = xs.iter().map(|v| 1e6 + 250.0 * v).collect();
-        let a = AndersonDarling.a2_statistic(&xs).unwrap();
-        let b = AndersonDarling.a2_statistic(&shifted).unwrap();
+        let a = AndersonDarling.test(&xs).unwrap().statistic;
+        let b = AndersonDarling.test(&shifted).unwrap().statistic;
         assert!((a - b).abs() < 1e-8, "{a} vs {b}");
     }
 
     #[test]
     fn outlier_inflates_statistic() {
         let mut xs = normal_scores(48);
-        let base = AndersonDarling.a2_statistic(&xs).unwrap();
+        let base = AndersonDarling.test(&xs).unwrap().statistic;
         xs[47] = 15.0; // a laggard-like extreme value
-        let with_outlier = AndersonDarling.a2_statistic(&xs).unwrap();
+        let with_outlier = AndersonDarling.test(&xs).unwrap().statistic;
         assert!(
             with_outlier > base * 2.0,
             "outlier should inflate A*²: {base} -> {with_outlier}"

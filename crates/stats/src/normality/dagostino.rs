@@ -13,15 +13,14 @@
 //! `g₁` and `b₂` come from [`accumulate::central_sums`] **of the sorted
 //! sample** ([`shape_from_sums`], the one definition of sample skewness and
 //! kurtosis in this module tree): lane sums are order-sensitive in their
-//! last bits, so every route — the stand-alone test, which sorts a copy like
-//! Shapiro–Wilk and Anderson–Darling do, `test_presorted`, and the fused
-//! battery kernel, which shares the sums with W's denominator — sees the
-//! same order and agrees bit for bit.
+//! last bits, so both routes — [`NormalityTest::test_sorted`] and the fused
+//! battery kernel, which shares the sums with W's denominator — see the
+//! same order and agree bit for bit.
 
-use crate::special::{chi2_sf, norm_sf};
+use crate::special::chi2_sf;
 use crate::{accumulate, ensure_finite, ensure_len, sorted_copy, StatsError};
 
-use super::{NormalityOutcome, NormalityTest, TestStatistic};
+use super::{check_sorted, NormalityOutcome, NormalityTest, TestStatistic};
 
 /// Biased sample skewness `g₁ = m₃ / m₂^{3/2}` and kurtosis `b₂ = m₄ / m₂²`
 /// (not excess; normal ⇒ 3) from the central power sums of `n` observations,
@@ -43,16 +42,12 @@ pub(crate) fn shape_from_sums(
     Ok(((s3 / nf) / m2.powf(1.5), (s4 / nf) / (m2 * m2)))
 }
 
-/// [`shape_from_sums`] of an already sorted, finite sample of at least two
-/// values; degenerate samples are detected on the sorted range, exactly like
-/// the order-statistic tests do.
-pub(crate) fn shape_of_sorted(sorted: &[f64]) -> Result<(f64, f64), StatsError> {
-    let n = sorted.len();
-    if sorted[n - 1] - sorted[0] <= 0.0 {
-        return Err(StatsError::ZeroVariance);
-    }
+/// [`shape_from_sums`] of a sorted, finite sample of at least `needed` values
+/// that are not all equal (the checks every `test_sorted` starts with).
+pub(crate) fn shape_of_sorted(sorted: &[f64], needed: usize) -> Result<(f64, f64), StatsError> {
+    check_sorted(sorted, needed)?;
     let (_, s2, s3, s4) = accumulate::central_sums(sorted);
-    shape_from_sums(n, s2, s3, s4)
+    shape_from_sums(sorted.len(), s2, s3, s4)
 }
 
 /// The K² omnibus test. Stateless; construct freely.
@@ -95,24 +90,19 @@ impl DagostinoK2 {
         ((1.0 - 2.0 / (9.0 * a)) - term.cbrt()) / (2.0 / (9.0 * a)).sqrt()
     }
 
-    /// Runs the test and also returns the component z-scores `(z_skew, z_kurt)`.
+    /// Runs the test on a sample in any order and also returns the
+    /// component z-scores `(z_skew, z_kurt)`.
+    ///
+    /// # Errors
+    /// Same contract as [`NormalityTest::test`].
     pub fn test_with_components(
         &self,
         sample: &[f64],
     ) -> Result<(NormalityOutcome, f64, f64), StatsError> {
         ensure_len(sample, self.min_sample_size())?;
         ensure_finite(sample)?;
-        self.components_sorted(&sorted_copy(sample))
-    }
-
-    /// The test on an already sorted, finite sample.
-    fn components_sorted(
-        &self,
-        sorted: &[f64],
-    ) -> Result<(NormalityOutcome, f64, f64), StatsError> {
-        ensure_len(sorted, self.min_sample_size())?;
-        let (g1, b2) = shape_of_sorted(sorted)?;
-        Ok(Self::from_shape(g1, b2, sorted.len()))
+        let (g1, b2) = shape_of_sorted(&sorted_copy(sample), self.min_sample_size())?;
+        Ok(Self::from_shape(g1, b2, sample.len()))
     }
 
     /// K², its χ²(2) p-value and the component z-scores from the sample's
@@ -134,15 +124,6 @@ impl DagostinoK2 {
             z2,
         )
     }
-
-    /// Two-sided p-value of the skewness z-test alone (diagnostic helper).
-    pub fn skewtest_p(sample: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sample, 8)?;
-        ensure_finite(sample)?;
-        let (g1, _) = shape_of_sorted(&sorted_copy(sample))?;
-        let z = Self::skewness_z(g1, sample.len());
-        Ok(2.0 * norm_sf(z.abs()))
-    }
 }
 
 impl NormalityTest for DagostinoK2 {
@@ -154,18 +135,9 @@ impl NormalityTest for DagostinoK2 {
         8
     }
 
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        self.test_with_components(sample).map(|(o, _, _)| o)
-    }
-
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        ensure_finite(sorted)?;
-        self.components_sorted(sorted).map(|(o, _, _)| o)
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        let (g1, b2) = shape_of_sorted(sorted, self.min_sample_size())?;
+        Ok(Self::from_shape(g1, b2, sorted.len()).0)
     }
 }
 
@@ -287,7 +259,7 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let direct = DagostinoK2.test(&xs).unwrap();
         assert_eq!(direct, DagostinoK2.test(&reversed).unwrap());
-        assert_eq!(direct, DagostinoK2.test_presorted(&xs, &sorted).unwrap());
+        assert_eq!(direct, DagostinoK2.test_sorted(&sorted).unwrap());
     }
 
     #[test]
@@ -315,13 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn skewtest_symmetry() {
-        // Mirroring a sample flips the z sign but keeps the two-sided p.
+    fn mirroring_flips_only_the_skewness_z() {
         let xs: Vec<f64> = (1..=50).map(|i| (i as f64).powf(1.5)).collect();
         let neg: Vec<f64> = xs.iter().map(|x| -x).collect();
-        let p1 = DagostinoK2::skewtest_p(&xs).unwrap();
-        let p2 = DagostinoK2::skewtest_p(&neg).unwrap();
-        assert!((p1 - p2).abs() < 1e-10);
+        let (o1, z1, k1) = DagostinoK2.test_with_components(&xs).unwrap();
+        let (o2, z2, k2) = DagostinoK2.test_with_components(&neg).unwrap();
+        assert!(z1 > 0.0 && (z1 + z2).abs() < 1e-10, "{z1} vs {z2}");
+        assert!((k1 - k2).abs() < 1e-10);
+        assert!((o1.p_value - o2.p_value).abs() < 1e-10);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! at n = 48, which the extended-battery test below demonstrates).
 
 use crate::special::chi2_sf;
-use crate::{ensure_finite, ensure_len, sorted_copy, StatsError};
+use crate::StatsError;
 
 use super::dagostino::shape_of_sorted;
 use super::{NormalityOutcome, NormalityTest, TestStatistic};
@@ -16,40 +16,6 @@ use super::{NormalityOutcome, NormalityTest, TestStatistic};
 /// The Jarque–Bera test. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JarqueBera;
-
-impl JarqueBera {
-    /// Computes the JB statistic of an unsorted sample.
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn jb_statistic(&self, sample: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sample, self.min_sample_size())?;
-        ensure_finite(sample)?;
-        self.jb_from_sorted(&sorted_copy(sample))
-    }
-
-    /// JB from an **already sorted** sample: `g₁` and `b₂` are the battery's
-    /// one definition ([`shape_of_sorted`], lane sums of the sorted values),
-    /// so the ablation's shared sorted buffer serves this test too.
-    fn jb_from_sorted(&self, sorted: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sorted, self.min_sample_size())?;
-        ensure_finite(sorted)?;
-        let (g1, b2) = shape_of_sorted(sorted)?;
-        let n = sorted.len() as f64;
-        Ok(n / 6.0 * (g1 * g1 + (b2 - 3.0) * (b2 - 3.0) / 4.0))
-    }
-
-    fn outcome(jb: f64, n: usize) -> NormalityOutcome {
-        NormalityOutcome {
-            statistic_kind: TestStatistic::JarqueBera,
-            statistic: jb,
-            p_value: chi2_sf(jb, 2.0),
-            n,
-            // The χ²(2) limit is notoriously slow to kick in.
-            extrapolated: n < 2000,
-        }
-    }
-}
 
 impl NormalityTest for JarqueBera {
     fn kind(&self) -> TestStatistic {
@@ -60,17 +26,20 @@ impl NormalityTest for JarqueBera {
         8
     }
 
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        Ok(Self::outcome(self.jb_statistic(sample)?, sample.len()))
-    }
-
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        Ok(Self::outcome(self.jb_from_sorted(sorted)?, sorted.len()))
+    /// `g₁` and `b₂` are the battery's one definition ([`shape_of_sorted`],
+    /// lane sums of the sorted values).
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        let (g1, b2) = shape_of_sorted(sorted, self.min_sample_size())?;
+        let n = sorted.len();
+        let jb = n as f64 / 6.0 * (g1 * g1 + (b2 - 3.0) * (b2 - 3.0) / 4.0);
+        Ok(NormalityOutcome {
+            statistic_kind: TestStatistic::JarqueBera,
+            statistic: jb,
+            p_value: chi2_sf(jb, 2.0),
+            n,
+            // The χ²(2) limit is notoriously slow to kick in.
+            extrapolated: n < 2000,
+        })
     }
 }
 
@@ -107,8 +76,9 @@ mod tests {
     fn statistic_matches_hand_computation() {
         // Sample with known moments: [1,2,3,4,5] has g1 = 0, b2 = 1.7.
         let jb = JarqueBera
-            .jb_statistic(&[1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0])
-            .unwrap();
+            .test(&[1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0])
+            .unwrap()
+            .statistic;
         // Recompute from the module's own moment definitions to pin wiring.
         let m = Moments::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0]);
         let expect = 8.0 / 6.0 * (m.skewness().powi(2) + (m.kurtosis() - 3.0).powi(2) / 4.0);

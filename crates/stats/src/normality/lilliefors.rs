@@ -13,65 +13,16 @@
 //! Dallal–Wilkinson (1986) analytic p-value approximation, the same one R's
 //! `nortest::lillie.test` uses, including its rescaling for p > 0.1.
 
-use crate::sort::{sort_floats, SortScratch};
 use crate::special::norm_cdf;
-use crate::{accumulate, ensure_finite, ensure_len, StatsError};
+use crate::{accumulate, StatsError};
 
-use super::{NormalityOutcome, NormalityTest, TestStatistic};
+use super::{check_sorted, NormalityOutcome, NormalityTest, TestStatistic};
 
 /// The Lilliefors (KS-type) normality test. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Lilliefors;
 
 impl Lilliefors {
-    /// Computes the D statistic of an unsorted sample.
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn d_statistic(&self, sample: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sample, self.min_sample_size())?;
-        ensure_finite(sample)?;
-        let mut sorted = sample.to_vec();
-        sort_floats(&mut sorted, &mut SortScratch::new());
-        self.d_from_sorted(&sorted)
-    }
-
-    /// D from an **already sorted** sample — the allocation-free core shared
-    /// with the extended-battery sweep (standardization is monotone, so the
-    /// sorted raw values give the sorted z-scores directly).
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn d_from_sorted(&self, sorted: &[f64]) -> Result<f64, StatsError> {
-        ensure_len(sorted, self.min_sample_size())?;
-        ensure_finite(sorted)?;
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0] <= w[1]),
-            "`sorted` must be sorted ascending"
-        );
-        let n = sorted.len();
-        // Sorted-range degeneracy check: the lane-summed mean of n equal
-        // values can be an ulp off the value itself, so variance alone is not
-        // a reliable zero detector.
-        if sorted[n - 1] - sorted[0] <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        let (mean, ssq) = accumulate::mean_ssq(sorted);
-        let sd = (ssq / (n as f64 - 1.0)).sqrt();
-        if sd.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(StatsError::ZeroVariance);
-        }
-        let nf = n as f64;
-        let mut d: f64 = 0.0;
-        for (i, &x) in sorted.iter().enumerate() {
-            let f = norm_cdf((x - mean) / sd);
-            let upper = (i as f64 + 1.0) / nf - f;
-            let lower = f - i as f64 / nf;
-            d = d.max(upper.max(lower));
-        }
-        Ok(d)
-    }
-
     /// Dallal–Wilkinson p-value for `(d, n)`.
     pub fn p_value_for(d: f64, n: usize) -> f64 {
         let n = n as f64;
@@ -119,29 +70,29 @@ impl NormalityTest for Lilliefors {
         5
     }
 
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        let d = self.d_statistic(sample)?;
+    /// Standardization is monotone, so the sorted raw values give the
+    /// sorted z-scores directly.
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        check_sorted(sorted, self.min_sample_size())?;
+        let n = sorted.len();
+        let nf = n as f64;
+        let (mean, ssq) = accumulate::mean_ssq(sorted);
+        let sd = (ssq / (nf - 1.0)).sqrt();
+        if sd.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(StatsError::ZeroVariance);
+        }
+        let mut d: f64 = 0.0;
+        for (i, &x) in sorted.iter().enumerate() {
+            let f = norm_cdf((x - mean) / sd);
+            let upper = (i as f64 + 1.0) / nf - f;
+            let lower = f - i as f64 / nf;
+            d = d.max(upper.max(lower));
+        }
         Ok(NormalityOutcome {
             statistic_kind: TestStatistic::LillieforsD,
             statistic: d,
-            p_value: Self::p_value_for(d, sample.len()),
-            n: sample.len(),
-            extrapolated: false,
-        })
-    }
-
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        let d = self.d_from_sorted(sorted)?;
-        Ok(NormalityOutcome {
-            statistic_kind: TestStatistic::LillieforsD,
-            statistic: d,
-            p_value: Self::p_value_for(d, sorted.len()),
-            n: sorted.len(),
+            p_value: Self::p_value_for(d, n),
+            n,
             extrapolated: false,
         })
     }
@@ -186,8 +137,8 @@ mod tests {
     fn d_statistic_in_unit_interval_and_location_scale_invariant() {
         let xs = normal_scores(48);
         let shifted: Vec<f64> = xs.iter().map(|v| 42.0 + 7.0 * v).collect();
-        let d1 = Lilliefors.d_statistic(&xs).unwrap();
-        let d2 = Lilliefors.d_statistic(&shifted).unwrap();
+        let d1 = Lilliefors.test(&xs).unwrap().statistic;
+        let d2 = Lilliefors.test(&shifted).unwrap().statistic;
         assert!((d1 - d2).abs() < 1e-12);
         assert!((0.0..1.0).contains(&d1));
     }

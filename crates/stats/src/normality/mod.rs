@@ -10,17 +10,18 @@
 //!
 //! All three implement the [`NormalityTest`] trait so the analysis layer can
 //! sweep them uniformly (Table 1 runs all three over 16,000 process-iteration
-//! sets per application). The paper uses a 5% significance level; the trait's
-//! [`NormalityTest::test`] takes α explicitly.
+//! sets per application). The paper uses a 5% significance level; every
+//! outcome carries its p-value so callers pick α.
 //!
-//! The battery is **a function of the sorted sample alone**. Each statistic
-//! has one arithmetic — lane sums of the sorted values
+//! The battery is **a function of the sorted sample alone**, and it has two
+//! routes. Each test's one body is [`NormalityTest::test_sorted`], on a
+//! finite ascending sample ([`NormalityTest::test`] sorts one copy and calls
+//! it). The fused kernel behind [`battery_with_scratch`],
+//! [`battery_presorted`] and [`battery_sorted`] computes the paper's three in
+//! one pass over a sorted buffer. Both replay one arithmetic per statistic
+//! bit for bit: lane sums of the sorted values
 //! ([`crate::accumulate::central_sums`]) for W's denominator, A²'s
-//! standardization and K²'s `g₁`/`b₂`; one logarithm per A² term — that every
-//! route replays bit for bit: the three stand-alone tests (each sorts a
-//! copy), [`NormalityTest::test_presorted`], and the fused kernel behind
-//! [`battery_with_scratch`], [`battery_presorted`] and [`battery_sorted`],
-//! which computes all three in one pass over a sorted buffer.
+//! standardization and K²'s `g₁`/`b₂`, and one logarithm per A² term.
 
 pub mod anderson_darling;
 pub mod dagostino;
@@ -32,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::sort::{sort_floats, SortScratch};
 use crate::special::{norm_cdf_sf, norm_cdf_sf_slice};
-use crate::{accumulate, StatsError};
+use crate::{accumulate, ensure_finite, ensure_len, sorted_copy, StatsError};
 
 /// Identifier for one of the three implemented tests; used in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -104,32 +105,42 @@ pub trait NormalityTest {
     /// Minimum sample size the test is defined for.
     fn min_sample_size(&self) -> usize;
 
-    /// Runs the test. Implementations must accept unsorted input and must not
-    /// mutate it.
+    /// Runs the test on a **finite, ascending** sample — the test's one
+    /// computing body.
     ///
     /// # Errors
     /// [`StatsError::SampleTooSmall`] below [`Self::min_sample_size`],
-    /// [`StatsError::NonFinite`] on NaN/∞, [`StatsError::ZeroVariance`] when
-    /// every observation is identical (all three statistics are undefined).
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError>;
+    /// [`StatsError::ZeroVariance`] when every observation is identical (the
+    /// statistics are undefined).
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError>;
 
-    /// Runs the test given both the raw sample and an already-sorted copy of
-    /// it, with the same outcome [`Self::test`] would produce on `sample`.
-    ///
-    /// The default ignores `sorted`; every test of the extended battery
-    /// overrides it to skip its internal sort, which is what makes the
-    /// ablation's shared-sorted-buffer path allocation-free.
+    /// Runs the test on a sample in any order, which is not mutated: one
+    /// sorted copy, then [`Self::test_sorted`].
     ///
     /// # Errors
-    /// Same contract as [`Self::test`].
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        self.test(sample)
+    /// Those of [`Self::test_sorted`], and [`StatsError::NonFinite`] on
+    /// NaN/∞.
+    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        ensure_len(sample, self.min_sample_size())?;
+        ensure_finite(sample)?;
+        self.test_sorted(&sorted_copy(sample))
     }
+}
+
+/// The checks every [`NormalityTest::test_sorted`] starts with: at least
+/// `needed` values, not all equal. Degeneracy is read off the sorted range,
+/// not a computed variance: the lane-summed mean of n equal values can be an
+/// ulp off the value itself, leaving `Σd²` tiny but positive.
+fn check_sorted(sorted: &[f64], needed: usize) -> Result<(), StatsError> {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0] <= w[1]),
+        "`sorted` must be finite and sorted ascending"
+    );
+    ensure_len(sorted, needed)?;
+    if sorted[sorted.len() - 1] - sorted[0] <= 0.0 {
+        return Err(StatsError::ZeroVariance);
+    }
+    Ok(())
 }
 
 /// A per-`n` cache of everything in the battery that depends **only on the
@@ -269,12 +280,6 @@ impl BatteryScratch {
         Self::default()
     }
 
-    /// Sorts `data` in place with the scratch's reusable radix buffers
-    /// (bit-identical to a stable `partial_cmp` sort; see [`crate::sort`]).
-    pub fn sort_in_place(&mut self, data: &mut [f64]) {
-        sort_floats(data, &mut self.sort);
-    }
-
     /// `(hits, misses)` of the embedded weight cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -293,10 +298,10 @@ impl BatteryScratch {
 /// the per-`n` cache.
 ///
 /// Outcomes are bit-identical to the individual tests because every
-/// accumulator replays the exact sequence of the standalone paths: the
-/// central sums of the sorted sample (as `DagostinoK2`, `w_from_sorted_with`
-/// and `a2_from_parts` take them), `sax` ascending, and the A² sum in
-/// `ad_pair_sum`'s pair order through the same `log_term` — the batch kernel
+/// accumulator replays the exact sequence of the stand-alone
+/// [`NormalityTest::test_sorted`] bodies: the central sums of the sorted
+/// sample, `sax` ascending, and the A² sum in `ad_pair_sum`'s pair order
+/// through the same `log_term` — the batch kernel
 /// is bit-identical to the per-element `norm_cdf_sf` calls it replaces, and
 /// evaluating those independent calls a block ahead of the loop does not
 /// reorder any accumulator.
@@ -437,17 +442,8 @@ pub fn battery_sorted(
     fused_battery(sorted, &mut scratch.cache, &mut scratch.phi)
 }
 
-/// Convenience: the standard battery in the order the paper tabulates them.
-pub fn standard_battery() -> Vec<Box<dyn NormalityTest + Send + Sync>> {
-    vec![
-        Box::new(dagostino::DagostinoK2),
-        Box::new(shapiro_wilk::ShapiroWilk),
-        Box::new(anderson_darling::AndersonDarling),
-    ]
-}
-
-/// The extended battery: the paper's three tests plus Lilliefors and
-/// Jarque–Bera, used by the battery-sensitivity ablation.
+/// The extended battery: the paper's three tests in the order it tabulates
+/// them, then Lilliefors and Jarque–Bera — the battery-sensitivity ablation.
 pub fn extended_battery() -> Vec<Box<dyn NormalityTest + Send + Sync>> {
     vec![
         Box::new(dagostino::DagostinoK2),
@@ -463,27 +459,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn battery_has_three_tests_in_paper_order() {
-        let battery = standard_battery();
-        let kinds: Vec<_> = battery.iter().map(|t| t.kind()).collect();
+    fn extended_battery_is_the_paper_three_then_the_extensions() {
+        let kinds: Vec<_> = extended_battery().iter().map(|t| t.kind()).collect();
         assert_eq!(
             kinds,
             vec![
                 TestStatistic::DagostinoK2,
                 TestStatistic::ShapiroWilkW,
-                TestStatistic::AndersonDarlingA2
+                TestStatistic::AndersonDarlingA2,
+                TestStatistic::LillieforsD,
+                TestStatistic::JarqueBera,
             ]
         );
-    }
-
-    #[test]
-    fn extended_battery_appends_the_extensions() {
-        let battery = extended_battery();
-        assert_eq!(battery.len(), 5);
-        assert_eq!(battery[3].kind(), TestStatistic::LillieforsD);
-        assert_eq!(battery[4].kind(), TestStatistic::JarqueBera);
-        assert_eq!(battery[3].kind().name(), "Lilliefors");
-        assert_eq!(battery[4].kind().name(), "Jarque-Bera");
+        assert_eq!(kinds[3].name(), "Lilliefors");
+        assert_eq!(kinds[4].name(), "Jarque-Bera");
     }
 
     #[test]
@@ -559,24 +548,10 @@ mod tests {
                 .map(|i| (((i * 131) % 997) as f64).sin() * 3.0)
                 .collect();
             let mut sorted = sample.clone();
-            scratch.sort_in_place(&mut sorted);
+            sort_floats(&mut sorted, &mut SortScratch::new());
             let via_presorted = battery_presorted(&sample, &sorted, &mut presort_scratch);
             let via_scratch = battery_with_scratch(&sample, &mut scratch);
             assert_eq!(via_presorted, via_scratch, "n={n}");
-        }
-    }
-
-    #[test]
-    fn test_presorted_agrees_with_test_for_whole_extended_battery() {
-        let sample: Vec<f64> = (0..100)
-            .map(|i| (((i * 37) % 101) as f64).cos() * 2.0 + 0.01 * i as f64)
-            .collect();
-        let mut sorted = sample.clone();
-        BatteryScratch::new().sort_in_place(&mut sorted);
-        for test in extended_battery() {
-            let direct = test.test(&sample).unwrap();
-            let presorted = test.test_presorted(&sample, &sorted).unwrap();
-            assert_eq!(direct, presorted, "{}", test.kind().name());
         }
     }
 

@@ -19,26 +19,16 @@
 //! The published fit is validated for `3 ≤ n ≤ 5000`. The paper nevertheless
 //! applies SW to samples of 3,840 and 768,000 observations; we do the same but
 //! set [`NormalityOutcome::extrapolated`] for `n > 5000` so reports can flag it.
+//!
+//! Steps 1–2 depend only on `n`: [`NormalityTest::test_sorted`] solves the
+//! weights afresh on every call, while the fused battery kernel caches them
+//! per `n` ([`super::WeightCache`]) and shares them across every group of an
+//! aggregation level.
 
-use std::cell::RefCell;
-
-use crate::sort::{sort_floats, SortScratch};
 use crate::special::{norm_pdf, norm_quantile, norm_sf};
-use crate::{accumulate, ensure_finite, ensure_len, StatsError};
+use crate::{accumulate, StatsError};
 
-use super::{NormalityOutcome, NormalityTest, TestStatistic};
-
-thread_local! {
-    /// Scratch for the stand-alone entry paths ([`ShapiroWilk::test`],
-    /// [`ShapiroWilk::test_presorted`], [`ShapiroWilk::w_statistic`]) so
-    /// their loop callers — `repro battery` over every process-iteration,
-    /// `calibrate`, and the tests that hold the fused battery to the
-    /// stand-alone tests — do not allocate a sorted copy + weight vector
-    /// per call. The sweep engine does not use this — it owns a
-    /// `BatteryScratch` per worker.
-    static UNSORTED_ENTRY_SCRATCH: RefCell<(Vec<f64>, SortScratch, Vec<f64>)> =
-        RefCell::new((Vec::new(), SortScratch::new(), Vec::new()));
-}
+use super::{check_sorted, NormalityOutcome, NormalityTest, TestStatistic};
 
 /// The Shapiro–Wilk test. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
@@ -141,22 +131,6 @@ pub fn blom_weights(n: usize, a: &mut Vec<f64>) {
     }
 }
 
-/// W from a sorted, non-degenerate sample and a precomputed weight vector:
-/// the symmetric-difference form `(Σ aᵢ (x₍ₙ₋ᵢ₎ − x₍ᵢ₎))² / Σ(x − x̄)²`.
-///
-/// Mean/ssq use the deterministic lane accumulators and the `sax` sum runs
-/// `i` ascending — the fused sweep kernel replays exactly this sequence, so
-/// both paths agree bit-for-bit.
-pub(crate) fn w_from_sorted_with(x: &[f64], a: &[f64]) -> f64 {
-    let n = x.len();
-    let (_, ssq) = accumulate::mean_ssq(x);
-    let mut sax = 0.0;
-    for (i, &ai) in a.iter().enumerate() {
-        sax += ai * (x[n - 1 - i] - x[i]);
-    }
-    ((sax * sax) / ssq).min(1.0)
-}
-
 /// Precomputed Royston p-value transform parameters for one sample size —
 /// the polynomial fits depend only on `n`, so the sweep's weight cache stores
 /// them next to the weight vector.
@@ -223,81 +197,6 @@ impl SwPValueParams {
     }
 }
 
-impl ShapiroWilk {
-    /// Computes only the W statistic of an **unsorted** sample.
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn w_statistic(&self, sample: &[f64]) -> Result<f64, StatsError> {
-        self.with_sorted_scratch(sample, |this, sorted, weights| {
-            this.w_from_sorted(sorted, weights)
-        })
-    }
-
-    /// Sorts `sample` into the thread-local scratch and hands the sorted view
-    /// plus the reusable weight buffer to `body`.
-    fn with_sorted_scratch<R>(
-        &self,
-        sample: &[f64],
-        body: impl FnOnce(&Self, &[f64], &mut Vec<f64>) -> Result<R, StatsError>,
-    ) -> Result<R, StatsError> {
-        ensure_len(sample, self.min_sample_size())?;
-        ensure_finite(sample)?;
-        UNSORTED_ENTRY_SCRATCH.with(|cell| {
-            let (sorted, sort, weights) = &mut *cell.borrow_mut();
-            sorted.clear();
-            sorted.extend_from_slice(sample);
-            sort_floats(sorted, sort);
-            body(self, sorted, weights)
-        })
-    }
-
-    /// Computes W from an **already sorted** sample, reusing `a` for the
-    /// weight vector — the allocation-free core shared by the unsorted
-    /// entries above and the sweep engine (which sorts once per group and
-    /// shares the sorted buffer across tests).
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn w_from_sorted(&self, x: &[f64], a: &mut Vec<f64>) -> Result<f64, StatsError> {
-        ensure_len(x, self.min_sample_size())?;
-        ensure_finite(x)?;
-        debug_assert!(x.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
-        let n = x.len();
-        if x[n - 1] - x[0] <= 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        blom_weights(n, a);
-        Ok(w_from_sorted_with(x, a))
-    }
-
-    /// Full test outcome from an **already sorted** sample, reusing `weights`
-    /// (the sweep engine's entry point; equals [`NormalityTest::test`] on the
-    /// unsorted sample bit-for-bit).
-    ///
-    /// # Errors
-    /// Same contract as [`NormalityTest::test`].
-    pub fn test_from_sorted(
-        &self,
-        sorted: &[f64],
-        weights: &mut Vec<f64>,
-    ) -> Result<NormalityOutcome, StatsError> {
-        let w = self.w_from_sorted(sorted, weights)?;
-        Ok(NormalityOutcome {
-            statistic_kind: TestStatistic::ShapiroWilkW,
-            statistic: w,
-            p_value: Self::p_value(w, sorted.len()),
-            n: sorted.len(),
-            extrapolated: sorted.len() > 5000,
-        })
-    }
-
-    /// Royston's p-value for a given `(w, n)` pair.
-    fn p_value(w: f64, n: usize) -> f64 {
-        SwPValueParams::for_n(n).p_value(w)
-    }
-}
-
 impl NormalityTest for ShapiroWilk {
     fn kind(&self) -> TestStatistic {
         TestStatistic::ShapiroWilkW
@@ -307,21 +206,27 @@ impl NormalityTest for ShapiroWilk {
         3
     }
 
-    fn test(&self, sample: &[f64]) -> Result<NormalityOutcome, StatsError> {
-        self.with_sorted_scratch(sample, |this, sorted, weights| {
-            this.test_from_sorted(sorted, weights)
-        })
-    }
-
-    fn test_presorted(
-        &self,
-        sample: &[f64],
-        sorted: &[f64],
-    ) -> Result<NormalityOutcome, StatsError> {
-        debug_assert_eq!(sample.len(), sorted.len(), "sample/sorted must match");
-        UNSORTED_ENTRY_SCRATCH.with(|cell| {
-            let (_, _, weights) = &mut *cell.borrow_mut();
-            self.test_from_sorted(sorted, weights)
+    /// W in the symmetric-difference form `(Σ aᵢ (x₍ₙ₋ᵢ₎ − x₍ᵢ₎))² / Σ(x − x̄)²`:
+    /// `Σ(x − x̄)²` from the lane accumulators and the `sax` sum with `i`
+    /// ascending — the sequence the fused kernel replays, so both routes
+    /// agree bit for bit.
+    fn test_sorted(&self, sorted: &[f64]) -> Result<NormalityOutcome, StatsError> {
+        check_sorted(sorted, self.min_sample_size())?;
+        let n = sorted.len();
+        let mut a = Vec::new();
+        blom_weights(n, &mut a);
+        let (_, ssq) = accumulate::mean_ssq(sorted);
+        let mut sax = 0.0;
+        for (i, &ai) in a.iter().enumerate() {
+            sax += ai * (sorted[n - 1 - i] - sorted[i]);
+        }
+        let w = ((sax * sax) / ssq).min(1.0);
+        Ok(NormalityOutcome {
+            statistic_kind: TestStatistic::ShapiroWilkW,
+            statistic: w,
+            p_value: SwPValueParams::for_n(n).p_value(w),
+            n,
+            extrapolated: n > 5000,
         })
     }
 }
@@ -442,8 +347,8 @@ mod tests {
             148.0, 154.0, 158.0, 160.0, 161.0, 162.0, 166.0, 170.0, 182.0, 195.0, 236.0,
         ];
         let scaled: Vec<f64> = xs.iter().map(|v| 3.0 * v - 100.0).collect();
-        let w1 = ShapiroWilk.w_statistic(&xs).unwrap();
-        let w2 = ShapiroWilk.w_statistic(&scaled).unwrap();
+        let w1 = ShapiroWilk.test(&xs).unwrap().statistic;
+        let w2 = ShapiroWilk.test(&scaled).unwrap().statistic;
         assert!((w1 - w2).abs() < 1e-12);
     }
 
@@ -489,23 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn p_value_params_match_direct_transform() {
-        // Cached params must reproduce the inline polynomial transform.
-        for n in [3usize, 4, 7, 11, 12, 48, 500, 6000] {
-            let params = SwPValueParams::for_n(n);
-            for w in [0.2, 0.6, 0.9, 0.99, 0.9999] {
-                let via_params = params.p_value(w);
-                let direct = ShapiroWilk::p_value(w, n);
-                assert_eq!(via_params.to_bits(), direct.to_bits(), "n={n} w={w}");
-            }
-        }
-    }
-
-    #[test]
     fn w_in_unit_interval() {
         for n in [3, 5, 13, 48] {
             let xs: Vec<f64> = (0..n).map(|i| ((i * i) % 17) as f64 + 0.1).collect();
-            if let Ok(w) = ShapiroWilk.w_statistic(&xs) {
+            if let Ok(w) = ShapiroWilk.test(&xs).map(|o| o.statistic) {
                 assert!((0.0..=1.0).contains(&w), "n={n}, W={w}");
             }
         }

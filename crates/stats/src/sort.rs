@@ -4,7 +4,7 @@
 //! integers with `slice::sort_unstable` — in place, and bit-identical to any
 //! other correct sort, because a sorted integer array is unique. This module
 //! serves samples that exist only as floats (the reference sweep, the
-//! stand-alone tests), where a comparison sort would pay a
+//! battery-sensitivity ablation), where a comparison sort would pay a
 //! branch-mispredicting `partial_cmp` per comparison.
 //! Finite doubles admit a **monotone fixed-width key**: flip the sign bit for
 //! positives and all bits for negatives, and unsigned `u64` order equals

@@ -1,51 +1,12 @@
 //! Time-series helpers for iteration-indexed statistics.
 //!
 //! The paper asks "how thread arrival times may change over the course of an
-//! application run" (§1) but only eyeballs the percentile plots. These
-//! helpers make that question quantitative: autocorrelation of the median
-//! series (is an iteration's slowness predictive of the next?), rolling
-//! statistics, and multi-change-point detection by binary segmentation
-//! (generalizing the single-boundary detector in `ebird-analysis`).
+//! application run" (§1) but only eyeballs the percentile plots.
+//! Multi-change-point detection by binary segmentation makes that question
+//! quantitative (generalizing the single-boundary detector in
+//! `ebird-analysis`).
 
 use crate::{ensure_finite, ensure_len, StatsError};
-
-/// Lag-`k` sample autocorrelation of `series`.
-///
-/// # Errors
-/// Series must be finite with at least `k + 2` points and nonzero variance.
-pub fn autocorrelation(series: &[f64], k: usize) -> Result<f64, StatsError> {
-    ensure_len(series, k + 2)?;
-    ensure_finite(series)?;
-    let n = series.len();
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let denom: f64 = series.iter().map(|&x| (x - mean) * (x - mean)).sum();
-    if denom <= 0.0 {
-        return Err(StatsError::ZeroVariance);
-    }
-    let num: f64 = (0..n - k)
-        .map(|i| (series[i] - mean) * (series[i + k] - mean))
-        .sum();
-    Ok(num / denom)
-}
-
-/// Rolling mean with a centered window of `window` points (odd preferred);
-/// edges use the available partial window. Output has `series.len()` points.
-pub fn rolling_mean(series: &[f64], window: usize) -> Result<Vec<f64>, StatsError> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    if window == 0 {
-        return Err(StatsError::InvalidParameter("window must be nonzero"));
-    }
-    let half = window / 2;
-    let n = series.len();
-    Ok((0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect())
-}
 
 /// Multi-change-point detection by binary segmentation on segment means.
 ///
@@ -103,56 +64,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn autocorrelation_of_constant_trendless_noise_is_small() {
-        let xs: Vec<f64> = (0..500)
-            .map(|i| ((i * 2654435761usize) % 1000) as f64 / 1000.0)
-            .collect();
-        let r1 = autocorrelation(&xs, 1).unwrap();
-        assert!(r1.abs() < 0.15, "lag-1 autocorr {r1}");
-    }
-
-    #[test]
-    fn autocorrelation_of_trend_is_high() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let r1 = autocorrelation(&xs, 1).unwrap();
-        assert!(r1 > 0.9, "lag-1 autocorr of a ramp {r1}");
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let xs: Vec<f64> = (0..50).map(|i| ((i * 7) % 13) as f64).collect();
-        assert!((autocorrelation(&xs, 0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternation_is_negative() {
-        let xs: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let r1 = autocorrelation(&xs, 1).unwrap();
-        assert!(r1 < -0.9, "alternating series lag-1 {r1}");
-    }
-
-    #[test]
-    fn rolling_mean_smooths_and_preserves_length() {
-        let xs: Vec<f64> = (0..60)
-            .map(|i| if i % 2 == 0 { 0.0 } else { 2.0 })
-            .collect();
-        let smooth = rolling_mean(&xs, 5).unwrap();
-        assert_eq!(smooth.len(), 60);
-        // Interior values hover near the overall mean of 1.0.
-        for v in &smooth[5..55] {
-            assert!((v - 1.0).abs() < 0.35, "{v}");
-        }
-    }
-
-    #[test]
-    fn rolling_mean_of_constant_is_constant() {
-        let xs = vec![3.5; 20];
-        assert_eq!(rolling_mean(&xs, 7).unwrap(), xs);
-    }
-
-    #[test]
     fn change_points_find_a_minimd_style_boundary() {
         // 19 iterations at level 25.5, then 81 at 24.74 (tiny noise).
         let xs: Vec<f64> = (0..100)
@@ -185,9 +96,6 @@ mod tests {
 
     #[test]
     fn input_validation() {
-        assert!(autocorrelation(&[1.0, 2.0], 5).is_err());
-        assert!(autocorrelation(&[2.0; 10], 1).is_err(), "zero variance");
-        assert!(rolling_mean(&[1.0], 0).is_err());
         assert!(change_points(&[1.0, 2.0], 0.5, 5).is_err());
         assert!(change_points(&[1.0; 20], 0.0, 2).is_err());
     }

@@ -10,7 +10,8 @@ use ebird_stats::descriptive::{Moments, Summary};
 use ebird_stats::normality::{
     anderson_darling::AndersonDarling, battery_sorted, battery_with_scratch,
     dagostino::DagostinoK2, jarque_bera::JarqueBera, lilliefors::Lilliefors, shapiro_wilk,
-    shapiro_wilk::ShapiroWilk, BatteryScratch, NormalityTest, WeightCache,
+    shapiro_wilk::ShapiroWilk, BatteryScratch, NormalityOutcome, NormalityTest, TestStatistic,
+    WeightCache,
 };
 use ebird_stats::percentile::{percentile, PercentileSummary};
 use ebird_stats::sort::{merge_sorted, sort_floats, SortScratch};
@@ -19,6 +20,7 @@ use ebird_stats::special::{
     norm_log_cdf_sf_slice, norm_log_sf, norm_quantile, norm_sf,
 };
 use ebird_stats::Histogram;
+use ebird_stats::StatsError;
 use proptest::prelude::*;
 
 fn arb_sample() -> impl Strategy<Value = Vec<f64>> {
@@ -116,6 +118,26 @@ fn ns_keys(n: usize, flavor: usize, seed: u64) -> Vec<u64> {
         }
     }
     keys
+}
+
+/// The five tests of the extended battery.
+const ALL_TESTS: [&dyn NormalityTest; 5] = [
+    &DagostinoK2,
+    &ShapiroWilk,
+    &AndersonDarling,
+    &Lilliefors,
+    &JarqueBera,
+];
+
+/// An outcome with its floats as bits, so a NaN statistic (extreme
+/// magnitudes overflow the moments) compares equal to itself.
+type OutcomeBits = Result<(TestStatistic, u64, u64, usize, bool), StatsError>;
+
+fn outcome_bits(outcome: Result<NormalityOutcome, StatsError>) -> OutcomeBits {
+    outcome.map(|o| {
+        let (statistic, p) = (o.statistic.to_bits(), o.p_value.to_bits());
+        (o.statistic_kind, statistic, p, o.n, o.extrapolated)
+    })
 }
 
 /// A sample guaranteed to have spread (for scale-dependent tests).
@@ -225,14 +247,7 @@ proptest! {
 
     #[test]
     fn normality_tests_p_in_unit_interval(xs in arb_spread_sample()) {
-        let tests: [&dyn NormalityTest; 5] = [
-            &DagostinoK2,
-            &ShapiroWilk,
-            &AndersonDarling,
-            &Lilliefors,
-            &JarqueBera,
-        ];
-        for t in tests {
+        for t in ALL_TESTS {
             if let Ok(o) = t.test(&xs) {
                 prop_assert!((0.0..=1.0).contains(&o.p_value), "{}: p={}", o.statistic_kind.name(), o.p_value);
                 prop_assert!(o.statistic.is_finite());
@@ -249,18 +264,47 @@ proptest! {
     ) {
         let transformed: Vec<f64> = xs.iter().map(|&x| shift + scale * x).collect();
         // Shapiro–Wilk's W and Lilliefors' D are exactly invariant.
-        if let (Ok(a), Ok(b)) = (ShapiroWilk.w_statistic(&xs), ShapiroWilk.w_statistic(&transformed)) {
+        if let (Ok(a), Ok(b)) = (ShapiroWilk.test(&xs), ShapiroWilk.test(&transformed)) {
+            let (a, b) = (a.statistic, b.statistic);
             prop_assert!((a - b).abs() < 1e-6, "SW: {a} vs {b}");
         }
-        if let (Ok(a), Ok(b)) = (Lilliefors.d_statistic(&xs), Lilliefors.d_statistic(&transformed)) {
+        if let (Ok(a), Ok(b)) = (Lilliefors.test(&xs), Lilliefors.test(&transformed)) {
+            let (a, b) = (a.statistic, b.statistic);
             prop_assert!((a - b).abs() < 1e-7, "Lilliefors: {a} vs {b}");
         }
     }
 
     #[test]
     fn shapiro_wilk_w_in_unit_interval(xs in arb_spread_sample()) {
-        if let Ok(w) = ShapiroWilk.w_statistic(&xs) {
-            prop_assert!((0.0..=1.0).contains(&w), "W={w}");
+        if let Ok(o) = ShapiroWilk.test(&xs) {
+            prop_assert!((0.0..=1.0).contains(&o.statistic), "W={}", o.statistic);
+        }
+    }
+
+    #[test]
+    fn every_test_on_a_shuffled_sample_equals_test_sorted_on_its_sort(
+        xs in arb_tricky_sample(300),
+        seed in 0u64..u64::MAX,
+    ) {
+        // All five tests share one sort: `test` sorts its own copy of the
+        // shuffled sample, `test_sorted` reads the radix sort of it. Both
+        // must put duplicates, ±0.0 and subnormals in the same order, and
+        // every test must then compute the same bits or the same error.
+        let mut shuffled = xs;
+        let mut next = xorshift(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut sorted = shuffled.clone();
+        sort_floats(&mut sorted, &mut SortScratch::new());
+        for t in ALL_TESTS {
+            prop_assert_eq!(
+                outcome_bits(t.test(&shuffled)),
+                outcome_bits(t.test_sorted(&sorted)),
+                "{}, n = {}",
+                t.kind().name(),
+                sorted.len()
+            );
         }
     }
 

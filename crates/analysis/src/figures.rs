@@ -84,12 +84,13 @@ pub fn class_exemplar_pair(
     label_prefix: &str,
 ) -> (Option<FigureHistogram>, Option<FigureHistogram>) {
     let make = |class: ArrivalClass, suffix: &str| {
-        census.exemplar(class, from_iteration).map(|c| {
+        census.exemplar(class, from_iteration).map(|(unit, _)| {
+            let (trial, rank, iteration) = census.coords(unit);
             process_iteration_histogram(
                 trace,
-                c.trial,
-                c.rank,
-                c.iteration,
+                trial,
+                rank,
+                iteration,
                 bin_ms,
                 &format!("{label_prefix}{suffix}"),
             )

@@ -10,8 +10,12 @@
 //! quartiles, maximum), so the per-unit kernel takes the unit's compute
 //! times already in ascending order — built once per unit from the trace's
 //! integer nanoseconds (`crate::unit`) — and sorts nothing itself.
+//!
+//! A census is in trace order, so a record does not repeat where it came
+//! from: unit `i`'s `(trial, rank, iteration)` is
+//! [`LaggardCensus::coords`]`(i)`, read off the census's [`TraceShape`].
 
-use ebird_core::TimingTrace;
+use ebird_core::{TimingTrace, TraceShape};
 use ebird_stats::percentile::PercentileSummary;
 use serde::{Deserialize, Serialize};
 
@@ -27,15 +31,10 @@ pub enum ArrivalClass {
     Laggard,
 }
 
-/// One classified process-iteration.
+/// One classified process-iteration; its coordinates are its position in
+/// the census ([`LaggardCensus::coords`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClassifiedIteration {
-    /// Trial index.
-    pub trial: usize,
-    /// Rank index.
-    pub rank: usize,
-    /// Iteration index.
-    pub iteration: usize,
     /// Assigned class.
     pub class: ArrivalClass,
     /// `max − median` (ms), the laggard magnitude.
@@ -46,16 +45,25 @@ pub struct ClassifiedIteration {
     pub iqr_ms: f64,
 }
 
-/// Census of all process-iterations of a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Census of all process-iterations of a trace. Not deserializable: the
+/// coordinates of its records come from `shape`, so only a census built from
+/// a trace — one record per unit, in trace order — can name them.
+#[derive(Debug, Clone, Serialize)]
 pub struct LaggardCensus {
     /// Threshold used (paper: 1 ms).
     pub threshold_ms: f64,
+    /// Shape of the classified trace.
+    pub shape: TraceShape,
     /// Every process-iteration, classified, in trace order.
     pub iterations: Vec<ClassifiedIteration>,
 }
 
 impl LaggardCensus {
+    /// `(trial, rank, iteration)` of record `unit`.
+    pub fn coords(&self, unit: usize) -> (usize, usize, usize) {
+        self.shape.unit_coords(unit)
+    }
+
     /// Fraction of process-iterations containing a laggard.
     pub fn laggard_rate(&self) -> f64 {
         if self.iterations.is_empty() {
@@ -72,12 +80,8 @@ impl LaggardCensus {
     /// Laggard rate restricted to iterations `from..`, for phase-split apps
     /// (the paper's MiniMD 4.8% covers the steady-state section).
     pub fn laggard_rate_from(&self, from_iteration: usize) -> f64 {
-        let in_range = self
-            .iterations
-            .iter()
-            .filter(|c| c.iteration >= from_iteration);
         let (mut total, mut laggards) = (0usize, 0usize);
-        for c in in_range {
+        for (_, c) in self.units_from(from_iteration) {
             total += 1;
             laggards += usize::from(c.class == ArrivalClass::Laggard);
         }
@@ -96,24 +100,38 @@ impl LaggardCensus {
         self.iterations.iter().map(|c| c.median_ms).sum::<f64>() / self.iterations.len() as f64
     }
 
-    /// A representative exemplar of `class`: the iteration whose laggard
-    /// magnitude is the class median (avoids cherry-picking extremes),
-    /// optionally restricted to iterations ≥ `from_iteration`.
+    /// A representative exemplar of `class` with its unit index: the
+    /// iteration whose laggard magnitude is the class median (avoids
+    /// cherry-picking extremes), optionally restricted to iterations
+    /// ≥ `from_iteration`.
     pub fn exemplar(
         &self,
         class: ArrivalClass,
         from_iteration: usize,
-    ) -> Option<&ClassifiedIteration> {
-        let mut members: Vec<&ClassifiedIteration> = self
-            .iterations
-            .iter()
-            .filter(|c| c.class == class && c.iteration >= from_iteration)
+    ) -> Option<(usize, &ClassifiedIteration)> {
+        let mut members: Vec<(usize, &ClassifiedIteration)> = self
+            .units_from(from_iteration)
+            .filter(|(_, c)| c.class == class)
             .collect();
         if members.is_empty() {
             return None;
         }
-        members.sort_by(|a, b| a.magnitude_ms.partial_cmp(&b.magnitude_ms).expect("finite"));
+        members
+            .sort_by(|(_, a), (_, b)| a.magnitude_ms.partial_cmp(&b.magnitude_ms).expect("finite"));
         Some(members[members.len() / 2])
+    }
+
+    /// The records of iterations ≥ `from_iteration`, with their unit
+    /// indices, in trace order.
+    fn units_from(
+        &self,
+        from_iteration: usize,
+    ) -> impl Iterator<Item = (usize, &ClassifiedIteration)> {
+        let iterations = self.shape.iterations;
+        self.iterations
+            .iter()
+            .enumerate()
+            .filter(move |(unit, _)| unit % iterations >= from_iteration)
     }
 }
 
@@ -121,19 +139,10 @@ impl LaggardCensus {
 /// order ([`UnitOrder::sorted_ms`]): the per-unit kernel shared by the
 /// reference census and the trace scan (outcomes are bit-identical by
 /// construction).
-pub(crate) fn classify_unit(
-    trial: usize,
-    rank: usize,
-    iteration: usize,
-    sorted_ms: &[f64],
-    threshold_ms: f64,
-) -> ClassifiedIteration {
+pub(crate) fn classify_unit(sorted_ms: &[f64], threshold_ms: f64) -> ClassifiedIteration {
     let s = PercentileSummary::from_sorted(sorted_ms);
     let magnitude = s.max - s.p50;
     ClassifiedIteration {
-        trial,
-        rank,
-        iteration,
         class: if magnitude > threshold_ms {
             ArrivalClass::Laggard
         } else {
@@ -151,21 +160,17 @@ pub(crate) fn classify_unit(
 /// whose `census` the bit-identity tests compare against this.
 pub fn laggard_census(trace: &TimingTrace, threshold_ms: f64) -> LaggardCensus {
     assert!(threshold_ms > 0.0, "threshold must be positive");
+    let shape = trace.shape();
     let mut order = UnitOrder::default();
+    // Unit `u`'s samples are the `u`-th `threads`-long run of the trace.
     let iterations = trace
-        .iter_process_iterations()
-        .map(|(trial, rank, iteration, samples)| {
-            classify_unit(
-                trial,
-                rank,
-                iteration,
-                order.sorted_ms(samples),
-                threshold_ms,
-            )
-        })
+        .samples()
+        .chunks(shape.threads)
+        .map(|samples| classify_unit(order.sorted_ms(samples), threshold_ms))
         .collect();
     LaggardCensus {
         threshold_ms,
+        shape,
         iterations,
     }
 }
@@ -173,7 +178,7 @@ pub fn laggard_census(trace: &TimingTrace, threshold_ms: f64) -> LaggardCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{SampleIndex, ThreadSample, TraceShape};
+    use ebird_core::{SampleIndex, ThreadSample};
 
     /// Trace where iterations with odd index have a +3 ms laggard on thread 0.
     fn half_laggard_trace() -> TimingTrace {
@@ -200,13 +205,14 @@ mod tests {
         let census = laggard_census(&tr, 1.0);
         assert_eq!(census.iterations.len(), 10);
         assert!((census.laggard_rate() - 0.5).abs() < 1e-12);
-        for c in &census.iterations {
-            let expect = if c.iteration % 2 == 1 {
+        for (unit, c) in census.iterations.iter().enumerate() {
+            let (_, _, iteration) = census.coords(unit);
+            let expect = if iteration % 2 == 1 {
                 ArrivalClass::Laggard
             } else {
                 ArrivalClass::NoLaggard
             };
-            assert_eq!(c.class, expect, "iteration {}", c.iteration);
+            assert_eq!(c.class, expect, "iteration {iteration}");
         }
     }
 
@@ -247,11 +253,26 @@ mod tests {
     fn exemplar_prefers_median_magnitude() {
         let tr = half_laggard_trace();
         let census = laggard_census(&tr, 1.0);
-        let e = census.exemplar(ArrivalClass::Laggard, 0).unwrap();
+        let (unit, e) = census.exemplar(ArrivalClass::Laggard, 0).unwrap();
         assert_eq!(e.class, ArrivalClass::Laggard);
         assert!(census.exemplar(ArrivalClass::Laggard, 10).is_none());
-        let calm = census.exemplar(ArrivalClass::NoLaggard, 0).unwrap();
+        let (calm_unit, calm) = census.exemplar(ArrivalClass::NoLaggard, 0).unwrap();
         assert_eq!(calm.class, ArrivalClass::NoLaggard);
+        // Every member of a class has the same magnitude here, so the
+        // stable sort keeps trace order and the middle member wins — the
+        // coordinates the census named when each record carried its own.
+        assert_eq!(census.coords(unit), (0, 0, 5));
+        assert_eq!(census.coords(calm_unit), (0, 0, 4));
+        let from = |class| census.exemplar(class, 6).map(|(u, _)| census.coords(u));
+        assert_eq!(from(ArrivalClass::Laggard), Some((0, 0, 9)));
+        assert_eq!(from(ArrivalClass::NoLaggard), Some((0, 0, 8)));
+    }
+
+    #[test]
+    fn a_census_row_is_its_class_and_three_millisecond_figures() {
+        // 48 000 rows per paper-scale trace: the coordinates live in the
+        // census's shape, not in every row.
+        assert_eq!(std::mem::size_of::<ClassifiedIteration>(), 32);
     }
 
     #[test]

@@ -488,7 +488,6 @@ mod tests {
                 statistic_kind: kind,
                 statistic: 1.0,
                 p_value: p,
-                n: 48,
                 extrapolated: false,
             })
         };

@@ -112,8 +112,9 @@ pub fn render_earlybird(
     let units: Vec<(&[DeliveryOutcome; 4], bool)> = outcomes
         .iter()
         .zip(&census.iterations)
-        .filter(|(_, c)| c.iteration >= from_iteration)
-        .map(|(row, c)| (row, c.class == ArrivalClass::Laggard))
+        .enumerate()
+        .filter(|&(unit, _)| census.coords(unit).2 >= from_iteration)
+        .map(|(_, (row, c))| (row, c.class == ArrivalClass::Laggard))
         .collect();
     let laggard_units = units.iter().filter(|(_, laggard)| *laggard).count();
     let calm_units = units.len() - laggard_units;

@@ -15,7 +15,10 @@
 //! traversal:
 //!
 //! * `census` ≡ [`laggard_census`](crate::laggard::laggard_census) — same
-//!   kernel, same unit order.
+//!   kernel, same unit order. A record does not carry its coordinates: each
+//!   member walks its block as consecutive `threads`-long runs of the
+//!   sample column, and the census names unit `i`'s `(trial, rank,
+//!   iteration)` from its shape ([`LaggardCensus::coords`]).
 //! * `reclaim` ≡ [`reclaim_metrics`](crate::reclaim::reclaim_metrics) — per
 //!   unit quantities folded in trace order, the identical float-addition
 //!   sequence.
@@ -91,24 +94,17 @@ pub fn trace_scan_parallel_with_arenas(
             }
         })
         .collect();
-    let unit_order = &arenas.unit_order;
+    let (unit_order, threads) = (&arenas.unit_order, shape.threads);
     // A team-long slice chunks into exactly one element per member.
     pool.parallel_chunks_mut(&mut parts, |part, _, ctx| {
         let part = &mut part[0];
         let mut order = unit_order.slot(ctx.thread());
-        for unit in static_block(units, team, ctx.thread()) {
-            let (trial, rank, iteration) = shape.unit_coords(unit);
-            let samples = trace
-                .process_iteration(trial, rank, iteration)
-                .expect("unit in range by construction");
+        // Unit `u`'s samples are the `u`-th `threads`-long run of the trace.
+        let block = static_block(units, team, ctx.thread());
+        let block = &trace.samples()[block.start * threads..block.end * threads];
+        for samples in block.chunks(threads) {
             let sorted_ms = order.sorted_ms(samples);
-            part.iterations.push(classify_unit(
-                trial,
-                rank,
-                iteration,
-                sorted_ms,
-                threshold_ms,
-            ));
+            part.iterations.push(classify_unit(sorted_ms, threshold_ms));
             part.per_unit.push(unit_reclaim(sorted_ms));
             for s in samples {
                 part.moments.push(ThreadSample::compute_time_ms(s));
@@ -127,6 +123,7 @@ pub fn trace_scan_parallel_with_arenas(
     TraceScan {
         census: LaggardCensus {
             threshold_ms,
+            shape,
             iterations: scanned.iterations,
         },
         reclaim: fold_units(scanned.per_unit),
@@ -207,6 +204,27 @@ mod tests {
             assert_eq!(par.moments.count(), one.moments.count());
             assert_eq!(par.moments.min(), one.moments.min());
             assert_eq!(par.moments.max(), one.moments.max());
+        }
+    }
+
+    #[test]
+    fn census_coordinates_are_the_trace_order_of_its_units() {
+        let tr = mixed_trace();
+        let shape = tr.shape();
+        for workers in [1, 2, 5] {
+            let census = scan_on(&tr, 1.0, workers).census;
+            assert_eq!(census.shape, shape);
+            assert_eq!(census.iterations.len(), shape.process_iterations());
+            for unit in 0..census.iterations.len() {
+                assert_eq!(census.coords(unit), shape.unit_coords(unit), "{workers}");
+            }
+            // Trial 1, rank 0, iteration 4 is the trace's one flat unit.
+            let flat = census
+                .iterations
+                .iter()
+                .position(|c| c.iqr_ms == 0.0)
+                .expect("one flat unit");
+            assert_eq!(census.coords(flat), (1, 0, 4), "{workers}");
         }
     }
 

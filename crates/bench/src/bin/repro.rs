@@ -96,6 +96,11 @@ use ebird_serve::scenario::{self, ScenarioMatrix};
 /// Default campaign-service address for `serve`/`submit`/`fetch`/`shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4750";
 
+/// Most `--threads` accepted: far above any host's core count, and far below
+/// the counts at which spawning the pool aborts the process (at 100 000 a
+/// thread cannot allocate its signal stack, and the panic cannot unwind).
+const MAX_THREADS: usize = 1024;
+
 /// The paper's 8 MB partitioned buffer, priced by `earlybird` and by
 /// `profile`'s delivery stage.
 const BUFFER_BYTES: usize = 8_000_000;
@@ -195,8 +200,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 threads = v
                     .parse()
                     .map_err(|e| format!("bad thread count `{v}`: {e}"))?;
-                if threads == 0 {
-                    return Err("--threads must be ≥ 1".into());
+                if !(1..=MAX_THREADS).contains(&threads) {
+                    return Err(format!(
+                        "--threads must be in 1..={MAX_THREADS}, got {threads}"
+                    ));
                 }
             }
             "--csv-dir" => {
@@ -580,17 +587,16 @@ fn cmd_exemplars(
 
 fn cmd_fig7(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<(), String> {
     // 7a: initial-phase exemplar (median-magnitude iteration < 19, 50 µs bins).
-    let early: Vec<_> = census
-        .iterations
-        .iter()
-        .filter(|c| c.iteration < MINIMD_PHASE_BOUNDARY)
+    let early: Vec<_> = (0..census.iterations.len())
+        .map(|unit| census.coords(unit))
+        .filter(|&(_, _, iteration)| iteration < MINIMD_PHASE_BOUNDARY)
         .collect();
-    if let Some(c) = early.get(early.len() / 2) {
+    if let Some(&(trial, rank, iteration)) = early.get(early.len() / 2) {
         let f = figures::process_iteration_histogram(
             tr,
-            c.trial,
-            c.rank,
-            c.iteration,
+            trial,
+            rank,
+            iteration,
             bins::FIG5_MS,
             "fig7a",
         );
@@ -612,15 +618,10 @@ fn cmd_fig9(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<
     // MiniQMC: any median-magnitude iteration typifies the wide distribution.
     let classes = [ArrivalClass::Laggard, ArrivalClass::NoLaggard];
     let exemplar = classes.iter().find_map(|&c| census.exemplar(c, 0));
-    if let Some(c) = exemplar {
-        let f = figures::process_iteration_histogram(
-            tr,
-            c.trial,
-            c.rank,
-            c.iteration,
-            bins::FIG9_MS,
-            "fig9",
-        );
+    if let Some((unit, _)) = exemplar {
+        let (trial, rank, iteration) = census.coords(unit);
+        let f =
+            figures::process_iteration_histogram(tr, trial, rank, iteration, bins::FIG9_MS, "fig9");
         println!("{}", report::render_histogram(&f, 40));
         write_csv(opts, "fig9.csv", &report::histogram_csv(&f))?;
     }

@@ -159,7 +159,6 @@ impl NormalityTest for AndersonDarling {
             statistic_kind: TestStatistic::AndersonDarlingA2,
             statistic: a2,
             p_value: Self::p_value_for(a2),
-            n,
             extrapolated: false,
         })
     }

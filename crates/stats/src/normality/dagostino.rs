@@ -116,7 +116,6 @@ impl DagostinoK2 {
                 statistic_kind: TestStatistic::DagostinoK2,
                 statistic: k2,
                 p_value: chi2_sf(k2, 2.0),
-                n,
                 // The transforms are asymptotic; below n = 20 scipy warns.
                 extrapolated: n < 20,
             },
@@ -200,7 +199,6 @@ mod tests {
         let xs = normal_scores(64);
         let (o, z1, z2) = DagostinoK2.test_with_components(&xs).unwrap();
         assert!((o.statistic - (z1 * z1 + z2 * z2)).abs() < 1e-12);
-        assert_eq!(o.n, 64);
         assert_eq!(o.statistic_kind, TestStatistic::DagostinoK2);
     }
 

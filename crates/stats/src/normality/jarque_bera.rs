@@ -36,7 +36,6 @@ impl NormalityTest for JarqueBera {
             statistic_kind: TestStatistic::JarqueBera,
             statistic: jb,
             p_value: chi2_sf(jb, 2.0),
-            n,
             // The χ²(2) limit is notoriously slow to kick in.
             extrapolated: n < 2000,
         })

@@ -92,7 +92,6 @@ impl NormalityTest for Lilliefors {
             statistic_kind: TestStatistic::LillieforsD,
             statistic: d,
             p_value: Self::p_value_for(d, n),
-            n,
             extrapolated: false,
         })
     }

@@ -64,7 +64,10 @@ impl TestStatistic {
     }
 }
 
-/// Outcome of one normality test on one sample.
+/// Outcome of one normality test on one sample. It does not repeat the
+/// sample size: every caller holds the sample it passed in, and a sweep keeps
+/// three of these per group (24 bytes each; `Option` adds none, the
+/// `statistic_kind` and `extrapolated` niches carry `None`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NormalityOutcome {
     /// Which test produced this outcome.
@@ -74,8 +77,6 @@ pub struct NormalityOutcome {
     /// Two-sided p-value under the normal null hypothesis. For
     /// Anderson–Darling this is the D'Agostino–Stephens approximation.
     pub p_value: f64,
-    /// Sample size the test saw.
-    pub n: usize,
     /// `true` if the test's p-value approximation is extrapolated beyond its
     /// published validity range (e.g. Shapiro–Wilk for n > 5000). The value is
     /// still reported — the paper itself runs SW on 768,000 samples — but
@@ -365,7 +366,6 @@ fn fused_battery(
         statistic_kind: TestStatistic::ShapiroWilkW,
         statistic: w,
         p_value: entry.sw_params.p_value(w),
-        n,
         extrapolated: n > 5000,
     };
     let ad = do_ad.then(|| {
@@ -374,7 +374,6 @@ fn fused_battery(
             statistic_kind: TestStatistic::AndersonDarlingA2,
             statistic: a2,
             p_value: anderson_darling::AndersonDarling::p_value_for(a2),
-            n,
             extrapolated: false,
         }
     });
@@ -602,12 +601,19 @@ mod tests {
             statistic_kind: TestStatistic::DagostinoK2,
             statistic: 1.0,
             p_value: 0.04,
-            n: 48,
             extrapolated: false,
         };
         assert!(o.rejects_normality(0.05));
         assert!(!o.passes(0.05));
         assert!(!o.rejects_normality(0.01));
         assert!(o.passes(0.01));
+    }
+
+    #[test]
+    fn a_battery_row_is_three_24_byte_outcomes() {
+        // A sweep keeps one row per group (48 603 at paper scale): the
+        // outcome carries no sample size, and `None` lives in a niche.
+        assert_eq!(std::mem::size_of::<NormalityOutcome>(), 24);
+        assert_eq!(std::mem::size_of::<[Option<NormalityOutcome>; 3]>(), 72);
     }
 }

@@ -225,7 +225,6 @@ impl NormalityTest for ShapiroWilk {
             statistic_kind: TestStatistic::ShapiroWilkW,
             statistic: w,
             p_value: SwPValueParams::for_n(n).p_value(w),
-            n,
             extrapolated: n > 5000,
         })
     }

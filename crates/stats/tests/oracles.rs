@@ -24,8 +24,9 @@ use ebird_stats::normality::{
 const ALONE: [&dyn NormalityTest; 3] = [&DagostinoK2, &ShapiroWilk, &AndersonDarling];
 
 /// Whether the stand-alone tests check sample `rep` at size `n`: every one
-/// up to n = 48, every tenth at n = 384, where the stand-alone Shapiro–Wilk
-/// re-solves its 192 weights per call (≈ 0.4 ms in a debug build).
+/// up to n = 48, every tenth above, where the stand-alone Shapiro–Wilk
+/// re-solves its n/2 weights per call (192 at n = 384: ≈ 0.4 ms in a debug
+/// build).
 fn checks_alone(n: usize, rep: usize) -> bool {
     n <= 48 || rep.is_multiple_of(10)
 }
@@ -341,9 +342,12 @@ fn null_rejections(n: usize, reps: usize, alpha: f64) -> [usize; 3] {
 /// | 20 | 20 000 | 0.0572 | 0.0519 | 0.0520 |
 /// | 48 | 20 000 | 0.0586 | 0.0498 | 0.0495 |
 /// | 384 | 10 000 | 0.0542 | 0.0484 | 0.0476 |
+/// | 3 840 | 5 000 | 0.0464 | 0.0468 | 0.0498 |
 ///
-/// The stand-alone tests give the fused outcomes bit for bit on 61 000 of
-/// the 70 000 samples ([`checks_alone`]).
+/// The last row is release only
+/// ([`battery_size_under_the_null_at_the_application_iteration_size`]). The
+/// stand-alone tests give the fused outcomes bit for bit on 61 000 of the
+/// 70 000 samples of the other rows ([`checks_alone`]).
 ///
 /// W and A*² sit inside the 4σ binomial band at every n, K² at n = 384. K²
 /// is liberal below that: its size at n ∈ {20, 48} is asserted as measured,
@@ -391,6 +395,29 @@ fn battery_size_under_the_null() {
                 "n = {n}: K² size {size} is not liberal"
             );
         }
+    }
+}
+
+/// The null calibration at n = 3 840, the size of one application-iteration
+/// group (10 trials × 8 ranks × 48 threads): too slow for a debug build, so
+/// release only (`cargo test --release -p ebird-stats --test oracles`).
+/// Same seeded draws and decision as [`battery_size_under_the_null`], whose
+/// table has the rates; the stand-alone tests check every tenth sample.
+///
+/// W and A*² are asserted inside the 4σ binomial band (±0.0123). K²'s size
+/// (0.0464) is recorded only: inside the band too, no longer liberal.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn battery_size_under_the_null_at_the_application_iteration_size() {
+    const ALPHA: f64 = 0.05;
+    let (n, reps) = (3_840, 5_000);
+    let [_, w, a2] = null_rejections(n, reps, ALPHA).map(|r| r as f64 / reps as f64);
+    let band = 4.0 * (ALPHA * (1.0 - ALPHA) / reps as f64).sqrt();
+    for (name, rate) in [("W", w), ("A*²", a2)] {
+        assert!(
+            (rate - ALPHA).abs() <= band,
+            "n = {n}: {name} rejects {rate}"
+        );
     }
 }
 

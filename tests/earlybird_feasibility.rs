@@ -229,12 +229,16 @@ fn across_the_campaign_early_bird_suits_miniqmc_and_minife_but_rarely_minimd() {
 
     // Share of the process-iterations `keep` selects whose early-bird
     // exposed cost is below bulk's (outcome rows are [bulk, early-bird, ..]).
-    let share = |app: usize, keep: &dyn Fn(&ClassifiedIteration) -> bool| {
+    // Records are in trace order, so `keep` reads a unit's iteration off
+    // the campaign's shape.
+    let share = |app: usize, keep: &dyn Fn(usize, &ClassifiedIteration) -> bool| {
         let (census, outcomes) = &analysed[app];
         let kept: Vec<_> = census
             .iter()
             .zip(outcomes)
-            .filter(|(c, _)| keep(c))
+            .enumerate()
+            .filter(|(unit, (c, _))| keep(cfg.shape().unit_coords(*unit).2, c))
+            .map(|(_, pair)| pair)
             .collect();
         let wins = kept
             .iter()
@@ -242,9 +246,9 @@ fn across_the_campaign_early_bird_suits_miniqmc_and_minife_but_rarely_minimd() {
             .count();
         wins as f64 / kept.len() as f64
     };
-    let fe = share(0, &|_| true);
-    let md = share(1, &|c| c.iteration >= MINIMD_PHASE_BOUNDARY);
-    let qmc = share(2, &|_| true);
+    let fe = share(0, &|_, _| true);
+    let md = share(1, &|iteration, _| iteration >= MINIMD_PHASE_BOUNDARY);
+    let qmc = share(2, &|_, _| true);
     assert!(
         md < fe && fe < qmc,
         "MiniMD {md} < MiniFE {fe} < MiniQMC {qmc}"
@@ -252,8 +256,8 @@ fn across_the_campaign_early_bird_suits_miniqmc_and_minife_but_rarely_minimd() {
     assert!(md < 0.10 && qmc > 0.95, "MiniMD {md}, MiniQMC {qmc}");
     // What early-bird hides behind is a laggard: MiniFE's win is its
     // laggard-containing process-iterations, not its laggard-free ones.
-    let with_laggard = share(0, &|c| c.class == ArrivalClass::Laggard);
-    let without = share(0, &|c| c.class == ArrivalClass::NoLaggard);
+    let with_laggard = share(0, &|_, c| c.class == ArrivalClass::Laggard);
+    let without = share(0, &|_, c| c.class == ArrivalClass::NoLaggard);
     assert!(
         with_laggard > 0.5 && without < 0.05,
         "MiniFE: {with_laggard} with a laggard vs {without} without"

@@ -17,10 +17,11 @@
 //!   (tricubic B-spline wavefunction evaluation + two-body Jastrow +
 //!   Metropolis drift-diffusion).
 //!
-//! Every app implements [`ProxyApp`]: one instrumented iteration per call,
-//! with Listing-1 stamp placement handled by `ebird-runtime`'s `timed_*`
-//! primitives. All randomness is seeded (`ebird-stats::dist`-compatible
-//! xoshiro generators), so runs are bit-reproducible.
+//! Every app implements [`ProxyApp`]: one iteration per
+//! [`step`](ProxyApp::step), stamped when asked, with Listing-1 stamp
+//! placement handled by `ebird-runtime`'s `Pool::timed_parts_mut`. All
+//! randomness is seeded (`ebird-stats::dist`-compatible xoshiro
+//! generators), so runs are bit-reproducible.
 
 #![warn(missing_docs)]
 
@@ -33,7 +34,7 @@ pub use minife::{MiniFe, MiniFeParams};
 pub use minimd::{MiniMd, MiniMdParams};
 pub use miniqmc::{MiniQmc, MiniQmcParams};
 
-use ebird_core::{Clock, TimedRegion};
+use ebird_core::TimedRegion;
 use ebird_runtime::Pool;
 
 /// A proxy application whose main compute section can be run as instrumented
@@ -42,23 +43,20 @@ pub trait ProxyApp {
     /// Application name as used in the paper ("MiniFE", "MiniMD", "MiniQMC").
     fn name(&self) -> &'static str;
 
-    /// Runs one application iteration on `pool`, recording per-thread
-    /// enter/exit stamps for the timed compute section into `region` under
-    /// `iteration`. Untimed work surrounding the section (integration,
-    /// vector updates, …) runs as part of the same call, exactly as in the
-    /// instrumented originals.
-    fn timed_step(&mut self, pool: &Pool, region: &TimedRegion<'_, dyn Clock>, iteration: usize);
+    /// Runs one application iteration on `pool`. With `Some((region,
+    /// iteration))` it records per-thread enter/exit stamps for the timed
+    /// compute section into `region` under `iteration`; with `None` it
+    /// records nothing — the work-metered campaign runner, which derives
+    /// timing from deterministic operation counts, steps that way. Either
+    /// way the computation is the same, and untimed work surrounding the
+    /// section (integration, vector updates, …) runs as part of the same
+    /// call, exactly as in the instrumented originals.
+    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>);
 
     /// Checks an application-specific physical/numerical invariant, returning
     /// a description of the violation if any. Used by integration tests to
     /// make sure instrumentation never perturbs correctness.
     fn verify(&self) -> Result<(), String>;
-
-    /// Runs one application iteration on `pool` without recording any
-    /// stamps — the same computation as [`timed_step`](Self::timed_step),
-    /// used by the work-metered campaign runner that derives timing from
-    /// deterministic operation counts instead of the wall clock.
-    fn untimed_step(&mut self, pool: &Pool);
 
     /// Deterministic per-thread work measure of the timed compute section
     /// executed by the **most recent** step, for a `threads`-way static

@@ -7,7 +7,7 @@
 //! source of MiniFE's structural imbalance (e.g. 200 planes over 48 threads:
 //! threads 0–7 compute 5 planes, threads 8–47 compute 4).
 
-use ebird_core::{Clock, TimedRegion};
+use ebird_core::TimedRegion;
 use ebird_runtime::{static_block, Pool};
 
 use super::csr::CsrMatrix;
@@ -113,9 +113,19 @@ impl MiniFe {
             .map(|t| static_block(self.dims.nz, threads, t).len() * plane_rows)
             .collect()
     }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+impl ProxyApp for MiniFe {
+    fn name(&self) -> &'static str {
+        "MiniFE"
+    }
 
     /// One CG step with the SpMV as the timed section.
-    fn cg_step(&mut self, pool: &Pool, region: Option<(&TimedRegion<'_, dyn Clock>, usize)>) {
+    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
         let part_lens = self.plane_part_lens(pool.threads());
         let (a, p, ap) = (&self.a, &self.p, &mut self.ap);
         // Timed section: Ap = A·p, plane-partitioned (Listing 1 placement).
@@ -125,10 +135,7 @@ impl MiniFe {
                     *out = a.spmv_row(range.start + off, p);
                 }
             };
-        match region {
-            Some((reg, iteration)) => pool.timed_parts_mut(reg, iteration, ap, &part_lens, body),
-            None => pool.parallel_parts_mut(ap, &part_lens, body),
-        }
+        pool.timed_parts_mut(stamps, ap, &part_lens, body);
 
         // Untimed remainder of the CG step (as in MiniFE, where only the
         // matvec is instrumented).
@@ -151,29 +158,6 @@ impl MiniFe {
             self.p[i] = self.r[i] + beta * self.p[i];
         }
         self.rs_old = rs_new;
-    }
-
-    /// One uninstrumented CG step (warm-up, correctness tests).
-    pub fn step(&mut self, pool: &Pool) {
-        self.cg_step(pool, None);
-    }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-impl ProxyApp for MiniFe {
-    fn name(&self) -> &'static str {
-        "MiniFE"
-    }
-
-    fn timed_step(&mut self, pool: &Pool, region: &TimedRegion<'_, dyn Clock>, iteration: usize) {
-        self.cg_step(pool, Some((region, iteration)));
-    }
-
-    fn untimed_step(&mut self, pool: &Pool) {
-        self.cg_step(pool, None);
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -223,7 +207,7 @@ mod tests {
         let pool = Pool::new(2);
         let initial = fe.residual_norm();
         for _ in 0..60 {
-            fe.step(&pool);
+            fe.step(&pool, None);
         }
         assert!(
             fe.residual_norm() < 1e-8 * initial,
@@ -241,8 +225,8 @@ mod tests {
         // (the parallel split is over disjoint rows; no reduction reorder).
         let mut fe1 = MiniFe::new(MiniFeParams::test_scale());
         let mut fe4 = MiniFe::new(MiniFeParams::test_scale());
-        fe1.step(&Pool::new(1));
-        fe4.step(&Pool::new(4));
+        fe1.step(&Pool::new(1), None);
+        fe4.step(&Pool::new(4), None);
         assert_eq!(fe1.x, fe4.x);
         assert_eq!(fe1.r, fe4.r);
     }
@@ -254,12 +238,11 @@ mod tests {
         let mut plain = MiniFe::new(params);
         let pool = Pool::new(3);
         let clock = MonotonicClock::new();
-        let clock_dyn: &dyn Clock = &clock;
         let coll = IterationCollector::new(4, 3);
-        let region = TimedRegion::new(clock_dyn, &coll);
+        let region = TimedRegion::new(&clock, &coll);
         for iter in 0..4 {
-            timed.timed_step(&pool, &region, iter);
-            plain.step(&pool);
+            timed.step(&pool, Some((&region, iter)));
+            plain.step(&pool, None);
         }
         assert_eq!(coll.completeness(), 1.0);
         assert_eq!(timed.x, plain.x, "instrumentation must not perturb results");

@@ -1,7 +1,7 @@
 //! The MiniMD driver: velocity-Verlet integration with an instrumented,
 //! atom-partitioned Lennard-Jones force kernel.
 
-use ebird_core::{Clock, TimedRegion};
+use ebird_core::TimedRegion;
 use ebird_runtime::{static_block, Pool};
 
 use super::lattice::{fcc_positions, initial_velocities};
@@ -155,55 +155,6 @@ impl MiniMd {
         }
     }
 
-    /// One velocity-Verlet step; `region` wraps only the force kernel.
-    fn verlet_step(&mut self, pool: &Pool, region: Option<(&TimedRegion<'_, dyn Clock>, usize)>) {
-        let dt = self.params.dt;
-        let half = 0.5 * dt;
-        // First half-kick + drift (untimed, as in the instrumented MiniMD).
-        for i in 0..self.pos.len() {
-            for d in 0..3 {
-                self.vel[i][d] += half * self.force[i][d];
-                self.pos[i][d] += dt * self.vel[i][d];
-            }
-        }
-        if self.steps.is_multiple_of(self.params.rebuild_every) {
-            self.rebuild_neighbors();
-        }
-        // Timed section: the LJ forcing function, atoms statically split.
-        {
-            let n = self.pos.len();
-            let part_lens: Vec<usize> = (0..pool.threads())
-                .map(|t| static_block(n, pool.threads(), t).len())
-                .collect();
-            let cutoff2 = self.params.cutoff * self.params.cutoff;
-            let (pos, neighbors, box_len) = (&self.pos, &self.neighbors, self.box_len);
-            let body =
-                |block: &mut [V3], range: std::ops::Range<usize>, _ctx: &ebird_runtime::Ctx<'_>| {
-                    for (off, out) in block.iter_mut().enumerate() {
-                        *out = Self::force_on(range.start + off, pos, neighbors, box_len, cutoff2);
-                    }
-                };
-            match region {
-                Some((reg, iteration)) => {
-                    pool.timed_parts_mut(reg, iteration, &mut self.force, &part_lens, body)
-                }
-                None => pool.parallel_parts_mut(&mut self.force, &part_lens, body),
-            }
-        }
-        // Final half-kick.
-        for i in 0..self.pos.len() {
-            for d in 0..3 {
-                self.vel[i][d] += half * self.force[i][d];
-            }
-        }
-        self.steps += 1;
-    }
-
-    /// One uninstrumented step.
-    pub fn step(&mut self, pool: &Pool) {
-        self.verlet_step(pool, None);
-    }
-
     /// Kinetic energy `Σ ½ v²` (unit mass).
     pub fn kinetic_energy(&self) -> f64 {
         0.5 * self.vel.iter().map(|v| norm2(*v)).sum::<f64>()
@@ -251,12 +202,43 @@ impl ProxyApp for MiniMd {
         "MiniMD"
     }
 
-    fn timed_step(&mut self, pool: &Pool, region: &TimedRegion<'_, dyn Clock>, iteration: usize) {
-        self.verlet_step(pool, Some((region, iteration)));
-    }
-
-    fn untimed_step(&mut self, pool: &Pool) {
-        self.verlet_step(pool, None);
+    /// One velocity-Verlet step; `stamps` wraps only the force kernel.
+    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
+        let dt = self.params.dt;
+        let half = 0.5 * dt;
+        // First half-kick + drift (untimed, as in the instrumented MiniMD).
+        for i in 0..self.pos.len() {
+            for d in 0..3 {
+                self.vel[i][d] += half * self.force[i][d];
+                self.pos[i][d] += dt * self.vel[i][d];
+            }
+        }
+        if self.steps.is_multiple_of(self.params.rebuild_every) {
+            self.rebuild_neighbors();
+        }
+        // Timed section: the LJ forcing function, atoms statically split.
+        {
+            let n = self.pos.len();
+            let part_lens: Vec<usize> = (0..pool.threads())
+                .map(|t| static_block(n, pool.threads(), t).len())
+                .collect();
+            let cutoff2 = self.params.cutoff * self.params.cutoff;
+            let (pos, neighbors, box_len) = (&self.pos, &self.neighbors, self.box_len);
+            let body =
+                |block: &mut [V3], range: std::ops::Range<usize>, _ctx: &ebird_runtime::Ctx<'_>| {
+                    for (off, out) in block.iter_mut().enumerate() {
+                        *out = Self::force_on(range.start + off, pos, neighbors, box_len, cutoff2);
+                    }
+                };
+            pool.timed_parts_mut(stamps, &mut self.force, &part_lens, body);
+        }
+        // Final half-kick.
+        for i in 0..self.pos.len() {
+            for d in 0..3 {
+                self.vel[i][d] += half * self.force[i][d];
+            }
+        }
+        self.steps += 1;
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -314,7 +296,7 @@ mod tests {
         let pool = Pool::new(2);
         let e0 = md.total_energy();
         for _ in 0..50 {
-            md.step(&pool);
+            md.step(&pool, None);
         }
         let e1 = md.total_energy();
         let drift = ((e1 - e0) / e0.abs()).abs();
@@ -328,7 +310,7 @@ mod tests {
         let mut md = MiniMd::new(MiniMdParams::test_scale());
         let pool = Pool::new(3);
         for _ in 0..30 {
-            md.step(&pool);
+            md.step(&pool, None);
         }
         assert!(md.net_momentum() < 1e-9, "p = {}", md.net_momentum());
     }
@@ -340,8 +322,8 @@ mod tests {
         let p1 = Pool::new(1);
         let p4 = Pool::new(4);
         for _ in 0..10 {
-            a.step(&p1);
-            b.step(&p4);
+            a.step(&p1, None);
+            b.step(&p4, None);
         }
         assert_eq!(a.pos, b.pos, "force partitioning must be bitwise neutral");
         assert_eq!(a.vel, b.vel);
@@ -353,12 +335,11 @@ mod tests {
         let mut plain = MiniMd::new(MiniMdParams::test_scale());
         let pool = Pool::new(2);
         let clock = MonotonicClock::new();
-        let clock_dyn: &dyn Clock = &clock;
         let coll = IterationCollector::new(5, 2);
-        let region = TimedRegion::new(clock_dyn, &coll);
+        let region = TimedRegion::new(&clock, &coll);
         for iter in 0..5 {
-            timed.timed_step(&pool, &region, iter);
-            plain.step(&pool);
+            timed.step(&pool, Some((&region, iter)));
+            plain.step(&pool, None);
         }
         assert_eq!(coll.completeness(), 1.0);
         assert_eq!(timed.pos, plain.pos);
@@ -382,7 +363,7 @@ mod tests {
         let pool = Pool::new(2);
         let t0 = 2.0 * md.kinetic_energy() / (3.0 * md.atoms() as f64);
         for _ in 0..100 {
-            md.step(&pool);
+            md.step(&pool, None);
         }
         let t1 = 2.0 * md.kinetic_energy() / (3.0 * md.atoms() as f64);
         assert!((t0 - 1.44).abs() < 1e-9);

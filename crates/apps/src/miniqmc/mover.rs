@@ -7,7 +7,7 @@
 //! static block of walkers, so per-thread work varies with acceptance
 //! history — the mechanism behind MiniQMC's wide thread-arrival spread.
 
-use ebird_core::{Clock, TimedRegion};
+use ebird_core::TimedRegion;
 use ebird_runtime::{static_block, Pool};
 
 use super::jastrow::Jastrow;
@@ -221,10 +221,16 @@ impl MiniQmc {
             acc as f64 / prop as f64
         }
     }
+}
+
+impl ProxyApp for MiniQmc {
+    fn name(&self) -> &'static str {
+        "MiniQMC"
+    }
 
     /// One iteration: every walker does `sweeps_per_step` sweeps; threads own
     /// static walker blocks; the whole mover loop is the timed section.
-    fn mover_step(&mut self, pool: &Pool, region: Option<(&TimedRegion<'_, dyn Clock>, usize)>) {
+    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
         let part_lens: Vec<usize> = (0..pool.threads())
             .map(|t| static_block(self.walkers.len(), pool.threads(), t).len())
             .collect();
@@ -243,32 +249,8 @@ impl MiniQmc {
                 }
             }
         };
-        match region {
-            Some((reg, iteration)) => {
-                pool.timed_parts_mut(reg, iteration, &mut self.walkers, &part_lens, body)
-            }
-            None => pool.parallel_parts_mut(&mut self.walkers, &part_lens, body),
-        }
+        pool.timed_parts_mut(stamps, &mut self.walkers, &part_lens, body);
         self.steps += 1;
-    }
-
-    /// One uninstrumented iteration.
-    pub fn step(&mut self, pool: &Pool) {
-        self.mover_step(pool, None);
-    }
-}
-
-impl ProxyApp for MiniQmc {
-    fn name(&self) -> &'static str {
-        "MiniQMC"
-    }
-
-    fn timed_step(&mut self, pool: &Pool, region: &TimedRegion<'_, dyn Clock>, iteration: usize) {
-        self.mover_step(pool, Some((region, iteration)));
-    }
-
-    fn untimed_step(&mut self, pool: &Pool) {
-        self.mover_step(pool, None);
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -325,7 +307,7 @@ mod tests {
         let pool = Pool::new(2);
         let before: Vec<V3> = qmc.walkers()[0].electrons().to_vec();
         for _ in 0..10 {
-            qmc.step(&pool);
+            qmc.step(&pool, None);
         }
         assert!(qmc.verify().is_ok());
         let after = qmc.walkers()[0].electrons();
@@ -338,7 +320,7 @@ mod tests {
         let mut qmc = MiniQmc::new(MiniQmcParams::test_scale());
         let pool = Pool::new(2);
         for _ in 0..20 {
-            qmc.step(&pool);
+            qmc.step(&pool, None);
         }
         let rate = qmc.acceptance_rate();
         // τ = 0.05 diffusion in a smooth landscape: most moves accepted.
@@ -353,8 +335,8 @@ mod tests {
         let p1 = Pool::new(1);
         let p3 = Pool::new(3);
         for _ in 0..5 {
-            a.step(&p1);
-            b.step(&p3);
+            a.step(&p1, None);
+            b.step(&p3, None);
         }
         for (wa, wb) in a.walkers().iter().zip(b.walkers()) {
             assert_eq!(wa.electrons(), wb.electrons());
@@ -363,18 +345,24 @@ mod tests {
     }
 
     #[test]
-    fn timed_step_records_all_threads() {
-        let mut qmc = MiniQmc::new(MiniQmcParams::test_scale());
+    fn timed_step_records_all_threads_and_matches_untimed() {
+        let mut timed = MiniQmc::new(MiniQmcParams::test_scale());
+        let mut plain = MiniQmc::new(MiniQmcParams::test_scale());
         let pool = Pool::new(3);
         let clock = MonotonicClock::new();
-        let clock_dyn: &dyn Clock = &clock;
         let coll = IterationCollector::new(4, 3);
-        let region = TimedRegion::new(clock_dyn, &coll);
+        let region = TimedRegion::new(&clock, &coll);
         for iter in 0..4 {
-            qmc.timed_step(&pool, &region, iter);
+            timed.step(&pool, Some((&region, iter)));
+            plain.step(&pool, None);
         }
         assert_eq!(coll.completeness(), 1.0);
-        assert!(qmc.verify().is_ok());
+        assert!(timed.verify().is_ok());
+        assert_eq!(timed.steps(), plain.steps());
+        for (wt, wp) in timed.walkers().iter().zip(plain.walkers()) {
+            assert_eq!(wt.electrons(), wp.electrons(), "walkers diverged");
+            assert_eq!(wt.acceptance(), wp.acceptance());
+        }
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!
 //! Nothing here communicates: scenario pricing needs thread arrivals only.
 
-use ebird_core::{
-    Clock, IterationCollector, MonotonicClock, ThreadSample, TimedRegion, TimingTrace,
-};
+use ebird_core::{IterationCollector, MonotonicClock, ThreadSample, TimedRegion, TimingTrace};
 use ebird_runtime::Pool;
 
 use crate::job::JobConfig;
@@ -144,11 +142,10 @@ where
             match timing {
                 RealTiming::Wall => {
                     let clock = MonotonicClock::new();
-                    let clock_dyn: &dyn Clock = &clock;
                     let collector = IterationCollector::new(cfg.iterations, cfg.threads);
-                    let region = TimedRegion::new(clock_dyn, &collector);
+                    let region = TimedRegion::new(&clock, &collector);
                     for iteration in 0..cfg.iterations {
-                        app.timed_step(&pool, &region, iteration);
+                        app.step(&pool, Some((&region, iteration)));
                     }
                     app.verify().map_err(|message| RunnerError::AppInvariant {
                         trial,
@@ -163,7 +160,7 @@ where
                 }
                 RealTiming::Metered { ns_per_op } => {
                     for iteration in 0..cfg.iterations {
-                        app.untimed_step(&pool);
+                        app.step(&pool, None);
                         let ops = app.thread_ops(cfg.threads);
                         // A short vector would silently zip-truncate,
                         // leaving zero-time samples — reject it loudly
@@ -364,14 +361,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "ShortOps"
             }
-            fn timed_step(
-                &mut self,
-                _pool: &Pool,
-                _region: &ebird_core::TimedRegion<'_, dyn Clock>,
-                _iteration: usize,
-            ) {
-            }
-            fn untimed_step(&mut self, _pool: &Pool) {}
+            fn step(&mut self, _pool: &Pool, _stamps: Option<(&TimedRegion<'_>, usize)>) {}
             fn thread_ops(&self, threads: usize) -> Vec<u64> {
                 vec![1; threads.saturating_sub(1)]
             }
@@ -399,17 +389,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Broken"
             }
-            fn timed_step(
-                &mut self,
-                pool: &Pool,
-                region: &ebird_core::TimedRegion<'_, dyn Clock>,
-                iteration: usize,
-            ) {
-                for t in 0..pool.threads() {
-                    region.run(iteration, t, || {});
+            fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
+                if let Some((region, iteration)) = stamps {
+                    for t in 0..pool.threads() {
+                        region.run(iteration, t, || {});
+                    }
                 }
             }
-            fn untimed_step(&mut self, _pool: &Pool) {}
             fn thread_ops(&self, threads: usize) -> Vec<u64> {
                 vec![1; threads]
             }

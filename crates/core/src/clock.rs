@@ -18,7 +18,7 @@ use std::time::Instant;
 /// consumers must derive per-thread elapsed times (see
 /// [`ThreadSample::compute_time_ns`](crate::sample::ThreadSample::compute_time_ns)),
 /// which is the paper's core methodological point.
-pub trait Clock: Send + Sync {
+pub trait Clock: std::fmt::Debug + Send + Sync {
     /// Current time in nanoseconds since an unspecified, fixed origin.
     fn now_ns(&self) -> u64;
 }
@@ -57,8 +57,8 @@ impl Clock for MonotonicClock {
 /// Deterministic, manually advanced clock for simulation and tests.
 ///
 /// All threads observe the same value; [`advance`](VirtualClock::advance)
-/// moves it forward. Attempting to move backwards is a no-op, preserving the
-/// monotonicity contract.
+/// moves it forward and nothing moves it back, preserving the monotonicity
+/// contract.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now: AtomicU64,
@@ -75,12 +75,6 @@ impl VirtualClock {
     /// Advances the clock by `delta_ns` and returns the new time.
     pub fn advance(&self, delta_ns: u64) -> u64 {
         self.now.fetch_add(delta_ns, Ordering::Relaxed) + delta_ns
-    }
-
-    /// Sets the clock to `t_ns` if that is in the future; otherwise keeps the
-    /// current value (monotonicity).
-    pub fn advance_to(&self, t_ns: u64) -> u64 {
-        self.now.fetch_max(t_ns, Ordering::Relaxed).max(t_ns)
     }
 }
 
@@ -124,10 +118,6 @@ mod tests {
         assert_eq!(c.now_ns(), 100);
         assert_eq!(c.advance(50), 150);
         assert_eq!(c.now_ns(), 150);
-        assert_eq!(c.advance_to(120), 150, "moving backwards is a no-op");
-        assert_eq!(c.now_ns(), 150);
-        assert_eq!(c.advance_to(500), 500);
-        assert_eq!(c.now_ns(), 500);
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl IterationCollector {
         }
     }
 
-    /// Number of iterations this collector covers.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Number of threads this collector covers.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     #[inline]
     fn slot(&self, iteration: usize, thread: usize) -> usize {
         debug_assert!(iteration < self.iterations && thread < self.threads);
@@ -146,16 +136,6 @@ impl IterationCollector {
         }
         Ok(())
     }
-
-    /// Clears all slots for reuse (e.g. between trials).
-    pub fn reset(&self) {
-        for s in &self.enter {
-            s.store(UNSET, Ordering::Relaxed);
-        }
-        for s in &self.exit {
-            s.store(UNSET, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,16 +204,6 @@ mod tests {
             c.drain_into(&mut trace, 0, 0),
             Err(CoreError::ShapeMismatch)
         ));
-    }
-
-    #[test]
-    fn reset_clears_all_slots() {
-        let c = IterationCollector::new(2, 2);
-        c.record_enter(0, 0, 1);
-        c.record_exit(0, 0, 2);
-        c.reset();
-        assert_eq!(c.sample(0, 0), None);
-        assert_eq!(c.completeness(), 0.0);
     }
 
     #[test]

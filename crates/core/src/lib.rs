@@ -2,7 +2,8 @@
 //!
 //! The instrumentation core of the `early-bird` workspace: the Rust analogue
 //! of the paper's Listing 1 (`clock_gettime` around an `omp for nowait` loop)
-//! plus the storage and indexing machinery for the resulting data set.
+//! plus the in-memory store and indexing machinery for the resulting data
+//! set.
 //!
 //! The paper's measurement model:
 //!
@@ -28,7 +29,6 @@
 //! * [`collector`] — lock-free, cache-padded per-thread recording slots used
 //!   inside parallel regions.
 //! * [`region`] — the `TimedRegion` API mirroring the paper's Listing 1.
-//! * [`io`] — JSON, CSV and compact binary persistence for traces.
 //! * [`view`] — aggregation-level views (application / app-iteration /
 //!   process-iteration) that produce plain `f64` millisecond samples for the
 //!   stats layer.
@@ -37,7 +37,6 @@
 
 pub mod clock;
 pub mod collector;
-pub mod io;
 pub mod region;
 pub mod sample;
 pub mod trace;
@@ -70,14 +69,8 @@ pub enum CoreError {
     },
     /// Trace shapes must have every dimension nonzero.
     EmptyShape,
-    /// Two traces with different shapes/apps were combined.
+    /// A sample column or collector does not match the trace's shape.
     ShapeMismatch,
-    /// Underlying I/O failure during persistence.
-    Io(std::io::Error),
-    /// JSON (de)serialisation failure during persistence.
-    Json(serde_json::Error),
-    /// A CSV line or a binary trace header failed to parse.
-    Parse(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -88,34 +81,11 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::EmptyShape => write!(f, "trace shape has a zero dimension"),
             CoreError::ShapeMismatch => write!(f, "trace shapes do not match"),
-            CoreError::Io(e) => write!(f, "I/O error: {e}"),
-            CoreError::Json(e) => write!(f, "JSON error: {e}"),
-            CoreError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }
 
-impl std::error::Error for CoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CoreError::Io(e) => Some(e),
-            CoreError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CoreError {
-    fn from(e: std::io::Error) -> Self {
-        CoreError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for CoreError {
-    fn from(e: serde_json::Error) -> Self {
-        CoreError::Json(e)
-    }
-}
+impl std::error::Error for CoreError {}
 
 #[cfg(test)]
 mod tests {
@@ -133,14 +103,5 @@ mod tests {
         assert!(CoreError::ShapeMismatch
             .to_string()
             .contains("do not match"));
-    }
-
-    #[test]
-    fn io_error_conversion_preserves_source() {
-        use std::error::Error as _;
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e: CoreError = io.into();
-        assert!(e.source().is_some());
-        assert!(e.to_string().contains("gone"));
     }
 }

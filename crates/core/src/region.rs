@@ -18,7 +18,7 @@
 //! [`TimedRegion::run`] wraps a thread's loop share with the two stamps. The
 //! *barrier before the start stamps* and the *join barrier after the exit
 //! stamps* are the enclosing runtime's responsibility (see
-//! `ebird-runtime::Pool::timed_parallel_for`), exactly as `#pragma omp
+//! `ebird-runtime::Pool::timed_parts_mut`), exactly as `#pragma omp
 //! barrier` is in the original.
 
 use crate::clock::Clock;
@@ -26,17 +26,17 @@ use crate::collector::IterationCollector;
 
 /// Instrumentation handle binding a clock to a collector for one region.
 ///
-/// Cheap to copy into worker closures; all methods are callable concurrently
-/// from any number of threads.
+/// Cheap to copy into worker closures; [`run`](Self::run) is callable
+/// concurrently from any number of threads.
 #[derive(Debug, Clone, Copy)]
-pub struct TimedRegion<'a, C: Clock + ?Sized> {
-    clock: &'a C,
+pub struct TimedRegion<'a> {
+    clock: &'a dyn Clock,
     collector: &'a IterationCollector,
 }
 
-impl<'a, C: Clock + ?Sized> TimedRegion<'a, C> {
+impl<'a> TimedRegion<'a> {
     /// Binds `clock` and `collector` into a region handle.
-    pub fn new(clock: &'a C, collector: &'a IterationCollector) -> Self {
+    pub fn new(clock: &'a dyn Clock, collector: &'a IterationCollector) -> Self {
         TimedRegion { clock, collector }
     }
 
@@ -54,25 +54,6 @@ impl<'a, C: Clock + ?Sized> TimedRegion<'a, C> {
         self.collector
             .record_exit(iteration, thread, self.clock.now_ns());
         out
-    }
-
-    /// Records only the enter stamp (for callers that need split phases).
-    #[inline]
-    pub fn enter(&self, iteration: usize, thread: usize) {
-        self.collector
-            .record_enter(iteration, thread, self.clock.now_ns());
-    }
-
-    /// Records only the exit stamp.
-    #[inline]
-    pub fn exit(&self, iteration: usize, thread: usize) {
-        self.collector
-            .record_exit(iteration, thread, self.clock.now_ns());
-    }
-
-    /// The bound collector (for draining after the region joins).
-    pub fn collector(&self) -> &'a IterationCollector {
-        self.collector
     }
 }
 
@@ -94,17 +75,6 @@ mod tests {
         assert_eq!(out, "done");
         assert_eq!(coll.sample(1, 0), Some(ThreadSample::new(1000, 1500)));
         assert_eq!(coll.sample(1, 0).unwrap().compute_time_ns(), 500);
-    }
-
-    #[test]
-    fn split_enter_exit() {
-        let clock = VirtualClock::new(0);
-        let coll = IterationCollector::new(1, 1);
-        let region = TimedRegion::new(&clock, &coll);
-        region.enter(0, 0);
-        clock.advance(42);
-        region.exit(0, 0);
-        assert_eq!(coll.sample(0, 0).unwrap().compute_time_ns(), 42);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-thread timing samples and the dense 4-D index arithmetic.
 
-use serde::{DeError, Deserialize, Serialize, Value};
-
 /// One thread's measurement for one parallel region execution: its *compute
 /// time*, the nanoseconds between the enter and exit stamps a per-core
 /// monotonic clock took around the work-sharing loop.
@@ -43,20 +41,6 @@ impl ThreadSample {
     }
 }
 
-/// A sample persists as its bare nanosecond count (written by hand: the
-/// vendored derive has no `transparent`).
-impl Serialize for ThreadSample {
-    fn to_value(&self) -> Value {
-        self.compute_ns.to_value()
-    }
-}
-
-impl Deserialize for ThreadSample {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        u64::from_value(v).map(|compute_ns| ThreadSample { compute_ns })
-    }
-}
-
 /// Nanoseconds as `f64` milliseconds — the one definition of the conversion,
 /// so code that orders integer nanosecond keys first and converts afterwards
 /// (the normality sweep) yields the bits [`ThreadSample::compute_time_ms`]
@@ -68,7 +52,7 @@ pub fn ns_to_ms(ns: u64) -> f64 {
 }
 
 /// Logical coordinates of one sample in a job's data set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampleIndex {
     /// Which trial (job repetition); paper: 0..10.
     pub trial: usize,
@@ -132,14 +116,5 @@ mod tests {
     fn index_display_is_compact() {
         let idx = SampleIndex::new(1, 2, 3, 4);
         assert_eq!(idx.to_string(), "t1/r2/i3/th4");
-    }
-
-    #[test]
-    fn sample_serde_roundtrip() {
-        let s = ThreadSample::new(7, 19);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(json, "12", "a bare integer");
-        let back: ThreadSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

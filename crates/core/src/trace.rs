@@ -119,9 +119,8 @@ impl TraceShape {
 
 /// A complete timing data set for one application run campaign. Holds
 /// exactly `shape.total_samples()` samples: every constructor sizes or checks
-/// the column, and `io::read_json` — the one way a trace is deserialized —
-/// goes through [`from_samples`](Self::from_samples).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// the column.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingTrace {
     app: String,
     shape: TraceShape,
@@ -139,9 +138,9 @@ impl TimingTrace {
     }
 
     /// Wraps an already-filled sample column (thread innermost, the layout of
-    /// [`samples`](Self::samples)) without copying it — how bulk producers
-    /// that push each sample once (parallel generation, the file readers)
-    /// hand their storage over.
+    /// [`samples`](Self::samples)) without copying it — how a bulk producer
+    /// that pushes each sample once (parallel generation) hands its storage
+    /// over.
     ///
     /// # Errors
     /// [`CoreError::ShapeMismatch`] unless `samples` holds exactly
@@ -204,14 +203,6 @@ impl TimingTrace {
     /// All samples, flat (thread innermost).
     pub fn samples(&self) -> &[ThreadSample] {
         &self.samples
-    }
-
-    /// Mutable access to the flat sample array (thread innermost, same layout
-    /// as [`samples`](Self::samples)). Intended for bulk writers that fill
-    /// disjoint regions of an existing trace; the length is the trace's and
-    /// cannot change through the slice.
-    pub fn samples_mut(&mut self) -> &mut [ThreadSample] {
-        &mut self.samples
     }
 
     /// The contiguous block of all samples of one `(trial, rank)` pair —
@@ -319,25 +310,6 @@ impl TimingTrace {
                 })
             })
         })
-    }
-
-    /// Concatenates another trace's trials onto this one (same app, same
-    /// ranks/iterations/threads). Used when running trials in separate
-    /// processes and merging afterwards.
-    ///
-    /// # Errors
-    /// [`CoreError::ShapeMismatch`] if apps or non-trial dimensions differ.
-    pub fn append_trials(&mut self, other: &TimingTrace) -> Result<(), CoreError> {
-        if self.app != other.app
-            || self.shape.ranks != other.shape.ranks
-            || self.shape.iterations != other.shape.iterations
-            || self.shape.threads != other.shape.threads
-        {
-            return Err(CoreError::ShapeMismatch);
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.shape.trials += other.shape.trials;
-        Ok(())
     }
 }
 
@@ -469,28 +441,6 @@ mod tests {
                 Err(CoreError::ShapeMismatch)
             ));
         }
-    }
-
-    #[test]
-    fn append_trials_extends_trial_dimension() {
-        let mut a = TimingTrace::from_fn("f", small_shape(), |_| ThreadSample::new(0, 1));
-        let b = TimingTrace::from_fn("f", small_shape(), |_| ThreadSample::new(0, 2));
-        a.append_trials(&b).unwrap();
-        assert_eq!(a.shape().trials, 4);
-        assert_eq!(a.samples().len(), 240);
-        // Trial 0..2 come from a, 2..4 from b.
-        let at = |t, r, i, th| a.get(SampleIndex::new(t, r, i, th)).unwrap();
-        assert_eq!(at(0, 0, 0, 0).compute_time_ns(), 1);
-        assert_eq!(at(3, 2, 3, 4).compute_time_ns(), 2);
-    }
-
-    #[test]
-    fn append_trials_rejects_mismatch() {
-        let mut a = TimingTrace::new("f", small_shape());
-        let b = TimingTrace::new("g", small_shape());
-        assert!(matches!(a.append_trials(&b), Err(CoreError::ShapeMismatch)));
-        let c = TimingTrace::new("f", TraceShape::new(2, 3, 4, 6).unwrap());
-        assert!(matches!(a.append_trials(&c), Err(CoreError::ShapeMismatch)));
     }
 
     #[test]

@@ -9,16 +9,14 @@
 //! 3. **Process-iteration level** — one distribution per
 //!    `(trial, rank, iteration)` triple (16,000 × 48 values).
 //!
-//! [`AggregationLevel`] names the scale; [`grouped_ms`] materializes the
-//! groups as `f64` milliseconds for the stats layer.
-
-use serde::{Deserialize, Serialize};
+//! [`AggregationLevel`] names the scale; [`fill_group_ms`] materializes one
+//! group as `f64` milliseconds for the stats layer.
 
 use crate::sample::ThreadSample;
 use crate::trace::TimingTrace;
 
 /// The paper's three aggregation scales.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregationLevel {
     /// All samples pooled (one group).
     Application,
@@ -47,56 +45,18 @@ impl AggregationLevel {
             AggregationLevel::ProcessIteration => s.process_iterations(),
         }
     }
-
-    /// How many samples each group contains.
-    pub fn group_size(&self, trace: &TimingTrace) -> usize {
-        let s = trace.shape();
-        match self {
-            AggregationLevel::Application => s.total_samples(),
-            AggregationLevel::ApplicationIteration => s.samples_per_app_iteration(),
-            AggregationLevel::ProcessIteration => s.threads,
-        }
-    }
 }
 
-/// A group of compute-time samples with its provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleGroup {
-    /// Which aggregation level produced the group.
-    pub level: AggregationLevel,
-    /// Trial index, when the level pins one (process-iteration only).
-    pub trial: Option<usize>,
-    /// Rank index, when pinned (process-iteration only).
-    pub rank: Option<usize>,
-    /// Iteration index, when pinned (app-iteration and process-iteration).
-    pub iteration: Option<usize>,
-    /// Compute times in milliseconds.
-    pub values_ms: Vec<f64>,
-}
-
-/// The `(trial, rank, iteration)` provenance of group `group` at `level`,
-/// matching the deterministic group ordering of [`grouped_ms`]: dimensions
-/// the level pools over are `None`.
-pub fn group_coords(
-    shape: crate::trace::TraceShape,
-    level: AggregationLevel,
-    group: usize,
-) -> (Option<usize>, Option<usize>, Option<usize>) {
-    match level {
-        AggregationLevel::Application => (None, None, None),
-        AggregationLevel::ApplicationIteration => (None, None, Some(group)),
-        AggregationLevel::ProcessIteration => {
-            let (trial, rank, iteration) = shape.unit_coords(group);
-            (Some(trial), Some(rank), Some(iteration))
-        }
-    }
-}
-
-/// The samples of group `group` at `level` as contiguous slices of the trace,
-/// in [`grouped_ms`] value order: one slice for the application and
-/// process-iteration levels, one per `(trial, rank)` pair — trial-major — for
-/// an application iteration. The single definition of group membership and
-/// order that [`fill_group_ms`] and the normality sweep both iterate.
+/// The samples of group `group` at `level` as contiguous slices of the trace:
+/// one slice for the application and process-iteration levels, one per
+/// `(trial, rank)` pair — trial-major — for an application iteration. The
+/// single definition of group membership and order that [`fill_group_ms`]
+/// and the normality sweep both iterate.
+///
+/// Group ordering is deterministic: application < iteration-major <
+/// (trial, rank, iteration) lexicographic — process-iteration group `g` is
+/// [`TraceShape::unit_coords`](crate::trace::TraceShape::unit_coords)`(g)`,
+/// the order of [`TimingTrace::iter_process_iterations`].
 ///
 /// # Panics
 /// If `group` is out of range for the level.
@@ -126,8 +86,8 @@ pub fn group_slices(
 /// reusing `out`'s capacity — the allocation-free building block the
 /// per-level sweeps iterate with (serially or with one buffer per worker).
 ///
-/// Group indices run `0..level.group_count(trace)` in [`grouped_ms`] order;
-/// value order inside a group matches [`grouped_ms`] exactly.
+/// Group indices run `0..level.group_count(trace)`; groups and the values
+/// inside each follow [`group_slices`].
 ///
 /// # Panics
 /// If `group` is out of range for the level.
@@ -143,34 +103,17 @@ pub fn fill_group_ms(
     }
 }
 
-/// Materializes all groups of `level` as millisecond samples.
-///
-/// Group ordering is deterministic: application < iteration-major <
-/// (trial, rank, iteration) lexicographic — matching
-/// [`TimingTrace::iter_process_iterations`].
-pub fn grouped_ms(trace: &TimingTrace, level: AggregationLevel) -> Vec<SampleGroup> {
-    let shape = trace.shape();
-    (0..level.group_count(trace))
-        .map(|g| {
-            let (trial, rank, iteration) = group_coords(shape, level, g);
-            let mut values_ms = Vec::new();
-            fill_group_ms(trace, level, g, &mut values_ms);
-            SampleGroup {
-                level,
-                trial,
-                rank,
-                iteration,
-                values_ms,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sample::SampleIndex;
     use crate::trace::TraceShape;
+
+    const LEVELS: [AggregationLevel; 3] = [
+        AggregationLevel::Application,
+        AggregationLevel::ApplicationIteration,
+        AggregationLevel::ProcessIteration,
+    ];
 
     fn trace() -> TimingTrace {
         // compute time encodes its own index for provenance checks:
@@ -193,37 +136,35 @@ mod tests {
         )
     }
 
-    #[test]
-    fn group_counts_and_sizes() {
-        let tr = trace();
-        assert_eq!(AggregationLevel::Application.group_count(&tr), 1);
-        assert_eq!(AggregationLevel::Application.group_size(&tr), 48);
-        assert_eq!(AggregationLevel::ApplicationIteration.group_count(&tr), 3);
-        assert_eq!(AggregationLevel::ApplicationIteration.group_size(&tr), 16);
-        assert_eq!(AggregationLevel::ProcessIteration.group_count(&tr), 12);
-        assert_eq!(AggregationLevel::ProcessIteration.group_size(&tr), 4);
+    /// Every group of `level`, materialized.
+    fn groups(tr: &TimingTrace, level: AggregationLevel) -> Vec<Vec<f64>> {
+        (0..level.group_count(tr))
+            .map(|g| {
+                let mut buf = Vec::new();
+                fill_group_ms(tr, level, g, &mut buf);
+                buf
+            })
+            .collect()
     }
 
     #[test]
-    fn application_level_pools_everything() {
+    fn group_counts_and_sizes() {
         let tr = trace();
-        let groups = grouped_ms(&tr, AggregationLevel::Application);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].values_ms.len(), 48);
-        assert_eq!(groups[0].iteration, None);
+        for (level, (count, size)) in LEVELS.into_iter().zip([(1, 48), (3, 16), (12, 4)]) {
+            let all = groups(&tr, level);
+            assert_eq!(all.len(), count, "{level:?}");
+            assert!(all.iter().all(|g| g.len() == size), "{level:?}");
+        }
     }
 
     #[test]
     fn app_iteration_groups_pin_iteration_only() {
-        let tr = trace();
-        let groups = grouped_ms(&tr, AggregationLevel::ApplicationIteration);
-        assert_eq!(groups.len(), 3);
-        for (i, g) in groups.iter().enumerate() {
-            assert_eq!(g.iteration, Some(i));
-            assert_eq!(g.trial, None);
-            assert_eq!(g.values_ms.len(), 16);
+        for (i, g) in groups(&trace(), AggregationLevel::ApplicationIteration)
+            .iter()
+            .enumerate()
+        {
             // Every value in group i encodes iteration i in its µs digit.
-            for &v in &g.values_ms {
+            for &v in g {
                 let ns = (v * 1e6).round() as u64;
                 assert_eq!((ns / 1_000) % 1_000, i as u64);
             }
@@ -233,12 +174,12 @@ mod tests {
     #[test]
     fn process_iteration_groups_pin_all_three() {
         let tr = trace();
-        let groups = grouped_ms(&tr, AggregationLevel::ProcessIteration);
-        assert_eq!(groups.len(), 12);
-        for g in &groups {
-            let (t, r, i) = (g.trial.unwrap(), g.rank.unwrap(), g.iteration.unwrap());
-            assert_eq!(g.values_ms.len(), 4);
-            for (th, &v) in g.values_ms.iter().enumerate() {
+        for (g, values) in groups(&tr, AggregationLevel::ProcessIteration)
+            .iter()
+            .enumerate()
+        {
+            let (t, r, i) = tr.shape().unit_coords(g);
+            for (th, &v) in values.iter().enumerate() {
                 let ns = (v * 1e6).round() as u64;
                 assert_eq!(ns % 1_000, th as u64);
                 assert_eq!((ns / 1_000) % 1_000, i as u64);
@@ -246,7 +187,6 @@ mod tests {
                 assert_eq!(ns / 1_000_000_000, t as u64);
             }
         }
-        let _ = (groups[0].trial, groups[0].rank);
     }
 
     #[test]
@@ -263,45 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn fill_group_ms_matches_grouped_ms_exactly() {
-        let tr = trace();
-        for level in [
-            AggregationLevel::Application,
-            AggregationLevel::ApplicationIteration,
-            AggregationLevel::ProcessIteration,
-        ] {
-            let groups = grouped_ms(&tr, level);
-            let mut buf = Vec::new();
-            for (g, group) in groups.iter().enumerate() {
-                fill_group_ms(&tr, level, g, &mut buf);
-                assert_eq!(buf, group.values_ms, "{level:?} group {g}");
-                let (t, r, i) = group_coords(tr.shape(), level, g);
-                assert_eq!((t, r, i), (group.trial, group.rank, group.iteration));
-            }
-        }
-    }
-
-    #[test]
     fn group_slices_follow_the_trace_accessors_order() {
         // Independent oracle: the trace's own per-level accessors.
         let tr = trace();
-        let ms = |level, g| {
-            let mut buf = Vec::new();
-            fill_group_ms(&tr, level, g, &mut buf);
-            buf
-        };
-        assert_eq!(ms(AggregationLevel::Application, 0), tr.all_ms());
-        for i in 0..3 {
-            assert_eq!(
-                ms(AggregationLevel::ApplicationIteration, i),
-                tr.app_iteration_ms(i).unwrap()
-            );
+        assert_eq!(groups(&tr, AggregationLevel::Application), [tr.all_ms()]);
+        for (i, g) in groups(&tr, AggregationLevel::ApplicationIteration)
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(*g, tr.app_iteration_ms(i).unwrap());
         }
+        let units = groups(&tr, AggregationLevel::ProcessIteration);
         for (g, (t, r, i, _)) in tr.iter_process_iterations().enumerate() {
-            assert_eq!(
-                ms(AggregationLevel::ProcessIteration, g),
-                tr.process_iteration_ms(t, r, i).unwrap()
-            );
+            assert_eq!(units[g], tr.process_iteration_ms(t, r, i).unwrap());
         }
     }
 
@@ -321,15 +235,8 @@ mod tests {
     #[test]
     fn total_mass_is_conserved_across_levels() {
         let tr = trace();
-        for level in [
-            AggregationLevel::Application,
-            AggregationLevel::ApplicationIteration,
-            AggregationLevel::ProcessIteration,
-        ] {
-            let total: usize = grouped_ms(&tr, level)
-                .iter()
-                .map(|g| g.values_ms.len())
-                .sum();
+        for level in LEVELS {
+            let total: usize = groups(&tr, level).iter().map(Vec::len).sum();
             assert_eq!(total, tr.shape().total_samples());
         }
     }

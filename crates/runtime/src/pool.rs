@@ -6,15 +6,15 @@
 //! one-member team runs the body inline on the caller — no thread is
 //! spawned — so every pool size runs the same code. [`Pool::region`], the
 //! work-sharing variants (static loop, disjoint `&mut` blocks, reduction)
-//! and [`Pool::service`] are adapters that choose the payloads; `timed_*`
-//! variants add the paper's Listing-1 instrumentation: a team barrier,
-//! per-thread enter stamps, the thread's loop share, a per-thread exit stamp
-//! (`nowait` — no barrier before it), then the join.
+//! and [`Pool::service`] are adapters that choose the payloads;
+//! [`Pool::timed_parts_mut`] adds the paper's Listing-1 instrumentation when
+//! asked: a team barrier, per-thread enter stamps, the thread's loop share, a
+//! per-thread exit stamp (`nowait` — no barrier before it), then the join.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use ebird_core::{Clock, TimedRegion};
+use ebird_core::TimedRegion;
 use parking_lot::Mutex;
 
 use crate::barrier::SenseBarrier;
@@ -316,47 +316,39 @@ impl Pool {
         .expect("pool has at least one thread")
     }
 
-    /// Instrumented region: the paper's Listing 1.
+    /// [`parallel_parts_mut`](Self::parallel_parts_mut), stamped as the
+    /// paper's Listing 1 when `stamps` names a region and an iteration.
     ///
     /// Sequence per member: team barrier (synchronize start estimates) →
-    /// enter stamp → `body` → exit stamp (**no** barrier first — `nowait`) →
-    /// join at region end.
-    pub fn timed_region<C, F>(&self, region: &TimedRegion<'_, C>, iteration: usize, body: F)
-    where
-        C: Clock + ?Sized,
-        F: Fn(&Ctx<'_>) + Sync,
-    {
-        self.region(|ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || body(ctx));
-        });
-    }
-
-    /// Instrumented variant of [`parallel_parts_mut`](Self::parallel_parts_mut):
-    /// stamps wrap each member's exclusive, caller-sized block.
-    pub fn timed_parts_mut<C, T, F>(
+    /// enter stamp → `body` on its exclusive, caller-sized block → exit stamp
+    /// (**no** barrier first — `nowait`) → join at region end. With `None`
+    /// this is `parallel_parts_mut` itself: no barrier, no clock read.
+    pub fn timed_parts_mut<T, F>(
         &self,
-        region: &TimedRegion<'_, C>,
-        iteration: usize,
+        stamps: Option<(&TimedRegion<'_>, usize)>,
         data: &mut [T],
         part_lens: &[usize],
         body: F,
     ) where
-        C: Clock + ?Sized,
         T: Send,
         F: Fn(&mut [T], Range<usize>, &Ctx<'_>) + Sync,
     {
-        self.parallel_parts_mut(data, part_lens, |block, range, ctx| {
-            ctx.barrier();
-            region.run(iteration, ctx.thread(), || body(block, range, ctx));
-        });
+        match stamps {
+            Some((region, iteration)) => {
+                self.parallel_parts_mut(data, part_lens, |block, range, ctx| {
+                    ctx.barrier();
+                    region.run(iteration, ctx.thread(), || body(block, range, ctx));
+                })
+            }
+            None => self.parallel_parts_mut(data, part_lens, body),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{IterationCollector, MonotonicClock, VirtualClock};
+    use ebird_core::{IterationCollector, VirtualClock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -426,26 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_region_records_all_threads() {
-        let pool = Pool::new(4);
-        let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(3, 4);
-        let region = TimedRegion::new(&clock, &coll);
-        for iter in 0..3 {
-            pool.timed_region(&region, iter, |_| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            });
-        }
-        assert_eq!(coll.completeness(), 1.0);
-        for i in 0..3 {
-            for t in 0..4 {
-                let s = coll.sample(i, t).unwrap();
-                assert!(s.compute_time_ns() >= 100_000, "i={i} t={t}");
-            }
-        }
-    }
-
-    #[test]
     fn parts_mut_respects_caller_lengths() {
         let pool = Pool::new(3);
         let mut data = vec![0usize; 10];
@@ -468,15 +440,22 @@ mod tests {
     }
 
     #[test]
-    fn timed_parts_mut_records_and_writes() {
+    fn timed_parts_mut_stamps_only_when_asked_and_writes_either_way() {
         let pool = Pool::new(2);
         let clock = VirtualClock::new(0);
-        let coll = IterationCollector::new(1, 2);
+        let coll = IterationCollector::new(2, 2);
         let region = TimedRegion::new(&clock, &coll);
         let mut data = vec![0u8; 6];
-        pool.timed_parts_mut(&region, 0, &mut data, &[4, 2], |block, _, _| block.fill(3));
+        pool.timed_parts_mut(None, &mut data, &[4, 2], |block, _, _| block.fill(2));
+        assert_eq!(data, vec![2; 6]);
+        assert_eq!(coll.completeness(), 0.0, "no stamps without a region");
+        pool.timed_parts_mut(Some((&region, 1)), &mut data, &[4, 2], |block, _, _| {
+            block.fill(3)
+        });
         assert_eq!(data, vec![3; 6]);
-        assert_eq!(coll.completeness(), 1.0);
+        for t in 0..2 {
+            assert!(coll.sample(0, t).is_none() && coll.sample(1, t).is_some());
+        }
     }
 
     #[test]

@@ -401,8 +401,17 @@ fn settle(
         .collect()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only fault hook: once set, the next pricing on this thread
+    /// panics (and clears it).
+    static PANIC_NEXT_PRICING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// One worker's turn: price the job's group once, cache and meter, then
-/// publish every row in one burst.
+/// publish every row in one burst. A panic while pricing or encoding is
+/// every key's outcome — an error, nothing cached — so the job's
+/// subscribers are answered and the worker lives on to take the next job.
 fn run_job(shared: &Shared, job: Job) {
     // Service workers block on the queue between jobs, so utilization is
     // metered per job here rather than via a PoolObserver around the
@@ -410,7 +419,25 @@ fn run_job(shared: &Shared, job: Job) {
     let job_start = shared.metrics.registry.now_ns();
     let cells = job.cells.len();
     shared.inflight.fetch_add(cells, Ordering::SeqCst);
-    let outcomes = settle(&shared.cache, &job.keys, price_group(&job.cells));
+    let outcomes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if PANIC_NEXT_PRICING.take() {
+            panic!("injected pricing fault");
+        }
+        settle(&shared.cache, &job.keys, price_group(&job.cells))
+    }))
+    .unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        settle(
+            &shared.cache,
+            &job.keys,
+            Err(format!("pricing panicked: {message}")),
+        )
+    });
     shared
         .computed_cells
         .fetch_add(cells as u64, Ordering::SeqCst);
@@ -1407,6 +1434,58 @@ mod tests {
         let outcomes = settle(&cache, &keys, price_group(group));
         assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn a_pricing_panic_answers_its_subscribers_and_the_worker_prices_on() {
+        // This thread is the worker. The fault hook makes its next pricing
+        // panic: the submit waiting on that job gets the error line instead
+        // of blocking forever, nothing of the job stays cached or in flight,
+        // and the same worker then prices a resubmit into the offline table.
+        let shared = shared();
+        let matrix = three_group_matrix();
+        let submit = |tap: &WireTap| {
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(&submit_line(&matrix), &shared, &mut writer)
+        };
+        let (faulted, retried) = (WireTap::default(), WireTap::default());
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| submit(&faulted));
+            faulted.wait_for_lines(1);
+            PANIC_NEXT_PRICING.set(true);
+            run_job(&shared, shared.queue.pop().expect("three jobs queued"));
+            handler.join().unwrap().unwrap();
+            // The other two groups price as usual; nobody is subscribed.
+            while let Some(job) = shared.queue.try_pop() {
+                run_job(&shared, job);
+            }
+        });
+        let lines = faulted.lines();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            lines[1],
+            "{\"ok\":false,\"error\":\"cell failed: pricing panicked: injected pricing fault\"}"
+        );
+        let status = status_reply(&shared);
+        assert_eq!((status.inflight, status.inflight_cells), (0, 0));
+        assert_eq!(shared.cache.len(), 8, "the panicked group cached nothing");
+
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| submit(&retried));
+            let job = shared.queue.pop().expect("the failed group, rescheduled");
+            assert_eq!(job.cells.len(), 4);
+            run_job(&shared, job);
+            handler.join().unwrap().unwrap();
+        });
+        let lines = retried.lines();
+        assert_eq!(lines.len(), 14, "{lines:?}");
+        assert_eq!(lines[1..13], offline_lines(&matrix)[..]);
+        assert!(
+            lines[13].contains("\"computed\":4,\"coalesced\":0,\"cached\":8"),
+            "{}",
+            lines[13]
+        );
+        assert!(shared.queue.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use early_bird::analysis::percentile_series::{iqr_stats, percentile_series};
 use early_bird::apps::{MiniFe, MiniFeParams, ProxyApp};
 use early_bird::cluster::JobConfig;
-use early_bird::core::{Clock, IterationCollector, MonotonicClock, TimedRegion, TimingTrace};
+use early_bird::core::{IterationCollector, MonotonicClock, TimedRegion, TimingTrace};
 use early_bird::runtime::Pool;
 
 fn main() {
@@ -32,12 +32,11 @@ fn main() {
     // preallocated lock-free collector, and a TimedRegion binding the two.
     let pool = Pool::new(cfg.threads);
     let clock = MonotonicClock::new();
-    let clock_dyn: &dyn Clock = &clock;
     let collector = IterationCollector::new(cfg.iterations, cfg.threads);
-    let region = TimedRegion::new(clock_dyn, &collector);
+    let region = TimedRegion::new(&clock, &collector);
 
     for iteration in 0..cfg.iterations {
-        app.timed_step(&pool, &region, iteration);
+        app.step(&pool, Some((&region, iteration)));
     }
     app.verify()
         .expect("CG must remain healthy under instrumentation");

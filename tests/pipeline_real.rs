@@ -6,7 +6,7 @@ use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::apps::{MiniFe, MiniFeParams, MiniMd, MiniMdParams, MiniQmc, MiniQmcParams};
 use early_bird::cluster::{run_real_campaign, JobConfig};
-use early_bird::core::view::{grouped_ms, AggregationLevel};
+use early_bird::core::view::{fill_group_ms, AggregationLevel};
 
 fn tiny() -> JobConfig {
     JobConfig::new(1, 2, 5, 2)
@@ -49,11 +49,13 @@ fn miniqmc_live_campaign_runs_movers() {
     })
     .unwrap();
     assert_eq!(trace.app(), "MiniQMC");
-    let groups = grouped_ms(&trace, AggregationLevel::ProcessIteration);
-    assert_eq!(groups.len(), 10);
-    for g in &groups {
-        assert_eq!(g.values_ms.len(), 2);
-        assert!(g.values_ms.iter().all(|&v| v > 0.0));
+    let level = AggregationLevel::ProcessIteration;
+    assert_eq!(level.group_count(&trace), 10);
+    let mut values_ms = Vec::new();
+    for g in 0..level.group_count(&trace) {
+        fill_group_ms(&trace, level, g, &mut values_ms);
+        assert_eq!(values_ms.len(), 2);
+        assert!(values_ms.iter().all(|&v| v > 0.0));
     }
 }
 
@@ -69,9 +71,12 @@ fn live_aggregation_levels_conserve_mass() {
         AggregationLevel::ApplicationIteration,
         AggregationLevel::ProcessIteration,
     ] {
-        let sum: usize = grouped_ms(&trace, level)
-            .iter()
-            .map(|g| g.values_ms.len())
+        let mut values_ms = Vec::new();
+        let sum: usize = (0..level.group_count(&trace))
+            .map(|g| {
+                fill_group_ms(&trace, level, g, &mut values_ms);
+                values_ms.len()
+            })
             .sum();
         assert_eq!(sum, total, "{level:?}");
     }

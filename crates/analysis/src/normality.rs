@@ -126,6 +126,7 @@ pub struct SweepObs {
     cache_miss: Arc<Counter>,
     gather_ns: Arc<Histogram>,
     sort_ns: Arc<Histogram>,
+    sort_level_ns: [Arc<Histogram>; 3],
     battery_ns: Arc<Histogram>,
     batch_len: Arc<Histogram>,
 }
@@ -147,6 +148,14 @@ impl SweepObs {
     /// keys and converting them to milliseconds, before the fused battery
     /// pass. One entry per group.
     pub const SORT_NS: &'static str = "sweep.sort.ns";
+    /// Histogram names: [`Self::SORT_NS`] split by level, in
+    /// [`SWEEP_LEVELS`] order — where a merge of already-sorted children
+    /// would have to beat the sort.
+    pub const SORT_LEVEL_NS: [&'static str; 3] = [
+        "sweep.sort.process-iteration.ns",
+        "sweep.sort.application-iteration.ns",
+        "sweep.sort.application.ns",
+    ];
     /// Histogram name: nanoseconds spent in the fused battery kernel (lane
     /// sums, Φ blocks, the three statistics) per group. One entry per group.
     pub const BATTERY_NS: &'static str = "sweep.battery.ns";
@@ -163,6 +172,7 @@ impl SweepObs {
             cache_miss: registry.counter(Self::CACHE_MISS),
             gather_ns: registry.histogram(Self::GATHER_NS),
             sort_ns: registry.histogram(Self::SORT_NS),
+            sort_level_ns: Self::SORT_LEVEL_NS.map(|name| registry.histogram(name)),
             battery_ns: registry.histogram(Self::BATTERY_NS),
             batch_len: registry.histogram(Self::BATCH_LEN),
         }
@@ -173,13 +183,26 @@ impl SweepObs {
         self.registry.now_ns()
     }
 
-    /// Records one group of `len` samples from the four timestamps around
-    /// its three layers — `[gather start, sort start, battery start, end]` —
-    /// and returns the end, which is the next group's gather start.
-    pub(crate) fn record_group(&self, stamps: [u64; 4], len: usize) -> u64 {
+    /// Records one group of `len` samples at `level` from the four
+    /// timestamps around its three layers — `[gather start, sort start,
+    /// battery start, end]` — and returns the end, which is the next group's
+    /// gather start.
+    pub(crate) fn record_group(
+        &self,
+        stamps: [u64; 4],
+        len: usize,
+        level: AggregationLevel,
+    ) -> u64 {
         let [t0, t1, t2, t3] = stamps;
         self.gather_ns.record(t1.saturating_sub(t0));
-        self.sort_ns.record(t2.saturating_sub(t1));
+        let sort = t2.saturating_sub(t1);
+        self.sort_ns.record(sort);
+        let level_index = match level {
+            AggregationLevel::ProcessIteration => 0,
+            AggregationLevel::ApplicationIteration => 1,
+            AggregationLevel::Application => 2,
+        };
+        self.sort_level_ns[level_index].record(sort);
         self.battery_ns.record(t3.saturating_sub(t2));
         self.batch_len.record(len as u64);
         t3
@@ -337,7 +360,7 @@ pub(crate) fn run_tasks(
         let ordered = obs.map(|o| o.now_ns());
         *slot = battery_sorted(&sorted, battery);
         if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
-            started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len()));
+            started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len(), level));
         }
         sorted.clear();
         *keys = sorted.into_iter().map(f64::to_bits).collect();
@@ -604,6 +627,8 @@ mod tests {
         for layer in [SweepObs::GATHER_NS, SweepObs::SORT_NS, SweepObs::BATTERY_NS] {
             assert_eq!(snap.histogram(layer).count(), 40 + 10 + 1, "{layer}");
         }
+        let by_level = SweepObs::SORT_LEVEL_NS.map(|name| snap.histogram(name).count());
+        assert_eq!(by_level, [40, 10, 1]);
         // One fused-battery batch per group; total elements = the group
         // sizes summed (40×16 + 10×64 + 1×640).
         let batches = snap.histogram(SweepObs::BATCH_LEN);

@@ -183,7 +183,7 @@ pub fn json_line<T: Serialize>(row: &T) -> Result<String, serde_json::Error> {
 pub fn json_lines<T: Serialize>(rows: &[T]) -> Result<String, serde_json::Error> {
     let mut out = String::new();
     for row in rows {
-        out.push_str(&json_line(row)?);
+        row.write_json(&mut out);
         out.push('\n');
     }
     Ok(out)

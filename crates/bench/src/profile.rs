@@ -9,14 +9,15 @@
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
 //! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
 //! [`SweepObs::GATHER_NS`], sort, [`SweepObs::BATTERY_NS`] — as shares of
-//! the stage's busy time, and the [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's [`PoolObserver::FORK_NS`] fork/join
+//! the stage's busy time, the sort layer split by level
+//! ([`SweepObs::SORT_LEVEL_NS`]), and the [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's [`PoolObserver::FORK_NS`] fork/join
 //! overhead histogram. Rendering lives in the library
 //! so a sentinel test can assert every metric the profile reads actually
 //! appears in the output — a silent rendering gap would hide a regression
 //! signal.
 
 use ebird_analysis::engine::STAGES;
-use ebird_analysis::normality::SweepObs;
+use ebird_analysis::normality::{SweepObs, SWEEP_LEVELS};
 use ebird_core::ThreadSample;
 use ebird_obs::Snapshot;
 use ebird_runtime::PoolObserver;
@@ -144,6 +145,20 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         ms(battery),
         ms(layers)
     );
+    let by_level: Vec<String> = SWEEP_LEVELS
+        .iter()
+        .zip(SweepObs::SORT_LEVEL_NS)
+        .map(|(level, name)| {
+            let h = snap.histogram(name);
+            format!(
+                "{} {:.1} ms / {} groups",
+                level.label(),
+                ms(h.total()),
+                h.count()
+            )
+        })
+        .collect();
+    let _ = writeln!(out, "  sort by level: {}", by_level.join(", "));
     let batches = snap.histogram(SweepObs::BATCH_LEN);
     let mean_batch = if batches.count() == 0 {
         0.0
@@ -233,6 +248,12 @@ mod tests {
                 .histogram(layer)
                 .record(next(&mut sentinels) * 1_000_000);
         }
+        // The per-level sort split renders each level's total the same way.
+        for level in SweepObs::SORT_LEVEL_NS {
+            registry
+                .histogram(level)
+                .record(next(&mut sentinels) * 1_000_000);
+        }
         // Batch-Φ kernel feed: count and element total are both rendered;
         // one-element batches make them the same sentinel.
         let batch_count = next(&mut sentinels);
@@ -270,5 +291,8 @@ mod tests {
         assert!(rendered.contains("fork/join overhead"));
         assert!(rendered.contains("batch-phi kernel"));
         assert!(rendered.contains("  layers: gather 0.0 ms + sort 0.0 ms + battery 0.0 ms"));
+        assert!(rendered.contains(
+            "  sort by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"
+        ));
     }
 }

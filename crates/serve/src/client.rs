@@ -397,8 +397,8 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
         s.cold_hits
     ));
     out.push_str(&format!(
-        "  cells: {} computed, {} coalesced; {} submit(s) refused overloaded\n",
-        s.computed, s.coalesced, s.overloaded
+        "  cells: {} computed, {} coalesced; {} submit(s) refused overloaded; {} pricing panic(s) recovered\n",
+        s.computed, s.coalesced, s.overloaded, s.recovered
     ));
     out
 }
@@ -549,11 +549,12 @@ mod tests {
             computed: 113,
             coalesced: 114,
             overloaded: 115,
+            recovered: 118,
             submits: 116,
             threads: 117,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
-        for sentinel in 101..=117 {
+        for sentinel in 101..=118 {
             assert!(
                 rendered.contains(&sentinel.to_string()),
                 "field with sentinel value {sentinel} missing from rendered status:\n{rendered}"
@@ -582,6 +583,7 @@ mod tests {
             computed: 0,
             coalesced: 0,
             overloaded: 0,
+            recovered: 0,
             submits: 0,
             threads: 1,
         };

@@ -78,29 +78,32 @@ pub enum Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        fn source_entry(source: &MatrixSource) -> (String, Value) {
-            match source {
-                MatrixSource::Preset(name) => ("preset".to_string(), name.to_value()),
-                MatrixSource::Inline(m) => ("matrix".to_string(), m.to_value()),
+    fn write_json(&self, out: &mut String) {
+        let (verb, source) = match self {
+            Request::Submit { matrix, .. } => ("submit", Some(matrix)),
+            Request::Fetch { matrix } => ("fetch", Some(matrix)),
+            Request::Status => ("status", None),
+            Request::Metrics => ("metrics", None),
+            Request::Shutdown => ("shutdown", None),
+        };
+        out.push_str("{\"verb\":");
+        verb.write_json(out);
+        match source {
+            Some(MatrixSource::Preset(name)) => {
+                out.push_str(",\"preset\":");
+                name.write_json(out);
             }
+            Some(MatrixSource::Inline(m)) => {
+                out.push_str(",\"matrix\":");
+                m.write_json(out);
+            }
+            None => {}
         }
-        let mut entries: Vec<(String, Value)> = Vec::new();
-        match self {
-            Request::Submit { matrix, priority } => {
-                entries.push(("verb".to_string(), "submit".to_value()));
-                entries.push(source_entry(matrix));
-                entries.push(("priority".to_string(), priority.to_value()));
-            }
-            Request::Fetch { matrix } => {
-                entries.push(("verb".to_string(), "fetch".to_value()));
-                entries.push(source_entry(matrix));
-            }
-            Request::Status => entries.push(("verb".to_string(), "status".to_value())),
-            Request::Metrics => entries.push(("verb".to_string(), "metrics".to_value())),
-            Request::Shutdown => entries.push(("verb".to_string(), "shutdown".to_value())),
+        if let Request::Submit { priority, .. } = self {
+            out.push_str(",\"priority\":");
+            priority.write_json(out);
         }
-        Value::Object(entries)
+        out.push('}');
     }
 }
 
@@ -246,6 +249,10 @@ pub struct StatusReply {
     /// Submits refused with an [`OverloadedReply`] since start.
     #[serde(default)]
     pub overloaded: u64,
+    /// Pricing panics a worker caught since start: each failed its job's
+    /// cells with an error line, and the worker went on to the next job.
+    #[serde(default)]
+    pub recovered: u64,
     /// Submit requests served since start.
     pub submits: u64,
     /// Worker-pool size.

@@ -173,6 +173,14 @@ struct ServeMetrics {
     cells_cached: Arc<Counter>,
     cells_coalesced: Arc<Counter>,
     cells_computed: Arc<Counter>,
+    /// Cells whose job settled with an error — a pricing failure or a
+    /// caught panic (`serve.cells.failed`), booked as the job settles.
+    /// `computed` books the same cells at admission, before any outcome
+    /// exists, so `failed ≤ computed` and the identity above is unchanged.
+    cells_failed: Arc<Counter>,
+    /// Pricing panics `run_job` caught (`serve.worker.recovered`; `status`
+    /// reports it as `recovered`).
+    recovered: Arc<Counter>,
     /// Submits refused whole by admission control
     /// (`serve.submits.overloaded`) — these never reach the queue, so the
     /// queue's own refusal counters do not see them.
@@ -194,6 +202,8 @@ impl ServeMetrics {
             cells_cached: registry.counter("serve.cells.cached"),
             cells_coalesced: registry.counter("serve.cells.coalesced"),
             cells_computed: registry.counter("serve.cells.computed"),
+            cells_failed: registry.counter("serve.cells.failed"),
+            recovered: registry.counter("serve.worker.recovered"),
             submits_overloaded: registry.counter("serve.submits.overloaded"),
         }
     }
@@ -427,6 +437,7 @@ fn run_job(shared: &Shared, job: Job) {
         settle(&shared.cache, &job.keys, price_group(&job.cells))
     }))
     .unwrap_or_else(|panic| {
+        shared.metrics.recovered.incr();
         let message = panic
             .downcast_ref::<&str>()
             .copied()
@@ -450,6 +461,8 @@ fn run_job(shared: &Shared, job: Job) {
     let busy = shared.metrics.registry.now_ns().saturating_sub(job_start);
     shared.metrics.job_run_ns.record(busy);
     shared.metrics.worker_busy_ns.add(busy);
+    let failed = outcomes.iter().filter(|o| o.is_err()).count();
+    shared.metrics.cells_failed.add(failed as u64);
     // Fan each result out to every subscribed submission, all rows back to
     // back so a waiting handler wakes to the whole burst. The cache inserts
     // above happened first, so a submitter observing a key's absence from
@@ -670,6 +683,7 @@ fn status_reply(shared: &Shared) -> StatusReply {
         computed: shared.computed_cells.load(Ordering::SeqCst),
         coalesced: shared.metrics.cells_coalesced.get(),
         overloaded: shared.metrics.submits_overloaded.get(),
+        recovered: shared.metrics.recovered.get(),
         submits: shared.submits.load(Ordering::SeqCst),
         threads: shared.threads,
     }
@@ -1468,6 +1482,8 @@ mod tests {
         );
         let status = status_reply(&shared);
         assert_eq!((status.inflight, status.inflight_cells), (0, 0));
+        assert_eq!(status.recovered, 1);
+        assert_eq!(shared.metrics.cells_failed.get(), 4);
         assert_eq!(shared.cache.len(), 8, "the panicked group cached nothing");
 
         std::thread::scope(|scope| {

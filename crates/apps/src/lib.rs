@@ -18,10 +18,11 @@
 //!   Metropolis drift-diffusion).
 //!
 //! Every app implements [`ProxyApp`]: one iteration per
-//! [`step`](ProxyApp::step), stamped when asked, with Listing-1 stamp
-//! placement handled by `ebird-runtime`'s `Pool::timed_parts_mut`. All
-//! randomness is seeded (`ebird-stats::dist`-compatible xoshiro
-//! generators), so runs are bit-reproducible.
+//! [`step`](ProxyApp::step), timed when given a clock. The timed section
+//! runs through `ebird-runtime`'s `Pool::timed_parts_mut`, which places the
+//! Listing-1 stamps and returns each thread's sample; the step hands those
+//! back to its caller. All randomness is seeded (`ebird-stats::dist`-
+//! compatible xoshiro generators), so runs are bit-reproducible.
 
 #![warn(missing_docs)]
 
@@ -34,7 +35,7 @@ pub use minife::{MiniFe, MiniFeParams};
 pub use minimd::{MiniMd, MiniMdParams};
 pub use miniqmc::{MiniQmc, MiniQmcParams};
 
-use ebird_core::TimedRegion;
+use ebird_core::{Clock, ThreadSample};
 use ebird_runtime::Pool;
 
 /// A proxy application whose main compute section can be run as instrumented
@@ -43,15 +44,16 @@ pub trait ProxyApp {
     /// Application name as used in the paper ("MiniFE", "MiniMD", "MiniQMC").
     fn name(&self) -> &'static str;
 
-    /// Runs one application iteration on `pool`. With `Some((region,
-    /// iteration))` it records per-thread enter/exit stamps for the timed
-    /// compute section into `region` under `iteration`; with `None` it
-    /// records nothing — the work-metered campaign runner, which derives
-    /// timing from deterministic operation counts, steps that way. Either
-    /// way the computation is the same, and untimed work surrounding the
-    /// section (integration, vector updates, …) runs as part of the same
-    /// call, exactly as in the instrumented originals.
-    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>);
+    /// Runs one application iteration on `pool`. With `Some(clock)` it
+    /// returns one [`ThreadSample`] per pool thread, in thread order: the
+    /// timed compute section's compute times, as `Pool::timed_parts_mut`
+    /// returned them. With `None` it reads no clock and returns an empty
+    /// vector — the work-metered campaign runner, which derives timing from
+    /// deterministic operation counts, steps that way. Either way the
+    /// computation is the same, and untimed work surrounding the section
+    /// (integration, vector updates, …) runs as part of the same call,
+    /// exactly as in the instrumented originals.
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample>;
 
     /// Checks an application-specific physical/numerical invariant, returning
     /// a description of the violation if any. Used by integration tests to
@@ -68,17 +70,4 @@ pub trait ProxyApp {
     /// and hosts — the property the deterministic `RealKernel` workload
     /// timing relies on.
     fn thread_ops(&self, threads: usize) -> Vec<u64>;
-}
-
-/// The three applications, in the paper's presentation order.
-pub const APP_NAMES: [&str; 3] = ["MiniFE", "MiniMD", "MiniQMC"];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn app_names_match_paper_order() {
-        assert_eq!(APP_NAMES, ["MiniFE", "MiniMD", "MiniQMC"]);
-    }
 }

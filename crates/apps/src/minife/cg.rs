@@ -7,7 +7,7 @@
 //! source of MiniFE's structural imbalance (e.g. 200 planes over 48 threads:
 //! threads 0–7 compute 5 planes, threads 8–47 compute 4).
 
-use ebird_core::TimedRegion;
+use ebird_core::{Clock, ThreadSample};
 use ebird_runtime::{static_block, Pool};
 
 use super::csr::CsrMatrix;
@@ -125,7 +125,7 @@ impl ProxyApp for MiniFe {
     }
 
     /// One CG step with the SpMV as the timed section.
-    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
         let part_lens = self.plane_part_lens(pool.threads());
         let (a, p, ap) = (&self.a, &self.p, &mut self.ap);
         // Timed section: Ap = A·p, plane-partitioned (Listing 1 placement).
@@ -135,7 +135,7 @@ impl ProxyApp for MiniFe {
                     *out = a.spmv_row(range.start + off, p);
                 }
             };
-        pool.timed_parts_mut(stamps, ap, &part_lens, body);
+        let samples = pool.timed_parts_mut(clock, ap, &part_lens, body);
 
         // Untimed remainder of the CG step (as in MiniFE, where only the
         // matvec is instrumented).
@@ -145,7 +145,7 @@ impl ProxyApp for MiniFe {
             // Converged to rounding: the timed SpMV still ran (the paper's
             // drivers iterate a fixed 200 times), but the CG update would
             // divide by ~0, so hold the solution fixed.
-            return;
+            return samples;
         }
         let alpha = self.rs_old / p_dot_ap;
         for i in 0..self.x.len() {
@@ -158,6 +158,7 @@ impl ProxyApp for MiniFe {
             self.p[i] = self.r[i] + beta * self.p[i];
         }
         self.rs_old = rs_new;
+        samples
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -199,7 +200,7 @@ impl ProxyApp for MiniFe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{IterationCollector, MonotonicClock};
+    use ebird_core::MonotonicClock;
 
     #[test]
     fn cg_converges_to_ones() {
@@ -238,13 +239,10 @@ mod tests {
         let mut plain = MiniFe::new(params);
         let pool = Pool::new(3);
         let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(4, 3);
-        let region = TimedRegion::new(&clock, &coll);
-        for iter in 0..4 {
-            timed.step(&pool, Some((&region, iter)));
-            plain.step(&pool, None);
+        for _ in 0..4 {
+            assert_eq!(timed.step(&pool, Some(&clock)).len(), 3);
+            assert!(plain.step(&pool, None).is_empty());
         }
-        assert_eq!(coll.completeness(), 1.0);
         assert_eq!(timed.x, plain.x, "instrumentation must not perturb results");
     }
 

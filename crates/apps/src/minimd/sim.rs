@@ -1,7 +1,7 @@
 //! The MiniMD driver: velocity-Verlet integration with an instrumented,
 //! atom-partitioned Lennard-Jones force kernel.
 
-use ebird_core::TimedRegion;
+use ebird_core::{Clock, ThreadSample};
 use ebird_runtime::{static_block, Pool};
 
 use super::lattice::{fcc_positions, initial_velocities};
@@ -202,8 +202,8 @@ impl ProxyApp for MiniMd {
         "MiniMD"
     }
 
-    /// One velocity-Verlet step; `stamps` wraps only the force kernel.
-    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
+    /// One velocity-Verlet step; `clock` times only the force kernel.
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
         let dt = self.params.dt;
         let half = 0.5 * dt;
         // First half-kick + drift (untimed, as in the instrumented MiniMD).
@@ -217,7 +217,7 @@ impl ProxyApp for MiniMd {
             self.rebuild_neighbors();
         }
         // Timed section: the LJ forcing function, atoms statically split.
-        {
+        let samples = {
             let n = self.pos.len();
             let part_lens: Vec<usize> = (0..pool.threads())
                 .map(|t| static_block(n, pool.threads(), t).len())
@@ -230,8 +230,8 @@ impl ProxyApp for MiniMd {
                         *out = Self::force_on(range.start + off, pos, neighbors, box_len, cutoff2);
                     }
                 };
-            pool.timed_parts_mut(stamps, &mut self.force, &part_lens, body);
-        }
+            pool.timed_parts_mut(clock, &mut self.force, &part_lens, body)
+        };
         // Final half-kick.
         for i in 0..self.pos.len() {
             for d in 0..3 {
@@ -239,6 +239,7 @@ impl ProxyApp for MiniMd {
             }
         }
         self.steps += 1;
+        samples
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -272,7 +273,7 @@ impl ProxyApp for MiniMd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{IterationCollector, MonotonicClock};
+    use ebird_core::MonotonicClock;
 
     #[test]
     fn initial_state_is_physical() {
@@ -335,13 +336,10 @@ mod tests {
         let mut plain = MiniMd::new(MiniMdParams::test_scale());
         let pool = Pool::new(2);
         let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(5, 2);
-        let region = TimedRegion::new(&clock, &coll);
-        for iter in 0..5 {
-            timed.step(&pool, Some((&region, iter)));
-            plain.step(&pool, None);
+        for _ in 0..5 {
+            assert_eq!(timed.step(&pool, Some(&clock)).len(), 2);
+            assert!(plain.step(&pool, None).is_empty());
         }
-        assert_eq!(coll.completeness(), 1.0);
         assert_eq!(timed.pos, plain.pos);
     }
 

@@ -7,7 +7,7 @@
 //! static block of walkers, so per-thread work varies with acceptance
 //! history — the mechanism behind MiniQMC's wide thread-arrival spread.
 
-use ebird_core::TimedRegion;
+use ebird_core::{Clock, ThreadSample};
 use ebird_runtime::{static_block, Pool};
 
 use super::jastrow::Jastrow;
@@ -230,7 +230,7 @@ impl ProxyApp for MiniQmc {
 
     /// One iteration: every walker does `sweeps_per_step` sweeps; threads own
     /// static walker blocks; the whole mover loop is the timed section.
-    fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
         let part_lens: Vec<usize> = (0..pool.threads())
             .map(|t| static_block(self.walkers.len(), pool.threads(), t).len())
             .collect();
@@ -249,8 +249,9 @@ impl ProxyApp for MiniQmc {
                 }
             }
         };
-        pool.timed_parts_mut(stamps, &mut self.walkers, &part_lens, body);
+        let samples = pool.timed_parts_mut(clock, &mut self.walkers, &part_lens, body);
         self.steps += 1;
+        samples
     }
 
     fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -289,7 +290,7 @@ impl ProxyApp for MiniQmc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{IterationCollector, MonotonicClock};
+    use ebird_core::MonotonicClock;
 
     #[test]
     fn walkers_initialize_in_box_and_deterministically() {
@@ -350,13 +351,10 @@ mod tests {
         let mut plain = MiniQmc::new(MiniQmcParams::test_scale());
         let pool = Pool::new(3);
         let clock = MonotonicClock::new();
-        let coll = IterationCollector::new(4, 3);
-        let region = TimedRegion::new(&clock, &coll);
-        for iter in 0..4 {
-            timed.step(&pool, Some((&region, iter)));
-            plain.step(&pool, None);
+        for _ in 0..4 {
+            assert_eq!(timed.step(&pool, Some(&clock)).len(), 3);
+            assert!(plain.step(&pool, None).is_empty());
         }
-        assert_eq!(coll.completeness(), 1.0);
         assert!(timed.verify().is_ok());
         assert_eq!(timed.steps(), plain.steps());
         for (wt, wp) in timed.walkers().iter().zip(plain.walkers()) {

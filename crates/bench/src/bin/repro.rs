@@ -954,7 +954,7 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
-    use ebird_bench::profile::{render_profile, units_counter, TRACE_SAMPLES};
+    use ebird_bench::profile::{clock_oracle, render_profile, units_counter, TRACE_SAMPLES};
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
     let observer = PoolObserver::new(&registry);
@@ -964,6 +964,9 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         "# profiling the synthetic pipeline: scale {:?}, seed {}, {} worker thread(s)",
         opts.scale, opts.seed, threads
     );
+
+    // The clock is measured before any stage runs, on an idle host.
+    let clock = clock_oracle(&registry);
 
     // Each stage gets a wall-clock span and relabels the pool observer, so
     // `pool.{stage}.w{i}.busy_ns` splits busy time per stage per worker.
@@ -1020,6 +1023,7 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         }
     }
 
+    println!("{clock}");
     print!("{}", render_profile(&registry.snapshot(), threads));
     Ok(())
 }

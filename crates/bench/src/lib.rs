@@ -20,7 +20,7 @@
 
 pub mod profile;
 
-use ebird_cluster::JobConfig;
+use ebird_cluster::{JobConfig, RealKernelParams, RealTiming, BUILTIN_WORKLOAD_NAMES};
 use ebird_core::TimingTrace;
 
 /// The workspace-wide default seed for regenerated experiments
@@ -55,28 +55,20 @@ impl Scale {
     }
 }
 
-/// Runs the real Rust proxy apps at test scale and returns their traces in
-/// paper order. Problem sizes are fixed small so this finishes in seconds on
+/// Runs the real Rust proxy apps at test scale under the wall clock and
+/// returns their traces in paper order, labelled `MiniFE`, `MiniMD` and
+/// `MiniQMC`. Problem sizes are fixed small so this finishes in seconds on
 /// a laptop; the synthetic source is the one calibrated to paper shapes.
 pub fn all_real_traces(cfg: &JobConfig, seed: u64) -> Vec<TimingTrace> {
-    use ebird_apps::{MiniFe, MiniFeParams, MiniMd, MiniMdParams, MiniQmc, MiniQmcParams};
-    let fe = ebird_cluster::run_real_campaign(cfg, |_, _| {
-        Box::new(MiniFe::new(MiniFeParams::test_scale()))
-    })
-    .expect("MiniFE campaign");
-    let md = ebird_cluster::run_real_campaign(cfg, |trial, rank| {
-        let mut p = MiniMdParams::test_scale();
-        p.seed = seed ^ ((trial as u64) << 32 | rank as u64);
-        Box::new(MiniMd::new(p))
-    })
-    .expect("MiniMD campaign");
-    let qmc = ebird_cluster::run_real_campaign(cfg, |trial, rank| {
-        let mut p = MiniQmcParams::test_scale();
-        p.seed = seed ^ ((trial as u64) << 32 | rank as u64);
-        Box::new(MiniQmc::new(p))
-    })
-    .expect("MiniQMC campaign");
-    vec![fe, md, qmc]
+    let params = RealKernelParams::default();
+    BUILTIN_WORKLOAD_NAMES
+        .iter()
+        .map(|app| {
+            params
+                .run_campaign(app, cfg, seed, RealTiming::Wall)
+                .unwrap_or_else(|e| panic!("{app} campaign: {e}"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -94,7 +86,8 @@ mod tests {
     fn real_traces_at_tiny_scale() {
         let cfg = JobConfig::new(1, 1, 3, 2);
         let traces = all_real_traces(&cfg, 5);
-        assert_eq!(traces.len(), 3);
+        let labels: Vec<&str> = traces.iter().map(|t| t.app()).collect();
+        assert_eq!(labels, ["MiniFE", "MiniMD", "MiniQMC"]);
         for t in &traces {
             assert!(t.samples().iter().all(|s| s.compute_time_ns() > 0));
         }

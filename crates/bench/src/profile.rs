@@ -14,12 +14,14 @@
 //! overhead histogram. Rendering lives in the library
 //! so a sentinel test can assert every metric the profile reads actually
 //! appears in the output — a silent rendering gap would hide a regression
-//! signal.
+//! signal. Above the table, [`clock_oracle`] states what the profile's own
+//! clock can resolve, beside the paper's 1 ms laggard threshold.
 
 use ebird_analysis::engine::STAGES;
 use ebird_analysis::normality::{SweepObs, SWEEP_LEVELS};
+use ebird_cluster::calibration::LAGGARD_THRESHOLD_MS;
 use ebird_core::ThreadSample;
-use ebird_obs::Snapshot;
+use ebird_obs::{Registry, Snapshot};
 use ebird_runtime::PoolObserver;
 
 fn ms(ns: u64) -> f64 {
@@ -37,6 +39,44 @@ pub fn units_counter(stage: &str) -> String {
 /// streams, and (at one word a sample) the traces' resident footprint in the
 /// profile's header.
 pub const TRACE_SAMPLES: &str = "trace.samples";
+
+/// Measures `registry`'s clock against known durations and returns the
+/// profile's clock line: the median cost of a read over 10⁴ back-to-back
+/// reads, the smallest nonzero step between two of them (the resolution a
+/// caller sees), and the median error of `std::thread::sleep` for 0.1, 1
+/// and 10 ms (five tries each) against the request — all beside the
+/// paper's laggard threshold, which they qualify.
+pub fn clock_oracle(registry: &Registry) -> String {
+    const READS: usize = 10_000;
+    const TRIES: usize = 5;
+    let mut stamps = vec![0u64; READS + 1];
+    for stamp in &mut stamps {
+        *stamp = registry.now_ns();
+    }
+    let mut steps: Vec<u64> = stamps.windows(2).map(|w| w[1] - w[0]).collect();
+    let resolution = match steps.iter().copied().filter(|&d| d > 0).min() {
+        Some(ns) => format!("{ns} ns"),
+        None => "none".to_string(),
+    };
+    let read_ns = *steps.select_nth_unstable(READS / 2).1;
+    let sleeps = [0.1, 1.0, 10.0].map(|request_ms: f64| {
+        let request_ns = (request_ms * 1e6) as u64;
+        let mut errors_ns: Vec<i64> = (0..TRIES)
+            .map(|_| {
+                let start = registry.now_ns();
+                std::thread::sleep(std::time::Duration::from_nanos(request_ns));
+                (registry.now_ns() - start) as i64 - request_ns as i64
+            })
+            .collect();
+        let median_ns = *errors_ns.select_nth_unstable(TRIES / 2).1;
+        format!("{:+.3} ms at {request_ms} ms", median_ns as f64 / 1e6)
+    });
+    format!(
+        "clock oracle: read {read_ns} ns (median of {READS}), resolution {resolution}; \
+         sleep error {} (median of {TRIES}); laggard threshold {LAGGARD_THRESHOLD_MS:.3} ms",
+        sleeps.join(", ")
+    )
+}
 
 /// Renders the profile table from a registry snapshot.
 pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
@@ -278,6 +318,30 @@ mod tests {
                 "metric with sentinel value {s} missing from rendered profile:\n{rendered}"
             );
         }
+    }
+
+    #[test]
+    fn clock_oracle_states_every_measure_beside_the_threshold() {
+        let line = clock_oracle(&Registry::wall());
+        let (head, tail) = line
+            .split_once(" ns (median of 10000), resolution ")
+            .unwrap();
+        let read_ns = head.strip_prefix("clock oracle: read ").unwrap();
+        assert!(read_ns.parse::<u64>().is_ok(), "{line}");
+        assert!(tail.contains(" ns; sleep error +"), "{line}");
+        for request in [" at 0.1 ms, ", " at 1 ms, ", " at 10 ms (median of 5); "] {
+            assert!(tail.contains(request), "{line}");
+        }
+        assert!(line.ends_with("; laggard threshold 1.000 ms"), "{line}");
+    }
+
+    #[test]
+    fn a_clock_that_never_moves_has_no_resolution() {
+        let registry = Registry::with_time(Arc::new(ebird_obs::ManualClock::new()));
+        let line = clock_oracle(&registry);
+        assert!(line.starts_with("clock oracle: read 0 ns (median of 10000), resolution none;"));
+        assert!(line
+            .contains("sleep error -0.100 ms at 0.1 ms, -1.000 ms at 1 ms, -10.000 ms at 10 ms"));
     }
 
     #[test]

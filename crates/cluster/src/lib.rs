@@ -45,7 +45,7 @@ pub mod workload;
 pub use fit::{fit, FittedModel};
 pub use job::JobConfig;
 pub use noise::NoiseRegime;
-pub use runner::{run_real_campaign, run_real_campaign_with, RealTiming};
+pub use runner::{run_real_campaign, RealTiming};
 pub use synthetic::SyntheticApp;
 pub use workload::{
     canonical_workload_name, MixtureComponent, RealKernelParams, ResolvedWorkload, Workload,

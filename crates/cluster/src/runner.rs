@@ -3,7 +3,8 @@
 //! [`run_real_campaign`] reproduces the paper's experimental procedure on
 //! live code: for each trial and each rank, build a fresh application
 //! instance, run `iterations` instrumented iterations on a thread pool, and
-//! drain the per-thread stamps into the campaign's [`TimingTrace`].
+//! copy each iteration's per-thread samples into the campaign's
+//! [`TimingTrace`].
 //!
 //! Ranks run sequentially inside one process. The measured compute sections
 //! never communicate (the paper's apps only message *between* sections), so
@@ -12,7 +13,7 @@
 //!
 //! Nothing here communicates: scenario pricing needs thread arrivals only.
 
-use ebird_core::{IterationCollector, MonotonicClock, ThreadSample, TimedRegion, TimingTrace};
+use ebird_core::{Clock, MonotonicClock, ThreadSample, TimingTrace};
 use ebird_runtime::Pool;
 
 use crate::job::JobConfig;
@@ -22,7 +23,8 @@ use crate::job::JobConfig;
 pub enum RunnerError {
     /// The campaign configuration is unusable (zero-sized dimension —
     /// reachable because [`JobConfig`]'s fields are public — or a
-    /// non-positive metered clock rate).
+    /// non-positive metered clock rate), or an app yielded a per-thread
+    /// vector of the wrong length.
     Config(String),
     /// An application instance failed its post-run invariant check.
     AppInvariant {
@@ -33,8 +35,6 @@ pub enum RunnerError {
         /// The application's description of the violation.
         message: String,
     },
-    /// Trace plumbing failed (shape mismatch etc.).
-    Core(ebird_core::CoreError),
 }
 
 impl std::fmt::Display for RunnerError {
@@ -49,18 +49,11 @@ impl std::fmt::Display for RunnerError {
                 f,
                 "app invariant violated at trial {trial} rank {rank}: {message}"
             ),
-            RunnerError::Core(e) => write!(f, "trace error: {e}"),
         }
     }
 }
 
 impl std::error::Error for RunnerError {}
-
-impl From<ebird_core::CoreError> for RunnerError {
-    fn from(e: ebird_core::CoreError) -> Self {
-        RunnerError::Core(e)
-    }
-}
 
 /// How a real-application campaign derives per-thread timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,18 +75,6 @@ pub enum RealTiming {
     },
 }
 
-/// Runs a full campaign of a real application with wall-clock timing —
-/// [`run_real_campaign_with`] at [`RealTiming::Wall`].
-///
-/// # Errors
-/// See [`run_real_campaign_with`].
-pub fn run_real_campaign<F>(cfg: &JobConfig, factory: F) -> Result<TimingTrace, RunnerError>
-where
-    F: FnMut(usize, usize) -> Box<dyn ebird_apps::ProxyApp>,
-{
-    run_real_campaign_with(cfg, factory, RealTiming::Wall)
-}
-
 /// Runs a full campaign of a real application.
 ///
 /// `factory(trial, rank)` builds one application instance per (trial, rank)
@@ -102,15 +83,22 @@ where
 /// first instance. `timing` selects wall-clock measurement or the
 /// deterministic work-metered clock (see [`RealTiming`]).
 ///
+/// Each iteration yields one per-thread vector — under [`RealTiming::Wall`]
+/// the step's samples, under [`RealTiming::Metered`] its operation counts
+/// priced at `ns_per_op` — whose length is checked once and copied into
+/// the trace.
+///
 /// # Errors
 /// [`RunnerError::Config`] if any campaign dimension is zero (reachable by
-/// constructing [`JobConfig`] literally, bypassing [`JobConfig::new`]) or
-/// the metered `ns_per_op` is not finite-positive;
+/// constructing [`JobConfig`] literally, bypassing [`JobConfig::new`]), the
+/// metered `ns_per_op` is not finite-positive, or an iteration yields a
+/// per-thread vector whose length is not `cfg.threads` (the message names
+/// the app, `(trial, rank, iteration)` and both lengths);
 /// [`RunnerError::AppInvariant`] if any instance fails [`ProxyApp::verify`]
-/// after its run; [`RunnerError::Core`] on trace plumbing failures.
+/// after its run.
 ///
 /// [`ProxyApp::verify`]: ebird_apps::ProxyApp::verify
-pub fn run_real_campaign_with<F>(
+pub fn run_real_campaign<F>(
     cfg: &JobConfig,
     mut factory: F,
     timing: RealTiming,
@@ -131,70 +119,53 @@ where
             )));
         }
     }
+    let wall = MonotonicClock::new();
+    let clock: Option<&dyn Clock> = match timing {
+        RealTiming::Wall => Some(&wall),
+        RealTiming::Metered { .. } => None,
+    };
     let mut trace: Option<TimingTrace> = None;
     let pool = Pool::new(cfg.threads);
     for trial in 0..cfg.trials {
         for rank in 0..cfg.ranks {
             let mut app = factory(trial, rank);
-            if trace.is_none() {
-                trace = Some(TimingTrace::new(app.name(), cfg.shape()));
-            }
-            match timing {
-                RealTiming::Wall => {
-                    let clock = MonotonicClock::new();
-                    let collector = IterationCollector::new(cfg.iterations, cfg.threads);
-                    let region = TimedRegion::new(&clock, &collector);
-                    for iteration in 0..cfg.iterations {
-                        app.step(&pool, Some((&region, iteration)));
-                    }
-                    app.verify().map_err(|message| RunnerError::AppInvariant {
-                        trial,
-                        rank,
-                        message,
-                    })?;
-                    collector.drain_into(
-                        trace.as_mut().expect("initialized above"),
-                        trial,
-                        rank,
-                    )?;
+            let trace = trace.get_or_insert_with(|| TimingTrace::new(app.name(), cfg.shape()));
+            for iteration in 0..cfg.iterations {
+                let samples = app.step(&pool, clock);
+                let samples = match timing {
+                    RealTiming::Wall => samples,
+                    // Clamp to ≥ 1 ns: samples must stay positive even for
+                    // a degenerate zero-work partition.
+                    RealTiming::Metered { ns_per_op } => app
+                        .thread_ops(cfg.threads)
+                        .iter()
+                        .map(|&n| {
+                            ThreadSample::new(0, ((n as f64 * ns_per_op).round() as u64).max(1))
+                        })
+                        .collect(),
+                };
+                // A short vector would leave slots unwritten — zero-time
+                // "arrivals" in every later stage — so it ends the campaign
+                // (ProxyApp is a public trait; downstream impls can skip
+                // their timed section or miscount their threads).
+                if samples.len() != cfg.threads {
+                    return Err(RunnerError::Config(format!(
+                        "app `{}` yielded {} per-thread samples for {} threads at (trial, rank, iteration) = ({trial}, {rank}, {iteration})",
+                        app.name(),
+                        samples.len(),
+                        cfg.threads
+                    )));
                 }
-                RealTiming::Metered { ns_per_op } => {
-                    for iteration in 0..cfg.iterations {
-                        app.step(&pool, None);
-                        let ops = app.thread_ops(cfg.threads);
-                        // A short vector would silently zip-truncate,
-                        // leaving zero-time samples — reject it loudly
-                        // (ProxyApp is a public trait; downstream impls can
-                        // get this wrong).
-                        if ops.len() != cfg.threads {
-                            return Err(RunnerError::Config(format!(
-                                "app `{}` reported {} thread-op counts for {} threads",
-                                app.name(),
-                                ops.len(),
-                                cfg.threads
-                            )));
-                        }
-                        let dst = trace
-                            .as_mut()
-                            .expect("initialized above")
-                            .process_iteration_mut(trial, rank, iteration)
-                            .expect("in range by construction");
-                        for (slot, &n) in dst.iter_mut().zip(&ops) {
-                            // Clamp to ≥ 1 ns: samples must stay positive
-                            // even for a degenerate zero-work partition.
-                            *slot = ThreadSample::new(
-                                0,
-                                ((n as f64 * ns_per_op).round() as u64).max(1),
-                            );
-                        }
-                    }
-                    app.verify().map_err(|message| RunnerError::AppInvariant {
-                        trial,
-                        rank,
-                        message,
-                    })?;
-                }
+                trace
+                    .process_iteration_mut(trial, rank, iteration)
+                    .expect("in range by construction")
+                    .copy_from_slice(&samples);
             }
+            app.verify().map_err(|message| RunnerError::AppInvariant {
+                trial,
+                rank,
+                message,
+            })?;
         }
     }
     Ok(trace.expect("cfg dimensions validated above"))
@@ -203,45 +174,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_apps::{MiniFe, MiniFeParams, MiniMd, MiniMdParams, MiniQmc, MiniQmcParams};
+    use ebird_apps::{MiniFe, MiniFeParams};
 
     #[test]
-    fn minife_campaign_produces_complete_trace() {
+    fn all_three_kernels_run_under_both_timings() {
         let cfg = JobConfig::new(1, 2, 3, 2);
-        let trace = run_real_campaign(&cfg, |_, _| {
-            Box::new(MiniFe::new(MiniFeParams::test_scale()))
-        })
-        .unwrap();
-        assert_eq!(trace.app(), "MiniFE");
-        assert_eq!(trace.shape(), cfg.shape());
-        // Every sample must be a real measurement (> 0 compute time).
-        assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
-    }
-
-    #[test]
-    fn minimd_campaign_runs() {
-        let cfg = JobConfig::new(1, 1, 4, 2);
-        let trace = run_real_campaign(&cfg, |_, _| {
-            let mut p = MiniMdParams::test_scale();
-            p.seed = 99;
-            Box::new(MiniMd::new(p))
-        })
-        .unwrap();
-        assert_eq!(trace.app(), "MiniMD");
-        assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
-    }
-
-    #[test]
-    fn miniqmc_campaign_runs() {
-        let cfg = JobConfig::new(1, 1, 3, 2);
-        let trace = run_real_campaign(&cfg, |trial, rank| {
-            let mut p = MiniQmcParams::test_scale();
-            p.seed = 1000 + (trial * 10 + rank) as u64;
-            Box::new(MiniQmc::new(p))
-        })
-        .unwrap();
-        assert_eq!(trace.app(), "MiniQMC");
-        assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
+        for timing in [RealTiming::Wall, RealTiming::Metered { ns_per_op: 100.0 }] {
+            for name in crate::BUILTIN_WORKLOAD_NAMES {
+                let trace = crate::RealKernelParams::default()
+                    .run_campaign(name, &cfg, 99, timing)
+                    .unwrap();
+                assert_eq!(trace.app(), name);
+                assert_eq!(trace.shape(), cfg.shape());
+                // Every sample is a measurement (> 0 compute time).
+                assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
+            }
+        }
     }
 
     #[test]
@@ -254,16 +202,9 @@ mod tests {
         // genuinely diverge.
         let cfg = JobConfig::new(1, 2, 22, 3);
         let run = || {
-            run_real_campaign_with(
-                &cfg,
-                |trial, rank| {
-                    let mut p = MiniMdParams::test_scale();
-                    p.seed = 7 ^ ((trial as u64) << 32 | rank as u64);
-                    Box::new(MiniMd::new(p))
-                },
-                RealTiming::Metered { ns_per_op: 250.0 },
-            )
-            .unwrap()
+            crate::RealKernelParams::default()
+                .run_campaign("MiniMD", &cfg, 7, RealTiming::Metered { ns_per_op: 250.0 })
+                .unwrap()
         };
         let a = run();
         let b = run();
@@ -275,33 +216,6 @@ mod tests {
         let spread = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             - ms.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(spread > 0.0, "expected per-thread work spread, got {ms:?}");
-    }
-
-    #[test]
-    fn metered_campaigns_run_for_all_three_kernels() {
-        type Factory = Box<dyn FnMut(usize, usize) -> Box<dyn ebird_apps::ProxyApp>>;
-        let cfg = JobConfig::new(1, 1, 3, 2);
-        let cases: [(&str, Factory); 3] = [
-            (
-                "MiniFE",
-                Box::new(|_, _| Box::new(MiniFe::new(MiniFeParams::test_scale()))),
-            ),
-            (
-                "MiniMD",
-                Box::new(|_, _| Box::new(MiniMd::new(MiniMdParams::test_scale()))),
-            ),
-            (
-                "MiniQMC",
-                Box::new(|_, _| Box::new(MiniQmc::new(MiniQmcParams::test_scale()))),
-            ),
-        ];
-        for (name, factory) in cases {
-            let trace =
-                run_real_campaign_with(&cfg, factory, RealTiming::Metered { ns_per_op: 100.0 })
-                    .unwrap();
-            assert_eq!(trace.app(), name);
-            assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
-        }
     }
 
     #[test]
@@ -323,9 +237,11 @@ mod tests {
                 threads: 0,
             },
         ] {
-            let err = run_real_campaign(&cfg, |_, _| {
-                Box::new(MiniFe::new(MiniFeParams::test_scale()))
-            })
+            let err = run_real_campaign(
+                &cfg,
+                |_, _| Box::new(MiniFe::new(MiniFeParams::test_scale())),
+                RealTiming::Wall,
+            )
             .unwrap_err();
             assert!(
                 matches!(err, RunnerError::Config(_)),
@@ -339,7 +255,7 @@ mod tests {
     fn non_positive_metered_rate_is_a_config_error() {
         let cfg = JobConfig::new(1, 1, 1, 1);
         for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = run_real_campaign_with(
+            let err = run_real_campaign(
                 &cfg,
                 |_, _| Box::new(MiniFe::new(MiniFeParams::test_scale())),
                 RealTiming::Metered { ns_per_op: rate },
@@ -355,13 +271,15 @@ mod tests {
     #[test]
     fn short_thread_ops_vector_is_a_config_error() {
         // A ProxyApp impl that under-reports its op counts must error, not
-        // silently leave zero-time samples via zip truncation.
+        // silently leave zero-time samples.
         struct ShortOps;
         impl ebird_apps::ProxyApp for ShortOps {
             fn name(&self) -> &'static str {
                 "ShortOps"
             }
-            fn step(&mut self, _pool: &Pool, _stamps: Option<(&TimedRegion<'_>, usize)>) {}
+            fn step(&mut self, _pool: &Pool, _clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+                Vec::new()
+            }
             fn thread_ops(&self, threads: usize) -> Vec<u64> {
                 vec![1; threads.saturating_sub(1)]
             }
@@ -370,14 +288,57 @@ mod tests {
             }
         }
         let cfg = JobConfig::new(1, 1, 1, 3);
-        let err = run_real_campaign_with(
+        let err = run_real_campaign(
             &cfg,
             |_, _| Box::new(ShortOps),
             RealTiming::Metered { ns_per_op: 10.0 },
         )
         .unwrap_err();
         assert!(matches!(err, RunnerError::Config(_)), "{err:?}");
-        assert!(err.to_string().contains("thread-op counts"), "{err}");
+        assert!(
+            err.to_string().contains(
+                "`ShortOps` yielded 2 per-thread samples for 3 threads at (trial, rank, iteration) = (0, 0, 0)"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_step_that_stamps_too_few_threads_is_a_config_error() {
+        // An app that skips its timed section in one iteration must end the
+        // campaign, not put zero-time "arrivals" into the trace.
+        struct Skips {
+            steps: usize,
+        }
+        impl ebird_apps::ProxyApp for Skips {
+            fn name(&self) -> &'static str {
+                "Skips"
+            }
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+                self.steps += 1;
+                if self.steps == 2 {
+                    return Vec::new();
+                }
+                let mut data = vec![0u8; pool.threads()];
+                pool.timed_parts_mut(clock, &mut data, &vec![1; pool.threads()], |_, _, _| {})
+            }
+            fn thread_ops(&self, threads: usize) -> Vec<u64> {
+                vec![1; threads]
+            }
+            fn verify(&self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        let cfg = JobConfig::new(1, 1, 3, 2);
+        let err = run_real_campaign(&cfg, |_, _| Box::new(Skips { steps: 0 }), RealTiming::Wall)
+            .unwrap_err();
+        assert!(matches!(err, RunnerError::Config(_)), "{err:?}");
+        assert!(
+            err.to_string().contains(
+                "`Skips` yielded 0 per-thread samples for 2 threads at (trial, rank, iteration) = (0, 0, 1)"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -389,12 +350,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Broken"
             }
-            fn step(&mut self, pool: &Pool, stamps: Option<(&TimedRegion<'_>, usize)>) {
-                if let Some((region, iteration)) = stamps {
-                    for t in 0..pool.threads() {
-                        region.run(iteration, t, || {});
-                    }
-                }
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+                clock.map_or_else(Vec::new, |_| vec![ThreadSample::new(0, 1); pool.threads()])
             }
             fn thread_ops(&self, threads: usize) -> Vec<u64> {
                 vec![1; threads]
@@ -405,7 +362,7 @@ mod tests {
         }
         let cfg = JobConfig::new(1, 2, 2, 2);
         for timing in [RealTiming::Wall, RealTiming::Metered { ns_per_op: 10.0 }] {
-            let err = run_real_campaign_with(&cfg, |_, _| Box::new(Broken), timing).unwrap_err();
+            let err = run_real_campaign(&cfg, |_, _| Box::new(Broken), timing).unwrap_err();
             match err {
                 RunnerError::AppInvariant {
                     trial,
@@ -424,10 +381,14 @@ mod tests {
     fn factory_sees_every_trial_rank_pair() {
         let cfg = JobConfig::new(2, 3, 1, 1);
         let mut seen = Vec::new();
-        let _ = run_real_campaign(&cfg, |t, r| {
-            seen.push((t, r));
-            Box::new(MiniFe::new(MiniFeParams::test_scale()))
-        })
+        let _ = run_real_campaign(
+            &cfg,
+            |t, r| {
+                seen.push((t, r));
+                Box::new(MiniFe::new(MiniFeParams::test_scale()))
+            },
+            RealTiming::Wall,
+        )
         .unwrap();
         assert_eq!(seen, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
     }

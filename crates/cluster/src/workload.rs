@@ -14,8 +14,9 @@
 //! * [`WorkloadSpec::Synthetic`] — a full inline [`AppModel`] with explicit
 //!   phases, so new arrival shapes are config entries, not code;
 //! * [`WorkloadSpec::RealKernel`] — a scaled-down run of one of the *real*
-//!   Rust proxy kernels (`ebird-apps`) through
-//!   [`run_real_campaign_with`] under the deterministic work-metered clock
+//!   Rust proxy kernels (`ebird-apps`), built by
+//!   [`RealKernelParams::run_campaign`] and run through
+//!   [`run_real_campaign`] under the deterministic work-metered clock
 //!   ([`RealTiming::Metered`]), connecting the live kernels to the
 //!   scenario/serve pipeline with cache-stable bytes;
 //! * [`WorkloadSpec::Mixture`] — a weighted blend of other specs: every
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::JobConfig;
 use crate::noise::NoiseRegime;
-use crate::runner::{run_real_campaign_with, RealTiming};
+use crate::runner::{run_real_campaign, RealTiming};
 use crate::synthetic::{mix, AppModel, SyntheticApp};
 
 /// The built-in calibrated workload names, paper order — THE canonical
@@ -257,6 +258,65 @@ impl RealKernelParams {
         }
         Ok(())
     }
+
+    /// Runs a campaign of the real kernel `app` (case-insensitive) at these
+    /// sizes under `timing` — the one place a live kernel is built. The
+    /// trace carries the kernel's own name (`MiniFE`, `MiniMD`, `MiniQMC`).
+    ///
+    /// MiniMD and MiniQMC instances seed their randomness from
+    /// `seed ^ (trial << 32 | rank)`, so every (trial, rank) pair is an
+    /// independent, reproducible process. MiniFE has no randomness at all —
+    /// its CG solve and static plane partition are fully determined by the
+    /// mesh — so its ranks are legitimately identical and seed-invariant (as
+    /// the paper's near-identical per-rank MiniFE medians reflect).
+    ///
+    /// # Errors
+    /// An unknown kernel name, knobs [`WorkloadSpec::resolve`] would refuse,
+    /// or the campaign runner's error.
+    pub fn run_campaign(
+        &self,
+        app: &str,
+        cfg: &JobConfig,
+        seed: u64,
+        timing: RealTiming,
+    ) -> Result<TimingTrace, String> {
+        let app = canonical_workload_name(app)?;
+        self.validate_for(app)
+            .map_err(|e| format!("real kernel `{app}`: {e}"))?;
+        let factory = |trial: usize, rank: usize| -> Box<dyn ProxyApp> {
+            let instance_seed = seed ^ ((trial as u64) << 32 | rank as u64);
+            match app {
+                "MiniFE" => {
+                    let mut fe = MiniFeParams::test_scale();
+                    if let Some([nx, ny, nz]) = self.minife_dims {
+                        fe.dims = ebird_apps::minife::mesh::MeshDims::new(nx, ny, nz);
+                    }
+                    Box::new(MiniFe::new(fe))
+                }
+                "MiniMD" => {
+                    let mut md = MiniMdParams::test_scale();
+                    if let Some([x, y, z]) = self.minimd_cells {
+                        md.cells = (x, y, z);
+                    }
+                    md.seed = instance_seed;
+                    Box::new(MiniMd::new(md))
+                }
+                "MiniQMC" => {
+                    let mut qmc = MiniQmcParams::test_scale();
+                    if let Some(w) = self.miniqmc_walkers {
+                        qmc.walkers = w;
+                    }
+                    if let Some(e) = self.miniqmc_electrons {
+                        qmc.electrons = e;
+                    }
+                    qmc.seed = instance_seed;
+                    Box::new(MiniQmc::new(qmc))
+                }
+                other => unreachable!("canonical table returned unbuildable kernel {other}"),
+            }
+        };
+        run_real_campaign(cfg, factory, timing).map_err(|e| e.to_string())
+    }
 }
 
 /// One weighted component of a [`WorkloadSpec::Mixture`].
@@ -404,53 +464,15 @@ impl RealKernelHandle {
         self.app
     }
 
-    /// Runs the metered campaign. MiniMD and MiniQMC instances seed their
-    /// randomness from `(seed, trial, rank)` exactly like
-    /// `all_real_traces`, so every (trial, rank) pair is an independent,
-    /// reproducible process. MiniFE has no randomness at all — its CG solve
-    /// and static plane partition are fully determined by the mesh — so its
-    /// metered ranks are legitimately identical and seed-invariant (as the
-    /// paper's near-identical per-rank MiniFE medians reflect); the seed
-    /// still participates in the cell cache key, which merely costs a
-    /// duplicate cache entry across seeds, never a wrong row.
+    /// Runs the metered campaign ([`RealKernelParams::run_campaign`] at
+    /// [`RealTiming::Metered`]). For MiniFE the seed does not move the
+    /// trace, but it still participates in the cell cache key, which merely
+    /// costs a duplicate cache entry across seeds, never a wrong row.
     fn generate(&self, cfg: &JobConfig, seed: u64) -> Result<TimingTrace, String> {
         let timing = RealTiming::Metered {
             ns_per_op: self.params.ns_per_op,
         };
-        let p = &self.params;
-        let factory = |trial: usize, rank: usize| -> Box<dyn ProxyApp> {
-            let instance_seed = seed ^ ((trial as u64) << 32 | rank as u64);
-            match self.app {
-                "MiniFE" => {
-                    let mut fe = MiniFeParams::test_scale();
-                    if let Some([nx, ny, nz]) = p.minife_dims {
-                        fe.dims = ebird_apps::minife::mesh::MeshDims::new(nx, ny, nz);
-                    }
-                    Box::new(MiniFe::new(fe))
-                }
-                "MiniMD" => {
-                    let mut md = MiniMdParams::test_scale();
-                    if let Some([x, y, z]) = p.minimd_cells {
-                        md.cells = (x, y, z);
-                    }
-                    md.seed = instance_seed;
-                    Box::new(MiniMd::new(md))
-                }
-                "MiniQMC" => {
-                    let mut qmc = MiniQmcParams::test_scale();
-                    if let Some(w) = p.miniqmc_walkers {
-                        qmc.walkers = w;
-                    }
-                    if let Some(e) = p.miniqmc_electrons {
-                        qmc.electrons = e;
-                    }
-                    qmc.seed = instance_seed;
-                    Box::new(MiniQmc::new(qmc))
-                }
-                other => unreachable!("canonical table returned unbuildable kernel {other}"),
-            }
-        };
-        let measured = run_real_campaign_with(cfg, factory, timing).map_err(|e| e.to_string())?;
+        let measured = self.params.run_campaign(self.app, cfg, seed, timing)?;
         // Re-label under the workload's canonical label (`real(<app>)`), so
         // a metered run is never mistaken for the calibrated synthetic
         // shape of the same kernel.
@@ -727,6 +749,23 @@ mod tests {
             let via_spec = resolved.generate_trace_parallel(&cfg, 9, &Pool::new(workers));
             assert_eq!(via_spec.unwrap(), legacy, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn the_kernel_factory_refuses_what_resolve_refuses() {
+        let cfg = JobConfig::new(1, 1, 1, 1);
+        let err = RealKernelParams::default()
+            .run_campaign("minifee", &cfg, 1, RealTiming::Wall)
+            .unwrap_err();
+        assert!(err.contains("MiniFE"), "{err}");
+        let misdirected = RealKernelParams {
+            minimd_cells: Some([2, 2, 2]),
+            ..RealKernelParams::default()
+        };
+        let err = misdirected
+            .run_campaign("MiniFE", &cfg, 1, RealTiming::Wall)
+            .unwrap_err();
+        assert!(err.contains("minimd_cells applies to MiniMD"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! # ebird-core
 //!
-//! The instrumentation core of the `early-bird` workspace: the Rust analogue
-//! of the paper's Listing 1 (`clock_gettime` around an `omp for nowait` loop)
-//! plus the in-memory store and indexing machinery for the resulting data
-//! set.
+//! The instrumentation core of the `early-bird` workspace: the clocks and
+//! the one-word sample of the paper's Listing 1 (`clock_gettime` around an
+//! `omp for nowait` loop) plus the in-memory store and indexing machinery
+//! for the resulting data set. The stamps themselves are taken by
+//! `ebird-runtime`'s `Pool::timed_parts_mut`, which hands each team
+//! member's sample back at the join.
 //!
 //! The paper's measurement model:
 //!
@@ -26,9 +28,6 @@
 //!   arithmetic.
 //! * [`trace`] — `TimingTrace`, the dense 4-D sample store with aggregation
 //!   accessors for the paper's three analysis levels.
-//! * [`collector`] — lock-free, cache-padded per-thread recording slots used
-//!   inside parallel regions.
-//! * [`region`] — the `TimedRegion` API mirroring the paper's Listing 1.
 //! * [`view`] — aggregation-level views (application / app-iteration /
 //!   process-iteration) that produce plain `f64` millisecond samples for the
 //!   stats layer.
@@ -36,15 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod collector;
-pub mod region;
 pub mod sample;
 pub mod trace;
 pub mod view;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use collector::IterationCollector;
-pub use region::TimedRegion;
 pub use sample::{SampleIndex, ThreadSample};
 pub use trace::{TimingTrace, TraceShape};
 pub use view::AggregationLevel;
@@ -69,7 +64,7 @@ pub enum CoreError {
     },
     /// Trace shapes must have every dimension nonzero.
     EmptyShape,
-    /// A sample column or collector does not match the trace's shape.
+    /// A sample column does not match the trace's shape.
     ShapeMismatch,
 }
 

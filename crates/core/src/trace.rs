@@ -205,21 +205,6 @@ impl TimingTrace {
         &self.samples
     }
 
-    /// The contiguous block of all samples of one `(trial, rank)` pair —
-    /// `iterations × threads` entries, iteration-major. This is the region a
-    /// per-rank collector drains into; exposing it as one slice lets the
-    /// collector iterate its thread-major rows without re-deriving flat
-    /// offsets per sample.
-    pub fn rank_block_mut(
-        &mut self,
-        trial: usize,
-        rank: usize,
-    ) -> Result<&mut [ThreadSample], CoreError> {
-        let start = self.shape.flat(SampleIndex::new(trial, rank, 0, 0))?;
-        let len = self.shape.iterations * self.shape.threads;
-        Ok(&mut self.samples[start..start + len])
-    }
-
     /// The contiguous slice of one process-iteration's per-thread samples.
     pub fn process_iteration(
         &self,
@@ -234,7 +219,7 @@ impl TimingTrace {
     }
 
     /// Mutable variant of [`process_iteration`](Self::process_iteration),
-    /// used by collectors when finalizing an iteration.
+    /// where a campaign runner writes one iteration's per-thread samples.
     pub fn process_iteration_mut(
         &mut self,
         trial: usize,

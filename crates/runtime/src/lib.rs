@@ -11,7 +11,7 @@
 //! | `omp_get_thread_num()` | [`Ctx::thread`] |
 //! | `#pragma omp barrier` | [`barrier::SenseBarrier`], via [`Ctx::barrier`] |
 //! | `#pragma omp for` (static schedule) | [`schedule::static_block`], [`Pool::parallel_for_static`] |
-//! | `nowait` + per-thread exit stamps | [`Pool::timed_parts_mut`] |
+//! | `nowait` + Listing-1 enter/exit stamps | [`Pool::timed_parts_mut`] returns each member's `ThreadSample` |
 //!
 //! Only the default static schedule is implemented: it is the one the
 //! paper's applications use (see [`schedule`]). Fork/join itself is written

@@ -8,13 +8,14 @@
 //! work-sharing variants (static loop, disjoint `&mut` blocks, reduction)
 //! and [`Pool::service`] are adapters that choose the payloads;
 //! [`Pool::timed_parts_mut`] adds the paper's Listing-1 instrumentation when
-//! asked: a team barrier, per-thread enter stamps, the thread's loop share, a
-//! per-thread exit stamp (`nowait` — no barrier before it), then the join.
+//! given a clock: a team barrier, the member's enter stamp, its loop share,
+//! its exit stamp (`nowait` — no barrier before it), then the join, which
+//! hands each member's [`ThreadSample`] back in thread order.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use ebird_core::TimedRegion;
+use ebird_core::{Clock, ThreadSample};
 use parking_lot::Mutex;
 
 use crate::barrier::SenseBarrier;
@@ -272,6 +273,21 @@ impl Pool {
         T: Send,
         F: Fn(&mut [T], Range<usize>, &Ctx<'_>) + Sync,
     {
+        self.fork_parts(data, part_lens, body);
+    }
+
+    /// The disjoint-block split under [`parallel_parts_mut`] and
+    /// [`timed_parts_mut`]: each member runs `body` on its block, and the
+    /// members' values come back in thread order.
+    ///
+    /// [`parallel_parts_mut`]: Self::parallel_parts_mut
+    /// [`timed_parts_mut`]: Self::timed_parts_mut
+    fn fork_parts<T, R, F>(&self, data: &mut [T], part_lens: &[usize], body: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut [T], Range<usize>, &Ctx<'_>) -> R + Sync,
+    {
         assert_eq!(part_lens.len(), self.n, "one part per thread");
         assert_eq!(
             part_lens.iter().sum::<usize>(),
@@ -288,7 +304,7 @@ impl Pool {
             rest = tail;
             start += len;
         }
-        self.fork_join(parts, |(block, range), ctx| body(block, range, ctx));
+        self.fork_join(parts, |(block, range), ctx| body(block, range, ctx))
     }
 
     /// Parallel fold-and-merge over `0..count` — the generic reduction the
@@ -317,38 +333,44 @@ impl Pool {
     }
 
     /// [`parallel_parts_mut`](Self::parallel_parts_mut), stamped as the
-    /// paper's Listing 1 when `stamps` names a region and an iteration.
+    /// paper's Listing 1 when given a clock, returning each member's sample
+    /// in thread order.
     ///
     /// Sequence per member: team barrier (synchronize start estimates) →
     /// enter stamp → `body` on its exclusive, caller-sized block → exit stamp
-    /// (**no** barrier first — `nowait`) → join at region end. With `None`
-    /// this is `parallel_parts_mut` itself: no barrier, no clock read.
+    /// (**no** barrier first — `nowait`) → the stamps subtracted into a
+    /// [`ThreadSample`] on the member that took them, so nothing is written
+    /// to shared memory inside the timed window → join at region end. With
+    /// `None` this is `parallel_parts_mut` itself: no barrier, no clock read,
+    /// and an empty vector.
     pub fn timed_parts_mut<T, F>(
         &self,
-        stamps: Option<(&TimedRegion<'_>, usize)>,
+        clock: Option<&dyn Clock>,
         data: &mut [T],
         part_lens: &[usize],
         body: F,
-    ) where
+    ) -> Vec<ThreadSample>
+    where
         T: Send,
         F: Fn(&mut [T], Range<usize>, &Ctx<'_>) + Sync,
     {
-        match stamps {
-            Some((region, iteration)) => {
-                self.parallel_parts_mut(data, part_lens, |block, range, ctx| {
-                    ctx.barrier();
-                    region.run(iteration, ctx.thread(), || body(block, range, ctx));
-                })
-            }
-            None => self.parallel_parts_mut(data, part_lens, body),
-        }
+        let Some(clock) = clock else {
+            self.parallel_parts_mut(data, part_lens, body);
+            return Vec::new();
+        };
+        self.fork_parts(data, part_lens, |block, range, ctx| {
+            ctx.barrier();
+            let enter_ns = clock.now_ns();
+            body(block, range, ctx);
+            ThreadSample::new(enter_ns, clock.now_ns())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{IterationCollector, VirtualClock};
+    use ebird_core::{MonotonicClock, VirtualClock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -443,18 +465,55 @@ mod tests {
     fn timed_parts_mut_stamps_only_when_asked_and_writes_either_way() {
         let pool = Pool::new(2);
         let clock = VirtualClock::new(0);
-        let coll = IterationCollector::new(2, 2);
-        let region = TimedRegion::new(&clock, &coll);
         let mut data = vec![0u8; 6];
-        pool.timed_parts_mut(None, &mut data, &[4, 2], |block, _, _| block.fill(2));
+        let untimed = pool.timed_parts_mut(None, &mut data, &[4, 2], |block, _, _| block.fill(2));
         assert_eq!(data, vec![2; 6]);
-        assert_eq!(coll.completeness(), 0.0, "no stamps without a region");
-        pool.timed_parts_mut(Some((&region, 1)), &mut data, &[4, 2], |block, _, _| {
+        assert!(untimed.is_empty(), "no samples without a clock");
+        let timed = pool.timed_parts_mut(Some(&clock), &mut data, &[4, 2], |block, _, _| {
             block.fill(3)
         });
         assert_eq!(data, vec![3; 6]);
-        for t in 0..2 {
-            assert!(coll.sample(0, t).is_none() && coll.sample(1, t).is_some());
+        assert_eq!(timed, vec![ThreadSample::default(); 2]);
+    }
+
+    #[test]
+    fn timed_parts_mut_reads_the_clock_around_the_body() {
+        let clock = VirtualClock::new(1000);
+        let samples = Pool::new(1).timed_parts_mut(Some(&clock), &mut [0u8; 3], &[3], |_, _, _| {
+            clock.advance(500);
+        });
+        assert_eq!(samples, vec![ThreadSample::new(1000, 1500)]);
+    }
+
+    #[test]
+    fn timed_parts_mut_measures_a_real_spin() {
+        let clock = MonotonicClock::new();
+        let samples = Pool::new(1).timed_parts_mut(Some(&clock), &mut [0u8; 1], &[1], |_, _, _| {
+            // ~1 ms of busy work.
+            let start = clock.now_ns();
+            let mut acc = 0u64;
+            while clock.now_ns() - start < 1_000_000 {
+                acc = acc.wrapping_add(1);
+            }
+            std::hint::black_box(acc);
+        });
+        let ms = samples[0].compute_time_ms();
+        assert!(ms >= 0.9, "measured {ms} ms");
+    }
+
+    #[test]
+    fn timed_parts_mut_stamps_every_member_in_thread_order() {
+        let clock = MonotonicClock::new();
+        let mut data = vec![0u8; 4];
+        let samples =
+            Pool::new(4).timed_parts_mut(Some(&clock), &mut data, &[1; 4], |_, _, ctx| {
+                // Member t sleeps t + 1 ms, so its sample is at least that long.
+                std::thread::sleep(std::time::Duration::from_millis(ctx.thread() as u64 + 1));
+            });
+        assert_eq!(samples.len(), 4);
+        for (t, s) in samples.iter().enumerate() {
+            let floor_ns = (t as u64 + 1) * 1_000_000;
+            assert!(s.compute_time_ns() >= floor_ns, "member {t}: {s:?}");
         }
     }
 

@@ -10,18 +10,22 @@
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::cluster::synthetic::SyntheticApp;
-use early_bird::cluster::{fit, run_real_campaign, JobConfig};
+use early_bird::cluster::{fit, run_real_campaign, JobConfig, RealTiming};
 
 fn main() {
     // 1. Measure: a real MiniQMC run on this host (small: 1 trial, 2 ranks,
     //    25 iterations, 2 threads).
     let measured_cfg = JobConfig::new(1, 2, 25, 2);
-    let trace = run_real_campaign(&measured_cfg, |trial, rank| {
-        let mut p = early_bird::apps::MiniQmcParams::ci_scale();
-        p.sweeps_per_step = 4;
-        p.seed = 42 + (trial * 8 + rank) as u64;
-        Box::new(early_bird::apps::MiniQmc::new(p))
-    })
+    let trace = run_real_campaign(
+        &measured_cfg,
+        |trial, rank| {
+            let mut p = early_bird::apps::MiniQmcParams::ci_scale();
+            p.sweeps_per_step = 4;
+            p.seed = 42 + (trial * 8 + rank) as u64;
+            Box::new(early_bird::apps::MiniQmc::new(p))
+        },
+        RealTiming::Wall,
+    )
     .expect("live campaign");
     let live = reclaim_metrics(&trace);
     println!(

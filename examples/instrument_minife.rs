@@ -10,7 +10,7 @@
 use early_bird::analysis::percentile_series::{iqr_stats, percentile_series};
 use early_bird::apps::{MiniFe, MiniFeParams, ProxyApp};
 use early_bird::cluster::JobConfig;
-use early_bird::core::{IterationCollector, MonotonicClock, TimedRegion, TimingTrace};
+use early_bird::core::{MonotonicClock, TimingTrace};
 use early_bird::runtime::Pool;
 
 fn main() {
@@ -28,15 +28,15 @@ fn main() {
         cfg.iterations
     );
 
-    // The paper's Listing 1, in library form: a monotonic clock, a
-    // preallocated lock-free collector, and a TimedRegion binding the two.
+    // The paper's Listing 1, in library form: given a monotonic clock, each
+    // step's timed section runs through `Pool::timed_parts_mut`, which
+    // stamps every thread around its loop share and hands back one sample
+    // per thread, in thread order.
     let pool = Pool::new(cfg.threads);
     let clock = MonotonicClock::new();
-    let collector = IterationCollector::new(cfg.iterations, cfg.threads);
-    let region = TimedRegion::new(&clock, &collector);
-
-    for iteration in 0..cfg.iterations {
-        app.step(&pool, Some((&region, iteration)));
+    let mut samples = Vec::with_capacity(cfg.shape().total_samples());
+    for _ in 0..cfg.iterations {
+        samples.extend(app.step(&pool, Some(&clock)));
     }
     app.verify()
         .expect("CG must remain healthy under instrumentation");
@@ -45,9 +45,9 @@ fn main() {
         app.residual_norm()
     );
 
-    // Drain the stamps into a trace and analyze exactly like the paper.
-    let mut trace = TimingTrace::new("MiniFE", cfg.shape());
-    collector.drain_into(&mut trace, 0, 0).unwrap();
+    // One trial, one rank: the iterations' samples, in order, are the trace.
+    // Analyze it exactly like the paper.
+    let trace = TimingTrace::from_samples("MiniFE", cfg.shape(), samples).unwrap();
     let series = percentile_series(&trace);
     let stats = iqr_stats(&series, 0, usize::MAX);
     println!(

@@ -16,7 +16,7 @@ use early_bird::partcomm::{run_delivery, LinkModel, SerialLink, SimScratch};
 fn main() {
     // A small campaign of the paper's MiniFE model: 2 trials × 2 ranks ×
     // 50 iterations × 16 threads. Swap in SyntheticApp::minimd()/miniqmc()
-    // (or a real run via ebird_cluster::run_real_campaign) freely.
+    // (or a live kernel run via RealKernelParams::run_campaign) freely.
     let cfg = JobConfig::new(2, 2, 50, 16);
     let app = SyntheticApp::minife();
     let trace = app.generate(&cfg, 42);

@@ -15,8 +15,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `ebird-core` | clocks, samples, traces, collectors |
-//! | [`runtime`] | `ebird-runtime` | OpenMP-like thread pool, `parallel_for`, barriers |
+//! | [`core`] | `ebird-core` | clocks, samples, traces, aggregation views |
+//! | [`runtime`] | `ebird-runtime` | OpenMP-like thread pool, `parallel_for`, barriers, the Listing-1 timed entry |
 //! | [`stats`] | `ebird-stats` | normality tests, percentiles, histograms |
 //! | [`apps`] | `ebird-apps` | MiniFE / MiniMD / MiniQMC kernels |
 //! | [`cluster`] | `ebird-cluster` | job runner, OS-noise, synthetic timing models |

@@ -1,11 +1,11 @@
 //! End-to-end pipeline over the *real* Rust proxy applications: instrument,
-//! collect, analyze — proving the measurement stack works on live kernels,
+//! run, analyze — proving the measurement stack works on live kernels,
 //! not only on synthetic traces.
 
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::apps::{MiniFe, MiniFeParams, MiniMd, MiniMdParams, MiniQmc, MiniQmcParams};
-use early_bird::cluster::{run_real_campaign, JobConfig};
+use early_bird::cluster::{run_real_campaign, JobConfig, RealTiming};
 use early_bird::core::view::{fill_group_ms, AggregationLevel};
 
 fn tiny() -> JobConfig {
@@ -14,9 +14,11 @@ fn tiny() -> JobConfig {
 
 #[test]
 fn minife_live_campaign_analyzes_cleanly() {
-    let trace = run_real_campaign(&tiny(), |_, _| {
-        Box::new(MiniFe::new(MiniFeParams::test_scale()))
-    })
+    let trace = run_real_campaign(
+        &tiny(),
+        |_, _| Box::new(MiniFe::new(MiniFeParams::test_scale())),
+        RealTiming::Wall,
+    )
     .unwrap();
     // Every sample is a genuine measurement.
     assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
@@ -32,9 +34,11 @@ fn minife_live_campaign_analyzes_cleanly() {
 fn minimd_live_campaign_preserves_physics() {
     // The instrumented campaign must leave the app in a physically valid
     // state (runner calls verify(), which checks momentum conservation).
-    let trace = run_real_campaign(&tiny(), |_, _| {
-        Box::new(MiniMd::new(MiniMdParams::test_scale()))
-    })
+    let trace = run_real_campaign(
+        &tiny(),
+        |_, _| Box::new(MiniMd::new(MiniMdParams::test_scale())),
+        RealTiming::Wall,
+    )
     .unwrap();
     assert_eq!(trace.app(), "MiniMD");
     assert!(trace.samples().iter().all(|s| s.compute_time_ns() > 0));
@@ -42,11 +46,15 @@ fn minimd_live_campaign_preserves_physics() {
 
 #[test]
 fn miniqmc_live_campaign_runs_movers() {
-    let trace = run_real_campaign(&tiny(), |trial, rank| {
-        let mut p = MiniQmcParams::test_scale();
-        p.seed = 77 + (trial * 8 + rank) as u64;
-        Box::new(MiniQmc::new(p))
-    })
+    let trace = run_real_campaign(
+        &tiny(),
+        |trial, rank| {
+            let mut p = MiniQmcParams::test_scale();
+            p.seed = 77 + (trial * 8 + rank) as u64;
+            Box::new(MiniQmc::new(p))
+        },
+        RealTiming::Wall,
+    )
     .unwrap();
     assert_eq!(trace.app(), "MiniQMC");
     let level = AggregationLevel::ProcessIteration;
@@ -61,9 +69,11 @@ fn miniqmc_live_campaign_runs_movers() {
 
 #[test]
 fn live_aggregation_levels_conserve_mass() {
-    let trace = run_real_campaign(&tiny(), |_, _| {
-        Box::new(MiniFe::new(MiniFeParams::test_scale()))
-    })
+    let trace = run_real_campaign(
+        &tiny(),
+        |_, _| Box::new(MiniFe::new(MiniFeParams::test_scale())),
+        RealTiming::Wall,
+    )
     .unwrap();
     let total = trace.shape().total_samples();
     for level in [
@@ -87,17 +97,25 @@ fn real_compute_times_scale_with_problem_size() {
     // A basic sanity check that the instrument measures *work*: doubling the
     // MiniQMC sweep count should roughly double the measured compute times.
     let cfg = JobConfig::new(1, 1, 4, 2);
-    let short = run_real_campaign(&cfg, |_, _| {
-        let mut p = MiniQmcParams::test_scale();
-        p.sweeps_per_step = 1;
-        Box::new(MiniQmc::new(p))
-    })
+    let short = run_real_campaign(
+        &cfg,
+        |_, _| {
+            let mut p = MiniQmcParams::test_scale();
+            p.sweeps_per_step = 1;
+            Box::new(MiniQmc::new(p))
+        },
+        RealTiming::Wall,
+    )
     .unwrap();
-    let long = run_real_campaign(&cfg, |_, _| {
-        let mut p = MiniQmcParams::test_scale();
-        p.sweeps_per_step = 4;
-        Box::new(MiniQmc::new(p))
-    })
+    let long = run_real_campaign(
+        &cfg,
+        |_, _| {
+            let mut p = MiniQmcParams::test_scale();
+            p.sweeps_per_step = 4;
+            Box::new(MiniQmc::new(p))
+        },
+        RealTiming::Wall,
+    )
     .unwrap();
     // Compare each trace's *fastest* sample, not its mean: on a shared host
     // preemption only ever adds time to a sample, so the minimum of eight is

@@ -21,8 +21,8 @@
 //! [`step`](ProxyApp::step), timed when given a clock. The timed section
 //! runs through `ebird-runtime`'s `Pool::timed_parts_mut`, which places the
 //! Listing-1 stamps and returns each thread's sample; the step hands those
-//! back to its caller. All randomness is seeded (`ebird-stats::dist`-
-//! compatible xoshiro generators), so runs are bit-reproducible.
+//! back to its caller. All randomness is seeded (the crate's own
+//! SplitMix64 generator, [`rng`]), so runs are bit-reproducible.
 
 #![warn(missing_docs)]
 

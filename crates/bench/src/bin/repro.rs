@@ -3,95 +3,74 @@
 //! ```text
 //! repro [--scale paper|ci] [--seed N] [--source synthetic|real]
 //!       [--threads N] [--csv-dir DIR]
-//!       [--smoke] [--preset NAME] [--matrix FILE] [--out FILE]
+//!       [--preset NAME] [--matrix FILE] [--out FILE]
 //!       [--addr HOST:PORT] [--cache-dir DIR] [--hot-bytes N]
 //!       [--queue-bound N] [--priority N] <experiment>
 //!
-//! experiments:
+//! experiments (`all` runs them in this order; README's table says more):
 //!   table1          process-iteration normality pass rates (Table 1)
 //!   app-normality   application-level normality verdicts (§4.1)
 //!   iter-normality  application-iteration-level sweep (§4.1)
 //!   fig3            application-level histograms (Figure 3a–c)
 //!   fig4|fig6|fig8  percentile series + IQR stats (Figures 4/6/8)
 //!   fig5|fig7|fig9  exemplar process-iteration histograms (Figures 5/7/9)
-//!   metrics         reclaimable time / idle ratio / medians (§4.2);
-//!                   with an explicit --addr it instead scrapes the
-//!                   running campaign server's observability snapshot
-//!                   (counters, gauges, latency histograms with
-//!                   p50/p95/p99 — the `metrics` protocol verb)
-//!   profile         run the engine's four stages (generate, normality-sweep,
-//!                   trace-scan, earlybird-sim — the pipeline the benchmark
-//!                   gates) on an observed pool and print a stage × worker
-//!                   busy-time table (which stage dominates, what it costs
-//!                   per process-iteration — the µs/unit column — and how
-//!                   evenly its work spreads across the team)
-//!   earlybird       the feasibility answer: the four canonical delivery
-//!                   strategies priced on every process-iteration of each
-//!                   app over two links — median exposed cost and how often
-//!                   each strategy beats bulk, split by laggard class
+//!   metrics         reclaimable time / idle ratio / medians (§4.2); with
+//!                   --addr, the running server's metrics snapshot instead
+//!   earlybird       the four canonical delivery strategies priced on every
+//!                   process-iteration of each app over two links
 //!   battery         extended 5-test normality battery (sensitivity check)
 //!   fit             fitted generative models extracted from the traces
-//!   scenarios       multi-rank contention campaign (workloads × strategies
-//!                   × network models × noise × ranks); one JSON row per
-//!                   scenario on stdout. --smoke runs the 48-cell CI matrix,
-//!                   --preset picks any built-in matrix (full, smoke,
-//!                   topology, topology-smoke, workload, workload-smoke),
-//!                   --matrix loads a custom ScenarioMatrix JSON (whose own
-//!                   seed governs; --seed applies to the built-in
-//!                   matrices), --out also writes the rows to a file
-//!   workloads       list the built-in workload names (with calibration
-//!                   targets) and example WorkloadSpec JSON for every
-//!                   variant of the matrix `workloads` axis
-//!   serve           run the campaign service on --addr (default
-//!                   127.0.0.1:4750): accepts line-JSON submit/fetch/
-//!                   status/shutdown requests, schedules cells on the
-//!                   worker pool, memoizes rows in a content-addressed
-//!                   cache (--cache-dir persists it, --hot-bytes caps the
-//!                   in-memory tier under S3-FIFO eviction, --queue-bound
-//!                   caps the job queue — saturated submits get a
-//!                   structured overloaded reply; see PROTOCOL.md)
-//!   submit          submit a matrix (--smoke / --matrix / full default)
-//!                   to a running server; streamed rows go to stdout and
-//!                   are byte-identical to the offline `scenarios` table,
-//!                   --priority orders the queue, --out also writes a file
-//!   fetch           like submit but cache-only: errors unless every cell
-//!                   of the matrix is already cached
-//!   status          print the server's queue/cache/service counters
-//!   shutdown        ask the server on --addr to drain and stop
-//!   all             everything above except scenarios and the service verbs
+//!
+//! verbs:
+//!   profile         the engine's four stages on an observed pool: a stage ×
+//!                   worker busy-time table with each stage's µs/unit
+//!   scenarios       multi-rank contention campaign, one JSON row per cell:
+//!                   --preset NAME (default full; smoke, topology,
+//!                   topology-smoke, workload, workload-smoke) at --seed, or
+//!                   --matrix FILE (its own seed governs); --out also writes
+//!                   the rows to a file
+//!   workloads       the built-in workload names and the WorkloadSpec JSON
+//!                   the `workload` presets sweep
+//!   serve           the campaign service on --addr (default 127.0.0.1:4750;
+//!                   --cache-dir, --hot-bytes, --queue-bound; PROTOCOL.md)
+//!   submit|fetch    a matrix (as `scenarios`) to a running server, rows to
+//!                   stdout byte-identical to `scenarios`; fetch never
+//!                   computes, submit takes --priority
+//!   status|shutdown the server's counters; drain and stop it
 //! ```
 //!
 //! Defaults: paper scale, synthetic source, seed 20230421, and one worker
-//! thread per host core (a one-thread pool is the serial path). Synthetic
-//! generation, the normality sweeps, the trace scans and the delivery sweeps
-//! go through the analysis engine's stage entries on the workspace's own
-//! thread pool — each trace is analysed once and every table and figure
-//! renders from that;
+//! thread per host core (a one-thread pool is the serial path). Every table
+//! and figure renders from the analysis engine's stage entries on the
+//! workspace's own thread pool, each stage run at most once per trace;
 //! results are bit-identical for any pool size, so `--threads` only changes
-//! wall-clock time. The real source runs the live Rust kernels at
-//! reduced problem sizes (wall-clock shapes are host-dependent; the
-//! synthetic source is the calibrated one).
+//! wall-clock time. The real source runs the live Rust kernels at reduced
+//! problem sizes (wall-clock shapes are host-dependent; the synthetic source
+//! is the calibrated one).
 
+use std::cell::{OnceCell, RefCell};
 use std::io::Write as _;
+use std::path::PathBuf;
 
 use ebird_analysis::engine::{
     canonical_strategies, delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
     sweep_levels_parallel_with_arenas, EngineArenas, STAGES,
 };
 use ebird_analysis::figures::{self, bins};
-use ebird_analysis::laggard::{ArrivalClass, LaggardCensus};
+use ebird_analysis::laggard::ArrivalClass;
 use ebird_analysis::normality::{NormalitySweep, SweepObs, Table1};
 use ebird_analysis::percentile_series::{detect_phase_boundary, iqr_stats, percentile_series};
 use ebird_analysis::report;
 use ebird_analysis::scan::{trace_scan_parallel_with_arenas, TraceScan};
-use ebird_bench::{all_real_traces, Scale, DEFAULT_SEED};
+use ebird_bench::all_real_traces;
 use ebird_cluster::calibration::{self, LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
-use ebird_cluster::{SyntheticApp, Workload};
+use ebird_cluster::{JobConfig, SyntheticApp, Workload};
 use ebird_core::view::AggregationLevel;
-use ebird_core::TimingTrace;
+use ebird_core::{TimingTrace, DEFAULT_SEED};
 use ebird_partcomm::{link_by_name, DeliveryOutcome, LinkModel, SerialLink};
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{self, ScenarioMatrix};
+use ebird_stats::normality::NormalityOutcome;
 
 /// Default campaign-service address for `serve`/`submit`/`fetch`/`shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4750";
@@ -113,293 +92,287 @@ type DeliverySweep = Vec<[DeliveryOutcome; 4]>;
 /// (`link_by_name` names).
 const EARLYBIRD_LINKS: [&str; 2] = ["omni-path", "high-latency"];
 
+/// A paper experiment: renders its table or figure from the campaign.
+type Runner = fn(&Campaign) -> Result<(), String>;
+
+/// The paper experiments in paper order — what a single name looks up and
+/// what `all` walks, so the output of `all` is the output of each entry in
+/// turn.
+const EXPERIMENTS: [(&str, Runner); 14] = [
+    ("table1", cmd_table1),
+    ("app-normality", cmd_app_normality),
+    ("iter-normality", cmd_iter_normality),
+    ("fig3", cmd_fig3),
+    ("fig4", |c| cmd_percentiles(c, 0, "fig4")),
+    ("fig5", |c| cmd_exemplars(c, 0, 0, bins::FIG5_MS, "fig5")),
+    ("fig6", |c| cmd_percentiles(c, 1, "fig6")),
+    ("fig7", cmd_fig7),
+    ("fig8", |c| cmd_percentiles(c, 2, "fig8")),
+    ("fig9", cmd_fig9),
+    ("metrics", cmd_metrics),
+    ("earlybird", cmd_earlybird),
+    ("battery", cmd_battery),
+    ("fit", cmd_fit),
+];
+
+/// A verb that reads only the options.
+type Verb = fn(&Options) -> Result<(), String>;
+
+/// The verbs that read no campaign traces: the scenario campaign builds its
+/// own arrivals per cell, `profile` times its own run of the stages, and the
+/// service verbs talk to (or run) the campaign server.
+const VERBS: [(&str, Verb); 8] = [
+    ("profile", cmd_profile),
+    ("scenarios", cmd_scenarios),
+    ("workloads", |_| cmd_workloads()),
+    ("serve", cmd_serve),
+    ("submit", |o| cmd_submit(o, false)),
+    ("fetch", |o| cmd_submit(o, true)),
+    ("status", cmd_status),
+    ("shutdown", cmd_shutdown),
+];
+
+/// The usage text: the flags, then every experiment and verb by name.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(VERBS.iter().map(|(name, _)| *name))
+        .chain(["all"])
+        .collect();
+    format!(
+        "usage: repro [--scale paper|ci] [--seed N] [--source synthetic|real] [--threads N] \
+         [--csv-dir DIR] [--preset NAME] [--matrix FILE] [--out FILE] [--addr HOST:PORT] \
+         [--cache-dir DIR] [--hot-bytes N] [--queue-bound N] [--priority N] <experiment>\n\
+         experiments: {}\n",
+        names.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => {}
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("usage: repro [--scale paper|ci] [--seed N] [--source synthetic|real] [--threads N] [--csv-dir DIR] [--smoke] [--preset NAME] [--matrix FILE] [--out FILE] [--addr HOST:PORT] [--cache-dir DIR] [--hot-bytes N] [--queue-bound N] [--priority N] <experiment>");
-            eprintln!("experiments: table1 app-normality iter-normality fig3 fig4 fig5 fig6 fig7 fig8 fig9 metrics profile earlybird battery fit scenarios workloads serve submit fetch status shutdown all");
-            std::process::exit(2);
-        }
+    if let Err(msg) = run(&args) {
+        eprintln!("error: {msg}");
+        eprintln!();
+        eprint!("{}", usage());
+        std::process::exit(2);
     }
 }
 
+/// Every `repro` input, at its default until a flag sets it.
 struct Options {
-    scale: Scale,
+    /// `--scale`: the synthetic campaign's shape.
+    config: JobConfig,
     seed: u64,
+    /// `--source real`: trace the live kernels instead of the models.
     real: bool,
-    csv_dir: Option<std::path::PathBuf>,
-    /// `scenarios`: run the 48-cell CI matrix instead of the full 288.
-    smoke: bool,
-    /// `scenarios`/service verbs: named built-in matrix preset.
-    preset: Option<String>,
-    /// `scenarios`: load a custom [`ScenarioMatrix`] JSON.
-    matrix: Option<std::path::PathBuf>,
-    /// `scenarios`: also write the JSON rows to this file.
-    out: Option<std::path::PathBuf>,
-    /// Service verbs: the campaign server's address.
-    addr: String,
-    /// Whether `--addr` was passed explicitly — `metrics` scrapes the
-    /// server then, and runs the offline §4.2 experiment otherwise.
-    addr_explicit: bool,
+    csv_dir: Option<PathBuf>,
+    /// Worker pool for generation and sweeps; output is bit-identical for
+    /// any pool size, so this only affects wall-clock time.
+    pool: Pool,
+    /// `scenarios`/`submit`/`fetch`: the built-in matrix preset.
+    preset: String,
+    /// `scenarios`/`submit`/`fetch`: a custom [`ScenarioMatrix`] JSON,
+    /// which wins over `preset`.
+    matrix: Option<PathBuf>,
+    /// `scenarios`/`submit`/`fetch`: also write the JSON rows to this file.
+    out: Option<PathBuf>,
+    /// Service verbs: the campaign server's address ([`DEFAULT_ADDR`] when
+    /// not given). `metrics` scrapes the server exactly when it is given.
+    addr: Option<String>,
     /// `serve`: persist the result cache's cold tier in this directory.
-    cache_dir: Option<std::path::PathBuf>,
+    cache_dir: Option<PathBuf>,
     /// `serve`: hot-tier byte budget (`None` = unbounded).
     hot_bytes: Option<usize>,
     /// `serve`: job-queue admission bound (`usize::MAX` = unbounded).
     queue_bound: usize,
     /// `submit`: queue priority (higher runs sooner).
     priority: i64,
-    /// Worker pool for generation and sweeps; output is bit-identical for
-    /// any pool size, so this only affects wall-clock time.
-    pool: Pool,
+}
+
+impl Options {
+    fn addr(&self) -> &str {
+        self.addr.as_deref().unwrap_or(DEFAULT_ADDR)
+    }
+}
+
+/// The host's available parallelism (1 if it cannot say).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Parses a flag's value, naming `what` in the error.
+fn parse<T: std::str::FromStr>(what: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {what} `{v}`: {e}"))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let mut scale = Scale::Paper;
-    let mut seed = DEFAULT_SEED;
-    let mut real = false;
-    let mut csv_dir = None;
-    let mut smoke = false;
-    let mut preset = None;
-    let mut matrix = None;
-    let mut out = None;
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut addr_explicit = false;
-    let mut cache_dir = None;
-    let mut hot_bytes = None;
-    let mut queue_bound = ebird_serve::DEFAULT_QUEUE_BOUND;
-    let mut priority = 0i64;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut experiment: Option<String> = None;
-
+    let mut opts = Options {
+        config: JobConfig::paper_scale(),
+        seed: DEFAULT_SEED,
+        real: false,
+        csv_dir: None,
+        pool: Pool::new(host_threads()),
+        preset: "full".to_string(),
+        matrix: None,
+        out: None,
+        addr: None,
+        cache_dir: None,
+        hot_bytes: None,
+        queue_bound: ebird_serve::DEFAULT_QUEUE_BOUND,
+        priority: 0,
+    };
+    let mut experiment = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--help" | "-h" => {
+                print!("{}", usage());
+                return Ok(());
+            }
             "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = Scale::parse(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|e| format!("bad seed `{v}`: {e}"))?;
-            }
-            "--source" => {
-                let v = it.next().ok_or("--source needs a value")?;
-                real = match v.as_str() {
-                    "real" => true,
-                    "synthetic" => false,
-                    _ => return Err(format!("unknown source `{v}`")),
+                let v = value()?;
+                opts.config = match v.to_ascii_lowercase().as_str() {
+                    "paper" => JobConfig::paper_scale(),
+                    "ci" => JobConfig::ci_scale(),
+                    _ => return Err(format!("unknown scale `{v}`")),
                 };
             }
+            "--seed" => opts.seed = parse("seed", value()?)?,
+            "--source" => {
+                opts.real = match value()?.as_str() {
+                    "real" => true,
+                    "synthetic" => false,
+                    v => return Err(format!("unknown source `{v}`")),
+                }
+            }
             "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                threads = v
-                    .parse()
-                    .map_err(|e| format!("bad thread count `{v}`: {e}"))?;
+                let threads = parse("thread count", value()?)?;
                 if !(1..=MAX_THREADS).contains(&threads) {
                     return Err(format!(
                         "--threads must be in 1..={MAX_THREADS}, got {threads}"
                     ));
                 }
+                opts.pool = Pool::new(threads);
             }
-            "--csv-dir" => {
-                let v = it.next().ok_or("--csv-dir needs a value")?;
-                csv_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--smoke" => smoke = true,
-            "--preset" => {
-                let v = it.next().ok_or("--preset needs a value")?;
-                preset = Some(v.clone());
-            }
-            "--matrix" => {
-                let v = it.next().ok_or("--matrix needs a value")?;
-                matrix = Some(std::path::PathBuf::from(v));
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a value")?;
-                out = Some(std::path::PathBuf::from(v));
-            }
-            "--addr" => {
-                addr = it.next().ok_or("--addr needs a value")?.clone();
-                addr_explicit = true;
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a value")?;
-                cache_dir = Some(std::path::PathBuf::from(v));
-            }
+            "--csv-dir" => opts.csv_dir = Some(value()?.into()),
+            "--preset" => opts.preset = value()?.clone(),
+            "--matrix" => opts.matrix = Some(value()?.into()),
+            "--out" => opts.out = Some(value()?.into()),
+            "--addr" => opts.addr = Some(value()?.clone()),
+            "--cache-dir" => opts.cache_dir = Some(value()?.into()),
             "--hot-bytes" => {
-                let v = it.next().ok_or("--hot-bytes needs a value")?;
-                let n: usize = v.parse().map_err(|e| format!("bad hot-bytes `{v}`: {e}"))?;
                 // 0 = unbounded, mirroring the status wire sentinel.
-                hot_bytes = (n > 0).then_some(n);
+                let n = parse("hot-bytes", value()?)?;
+                opts.hot_bytes = (n > 0).then_some(n);
             }
             "--queue-bound" => {
-                let v = it.next().ok_or("--queue-bound needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|e| format!("bad queue-bound `{v}`: {e}"))?;
-                queue_bound = if n == 0 { usize::MAX } else { n };
+                let n = parse("queue-bound", value()?)?;
+                opts.queue_bound = if n == 0 { usize::MAX } else { n };
             }
-            "--priority" => {
-                let v = it.next().ok_or("--priority needs a value")?;
-                priority = v.parse().map_err(|e| format!("bad priority `{v}`: {e}"))?;
-            }
-            other if !other.starts_with('-') && experiment.is_none() => {
-                experiment = Some(other.to_string());
-            }
+            "--priority" => opts.priority = parse("priority", value()?)?,
+            other if !other.starts_with('-') && experiment.is_none() => experiment = Some(other),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let experiment = experiment.ok_or("no experiment given")?;
-    let opts = Options {
-        scale,
-        seed,
-        real,
-        csv_dir,
-        smoke,
-        preset,
-        matrix,
-        out,
-        addr,
-        addr_explicit,
-        cache_dir,
-        hot_bytes,
-        queue_bound,
-        priority,
-        pool: Pool::new(threads),
-    };
-
-    // The scenario campaign builds its own arrivals per (app, noise, rank);
-    // it does not consume the figure/table traces. The service verbs talk
-    // to (or run) the campaign server instead.
-    match experiment.as_str() {
-        "scenarios" => return cmd_scenarios(&opts),
-        "workloads" => return cmd_workloads(),
-        "serve" => return cmd_serve(&opts),
-        "submit" => return cmd_submit(&opts, false),
-        "fetch" => return cmd_submit(&opts, true),
-        "status" => return cmd_status(&opts),
-        "shutdown" => return cmd_shutdown(&opts),
-        "profile" => return cmd_profile(&opts),
-        // Plain `repro metrics` stays the offline §4.2 experiment (also run
-        // by `repro all`); an explicit --addr retargets the verb at a live
-        // server's observability snapshot.
-        "metrics" if opts.addr_explicit => return cmd_server_metrics(&opts),
-        _ => {}
+    if experiment == "metrics" && opts.addr.is_some() {
+        return cmd_server_metrics(&opts);
     }
-
-    // Every table and figure below is a view of three engine stages: the
-    // three-level normality sweep of each trace (levels in `SWEEP_LEVELS`
-    // order: process-iteration, application-iteration, application), the
-    // scan of one trace, and the delivery sweep of each trace over each of
-    // `EARLYBIRD_LINKS`. An arm runs what it renders, once per trace.
-    let traces = load_traces(&opts)?;
-    let pool = &opts.pool;
-    let mut arenas = EngineArenas::new(pool.threads());
-    let sweep_all = |arenas: &mut EngineArenas| -> Vec<[NormalitySweep; 3]> {
-        traces
-            .iter()
-            .map(|tr| sweep_levels_parallel_with_arenas(tr, calibration::ALPHA, None, pool, arenas))
-            .collect()
-    };
-    let scan = |app: usize, arenas: &mut EngineArenas| {
-        trace_scan_parallel_with_arenas(&traces[app], LAGGARD_THRESHOLD_MS, pool, arenas)
-    };
-    let scan_all = |arenas: &mut EngineArenas| -> Vec<TraceScan> {
-        (0..traces.len()).map(|app| scan(app, arenas)).collect()
-    };
-    let deliver_all = |arenas: &mut EngineArenas| -> Vec<Vec<DeliverySweep>> {
-        traces
-            .iter()
-            .map(|tr| {
-                EARLYBIRD_LINKS
-                    .iter()
-                    .map(|name| {
-                        let link = link_by_name(name).expect("a built-in link");
-                        delivery_sweep_parallel_with_arenas(
-                            tr,
-                            BUFFER_BYTES,
-                            || SerialLink::new(link),
-                            pool,
-                            arenas,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let a = &mut arenas;
-    match experiment.as_str() {
-        "table1" => cmd_table1(&traces, &sweep_all(a)),
-        "app-normality" => cmd_app_normality(&traces, &sweep_all(a)),
-        "iter-normality" => cmd_iter_normality(&traces, &sweep_all(a)),
-        "fig3" => cmd_fig3(&traces, &opts)?,
-        "fig4" => cmd_percentiles(&traces[0], &scan(0, a).census, "fig4", &opts)?,
-        "fig6" => cmd_percentiles(&traces[1], &scan(1, a).census, "fig6", &opts)?,
-        "fig8" => cmd_percentiles(&traces[2], &scan(2, a).census, "fig8", &opts)?,
-        "fig5" => cmd_exemplars(
-            &traces[0],
-            &scan(0, a).census,
-            0,
-            bins::FIG5_MS,
-            "fig5",
-            &opts,
-        )?,
-        "fig7" => cmd_fig7(&traces[1], &scan(1, a).census, &opts)?,
-        "fig9" => cmd_fig9(&traces[2], &scan(2, a).census, &opts)?,
-        "metrics" => cmd_metrics(&traces, &scan_all(a)),
-        "earlybird" => cmd_earlybird(&traces, &scan_all(a), &deliver_all(a)),
-        "battery" => cmd_battery(&traces),
-        "fit" => cmd_fit(&traces),
-        "all" => {
-            let sweeps = sweep_all(a);
-            let scans = scan_all(a);
-            cmd_table1(&traces, &sweeps);
-            cmd_app_normality(&traces, &sweeps);
-            cmd_iter_normality(&traces, &sweeps);
-            cmd_fig3(&traces, &opts)?;
-            cmd_percentiles(&traces[0], &scans[0].census, "fig4", &opts)?;
-            cmd_exemplars(
-                &traces[0],
-                &scans[0].census,
-                0,
-                bins::FIG5_MS,
-                "fig5",
-                &opts,
-            )?;
-            cmd_percentiles(&traces[1], &scans[1].census, "fig6", &opts)?;
-            cmd_fig7(&traces[1], &scans[1].census, &opts)?;
-            cmd_percentiles(&traces[2], &scans[2].census, "fig8", &opts)?;
-            cmd_fig9(&traces[2], &scans[2].census, &opts)?;
-            cmd_metrics(&traces, &scans);
-            cmd_earlybird(&traces, &scans, &deliver_all(a));
-            cmd_battery(&traces);
-            cmd_fit(&traces);
-        }
-        other => return Err(format!("unknown experiment `{other}`")),
+    if let Some((_, verb)) = VERBS.iter().find(|(name, _)| *name == experiment) {
+        return verb(&opts);
     }
-    Ok(())
+    let runners = match EXPERIMENTS.iter().position(|(name, _)| *name == experiment) {
+        Some(i) => &EXPERIMENTS[i..=i],
+        None if experiment == "all" => &EXPERIMENTS[..],
+        None => return Err(format!("unknown experiment `{experiment}`")),
+    };
+    let campaign = Campaign::load(&opts)?;
+    runners.iter().try_for_each(|(_, runner)| runner(&campaign))
 }
 
-fn load_traces(opts: &Options) -> Result<Vec<TimingTrace>, String> {
-    if opts.real {
-        // Real kernels at paper thread counts would oversubscribe this host
-        // meaninglessly; real mode always runs the CI shape.
-        let cfg = ebird_cluster::JobConfig::ci_scale();
-        eprintln!("# source: real kernels at CI scale {cfg:?}");
-        Ok(all_real_traces(&cfg, opts.seed))
-    } else {
-        eprintln!(
-            "# source: synthetic, scale {:?}, seed {}, {} worker thread(s)",
-            opts.scale,
-            opts.seed,
-            opts.pool.threads()
-        );
-        generate_synthetic(opts, &opts.pool)
+/// The traces every table and figure renders from, and the three engine
+/// stages over them, each run at most once, for every trace, the first time
+/// a runner reads it: the three-level normality sweep (levels in
+/// `SWEEP_LEVELS` order: process-iteration, application-iteration,
+/// application), the scan, and the delivery sweep over each of
+/// [`EARLYBIRD_LINKS`].
+struct Campaign<'a> {
+    opts: &'a Options,
+    traces: Vec<TimingTrace>,
+    arenas: RefCell<EngineArenas>,
+    sweeps: OnceCell<Vec<[NormalitySweep; 3]>>,
+    scans: OnceCell<Vec<TraceScan>>,
+    deliveries: OnceCell<Vec<Vec<DeliverySweep>>>,
+}
+
+impl<'a> Campaign<'a> {
+    fn load(opts: &'a Options) -> Result<Self, String> {
+        let traces = if opts.real {
+            // Real kernels at paper thread counts would oversubscribe this
+            // host meaninglessly; real mode always runs the CI shape.
+            let cfg = JobConfig::ci_scale();
+            eprintln!("# source: real kernels at CI scale {cfg:?}");
+            all_real_traces(&cfg, opts.seed)
+        } else {
+            let threads = opts.pool.threads();
+            eprintln!(
+                "# source: synthetic, scale {:?}, seed {}, {threads} worker thread(s)",
+                opts.config, opts.seed
+            );
+            generate_synthetic(opts, &opts.pool)?
+        };
+        Ok(Campaign {
+            opts,
+            traces,
+            arenas: RefCell::new(EngineArenas::new(opts.pool.threads())),
+            sweeps: OnceCell::new(),
+            scans: OnceCell::new(),
+            deliveries: OnceCell::new(),
+        })
+    }
+
+    /// `stage` over every trace, run the first time it is read.
+    fn per_trace<'s, T>(
+        &'s self,
+        cell: &'s OnceCell<Vec<T>>,
+        stage: impl Fn(&TimingTrace, &Pool, &mut EngineArenas) -> T,
+    ) -> &'s [T] {
+        cell.get_or_init(|| {
+            let arenas = &mut self.arenas.borrow_mut();
+            let pool = &self.opts.pool;
+            self.traces
+                .iter()
+                .map(|tr| stage(tr, pool, arenas))
+                .collect()
+        })
+    }
+
+    fn sweeps(&self) -> &[[NormalitySweep; 3]] {
+        self.per_trace(&self.sweeps, |tr, pool, arenas| {
+            sweep_levels_parallel_with_arenas(tr, calibration::ALPHA, None, pool, arenas)
+        })
+    }
+
+    fn scans(&self) -> &[TraceScan] {
+        self.per_trace(&self.scans, |tr, pool, arenas| {
+            trace_scan_parallel_with_arenas(tr, LAGGARD_THRESHOLD_MS, pool, arenas)
+        })
+    }
+
+    fn deliveries(&self) -> &[Vec<DeliverySweep>] {
+        self.per_trace(&self.deliveries, |tr, pool, arenas| {
+            let over = |name| {
+                let link = link_by_name(name).expect("a built-in link");
+                let new_link = || SerialLink::new(link);
+                delivery_sweep_parallel_with_arenas(tr, BUFFER_BYTES, new_link, pool, arenas)
+            };
+            EARLYBIRD_LINKS.map(over).into()
+        })
     }
 }
 
@@ -408,82 +381,73 @@ fn load_traces(opts: &Options) -> Result<Vec<TimingTrace>, String> {
 fn generate_synthetic(opts: &Options, pool: &Pool) -> Result<Vec<TimingTrace>, String> {
     let apps = SyntheticApp::all();
     let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
-    generate_campaign_parallel(&workloads, &opts.scale.config(), opts.seed, pool)
+    generate_campaign_parallel(&workloads, &opts.config, opts.seed, pool)
 }
 
 fn write_csv(opts: &Options, name: &str, content: &str) -> Result<(), String> {
     if let Some(dir) = &opts.csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
         let path = dir.join(name);
-        let mut f = std::fs::File::create(&path).map_err(|e| format!("creating {path:?}: {e}"))?;
-        f.write_all(content.as_bytes())
-            .map_err(|e| format!("writing {path:?}: {e}"))?;
+        std::fs::write(&path, content).map_err(|e| format!("writing {path:?}: {e}"))?;
         eprintln!("# wrote {path:?}");
     }
     Ok(())
 }
 
-fn cmd_table1(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
-    let rows = traces
+fn cmd_table1(c: &Campaign) -> Result<(), String> {
+    let rows = c
+        .traces
         .iter()
-        .zip(sweeps)
+        .zip(c.sweeps())
         .map(|(tr, [pi, _, _])| (tr.app(), pi));
     let t = Table1::from_sweeps(calibration::ALPHA, rows);
     println!("{}", report::render_table1(&t));
     println!("paper Table 1:        MiniFE 3%/<1%/<1%   MiniMD 77%/74%/76%   MiniQMC 95%/96%/96%");
     println!();
+    Ok(())
 }
 
-fn cmd_app_normality(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
+fn cmd_app_normality(c: &Campaign) -> Result<(), String> {
     println!("Application-level normality (one test per app over all samples):");
-    for (tr, [_, _, sw]) in traces.iter().zip(sweeps) {
-        let o = &sw.outcomes[0];
-        let verdicts: Vec<String> = o
-            .iter()
-            .map(|r| match r {
-                Some(r) => format!(
-                    "{}: {} (p={:.2e}{})",
-                    r.statistic_kind.name(),
-                    if r.passes(calibration::ALPHA) {
-                        "PASS"
-                    } else {
-                        "reject"
-                    },
-                    r.p_value,
-                    if r.extrapolated { ", extrapolated" } else { "" }
-                ),
-                None => "degenerate".to_string(),
-            })
-            .collect();
+    for (tr, [_, _, sw]) in c.traces.iter().zip(c.sweeps()) {
+        let verdict = |r: &Option<NormalityOutcome>| match r {
+            Some(r) => {
+                let pass = if r.passes(calibration::ALPHA) {
+                    "PASS"
+                } else {
+                    "reject"
+                };
+                let extrapolated = if r.extrapolated { ", extrapolated" } else { "" };
+                let name = r.statistic_kind.name();
+                format!("{name}: {pass} (p={:.2e}{extrapolated})", r.p_value)
+            }
+            None => "degenerate".to_string(),
+        };
+        let verdicts: Vec<String> = sw.outcomes[0].iter().map(verdict).collect();
         println!("  {:<8} {}", tr.app(), verdicts.join(" | "));
     }
     println!("paper: all three tests reject for every application at this level");
     println!();
+    Ok(())
 }
 
-fn cmd_iter_normality(traces: &[TimingTrace], sweeps: &[[NormalitySweep; 3]]) {
+fn cmd_iter_normality(c: &Campaign) -> Result<(), String> {
     println!("Application-iteration-level normality (pass counts over iterations):");
-    for (tr, [_, sw, _]) in traces.iter().zip(sweeps) {
-        let rates = sw.pass_rates();
-        let dag_only = sw.dagostino_only_passes();
+    for (tr, [_, sw, _]) in c.traces.iter().zip(c.sweeps()) {
+        let (n, dag_only) = (sw.groups, sw.dagostino_only_passes().len());
+        let [d, w, a] = sw.pass_rates().map(|r| (r * n as f64).round() as usize);
         println!(
-            "  {:<8} D'Agostino {:>3}/{}  Shapiro-Wilk {:>3}/{}  Anderson-Darling {:>3}/{}  (D'Ag-only passes: {})",
+            "  {:<8} D'Agostino {d:>3}/{n}  Shapiro-Wilk {w:>3}/{n}  Anderson-Darling {a:>3}/{n}  (D'Ag-only passes: {dag_only})",
             tr.app(),
-            (rates[0] * sw.groups as f64).round() as usize,
-            sw.groups,
-            (rates[1] * sw.groups as f64).round() as usize,
-            sw.groups,
-            (rates[2] * sw.groups as f64).round() as usize,
-            sw.groups,
-            dag_only.len(),
         );
     }
     println!("paper: all reject, except 8 MiniQMC iterations that pass D'Agostino only");
     println!();
+    Ok(())
 }
 
-fn cmd_fig3(traces: &[TimingTrace], opts: &Options) -> Result<(), String> {
-    for (tr, label) in traces.iter().zip(["fig3a", "fig3b", "fig3c"]) {
+fn cmd_fig3(c: &Campaign) -> Result<(), String> {
+    for (tr, label) in c.traces.iter().zip(["fig3a", "fig3b", "fig3c"]) {
         let f = figures::fig3(tr, label);
         let h = &f.histogram;
         let (mode_bin, mode_count) = h.mode_bin().expect("nonempty");
@@ -495,19 +459,16 @@ fn cmd_fig3(traces: &[TimingTrace], opts: &Options) -> Result<(), String> {
             h.spec().bin_center(mode_bin),
             mode_count
         );
-        write_csv(opts, &format!("{label}.csv"), &report::histogram_csv(&f))?;
+        write_csv(c.opts, &format!("{label}.csv"), &report::histogram_csv(&f))?;
     }
     println!("paper: unimodal peaks near 26.3 / 24.7 / 60.9 ms; MiniQMC widest");
     println!();
     Ok(())
 }
 
-fn cmd_percentiles(
-    tr: &TimingTrace,
-    census: &LaggardCensus,
-    label: &str,
-    opts: &Options,
-) -> Result<(), String> {
+/// Figures 4/6/8: trace `app`'s percentile series and IQR statistics.
+fn cmd_percentiles(c: &Campaign, app: usize, label: &str) -> Result<(), String> {
+    let (tr, census) = (&c.traces[app], &c.scans()[app].census);
     let series = percentile_series(tr);
     let whole = iqr_stats(&series, 0, usize::MAX);
     println!(
@@ -549,7 +510,7 @@ fn cmd_percentiles(
         );
     }
     write_csv(
-        opts,
+        c.opts,
         &format!("{label}.csv"),
         &report::percentile_series_csv(&series),
     )?;
@@ -557,14 +518,16 @@ fn cmd_percentiles(
     Ok(())
 }
 
+/// Trace `app`'s laggard rate from `from_iteration` on, and its calm and
+/// laggard exemplar histograms at `bin_ms`.
 fn cmd_exemplars(
-    tr: &TimingTrace,
-    census: &LaggardCensus,
+    c: &Campaign,
+    app: usize,
     from_iteration: usize,
     bin_ms: f64,
     label: &str,
-    opts: &Options,
 ) -> Result<(), String> {
+    let (tr, census) = (&c.traces[app], &c.scans()[app].census);
     let rate = census.laggard_rate_from(from_iteration);
     println!(
         "{label} {}: laggard rate (iters ≥ {from_iteration}) = {:.1}%  (no-laggard {:.1}%)",
@@ -576,7 +539,7 @@ fn cmd_exemplars(
     for fig in [calm, laggard].into_iter().flatten() {
         println!("{}", report::render_histogram(&fig, 40));
         write_csv(
-            opts,
+            c.opts,
             &format!("{}.csv", fig.label),
             &report::histogram_csv(&fig),
         )?;
@@ -585,36 +548,24 @@ fn cmd_exemplars(
     Ok(())
 }
 
-fn cmd_fig7(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<(), String> {
+fn cmd_fig7(c: &Campaign) -> Result<(), String> {
+    let (tr, census) = (&c.traces[1], &c.scans()[1].census);
     // 7a: initial-phase exemplar (median-magnitude iteration < 19, 50 µs bins).
     let early: Vec<_> = (0..census.iterations.len())
         .map(|unit| census.coords(unit))
         .filter(|&(_, _, iteration)| iteration < MINIMD_PHASE_BOUNDARY)
         .collect();
-    if let Some(&(trial, rank, iteration)) = early.get(early.len() / 2) {
-        let f = figures::process_iteration_histogram(
-            tr,
-            trial,
-            rank,
-            iteration,
-            bins::FIG5_MS,
-            "fig7a",
-        );
+    if let Some(&(trial, rank, iter)) = early.get(early.len() / 2) {
+        let f = figures::process_iteration_histogram(tr, trial, rank, iter, bins::FIG5_MS, "fig7a");
         println!("{}", report::render_histogram(&f, 40));
-        write_csv(opts, "fig7a.csv", &report::histogram_csv(&f))?;
+        write_csv(c.opts, "fig7a.csv", &report::histogram_csv(&f))?;
     }
     // 7b/7c: steady-state exemplar pair at 10 µs bins.
-    cmd_exemplars(
-        tr,
-        census,
-        MINIMD_PHASE_BOUNDARY,
-        bins::FIG7_STEADY_MS,
-        "fig7",
-        opts,
-    )
+    cmd_exemplars(c, 1, MINIMD_PHASE_BOUNDARY, bins::FIG7_STEADY_MS, "fig7")
 }
 
-fn cmd_fig9(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<(), String> {
+fn cmd_fig9(c: &Campaign) -> Result<(), String> {
+    let (tr, census) = (&c.traces[2], &c.scans()[2].census);
     // MiniQMC: any median-magnitude iteration typifies the wide distribution.
     let classes = [ArrivalClass::Laggard, ArrivalClass::NoLaggard];
     let exemplar = classes.iter().find_map(|&c| census.exemplar(c, 0));
@@ -623,7 +574,7 @@ fn cmd_fig9(tr: &TimingTrace, census: &LaggardCensus, opts: &Options) -> Result<
         let f =
             figures::process_iteration_histogram(tr, trial, rank, iteration, bins::FIG9_MS, "fig9");
         println!("{}", report::render_histogram(&f, 40));
-        write_csv(opts, "fig9.csv", &report::histogram_csv(&f))?;
+        write_csv(c.opts, "fig9.csv", &report::histogram_csv(&f))?;
     }
     println!("paper: breadth of arrivals within one iteration exceeds 40 ms");
     println!();
@@ -640,45 +591,64 @@ fn steady_state_from(tr: &TimingTrace) -> usize {
     }
 }
 
-fn cmd_metrics(traces: &[TimingTrace], scans: &[TraceScan]) {
-    for (tr, scan) in traces.iter().zip(scans) {
+fn cmd_metrics(c: &Campaign) -> Result<(), String> {
+    for (tr, scan) in c.traces.iter().zip(c.scans()) {
         let (m, census) = (&scan.reclaim, &scan.census);
-        let t = calibration::targets_for(tr.app()).expect("known app");
+        let t = calibration::targets_for(tr.app())?;
         print!(
             "{}",
             report::render_metrics(tr.app(), m, t.reclaim_ms, t.idle_ratio, t.median_ms)
         );
-        let from = steady_state_from(tr);
-        match t.laggard_rate {
-            Some(paper) => println!(
-                "  laggard rate          {:>10.1}%     (paper {:.1}%)",
-                census.laggard_rate_from(from) * 100.0,
-                paper * 100.0
-            ),
-            None => println!(
-                "  laggard rate          {:>10.1}%     (paper: not reported)",
-                census.laggard_rate_from(from) * 100.0
-            ),
-        }
+        let paper = match t.laggard_rate {
+            Some(paper) => format!(" {:.1}%", paper * 100.0),
+            None => ": not reported".to_string(),
+        };
+        let rate = census.laggard_rate_from(steady_state_from(tr)) * 100.0;
+        println!("  laggard rate          {rate:>10.1}%     (paper{paper})");
         println!();
     }
     println!("note: the paper's reclaim/idle columns are internally inconsistent with its");
     println!("medians/IQRs under its stated definitions; see the analysis::reclaim module docs.");
     println!();
+    Ok(())
 }
 
-fn cmd_battery(traces: &[TimingTrace]) {
+fn cmd_earlybird(c: &Campaign) -> Result<(), String> {
+    println!(
+        "Early-bird delivery sweep (8 MB partitioned buffer, every process-iteration priced):"
+    );
+    for ((tr, scan), per_link) in c.traces.iter().zip(c.scans()).zip(c.deliveries()) {
+        for (link_name, outcomes) in EARLYBIRD_LINKS.iter().zip(per_link) {
+            print!(
+                "{}",
+                report::render_earlybird(
+                    tr.app(),
+                    link_name,
+                    canonical_strategies(tr.shape().threads),
+                    outcomes,
+                    &scan.census,
+                    steady_state_from(tr),
+                )
+            );
+        }
+    }
+    println!();
+    Ok(())
+}
+
+fn cmd_battery(c: &Campaign) -> Result<(), String> {
     // Battery-sensitivity extension: does Table 1 change if two more classic
     // normality tests join the battery?
     use ebird_analysis::normality::battery_pass_rates;
     let battery = ebird_stats::normality::extended_battery();
     println!("Extended-battery Table 1 (adds Lilliefors and Jarque-Bera):");
     print!("{:<18}", "Test");
-    for tr in traces {
+    for tr in &c.traces {
         print!("{:>12}", tr.app());
     }
     println!();
-    let per_app: Vec<Vec<(&str, f64)>> = traces
+    let per_app: Vec<Vec<(&str, f64)>> = c
+        .traces
         .iter()
         .map(|tr| {
             battery_pass_rates(
@@ -698,11 +668,12 @@ fn cmd_battery(traces: &[TimingTrace]) {
     }
     println!("(the three-class FE ≪ MD < QMC structure must survive any battery choice)");
     println!();
+    Ok(())
 }
 
-fn cmd_fit(traces: &[TimingTrace]) {
+fn cmd_fit(c: &Campaign) -> Result<(), String> {
     println!("Fitted generative models (trace -> model extraction, §1's methodology):");
-    for tr in traces {
+    for tr in &c.traces {
         let m = ebird_cluster::fit(tr);
         println!("  {} — {} phase(s):", tr.app(), m.phases.len());
         for p in &m.phases {
@@ -720,37 +691,22 @@ fn cmd_fit(traces: &[TimingTrace]) {
         }
     }
     println!();
+    Ok(())
 }
 
 /// Materializes the campaign matrix the scenario/service verbs operate on:
-/// `--matrix FILE` is a self-contained config (its own seed governs); the
-/// built-in presets (`--preset NAME`, or `--smoke`/full default) take
-/// `--seed`. `--matrix` wins over `--preset` wins over `--smoke`.
+/// `--matrix FILE` is a self-contained config (its own seed governs) and wins
+/// over `--preset NAME`, whose built-in matrix takes `--seed`.
 fn build_matrix(opts: &Options) -> Result<ScenarioMatrix, String> {
-    match (&opts.matrix, &opts.preset) {
-        (Some(path), _) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-            serde_json::from_str::<ScenarioMatrix>(&text)
-                .map_err(|e| format!("parsing {path:?}: {e}"))
-        }
-        (None, Some(name)) => {
-            // Unknown presets flow through the same Result<_, String> path
-            // as matrix resolution: `error: unknown preset ...` on stderr.
-            let mut m = ScenarioMatrix::preset(name)?;
-            m.seed = opts.seed;
-            Ok(m)
-        }
-        (None, None) => {
-            let mut m = if opts.smoke {
-                ScenarioMatrix::smoke()
-            } else {
-                ScenarioMatrix::full()
-            };
-            m.seed = opts.seed;
-            Ok(m)
-        }
+    if let Some(path) = &opts.matrix {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+        return serde_json::from_str(&text).map_err(|e| format!("parsing {path:?}: {e}"));
     }
+    // Unknown presets flow through the same Result<_, String> path as
+    // matrix resolution: `error: unknown preset ...` on stderr.
+    let mut m = ScenarioMatrix::preset(&opts.preset)?;
+    m.seed = opts.seed;
+    Ok(m)
 }
 
 fn cmd_scenarios(opts: &Options) -> Result<(), String> {
@@ -776,14 +732,11 @@ fn cmd_scenarios(opts: &Options) -> Result<(), String> {
 }
 
 /// `workloads` — the listing verb for the pluggable workload axis: every
-/// built-in name (canonical spelling, calibration targets) plus one example
-/// `WorkloadSpec` JSON per variant, ready to paste into a matrix's
-/// `workloads` array.
+/// built-in name (canonical spelling, calibration targets), then a `Named`
+/// spec and the specs the `workload` presets sweep, as matrix JSON ready to
+/// paste into a `workloads` array.
 fn cmd_workloads() -> Result<(), String> {
-    use ebird_cluster::{
-        calibration, MixtureComponent, RealKernelParams, SyntheticApp, WorkloadSpec,
-        BUILTIN_WORKLOAD_NAMES,
-    };
+    use ebird_cluster::{WorkloadSpec, BUILTIN_WORKLOAD_NAMES};
     println!("Built-in calibrated workloads (usable in `apps` or as {{\"Named\":...}}):");
     for name in BUILTIN_WORKLOAD_NAMES {
         let t = calibration::targets_for(name)?;
@@ -803,36 +756,16 @@ fn cmd_workloads() -> Result<(), String> {
     let named = WorkloadSpec::Named {
         name: "MiniFE".into(),
     };
-    let synthetic = WorkloadSpec::Synthetic {
-        model: SyntheticApp::miniqmc().model().clone(),
-    };
-    let real = WorkloadSpec::RealKernel {
-        app: "MiniMD".into(),
-        params: RealKernelParams::default(),
-    };
-    let mixture = WorkloadSpec::Mixture {
-        name: "fe2md1".into(),
-        components: vec![
-            MixtureComponent {
-                weight: 2.0,
-                spec: WorkloadSpec::Named {
-                    name: "MiniFE".into(),
-                },
-            },
-            MixtureComponent {
-                weight: 1.0,
-                spec: WorkloadSpec::Named {
-                    name: "MiniMD".into(),
-                },
-            },
-        ],
-    };
-    for (label, spec) in [
-        ("Named", &named),
-        ("Synthetic (full inline model)", &synthetic),
-        ("RealKernel (deterministic metered run)", &real),
-        ("Mixture (weighted blend)", &mixture),
-    ] {
+    for spec in [named]
+        .iter()
+        .chain(&ScenarioMatrix::workload_smoke().workloads)
+    {
+        let label = match spec {
+            WorkloadSpec::Named { .. } => "Named",
+            WorkloadSpec::Synthetic { .. } => "Synthetic (full inline model)",
+            WorkloadSpec::RealKernel { .. } => "RealKernel (deterministic metered run)",
+            WorkloadSpec::Mixture { .. } => "Mixture (weighted blend)",
+        };
         let json = serde_json::to_string(spec).map_err(|e| format!("serializing spec: {e}"))?;
         println!("  {label}:");
         println!("    {json}");
@@ -847,7 +780,7 @@ fn cmd_workloads() -> Result<(), String> {
 
 fn cmd_serve(opts: &Options) -> Result<(), String> {
     ebird_serve::serve(
-        &opts.addr,
+        opts.addr(),
         ebird_serve::ServerConfig {
             threads: opts.pool.threads(),
             cache_dir: opts.cache_dir.clone(),
@@ -871,30 +804,25 @@ fn cmd_submit(opts: &Options, fetch_only: bool) -> Result<(), String> {
     let stdout = std::io::stdout();
     let print_row = |row: &str| {
         let mut out = stdout.lock();
-        let _ = out.write_all(row.as_bytes());
-        let _ = out.write_all(b"\n");
+        let _ = writeln!(out, "{row}");
         let _ = out.flush();
     };
     let outcome = if fetch_only {
-        client::fetch_streaming(&opts.addr, &source, print_row)?
+        client::fetch_streaming(opts.addr(), &source, print_row)?
     } else {
-        client::submit_streaming(&opts.addr, &source, opts.priority, print_row)?
+        client::submit_streaming(opts.addr(), &source, opts.priority, print_row)?
     };
     eprintln!(
         "# {} {} rows from {}: {} cached, {} computed, {} coalesced",
         if fetch_only { "fetched" } else { "served" },
         outcome.footer.cells,
-        opts.addr,
+        opts.addr(),
         outcome.footer.cached,
         outcome.footer.computed,
         outcome.footer.coalesced,
     );
     if let Some(path) = &opts.out {
-        let mut table = String::with_capacity(outcome.rows.iter().map(|r| r.len() + 1).sum());
-        for row in &outcome.rows {
-            table.push_str(row);
-            table.push('\n');
-        }
+        let table: String = outcome.rows.iter().flat_map(|r| [r, "\n"]).collect();
         std::fs::write(path, &table).map_err(|e| format!("writing {path:?}: {e}"))?;
         eprintln!("# wrote {path:?}");
     }
@@ -902,10 +830,10 @@ fn cmd_submit(opts: &Options, fetch_only: bool) -> Result<(), String> {
 }
 
 fn cmd_status(opts: &Options) -> Result<(), String> {
-    let s = ebird_serve::client::status(&opts.addr)?;
+    let s = ebird_serve::client::status(opts.addr())?;
     // The rendering lives next to the wire struct (with a field-coverage
     // test), so a counter added to the protocol cannot go missing here.
-    print!("{}", ebird_serve::render_status(&opts.addr, &s));
+    print!("{}", ebird_serve::render_status(opts.addr(), &s));
     Ok(())
 }
 
@@ -915,10 +843,10 @@ fn ms(ns: u64) -> f64 {
 }
 
 fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
-    let m = ebird_serve::client::metrics(&opts.addr)?;
+    let m = ebird_serve::client::metrics(opts.addr())?;
     println!(
         "server {} metrics (uptime {:.1} s):",
-        opts.addr,
+        opts.addr(),
         m.uptime_ns as f64 / 1e9
     );
     if !m.counters.is_empty() {
@@ -954,7 +882,9 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
-    use ebird_bench::profile::{clock_oracle, render_profile, units_counter, TRACE_SAMPLES};
+    use ebird_bench::profile::{
+        clock_oracle, effective_parallelism, render_profile, units_counter, TRACE_SAMPLES,
+    };
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
     let observer = PoolObserver::new(&registry);
@@ -962,11 +892,13 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     let threads = pool.threads();
     eprintln!(
         "# profiling the synthetic pipeline: scale {:?}, seed {}, {} worker thread(s)",
-        opts.scale, opts.seed, threads
+        opts.config, opts.seed, threads
     );
 
-    // The clock is measured before any stage runs, on an idle host.
+    // The clock and the host's parallelism are measured before any stage
+    // runs, on an idle host.
     let clock = clock_oracle(&registry);
+    let parallelism = effective_parallelism(&registry, host_threads());
 
     // Each stage gets a wall-clock span and relabels the pool observer, so
     // `pool.{stage}.w{i}.busy_ns` splits busy time per stage per worker.
@@ -1024,34 +956,13 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     }
 
     println!("{clock}");
+    println!("{parallelism}");
     print!("{}", render_profile(&registry.snapshot(), threads));
     Ok(())
 }
 
 fn cmd_shutdown(opts: &Options) -> Result<(), String> {
-    ebird_serve::client::shutdown(&opts.addr)?;
-    eprintln!("# server at {} acknowledged shutdown", opts.addr);
+    ebird_serve::client::shutdown(opts.addr())?;
+    eprintln!("# server at {} acknowledged shutdown", opts.addr());
     Ok(())
-}
-
-fn cmd_earlybird(traces: &[TimingTrace], scans: &[TraceScan], deliveries: &[Vec<DeliverySweep>]) {
-    println!(
-        "Early-bird delivery sweep (8 MB partitioned buffer, every process-iteration priced):"
-    );
-    for ((tr, scan), per_link) in traces.iter().zip(scans).zip(deliveries) {
-        for (link_name, outcomes) in EARLYBIRD_LINKS.iter().zip(per_link) {
-            print!(
-                "{}",
-                report::render_earlybird(
-                    tr.app(),
-                    link_name,
-                    canonical_strategies(tr.shape().threads),
-                    outcomes,
-                    &scan.census,
-                    steady_state_from(tr),
-                )
-            );
-        }
-    }
-    println!();
 }

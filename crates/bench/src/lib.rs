@@ -13,8 +13,9 @@
 //!   the multi-rank fabric simulator (`repro scenarios`, or served live via
 //!   `repro serve` / `repro submit`).
 //!
-//! This library crate holds the pieces the binaries share: the real-app
-//! trace runner, the profile renderer, seeds, and scale presets.
+//! This library crate holds what `repro` renders with: the real-app trace
+//! runner and the profile renderer. `examples/calibrate.rs` (workspace root)
+//! is the models' tuning harness.
 
 #![warn(missing_docs)]
 
@@ -22,38 +23,6 @@ pub mod profile;
 
 use ebird_cluster::{JobConfig, RealKernelParams, RealTiming, BUILTIN_WORKLOAD_NAMES};
 use ebird_core::TimingTrace;
-
-/// The workspace-wide default seed for regenerated experiments
-/// (re-exported from `ebird-core`, its home at the base of the crate graph).
-pub use ebird_core::DEFAULT_SEED;
-
-/// Experiment scale presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// The paper's 10 × 8 × 200 × 48 campaign (768,000 samples per app).
-    Paper,
-    /// CI-friendly 2 × 2 × 50 × 8 campaign (3,200 samples per app).
-    Ci,
-}
-
-impl Scale {
-    /// The corresponding job configuration.
-    pub fn config(&self) -> JobConfig {
-        match self {
-            Scale::Paper => JobConfig::paper_scale(),
-            Scale::Ci => JobConfig::ci_scale(),
-        }
-    }
-
-    /// Parses `"paper"` / `"ci"`.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s.to_ascii_lowercase().as_str() {
-            "paper" => Some(Scale::Paper),
-            "ci" => Some(Scale::Ci),
-            _ => None,
-        }
-    }
-}
 
 /// Runs the real Rust proxy apps at test scale under the wall clock and
 /// returns their traces in paper order, labelled `MiniFE`, `MiniMD` and
@@ -74,13 +43,6 @@ pub fn all_real_traces(cfg: &JobConfig, seed: u64) -> Vec<TimingTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("CI"), Some(Scale::Ci));
-        assert_eq!(Scale::parse("huge"), None);
-    }
 
     #[test]
     fn real_traces_at_tiny_scale() {

@@ -15,14 +15,16 @@
 //! so a sentinel test can assert every metric the profile reads actually
 //! appears in the output — a silent rendering gap would hide a regression
 //! signal. Above the table, [`clock_oracle`] states what the profile's own
-//! clock can resolve, beside the paper's 1 ms laggard threshold.
+//! clock can resolve, beside the paper's 1 ms laggard threshold, and
+//! [`effective_parallelism`] how many of a team's threads the host really
+//! runs at once.
 
 use ebird_analysis::engine::STAGES;
 use ebird_analysis::normality::{SweepObs, SWEEP_LEVELS};
 use ebird_cluster::calibration::LAGGARD_THRESHOLD_MS;
 use ebird_core::ThreadSample;
 use ebird_obs::{Registry, Snapshot};
-use ebird_runtime::PoolObserver;
+use ebird_runtime::{Pool, PoolObserver};
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -76,6 +78,49 @@ pub fn clock_oracle(registry: &Registry) -> String {
          sleep error {} (median of {TRIES}); laggard threshold {LAGGARD_THRESHOLD_MS:.3} ms",
         sleeps.join(", ")
     )
+}
+
+/// Measures how much of a `Pool::new(k)` team's size the host delivers, for
+/// every k up to `host` (its available parallelism), and returns the
+/// profile's parallelism line: `k × t(1) / t(k)`, where `t(k)` is the median
+/// over five runs, read through `registry`'s clock, of a region in which
+/// each of the k members runs the same fixed CPU-bound reference kernel. A
+/// host with k free cores reads k; a clock that never advances measures
+/// nothing.
+pub fn effective_parallelism(registry: &Registry, host: usize) -> String {
+    const TRIES: usize = 5;
+    let time = |k| {
+        let pool = Pool::new(k);
+        let mut runs = [0u64; TRIES].map(|_| {
+            let start = registry.now_ns();
+            pool.region(|_| reference_kernel());
+            registry.now_ns() - start
+        });
+        *runs.select_nth_unstable(TRIES / 2).1
+    };
+    let times: Vec<u64> = (1..=host).map(time).collect();
+    let measures = if times.contains(&0) {
+        "unmeasurable".to_string()
+    } else {
+        let plural = |k| if k == 1 { "" } else { "s" };
+        let ratios = (1..).zip(&times).map(|(k, &t)| {
+            let ratio = (k * times[0]) as f64 / t as f64;
+            format!("{ratio:.2} at {k} thread{}", plural(k))
+        });
+        ratios.collect::<Vec<_>>().join(", ")
+    };
+    format!("effective parallelism: {measures} (host parallelism {host})")
+}
+
+/// The fixed CPU-bound work of [`effective_parallelism`]: a dependent chain
+/// of 2²¹ multiply-xorshift steps in registers (a few ms on one core).
+fn reference_kernel() {
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15_u64);
+    for _ in 0..1 << 21 {
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    }
+    std::hint::black_box(x);
 }
 
 /// Renders the profile table from a registry snapshot.
@@ -342,6 +387,19 @@ mod tests {
         assert!(line.starts_with("clock oracle: read 0 ns (median of 10000), resolution none;"));
         assert!(line
             .contains("sleep error -0.100 ms at 0.1 ms, -1.000 ms at 1 ms, -10.000 ms at 10 ms"));
+    }
+
+    #[test]
+    fn effective_parallelism_is_one_at_one_thread_and_unmeasurable_without_a_clock() {
+        let line = effective_parallelism(&Registry::wall(), 2);
+        let (head, tail) = line.split_once(" at 2 threads ").unwrap();
+        assert!(head.starts_with("effective parallelism: 1.00 at 1 thread, "));
+        assert_eq!(tail, "(host parallelism 2)");
+        let registry = Registry::with_time(Arc::new(ebird_obs::ManualClock::new()));
+        assert_eq!(
+            effective_parallelism(&registry, 2),
+            "effective parallelism: unmeasurable (host parallelism 2)"
+        );
     }
 
     #[test]

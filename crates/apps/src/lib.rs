@@ -35,8 +35,8 @@ pub use minife::{MiniFe, MiniFeParams};
 pub use minimd::{MiniMd, MiniMdParams};
 pub use miniqmc::{MiniQmc, MiniQmcParams};
 
-use ebird_core::{Clock, ThreadSample};
-use ebird_runtime::Pool;
+use ebird_core::ThreadSample;
+use ebird_runtime::{Pool, TimeSource};
 
 /// A proxy application whose main compute section can be run as instrumented
 /// iterations.
@@ -53,7 +53,7 @@ pub trait ProxyApp {
     /// computation is the same, and untimed work surrounding the section
     /// (integration, vector updates, …) runs as part of the same call,
     /// exactly as in the instrumented originals.
-    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample>;
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample>;
 
     /// Checks an application-specific physical/numerical invariant, returning
     /// a description of the violation if any. Used by integration tests to

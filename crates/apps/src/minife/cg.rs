@@ -7,8 +7,8 @@
 //! source of MiniFE's structural imbalance (e.g. 200 planes over 48 threads:
 //! threads 0–7 compute 5 planes, threads 8–47 compute 4).
 
-use ebird_core::{Clock, ThreadSample};
-use ebird_runtime::{static_block, Pool};
+use ebird_core::ThreadSample;
+use ebird_runtime::{static_block, Pool, TimeSource};
 
 use super::csr::CsrMatrix;
 use super::mesh::{assemble_stencil, MeshDims};
@@ -125,7 +125,7 @@ impl ProxyApp for MiniFe {
     }
 
     /// One CG step with the SpMV as the timed section.
-    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
         let part_lens = self.plane_part_lens(pool.threads());
         let (a, p, ap) = (&self.a, &self.p, &mut self.ap);
         // Timed section: Ap = A·p, plane-partitioned (Listing 1 placement).
@@ -200,7 +200,7 @@ impl ProxyApp for MiniFe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::MonotonicClock;
+    use ebird_runtime::WallClock;
 
     #[test]
     fn cg_converges_to_ones() {
@@ -238,7 +238,7 @@ mod tests {
         let mut timed = MiniFe::new(params);
         let mut plain = MiniFe::new(params);
         let pool = Pool::new(3);
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         for _ in 0..4 {
             assert_eq!(timed.step(&pool, Some(&clock)).len(), 3);
             assert!(plain.step(&pool, None).is_empty());

@@ -1,8 +1,8 @@
 //! The MiniMD driver: velocity-Verlet integration with an instrumented,
 //! atom-partitioned Lennard-Jones force kernel.
 
-use ebird_core::{Clock, ThreadSample};
-use ebird_runtime::{static_block, Pool};
+use ebird_core::ThreadSample;
+use ebird_runtime::{static_block, Pool, TimeSource};
 
 use super::lattice::{fcc_positions, initial_velocities};
 use super::neighbor::NeighborList;
@@ -203,7 +203,7 @@ impl ProxyApp for MiniMd {
     }
 
     /// One velocity-Verlet step; `clock` times only the force kernel.
-    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
         let dt = self.params.dt;
         let half = 0.5 * dt;
         // First half-kick + drift (untimed, as in the instrumented MiniMD).
@@ -273,7 +273,7 @@ impl ProxyApp for MiniMd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::MonotonicClock;
+    use ebird_runtime::WallClock;
 
     #[test]
     fn initial_state_is_physical() {
@@ -335,7 +335,7 @@ mod tests {
         let mut timed = MiniMd::new(MiniMdParams::test_scale());
         let mut plain = MiniMd::new(MiniMdParams::test_scale());
         let pool = Pool::new(2);
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         for _ in 0..5 {
             assert_eq!(timed.step(&pool, Some(&clock)).len(), 2);
             assert!(plain.step(&pool, None).is_empty());

@@ -7,8 +7,8 @@
 //! static block of walkers, so per-thread work varies with acceptance
 //! history — the mechanism behind MiniQMC's wide thread-arrival spread.
 
-use ebird_core::{Clock, ThreadSample};
-use ebird_runtime::{static_block, Pool};
+use ebird_core::ThreadSample;
+use ebird_runtime::{static_block, Pool, TimeSource};
 
 use super::jastrow::Jastrow;
 use super::spline::Spline3D;
@@ -230,7 +230,7 @@ impl ProxyApp for MiniQmc {
 
     /// One iteration: every walker does `sweeps_per_step` sweeps; threads own
     /// static walker blocks; the whole mover loop is the timed section.
-    fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+    fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
         let part_lens: Vec<usize> = (0..pool.threads())
             .map(|t| static_block(self.walkers.len(), pool.threads(), t).len())
             .collect();
@@ -290,7 +290,7 @@ impl ProxyApp for MiniQmc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::MonotonicClock;
+    use ebird_runtime::WallClock;
 
     #[test]
     fn walkers_initialize_in_box_and_deterministically() {
@@ -350,7 +350,7 @@ mod tests {
         let mut timed = MiniQmc::new(MiniQmcParams::test_scale());
         let mut plain = MiniQmc::new(MiniQmcParams::test_scale());
         let pool = Pool::new(3);
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         for _ in 0..4 {
             assert_eq!(timed.step(&pool, Some(&clock)).len(), 3);
             assert!(plain.step(&pool, None).is_empty());

@@ -13,8 +13,8 @@
 //!
 //! Nothing here communicates: scenario pricing needs thread arrivals only.
 
-use ebird_core::{Clock, MonotonicClock, ThreadSample, TimingTrace};
-use ebird_runtime::Pool;
+use ebird_core::{ThreadSample, TimingTrace};
+use ebird_runtime::{Pool, TimeSource, WallClock};
 
 use crate::job::JobConfig;
 
@@ -58,7 +58,7 @@ impl std::error::Error for RunnerError {}
 /// How a real-application campaign derives per-thread timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RealTiming {
-    /// Wall-clock stamps from a [`MonotonicClock`] around each thread's
+    /// Wall-clock stamps from a [`WallClock`] around each thread's
     /// loop share — the paper's Listing-1 procedure. Host-dependent, so two
     /// runs never produce the same bytes.
     Wall,
@@ -119,8 +119,8 @@ where
             )));
         }
     }
-    let wall = MonotonicClock::new();
-    let clock: Option<&dyn Clock> = match timing {
+    let wall = WallClock::new();
+    let clock: Option<&dyn TimeSource> = match timing {
         RealTiming::Wall => Some(&wall),
         RealTiming::Metered { .. } => None,
     };
@@ -277,7 +277,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "ShortOps"
             }
-            fn step(&mut self, _pool: &Pool, _clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+            fn step(&mut self, _pool: &Pool, _clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
                 Vec::new()
             }
             fn thread_ops(&self, threads: usize) -> Vec<u64> {
@@ -314,7 +314,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Skips"
             }
-            fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
                 self.steps += 1;
                 if self.steps == 2 {
                     return Vec::new();
@@ -350,7 +350,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Broken"
             }
-            fn step(&mut self, pool: &Pool, clock: Option<&dyn Clock>) -> Vec<ThreadSample> {
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
                 clock.map_or_else(Vec::new, |_| vec![ThreadSample::new(0, 1); pool.threads()])
             }
             fn thread_ops(&self, threads: usize) -> Vec<u64> {

@@ -1,11 +1,12 @@
 //! # ebird-core
 //!
-//! The instrumentation core of the `early-bird` workspace: the clocks and
-//! the one-word sample of the paper's Listing 1 (`clock_gettime` around an
+//! The instrumentation core of the `early-bird` workspace: the one-word
+//! sample of the paper's Listing 1 (`clock_gettime` around an
 //! `omp for nowait` loop) plus the in-memory store and indexing machinery
 //! for the resulting data set. The stamps themselves are taken by
-//! `ebird-runtime`'s `Pool::timed_parts_mut`, which hands each team
-//! member's sample back at the join.
+//! `ebird-runtime`'s `Pool::timed_parts_mut`, which reads a `TimeSource`
+//! (the workspace's one clock trait, defined in `ebird-obs` and re-exported
+//! by the runtime) and hands each team member's sample back at the join.
 //!
 //! The paper's measurement model:
 //!
@@ -23,7 +24,6 @@
 //!
 //! Modules:
 //!
-//! * [`clock`] — the `Clock` trait, a real monotonic clock and a virtual one.
 //! * [`sample`] — `ThreadSample` (a compute time) and the dense index
 //!   arithmetic.
 //! * [`trace`] — `TimingTrace`, the dense 4-D sample store with aggregation
@@ -34,12 +34,10 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod sample;
 pub mod trace;
 pub mod view;
 
-pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use sample::{SampleIndex, ThreadSample};
 pub use trace::{TimingTrace, TraceShape};
 pub use view::AggregationLevel;

@@ -113,6 +113,12 @@ mod tests {
     }
 
     #[test]
+    fn unit_conversions() {
+        assert_eq!(ns_to_ms(1_500_000), 1.5);
+        assert_eq!(ns_to_ms(0), 0.0);
+    }
+
+    #[test]
     fn index_display_is_compact() {
         let idx = SampleIndex::new(1, 2, 3, 4);
         assert_eq!(idx.to_string(), "t1/r2/i3/th4");

@@ -1,5 +1,7 @@
 //! The clock seam: wall time for ops, manual time for deterministic tests.
 //!
+//! This is the workspace's one clock trait: `ebird-runtime` re-exports it,
+//! and `Pool::timed_parts_mut` takes the paper's Listing-1 stamps from it.
 //! This file is the **only** place in `ebird-obs` that reads the wall clock,
 //! and it is waived as such in `lint.toml` (`no-wall-clock`). Everything
 //! else in the crate takes time as data through [`TimeSource`], so tests
@@ -10,14 +12,18 @@ use std::time::Instant;
 
 /// A monotonic nanosecond source.
 ///
-/// Mirrors `ebird_core::clock::Clock` but lives here so the crate stays
-/// dependency-free; both express the same seam (time as injected data).
+/// The paper stamps with `clock_gettime(CLOCK_MONOTONIC)`, which is ordered
+/// per core but **not** comparable across cores, and this trait promises no
+/// more: two reads from the same thread never go backwards. Consumers
+/// subtract a thread's own stamps (`ebird_core::ThreadSample::new`) and never
+/// compare two threads' raw readings.
 pub trait TimeSource: Send + Sync {
     /// Nanoseconds since an arbitrary fixed origin. Must be monotonic.
     fn now_ns(&self) -> u64;
 }
 
-/// Wall time, anchored at construction. The ops-side implementation.
+/// Wall time (`std::time::Instant`, `CLOCK_MONOTONIC` on Linux), anchored
+/// at construction so readings stay small. The ops-side implementation.
 #[derive(Debug)]
 pub struct WallClock {
     origin: Instant,
@@ -93,10 +99,20 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_monotonic() {
+    fn wall_clock_is_monotonic_and_measures_real_time() {
         let c = WallClock::new();
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert!(b >= a);
+        let mut prev = c.now_ns();
+        for _ in 0..10_000 {
+            let now = c.now_ns();
+            assert!(now >= prev);
+            prev = now;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let elapsed_ns = c.now_ns() - prev;
+        // A generous upper bound: loaded hosts oversleep.
+        assert!(
+            (9_000_000..2_000_000_000).contains(&elapsed_ns),
+            "{elapsed_ns} ns"
+        );
     }
 }

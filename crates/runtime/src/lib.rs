@@ -12,6 +12,7 @@
 //! | `#pragma omp barrier` | [`barrier::SenseBarrier`], via [`Ctx::barrier`] |
 //! | `#pragma omp for` (static schedule) | [`schedule::static_block`], [`Pool::parallel_for_static`] |
 //! | `nowait` + Listing-1 enter/exit stamps | [`Pool::timed_parts_mut`] returns each member's `ThreadSample` |
+//! | `clock_gettime(CLOCK_MONOTONIC)` | [`TimeSource`] (re-exported from `ebird-obs`): [`WallClock`] live, [`ManualClock`] in tests |
 //!
 //! Only the default static schedule is implemented: it is the one the
 //! paper's applications use (see [`schedule`]). Fork/join itself is written
@@ -34,6 +35,7 @@ pub mod schedule;
 
 pub use arena::WorkerArenas;
 pub use barrier::SenseBarrier;
+pub use ebird_obs::{ManualClock, TimeSource, WallClock};
 pub use pool::{Ctx, Pool, PoolObserver};
 pub use queue::{JobQueue, PushError, QueueMetrics};
 pub use schedule::static_block;

@@ -15,7 +15,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use ebird_core::{Clock, ThreadSample};
+use ebird_core::ThreadSample;
+use ebird_obs::TimeSource;
 use parking_lot::Mutex;
 
 use crate::barrier::SenseBarrier;
@@ -345,7 +346,7 @@ impl Pool {
     /// and an empty vector.
     pub fn timed_parts_mut<T, F>(
         &self,
-        clock: Option<&dyn Clock>,
+        clock: Option<&dyn TimeSource>,
         data: &mut [T],
         part_lens: &[usize],
         body: F,
@@ -370,7 +371,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{MonotonicClock, VirtualClock};
+    use ebird_obs::{ManualClock, WallClock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -464,7 +465,7 @@ mod tests {
     #[test]
     fn timed_parts_mut_stamps_only_when_asked_and_writes_either_way() {
         let pool = Pool::new(2);
-        let clock = VirtualClock::new(0);
+        let clock = ManualClock::new();
         let mut data = vec![0u8; 6];
         let untimed = pool.timed_parts_mut(None, &mut data, &[4, 2], |block, _, _| block.fill(2));
         assert_eq!(data, vec![2; 6]);
@@ -478,7 +479,8 @@ mod tests {
 
     #[test]
     fn timed_parts_mut_reads_the_clock_around_the_body() {
-        let clock = VirtualClock::new(1000);
+        let clock = ManualClock::new();
+        clock.set(1000);
         let samples = Pool::new(1).timed_parts_mut(Some(&clock), &mut [0u8; 3], &[3], |_, _, _| {
             clock.advance(500);
         });
@@ -487,7 +489,7 @@ mod tests {
 
     #[test]
     fn timed_parts_mut_measures_a_real_spin() {
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         let samples = Pool::new(1).timed_parts_mut(Some(&clock), &mut [0u8; 1], &[1], |_, _, _| {
             // ~1 ms of busy work.
             let start = clock.now_ns();
@@ -503,7 +505,7 @@ mod tests {
 
     #[test]
     fn timed_parts_mut_stamps_every_member_in_thread_order() {
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         let mut data = vec![0u8; 4];
         let samples =
             Pool::new(4).timed_parts_mut(Some(&clock), &mut data, &[1; 4], |_, _, ctx| {
@@ -604,9 +606,9 @@ mod tests {
 
     #[test]
     fn one_member_team_runs_inline_with_one_fork_and_one_busy_entry_per_call() {
-        let clock = Arc::new(ebird_obs::ManualClock::new());
+        let clock = Arc::new(ManualClock::new());
         let registry = Arc::new(ebird_obs::Registry::with_time(
-            Arc::clone(&clock) as Arc<dyn ebird_obs::TimeSource>
+            Arc::clone(&clock) as Arc<dyn TimeSource>
         ));
         let observer = PoolObserver::new(&registry);
         let pool = Pool::new(1).with_observer(observer.clone());

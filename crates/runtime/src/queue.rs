@@ -289,11 +289,6 @@ impl<T> JobQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether [`close`](JobQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
     /// Summed weight of the jobs currently queued (not yet popped) — the
     /// admission-control depth signal; the job count while every push is
     /// weight 1.
@@ -372,7 +367,6 @@ mod tests {
             Err(PushError::Closed),
             "push after close must be refused"
         );
-        assert!(q.is_closed());
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None, "pop stays None after drain");

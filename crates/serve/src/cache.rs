@@ -29,7 +29,6 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -214,27 +213,6 @@ struct ColdRecord {
     row: String,
 }
 
-/// Cumulative cache counters (monotonic since server start, except
-/// `hot_bytes` which is the current residency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (either tier).
-    pub hits: u64,
-    /// Lookups that required a compute.
-    pub misses: u64,
-    /// Entries inserted (including recomputed duplicates).
-    pub insertions: u64,
-    /// Hot-tier entries evicted under the byte budget.
-    pub evictions: u64,
-    /// Insertions whose key sat in the ghost queue (evicted recently,
-    /// wanted again — admitted straight to the main queue).
-    pub ghost_hits: u64,
-    /// Hot-tier misses answered by a cold-tier point read (no recompute).
-    pub cold_hits: u64,
-    /// Bytes currently charged against the hot-tier budget.
-    pub hot_bytes: u64,
-}
-
 /// Configuration for [`ResultCache::new`].
 #[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
@@ -244,9 +222,12 @@ pub struct CacheConfig {
     pub hot_budget_bytes: Option<usize>,
 }
 
-/// Lookup-latency instrumentation for a [`ResultCache`], attached with
+/// Lookup instrumentation for a [`ResultCache`], attached with
 /// [`ResultCache::observe`]. Every lookup lands in exactly one histogram by
-/// outcome: hot-tier hit, cold-tier point read, or miss.
+/// outcome — hot-tier hit, cold-tier point read, or miss — so the
+/// histograms' counts are the cache's tallies: hits are `{prefix}.hit_ns`
+/// plus `{prefix}.cold_read_ns`, cold hits `{prefix}.cold_read_ns`, misses
+/// `{prefix}.miss_ns`. An unobserved cache counts nothing.
 #[derive(Debug, Clone)]
 pub struct CacheMetrics {
     registry: Arc<ebird_obs::Registry>,
@@ -315,11 +296,7 @@ pub struct ResultCache {
     hot: Mutex<S3Fifo>,
     /// `None` for a memory-only cache.
     cold: Option<Mutex<ColdTier>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    cold_hits: AtomicU64,
-    /// Lookup-latency instrumentation; `None` records nothing.
+    /// Lookup instrumentation; `None` records nothing.
     metrics: Option<CacheMetrics>,
 }
 
@@ -328,7 +305,6 @@ impl std::fmt::Debug for ResultCache {
         f.debug_struct("ResultCache")
             .field("entries", &self.len())
             .field("cold", &self.cold.as_ref().map(|c| c.lock().path.clone()))
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -416,24 +392,20 @@ impl ResultCache {
         Ok(ResultCache {
             hot: Mutex::new(hot),
             cold,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            cold_hits: AtomicU64::new(0),
             metrics: None,
         })
     }
 
-    /// Attaches lookup-latency instrumentation (call before sharing the
-    /// cache across threads).
+    /// Attaches lookup instrumentation (call before sharing the cache
+    /// across threads).
     pub fn observe(&mut self, metrics: CacheMetrics) {
         self.metrics = Some(metrics);
     }
 
-    /// Looks `key` up, counting a hit or miss. A hot-tier miss falls through
-    /// to a cold-tier point read (the row is then re-admitted hot). A hash
-    /// collision (stored spec ≠ probed spec) counts as a miss in either
-    /// tier.
+    /// Looks `key` up, booking its latency under its outcome when observed.
+    /// A hot-tier miss falls through to a cold-tier point read (the row is
+    /// then re-admitted hot). A hash collision (stored spec ≠ probed spec)
+    /// is a miss in either tier.
     pub fn lookup(&self, key: &ContentKey) -> Option<CachedRow> {
         let start = self.metrics.as_ref().map(|m| m.registry.now_ns());
         let (result, class) = self.lookup_classified(key);
@@ -451,12 +423,10 @@ impl ResultCache {
     fn lookup_classified(&self, key: &ContentKey) -> (Option<CachedRow>, LookupClass) {
         if let Some(entry) = self.hot.lock().get(key.hash) {
             if entry.spec() == key.content {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return (Some(entry), LookupClass::HotHit);
             }
             // Collision: the resident entry belongs to a different spec; the
             // cold index (same hash) can only hold that same winner.
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return (None, LookupClass::Miss);
         }
         if let Some(cold) = &self.cold {
@@ -473,8 +443,6 @@ impl ResultCache {
                     self.hot
                         .lock()
                         .insert(key.hash, entry.clone(), entry.payload_bytes());
-                    self.cold_hits.fetch_add(1, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return (Some(entry), LookupClass::ColdHit);
                 }
                 Some(Ok(_)) => {} // collision on disk: miss
@@ -482,7 +450,6 @@ impl ResultCache {
                 None => {}
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         (None, LookupClass::Miss)
     }
 
@@ -499,7 +466,6 @@ impl ResultCache {
         self.hot
             .lock()
             .insert(key.hash, entry.clone(), entry.payload_bytes());
-        self.insertions.fetch_add(1, Ordering::Relaxed);
         if let Some(cold) = &self.cold {
             let record = ColdRecord {
                 key: key.hex(),
@@ -573,27 +539,39 @@ impl ResultCache {
         self.cold.as_ref().map_or(0, |c| c.lock().index.len())
     }
 
-    /// Snapshot of the cumulative counters.
-    pub fn stats(&self) -> CacheStats {
-        let (evictions, ghost_hits, hot_bytes) = {
-            let hot = self.hot.lock();
-            (hot.evictions(), hot.ghost_hits(), hot.bytes() as u64)
-        };
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions,
-            ghost_hits,
-            cold_hits: self.cold_hits.load(Ordering::Relaxed),
-            hot_bytes,
-        }
+    /// Hot-tier entries evicted under the byte budget since construction.
+    pub fn evictions(&self) -> u64 {
+        self.hot.lock().evictions()
+    }
+
+    /// Insertions whose key sat in the hot tier's ghost queue (evicted
+    /// recently, wanted again — admitted straight to the main queue).
+    pub fn ghost_hits(&self) -> u64 {
+        self.hot.lock().ghost_hits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebird_obs::Registry;
+
+    /// A cache built from `config` and observed under `probe`, and the
+    /// registry that tallies its lookups.
+    fn observed(config: CacheConfig) -> (ResultCache, Arc<Registry>) {
+        let registry = Arc::new(Registry::wall());
+        let mut cache = ResultCache::new(config).unwrap();
+        cache.observe(CacheMetrics::new(&registry, "probe"));
+        (cache, registry)
+    }
+
+    /// `(hits, misses, cold hits)` as one snapshot of the registry reads them.
+    fn tallies(registry: &Registry) -> (u64, u64, u64) {
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.histogram(name).count();
+        let cold = count("probe.cold_read_ns");
+        (count("probe.hit_ns") + cold, count("probe.miss_ns"), cold)
+    }
 
     #[test]
     fn fnv_vectors() {
@@ -614,18 +592,14 @@ mod tests {
 
     #[test]
     fn lookup_miss_then_hit_counts() {
-        let cache = ResultCache::in_memory();
+        let (cache, registry) = observed(CacheConfig::default());
         let key = ContentKey::of("spec-a");
         assert!(cache.lookup(&key).is_none());
         cache.insert(&key, "row-a".into());
         let hit = cache.lookup(&key).expect("inserted");
         assert_eq!(hit.row(), "row-a");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
-        assert_eq!(
-            (stats.evictions, stats.ghost_hits, stats.cold_hits),
-            (0, 0, 0)
-        );
+        assert_eq!(tallies(&registry), (1, 1, 0));
+        assert_eq!((cache.evictions(), cache.ghost_hits()), (0, 0));
     }
 
     #[test]
@@ -662,11 +636,10 @@ mod tests {
     #[test]
     fn bounded_hot_tier_evicts_but_never_exceeds_budget() {
         let budget = 2_000usize;
-        let cache = ResultCache::new(CacheConfig {
+        let (cache, registry) = observed(CacheConfig {
             cold_dir: None,
             hot_budget_bytes: Some(budget),
-        })
-        .unwrap();
+        });
         for i in 0..100 {
             cache.insert(&ContentKey::of(format!("spec-{i}")), format!("row-{i}"));
             assert!(
@@ -674,11 +647,11 @@ mod tests {
                 "hot tier exceeded budget after insert {i}"
             );
         }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "a 100-row flood must evict");
+        assert!(cache.evictions() > 0, "a 100-row flood must evict");
         assert!(cache.len() < 100);
         // Without a cold tier an evicted row is simply a miss (recompute).
-        assert_eq!(stats.cold_hits, 0);
+        assert!(cache.lookup(&ContentKey::of("spec-0")).is_none());
+        assert_eq!(tallies(&registry), (0, 1, 0));
     }
 
     #[test]
@@ -686,15 +659,14 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("ebird_serve_cache_cold_hit_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let cache = ResultCache::new(CacheConfig {
+        let (cache, registry) = observed(CacheConfig {
             cold_dir: Some(dir.clone()),
             hot_budget_bytes: Some(2_000),
-        })
-        .unwrap();
+        });
         for i in 0..100 {
             cache.insert(&ContentKey::of(format!("spec-{i}")), format!("row-{i}"));
         }
-        assert!(cache.stats().evictions > 0);
+        assert!(cache.evictions() > 0);
         assert_eq!(cache.cold_entries(), 100);
         // Every row — resident or evicted — still reads back correctly.
         for i in 0..100 {
@@ -703,9 +675,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("row {i} lost by eviction"));
             assert_eq!(hit.row(), format!("row-{i}"));
         }
-        let stats = cache.stats();
-        assert!(stats.cold_hits > 0, "some hits must have come from disk");
-        assert_eq!(stats.hits, 100);
+        let (hits, misses, cold_hits) = tallies(&registry);
+        assert!(cold_hits > 0, "some hits must have come from disk");
+        assert_eq!((hits, misses), (100, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -841,18 +813,17 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let cache = ResultCache::new(CacheConfig {
+        let (cache, registry) = observed(CacheConfig {
             cold_dir: Some(dir.clone()),
             // Budget so tight every insert is evicted immediately: each
             // lookup must go to disk.
             hot_budget_bytes: Some(1),
-        })
-        .unwrap();
+        });
         cache.insert(&ContentKey::of("spec-1"), "row-1".into());
         assert_eq!(cache.len(), 0, "budget of 1 byte keeps nothing resident");
         let hit = cache.lookup(&ContentKey::of("spec-1")).expect("cold hit");
         assert_eq!(hit.row(), "row-1");
-        assert!(cache.stats().cold_hits >= 1);
+        assert_eq!(tallies(&registry), (1, 0, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -48,7 +48,7 @@ pub mod s3fifo;
 pub mod scenario;
 pub mod server;
 
-pub use cache::{CacheConfig, CacheMetrics, CacheStats, ContentKey, ResultCache};
+pub use cache::{CacheConfig, CacheMetrics, ContentKey, ResultCache};
 pub use client::{
     fetch, metrics, render_status, shutdown, status, submit, RetryPolicy, SubmitOutcome,
 };

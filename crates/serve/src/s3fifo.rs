@@ -251,16 +251,6 @@ impl S3Fifo {
             self.ghost_fifo.pop_front();
         }
     }
-
-    /// Iterates the resident rows in ascending key order — cold-tier
-    /// bootstrap and tests. Sorted so the traversal is deterministic: the
-    /// backing map's order is unspecified and must never reach output.
-    pub fn iter(&self) -> impl Iterator<Item = (&u128, &CachedRow)> {
-        let mut keyed: Vec<(&u128, &CachedRow)> =
-            self.entries.iter().map(|(k, e)| (k, &e.row)).collect();
-        keyed.sort_by_key(|(k, _)| **k);
-        keyed.into_iter()
-    }
 }
 
 #[cfg(test)]
@@ -296,25 +286,6 @@ mod tests {
         }
         assert!(s.len() <= 4);
         assert!(s.evictions() >= 28);
-    }
-
-    #[test]
-    fn iteration_order_is_deterministic_regardless_of_insertion_order() {
-        let keys: Vec<u128> = vec![9, 2, 7, 1, 8, 3];
-        let mut forward = S3Fifo::new(None);
-        for &k in &keys {
-            forward.insert(k, row(&k.to_string()), 100);
-        }
-        let mut reverse = S3Fifo::new(None);
-        for &k in keys.iter().rev() {
-            reverse.insert(k, row(&k.to_string()), 100);
-        }
-        let seen_fwd: Vec<u128> = forward.iter().map(|(&k, _)| k).collect();
-        let seen_rev: Vec<u128> = reverse.iter().map(|(&k, _)| k).collect();
-        assert_eq!(seen_fwd, seen_rev, "traversal must not leak map order");
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(seen_fwd, sorted, "ascending key order is the contract");
     }
 
     #[test]

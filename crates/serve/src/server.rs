@@ -51,12 +51,12 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use ebird_analysis::report;
-use ebird_obs::{Counter, Histogram, Registry};
+use ebird_obs::{Counter, Gauge, Histogram, Registry};
 use ebird_runtime::{JobQueue, Pool, PushError, QueueMetrics};
 
 use crate::cache::{CacheConfig, CacheMetrics, CachedRow, ContentKey, ResultCache};
@@ -145,6 +145,10 @@ enum Verb {
 /// Metric-name segment of each [`Verb`], discriminant order.
 const VERB_NAMES: [&str; 6] = ["submit", "fetch", "status", "metrics", "shutdown", "error"];
 
+/// The prefix of the cache's lookup histograms ([`CacheMetrics`]), whose
+/// counts are `status`'s hits, misses and cold hits.
+const CACHE_METRICS: &str = "serve.cache";
+
 /// Pre-resolved handles into the server's [`Registry`], so the request
 /// hot path never takes the registry's name-map lock.
 struct ServeMetrics {
@@ -185,6 +189,20 @@ struct ServeMetrics {
     /// (`serve.submits.overloaded`) — these never reach the queue, so the
     /// queue's own refusal counters do not see them.
     submits_overloaded: Arc<Counter>,
+    /// Submits whose matrix resolved (`serve.submits.resolved`; `status`'s
+    /// `submits`) — `serve.requests.submit` counts at dispatch, so it also
+    /// counts those answered with an error reply.
+    submits_resolved: Arc<Counter>,
+    /// Cells priced by workers, booked as each job finishes
+    /// (`serve.cells.priced`; `status`'s `computed`): the duplicate-compute
+    /// telltale, equal to the *distinct* cells priced when coalescing
+    /// works, and the retry hint's pace. `serve.cells.computed` counts the
+    /// same cells when their submit is admitted, before any is priced.
+    cells_priced: Arc<Counter>,
+    /// Cells of the jobs workers are pricing right now
+    /// (`serve.worker.inflight_cells`; `status`'s `inflight`) — the queue's
+    /// depth gauge (`serve.queue.depth`) is the cells still *waiting*.
+    inflight_cells: Arc<Gauge>,
 }
 
 impl ServeMetrics {
@@ -205,6 +223,9 @@ impl ServeMetrics {
             cells_failed: registry.counter("serve.cells.failed"),
             recovered: registry.counter("serve.worker.recovered"),
             submits_overloaded: registry.counter("serve.submits.overloaded"),
+            submits_resolved: registry.counter("serve.submits.resolved"),
+            cells_priced: registry.counter("serve.cells.priced"),
+            inflight_cells: registry.gauge("serve.worker.inflight_cells"),
         }
     }
 
@@ -254,20 +275,6 @@ struct Shared {
     threads: usize,
     addr: SocketAddr,
     stop: AtomicBool,
-    // `status` tallies the registry does not hold (`coalesced` and
-    // `overloaded` it does: `status` reads those two from `metrics`). Each
-    // has a registry neighbour, but one counting elsewhere or something else:
-    /// Cells of the jobs workers are pricing right now — the queue's depth
-    /// gauge (`serve.queue.depth`) is the cells still *waiting*.
-    inflight: AtomicUsize,
-    /// Submits whose matrix resolved — `serve.requests.submit` counts at
-    /// dispatch, so it includes those answered with an error reply.
-    submits: AtomicU64,
-    /// Cells actually priced by workers, bumped as each job finishes (the
-    /// duplicate-compute telltale: with coalescing this equals *distinct*
-    /// cells priced) — `serve.cells.computed` counts the same cells when
-    /// their submit is admitted, before any is priced.
-    computed_cells: AtomicU64,
 }
 
 impl Shared {
@@ -279,7 +286,7 @@ impl Shared {
             cold_dir: config.cache_dir.clone(),
             hot_budget_bytes: config.hot_bytes,
         })?;
-        cache.observe(CacheMetrics::new(&registry, "serve.cache"));
+        cache.observe(CacheMetrics::new(&registry, CACHE_METRICS));
         Ok(Shared {
             metrics: ServeMetrics::new(&registry),
             queue: JobQueue::bounded(config.queue_bound)
@@ -289,9 +296,6 @@ impl Shared {
             threads: config.threads,
             addr,
             stop: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            submits: AtomicU64::new(0),
-            computed_cells: AtomicU64::new(0),
         })
     }
 }
@@ -428,7 +432,7 @@ fn run_job(shared: &Shared, job: Job) {
     // (never-returning) region.
     let job_start = shared.metrics.registry.now_ns();
     let cells = job.cells.len();
-    shared.inflight.fetch_add(cells, Ordering::SeqCst);
+    shared.metrics.inflight_cells.add(cells as i64);
     let outcomes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         if PANIC_NEXT_PRICING.take() {
@@ -449,12 +453,12 @@ fn run_job(shared: &Shared, job: Job) {
             Err(format!("pricing panicked: {message}")),
         )
     });
-    shared
-        .computed_cells
-        .fetch_add(cells as u64, Ordering::SeqCst);
+    shared.metrics.cells_priced.add(cells as u64);
     // Decrement before reporting: once a submission has streamed its last
-    // row, no job of its can still be counted in flight.
-    shared.inflight.fetch_sub(cells, Ordering::SeqCst);
+    // row, no job of its can still be counted in flight. The registry's
+    // updates are relaxed; the channel sends below publish them to the
+    // subscriber that receives this job's rows.
+    shared.metrics.inflight_cells.add(-(cells as i64));
     // Meter the job before fanning the results out: once a subscriber has
     // its last row it may scrape `metrics`, and this job must already be
     // visible.
@@ -664,27 +668,38 @@ fn wire_bound(bound: usize) -> usize {
     }
 }
 
+/// `status`: every tally read from one registry snapshot (so it is what a
+/// `metrics` scrape shows), and live state from its owner — the queue, the
+/// single-flight table and the hot tier.
 fn status_reply(shared: &Shared) -> StatusReply {
-    let stats = shared.cache.stats();
+    let snap = shared.metrics.registry.snapshot();
+    let lookups = |outcome: &str| {
+        snap.histogram(&format!("{CACHE_METRICS}.{outcome}"))
+            .count()
+    };
+    let cold_hits = lookups("cold_read_ns");
     StatusReply {
         ok: true,
         queued: shared.queue.len(),
         queue_bound: wire_bound(shared.queue.capacity()),
-        inflight: shared.inflight.load(Ordering::SeqCst),
+        inflight: snap
+            .gauges
+            .get("serve.worker.inflight_cells")
+            .map_or(0, |&cells| cells as usize),
         inflight_cells: shared.single_flight.len(),
         hot_entries: shared.cache.len(),
-        hot_bytes: stats.hot_bytes,
+        hot_bytes: shared.cache.hot_bytes() as u64,
         hot_budget_bytes: wire_bound(shared.cache.hot_budget()) as u64,
-        hits: stats.hits,
-        misses: stats.misses,
-        evictions: stats.evictions,
-        ghost_hits: stats.ghost_hits,
-        cold_hits: stats.cold_hits,
-        computed: shared.computed_cells.load(Ordering::SeqCst),
-        coalesced: shared.metrics.cells_coalesced.get(),
-        overloaded: shared.metrics.submits_overloaded.get(),
-        recovered: shared.metrics.recovered.get(),
-        submits: shared.submits.load(Ordering::SeqCst),
+        hits: lookups("hit_ns") + cold_hits,
+        misses: lookups("miss_ns"),
+        evictions: shared.cache.evictions(),
+        ghost_hits: shared.cache.ghost_hits(),
+        cold_hits,
+        computed: snap.counter("serve.cells.priced"),
+        coalesced: snap.counter("serve.cells.coalesced"),
+        overloaded: snap.counter("serve.submits.overloaded"),
+        recovered: snap.counter("serve.worker.recovered"),
+        submits: snap.counter("serve.submits.resolved"),
         threads: shared.threads,
     }
 }
@@ -755,7 +770,7 @@ fn refuse_overloaded(
             overloaded: true,
             retry_after_ms: retry_after_hint(
                 shared.metrics.worker_busy_ns.get(),
-                shared.computed_cells.load(Ordering::SeqCst),
+                shared.metrics.cells_priced.get(),
                 queued,
                 shared.threads,
             ),
@@ -796,7 +811,7 @@ fn handle_submit(
     let Some(cells) = resolve_cells(matrix, writer)? else {
         return Ok(());
     };
-    shared.submits.fetch_add(1, Ordering::SeqCst);
+    shared.metrics.submits_resolved.incr();
     let total = cells.len();
     let (tx, rx) = mpsc::channel::<(usize, Result<CachedRow, String>)>();
     let mut ready: Vec<Option<CachedRow>> = vec![None; total];

@@ -497,6 +497,62 @@ fn metrics_verb_reconciles_with_the_request_history() {
 }
 
 #[test]
+fn status_is_a_view_of_the_metrics_registry() {
+    // A cold tier under a hot budget too small for the 16 rows, so the
+    // warm passes answer from both tiers and every lookup outcome occurs.
+    let dir = std::env::temp_dir().join(format!("ebird_serve_status_view_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 2,
+        cache_dir: Some(dir.clone()),
+        hot_bytes: Some(4_000),
+        ..ServerConfig::default()
+    });
+    let source = MatrixSource::Inline(tiny_matrix());
+    assert_eq!(
+        client::submit(&addr, &source, 0).unwrap().footer.computed,
+        16
+    );
+    assert_eq!(client::submit(&addr, &source, 0).unwrap().footer.cached, 16);
+    assert_eq!(client::fetch(&addr, &source).unwrap().footer.cached, 16);
+
+    // Quiescent: every job has settled before its last row was streamed.
+    let status = client::status(&addr).unwrap();
+    let m = client::metrics(&addr).unwrap();
+    let lookups = |outcome: &str| {
+        m.histogram(&format!("serve.cache.{outcome}"))
+            .map_or(0, |h| h.count)
+    };
+    assert_eq!(status.hits, lookups("hit_ns") + lookups("cold_read_ns"));
+    assert_eq!(status.misses, lookups("miss_ns"));
+    assert_eq!(status.cold_hits, lookups("cold_read_ns"));
+    assert_eq!(status.computed, m.counter("serve.cells.priced"));
+    assert_eq!(status.submits, m.counter("serve.submits.resolved"));
+    assert_eq!(status.coalesced, m.counter("serve.cells.coalesced"));
+    assert_eq!(status.overloaded, m.counter("serve.submits.overloaded"));
+    assert_eq!(status.recovered, m.counter("serve.worker.recovered"));
+    let inflight_gauge = m
+        .gauges
+        .iter()
+        .find(|g| g.name == "serve.worker.inflight_cells")
+        .map(|g| g.value);
+    assert_eq!((status.inflight, inflight_gauge), (0, Some(0)));
+
+    // And the history itself: one miss per cold cell, one hit per warm or
+    // fetched cell (some from disk), each cell priced once, and a fetch is
+    // not a submit.
+    assert_eq!((status.hits, status.misses), (32, 16));
+    assert!(status.cold_hits > 0 && status.evictions > 0, "{status:?}");
+    assert_eq!((status.computed, status.submits), (16, 2));
+    assert_eq!(
+        (status.coalesced, status.overloaded, status.recovered),
+        (0, 0, 0)
+    );
+    shutdown_and_join(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn shutdown_closes_the_listener() {
     let (addr, handle) = start_server(ServerConfig {
         threads: 1,

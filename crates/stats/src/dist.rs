@@ -5,8 +5,8 @@
 //! the experiment regenerators assert exact paper-band numbers in CI. We
 //! therefore ship a tiny self-contained RNG ([`Rng64`], xoshiro256++ seeded
 //! via SplitMix64) and the handful of distributions the models need:
-//! [`Normal`], [`LogNormal`], [`Exponential`], [`Uniform`], and
-//! [`TruncatedNormal`]. All implement [`Sample`].
+//! [`Normal`], [`LogNormal`], [`Exponential`] and [`Uniform`]. All
+//! implement [`Sample`].
 
 /// A sampling distribution over `f64`.
 pub trait Sample {
@@ -216,38 +216,6 @@ impl Sample for Uniform {
     }
 }
 
-/// Normal distribution truncated to `[lo, ∞)` by resampling (at most 64
-/// attempts, then clamped). Keeps compute-time models strictly positive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruncatedNormal {
-    /// The underlying normal.
-    pub base: Normal,
-    /// Lower truncation bound.
-    pub lo: f64,
-}
-
-impl TruncatedNormal {
-    /// Creates the distribution.
-    pub fn new(mean: f64, sd: f64, lo: f64) -> Self {
-        TruncatedNormal {
-            base: Normal::new(mean, sd),
-            lo,
-        }
-    }
-}
-
-impl Sample for TruncatedNormal {
-    fn sample(&self, rng: &mut Rng64) -> f64 {
-        for _ in 0..64 {
-            let x = self.base.sample(rng);
-            if x >= self.lo {
-                return x;
-            }
-        }
-        self.lo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,16 +308,6 @@ mod tests {
             m.push(x);
         }
         assert!((m.mean() - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn truncated_normal_respects_bound() {
-        let mut rng = Rng64::new(23);
-        // Mean below the bound: heavy truncation, still must respect lo.
-        let d = TruncatedNormal::new(-1.0, 0.5, 0.0);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 0.0);
-        }
     }
 
     #[test]

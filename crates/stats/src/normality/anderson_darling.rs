@@ -121,15 +121,6 @@ impl AndersonDarling {
         };
         p.clamp(0.0, 1.0)
     }
-
-    /// Critical value of A*² at a significance level given in percent
-    /// (one of 10, 5, 2.5, 1), or `None` for unsupported levels.
-    pub fn critical_value(significance_percent: f64) -> Option<f64> {
-        CRITICAL_TABLE
-            .iter()
-            .find(|(s, _)| (*s - significance_percent).abs() < 1e-9)
-            .map(|&(_, c)| c)
-    }
 }
 
 impl NormalityTest for AndersonDarling {
@@ -235,13 +226,6 @@ mod tests {
             log_term(-1.0, 0.0, 1.0, 0.5).to_bits(),
             two_logs(-1.0, 1.0).to_bits()
         );
-    }
-
-    #[test]
-    fn critical_value_lookup() {
-        assert_eq!(AndersonDarling::critical_value(5.0), Some(0.752));
-        assert_eq!(AndersonDarling::critical_value(1.0), Some(1.035));
-        assert_eq!(AndersonDarling::critical_value(7.3), None);
     }
 
     #[test]

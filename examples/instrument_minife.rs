@@ -10,8 +10,8 @@
 use early_bird::analysis::percentile_series::{iqr_stats, percentile_series};
 use early_bird::apps::{MiniFe, MiniFeParams, ProxyApp};
 use early_bird::cluster::JobConfig;
-use early_bird::core::{MonotonicClock, TimingTrace};
-use early_bird::runtime::Pool;
+use early_bird::core::TimingTrace;
+use early_bird::runtime::{Pool, WallClock};
 
 fn main() {
     // One rank, one trial, measured live: 30 CG iterations on a 20×20×60
@@ -33,7 +33,7 @@ fn main() {
     // stamps every thread around its loop share and hands back one sample
     // per thread, in thread order.
     let pool = Pool::new(cfg.threads);
-    let clock = MonotonicClock::new();
+    let clock = WallClock::new();
     let mut samples = Vec::with_capacity(cfg.shape().total_samples());
     for _ in 0..cfg.iterations {
         samples.extend(app.step(&pool, Some(&clock)));

@@ -22,14 +22,13 @@
 //! near-equal sample count per worker.
 //!
 //! The only parallelism-sensitive construct — merging floating-point
-//! [`Moments`] partials — is confined to [`campaign_moments`] and the trace
-//! scan's moments, which document their fixed-pool determinism.
+//! `Moments` partials — is confined to the trace scan's moments, which
+//! document their fixed-pool determinism.
 
 use ebird_cluster::{JobConfig, Workload};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_deliveries, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
-use ebird_stats::Moments;
 
 use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepScratch, SweepTasks};
 use crate::unit::UnitOrder;
@@ -178,40 +177,6 @@ pub fn sweep_levels_parallel_with_arenas(
         },
     );
     tasks.into_levels(outcomes, alpha)
-}
-
-/// Campaign-level moments (mean/variance/skewness/kurtosis/extrema over all
-/// compute times) via a [`Moments::merge`]-based parallel reduction: each
-/// worker streams its block of process-iterations into a local accumulator;
-/// partials merge in thread order at the join. Reference implementation;
-/// production goes through the trace scan
-/// ([`trace_scan_parallel_with_arenas`](crate::scan::trace_scan_parallel_with_arenas)),
-/// whose `moments` are tested bit-identical to this on the same pool.
-///
-/// Deterministic for a fixed pool size; across different pool sizes the
-/// result may differ in the last ulp (floating-point merge order), never in
-/// `count`/`min`/`max`.
-pub fn campaign_moments(trace: &TimingTrace, pool: &Pool) -> Moments {
-    let shape = trace.shape();
-    let units = shape.process_iterations();
-    pool.parallel_reduce(
-        units,
-        Moments::new,
-        |mut acc, unit| {
-            let (trial, rank, iteration) = shape.unit_coords(unit);
-            let samples = trace
-                .process_iteration(trial, rank, iteration)
-                .expect("unit in range by construction");
-            for s in samples {
-                acc.push(ThreadSample::compute_time_ms(s));
-            }
-            acc
-        },
-        |mut a, b| {
-            a.merge(&b);
-            a
-        },
-    )
 }
 
 /// The four canonical delivery strategies — the workspace's one definition
@@ -462,22 +427,6 @@ mod tests {
                 assert_eq!(dl, fresh_delivery, "round {round} × {workers}");
             }
         }
-    }
-
-    #[test]
-    fn campaign_moments_match_whole_trace_statistics() {
-        let tr = mixed_trace();
-        let pool = Pool::new(3);
-        let merged = campaign_moments(&tr, &pool);
-        let whole = Moments::from_slice(&tr.all_ms());
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-9);
-        // Fixed pool ⇒ reproducible bits.
-        let again = campaign_moments(&tr, &pool);
-        assert_eq!(merged, again);
     }
 
     #[test]

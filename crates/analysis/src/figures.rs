@@ -17,7 +17,7 @@ use crate::laggard::{ArrivalClass, LaggardCensus};
 /// Paper bin widths, in milliseconds.
 pub mod bins {
     /// Figure 3: 10 µs.
-    pub const FIG3_MS: f64 = 0.010;
+    pub(super) const FIG3_MS: f64 = 0.010;
     /// Figures 5a/5b and 7a: 50 µs.
     pub const FIG5_MS: f64 = 0.050;
     /// Figures 7b/7c: 10 µs.

@@ -47,7 +47,7 @@ pub mod report;
 pub mod scan;
 mod unit;
 
-pub use engine::{campaign_moments, EngineArenas};
+pub use engine::EngineArenas;
 pub use laggard::{laggard_census, LaggardCensus};
 pub use normality::{NormalitySweep, Table1};
 pub use percentile_series::{percentile_series, IqrStats};

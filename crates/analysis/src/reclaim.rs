@@ -26,7 +26,7 @@
 //! `t_max − tᵢ` in that order is the one addition sequence every route
 //! shares.
 
-use ebird_core::{ThreadSample, TimingTrace};
+use ebird_core::TimingTrace;
 use serde::{Deserialize, Serialize};
 
 use crate::unit::UnitOrder;
@@ -45,24 +45,6 @@ pub struct ReclaimMetrics {
     pub mean_max_ms: f64,
     /// Number of process-iterations aggregated.
     pub iterations: usize,
-}
-
-/// Per-process-iteration reclaimable time (ms).
-pub fn reclaimable_ms(samples: &[ThreadSample]) -> f64 {
-    let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
-    let max = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    ms.iter().map(|&t| max - t).sum()
-}
-
-/// Per-process-iteration idle ratio.
-pub fn idle_ratio(samples: &[ThreadSample]) -> f64 {
-    let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
-    let max = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max <= 0.0 {
-        return 0.0;
-    }
-    let idle: f64 = ms.iter().map(|&t| max - t).sum();
-    idle / (max * ms.len() as f64)
 }
 
 /// Per-process-iteration ingredients of [`ReclaimMetrics`].
@@ -134,7 +116,7 @@ pub fn reclaim_metrics(trace: &TimingTrace) -> ReclaimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{SampleIndex, TraceShape};
+    use ebird_core::{SampleIndex, ThreadSample, TraceShape};
 
     fn sample_ms(ms: f64) -> ThreadSample {
         ThreadSample::new(0, (ms * 1e6) as u64)
@@ -143,17 +125,16 @@ mod tests {
     #[test]
     fn reclaimable_of_hand_sample() {
         // Arrivals 1, 2, 3, 4 ms: Σ(4 − t) = 3 + 2 + 1 + 0 = 6.
-        let s: Vec<ThreadSample> = [1.0, 2.0, 3.0, 4.0].map(sample_ms).to_vec();
-        assert!((reclaimable_ms(&s) - 6.0).abs() < 1e-9);
+        let u = unit_reclaim(&[1.0, 2.0, 3.0, 4.0]);
+        assert!((u.idle_ms - 6.0).abs() < 1e-9);
         // Idle ratio = 6 / (4 × 4) = 0.375.
-        assert!((idle_ratio(&s) - 0.375).abs() < 1e-9);
+        assert!((u.ratio - 0.375).abs() < 1e-9);
     }
 
     #[test]
     fn identical_arrivals_have_zero_reclaim() {
-        let s: Vec<ThreadSample> = [5.0; 8].map(sample_ms).to_vec();
-        assert_eq!(reclaimable_ms(&s), 0.0);
-        assert_eq!(idle_ratio(&s), 0.0);
+        let u = unit_reclaim(&[5.0; 8]);
+        assert_eq!((u.idle_ms, u.ratio), (0.0, 0.0));
     }
 
     #[test]
@@ -161,10 +142,10 @@ mod tests {
         // 7 threads at 10 ms, one at 20 ms: reclaim = 7 × 10 = 70.
         let mut v = vec![10.0; 7];
         v.push(20.0);
-        let s: Vec<ThreadSample> = v.into_iter().map(sample_ms).collect();
-        assert!((reclaimable_ms(&s) - 70.0).abs() < 1e-9);
+        let u = unit_reclaim(&v);
+        assert!((u.idle_ms - 70.0).abs() < 1e-9);
         // ratio = 70 / (20 × 8) = 0.4375.
-        assert!((idle_ratio(&s) - 0.4375).abs() < 1e-9);
+        assert!((u.ratio - 0.4375).abs() < 1e-9);
     }
 
     #[test]
@@ -172,10 +153,8 @@ mod tests {
         // Arrivals uniform on (0, M]: mean idle → M/2, ratio → 1/2 — the
         // paper's "50% of cores consistently idle" shape.
         let n = 1000;
-        let s: Vec<ThreadSample> = (1..=n)
-            .map(|i| sample_ms(10.0 * i as f64 / n as f64))
-            .collect();
-        let r = idle_ratio(&s);
+        let ms: Vec<f64> = (1..=n).map(|i| 10.0 * i as f64 / n as f64).collect();
+        let r = unit_reclaim(&ms).ratio;
         assert!((r - 0.5).abs() < 0.01, "ratio {r}");
     }
 
@@ -210,9 +189,10 @@ mod tests {
     fn reclaim_identity_sum_equals_n_max_minus_sum() {
         // Σ(max − tᵢ) = n·max − Σtᵢ — algebraic identity, pinned numerically.
         let vals = [3.2, 1.1, 9.7, 4.4, 2.0];
-        let s: Vec<ThreadSample> = vals.map(sample_ms).to_vec();
+        let mut sorted = vals;
+        sorted.sort_by(f64::total_cmp);
         let max = 9.7;
-        let direct = reclaimable_ms(&s);
+        let direct = unit_reclaim(&sorted).idle_ms;
         let identity = vals.len() as f64 * max - vals.iter().sum::<f64>();
         assert!((direct - identity).abs() < 1e-6);
     }

@@ -291,7 +291,7 @@ mod tests {
             canonical_strategies, delivery_sweep_parallel_with_arenas, EngineArenas,
         };
         use crate::scan::trace_scan_parallel_with_arenas;
-        use ebird_partcomm::{LinkModel, SerialLink};
+        use ebird_partcomm::{link_by_name, SerialLink};
         use ebird_runtime::Pool;
 
         // 1 × 2 × 5 × 16: every thread arrives at 10 ms, except that in four
@@ -318,7 +318,7 @@ mod tests {
         // every strategy has long drained the rest and exposes only the
         // laggard's message. Hence each non-bulk strategy wins exactly the
         // laggard units.
-        let link = LinkModel::high_latency();
+        let link = link_by_name("high-latency").expect("a named link");
         let pool = Pool::new(2);
         let mut arenas = EngineArenas::new(2);
         let census = trace_scan_parallel_with_arenas(&tr, 1.0, &pool, &mut arenas).census;

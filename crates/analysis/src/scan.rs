@@ -23,10 +23,9 @@
 //!   unit quantities folded in trace order, the identical float-addition
 //!   sequence.
 //! * `moments` ≡ `Moments::from_slice(&trace.all_ms())` on a one-thread pool
-//!   (samples stream in trace order), and ≡
-//!   [`campaign_moments`](crate::engine::campaign_moments) on the same pool
-//!   for any size (same [`static_block`] decomposition, partials merged in
-//!   thread order).
+//!   (samples stream in trace order), and on a pool of any size ≡ one
+//!   accumulator per member's [`static_block`] of units, merged in thread
+//!   order.
 
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_runtime::{static_block, Pool};
@@ -66,8 +65,8 @@ struct ScanPart {
 /// kernels into its own pre-sized part; the parts join in thread order,
 /// which is trace order. Census and reclaim outputs are therefore
 /// bit-identical for any pool size (aggregates are folded in trace order
-/// after the join), and moments are bit-identical to
-/// [`campaign_moments`](crate::engine::campaign_moments) on the same pool.
+/// after the join); moments merge per-member partials in thread order, so
+/// they are bit-identical for a fixed pool size.
 ///
 /// # Panics
 /// If `threshold_ms` is not positive.
@@ -134,7 +133,6 @@ pub fn trace_scan_parallel_with_arenas(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::campaign_moments;
     use crate::laggard::laggard_census;
     use crate::reclaim::reclaim_metrics;
     use ebird_core::{SampleIndex, TraceShape};
@@ -191,13 +189,23 @@ mod tests {
             let par = scan_on(&tr, 1.0, workers);
             assert_eq!(one.census.iterations, par.census.iterations, "{workers}");
             assert_eq!(one.reclaim, par.reclaim, "{workers}");
-            // Moments merge in thread order: exact vs the campaign reduction
-            // on the same pool, exact vs the one-thread scan at one thread.
-            assert_eq!(
-                par.moments,
-                campaign_moments(&tr, &Pool::new(workers)),
-                "{workers}"
-            );
+            // Moments merge in thread order: exact vs each member's block
+            // streamed into its own accumulator, the partials merged in
+            // order, and exact vs the one-thread scan at one thread.
+            let units = tr.shape().process_iterations();
+            let blocks = (0..workers).map(|t| {
+                let mut m = Moments::new();
+                for unit in static_block(units, workers, t) {
+                    let (trial, rank, iteration) = tr.shape().unit_coords(unit);
+                    m.extend(&tr.process_iteration_ms(trial, rank, iteration).unwrap());
+                }
+                m
+            });
+            let merged = blocks.reduce(|mut a, b| {
+                a.merge(&b);
+                a
+            });
+            assert_eq!(Some(par.moments), merged, "{workers}");
             if workers == 1 {
                 assert_eq!(one.moments, par.moments);
             }

@@ -101,7 +101,8 @@ impl MiniFe {
     }
 
     /// Infinity-norm error against the known all-ones solution.
-    pub fn solution_error(&self) -> f64 {
+    #[cfg(test)]
+    fn solution_error(&self) -> f64 {
         self.x.iter().map(|&v| (v - 1.0).abs()).fold(0.0, f64::max)
     }
 

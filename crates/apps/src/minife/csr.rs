@@ -60,7 +60,8 @@ impl CsrMatrix {
     }
 
     /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
 
@@ -93,7 +94,8 @@ impl CsrMatrix {
 
     /// `true` if the sparsity pattern and values are symmetric (within `tol`);
     /// the FE stencil matrix must be, since CG requires SPD.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         for r in 0..self.rows {
             let (cols, vals) = self.row(r);
             for (&c, &v) in cols.iter().zip(vals) {

@@ -32,7 +32,8 @@ impl MeshDims {
     }
 
     /// Cubic mesh `n × n × n`.
-    pub fn cube(n: usize) -> Self {
+    #[cfg(test)]
+    fn cube(n: usize) -> Self {
         Self::new(n, n, n)
     }
 

@@ -9,7 +9,7 @@ use super::V3;
 use crate::rng::SplitMix64;
 
 /// The four FCC basis positions in unit-cell fractional coordinates.
-pub const FCC_BASIS: [V3; 4] = [
+const FCC_BASIS: [V3; 4] = [
     [0.0, 0.0, 0.0],
     [0.5, 0.5, 0.0],
     [0.5, 0.0, 0.5],

@@ -36,7 +36,8 @@ impl NeighborList {
     }
 
     /// Total stored neighbor entries.
-    pub fn total_pairs(&self) -> usize {
+    #[cfg(test)]
+    fn total_pairs(&self) -> usize {
         self.neighbors.len()
     }
 

@@ -156,13 +156,15 @@ impl MiniMd {
     }
 
     /// Kinetic energy `Σ ½ v²` (unit mass).
-    pub fn kinetic_energy(&self) -> f64 {
+    #[cfg(test)]
+    fn kinetic_energy(&self) -> f64 {
         0.5 * self.vel.iter().map(|v| norm2(*v)).sum::<f64>()
     }
 
     /// Potential energy `Σ_{i<j} 4(r⁻¹² − r⁻⁶)` within the cutoff (serial;
     /// diagnostics only).
-    pub fn potential_energy(&self) -> f64 {
+    #[cfg(test)]
+    fn potential_energy(&self) -> f64 {
         let cutoff2 = self.params.cutoff * self.params.cutoff;
         let mut e = 0.0;
         for i in 0..self.pos.len() {
@@ -181,12 +183,13 @@ impl MiniMd {
     }
 
     /// Total energy (diagnostics).
-    pub fn total_energy(&self) -> f64 {
+    #[cfg(test)]
+    fn total_energy(&self) -> f64 {
         self.kinetic_energy() + self.potential_energy()
     }
 
     /// Net momentum magnitude (conserved by LJ forces).
-    pub fn net_momentum(&self) -> f64 {
+    fn net_momentum(&self) -> f64 {
         let mut p = [0.0f64; 3];
         for v in &self.vel {
             for d in 0..3 {

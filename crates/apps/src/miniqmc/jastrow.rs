@@ -38,7 +38,7 @@ impl Jastrow {
 
     /// `du/dr`.
     #[inline]
-    pub fn du(&self, r: f64) -> f64 {
+    fn du(&self, r: f64) -> f64 {
         if r >= self.rc {
             0.0
         } else {
@@ -83,7 +83,8 @@ impl Jastrow {
     }
 
     /// Full `log J = −Σ_{i<j} u(r_ij)` (diagnostics/tests).
-    pub fn log_total(&self, electrons: &[V3], l: f64) -> f64 {
+    #[cfg(test)]
+    fn log_total(&self, electrons: &[V3], l: f64) -> f64 {
         let box_len = [l, l, l];
         let mut s = 0.0;
         for i in 0..electrons.len() {

@@ -100,7 +100,8 @@ impl Walker {
     }
 
     /// Accepted / proposed move counts.
-    pub fn acceptance(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn acceptance(&self) -> (u64, u64) {
         (self.accepted, self.proposed)
     }
 
@@ -210,7 +211,7 @@ impl MiniQmc {
     }
 
     /// Population-wide acceptance rate.
-    pub fn acceptance_rate(&self) -> f64 {
+    fn acceptance_rate(&self) -> f64 {
         let (acc, prop) = self
             .walkers
             .iter()

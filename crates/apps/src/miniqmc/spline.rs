@@ -31,7 +31,7 @@ pub fn basis(t: f64) -> [f64; 4] {
 
 /// Derivatives of the cubic basis at `t` (with respect to `t`).
 #[inline]
-pub fn basis_d(t: f64) -> [f64; 4] {
+fn basis_d(t: f64) -> [f64; 4] {
     let t2 = t * t;
     let mt = 1.0 - t;
     [
@@ -72,7 +72,8 @@ impl Spline3D {
 
     /// Builds a spline whose value is `c` everywhere (tests: partition of
     /// unity makes the interpolant exactly constant).
-    pub fn constant(n: usize, box_len: f64, c: f64) -> Self {
+    #[cfg(test)]
+    fn constant(n: usize, box_len: f64, c: f64) -> Self {
         Spline3D::new(n, box_len, vec![c; n * n * n])
     }
 

@@ -33,7 +33,7 @@ pub struct AppTargets {
 }
 
 /// MiniFE targets (§4.2.1, Table 1).
-pub const MINIFE: AppTargets = AppTargets {
+const MINIFE: AppTargets = AppTargets {
     name: "MiniFE",
     median_ms: 26.30,
     iqr_avg_ms: 0.18,
@@ -46,7 +46,7 @@ pub const MINIFE: AppTargets = AppTargets {
 
 /// MiniMD targets (§4.2.2, Table 1). IQR figures are the steady-state
 /// section; the first 19 iterations average 0.93 ms (max 1.45 ms).
-pub const MINIMD: AppTargets = AppTargets {
+const MINIMD: AppTargets = AppTargets {
     name: "MiniMD",
     median_ms: 24.74,
     iqr_avg_ms: 0.15,
@@ -61,7 +61,7 @@ pub const MINIMD: AppTargets = AppTargets {
 pub const MINIMD_PHASE_BOUNDARY: usize = 19;
 
 /// MiniQMC targets (§4.2.3, Table 1).
-pub const MINIQMC: AppTargets = AppTargets {
+const MINIQMC: AppTargets = AppTargets {
     name: "MiniQMC",
     median_ms: 60.91,
     iqr_avg_ms: 9.05,
@@ -80,7 +80,7 @@ pub const LAGGARD_THRESHOLD_MS: f64 = 1.0;
 pub const ALPHA: f64 = 0.05;
 
 /// All three target sets in paper order.
-pub const ALL: [AppTargets; 3] = [MINIFE, MINIMD, MINIQMC];
+const ALL: [AppTargets; 3] = [MINIFE, MINIMD, MINIQMC];
 
 /// Looks up targets by application name through the same canonical name
 /// table workload resolution uses

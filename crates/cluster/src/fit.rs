@@ -79,7 +79,7 @@ pub fn fit(trace: &TimingTrace) -> FittedModel {
 }
 
 /// Fits a model with an explicit laggard threshold (ms).
-pub fn fit_with_threshold(trace: &TimingTrace, threshold_ms: f64) -> FittedModel {
+fn fit_with_threshold(trace: &TimingTrace, threshold_ms: f64) -> FittedModel {
     assert!(threshold_ms > 0.0);
     let stats = iteration_stats(trace);
     let iterations = trace.shape().iterations;

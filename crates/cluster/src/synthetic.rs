@@ -84,7 +84,7 @@ pub struct AppModel {
 
 impl AppModel {
     /// The phase governing `iteration`.
-    pub fn phase_for(&self, iteration: usize) -> &Phase {
+    fn phase_for(&self, iteration: usize) -> &Phase {
         self.phases
             .iter()
             .rev()
@@ -441,7 +441,7 @@ impl SyntheticApp {
     /// Fills `out` (one slot per thread) with one process-iteration's compute
     /// times — the allocation-free core of [`process_iteration_ms`] that the
     /// campaign generators call with a reused per-worker scratch buffer.
-    pub fn process_iteration_into(
+    fn process_iteration_into(
         &self,
         seed: u64,
         trial: usize,

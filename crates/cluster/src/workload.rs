@@ -368,7 +368,7 @@ pub enum WorkloadSpec {
 /// Maximum [`WorkloadSpec::Mixture`] nesting depth accepted by
 /// [`WorkloadSpec::resolve`] — deep enough for any sane blend, shallow
 /// enough that adversarial JSON cannot blow the stack.
-pub const MAX_MIXTURE_DEPTH: usize = 4;
+const MAX_MIXTURE_DEPTH: usize = 4;
 
 impl WorkloadSpec {
     /// Short display label for table rows (the row's `app` column).

@@ -1,7 +1,9 @@
 //! `ebird-lint`: offline, dependency-free static analysis for the ebird
 //! workspace. Scans every `crates/*/src` file and enforces the repo's
 //! determinism and robustness rules (see [`rules`]), honoring the waiver
-//! file `lint.toml` at the workspace root (see [`config`]).
+//! file `lint.toml` at the workspace root (see [`config`]). `src/`,
+//! `examples/` and `benchmark/src` are read too, only as referrers of the
+//! crates' `pub` items.
 //!
 //! The driver is deliberately a line-walker over cleaned source — not a
 //! full parser — in the spirit of the vendored `serde_derive`: precise
@@ -30,6 +32,9 @@ pub struct Report {
     pub total_findings: usize,
     /// Files scanned.
     pub files_scanned: usize,
+    /// `no-test-only-pub` findings named only by `benchmark/src`: listed,
+    /// not violations.
+    pub benchmark_only: Vec<Violation>,
 }
 
 impl Report {
@@ -38,7 +43,12 @@ impl Report {
     }
 }
 
-/// Lints all `crates/*/src/**/*.rs` under `root`, applying `config`.
+/// The roots whose files are read only as referrers of `crates/*/src`'s
+/// `pub` items (see [`rules::no_test_only_pub`]); no rule lints them.
+const REFERRER_ROOTS: &[&str] = &["src", "examples", "benchmark/src"];
+
+/// Lints all `crates/*/src/**/*.rs` under `root`, applying `config`, with
+/// `src/`, `examples/` and `benchmark/src` read as referrers.
 pub fn lint_workspace(root: &Path, config: &Config) -> Result<Report, String> {
     let crates_dir = root.join("crates");
     let mut files: Vec<(String, String, PathBuf)> = Vec::new(); // (crate, rel, abs)
@@ -49,13 +59,12 @@ pub fn lint_workspace(root: &Path, config: &Config) -> Result<Report, String> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let src = crate_dir.join("src");
+    let roots = crate_dirs.iter().map(|dir| {
+        let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        (crate_name.to_string(), dir.join("src"))
+    });
+    let referrers = REFERRER_ROOTS.iter().map(|r| (String::new(), root.join(r)));
+    for (crate_name, src) in roots.chain(referrers) {
         if !src.is_dir() {
             continue;
         }
@@ -70,24 +79,38 @@ pub fn lint_workspace(root: &Path, config: &Config) -> Result<Report, String> {
     }
     files.sort_by(|a, b| a.1.cmp(&b.1));
 
-    let mut all = Vec::new();
+    let mut sources = Vec::new();
     for (crate_name, rel, abs) in &files {
         let content = std::fs::read_to_string(abs).map_err(|e| format!("reading {rel}: {e}"))?;
-        let file = SourceFile::new(rel, crate_name, &content);
-        all.extend(rules::check_file(&file));
+        sources.push(SourceFile::new(rel, crate_name, &content));
     }
-    Ok(apply_waivers(all, config, files.len()))
+    Ok(lint_files(&sources, config))
 }
 
 /// Lints in-memory sources (used by the fixture tests). Each entry is
-/// `(crate_name, repo_relative_path, content)`.
+/// `(crate_name, repo_relative_path, content)`; a path outside `crates/` is
+/// read only as a referrer.
 pub fn lint_sources(sources: &[(&str, &str, &str)], config: &Config) -> Report {
-    let mut all = Vec::new();
-    for (crate_name, rel, content) in sources {
-        let file = SourceFile::new(rel, crate_name, content);
-        all.extend(rules::check_file(&file));
+    let files: Vec<SourceFile> = sources
+        .iter()
+        .map(|(crate_name, rel, content)| SourceFile::new(rel, crate_name, content))
+        .collect();
+    lint_files(&files, config)
+}
+
+/// The per-file rules over every `crates/` file, then the cross-file one.
+fn lint_files(files: &[SourceFile], config: &Config) -> Report {
+    let linted: Vec<&SourceFile> = files
+        .iter()
+        .filter(|f| f.rel_path.starts_with("crates/"))
+        .collect();
+    let mut all: Vec<Violation> = linted.iter().flat_map(|f| rules::check_file(f)).collect();
+    let (test_only, benchmark_only) = rules::no_test_only_pub(files);
+    all.extend(test_only);
+    Report {
+        benchmark_only,
+        ..apply_waivers(all, config, linted.len())
     }
-    apply_waivers(all, config, sources.len())
 }
 
 fn collect_rs_files(dir: &Path, sink: &mut dyn FnMut(&Path)) -> Result<(), String> {
@@ -173,6 +196,7 @@ fn apply_waivers(findings: Vec<Violation>, config: &Config, files_scanned: usize
         stale,
         total_findings: total,
         files_scanned,
+        benchmark_only: Vec::new(),
     }
 }
 
@@ -194,6 +218,12 @@ pub fn render(report: &Report) -> String {
     }
     for s in &report.stale {
         out.push_str(&format!("{s}\n"));
+    }
+    for v in &report.benchmark_only {
+        out.push_str(&format!(
+            "{}:{}: benchmark-only: {}\n",
+            v.file, v.line, v.message
+        ));
     }
     let waived = report.total_findings - report.violations.len();
     let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();

@@ -3,21 +3,21 @@
 //! so findings are always in live, non-test code.
 
 use crate::cleaner;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose outputs are content-addressed or compared byte-for-byte:
 /// unspecified iteration order anywhere in them is a determinism hazard.
-pub const DETERMINISM_CRATES: &[&str] =
-    &["core", "stats", "analysis", "cluster", "partcomm", "apps"];
+const DETERMINISM_CRATES: &[&str] = &["core", "stats", "analysis", "cluster", "partcomm", "apps"];
 
 /// The crate allowed to spawn raw threads (it owns thread lifecycle).
-pub const SPAWN_CRATE: &str = "runtime";
+const SPAWN_CRATE: &str = "runtime";
 
 /// The crate whose request-handling/decode paths must not panic.
-pub const PANIC_PATH_CRATE: &str = "serve";
+const PANIC_PATH_CRATE: &str = "serve";
 
 /// Files whose `Deserialize` structs are wire formats needing
 /// `#[serde(default)]` on non-seed fields for rolling back-compat.
-pub const SERDE_DEFAULT_FILES: &[&str] = &[
+const SERDE_DEFAULT_FILES: &[&str] = &[
     "crates/serve/src/protocol.rs",
     "crates/serve/src/scenario.rs",
 ];
@@ -29,6 +29,7 @@ pub const RULE_IDS: &[&str] = &[
     "no-raw-spawn",
     "no-panic-path",
     "serde-default",
+    "no-test-only-pub",
 ];
 
 /// One finding.
@@ -322,6 +323,180 @@ fn field_name(line: &str) -> Option<&str> {
     }
     let name = t[..colon].trim();
     (!name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_')).then_some(name)
+}
+
+/// `no-test-only-pub`: a `pub` item of `crates/*/src` that no live code in
+/// another file names is surface only tests reach — delete it, narrow it, or
+/// waive it as a test seam. Referrers are the live lines of every file given
+/// (`crates/*/src`, `src/`, `examples/`, `benchmark/src`); `pub use`
+/// re-exports and the name a `fn` defines do not count. In the item's own
+/// file, a mention in another `pub` item's header (an enum's or trait's whole
+/// body) or on a `pub` field line counts, since narrowing the item would trip
+/// `private_interfaces`. An inherent method is checked only when its name is
+/// defined once. Returns the violations, then the findings only
+/// `benchmark/src` names: those are listed, not refused, because the
+/// benchmark may not be edited.
+pub fn no_test_only_pub(files: &[SourceFile]) -> (Vec<Violation>, Vec<Violation>) {
+    let referrers: Vec<BTreeSet<&str>> = files.iter().map(referrer_words).collect();
+    let mut fn_defs: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, line) in files.iter().flat_map(SourceFile::live_lines) {
+        let words: Vec<&str> = words(line).collect();
+        for pair in words.windows(2).filter(|pair| pair[0] == "fn") {
+            *fn_defs.entry(pair[1]).or_default() += 1;
+        }
+    }
+    let (mut violations, mut benchmark_only) = (Vec::new(), Vec::new());
+    for (fi, file) in files.iter().enumerate() {
+        if !file.rel_path.starts_with("crates/") {
+            continue;
+        }
+        let items = pub_items(file);
+        let interface: Vec<usize> = file
+            .live_lines()
+            .map(|(no, _)| no - 1)
+            .filter(|&i| {
+                let t = file.cleaned[i].trim_start();
+                (t.starts_with("pub ") && !t.starts_with("pub use "))
+                    || items.iter().any(|it| it.interface.contains(&i))
+            })
+            .collect();
+        for item in &items {
+            let method = item.kind == "fn" && file.cleaned[item.line].starts_with(' ');
+            if method && fn_defs.get(item.name).copied().unwrap_or(0) > 1 {
+                continue;
+            }
+            let in_signature = interface.iter().any(|&i| {
+                !item.interface.contains(&i) && contains_word(&file.cleaned[i], item.name)
+            });
+            let named_by = |bench: bool| {
+                files
+                    .iter()
+                    .zip(&referrers)
+                    .enumerate()
+                    .any(|(oi, (other, words))| {
+                        oi != fi
+                            && other.rel_path.starts_with("benchmark/") == bench
+                            && words.contains(item.name)
+                    })
+            };
+            if in_signature || named_by(false) {
+                continue;
+            }
+            let (sink, message) = if named_by(true) {
+                (&mut benchmark_only, "named only by benchmark/src")
+            } else {
+                (
+                    &mut violations,
+                    "named by no live code outside its file and the tests: delete it, \
+                     narrow it, or waive it as a test seam",
+                )
+            };
+            sink.push(Violation {
+                file: file.rel_path.clone(),
+                line: item.line + 1,
+                rule: "no-test-only-pub",
+                item: item.name.to_string(),
+                message: format!("pub {} `{}` is {message}", item.kind, item.name),
+            });
+        }
+    }
+    (violations, benchmark_only)
+}
+
+/// A `pub` item defined in live code: its kind, name, 0-based line, and the
+/// lines that state its interface (the header through its first `{` or `;`,
+/// and the whole body of an enum or trait).
+struct PubItem<'a> {
+    kind: &'a str,
+    name: &'a str,
+    line: usize,
+    interface: std::ops::RangeInclusive<usize>,
+}
+
+fn pub_items(file: &SourceFile) -> Vec<PubItem<'_>> {
+    let mut items = Vec::new();
+    for (no, line) in file.live_lines() {
+        let Some((kind, name)) = pub_item(line) else {
+            continue;
+        };
+        let (start, mut end, mut depth, mut opened) = (no - 1, no - 1, 0i32, false);
+        for (i, l) in file.cleaned.iter().enumerate().skip(start) {
+            end = i;
+            depth += l.matches('{').count() as i32 - l.matches('}').count() as i32;
+            opened |= l.contains('{');
+            let done = if matches!(kind, "enum" | "trait") {
+                opened && depth <= 0
+            } else {
+                l.contains(['{', ';']) || (matches!(kind, "const" | "static") && l.contains('='))
+            };
+            if done {
+                break;
+            }
+        }
+        items.push(PubItem {
+            kind,
+            name,
+            line: start,
+            interface: start..=end,
+        });
+    }
+    items
+}
+
+/// `pub [const|async|unsafe|extern ".."] KIND Name` → `(KIND, Name)` for the
+/// item kinds the rule checks; `pub use`, `pub mod`, fields and restricted
+/// visibilities → `None`.
+fn pub_item(line: &str) -> Option<(&str, &str)> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    loop {
+        let word = ident(rest)?;
+        let tail = &rest[rest.find(word)? + word.len()..];
+        match (word, ident(tail)) {
+            ("const", Some("fn" | "unsafe" | "async" | "extern"))
+            | ("async" | "unsafe" | "extern", _) => rest = tail,
+            ("fn" | "struct" | "enum" | "trait" | "type" | "const" | "static", Some(name)) => {
+                return Some((word, name))
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// The leading identifier of `s` after whitespace.
+fn ident(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    let end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    (end > 0).then_some(&s[..end])
+}
+
+/// Every identifier on a file's live lines, `pub use` re-exports excepted.
+fn referrer_words(file: &SourceFile) -> BTreeSet<&str> {
+    let mut words = BTreeSet::new();
+    let mut in_reexport = false;
+    for (_, line) in file.live_lines() {
+        in_reexport |= line.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+            continue;
+        }
+        // A definition names nothing: the word after `fn` is skipped.
+        let mut prev = "";
+        for word in self::words(line) {
+            if prev != "fn" {
+                words.insert(word);
+            }
+            prev = word;
+        }
+    }
+    words
+}
+
+/// The identifiers and number literals of a line, in order.
+fn words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
 }
 
 /// Word-boundary contains: `token` not embedded in a longer identifier.

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-pub fn histogram(values: &[u32]) -> BTreeMap<u32, usize> {
+fn histogram(values: &[u32]) -> BTreeMap<u32, usize> {
     let mut out = BTreeMap::new();
     for &v in values {
         *out.entry(v).or_insert(0) += 1;

@@ -2,7 +2,7 @@
 //! A `HashMap` here is prose, as is `Instant::now` or `.unwrap()`.
 //! Expected finding count: zero.
 
-pub fn describe() -> &'static str {
+fn describe() -> &'static str {
     // thread::spawn in a comment is also fine.
     "uses HashMap and Instant::now and thread::spawn and .unwrap() and .expect(\"x\")"
 }

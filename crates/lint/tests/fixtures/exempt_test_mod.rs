@@ -1,7 +1,7 @@
 //! Fixture: violations inside a `#[cfg(test)]` module must NOT fire.
 //! Expected finding count: zero.
 
-pub fn live() -> u32 {
+fn live() -> u32 {
     1
 }
 

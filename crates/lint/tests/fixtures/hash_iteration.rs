@@ -2,4 +2,4 @@
 //! Scanned as `crates/core/src/fixture.rs`; must fire `no-hash-iteration`
 //! exactly once.
 
-pub type Index = std::collections::HashMap<u32, u32>;
+type Index = std::collections::HashMap<u32, u32>;

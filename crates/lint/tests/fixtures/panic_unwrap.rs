@@ -1,6 +1,6 @@
 //! Fixture: exactly one `.unwrap()` on a serve path.
 //! Must fire `no-panic-path` exactly once.
 
-pub fn first(xs: &[u32]) -> u32 {
+fn first(xs: &[u32]) -> u32 {
     xs.first().copied().unwrap()
 }

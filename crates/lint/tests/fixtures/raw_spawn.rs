@@ -1,6 +1,6 @@
 //! Fixture: exactly one raw `thread::spawn` outside `crates/runtime`.
 //! Must fire `no-raw-spawn` exactly once.
 
-pub fn fire() {
+fn fire() {
     std::thread::spawn(|| {}).join().ok();
 }

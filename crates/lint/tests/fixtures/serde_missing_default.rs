@@ -5,7 +5,7 @@
 use serde::Deserialize;
 
 #[derive(Debug, Deserialize)]
-pub struct Wire {
+struct Wire {
     pub seed_field: u64,
     #[serde(default)]
     pub added_field: u32,

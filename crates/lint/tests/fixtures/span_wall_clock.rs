@@ -4,18 +4,18 @@
 //! `crates/obs/src/clock.rs`, so span-style timing anywhere else must
 //! still fire `no-wall-clock` exactly once.
 
-pub struct Span {
+struct Span {
     start: std::time::Instant,
 }
 
 impl Span {
-    pub fn open() -> Span {
+    fn open() -> Span {
         Span {
             start: std::time::Instant::now(),
         }
     }
 
-    pub fn elapsed_ns(&self) -> u128 {
+    fn elapsed_ns(&self) -> u128 {
         self.start.elapsed().as_nanos()
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture: exactly one `Instant::now` call outside the allowlist.
 //! Must fire `no-wall-clock` exactly once.
 
-pub fn stamp() -> std::time::Instant {
+fn stamp() -> std::time::Instant {
     std::time::Instant::now()
 }

@@ -1,7 +1,8 @@
 //! Driver-level tests: each known-bad fixture fires its rule exactly once
 //! (in memory and through the real binary with a real exit code), the
-//! exempt fixtures fire nothing, and the workspace itself lints clean with
-//! the shipped `lint.toml`.
+//! exempt fixtures fire nothing, the cross-file `no-test-only-pub` cases
+//! count only the referrers they should, and the workspace itself lints
+//! clean with the shipped `lint.toml`.
 
 use ebird_lint::config::Config;
 use ebird_lint::{lint_sources, lint_workspace};
@@ -18,6 +19,13 @@ const SPAN_WALL_CLOCK: &str = include_str!("fixtures/span_wall_clock.rs");
 const EXEMPT_TEST_MOD: &str = include_str!("fixtures/exempt_test_mod.rs");
 const EXEMPT_PROSE: &str = include_str!("fixtures/exempt_prose.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
+const TEST_ONLY_PUB: &str = include_str!("fixtures/test_only_pub.rs");
+const PUB_USER: &str = include_str!("fixtures/pub_user.rs");
+const PUB_REEXPORT: &str = include_str!("fixtures/pub_reexport.rs");
+const SIGNATURE_TYPE: &str = include_str!("fixtures/signature_type.rs");
+const SIGNATURE_USER: &str = include_str!("fixtures/signature_user.rs");
+const METHOD_NAMES: &str = include_str!("fixtures/method_names.rs");
+const METHOD_NAMES_OTHER: &str = include_str!("fixtures/method_names_other.rs");
 
 /// (crate dir, repo-relative path, fixture, rule expected to fire once).
 fn bad_fixtures() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
@@ -66,6 +74,48 @@ fn bad_fixtures() -> Vec<(&'static str, &'static str, &'static str, &'static str
             SERDE_MISSING_DEFAULT,
             "serde-default",
         ),
+        (
+            "core",
+            "crates/core/src/fixture.rs",
+            TEST_ONLY_PUB,
+            "no-test-only-pub",
+        ),
+    ]
+}
+
+type Tree = Vec<(&'static str, &'static str, &'static str)>;
+
+/// `no-test-only-pub` across files: (case, tree, violations, benchmark-only).
+fn cross_file_cases() -> Vec<(&'static str, Tree, usize, usize)> {
+    let defining = ("core", "crates/core/src/fixture.rs", TEST_ONLY_PUB);
+    vec![
+        (
+            "a use from another file",
+            vec![defining, ("bench", "crates/bench/src/user.rs", PUB_USER)],
+            0,
+            0,
+        ),
+        (
+            "a re-export alone",
+            vec![defining, ("core", "crates/core/src/lib.rs", PUB_REEXPORT)],
+            1,
+            0,
+        ),
+        (
+            "a type named only in a pub fn's signature",
+            vec![
+                ("stats", "crates/stats/src/fixture.rs", SIGNATURE_TYPE),
+                ("", "examples/user.rs", SIGNATURE_USER),
+            ],
+            0,
+            0,
+        ),
+        (
+            "a referrer only in benchmark/src",
+            vec![defining, ("", "benchmark/src/user.rs", PUB_USER)],
+            0,
+            1,
+        ),
     ]
 }
 
@@ -81,6 +131,29 @@ fn each_bad_fixture_fires_its_rule_exactly_once() {
         );
         assert_eq!(report.violations[0].rule, rule);
     }
+}
+
+#[test]
+fn test_only_pub_counts_live_uses_in_other_files_only() {
+    for (case, tree, violations, benchmark_only) in cross_file_cases() {
+        let report = lint_sources(&tree, &Config::default());
+        assert_eq!(report.violations.len(), violations, "{case}: {report:?}");
+        assert!(report.violations.iter().all(|v| v.item == "doubled"));
+        assert_eq!(report.benchmark_only.len(), benchmark_only, "{case}");
+    }
+}
+
+#[test]
+fn a_method_defined_twice_is_not_checked_and_a_definition_is_not_a_use() {
+    let report = lint_sources(
+        &[
+            ("core", "crates/core/src/a.rs", METHOD_NAMES),
+            ("core", "crates/core/src/b.rs", METHOD_NAMES_OTHER),
+        ],
+        &Config::default(),
+    );
+    let items: Vec<&str> = report.violations.iter().map(|v| v.item.as_str()).collect();
+    assert_eq!(items, ["probe", "helper"], "{:?}", report.violations);
 }
 
 #[test]
@@ -151,6 +224,25 @@ fn binary_exits_nonzero_on_each_fixture_violation() {
         assert_eq!(code, Some(1), "fixture for `{rule}` must exit 1:\n{stdout}");
         let hits = stdout.matches(&format!("[{rule}]")).count();
         assert_eq!(hits, 1, "`{rule}` must appear exactly once:\n{stdout}");
+    }
+}
+
+#[test]
+fn binary_lists_benchmark_only_items_and_refuses_test_only_ones() {
+    for (case, tree, violations, benchmark_only) in cross_file_cases() {
+        let (code, stdout) = run_binary_on(&tree, None);
+        let expected = if violations == 0 { 0 } else { 1 };
+        assert_eq!(code, Some(expected), "{case}:\n{stdout}");
+        assert_eq!(
+            stdout.matches("[no-test-only-pub]").count(),
+            violations,
+            "{case}:\n{stdout}"
+        );
+        assert_eq!(
+            stdout.matches("benchmark-only").count(),
+            benchmark_only,
+            "{case}:\n{stdout}"
+        );
     }
 }
 

@@ -1,16 +1,10 @@
-//! Fixed-bucket log2 latency histograms with exactly-mergeable snapshots.
+//! Fixed-bucket log2 latency histograms.
 //!
 //! A value lands in the bucket indexed by its bit width: bucket 0 holds the
 //! value 0, bucket `i` (`i ≥ 1`) holds `[2^(i-1), 2^i - 1]`. With 64-bit
-//! values that is [`BUCKETS`] = 65 buckets — small enough to ship over the
+//! values that is 65 buckets — small enough to ship over the
 //! wire whole, coarse enough (powers of two) that bucket placement is
 //! host-independent.
-//!
-//! Merging two snapshots is a per-bucket saturating add, which — like
-//! `stats::Moments::merge` — is **exactly** associative and commutative
-//! (unsigned saturating addition computes `min(Σ, MAX)` regardless of
-//! grouping). The property tests in `tests/hist_props.rs` pin both laws, so
-//! per-thread histograms can be reduced in any order with one result.
 //!
 //! Quantiles are estimated from bucket edges: [`HistogramSnapshot::quantile_bounds`]
 //! returns the edges of the bucket containing the rank-`⌈q·n⌉` value, which
@@ -20,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets: one per possible bit width of a `u64` (0..=64).
-pub const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
 
 /// Bucket index of a value: its bit width.
 fn bucket_index(value: u64) -> usize {
@@ -86,7 +80,7 @@ impl Default for Histogram {
     }
 }
 
-/// An immutable histogram state: mergeable, comparable, walkable.
+/// An immutable histogram state: comparable and walkable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     counts: [u64; BUCKETS],
@@ -94,31 +88,12 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The empty snapshot (the merge identity).
+    /// The empty snapshot.
     pub fn empty() -> Self {
         Self {
             counts: [0; BUCKETS],
             sum: 0,
         }
-    }
-
-    /// Build a snapshot from raw observations (test/replay convenience).
-    pub fn from_values(values: &[u64]) -> Self {
-        let mut s = Self::empty();
-        for &v in values {
-            s.counts[bucket_index(v)] = s.counts[bucket_index(v)].saturating_add(1);
-            s.sum = s.sum.saturating_add(v);
-        }
-        s
-    }
-
-    /// Fold `other` into `self` — per-bucket saturating add, exactly
-    /// associative and commutative.
-    pub fn merge_with(&mut self, other: &Self) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Total number of observations.
@@ -175,22 +150,6 @@ impl HistogramSnapshot {
             .map(|(i, &c)| (bucket_upper(i), c))
             .collect()
     }
-
-    /// Rebuild a snapshot from wire buckets (`(upper_edge, count)` pairs,
-    /// as produced by [`Self::nonzero_buckets`]) plus the value sum.
-    /// Unknown edges are ignored rather than rejected, so a peer one
-    /// protocol version apart still decodes.
-    pub fn from_buckets(buckets: &[(u64, u64)], sum: u64) -> Self {
-        let mut s = Self::empty();
-        for &(upper, count) in buckets {
-            let i = (0..BUCKETS).find(|&i| bucket_upper(i) == upper);
-            if let Some(i) = i {
-                s.counts[i] = s.counts[i].saturating_add(count);
-            }
-        }
-        s.sum = sum;
-        s
-    }
 }
 
 #[cfg(test)]
@@ -230,23 +189,5 @@ mod tests {
         assert!(lo <= 100 && 100 <= hi, "median bucket must contain 100");
         let est = s.quantile_estimate(0.5);
         assert!(lo <= est && est <= hi);
-    }
-
-    #[test]
-    fn empty_snapshot_is_merge_identity() {
-        let s = HistogramSnapshot::from_values(&[7, 7, 7, 1 << 40]);
-        let mut merged = HistogramSnapshot::empty();
-        merged.merge_with(&s);
-        assert_eq!(merged, s);
-        let mut other = s.clone();
-        other.merge_with(&HistogramSnapshot::empty());
-        assert_eq!(other, s);
-    }
-
-    #[test]
-    fn wire_buckets_roundtrip() {
-        let s = HistogramSnapshot::from_values(&[0, 1, 1, 9, 9, 9, u64::MAX]);
-        let rebuilt = HistogramSnapshot::from_buckets(&s.nonzero_buckets(), s.total());
-        assert_eq!(rebuilt, s);
     }
 }

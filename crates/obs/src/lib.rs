@@ -6,10 +6,9 @@
 //! * [`Registry`] — a named-metric registry handing out striped
 //!   [`Counter`]s, [`Gauge`]s and log2 latency [`Histogram`]s, with
 //!   deterministic (`BTreeMap`-ordered) [`Snapshot`]s.
-//! * [`HistogramSnapshot`] — fixed-bucket log2 histograms whose merge is a
-//!   per-bucket saturating add, and therefore **exactly** associative and
-//!   commutative, like `stats::Moments` under `merge` (the property tests
-//!   pin this). Quantile estimates come with provable bucket-edge bounds.
+//! * [`HistogramSnapshot`] — fixed-bucket log2 histograms whose quantile
+//!   estimates come with provable bucket-edge bounds (the property tests
+//!   pin them).
 //! * [`SpanGuard`] — span-based tracing over per-thread span stacks feeding
 //!   a bounded ring-buffer event log. Guards are RAII (`Drop`-popped), so a
 //!   panicking job cannot corrupt the stack.
@@ -30,6 +29,6 @@ pub mod registry;
 pub mod span;
 
 pub use clock::{ManualClock, TimeSource, WallClock};
-pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
 pub use span::{SpanEvent, SpanGuard};

@@ -4,7 +4,7 @@
 //! `Drop` — normally or during unwinding — so the per-thread stack can
 //! never be corrupted by a panicking job (the panic-safety test pins this).
 //! Closed spans become [`SpanEvent`]s in a bounded ring buffer (oldest
-//! dropped first) and feed the `span.{name}.ns` histogram, whose mergeable
+//! dropped first) and feed the `span.{name}.ns` histogram, whose
 //! snapshot is what crosses the wire.
 
 use crate::registry::{thread_index, Registry};
@@ -37,13 +37,6 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Close time, registry time-source nanoseconds.
     pub end_ns: u64,
-}
-
-impl SpanEvent {
-    /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
 }
 
 /// A bounded ring of closed spans; oldest events are dropped first.
@@ -145,10 +138,10 @@ mod tests {
         // Inner closes first.
         assert_eq!(events[0].name, "inner");
         assert_eq!(events[0].depth, 1);
-        assert_eq!(events[0].duration_ns(), 5);
+        assert_eq!(events[0].end_ns - events[0].start_ns, 5);
         assert_eq!(events[1].name, "outer");
         assert_eq!(events[1].depth, 0);
-        assert_eq!(events[1].duration_ns(), 25);
+        assert_eq!(events[1].end_ns - events[1].start_ns, 25);
         assert_eq!(reg.span_depth(), 0);
     }
 

@@ -25,7 +25,7 @@
 //! `Fabric` is one node behind a free hop, `LogGP` the same with link
 //! `(L, G)` and gap `g`, `Hierarchical` the general case. Where two settings
 //! coincide the prices are bit-identical: a 1-rank fabric is a bare
-//! [`SerialLink`], a one-node hierarchy with a [zero](LinkModel::zero)
+//! [`SerialLink`], a one-node hierarchy with a free (`zero`)
 //! uplink is the flat fabric, and a `g = 0` LogGP channel is the α/β link.
 //!
 //! Default parameters approximate the paper's Omni-Path fabric: ~1 µs
@@ -59,12 +59,12 @@ impl LinkModel {
     }
 
     /// A high-startup link (α = 50 µs) where aggregation should win.
-    pub fn high_latency() -> Self {
+    pub(crate) fn high_latency() -> Self {
         LinkModel::new(50.0e-3, 1.0 / 1.0e9 * 1.0e3)
     }
 
     /// A free link (α = β = 0) — the uplink hop of a flat [`Fabric`].
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         LinkModel::new(0.0, 0.0)
     }
 

@@ -41,11 +41,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Number of completed phases so far.
     pub fn phases(&self) -> usize {
         self.phases.load(Ordering::Relaxed)

@@ -308,31 +308,6 @@ impl Pool {
         self.fork_join(parts, |(block, range), ctx| body(block, range, ctx))
     }
 
-    /// Parallel fold-and-merge over `0..count` — the generic reduction the
-    /// analysis engine runs its `Moments::merge`-style combines on.
-    ///
-    /// Each team member folds its contiguous [`static_block`] of indices into
-    /// a local accumulator (`init` → repeated `fold`) and returns it; the
-    /// per-member partials then merge **in thread order** at the join. The
-    /// block decomposition and merge order are functions of
-    /// `(count, threads)` only, so the result is deterministic for a fixed
-    /// pool size even when `merge` is only associative up to floating-point
-    /// rounding.
-    pub fn parallel_reduce<T, I, F, M>(&self, count: usize, init: I, fold: F, merge: M) -> T
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(T, usize) -> T + Sync,
-        M: Fn(T, T) -> T + Sync,
-    {
-        self.fork_join(vec![(); self.n], |(), ctx| {
-            static_block(count, ctx.nthreads(), ctx.thread()).fold(init(), &fold)
-        })
-        .into_iter()
-        .reduce(merge)
-        .expect("pool has at least one thread")
-    }
-
     /// [`parallel_parts_mut`](Self::parallel_parts_mut), stamped as the
     /// paper's Listing 1 when given a clock, returning each member's sample
     /// in thread order.
@@ -520,33 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_matches_sequential_fold() {
-        let pool = Pool::new(4);
-        // Sum of squares with an exactly-associative merge (integers in f64).
-        let got = pool.parallel_reduce(100, || 0.0f64, |acc, i| acc + (i * i) as f64, |a, b| a + b);
-        assert_eq!(got, 328_350.0);
-        // Empty range returns the merged identities.
-        let empty = pool.parallel_reduce(0, || 7u64, |acc, _| acc + 1, |a, b| a.min(b));
-        assert_eq!(empty, 7);
-    }
-
-    #[test]
-    fn parallel_reduce_is_deterministic_for_fixed_pool() {
-        let pool = Pool::new(3);
-        let run = || {
-            pool.parallel_reduce(
-                1000,
-                || 0.0f64,
-                |acc, i| acc + 1.0 / (i as f64 + 1.0),
-                |a, b| a + b,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.to_bits(), b.to_bits(), "same decomposition, same bits");
-    }
-
-    #[test]
     fn observer_times_every_worker_on_every_fork_path() {
         let registry = Arc::new(ebird_obs::Registry::wall());
         let observer = PoolObserver::new(&registry);
@@ -597,11 +545,10 @@ mod tests {
         let mut data = vec![0u8; 4];
         pool.parallel_chunks_mut(&mut data, |_, _, _| {});
         pool.parallel_parts_mut(&mut data, &[3, 1], |_, _, _| {});
-        pool.parallel_reduce(4, || 0usize, |acc, i| acc + i, |a, b| a + b);
 
         let snap = registry.snapshot();
         let forks = snap.histogram(PoolObserver::FORK_NS);
-        assert_eq!(forks.count(), 4, "one entry per fork/join");
+        assert_eq!(forks.count(), 3, "one entry per fork/join");
     }
 
     #[test]
@@ -619,7 +566,7 @@ mod tests {
             clock.advance(700);
         };
         type Adapter<'a> = (&'static str, &'a dyn Fn(&Pool));
-        let adapters: [Adapter<'_>; 4] = [
+        let adapters: [Adapter<'_>; 3] = [
             ("region", &|pool| pool.region(|_| member())),
             ("chunks", &|pool| {
                 pool.parallel_chunks_mut(&mut [0u8; 3], |block, range, _| {
@@ -632,13 +579,6 @@ mod tests {
                     assert_eq!((block.len(), range), (3, 0..3));
                     member();
                 })
-            }),
-            ("reduce", &|pool| {
-                let init = || {
-                    member();
-                    0usize
-                };
-                assert_eq!(pool.parallel_reduce(4, init, |a, i| a + i, |a, b| a + b), 6);
             }),
         ];
         for (calls, (stage, call)) in (1u64..).zip(adapters) {
@@ -656,27 +596,6 @@ mod tests {
         // Unobserved, the same calls run the same inline path.
         for (_, call) in adapters {
             call(&Pool::new(1));
-        }
-    }
-
-    #[test]
-    fn reduce_partials_reach_the_merge_in_thread_order() {
-        for p in [1, 2, 5] {
-            // Each member's partial is its own thread id, learned from the
-            // indices it folds (count = p ⇒ one index per member).
-            let order = Pool::new(p).parallel_reduce(
-                p,
-                Vec::new,
-                |mut acc, i| {
-                    acc.push(i);
-                    acc
-                },
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            assert_eq!(order, (0..p).collect::<Vec<_>>(), "p = {p}");
         }
     }
 

@@ -273,7 +273,8 @@ impl<T> JobQueue<T> {
 
     /// Pops without blocking: `Some(job)` if one is queued, `None` otherwise
     /// (whether open-and-empty or closed).
-    pub fn try_pop(&self) -> Option<T> {
+    #[cfg(test)]
+    fn try_pop(&self) -> Option<T> {
         let mut g = self.state.lock();
         let entry = g.pop()?;
         let depth = g.depth;

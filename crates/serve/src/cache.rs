@@ -310,9 +310,9 @@ impl std::fmt::Debug for ResultCache {
 }
 
 impl ResultCache {
-    /// A hot-tier-only, unbounded cache (used by tests and cache-less
-    /// servers).
-    pub fn in_memory() -> Self {
+    /// A hot-tier-only, unbounded cache for the unit tests.
+    #[cfg(test)]
+    pub(crate) fn in_memory() -> Self {
         Self::new(CacheConfig::default()).expect("memory-only cache construction is infallible")
     }
 
@@ -320,7 +320,8 @@ impl ResultCache {
     ///
     /// # Errors
     /// See [`ResultCache::new`].
-    pub fn with_cold_tier(dir: impl AsRef<Path>) -> Result<Self, String> {
+    #[cfg(test)]
+    fn with_cold_tier(dir: impl AsRef<Path>) -> Result<Self, String> {
         Self::new(CacheConfig {
             cold_dir: Some(dir.as_ref().to_path_buf()),
             hot_budget_bytes: None,
@@ -533,12 +534,6 @@ impl ResultCache {
         self.hot.lock().budget()
     }
 
-    /// Entries reachable through the cold tier's point-read index
-    /// (0 for a memory-only cache).
-    pub fn cold_entries(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.lock().index.len())
-    }
-
     /// Hot-tier entries evicted under the byte budget since construction.
     pub fn evictions(&self) -> u64 {
         self.hot.lock().evictions()
@@ -667,7 +662,6 @@ mod tests {
             cache.insert(&ContentKey::of(format!("spec-{i}")), format!("row-{i}"));
         }
         assert!(cache.evictions() > 0);
-        assert_eq!(cache.cold_entries(), 100);
         // Every row — resident or evicted — still reads back correctly.
         for i in 0..100 {
             let hit = cache

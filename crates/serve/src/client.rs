@@ -197,6 +197,15 @@ fn streamed_once(
         return Ok(Attempt::Overloaded(refusal));
     }
     let header: SubmitHeader = checked(&first)?;
+    // `resolve` admits no larger matrix, so a bigger advertisement cannot
+    // be honest; refusing it bounds what the rows below may grow to.
+    if header.cells > crate::scenario::MAX_MATRIX_CELLS {
+        return Err(format!(
+            "server advertised {} cells, more than the {}-cell matrix cap",
+            header.cells,
+            crate::scenario::MAX_MATRIX_CELLS
+        ));
+    }
     let mut rows = Vec::with_capacity(header.cells);
     for _ in 0..header.cells {
         let line = conn.read_line()?;
@@ -257,23 +266,15 @@ fn streamed_with_retry(
     Err("server overloaded: retry policy allowed no attempts".to_string())
 }
 
-/// Submits a matrix and collects the streamed rows, retrying `overloaded`
-/// refusals under the default [`RetryPolicy`].
+/// Submits a matrix, retrying `overloaded` refusals under the default
+/// [`RetryPolicy`], and hands each row to `on_row` as it arrives — the hook
+/// `repro submit` uses to print rows live while a slow matrix computes.
+/// Rows are also collected in the outcome. (An `overloaded` refusal
+/// precedes the first row, so retries never hand `on_row` a duplicate.)
 ///
 /// # Errors
 /// Connection failures, server error replies, framing violations, and
 /// overload refusals that outlast the retry budget.
-pub fn submit(addr: &str, matrix: &MatrixSource, priority: i64) -> Result<SubmitOutcome, String> {
-    submit_streaming(addr, matrix, priority, |_| {})
-}
-
-/// Like [`submit`], but hands each row to `on_row` as it arrives — the hook
-/// `repro submit` uses to print rows live while a slow matrix computes.
-/// (An `overloaded` refusal precedes the first row, so retries never hand
-/// `on_row` a duplicate.)
-///
-/// # Errors
-/// See [`submit`].
 pub fn submit_streaming(
     addr: &str,
     matrix: &MatrixSource,
@@ -288,7 +289,7 @@ pub fn submit_streaming(
 /// error instead of sleeping on it.
 ///
 /// # Errors
-/// See [`submit`].
+/// See [`submit_streaming`].
 pub fn submit_with_retry(
     addr: &str,
     matrix: &MatrixSource,
@@ -307,18 +308,11 @@ pub fn submit_with_retry(
     )
 }
 
-/// Fetches a matrix's rows from the cache only (errors if incomplete).
+/// Fetches a matrix's rows from the cache only (errors if incomplete),
+/// handing each row to `on_row` as it arrives.
 ///
 /// # Errors
-/// See [`submit`]; additionally the server's `incomplete` error.
-pub fn fetch(addr: &str, matrix: &MatrixSource) -> Result<SubmitOutcome, String> {
-    fetch_streaming(addr, matrix, |_| {})
-}
-
-/// Like [`fetch`], but hands each row to `on_row` as it arrives.
-///
-/// # Errors
-/// See [`fetch`].
+/// See [`submit_streaming`]; additionally the server's `incomplete` error.
 pub fn fetch_streaming(
     addr: &str,
     matrix: &MatrixSource,
@@ -429,6 +423,36 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::time::Instant;
+
+    /// A header advertising more cells than any matrix may hold is refused
+    /// before any row is read or any memory reserved for rows.
+    #[test]
+    fn a_hostile_header_is_an_error_not_an_abort() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            BufReader::new(conn.try_clone().unwrap())
+                .read_line(&mut String::new())
+                .unwrap();
+            let header = SubmitHeader {
+                ok: true,
+                cells: 1_000_000_000_000_000,
+                cached: 0,
+                coalesced: 0,
+                scheduled: 0,
+            };
+            conn.write_all(format!("{}\n", reply_line(&header)).as_bytes())
+                .unwrap();
+        });
+        let source = MatrixSource::Preset("smoke".into());
+        let err = fetch_streaming(&addr, &source, |_| {}).unwrap_err();
+        server.join().unwrap();
+        assert_eq!(
+            err,
+            "server advertised 1000000000000000 cells, more than the 65536-cell matrix cap"
+        );
+    }
 
     /// Recovery from admission control, against a scripted server: two
     /// `overloaded` refusals carrying a back-off hint, then a real

@@ -50,7 +50,7 @@ pub mod server;
 
 pub use cache::{CacheConfig, CacheMetrics, ContentKey, ResultCache};
 pub use client::{
-    fetch, metrics, render_status, shutdown, status, submit, RetryPolicy, SubmitOutcome,
+    fetch_streaming, metrics, render_status, shutdown, status, RetryPolicy, SubmitOutcome,
 };
 pub use protocol::{
     BucketEntry, CounterEntry, GaugeEntry, HistogramEntry, MatrixSource, MetricsReply,

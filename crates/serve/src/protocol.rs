@@ -33,7 +33,7 @@ use crate::scenario::ScenarioMatrix;
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatrixSource {
     /// A built-in preset name (see
-    /// [`PRESET_NAMES`](crate::scenario::PRESET_NAMES)).
+    /// `scenario::PRESET_NAMES`).
     Preset(String),
     /// A full matrix supplied inline.
     Inline(ScenarioMatrix),
@@ -287,8 +287,7 @@ pub struct BucketEntry {
 }
 
 /// One latency histogram in a [`MetricsReply`]: quantile estimates plus the
-/// non-empty log2 buckets, enough to rebuild the mergeable snapshot
-/// client-side (`ebird_obs::HistogramSnapshot::from_buckets`).
+/// non-empty log2 buckets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramEntry {
     /// Metric name (e.g. `serve.request.submit.ns`).
@@ -324,12 +323,6 @@ impl HistogramEntry {
                 .map(|(le, count)| BucketEntry { le, count })
                 .collect(),
         }
-    }
-
-    /// Rebuilds the mergeable snapshot this entry was rendered from.
-    pub fn to_snapshot(&self) -> ebird_obs::HistogramSnapshot {
-        let buckets: Vec<(u64, u64)> = self.buckets.iter().map(|b| (b.le, b.count)).collect();
-        ebird_obs::HistogramSnapshot::from_buckets(&buckets, self.total_ns)
     }
 }
 
@@ -623,7 +616,11 @@ mod tests {
 
     #[test]
     fn metrics_reply_roundtrips_and_rebuilds_histograms() {
-        let hist = ebird_obs::HistogramSnapshot::from_values(&[80, 120, 4_000, 4_000, 65_000]);
+        let recorder = ebird_obs::Histogram::new();
+        for v in [80, 120, 4_000, 4_000, 65_000] {
+            recorder.record(v);
+        }
+        let hist = recorder.snapshot();
         let reply = MetricsReply {
             ok: true,
             uptime_ns: 5_000_000,
@@ -645,10 +642,12 @@ mod tests {
         assert_eq!(back, reply);
         assert_eq!(back.counter("serve.requests.total"), 7);
         assert_eq!(back.counter("missing"), 0);
-        // The wire entry rebuilds the exact mergeable snapshot.
         let entry = back.histogram("serve.request.submit.ns").unwrap();
         assert_eq!(entry.count, 5);
-        assert_eq!(entry.to_snapshot(), hist);
+        // The wire carries the snapshot's exact buckets and sum.
+        let buckets: Vec<(u64, u64)> = entry.buckets.iter().map(|b| (b.le, b.count)).collect();
+        assert_eq!(buckets, hist.nonzero_buckets());
+        assert_eq!(entry.total_ns, hist.total());
         // Quantile estimates stay inside the proven bucket bounds.
         let (lo, hi) = hist.quantile_bounds(0.5);
         assert!(lo <= entry.p50_ns && entry.p50_ns <= hi);

@@ -33,7 +33,7 @@ const FREQ_MAX: u8 = 3;
 
 /// Fixed per-entry bookkeeping overhead charged against the budget, beyond
 /// the spec + row payload bytes (map entry, queue slot, reference counts, counters).
-pub const ENTRY_OVERHEAD_BYTES: usize = 64;
+const ENTRY_OVERHEAD_BYTES: usize = 64;
 
 /// Where a resident entry currently queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -80,7 +80,7 @@ pub use ebird_partcomm::link_by_name;
 /// Default of the inert [`ScenarioMatrix::deadline_ms`] field: the value
 /// every preset and every matrix JSON without the field carries into its
 /// content keys.
-pub const DEFAULT_DEADLINE_MS: f64 = 10_000.0;
+const DEFAULT_DEADLINE_MS: f64 = 10_000.0;
 
 /// Serde default hook for `deadline_ms` — matrices saved before the field
 /// existed load with the historical 10 s value.
@@ -123,7 +123,7 @@ pub struct ScenarioMatrix {
     /// [`resolve`](Self::resolve) (positive and finite) and carried into
     /// every [`CellSpec`] — so content keys, and every cold tier on disk,
     /// stay what they were — but no row depends on it. Defaults to
-    /// [`DEFAULT_DEADLINE_MS`] when absent from matrix JSON; leaves the wire
+    /// `DEFAULT_DEADLINE_MS` when absent from matrix JSON; leaves the wire
     /// together with `transport_verified`, under one key-version bump.
     pub deadline_ms: f64,
 }
@@ -237,7 +237,7 @@ fn runs_real_kernel(spec: &WorkloadSpec) -> bool {
 
 /// The built-in preset names, in the order [`ScenarioMatrix::preset`]
 /// advertises them.
-pub const PRESET_NAMES: [&str; 6] = [
+const PRESET_NAMES: [&str; 6] = [
     "full",
     "smoke",
     "topology",
@@ -367,7 +367,7 @@ impl ScenarioMatrix {
     /// The topology campaign exercising the non-flat network models: 3 apps
     /// × 4 strategies × 2 models (hierarchical + LogGP) × 2 noise regimes ×
     /// 2 rank counts = 96 scenarios at 8-thread ranks.
-    pub fn topology() -> Self {
+    pub(crate) fn topology() -> Self {
         ScenarioMatrix {
             models: vec![
                 NetModelSpec::Hierarchical {
@@ -394,7 +394,7 @@ impl ScenarioMatrix {
 
     /// The CI topology smoke: [`topology`](Self::topology) reduced to 1
     /// noise regime × 1 rank count = 24 scenarios.
-    pub fn topology_smoke() -> Self {
+    fn topology_smoke() -> Self {
         ScenarioMatrix {
             noise: vec!["laggard".into()],
             ranks: vec![4],
@@ -435,7 +435,7 @@ impl ScenarioMatrix {
     }
 
     /// Looks up a built-in matrix by preset name (case-insensitive; see
-    /// [`PRESET_NAMES`]).
+    /// `PRESET_NAMES`).
     ///
     /// # Errors
     /// A human-readable message naming the unknown preset and the known

@@ -1403,8 +1403,8 @@ mod tests {
         let run_queued_jobs = |tap: &WireTap| {
             tap.wait_for_lines(1);
             assert_eq!(shared.queue.len(), 16, "{:?}", tap.lines());
-            while let Some(job) = shared.queue.try_pop() {
-                run_job(&shared, job);
+            while !shared.queue.is_empty() {
+                run_job(&shared, shared.queue.pop().expect("a job is queued"));
             }
         };
         let (tap_a, tap_b, tap_retry) =
@@ -1485,8 +1485,8 @@ mod tests {
             run_job(&shared, shared.queue.pop().expect("three jobs queued"));
             handler.join().unwrap().unwrap();
             // The other two groups price as usual; nobody is subscribed.
-            while let Some(job) = shared.queue.try_pop() {
-                run_job(&shared, job);
+            while !shared.queue.is_empty() {
+                run_job(&shared, shared.queue.pop().expect("a job is queued"));
             }
         });
         let lines = faulted.lines();

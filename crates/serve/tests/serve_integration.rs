@@ -39,6 +39,15 @@ fn start_server(config: ServerConfig) -> (String, JoinHandle<Result<(), String>>
     (addr, handle)
 }
 
+/// One submit under the default retry policy, rows collected.
+fn submit(
+    addr: &str,
+    source: &MatrixSource,
+    priority: i64,
+) -> Result<client::SubmitOutcome, String> {
+    client::submit_streaming(addr, source, priority, |_| {})
+}
+
 fn shutdown_and_join(addr: &str, handle: JoinHandle<Result<(), String>>) {
     let ack = client::shutdown(addr).expect("shutdown acknowledged");
     assert!(ack.ok && ack.stopping);
@@ -74,7 +83,7 @@ fn malformed_and_unknown_requests_get_error_replies() {
     bad.workloads = vec![WorkloadSpec::Named {
         name: "hpcg".into(),
     }];
-    let err = client::submit(&addr, &MatrixSource::Inline(bad), 0).unwrap_err();
+    let err = submit(&addr, &MatrixSource::Inline(bad), 0).unwrap_err();
     assert!(err.contains("invalid matrix"), "{err}");
     assert!(err.contains("hpcg"), "{err}");
 
@@ -98,7 +107,7 @@ fn streamed_rows_match_offline_run_matrix_bytes() {
         cache_dir: None,
         ..ServerConfig::default()
     });
-    let outcome = client::submit(&addr, &MatrixSource::Inline(matrix), 0).unwrap();
+    let outcome = submit(&addr, &MatrixSource::Inline(matrix), 0).unwrap();
     assert_eq!(outcome.header.cells, offline_lines.len());
     assert_eq!(outcome.header.cached, 0);
     assert_eq!(outcome.footer.computed, offline_lines.len());
@@ -118,11 +127,11 @@ fn resubmission_is_bit_identical_with_zero_recomputation() {
     });
     let source = MatrixSource::Inline(tiny_matrix());
 
-    let first = client::submit(&addr, &source, 0).unwrap();
+    let first = submit(&addr, &source, 0).unwrap();
     assert_eq!(first.footer.computed, first.header.cells);
     assert_eq!(first.footer.cached, 0);
 
-    let second = client::submit(&addr, &source, 0).unwrap();
+    let second = submit(&addr, &source, 0).unwrap();
     assert_eq!(
         second.footer.computed, 0,
         "second submit must recompute nothing"
@@ -137,7 +146,7 @@ fn resubmission_is_bit_identical_with_zero_recomputation() {
     // so every remaining cell is already cached.
     let mut overlap = tiny_matrix();
     overlap.ranks = vec![2];
-    let third = client::submit(&addr, &MatrixSource::Inline(overlap), 0).unwrap();
+    let third = submit(&addr, &MatrixSource::Inline(overlap), 0).unwrap();
     assert_eq!(third.footer.computed, 0, "shared cells must hit the cache");
     assert_eq!(third.header.cells, first.header.cells / 2);
 
@@ -167,14 +176,14 @@ fn real_kernel_cell_round_trips_through_the_service_cache() {
         ..ServerConfig::default()
     });
     let source = MatrixSource::Inline(matrix);
-    let first = client::submit(&addr, &source, 0).unwrap();
+    let first = submit(&addr, &source, 0).unwrap();
     assert_eq!(first.footer.computed, 1);
     let offline_lines: Vec<String> = offline
         .iter()
         .map(|r| serde_json::to_string(r).unwrap())
         .collect();
     assert_eq!(first.rows, offline_lines, "served ≠ offline bytes");
-    let second = client::submit(&addr, &source, 0).unwrap();
+    let second = submit(&addr, &source, 0).unwrap();
     assert_eq!((second.footer.cached, second.footer.computed), (1, 0));
     assert_eq!(second.rows, first.rows);
     shutdown_and_join(&addr, handle);
@@ -201,9 +210,9 @@ fn partially_cached_groups_compute_exactly_the_missing_cells() {
         .collect();
     assert_eq!(offline.len(), 32);
 
-    let prefill = client::submit(&addr, &MatrixSource::Inline(half), 0).unwrap();
+    let prefill = submit(&addr, &MatrixSource::Inline(half), 0).unwrap();
     assert_eq!(prefill.footer.computed, 16);
-    let outcome = client::submit(&addr, &MatrixSource::Inline(whole), 0).unwrap();
+    let outcome = submit(&addr, &MatrixSource::Inline(whole), 0).unwrap();
     assert_eq!(outcome.rows, offline);
     assert_eq!(outcome.footer.computed, 16, "exactly the missing cells");
     assert_eq!(outcome.footer.cached, 16, "the prefilled half");
@@ -226,7 +235,7 @@ fn cold_full_submit_is_one_job_per_group() {
         cache_dir: None,
         ..ServerConfig::default()
     });
-    let outcome = client::submit(&addr, &MatrixSource::Preset("full".into()), 0).unwrap();
+    let outcome = submit(&addr, &MatrixSource::Preset("full".into()), 0).unwrap();
     assert_eq!(outcome.rows.len(), 288);
     assert_eq!(outcome.footer.computed, 288);
     let m = client::metrics(&addr).unwrap();
@@ -249,12 +258,12 @@ fn fetch_is_cache_only() {
     });
     let source = MatrixSource::Inline(tiny_matrix());
 
-    let err = client::fetch(&addr, &source).unwrap_err();
+    let err = client::fetch_streaming(&addr, &source, |_| {}).unwrap_err();
     assert!(err.contains("incomplete"), "{err}");
     assert!(err.contains("16 of 16"), "{err}");
 
-    let submitted = client::submit(&addr, &source, 0).unwrap();
-    let fetched = client::fetch(&addr, &source).unwrap();
+    let submitted = submit(&addr, &source, 0).unwrap();
+    let fetched = client::fetch_streaming(&addr, &source, |_| {}).unwrap();
     assert_eq!(fetched.footer.computed, 0);
     assert_eq!(fetched.rows, submitted.rows);
 
@@ -280,7 +289,7 @@ fn four_concurrent_clients_all_get_correct_streams() {
         .map(|i| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                client::submit(&addr, &MatrixSource::Inline(tiny_matrix()), i as i64 % 3)
+                submit(&addr, &MatrixSource::Inline(tiny_matrix()), i as i64 % 3)
             })
         })
         .collect();
@@ -334,7 +343,7 @@ fn cold_tier_survives_server_restart() {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-    let first = client::submit(&addr, &source, 0).unwrap();
+    let first = submit(&addr, &source, 0).unwrap();
     assert_eq!(first.footer.computed, 16);
     shutdown_and_join(&addr, handle);
 
@@ -345,7 +354,7 @@ fn cold_tier_survives_server_restart() {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-    let fetched = client::fetch(&addr, &source).unwrap();
+    let fetched = client::fetch_streaming(&addr, &source, |_| {}).unwrap();
     assert_eq!(fetched.footer.computed, 0);
     assert_eq!(fetched.rows, first.rows);
     shutdown_and_join(&addr, handle);
@@ -391,11 +400,9 @@ fn status_output_is_byte_identical_across_fresh_servers() {
             cache_dir: None,
             ..ServerConfig::default()
         });
-        let cold =
-            client::submit(&addr, &MatrixSource::Inline(tiny_matrix()), 0).expect("cold submit");
+        let cold = submit(&addr, &MatrixSource::Inline(tiny_matrix()), 0).expect("cold submit");
         assert_eq!(cold.footer.computed, 16);
-        let warm =
-            client::submit(&addr, &MatrixSource::Inline(tiny_matrix()), 0).expect("warm submit");
+        let warm = submit(&addr, &MatrixSource::Inline(tiny_matrix()), 0).expect("warm submit");
         assert_eq!(warm.footer.cached, 16);
         let status_line =
             client::raw_exchange(&addr, "{\"verb\":\"status\"}").expect("status line");
@@ -419,9 +426,9 @@ fn metrics_verb_reconciles_with_the_request_history() {
         ..ServerConfig::default()
     });
     let source = MatrixSource::Inline(tiny_matrix());
-    let cold = client::submit(&addr, &source, 0).unwrap();
+    let cold = submit(&addr, &source, 0).unwrap();
     assert_eq!(cold.footer.computed, 16);
-    let warm = client::submit(&addr, &source, 0).unwrap();
+    let warm = submit(&addr, &source, 0).unwrap();
     assert_eq!(warm.footer.cached, 16);
     let _ = client::status(&addr).unwrap();
 
@@ -509,12 +516,15 @@ fn status_is_a_view_of_the_metrics_registry() {
         ..ServerConfig::default()
     });
     let source = MatrixSource::Inline(tiny_matrix());
+    assert_eq!(submit(&addr, &source, 0).unwrap().footer.computed, 16);
+    assert_eq!(submit(&addr, &source, 0).unwrap().footer.cached, 16);
     assert_eq!(
-        client::submit(&addr, &source, 0).unwrap().footer.computed,
+        client::fetch_streaming(&addr, &source, |_| {})
+            .unwrap()
+            .footer
+            .cached,
         16
     );
-    assert_eq!(client::submit(&addr, &source, 0).unwrap().footer.cached, 16);
-    assert_eq!(client::fetch(&addr, &source).unwrap().footer.cached, 16);
 
     // Quiescent: every job has settled before its last row was streamed.
     let status = client::status(&addr).unwrap();

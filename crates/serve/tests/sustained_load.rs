@@ -60,6 +60,15 @@ fn start_server(config: ServerConfig) -> (String, JoinHandle<Result<(), String>>
     (addr, handle)
 }
 
+/// One submit under the default retry policy, rows collected.
+fn submit(
+    addr: &str,
+    source: &MatrixSource,
+    priority: i64,
+) -> Result<client::SubmitOutcome, String> {
+    client::submit_streaming(addr, source, priority, |_| {})
+}
+
 fn shutdown_and_join(addr: &str, handle: JoinHandle<Result<(), String>>) {
     let ack = client::shutdown(addr).expect("shutdown acknowledged");
     assert!(ack.ok && ack.stopping);
@@ -89,7 +98,7 @@ fn two_racing_clients_compute_a_shared_cell_exactly_once() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                client::submit(&addr, &MatrixSource::Inline(one_cell_matrix()), 0)
+                submit(&addr, &MatrixSource::Inline(one_cell_matrix()), 0)
             })
         })
         .collect();
@@ -177,7 +186,7 @@ fn sustained_overlapping_load_is_coalesced_bounded_and_bit_identical() {
             std::thread::spawn(move || {
                 barrier.wait();
                 for _ in 0..2 {
-                    let outcome = client::submit(&addr, &MatrixSource::Inline(matrix.clone()), 0)
+                    let outcome = submit(&addr, &MatrixSource::Inline(matrix.clone()), 0)
                         .expect("sustained submit succeeds");
                     assert_eq!(
                         outcome.rows, expected,
@@ -272,7 +281,7 @@ fn server_restarts_over_a_torn_cold_tier_tail() {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-    let first = client::submit(&addr, &half_source, 0).unwrap();
+    let first = submit(&addr, &half_source, 0).unwrap();
     assert_eq!(first.footer.computed, 8);
     shutdown_and_join(&addr, handle);
 
@@ -293,10 +302,10 @@ fn server_restarts_over_a_torn_cold_tier_tail() {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-    let fetched = client::fetch(&addr, &half_source).unwrap();
+    let fetched = client::fetch_streaming(&addr, &half_source, |_| {}).unwrap();
     assert_eq!(fetched.footer.computed, 0, "intact rows survive the tear");
     assert_eq!(fetched.rows, first.rows);
-    let second = client::submit(&addr, &full_source, 0).unwrap();
+    let second = submit(&addr, &full_source, 0).unwrap();
     assert_eq!(
         second.footer.computed, 8,
         "only the 8 genuinely new cells are computed"
@@ -311,7 +320,7 @@ fn server_restarts_over_a_torn_cold_tier_tail() {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-    let replayed = client::fetch(&addr, &full_source).unwrap();
+    let replayed = client::fetch_streaming(&addr, &full_source, |_| {}).unwrap();
     assert_eq!(replayed.footer.computed, 0);
     assert_eq!(replayed.rows, second.rows);
     shutdown_and_join(&addr, handle);

@@ -1,13 +1,10 @@
-//! Descriptive statistics: streaming moments and batch summaries.
+//! Descriptive statistics: streaming moments.
 //!
 //! [`Moments`] is a numerically stable single-pass accumulator (Welford /
 //! Pébay update rules) for mean, variance, skewness and kurtosis — the raw
-//! ingredients of D'Agostino's K² test. [`Summary`] is the batch convenience
-//! wrapper that the analysis layer attaches to every aggregation unit.
+//! ingredients of D'Agostino's K² test.
 
 use serde::{Deserialize, Serialize};
-
-use crate::{ensure_finite, ensure_len, sorted_copy, StatsError};
 
 /// Single-pass accumulator for the first four central moments.
 ///
@@ -141,11 +138,6 @@ impl Moments {
         }
     }
 
-    /// Sample standard deviation (`√variance`).
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Biased skewness `g₁ = m₃ / m₂^{3/2}` (moment definition, as consumed by
     /// D'Agostino's test); `NaN` for n < 3 or zero variance.
     pub fn skewness(&self) -> f64 {
@@ -187,71 +179,6 @@ impl Moments {
         } else {
             self.max - self.min
         }
-    }
-}
-
-/// Batch summary of a sample: moments plus order statistics.
-///
-/// This is the record the analysis layer serializes for every aggregation
-/// unit (application, application-iteration, process-iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample (unbiased) standard deviation.
-    pub std_dev: f64,
-    /// Biased skewness `g₁`.
-    pub skewness: f64,
-    /// Biased kurtosis `b₂` (normal ⇒ 3).
-    pub kurtosis: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 5th percentile (type-7 interpolation).
-    pub p5: f64,
-    /// First quartile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a full summary of `sample`.
-    ///
-    /// # Errors
-    /// [`StatsError::SampleTooSmall`] if fewer than 2 observations,
-    /// [`StatsError::NonFinite`] if any value is NaN/∞.
-    pub fn from_sample(sample: &[f64]) -> Result<Self, StatsError> {
-        ensure_len(sample, 2)?;
-        ensure_finite(sample)?;
-        let m = Moments::from_slice(sample);
-        let sorted = sorted_copy(sample);
-        Ok(Summary {
-            n: sample.len(),
-            mean: m.mean(),
-            std_dev: m.std_dev(),
-            skewness: m.skewness(),
-            kurtosis: m.kurtosis(),
-            min: sorted[0],
-            p5: crate::percentile::percentile_of_sorted(&sorted, 5.0),
-            p25: crate::percentile::percentile_of_sorted(&sorted, 25.0),
-            median: crate::percentile::percentile_of_sorted(&sorted, 50.0),
-            p75: crate::percentile::percentile_of_sorted(&sorted, 75.0),
-            p95: crate::percentile::percentile_of_sorted(&sorted, 95.0),
-            max: sorted[sample.len() - 1],
-        })
-    }
-
-    /// Inter-quartile range `p75 − p25`.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
     }
 }
 
@@ -324,33 +251,6 @@ mod tests {
         assert!(m.skewness().is_nan());
         assert!(m.kurtosis().is_nan());
         assert!(m.range().is_nan());
-    }
-
-    #[test]
-    fn summary_matches_moments_and_percentiles() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = Summary::from_sample(&xs).unwrap();
-        assert_eq!(s.n, 100);
-        assert!((s.mean - 50.5).abs() < TOL);
-        assert!((s.median - 50.5).abs() < TOL);
-        assert!((s.min - 1.0).abs() < TOL);
-        assert!((s.max - 100.0).abs() < TOL);
-        // type-7: p25 of 1..=100 = 1 + 0.25*99 = 25.75
-        assert!((s.p25 - 25.75).abs() < TOL);
-        assert!((s.p75 - 75.25).abs() < TOL);
-        assert!((s.iqr() - 49.5).abs() < TOL);
-    }
-
-    #[test]
-    fn summary_rejects_bad_input() {
-        assert!(matches!(
-            Summary::from_sample(&[1.0]),
-            Err(StatsError::SampleTooSmall { .. })
-        ));
-        assert!(matches!(
-            Summary::from_sample(&[1.0, f64::NAN]),
-            Err(StatsError::NonFinite)
-        ));
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl HistogramSpec {
     /// Builds a spec that covers `[min, max]` of a sample with the given
     /// `width`, snapping the origin down to a multiple of `width` so bins of
     /// independently-built histograms line up and can be merged.
-    pub fn covering(min: f64, max: f64, width: f64) -> Result<Self, StatsError> {
+    fn covering(min: f64, max: f64, width: f64) -> Result<Self, StatsError> {
         if !(width > 0.0 && width.is_finite()) {
             return Err(StatsError::InvalidParameter(
                 "bin width must be positive and finite",
@@ -63,7 +63,7 @@ impl HistogramSpec {
     }
 
     /// Index of the bin containing `x`, or `None` for under/overflow.
-    pub fn bin_index(&self, x: f64) -> Option<usize> {
+    fn bin_index(&self, x: f64) -> Option<usize> {
         if x < self.origin {
             return None;
         }
@@ -72,7 +72,7 @@ impl HistogramSpec {
     }
 
     /// `[left, right)` edges of bin `i`.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
+    fn bin_edges(&self, i: usize) -> (f64, f64) {
         let left = self.origin + i as f64 * self.width;
         (left, left + self.width)
     }
@@ -104,7 +104,7 @@ impl Histogram {
     }
 
     /// Builds a histogram over `sample` with the given bin `width`, choosing a
-    /// snapped origin that covers the data (see [`HistogramSpec::covering`]).
+    /// snapped origin that covers the data (see `HistogramSpec::covering`).
     ///
     /// # Errors
     /// Propagates spec validation errors; empty samples are invalid.
@@ -161,16 +161,6 @@ impl Histogram {
     /// Per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Observations below the first bin.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at/after the end of the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Total recorded observations (bins + underflow + overflow).
@@ -274,8 +264,8 @@ mod tests {
         let xs: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 * 0.37).collect();
         let h = Histogram::from_sample(&xs, 1.0).unwrap();
         assert_eq!(h.total(), 1000);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.underflow, 0);
+        assert_eq!(h.overflow, 0);
         let sum: u64 = h.counts().iter().sum();
         assert_eq!(sum, 1000);
     }
@@ -284,8 +274,8 @@ mod tests {
     fn under_and_overflow_are_counted() {
         let mut h = Histogram::new(HistogramSpec::new(0.0, 1.0, 2).unwrap());
         h.extend([-1.0, 0.5, 1.5, 2.0, 99.0]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.counts(), &[1, 1]);
         assert_eq!(h.total(), 5);
     }
@@ -299,8 +289,8 @@ mod tests {
         b.extend([0.1, 2.5, -3.0, 10.0]);
         a.merge(&b).unwrap();
         assert_eq!(a.counts(), &[2, 1, 1, 1]);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
+        assert_eq!(a.underflow, 1);
+        assert_eq!(a.overflow, 1);
 
         let other = Histogram::new(HistogramSpec::new(0.0, 2.0, 4).unwrap());
         assert!(a.merge(&other).is_err());

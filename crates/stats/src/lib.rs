@@ -46,7 +46,7 @@ pub mod sort;
 pub mod special;
 pub mod timeseries;
 
-pub use descriptive::{Moments, Summary};
+pub use descriptive::Moments;
 pub use histogram::{Histogram, HistogramSpec};
 pub use normality::{
     anderson_darling::AndersonDarling, dagostino::DagostinoK2, shapiro_wilk::ShapiroWilk,

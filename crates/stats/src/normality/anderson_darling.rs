@@ -90,11 +90,6 @@ pub(crate) fn modification_factor(n: usize) -> f64 {
     1.0 + 0.75 / nf + 2.25 / (nf * nf)
 }
 
-/// Published case-3 significance levels (percent) and A*² critical values
-/// (D'Agostino & Stephens 1986, Table 4.7).
-pub const CRITICAL_TABLE: [(f64, f64); 4] =
-    [(10.0, 0.631), (5.0, 0.752), (2.5, 0.873), (1.0, 1.035)];
-
 /// The Anderson–Darling normality test (case 3). Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AndersonDarling;
@@ -159,6 +154,11 @@ impl NormalityTest for AndersonDarling {
 mod tests {
     use super::*;
     use crate::special::norm_quantile;
+
+    /// Published case-3 significance levels (percent) and A*² critical values
+    /// (D'Agostino & Stephens 1986, Table 4.7).
+    const CRITICAL_TABLE: [(f64, f64); 4] =
+        [(10.0, 0.631), (5.0, 0.752), (2.5, 0.873), (1.0, 1.035)];
 
     fn normal_scores(n: usize) -> Vec<f64> {
         (1..=n)

@@ -87,7 +87,7 @@ pub struct NormalityOutcome {
 impl NormalityOutcome {
     /// Decision at significance level `alpha`: `true` means *reject* the null
     /// hypothesis of normality.
-    pub fn rejects_normality(&self, alpha: f64) -> bool {
+    fn rejects_normality(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 

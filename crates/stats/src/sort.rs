@@ -8,7 +8,7 @@
 //! branch-mispredicting `partial_cmp` per comparison.
 //! Finite doubles admit a **monotone fixed-width key**: flip the sign bit for
 //! positives and all bits for negatives, and unsigned `u64` order equals
-//! numeric order ([`f64_total_key`]). [`sort_floats`] exploits that with an
+//! numeric order (`f64_total_key`). [`sort_floats`] exploits that with an
 //! LSD radix sort — branch-free, O(n) passes, scratch buffers reused across
 //! groups — falling back to a stable insertion sort below
 //! [`RADIX_THRESHOLD`] where per-pass histogram setup would dominate.
@@ -37,7 +37,7 @@ const RADIX_THRESHOLD: usize = 64;
 /// order, with `-0.0` canonicalized to `+0.0` so the two zeros tie exactly
 /// like `partial_cmp` says they do.
 #[inline]
-pub fn f64_total_key(x: f64) -> u64 {
+fn f64_total_key(x: f64) -> u64 {
     let x = if x == 0.0 { 0.0 } else { x };
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -68,7 +68,7 @@ impl SortScratch {
 /// `vals.sort_by(|a, b| a.partial_cmp(b).unwrap())` for finite inputs.
 ///
 /// Small slices use a stable insertion sort; larger ones an 8×8-bit LSD
-/// radix sort over [`f64_total_key`] carrying the original values as
+/// radix sort over `f64_total_key` carrying the original values as
 /// payload, skipping digits whose histogram is a single bucket.
 pub fn sort_floats(vals: &mut [f64], scratch: &mut SortScratch) {
     let n = vals.len();
@@ -174,12 +174,12 @@ fn insertion_sort(vals: &mut [f64]) {
 ///
 /// No longer on the sweep's path — re-sorting integer keys measured cheaper
 /// than merging sorted children. Kept exported because
-/// `benchmark/src/layers.rs` times [`merge_sorted_with_tmp`] as
-/// `stats.merge_ns_per_elem`; the benchmark change that drops that probe
-/// can delete both functions with it.
+/// `benchmark/src/layers.rs` times it as `stats.merge_ns_per_elem`; the
+/// benchmark change that drops that probe can delete it with it.
 ///
 /// Implemented as ⌈log₂ k⌉ passes of adjacent stable two-way merges
-/// (ping-ponging between `out` and one temporary buffer) rather than a
+/// (ping-ponging between `out` and the caller-owned `tmp`, resized as
+/// needed, contents on entry and exit unspecified) rather than a
 /// k-way priority queue: the per-element cost is a handful of predictable
 /// `u64` key compares and sequential copies instead of heap sifts, which
 /// measures several times faster on the sweep's 80–200-child merges.
@@ -188,13 +188,6 @@ fn insertion_sort(vals: &mut [f64]) {
 ///
 /// # Panics
 /// If `out.len()` differs from the children's total length.
-pub fn merge_sorted(children: &[&[f64]], out: &mut [f64]) {
-    merge_sorted_with_tmp(children, out, &mut Vec::new());
-}
-
-/// [`merge_sorted`] with a caller-owned ping-pong buffer, so a loop of
-/// merges avoids one `out`-sized allocation each. `tmp` is resized as
-/// needed; its contents on entry and exit are unspecified.
 pub fn merge_sorted_with_tmp(children: &[&[f64]], out: &mut [f64], tmp: &mut Vec<f64>) {
     let total: usize = children.iter().map(|c| c.len()).sum();
     assert_eq!(out.len(), total, "merge output length mismatch");
@@ -369,7 +362,7 @@ mod tests {
         let concat: Vec<f64> = [a.clone(), b.clone(), c.clone(), d.clone()].concat();
         let want = reference_sort(&concat);
         let mut out = vec![0.0; concat.len()];
-        merge_sorted(&[&a, &b, &c, &d], &mut out);
+        merge_sorted_with_tmp(&[&a, &b, &c, &d], &mut out, &mut Vec::new());
         assert_eq!(bits(&out), bits(&want));
     }
 
@@ -377,6 +370,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn merge_rejects_wrong_output_length() {
         let mut out = vec![0.0; 3];
-        merge_sorted(&[&[1.0, 2.0]], &mut out);
+        merge_sorted_with_tmp(&[&[1.0, 2.0]], &mut out, &mut Vec::new());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Everything is implemented from scratch:
 //!
-//! * [`ln_gamma`] — Lanczos approximation (g = 5, 6 terms), |ε| < 2e-10.
-//! * [`gammp`]/[`gammq`] — regularized incomplete gamma via series /
+//! * `ln_gamma` — Lanczos approximation (g = 5, 6 terms), |ε| < 2e-10.
+//! * `gammp`/`gammq` — regularized incomplete gamma via series /
 //!   continued-fraction (modified Lentz), converged to ~1e-15.
 //! * [`erf`] — expressed through the incomplete gamma
 //!   (erf(x) = P(1/2, x²)), inheriting its precision.
@@ -32,7 +32,7 @@
 ///
 /// # Panics
 /// Panics in debug builds if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     const COF: [f64; 6] = [
         76.180_091_729_471_46,
@@ -57,7 +57,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Uses the series expansion for `x < a + 1` and the continued fraction
 /// otherwise, both iterated to a relative tolerance of ~3e-16.
-pub fn gammp(a: f64, x: f64) -> f64 {
+fn gammp(a: f64, x: f64) -> f64 {
     debug_assert!(a > 0.0 && x >= 0.0, "gammp domain: a > 0, x >= 0");
     if x == 0.0 {
         0.0
@@ -69,7 +69,7 @@ pub fn gammp(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
-pub fn gammq(a: f64, x: f64) -> f64 {
+fn gammq(a: f64, x: f64) -> f64 {
     debug_assert!(a > 0.0 && x >= 0.0, "gammq domain: a > 0, x >= 0");
     if x == 0.0 {
         1.0
@@ -80,7 +80,7 @@ pub fn gammq(a: f64, x: f64) -> f64 {
     }
 }
 
-/// `ln Γ(1/2)` exactly as [`ln_gamma`]`(0.5)` computes it (bit-pinned by a
+/// `ln Γ(1/2)` exactly as `ln_gamma(0.5)` computes it (bit-pinned by a
 /// unit test). Every normal CDF/SF/quantile evaluation funnels through the
 /// incomplete gamma at `a = 1/2`; hoisting the Lanczos evaluation out of that
 /// hot path is free precision-wise because the constant carries the *same*
@@ -162,7 +162,7 @@ fn gammp_half(x: f64) -> f64 {
 /// `Q(1/2, x)` through the pre-hoisted [`LN_GAMMA_HALF`]. No longer on the
 /// hot path (the Chebyshev [`erfc`] replaced it) but kept as the reference
 /// oracle the fit is cross-checked against.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 fn gammq_half(x: f64) -> f64 {
     if x == 0.0 {
         1.0
@@ -655,7 +655,7 @@ pub fn norm_quantile(p: f64) -> f64 {
 /// Chi-square cumulative distribution function with `k` degrees of freedom.
 ///
 /// At `k = 2` — the null distribution of K² and Jarque–Bera — this is the
-/// closed form `1 − exp(−x/2)`; other `k` go through [`gammp`].
+/// closed form `1 − exp(−x/2)`; other `k` go through `gammp`.
 pub fn chi2_cdf(x: f64, k: f64) -> f64 {
     debug_assert!(k > 0.0, "chi2_cdf requires k > 0");
     if x <= 0.0 {
@@ -670,8 +670,8 @@ pub fn chi2_cdf(x: f64, k: f64) -> f64 {
 /// Chi-square survival function (upper tail) with `k` degrees of freedom.
 ///
 /// At `k = 2` this is exactly `exp(−x/2)`: one `exp`, where the general
-/// route through [`gammq`] iterates a series or continued fraction and
-/// inherits [`ln_gamma`]'s approximation error (a unit test holds the two
+/// route through `gammq` iterates a series or continued fraction and
+/// inherits `ln_gamma`'s approximation error (a unit test holds the two
 /// within 1e-14 over `x ∈ [1e-3, 700]`, so the general route stays checked).
 pub fn chi2_sf(x: f64, k: f64) -> f64 {
     debug_assert!(k > 0.0, "chi2_sf requires k > 0");

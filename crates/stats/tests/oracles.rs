@@ -324,7 +324,7 @@ fn null_rejections(n: usize, reps: usize, alpha: f64) -> [usize; 3] {
                     test.kind().name()
                 );
             }
-            *count += usize::from(outcome.rejects_normality(alpha));
+            *count += usize::from(!outcome.passes(alpha));
         }
     }
     rejected
@@ -453,15 +453,15 @@ fn power(n: usize, reps: usize, alpha: f64) -> [[f64; 3]; 5] {
     let mut tally = |xs: &[f64], check_alone: bool, counts: &mut [usize; 3]| {
         let fused = battery_with_scratch(xs, &mut scratch);
         for ((count, outcome), test) in counts.iter_mut().zip(fused).zip(ALONE) {
-            let rejects = outcome
+            let rejects = !outcome
                 .expect("a continuous sample is not degenerate")
-                .rejects_normality(alpha);
+                .passes(alpha);
             if check_alone {
                 let alone = test
                     .test(xs)
                     .expect("a continuous sample is not degenerate");
                 assert_eq!(
-                    alone.rejects_normality(alpha),
+                    !alone.passes(alpha),
                     rejects,
                     "n = {n}: {} decides differently alone",
                     test.kind().name()

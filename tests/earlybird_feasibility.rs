@@ -10,7 +10,7 @@ use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
 use early_bird::cluster::calibration::{LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
 use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
 use early_bird::partcomm::{
-    run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
+    link_by_name, run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
 };
 use early_bird::runtime::Pool;
 
@@ -76,7 +76,7 @@ fn tight_arrivals_with_high_alpha_penalize_early_bird() {
     // §2: "If the thread arrival times are too similar, we expect applications
     // to see a negative performance impact from moving to partitioned
     // communication." MiniMD's steady phase is the tight case.
-    let link = LinkModel::high_latency();
+    let link = link_by_name("high-latency").expect("a named link");
     // Build a steady, laggard-free MiniMD iteration by scanning a few.
     let app = SyntheticApp::minimd();
     let tr = app.generate(&JobConfig::new(1, 1, 60, 48), 3);
@@ -146,7 +146,7 @@ fn timeout_flush_recovers_most_of_the_laggard_win_for_minife() {
 
 #[test]
 fn binned_aggregation_scales_between_extremes() {
-    let link = LinkModel::high_latency();
+    let link = link_by_name("high-latency").expect("a named link");
     let a = arrivals(&SyntheticApp::miniqmc(), 10);
     let mut completions = Vec::new();
     for bins in [1, 2, 4, 8, 16, 48] {
@@ -200,7 +200,7 @@ fn across_the_campaign_early_bird_suits_miniqmc_and_minife_but_rarely_minimd() {
     // state mostly does not. Priced by the engine's delivery stage on every
     // process-iteration of a 2 × 2 × 60 × 48 campaign over a link whose
     // start-up cost makes 48 messages dearer than one.
-    let link = LinkModel::high_latency();
+    let link = link_by_name("high-latency").expect("a named link");
     let cfg = JobConfig::new(2, 2, 60, 48);
     let apps = SyntheticApp::all();
     let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();

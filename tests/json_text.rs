@@ -14,7 +14,7 @@ use early_bird::partcomm::{NetModelSpec, Strategy};
 use early_bird::runtime::Pool;
 use early_bird::serve::protocol::{reply_line, MatrixSource, Request};
 use early_bird::serve::scenario::{run_matrix, CellSpec, ScenarioMatrix, ScenarioRow};
-use early_bird::serve::{ContentKey, ResultCache};
+use early_bird::serve::{CacheConfig, ContentKey, ResultCache};
 use proptest::prelude::*;
 
 fn digest(text: &str) -> String {
@@ -30,7 +30,11 @@ fn json_text_is_pinned() {
     // the cold-tier file `smoke` leaves behind.
     let dir = std::env::temp_dir().join(format!("json-text-pinned-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::with_cold_tier(&dir).unwrap();
+    let cache = ResultCache::new(CacheConfig {
+        cold_dir: Some(dir.clone()),
+        hot_budget_bytes: None,
+    })
+    .unwrap();
     let mut keys_and_rows = String::new();
     for matrix in [ScenarioMatrix::full(), ScenarioMatrix::smoke()] {
         let cells = matrix.resolve().unwrap().cells();
@@ -79,7 +83,7 @@ fn json_text_is_pinned() {
         matrix: MatrixSource::Inline(ScenarioMatrix::workload()),
         priority: 7,
     }) + &reply_line(&Request::Fetch {
-        matrix: MatrixSource::Inline(ScenarioMatrix::topology()),
+        matrix: MatrixSource::Inline(ScenarioMatrix::preset("topology").unwrap()),
     });
     assert_eq!(digest(&inline), "24b2020283719352d3ed70bc78729560");
 

@@ -64,7 +64,7 @@ fn application_level_rejects_everywhere() {
         for (i, o) in sw.outcomes[0].iter().enumerate() {
             let o = o.as_ref().expect("test ran");
             assert!(
-                o.rejects_normality(0.05),
+                !o.passes(0.05),
                 "{} test {i}: p = {}",
                 app.name(),
                 o.p_value

@@ -436,8 +436,9 @@ mod tests {
         // The oracle: every cell priced on its own, on a fresh model and
         // fresh scratch.
         let oracle: Vec<[DeliveryOutcome; 4]> = tr
-            .iter_process_iterations()
-            .map(|(_, _, _, samples)| {
+            .samples()
+            .chunks(tr.shape().threads)
+            .map(|samples| {
                 let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
                 canonical_strategies(ms.len()).map(|s| {
                     run_delivery(

@@ -8,7 +8,8 @@
 //! | 7b/7c | MiniMD steady exemplars (no-laggard / laggard) | 10 µs |
 //! | 9 | MiniQMC process-iteration exemplar | 1 ms |
 
-use ebird_core::{ThreadSample, TimingTrace};
+use ebird_core::view::fill_group_ms;
+use ebird_core::{AggregationLevel, TimingTrace};
 use ebird_stats::histogram::Histogram;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +43,8 @@ pub struct FigureHistogram {
 
 /// Figure 3 for one application: the application-level histogram (10 µs bins).
 pub fn fig3(trace: &TimingTrace, label: &str) -> FigureHistogram {
-    let all = trace.all_ms();
+    let mut all = Vec::new();
+    fill_group_ms(trace, AggregationLevel::Application, 0, &mut all);
     FigureHistogram {
         label: label.to_string(),
         app: trace.app().to_string(),
@@ -51,23 +53,23 @@ pub fn fig3(trace: &TimingTrace, label: &str) -> FigureHistogram {
     }
 }
 
-/// Histogram of one process-iteration with an explicit bin width (ms).
+/// Histogram of process-iteration `unit` (a census unit index) with an
+/// explicit bin width (ms).
+///
+/// # Panics
+/// If `unit` is out of range for the trace.
 pub fn process_iteration_histogram(
     trace: &TimingTrace,
-    trial: usize,
-    rank: usize,
-    iteration: usize,
+    unit: usize,
     bin_ms: f64,
     label: &str,
 ) -> FigureHistogram {
-    let samples = trace
-        .process_iteration(trial, rank, iteration)
-        .expect("provenance must be in range");
-    let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
+    let mut ms = Vec::new();
+    fill_group_ms(trace, AggregationLevel::ProcessIteration, unit, &mut ms);
     FigureHistogram {
         label: label.to_string(),
         app: trace.app().to_string(),
-        provenance: Some((trial, rank, iteration)),
+        provenance: Some(trace.shape().unit_coords(unit)),
         histogram: Histogram::from_sample(&ms, bin_ms).expect("threads ≥ 1"),
     }
 }
@@ -85,15 +87,7 @@ pub fn class_exemplar_pair(
 ) -> (Option<FigureHistogram>, Option<FigureHistogram>) {
     let make = |class: ArrivalClass, suffix: &str| {
         census.exemplar(class, from_iteration).map(|(unit, _)| {
-            let (trial, rank, iteration) = census.coords(unit);
-            process_iteration_histogram(
-                trace,
-                trial,
-                rank,
-                iteration,
-                bin_ms,
-                &format!("{label_prefix}{suffix}"),
-            )
+            process_iteration_histogram(trace, unit, bin_ms, &format!("{label_prefix}{suffix}"))
         })
     };
     (
@@ -106,7 +100,7 @@ pub fn class_exemplar_pair(
 mod tests {
     use super::*;
     use crate::laggard::laggard_census;
-    use ebird_core::{SampleIndex, TraceShape};
+    use ebird_core::{SampleIndex, ThreadSample, TraceShape};
 
     fn trace() -> TimingTrace {
         TimingTrace::from_fn(
@@ -140,7 +134,8 @@ mod tests {
     #[test]
     fn process_iteration_histogram_has_thread_count_mass() {
         let tr = trace();
-        let f = process_iteration_histogram(&tr, 0, 1, 2, bins::FIG5_MS, "fig5a");
+        // Unit 8 of a 1 × 2 × 6 trace is (trial 0, rank 1, iteration 2).
+        let f = process_iteration_histogram(&tr, 8, bins::FIG5_MS, "fig5a");
         assert_eq!(f.histogram.total(), 8);
         assert_eq!(f.provenance, Some((0, 1, 2)));
     }

@@ -5,7 +5,8 @@
 //! compute times pooled across trials and ranks. The companion IQR statistics
 //! (average and maximum across iterations) quantify each series.
 
-use ebird_core::TimingTrace;
+use ebird_core::view::fill_group_ms;
+use ebird_core::{AggregationLevel, TimingTrace};
 use ebird_stats::percentile::PercentileSummary;
 use serde::{Deserialize, Serialize};
 
@@ -22,9 +23,11 @@ pub struct IqrStats {
 
 /// Computes the per-iteration percentile summaries, in iteration order.
 pub fn percentile_series(trace: &TimingTrace) -> Vec<PercentileSummary> {
-    (0..trace.shape().iterations)
+    let level = AggregationLevel::ApplicationIteration;
+    let mut ms = Vec::new();
+    (0..level.group_count(trace))
         .map(|i| {
-            let ms = trace.app_iteration_ms(i).expect("iteration in range");
+            fill_group_ms(trace, level, i, &mut ms);
             PercentileSummary::from_sample(&ms).expect("threads ≥ 1, finite")
         })
         .collect()

@@ -108,8 +108,9 @@ pub fn reclaim_metrics(trace: &TimingTrace) -> ReclaimMetrics {
     let mut order = UnitOrder::default();
     fold_units(
         trace
-            .iter_process_iterations()
-            .map(|(_, _, _, samples)| unit_reclaim(order.sorted_ms(samples))),
+            .samples()
+            .chunks(trace.shape().threads)
+            .map(|samples| unit_reclaim(order.sorted_ms(samples))),
     )
 }
 

@@ -22,10 +22,11 @@
 //! * `reclaim` ≡ [`reclaim_metrics`](crate::reclaim::reclaim_metrics) — per
 //!   unit quantities folded in trace order, the identical float-addition
 //!   sequence.
-//! * `moments` ≡ `Moments::from_slice(&trace.all_ms())` on a one-thread pool
-//!   (samples stream in trace order), and on a pool of any size ≡ one
-//!   accumulator per member's [`static_block`] of units, merged in thread
-//!   order.
+//! * `moments` ≡ `Moments::from_slice` of the application group's
+//!   milliseconds ([`fill_group_ms`](ebird_core::view::fill_group_ms)) on a
+//!   one-thread pool (samples stream in trace order), and on a pool of any
+//!   size ≡ one accumulator per member's [`static_block`] of units, merged
+//!   in thread order.
 
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_runtime::{static_block, Pool};
@@ -135,7 +136,8 @@ mod tests {
     use super::*;
     use crate::laggard::laggard_census;
     use crate::reclaim::reclaim_metrics;
-    use ebird_core::{SampleIndex, TraceShape};
+    use ebird_core::view::fill_group_ms;
+    use ebird_core::{AggregationLevel, SampleIndex, TraceShape};
 
     /// Mixed-shape trace: normal-ish groups, periodic laggards, one flat
     /// process-iteration — same topology the engine tests pin.
@@ -178,7 +180,9 @@ mod tests {
         assert_eq!(scan.census.threshold_ms, census.threshold_ms);
         assert_eq!(scan.census.iterations, census.iterations);
         assert_eq!(scan.reclaim, reclaim_metrics(&tr));
-        assert_eq!(scan.moments, Moments::from_slice(&tr.all_ms()));
+        let mut all = Vec::new();
+        fill_group_ms(&tr, AggregationLevel::Application, 0, &mut all);
+        assert_eq!(scan.moments, Moments::from_slice(&all));
     }
 
     #[test]
@@ -192,12 +196,14 @@ mod tests {
             // Moments merge in thread order: exact vs each member's block
             // streamed into its own accumulator, the partials merged in
             // order, and exact vs the one-thread scan at one thread.
-            let units = tr.shape().process_iterations();
+            let level = AggregationLevel::ProcessIteration;
+            let units = level.group_count(&tr);
+            let mut ms = Vec::new();
             let blocks = (0..workers).map(|t| {
                 let mut m = Moments::new();
                 for unit in static_block(units, workers, t) {
-                    let (trial, rank, iteration) = tr.shape().unit_coords(unit);
-                    m.extend(&tr.process_iteration_ms(trial, rank, iteration).unwrap());
+                    fill_group_ms(&tr, level, unit, &mut ms);
+                    m.extend(&ms);
                 }
                 m
             });

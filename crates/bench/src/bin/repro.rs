@@ -551,12 +551,11 @@ fn cmd_exemplars(
 fn cmd_fig7(c: &Campaign) -> Result<(), String> {
     let (tr, census) = (&c.traces[1], &c.scans()[1].census);
     // 7a: initial-phase exemplar (median-magnitude iteration < 19, 50 µs bins).
-    let early: Vec<_> = (0..census.iterations.len())
-        .map(|unit| census.coords(unit))
-        .filter(|&(_, _, iteration)| iteration < MINIMD_PHASE_BOUNDARY)
+    let early: Vec<usize> = (0..census.iterations.len())
+        .filter(|&unit| census.coords(unit).2 < MINIMD_PHASE_BOUNDARY)
         .collect();
-    if let Some(&(trial, rank, iter)) = early.get(early.len() / 2) {
-        let f = figures::process_iteration_histogram(tr, trial, rank, iter, bins::FIG5_MS, "fig7a");
+    if let Some(&unit) = early.get(early.len() / 2) {
+        let f = figures::process_iteration_histogram(tr, unit, bins::FIG5_MS, "fig7a");
         println!("{}", report::render_histogram(&f, 40));
         write_csv(c.opts, "fig7a.csv", &report::histogram_csv(&f))?;
     }
@@ -570,9 +569,7 @@ fn cmd_fig9(c: &Campaign) -> Result<(), String> {
     let classes = [ArrivalClass::Laggard, ArrivalClass::NoLaggard];
     let exemplar = classes.iter().find_map(|&c| census.exemplar(c, 0));
     if let Some((unit, _)) = exemplar {
-        let (trial, rank, iteration) = census.coords(unit);
-        let f =
-            figures::process_iteration_histogram(tr, trial, rank, iteration, bins::FIG9_MS, "fig9");
+        let f = figures::process_iteration_histogram(tr, unit, bins::FIG9_MS, "fig9");
         println!("{}", report::render_histogram(&f, 40));
         write_csv(c.opts, "fig9.csv", &report::histogram_csv(&f))?;
     }

@@ -17,6 +17,7 @@ use ebird_stats::percentile::PercentileSummary;
 use ebird_stats::timeseries::change_points;
 use serde::{Deserialize, Serialize};
 
+use crate::calibration::LAGGARD_THRESHOLD_MS;
 use crate::noise::{Contamination, LaggardProcess, Turbulence};
 use crate::synthetic::{AppModel, Phase};
 
@@ -56,9 +57,13 @@ pub struct FittedModel {
 
 /// Per-iteration robust statistics used by the fit.
 fn iteration_stats(trace: &TimingTrace) -> Vec<(usize, PercentileSummary)> {
+    let shape = trace.shape();
     trace
-        .iter_process_iterations()
-        .map(|(_, _, iteration, samples)| {
+        .samples()
+        .chunks(shape.threads)
+        .enumerate()
+        .map(|(unit, samples)| {
+            let (_, _, iteration) = shape.unit_coords(unit);
             let ms: Vec<f64> = samples.iter().map(ThreadSample::compute_time_ms).collect();
             (
                 iteration,
@@ -73,9 +78,10 @@ fn median_of(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Fits a model from `trace` with the paper's 1 ms laggard threshold.
+/// Fits a model from `trace` with the paper's laggard threshold
+/// ([`LAGGARD_THRESHOLD_MS`], 1 ms).
 pub fn fit(trace: &TimingTrace) -> FittedModel {
-    fit_with_threshold(trace, 1.0)
+    fit_with_threshold(trace, LAGGARD_THRESHOLD_MS)
 }
 
 /// Fits a model with an explicit laggard threshold (ms).

@@ -85,8 +85,8 @@ pub enum RealTiming {
 ///
 /// Each iteration yields one per-thread vector — under [`RealTiming::Wall`]
 /// the step's samples, under [`RealTiming::Metered`] its operation counts
-/// priced at `ns_per_op` — whose length is checked once and copied into
-/// the trace.
+/// priced at `ns_per_op` — whose length is checked once and appended to
+/// the trace's column.
 ///
 /// # Errors
 /// [`RunnerError::Config`] if any campaign dimension is zero (reachable by
@@ -124,12 +124,15 @@ where
         RealTiming::Wall => Some(&wall),
         RealTiming::Metered { .. } => None,
     };
-    let mut trace: Option<TimingTrace> = None;
+    // Steps run in trace order (trial, rank, iteration), so each one's
+    // per-thread samples are the column's next `threads` entries.
+    let mut name = None;
+    let mut column = Vec::with_capacity(cfg.shape().total_samples());
     let pool = Pool::new(cfg.threads);
     for trial in 0..cfg.trials {
         for rank in 0..cfg.ranks {
             let mut app = factory(trial, rank);
-            let trace = trace.get_or_insert_with(|| TimingTrace::new(app.name(), cfg.shape()));
+            name.get_or_insert(app.name());
             for iteration in 0..cfg.iterations {
                 let samples = app.step(&pool, clock);
                 let samples = match timing {
@@ -144,8 +147,9 @@ where
                         })
                         .collect(),
                 };
-                // A short vector would leave slots unwritten — zero-time
-                // "arrivals" in every later stage — so it ends the campaign
+                // A vector of another length would shift every later unit
+                // of the column — misattributed arrivals in every later
+                // stage — so it ends the campaign
                 // (ProxyApp is a public trait; downstream impls can skip
                 // their timed section or miscount their threads).
                 if samples.len() != cfg.threads {
@@ -156,10 +160,7 @@ where
                         cfg.threads
                     )));
                 }
-                trace
-                    .process_iteration_mut(trial, rank, iteration)
-                    .expect("in range by construction")
-                    .copy_from_slice(&samples);
+                column.extend_from_slice(&samples);
             }
             app.verify().map_err(|message| RunnerError::AppInvariant {
                 trial,
@@ -168,13 +169,17 @@ where
             })?;
         }
     }
-    Ok(trace.expect("cfg dimensions validated above"))
+    let name = name.expect("cfg dimensions validated above");
+    Ok(TimingTrace::from_samples(name, cfg.shape(), column)
+        .expect("every step was checked to hold cfg.threads samples"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebird_apps::{MiniFe, MiniFeParams};
+    use ebird_core::view::fill_group_ms;
+    use ebird_core::AggregationLevel;
 
     #[test]
     fn all_three_kernels_run_under_both_timings() {
@@ -212,7 +217,9 @@ mod tests {
         assert!(a.samples().iter().all(|s| s.compute_time_ns() > 0));
         // The ops-derived shape is not flat: different threads see different
         // neighbor counts once the lattice melts.
-        let ms = a.process_iteration_ms(0, 0, 21).unwrap();
+        // Unit 21 is (trial 0, rank 0, iteration 21).
+        let mut ms = Vec::new();
+        fill_group_ms(&a, AggregationLevel::ProcessIteration, 21, &mut ms);
         let spread = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             - ms.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(spread > 0.0, "expected per-thread work spread, got {ms:?}");

@@ -572,7 +572,16 @@ impl SyntheticApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebird_core::view::fill_group_ms;
+    use ebird_core::AggregationLevel;
     use ebird_stats::percentile::PercentileSummary;
+
+    /// Every compute time of `trace` (ms): its application group.
+    fn all_ms(trace: &TimingTrace) -> Vec<f64> {
+        let mut all = Vec::new();
+        fill_group_ms(trace, AggregationLevel::Application, 0, &mut all);
+        all
+    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -628,7 +637,14 @@ mod tests {
         let app = SyntheticApp::miniqmc();
         let trace = app.generate(&cfg, 7);
         let standalone = app.process_iteration_ms(7, 1, 0, 3, 8);
-        let from_trace = trace.process_iteration_ms(1, 0, 3).unwrap();
+        // (trial 1, rank 0, iteration 3) is unit (1 × 2 + 0) × 6 + 3 = 15.
+        let mut from_trace = Vec::new();
+        fill_group_ms(
+            &trace,
+            AggregationLevel::ProcessIteration,
+            15,
+            &mut from_trace,
+        );
         for (a, b) in standalone.iter().zip(&from_trace) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b} (ns rounding only)");
         }
@@ -638,7 +654,7 @@ mod tests {
     fn minife_median_and_iqr_bands() {
         let cfg = JobConfig::new(2, 2, 40, 48);
         let trace = SyntheticApp::minife().generate(&cfg, 11);
-        let all = trace.all_ms();
+        let all = all_ms(&trace);
         let s = PercentileSummary::from_sample(&all).unwrap();
         assert!((s.p50 - 26.30).abs() < 0.3, "median {}", s.p50);
         // Left skew: early arrivals more common than late (excluding
@@ -741,7 +757,7 @@ mod tests {
     fn miniqmc_median_and_iqr_bands() {
         let cfg = JobConfig::new(1, 2, 30, 48);
         let trace = SyntheticApp::miniqmc().generate(&cfg, 17);
-        let all = trace.all_ms();
+        let all = all_ms(&trace);
         let s = PercentileSummary::from_sample(&all).unwrap();
         assert!((s.p50 - 60.91).abs() < 1.0, "median {}", s.p50);
         assert!(

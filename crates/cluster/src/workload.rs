@@ -32,7 +32,8 @@
 //! [`NetModel`]: ebird_partcomm::NetModel
 
 use ebird_apps::{MiniFe, MiniFeParams, MiniMd, MiniMdParams, MiniQmc, MiniQmcParams, ProxyApp};
-use ebird_core::TimingTrace;
+use ebird_core::view::group_slices;
+use ebird_core::{AggregationLevel, ThreadSample, TimingTrace};
 use ebird_runtime::Pool;
 use serde::{Deserialize, Serialize};
 
@@ -611,28 +612,25 @@ impl Workload for ResolvedWorkload {
                     .iter()
                     .map(|(_, c)| c.generate_trace_parallel(cfg, seed, pool))
                     .collect::<Result<_, _>>()?;
-                let mut samples = Vec::with_capacity(cfg.shape().total_samples());
+                let shape = cfg.shape();
+                let mut samples = Vec::with_capacity(shape.total_samples());
                 let tag = Self::mixture_tag(name);
-                for trial in 0..cfg.trials {
-                    for rank in 0..cfg.ranks {
-                        for iteration in 0..cfg.iterations {
-                            let k = Self::pick_component(
-                                components,
-                                *total_weight,
-                                tag,
-                                seed,
-                                trial,
-                                rank,
-                                iteration,
-                            );
-                            let src = traces[k]
-                                .process_iteration(trial, rank, iteration)
-                                .expect("in range by construction");
-                            samples.extend_from_slice(src);
-                        }
-                    }
+                for unit in 0..shape.process_iterations() {
+                    let (trial, rank, iteration) = shape.unit_coords(unit);
+                    let k = Self::pick_component(
+                        components,
+                        *total_weight,
+                        tag,
+                        seed,
+                        trial,
+                        rank,
+                        iteration,
+                    );
+                    samples.extend_from_slice(
+                        &traces[k].samples()[unit * shape.threads..][..shape.threads],
+                    );
                 }
-                TimingTrace::from_samples(format!("mix({name})"), cfg.shape(), samples)
+                TimingTrace::from_samples(format!("mix({name})"), shape, samples)
                     .map_err(|e| e.to_string())
             }
         }
@@ -652,16 +650,15 @@ impl Workload for ResolvedWorkload {
             ResolvedWorkload::Real(h) => {
                 // One metered campaign covering every rank up to the
                 // requested iteration; rank r's trace is independent of the
-                // total rank count (instances are separate processes).
+                // total rank count (instances are separate processes). With
+                // one trial, the iteration's group is one slice per rank.
                 let cfg = JobConfig::new(1, ranks, iteration + 1, threads);
                 let trace = h.generate(&cfg, seed)?;
-                Ok((0..ranks)
-                    .map(|r| {
-                        trace
-                            .process_iteration_ms(0, r, iteration)
-                            .expect("in range by construction")
-                    })
-                    .collect())
+                Ok(
+                    group_slices(&trace, AggregationLevel::ApplicationIteration, iteration)
+                        .map(|rank| rank.iter().map(ThreadSample::compute_time_ms).collect())
+                        .collect(),
+                )
             }
             ResolvedWorkload::Mixture {
                 name,
@@ -851,11 +848,15 @@ mod tests {
         let qmc = SyntheticApp::miniqmc().generate(&cfg, 11);
         let mut from_fe = 0;
         let mut from_qmc = 0;
-        for it in 0..40 {
-            let unit = trace.process_iteration(0, 0, it).unwrap();
-            if unit == fe.process_iteration(0, 0, it).unwrap() {
+        let units = trace.samples().chunks(cfg.threads);
+        let (fe, qmc) = (
+            fe.samples().chunks(cfg.threads),
+            qmc.samples().chunks(cfg.threads),
+        );
+        for (it, ((unit, fe), qmc)) in units.zip(fe).zip(qmc).enumerate() {
+            if unit == fe {
                 from_fe += 1;
-            } else if unit == qmc.process_iteration(0, 0, it).unwrap() {
+            } else if unit == qmc {
                 from_qmc += 1;
             } else {
                 panic!("iteration {it} matches neither component");

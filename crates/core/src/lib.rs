@@ -25,12 +25,14 @@
 //! Modules:
 //!
 //! * [`sample`] — `ThreadSample` (a compute time) and the dense index
-//!   arithmetic.
-//! * [`trace`] — `TimingTrace`, the dense 4-D sample store with aggregation
-//!   accessors for the paper's three analysis levels.
-//! * [`view`] — aggregation-level views (application / app-iteration /
-//!   process-iteration) that produce plain `f64` millisecond samples for the
-//!   stats layer.
+//!   arithmetic: `SampleIndex`, the `(trial, rank, iteration, thread)`
+//!   coordinates of one sample, and `TraceShape`, the four dimension sizes.
+//! * [`trace`] — `TimingTrace`, the store: one dense sample column and its
+//!   shape. It defines no traversal of its own.
+//! * [`view`] — the one way to read a group of the paper's three analysis
+//!   levels (application / app-iteration / process-iteration): a group is
+//!   `(AggregationLevel, index)`, read as trace slices or `f64`
+//!   milliseconds for the stats layer.
 
 #![warn(missing_docs)]
 
@@ -38,8 +40,8 @@ pub mod sample;
 pub mod trace;
 pub mod view;
 
-pub use sample::{SampleIndex, ThreadSample};
-pub use trace::{TimingTrace, TraceShape};
+pub use sample::{SampleIndex, ThreadSample, TraceShape};
+pub use trace::TimingTrace;
 pub use view::AggregationLevel;
 
 /// The workspace-wide default seed for regenerated experiments. Changing it
@@ -51,15 +53,6 @@ pub const DEFAULT_SEED: u64 = 20230421;
 /// Errors produced by the instrumentation core.
 #[derive(Debug)]
 pub enum CoreError {
-    /// An index was outside the trace shape.
-    IndexOutOfBounds {
-        /// Which dimension overflowed ("trial", "rank", "iteration", "thread").
-        dim: &'static str,
-        /// The offending index.
-        index: usize,
-        /// The dimension's size.
-        size: usize,
-    },
     /// Trace shapes must have every dimension nonzero.
     EmptyShape,
     /// A sample column does not match the trace's shape.
@@ -69,9 +62,6 @@ pub enum CoreError {
 impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoreError::IndexOutOfBounds { dim, index, size } => {
-                write!(f, "{dim} index {index} out of bounds (size {size})")
-            }
             CoreError::EmptyShape => write!(f, "trace shape has a zero dimension"),
             CoreError::ShapeMismatch => write!(f, "trace shapes do not match"),
         }
@@ -86,12 +76,6 @@ mod tests {
 
     #[test]
     fn error_messages_are_informative() {
-        let e = CoreError::IndexOutOfBounds {
-            dim: "thread",
-            index: 48,
-            size: 48,
-        };
-        assert!(e.to_string().contains("thread index 48"));
         assert!(CoreError::EmptyShape.to_string().contains("zero dimension"));
         assert!(CoreError::ShapeMismatch
             .to_string()

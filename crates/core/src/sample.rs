@@ -1,4 +1,9 @@
-//! Per-thread timing samples and the dense 4-D index arithmetic.
+//! Per-thread timing samples and the dense 4-D index arithmetic: the
+//! coordinates that name one sample and the shape of the space they span.
+
+use serde::{Deserialize, Serialize};
+
+use crate::CoreError;
 
 /// One thread's measurement for one parallel region execution: its *compute
 /// time*, the nanoseconds between the enter and exit stamps a per-core
@@ -64,25 +69,74 @@ pub struct SampleIndex {
     pub thread: usize,
 }
 
-impl SampleIndex {
-    /// Convenience constructor.
-    pub fn new(trial: usize, rank: usize, iteration: usize, thread: usize) -> Self {
-        SampleIndex {
-            trial,
-            rank,
-            iteration,
-            thread,
-        }
-    }
+/// The four dimension sizes of a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceShape {
+    /// Number of job repetitions (paper: 10).
+    pub trials: usize,
+    /// Number of ranks per job (paper: 8).
+    pub ranks: usize,
+    /// Number of application iterations (paper: 200).
+    pub iterations: usize,
+    /// Number of threads per rank (paper: 48).
+    pub threads: usize,
 }
 
-impl std::fmt::Display for SampleIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "t{}/r{}/i{}/th{}",
-            self.trial, self.rank, self.iteration, self.thread
-        )
+impl TraceShape {
+    /// Creates a shape.
+    ///
+    /// # Errors
+    /// [`CoreError::EmptyShape`] if any dimension is zero.
+    pub fn new(
+        trials: usize,
+        ranks: usize,
+        iterations: usize,
+        threads: usize,
+    ) -> Result<Self, CoreError> {
+        if trials == 0 || ranks == 0 || iterations == 0 || threads == 0 {
+            return Err(CoreError::EmptyShape);
+        }
+        Ok(TraceShape {
+            trials,
+            ranks,
+            iterations,
+            threads,
+        })
+    }
+
+    /// The paper's full-scale shape: 10 × 8 × 200 × 48.
+    pub fn paper_scale() -> Self {
+        TraceShape {
+            trials: 10,
+            ranks: 8,
+            iterations: 200,
+            threads: 48,
+        }
+    }
+
+    /// Total number of samples (`trials × ranks × iterations × threads`).
+    pub fn total_samples(&self) -> usize {
+        self.trials * self.ranks * self.iterations * self.threads
+    }
+
+    /// Number of process-iteration units (`trials × ranks × iterations`).
+    pub fn process_iterations(&self) -> usize {
+        self.trials * self.ranks * self.iterations
+    }
+
+    /// Samples contributing to one application iteration
+    /// (`trials × ranks × threads`; paper: 3,840).
+    pub fn samples_per_app_iteration(&self) -> usize {
+        self.trials * self.ranks * self.threads
+    }
+
+    /// Decodes a flat process-iteration index in `0..process_iterations()`
+    /// (trace order: trial-major, iteration innermost) into
+    /// `(trial, rank, iteration)`.
+    pub fn unit_coords(&self, unit: usize) -> (usize, usize, usize) {
+        let iteration = unit % self.iterations;
+        let rest = unit / self.iterations;
+        (rest / self.ranks, rest % self.ranks, iteration)
     }
 }
 
@@ -119,8 +173,26 @@ mod tests {
     }
 
     #[test]
-    fn index_display_is_compact() {
-        let idx = SampleIndex::new(1, 2, 3, 4);
-        assert_eq!(idx.to_string(), "t1/r2/i3/th4");
+    fn shape_arithmetic() {
+        let s = TraceShape::new(2, 3, 4, 5).unwrap();
+        assert_eq!(s.total_samples(), 120);
+        assert_eq!(s.process_iterations(), 24);
+        assert_eq!(s.samples_per_app_iteration(), 30);
+        let paper = TraceShape::paper_scale();
+        assert_eq!(paper.total_samples(), 768_000);
+        assert_eq!(paper.process_iterations(), 16_000);
+        assert_eq!(paper.samples_per_app_iteration(), 3_840);
+    }
+
+    #[test]
+    fn shape_rejects_zero_dimension() {
+        assert!(matches!(
+            TraceShape::new(0, 1, 1, 1),
+            Err(CoreError::EmptyShape)
+        ));
+        assert!(matches!(
+            TraceShape::new(1, 1, 1, 0),
+            Err(CoreError::EmptyShape)
+        ));
     }
 }

@@ -55,8 +55,8 @@ impl AggregationLevel {
 ///
 /// Group ordering is deterministic: application < iteration-major <
 /// (trial, rank, iteration) lexicographic — process-iteration group `g` is
-/// [`TraceShape::unit_coords`](crate::trace::TraceShape::unit_coords)`(g)`,
-/// the order of [`TimingTrace::iter_process_iterations`].
+/// [`TraceShape::unit_coords`](crate::sample::TraceShape::unit_coords)`(g)`,
+/// the `g`-th `threads`-long run of the sample column.
 ///
 /// # Panics
 /// If `group` is out of range for the level.
@@ -106,8 +106,7 @@ pub fn fill_group_ms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::SampleIndex;
-    use crate::trace::TraceShape;
+    use crate::sample::{ns_to_ms, TraceShape};
 
     const LEVELS: [AggregationLevel; 3] = [
         AggregationLevel::Application,
@@ -115,25 +114,19 @@ mod tests {
         AggregationLevel::ProcessIteration,
     ];
 
+    /// The compute time (ns) `trace()` stores at a coordinate: the sample
+    /// encodes its own index, for provenance checks.
+    fn encoded(trial: usize, rank: usize, iteration: usize, thread: usize) -> u64 {
+        trial as u64 * 1_000_000_000
+            + rank as u64 * 1_000_000
+            + iteration as u64 * 1_000
+            + thread as u64
+    }
+
     fn trace() -> TimingTrace {
-        // compute time encodes its own index for provenance checks:
-        // ns = trial*1e9 + rank*1e6 + iteration*1e3 + thread.
-        TimingTrace::from_fn(
-            "t",
-            TraceShape::new(2, 2, 3, 4).unwrap(),
-            |SampleIndex {
-                 trial,
-                 rank,
-                 iteration,
-                 thread,
-             }| {
-                let ns = trial as u64 * 1_000_000_000
-                    + rank as u64 * 1_000_000
-                    + iteration as u64 * 1_000
-                    + thread as u64;
-                ThreadSample::new(0, ns)
-            },
-        )
+        TimingTrace::from_fn("t", TraceShape::new(2, 2, 3, 4).unwrap(), |idx| {
+            ThreadSample::new(0, encoded(idx.trial, idx.rank, idx.iteration, idx.thread))
+        })
     }
 
     /// Every group of `level`, materialized.
@@ -203,19 +196,48 @@ mod tests {
     }
 
     #[test]
-    fn group_slices_follow_the_trace_accessors_order() {
-        // Independent oracle: the trace's own per-level accessors.
+    fn group_slices_follow_the_encoded_coordinates() {
+        // Oracle: the coordinates each sample of `trace()` encodes. Units in
+        // trace order are (trial, rank, iteration), trial-major.
         let tr = trace();
-        assert_eq!(groups(&tr, AggregationLevel::Application), [tr.all_ms()]);
-        for (i, g) in groups(&tr, AggregationLevel::ApplicationIteration)
-            .iter()
-            .enumerate()
-        {
-            assert_eq!(*g, tr.app_iteration_ms(i).unwrap());
+        let s = tr.shape();
+        let mut units = Vec::new();
+        for t in 0..s.trials {
+            for r in 0..s.ranks {
+                for i in 0..s.iterations {
+                    units.push((t, r, i));
+                }
+            }
         }
-        let units = groups(&tr, AggregationLevel::ProcessIteration);
-        for (g, (t, r, i, _)) in tr.iter_process_iterations().enumerate() {
-            assert_eq!(units[g], tr.process_iteration_ms(t, r, i).unwrap());
+        for (g, &coords) in units.iter().enumerate() {
+            assert_eq!(s.unit_coords(g), coords, "unit {g}");
+        }
+        // Application: every unit. Application iteration `group`: that
+        // iteration of every (trial, rank). Process iteration `group`: that
+        // unit. Threads inner throughout.
+        let expected = |level: AggregationLevel, group: usize| -> Vec<u64> {
+            units
+                .iter()
+                .enumerate()
+                .filter(|&(u, &(_, _, i))| match level {
+                    AggregationLevel::Application => true,
+                    AggregationLevel::ApplicationIteration => i == group,
+                    AggregationLevel::ProcessIteration => u == group,
+                })
+                .flat_map(|(_, &(t, r, i))| (0..s.threads).map(move |th| encoded(t, r, i, th)))
+                .collect()
+        };
+        for level in LEVELS {
+            for g in 0..level.group_count(&tr) {
+                let ns: Vec<u64> = group_slices(&tr, level, g)
+                    .flatten()
+                    .map(ThreadSample::compute_time_ns)
+                    .collect();
+                assert_eq!(ns, expected(level, g), "{level:?} group {g}");
+                let mut ms = Vec::new();
+                fill_group_ms(&tr, level, g, &mut ms);
+                assert_eq!(ms, ns.into_iter().map(ns_to_ms).collect::<Vec<_>>());
+            }
         }
     }
 

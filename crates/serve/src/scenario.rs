@@ -553,8 +553,13 @@ impl ScenarioMatrix {
         }
         for s in &self.strategies {
             match *s {
-                Strategy::TimeoutFlush { timeout_ms } if timeout_ms <= 0.0 => {
-                    return Err(format!("non-positive timeout {timeout_ms}"));
+                // JSON `null` reads as NaN and `1e999` as ∞: neither prices.
+                Strategy::TimeoutFlush { timeout_ms }
+                    if !(timeout_ms.is_finite() && timeout_ms > 0.0) =>
+                {
+                    return Err(format!(
+                        "TimeoutFlush timeout_ms {timeout_ms} must be finite and positive"
+                    ));
                 }
                 Strategy::Binned { bins } if bins == 0 || bins > self.threads => {
                     return Err(format!("bins {bins} outside 1..={}", self.threads));
@@ -1083,6 +1088,12 @@ mod tests {
         let mut m = ScenarioMatrix::smoke();
         m.strategies = vec![Strategy::Binned { bins: 999 }];
         assert!(run_matrix(&m, &Pool::new(1)).is_err());
+        for timeout_ms in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut m = ScenarioMatrix::smoke();
+            m.strategies = vec![Strategy::TimeoutFlush { timeout_ms }];
+            let err = run_matrix(&m, &Pool::new(1)).unwrap_err();
+            assert!(err.contains("timeout_ms"), "{timeout_ms}: {err}");
+        }
         let mut m = ScenarioMatrix::smoke();
         m.deadline_ms = 0.0;
         assert!(run_matrix(&m, &Pool::new(1))

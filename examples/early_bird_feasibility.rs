@@ -9,6 +9,7 @@
 use early_bird::analysis::laggard::laggard_census;
 use early_bird::cluster::calibration::MINIMD_PHASE_BOUNDARY;
 use early_bird::cluster::{JobConfig, SyntheticApp};
+use early_bird::core::view::{fill_group_ms, AggregationLevel};
 use early_bird::partcomm::{run_deliveries, LinkModel, SerialLink, SimScratch, Strategy};
 
 const BUFFER: usize = 8_000_000;
@@ -17,6 +18,7 @@ fn main() {
     let cfg = JobConfig::new(2, 4, 100, 48);
     let mut link = SerialLink::new(LinkModel::omni_path());
     let mut scratch = SimScratch::new();
+    let mut arrivals = Vec::new();
     println!("strategy recommendation per application (8 MB buffer, omni-path link)\n");
     for app in SyntheticApp::all() {
         let trace = app.generate(&cfg, 2023);
@@ -40,8 +42,10 @@ fn main() {
         let mut msgs = vec![0.0f64; strategies.len()];
         let sample_iters: Vec<usize> = (from..cfg.iterations).step_by(7).collect();
         for &i in &sample_iters {
-            let arrivals = trace.process_iteration_ms(0, 0, i).unwrap();
-            let outcomes = run_deliveries(&mut link, &[arrivals], BUFFER, strategies, &mut scratch);
+            // Trial 0, rank 0's iteration `i` is process-iteration unit `i`.
+            fill_group_ms(&trace, AggregationLevel::ProcessIteration, i, &mut arrivals);
+            let outcomes =
+                run_deliveries(&mut link, &[&arrivals], BUFFER, strategies, &mut scratch);
             for (k, o) in outcomes.iter().enumerate() {
                 exposed[k] += o.exposed_ms();
                 msgs[k] += o.messages as f64;

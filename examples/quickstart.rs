@@ -10,7 +10,7 @@ use early_bird::analysis::laggard::laggard_census;
 use early_bird::analysis::normality::{sweep, BATTERY_ORDER};
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::cluster::{JobConfig, SyntheticApp};
-use early_bird::core::view::AggregationLevel;
+use early_bird::core::view::{fill_group_ms, AggregationLevel};
 use early_bird::partcomm::{run_delivery, LinkModel, SerialLink, SimScratch};
 
 fn main() {
@@ -53,7 +53,14 @@ fn main() {
     //    partitioned buffer on an Omni-Path-like link using one iteration's
     //    measured arrivals, under the four strategies the pipeline prices.
     //    (`repro earlybird` does this for every process-iteration.)
-    let arrivals = trace.process_iteration_ms(0, 0, 25).unwrap();
+    //    Trial 0, rank 0's iteration 25 is process-iteration unit 25.
+    let mut arrivals = Vec::new();
+    fill_group_ms(
+        &trace,
+        AggregationLevel::ProcessIteration,
+        25,
+        &mut arrivals,
+    );
     let mut link = SerialLink::new(LinkModel::omni_path());
     let mut scratch = SimScratch::new();
     println!("  delivery of 4 MB over omni-path-like link:");

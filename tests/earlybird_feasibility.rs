@@ -9,6 +9,8 @@ use early_bird::analysis::laggard::{ArrivalClass, ClassifiedIteration};
 use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
 use early_bird::cluster::calibration::{LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
 use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
+use early_bird::core::view::fill_group_ms;
+use early_bird::core::{AggregationLevel, TimingTrace};
 use early_bird::partcomm::{
     link_by_name, run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
 };
@@ -32,10 +34,17 @@ fn simulate(
 
 const BUF: usize = 8_000_000;
 
+/// Compute times (ms) of iteration `i` of a one-trial, one-rank trace: its
+/// process-iteration unit `i`.
+fn iteration_ms(trace: &TimingTrace, i: usize) -> Vec<f64> {
+    let mut ms = Vec::new();
+    fill_group_ms(trace, AggregationLevel::ProcessIteration, i, &mut ms);
+    ms
+}
+
 fn arrivals(app: &SyntheticApp, iteration: usize) -> Vec<f64> {
-    app.generate(&JobConfig::new(1, 1, iteration + 1, 48), 11)
-        .process_iteration_ms(0, 0, iteration)
-        .unwrap()
+    let trace = app.generate(&JobConfig::new(1, 1, iteration + 1, 48), 11);
+    iteration_ms(&trace, iteration)
 }
 
 #[test]
@@ -82,7 +91,7 @@ fn tight_arrivals_with_high_alpha_penalize_early_bird() {
     let tr = app.generate(&JobConfig::new(1, 1, 60, 48), 3);
     let mut tight: Option<Vec<f64>> = None;
     for i in 19..60 {
-        let ms = tr.process_iteration_ms(0, 0, i).unwrap();
+        let ms = iteration_ms(&tr, i);
         let max = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let med = early_bird::stats::median(&ms).unwrap();
         if max - med < 0.5 {
@@ -112,7 +121,7 @@ fn timeout_flush_recovers_most_of_the_laggard_win_for_minife() {
     // Find a laggard iteration (max − median > 1 ms).
     let mut laggard: Option<Vec<f64>> = None;
     for i in 0..200 {
-        let ms = tr.process_iteration_ms(0, 0, i).unwrap();
+        let ms = iteration_ms(&tr, i);
         let max = ms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let med = early_bird::stats::median(&ms).unwrap();
         if max - med > 1.0 {

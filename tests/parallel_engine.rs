@@ -16,6 +16,8 @@ use early_bird::cluster::calibration::{ALPHA, LAGGARD_THRESHOLD_MS};
 use early_bird::cluster::{
     JobConfig, MixtureComponent, RealKernelParams, SyntheticApp, Workload, WorkloadSpec,
 };
+use early_bird::core::view::fill_group_ms;
+use early_bird::core::AggregationLevel;
 use early_bird::partcomm::{LinkModel, SerialLink};
 use early_bird::runtime::Pool;
 use early_bird::stats::Moments;
@@ -171,12 +173,9 @@ fn generic_workloads_are_bit_identical_through_every_stage_entry_point() {
         let census = laggard_census(tr, LAGGARD_THRESHOLD_MS);
         assert_eq!(scan.census.iterations, census.iterations, "{}", tr.app());
         assert_eq!(scan.reclaim, reclaim_metrics(tr), "{}", tr.app());
-        assert_eq!(
-            scan.moments,
-            Moments::from_slice(&tr.all_ms()),
-            "{}",
-            tr.app()
-        );
+        let mut all = Vec::new();
+        fill_group_ms(tr, AggregationLevel::Application, 0, &mut all);
+        assert_eq!(scan.moments, Moments::from_slice(&all), "{}", tr.app());
     }
     for workers in [2, 3] {
         let (traces_n, many) = run(workers);

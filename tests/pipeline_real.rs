@@ -122,8 +122,12 @@ fn real_compute_times_scale_with_problem_size() {
     // the closest any of them gets to the work itself, while one descheduled
     // 1× sample can drag a mean of eight past half the 4× mean (seen once
     // in a full `cargo test --release` on two cores).
-    let fastest =
-        |t: &early_bird::core::TimingTrace| t.all_ms().into_iter().fold(f64::INFINITY, f64::min);
+    let fastest = |t: &early_bird::core::TimingTrace| {
+        t.samples()
+            .iter()
+            .map(early_bird::core::ThreadSample::compute_time_ms)
+            .fold(f64::INFINITY, f64::min)
+    };
     let (m_short, m_long) = (fastest(&short), fastest(&long));
     assert!(
         m_long > 2.0 * m_short,

@@ -5,7 +5,8 @@ use early_bird::analysis::engine::EngineArenas;
 use early_bird::analysis::laggard::{laggard_census, ArrivalClass};
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
-use early_bird::core::{ThreadSample, TimingTrace, TraceShape};
+use early_bird::core::view::fill_group_ms;
+use early_bird::core::{AggregationLevel, ThreadSample, TimingTrace, TraceShape};
 use early_bird::partcomm::{
     run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
 };
@@ -81,17 +82,11 @@ proptest! {
     fn census_rate_matches_manual_count(ms in arb_arrivals(), threshold in 0.1f64..10.0) {
         // One process-iteration per trace: census of a 1×1×1×n trace.
         let shape = TraceShape::new(1, 1, 1, ms.len()).unwrap();
-        let mut trace = TimingTrace::new("t", shape);
-        for (t, &v) in ms.iter().enumerate() {
-            trace
-                .set(
-                    early_bird::core::SampleIndex::new(0, 0, 0, t),
-                    ThreadSample::new(0, (v * 1e6).round() as u64),
-                )
-                .unwrap();
-        }
+        let trace = TimingTrace::from_samples("t", shape, samples_from_ms(&ms)).unwrap();
         let census = laggard_census(&trace, threshold);
-        let s = PercentileSummary::from_sample(&trace.process_iteration_ms(0, 0, 0).unwrap()).unwrap();
+        let mut unit = Vec::new();
+        fill_group_ms(&trace, AggregationLevel::ProcessIteration, 0, &mut unit);
+        let s = PercentileSummary::from_sample(&unit).unwrap();
         let manual = s.max - s.p50 > threshold;
         let classified = census.iterations[0].class == ArrivalClass::Laggard;
         prop_assert_eq!(manual, classified);
@@ -157,15 +152,11 @@ proptest! {
         // reproduce the three traversals it replaced, bit for bit.
         let threads = ms.len();
         let shape = TraceShape::new(trials, ranks, iters, threads).unwrap();
-        let mut trace = TimingTrace::new("fused", shape);
-        for flat in 0..shape.total_samples() {
-            let idx = shape.unflat(flat);
-            // Rotate the generated arrivals per unit so units differ.
-            let v = ms[(flat * 7 + flat / threads) % threads];
-            trace
-                .set(idx, ThreadSample::new(0, (v * 1e6).round() as u64))
-                .unwrap();
-        }
+        // Rotate the generated arrivals per unit so units differ.
+        let column = (0..shape.total_samples())
+            .map(|flat| ms[(flat * 7 + flat / threads) % threads])
+            .collect::<Vec<_>>();
+        let trace = TimingTrace::from_samples("fused", shape, samples_from_ms(&column)).unwrap();
         let scan = trace_scan_parallel_with_arenas(
             &trace,
             threshold,
@@ -176,17 +167,8 @@ proptest! {
         prop_assert_eq!(scan.census.threshold_ms.to_bits(), census.threshold_ms.to_bits());
         prop_assert_eq!(scan.census.iterations, census.iterations);
         prop_assert_eq!(scan.reclaim, reclaim_metrics(&trace));
-        prop_assert_eq!(scan.moments, Moments::from_slice(&trace.all_ms()));
-    }
-
-    #[test]
-    fn trace_flat_unflat_is_bijective(
-        trials in 1usize..4, ranks in 1usize..4, iters in 1usize..6, threads in 1usize..9,
-    ) {
-        let shape = TraceShape::new(trials, ranks, iters, threads).unwrap();
-        for flat in 0..shape.total_samples() {
-            let idx = shape.unflat(flat);
-            prop_assert_eq!(shape.flat(idx).unwrap(), flat);
-        }
+        let mut all = Vec::new();
+        fill_group_ms(&trace, AggregationLevel::Application, 0, &mut all);
+        prop_assert_eq!(scan.moments, Moments::from_slice(&all));
     }
 }

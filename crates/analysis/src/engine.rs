@@ -29,8 +29,9 @@ use ebird_cluster::{JobConfig, Workload};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_deliveries, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
+use ebird_stats::normality::BatteryScratch;
 
-use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepScratch, SweepTasks};
+use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepTasks};
 use crate::unit::UnitOrder;
 
 /// The pipeline's stages in execution order, one per stage entry:
@@ -45,12 +46,15 @@ pub const STAGES: [&str; 4] = ["generate", "normality-sweep", "trace-scan", "ear
 /// Long-lived scratch for the whole analysis engine: one scratch value per
 /// pool worker for every stage.
 ///
-/// Built once per campaign, it makes Shapiro–Wilk weight solves and
-/// multi-megabyte buffer faults a one-off warm-up: a worker re-entering a
-/// region locks its own (uncontended) slot and finds its buffers ready from
-/// the previous call.
+/// Built once per campaign, it makes Shapiro–Wilk weight solves a one-off
+/// warm-up: a worker re-entering a region locks its own (uncontended) slot
+/// and finds its weights and unit-sized buffers ready from the previous
+/// call. Nothing group-sized lives here: the sweep's group buffer belongs to
+/// the call ([`crate::normality`]'s task loop), so between calls the arenas
+/// hold only each worker's battery scratch (weight cache and Φ block), unit
+/// order and simulation scratch.
 pub struct EngineArenas {
-    pub(crate) sweep_workers: WorkerArenas<SweepScratch>,
+    pub(crate) sweep_workers: WorkerArenas<BatteryScratch>,
     pub(crate) unit_order: WorkerArenas<UnitOrder>,
     pub(crate) sim: WorkerArenas<SimWorker>,
 }
@@ -139,8 +143,10 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// cached weight vectors are bit-identical to freshly solved ones.
 ///
 /// The caller owns the [`EngineArenas`], so repeated sweeps (one per trace
-/// of a campaign) reuse the per-worker scratches: after the first call on a
-/// shape no scratch buffer grows, and a call allocates only its result.
+/// of a campaign) reuse the per-worker battery scratches: after the first
+/// call on a shape no weight vector is solved again, and a call allocates
+/// its result, its fork/join bookkeeping and one group buffer per worker
+/// part, which it frees before it returns.
 ///
 /// The trace's task list is cut into one contiguous part of near-equal
 /// sample count per worker and every worker runs the task loop over its
@@ -358,31 +364,40 @@ mod tests {
     }
 
     #[test]
-    fn sweep_arenas_stop_growing_after_the_first_call_and_fit_the_owned_groups() {
+    fn sweep_arenas_hold_only_weights_solved_once_per_group_size_of_the_part() {
+        // A sweep worker's arena is its battery scratch (the group buffer
+        // belongs to the call), so what it keeps between calls is the weight
+        // cache: the first call solves one vector per distinct group size of
+        // the worker's part, and a warm call solves none and finds every
+        // group's vector cached.
         let tr = mixed_trace();
         let tasks = SweepTasks(tr.shape());
         for workers in [1, 3] {
             let pool = Pool::new(workers);
             let mut arenas = EngineArenas::for_pool(&pool);
-            let mut capacities = Vec::new();
+            let mut stats = Vec::new();
             for _ in 0..3 {
                 sweep_levels_parallel_with_arenas(&tr, 0.05, None, &pool, &mut arenas);
-                capacities.push(
+                stats.push(
                     (0..workers)
-                        .map(|w| arenas.sweep_workers.get_mut(w).capacity())
+                        .map(|w| arenas.sweep_workers.get_mut(w).cache_stats())
                         .collect::<Vec<_>>(),
                 );
             }
-            assert_eq!(capacities[1], capacities[2], "{workers} workers");
-            assert_eq!(capacities[0], capacities[1], "{workers} workers");
-            // Footprint: one buffer, the keys (the sorted milliseconds too),
-            // at most the worker's largest owned group (the first task of
-            // its part).
             let mut first = 0;
             for (w, len) in partition_tasks(tasks, workers).into_iter().enumerate() {
-                let largest = if len > 0 { tasks.get(first).2 } else { 0 };
-                let held = capacities[2][w];
-                assert!(held <= largest, "worker {w}/{workers}: {held} > {largest}");
+                let sizes: std::collections::BTreeSet<usize> =
+                    (first..first + len).map(|t| tasks.get(t).2).collect();
+                let (hits, misses) = stats[0][w];
+                assert_eq!(misses, sizes.len() as u64, "worker {w}/{workers}");
+                for (call, got) in stats.iter().enumerate() {
+                    let warm_hits = call as u64 * (hits + misses);
+                    assert_eq!(
+                        got[w],
+                        (hits + warm_hits, misses),
+                        "call {call}, worker {w}/{workers}"
+                    );
+                }
                 first += len;
             }
         }

@@ -128,6 +128,7 @@ pub struct SweepObs {
     sort_ns: Arc<Histogram>,
     sort_level_ns: [Arc<Histogram>; 3],
     battery_ns: Arc<Histogram>,
+    battery_level_ns: [Arc<Histogram>; 3],
     batch_len: Arc<Histogram>,
 }
 
@@ -159,6 +160,14 @@ impl SweepObs {
     /// Histogram name: nanoseconds spent in the fused battery kernel (lane
     /// sums, Φ blocks, the three statistics) per group. One entry per group.
     pub const BATTERY_NS: &'static str = "sweep.battery.ns";
+    /// Histogram names: [`Self::BATTERY_NS`] split by level, in
+    /// [`SWEEP_LEVELS`] order — whether the three large application groups
+    /// or the many small ones are the battery's cost.
+    pub const BATTERY_LEVEL_NS: [&'static str; 3] = [
+        "sweep.battery.process-iteration.ns",
+        "sweep.battery.application-iteration.ns",
+        "sweep.battery.application.ns",
+    ];
     /// Histogram name: elements handed to the fused battery kernel per group.
     /// One entry per battery invocation, so `count` is the number of groups
     /// fused and the distribution shows the group sizes the kernel sees.
@@ -174,6 +183,7 @@ impl SweepObs {
             sort_ns: registry.histogram(Self::SORT_NS),
             sort_level_ns: Self::SORT_LEVEL_NS.map(|name| registry.histogram(name)),
             battery_ns: registry.histogram(Self::BATTERY_NS),
+            battery_level_ns: Self::BATTERY_LEVEL_NS.map(|name| registry.histogram(name)),
             batch_len: registry.histogram(Self::BATCH_LEN),
         }
     }
@@ -186,7 +196,8 @@ impl SweepObs {
     /// Records one group of `len` samples at `level` from the four
     /// timestamps around its three layers — `[gather start, sort start,
     /// battery start, end]` — and returns the end, which is the next group's
-    /// gather start.
+    /// gather start. The per-level splits reuse the same differences, so
+    /// they add no clock read and sum exactly to their layer's total.
     pub(crate) fn record_group(
         &self,
         stamps: [u64; 4],
@@ -203,7 +214,9 @@ impl SweepObs {
             AggregationLevel::Application => 2,
         };
         self.sort_level_ns[level_index].record(sort);
-        self.battery_ns.record(t3.saturating_sub(t2));
+        let battery = t3.saturating_sub(t2);
+        self.battery_ns.record(battery);
+        self.battery_level_ns[level_index].record(battery);
         self.batch_len.record(len as u64);
         t3
     }
@@ -225,27 +238,6 @@ pub const SWEEP_LEVELS: [AggregationLevel; 3] = [
     AggregationLevel::ApplicationIteration,
     AggregationLevel::Application,
 ];
-
-/// One sweep worker's reusable storage: the battery scratch (cached
-/// Shapiro–Wilk weights + Φ block) and the kernel's one group-sized buffer —
-/// nanosecond keys, sorted where they lie and then converted in place to
-/// the milliseconds the battery reads. It grows to the largest group its
-/// worker is given, so a worker that owns the application group of a
-/// paper-scale trace holds 6.1 MB plus ≈ 3 MB of weights, and one that owns
-/// process-iterations only a few kilobytes.
-#[derive(Default)]
-pub(crate) struct SweepScratch {
-    battery: BatteryScratch,
-    keys: Vec<u64>,
-}
-
-#[cfg(test)]
-impl SweepScratch {
-    /// The keys' capacity in elements (8 bytes each).
-    pub(crate) fn capacity(&self) -> usize {
-        self.keys.capacity()
-    }
-}
 
 /// The sweep's flat task list for one trace shape: every group of every
 /// level, largest first — the application group, then the
@@ -322,28 +314,25 @@ impl SweepTasks {
 /// place, and `u64` and `f64` share size and alignment, so std's in-place
 /// collect turns the sorted `Vec<u64>` into the `Vec<f64>` the battery
 /// reads, and the emptied `Vec<f64>` back into the next group's keys — no
-/// copy of the group, no second buffer, no allocation.
+/// copy of the group, no second buffer, no allocation per group.
 ///
-/// Consecutive sweeps over same-shaped traces reuse `scratch`'s cached
-/// Shapiro–Wilk weight vectors (the application-level vector alone is
-/// hundreds of thousands of Newton solves) and group buffer; results do
-/// not depend on the reuse: cached weights are bit-identical to freshly
-/// solved ones, and every reused buffer is refilled before it is read.
+/// That buffer belongs to the call: it is allocated at entry, exactly the
+/// size of the part's first and largest task, and dropped when the loop
+/// ends, so nothing group-sized outlives the sweep. What `battery` keeps
+/// across calls is the cached Shapiro–Wilk weight vectors (the
+/// application-level vector alone is hundreds of thousands of Newton
+/// solves) and the Φ block; results do not depend on the reuse: cached
+/// weights are bit-identical to freshly solved ones.
 pub(crate) fn run_tasks(
     trace: &TimingTrace,
     obs: Option<&SweepObs>,
     first: usize,
     out: &mut [[Option<NormalityOutcome>; 3]],
-    scratch: &mut SweepScratch,
+    battery: &mut BatteryScratch,
 ) {
     let tasks = SweepTasks(trace.shape());
-    let SweepScratch { battery, keys } = scratch;
-    if !out.is_empty() {
-        // The first task is the part's largest: size the buffer once, and
-        // exactly (amortized growth would hold up to twice the group).
-        keys.clear();
-        keys.reserve_exact(tasks.get(first).2);
-    }
+    // Exactly the part's first and largest group (growth would overshoot).
+    let mut keys: Vec<u64> = Vec::with_capacity(out.first().map_or(0, |_| tasks.get(first).2));
     let cache_before = battery.cache_stats();
     // With an observer, each group's layers are timed back to back: the end
     // of one group's battery is the start of the next group's gather.
@@ -356,14 +345,14 @@ pub(crate) fn run_tasks(
         }
         let gathered = obs.map(|o| o.now_ns());
         keys.sort_unstable();
-        let mut sorted: Vec<f64> = std::mem::take(keys).into_iter().map(ns_to_ms).collect();
+        let mut sorted: Vec<f64> = keys.into_iter().map(ns_to_ms).collect();
         let ordered = obs.map(|o| o.now_ns());
         *slot = battery_sorted(&sorted, battery);
         if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
             started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len(), level));
         }
         sorted.clear();
-        *keys = sorted.into_iter().map(f64::to_bits).collect();
+        keys = sorted.into_iter().map(f64::to_bits).collect();
     }
     if let Some(o) = obs {
         o.record_cache_delta(battery, cache_before);
@@ -634,5 +623,17 @@ mod tests {
         let batches = snap.histogram(SweepObs::BATCH_LEN);
         assert_eq!(batches.count(), 40 + 10 + 1);
         assert_eq!(batches.total(), 40 * 16 + 10 * 64 + 640);
+    }
+
+    #[test]
+    fn battery_split_by_level_counts_every_group_and_sums_to_the_battery_layer() {
+        let registry = Arc::new(Registry::wall());
+        let obs = SweepObs::new(&registry);
+        sweep_levels(&normal_trace(16), Some(&obs)); // shape (2, 2, 10, 16)
+        let snap = registry.snapshot();
+        let by_level = SweepObs::BATTERY_LEVEL_NS.map(|name| snap.histogram(name));
+        assert_eq!(by_level.each_ref().map(|h| h.count()), [40, 10, 1]);
+        let split: u64 = by_level.iter().map(|h| h.total()).sum();
+        assert_eq!(split, snap.histogram(SweepObs::BATTERY_NS).total());
     }
 }

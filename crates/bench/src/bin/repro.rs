@@ -880,7 +880,8 @@ fn cmd_server_metrics(opts: &Options) -> Result<(), String> {
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
     use ebird_bench::profile::{
-        clock_oracle, effective_parallelism, render_profile, units_counter, TRACE_SAMPLES,
+        clock_oracle, effective_parallelism, record_peak_rss, render_profile, units_counter,
+        TRACE_SAMPLES,
     };
     use ebird_runtime::PoolObserver;
     let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
@@ -898,7 +899,8 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     let parallelism = effective_parallelism(&registry, host_threads());
 
     // Each stage gets a wall-clock span and relabels the pool observer, so
-    // `pool.{stage}.w{i}.busy_ns` splits busy time per stage per worker.
+    // `pool.{stage}.w{i}.busy_ns` splits busy time per stage per worker; the
+    // process's peak resident set is read as each span closes.
     let stage = |i: usize| {
         observer.set_stage(STAGES[i]);
         registry.span(STAGES[i])
@@ -913,6 +915,7 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
         let _span = stage(0);
         generate_synthetic(opts, &pool)?
     };
+    record_peak_rss(&registry, STAGES[0]);
     // Every stage handles every process-iteration of the campaign once; the
     // count beside each span turns a stage's busy time into a cost per unit.
     let units: usize = traces.iter().map(|t| t.shape().process_iterations()).sum();
@@ -933,12 +936,14 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
             );
         }
     }
+    record_peak_rss(&registry, STAGES[1]);
     {
         let _span = stage(2);
         for tr in &traces {
             let _ = trace_scan_parallel_with_arenas(tr, LAGGARD_THRESHOLD_MS, &pool, &mut arenas);
         }
     }
+    record_peak_rss(&registry, STAGES[2]);
     {
         let _span = stage(3);
         for tr in &traces {
@@ -951,6 +956,7 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
             );
         }
     }
+    record_peak_rss(&registry, STAGES[3]);
 
     println!("{clock}");
     println!("{parallelism}");

@@ -9,9 +9,13 @@
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
 //! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
 //! [`SweepObs::GATHER_NS`], sort, [`SweepObs::BATTERY_NS`] — as shares of
-//! the stage's busy time, the sort layer split by level
-//! ([`SweepObs::SORT_LEVEL_NS`]), and the [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's [`PoolObserver::FORK_NS`] fork/join
-//! overhead histogram. Rendering lives in the library
+//! the stage's busy time, the sort and battery layers split by level
+//! ([`SweepObs::SORT_LEVEL_NS`], [`SweepObs::BATTERY_LEVEL_NS`]), and the
+//! [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's
+//! [`PoolObserver::FORK_NS`] fork/join overhead histogram. Each stage row
+//! also states the process's peak resident set once the stage is done
+//! ([`record_peak_rss`]), so the memory a stage leaves resident can be
+//! attributed from the profile alone. Rendering lives in the library
 //! so a sentinel test can assert every metric the profile reads actually
 //! appears in the output — a silent rendering gap would hide a regression
 //! signal. Above the table, [`clock_oracle`] states what the profile's own
@@ -41,6 +45,30 @@ pub fn units_counter(stage: &str) -> String {
 /// streams, and (at one word a sample) the traces' resident footprint in the
 /// profile's header.
 pub const TRACE_SAMPLES: &str = "trace.samples";
+
+/// Gauge name: the process's peak resident set in KiB, read right after
+/// `stage`'s span closed.
+fn peak_rss_gauge(stage: &str) -> String {
+    format!("mem.{stage}.peak_kib")
+}
+
+/// `VmHWM` — the peak resident set so far, in KiB — out of the text of
+/// `/proc/self/status`.
+fn vm_hwm_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// Records the process's peak resident set so far (`VmHWM`) as `stage`'s
+/// peak — call it right after the stage's span closes. Where
+/// `/proc/self/status` cannot be read the gauge stays unset and the profile
+/// prints `-`.
+pub fn record_peak_rss(registry: &Registry, stage: &str) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    if let Some(kib) = vm_hwm_kib(&status) {
+        registry.gauge(&peak_rss_gauge(stage)).set(kib as i64);
+    }
+}
 
 /// Measures `registry`'s clock against known durations and returns the
 /// profile's clock line: the median cost of a read over 10⁴ back-to-back
@@ -136,8 +164,8 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<18}{:>12}{:>12}{:>7}{:>10}  per-worker busy ms",
-        "stage", "wall ms", "busy ms", "util", "µs/unit"
+        "{:<18}{:>12}{:>12}{:>7}{:>10}{:>10}  per-worker busy ms",
+        "stage", "wall ms", "busy ms", "util", "µs/unit", "peak MiB"
     );
     let mut dominant = ("", 0u64);
     for st in STAGES {
@@ -165,14 +193,19 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
             0 => "-".to_string(),
             units => format!("{:.2}", busy_ns as f64 / 1e3 / units as f64),
         };
+        let peak = match snap.gauges.get(&peak_rss_gauge(st)) {
+            Some(&kib) => format!("{:.1}", kib as f64 / 1024.0),
+            None => "-".to_string(),
+        };
         let _ = writeln!(
             out,
-            "{:<18}{:>12.1}{:>12.1}{:>6.0}%{:>10}  {}",
+            "{:<18}{:>12.1}{:>12.1}{:>6.0}%{:>10}{:>10}  {}",
             st,
             ms(wall_ns),
             ms(busy_ns),
             util,
             per_unit,
+            peak,
             per_worker.join(" ")
         );
     }
@@ -230,20 +263,25 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         ms(battery),
         ms(layers)
     );
-    let by_level: Vec<String> = SWEEP_LEVELS
-        .iter()
-        .zip(SweepObs::SORT_LEVEL_NS)
-        .map(|(level, name)| {
-            let h = snap.histogram(name);
-            format!(
-                "{} {:.1} ms / {} groups",
-                level.label(),
-                ms(h.total()),
-                h.count()
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "  sort by level: {}", by_level.join(", "));
+    for (layer, names) in [
+        ("sort", SweepObs::SORT_LEVEL_NS),
+        ("battery", SweepObs::BATTERY_LEVEL_NS),
+    ] {
+        let by_level: Vec<String> = SWEEP_LEVELS
+            .iter()
+            .zip(names)
+            .map(|(level, name)| {
+                let h = snap.histogram(name);
+                format!(
+                    "{} {:.1} ms / {} groups",
+                    level.label(),
+                    ms(h.total()),
+                    h.count()
+                )
+            })
+            .collect();
+        let _ = writeln!(out, "  {layer} by level: {}", by_level.join(", "));
+    }
     let batches = snap.histogram(SweepObs::BATCH_LEN);
     let mean_batch = if batches.count() == 0 {
         0.0
@@ -333,8 +371,12 @@ mod tests {
                 .histogram(layer)
                 .record(next(&mut sentinels) * 1_000_000);
         }
-        // The per-level sort split renders each level's total the same way.
-        for level in SweepObs::SORT_LEVEL_NS {
+        // The per-level sort and battery splits render each level's total
+        // the same way.
+        for level in SweepObs::SORT_LEVEL_NS
+            .into_iter()
+            .chain(SweepObs::BATTERY_LEVEL_NS)
+        {
             registry
                 .histogram(level)
                 .record(next(&mut sentinels) * 1_000_000);
@@ -351,6 +393,13 @@ mod tests {
         let fork_hist = registry.histogram(PoolObserver::FORK_NS);
         for _ in 0..fork_count {
             fork_hist.record(1_000_000);
+        }
+        // A stage's peak resident set renders in MiB with one decimal: a
+        // sentinel of S MiB, recorded in KiB, renders as "S.0".
+        for st in STAGES {
+            registry
+                .gauge(&peak_rss_gauge(st))
+                .set(next(&mut sentinels) as i64 * 1024);
         }
         // The sample count renders as itself, beside its footprint.
         let samples = next(&mut sentinels);
@@ -413,8 +462,31 @@ mod tests {
         assert!(rendered.contains("fork/join overhead"));
         assert!(rendered.contains("batch-phi kernel"));
         assert!(rendered.contains("  layers: gather 0.0 ms + sort 0.0 ms + battery 0.0 ms"));
-        assert!(rendered.contains(
-            "  sort by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"
-        ));
+        for layer in ["sort", "battery"] {
+            assert!(rendered.contains(&format!(
+                "  {layer} by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"
+            )));
+        }
+        // No peak resident set was recorded: every stage row's `peak MiB`
+        // cell (stage, wall, busy, util, µs/unit, peak, …) says so.
+        for st in STAGES {
+            let row = rendered.lines().find(|l| l.starts_with(st)).unwrap();
+            assert_eq!(row.split_whitespace().nth(5), Some("-"), "{row}");
+        }
+    }
+
+    #[test]
+    fn peak_rss_is_vm_hwm_in_kib() {
+        let status = "Name:\trepro\nVmPeak:\t  99999 kB\nVmHWM:\t   51200 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_kib(status), Some(51_200));
+        assert_eq!(vm_hwm_kib("VmRSS:\t 1 kB\n"), None);
+        assert_eq!(vm_hwm_kib("VmHWM:\t  n/a\n"), None);
+        // On a host with `/proc`, the reading is the process's own peak.
+        if std::path::Path::new("/proc/self/status").exists() {
+            let registry = Registry::wall();
+            record_peak_rss(&registry, STAGES[0]);
+            let kib = registry.snapshot().gauges[&peak_rss_gauge(STAGES[0])];
+            assert!(kib > 0, "{kib}");
+        }
     }
 }

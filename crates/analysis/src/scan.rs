@@ -203,7 +203,7 @@ mod tests {
                 let mut m = Moments::new();
                 for unit in static_block(units, workers, t) {
                     fill_group_ms(&tr, level, unit, &mut ms);
-                    m.extend(&ms);
+                    ms.iter().for_each(|&x| m.push(x));
                 }
                 m
             });

@@ -22,15 +22,6 @@ pub struct MiniFeParams {
 }
 
 impl MiniFeParams {
-    /// Paper-like configuration scaled to CI: a 20×20×200 mesh keeps the
-    /// load-bearing 200-plane outer loop while holding the node count at 80k
-    /// (the paper's 200³ = 8M nodes per process needs a real cluster node).
-    pub fn ci_scale() -> Self {
-        MiniFeParams {
-            dims: MeshDims::new(20, 20, 200),
-        }
-    }
-
     /// Tiny configuration for unit tests.
     pub fn test_scale() -> Self {
         MiniFeParams {
@@ -88,11 +79,6 @@ impl MiniFe {
     /// Mesh dimensions.
     pub fn dims(&self) -> MeshDims {
         self.dims
-    }
-
-    /// Completed CG steps.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// Current residual 2-norm.
@@ -218,7 +204,7 @@ mod tests {
         );
         assert!(fe.solution_error() < 1e-6, "err {}", fe.solution_error());
         assert!(fe.verify().is_ok());
-        assert_eq!(fe.steps(), 60);
+        assert_eq!(fe.steps, 60);
     }
 
     #[test]

@@ -50,7 +50,8 @@ impl CsrMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 

@@ -49,7 +49,7 @@ impl MeshDims {
 
     /// Row index of node `(i, j, k)`.
     #[inline]
-    pub fn row(&self, i: usize, j: usize, k: usize) -> usize {
+    fn row(&self, i: usize, j: usize, k: usize) -> usize {
         (k * self.ny + j) * self.nx + i
     }
 }

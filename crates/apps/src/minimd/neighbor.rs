@@ -31,7 +31,8 @@ impl NeighborList {
     }
 
     /// Number of atoms the list covers.
-    pub fn atoms(&self) -> usize {
+    #[cfg(test)]
+    fn atoms(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 

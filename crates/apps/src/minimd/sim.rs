@@ -31,15 +31,6 @@ pub struct MiniMdParams {
 }
 
 impl MiniMdParams {
-    /// MiniMD benchmark defaults at a CI-friendly size (8³ cells = 2,048
-    /// atoms; the paper's 128³ volume needs a cluster node).
-    pub fn ci_scale() -> Self {
-        MiniMdParams {
-            cells: (8, 8, 8),
-            ..Self::test_scale()
-        }
-    }
-
     /// Tiny configuration for unit tests (3³ cells = 108 atoms).
     pub fn test_scale() -> Self {
         MiniMdParams {
@@ -90,18 +81,8 @@ impl MiniMd {
     }
 
     /// Atom count.
-    pub fn atoms(&self) -> usize {
+    fn atoms(&self) -> usize {
         self.pos.len()
-    }
-
-    /// Completed steps.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Periodic box side lengths.
-    pub fn box_len(&self) -> V3 {
-        self.box_len
     }
 
     fn reach(&self) -> f64 {

@@ -205,11 +205,6 @@ impl MiniQmc {
         &self.walkers
     }
 
-    /// Completed iterations.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
     /// Population-wide acceptance rate.
     fn acceptance_rate(&self) -> f64 {
         let (acc, prop) = self
@@ -314,7 +309,7 @@ mod tests {
         assert!(qmc.verify().is_ok());
         let after = qmc.walkers()[0].electrons();
         assert_ne!(before, after, "walker should have moved");
-        assert_eq!(qmc.steps(), 10);
+        assert_eq!(qmc.steps, 10);
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
             assert!(plain.step(&pool, None).is_empty());
         }
         assert!(timed.verify().is_ok());
-        assert_eq!(timed.steps(), plain.steps());
+        assert_eq!(timed.steps, plain.steps);
         for (wt, wp) in timed.walkers().iter().zip(plain.walkers()) {
             assert_eq!(wt.electrons(), wp.electrons(), "walkers diverged");
             assert_eq!(wt.acceptance(), wp.acceptance());

@@ -53,7 +53,7 @@ pub struct Spline3D {
 
 impl Spline3D {
     /// Builds a spline with explicit coefficients (`coeffs.len() == n³`).
-    pub fn new(n: usize, box_len: f64, coeffs: Vec<f64>) -> Self {
+    fn new(n: usize, box_len: f64, coeffs: Vec<f64>) -> Self {
         assert!(n >= 1, "grid must be nonempty");
         assert!(box_len > 0.0, "box must have positive extent");
         assert_eq!(coeffs.len(), n * n * n, "need n³ coefficients");
@@ -80,11 +80,6 @@ impl Spline3D {
     /// Grid points per axis.
     pub fn grid(&self) -> usize {
         self.n
-    }
-
-    /// Box side length.
-    pub fn box_len(&self) -> f64 {
-        self.box_len
     }
 
     #[inline]

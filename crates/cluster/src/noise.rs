@@ -43,7 +43,8 @@ pub enum NoiseRegime {
 
 impl NoiseRegime {
     /// All regimes, scenario-matrix order.
-    pub fn all() -> [NoiseRegime; 4] {
+    #[cfg(test)]
+    fn all() -> [NoiseRegime; 4] {
         [
             NoiseRegime::Baseline,
             NoiseRegime::Laggard,

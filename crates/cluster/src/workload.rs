@@ -460,11 +460,6 @@ pub struct RealKernelHandle {
 }
 
 impl RealKernelHandle {
-    /// The canonical app name this handle runs.
-    pub fn app(&self) -> &'static str {
-        self.app
-    }
-
     /// Runs the metered campaign ([`RealKernelParams::run_campaign`] at
     /// [`RealTiming::Metered`]). For MiniFE the seed does not move the
     /// trace, but it still participates in the cell cache key, which merely

@@ -104,16 +104,6 @@ impl TraceShape {
         })
     }
 
-    /// The paper's full-scale shape: 10 × 8 × 200 × 48.
-    pub fn paper_scale() -> Self {
-        TraceShape {
-            trials: 10,
-            ranks: 8,
-            iterations: 200,
-            threads: 48,
-        }
-    }
-
     /// Total number of samples (`trials × ranks × iterations × threads`).
     pub fn total_samples(&self) -> usize {
         self.trials * self.ranks * self.iterations * self.threads
@@ -178,7 +168,8 @@ mod tests {
         assert_eq!(s.total_samples(), 120);
         assert_eq!(s.process_iterations(), 24);
         assert_eq!(s.samples_per_app_iteration(), 30);
-        let paper = TraceShape::paper_scale();
+        // The paper's full-scale shape.
+        let paper = TraceShape::new(10, 8, 200, 48).unwrap();
         assert_eq!(paper.total_samples(), 768_000);
         assert_eq!(paper.process_iterations(), 16_000);
         assert_eq!(paper.samples_per_app_iteration(), 3_840);

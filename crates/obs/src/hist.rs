@@ -108,11 +108,6 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
     /// Bucket edges `(lower, upper)` that provably bracket the true
     /// `q`-quantile (the rank-`⌈q·n⌉` order statistic, rank clamped to
     /// `[1, n]`). Returns `(0, 0)` for an empty snapshot.

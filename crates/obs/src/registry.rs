@@ -83,7 +83,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }

@@ -7,8 +7,7 @@
 //! — [`JobQueue::close`] refuses new work while every already-queued job
 //! still runs. Depth is **weighted**: a job counts its
 //! [`push_weighted`](JobQueue::push_weighted) weight (the service passes
-//! the job's cell count, so bound and depth stay in cells) and `1` through
-//! plain [`push`](JobQueue::push). The queue is deliberately job-agnostic:
+//! the job's cell count, so bound and depth stay in cells). The queue is deliberately job-agnostic:
 //! it stores any `Send` payload, so the runtime layer stays free of
 //! protocol or scenario types.
 
@@ -108,7 +107,7 @@ impl<T> State<T> {
     }
 }
 
-/// Why a [`push`](JobQueue::push) was refused.
+/// Why a [`push_weighted`](JobQueue::push_weighted) was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// The queue is closed (shutdown drain in progress).
@@ -130,9 +129,9 @@ impl std::fmt::Display for PushError {
 /// A blocking multi-producer/multi-consumer priority queue with close/drain
 /// shutdown semantics and an optional depth bound.
 ///
-/// * [`push`](JobQueue::push) enqueues at a priority (higher runs first;
-///   equal priorities run in push order). Pushing to a closed queue is
-///   refused with [`PushError::Closed`]; pushing more weight than a
+/// * [`push_weighted`](JobQueue::push_weighted) enqueues at a priority
+///   (higher runs first; equal priorities run in push order). Pushing to a
+///   closed queue is refused with [`PushError::Closed`]; pushing more weight than a
 ///   [`bounded`](JobQueue::bounded) queue has room for is refused with
 ///   [`PushError::Full`] — it never blocks, so producers can degrade
 ///   gracefully instead of wedging.
@@ -148,12 +147,6 @@ pub struct JobQueue<T> {
     metrics: Option<QueueMetrics>,
 }
 
-impl<T> Default for JobQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> std::fmt::Debug for JobQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.state.lock();
@@ -165,13 +158,9 @@ impl<T> std::fmt::Debug for JobQueue<T> {
 }
 
 impl<T> JobQueue<T> {
-    /// Creates an empty, open, unbounded queue.
-    pub fn new() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
     /// Creates an empty, open queue refusing pushes beyond `capacity` queued
-    /// weight (jobs already popped by workers don't count).
+    /// weight (jobs already popped by workers don't count); `usize::MAX` is
+    /// unbounded.
     pub fn bounded(capacity: usize) -> Self {
         JobQueue {
             state: Mutex::new(State {
@@ -197,7 +186,8 @@ impl<T> JobQueue<T> {
     ///
     /// # Errors
     /// See [`push_weighted`](JobQueue::push_weighted).
-    pub fn push(&self, priority: i64, job: T) -> Result<(), PushError> {
+    #[cfg(test)]
+    fn push(&self, priority: i64, job: T) -> Result<(), PushError> {
         self.push_weighted(priority, 1, job)
     }
 
@@ -337,7 +327,7 @@ mod tests {
 
     #[test]
     fn pops_by_priority_then_fifo() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(usize::MAX);
         assert!(q.push(1, "low-a").is_ok());
         assert!(q.push(5, "high-a").is_ok());
         assert!(q.push(1, "low-b").is_ok());
@@ -349,7 +339,7 @@ mod tests {
 
     #[test]
     fn negative_priorities_run_last() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(usize::MAX);
         q.push(0, 0).unwrap();
         q.push(-3, -3).unwrap();
         q.push(7, 7).unwrap();
@@ -360,7 +350,7 @@ mod tests {
 
     #[test]
     fn close_refuses_new_work_but_drains_old() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(usize::MAX);
         assert!(q.push(0, 1).is_ok());
         q.close();
         assert_eq!(
@@ -375,7 +365,7 @@ mod tests {
 
     #[test]
     fn try_pop_never_blocks() {
-        let q: JobQueue<u32> = JobQueue::new();
+        let q: JobQueue<u32> = JobQueue::bounded(usize::MAX);
         assert_eq!(q.try_pop(), None);
         q.push(0, 9).unwrap();
         assert_eq!(q.try_pop(), Some(9));
@@ -471,7 +461,7 @@ mod tests {
 
     #[test]
     fn blocked_pop_wakes_on_push_and_on_close() {
-        let q = Arc::new(JobQueue::new());
+        let q = Arc::new(JobQueue::bounded(usize::MAX));
         let q2 = Arc::clone(&q);
         let popper = std::thread::spawn(move || {
             let first = q2.pop();
@@ -491,7 +481,7 @@ mod tests {
     #[test]
     fn service_drains_every_job_exactly_once() {
         let pool = Pool::new(4);
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(usize::MAX);
         let counts: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
         for i in 0..200usize {
             q.push((i % 3) as i64, i).unwrap();
@@ -536,7 +526,7 @@ mod tests {
         // One producer thread feeds the queue while a pool team services it:
         // the shape the campaign server uses (connection threads produce,
         // the scheduler team consumes).
-        let q = Arc::new(JobQueue::new());
+        let q = Arc::new(JobQueue::bounded(usize::MAX));
         let done = Arc::new(AtomicUsize::new(0));
         let producer = {
             let q = Arc::clone(&q);

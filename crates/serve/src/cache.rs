@@ -179,7 +179,7 @@ pub struct CachedRow {
 
 impl CachedRow {
     /// An entry holding exact-size copies of `spec` and `row`.
-    pub fn new(spec: &str, row: &str) -> Self {
+    pub(crate) fn new(spec: &str, row: &str) -> Self {
         CachedRow {
             text: [spec, row].concat().into(),
             spec_len: spec.len(),
@@ -187,7 +187,7 @@ impl CachedRow {
     }
 
     /// Canonical spec JSON (collision guard + cold-tier provenance).
-    pub fn spec(&self) -> &str {
+    fn spec(&self) -> &str {
         &self.text[..self.spec_len]
     }
 

@@ -309,7 +309,7 @@ pub struct HistogramEntry {
 
 impl HistogramEntry {
     /// Renders an `ebird-obs` snapshot under `name`.
-    pub fn from_snapshot(name: &str, snap: &ebird_obs::HistogramSnapshot) -> Self {
+    fn from_snapshot(name: &str, snap: &ebird_obs::HistogramSnapshot) -> Self {
         HistogramEntry {
             name: name.to_string(),
             count: snap.count(),

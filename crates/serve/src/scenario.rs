@@ -606,7 +606,7 @@ pub struct ResolvedMatrix {
 
 impl ResolvedMatrix {
     /// Number of cells (same as the source matrix's [`ScenarioMatrix::len`]).
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         cell_count([
             self.workloads.len(),
             self.strategies.len(),
@@ -614,13 +614,6 @@ impl ResolvedMatrix {
             self.noise.len(),
             self.ranks.len(),
         ])
-    }
-
-    /// Resolved matrices are never empty ([`ScenarioMatrix::resolve`]
-    /// rejects empty axes), so this is always `false`; provided for the
-    /// conventional pairing with [`len`](Self::len).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Every cell in canonical row order (workloads ▸ noise ▸ ranks ▸

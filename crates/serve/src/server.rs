@@ -47,7 +47,6 @@
 //! closes and drains (in-flight jobs complete; their submissions stream to
 //! the end), the worker team joins, and the cache's cold tier is flushed.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -510,12 +509,38 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<(), String> {
     server.run()
 }
 
+/// One line off a connection, as [`read_request_line`] frames it.
+enum RequestLine {
+    /// A non-blank request, trimmed.
+    Text(String),
+    /// A line that is not UTF-8, with the bytes it took off the wire: it
+    /// gets an error reply, and its newline still frames the next request.
+    NotUtf8(usize),
+    /// A line past [`MAX_REQUEST_LINE_BYTES`]: one error reply, then the
+    /// connection ends.
+    Overlong,
+}
+
+impl RequestLine {
+    /// Frames one received line, or `None` for a blank one.
+    fn frame(bytes: Vec<u8>) -> Option<RequestLine> {
+        let len = bytes.len();
+        match String::from_utf8(bytes) {
+            Ok(text) => {
+                let text = text.trim();
+                (!text.is_empty()).then(|| RequestLine::Text(text.to_string()))
+            }
+            Err(_) => Some(RequestLine::NotUtf8(len)),
+        }
+    }
+}
+
 /// Reads one line, polling the stop flag between read timeouts. Returns
 /// `None` on EOF / connection error / server stop with nothing buffered, and
-/// the refusal for a line past [`MAX_REQUEST_LINE_BYTES`]: each read is
-/// capped at the room left (`Read::take`), because one `read_until` keeps
-/// appending for as long as bytes keep arriving.
-fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<Result<String, String>> {
+/// [`RequestLine::Overlong`] for a line past [`MAX_REQUEST_LINE_BYTES`]: each
+/// read is capped at the room left (`Read::take`), because one `read_until`
+/// keeps appending for as long as bytes keep arriving.
+fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<RequestLine> {
     let mut line = Vec::new();
     loop {
         let room = MAX_REQUEST_LINE_BYTES - line.len();
@@ -523,20 +548,12 @@ fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<Resul
             .take(room as u64)
             .read_until(b'\n', &mut line)
         {
-            Ok(0) if room == 0 => {
-                return Some(Err(format!(
-                    "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
-                )));
-            }
-            Ok(0) => {
-                // EOF; serve a final unterminated line if one accumulated.
-                let text = String::from_utf8(line).ok()?;
-                return (!text.trim().is_empty()).then(|| Ok(text.trim().to_string()));
-            }
+            Ok(0) if room == 0 => return Some(RequestLine::Overlong),
+            // EOF; serve a final unterminated line if one accumulated.
+            Ok(0) => return RequestLine::frame(line),
             Ok(_) if line.ends_with(b"\n") => {
-                let text = String::from_utf8(std::mem::take(&mut line)).ok()?;
-                if !text.trim().is_empty() {
-                    return Some(Ok(text.trim().to_string()));
+                if let Some(request) = RequestLine::frame(std::mem::take(&mut line)) {
+                    return Some(request);
                 }
             }
             Ok(_) => {}
@@ -592,17 +609,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 }
 
 /// Serves the request lines of one connection until EOF, a write failure,
-/// an oversized line or shutdown. An oversized line gets one error reply and
-/// ends the connection: its unread rest leaves nothing to frame the next
+/// an oversized line or shutdown. A line that is not UTF-8 gets an error
+/// reply and the next line is served. An oversized line gets one error reply
+/// and ends the connection: its unread rest leaves nothing to frame the next
 /// request by.
 fn serve_lines(reader: &mut impl BufRead, writer: &mut impl Write, shared: &Shared) {
     while let Some(line) = read_request_line(reader, shared) {
         let served = match line {
-            Ok(line) => serve_request(&line, shared, writer),
-            Err(refusal) => {
-                shared.metrics.count_request(Verb::Error);
-                let _ = write_line(writer, &reply_line(&ErrorReply::new(refusal)))
-                    .and_then(|()| flush(writer));
+            RequestLine::Text(line) => serve_request(&line, shared, writer),
+            RequestLine::NotUtf8(len) => {
+                shared.metrics.bytes_read.add(len as u64);
+                refuse("bad request: request line is not UTF-8", shared, writer)
+            }
+            RequestLine::Overlong => {
+                let refusal = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+                let _ = refuse(&refusal, shared, writer);
                 return;
             }
         };
@@ -612,6 +633,13 @@ fn serve_lines(reader: &mut impl BufRead, writer: &mut impl Write, shared: &Shar
             return;
         }
     }
+}
+
+/// Answers a line no request could be parsed from with one error reply,
+/// counted as an `error` request.
+fn refuse(msg: &str, shared: &Shared, writer: &mut impl Write) -> Result<(), String> {
+    shared.metrics.count_request(Verb::Error);
+    write_line(writer, &reply_line(&ErrorReply::new(msg))).and_then(|()| flush(writer))
 }
 
 /// One request line in, one complete reply out — written and flushed. An
@@ -946,11 +974,11 @@ fn handle_submit(
             scheduled,
         }),
     )?;
-    // Stream rows in matrix order; out-of-order completions wait in `extra`.
-    let mut extra: HashMap<usize, CachedRow> = HashMap::new();
-    for (index, slot) in ready.iter_mut().enumerate() {
+    // Stream rows in matrix order; an out-of-order completion waits in its
+    // own `ready` slot.
+    for index in 0..total {
         let entry = loop {
-            if let Some(e) = slot.take().or_else(|| extra.remove(&index)) {
+            if let Some(e) = ready[index].take() {
                 break e;
             }
             let message = match rx.try_recv() {
@@ -962,12 +990,7 @@ fn handle_submit(
                 received => received.ok(),
             };
             match message {
-                Some((done, Ok(e))) => {
-                    if done == index {
-                        break e;
-                    }
-                    extra.insert(done, e);
-                }
+                Some((done, Ok(e))) => ready[done] = Some(e),
                 Some((_done, Err(msg))) => {
                     // A pricing failure ends the stream with the protocol's
                     // error line (same shape as the shutdown-mid-submit
@@ -1287,6 +1310,32 @@ mod tests {
             assert!(lines[0].starts_with(reply), "{}", lines[0]);
         }
         assert!(shared.queue.is_empty());
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_is_answered_and_the_next_request_served() {
+        // A line that is not UTF-8 used to close the connection with no
+        // reply, dropping the request queued behind it uncounted.
+        let shared = shared();
+        let status = reply_line(&Request::Status);
+        let mut input = b"{\"verb\":\"st\xffatus\"}\n".to_vec();
+        input.extend(format!("{status}\n").bytes());
+        let tap = WireTap::default();
+        let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+        serve_lines(&mut input.as_slice(), &mut writer, &shared);
+        let lines = tap.lines();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            lines[0],
+            "{\"ok\":false,\"error\":\"bad request: request line is not UTF-8\"}"
+        );
+        assert!(
+            lines[1].starts_with("{\"ok\":true,\"queued\":0,"),
+            "{}",
+            lines[1]
+        );
+        assert_eq!(shared.metrics.requests[Verb::Error as usize].get(), 1);
+        assert_eq!(shared.metrics.bytes_read.get(), input.len() as u64);
     }
 
     #[test]

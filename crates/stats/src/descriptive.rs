@@ -54,17 +54,12 @@ impl Moments {
         self.max = self.max.max(x);
     }
 
-    /// Accumulates every observation in `sample`.
-    pub fn extend(&mut self, sample: &[f64]) {
-        for &x in sample {
-            self.push(x);
-        }
-    }
-
     /// Builds an accumulator directly from a slice.
     pub fn from_slice(sample: &[f64]) -> Self {
         let mut m = Moments::new();
-        m.extend(sample);
+        for &x in sample {
+            m.push(x);
+        }
         m
     }
 
@@ -171,15 +166,6 @@ impl Moments {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// `max − min`; `NaN` when empty.
-    pub fn range(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max - self.min
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +184,6 @@ mod tests {
         assert!((m.variance() - 32.0 / 7.0).abs() < TOL);
         assert!((m.min() - 2.0).abs() < TOL);
         assert!((m.max() - 9.0).abs() < TOL);
-        assert!((m.range() - 7.0).abs() < TOL);
     }
 
     #[test]
@@ -250,7 +235,6 @@ mod tests {
         assert!(m.variance().is_nan());
         assert!(m.skewness().is_nan());
         assert!(m.kurtosis().is_nan());
-        assert!(m.range().is_nan());
     }
 
     #[test]

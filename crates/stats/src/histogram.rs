@@ -2,10 +2,9 @@
 //!
 //! The paper plots arrival-time histograms with bin widths of 10 µs (Figure 3,
 //! Figure 7 b/c), 50 µs (Figures 5, 7a) and 1 ms (Figure 9). [`HistogramSpec`]
-//! captures the `(origin, width)` pair; [`Histogram`] counts observations,
-//! supports merging partial histograms (per-rank → application level), and can
-//! render itself as rows (`bin_center, count`) or a quick ASCII sketch for
-//! terminal reports.
+//! captures the `(origin, width)` pair; [`Histogram`] counts observations and
+//! can render itself as rows (`bin_center, count`) or a quick ASCII sketch
+//! for terminal reports.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +24,7 @@ pub struct HistogramSpec {
 
 impl HistogramSpec {
     /// Creates a spec, validating `width > 0` and `bins > 0`.
-    pub fn new(origin: f64, width: f64, bins: usize) -> Result<Self, StatsError> {
+    fn new(origin: f64, width: f64, bins: usize) -> Result<Self, StatsError> {
         if !(width > 0.0 && width.is_finite()) {
             return Err(StatsError::InvalidParameter(
                 "bin width must be positive and finite",
@@ -46,7 +45,7 @@ impl HistogramSpec {
 
     /// Builds a spec that covers `[min, max]` of a sample with the given
     /// `width`, snapping the origin down to a multiple of `width` so bins of
-    /// independently-built histograms line up and can be merged.
+    /// independently-built histograms line up.
     fn covering(min: f64, max: f64, width: f64) -> Result<Self, StatsError> {
         if !(width > 0.0 && width.is_finite()) {
             return Err(StatsError::InvalidParameter(
@@ -94,7 +93,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram for `spec`.
-    pub fn new(spec: HistogramSpec) -> Self {
+    fn new(spec: HistogramSpec) -> Self {
         Histogram {
             counts: vec![0; spec.bins],
             spec,
@@ -122,7 +121,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn push(&mut self, x: f64) {
+    fn push(&mut self, x: f64) {
         match self.spec.bin_index(x) {
             Some(i) => self.counts[i] += 1,
             None if x < self.spec.origin => self.underflow += 1,
@@ -131,26 +130,10 @@ impl Histogram {
     }
 
     /// Records every observation in the iterator.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
         for x in iter {
             self.push(x);
         }
-    }
-
-    /// Merges a histogram built over the *same spec* into this one.
-    ///
-    /// # Errors
-    /// [`StatsError::InvalidParameter`] if the specs differ.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), StatsError> {
-        if self.spec != other.spec {
-            return Err(StatsError::InvalidParameter("histogram specs differ"));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        Ok(())
     }
 
     /// The binning scheme.
@@ -254,7 +237,7 @@ mod tests {
         assert_eq!(s.origin, 10.0);
         assert!(s.bin_index(10.3).is_some());
         assert!(s.bin_index(19.7).is_some());
-        // Aligned origins let histograms over different samples merge.
+        // Aligned origins line up histograms over different samples.
         let s2 = HistogramSpec::covering(12.1, 19.7, 2.0).unwrap();
         assert_eq!((s2.origin / 2.0).fract(), 0.0);
     }
@@ -278,22 +261,6 @@ mod tests {
         assert_eq!(h.overflow, 2);
         assert_eq!(h.counts(), &[1, 1]);
         assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn merge_requires_same_spec_and_adds_counts() {
-        let spec = HistogramSpec::new(0.0, 1.0, 4).unwrap();
-        let mut a = Histogram::new(spec);
-        a.extend([0.5, 1.5, 3.5]);
-        let mut b = Histogram::new(spec);
-        b.extend([0.1, 2.5, -3.0, 10.0]);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counts(), &[2, 1, 1, 1]);
-        assert_eq!(a.underflow, 1);
-        assert_eq!(a.overflow, 1);
-
-        let other = Histogram::new(HistogramSpec::new(0.0, 2.0, 4).unwrap());
-        assert!(a.merge(&other).is_err());
     }
 
     #[test]

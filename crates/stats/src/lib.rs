@@ -14,16 +14,16 @@
 //! * [`percentile`] — order statistics: linear-interpolation percentiles
 //!   (NumPy/R type-7), medians, inter-quartile ranges, percentile summaries.
 //! * [`histogram`] — fixed-bin-width histograms matching the paper's figure
-//!   conventions (10 µs / 50 µs / 1 ms bins), with merge and rendering support.
+//!   conventions (10 µs / 50 µs / 1 ms bins), with rendering support.
 //! * [`normality`] — the paper's three normality tests: D'Agostino's K²
 //!   omnibus test, Shapiro–Wilk (Royston's AS R94), and Anderson–Darling
 //!   (case 3, Stephens' correction), plus Lilliefors and Jarque–Bera.
 //! * [`dist`] — seeded sampling distributions (normal, log-normal, exponential,
 //!   mixtures) used by the synthetic cluster models; independent of `rand` so
 //!   the crate stays dependency-free.
-//! * [`sort`] — LSD radix sort of finite `f64` samples over a monotone `u64`
-//!   key mapping, plus k-way merge of sorted sub-groups; bit-identical to a
-//!   stable `partial_cmp` sort and allocation-free with a reused scratch.
+//! * [`sort`] — the crate's one float order, std's stable `partial_cmp` sort
+//!   of finite `f64` samples, plus k-way merge of sorted sub-groups in the
+//!   same order.
 //! * [`accumulate`] — deterministic chunked-lane summation used by every
 //!   sweep kernel so serial, parallel, and fused paths agree bit-for-bit.
 //! * [`timeseries`] — change-point detection for iteration-indexed series
@@ -52,7 +52,7 @@ pub use normality::{
     anderson_darling::AndersonDarling, dagostino::DagostinoK2, shapiro_wilk::ShapiroWilk,
     NormalityOutcome, NormalityTest, TestStatistic,
 };
-pub use percentile::{iqr, median, percentile, PercentileSummary};
+pub use percentile::{median, percentile, PercentileSummary};
 
 /// Crate-wide error type for statistical routines.
 ///
@@ -119,7 +119,7 @@ pub(crate) fn ensure_len(sample: &[f64], needed: usize) -> Result<(), StatsError
 /// defined on.
 pub(crate) fn sorted_copy(sample: &[f64]) -> Vec<f64> {
     let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    sort::sort_floats(&mut sorted, &mut sort::SortScratch);
     sorted
 }
 

@@ -24,7 +24,7 @@ pub struct Lilliefors;
 
 impl Lilliefors {
     /// Dallal–Wilkinson p-value for `(d, n)`.
-    pub fn p_value_for(d: f64, n: usize) -> f64 {
+    fn p_value_for(d: f64, n: usize) -> f64 {
         let n = n as f64;
         // The DW formula is calibrated for p ≤ 0.1 at the *observed* D; for
         // smaller D, R evaluates it at the D that would give p = 0.1 for

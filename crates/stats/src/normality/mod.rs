@@ -262,15 +262,14 @@ impl PhiBlock {
 
 /// Reusable buffers for allocation-free runs of the paper's three-test
 /// battery: one sorted copy of the sample (shared by all three tests, which
-/// stand-alone each sort their own), the radix-sort scratch, the per-`n`
-/// [`WeightCache`], and the Φ block the fused kernel works through.
+/// stand-alone each sort their own), the per-`n` [`WeightCache`], and the Φ
+/// block the fused kernel works through.
 ///
 /// One scratch per worker thread lets the sweep engine test tens of
 /// thousands of groups with zero allocations after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct BatteryScratch {
     sorted: Vec<f64>,
-    sort: SortScratch,
     cache: WeightCache,
     phi: PhiBlock,
 }
@@ -382,7 +381,7 @@ fn fused_battery(
 
 /// Runs the paper's three-test battery (D'Agostino K², Shapiro–Wilk,
 /// Anderson–Darling — [`BATTERY_ORDER`] in the analysis layer) on one sample
-/// through `scratch`: radix sort once, then the fused kernel with cached
+/// through `scratch`: sort one copy, then the fused kernel with cached
 /// per-`n` weights.
 ///
 /// Outcomes are bit-identical to calling each test's
@@ -392,21 +391,15 @@ pub fn battery_with_scratch(
     sample: &[f64],
     scratch: &mut BatteryScratch,
 ) -> [Option<NormalityOutcome>; 3] {
-    // A non-finite value fails every test's validation; skip the sort (whose
-    // key mapping requires finite values) and report the same `None`s the
-    // per-test calls would.
+    // A non-finite value fails every test's validation; skip the sort (which
+    // panics on a NaN) and report the same `None`s the per-test calls would.
     if !sample.iter().all(|x| x.is_finite()) {
         return [None; 3];
     }
-    let BatteryScratch {
-        sorted,
-        sort,
-        cache,
-        phi,
-    } = scratch;
+    let BatteryScratch { sorted, cache, phi } = scratch;
     sorted.clear();
     sorted.extend_from_slice(sample);
-    sort_floats(sorted, sort);
+    sort_floats(sorted, &mut SortScratch);
     fused_battery(sorted, cache, phi)
 }
 
@@ -516,8 +509,7 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         for case in 0..28 {
-            // Sizes straddle the radix-sort threshold (64) and recur so both
-            // sorting paths and repeated weight-cache hits are exercised.
+            // Sizes recur so repeated weight-cache hits are exercised.
             let n = 8 + (case % 6) * 31;
             let sample: Vec<f64> = match case % 4 {
                 0 => (0..n).map(|_| 10.0 + next()).collect(),

@@ -60,14 +60,6 @@ pub fn median(sample: &[f64]) -> Result<f64, StatsError> {
     percentile(sample, 50.0)
 }
 
-/// Convenience: the inter-quartile range (`p75 − p25`) of an unsorted sample.
-pub fn iqr(sample: &[f64]) -> Result<f64, StatsError> {
-    ensure_len(sample, 2)?;
-    ensure_finite(sample)?;
-    let sorted = sorted_copy(sample);
-    Ok(percentile_of_sorted(&sorted, 75.0) - percentile_of_sorted(&sorted, 25.0))
-}
-
 /// The five-number-plus summary used by the paper's percentile plots
 /// (Figures 4, 6, 8): p5 / p25 / p50 / p75 / p95, plus min/max for context.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -163,13 +155,6 @@ mod tests {
     #[test]
     fn median_of_even_sample_interpolates() {
         assert!((median(&[1.0, 2.0, 3.0, 4.0]).unwrap() - 2.5).abs() < TOL);
-    }
-
-    #[test]
-    fn iqr_matches_quartiles() {
-        let xs: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        // p25 = 3, p75 = 7 -> IQR 4.
-        assert!((iqr(&xs).unwrap() - 4.0).abs() < TOL);
     }
 
     #[test]

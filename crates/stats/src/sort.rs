@@ -1,170 +1,40 @@
-//! Cache-friendly sorting of finite `f64` samples.
+//! Sorting of finite `f64` samples.
 //!
 //! The pipeline's samples are integer nanoseconds, which its stages sort as
 //! integers with `slice::sort_unstable` — in place, and bit-identical to any
 //! other correct sort, because a sorted integer array is unique. This module
 //! serves samples that exist only as floats (the reference sweep, the
-//! battery-sensitivity ablation), where a comparison sort would pay a
-//! branch-mispredicting `partial_cmp` per comparison.
-//! Finite doubles admit a **monotone fixed-width key**: flip the sign bit for
-//! positives and all bits for negatives, and unsigned `u64` order equals
-//! numeric order (`f64_total_key`). [`sort_floats`] exploits that with an
-//! LSD radix sort — branch-free, O(n) passes, scratch buffers reused across
-//! groups — falling back to a stable insertion sort below
-//! [`RADIX_THRESHOLD`] where per-pass histogram setup would dominate.
+//! battery-sensitivity ablation, every order statistic of an unsorted
+//! sample): [`sort_floats`] is std's stable `partial_cmp` sort, the one float
+//! order of the crate.
 //!
 //! ## ±0.0 ordering (the one non-trivial tie)
 //!
-//! `(-0.0).partial_cmp(&0.0)` is `Equal`, so the `slice::sort_by` baseline —
-//! a *stable* sort — keeps `-0.0`/`+0.0` in input order. A naive sign-flip
-//! key instead orders `-0.0 < +0.0`. We therefore canonicalize `-0.0` to
-//! `+0.0` **in the key only** (the payload keeps its original bits); LSD
-//! radix scatter is stable, so equal-key runs stay in input order and the
-//! output is bit-for-bit identical to the stable comparison sort for every
-//! finite input — duplicates, signed zeros and subnormals included (pinned
-//! by proptests).
+//! `(-0.0).partial_cmp(&0.0)` is `Equal`, so the stable sort keeps
+//! `-0.0`/`+0.0` in input order, and [`merge_sorted_with_tmp`]'s `<=` ties
+//! them the same way (pinned by proptests).
 //!
-//! Non-finite values are outside the contract: keys for NaN/∞ are
-//! unspecified (callers validate finiteness first, as the battery already
-//! does).
+//! Non-finite values are outside the contract: a NaN panics (callers
+//! validate finiteness first, as the battery already does).
 
-/// Below this length radix setup (256-counter histograms per digit) costs
-/// more than it saves, and [`sort_floats`] runs a stable insertion sort
-/// instead.
-const RADIX_THRESHOLD: usize = 64;
-
-/// Monotone `u64` key for a finite `f64`: unsigned key order == numeric
-/// order, with `-0.0` canonicalized to `+0.0` so the two zeros tie exactly
-/// like `partial_cmp` says they do.
-#[inline]
-fn f64_total_key(x: f64) -> u64 {
-    let x = if x == 0.0 { 0.0 } else { x };
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Reusable radix-sort buffers: key array, ping-pong copies and the per-digit
-/// histograms. One scratch per worker makes group sorting allocation-free
-/// after warm-up.
-#[derive(Debug, Clone, Default)]
-pub struct SortScratch {
-    keys: Vec<u64>,
-    tmp_keys: Vec<u64>,
-    tmp_vals: Vec<f64>,
-}
+/// The scratch [`sort_floats`] takes and ignores: std's sort needs none.
+/// Kept only because `benchmark/src/layers.rs` constructs one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SortScratch;
 
 impl SortScratch {
-    /// Creates an empty scratch (buffers grow on first use).
+    /// Creates the (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
-/// Sorts `vals` ascending, bit-for-bit identical to
-/// `vals.sort_by(|a, b| a.partial_cmp(b).unwrap())` for finite inputs.
+/// Sorts `vals` ascending with the stable `partial_cmp` sort.
 ///
-/// Small slices use a stable insertion sort; larger ones an 8×8-bit LSD
-/// radix sort over `f64_total_key` carrying the original values as
-/// payload, skipping digits whose histogram is a single bucket.
-pub fn sort_floats(vals: &mut [f64], scratch: &mut SortScratch) {
-    let n = vals.len();
-    if n < RADIX_THRESHOLD {
-        insertion_sort(vals);
-        return;
-    }
-    let SortScratch {
-        keys,
-        tmp_keys,
-        tmp_vals,
-    } = scratch;
-    keys.clear();
-    keys.extend(vals.iter().map(|&v| f64_total_key(v)));
-    tmp_keys.resize(n, 0);
-    tmp_vals.resize(n, 0.0);
-
-    let hist = digit_histograms(keys);
-    let mut in_tmp = false;
-    for (d, h) in hist.iter().enumerate() {
-        let Some(mut offsets) = digit_offsets(h, n) else {
-            continue;
-        };
-        let shift = 8 * d as u32;
-        if in_tmp {
-            scatter(tmp_keys, tmp_vals, keys, vals, shift, &mut offsets);
-        } else {
-            scatter(keys, vals, tmp_keys, tmp_vals, shift, &mut offsets);
-        }
-        in_tmp = !in_tmp;
-    }
-    if in_tmp {
-        vals.copy_from_slice(tmp_vals);
-    }
-}
-
-/// All eight 8-bit digit histograms of `keys` in one pass.
-fn digit_histograms(keys: &[u64]) -> [[u32; 256]; 8] {
-    assert!(keys.len() <= u32::MAX as usize, "radix counters are u32");
-    let mut hist = [[0u32; 256]; 8];
-    for &k in keys {
-        for (d, h) in hist.iter_mut().enumerate() {
-            h[((k >> (8 * d)) & 0xFF) as usize] += 1;
-        }
-    }
-    hist
-}
-
-/// Scatter start offsets (exclusive prefix sums) for one digit's histogram
-/// over `n` keys, or `None` when a single bucket holds all of them: the
-/// digit is constant, its scatter would be the identity permutation, and
-/// the pass is skipped (common for the high bytes of millisecond-scale
-/// data).
-fn digit_offsets(hist: &[u32; 256], n: usize) -> Option<[u32; 256]> {
-    if hist.iter().any(|&c| c as usize == n) {
-        return None;
-    }
-    let mut offsets = [0u32; 256];
-    let mut run = 0u32;
-    for (o, &c) in offsets.iter_mut().zip(hist) {
-        *o = run;
-        run += c;
-    }
-    Some(offsets)
-}
-
-/// One stable counting-scatter pass on digit `shift/8`.
-fn scatter(
-    src_keys: &[u64],
-    src_vals: &[f64],
-    dst_keys: &mut [u64],
-    dst_vals: &mut [f64],
-    shift: u32,
-    offsets: &mut [u32; 256],
-) {
-    for (&k, &v) in src_keys.iter().zip(src_vals) {
-        let b = ((k >> shift) & 0xFF) as usize;
-        let dst = offsets[b] as usize;
-        dst_keys[dst] = k;
-        dst_vals[dst] = v;
-        offsets[b] += 1;
-    }
-}
-
-/// Stable insertion sort (shift-only moves on strict `>`), matching the
-/// stable `partial_cmp` sort bit-for-bit on finite inputs.
-fn insertion_sort(vals: &mut [f64]) {
-    for i in 1..vals.len() {
-        let v = vals[i];
-        let mut j = i;
-        while j > 0 && vals[j - 1] > v {
-            vals[j] = vals[j - 1];
-            j -= 1;
-        }
-        vals[j] = v;
-    }
+/// # Panics
+/// If `vals` holds a NaN.
+pub fn sort_floats(vals: &mut [f64], _scratch: &mut SortScratch) {
+    vals.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
 }
 
 /// K-way merges already-sorted `children` into `out` (which must have the
@@ -181,7 +51,7 @@ fn insertion_sort(vals: &mut [f64]) {
 /// (ping-ponging between `out` and the caller-owned `tmp`, resized as
 /// needed, contents on entry and exit unspecified) rather than a
 /// k-way priority queue: the per-element cost is a handful of predictable
-/// `u64` key compares and sequential copies instead of heap sifts, which
+/// float compares and sequential copies instead of heap sifts, which
 /// measures several times faster on the sweep's 80–200-child merges.
 /// Two-way stable merges composed left-to-right preserve exactly the
 /// stable-concatenation order a heap with a child-index tie-break produces.
@@ -258,8 +128,8 @@ fn merge_two(a: &[f64], b: &[f64], dst: &mut [f64]) {
     debug_assert_eq!(a.len() + b.len(), dst.len());
     let (mut i, mut j, mut k) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        // `<=` keeps the left run first on key ties (±0.0 included).
-        if f64_total_key(a[i]) <= f64_total_key(b[j]) {
+        // `<=` keeps the left run first on ties (±0.0 included).
+        if a[i] <= b[j] {
             dst[k] = a[i];
             i += 1;
         } else {
@@ -287,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn key_is_monotone_on_interesting_values() {
+    fn sort_orders_interesting_values() {
         let vals = [
             f64::NEG_INFINITY.next_up(), // most negative finite
             -1e300,
@@ -306,18 +176,17 @@ mod tests {
         let mut sorted = vals.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(bits(&vals), bits(&sorted), "fixture must be pre-sorted");
-        for w in vals.windows(2) {
-            assert!(
-                f64_total_key(w[0]) < f64_total_key(w[1]),
-                "key order broken at {w:?}"
-            );
-        }
-        // The documented exception: ±0.0 share one key.
-        assert_eq!(f64_total_key(-0.0), f64_total_key(0.0));
+        let mut reversed: Vec<f64> = vals.iter().rev().copied().collect();
+        sort_floats(&mut reversed, &mut SortScratch::new());
+        assert_eq!(bits(&reversed), bits(&vals));
+        // The documented tie: ±0.0 keep their input order.
+        let mut zeros = [0.0, -0.0];
+        sort_floats(&mut zeros, &mut SortScratch::new());
+        assert_eq!(bits(&zeros), bits(&[0.0, -0.0]));
     }
 
     #[test]
-    fn radix_matches_reference_on_mixed_signs_and_zeros() {
+    fn sort_matches_reference_on_mixed_signs_and_zeros() {
         let mut scratch = SortScratch::new();
         let mut xs: Vec<f64> = (0..500)
             .map(|i| {
@@ -334,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn insertion_path_matches_reference() {
+    fn short_sort_matches_reference() {
         let mut scratch = SortScratch::new();
         let mut xs = vec![3.0, -0.0, 1.5, 0.0, -2.0, 1.5, -0.0, 9.0];
         let want = reference_sort(&xs);
@@ -343,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_different_lengths() {
+    fn sort_matches_reference_across_lengths() {
         let mut scratch = SortScratch::new();
         for n in [0usize, 1, 63, 64, 65, 300, 1000] {
             let mut xs: Vec<f64> = (0..n).map(|i| (((i * 131) % 997) as f64).sin()).collect();
@@ -351,6 +220,13 @@ mod tests {
             sort_floats(&mut xs, &mut scratch);
             assert_eq!(bits(&xs), bits(&want), "n={n}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite values compare")]
+    fn sort_panics_on_nan() {
+        let mut xs = [1.0, f64::NAN, 0.5];
+        sort_floats(&mut xs, &mut SortScratch::new());
     }
 
     #[test]

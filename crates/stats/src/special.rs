@@ -427,71 +427,6 @@ pub fn norm_log_cdf_sf(x: f64) -> (f64, f64) {
 /// width the target offers.
 const BLOCK: usize = 8;
 
-/// One block of [`erfc_slice`]. Classifies the whole block into a single fit
-/// interval; when the lanes are uniform the branch-free per-lane loops below
-/// evaluate exactly the expression sequence [`erfc_mag`] uses for that
-/// interval (so the results are bit-identical), otherwise every lane falls
-/// back to the scalar [`erfc`]. Zeros and non-finite lanes (NaN compares
-/// false everywhere; `u > 0.0` excludes ±0) always take the scalar path,
-/// which keeps the edge semantics — `erfc(NaN) = 0`, `erfc(±0) = 1`,
-/// `erfc(−∞) = 2` — without any per-lane special-casing here.
-fn erfc_block(x: &[f64; BLOCK], out: &mut [f64; BLOCK]) {
-    let mut u = [0.0f64; BLOCK];
-    for l in 0..BLOCK {
-        u[l] = x[l].abs();
-    }
-    let mut m = [0.0f64; BLOCK];
-    if u.iter().all(|&v| v > 0.0 && v <= ERFC_NEAR_HI) {
-        for l in 0..BLOCK {
-            m[l] = estrin16(&ERFC_NEAR, u[l] * NEAR_SCALE - 1.0);
-        }
-    } else if u.iter().all(|&v| v > ERFC_NEAR_HI && v <= 3.5) {
-        for l in 0..BLOCK {
-            m[l] = (-u[l] * u[l]).exp() * estrin16(&ERFCX_MID, u[l] * MID_SCALE - MID_SHIFT);
-        }
-    } else if u.iter().all(|&v| v > 3.5 && v <= 27.5) {
-        for l in 0..BLOCK {
-            let w = 1.0 / u[l];
-            m[l] = (-u[l] * u[l]).exp() * estrin12(&ERFCX_FAR, w * FAR_SCALE - FAR_SHIFT);
-        }
-    } else {
-        for l in 0..BLOCK {
-            out[l] = erfc(x[l]);
-        }
-        return;
-    }
-    // Sign select, exactly as `erfc`: for x < 0 (zero lanes never get here),
-    // `−x` and `|x|` are the same bits, so `2 − erfc_mag(−x)` ≡ `2 − m`.
-    for l in 0..BLOCK {
-        out[l] = if x[l] < 0.0 { 2.0 - m[l] } else { m[l] };
-    }
-}
-
-/// [`erfc`] over a whole buffer, bit-identical to the scalar loop
-/// `for i { out[i] = erfc(xs[i]) }` (pinned by unit tests and proptests).
-///
-/// Works in blocks of [`BLOCK`] lanes: a block whose magnitudes all fall in
-/// one of the three Chebyshev intervals is evaluated by straight-line
-/// per-lane loops the compiler can autovectorize (the normality sweep's `z`
-/// scores are sorted, so interval-uniform blocks are the common case); mixed
-/// or edge-case blocks and the tail fall back to the scalar function.
-///
-/// # Panics
-/// Panics if `xs` and `out` have different lengths.
-pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erfc_slice: length mismatch");
-    let mut xb = xs.chunks_exact(BLOCK);
-    let mut ob = out.chunks_exact_mut(BLOCK);
-    for (x, o) in (&mut xb).zip(&mut ob) {
-        let x: &[f64; BLOCK] = x.try_into().expect("exact chunk");
-        let o: &mut [f64; BLOCK] = o.try_into().expect("exact chunk");
-        erfc_block(x, o);
-    }
-    for (x, o) in xb.remainder().iter().zip(ob.into_remainder()) {
-        *o = erfc(*x);
-    }
-}
-
 /// One block of the two Φ slice kernels: the polynomial core both share.
 /// The fast path requires every lane strictly inside `(−10, 10)` (where
 /// [`norm_log_cdf_sf`] takes the logs of [`norm_cdf_sf`]) with the erfc
@@ -946,21 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn erfc_slice_is_bit_identical_to_scalar_loop() {
-        for xs in slice_kernel_inputs() {
-            let mut out = vec![0.0; xs.len()];
-            erfc_slice(&xs, &mut out);
-            for (i, &x) in xs.iter().enumerate() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    erfc(x).to_bits(),
-                    "erfc_slice[{i}] at x={x}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn norm_log_cdf_sf_slice_is_bit_identical_to_scalar_loop() {
         for xs in slice_kernel_inputs() {
             let mut lc = vec![0.0; xs.len()];
@@ -1014,13 +934,6 @@ mod tests {
         }
         assert_eq!(chi2_sf(0.0, 2.0), 1.0);
         assert_eq!(chi2_cdf(0.0, 2.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn erfc_slice_rejects_length_mismatch() {
-        let mut out = vec![0.0; 3];
-        erfc_slice(&[1.0, 2.0], &mut out);
     }
 
     #[test]

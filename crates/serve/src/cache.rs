@@ -8,7 +8,7 @@
 //!
 //! Two tiers:
 //!
-//! * **hot** — an in-memory [S3-FIFO](crate::s3fifo) under a configurable
+//! * **hot** — an in-memory S3-FIFO store under a configurable
 //!   byte budget (`repro serve --hot-bytes`): new entries wash through a
 //!   small probationary queue, proven entries live in the main queue, and a
 //!   ghost queue of recently evicted keys routes fast returners straight
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::s3fifo::S3Fifo;
+use crate::s3fifo::{Page, S3Fifo};
 
 /// FNV-1a 128-bit offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -160,45 +160,26 @@ impl ContentKey {
     }
 }
 
-/// One cached result, shared with every concurrent reader: a handle on one
-/// allocation holding the spec and the row back to back. Cloning bumps a
-/// reference count; dropping the last handle frees one chunk, of a size the
-/// allocator coalesces with its neighbours. One chunk and not a 64-byte
-/// `Arc` header beside two strings: glibc keeps a freed chunk that small in
-/// a fastbin, where it still fences its neighbours apart, so an arena full
-/// of freed entries is returned to the system only if an unrelated large
-/// free happens to land in it — resident memory after an eviction wave or a
-/// shutdown would depend on which thread had allocated what.
+/// One cached row as a request streams it: a handle on one allocation
+/// holding the row, copied out of the hot tier's pages (or taken from a
+/// cold read or a fresh row), and shared by every subscriber of the cell.
+/// Cloning bumps a reference count; dropping the last handle frees one
+/// chunk. The spec stays behind: the collision guard compares it inside the
+/// hot tier, and nothing downstream reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedRow {
-    /// The canonical spec JSON, then the row's JSON line.
-    text: Arc<str>,
-    /// Where the spec ends and the row begins.
-    spec_len: usize,
+    row: Arc<str>,
 }
 
 impl CachedRow {
-    /// An entry holding exact-size copies of `spec` and `row`.
-    pub(crate) fn new(spec: &str, row: &str) -> Self {
-        CachedRow {
-            text: [spec, row].concat().into(),
-            spec_len: spec.len(),
-        }
-    }
-
-    /// Canonical spec JSON (collision guard + cold-tier provenance).
-    fn spec(&self) -> &str {
-        &self.text[..self.spec_len]
+    /// A handle on an exact-size copy of `row`.
+    fn new(row: &str) -> Self {
+        CachedRow { row: row.into() }
     }
 
     /// The row's exact serialized JSON line (no trailing newline).
     pub fn row(&self) -> &str {
-        &self.text[self.spec_len..]
-    }
-
-    /// Bytes of spec and row together: what the hot tier's budget charges.
-    fn payload_bytes(&self) -> usize {
-        self.text.len()
+        &self.row
     }
 }
 
@@ -359,9 +340,7 @@ impl ResultCache {
                         ));
                     }
                     index.insert(key.hash, (located.offset, located.len));
-                    let entry = CachedRow::new(&r.spec, &r.row);
-                    let payload = entry.payload_bytes();
-                    hot.insert(key.hash, entry, payload);
+                    hot.insert(key.hash, &r.spec, &r.row);
                 }
                 if path.exists() {
                     let actual = std::fs::metadata(&path)
@@ -422,13 +401,15 @@ impl ResultCache {
     }
 
     fn lookup_classified(&self, key: &ContentKey) -> (Option<CachedRow>, LookupClass) {
-        if let Some(entry) = self.hot.lock().get(key.hash) {
-            if entry.spec() == key.content {
-                return (Some(entry), LookupClass::HotHit);
-            }
-            // Collision: the resident entry belongs to a different spec; the
-            // cold index (same hash) can only hold that same winner.
-            return (None, LookupClass::Miss);
+        if let Some((spec, row)) = self.hot.lock().get(key.hash) {
+            // A hit copies the row out under the lock. On a collision the
+            // resident entry belongs to a different spec; the cold index
+            // (same hash) can only hold that same winner.
+            return if spec == key.content {
+                (Some(CachedRow::new(row)), LookupClass::HotHit)
+            } else {
+                (None, LookupClass::Miss)
+            };
         }
         if let Some(cold) = &self.cold {
             let read = {
@@ -440,11 +421,8 @@ impl ResultCache {
             };
             match read {
                 Some(Ok(r)) if r.spec == key.content => {
-                    let entry = CachedRow::new(&r.spec, &r.row);
-                    self.hot
-                        .lock()
-                        .insert(key.hash, entry.clone(), entry.payload_bytes());
-                    return (Some(entry), LookupClass::ColdHit);
+                    self.admit(key.hash, &r.spec, &r.row);
+                    return (Some(CachedRow::new(&r.row)), LookupClass::ColdHit);
                 }
                 Some(Ok(_)) => {} // collision on disk: miss
                 Some(Err(e)) => eprintln!("ebird-serve: cold-tier read failed: {e}"),
@@ -458,20 +436,15 @@ impl ResultCache {
     /// Concurrent duplicate inserts are benign: the content address
     /// guarantees both writers carry identical bytes.
     pub fn insert(&self, key: &ContentKey, row: String) -> CachedRow {
-        // Keep an exact-size copy, not the serializer's buffer: the byte
-        // budget counts `len`, so spare capacity (≈ 130 of a row's 512
-        // bytes) is resident but unbudgeted, and a copy — unlike
-        // `shrink_to_fit`, which splits the buffer in place — leaves the
-        // allocator a whole buffer to hand the next row's serializer.
-        let entry = CachedRow::new(&key.content, &row);
-        self.hot
-            .lock()
-            .insert(key.hash, entry.clone(), entry.payload_bytes());
+        // The hot tier copies the bytes into its pages; the returned handle
+        // is one exact-size copy, not the serializer's buffer.
+        let entry = CachedRow::new(&row);
+        self.admit(key.hash, &key.content, &row);
         if let Some(cold) = &self.cold {
             let record = ColdRecord {
                 key: key.hex(),
-                spec: entry.spec().to_string(),
-                row: entry.row().to_string(),
+                spec: key.content.clone(),
+                row,
             };
             match serde_json::to_string(&record) {
                 Ok(line) => {
@@ -499,6 +472,22 @@ impl ResultCache {
         entry
     }
 
+    /// Copies `spec` and `row` into the hot tier. When the tier has no spare
+    /// page left, the next one is made here, after the lock is released:
+    /// its memory is written before it is handed in, so filling it takes no
+    /// page faults while other workers wait for the lock.
+    fn admit(&self, key: u128, spec: &str, row: &str) {
+        let wants_page = {
+            let mut hot = self.hot.lock();
+            hot.insert(key, spec, row);
+            hot.wants_page()
+        };
+        if wants_page {
+            let page = Page::touched();
+            self.hot.lock().stock(page);
+        }
+    }
+
     /// Flushes buffered cold-tier appends to disk (no-op in memory-only mode).
     ///
     /// # Errors
@@ -524,9 +513,16 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Bytes currently charged against the hot-tier budget.
+    /// Bytes currently charged against the hot-tier budget: each resident
+    /// entry's spec and row plus a fixed 64 bytes.
     pub fn hot_bytes(&self) -> usize {
         self.hot.lock().bytes()
+    }
+
+    /// Heap bytes the hot tier holds: its pages, the index and the ghost
+    /// set, at their capacity.
+    pub fn hot_resident_bytes(&self) -> usize {
+        self.hot.lock().resident_bytes()
     }
 
     /// The hot-tier byte budget (`usize::MAX` = unbounded).
@@ -598,21 +594,16 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_is_one_buffer_shared_by_its_clones() {
-        let entry = CachedRow::new("spec-a", "row-a");
-        assert_eq!((entry.spec(), entry.row()), ("spec-a", "row-a"));
-        // Spec and row sit back to back, and a clone copies neither.
-        assert_eq!(
-            entry.spec().as_ptr().wrapping_add("spec-a".len()),
-            entry.row().as_ptr()
-        );
-        assert_eq!(entry.clone().row().as_ptr(), entry.row().as_ptr());
-        assert_eq!(entry.payload_bytes(), "spec-a".len() + "row-a".len());
-        // The split is part of the value: the same bytes cut elsewhere are
-        // another entry, and either side may be empty.
-        assert_ne!(CachedRow::new("ab", "c"), CachedRow::new("a", "bc"));
-        let bare = CachedRow::new("", "row");
-        assert_eq!((bare.spec(), bare.row()), ("", "row"));
+    fn a_handle_is_one_buffer_shared_by_its_clones() {
+        let cache = ResultCache::in_memory();
+        let key = ContentKey::of("spec-a");
+        let inserted = cache.insert(&key, "row-a".into());
+        let hit = cache.lookup(&key).expect("inserted");
+        // A hit is a copy out of the hot tier, equal to what went in; a
+        // clone copies nothing.
+        assert_eq!((inserted.row(), hit.row()), ("row-a", "row-a"));
+        assert_ne!(inserted.row().as_ptr(), hit.row().as_ptr());
+        assert_eq!(hit.clone().row().as_ptr(), hit.row().as_ptr());
     }
 
     #[test]

@@ -379,11 +379,12 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
         s.threads
     ));
     out.push_str(&format!(
-        "  cache: {} hot entr{} / {} B (budget {}), {} hit(s) / {} miss(es), {} eviction(s), {} ghost hit(s), {} cold hit(s)\n",
+        "  cache: {} hot entr{} / {} B charged (budget {}), {} B resident, {} hit(s) / {} miss(es), {} eviction(s), {} ghost hit(s), {} cold hit(s)\n",
         s.hot_entries,
         if s.hot_entries == 1 { "y" } else { "ies" },
         s.hot_bytes,
         bound(s.hot_budget_bytes as usize),
+        s.hot_resident_bytes,
         s.hits,
         s.misses,
         s.evictions,
@@ -564,6 +565,7 @@ mod tests {
             inflight_cells: 104,
             hot_entries: 105,
             hot_bytes: 106,
+            hot_resident_bytes: 119,
             hot_budget_bytes: 107,
             hits: 108,
             misses: 109,
@@ -578,7 +580,7 @@ mod tests {
             threads: 117,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
-        for sentinel in 101..=118 {
+        for sentinel in 101..=119 {
             assert!(
                 rendered.contains(&sentinel.to_string()),
                 "field with sentinel value {sentinel} missing from rendered status:\n{rendered}"
@@ -598,6 +600,7 @@ mod tests {
             inflight_cells: 0,
             hot_entries: 0,
             hot_bytes: 0,
+            hot_resident_bytes: 0,
             hot_budget_bytes: 0,
             hits: 0,
             misses: 0,

@@ -15,12 +15,12 @@
 //!   the work; a row is a pure function of its cell).
 //! * [`cache`] — the content-addressed result cache: key = FNV-1a 128 hash
 //!   of the cell spec's canonical JSON; hot tier in memory under an
-//!   [`s3fifo`] byte budget, cold tier as an append-only JSON Lines file
+//!   `s3fifo` byte budget, cold tier as an append-only JSON Lines file
 //!   with a point-read index. Equal specs ⇒ bit-identical row bytes, with
 //!   zero recomputation.
-//! * [`s3fifo`] — the hot tier's eviction policy: small/main/ghost FIFO
-//!   queues (Yang et al., SOSP '23), scan-resistant under one-shot
-//!   campaign sweeps.
+//! * `s3fifo` (crate-private) — the hot tier: small/main/ghost FIFO queues
+//!   (Yang et al., SOSP '23), scan-resistant under one-shot campaign
+//!   sweeps, each queue a log of pages that holds its entries' bytes.
 //! * [`coalesce`] — the single-flight table: concurrent submissions of the
 //!   same cell share one computation instead of queueing duplicates.
 //! * [`protocol`] — the line-delimited JSON wire protocol (`submit`,
@@ -44,7 +44,7 @@ pub mod cache;
 pub mod client;
 pub mod coalesce;
 pub mod protocol;
-pub mod s3fifo;
+mod s3fifo;
 pub mod scenario;
 pub mod server;
 

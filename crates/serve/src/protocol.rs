@@ -220,9 +220,14 @@ pub struct StatusReply {
     pub inflight_cells: usize,
     /// Entries resident in the hot cache tier.
     pub hot_entries: usize,
-    /// Bytes resident in the hot cache tier.
+    /// Bytes charged against the hot-tier budget: each resident entry's
+    /// spec and row plus a fixed 64 bytes.
     #[serde(default)]
     pub hot_bytes: u64,
+    /// Heap bytes the hot tier holds: its pages, the index and the ghost
+    /// set, at their capacity (compare with `hot_bytes`).
+    #[serde(default)]
+    pub hot_resident_bytes: u64,
     /// Hot-tier byte budget (`0` = unbounded).
     #[serde(default)]
     pub hot_budget_bytes: u64,

@@ -717,6 +717,7 @@ fn status_reply(shared: &Shared) -> StatusReply {
         inflight_cells: shared.single_flight.len(),
         hot_entries: shared.cache.len(),
         hot_bytes: shared.cache.hot_bytes() as u64,
+        hot_resident_bytes: shared.cache.hot_resident_bytes() as u64,
         hot_budget_bytes: wire_bound(shared.cache.hot_budget()) as u64,
         hits: lookups("hit_ns") + cold_hits,
         misses: lookups("miss_ns"),

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::s3fifo::{Page, S3Fifo};
+use crate::s3fifo::{HotEntry, Page, S3Fifo};
 
 /// FNV-1a 128-bit offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -161,7 +161,7 @@ impl ContentKey {
 }
 
 /// One cached row as a request streams it: a handle on one allocation
-/// holding the row, copied out of the hot tier's pages (or taken from a
+/// holding the row, decoded out of the hot tier's pages (or taken from a
 /// cold read or a fresh row), and shared by every subscriber of the cell.
 /// Cloning bumps a reference count; dropping the last handle frees one
 /// chunk. The spec stays behind: the collision guard compares it inside the
@@ -340,7 +340,7 @@ impl ResultCache {
                         ));
                     }
                     index.insert(key.hash, (located.offset, located.len));
-                    hot.insert(key.hash, &r.spec, &r.row);
+                    hot.insert(key.hash, &HotEntry::new(&r.spec, &r.row));
                 }
                 if path.exists() {
                     let actual = std::fs::metadata(&path)
@@ -401,15 +401,15 @@ impl ResultCache {
     }
 
     fn lookup_classified(&self, key: &ContentKey) -> (Option<CachedRow>, LookupClass) {
-        if let Some((spec, row)) = self.hot.lock().get(key.hash) {
-            // A hit copies the row out under the lock. On a collision the
-            // resident entry belongs to a different spec; the cold index
-            // (same hash) can only hold that same winner.
-            return if spec == key.content {
-                (Some(CachedRow::new(row)), LookupClass::HotHit)
-            } else {
-                (None, LookupClass::Miss)
-            };
+        // A hit decodes the row and copies it out under the lock. On a collision the
+        // resident entry belongs to a different spec, and the cold read
+        // below finds that same spec under the hash: a miss in both tiers.
+        let hot = self
+            .hot
+            .lock()
+            .lookup(key.hash, &key.content, CachedRow::new);
+        if let Some(row) = hot {
+            return (Some(row), LookupClass::HotHit);
         }
         if let Some(cold) = &self.cold {
             let read = {
@@ -472,14 +472,16 @@ impl ResultCache {
         entry
     }
 
-    /// Copies `spec` and `row` into the hot tier. When the tier has no spare
-    /// page left, the next one is made here, after the lock is released:
-    /// its memory is written before it is handed in, so filling it takes no
-    /// page faults while other workers wait for the lock.
+    /// Copies `spec` and `row` into the hot tier. The entry is made before
+    /// the lock is taken, and when the tier has no spare page left the next
+    /// one is made after it is released: its memory is written before it is
+    /// handed in, so filling it takes no page faults while other workers
+    /// wait for the lock.
     fn admit(&self, key: u128, spec: &str, row: &str) {
+        let entry = HotEntry::new(spec, row);
         let wants_page = {
             let mut hot = self.hot.lock();
-            hot.insert(key, spec, row);
+            hot.insert(key, &entry);
             hot.wants_page()
         };
         if wants_page {
@@ -617,6 +619,34 @@ mod tests {
             content: "spec-b".into(),
         };
         assert!(cache.lookup(&forged).is_none());
+    }
+
+    #[test]
+    fn a_colliding_probe_does_not_promote_the_resident_entry() {
+        // Room for about 25 entries; the first eviction pops small's head.
+        let cache = ResultCache::new(CacheConfig {
+            cold_dir: None,
+            hot_budget_bytes: Some(2_000),
+        })
+        .unwrap();
+        let key = ContentKey::of("spec-a");
+        cache.insert(&key, "row-a".into());
+        let forged = ContentKey {
+            hash: key.hash,
+            content: "spec-b".into(),
+        };
+        assert!(cache.lookup(&forged).is_none());
+        // Fill small until the entry reaches its head: an entry that was
+        // never hit is evicted there, where a hit one would be promoted.
+        let mut filler = 0;
+        while cache.evictions() == 0 {
+            cache.insert(&ContentKey::of(format!("spec-{filler}")), "row".into());
+            filler += 1;
+        }
+        assert!(
+            cache.lookup(&key).is_none(),
+            "the colliding probe promoted the entry it did not match"
+        );
     }
 
     #[test]

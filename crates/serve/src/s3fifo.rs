@@ -30,6 +30,18 @@
 //! entry costs its bytes, a record, a bucket and (once evicted) a ghost
 //! fingerprint — nothing per entry is a heap allocation of its own.
 //!
+//! The bytes an entry keeps are coded, and this module is the only place
+//! that knows it. Most of a spec's or row's JSON is its object keys, the
+//! same few dozen every time, so each key fragment of [`KEY_TOKENS`] (`{"k":`
+//! or `,"k":`) is stored as one byte below 0x20 — bytes compact JSON never
+//! holds — and a part that does hold one is stored as is behind [`RAW`].
+//! A [`HotEntry`] is coded by the inserting thread before it takes the
+//! tier's lock; a lookup decodes the stored spec into the store's own
+//! buffer to compare it with the probed one, and a hit decodes the row
+//! there too, for the caller to copy. The budget still charges the *plain*
+//! bytes (each record keeps the entry's plain length), so coding changes
+//! what the tier holds, never what it decides.
+//!
 //! `bytes() <= budget` is a hard post-insert invariant (evicting down to
 //! empty if a single entry exceeds the budget outright — the caller still
 //! holds its own copy).
@@ -51,6 +63,255 @@ const PAGE_BYTES: usize = 32 * 1024;
 /// Released full-size pages kept for the next pages the logs open.
 const SPARE_PAGES: usize = 2;
 
+/// The object-key fragments the spec and row serializers write, each stored
+/// as one byte: code `c` stands for `KEY_TOKENS[c - 1]`. `CellSpec`'s keys
+/// with its workload, strategy and model wrappers' come first, then
+/// `ScenarioRow`'s own; together they are every key of the `full` and
+/// `smoke` presets. Other keys stay literal.
+const KEY_TOKENS: [&str; 29] = [
+    "{\"app\":",
+    ",\"workload\":",
+    "{\"Named\":",
+    "{\"name\":",
+    ",\"strategy\":",
+    "{\"TimeoutFlush\":",
+    "{\"timeout_ms\":",
+    "{\"Binned\":",
+    "{\"bins\":",
+    ",\"link\":",
+    ",\"model\":",
+    "{\"Fabric\":",
+    "{\"link\":",
+    ",\"contention\":",
+    ",\"noise\":",
+    ",\"ranks\":",
+    ",\"threads\":",
+    ",\"bytes_per_rank\":",
+    ",\"iteration\":",
+    ",\"seed\":",
+    ",\"deadline_ms\":",
+    ",\"completion_ms\":",
+    ",\"last_arrival_ms\":",
+    ",\"exposed_ms\":",
+    ",\"messages\":",
+    ",\"wire_ms\":",
+    ",\"bulk_exposed_ms\":",
+    ",\"speedup_vs_bulk\":",
+    ",\"transport_verified\":",
+];
+
+/// Leads a part stored as is because it holds a byte below 0x20, which
+/// would read as a code. Compact JSON escapes every such byte, so only
+/// text that is not JSON takes this path.
+const RAW: u8 = 0x1F;
+
+/// Bytes a coder or decoder may write past the end of its text: it writes
+/// whole words, a fragment as three.
+const SLACK: usize = 24;
+
+/// Each fragment as three little-endian words, zero past its end, and the
+/// masks of its bytes; see [`fragment_code`] and [`decode_at`].
+const TOKEN_WORDS: [[[u64; 3]; 2]; 29] = token_words();
+
+/// Codes by the first byte of their key, up to four per byte (0 ends a
+/// list), so coding compares a key with at most a few fragments.
+const BY_FIRST: [[u8; 4]; 128] = codes_by_first();
+
+const fn token_words() -> [[[u64; 3]; 2]; 29] {
+    assert!(KEY_TOKENS.len() < RAW as usize, "codes must stay below RAW");
+    let mut table = [[[0; 3]; 2]; 29];
+    let mut t = 0;
+    while t < KEY_TOKENS.len() {
+        let bytes = KEY_TOKENS[t].as_bytes();
+        assert!(bytes.len() <= SLACK, "a fragment outgrows its three words");
+        let mut i = 0;
+        while i < bytes.len() {
+            table[t][0][i / 8] |= (bytes[i] as u64) << (i % 8 * 8);
+            table[t][1][i / 8] |= 0xFF << (i % 8 * 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    table
+}
+
+const fn codes_by_first() -> [[u8; 4]; 128] {
+    let mut table = [[0; 4]; 128];
+    let mut t = 0;
+    while t < KEY_TOKENS.len() {
+        let first = KEY_TOKENS[t].as_bytes()[2] as usize;
+        let mut j = 0;
+        while table[first][j] != 0 {
+            j += 1;
+        }
+        table[first][j] = t as u8 + 1;
+        t += 1;
+    }
+    table
+}
+
+/// Eight copies of byte `b`.
+const fn splat(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// Marks, in its top bit, each zero byte of `v`.
+fn zero_bytes(v: u64) -> u64 {
+    !((v & splat(0x7F)).wrapping_add(splat(0x7F)) | v) & splat(0x80)
+}
+
+/// Marks, in its top bit, each byte of `word` below 0x20.
+fn low_bytes(word: u64) -> u64 {
+    !((word & splat(0x7F)).wrapping_add(splat(0x60)) | word) & splat(0x80)
+}
+
+/// The eight bytes of `b` from `at` on as a little-endian word, `pad` past
+/// its end.
+fn word_at(b: &[u8], at: usize, pad: u8) -> u64 {
+    match b.get(at..).and_then(<[u8]>::first_chunk) {
+        Some(&word) => u64::from_le_bytes(word),
+        None => {
+            let mut word = [pad; 8];
+            let tail = b.get(at..).unwrap_or_default();
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+fn put_word(out: &mut [u8], at: usize, word: u64) {
+    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+}
+
+/// Copies `b[from..to]` to `out` at `n` a word at a time, writing up to
+/// seven bytes past its end, and returns where the copy ends.
+fn copy_at(out: &mut [u8], n: usize, b: &[u8], from: usize, to: usize) -> usize {
+    for at in (from..to).step_by(8) {
+        put_word(out, n + at - from, word_at(b, at, 0));
+    }
+    n + to - from
+}
+
+/// The code of the fragment `b` holds from `at` on, if it holds one there.
+fn fragment_code(b: &[u8], at: usize) -> Option<u8> {
+    let first = usize::from(*b.get(at + 2)? & 0x7F);
+    // Zero past the end, which no fragment holds.
+    let words = [
+        word_at(b, at, 0),
+        word_at(b, at + 8, 0),
+        word_at(b, at + 16, 0),
+    ];
+    BY_FIRST[first]
+        .iter()
+        .copied()
+        .take_while(|&c| c != 0)
+        .find(|&c| {
+            let [token, mask] = &TOKEN_WORDS[usize::from(c) - 1];
+            (0..3).all(|k| (words[k] ^ token[k]) & mask[k] == 0)
+        })
+}
+
+/// Writes `plain` coded to `out` at `start` and returns where the code
+/// ends: each fragment with a code becomes that byte and every other byte
+/// stays, or, when `plain` holds a byte below 0x20, [`RAW`] and then `plain`
+/// unchanged. `out` must hold `plain.len() + 1 + SLACK` bytes from `start`.
+fn code_at(out: &mut [u8], start: usize, plain: &[u8]) -> usize {
+    let mut n = start;
+    // `lit` is the first byte not yet written; `low` marks bytes below
+    // 0x20; `carry` marks an opener ending the previous word.
+    let (mut lit, mut low, mut carry) = (0, 0, 0);
+    for at in (0..plain.len()).step_by(8) {
+        let word = word_at(plain, at, b' ');
+        low |= low_bytes(word);
+        let openers = zero_bytes(word ^ splat(b'{')) | zero_bytes(word ^ splat(b','));
+        // A quote after an opener may start a fragment.
+        let mut starts = zero_bytes(word ^ splat(b'"')) & (openers << 8 | carry);
+        carry = openers >> 56;
+        while starts != 0 {
+            let from = at + starts.trailing_zeros() as usize / 8 - 1;
+            starts &= starts - 1;
+            // A start below `lit` lies in the fragment just coded.
+            let Some(code) = (from >= lit).then(|| fragment_code(plain, from)).flatten() else {
+                continue;
+            };
+            n = copy_at(out, n, plain, lit, from);
+            out[n] = code;
+            n += 1;
+            lit = from + KEY_TOKENS[usize::from(code) - 1].len();
+        }
+    }
+    if low != 0 {
+        out[start] = RAW;
+        out[start + 1..start + 1 + plain.len()].copy_from_slice(plain);
+        return start + 1 + plain.len();
+    }
+    copy_at(out, n, plain, lit, plain.len())
+}
+
+/// Writes the plain text of coded part `coded` to `out` at `n` and returns
+/// where it ends. `out` must hold that text and [`SLACK`] bytes more.
+fn decode_at(out: &mut [u8], mut n: usize, coded: &[u8]) -> usize {
+    if let Some(raw) = coded.strip_prefix(&[RAW]) {
+        out[n..n + raw.len()].copy_from_slice(raw);
+        return n + raw.len();
+    }
+    for at in (0..coded.len()).step_by(8) {
+        // Spaces past the end, which are no code.
+        let word = word_at(coded, at, b' ');
+        let mut codes = low_bytes(word);
+        // `lit` is the word's first byte not yet written.
+        let mut lit = 0;
+        while codes != 0 {
+            let code = codes.trailing_zeros() as usize / 8;
+            codes &= codes - 1;
+            put_word(out, n, word >> (8 * lit));
+            n += code - lit;
+            let token = usize::from((word >> (8 * code)) as u8) - 1;
+            let [w0, w1, w2] = TOKEN_WORDS[token][0];
+            let dst = &mut out[n..n + SLACK];
+            dst[..8].copy_from_slice(&w0.to_le_bytes());
+            dst[8..16].copy_from_slice(&w1.to_le_bytes());
+            dst[16..].copy_from_slice(&w2.to_le_bytes());
+            n += KEY_TOKENS[token].len();
+            lit = code + 1;
+        }
+        let end = (coded.len() - at).min(8);
+        if lit < end {
+            put_word(out, n, word >> (8 * lit));
+            n += end - lit;
+        }
+    }
+    n
+}
+
+/// An entry coded for the store: its spec's code, then its row's. The
+/// inserting thread makes it before taking the tier's lock, so the lock is
+/// held only to copy these bytes into a page.
+#[derive(Debug)]
+pub(crate) struct HotEntry {
+    text: Vec<u8>,
+    /// Where the spec's code ends.
+    spec_len: usize,
+    /// Plain spec and row bytes: what the budget charges.
+    plain_len: usize,
+}
+
+impl HotEntry {
+    /// `spec` and `row`, coded.
+    pub(crate) fn new(spec: &str, row: &str) -> Self {
+        // A part codes to at most its own length plus the `RAW` byte.
+        let mut text = vec![0; spec.len() + row.len() + 2 + SLACK];
+        let spec_len = code_at(&mut text, 0, spec.as_bytes());
+        let end = code_at(&mut text, spec_len, row.as_bytes());
+        text.truncate(end);
+        HotEntry {
+            text,
+            spec_len,
+            plain_len: spec.len() + row.len(),
+        }
+    }
+}
+
 /// Which queue a resident entry's bytes sit in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
@@ -67,19 +328,20 @@ struct Slot {
     page: u32,
     /// The entry's record within that page.
     record: u32,
-    /// Where the spec ends and the row begins.
+    /// Where the spec's code ends and the row's begins.
     spec_len: u32,
     /// Saturating hit counter; promotion/eviction currency.
     freq: u8,
 }
 
 /// One appended entry: its key (two halves, so a record is 24 bytes and
-/// not 32) and where its bytes lie in the page.
+/// not 32), where its coded bytes start in the page (they end where the
+/// next record's start) and its plain length, which the budget charges.
 #[derive(Debug, Clone, Copy)]
 struct Record {
     key: [u64; 2],
     start: u32,
-    len: u32,
+    plain_len: u32,
 }
 
 impl Record {
@@ -91,10 +353,10 @@ impl Record {
 // The sizes the module docs and the budget's per-entry charge assume.
 const _: () = assert!(size_of::<(u128, Slot)>() == 32 && size_of::<Record>() == 24);
 
-/// A log page: entries' bytes back to back, and one record per entry.
+/// A log page: entries' coded bytes back to back, and one record per entry.
 #[derive(Debug)]
 pub(crate) struct Page {
-    text: String,
+    text: Vec<u8>,
     records: Vec<Record>,
 }
 
@@ -102,7 +364,7 @@ impl Page {
     /// An empty full-size page whose memory is already written, so that
     /// filling it takes no page faults; see [`S3Fifo::stock`].
     pub(crate) fn touched() -> Page {
-        let mut text = "\0".repeat(PAGE_BYTES);
+        let mut text = b"\0".repeat(PAGE_BYTES);
         text.clear();
         Page {
             text,
@@ -129,10 +391,17 @@ struct Log {
 }
 
 impl Log {
-    /// Appends `spec` then `row` for `key`, returning the `(page, record)`
-    /// that locates them. A new page is a spare when one fits.
-    fn append(&mut self, spare: &mut Vec<Page>, key: u128, spec: &str, row: &str) -> (u32, u32) {
-        let len = spec.len() + row.len();
+    /// Appends coded `text` of `plain_len` plain bytes for `key`, returning
+    /// the `(page, record)` that locates it. A new page is a spare when one
+    /// fits.
+    fn append(
+        &mut self,
+        spare: &mut Vec<Page>,
+        key: u128,
+        text: &[u8],
+        plain_len: usize,
+    ) -> (u32, u32) {
+        let len = text.len();
         let fits = self
             .pages
             .back()
@@ -147,7 +416,7 @@ impl Log {
                 other => {
                     spare.extend(other);
                     Page {
-                        text: String::with_capacity(len.max(PAGE_BYTES)),
+                        text: Vec::with_capacity(len.max(PAGE_BYTES)),
                         records: Vec::new(),
                     }
                 }
@@ -159,10 +428,9 @@ impl Log {
         page.records.push(Record {
             key: [(key >> 64) as u64, key as u64],
             start: page.text.len() as u32,
-            len: len as u32,
+            plain_len: plain_len as u32,
         });
-        page.text.push_str(spec);
-        page.text.push_str(row);
+        page.text.extend_from_slice(text);
         self.entries += 1;
         (
             self.first.wrapping_add(last as u32),
@@ -179,11 +447,16 @@ impl Log {
         Some((self.first, (self.head - 1) as u32, record))
     }
 
-    /// The bytes `(page, record)` locates.
-    fn text(&self, page: u32, record: u32) -> &str {
+    /// The record `(page, record)` locates, and its coded bytes.
+    fn entry(&self, page: u32, record: u32) -> (Record, &[u8]) {
         let page = &self.pages[page.wrapping_sub(self.first) as usize];
-        let r = page.records[record as usize];
-        &page.text[r.start as usize..(r.start + r.len) as usize]
+        let i = record as usize;
+        let end = page
+            .records
+            .get(i + 1)
+            .map_or(page.text.len(), |next| next.start as usize);
+        let r = page.records[i];
+        (r, &page.text[r.start as usize..end])
     }
 
     /// Releases every page the head has passed, keeping full-size ones as
@@ -258,8 +531,9 @@ pub(crate) struct S3Fifo {
     /// linger in the deque until it reaches the front.
     ghost: HashSet<u64>,
     ghost_fifo: VecDeque<u64>,
-    /// Holds a main entry's bytes while they move to main's own tail.
-    requeue: String,
+    /// Holds a main entry's bytes while they move to main's own tail, and a
+    /// probed entry decoded.
+    scratch: Vec<u8>,
     small_bytes: usize,
     bytes: usize,
     evictions: u64,
@@ -280,7 +554,7 @@ impl S3Fifo {
             spare: Vec::new(),
             ghost: HashSet::new(),
             ghost_fifo: VecDeque::new(),
-            requeue: String::new(),
+            scratch: Vec::new(),
             small_bytes: 0,
             bytes: 0,
             evictions: 0,
@@ -308,7 +582,7 @@ impl S3Fifo {
             + table_bytes(self.index.capacity(), size_of::<(u128, Slot)>())
             + table_bytes(self.ghost.capacity(), size_of::<u64>())
             + self.ghost_fifo.capacity() * size_of::<u64>()
-            + self.requeue.capacity()
+            + self.scratch.capacity()
     }
 
     /// Whether no spare page is ready for the next page a log opens.
@@ -346,29 +620,52 @@ impl S3Fifo {
         }
     }
 
-    /// Looks `key` up, bumping its hit counter on success, and returns its
-    /// spec and row as they lie in the page. No queue motion happens on the
-    /// read path.
-    pub(crate) fn get(&mut self, key: u128) -> Option<(&str, &str)> {
+    /// Looks up `key` for `spec`. A hit is a resident entry whose spec is
+    /// `spec`: its hit counter is bumped and `take` gets its row. Any other
+    /// entry under `key` (a hash collision) is a miss and keeps its counter.
+    /// No queue motion happens on the read path.
+    pub(crate) fn lookup<T>(
+        &mut self,
+        key: u128,
+        spec: &str,
+        take: impl FnOnce(&str) -> T,
+    ) -> Option<T> {
         let slot = self.index.get_mut(&key)?;
+        let log = match slot.tier {
+            Tier::Small => &self.small,
+            Tier::Main => &self.main,
+        };
+        let (record, text) = log.entry(slot.page, slot.record);
+        let (stored_spec, row) = text.split_at(slot.spec_len as usize);
+        let decoded = record.plain_len as usize + SLACK;
+        if self.scratch.len() < decoded {
+            self.scratch.resize(decoded, 0);
+        }
+        let spec_end = decode_at(&mut self.scratch, 0, stored_spec);
+        if self.scratch[..spec_end] != *spec.as_bytes() {
+            return None;
+        }
+        let row_end = decode_at(&mut self.scratch, spec_end, row);
+        // Decoding restores the text that was coded, a `str`; were it ever
+        // not to, the probe would miss and the cell be computed again.
+        let row = std::str::from_utf8(&self.scratch[spec_end..row_end]).ok()?;
         slot.freq = (slot.freq + 1).min(FREQ_MAX);
-        let slot = *slot;
-        let text = self.log(slot.tier).text(slot.page, slot.record);
-        Some(text.split_at(slot.spec_len as usize))
+        Some(take(row))
     }
 
-    /// Inserts `spec` and `row` under `key`, then evicts until the budget
-    /// holds again. A resident key re-inserted with the same bytes stays
-    /// where it is with its counter; other bytes replace it as a new entry.
-    /// An entry longer than `u32::MAX` bytes is not kept.
-    pub(crate) fn insert(&mut self, key: u128, spec: &str, row: &str) {
-        let len = spec.len() + row.len();
-        if len > u32::MAX as usize {
+    /// Inserts `entry` under `key`, then evicts until the budget holds
+    /// again. A resident key re-inserted with the same bytes stays where it
+    /// is with its counter; other bytes replace it as a new entry. An entry
+    /// longer than `u32::MAX` bytes is not kept.
+    pub(crate) fn insert(&mut self, key: u128, entry: &HotEntry) {
+        let len = entry.plain_len;
+        if len.max(entry.text.len()) > u32::MAX as usize {
             return;
         }
         if let Some(&slot) = self.index.get(&key) {
-            let text = self.log(slot.tier).text(slot.page, slot.record);
-            if text.split_at(slot.spec_len as usize) == (spec, row) {
+            let (_, text) = self.log(slot.tier).entry(slot.page, slot.record);
+            // Coding is one-to-one, so equal codes are equal bytes.
+            if (text, slot.spec_len as usize) == (&entry.text[..], entry.spec_len) {
                 return;
             }
             self.remove(key, slot);
@@ -382,14 +679,14 @@ impl S3Fifo {
             self.small_bytes += charged;
             (Tier::Small, &mut self.small)
         };
-        let (page, record) = log.append(&mut self.spare, key, spec, row);
+        let (page, record) = log.append(&mut self.spare, key, &entry.text, len);
         self.index.insert(
             key,
             Slot {
                 tier,
                 page,
                 record,
-                spec_len: spec.len() as u32,
+                spec_len: entry.spec_len as u32,
                 freq: 0,
             },
         );
@@ -401,7 +698,8 @@ impl S3Fifo {
     /// Drops resident `key` from the index and the charge; its record
     /// stays in the log, skipped when the head reaches it.
     fn remove(&mut self, key: u128, slot: Slot) {
-        let charged = self.log(slot.tier).text(slot.page, slot.record).len() + ENTRY_OVERHEAD_BYTES;
+        let (record, _) = self.log(slot.tier).entry(slot.page, slot.record);
+        let charged = record.plain_len as usize + ENTRY_OVERHEAD_BYTES;
         self.index.remove(&key);
         self.bytes -= charged;
         match slot.tier {
@@ -425,7 +723,7 @@ impl S3Fifo {
     }
 
     /// Pops `tier`'s head entry that is still resident there, with its
-    /// slot and charge; records of replaced entries are skipped.
+    /// slot and plain length; records of replaced entries are skipped.
     fn pop_resident(&mut self, tier: Tier) -> Option<(u128, Slot, usize)> {
         let log = match tier {
             Tier::Small => &mut self.small,
@@ -436,7 +734,7 @@ impl S3Fifo {
             let here = |s: &&Slot| s.tier == tier && s.page == page && s.record == record;
             if let Some(&slot) = self.index.get(&key).filter(here) {
                 log.entries -= 1;
-                return Some((key, slot, r.len as usize + ENTRY_OVERHEAD_BYTES));
+                return Some((key, slot, r.plain_len as usize));
             }
         }
         None
@@ -445,13 +743,14 @@ impl S3Fifo {
     /// Advances the small queue by one: a hit entry is promoted to main,
     /// a cold one is evicted with its key remembered in ghost.
     fn evict_small(&mut self) {
-        let Some((key, slot, charged)) = self.pop_resident(Tier::Small) else {
+        let Some((key, slot, plain_len)) = self.pop_resident(Tier::Small) else {
             return;
         };
+        let charged = plain_len + ENTRY_OVERHEAD_BYTES;
         self.small_bytes -= charged;
         if slot.freq > 0 {
-            let text = self.small.text(slot.page, slot.record);
-            let (page, record) = self.main.append(&mut self.spare, key, text, "");
+            let (_, text) = self.small.entry(slot.page, slot.record);
+            let (page, record) = self.main.append(&mut self.spare, key, text, plain_len);
             self.index.insert(
                 key,
                 Slot {
@@ -477,14 +776,19 @@ impl S3Fifo {
     /// Advances the main queue by one: a hit entry decays and requeues, a
     /// cold one leaves outright (main evictions don't enter ghost).
     fn evict_main(&mut self) {
-        let Some((key, slot, charged)) = self.pop_resident(Tier::Main) else {
+        let Some((key, slot, plain_len)) = self.pop_resident(Tier::Main) else {
             return;
         };
         if slot.freq > 0 {
-            self.requeue.clear();
-            self.requeue
-                .push_str(self.main.text(slot.page, slot.record));
-            let (page, record) = self.main.append(&mut self.spare, key, &self.requeue, "");
+            let (_, text) = self.main.entry(slot.page, slot.record);
+            let len = text.len();
+            if self.scratch.len() < len {
+                self.scratch.resize(len, 0);
+            }
+            self.scratch[..len].copy_from_slice(text);
+            let (page, record) =
+                self.main
+                    .append(&mut self.spare, key, &self.scratch[..len], plain_len);
             self.index.insert(
                 key,
                 Slot {
@@ -496,7 +800,7 @@ impl S3Fifo {
             );
         } else {
             self.index.remove(&key);
-            self.bytes -= charged;
+            self.bytes -= plain_len + ENTRY_OVERHEAD_BYTES;
             self.evictions += 1;
         }
         self.main.release_passed(&mut self.spare);
@@ -543,7 +847,35 @@ mod tests {
 
     fn insert(s: &mut S3Fifo, key: u128, payload: usize) {
         let (spec, row) = entry(&key.to_string(), payload);
-        s.insert(key, &spec, &row);
+        s.insert(key, &HotEntry::new(&spec, &row));
+    }
+
+    impl S3Fifo {
+        /// [`S3Fifo::lookup`] with the spec [`entry`] gives `key`: on a hit,
+        /// that spec and the row, decoded.
+        fn get(&mut self, key: u128) -> Option<(&str, &str)> {
+            let spec = format!("spec-{key}");
+            let row = self.lookup(key, &spec, str::to_owned)?;
+            self.scratch = (spec + &row).into_bytes();
+            let text = std::str::from_utf8(&self.scratch).expect("specs and rows are text");
+            Some(text.split_at(text.len() - row.len()))
+        }
+    }
+
+    /// `plain` coded on its own.
+    fn coded(plain: &str) -> Vec<u8> {
+        let mut out = vec![0; plain.len() + 1 + SLACK];
+        let end = code_at(&mut out, 0, plain.as_bytes());
+        out.truncate(end);
+        out
+    }
+
+    /// `coded` decoded (each byte decodes to at most [`SLACK`]).
+    fn decoded(coded: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; (coded.len() + 1) * SLACK];
+        let end = decode_at(&mut out, 0, coded);
+        out.truncate(end);
+        out
     }
 
     /// Budget that fits exactly `n` entries of `payload` bytes each.
@@ -622,11 +954,11 @@ mod tests {
     #[test]
     fn replacing_a_key_adjusts_bytes_in_place() {
         let mut s = S3Fifo::new(None);
-        let (spec, x) = entry("x", 100);
-        s.insert(7, &spec, &x);
+        let (spec, x) = entry("7", 100);
+        s.insert(7, &HotEntry::new(&spec, &x));
         let b = s.bytes();
-        let (_, y) = entry("y", 300);
-        s.insert(7, &spec, &y);
+        let y = format!("{x}{}", "y".repeat(200));
+        s.insert(7, &HotEntry::new(&spec, &y));
         assert_eq!(s.len(), 1);
         assert_eq!(s.bytes(), b + 200);
         assert_eq!(s.get(7), Some((spec.as_str(), y.as_str())));
@@ -642,15 +974,15 @@ mod tests {
         // record stays behind in small, dead.
         let (spec, _) = entry("0", 100);
         let row = "x".repeat(100 - spec.len());
-        s.insert(0, &spec, &row);
+        s.insert(0, &HotEntry::new(&spec, &row));
         for k in 4..16u128 {
             insert(&mut s, k, 100);
             let charged = |tier| -> usize {
                 s.index
                     .values()
                     .filter(|slot| slot.tier == tier)
-                    .map(|slot| s.log(tier).text(slot.page, slot.record).len())
-                    .map(|len| len + ENTRY_OVERHEAD_BYTES)
+                    .map(|slot| s.log(tier).entry(slot.page, slot.record).0.plain_len)
+                    .map(|len| len as usize + ENTRY_OVERHEAD_BYTES)
                     .sum()
             };
             assert_eq!(s.small_bytes, charged(Tier::Small));
@@ -678,6 +1010,123 @@ mod tests {
         }
         assert_eq!(s.index[&1].tier, Tier::Main);
         assert_eq!(s.get(1).map(|(spec, _)| spec), Some("spec-1"));
+    }
+
+    #[test]
+    fn every_key_of_the_full_and_smoke_presets_is_one_byte() {
+        use crate::scenario::{run_matrix, ScenarioMatrix};
+        for matrix in [ScenarioMatrix::full(), ScenarioMatrix::smoke()] {
+            let cells = matrix.resolve().expect("presets resolve").cells();
+            let rows = run_matrix(&matrix, &ebird_runtime::Pool::new(1)).expect("presets price");
+            for (cell, row) in cells.iter().zip(&rows) {
+                let spec = cell.content_key().content().to_owned();
+                let row = ebird_analysis::report::json_line(row).expect("rows encode");
+                for part in [&spec, &row] {
+                    for (colon, _) in part.match_indices("\":") {
+                        let open = part[..colon].rfind('"').expect("a key opens");
+                        let fragment = &part[open - 1..colon + 2];
+                        assert!(KEY_TOKENS.contains(&fragment), "{fragment} has no code");
+                    }
+                }
+                let entry = HotEntry::new(&spec, &row);
+                assert!(
+                    2 * entry.text.len() <= entry.plain_len,
+                    "{} coded bytes for {} plain",
+                    entry.text.len(),
+                    entry.plain_len
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn text_that_is_not_json_round_trips() {
+        for plain in [
+            "",
+            "\u{1f}",
+            "a\u{1}b",
+            "{\"app\":\"a,\\\"seed\\\":b\",\"seed\":1}",
+            "{\"app\",\"seed\":\"\"",
+            ",\"seed\"",
+            "é{\"app\":→",
+        ] {
+            assert_eq!(decoded(&coded(plain)), plain.as_bytes());
+        }
+        assert_eq!(coded("{\"app\":1,\"seed\":2}"), b"\x011\x142}");
+        assert_eq!(coded("a\x01"), b"\x1fa\x01");
+    }
+
+    /// What the codec proptest's strings are made of: fragments with and
+    /// without a code, pieces of them, quotes and escapes, control bytes
+    /// and text beyond ASCII.
+    const PIECES: [&str; 27] = [
+        "{\"app\":",
+        ",\"seed\":",
+        "{\"link\":",
+        ",\"link\":",
+        ",\"transport_verified\":",
+        "{\"other\":",
+        ",\"seed\"",
+        "\"seed\":",
+        ",\\\"seed\\\":",
+        "\"",
+        "\\\"",
+        "{",
+        "}",
+        ",",
+        ":",
+        "]",
+        "MiniFE",
+        "0.5",
+        "é",
+        "→",
+        "😀",
+        "\0",
+        "\u{1}",
+        "\u{1d}",
+        "\u{1f}",
+        "\n",
+        " ",
+    ];
+
+    fn text_of(picks: &[u64]) -> String {
+        picks
+            .iter()
+            .map(|&p| PIECES[(p % PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn coding_is_one_to_one_and_a_probe_matches_only_its_own_text(
+            spec in proptest::collection::vec(0u64..u64::MAX, 0..24),
+            row in proptest::collection::vec(0u64..u64::MAX, 0..24),
+            cut in 0usize..24,
+        ) {
+            let (plain, row) = (text_of(&spec), text_of(&row));
+            let code = coded(&plain);
+            prop_assert_eq!(decoded(&code), plain.as_bytes());
+            let probes = [
+                plain.clone(),
+                row.clone(),
+                text_of(&spec[..cut.min(spec.len())]),
+                format!("{plain}\""),
+                format!("{{{plain}"),
+            ];
+            for probe in &probes {
+                prop_assert_eq!(decoded(&code) == probe.as_bytes(), *probe == plain, "probe {:?}", probe);
+            }
+            // Through the store, where the spec's code and the row's are
+            // one text split by the slot.
+            let mut s = S3Fifo::new(None);
+            s.insert(1, &HotEntry::new(&plain, &row));
+            for probe in &probes {
+                let hit = s.lookup(1, probe, str::to_owned);
+                prop_assert_eq!(hit, (*probe == plain).then(|| row.clone()));
+            }
+        }
     }
 
     #[test]

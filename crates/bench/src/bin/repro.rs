@@ -18,6 +18,8 @@
 //!                   --addr, the running server's metrics snapshot instead
 //!   earlybird       the four canonical delivery strategies priced on every
 //!                   process-iteration of each app over two links
+//!   answer          the best canonical strategy against the oracle bound,
+//!                   the best grouping of arrivals into messages
 //!   battery         extended 5-test normality battery (sensitivity check)
 //!   fit             fitted generative models extracted from the traces
 //!
@@ -66,8 +68,10 @@ use ebird_bench::all_real_traces;
 use ebird_cluster::calibration::{self, LAGGARD_THRESHOLD_MS, MINIMD_PHASE_BOUNDARY};
 use ebird_cluster::{JobConfig, SyntheticApp, Workload};
 use ebird_core::view::AggregationLevel;
-use ebird_core::{TimingTrace, DEFAULT_SEED};
-use ebird_partcomm::{link_by_name, DeliveryOutcome, LinkModel, SerialLink};
+use ebird_core::{ThreadSample, TimingTrace, DEFAULT_SEED};
+use ebird_partcomm::{
+    link_by_name, oracle_exposed_ms, DeliveryOutcome, LinkModel, SerialLink, SimScratch,
+};
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{self, ScenarioMatrix};
 use ebird_stats::normality::NormalityOutcome;
@@ -98,7 +102,7 @@ type Runner = fn(&Campaign) -> Result<(), String>;
 /// The paper experiments in paper order — what a single name looks up and
 /// what `all` walks, so the output of `all` is the output of each entry in
 /// turn.
-const EXPERIMENTS: [(&str, Runner); 14] = [
+const EXPERIMENTS: [(&str, Runner); 15] = [
     ("table1", cmd_table1),
     ("app-normality", cmd_app_normality),
     ("iter-normality", cmd_iter_normality),
@@ -111,6 +115,7 @@ const EXPERIMENTS: [(&str, Runner); 14] = [
     ("fig9", cmd_fig9),
     ("metrics", cmd_metrics),
     ("earlybird", cmd_earlybird),
+    ("answer", cmd_answer),
     ("battery", cmd_battery),
     ("fit", cmd_fit),
 ];
@@ -626,6 +631,60 @@ fn cmd_earlybird(c: &Campaign) -> Result<(), String> {
                     &scan.census,
                     steady_state_from(tr),
                 )
+            );
+        }
+    }
+    println!();
+    Ok(())
+}
+
+/// Per app × link, over the process-iterations `earlybird` prices: the mean
+/// exposed cost of bulk, of the best canonical strategy and of the oracle
+/// bound, and the share of the oracle's gain over bulk the best captures.
+fn cmd_answer(c: &Campaign) -> Result<(), String> {
+    println!("Oracle bound on aggregation (8 MB buffer, mean exposed ms per process-iteration):");
+    println!(
+        "  {:<9}{:<14}{:>9}   {:<16}{:>9}{:>11}{:>10}",
+        "app", "link", "bulk ms", "best canonical", "ms", "oracle ms", "captured"
+    );
+    let (mut scratch, mut values) = (SimScratch::new(), Vec::new());
+    for (tr, per_link) in c.traces.iter().zip(c.deliveries()) {
+        let shape = tr.shape();
+        let steady = |(unit, _): &(usize, _)| shape.unit_coords(*unit).2 >= steady_state_from(tr);
+        let units = tr
+            .samples()
+            .chunks(shape.threads)
+            .enumerate()
+            .filter(steady);
+        for (link_name, outcomes) in EARLYBIRD_LINKS.iter().zip(per_link) {
+            let link = link_by_name(link_name).expect("a built-in link");
+            // Bulk, early-bird, timeout, binned, then the oracle.
+            let (mut sums, mut count) = ([0.0; 5], 0.0);
+            for (unit, samples) in units.clone() {
+                values.clear();
+                values.extend(samples.iter().map(ThreadSample::compute_time_ms));
+                let oracle = oracle_exposed_ms(&values, BUFFER_BYTES, link, &mut scratch);
+                let exposed = outcomes[unit].iter().map(DeliveryOutcome::exposed_ms);
+                for (sum, exposed_ms) in sums.iter_mut().zip(exposed.chain([oracle])) {
+                    *sum += exposed_ms;
+                }
+                count += 1.0;
+            }
+            let [bulk, .., oracle] = sums;
+            let best = (0..4).fold(0, |best, s| if sums[s] < sums[best] { s } else { best });
+            let captured = if oracle < bulk {
+                format!("{:>9.1}%", 100.0 * (bulk - sums[best]) / (bulk - oracle))
+            } else {
+                format!("{:>10}", "-")
+            };
+            println!(
+                "  {:<9}{:<14}{:>9.4}   {:<16}{:>9.4}{:>11.4}{captured}",
+                tr.app(),
+                link_name,
+                bulk / count,
+                canonical_strategies(shape.threads)[best].label(),
+                sums[best] / count,
+                oracle / count,
             );
         }
     }

@@ -4,7 +4,7 @@
 use std::process::Command;
 
 /// The paper experiments in the order `all` runs them.
-const PAPER_ORDER: [&str; 14] = [
+const PAPER_ORDER: [&str; 15] = [
     "table1",
     "app-normality",
     "iter-normality",
@@ -17,6 +17,7 @@ const PAPER_ORDER: [&str; 14] = [
     "fig9",
     "metrics",
     "earlybird",
+    "answer",
     "battery",
     "fit",
 ];

@@ -5,9 +5,11 @@
 
 use ebird_analysis::report::json_lines;
 use ebird_cluster::{NoiseRegime, SyntheticApp};
-use ebird_partcomm::{run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy};
+use ebird_partcomm::{
+    link_by_name, run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
+};
 use ebird_runtime::Pool;
-use ebird_serve::scenario::{link_by_name, run_matrix, ScenarioMatrix};
+use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
 
 /// One strategy for one sender over a fresh link.
 fn simulate(
@@ -114,8 +116,8 @@ fn one_rank_scenarios_are_bit_identical_to_serial_link_simulation() {
 
 #[test]
 fn workload_smoke_real_kernel_row_matches_direct_simulation() {
-    // The workloads axis feeds the same delivery kernel as the legacy apps
-    // axis: a 1-rank RealKernel cell must price bit-identically to the
+    // Every workload kind feeds the same delivery kernel as the named apps:
+    // a 1-rank RealKernel cell must price bit-identically to the
     // single-sender SerialLink simulation over the workload's own metered
     // arrivals — and those arrivals must be reproducible out-of-band.
     use ebird_cluster::{RealKernelParams, Workload, WorkloadSpec};

@@ -10,7 +10,7 @@
 //! serde shape that names one in matrix JSON:
 //!
 //! * [`WorkloadSpec::Named`] — the three calibrated paper apps by
-//!   (case-insensitive) name, exactly the legacy `apps` axis;
+//!   (case-insensitive) name;
 //! * [`WorkloadSpec::Synthetic`] — a full inline [`AppModel`] with explicit
 //!   phases, so new arrival shapes are config entries, not code;
 //! * [`WorkloadSpec::RealKernel`] — a scaled-down run of one of the *real*
@@ -334,8 +334,8 @@ pub struct MixtureComponent {
 /// [`ebird_partcomm::NetModelSpec`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSpec {
-    /// A built-in calibrated app by case-insensitive name — the legacy
-    /// `apps` axis entry as an explicit spec.
+    /// A built-in calibrated app by case-insensitive name, labelled with
+    /// its canonical name.
     Named {
         /// Workload name (`MiniFE` / `MiniMD` / `MiniQMC`, any casing).
         name: String,

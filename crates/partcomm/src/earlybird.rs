@@ -45,7 +45,7 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-use crate::netmodel::NetModel;
+use crate::netmodel::{LinkModel, NetModel};
 
 /// A delivery strategy for one partitioned buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,6 +146,8 @@ pub struct SimScratch {
     last_arrivals: Vec<f64>,
     events: Vec<(f64, usize)>,
     plan: Vec<(f64, usize)>,
+    /// [`oracle_exposed_ms`]'s best completion of each arrival-order prefix.
+    best: Vec<f64>,
 }
 
 impl SimScratch {
@@ -495,6 +497,49 @@ where
 {
     let [outcome] = run_deliveries(model, rank_arrivals_ms, bytes_per_rank, [strategy], scratch);
     outcome
+}
+
+/// The oracle bound on aggregation: the least exposed cost (see
+/// [`DeliveryOutcome::exposed_ms`]) of one sender's buffer over a gapless
+/// serial `link` that *any* grouping of its partitions into messages
+/// reaches, each message injected when its last partition arrives. Bytes
+/// split as every strategy splits them.
+///
+/// Some best grouping is contiguous in [arrival order](arrival_order) — an
+/// exchange argument, exact when every partition carries the same bytes —
+/// so an O(n²) table over arrival-order prefixes finds it:
+/// `f(j) = min_{i<j} max(f(i), a_j) + α + β·bytes(i..j]`, in the channel's
+/// own arithmetic. So the bound is never above `Bulk`, `EarlyBird` or
+/// `TimeoutFlush` priced on the same link, nor above `Binned` when the
+/// bytes split evenly.
+///
+/// # Panics
+/// As [`run_delivery`] on the same arrivals and bytes.
+pub fn oracle_exposed_ms(
+    arrivals_ms: &[f64],
+    bytes_total: usize,
+    link: LinkModel,
+    scratch: &mut SimScratch,
+) -> f64 {
+    let span = check_arrivals(arrivals_ms, bytes_total);
+    let SimScratch {
+        keys, order, best, ..
+    } = scratch;
+    order.clear();
+    push_arrival_order(arrivals_ms, span, keys, order);
+    let (q, r) = (bytes_total / order.len(), bytes_total % order.len());
+    best.clear();
+    best.push(0.0);
+    for j in 1..=order.len() {
+        let (inject_ms, mut bytes) = (arrivals_ms[order[j - 1]], 0);
+        // The last message carries partitions i..j of the order.
+        let completion_ms = (0..j).rev().map(|i| {
+            bytes += q + usize::from(order[i] < r);
+            inject_ms.max(best[i]) + link.transfer_ms(bytes)
+        });
+        best.push(completion_ms.fold(f64::INFINITY, f64::min));
+    }
+    best[order.len()] - span.last_ms
 }
 
 #[cfg(test)]

@@ -25,7 +25,9 @@
 //!   set once ([`arrival_order`](earlybird::arrival_order)) and prices any
 //!   number of strategies against it;
 //!   [`run_delivery`](earlybird::run_delivery) is its one-strategy case —
-//!   priced against a [`NetModel`](netmodel::NetModel).
+//!   priced against a [`NetModel`](netmodel::NetModel); and the oracle bound
+//!   no grouping of partitions into messages beats on one serial link,
+//!   [`oracle_exposed_ms`](earlybird::oracle_exposed_ms).
 
 #![warn(missing_docs)]
 
@@ -33,7 +35,8 @@ pub mod earlybird;
 pub mod netmodel;
 
 pub use earlybird::{
-    arrival_order, run_deliveries, run_delivery, DeliveryOutcome, SimScratch, Strategy,
+    arrival_order, oracle_exposed_ms, run_deliveries, run_delivery, DeliveryOutcome, SimScratch,
+    Strategy,
 };
 pub use netmodel::{
     link_by_name, Fabric, LinkModel, NetModel, NetModelSpec, ResolvedNetModel, SerialLink,

@@ -296,8 +296,8 @@ const LOGGP_MAX_MS: f64 = 1.0e12;
 /// run. The three variants are three spellings of the one fabric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NetModelSpec {
-    /// Flat contended fabric over a named α/β link — the model behind the
-    /// legacy `links` axis.
+    /// Flat contended fabric over a named α/β link — what every preset's
+    /// flat network model is.
     Fabric {
         /// Link-model name (`omni-path` / `high-latency` / `zero`).
         link: String,

@@ -34,11 +34,8 @@
 //!   are measured, not modelled); [`ScenarioMatrix::resolve`] rejects
 //!   other combinations.
 //!
-//! Matrix JSON written before those axes existed — `apps` (names) and
-//! `links` (link names priced as a flat fabric at the matrix's
-//! `contention`) — still loads: deserialization folds each legacy entry
-//! into the spec it always meant, ahead of the explicit specs, so old files
-//! produce the same rows in the same order.
+//! A key that names no field of the matrix is refused, so a misspelled or
+//! retired axis (`apps`, `links`) cannot silently drop out of the sweep.
 //!
 //! Pricing has one definition, [`price_group`], and one unit of work, the
 //! **group**: the cells that share a (workload, noise, ranks, threads,
@@ -75,21 +72,16 @@ use ebird_core::DEFAULT_SEED;
 use ebird_partcomm::{run_delivery, NetModelSpec, ResolvedNetModel, SimScratch, Strategy};
 use serde::{Deserialize, Serialize};
 
-pub use ebird_partcomm::link_by_name;
-
-/// Default of the inert [`ScenarioMatrix::deadline_ms`] field: the value
-/// every preset and every matrix JSON without the field carries into its
-/// content keys.
-const DEFAULT_DEADLINE_MS: f64 = 10_000.0;
-
-/// Serde default hook for `deadline_ms` — matrices saved before the field
-/// existed load with the historical 10 s value.
+/// Default of the inert [`ScenarioMatrix::deadline_ms`] field, 10 s: the
+/// value every preset and every matrix JSON without the field carries into
+/// its content keys.
 fn default_deadline_ms() -> f64 {
-    DEFAULT_DEADLINE_MS
+    10_000.0
 }
 
 /// A scenario sweep definition — every axis of the campaign as data.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioMatrix {
     /// The workload axis: each [`WorkloadSpec`] names an arrival shape —
     /// built-in apps, inline synthetic models, metered real-kernel runs,
@@ -109,9 +101,12 @@ pub struct ScenarioMatrix {
     pub threads: usize,
     /// Buffer bytes each rank delivers.
     pub bytes_per_rank: usize,
-    /// Injection-rate contention coefficient ∈ [0, 1] of the flat fabrics
-    /// that legacy `links` entries of matrix JSON fold into; echoed in every
-    /// row. [`models`](Self::models) entries carry their own.
+    /// **Inert.** The contention a retired `links` axis priced its flat
+    /// fabrics at; each [`models`](Self::models) entry carries its own. Still
+    /// validated by [`resolve`](Self::resolve) (within `[0, 1]`) and carried
+    /// into every [`CellSpec`] and row — so content keys, and every cold tier
+    /// on disk, stay what they were — but no price depends on it. Leaves the
+    /// wire with [`deadline_ms`](Self::deadline_ms).
     pub contention: f64,
     /// Which synthetic iteration supplies the arrivals (mid-campaign keeps
     /// MiniMD in its steady phase).
@@ -122,80 +117,26 @@ pub struct ScenarioMatrix {
     /// pricing no longer runs; still accepted, validated by
     /// [`resolve`](Self::resolve) (positive and finite) and carried into
     /// every [`CellSpec`] — so content keys, and every cold tier on disk,
-    /// stay what they were — but no row depends on it. Defaults to
-    /// `DEFAULT_DEADLINE_MS` when absent from matrix JSON; leaves the wire
+    /// stay what they were — but no row depends on it. Defaults to 10 000 ms
+    /// (`default_deadline_ms`) when absent from matrix JSON; leaves the wire
     /// together with `transport_verified`, under one key-version bump.
+    #[serde(default = "default_deadline_ms")]
     pub deadline_ms: f64,
 }
 
-/// Matrix JSON as it arrives: [`ScenarioMatrix`]'s fields plus the two
-/// legacy name axes, `apps` and `links`, that older files spell the
-/// workload and network-model axes with.
-#[derive(Deserialize)]
-struct MatrixWire {
-    #[serde(default)]
-    apps: Vec<String>,
-    #[serde(default)]
-    workloads: Vec<WorkloadSpec>,
-    strategies: Vec<Strategy>,
-    #[serde(default)]
-    links: Vec<String>,
-    #[serde(default)]
-    models: Vec<NetModelSpec>,
-    noise: Vec<String>,
-    ranks: Vec<usize>,
-    threads: usize,
-    bytes_per_rank: usize,
-    contention: f64,
-    iteration: usize,
-    seed: u64,
-    #[serde(default = "default_deadline_ms")]
-    deadline_ms: f64,
-}
-
-impl Deserialize for ScenarioMatrix {
-    /// Folds the legacy axes into today's: each `apps` name is the
-    /// [`WorkloadSpec::Named`] it always resolved to and each `links` name a
-    /// flat [`NetModelSpec::Fabric`] at the matrix's `contention`, legacy
-    /// entries first — the order (and so the rows) old files always had.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let wire = MatrixWire::from_value(value)?;
-        let mut workloads = named_workloads(wire.apps);
-        workloads.extend(wire.workloads);
-        let mut models = flat_fabrics(wire.links, wire.contention);
-        models.extend(wire.models);
-        Ok(ScenarioMatrix {
-            workloads,
-            strategies: wire.strategies,
-            models,
-            noise: wire.noise,
-            ranks: wire.ranks,
-            threads: wire.threads,
-            bytes_per_rank: wire.bytes_per_rank,
-            contention: wire.contention,
-            iteration: wire.iteration,
-            seed: wire.seed,
-            deadline_ms: wire.deadline_ms,
-        })
-    }
-}
-
 /// The calibrated apps `names`, as workload-axis entries.
-fn named_workloads<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Vec<WorkloadSpec> {
-    let named = |name: S| WorkloadSpec::Named { name: name.into() };
-    names.into_iter().map(named).collect()
+fn named_workloads(names: &[&str]) -> Vec<WorkloadSpec> {
+    let named = |&name: &&str| WorkloadSpec::Named { name: name.into() };
+    names.iter().map(named).collect()
 }
 
 /// Flat contended fabrics over the named `links`, as model-axis entries.
-fn flat_fabrics<S: Into<String>>(
-    links: impl IntoIterator<Item = S>,
-    contention: f64,
-) -> Vec<NetModelSpec> {
-    let fabric = |link: S| NetModelSpec::Fabric {
+fn flat_fabrics(links: &[&str], contention: f64) -> Vec<NetModelSpec> {
+    let fabric = |&link: &&str| NetModelSpec::Fabric {
         link: link.into(),
         contention,
     };
-    links.into_iter().map(fabric).collect()
+    links.iter().map(fabric).collect()
 }
 
 /// Contention coefficient of every preset's flat fabrics.
@@ -327,14 +268,14 @@ impl ScenarioMatrix {
     /// × 3 rank counts = 288 scenarios at paper-like 32-thread ranks.
     pub fn full() -> Self {
         ScenarioMatrix {
-            workloads: named_workloads(BUILTIN_WORKLOAD_NAMES),
+            workloads: named_workloads(&BUILTIN_WORKLOAD_NAMES),
             strategies: vec![
                 Strategy::Bulk,
                 Strategy::EarlyBird,
                 Strategy::TimeoutFlush { timeout_ms: 1.0 },
                 Strategy::Binned { bins: 6 },
             ],
-            models: flat_fabrics(["omni-path", "high-latency"], PRESET_CONTENTION),
+            models: flat_fabrics(&["omni-path", "high-latency"], PRESET_CONTENTION),
             noise: vec![
                 "baseline".into(),
                 "laggard".into(),
@@ -347,7 +288,7 @@ impl ScenarioMatrix {
             contention: PRESET_CONTENTION,
             iteration: 25,
             seed: DEFAULT_SEED,
-            deadline_ms: DEFAULT_DEADLINE_MS,
+            deadline_ms: default_deadline_ms(),
         }
     }
 
@@ -355,7 +296,7 @@ impl ScenarioMatrix {
     /// regimes × 2 rank counts = 48 scenarios at 8-thread ranks.
     pub fn smoke() -> Self {
         ScenarioMatrix {
-            models: flat_fabrics(["omni-path"], PRESET_CONTENTION),
+            models: flat_fabrics(&["omni-path"], PRESET_CONTENTION),
             noise: vec!["baseline".into(), "laggard".into()],
             ranks: vec![1, 4],
             threads: 8,
@@ -410,7 +351,7 @@ impl ScenarioMatrix {
     pub fn workload() -> Self {
         ScenarioMatrix {
             workloads: [
-                named_workloads(BUILTIN_WORKLOAD_NAMES),
+                named_workloads(&BUILTIN_WORKLOAD_NAMES),
                 preset_workload_axis(),
             ]
             .concat(),
@@ -428,7 +369,7 @@ impl ScenarioMatrix {
     pub fn workload_smoke() -> Self {
         ScenarioMatrix {
             workloads: preset_workload_axis(),
-            models: flat_fabrics(["omni-path"], PRESET_CONTENTION),
+            models: flat_fabrics(&["omni-path"], PRESET_CONTENTION),
             ranks: vec![4],
             ..Self::workload()
         }
@@ -688,8 +629,8 @@ pub struct CellSpec {
     pub threads: usize,
     /// Buffer bytes per rank.
     pub bytes_per_rank: usize,
-    /// The matrix's contention coefficient (see
-    /// [`ScenarioMatrix::contention`]; `model` carries its own).
+    /// Inert ([`ScenarioMatrix::contention`]): part of the content key,
+    /// read by no pricing code — `model` carries its own.
     pub contention: f64,
     /// Synthetic iteration supplying the arrivals.
     pub iteration: usize,
@@ -868,7 +809,8 @@ pub struct ScenarioRow {
     pub threads: usize,
     /// Buffer bytes per rank.
     pub bytes_per_rank: usize,
-    /// The matrix's contention coefficient (see [`CellSpec::contention`]).
+    /// Inert: the matrix's contention coefficient, echoed (see
+    /// [`CellSpec::contention`]); no other column depends on it.
     pub contention: f64,
     /// Whole-job completion (ms).
     pub completion_ms: f64,
@@ -1011,61 +953,66 @@ mod tests {
         assert!(with_field.contains(needle), "{with_field}");
         with_field = with_field.replace(needle, "");
         let back: ScenarioMatrix = serde_json::from_str(&with_field).unwrap();
-        assert_eq!(back.deadline_ms, DEFAULT_DEADLINE_MS);
+        assert_eq!(back.deadline_ms, default_deadline_ms());
         assert_eq!(back, ScenarioMatrix::smoke());
-        // The compatibility trade: the field is inert — two matrices
-        // differing only in it price bit-identical rows — yet still part of
-        // every cell's content key, so keys minted while it meant something
-        // (and every cold tier holding them) stay valid.
-        let mut other = back.clone();
-        other.deadline_ms = 2_500.0;
-        assert_eq!(
-            run_matrix(&back, &Pool::new(1)).unwrap(),
-            run_matrix(&other, &Pool::new(1)).unwrap()
-        );
+        // The compatibility trade: `deadline_ms` and `contention` are inert
+        // — two matrices differing only in one price bit-identical numbers
+        // (a row echoes `contention`, nothing else reads it) — yet both stay
+        // part of every cell's content key, so keys minted while they meant
+        // something (and every cold tier holding them) stay valid.
+        let rows = |m: &ScenarioMatrix| run_matrix(m, &Pool::new(1)).unwrap();
         let keys = |m: &ScenarioMatrix| -> Vec<String> {
             let cells = m.resolve().unwrap().cells();
             cells.iter().map(|c| c.content_key().hex()).collect()
         };
-        let (default_keys, other_keys) = (keys(&back), keys(&other));
-        assert_eq!(default_keys.len(), other_keys.len());
-        for (a, b) in default_keys.iter().zip(&other_keys) {
-            assert_ne!(a, b, "deadline_ms must stay in the content key");
+        let (mut later, mut calmer) = (back.clone(), back.clone());
+        later.deadline_ms = 2_500.0;
+        calmer.contention = 0.0;
+        for other in [later, calmer] {
+            let mut priced = rows(&other);
+            for row in &mut priced {
+                row.contention = back.contention;
+            }
+            assert_eq!(rows(&back), priced);
+            let (default_keys, other_keys) = (keys(&back), keys(&other));
+            assert_eq!(default_keys.len(), other_keys.len());
+            for (a, b) in default_keys.iter().zip(&other_keys) {
+                assert_ne!(a, b, "inert fields must stay in the content key");
+            }
         }
     }
 
-    /// The smoke campaign as hand-written matrix JSON, its workload and
-    /// network-model axes spelled by `axes` (no `deadline_ms`, like every
-    /// file older than that field).
-    fn smoke_json(axes: [&str; 2]) -> String {
-        format!(
-            r#"{{{},"strategies":["Bulk","EarlyBird",{{"TimeoutFlush":{{"timeout_ms":1.0}}}},{{"Binned":{{"bins":6}}}}],{},"noise":["baseline","laggard"],"ranks":[1,4],"threads":8,"bytes_per_rank":1000000,"contention":0.5,"iteration":25,"seed":{DEFAULT_SEED}}}"#,
-            axes[0], axes[1]
-        )
-    }
-
-    const LEGACY_APPS: &str = r#""apps":["MiniFE","MiniMD","MiniQMC"]"#;
-    const LEGACY_LINKS: &str = r#""links":["omni-path"]"#;
-    const NAMED_WORKLOADS: &str = r#""workloads":[{"Named":{"name":"MiniFE"}},{"Named":{"name":"MiniMD"}},{"Named":{"name":"MiniQMC"}}]"#;
-    const FABRIC_MODELS: &str = r#""models":[{"Fabric":{"link":"omni-path","contention":0.5}}]"#;
-
     #[test]
-    fn matrix_json_without_models_field_loads() {
-        // Old-style matrix JSON predates the `models` axis entirely: its
-        // `links` load as flat fabrics at the matrix contention.
-        let old_style = smoke_json([NAMED_WORKLOADS, LEGACY_LINKS]);
-        let back: ScenarioMatrix = serde_json::from_str(&old_style).unwrap();
-        assert_eq!(back, ScenarioMatrix::smoke());
-        assert_eq!(back.len(), 48);
+    fn retired_axis_keys_are_refused_by_name() {
+        // `apps` and `links` are what the workload and network-model axes
+        // were once called: alone or beside today's axes, each is an
+        // unknown field, never an axis silently dropped from the sweep.
+        let m = ScenarioMatrix::smoke();
+        let today = serde_json::to_string(&m).unwrap();
+        let axis = |key: &str, json: String| format!("\"{key}\":{json}");
+        let workloads = axis("workloads", serde_json::to_string(&m.workloads).unwrap());
+        let models = axis("models", serde_json::to_string(&m.models).unwrap());
+        for (key, axis, retired) in [
+            ("apps", workloads, r#""apps":["MiniFE","MiniMD","MiniQMC"]"#),
+            ("links", models, r#""links":["omni-path"]"#),
+        ] {
+            for spelled in [retired.to_string(), format!("{retired},{axis}")] {
+                let json = today.replacen(&axis, &spelled, 1);
+                let err = serde_json::from_str::<ScenarioMatrix>(&json).unwrap_err();
+                let err = err.to_string();
+                assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+                assert!(err.contains("workloads, strategies, models"), "{err}");
+            }
+        }
     }
 
     #[test]
     fn validation_rejects_bad_axes() {
         let mut m = ScenarioMatrix::smoke();
-        m.workloads = named_workloads(["hpcg"]);
+        m.workloads = named_workloads(&["hpcg"]);
         assert!(run_matrix(&m, &Pool::new(1)).unwrap_err().contains("hpcg"));
         let mut m = ScenarioMatrix::smoke();
-        m.models = flat_fabrics(["carrier-pigeon"], m.contention);
+        m.models = flat_fabrics(&["carrier-pigeon"], m.contention);
         assert!(run_matrix(&m, &Pool::new(1)).is_err());
         let mut m = ScenarioMatrix::smoke();
         m.models = vec![];
@@ -1221,28 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_links_and_models_enumerate_links_first() {
-        let loggp = NetModelSpec::LogGP {
-            latency_ms: 1.0e-3,
-            gap_ms: 0.0,
-            gap_per_byte_ms: 8.0e-8,
-            contention: 0.0,
-        };
-        let both = format!(
-            "{LEGACY_LINKS},\"models\":[{}]",
-            serde_json::to_string(&loggp).unwrap()
-        );
-        let m: ScenarioMatrix = serde_json::from_str(&smoke_json([LEGACY_APPS, &both])).unwrap();
-        assert_eq!(m.len(), 96); // model axis doubled
-        assert_eq!(m.models[1], loggp);
-        let cells = m.resolve().unwrap().cells();
-        let strategies = m.strategies.len();
-        // Within one (app, noise, ranks) block: links block, then models.
-        assert_eq!(cells[0].spec.link, "omni-path");
-        assert!(cells[strategies].spec.link.starts_with("loggp("));
-    }
-
-    #[test]
     fn cache_keys_distinguish_models_differing_in_one_parameter() {
         // Cache addressing embeds the full NetModelSpec, so two models of
         // the same family differing in a single coefficient must never
@@ -1310,7 +1235,7 @@ mod tests {
         // One pricing definition, three callers, any split of a matrix into
         // jobs: same inputs, same functions ⇒ identical rows.
         let mut m = ScenarioMatrix::smoke();
-        m.workloads = named_workloads(["MiniMD"]);
+        m.workloads = named_workloads(&["MiniMD"]);
         m.noise = vec!["laggard".into()];
         m.ranks = vec![1, 2];
         rows_agree_however_split(&m);
@@ -1410,7 +1335,7 @@ mod tests {
         // `null`.
         for threads in [0xFFFF, 1] {
             let mut m = ScenarioMatrix::topology_smoke();
-            m.workloads = named_workloads(["MiniQMC"]);
+            m.workloads = named_workloads(&["MiniQMC"]);
             m.models = vec![NetModelSpec::LogGP {
                 latency_ms: 1.0e12,
                 gap_ms: 1.0e12,
@@ -1446,46 +1371,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_json_without_workloads_field_loads() {
-        // Matrix JSON saved before the workloads axis existed names its
-        // workloads under `apps`: they load as `Named` specs.
-        let old_style = smoke_json([LEGACY_APPS, FABRIC_MODELS]);
-        let back: ScenarioMatrix = serde_json::from_str(&old_style).unwrap();
-        assert_eq!(back, ScenarioMatrix::smoke());
-        assert_eq!(back.len(), 48);
-    }
-
-    #[test]
-    fn mixed_apps_and_workloads_enumerate_apps_first() {
-        let both = format!(r#"{LEGACY_APPS},"workloads":[{{"RealKernel":{{"app":"MiniQMC"}}}}]"#);
-        let mut m: ScenarioMatrix =
-            serde_json::from_str(&smoke_json([&both, LEGACY_LINKS])).unwrap();
-        m.noise = vec!["baseline".into()];
-        assert_eq!(m.len(), 4 * 4 * 2); // workload axis 3 apps + 1 spec
-        let cells = m.resolve().unwrap().cells();
-        let per_workload = m.strategies.len() * m.ranks.len();
-        // First blocks: the legacy apps in config order, then the spec.
-        assert_eq!(cells[0].spec.app, "MiniFE");
-        assert_eq!(
-            cells[0].spec.workload,
-            WorkloadSpec::Named {
-                name: "MiniFE".into()
-            }
-        );
-        assert_eq!(cells[3 * per_workload].spec.app, "real(MiniQMC)");
-        assert!(matches!(
-            cells[3 * per_workload].spec.workload,
-            WorkloadSpec::RealKernel { .. }
-        ));
-    }
-
-    #[test]
     fn case_insensitive_apps_resolve_with_did_you_mean_errors() {
-        // Lowercase legacy names keep working, labelled canonically like
-        // the `Named` specs they fold into...
-        let mut m: ScenarioMatrix =
-            serde_json::from_str(&smoke_json([r#""apps":["minife"]"#, LEGACY_LINKS])).unwrap();
-        assert_eq!(m.workloads, named_workloads(["minife"]));
+        // Lowercase names keep working, labelled canonically...
+        let mut m = ScenarioMatrix::smoke();
+        m.workloads = named_workloads(&["minife"]);
         m.noise = vec!["baseline".into()];
         m.ranks = vec![1];
         m.strategies = vec![Strategy::Bulk];
@@ -1493,7 +1382,7 @@ mod tests {
         assert_eq!(rows[0].app, "MiniFE");
         // ...and near-misses get a suggestion in the rendered error.
         let mut m = ScenarioMatrix::smoke();
-        m.workloads = named_workloads(["minifee"]);
+        m.workloads = named_workloads(&["minifee"]);
         let err = run_matrix(&m, &Pool::new(1)).unwrap_err();
         assert!(err.contains("did you mean `MiniFE`"), "{err}");
     }

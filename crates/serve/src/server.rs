@@ -1343,14 +1343,18 @@ mod tests {
     fn a_deeply_nested_line_is_refused_and_the_next_request_served() {
         // The JSON parser recurses once per bracket: past its nesting limit
         // it must refuse the line, or 10 000 brackets overflow this
-        // thread's stack and abort the whole server.
+        // thread's stack and abort the whole server. A matrix carrying a
+        // key no field reads is refused by name the same way.
         let shared = shared();
         let hostile = format!("{{\"verb\":\"submit\",\"matrix\":{}", "[".repeat(10_000));
+        let submit = submit_line(&three_group_matrix());
+        let retired = submit.replacen("matrix\":{", "matrix\":{\"links\":[\"omni-path\"],", 1);
         for (line, reply) in [
             (
                 hostile,
                 "\"error\":\"bad request: recursion limit exceeded at byte ",
             ),
+            (retired, "\"error\":\"bad request: unknown field `links` "),
             (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
         ] {
             let tap = WireTap::default();

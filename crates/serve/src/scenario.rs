@@ -37,12 +37,21 @@
 //! A key that names no field of the matrix is refused, so a misspelled or
 //! retired axis (`apps`, `links`) cannot silently drop out of the sweep.
 //!
+//! Resolving a matrix ([`ScenarioMatrix::resolve`]) builds everything its
+//! cells share once, behind one `Arc`: the axes with their typed handles
+//! and row labels, the noise-applied workload of each (workload, noise)
+//! pair, and each axis value's fragment of a cell's content key. A
+//! [`ResolvedCell`] is that `Arc` and one index per axis, so enumerating a
+//! matrix's cells is one allocation and a content key one exactly-sized
+//! string. [`CellSpec`] stays the documented content of a key: a cell
+//! materializes it only on demand ([`ResolvedCell::spec`]).
+//!
 //! Pricing has one definition, [`price_group`], and one unit of work, the
-//! **group**: the cells that share a (workload, noise, ranks, threads,
-//! iteration, seed) combination — contiguous in
-//! [`ResolvedMatrix::cells`] order — and therefore share their rank
-//! arrivals, which are built once per group (and the `Bulk` baseline once
-//! per network model within it). Three callers drive it:
+//! **group**: a run of cells with equal (workload, noise, ranks) indices in
+//! one resolved matrix — contiguous in [`ResolvedMatrix::cells`] order —
+//! which therefore share their rank arrivals, built once per group (and the
+//! `Bulk` baseline once per network model within it). Three callers drive
+//! it:
 //!
 //! * the offline `repro scenarios` path, [`run_matrix`], prices every group
 //!   of the matrix in axis order;
@@ -62,6 +71,8 @@
 //! Every caller runs the same deterministic kernel on the same inputs, so
 //! rows are bit-identical however a matrix is split into jobs — the
 //! property the service's cache and the CI serve-smoke diff rely on.
+
+use std::sync::Arc;
 
 use ebird_cluster::synthetic::{AppModel, Phase};
 use ebird_cluster::{
@@ -457,22 +468,26 @@ impl ScenarioMatrix {
                 NoiseRegime::parse(name).ok_or_else(|| format!("unknown noise regime `{name}`"))?;
             noise.push(regime);
         }
-        let mut workloads = Vec::with_capacity(self.workloads.len());
-        for spec in &self.workloads {
-            workloads.push((spec.clone(), spec.resolve()?));
-        }
+        let workloads: Vec<ResolvedWorkload> = self
+            .workloads
+            .iter()
+            .map(WorkloadSpec::resolve)
+            .collect::<Result<_, _>>()?;
         // Every (workload, regime) pairing must be applicable — a
         // real-kernel workload under a non-baseline regime is a config
-        // error, surfaced here rather than as a panic mid-campaign.
-        for (_, resolved) in &workloads {
+        // error, surfaced here rather than as a panic mid-campaign. The
+        // pairings are kept: they are what the cells price.
+        let mut noisy = Vec::with_capacity(workloads.len() * noise.len());
+        for resolved in &workloads {
             for &regime in &noise {
-                resolved.with_noise_regime(regime)?;
+                noisy.push(resolved.with_noise_regime(regime)?);
             }
         }
-        let mut models = Vec::with_capacity(self.models.len());
-        for spec in &self.models {
-            models.push((spec.clone(), spec.resolve()?));
-        }
+        let models: Vec<ResolvedNetModel> = self
+            .models
+            .iter()
+            .map(NetModelSpec::resolve)
+            .collect::<Result<_, _>>()?;
         // Checked after the workloads resolve: that bounds mixture nesting.
         let iterations = if self.workloads.iter().any(runs_real_kernel) {
             self.iteration.saturating_add(1)
@@ -509,87 +524,166 @@ impl ScenarioMatrix {
             }
         }
         Ok(ResolvedMatrix {
-            workloads,
-            strategies: self.strategies.clone(),
-            models,
-            noise,
-            ranks: self.ranks.clone(),
-            threads: self.threads,
-            bytes_per_rank: self.bytes_per_rank,
-            contention: self.contention,
-            iteration: self.iteration,
-            seed: self.seed,
-            deadline_ms: self.deadline_ms,
+            axes: Arc::new(Axes::new(self.clone(), noisy, models, noise)),
         })
     }
 }
 
 /// A validated matrix with every name resolved into its typed handle.
 /// Constructed only by [`ScenarioMatrix::resolve`]; downstream code consumes
-/// handles instead of re-looking names up mid-campaign.
+/// handles instead of re-looking names up mid-campaign. Its axes sit behind
+/// one [`Arc`] that every [`ResolvedCell`] shares.
 #[derive(Debug, Clone)]
 pub struct ResolvedMatrix {
-    /// The workload axis, matrix order: each canonical spec (cache
-    /// addressing, row label) with its typed handle (pricing).
-    workloads: Vec<(WorkloadSpec, ResolvedWorkload)>,
-    strategies: Vec<Strategy>,
-    /// The network-model axis, matrix order: spec and typed handle.
-    models: Vec<(NetModelSpec, ResolvedNetModel)>,
-    noise: Vec<NoiseRegime>,
-    ranks: Vec<usize>,
-    threads: usize,
-    bytes_per_rank: usize,
-    contention: f64,
-    iteration: usize,
-    seed: u64,
-    deadline_ms: f64,
+    axes: Arc<Axes>,
 }
+
+/// What the cells of one resolved matrix share, built once per matrix: the
+/// source axes and scalars, each axis value's typed handle and row label,
+/// and each axis value's content-key fragment. A [`ResolvedCell`] is an
+/// index on each of the five axes.
+#[derive(Debug)]
+struct Axes {
+    /// The validated source: the workload and model specs, the strategies,
+    /// the rank counts and the matrix scalars.
+    matrix: ScenarioMatrix,
+    /// [`WorkloadSpec::label`] of each workload (the row's `app`).
+    workload_labels: Vec<String>,
+    /// Workload `w` under noise regime `n`, at `w × noise.len() + n`: built
+    /// by [`ScenarioMatrix::resolve`] to validate the pairing, kept to price
+    /// it.
+    noisy: Vec<ResolvedWorkload>,
+    /// The typed handle of each network model.
+    models: Vec<ResolvedNetModel>,
+    /// [`NetModelSpec::label`] of each network model (the row's `link`).
+    model_labels: Vec<String>,
+    /// The noise regimes, parsed.
+    noise: Vec<NoiseRegime>,
+    /// Each axis value's slice of a cell's content key.
+    keys: KeyFragments,
+}
+
+impl Axes {
+    fn new(
+        matrix: ScenarioMatrix,
+        noisy: Vec<ResolvedWorkload>,
+        models: Vec<ResolvedNetModel>,
+        noise: Vec<NoiseRegime>,
+    ) -> Axes {
+        let m = &matrix;
+        let workload_labels: Vec<String> = m.workloads.iter().map(WorkloadSpec::label).collect();
+        let model_labels: Vec<String> = m.models.iter().map(NetModelSpec::label).collect();
+        let keys = KeyFragments {
+            workloads: m
+                .workloads
+                .iter()
+                .zip(&workload_labels)
+                .map(|(spec, label)| field('{', "app", label) + &field(',', "workload", spec))
+                .collect(),
+            strategies: m
+                .strategies
+                .iter()
+                .map(|strategy| field(',', "strategy", strategy))
+                .collect(),
+            models: m
+                .models
+                .iter()
+                .zip(&model_labels)
+                .map(|(spec, label)| field(',', "link", label) + &field(',', "model", spec))
+                .collect(),
+            noise: noise
+                .iter()
+                .map(|regime| field(',', "noise", regime.label()))
+                .collect(),
+            ranks: m
+                .ranks
+                .iter()
+                .map(|ranks| field(',', "ranks", ranks))
+                .collect(),
+            tail: [
+                field(',', "threads", &m.threads),
+                field(',', "bytes_per_rank", &m.bytes_per_rank),
+                field(',', "contention", &m.contention),
+                field(',', "iteration", &m.iteration),
+                field(',', "seed", &m.seed),
+                field(',', "deadline_ms", &m.deadline_ms),
+                "}".into(),
+            ]
+            .concat(),
+        };
+        Axes {
+            matrix,
+            workload_labels,
+            noisy,
+            models,
+            model_labels,
+            noise,
+            keys,
+        }
+    }
+}
+
+/// `value` as the JSON object field `name` after `separator` (`{` for an
+/// object's first field, `,` for the rest): the text a derived
+/// [`Serialize`] writes for that field.
+fn field(separator: char, name: &str, value: &(impl Serialize + ?Sized)) -> String {
+    let mut out = format!("{separator}\"{name}\":");
+    value.write_json(&mut out);
+    out
+}
+
+/// A cell's content key is its [`CellSpec`]'s JSON, and each field of a
+/// `CellSpec` comes from one axis value or from the matrix scalars. So the
+/// key is six fragments laid end to end, each written once per matrix, in
+/// `CellSpec`'s field order:
+///
+/// ```text
+/// {"app":…,"workload":…  ,"strategy":…  ,"link":…,"model":…  ,"noise":…  ,"ranks":…  ,"threads":…,…,"deadline_ms":…}
+/// workloads[w]           strategies[s]  models[m]             noise[n]     ranks[r]    tail
+/// ```
+#[derive(Debug)]
+struct KeyFragments {
+    workloads: Vec<String>,
+    strategies: Vec<String>,
+    models: Vec<String>,
+    noise: Vec<String>,
+    ranks: Vec<String>,
+    /// The matrix scalars, `,"threads":` through the closing `}`.
+    tail: String,
+}
+
+/// The indices of an axis of `len` values. [`ScenarioMatrix::resolve`] caps
+/// every axis at [`MAX_MATRIX_CELLS`] values, so each index fits a `u32`.
+fn axis_indices(len: usize) -> std::ops::Range<u32> {
+    0..len as u32
+}
+
+const _: () = assert!(MAX_MATRIX_CELLS <= u32::MAX as usize);
 
 impl ResolvedMatrix {
     /// Number of cells (same as the source matrix's [`ScenarioMatrix::len`]).
     fn len(&self) -> usize {
-        cell_count([
-            self.workloads.len(),
-            self.strategies.len(),
-            self.models.len(),
-            self.noise.len(),
-            self.ranks.len(),
-        ])
+        self.axes.matrix.len()
     }
 
     /// Every cell in canonical row order (workloads ▸ noise ▸ ranks ▸
-    /// models ▸ strategies), each carrying its content-addressable
-    /// [`CellSpec`] and the typed handles needed to price it independently.
+    /// models ▸ strategies), each the shared axes and one index per axis:
+    /// one allocation, the `Vec`, however many cells the matrix spans.
     pub fn cells(&self) -> Vec<ResolvedCell> {
+        let m = &self.axes.matrix;
         let mut cells = Vec::with_capacity(self.len());
-        let links: Vec<String> = self.models.iter().map(|(spec, _)| spec.label()).collect();
-        for (workload_spec, resolved) in &self.workloads {
-            let app = workload_spec.label();
-            for &regime in &self.noise {
-                let workload = resolved
-                    .with_noise_regime(regime)
-                    .expect("pairing validated at resolve");
-                for &ranks in &self.ranks {
-                    for ((model_spec, model), link) in self.models.iter().zip(&links) {
-                        for &strategy in &self.strategies {
+        for workload in axis_indices(m.workloads.len()) {
+            for noise in axis_indices(m.noise.len()) {
+                for ranks in axis_indices(m.ranks.len()) {
+                    for model in axis_indices(m.models.len()) {
+                        for strategy in axis_indices(m.strategies.len()) {
                             cells.push(ResolvedCell {
-                                spec: CellSpec {
-                                    app: app.clone(),
-                                    workload: workload_spec.clone(),
-                                    strategy,
-                                    link: link.clone(),
-                                    model: model_spec.clone(),
-                                    noise: regime.label().to_string(),
-                                    ranks,
-                                    threads: self.threads,
-                                    bytes_per_rank: self.bytes_per_rank,
-                                    contention: self.contention,
-                                    iteration: self.iteration,
-                                    seed: self.seed,
-                                    deadline_ms: self.deadline_ms,
-                                },
-                                workload: workload.clone(),
-                                model: model.clone(),
+                                axes: Arc::clone(&self.axes),
+                                workload,
+                                strategy,
+                                model,
+                                noise,
+                                ranks,
                             });
                         }
                     }
@@ -606,7 +700,10 @@ impl ResolvedMatrix {
 /// rows, across submissions and across overlapping matrices. The full
 /// [`NetModelSpec`] **and** [`WorkloadSpec`] are embedded, so two models —
 /// or two workloads — sharing a display label can never collide on a cache
-/// key.
+/// key. A resolved cell writes this JSON from per-axis fragments
+/// ([`ResolvedCell::content_key`]) and materializes the value only on
+/// demand ([`ResolvedCell::spec`]); the field order below is the key's byte
+/// order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellSpec {
     /// Workload display label ([`WorkloadSpec::label`]; also the row's
@@ -641,40 +738,83 @@ pub struct CellSpec {
     pub deadline_ms: f64,
 }
 
-/// One cell plus the typed handles to price it without further name lookups.
-#[derive(Debug, Clone)]
+/// One cell of a resolved matrix: the matrix's shared axes and the cell's
+/// index on each of the five. It has no heap of its own, and a clone bumps
+/// one reference count. Everything about the cell is read through the
+/// indices: its content key ([`content_key`](Self::content_key)), its
+/// [`CellSpec`] ([`spec`](Self::spec)) and its pricing inputs
+/// ([`price_group`]).
+#[derive(Clone)]
 pub struct ResolvedCell {
-    /// The cell's canonical content description.
-    pub spec: CellSpec,
-    /// Workload handle with the cell's noise regime applied.
-    workload: ResolvedWorkload,
-    /// Typed network-model handle ([`NetModelSpec::resolve`]d).
-    model: ResolvedNetModel,
+    axes: Arc<Axes>,
+    workload: u32,
+    strategy: u32,
+    model: u32,
+    noise: u32,
+    ranks: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<ResolvedCell>() <= 32);
 
 impl ResolvedCell {
     /// Whether `other` belongs to this cell's pricing **group**: the cells
-    /// that share their rank arrivals — equal workload, noise regime, ranks,
-    /// threads, iteration and seed. Groups are contiguous in
-    /// [`ResolvedMatrix::cells`] order (network models and strategies are
-    /// the two innermost axes).
+    /// of one resolved matrix with equal workload, noise and ranks indices.
+    /// They share their rank arrivals (threads, iteration and seed are the
+    /// matrix's). Groups are contiguous in [`ResolvedMatrix::cells`] order
+    /// (network models and strategies are the two innermost axes).
     pub fn same_group(&self, other: &ResolvedCell) -> bool {
-        let (a, b) = (&self.spec, &other.spec);
-        a.ranks == b.ranks
-            && a.seed == b.seed
-            && a.threads == b.threads
-            && a.iteration == b.iteration
-            && a.noise == b.noise
-            && a.workload == b.workload
+        Arc::ptr_eq(&self.axes, &other.axes)
+            && self.workload == other.workload
+            && self.noise == other.noise
+            && self.ranks == other.ranks
     }
 
     /// The cell's cache address — THE canonical spec-to-key rule: equal
-    /// specs must yield equal keys across every verb, so this is the only
-    /// place the spec is serialized for addressing.
+    /// specs must yield equal keys across every verb. The content is the
+    /// cell's [`CellSpec`] JSON, its six per-axis fragments laid end to end
+    /// in one exactly-sized string, byte for byte what serializing
+    /// [`spec`](Self::spec) writes.
     pub fn content_key(&self) -> crate::cache::ContentKey {
-        crate::cache::ContentKey::of(
-            serde_json::to_string(&self.spec).expect("cell specs always serialize"),
-        )
+        let keys = &self.axes.keys;
+        let content = [
+            keys.workloads[self.workload as usize].as_str(),
+            &keys.strategies[self.strategy as usize],
+            &keys.models[self.model as usize],
+            &keys.noise[self.noise as usize],
+            &keys.ranks[self.ranks as usize],
+            &keys.tail,
+        ]
+        .concat();
+        crate::cache::ContentKey::of(content)
+    }
+
+    /// The cell's [`CellSpec`], materialized: the value its
+    /// [`content_key`](Self::content_key) spells as JSON.
+    pub fn spec(&self) -> CellSpec {
+        let (axes, m) = (&*self.axes, &self.axes.matrix);
+        let (workload, model) = (self.workload as usize, self.model as usize);
+        CellSpec {
+            app: axes.workload_labels[workload].clone(),
+            workload: m.workloads[workload].clone(),
+            strategy: m.strategies[self.strategy as usize],
+            link: axes.model_labels[model].clone(),
+            model: m.models[model].clone(),
+            noise: axes.noise[self.noise as usize].label().to_string(),
+            ranks: m.ranks[self.ranks as usize],
+            threads: m.threads,
+            bytes_per_rank: m.bytes_per_rank,
+            contention: m.contention,
+            iteration: m.iteration,
+            seed: m.seed,
+            deadline_ms: m.deadline_ms,
+        }
+    }
+}
+
+/// A cell prints as its [`CellSpec`], not as the matrix it shares.
+impl std::fmt::Debug for ResolvedCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ResolvedCell").field(&self.spec()).finish()
     }
 }
 
@@ -705,47 +845,48 @@ pub fn price_group(cells: &[ResolvedCell]) -> Result<Vec<ScenarioRow>, String> {
     if !cells.iter().all(|cell| first.same_group(cell)) {
         return Err("price_group called across a group boundary".into());
     }
-    let spec = &first.spec;
-    let rank_arrivals: Vec<Vec<f64>> = first
-        .workload
-        .rank_arrivals_ms(spec.seed, spec.ranks, spec.iteration, spec.threads)
-        .map_err(|e| format!("workload `{}`: {e}", spec.app))?;
+    let (axes, m) = (&*first.axes, &first.axes.matrix);
+    let (workload, noise) = (first.workload as usize, first.noise as usize);
+    let app = &axes.workload_labels[workload];
+    let regime = axes.noise[noise];
+    let ranks = m.ranks[first.ranks as usize];
+    let rank_arrivals: Vec<Vec<f64>> = axes.noisy[workload * axes.noise.len() + noise]
+        .rank_arrivals_ms(m.seed, ranks, m.iteration, m.threads)
+        .map_err(|e| format!("workload `{app}`: {e}"))?;
     let mut scratch = SimScratch::new();
     let mut rows = Vec::with_capacity(cells.len());
-    for run in cells.chunk_by(|a, b| {
-        a.spec.model == b.spec.model && a.spec.bytes_per_rank == b.spec.bytes_per_rank
-    }) {
-        let bytes_per_rank = run[0].spec.bytes_per_rank;
-        let mut model = run[0].model.build(spec.ranks);
+    for run in cells.chunk_by(|a, b| a.model == b.model) {
+        let at = run[0].model as usize;
+        let mut model = axes.models[at].build(ranks);
         let bulk = run_delivery(
             &mut model,
             &rank_arrivals,
-            bytes_per_rank,
+            m.bytes_per_rank,
             Strategy::Bulk,
             &mut scratch,
         );
         for cell in run {
-            let spec = &cell.spec;
-            let outcome = if spec.strategy == Strategy::Bulk {
+            let strategy = m.strategies[cell.strategy as usize];
+            let outcome = if strategy == Strategy::Bulk {
                 bulk
             } else {
                 run_delivery(
                     &mut model,
                     &rank_arrivals,
-                    bytes_per_rank,
-                    spec.strategy,
+                    m.bytes_per_rank,
+                    strategy,
                     &mut scratch,
                 )
             };
             rows.push(ScenarioRow {
-                app: spec.app.clone(),
-                strategy: spec.strategy.label().into_owned(),
-                link: spec.link.clone(),
-                noise: spec.noise.clone(),
-                ranks: spec.ranks,
-                threads: spec.threads,
-                bytes_per_rank,
-                contention: spec.contention,
+                app: app.clone(),
+                strategy: strategy.label().into_owned(),
+                link: axes.model_labels[at].clone(),
+                noise: regime.label().to_string(),
+                ranks,
+                threads: m.threads,
+                bytes_per_rank: m.bytes_per_rank,
+                contention: m.contention,
                 completion_ms: outcome.completion_ms,
                 last_arrival_ms: outcome.last_arrival_ms,
                 exposed_ms: outcome.exposed_ms(),
@@ -1142,26 +1283,30 @@ mod tests {
         let cells = resolved.cells();
         assert_eq!(cells.len(), m.len());
         // First axis block: first app, first regime, first rank count.
-        assert_eq!(cells[0].spec.app, "MiniFE");
-        assert_eq!(cells[0].spec.noise, "baseline");
-        assert_eq!(cells[0].spec.ranks, 1);
-        assert_eq!(cells[0].spec.strategy, Strategy::Bulk);
+        let (first, second) = (cells[0].spec(), cells[1].spec());
+        assert_eq!(first.app, "MiniFE");
+        assert_eq!(first.noise, "baseline");
+        assert_eq!(first.ranks, 1);
+        assert_eq!(first.strategy, Strategy::Bulk);
         // Strategy is the innermost axis.
-        assert_eq!(cells[1].spec.strategy, Strategy::EarlyBird);
+        assert_eq!(second.strategy, Strategy::EarlyBird);
         // The preset's link is a flat fabric at the matrix contention.
         assert_eq!(
-            cells[0].spec.model,
+            first.model,
             NetModelSpec::Fabric {
                 link: "omni-path".into(),
                 contention: m.contention,
             }
         );
-        assert_eq!(cells[0].spec.link, "omni-path");
-        // Every spec is distinct.
+        assert_eq!(first.link, "omni-path");
+        // Every key is its spec's JSON, and every spec is distinct.
         let mut keys: Vec<String> = cells
             .iter()
-            .map(|c| serde_json::to_string(&c.spec).unwrap())
+            .map(|c| c.content_key().content().to_owned())
             .collect();
+        for (key, cell) in keys.iter().zip(&cells) {
+            assert_eq!(key, &serde_json::to_string(&cell.spec()).unwrap());
+        }
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), cells.len());
@@ -1225,7 +1370,7 @@ mod tests {
         }
         for (row, cell) in rows.iter().zip(&cells) {
             let solo = compute_cell(cell, &pool).unwrap();
-            assert_eq!(&solo, row, "cell {:?}", cell.spec);
+            assert_eq!(&solo, row, "{cell:?}");
         }
         rows
     }
@@ -1412,7 +1557,8 @@ mod tests {
         ];
         let cells = m.resolve().unwrap().cells();
         assert_eq!(
-            cells[0].spec.app, cells[4].spec.app,
+            cells[0].spec().app,
+            cells[4].spec().app,
             "labels intentionally collide"
         );
         let mut keys: Vec<String> = cells.iter().map(|c| c.content_key().hex()).collect();

@@ -192,6 +192,11 @@ struct ServeMetrics {
     /// `submits`) — `serve.requests.submit` counts at dispatch, so it also
     /// counts those answered with an error reply.
     submits_resolved: Arc<Counter>,
+    /// The handler's serial layer of one resolved submit: resolve → classify
+    /// → admit → schedule, up to the header (`serve.submit.classify_ns`, one
+    /// entry per resolved submit, refused ones too; the submit's jobs
+    /// reach the queue only in its last step).
+    classify_ns: Arc<Histogram>,
     /// Cells priced by workers, booked as each job finishes
     /// (`serve.cells.priced`; `status`'s `computed`): the duplicate-compute
     /// telltale, equal to the *distinct* cells priced when coalescing
@@ -223,6 +228,7 @@ impl ServeMetrics {
             recovered: registry.counter("serve.worker.recovered"),
             submits_overloaded: registry.counter("serve.submits.overloaded"),
             submits_resolved: registry.counter("serve.submits.resolved"),
+            classify_ns: registry.histogram("serve.submit.classify_ns"),
             cells_priced: registry.counter("serve.cells.priced"),
             inflight_cells: registry.gauge("serve.worker.inflight_cells"),
         }
@@ -831,12 +837,132 @@ impl JobPlan {
     }
 }
 
+/// How a submit's classify → admit → schedule pass ended.
+enum Admission {
+    /// Every cell is cached, joined or queued.
+    Admitted { scheduled: usize, coalesced: usize },
+    /// Refused whole: its new cells would not all fit the queue.
+    Overloaded { queued: usize, error: String },
+    /// The queue closed under the submit.
+    ShuttingDown,
+}
+
+/// Classifies `cells` against the cache and the single-flight table,
+/// admits the submit or refuses it whole, and schedules its jobs: answered
+/// cells land in `ready`, and every scheduled or joined cell will report on
+/// a clone of `reply`.
+fn admit(
+    cells: Vec<ResolvedCell>,
+    priority: i64,
+    shared: &Shared,
+    ready: &mut [Option<CachedRow>],
+    reply: mpsc::Sender<(usize, Result<CachedRow, String>)>,
+) -> Admission {
+    // The whole classify → admit → schedule sequence runs under the
+    // single-flight table lock: completions cannot retire an in-flight
+    // record mid-classify (the worker's `complete` blocks here), and no
+    // other submitter can grow the queue between the admission check and
+    // our pushes — workers only ever shrink it. That makes "enqueue each
+    // distinct cell exactly once" and "never push past the bound" plain
+    // invariants instead of races.
+    let mut guard = shared.single_flight.lock();
+
+    // Pass 1 — classify every cell without mutating anything, so an
+    // overloaded refusal leaves no trace to unwind. Cells to compute fold
+    // into one job per pricing group (groups are contiguous in matrix
+    // order; cached or joined siblings are simply not in it).
+    let mut joins: Vec<(usize, ContentKey)> = Vec::new();
+    let mut jobs: Vec<JobPlan> = Vec::new();
+    let mut planned: std::collections::HashSet<u128> = std::collections::HashSet::new();
+    for (index, cell) in cells.into_iter().enumerate() {
+        let key = cell.content_key();
+        match guard.probe(&shared.cache, &key) {
+            Disposition::Cached(row) => ready[index] = Some(row),
+            Disposition::Inflight => joins.push((index, key)),
+            Disposition::Absent => {
+                if !planned.insert(key.hash()) {
+                    // Same cell listed twice in this matrix: the first
+                    // occurrence schedules, this one subscribes to it.
+                    joins.push((index, key));
+                } else if let Some(job) = jobs.last_mut().filter(|job| job.takes(&cell)) {
+                    job.push(index, key, cell);
+                } else {
+                    let mut job = JobPlan::default();
+                    job.push(index, key, cell);
+                    jobs.push(job);
+                }
+            }
+        }
+    }
+    let scheduled = planned.len();
+    let coalesced = joins.len();
+
+    // Admission: refuse the submit whole if its new cells would not all
+    // fit. Partial admission would stream a torn table.
+    let queued = shared.queue.len();
+    if queued + scheduled > shared.queue.capacity() {
+        drop(guard);
+        let error = format!(
+            "queue saturated: {queued} queued + {scheduled} new > bound {}",
+            shared.queue.capacity()
+        );
+        return Admission::Overloaded { queued, error };
+    }
+
+    // Pass 2 — mutate: enqueue each job and register its cells, then
+    // subscribe the joins (after, so a matrix-internal duplicate finds its
+    // first occurrence registered).
+    for JobPlan {
+        indices,
+        keys,
+        cells,
+    } in jobs
+    {
+        let keys: Arc<[ContentKey]> = keys.into();
+        let job = Job {
+            keys: Arc::clone(&keys),
+            cells,
+        };
+        match shared.queue.push_weighted(priority, indices.len(), job) {
+            Ok(()) => {
+                for (index, key) in indices.into_iter().zip(keys.iter()) {
+                    let reply = reply.clone();
+                    guard.register(key, Subscriber { index, reply });
+                }
+            }
+            // Cells already registered keep their queued jobs; workers
+            // drain them into the cache, and `complete` clears their table
+            // records. The submit's receiver drops with the refusal,
+            // harmlessly.
+            Err(PushError::Closed) => return Admission::ShuttingDown,
+            Err(PushError::Full) => {
+                // Unreachable while the admission check above shares this
+                // lock with every pusher, but refuse rather than panic if
+                // the invariant ever bends.
+                drop(guard);
+                let queued = shared.queue.len();
+                let error = "queue saturated mid-schedule".into();
+                return Admission::Overloaded { queued, error };
+            }
+        }
+    }
+    for (index, key) in joins {
+        let reply = reply.clone();
+        guard.subscribe(&key, Subscriber { index, reply });
+    }
+    Admission::Admitted {
+        scheduled,
+        coalesced,
+    }
+}
+
 fn handle_submit(
     matrix: &crate::protocol::MatrixSource,
     priority: i64,
     shared: &Shared,
     writer: &mut impl Write,
 ) -> Result<(), String> {
+    let start_ns = shared.metrics.registry.now_ns();
     let Some(cells) = resolve_cells(matrix, writer)? else {
         return Ok(());
     };
@@ -844,119 +970,24 @@ fn handle_submit(
     let total = cells.len();
     let (tx, rx) = mpsc::channel::<(usize, Result<CachedRow, String>)>();
     let mut ready: Vec<Option<CachedRow>> = vec![None; total];
-    let scheduled;
-    let coalesced;
-    {
-        // The whole classify → admit → schedule sequence runs under the
-        // single-flight table lock: completions cannot retire an in-flight
-        // record mid-classify (the worker's `complete` blocks here), and no
-        // other submitter can grow the queue between the admission check and
-        // our pushes — workers only ever shrink it. That makes "enqueue each
-        // distinct cell exactly once" and "never push past the bound" plain
-        // invariants instead of races.
-        let mut guard = shared.single_flight.lock();
-
-        // Pass 1 — classify every cell without mutating anything, so an
-        // overloaded refusal leaves no trace to unwind. Cells to compute
-        // fold into one job per pricing group (groups are contiguous in
-        // matrix order; cached or joined siblings are simply not in it).
-        let mut joins: Vec<(usize, ContentKey)> = Vec::new();
-        let mut jobs: Vec<JobPlan> = Vec::new();
-        let mut planned: std::collections::HashSet<u128> = std::collections::HashSet::new();
-        for (index, cell) in cells.into_iter().enumerate() {
-            let key = cell.content_key();
-            match guard.probe(&shared.cache, &key) {
-                Disposition::Cached(row) => ready[index] = Some(row),
-                Disposition::Inflight => joins.push((index, key)),
-                Disposition::Absent => {
-                    if !planned.insert(key.hash()) {
-                        // Same cell listed twice in this matrix: the first
-                        // occurrence schedules, this one subscribes to it.
-                        joins.push((index, key));
-                    } else if let Some(job) = jobs.last_mut().filter(|job| job.takes(&cell)) {
-                        job.push(index, key, cell);
-                    } else {
-                        let mut job = JobPlan::default();
-                        job.push(index, key, cell);
-                        jobs.push(job);
-                    }
-                }
-            }
+    let admission = admit(cells, priority, shared, &mut ready, tx);
+    let classify_ns = shared.metrics.registry.now_ns().saturating_sub(start_ns);
+    shared.metrics.classify_ns.record(classify_ns);
+    let (scheduled, coalesced) = match admission {
+        Admission::Admitted {
+            scheduled,
+            coalesced,
+        } => (scheduled, coalesced),
+        Admission::Overloaded { queued, error } => {
+            return refuse_overloaded(shared, queued, error, writer)
         }
-        scheduled = planned.len();
-        coalesced = joins.len();
-
-        // Admission: refuse the submit whole if its new cells would not all
-        // fit. Partial admission would stream a torn table.
-        let queued = shared.queue.len();
-        if queued + scheduled > shared.queue.capacity() {
-            drop(guard);
-            let error = format!(
-                "queue saturated: {queued} queued + {scheduled} new > bound {}",
-                shared.queue.capacity()
-            );
-            return refuse_overloaded(shared, queued, error, writer);
+        Admission::ShuttingDown => {
+            return write_line(
+                writer,
+                &reply_line(&ErrorReply::new("server is shutting down")),
+            )
         }
-
-        // Pass 2 — mutate: enqueue each job and register its cells, then
-        // subscribe the joins (after, so a matrix-internal duplicate finds
-        // its first occurrence registered).
-        for JobPlan {
-            indices,
-            keys,
-            cells,
-        } in jobs
-        {
-            let keys: Arc<[ContentKey]> = keys.into();
-            let job = Job {
-                keys: Arc::clone(&keys),
-                cells,
-            };
-            match shared.queue.push_weighted(priority, indices.len(), job) {
-                Ok(()) => {
-                    for (index, key) in indices.into_iter().zip(keys.iter()) {
-                        guard.register(
-                            key,
-                            Subscriber {
-                                index,
-                                reply: tx.clone(),
-                            },
-                        );
-                    }
-                }
-                Err(PushError::Closed) => {
-                    // Cells already registered keep their queued jobs;
-                    // workers drain them into the cache, and `complete`
-                    // clears their table records. Our rx drops with this
-                    // return, harmlessly.
-                    drop(guard);
-                    return write_line(
-                        writer,
-                        &reply_line(&ErrorReply::new("server is shutting down")),
-                    );
-                }
-                Err(PushError::Full) => {
-                    // Unreachable while the admission check above shares
-                    // this lock with every pusher, but refuse rather than
-                    // panic if the invariant ever bends.
-                    drop(guard);
-                    let queued = shared.queue.len();
-                    let error = "queue saturated mid-schedule".into();
-                    return refuse_overloaded(shared, queued, error, writer);
-                }
-            }
-        }
-        for (index, key) in joins {
-            guard.subscribe(
-                &key,
-                Subscriber {
-                    index,
-                    reply: tx.clone(),
-                },
-            );
-        }
-    }
-    drop(tx);
+    };
     let cached = total - scheduled - coalesced;
     // All four cell counters move together at this one point, so the
     // snapshot identity `total == cached + coalesced + computed` holds
@@ -1498,6 +1529,11 @@ mod tests {
             (status.overloaded, status.queued, status.inflight_cells),
             (1, 0, 0)
         );
+        // The serial layer is timed once per resolved submit, the refused
+        // one included.
+        let snap = shared.metrics.registry.snapshot();
+        let classify = snap.histogram("serve.submit.classify_ns").count();
+        assert_eq!((classify, status.submits), (3, 3));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 
 use ebird_analysis::report::json_line;
 use ebird_runtime::Pool;
-use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
+use ebird_serve::scenario::{run_matrix, CellSpec, ScenarioMatrix};
 use ebird_serve::{CacheConfig, ContentKey, ResultCache};
 
 /// The system allocator, counting the bytes live on the heap.
@@ -65,6 +65,10 @@ fn the_hot_tier_holds_less_than_it_charges_and_returns_it_all() {
     // The full campaign's 288 cells, priced once: real specs and rows.
     let matrix = ScenarioMatrix::full();
     let cells = matrix.resolve().expect("the full preset resolves").cells();
+    let specs: Vec<CellSpec> = cells
+        .iter()
+        .map(|cell| serde_json::from_str(cell.content_key().content()).expect("keys parse"))
+        .collect();
     let rows: Vec<String> = run_matrix(&matrix, &Pool::new(1))
         .expect("the full preset prices")
         .iter()
@@ -73,8 +77,8 @@ fn the_hot_tier_holds_less_than_it_charges_and_returns_it_all() {
     // Entry `i` is cell `i % 288` under seed `i / 288`: a distinct spec of
     // the real length, with its cell's real row.
     let entry = |i: usize| {
-        let mut spec = cells[i % cells.len()].spec.clone();
-        spec.seed = (i / cells.len()) as u64;
+        let mut spec = specs[i % specs.len()].clone();
+        spec.seed = (i / specs.len()) as u64;
         let key = ContentKey::of(serde_json::to_string(&spec).expect("specs encode"));
         (key, &rows[i % rows.len()])
     };

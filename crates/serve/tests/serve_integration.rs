@@ -450,6 +450,13 @@ fn metrics_verb_reconciles_with_the_request_history() {
         .map(|c| c.value)
         .sum();
     assert_eq!(per_verb, m.counter("serve.requests.total"));
+    // The handler's serial layer (resolve → classify → schedule) is timed
+    // once per resolved submit, never per cell.
+    let classify = m
+        .histogram("serve.submit.classify_ns")
+        .expect("classify layer");
+    assert_eq!(classify.count, m.counter("serve.submits.resolved"));
+    assert_eq!(classify.count, 2);
 
     // Submit-side cell accounting: every submitted cell is exactly one of
     // cached, coalesced, or computed.

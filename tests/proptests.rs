@@ -5,12 +5,16 @@ use early_bird::analysis::engine::EngineArenas;
 use early_bird::analysis::laggard::{laggard_census, ArrivalClass};
 use early_bird::analysis::reclaim::reclaim_metrics;
 use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
+use early_bird::cluster::{MixtureComponent, RealKernelParams, SyntheticApp, WorkloadSpec};
 use early_bird::core::view::fill_group_ms;
 use early_bird::core::{AggregationLevel, ThreadSample, TimingTrace, TraceShape};
 use early_bird::partcomm::{
-    run_delivery, DeliveryOutcome, LinkModel, SerialLink, SimScratch, Strategy,
+    run_delivery, DeliveryOutcome, LinkModel, NetModelSpec, SerialLink, SimScratch, Strategy,
 };
 use early_bird::runtime::Pool;
+use early_bird::serve::scenario::{
+    compute_cell, run_matrix, ResolvedCell, ScenarioMatrix, ScenarioRow,
+};
 use early_bird::stats::descriptive::Moments;
 use early_bird::stats::percentile::PercentileSummary;
 use early_bird::stats::Histogram;
@@ -170,5 +174,202 @@ proptest! {
         let mut all = Vec::new();
         fill_group_ms(&trace, AggregationLevel::Application, 0, &mut all);
         prop_assert_eq!(scan.moments, Moments::from_slice(&all));
+    }
+}
+
+/// A splitmix64 stream: the scenario property draws a whole matrix from one
+/// seed.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, values: &[T]) -> T {
+        values[self.below(values.len())]
+    }
+
+    /// One to `max` values, each drawn by `value`.
+    fn some<T>(&mut self, max: usize, mut value: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let n = 1 + self.below(max);
+        (0..n).map(|_| value(self)).collect()
+    }
+}
+
+/// The most arrival samples `ScenarioMatrix::resolve` admits in one cell.
+const CELL_CAP: usize = 1 << 17;
+
+/// A matrix `resolve` accepts, drawn over every workload kind (real kernels
+/// at their test-scale sizes, paired with baseline noise only), every
+/// strategy (`Binned` up to `threads`, `TimeoutFlush` from the smallest
+/// positive float to the largest), every model kind with its parameters at
+/// their bounds, and every noise regime. One case in eight is one cell group
+/// at the sample cap: as many threads as a rank may run, or one thread on as
+/// many ranks as the cap admits.
+fn resolvable_matrix(d: &mut Draw) -> ScenarioMatrix {
+    const APPS: [&str; 3] = ["MiniFE", "MiniMD", "MiniQMC"];
+    let at_cap = d.below(8) == 0;
+    let named = |d: &mut Draw| WorkloadSpec::Named {
+        name: d.pick(&["MiniFE", "minimd", "MiniQMC"]).into(),
+    };
+    let workloads = d.some(if at_cap { 1 } else { 3 }, |d| match d.below(4) {
+        0 => named(d),
+        1 => WorkloadSpec::Synthetic {
+            model: SyntheticApp::all()[d.below(3)].model().clone(),
+        },
+        2 if !at_cap => WorkloadSpec::RealKernel {
+            app: d.pick(&APPS).into(),
+            params: RealKernelParams::default(),
+        },
+        _ => WorkloadSpec::Mixture {
+            name: "mix".into(),
+            components: d.some(3, |d| MixtureComponent {
+                weight: d.pick(&[0.25, 1.0, 3.0]),
+                spec: named(d),
+            }),
+        },
+    });
+    let real = workloads
+        .iter()
+        .any(|w| matches!(w, WorkloadSpec::RealKernel { .. }));
+    let threads = if at_cap {
+        d.pick(&[1, 0xFFFF])
+    } else {
+        d.pick(&[1, 2, 3, 8, 32])
+    };
+    let iteration = if real {
+        d.pick(&[0, 1, 2])
+    } else {
+        d.pick(&[0, 1, 25, 60])
+    };
+    let strategies = d.some(if at_cap { 2 } else { 4 }, |d| match d.below(4) {
+        0 => Strategy::Bulk,
+        1 => Strategy::EarlyBird,
+        2 => Strategy::TimeoutFlush {
+            timeout_ms: d.pick(&[f64::MIN_POSITIVE, 1e-6, 0.5, 1.0, 1e3, 1e12, f64::MAX]),
+        },
+        _ => {
+            let some = 1 + d.below(threads);
+            Strategy::Binned {
+                bins: d.pick(&[1, threads, some]),
+            }
+        }
+    });
+    let link = |d: &mut Draw| d.pick(&["omni-path", "high-latency", "zero"]).to_string();
+    let contention = |d: &mut Draw| d.pick(&[0.0, 0.25, 0.5, 1.0]);
+    let models = d.some(if at_cap { 1 } else { 2 }, |d| match d.below(3) {
+        0 => NetModelSpec::Fabric {
+            link: link(d),
+            contention: contention(d),
+        },
+        1 => NetModelSpec::Hierarchical {
+            link: link(d),
+            uplink: link(d),
+            ranks_per_node: d.pick(&[1, 2, 3, 64]),
+            nic_contention: contention(d),
+            uplink_contention: contention(d),
+        },
+        _ => NetModelSpec::LogGP {
+            latency_ms: d.pick(&[0.0, 1e-3, 1.0, 1e12]),
+            gap_ms: d.pick(&[0.0, 2e-3, 1e12]),
+            gap_per_byte_ms: d.pick(&[0.0, 1e-20, 8e-8, 1e12]),
+            contention: contention(d),
+        },
+    });
+    let noise = if real {
+        vec!["baseline".to_string()]
+    } else {
+        let regimes = ["baseline", "laggard", "turbulent", "contaminated"];
+        d.some(2, |d| d.pick(&regimes).to_string())
+    };
+    let ranks = if at_cap {
+        vec![CELL_CAP / threads]
+    } else {
+        d.some(2, |d| d.pick(&[1, 2, 3, 5, 8]))
+    };
+    ScenarioMatrix {
+        workloads,
+        strategies,
+        models,
+        noise,
+        ranks,
+        threads,
+        bytes_per_rank: d.pick(&[threads, 1_000_000.max(threads), usize::MAX]),
+        contention: contention(d),
+        iteration,
+        seed: d.next(),
+        deadline_ms: d.pick(&[1e-9, 10_000.0, 1e300]),
+    }
+}
+
+fn row_numbers(row: &ScenarioRow) -> [f64; 7] {
+    [
+        row.contention,
+        row.completion_ms,
+        row.last_arrival_ms,
+        row.exposed_ms,
+        row.wire_ms,
+        row.bulk_exposed_ms,
+        row.speedup_vs_bulk,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn every_resolvable_matrix_prices_finite_rows_under_fragment_keys(seed in 0u64..u64::MAX) {
+        let m = resolvable_matrix(&mut Draw(seed));
+        let resolved = m.resolve();
+        prop_assert!(resolved.is_ok(), "{:?}: {:?}", resolved.err(), m);
+        let cells = resolved.unwrap().cells();
+        prop_assert_eq!(cells.len(), m.len());
+
+        // Pricing is total: every accepted matrix prices, every number finite.
+        let rows = run_matrix(&m, &Pool::new(1));
+        prop_assert!(rows.is_ok(), "{:?}: {:?}", rows.err(), m);
+        let rows = rows.unwrap();
+        prop_assert_eq!(rows.len(), cells.len());
+        for row in &rows {
+            prop_assert!(row_numbers(row).iter().all(|x| x.is_finite()), "{:?}", row);
+        }
+        let lone = Draw(seed ^ 1).below(cells.len());
+        prop_assert_eq!(&compute_cell(&cells[lone], &Pool::new(1)).unwrap(), &rows[lone]);
+
+        // A key laid from per-axis fragments is its spec's JSON.
+        for cell in &cells {
+            let key = cell.content_key();
+            let spec = serde_json::to_string(&cell.spec()).unwrap();
+            prop_assert_eq!(key.content(), spec.as_str());
+        }
+
+        // The groups are the (workload, noise, ranks) blocks, each once and
+        // in order, models × strategies cells each.
+        let groups: Vec<&[ResolvedCell]> = cells.chunk_by(ResolvedCell::same_group).collect();
+        prop_assert_eq!(groups.len(), m.workloads.len() * m.noise.len() * m.ranks.len());
+        let mut at = 0;
+        for group in groups {
+            prop_assert_eq!(group.len(), m.models.len() * m.strategies.len());
+            let first = group[0].spec();
+            for (i, cell) in group.iter().enumerate() {
+                let spec = cell.spec();
+                prop_assert_eq!(
+                    (&spec.workload, &spec.noise, spec.ranks),
+                    (&first.workload, &first.noise, first.ranks)
+                );
+                prop_assert_eq!(spec, cells[at + i].spec());
+            }
+            at += group.len();
+        }
+        prop_assert_eq!(at, cells.len());
     }
 }

@@ -39,6 +39,9 @@
 //!                   stdout byte-identical to `scenarios`; fetch never
 //!                   computes, submit takes --priority
 //!   status|shutdown the server's counters; drain and stop it
+//!   trace ID        one recent submit's record (ID is the `request` its
+//!                   footer carried, which `submit` prints): its cells'
+//!                   provenance and when each of its layers ended
 //! ```
 //!
 //! Defaults: paper scale, synthetic source, seed 20230421, and one worker
@@ -126,7 +129,7 @@ type Verb = fn(&Options) -> Result<(), String>;
 /// The verbs that read no campaign traces: the scenario campaign builds its
 /// own arrivals per cell, `profile` times its own run of the stages, and the
 /// service verbs talk to (or run) the campaign server.
-const VERBS: [(&str, Verb); 8] = [
+const VERBS: [(&str, Verb); 9] = [
     ("profile", cmd_profile),
     ("scenarios", cmd_scenarios),
     ("workloads", |_| cmd_workloads()),
@@ -134,6 +137,7 @@ const VERBS: [(&str, Verb); 8] = [
     ("submit", |o| cmd_submit(o, false)),
     ("fetch", |o| cmd_submit(o, true)),
     ("status", cmd_status),
+    ("trace", cmd_trace),
     ("shutdown", cmd_shutdown),
 ];
 
@@ -193,6 +197,8 @@ struct Options {
     queue_bound: usize,
     /// `submit`: queue priority (higher runs sooner).
     priority: i64,
+    /// `trace`: the submit's request id, the positional after the verb.
+    request: Option<u64>,
 }
 
 impl Options {
@@ -229,6 +235,7 @@ fn run(args: &[String]) -> Result<(), String> {
         hot_bytes: None,
         queue_bound: ebird_serve::DEFAULT_QUEUE_BOUND,
         priority: 0,
+        request: None,
     };
     let mut experiment = None;
     let mut it = args.iter();
@@ -281,6 +288,9 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--priority" => opts.priority = parse("priority", value()?)?,
             other if !other.starts_with('-') && experiment.is_none() => experiment = Some(other),
+            other if experiment == Some("trace") && opts.request.is_none() => {
+                opts.request = Some(parse("request id", other)?);
+            }
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
@@ -869,13 +879,17 @@ fn cmd_submit(opts: &Options, fetch_only: bool) -> Result<(), String> {
         client::submit_streaming(opts.addr(), &source, opts.priority, print_row)?
     };
     eprintln!(
-        "# {} {} rows from {}: {} cached, {} computed, {} coalesced",
+        "# {} {} rows from {}: {} cached, {} computed, {} coalesced{}",
         if fetch_only { "fetched" } else { "served" },
         outcome.footer.cells,
         opts.addr(),
         outcome.footer.cached,
         outcome.footer.computed,
         outcome.footer.coalesced,
+        match outcome.footer.request {
+            0 => String::new(),
+            request => format!(" (request {request})"),
+        },
     );
     if let Some(path) = &opts.out {
         let table: String = outcome.rows.iter().flat_map(|r| [r, "\n"]).collect();
@@ -890,6 +904,15 @@ fn cmd_status(opts: &Options) -> Result<(), String> {
     // The rendering lives next to the wire struct (with a field-coverage
     // test), so a counter added to the protocol cannot go missing here.
     print!("{}", ebird_serve::render_status(opts.addr(), &s));
+    Ok(())
+}
+
+fn cmd_trace(opts: &Options) -> Result<(), String> {
+    let request = opts
+        .request
+        .ok_or("trace needs a request id: repro trace <id>")?;
+    let t = ebird_serve::client::trace(opts.addr(), request)?;
+    print!("{}", ebird_serve::render_trace(opts.addr(), &t));
     Ok(())
 }
 

@@ -1,5 +1,5 @@
 //! Client side of the campaign-service protocol — what `repro submit`,
-//! `repro fetch`, `repro status` and `repro shutdown` call.
+//! `repro fetch`, `repro status`, `repro trace` and `repro shutdown` call.
 //!
 //! Every helper opens one connection, writes one request line, and reads the
 //! framed reply. Row lines are returned as raw strings, untouched, so a
@@ -21,7 +21,7 @@ use serde::{Deserialize, Value};
 
 use crate::protocol::{
     reply_line, MatrixSource, MetricsReply, OverloadedReply, Request, ShutdownReply, StatusReply,
-    SubmitFooter, SubmitHeader,
+    SubmitFooter, SubmitHeader, TraceReply,
 };
 
 /// A complete `submit`/`fetch` exchange.
@@ -398,6 +398,48 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
     out
 }
 
+/// Asks for the record of submit `request` (the id its footer carried).
+///
+/// # Errors
+/// Connection failures and server error replies — among them a request id
+/// the server keeps no record of.
+pub fn trace(addr: &str, request: u64) -> Result<TraceReply, String> {
+    let mut conn = Connection::open(addr)?;
+    conn.send(&Request::Trace { request })?;
+    checked(&conn.read_line()?)
+}
+
+/// Renders a [`TraceReply`] as the block `repro trace` prints: the cells'
+/// provenance, then the submit's timeline in milliseconds. Kept beside the
+/// wire struct, with a field-coverage test, as [`render_status`] is.
+pub fn render_trace(addr: &str, t: &TraceReply) -> String {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let row = |ns: u64| {
+        if ns == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.3}", ms(ns))
+        }
+    };
+    format!(
+        "request {} on {}: {} cell(s), {} row(s) written\n  \
+         cells: {} cached, {} coalesced, {} computed, {} failed\n  \
+         ms after start: resolved {:.3}, classified {:.3}, first row {}, last row {}\n",
+        t.request,
+        addr,
+        t.cells,
+        t.rows,
+        t.cached,
+        t.coalesced,
+        t.computed,
+        t.failed,
+        ms(t.resolved_ns),
+        ms(t.classified_ns),
+        row(t.first_row_ns),
+        row(t.last_row_ns),
+    )
+}
+
 /// Requests a graceful shutdown and waits for the acknowledgement.
 ///
 /// # Errors
@@ -493,6 +535,7 @@ mod tests {
             computed: rows.len(),
             coalesced: 0,
             cached: 0,
+            request: 1,
         }));
         let script = [refusal.clone(), refusal, stream.join("\n")];
 
@@ -587,6 +630,39 @@ mod tests {
             );
         }
         assert!(rendered.contains("127.0.0.1:4750"));
+    }
+
+    /// Every field of a trace record appears in the rendered block, and a
+    /// row time of `0` (no row written) renders as `-`.
+    #[test]
+    fn render_trace_covers_every_field() {
+        let mut t = TraceReply {
+            ok: true,
+            request: 208,
+            cells: 201,
+            cached: 202,
+            coalesced: 203,
+            computed: 204,
+            failed: 205,
+            rows: 206,
+            resolved_ns: 1_101_000,
+            classified_ns: 2_102_000,
+            first_row_ns: 3_103_000,
+            last_row_ns: 4_104_000,
+        };
+        let rendered = render_trace("127.0.0.1:4750", &t);
+        for sentinel in ["208", "201", "202", "203", "204", "205", "206"] {
+            assert!(
+                rendered.contains(sentinel),
+                "{sentinel} missing:\n{rendered}"
+            );
+        }
+        for ms in ["1.101", "2.102", "3.103", "4.104", "127.0.0.1:4750"] {
+            assert!(rendered.contains(ms), "{ms} missing:\n{rendered}");
+        }
+        (t.first_row_ns, t.last_row_ns) = (0, 0);
+        let rendered = render_trace("127.0.0.1:4750", &t);
+        assert!(rendered.contains("first row -, last row -"), "{rendered}");
     }
 
     /// The wire sentinel `0` must render as "unbounded", not as a number.

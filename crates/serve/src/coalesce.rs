@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc;
+use std::{iter, vec};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -40,11 +41,30 @@ pub struct Subscriber {
     pub reply: mpsc::Sender<CellOutcome>,
 }
 
+/// The subscribers of one in-flight cell: the one that registered it
+/// inline, and a list allocated only once a second one subscribes — most
+/// cells never get one, so registering a cell allocates nothing of its own.
+struct Subscribers {
+    first: Subscriber,
+    more: Vec<Subscriber>,
+}
+
+impl IntoIterator for Subscribers {
+    type Item = Subscriber;
+    type IntoIter = iter::Chain<iter::Once<Subscriber>, vec::IntoIter<Subscriber>>;
+
+    /// The registering subscriber, then the later ones in the order they
+    /// subscribed.
+    fn into_iter(self) -> Self::IntoIter {
+        iter::once(self.first).chain(self.more)
+    }
+}
+
 /// The single-flight table: content hash → subscribers of the one in-flight
 /// computation.
 #[derive(Default)]
 pub struct InflightTable {
-    cells: Mutex<HashMap<u128, Vec<Subscriber>>>,
+    cells: Mutex<HashMap<u128, Subscribers>>,
 }
 
 /// How a submit's cell probe resolved, under the table lock.
@@ -61,7 +81,7 @@ pub enum Disposition {
 
 /// The locked table — the submit path's critical section.
 pub struct InflightGuard<'a> {
-    cells: MutexGuard<'a, HashMap<u128, Vec<Subscriber>>>,
+    cells: MutexGuard<'a, HashMap<u128, Subscribers>>,
 }
 
 impl InflightTable {
@@ -91,8 +111,8 @@ impl InflightTable {
     /// fan-out. The caller must have made the outcome durable (cache insert
     /// for verified rows) **before** calling, so a concurrent submitter
     /// observing the key's absence finds the cache populated instead.
-    pub fn complete(&self, key: &ContentKey) -> Vec<Subscriber> {
-        self.cells.lock().remove(&key.hash()).unwrap_or_default()
+    pub fn complete(&self, key: &ContentKey) -> impl Iterator<Item = Subscriber> {
+        self.cells.lock().remove(&key.hash()).into_iter().flatten()
     }
 }
 
@@ -119,14 +139,19 @@ impl<'a> InflightGuard<'a> {
         self.cells
             .get_mut(&key.hash())
             .expect("subscribe requires an in-flight record")
+            .more
             .push(subscriber);
     }
 
-    /// Registers `key` as in flight with its first subscriber. The caller
-    /// enqueues the one job; failures must be unwound with
+    /// Registers `key` as in flight with its first subscriber, held inline.
+    /// The caller enqueues the one job; failures must be unwound with
     /// [`InflightTable::complete`].
     pub fn register(&mut self, key: &ContentKey, subscriber: Subscriber) {
-        let prior = self.cells.insert(key.hash(), vec![subscriber]);
+        let subscribers = Subscribers {
+            first: subscriber,
+            more: Vec::new(),
+        };
+        let prior = self.cells.insert(key.hash(), subscribers);
         debug_assert!(prior.is_none(), "register over an in-flight record");
     }
 }
@@ -166,7 +191,7 @@ mod tests {
 
         // Worker completes: cache first, then drain.
         let row = cache.insert(&k, "row-a".into());
-        let subs = table.complete(&k);
+        let subs: Vec<Subscriber> = table.complete(&k).collect();
         assert_eq!(subs.len(), 2);
         for s in subs {
             s.reply.send((s.index, Ok(row.clone()))).unwrap();
@@ -217,6 +242,6 @@ mod tests {
     #[test]
     fn complete_with_no_subscribers_is_empty_not_panic() {
         let table = InflightTable::new();
-        assert!(table.complete(&key("never-registered")).is_empty());
+        assert_eq!(table.complete(&key("never-registered")).count(), 0);
     }
 }

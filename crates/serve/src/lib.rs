@@ -24,7 +24,8 @@
 //! * [`coalesce`] — the single-flight table: concurrent submissions of the
 //!   same cell share one computation instead of queueing duplicates.
 //! * [`protocol`] — the line-delimited JSON wire protocol (`submit`,
-//!   `fetch`, `status`, `shutdown`); see `PROTOCOL.md` for transcripts.
+//!   `fetch`, `status`, `metrics`, `trace`, `shutdown`); see `PROTOCOL.md`
+//!   for transcripts.
 //! * [`server`] — the TCP server: per-connection handler threads, each
 //!   group's uncached cells scheduled as one job on a **bounded** priority
 //!   [`ebird_runtime::JobQueue`] serviced by a workspace
@@ -50,10 +51,11 @@ pub mod server;
 
 pub use cache::{CacheConfig, CacheMetrics, ContentKey, ResultCache};
 pub use client::{
-    fetch_streaming, metrics, render_status, shutdown, status, RetryPolicy, SubmitOutcome,
+    fetch_streaming, metrics, render_status, render_trace, shutdown, status, trace, RetryPolicy,
+    SubmitOutcome,
 };
 pub use protocol::{
     BucketEntry, CounterEntry, GaugeEntry, HistogramEntry, MatrixSource, MetricsReply,
-    OverloadedReply, Request,
+    OverloadedReply, Request, TraceReply,
 };
 pub use server::{serve, Server, ServerConfig, DEFAULT_QUEUE_BOUND};

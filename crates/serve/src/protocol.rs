@@ -9,6 +9,7 @@
 //! {"verb":"submit","matrix":{...ScenarioMatrix...}}
 //! {"verb":"fetch","preset":"smoke"}
 //! {"verb":"status"}
+//! {"verb":"trace","request":17}
 //! {"verb":"shutdown"}
 //! ```
 //!
@@ -73,6 +74,12 @@ pub enum Request {
     /// Report the full metric snapshot: counters, gauges, histogram buckets
     /// and quantile estimates.
     Metrics,
+    /// Report one recent submit's record: its cells' provenance and when
+    /// each of its layers ended.
+    Trace {
+        /// The submit's request id, as its footer carries it.
+        request: u64,
+    },
     /// Drain in-flight work, flush the cache, and stop the server.
     Shutdown,
 }
@@ -84,6 +91,7 @@ impl Serialize for Request {
             Request::Fetch { matrix } => ("fetch", Some(matrix)),
             Request::Status => ("status", None),
             Request::Metrics => ("metrics", None),
+            Request::Trace { .. } => ("trace", None),
             Request::Shutdown => ("shutdown", None),
         };
         out.push_str("{\"verb\":");
@@ -99,9 +107,16 @@ impl Serialize for Request {
             }
             None => {}
         }
-        if let Request::Submit { priority, .. } = self {
-            out.push_str(",\"priority\":");
-            priority.write_json(out);
+        match self {
+            Request::Submit { priority, .. } => {
+                out.push_str(",\"priority\":");
+                priority.write_json(out);
+            }
+            Request::Trace { request } => {
+                out.push_str(",\"request\":");
+                request.write_json(out);
+            }
+            _ => {}
         }
         out.push('}');
     }
@@ -141,9 +156,14 @@ impl Deserialize for Request {
             "fetch" => Ok(Request::Fetch { matrix: source()? }),
             "status" => Ok(Request::Status),
             "metrics" => Ok(Request::Metrics),
+            "trace" => Ok(Request::Trace {
+                request: get_field(entries, "request")
+                    .map_err(|_| DeError::custom("`trace` needs a `request` id"))
+                    .and_then(u64::from_value)?,
+            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(DeError::custom(format!(
-                "unknown verb `{other}` (expected submit, fetch, status, metrics or shutdown)"
+                "unknown verb `{other}` (expected submit, fetch, status, metrics, trace or shutdown)"
             ))),
         }
     }
@@ -182,7 +202,50 @@ pub struct SubmitFooter {
     pub coalesced: usize,
     /// Cells served from the cache.
     pub cached: usize,
+    /// The submit's request id, which `trace` takes (`0` for a `fetch`,
+    /// which is not traced, and in replies from servers that mint none).
+    #[serde(default)]
+    pub request: u64,
 }
+
+/// Reply to `trace`: the record of one recent submit, kept in the server's
+/// ring of the last [`TRACE_RING`] submits it admitted. Every time is in
+/// nanoseconds after the server began handling the submit (its request line
+/// already parsed), so the four read as one timeline.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceReply {
+    /// Always `true`.
+    pub ok: bool,
+    /// The submit's request id, as its footer carries it.
+    pub request: u64,
+    /// Cells of the submitted matrix.
+    pub cells: usize,
+    /// Cells answered from the cache.
+    pub cached: usize,
+    /// Cells joined to another submission's in-flight computation.
+    pub coalesced: usize,
+    /// Cells this submit scheduled.
+    pub computed: usize,
+    /// Cell outcomes that arrived as errors. The stream ends with an error
+    /// line at the first, so a failed submit reads 1.
+    pub failed: usize,
+    /// Row lines written; below `cells` when the stream ended early (a cell
+    /// failed, or the client went away).
+    pub rows: usize,
+    /// When the matrix was resolved into cells.
+    pub resolved_ns: u64,
+    /// When the cells were classified, admitted and their jobs queued (the
+    /// `serve.submit.classify_ns` histogram records this figure).
+    pub classified_ns: u64,
+    /// When the first row line was written (`0`: none was).
+    pub first_row_ns: u64,
+    /// When the last row line was written (`0`: none was).
+    pub last_row_ns: u64,
+}
+
+/// Submits the server keeps a [`TraceReply`] for: the most recent ones it
+/// admitted, older records leaving as newer ones arrive.
+pub const TRACE_RING: usize = 256;
 
 /// Reply to a `submit` refused by admission control: the job queue is
 /// saturated, so the server sheds the request instead of accepting
@@ -439,7 +502,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// One request of every verb and matrix source.
-    fn sample_requests() -> [Request; 6] {
+    fn sample_requests() -> [Request; 7] {
         [
             Request::Submit {
                 matrix: MatrixSource::Preset("smoke".into()),
@@ -454,6 +517,7 @@ mod tests {
             },
             Request::Status,
             Request::Metrics,
+            Request::Trace { request: 17 },
             Request::Shutdown,
         ]
     }
@@ -517,6 +581,10 @@ mod tests {
         );
         assert_eq!(reply_line(&Request::Status), "{\"verb\":\"status\"}");
         assert_eq!(reply_line(&Request::Metrics), "{\"verb\":\"metrics\"}");
+        assert_eq!(
+            reply_line(&Request::Trace { request: 17 }),
+            "{\"verb\":\"trace\",\"request\":17}"
+        );
     }
 
     #[test]
@@ -544,6 +612,10 @@ mod tests {
         assert!(e.contains("unknown verb `warmup`"), "{e}");
         let e = parse_request("{\"verb\":\"submit\"}").unwrap_err();
         assert!(e.contains("`matrix` object or a `preset`"), "{e}");
+        let e = parse_request("{\"verb\":\"trace\"}").unwrap_err();
+        assert!(e.contains("`request` id"), "{e}");
+        let e = parse_request("{\"verb\":\"trace\",\"request\":-1}").unwrap_err();
+        assert!(e.starts_with("bad request: "), "{e}");
         let e = parse_request("{\"verb\":\"fetch\",\"preset\":\"nope\"}");
         // Unknown preset is a semantic error surfaced at dispatch, not parse.
         assert!(e.is_ok());
@@ -584,10 +656,11 @@ mod tests {
             computed: 32,
             coalesced: 4,
             cached: 12,
+            request: 7,
         };
         assert_eq!(
             reply_line(&f),
-            "{\"done\":true,\"cells\":48,\"computed\":32,\"coalesced\":4,\"cached\":12}"
+            "{\"done\":true,\"cells\":48,\"computed\":32,\"coalesced\":4,\"cached\":12,\"request\":7}"
         );
         assert_eq!(
             reply_line(&ErrorReply::new("boom")),
@@ -616,7 +689,7 @@ mod tests {
         let f: SubmitFooter =
             serde_json::from_str("{\"done\":true,\"cells\":4,\"computed\":3,\"cached\":1}")
                 .unwrap();
-        assert_eq!(f.coalesced, 0);
+        assert_eq!((f.coalesced, f.request), (0, 0));
     }
 
     #[test]

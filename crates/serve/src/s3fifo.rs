@@ -31,10 +31,18 @@
 //! fingerprint — nothing per entry is a heap allocation of its own.
 //!
 //! The bytes an entry keeps are coded, and this module is the only place
-//! that knows it. Most of a spec's or row's JSON is its object keys, the
-//! same few dozen every time, so each key fragment of [`KEY_TOKENS`] (`{"k":`
-//! or `,"k":`) is stored as one byte below 0x20 — bytes compact JSON never
-//! holds — and a part that does hold one is stored as is behind [`RAW`].
+//! that knows it. A spec's or row's JSON is mostly object keys, the same
+//! few dozen every time, labels from a small vocabulary and number digits,
+//! so it is coded left to right in three families: each key fragment of
+//! [`KEY_TOKENS`] (`{"k":` or `,"k":`) becomes one byte below 0x20 — bytes
+//! compact JSON never holds —, each value of [`VALUE_TOKENS`] (a quoted
+//! preset label such as `"MiniFE"` or `"early-bird"`, and `true`) one byte
+//! from 0xE4 up, and any two consecutive ASCII digits one byte in
+//! 0x80..=0xE3 (an odd trailing digit stays literal). Every other byte
+//! stays, and a part that holds a byte below 0x20 or at or above 0x80
+//! (control bytes, non-ASCII text) is stored as is behind [`RAW`], so the
+//! code stays one-to-one on any input. One 256-entry table says what each
+//! coded byte stands for ([`EXPANSIONS`]), so decoding is a table walk.
 //! A [`HotEntry`] is coded by the inserting thread before it takes the
 //! tier's lock; a lookup decodes the stored spec into the store's own
 //! buffer to compare it with the probed one, and a hit decodes the row
@@ -100,152 +108,169 @@ const KEY_TOKENS: [&str; 29] = [
     ",\"transport_verified\":",
 ];
 
-/// Leads a part stored as is because it holds a byte below 0x20, which
-/// would read as a code. Compact JSON escapes every such byte, so only
-/// text that is not JSON takes this path.
+/// The values the spec and row serializers write as quoted labels, and
+/// `true`, each stored as one byte: code `c` stands for
+/// `VALUE_TOKENS[c - VALUE_CODES]`. Together they are every string value of
+/// the `full` and `smoke` presets: the spec's app, strategy, link and noise
+/// names, then the row's strategy labels. Other values stay literal.
+const VALUE_TOKENS: [&str; 16] = [
+    "\"MiniFE\"",
+    "\"MiniMD\"",
+    "\"MiniQMC\"",
+    "\"Bulk\"",
+    "\"EarlyBird\"",
+    "\"omni-path\"",
+    "\"high-latency\"",
+    "\"baseline\"",
+    "\"laggard\"",
+    "\"turbulent\"",
+    "\"contaminated\"",
+    "\"bulk\"",
+    "\"early-bird\"",
+    "\"timeout(1.000ms)\"",
+    "\"binned(6)\"",
+    "true",
+];
+
+/// Leads a part stored as is because it holds a byte below 0x20 or at or
+/// above 0x80, which would read as a code. Compact JSON escapes every byte
+/// below 0x20, and the serializers write ASCII but for the text of a
+/// string, so only text that is not JSON or not ASCII takes this path.
 const RAW: u8 = 0x1F;
 
-/// Bytes a coder or decoder may write past the end of its text: it writes
-/// whole words, a fragment as three.
+/// Code of the digit pair "00": two consecutive digits `a`, `b` are stored
+/// as `DIGIT_PAIRS + 10 * a + b`, up to 0xE3.
+const DIGIT_PAIRS: u8 = 0x80;
+
+/// Code of `VALUE_TOKENS[0]`, the first byte past the digit pairs.
+const VALUE_CODES: u8 = DIGIT_PAIRS + 100;
+
+/// Bytes a decoder may write past the end of its text: it writes every
+/// code's expansion as one [`SLACK`]-byte block.
 const SLACK: usize = 24;
 
-/// Each fragment as three little-endian words, zero past its end, and the
-/// masks of its bytes; see [`fragment_code`] and [`decode_at`].
-const TOKEN_WORDS: [[[u64; 3]; 2]; 29] = token_words();
+/// What each byte of a coded part stands for: its text, zero past its end,
+/// and that text's length. A literal (0x20..0x80) stands for itself.
+const EXPANSIONS: [([u8; SLACK], u8); 256] = expansions();
 
-/// Codes by the first byte of their key, up to four per byte (0 ends a
-/// list), so coding compares a key with at most a few fragments.
-const BY_FIRST: [[u8; 4]; 128] = codes_by_first();
+/// Codes a token may start at a byte, by the byte that tells the tokens
+/// sharing that start apart (0 ends a list): a key fragment by its key's
+/// first letter, the third byte; a value by its second.
+const KEYS_BY_LETTER: [[u8; 4]; 128] = codes_by(1, &KEY_TOKENS, 2);
+const VALUES_BY_SECOND: [[u8; 4]; 128] = codes_by(VALUE_CODES, &VALUE_TOKENS, 1);
 
-const fn token_words() -> [[[u64; 3]; 2]; 29] {
-    assert!(KEY_TOKENS.len() < RAW as usize, "codes must stay below RAW");
-    let mut table = [[[0; 3]; 2]; 29];
+const fn expansions() -> [([u8; SLACK], u8); 256] {
+    assert!(
+        KEY_TOKENS.len() < RAW as usize,
+        "key codes must stay below RAW"
+    );
+    assert!(
+        VALUE_CODES as usize + VALUE_TOKENS.len() <= 256,
+        "value codes must fit a byte"
+    );
+    let mut table = [([0; SLACK], 0); 256];
+    let mut b = 0x20;
+    while b < 0x80 {
+        put(&mut table, b, &[b as u8]);
+        b += 1;
+    }
+    let mut pair = 0;
+    while pair < 100 {
+        let digits = [b'0' + (pair / 10) as u8, b'0' + (pair % 10) as u8];
+        put(&mut table, DIGIT_PAIRS as usize + pair, &digits);
+        pair += 1;
+    }
     let mut t = 0;
     while t < KEY_TOKENS.len() {
-        let bytes = KEY_TOKENS[t].as_bytes();
-        assert!(bytes.len() <= SLACK, "a fragment outgrows its three words");
-        let mut i = 0;
-        while i < bytes.len() {
-            table[t][0][i / 8] |= (bytes[i] as u64) << (i % 8 * 8);
-            table[t][1][i / 8] |= 0xFF << (i % 8 * 8);
-            i += 1;
-        }
+        put(&mut table, 1 + t, KEY_TOKENS[t].as_bytes());
+        t += 1;
+    }
+    let mut t = 0;
+    while t < VALUE_TOKENS.len() {
+        put(
+            &mut table,
+            VALUE_CODES as usize + t,
+            VALUE_TOKENS[t].as_bytes(),
+        );
         t += 1;
     }
     table
 }
 
-const fn codes_by_first() -> [[u8; 4]; 128] {
+/// Makes `code` stand for `text` in `table`.
+const fn put(table: &mut [([u8; SLACK], u8); 256], code: usize, text: &[u8]) {
+    assert!(text.len() <= SLACK, "a token outgrows its expansion");
+    let mut i = 0;
+    while i < text.len() {
+        table[code].0[i] = text[i];
+        i += 1;
+    }
+    table[code].1 = text.len() as u8;
+}
+
+const fn codes_by<const N: usize>(first: u8, tokens: &[&str; N], by: usize) -> [[u8; 4]; 128] {
     let mut table = [[0; 4]; 128];
     let mut t = 0;
-    while t < KEY_TOKENS.len() {
-        let first = KEY_TOKENS[t].as_bytes()[2] as usize;
+    while t < N {
+        let at = tokens[t].as_bytes()[by] as usize;
         let mut j = 0;
-        while table[first][j] != 0 {
+        while table[at][j] != 0 {
             j += 1;
         }
-        table[first][j] = t as u8 + 1;
+        table[at][j] = first + t as u8;
         t += 1;
     }
     table
 }
 
-/// Eight copies of byte `b`.
-const fn splat(b: u8) -> u64 {
-    u64::from_ne_bytes([b; 8])
+/// The text code `code` stands for.
+fn expansion(code: u8) -> &'static [u8] {
+    let (text, len) = &EXPANSIONS[usize::from(code)];
+    &text[..usize::from(*len)]
 }
 
-/// Marks, in its top bit, each zero byte of `v`.
-fn zero_bytes(v: u64) -> u64 {
-    !((v & splat(0x7F)).wrapping_add(splat(0x7F)) | v) & splat(0x80)
-}
-
-/// Marks, in its top bit, each byte of `word` below 0x20.
-fn low_bytes(word: u64) -> u64 {
-    !((word & splat(0x7F)).wrapping_add(splat(0x60)) | word) & splat(0x80)
-}
-
-/// The eight bytes of `b` from `at` on as a little-endian word, `pad` past
-/// its end.
-fn word_at(b: &[u8], at: usize, pad: u8) -> u64 {
-    match b.get(at..).and_then(<[u8]>::first_chunk) {
-        Some(&word) => u64::from_le_bytes(word),
-        None => {
-            let mut word = [pad; 8];
-            let tail = b.get(at..).unwrap_or_default();
-            word[..tail.len()].copy_from_slice(tail);
-            u64::from_le_bytes(word)
-        }
-    }
-}
-
-fn put_word(out: &mut [u8], at: usize, word: u64) {
-    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
-}
-
-/// Copies `b[from..to]` to `out` at `n` a word at a time, writing up to
-/// seven bytes past its end, and returns where the copy ends.
-fn copy_at(out: &mut [u8], n: usize, b: &[u8], from: usize, to: usize) -> usize {
-    for at in (from..to).step_by(8) {
-        put_word(out, n + at - from, word_at(b, at, 0));
-    }
-    n + to - from
-}
-
-/// The code of the fragment `b` holds from `at` on, if it holds one there.
-fn fragment_code(b: &[u8], at: usize) -> Option<u8> {
-    let first = usize::from(*b.get(at + 2)? & 0x7F);
-    // Zero past the end, which no fragment holds.
-    let words = [
-        word_at(b, at, 0),
-        word_at(b, at + 8, 0),
-        word_at(b, at + 16, 0),
-    ];
-    BY_FIRST[first]
+/// The code and plain length of the token `plain` holds at `at`, if one of
+/// `codes` (a list from [`KEYS_BY_LETTER`] or [`VALUES_BY_SECOND`]) is there.
+fn token_at(plain: &[u8], at: usize, codes: &[u8; 4]) -> Option<(u8, usize)> {
+    codes
         .iter()
-        .copied()
-        .take_while(|&c| c != 0)
-        .find(|&c| {
-            let [token, mask] = &TOKEN_WORDS[usize::from(c) - 1];
-            (0..3).all(|k| (words[k] ^ token[k]) & mask[k] == 0)
-        })
+        .take_while(|&&c| c != 0)
+        .map(|&c| (c, expansion(c)))
+        .find(|(_, token)| plain[at..].starts_with(token))
+        .map(|(c, token)| (c, token.len()))
 }
 
 /// Writes `plain` coded to `out` at `start` and returns where the code
-/// ends: each fragment with a code becomes that byte and every other byte
-/// stays, or, when `plain` holds a byte below 0x20, [`RAW`] and then `plain`
-/// unchanged. `out` must hold `plain.len() + 1 + SLACK` bytes from `start`.
+/// ends: left to right, each key fragment or value token becomes its byte,
+/// each two digits one byte, and every other byte stays — or, when `plain`
+/// holds a byte below 0x20 or at or above 0x80, [`RAW`] and then `plain`
+/// unchanged. `out` must hold `plain.len() + 1` bytes from `start`.
 fn code_at(out: &mut [u8], start: usize, plain: &[u8]) -> usize {
-    let mut n = start;
-    // `lit` is the first byte not yet written; `low` marks bytes below
-    // 0x20; `carry` marks an opener ending the previous word.
-    let (mut lit, mut low, mut carry) = (0, 0, 0);
-    for at in (0..plain.len()).step_by(8) {
-        let word = word_at(plain, at, b' ');
-        low |= low_bytes(word);
-        let openers = zero_bytes(word ^ splat(b'{')) | zero_bytes(word ^ splat(b','));
-        // A quote after an opener may start a fragment.
-        let mut starts = zero_bytes(word ^ splat(b'"')) & (openers << 8 | carry);
-        carry = openers >> 56;
-        while starts != 0 {
-            let from = at + starts.trailing_zeros() as usize / 8 - 1;
-            starts &= starts - 1;
-            // A start below `lit` lies in the fragment just coded.
-            let Some(code) = (from >= lit).then(|| fragment_code(plain, from)).flatten() else {
-                continue;
-            };
-            n = copy_at(out, n, plain, lit, from);
-            out[n] = code;
-            n += 1;
-            lit = from + KEY_TOKENS[usize::from(code) - 1].len();
-        }
+    let (mut n, mut at) = (start, 0);
+    while let Some(&b) = plain.get(at) {
+        let lookup = |by: usize, table: &[[u8; 4]; 128]| {
+            let next = *plain.get(at + by)?;
+            token_at(plain, at, table.get(usize::from(next))?)
+        };
+        let (code, len) = match b {
+            0..0x20 | 0x80.. => {
+                out[start] = RAW;
+                out[start + 1..start + 1 + plain.len()].copy_from_slice(plain);
+                return start + 1 + plain.len();
+            }
+            b'0'..=b'9' => match plain.get(at + 1) {
+                Some(&d @ b'0'..=b'9') => (DIGIT_PAIRS + 10 * (b - b'0') + (d - b'0'), 2),
+                _ => (b, 1),
+            },
+            b'{' | b',' => lookup(2, &KEYS_BY_LETTER).unwrap_or((b, 1)),
+            b'"' | b't' => lookup(1, &VALUES_BY_SECOND).unwrap_or((b, 1)),
+            _ => (b, 1),
+        };
+        out[n] = code;
+        n += 1;
+        at += len;
     }
-    if low != 0 {
-        out[start] = RAW;
-        out[start + 1..start + 1 + plain.len()].copy_from_slice(plain);
-        return start + 1 + plain.len();
-    }
-    copy_at(out, n, plain, lit, plain.len())
+    n
 }
 
 /// Writes the plain text of coded part `coded` to `out` at `n` and returns
@@ -255,31 +280,10 @@ fn decode_at(out: &mut [u8], mut n: usize, coded: &[u8]) -> usize {
         out[n..n + raw.len()].copy_from_slice(raw);
         return n + raw.len();
     }
-    for at in (0..coded.len()).step_by(8) {
-        // Spaces past the end, which are no code.
-        let word = word_at(coded, at, b' ');
-        let mut codes = low_bytes(word);
-        // `lit` is the word's first byte not yet written.
-        let mut lit = 0;
-        while codes != 0 {
-            let code = codes.trailing_zeros() as usize / 8;
-            codes &= codes - 1;
-            put_word(out, n, word >> (8 * lit));
-            n += code - lit;
-            let token = usize::from((word >> (8 * code)) as u8) - 1;
-            let [w0, w1, w2] = TOKEN_WORDS[token][0];
-            let dst = &mut out[n..n + SLACK];
-            dst[..8].copy_from_slice(&w0.to_le_bytes());
-            dst[8..16].copy_from_slice(&w1.to_le_bytes());
-            dst[16..].copy_from_slice(&w2.to_le_bytes());
-            n += KEY_TOKENS[token].len();
-            lit = code + 1;
-        }
-        let end = (coded.len() - at).min(8);
-        if lit < end {
-            put_word(out, n, word >> (8 * lit));
-            n += end - lit;
-        }
+    for &code in coded {
+        let (text, len) = &EXPANSIONS[usize::from(code)];
+        out[n..n + SLACK].copy_from_slice(text);
+        n += usize::from(*len);
     }
     n
 }
@@ -300,7 +304,7 @@ impl HotEntry {
     /// `spec` and `row`, coded.
     pub(crate) fn new(spec: &str, row: &str) -> Self {
         // A part codes to at most its own length plus the `RAW` byte.
-        let mut text = vec![0; spec.len() + row.len() + 2 + SLACK];
+        let mut text = vec![0; spec.len() + row.len() + 2];
         let spec_len = code_at(&mut text, 0, spec.as_bytes());
         let end = code_at(&mut text, spec_len, row.as_bytes());
         text.truncate(end);
@@ -497,9 +501,12 @@ fn fingerprint(key: u128) -> u64 {
 }
 
 /// Heap bytes of a std hash table reporting `capacity`: a power-of-two
-/// bucket count holding `capacity` at 7/8 load (below eight buckets, one
-/// more than the capacity), one `bucket`-byte slot and one control byte per
-/// bucket, and a 16-byte control group mirrored at the end.
+/// bucket count holding at most `capacity` at 7/8 load (below eight
+/// buckets, one more than the capacity), one `bucket`-byte slot and one
+/// control byte per bucket, and a 16-byte control group mirrored at the
+/// end. A table that removes keys reports less than it holds — each
+/// removed key's bucket stays spent until the table next rehashes — so the
+/// count is rounded up to the power of two, not read off the capacity.
 fn table_bytes(capacity: usize, bucket: usize) -> usize {
     if capacity == 0 {
         return 0;
@@ -507,9 +514,9 @@ fn table_bytes(capacity: usize, bucket: usize) -> usize {
     let buckets = if capacity < 8 {
         capacity + 1
     } else {
-        capacity / 7 * 8
+        (capacity * 8).div_ceil(7)
     };
-    buckets * (bucket + 1) + 16
+    buckets.next_power_of_two() * (bucket + 1) + 16
 }
 
 /// The bounded hot tier: an S3-FIFO keyed by the cache's 128-bit content
@@ -1013,7 +1020,7 @@ mod tests {
     }
 
     #[test]
-    fn every_key_of_the_full_and_smoke_presets_is_one_byte() {
+    fn every_key_and_label_of_the_full_and_smoke_presets_is_one_byte() {
         use crate::scenario::{run_matrix, ScenarioMatrix};
         for matrix in [ScenarioMatrix::full(), ScenarioMatrix::smoke()] {
             let cells = matrix.resolve().expect("presets resolve").cells();
@@ -1029,8 +1036,11 @@ mod tests {
                     }
                 }
                 let entry = HotEntry::new(&spec, &row);
+                // Every key and every string value went to one byte, so no
+                // quote is left; what is left is mostly digit pairs.
+                assert!(!entry.text.contains(&b'"'), "{spec} {row} left a quote");
                 assert!(
-                    2 * entry.text.len() <= entry.plain_len,
+                    4 * entry.text.len() <= entry.plain_len,
                     "{} coded bytes for {} plain",
                     entry.text.len(),
                     entry.plain_len
@@ -1056,10 +1066,110 @@ mod tests {
         assert_eq!(coded("a\x01"), b"\x1fa\x01");
     }
 
-    /// What the codec proptest's strings are made of: fragments with and
-    /// without a code, pieces of them, quotes and escapes, control bytes
-    /// and text beyond ASCII.
-    const PIECES: [&str; 27] = [
+    #[test]
+    fn digit_runs_code_two_to_a_byte_with_an_odd_last_digit_literal() {
+        let digits = "31415926535897932384";
+        for len in 0..=digits.len() {
+            let run = &digits[..len];
+            // A run alone, at a part's start, at its end and inside it.
+            for (before, after) in [("", ""), ("", "x"), ("x", ""), ("{\"seed\":", ".5}")] {
+                let plain = format!("{before}{run}{after}");
+                let code = coded(&plain);
+                assert_eq!(decoded(&code), plain.as_bytes(), "{plain}");
+                let run_code = &code[before.len()..code.len() - after.len()];
+                assert_eq!(run_code.len(), len.div_ceil(2), "{plain}");
+                for (pair, code) in run.as_bytes().chunks(2).zip(run_code) {
+                    match pair {
+                        [a, b] => assert_eq!(*code, DIGIT_PAIRS + 10 * (a - b'0') + (b - b'0')),
+                        [a] => assert_eq!(code, a, "an odd last digit stays literal"),
+                        _ => unreachable!(),
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            coded("1.25e-7"),
+            [b'1', b'.', DIGIT_PAIRS + 25, b'e', b'-', b'7']
+        );
+        assert_eq!(coded("00990"), [DIGIT_PAIRS, DIGIT_PAIRS + 99, b'0']);
+    }
+
+    #[test]
+    fn each_value_token_is_one_byte_whole_and_literal_inside_longer_text() {
+        for (i, token) in VALUE_TOKENS.iter().enumerate() {
+            let code = VALUE_CODES + i as u8;
+            assert_eq!(coded(token), [code], "{token}");
+            assert_eq!(expansion(code), token.as_bytes());
+            // After a key and before the next, as the serializers write it.
+            let plain = format!("{{\"app\":{token},\"seed\":7}}");
+            assert_eq!(coded(&plain), [1, code, 20, b'7', b'}'], "{plain}");
+        }
+        // A label that only starts or ends like a token is no token.
+        for plain in [
+            "\"bulkhead\"",
+            "\"omni-path2\"",
+            "\"Bulk",
+            "bulk\"",
+            "truth",
+            "tru",
+        ] {
+            let code = coded(plain);
+            assert!(
+                code.iter().all(|&c| c < VALUE_CODES),
+                "{plain} coded a token"
+            );
+            assert_eq!(decoded(&code), plain.as_bytes());
+        }
+        // A token's text inside a longer string is coded, and still decodes
+        // to the text it came from.
+        for (plain, code) in [
+            ("\"x\\\"bulk\"", &b"\"x\\\xEF"[..]),
+            ("\"untrue\"", b"\"un\xF3\""),
+            ("\"MiniFE\"\"", b"\xE4\""),
+        ] {
+            assert_eq!(coded(plain), code, "{plain}");
+            assert_eq!(decoded(code), plain.as_bytes());
+        }
+    }
+
+    #[test]
+    fn control_bytes_and_text_beyond_ascii_go_raw() {
+        for plain in [
+            "\u{0}",
+            "\u{1f}",
+            "a\u{1}b",
+            "12\n34",
+            "é",
+            "\u{80}",
+            "{\"app\":\"MiniFE\"}→",
+            "😀\"bulk\"",
+            "\"MiniFE\"\u{7}",
+        ] {
+            let code = coded(plain);
+            assert_eq!(code[0], RAW, "{plain:?}");
+            assert_eq!(&code[1..], plain.as_bytes(), "{plain:?}");
+            assert_eq!(decoded(&code), plain.as_bytes());
+        }
+        // DEL is ASCII at or above 0x20: a literal, not a reason to go raw.
+        assert_eq!(coded("\u{7f}12"), [0x7F, DIGIT_PAIRS + 12]);
+    }
+
+    #[test]
+    fn empty_parts_round_trip_through_the_store() {
+        assert!(coded("").is_empty());
+        assert!(decoded(&[]).is_empty());
+        let mut s = S3Fifo::new(None);
+        for (key, spec, row) in [(1, "", ""), (2, "", "{\"ranks\":12}"), (3, "\"bulk\"", "")] {
+            s.insert(key, &HotEntry::new(spec, row));
+            assert_eq!(s.lookup(key, spec, str::to_owned).as_deref(), Some(row));
+            assert_eq!(s.lookup(key, "x", str::to_owned), None);
+        }
+    }
+
+    /// What the codec proptest's strings are made of: fragments and value
+    /// tokens with and without a code, pieces of them, digits, quotes and
+    /// escapes, control bytes and text beyond ASCII.
+    const PIECES: [&str; 44] = [
         "{\"app\":",
         ",\"seed\":",
         "{\"link\":",
@@ -1077,7 +1187,24 @@ mod tests {
         ":",
         "]",
         "MiniFE",
+        "\"MiniFE\"",
+        "\"MiniQMC\"",
+        "\"bulk\"",
+        "\"bulk",
+        "head\"",
+        "\"timeout(1.000ms)\"",
+        "\"omni-path\"",
+        "2",
+        "true",
+        "tru",
+        "t",
+        "0",
+        "7",
+        "42",
+        "909",
         "0.5",
+        "1e-7",
+        "\u{7f}",
         "é",
         "→",
         "😀",
@@ -1126,6 +1253,33 @@ mod tests {
                 let hit = s.lookup(1, probe, str::to_owned);
                 prop_assert_eq!(hit, (*probe == plain).then(|| row.clone()));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_text_round_trips_and_codes_no_longer_than_itself_and_raw(
+            bytes in proptest::collection::vec(0u16..256, 0..64),
+            ascii in 0u16..2,
+        ) {
+            // Arbitrary bytes made text, or folded to ASCII digits and
+            // punctuation, where the digit pairs and tokens live.
+            const ASCII: &[u8; 22] = b"0123456789\"{,:.truebkM";
+            let bytes: Vec<u8> = bytes
+                .iter()
+                .map(|&b| match ascii {
+                    1 => ASCII[usize::from(b) % ASCII.len()],
+                    _ => b as u8,
+                })
+                .collect();
+            let plain = String::from_utf8_lossy(&bytes).into_owned();
+            let code = coded(&plain);
+            prop_assert_eq!(decoded(&code), plain.as_bytes());
+            prop_assert!(code.len() <= plain.len() + 1);
+            let raw = plain.bytes().any(|b| !(0x20..0x80).contains(&b));
+            prop_assert_eq!(code.first() == Some(&RAW), raw);
         }
     }
 

@@ -47,22 +47,24 @@
 //! closes and drains (in-flight jobs complete; their submissions stream to
 //! the end), the worker team joins, and the cache's cold tier is flushed.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use ebird_analysis::report;
 use ebird_obs::{Counter, Gauge, Histogram, Registry};
 use ebird_runtime::{JobQueue, Pool, PushError, QueueMetrics};
+use parking_lot::Mutex;
 
 use crate::cache::{CacheConfig, CacheMetrics, CachedRow, ContentKey, ResultCache};
-use crate::coalesce::{Disposition, InflightTable, Subscriber};
+use crate::coalesce::{CellOutcome, Disposition, InflightTable, Subscriber};
 use crate::protocol::{
     parse_request, reply_line, ErrorReply, MetricsReply, OverloadedReply, Request, ShutdownReply,
-    StatusReply, SubmitFooter, SubmitHeader,
+    StatusReply, SubmitFooter, SubmitHeader, TraceReply, TRACE_RING,
 };
 use crate::scenario::{price_group, ResolvedCell, ScenarioRow};
 
@@ -137,12 +139,15 @@ enum Verb {
     Fetch,
     Status,
     Metrics,
+    Trace,
     Shutdown,
     Error,
 }
 
 /// Metric-name segment of each [`Verb`], discriminant order.
-const VERB_NAMES: [&str; 6] = ["submit", "fetch", "status", "metrics", "shutdown", "error"];
+const VERB_NAMES: [&str; 7] = [
+    "submit", "fetch", "status", "metrics", "trace", "shutdown", "error",
+];
 
 /// The prefix of the cache's lookup histograms ([`CacheMetrics`]), whose
 /// counts are `status`'s hits, misses and cold hits.
@@ -155,9 +160,9 @@ struct ServeMetrics {
     /// All requests served, any verb (`serve.requests.total`).
     requests_total: Arc<Counter>,
     /// Per-verb request counts (`serve.requests.{verb}`), [`Verb`] order.
-    requests: [Arc<Counter>; 6],
+    requests: [Arc<Counter>; 7],
     /// Per-verb reply latency (`serve.request.{verb}.ns`), [`Verb`] order.
-    request_ns: [Arc<Histogram>; 6],
+    request_ns: [Arc<Histogram>; 7],
     /// Request bytes consumed off client sockets (`serve.bytes.read`).
     bytes_read: Arc<Counter>,
     /// Reply bytes written to client sockets (`serve.bytes.written`).
@@ -277,6 +282,11 @@ struct Shared {
     queue: JobQueue<Job>,
     cache: ResultCache,
     single_flight: InflightTable,
+    /// The last request id minted; a submit's id is the next one.
+    last_request: AtomicU64,
+    /// The records of the last [`TRACE_RING`] admitted submits, oldest
+    /// first, as `trace` answers them.
+    traces: Mutex<VecDeque<TraceReply>>,
     threads: usize,
     addr: SocketAddr,
     stop: AtomicBool,
@@ -298,6 +308,8 @@ impl Shared {
                 .observed(QueueMetrics::new(&registry, "serve.queue")),
             cache,
             single_flight: InflightTable::new(),
+            last_request: AtomicU64::new(0),
+            traces: Mutex::new(VecDeque::new()),
             threads: config.threads,
             addr,
             stop: AtomicBool::new(false),
@@ -660,6 +672,7 @@ fn serve_request(line: &str, shared: &Shared, writer: &mut impl Write) -> Result
         Err(_) => Verb::Error,
         Ok(Request::Status) => Verb::Status,
         Ok(Request::Metrics) => Verb::Metrics,
+        Ok(Request::Trace { .. }) => Verb::Trace,
         Ok(Request::Shutdown) => Verb::Shutdown,
         Ok(Request::Submit { .. }) => Verb::Submit,
         Ok(Request::Fetch { .. }) => Verb::Fetch,
@@ -672,6 +685,7 @@ fn serve_request(line: &str, shared: &Shared, writer: &mut impl Write) -> Result
             let snapshot = shared.metrics.registry.snapshot();
             write_line(writer, &reply_line(&MetricsReply::from_snapshot(&snapshot)))
         }
+        Ok(Request::Trace { request }) => write_line(writer, &trace_reply(shared, request)),
         Ok(Request::Shutdown) => write_line(
             writer,
             &reply_line(&ShutdownReply {
@@ -691,6 +705,28 @@ fn serve_request(line: &str, shared: &Shared, writer: &mut impl Write) -> Result
     }
     shared.metrics.record_request_latency(verb, start_ns);
     outcome
+}
+
+/// Keeps `trace` as submit `trace.request`'s record, retiring the oldest
+/// once [`TRACE_RING`] are kept.
+fn record_trace(shared: &Shared, trace: TraceReply) {
+    let mut traces = shared.traces.lock();
+    if traces.len() == TRACE_RING {
+        traces.pop_front();
+    }
+    traces.push_back(trace);
+}
+
+/// `trace`: the kept record of submit `request` as a reply line, or an
+/// error line when none is kept.
+fn trace_reply(shared: &Shared, request: u64) -> String {
+    let traces = shared.traces.lock();
+    match traces.iter().rev().find(|trace| trace.request == request) {
+        Some(trace) => reply_line(trace),
+        None => reply_line(&ErrorReply::new(format!(
+            "no trace of request {request}: the server keeps the last {TRACE_RING} admitted submits"
+        ))),
+    }
 }
 
 /// `usize::MAX` sentinels (unbounded) travel as `0` on the wire.
@@ -856,9 +892,12 @@ fn admit(
     priority: i64,
     shared: &Shared,
     ready: &mut [Option<CachedRow>],
-    reply: mpsc::Sender<(usize, Result<CachedRow, String>)>,
+    reply: mpsc::Sender<CellOutcome>,
 ) -> Admission {
-    // The whole classify → admit → schedule sequence runs under the
+    // Keys are pure functions of the resolved matrix, so they are written
+    // before the lock: it covers the probes and pushes only.
+    let keys: Vec<ContentKey> = cells.iter().map(ResolvedCell::content_key).collect();
+    // The probe → plan → push → register sequence runs under the
     // single-flight table lock: completions cannot retire an in-flight
     // record mid-classify (the worker's `complete` blocks here), and no
     // other submitter can grow the queue between the admission check and
@@ -874,8 +913,7 @@ fn admit(
     let mut joins: Vec<(usize, ContentKey)> = Vec::new();
     let mut jobs: Vec<JobPlan> = Vec::new();
     let mut planned: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    for (index, cell) in cells.into_iter().enumerate() {
-        let key = cell.content_key();
+    for (index, (cell, key)) in cells.into_iter().zip(keys).enumerate() {
         match guard.probe(&shared.cache, &key) {
             Disposition::Cached(row) => ready[index] = Some(row),
             Disposition::Inflight => joins.push((index, key)),
@@ -962,17 +1000,19 @@ fn handle_submit(
     shared: &Shared,
     writer: &mut impl Write,
 ) -> Result<(), String> {
-    let start_ns = shared.metrics.registry.now_ns();
+    let clock = &shared.metrics.registry;
+    let start_ns = clock.now_ns();
     let Some(cells) = resolve_cells(matrix, writer)? else {
         return Ok(());
     };
+    let resolved_ns = clock.now_ns().saturating_sub(start_ns);
     shared.metrics.submits_resolved.incr();
     let total = cells.len();
-    let (tx, rx) = mpsc::channel::<(usize, Result<CachedRow, String>)>();
+    let (tx, rx) = mpsc::channel::<CellOutcome>();
     let mut ready: Vec<Option<CachedRow>> = vec![None; total];
     let admission = admit(cells, priority, shared, &mut ready, tx);
-    let classify_ns = shared.metrics.registry.now_ns().saturating_sub(start_ns);
-    shared.metrics.classify_ns.record(classify_ns);
+    let classified_ns = clock.now_ns().saturating_sub(start_ns);
+    shared.metrics.classify_ns.record(classified_ns);
     let (scheduled, coalesced) = match admission {
         Admission::Admitted {
             scheduled,
@@ -996,19 +1036,52 @@ fn handle_submit(
     shared.metrics.cells_cached.add(cached as u64);
     shared.metrics.cells_coalesced.add(coalesced as u64);
     shared.metrics.cells_computed.add(scheduled as u64);
+    let mut trace = TraceReply {
+        ok: true,
+        request: shared.last_request.fetch_add(1, Ordering::Relaxed) + 1,
+        cells: total,
+        cached,
+        coalesced,
+        computed: scheduled,
+        failed: 0,
+        rows: 0,
+        resolved_ns,
+        classified_ns,
+        first_row_ns: 0,
+        last_row_ns: 0,
+    };
+    let streamed = stream_frame(shared, &mut ready, &rx, &mut trace, start_ns, writer);
+    // Kept however the stream ended: complete, failed or cut off.
+    record_trace(shared, trace);
+    streamed
+}
+
+/// Writes an admitted submit's frame: the header, every row in matrix order
+/// as it becomes ready, then the footer carrying the submit's request id.
+/// `trace` books the rows written, a failed cell, and when the first and
+/// the last row were written (ns after `start_ns`).
+fn stream_frame(
+    shared: &Shared,
+    ready: &mut [Option<CachedRow>],
+    rx: &mpsc::Receiver<CellOutcome>,
+    trace: &mut TraceReply,
+    start_ns: u64,
+    writer: &mut impl Write,
+) -> Result<(), String> {
+    let since_start = || shared.metrics.registry.now_ns().saturating_sub(start_ns);
     write_line(
         writer,
         &reply_line(&SubmitHeader {
             ok: true,
-            cells: total,
-            cached,
-            coalesced,
-            scheduled,
+            cells: trace.cells,
+            cached: trace.cached,
+            coalesced: trace.coalesced,
+            scheduled: trace.computed,
         }),
     )?;
     // Stream rows in matrix order; an out-of-order completion waits in its
     // own `ready` slot.
-    for index in 0..total {
+    for index in 0..ready.len() {
         let entry = loop {
             if let Some(e) = ready[index].take() {
                 break e;
@@ -1027,6 +1100,7 @@ fn handle_submit(
                     // A pricing failure ends the stream with the protocol's
                     // error line (same shape as the shutdown-mid-submit
                     // path); the client reports it verbatim.
+                    trace.failed += 1;
                     return write_line(
                         writer,
                         &reply_line(&ErrorReply::new(format!("cell failed: {msg}"))),
@@ -1045,15 +1119,23 @@ fn handle_submit(
             }
         };
         write_line(writer, entry.row())?;
+        trace.rows += 1;
+        if index == 0 {
+            trace.first_row_ns = since_start();
+        }
+    }
+    if trace.rows > 0 {
+        trace.last_row_ns = since_start();
     }
     write_line(
         writer,
         &reply_line(&SubmitFooter {
             done: true,
-            cells: total,
-            computed: scheduled,
-            coalesced,
-            cached,
+            cells: trace.cells,
+            computed: trace.computed,
+            coalesced: trace.coalesced,
+            cached: trace.cached,
+            request: trace.request,
         }),
     )
 }
@@ -1104,6 +1186,7 @@ fn handle_fetch(
             computed: 0,
             coalesced: 0,
             cached: total,
+            request: 0,
         }),
     )
 }
@@ -1589,6 +1672,17 @@ mod tests {
         assert_eq!((status.inflight, status.inflight_cells), (0, 0));
         assert_eq!(status.recovered, 1);
         assert_eq!(shared.metrics.cells_failed.get(), 4);
+        // The failed submit's record: no row written, one failure seen.
+        let trace: TraceReply = serde_json::from_str(&trace_reply(&shared, 1)).unwrap();
+        assert_eq!(
+            (
+                trace.rows,
+                trace.failed,
+                trace.first_row_ns,
+                trace.last_row_ns
+            ),
+            (0, 1, 0, 0)
+        );
         assert_eq!(shared.cache.len(), 8, "the panicked group cached nothing");
 
         std::thread::scope(|scope| {
@@ -1607,6 +1701,100 @@ mod tests {
             lines[13]
         );
         assert!(shared.queue.is_empty());
+    }
+
+    #[test]
+    fn every_admitted_submit_is_traced_under_the_id_its_footer_carries() {
+        // This thread is the worker; the cold submit's handler streams on
+        // another, the warm one and the fetch answer without waiting.
+        let shared = shared();
+        let matrix = three_group_matrix();
+        let serve = |line: &str, tap: &WireTap| {
+            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            serve_request(line, &shared, &mut writer)
+        };
+        let (cold, warm, fetched) = (WireTap::default(), WireTap::default(), WireTap::default());
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| serve(&submit_line(&matrix), &cold));
+            cold.wait_for_lines(1);
+            while !shared.queue.is_empty() {
+                run_job(&shared, shared.queue.pop().expect("a job is queued"));
+            }
+            handler.join().unwrap().unwrap();
+        });
+        serve(&submit_line(&matrix), &warm).unwrap();
+        let fetch = reply_line(&Request::Fetch {
+            matrix: MatrixSource::Inline(matrix.clone()),
+        });
+        serve(&fetch, &fetched).unwrap();
+        let footer = |tap: &WireTap| -> SubmitFooter {
+            serde_json::from_str(tap.lines().last().unwrap()).unwrap()
+        };
+        assert_eq!(
+            [&cold, &warm, &fetched].map(|tap| footer(tap).request),
+            [1, 2, 0],
+            "a fetch is not traced"
+        );
+        // `trace` is a verb like any other: one line, rows untouched.
+        let trace_of = |request: u64| -> Vec<String> {
+            let tap = WireTap::default();
+            serve(&reply_line(&Request::Trace { request }), &tap).unwrap();
+            tap.lines()
+        };
+        let record = |request: u64| -> TraceReply {
+            let lines = trace_of(request);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            serde_json::from_str(&lines[0]).unwrap()
+        };
+        let (first, second) = (record(1), record(2));
+        assert_eq!(
+            (
+                first.cells,
+                first.cached,
+                first.coalesced,
+                first.computed,
+                first.failed,
+                first.rows
+            ),
+            (12, 0, 0, 12, 0, 12)
+        );
+        assert_eq!(
+            (second.cached, second.computed, second.rows, second.request),
+            (12, 0, 12, 2)
+        );
+        for t in [&first, &second] {
+            assert!(
+                0 < t.resolved_ns
+                    && t.resolved_ns <= t.classified_ns
+                    && t.classified_ns <= t.first_row_ns
+                    && t.first_row_ns <= t.last_row_ns,
+                "{t:?}"
+            );
+        }
+        assert_eq!(cold.lines()[1..13], offline_lines(&matrix)[..]);
+        assert_eq!(warm.lines()[1..13], offline_lines(&matrix)[..]);
+        assert_eq!(
+            trace_of(3),
+            ["{\"ok\":false,\"error\":\"no trace of request 3: the server keeps the last 256 admitted submits\"}"]
+        );
+        let snap = shared.metrics.registry.snapshot();
+        assert_eq!(snap.counter("serve.requests.trace"), 3);
+
+        // The ring keeps the newest `TRACE_RING` records.
+        for request in 3..=TRACE_RING as u64 + 2 {
+            record_trace(
+                &shared,
+                TraceReply {
+                    request,
+                    ..second.clone()
+                },
+            );
+        }
+        assert_eq!(shared.traces.lock().len(), TRACE_RING);
+        assert!(trace_of(1)[0].starts_with("{\"ok\":false"));
+        assert!(trace_of(2)[0].starts_with("{\"ok\":false"));
+        assert_eq!(record(3).request, 3);
+        assert_eq!(record(TRACE_RING as u64 + 2).request, TRACE_RING as u64 + 2);
     }
 
     #[test]

@@ -861,7 +861,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
 /// byte-identical to the offline `scenarios` table — and bookkeeping to
 /// stderr.
 fn cmd_submit(opts: &Options, fetch_only: bool) -> Result<(), String> {
-    use ebird_serve::{client, MatrixSource};
+    use ebird_serve::{client, MatrixSource, RetryPolicy};
     // Always send the matrix inline so `--seed` behaves exactly like the
     // offline `scenarios` verb (a preset name would pin the server's seed).
     let source = MatrixSource::Inline(build_matrix(opts)?);
@@ -876,7 +876,13 @@ fn cmd_submit(opts: &Options, fetch_only: bool) -> Result<(), String> {
     let outcome = if fetch_only {
         client::fetch_streaming(opts.addr(), &source, print_row)?
     } else {
-        client::submit_streaming(opts.addr(), &source, opts.priority, print_row)?
+        client::submit_with_retry(
+            opts.addr(),
+            &source,
+            opts.priority,
+            &RetryPolicy::default(),
+            print_row,
+        )?
     };
     eprintln!(
         "# {} {} rows from {}: {} cached, {} computed, {} coalesced{}",

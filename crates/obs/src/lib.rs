@@ -9,9 +9,9 @@
 //! * [`HistogramSnapshot`] — fixed-bucket log2 histograms whose quantile
 //!   estimates come with provable bucket-edge bounds (the property tests
 //!   pin them).
-//! * [`SpanGuard`] — span-based tracing over per-thread span stacks feeding
-//!   a bounded ring-buffer event log. Guards are RAII (`Drop`-popped), so a
-//!   panicking job cannot corrupt the stack.
+//! * [`SpanGuard`] — an RAII stopwatch around a scope: dropping it, also
+//!   during unwinding, records the scope's duration into the
+//!   `span.{name}.ns` histogram, so a panicking job still books its time.
 //! * [`TimeSource`] — the clock seam: [`WallClock`] for ops use (the *only*
 //!   wall-clock read in the crate lives in `clock.rs`, behind the
 //!   `ebird-lint` allowlist), [`ManualClock`] for work-metered deterministic
@@ -31,4 +31,4 @@ pub mod span;
 pub use clock::{ManualClock, TimeSource, WallClock};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
-pub use span::{SpanEvent, SpanGuard};
+pub use span::SpanGuard;

@@ -9,7 +9,7 @@
 
 use crate::clock::{TimeSource, WallClock};
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::span::{EventLog, SpanGuard};
+use crate::span::SpanGuard;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -18,9 +18,6 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// runs (the serve default is `available_parallelism`, typically ≤ 16; two
 /// threads sharing a stripe is contention-harmless, just not ideal).
 const STRIPES: usize = 8;
-
-/// Bounded span-event ring capacity (oldest events are dropped first).
-const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// A cache-line-padded shard, so adjacent stripes never false-share.
 #[repr(align(64))]
@@ -34,7 +31,7 @@ thread_local! {
 }
 
 /// A small dense id for the calling thread (assigned on first use).
-pub(crate) fn thread_index() -> usize {
+fn thread_index() -> usize {
     THREAD_INDEX.with(|i| *i)
 }
 
@@ -124,7 +121,6 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    pub(crate) events: EventLog,
 }
 
 impl std::fmt::Debug for Registry {
@@ -156,7 +152,6 @@ impl Registry {
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
-            events: EventLog::new(DEFAULT_EVENT_CAPACITY),
         }
     }
 
@@ -211,22 +206,11 @@ impl Registry {
         )
     }
 
-    /// Open a span. The returned RAII guard pushes onto the calling
-    /// thread's span stack; dropping it (normally or during unwinding) pops
-    /// the stack, records the duration into histogram `span.{name}.ns`,
-    /// and appends a [`crate::SpanEvent`] to the bounded event ring.
+    /// Open a span. Dropping the returned RAII guard (normally or during
+    /// unwinding) records the time it was open into histogram
+    /// `span.{name}.ns`.
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
         SpanGuard::open(self, name)
-    }
-
-    /// Current thread's span-stack depth (0 outside any span).
-    pub fn span_depth(&self) -> usize {
-        crate::span::stack_depth()
-    }
-
-    /// Drain-free copy of the span-event ring, oldest first.
-    pub fn events(&self) -> Vec<crate::SpanEvent> {
-        self.events.to_vec()
     }
 
     /// A deterministic snapshot of every metric.
@@ -313,5 +297,27 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.total(), 2_000);
         assert_eq!(snap.uptime_ns, 2_000);
+    }
+
+    #[test]
+    fn nested_spans_each_record_their_own_duration() {
+        let clock = Arc::new(ManualClock::new());
+        let reg = Registry::with_time(Arc::clone(&clock) as Arc<dyn TimeSource>);
+        {
+            let _outer = reg.span("outer");
+            clock.advance(10);
+            {
+                let _inner = reg.span("inner");
+                clock.advance(5);
+            }
+            clock.advance(10);
+        }
+        let snap = reg.snapshot();
+        let (outer, inner) = (
+            snap.histogram("span.outer.ns"),
+            snap.histogram("span.inner.ns"),
+        );
+        assert_eq!((outer.count(), outer.total()), (1, 25));
+        assert_eq!((inner.count(), inner.total()), (1, 5));
     }
 }

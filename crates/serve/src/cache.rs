@@ -237,9 +237,13 @@ enum LookupClass {
     Miss,
 }
 
-/// The cold tier: buffered append writer plus a point-read index.
+/// The cold tier: buffered append writer, a read handle kept open for the
+/// tier's whole life, and a point-read index.
 struct ColdTier {
     writer: BufWriter<File>,
+    /// Point reads seek and read through this one handle, so a cold hit
+    /// (read under the single-flight lock) opens no file.
+    reader: File,
     path: PathBuf,
     /// Content hash → (line offset, line length sans newline).
     index: HashMap<u128, (u64, u32)>,
@@ -259,11 +263,12 @@ impl ColdTier {
                 .map_err(|e| format!("flushing {:?} before read: {e}", self.path))?;
             self.dirty = false;
         }
-        let mut f = File::open(&self.path).map_err(|e| format!("opening {:?}: {e}", self.path))?;
-        f.seek(SeekFrom::Start(loc.0))
+        self.reader
+            .seek(SeekFrom::Start(loc.0))
             .map_err(|e| format!("seeking {:?}: {e}", self.path))?;
         let mut buf = vec![0u8; loc.1 as usize];
-        f.read_exact(&mut buf)
+        self.reader
+            .read_exact(&mut buf)
             .map_err(|e| format!("reading {:?} at {}: {e}", self.path, loc.0))?;
         let line = std::str::from_utf8(&buf)
             .map_err(|e| format!("non-UTF-8 record in {:?} at {}: {e}", self.path, loc.0))?;
@@ -360,8 +365,11 @@ impl ResultCache {
                     .append(true)
                     .open(&path)
                     .map_err(|e| format!("opening {path:?}: {e}"))?;
+                let reader =
+                    File::open(&path).map_err(|e| format!("opening {path:?} to read: {e}"))?;
                 Some(Mutex::new(ColdTier {
                     writer: BufWriter::new(file),
+                    reader,
                     path,
                     index,
                     append_at: replay.good_len,

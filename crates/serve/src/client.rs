@@ -41,11 +41,11 @@ pub struct SubmitOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`1` = never retry).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Backoff before the first retry, in milliseconds; doubles per retry.
-    pub base_ms: u64,
+    base_ms: u64,
     /// Backoff ceiling, in milliseconds.
-    pub cap_ms: u64,
+    cap_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -266,30 +266,17 @@ fn streamed_with_retry(
     Err("server overloaded: retry policy allowed no attempts".to_string())
 }
 
-/// Submits a matrix, retrying `overloaded` refusals under the default
-/// [`RetryPolicy`], and hands each row to `on_row` as it arrives — the hook
-/// `repro submit` uses to print rows live while a slow matrix computes.
-/// Rows are also collected in the outcome. (An `overloaded` refusal
-/// precedes the first row, so retries never hand `on_row` a duplicate.)
+/// Submits a matrix, retrying `overloaded` refusals under `policy`, and
+/// hands each row to `on_row` as it arrives — the hook `repro submit` uses
+/// to print rows live while a slow matrix computes. Rows are also collected
+/// in the outcome. (An `overloaded` refusal precedes the first row, so
+/// retries never hand `on_row` a duplicate.) Pass [`RetryPolicy::default`]
+/// to ride out a queue drain, [`RetryPolicy::none`] to surface the first
+/// refusal as an error instead of sleeping on it.
 ///
 /// # Errors
 /// Connection failures, server error replies, framing violations, and
 /// overload refusals that outlast the retry budget.
-pub fn submit_streaming(
-    addr: &str,
-    matrix: &MatrixSource,
-    priority: i64,
-    on_row: impl FnMut(&str),
-) -> Result<SubmitOutcome, String> {
-    submit_with_retry(addr, matrix, priority, &RetryPolicy::default(), on_row)
-}
-
-/// [`submit_streaming`] under an explicit [`RetryPolicy`] — pass
-/// [`RetryPolicy::none`] to surface the first `overloaded` refusal as an
-/// error instead of sleeping on it.
-///
-/// # Errors
-/// See [`submit_streaming`].
 pub fn submit_with_retry(
     addr: &str,
     matrix: &MatrixSource,
@@ -312,7 +299,7 @@ pub fn submit_with_retry(
 /// handing each row to `on_row` as it arrives.
 ///
 /// # Errors
-/// See [`submit_streaming`]; additionally the server's `incomplete` error.
+/// See [`submit_with_retry`]; additionally the server's `incomplete` error.
 pub fn fetch_streaming(
     addr: &str,
     matrix: &MatrixSource,
@@ -335,14 +322,20 @@ pub fn fetch_streaming(
     }
 }
 
+/// One single-line exchange: open a connection, send `request`, and parse
+/// the one reply line as `T` ([`checked`]).
+fn exchange<T: Deserialize>(addr: &str, request: &Request) -> Result<T, String> {
+    let mut conn = Connection::open(addr)?;
+    conn.send(request)?;
+    checked(&conn.read_line()?)
+}
+
 /// Asks for the service counters.
 ///
 /// # Errors
 /// Connection failures and server error replies.
 pub fn status(addr: &str) -> Result<StatusReply, String> {
-    let mut conn = Connection::open(addr)?;
-    conn.send(&Request::Status)?;
-    checked(&conn.read_line()?)
+    exchange(addr, &Request::Status)
 }
 
 /// Asks for the server's full metrics snapshot (counters, gauges, latency
@@ -351,9 +344,7 @@ pub fn status(addr: &str) -> Result<StatusReply, String> {
 /// # Errors
 /// Connection failures and server error replies.
 pub fn metrics(addr: &str) -> Result<MetricsReply, String> {
-    let mut conn = Connection::open(addr)?;
-    conn.send(&Request::Metrics)?;
-    checked(&conn.read_line()?)
+    exchange(addr, &Request::Metrics)
 }
 
 /// Renders a [`StatusReply`] as the human-readable block `repro status`
@@ -404,9 +395,7 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
 /// Connection failures and server error replies — among them a request id
 /// the server keeps no record of.
 pub fn trace(addr: &str, request: u64) -> Result<TraceReply, String> {
-    let mut conn = Connection::open(addr)?;
-    conn.send(&Request::Trace { request })?;
-    checked(&conn.read_line()?)
+    exchange(addr, &Request::Trace { request })
 }
 
 /// Renders a [`TraceReply`] as the block `repro trace` prints: the cells'
@@ -445,9 +434,7 @@ pub fn render_trace(addr: &str, t: &TraceReply) -> String {
 /// # Errors
 /// Connection failures and server error replies.
 pub fn shutdown(addr: &str) -> Result<ShutdownReply, String> {
-    let mut conn = Connection::open(addr)?;
-    conn.send(&Request::Shutdown)?;
-    checked(&conn.read_line()?)
+    exchange(addr, &Request::Shutdown)
 }
 
 /// Sends one raw line (not necessarily valid JSON) and returns the server's

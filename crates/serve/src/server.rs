@@ -1056,10 +1056,11 @@ fn handle_submit(
     streamed
 }
 
-/// Writes an admitted submit's frame: the header, every row in matrix order
-/// as it becomes ready, then the footer carrying the submit's request id.
-/// `trace` books the rows written, a failed cell, and when the first and
-/// the last row were written (ns after `start_ns`).
+/// Writes the one header → rows → footer frame, an admitted submit's or a
+/// fetch's: the header, every row in matrix order as it becomes ready, then
+/// the footer carrying `trace.request`. `trace` books the rows written, a
+/// failed cell, and when the first and the last row were written (ns after
+/// `start_ns`).
 fn stream_frame(
     shared: &Shared,
     ready: &mut [Option<CachedRow>],
@@ -1140,6 +1141,9 @@ fn stream_frame(
     )
 }
 
+/// `fetch`: every cell from the cache or nothing. A fully cached matrix is
+/// written through [`stream_frame`] with every slot filled, so nothing
+/// waits; its footer carries request id `0`, and no trace is kept.
 fn handle_fetch(
     matrix: &crate::protocol::MatrixSource,
     shared: &Shared,
@@ -1149,14 +1153,11 @@ fn handle_fetch(
         return Ok(());
     };
     let total = cells.len();
-    let mut rows = Vec::with_capacity(total);
-    let mut missing = 0usize;
-    for cell in &cells {
-        match shared.cache.lookup(&cell.content_key()) {
-            Some(entry) => rows.push(entry),
-            None => missing += 1,
-        }
-    }
+    let mut ready: Vec<Option<CachedRow>> = cells
+        .iter()
+        .map(|cell| shared.cache.lookup(&cell.content_key()))
+        .collect();
+    let missing = ready.iter().filter(|row| row.is_none()).count();
     if missing > 0 {
         return write_line(
             writer,
@@ -1165,30 +1166,24 @@ fn handle_fetch(
             ))),
         );
     }
-    write_line(
-        writer,
-        &reply_line(&SubmitHeader {
-            ok: true,
-            cells: total,
-            cached: total,
-            coalesced: 0,
-            scheduled: 0,
-        }),
-    )?;
-    for entry in &rows {
-        write_line(writer, entry.row())?;
-    }
-    write_line(
-        writer,
-        &reply_line(&SubmitFooter {
-            done: true,
-            cells: total,
-            computed: 0,
-            coalesced: 0,
-            cached: total,
-            request: 0,
-        }),
-    )
+    let mut trace = TraceReply {
+        ok: true,
+        request: 0,
+        cells: total,
+        cached: total,
+        coalesced: 0,
+        computed: 0,
+        failed: 0,
+        rows: 0,
+        resolved_ns: 0,
+        classified_ns: 0,
+        first_row_ns: 0,
+        last_row_ns: 0,
+    };
+    // No sender: every slot is filled, so the stream never reads it.
+    let (_, rx) = mpsc::channel::<CellOutcome>();
+    let start_ns = shared.metrics.registry.now_ns();
+    stream_frame(shared, &mut ready, &rx, &mut trace, start_ns, writer)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use ebird_cluster::WorkloadSpec;
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
-use ebird_serve::{client, MatrixSource, Server, ServerConfig};
+use ebird_serve::{client, MatrixSource, RetryPolicy, Server, ServerConfig};
 
 /// A 16-cell matrix small enough for test wall-clocks:
 /// 2 apps × 4 strategies × 1 link × 1 noise × 2 rank counts.
@@ -45,7 +45,7 @@ fn submit(
     source: &MatrixSource,
     priority: i64,
 ) -> Result<client::SubmitOutcome, String> {
-    client::submit_streaming(addr, source, priority, |_| {})
+    client::submit_with_retry(addr, source, priority, &RetryPolicy::default(), |_| {})
 }
 
 fn shutdown_and_join(addr: &str, handle: JoinHandle<Result<(), String>>) {
@@ -249,24 +249,146 @@ fn cold_full_submit_is_one_job_per_group() {
     shutdown_and_join(&addr, handle);
 }
 
+/// `fetch` answers from the cache only, and its reply is pinned byte for
+/// byte: before the submit, the one `incomplete` error line; after it, a
+/// header line, the submit's rows in its order, a footer carrying request
+/// id 0, and nothing more — which the client reads as the submit's rows.
 #[test]
 fn fetch_is_cache_only() {
+    use std::io::{Read, Write};
+
     let (addr, handle) = start_server(ServerConfig {
         threads: 2,
         cache_dir: None,
         ..ServerConfig::default()
     });
     let source = MatrixSource::Inline(tiny_matrix());
+    let fetch_reply = || {
+        let request = ebird_serve::protocol::reply_line(&ebird_serve::Request::Fetch {
+            matrix: source.clone(),
+        });
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+        // A half-close ends the connection after this one reply, so the
+        // text read back is the whole reply.
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    };
 
-    let err = client::fetch_streaming(&addr, &source, |_| {}).unwrap_err();
-    assert!(err.contains("incomplete"), "{err}");
-    assert!(err.contains("16 of 16"), "{err}");
-
+    assert_eq!(
+        fetch_reply(),
+        "{\"ok\":false,\"error\":\"incomplete: 16 of 16 cells not cached (submit the matrix first)\"}\n"
+    );
     let submitted = submit(&addr, &source, 0).unwrap();
+    let reply = fetch_reply();
+    let lines: Vec<&str> = reply.lines().collect();
+    assert!(reply.ends_with('\n'));
+    assert_eq!(lines.len(), 18, "{reply}");
+    assert_eq!(
+        lines[0],
+        "{\"ok\":true,\"cells\":16,\"cached\":16,\"coalesced\":0,\"scheduled\":0}"
+    );
+    assert_eq!(lines[1..17], submitted.rows[..]);
+    assert_eq!(
+        lines[17],
+        "{\"done\":true,\"cells\":16,\"computed\":0,\"coalesced\":0,\"cached\":16,\"request\":0}"
+    );
     let fetched = client::fetch_streaming(&addr, &source, |_| {}).unwrap();
     assert_eq!(fetched.footer.computed, 0);
     assert_eq!(fetched.rows, submitted.rows);
 
+    shutdown_and_join(&addr, handle);
+}
+
+/// The most a submit's reply may take beyond its trace's last row: the
+/// request line's parse before the trace starts, plus the footer and the
+/// final flush after its last row. Measured at 52–191 µs per submit in six
+/// release runs and 57–476 µs in sixteen debug runs (alone and beside the
+/// rest of this suite, 2-vCPU host); the bound leaves room for a preempted
+/// thread on a shared runner.
+const RECONCILE_SLACK_NS_PER_SUBMIT: u64 = 2_000_000;
+
+/// The reconciliation identity over the trace records: on a fresh server
+/// whose submits are all admitted and resolve, the traced times
+/// (start → last row) of every submit sum to at most the submit latency
+/// histogram's total, and the rest — parse, footer and flush — stays under
+/// [`RECONCILE_SLACK_NS_PER_SUBMIT`] per submit.
+#[test]
+fn submit_traces_reconcile_with_the_submit_latency_total() {
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 2,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let ranks = |ranks: &[usize]| {
+        let mut m = tiny_matrix();
+        m.ranks = ranks.to_vec();
+        MatrixSource::Inline(m)
+    };
+    // Computed, cached, partly cached and mixed submits.
+    let plan: [&[usize]; 8] = [
+        &[1, 2],
+        &[1, 2],
+        &[2, 3],
+        &[1, 3],
+        &[1, 2, 3],
+        &[4],
+        &[4, 1],
+        &[3],
+    ];
+    let mut ids = Vec::new();
+    let (mut cached, mut computed) = (0, 0);
+    for r in plan {
+        let outcome = submit(&addr, &ranks(r), 0).unwrap();
+        cached += outcome.footer.cached;
+        computed += outcome.footer.computed;
+        ids.push(outcome.footer.request);
+    }
+    assert_eq!(ids, (1..=8).collect::<Vec<u64>>());
+    assert!(
+        cached > 0 && computed > 0,
+        "{cached} cached, {computed} computed"
+    );
+
+    // The latency is booked once the reply is flushed, which can trail the
+    // client's read of the footer: wait for all eight.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let submit_ns = loop {
+        let m = client::metrics(&addr).unwrap();
+        if let Some(h) = m
+            .histogram("serve.request.submit.ns")
+            .filter(|h| h.count == 8)
+        {
+            break h.total_ns;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "submit latency never reached 8"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let mut traced_ns = 0;
+    for id in ids {
+        let t = client::trace(&addr, id).unwrap();
+        assert_eq!((t.rows, t.failed), (t.cells, 0), "{t:?}");
+        assert!(
+            t.last_row_ns >= t.first_row_ns && t.first_row_ns > 0,
+            "{t:?}"
+        );
+        traced_ns += t.last_row_ns;
+    }
+    assert!(
+        traced_ns <= submit_ns,
+        "traced {traced_ns} ns > submit latency total {submit_ns} ns"
+    );
+    let slack = submit_ns - traced_ns;
+    assert!(
+        slack <= 8 * RECONCILE_SLACK_NS_PER_SUBMIT,
+        "parse + footer + flush took {slack} ns over 8 submits"
+    );
+    eprintln!("reconciliation: traced {traced_ns} ns of {submit_ns} ns, slack {slack} ns");
     shutdown_and_join(&addr, handle);
 }
 

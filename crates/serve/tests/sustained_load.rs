@@ -66,7 +66,7 @@ fn submit(
     source: &MatrixSource,
     priority: i64,
 ) -> Result<client::SubmitOutcome, String> {
-    client::submit_streaming(addr, source, priority, |_| {})
+    client::submit_with_retry(addr, source, priority, &RetryPolicy::default(), |_| {})
 }
 
 fn shutdown_and_join(addr: &str, handle: JoinHandle<Result<(), String>>) {

@@ -19,7 +19,7 @@
 //! The three-level normality sweep's groups — of all three levels — form one
 //! flat task list ([`crate::normality`]), which
 //! [`sweep_levels_parallel_with_arenas`] cuts into one contiguous part of
-//! near-equal sample count per worker.
+//! near-equal modelled cost per worker.
 //!
 //! The only parallelism-sensitive construct — merging floating-point
 //! `Moments` partials — is confined to the trace scan's moments, which
@@ -104,25 +104,36 @@ pub fn generate_campaign_parallel(
         .collect()
 }
 
+/// The modelled cost, in ns, of sorting and testing one group of `n`
+/// samples: a per-group constant plus a per-element term that grows with
+/// log₂ n. Fitted once to the per-element costs of the three levels measured
+/// at one thread (51 / 42 / 71 ns at 48 / 3 840 / 768 000 samples), which it
+/// reproduces to 0.1 ns; a constant, never a run-time measurement, so a cut
+/// made with it stays a function of the shape and the part count.
+fn group_cost(n: usize) -> usize {
+    let n = n as f64;
+    (1620.0 + n * (3.85 * n.log2() - 4.25)) as usize
+}
+
 /// Splits a trace shape's [`SweepTasks`] into `parts` contiguous runs of
-/// near-equal sample count (the cost model: every kernel step is linear in
-/// the group, and each level holds every sample once), returning the
-/// number of tasks per part. A function of the shape and `parts` only.
+/// near-equal [`group_cost`], returning the number of tasks per part. A
+/// function of the shape and `parts` only.
 ///
 /// Each part takes tasks while that brings it closer to an equal share of
-/// what is left, and at least one if any remain — so an application group
-/// larger than a fair share (more than three parts) gets a part to itself
-/// and the rest is shared evenly among the others; with fewer tasks than
-/// parts the trailing parts are empty.
+/// what is left, and at least one if any remain — tasks run largest group
+/// first, so an application group costlier than a fair share gets a part
+/// to itself and the rest is shared evenly among the others; with fewer
+/// tasks than parts the trailing parts are empty.
 fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
-    let mut remaining = 3 * tasks.0.total_samples();
+    let cost = |t: usize| group_cost(tasks.get(t).2);
+    let mut remaining: usize = (0..tasks.len()).map(cost).sum();
     let mut next = 0;
     (0..parts)
         .map(|part| {
             let target = remaining / (parts - part);
             let (start, mut taken) = (next, 0);
             while next < tasks.len() {
-                let size = tasks.get(next).2;
+                let size = cost(next);
                 if taken > 0 && 2 * taken + size > 2 * target {
                     break;
                 }
@@ -149,7 +160,7 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// part, which it frees before it returns.
 ///
 /// The trace's task list is cut into one contiguous part of near-equal
-/// sample count per worker and every worker runs the task loop over its
+/// modelled cost per worker and every worker runs the task loop over its
 /// part (a one-thread pool's single part is the whole list).
 ///
 /// When `obs` is provided, each group's three layers are timed into the
@@ -334,14 +345,15 @@ mod tests {
                 );
                 assert_eq!(lens, partition_tasks(tasks, parts), "not a pure function");
                 // Nobody idles while another part holds two tasks it could
-                // have shared, and no part exceeds an equal share by more
-                // than its largest (= first) task.
-                let share = (3 * shape.total_samples()).div_ceil(parts);
+                // have shared, and no part exceeds an equal share of the
+                // modelled cost by more than its costliest (= first) task.
+                let cost = |t: usize| group_cost(tasks.get(t).2);
+                let share = (0..tasks.len()).map(cost).sum::<usize>().div_ceil(parts);
                 let mut first = 0;
                 for &len in &lens {
-                    let samples: usize = (first..first + len).map(|t| tasks.get(t).2).sum();
+                    let part: usize = (first..first + len).map(cost).sum();
                     if len > 0 {
-                        assert!(samples <= share + tasks.get(first).2, "{shape:?} / {parts}");
+                        assert!(part <= share + cost(first), "{shape:?} / {parts}");
                     }
                     first += len;
                 }
@@ -355,12 +367,17 @@ mod tests {
                 }
             }
         }
-        // Paper shape, five workers: the application group exceeds a fair
-        // share (768 000 > 3 × 768 000 / 5) and gets a worker to itself;
-        // the other four split the rest evenly, 384 000 samples each.
+        // Paper shape (modelled costs 54.5 ms for the application group,
+        // 32.3 ms for the 200 application-iteration groups, 39.2 ms for the
+        // 16 000 process-iteration groups). Two workers: the application
+        // group and 52 application-iteration groups (62.9 ms) against the
+        // rest (63.0 ms); a cut by sample count gave the first 70.7 ms.
+        // Five workers: the application group exceeds a fair share and
+        // gets a worker to itself; the other four split the rest, 17.8–17.9
+        // ms each.
         let paper = SweepTasks(TraceShape::new(10, 8, 200, 48).unwrap());
-        assert_eq!(partition_tasks(paper, 5), [1, 100, 100, 8000, 8000]);
-        assert_eq!(partition_tasks(paper, 2), [1 + 100, 100 + 16_000]);
+        assert_eq!(partition_tasks(paper, 2), [1 + 52, 148 + 16_000]);
+        assert_eq!(partition_tasks(paper, 5), [1, 111, 89 + 1423, 7289, 7288]);
     }
 
     #[test]

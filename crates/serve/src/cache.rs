@@ -19,6 +19,19 @@
 //!   hot) instead of recomputed. Appends are buffered; [`flush`] (and
 //!   graceful shutdown) force them to disk.
 //!
+//! A cold record proves itself or is not used. Replay and every point read
+//! apply one check, [`ColdRecord::parse`]: the line is UTF-8 JSON, its `key`
+//! addresses its `spec`, and its `digest` — the FNV-1a 128-bit hash of its
+//! `row`, as 32 hex digits — addresses its `row`. A record without a
+//! `digest`, as written before the field existed, is trusted on its key
+//! alone. Any other line is skipped, counted (`{prefix}.quarantined`, see
+//! [`CacheMetrics`]) and left out of the index, so its cell recomputes on
+//! demand; the line stays in the file, and every restart counts it again.
+//! FNV-1a detects corruption but does not withstand a forger: whoever can
+//! write the file can write a record that passes. The one edit the tier
+//! makes to the file is cutting the bytes after its last newline, the tail
+//! of an append torn by a crash.
+//!
 //! Hash collisions are guarded, not assumed away: entries store the full
 //! canonical spec, and a lookup whose stored spec differs from the probe's
 //! is treated as a miss.
@@ -41,82 +54,6 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 
-/// One replayed cold-tier record and where its line sits in the file.
-struct LocatedRecord {
-    record: ColdRecord,
-    /// Byte offset of the line's first byte.
-    offset: u64,
-    /// Line length in bytes, excluding the trailing newline.
-    len: u32,
-}
-
-/// The cold tier replayed: its records (with file locations) and the byte
-/// length of the well-formed prefix — anything past it is a torn tail to
-/// truncate away before appending, or the next restart would read the tear
-/// and the first new record glued into one corrupt line.
-struct ColdReplay {
-    records: Vec<LocatedRecord>,
-    good_len: u64,
-}
-
-/// Loads the cold tier's records, tolerating a torn trailing line: appends
-/// go through a buffered writer, so a crash mid-flush can leave the last
-/// line truncated — that line is dropped with a warning (the cell simply
-/// recomputes), while a parse failure on any earlier line is treated as
-/// corruption.
-fn load_cold_records(path: &Path) -> Result<ColdReplay, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(ColdReplay {
-                records: Vec::new(),
-                good_len: 0,
-            })
-        }
-        Err(e) => return Err(format!("reading {path:?}: {e}")),
-    };
-    // Split keeping byte offsets (std `lines()` hides them).
-    let mut lines: Vec<(u64, &str)> = Vec::new();
-    let mut start = 0usize;
-    for (i, b) in text.bytes().enumerate() {
-        if b == b'\n' {
-            lines.push((start as u64, &text[start..i]));
-            start = i + 1;
-        }
-    }
-    if start < text.len() {
-        lines.push((start as u64, &text[start..]));
-    }
-    let nonempty: Vec<(usize, u64, &str)> = lines
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, l))| !l.trim().is_empty())
-        .map(|(no, &(off, l))| (no, off, l))
-        .collect();
-    let mut records = Vec::with_capacity(nonempty.len());
-    let mut good_len = text.len() as u64;
-    for (pos, &(lineno, offset, line)) in nonempty.iter().enumerate() {
-        match serde_json::from_str::<ColdRecord>(line) {
-            Ok(record) => records.push(LocatedRecord {
-                record,
-                offset,
-                len: line.len() as u32,
-            }),
-            Err(e) if pos + 1 == nonempty.len() => {
-                eprintln!(
-                    "ebird-serve: dropping torn final line {} of {path:?} ({e})",
-                    lineno + 1
-                );
-                good_len = offset;
-            }
-            Err(e) => {
-                return Err(format!("corrupt cache {path:?} line {}: {e}", lineno + 1));
-            }
-        }
-    }
-    Ok(ColdReplay { records, good_len })
-}
-
 /// FNV-1a 128-bit hash of `bytes`.
 fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
@@ -125,6 +62,11 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
         h = h.wrapping_mul(FNV128_PRIME);
     }
     h
+}
+
+/// `hash` as 32 lowercase hex digits.
+fn hash_hex(hash: u128) -> String {
+    format!("{hash:032x}")
 }
 
 /// A content-address: the canonical content string plus its hash.
@@ -146,7 +88,7 @@ impl ContentKey {
 
     /// The hash as 32 lowercase hex digits (the cold tier's `key` field).
     pub fn hex(&self) -> String {
-        format!("{:032x}", self.hash)
+        hash_hex(self.hash)
     }
 
     /// The canonical content this key addresses.
@@ -186,12 +128,29 @@ impl CachedRow {
 /// The cold tier's on-disk record: one JSON line per cached cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ColdRecord {
-    /// 32-hex-digit content hash (redundant with `spec`, kept for grepping).
+    /// 32-hex-digit content hash of `spec`.
     key: String,
     /// Canonical spec JSON, embedded as a string.
     spec: String,
     /// Exact row JSON line, embedded as a string.
     row: String,
+    /// 32-hex-digit FNV-1a 128-bit hash of `row`; empty in a record written
+    /// before the field existed.
+    #[serde(default)]
+    digest: String,
+}
+
+impl ColdRecord {
+    /// The record `line` holds and its spec's hash, if the line proves
+    /// itself: it is UTF-8 JSON, its key addresses its spec and its digest,
+    /// when present, addresses its row.
+    fn parse(line: &[u8]) -> Option<(u128, ColdRecord)> {
+        let record: ColdRecord = serde_json::from_str(std::str::from_utf8(line).ok()?).ok()?;
+        let hash = fnv1a_128(record.spec.as_bytes());
+        let row_ok =
+            record.digest.is_empty() || record.digest == hash_hex(fnv1a_128(record.row.as_bytes()));
+        (record.key == hash_hex(hash) && row_ok).then_some((hash, record))
+    }
 }
 
 /// Configuration for [`ResultCache::new`].
@@ -208,24 +167,30 @@ pub struct CacheConfig {
 /// outcome — hot-tier hit, cold-tier point read, or miss — so the
 /// histograms' counts are the cache's tallies: hits are `{prefix}.hit_ns`
 /// plus `{prefix}.cold_read_ns`, cold hits `{prefix}.cold_read_ns`, misses
-/// `{prefix}.miss_ns`. An unobserved cache counts nothing.
+/// `{prefix}.miss_ns`. The counter `{prefix}.quarantined` counts the
+/// cold-tier lines that failed the check (see the module doc): those replay
+/// skipped, booked when the cache is observed, and those a point read found.
+/// An unobserved cache counts nothing.
 #[derive(Debug, Clone)]
 pub struct CacheMetrics {
     registry: Arc<ebird_obs::Registry>,
     hit_ns: Arc<ebird_obs::Histogram>,
     cold_read_ns: Arc<ebird_obs::Histogram>,
     miss_ns: Arc<ebird_obs::Histogram>,
+    quarantined: Arc<ebird_obs::Counter>,
 }
 
 impl CacheMetrics {
     /// Handles under `prefix`: histograms `{prefix}.hit_ns`,
-    /// `{prefix}.cold_read_ns`, `{prefix}.miss_ns`.
+    /// `{prefix}.cold_read_ns`, `{prefix}.miss_ns` and the counter
+    /// `{prefix}.quarantined`.
     pub fn new(registry: &Arc<ebird_obs::Registry>, prefix: &str) -> Self {
         CacheMetrics {
             registry: Arc::clone(registry),
             hit_ns: registry.histogram(&format!("{prefix}.hit_ns")),
             cold_read_ns: registry.histogram(&format!("{prefix}.cold_read_ns")),
             miss_ns: registry.histogram(&format!("{prefix}.miss_ns")),
+            quarantined: registry.counter(&format!("{prefix}.quarantined")),
         }
     }
 }
@@ -237,13 +202,12 @@ enum LookupClass {
     Miss,
 }
 
-/// The cold tier: buffered append writer, a read handle kept open for the
-/// tier's whole life, and a point-read index.
+/// The cold tier: one file, appended through a buffer and point-read
+/// through the same handle, and a point-read index.
 struct ColdTier {
+    /// Point reads seek and read the buffer's file, so a cold hit (read
+    /// under the single-flight lock) opens nothing.
     writer: BufWriter<File>,
-    /// Point reads seek and read through this one handle, so a cold hit
-    /// (read under the single-flight lock) opens no file.
-    reader: File,
     path: PathBuf,
     /// Content hash → (line offset, line length sans newline).
     index: HashMap<u128, (u64, u32)>,
@@ -251,29 +215,72 @@ struct ColdTier {
     append_at: u64,
     /// Whether unflushed appends are buffered (a point read flushes first).
     dirty: bool,
+    /// Lines replay skipped, for [`ResultCache::observe`] to count.
+    skipped: u64,
 }
 
 impl ColdTier {
-    /// Reads the record at `loc`, flushing buffered appends first so the
-    /// read cannot land in unwritten bytes.
-    fn read_at(&mut self, loc: (u64, u32)) -> Result<ColdRecord, String> {
+    /// Opens `dir/results.jsonl`, replaying every line that proves itself
+    /// into `hot` and indexing it; later lines win on duplicate keys.
+    fn open(dir: &Path, hot: &mut S3Fifo) -> Result<ColdTier, String> {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
+        let path = dir.join("results.jsonl");
+        let mut file = File::options()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("opening {path:?}: {e}"))?;
+        let mut text = Vec::new();
+        file.read_to_end(&mut text)
+            .map_err(|e| format!("reading {path:?}: {e}"))?;
+        // Bytes after the last newline are a torn append: cut, or the next
+        // append would glue a record onto them.
+        let good_len = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut skipped = 0;
+        if good_len < text.len() {
+            file.set_len(good_len as u64)
+                .map_err(|e| format!("truncating {path:?}: {e}"))?;
+            skipped += 1;
+        }
+        let mut index = HashMap::new();
+        let mut offset = 0;
+        for line in text[..good_len].split_inclusive(|&b| b == b'\n') {
+            let len = line.len() - 1;
+            match ColdRecord::parse(&line[..len]) {
+                Some((hash, r)) => {
+                    index.insert(hash, (offset, len as u32));
+                    hot.insert(hash, &HotEntry::new(&r.spec, &r.row));
+                }
+                None => skipped += 1,
+            }
+            offset += line.len() as u64;
+        }
+        if skipped > 0 {
+            eprintln!("ebird-serve: skipped {skipped} unproven line(s) of {path:?}");
+        }
+        Ok(ColdTier {
+            writer: BufWriter::new(file),
+            path,
+            index,
+            append_at: offset,
+            dirty: false,
+            skipped,
+        })
+    }
+
+    /// The bytes of the line at `loc`, flushing buffered appends first so
+    /// the read cannot land in unwritten bytes.
+    fn read_at(&mut self, (offset, len): (u64, u32)) -> std::io::Result<Vec<u8>> {
         if self.dirty {
-            self.writer
-                .flush()
-                .map_err(|e| format!("flushing {:?} before read: {e}", self.path))?;
+            self.writer.flush()?;
             self.dirty = false;
         }
-        self.reader
-            .seek(SeekFrom::Start(loc.0))
-            .map_err(|e| format!("seeking {:?}: {e}", self.path))?;
-        let mut buf = vec![0u8; loc.1 as usize];
-        self.reader
-            .read_exact(&mut buf)
-            .map_err(|e| format!("reading {:?} at {}: {e}", self.path, loc.0))?;
-        let line = std::str::from_utf8(&buf)
-            .map_err(|e| format!("non-UTF-8 record in {:?} at {}: {e}", self.path, loc.0))?;
-        serde_json::from_str(line)
-            .map_err(|e| format!("corrupt record in {:?} at {}: {e}", self.path, loc.0))
+        let mut file = self.writer.get_ref();
+        let mut line = vec![0; len as usize];
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut line)?;
+        Ok(line)
     }
 }
 
@@ -314,68 +321,19 @@ impl ResultCache {
         })
     }
 
-    /// Opens a cache per `config`. With a cold dir, existing records replay
-    /// into the hot tier (later records win on duplicate keys, so a file
-    /// holding a recomputed duplicate loads cleanly) and every record's
-    /// offset is indexed for point reads. A malformed **final** line — the
-    /// signature of a crash mid-append — is dropped with a warning and
-    /// truncated away (standard append-only-log recovery; truncation keeps
-    /// the next append off the torn line); a malformed line anywhere else
-    /// is real corruption and refuses to load.
+    /// Opens a cache per `config`. With a cold dir, every record that proves
+    /// itself replays into the hot tier (later records win on duplicate
+    /// keys, so a file holding a recomputed duplicate loads cleanly) and has
+    /// its offset indexed for point reads; every other line is skipped and a
+    /// torn tail is cut (see the module doc).
     ///
     /// # Errors
-    /// A human-readable description of the I/O or parse failure.
+    /// A human-readable description of the I/O failure.
     pub fn new(config: CacheConfig) -> Result<Self, String> {
         let mut hot = S3Fifo::new(config.hot_budget_bytes);
         let cold = match &config.cold_dir {
             None => None,
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
-                let path = dir.join("results.jsonl");
-                let replay = load_cold_records(&path)?;
-                let mut index = HashMap::with_capacity(replay.records.len());
-                for located in replay.records {
-                    let r = located.record;
-                    let key = ContentKey::of(r.spec.clone());
-                    if key.hex() != r.key {
-                        return Err(format!(
-                            "corrupt cache {path:?}: stored key {} does not address its spec (expected {})",
-                            r.key,
-                            key.hex()
-                        ));
-                    }
-                    index.insert(key.hash, (located.offset, located.len));
-                    hot.insert(key.hash, &HotEntry::new(&r.spec, &r.row));
-                }
-                if path.exists() {
-                    let actual = std::fs::metadata(&path)
-                        .map_err(|e| format!("stat {path:?}: {e}"))?
-                        .len();
-                    if actual > replay.good_len {
-                        let f = File::options()
-                            .write(true)
-                            .open(&path)
-                            .map_err(|e| format!("opening {path:?} to truncate: {e}"))?;
-                        f.set_len(replay.good_len)
-                            .map_err(|e| format!("truncating {path:?}: {e}"))?;
-                    }
-                }
-                let file = File::options()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| format!("opening {path:?}: {e}"))?;
-                let reader =
-                    File::open(&path).map_err(|e| format!("opening {path:?} to read: {e}"))?;
-                Some(Mutex::new(ColdTier {
-                    writer: BufWriter::new(file),
-                    reader,
-                    path,
-                    index,
-                    append_at: replay.good_len,
-                    dirty: false,
-                }))
-            }
+            Some(dir) => Some(Mutex::new(ColdTier::open(dir, &mut hot)?)),
         };
         Ok(ResultCache {
             hot: Mutex::new(hot),
@@ -385,8 +343,11 @@ impl ResultCache {
     }
 
     /// Attaches lookup instrumentation (call before sharing the cache
-    /// across threads).
+    /// across threads), counting the lines replay skipped.
     pub fn observe(&mut self, metrics: CacheMetrics) {
+        if let Some(cold) = &self.cold {
+            metrics.quarantined.add(cold.lock().skipped);
+        }
         self.metrics = Some(metrics);
     }
 
@@ -420,21 +381,26 @@ impl ResultCache {
             return (Some(row), LookupClass::HotHit);
         }
         if let Some(cold) = &self.cold {
-            let read = {
-                let mut tier = cold.lock();
-                tier.index
-                    .get(&key.hash)
-                    .copied()
-                    .map(|loc| tier.read_at(loc))
-            };
-            match read {
-                Some(Ok(r)) if r.spec == key.content => {
-                    self.admit(key.hash, &r.spec, &r.row);
-                    return (Some(CachedRow::new(&r.row)), LookupClass::ColdHit);
+            let mut tier = cold.lock();
+            if let Some(&loc) = tier.index.get(&key.hash) {
+                match tier
+                    .read_at(loc)
+                    .ok()
+                    .and_then(|line| ColdRecord::parse(&line))
+                {
+                    Some((_, r)) if r.spec == key.content => {
+                        drop(tier);
+                        self.admit(key.hash, &r.spec, &r.row);
+                        return (Some(CachedRow::new(&r.row)), LookupClass::ColdHit);
+                    }
+                    Some(_) => {} // collision on disk: miss
+                    None => {
+                        tier.index.remove(&key.hash);
+                        if let Some(m) = &self.metrics {
+                            m.quarantined.incr();
+                        }
+                    }
                 }
-                Some(Ok(_)) => {} // collision on disk: miss
-                Some(Err(e)) => eprintln!("ebird-serve: cold-tier read failed: {e}"),
-                None => {}
             }
         }
         (None, LookupClass::Miss)
@@ -452,6 +418,7 @@ impl ResultCache {
             let record = ColdRecord {
                 key: key.hex(),
                 spec: key.content.clone(),
+                digest: hash_hex(fnv1a_128(row.as_bytes())),
                 row,
             };
             match serde_json::to_string(&record) {
@@ -786,13 +753,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn corruption_before_the_final_line_is_fatal() {
-        let dir = std::env::temp_dir().join(format!(
-            "ebird_serve_cache_midcorrupt_{}",
-            std::process::id()
-        ));
+    /// The `probe.quarantined` count of `registry`.
+    fn quarantined(registry: &Registry) -> u64 {
+        registry.snapshot().counter("probe.quarantined")
+    }
+
+    /// A fresh directory under the system's temporary directory.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ebird_serve_cache_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// `line` with the first byte of `field`'s string value XOR 1 (`"row-1"`
+    /// becomes `"sow-1"`, a hex digit another one): the line stays JSON.
+    fn flip_field(line: &str, field: &str) -> Vec<u8> {
+        let at = line.find(&format!("\"{field}\":\"")).unwrap() + field.len() + 4;
+        let mut bytes = line.as_bytes().to_vec();
+        bytes[at] ^= 1;
+        bytes
+    }
+
+    #[test]
+    fn corruption_before_the_final_line_is_skipped_and_counted() {
+        let dir = scratch_dir("midcorrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let good = {
             let key = ContentKey::of("spec-ok");
@@ -806,24 +791,125 @@ mod tests {
             format!("not json at all\n{good}\n"),
         )
         .unwrap();
-        let err = ResultCache::with_cold_tier(&dir).unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
+        let (cache, registry) = observed(CacheConfig {
+            cold_dir: Some(dir.clone()),
+            hot_budget_bytes: None,
+        });
+        assert_eq!(quarantined(&registry), 1);
+        let hit = cache.lookup(&ContentKey::of("spec-ok")).unwrap();
+        assert_eq!(hit.row(), "row-ok", "a record without a digest is trusted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn corrupt_cold_tier_is_rejected() {
-        let dir =
-            std::env::temp_dir().join(format!("ebird_serve_cache_corrupt_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_key_off_its_spec_is_skipped_counted_and_recomputed() {
+        let dir = scratch_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join("results.jsonl"),
             "{\"key\":\"00000000000000000000000000000000\",\"spec\":\"s\",\"row\":\"r\"}\n",
         )
         .unwrap();
-        let err = ResultCache::with_cold_tier(&dir).unwrap_err();
-        assert!(err.contains("does not address"), "{err}");
+        for restart in 0..2 {
+            let (cache, registry) = observed(CacheConfig {
+                cold_dir: Some(dir.clone()),
+                hot_budget_bytes: None,
+            });
+            // The line stays in the file: every restart counts it again,
+            // and the recomputed record appended after it loads.
+            assert_eq!(quarantined(&registry), 1, "restart {restart}");
+            let key = ContentKey::of("s");
+            if restart == 0 {
+                assert!(cache.lookup(&key).is_none());
+                cache.insert(&key, "r".into());
+                cache.flush().unwrap();
+            } else {
+                assert_eq!(cache.lookup(&key).unwrap().row(), "r");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_unproven_line_is_skipped_counted_once_and_never_served() {
+        let dir = scratch_dir("unproven");
+        let specs = ["spec-0", "spec-1", "spec-2"].map(ContentKey::of);
+        {
+            let cache = ResultCache::with_cold_tier(&dir).unwrap();
+            for (i, key) in specs.iter().enumerate() {
+                cache.insert(key, format!("row-{i}"));
+            }
+            cache.flush().unwrap();
+        }
+        let path = dir.join("results.jsonl");
+        let written = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = written.lines().collect();
+        // Each case rewrites the middle record or adds a line after it:
+        // the file loads, counts one line, and every lookup is either the
+        // row inserted or a miss.
+        let cases: [(&str, Vec<u8>, bool); 6] = [
+            ("key", flip_field(lines[1], "key"), false),
+            ("spec", flip_field(lines[1], "spec"), false),
+            ("row", flip_field(lines[1], "row"), false),
+            ("digest", flip_field(lines[1], "digest"), false),
+            (
+                "non-UTF-8",
+                [lines[1].as_bytes(), b"\n\xff\xfe"].concat(),
+                true,
+            ),
+            (
+                "non-JSON",
+                [lines[1], "\nnot json"].concat().into_bytes(),
+                true,
+            ),
+        ];
+        for (case, middle, kept) in cases {
+            let file = [
+                lines[0].as_bytes(),
+                b"\n",
+                &middle,
+                b"\n",
+                lines[2].as_bytes(),
+                b"\n",
+            ]
+            .concat();
+            std::fs::write(&path, file).unwrap();
+            let (cache, registry) = observed(CacheConfig {
+                cold_dir: Some(dir.clone()),
+                hot_budget_bytes: None,
+            });
+            assert_eq!(quarantined(&registry), 1, "{case}");
+            for (i, key) in specs.iter().enumerate() {
+                let got = cache.lookup(key).map(|row| row.row().to_string());
+                let want = (i != 1 || kept).then(|| format!("row-{i}"));
+                assert_eq!(got, want, "{case}: spec-{i}");
+            }
+        }
+
+        // A point read applies the same check: with nothing resident, a
+        // record corrupted after open misses, counts, and the recomputed
+        // row's record reads back.
+        std::fs::write(&path, &written).unwrap();
+        let (cache, registry) = observed(CacheConfig {
+            cold_dir: Some(dir.clone()),
+            hot_budget_bytes: Some(1),
+        });
+        assert_eq!((cache.len(), quarantined(&registry)), (0, 0));
+        let middle_at = lines[0].len() + 1;
+        let mut file = [
+            &written.as_bytes()[..middle_at],
+            &flip_field(lines[1], "row")[..],
+        ]
+        .concat();
+        file.extend_from_slice(&written.as_bytes()[middle_at + lines[1].len()..]);
+        std::fs::write(&path, file).unwrap();
+        assert!(cache.lookup(&specs[1]).is_none());
+        assert_eq!(quarantined(&registry), 1);
+        assert_eq!(cache.lookup(&specs[0]).unwrap().row(), "row-0");
+        cache.insert(&specs[1], "row-1".into());
+        assert_eq!(cache.lookup(&specs[1]).unwrap().row(), "row-1");
+        assert_eq!(quarantined(&registry), 1);
+        assert_eq!(tallies(&registry), (2, 1, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

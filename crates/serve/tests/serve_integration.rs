@@ -483,6 +483,59 @@ fn cold_tier_survives_server_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A cold record whose row changed on disk is never served: after a
+/// restart its cell is missing (`fetch` is incomplete by one), the line is
+/// counted in `serve.cache.quarantined`, and a resubmit recomputes exactly
+/// that cell, so every row again equals the offline table's.
+#[test]
+fn a_cold_row_changed_on_disk_is_quarantined_and_recomputed() {
+    let dir = std::env::temp_dir().join(format!("ebird_serve_flipped_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let smoke = MatrixSource::Preset("smoke".into());
+    let config = || ServerConfig {
+        threads: 2,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start_server(config());
+    assert_eq!(submit(&addr, &smoke, 0).unwrap().footer.computed, 48);
+    shutdown_and_join(&addr, handle);
+
+    // One digit of the first record's `completion_ms`, changed in place.
+    let path = dir.join("results.jsonl");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let field = b"completion_ms\\\":";
+    let at = bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("the first row has a completion time")
+        + field.len();
+    assert!(at < bytes.iter().position(|&b| b == b'\n').unwrap());
+    assert!(bytes[at].is_ascii_digit());
+    bytes[at] = if bytes[at] == b'9' {
+        b'0'
+    } else {
+        bytes[at] + 1
+    };
+    std::fs::write(&path, bytes).unwrap();
+
+    let (addr, handle) = start_server(config());
+    let err = client::fetch_streaming(&addr, &smoke, |_| {}).unwrap_err();
+    assert!(err.contains("incomplete: 1 of 48"), "{err}");
+    let metrics = client::metrics(&addr).unwrap();
+    assert_eq!(metrics.counter("serve.cache.quarantined"), 1);
+    let resubmit = submit(&addr, &smoke, 0).unwrap();
+    assert_eq!((resubmit.footer.cached, resubmit.footer.computed), (47, 1));
+    let offline: Vec<String> = run_matrix(&ScenarioMatrix::smoke(), &Pool::new(2))
+        .unwrap()
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    assert_eq!(resubmit.rows, offline, "the changed row is never served");
+    shutdown_and_join(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn shutdown_is_not_stalled_by_a_partial_request_line() {
     use std::io::Write as _;

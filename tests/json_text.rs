@@ -54,7 +54,7 @@ fn json_text_is_pinned() {
     let cold = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(digest(&keys_and_rows), "958a3f3ddbdd7cfd9af76f121477d294");
-    assert_eq!(digest(&cold), "1dde7135bc197bac90d28e7dd834259f");
+    assert_eq!(digest(&cold), "b690c6d1f9771a21e7f0638bc6c9e9b5");
 
     // One reply line per request shape.
     let preset = |name: &str| MatrixSource::Preset(name.into());

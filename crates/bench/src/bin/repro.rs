@@ -158,13 +158,24 @@ fn usage() -> String {
     )
 }
 
+/// A command line `repro` cannot read prints its error and the usage text
+/// and exits 2; a run that fails — a server's refusal, an unreachable
+/// address, an unwritable file — prints its error alone and exits 1.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = run(&args) {
+    let (opts, experiment) = match parse_args(&args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => return,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!();
+            eprint!("{}", usage());
+            std::process::exit(2);
+        }
+    };
+    if let Err(msg) = run(&opts, experiment) {
         eprintln!("error: {msg}");
-        eprintln!();
-        eprint!("{}", usage());
-        std::process::exit(2);
+        std::process::exit(1);
     }
 }
 
@@ -220,7 +231,9 @@ where
     v.parse().map_err(|e| format!("bad {what} `{v}`: {e}"))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Reads the command line into the options and the experiment or verb it
+/// names; `None` when it asked for `--help`, which is printed here.
+fn parse_args(args: &[String]) -> Result<Option<(Options, &str)>, String> {
     let mut opts = Options {
         config: JobConfig::paper_scale(),
         seed: DEFAULT_SEED,
@@ -244,7 +257,7 @@ fn run(args: &[String]) -> Result<(), String> {
         match flag.as_str() {
             "--help" | "-h" => {
                 print!("{}", usage());
-                return Ok(());
+                return Ok(None);
             }
             "--scale" => {
                 let v = value()?;
@@ -295,18 +308,31 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let experiment = experiment.ok_or("no experiment given")?;
+    let known = EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(VERBS.iter().map(|(name, _)| *name))
+        .chain(["all"])
+        .any(|name| name == experiment);
+    if !known {
+        return Err(format!("unknown experiment `{experiment}`"));
+    }
+    Ok(Some((opts, experiment)))
+}
+
+/// Runs the experiment or verb `parse_args` read.
+fn run(opts: &Options, experiment: &str) -> Result<(), String> {
     if experiment == "metrics" && opts.addr.is_some() {
-        return cmd_server_metrics(&opts);
+        return cmd_server_metrics(opts);
     }
     if let Some((_, verb)) = VERBS.iter().find(|(name, _)| *name == experiment) {
-        return verb(&opts);
+        return verb(opts);
     }
     let runners = match EXPERIMENTS.iter().position(|(name, _)| *name == experiment) {
         Some(i) => &EXPERIMENTS[i..=i],
-        None if experiment == "all" => &EXPERIMENTS[..],
-        None => return Err(format!("unknown experiment `{experiment}`")),
+        None => &EXPERIMENTS[..],
     };
-    let campaign = Campaign::load(&opts)?;
+    let campaign = Campaign::load(opts)?;
     runners.iter().try_for_each(|(_, runner)| runner(&campaign))
 }
 
@@ -852,6 +878,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             cache_dir: opts.cache_dir.clone(),
             hot_bytes: opts.hot_bytes,
             queue_bound: opts.queue_bound,
+            ..ebird_serve::ServerConfig::default()
         },
     )
 }

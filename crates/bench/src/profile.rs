@@ -404,7 +404,8 @@ mod tests {
         // The sample count renders as itself, beside its footprint.
         let samples = next(&mut sentinels);
         registry.counter(TRACE_SAMPLES).add(samples);
-        sentinels.push(format!("traces: {samples} samples × 8 B"));
+        let width = std::mem::size_of::<ThreadSample>();
+        sentinels.push(format!("traces: {samples} samples × {width} B"));
         let rendered = render_profile(&registry.snapshot(), 1);
         for s in sentinels {
             assert!(
@@ -456,7 +457,8 @@ mod tests {
         let registry = Arc::new(Registry::wall());
         let rendered = render_profile(&registry.snapshot(), 2);
         assert!(rendered.contains("µs/unit"));
-        assert!(rendered.contains("traces: 0 samples × 8 B = 0.0 MiB"));
+        let width = std::mem::size_of::<ThreadSample>();
+        assert!(rendered.contains(&format!("traces: 0 samples × {width} B = 0.0 MiB")));
         assert!(rendered.contains("normality-sweep fast path"));
         assert!(rendered.contains("0 hits / 0 misses (0.0% hit rate)"));
         assert!(rendered.contains("fork/join overhead"));

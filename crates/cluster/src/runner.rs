@@ -35,6 +35,19 @@ pub enum RunnerError {
         /// The application's description of the violation.
         message: String,
     },
+    /// A measured sample reached [`ThreadSample::CEILING_NS`] (≈ 4.29 s),
+    /// the largest compute time a sample holds: filing it would record the
+    /// ceiling, not the measurement.
+    SampleOverflow {
+        /// Trial index of the sample.
+        trial: usize,
+        /// Rank index of the sample.
+        rank: usize,
+        /// Iteration index of the sample.
+        iteration: usize,
+        /// Thread index of the sample.
+        thread: usize,
+    },
 }
 
 impl std::fmt::Display for RunnerError {
@@ -48,6 +61,17 @@ impl std::fmt::Display for RunnerError {
             } => write!(
                 f,
                 "app invariant violated at trial {trial} rank {rank}: {message}"
+            ),
+            RunnerError::SampleOverflow {
+                trial,
+                rank,
+                iteration,
+                thread,
+            } => write!(
+                f,
+                "sample at (trial, rank, iteration, thread) = ({trial}, {rank}, {iteration}, {thread}) \
+                 reached the {} ns ceiling a sample holds",
+                ThreadSample::CEILING_NS
             ),
         }
     }
@@ -94,6 +118,8 @@ pub enum RealTiming {
 /// metered `ns_per_op` is not finite-positive, or an iteration yields a
 /// per-thread vector whose length is not `cfg.threads` (the message names
 /// the app, `(trial, rank, iteration)` and both lengths);
+/// [`RunnerError::SampleOverflow`] if a sample reaches
+/// [`ThreadSample::CEILING_NS`] — measured samples are never clipped;
 /// [`RunnerError::AppInvariant`] if any instance fails [`ProxyApp::verify`]
 /// after its run.
 ///
@@ -159,6 +185,19 @@ where
                         samples.len(),
                         cfg.threads
                     )));
+                }
+                // A sample is filed only below the ceiling: one at it may
+                // stand for a longer measurement `ThreadSample::new` cut.
+                if let Some(thread) = samples
+                    .iter()
+                    .position(|s| s.compute_time_ns() >= ThreadSample::CEILING_NS)
+                {
+                    return Err(RunnerError::SampleOverflow {
+                        trial,
+                        rank,
+                        iteration,
+                        thread,
+                    });
                 }
                 column.extend_from_slice(&samples);
             }
@@ -346,6 +385,73 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_sample_past_the_ceiling_ends_the_campaign_with_its_coordinates() {
+        // Rank 1's thread 1 takes 5 s in iteration 1: past what a sample
+        // holds, so neither timing files a trace.
+        struct Stalls {
+            rank: usize,
+            steps: usize,
+        }
+        impl Stalls {
+            fn ns(&self, thread: usize) -> u64 {
+                if self.rank == 1 && self.steps == 2 && thread == 1 {
+                    5_000_000_000
+                } else {
+                    1_000
+                }
+            }
+        }
+        impl ebird_apps::ProxyApp for Stalls {
+            fn name(&self) -> &'static str {
+                "Stalls"
+            }
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
+                self.steps += 1;
+                match clock {
+                    Some(_) => (0..pool.threads())
+                        .map(|t| ThreadSample::new(0, self.ns(t)))
+                        .collect(),
+                    None => Vec::new(),
+                }
+            }
+            fn thread_ops(&self, threads: usize) -> Vec<u64> {
+                // One op is 1 000 ns at the rate below.
+                (0..threads).map(|t| self.ns(t) / 1_000).collect()
+            }
+            fn verify(&self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        let cfg = JobConfig::new(1, 2, 3, 2);
+        for timing in [RealTiming::Wall, RealTiming::Metered { ns_per_op: 1_000.0 }] {
+            let err =
+                run_real_campaign(&cfg, |_, rank| Box::new(Stalls { rank, steps: 0 }), timing)
+                    .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RunnerError::SampleOverflow {
+                        trial: 0,
+                        rank: 1,
+                        iteration: 1,
+                        thread: 1
+                    }
+                ),
+                "{timing:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("4294967295 ns ceiling"), "{err}");
+        }
+        // Just below the ceiling, the same campaign files its trace.
+        let trace = run_real_campaign(
+            &cfg,
+            |_, rank| Box::new(Stalls { rank, steps: 0 }),
+            RealTiming::Metered { ns_per_op: 858.0 },
+        )
+        .unwrap();
+        assert_eq!(trace.samples()[9].compute_time_ns(), 4_290_000_000);
     }
 
     #[test]

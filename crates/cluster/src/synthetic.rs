@@ -104,6 +104,11 @@ pub struct SyntheticApp {
 const STREAM_SAMPLES: u64 = 0x01;
 const STREAM_RANK_FACTOR: u64 = 0x02;
 
+/// The largest compute time a sample holds ([`ThreadSample::CEILING_NS`],
+/// ≈ 4.29 s), in milliseconds: the bound every generated draw is clamped
+/// to.
+const CEILING_MS: f64 = ThreadSample::CEILING_NS as f64 / 1.0e6;
+
 /// Mixes words into a single 64-bit seed (SplitMix64 finalizer chain).
 /// Crate-visible so the workload mixture picker can derive its own
 /// domain-separated streams from the same primitive.
@@ -487,10 +492,14 @@ impl SyntheticApp {
             }
             // Compute times are physically positive; clamp far below any
             // calibrated median so the clamp never engages in practice.
-            *slot = x.max(0.01 * phase.median_ms);
+            // Above, a sample holds at most `CEILING_MS` (≈ 4.29 s, 40× the
+            // largest calibrated draw): only an inline model whose draws
+            // pass it engages that clamp, and its trace then reads the
+            // ceiling where the draw went past.
+            *slot = x.max(0.01 * phase.median_ms).min(CEILING_MS);
         }
         if let Some((victim, delay_ms)) = phase.laggards.draw(threads, &mut rng) {
-            out[victim] += delay_ms;
+            out[victim] = (out[victim] + delay_ms).min(CEILING_MS);
         }
     }
 
@@ -853,6 +862,39 @@ mod tests {
         for app in SyntheticApp::all() {
             SyntheticApp::try_from_model(app.model().clone()).unwrap();
         }
+    }
+
+    /// `try_from_model` admits medians far past what a sample holds; the
+    /// generator clamps every draw at the ceiling rather than letting the
+    /// sample constructor cut it, on any pool.
+    #[test]
+    fn an_inline_model_past_the_ceiling_generates_the_ceiling() {
+        let mut m = SyntheticApp::minife().model().clone();
+        m.name = "slow".into();
+        m.phases[0].median_ms = 5_000.0;
+        let app = SyntheticApp::try_from_model(m).unwrap();
+        let cfg = JobConfig::new(1, 2, 3, 8);
+        let shape = cfg.shape();
+        let draws: Vec<f64> = (0..shape.process_iterations())
+            .flat_map(|unit| {
+                let (trial, rank, iteration) = shape.unit_coords(unit);
+                app.process_iteration_ms(11, trial, rank, iteration, cfg.threads)
+            })
+            .collect();
+        assert!(draws.iter().all(|&ms| ms <= CEILING_MS));
+        let clamped = draws.iter().filter(|&&ms| ms == CEILING_MS).count();
+        assert!(clamped > 0, "a 5 s median reaches the ceiling");
+
+        let serial = app.generate(&cfg, 11);
+        let at_ceiling = |trace: &TimingTrace| {
+            trace
+                .samples()
+                .iter()
+                .filter(|s| s.compute_time_ns() == ThreadSample::CEILING_NS)
+                .count()
+        };
+        assert_eq!(at_ceiling(&serial), clamped);
+        assert_eq!(app.generate_parallel(&cfg, 11, &Pool::new(3)), serial);
     }
 
     #[test]

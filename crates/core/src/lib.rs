@@ -1,6 +1,6 @@
 //! # ebird-core
 //!
-//! The instrumentation core of the `early-bird` workspace: the one-word
+//! The instrumentation core of the `early-bird` workspace: the half-word
 //! sample of the paper's Listing 1 (`clock_gettime` around an
 //! `omp for nowait` loop) plus the in-memory store and indexing machinery
 //! for the resulting data set. The stamps themselves are taken by
@@ -17,10 +17,11 @@
 //!   Instead the derived **compute time** `exit − enter` is the unit of
 //!   analysis — subtraction cancels per-core offsets. The subtraction happens
 //!   once, where the stamps are taken ([`ThreadSample::new`]); a stored
-//!   sample *is* its compute time, one `u64` of nanoseconds.
+//!   sample *is* its compute time, one `u32` of nanoseconds (≈ 4.29 s at
+//!   most; see [`ThreadSample::CEILING_NS`]).
 //! * The full data set is indexed by `(trial, rank, iteration, thread)`:
 //!   10 × 8 × 200 × 48 = 768,000 samples per application in the paper
-//!   (5.9 MiB resident).
+//!   (2.9 MiB resident).
 //!
 //! Modules:
 //!

@@ -12,37 +12,59 @@ use crate::CoreError;
 /// Raw stamps are **not** comparable across threads, so they are not kept:
 /// [`new`](ThreadSample::new) subtracts them once, where they are taken,
 /// which cancels the per-core clock offset — the paper's derived metric and
-/// the only number any analysis stage reads. A sample is one machine word,
-/// and a sample with `exit < enter` cannot be represented.
+/// the only number any analysis stage reads. A sample is half a machine
+/// word, a `u32` of nanoseconds, and a sample with `exit < enter` cannot be
+/// represented.
+///
+/// # The ceiling
+/// A `u32` holds [`CEILING_NS`](ThreadSample::CEILING_NS) ≈ 4.29 s, 40×
+/// the largest paper-scale sample (102.1 ms, MiniQMC at the default seed):
+/// the paper's samples are millisecond-scale loop timings. Nothing past it
+/// is clipped silently; each way a sample enters a trace has one rule:
+/// - [`new`](ThreadSample::new) saturates at the ceiling, as it saturates
+///   at 0 for a corrupt pair, so a reader can tell a clipped sample by its
+///   value;
+/// - synthetic generation clamps each draw above at the ceiling, beside
+///   its clamp below at 0.01 × the median — only an inline model whose
+///   draws pass 4.29 s reaches it;
+/// - a measured campaign (`ebird_cluster::run_real_campaign`, wall-clock or
+///   work-metered) refuses a sample at the ceiling with a typed error
+///   instead of filing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadSample {
-    compute_ns: u64,
+    compute_ns: u32,
 }
 
 impl ThreadSample {
+    /// The largest compute time a sample holds, in nanoseconds (`u32::MAX`,
+    /// ≈ 4.29 s); [`new`](Self::new) saturates here.
+    pub const CEILING_NS: u64 = u32::MAX as u64;
+
     /// Creates a sample from the stamp taken when the thread entered the
     /// work-sharing loop (after the synchronizing barrier of Listing 1) and
     /// the one taken when it left (`nowait`: no barrier first).
     /// Debug-asserts monotonicity; a release build stores zero for a corrupt
-    /// pair rather than panicking in an analysis run.
+    /// pair rather than panicking in an analysis run. A compute time past
+    /// [`CEILING_NS`](Self::CEILING_NS) saturates there.
     #[inline]
     pub fn new(enter_ns: u64, exit_ns: u64) -> Self {
         debug_assert!(exit_ns >= enter_ns, "exit {exit_ns} < enter {enter_ns}");
+        let compute_ns = exit_ns.saturating_sub(enter_ns);
         ThreadSample {
-            compute_ns: exit_ns.saturating_sub(enter_ns),
+            compute_ns: u32::try_from(compute_ns).unwrap_or(u32::MAX),
         }
     }
 
     /// The paper's *compute time*: elapsed nanoseconds inside the loop.
     #[inline]
     pub fn compute_time_ns(&self) -> u64 {
-        self.compute_ns
+        u64::from(self.compute_ns)
     }
 
     /// Compute time in milliseconds (the paper's reporting unit).
     #[inline]
     pub fn compute_time_ms(&self) -> f64 {
-        ns_to_ms(self.compute_ns)
+        ns_to_ms(self.compute_time_ns())
     }
 }
 
@@ -147,6 +169,18 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "exit 50 < enter 100"))]
     fn corrupt_stamps_saturate_to_zero() {
         assert_eq!(ThreadSample::new(100, 50).compute_time_ns(), 0);
+    }
+
+    /// Past the ceiling, `new` saturates rather than wrapping.
+    #[test]
+    fn an_over_ceiling_compute_time_saturates() {
+        assert_eq!(ThreadSample::CEILING_NS, 4_294_967_295);
+        let s = ThreadSample::new(0, 5_000_000_000);
+        assert_eq!(s.compute_time_ns(), ThreadSample::CEILING_NS);
+        assert_eq!(ThreadSample::new(7, 7 + ThreadSample::CEILING_NS), s);
+        let below = ThreadSample::new(0, ThreadSample::CEILING_NS - 1);
+        assert_eq!(below.compute_time_ns(), ThreadSample::CEILING_NS - 1);
+        assert_eq!(std::mem::size_of::<ThreadSample>(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's data set per application is 10 trials × 8 ranks ×
 //! 200 iterations × 48 threads = 768,000 samples. The trace stores them as
-//! one dense column of compute times — 8 bytes a sample, 5.9 MiB per
+//! one dense column of compute times — 4 bytes a sample, 2.9 MiB per
 //! application at that scale — with *thread* innermost, so one
 //! **process-iteration** — the paper's finest aggregation unit (one rank's
 //! thread pool in one iteration) — is a contiguous slice, and one

@@ -6,11 +6,12 @@
 //! client printing them reproduces the server's bytes exactly (the property
 //! the CI serve-smoke diff checks).
 //!
-//! A `submit` refused by the server's admission control (the structured
-//! `overloaded` reply) is retried under a bounded [`RetryPolicy`]:
+//! A call the server refuses for load (the structured `overloaded` reply:
+//! a `submit` past the job queue's bound, or any connection past the
+//! server's connection cap) is retried under a bounded [`RetryPolicy`]:
 //! exponential backoff with jitter, floored at the server's own
-//! `retry_after_ms` hint. Only `submit` retries — `fetch` never schedules
-//! work and cannot be refused for load.
+//! `retry_after_ms` hint. `submit` takes the caller's policy; every other
+//! call retries under [`RetryPolicy::default`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -163,16 +164,20 @@ impl Connection {
     }
 }
 
-/// One attempt's resolution: the stream completed, or the server refused it
+/// One attempt's resolution: the reply arrived, or the server refused it
 /// for load and the caller may retry.
-enum Attempt {
-    Done(SubmitOutcome),
+enum Attempt<T> {
+    Done(T),
     Overloaded(OverloadedReply),
 }
 
 /// Recognizes the structured `overloaded` refusal (distinct from a terminal
 /// [`ErrorReply`](crate::protocol::ErrorReply) by its `overloaded` marker).
+/// Only a refusal (`{"ok":false…`) is parsed.
 fn parse_overloaded(line: &str) -> Option<OverloadedReply> {
+    if !line.starts_with("{\"ok\":false") {
+        return None;
+    }
     let value: Value = serde_json::from_str(line).ok()?;
     let entries = value.as_object()?;
     match get_field(entries, "overloaded") {
@@ -189,7 +194,7 @@ fn streamed_once(
     addr: &str,
     request: &Request,
     on_row: &mut impl FnMut(&str),
-) -> Result<Attempt, String> {
+) -> Result<Attempt<SubmitOutcome>, String> {
     let mut conn = Connection::open(addr)?;
     conn.send(request)?;
     let first = conn.read_line()?;
@@ -236,20 +241,18 @@ fn streamed_once(
     }))
 }
 
-/// Runs [`streamed_once`] under `policy`, sleeping between `overloaded`
-/// refusals. A non-overload error is terminal on any attempt.
-fn streamed_with_retry(
-    addr: &str,
-    request: &Request,
+/// Runs `once` under `policy`, sleeping between `overloaded` refusals. A
+/// non-overload error is terminal on any attempt.
+fn with_retry<T>(
     policy: &RetryPolicy,
-    mut on_row: impl FnMut(&str),
-) -> Result<SubmitOutcome, String> {
+    mut once: impl FnMut() -> Result<Attempt<T>, String>,
+) -> Result<T, String> {
     let attempts = policy.max_attempts.max(1);
     let seed = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0x9e37_79b9, |d| u64::from(d.subsec_nanos()));
     for attempt in 0..attempts {
-        match streamed_once(addr, request, &mut on_row)? {
+        match once()? {
             Attempt::Done(outcome) => return Ok(outcome),
             Attempt::Overloaded(refusal) => {
                 if attempt + 1 < attempts {
@@ -282,21 +285,18 @@ pub fn submit_with_retry(
     matrix: &MatrixSource,
     priority: i64,
     policy: &RetryPolicy,
-    on_row: impl FnMut(&str),
+    mut on_row: impl FnMut(&str),
 ) -> Result<SubmitOutcome, String> {
-    streamed_with_retry(
-        addr,
-        &Request::Submit {
-            matrix: matrix.clone(),
-            priority,
-        },
-        policy,
-        on_row,
-    )
+    let request = Request::Submit {
+        matrix: matrix.clone(),
+        priority,
+    };
+    with_retry(policy, || streamed_once(addr, &request, &mut on_row))
 }
 
 /// Fetches a matrix's rows from the cache only (errors if incomplete),
-/// handing each row to `on_row` as it arrives.
+/// handing each row to `on_row` as it arrives. A fetch schedules no work,
+/// so only the connection cap refuses it for load.
 ///
 /// # Errors
 /// See [`submit_with_retry`]; additionally the server's `incomplete` error.
@@ -305,29 +305,27 @@ pub fn fetch_streaming(
     matrix: &MatrixSource,
     mut on_row: impl FnMut(&str),
 ) -> Result<SubmitOutcome, String> {
-    match streamed_once(
-        addr,
-        &Request::Fetch {
-            matrix: matrix.clone(),
-        },
-        &mut on_row,
-    )? {
-        Attempt::Done(outcome) => Ok(outcome),
-        // `fetch` never schedules work; a refusal here would be a protocol
-        // violation. Refuse to loop on it.
-        Attempt::Overloaded(refusal) => Err(format!(
-            "server refused a fetch as overloaded (protocol violation): {}",
-            refusal.error
-        )),
-    }
+    let request = Request::Fetch {
+        matrix: matrix.clone(),
+    };
+    with_retry(&RetryPolicy::default(), || {
+        streamed_once(addr, &request, &mut on_row)
+    })
 }
 
 /// One single-line exchange: open a connection, send `request`, and parse
-/// the one reply line as `T` ([`checked`]).
+/// the one reply line as `T` ([`checked`]), retrying a refusal at the
+/// connection cap.
 fn exchange<T: Deserialize>(addr: &str, request: &Request) -> Result<T, String> {
-    let mut conn = Connection::open(addr)?;
-    conn.send(request)?;
-    checked(&conn.read_line()?)
+    with_retry(&RetryPolicy::default(), || {
+        let mut conn = Connection::open(addr)?;
+        conn.send(request)?;
+        let line = conn.read_line()?;
+        match parse_overloaded(&line) {
+            Some(refusal) => Ok(Attempt::Overloaded(refusal)),
+            None => checked(&line).map(Attempt::Done),
+        }
+    })
 }
 
 /// Asks for the service counters.
@@ -385,6 +383,10 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
     out.push_str(&format!(
         "  cells: {} computed, {} coalesced; {} submit(s) refused overloaded; {} pricing panic(s) recovered\n",
         s.computed, s.coalesced, s.overloaded, s.recovered
+    ));
+    out.push_str(&format!(
+        "  connections: cap {}; {} refused at the cap; {} closed idle\n",
+        s.max_connections, s.connections_refused, s.idle_closed
     ));
     out
 }
@@ -608,9 +610,12 @@ mod tests {
             recovered: 118,
             submits: 116,
             threads: 117,
+            max_connections: 120,
+            connections_refused: 121,
+            idle_closed: 122,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
-        for sentinel in 101..=119 {
+        for sentinel in 101..=122 {
             assert!(
                 rendered.contains(&sentinel.to_string()),
                 "field with sentinel value {sentinel} missing from rendered status:\n{rendered}"
@@ -676,6 +681,9 @@ mod tests {
             recovered: 0,
             submits: 0,
             threads: 1,
+            max_connections: 64,
+            connections_refused: 0,
+            idle_closed: 0,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
         assert_eq!(rendered.matches("unbounded").count(), 2);

@@ -247,10 +247,11 @@ pub struct TraceReply {
 /// admitted, older records leaving as newer ones arrive.
 pub const TRACE_RING: usize = 256;
 
-/// Reply to a `submit` refused by admission control: the job queue is
-/// saturated, so the server sheds the request instead of accepting
-/// unbounded work. The client should retry after `retry_after_ms`
-/// (the built-in client does, with exponential backoff and jitter).
+/// Reply to a `submit` refused by admission control (the job queue is
+/// saturated), or to any connection past the server's connection cap: the
+/// server sheds the request instead of accepting unbounded work. The client
+/// should retry after `retry_after_ms` (the built-in client does, with
+/// exponential backoff and jitter).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverloadedReply {
     /// Always `false` — an overload is a refusal, framed like an error.
@@ -325,6 +326,18 @@ pub struct StatusReply {
     pub submits: u64,
     /// Worker-pool size.
     pub threads: usize,
+    /// Connections served at once; one past it is refused (`0` in replies
+    /// from servers without a cap).
+    #[serde(default)]
+    pub max_connections: usize,
+    /// Connections refused at the cap with an [`OverloadedReply`] since
+    /// start.
+    #[serde(default)]
+    pub connections_refused: u64,
+    /// Connections closed for sending no request within the idle limit
+    /// since start.
+    #[serde(default)]
+    pub idle_closed: u64,
 }
 
 /// One counter in a [`MetricsReply`].

@@ -42,6 +42,13 @@
 //! an S3-FIFO byte budget ([`ServerConfig::hot_bytes`]); evicted rows stay
 //! reachable through the cold tier's point-read index.
 //!
+//! Connections are bounded the same way: at most
+//! [`ServerConfig::max_connections`] are served at once, and the next one
+//! gets one `overloaded` line and is closed; a connection that sends no
+//! complete request within [`ServerConfig::idle_limit`] of opening or of
+//! its last reply is closed, so idle clients hold no handler thread for
+//! long.
+//!
 //! Shutdown is graceful by construction: the `shutdown` verb stops the
 //! acceptor, every open connection finishes its current request, the queue
 //! closes and drains (in-flight jobs complete; their submissions stream to
@@ -49,7 +56,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -68,8 +75,9 @@ use crate::protocol::{
 };
 use crate::scenario::{price_group, ResolvedCell, ScenarioRow};
 
-/// How long a connection read blocks before re-checking the stop flag, so
-/// idle keep-alive clients cannot stall a graceful shutdown.
+/// How long a connection read blocks before re-checking the stop flag and
+/// the idle limit, so idle keep-alive clients cannot stall a graceful
+/// shutdown (shorter when [`ServerConfig::idle_limit`] is).
 const READ_POLL: Duration = Duration::from_millis(200);
 
 /// How long a reply write may block before the client is considered stalled
@@ -90,6 +98,20 @@ const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 /// stays bounded when submitters outrun the workers.
 pub const DEFAULT_QUEUE_BOUND: usize = 1024;
 
+/// Default cap on connections served at once: far above the handful a
+/// campaign's clients open, low enough that a crowd of idle clients cannot
+/// hold an unbounded number of handler threads.
+const DEFAULT_MAX_CONNECTIONS: usize = 64;
+
+/// Default idle limit between requests: as long as a reply write may stall
+/// ([`WRITE_STALL_LIMIT`]).
+const DEFAULT_IDLE_LIMIT: Duration = WRITE_STALL_LIMIT;
+
+/// Bytes of a refused connection's request read off before it is closed —
+/// enough for any request a client sends before reading its reply — so the
+/// close reaches the client after the refusal line instead of resetting it.
+const REFUSAL_DRAIN_BYTES: usize = 64 << 10;
+
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -106,6 +128,13 @@ pub struct ServerConfig {
     /// `submit` whose uncached, un-coalesced cells would push the queue past
     /// this depth is refused whole with an `overloaded` reply.
     pub queue_bound: usize,
+    /// Connections served at once (at least 1). One accepted past it gets a
+    /// single `overloaded` line and is closed.
+    pub max_connections: usize,
+    /// How long a connection may take, from opening or from its last
+    /// reply, to send a complete request line before the server closes it
+    /// (non-zero).
+    pub idle_limit: Duration,
 }
 
 impl Default for ServerConfig {
@@ -115,6 +144,8 @@ impl Default for ServerConfig {
             cache_dir: None,
             hot_bytes: None,
             queue_bound: DEFAULT_QUEUE_BOUND,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
+            idle_limit: DEFAULT_IDLE_LIMIT,
         }
     }
 }
@@ -212,6 +243,13 @@ struct ServeMetrics {
     /// (`serve.worker.inflight_cells`; `status`'s `inflight`) — the queue's
     /// depth gauge (`serve.queue.depth`) is the cells still *waiting*.
     inflight_cells: Arc<Gauge>,
+    /// Connections refused at [`ServerConfig::max_connections`]
+    /// (`serve.connections.refused`; `status`'s `connections_refused`).
+    connections_refused: Arc<Counter>,
+    /// Connections closed for sending no request within
+    /// [`ServerConfig::idle_limit`] (`serve.connections.idle_closed`;
+    /// `status`'s `idle_closed`).
+    idle_closed: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -236,6 +274,8 @@ impl ServeMetrics {
             classify_ns: registry.histogram("serve.submit.classify_ns"),
             cells_priced: registry.counter("serve.cells.priced"),
             inflight_cells: registry.gauge("serve.worker.inflight_cells"),
+            connections_refused: registry.counter("serve.connections.refused"),
+            idle_closed: registry.counter("serve.connections.idle_closed"),
         }
     }
 
@@ -288,6 +328,8 @@ struct Shared {
     /// first, as `trace` answers them.
     traces: Mutex<VecDeque<TraceReply>>,
     threads: usize,
+    max_connections: usize,
+    idle_limit: Duration,
     addr: SocketAddr,
     stop: AtomicBool,
 }
@@ -311,6 +353,8 @@ impl Shared {
             last_request: AtomicU64::new(0),
             traces: Mutex::new(VecDeque::new()),
             threads: config.threads,
+            max_connections: config.max_connections,
+            idle_limit: config.idle_limit,
             addr,
             stop: AtomicBool::new(false),
         })
@@ -336,6 +380,12 @@ impl Server {
         }
         if config.queue_bound == 0 {
             return Err("queue bound must be at least 1 (use usize::MAX for unbounded)".into());
+        }
+        if config.max_connections == 0 {
+            return Err("connection cap must be at least 1".into());
+        }
+        if config.idle_limit.is_zero() {
+            return Err("idle limit must be non-zero".into());
         }
         let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
         let local = listener
@@ -378,6 +428,11 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
+                    connections.retain(|h| !h.is_finished());
+                    if connections.len() >= shared.max_connections {
+                        refuse_connection(stream, &shared);
+                        continue;
+                    }
                     let shared = Arc::clone(&shared);
                     // A spawn failure (thread exhaustion under load) refuses
                     // this one client; aborting the accept loop would skip
@@ -389,7 +444,6 @@ impl Server {
                         Ok(handle) => connections.push(handle),
                         Err(e) => eprintln!("ebird-serve: refusing connection: {e}"),
                     }
-                    connections.retain(|h| !h.is_finished());
                 }
                 Err(e) => {
                     if shared.stop.load(Ordering::SeqCst) {
@@ -505,7 +559,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<(), String> {
     let server = Server::bind(addr, config)?;
     let budget = server.shared.cache.hot_budget();
     eprintln!(
-        "# ebird-serve listening on {} ({} worker thread(s), cache {}, hot budget {}, queue bound {})",
+        "# ebird-serve listening on {} ({} worker thread(s), cache {}, hot budget {}, queue bound {}, {} connection(s), idle limit {} ms)",
         server.local_addr(),
         server.shared.threads,
         if server.shared.cache.is_empty() {
@@ -523,6 +577,8 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<(), String> {
         } else {
             server.shared.queue.capacity().to_string()
         },
+        server.shared.max_connections,
+        server.shared.idle_limit.as_millis(),
     );
     server.run()
 }
@@ -553,12 +609,16 @@ impl RequestLine {
     }
 }
 
-/// Reads one line, polling the stop flag between read timeouts. Returns
-/// `None` on EOF / connection error / server stop with nothing buffered, and
-/// [`RequestLine::Overlong`] for a line past [`MAX_REQUEST_LINE_BYTES`]: each
-/// read is capped at the room left (`Read::take`), because one `read_until`
-/// keeps appending for as long as bytes keep arriving.
+/// Reads one line, polling the stop flag and the idle limit between read
+/// timeouts. Returns `None` on EOF / connection error / server stop / no
+/// complete line within [`ServerConfig::idle_limit`] (counted in
+/// `serve.connections.idle_closed`), and [`RequestLine::Overlong`] for a
+/// line past [`MAX_REQUEST_LINE_BYTES`]: each read is capped at the room
+/// left (`Read::take`), because one `read_until` keeps appending for as long
+/// as bytes keep arriving.
 fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<RequestLine> {
+    let clock = &shared.metrics.registry;
+    let since_ns = clock.now_ns();
     let mut line = Vec::new();
     loop {
         let room = MAX_REQUEST_LINE_BYTES - line.len();
@@ -581,8 +641,14 @@ fn read_request_line(reader: &mut impl BufRead, shared: &Shared) -> Option<Reque
             {
                 // Abandon even a partially received request once the server
                 // is stopping — a client holding an unterminated line open
-                // must not stall the drain.
+                // must not stall the drain — or once the client has idled
+                // past the limit.
                 if shared.stop.load(Ordering::SeqCst) {
+                    return None;
+                }
+                let idle_ns = clock.now_ns().saturating_sub(since_ns);
+                if u128::from(idle_ns) >= shared.idle_limit.as_nanos() {
+                    shared.metrics.idle_closed.incr();
                     return None;
                 }
             }
@@ -617,7 +683,9 @@ fn reply_writer<W: Write>(inner: W, written: &Counter) -> BufWriter<CountingWrit
 /// One connection: serve requests until EOF, connection error, or shutdown.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL)).ok();
+    stream
+        .set_read_timeout(Some(READ_POLL.min(shared.idle_limit)))
+        .ok();
     stream.set_write_timeout(Some(WRITE_STALL_LIMIT)).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -772,6 +840,9 @@ fn status_reply(shared: &Shared) -> StatusReply {
         recovered: snap.counter("serve.worker.recovered"),
         submits: snap.counter("serve.submits.resolved"),
         threads: shared.threads,
+        max_connections: shared.max_connections,
+        connections_refused: snap.counter("serve.connections.refused"),
+        idle_closed: snap.counter("serve.connections.idle_closed"),
     }
 }
 
@@ -826,7 +897,25 @@ fn retry_after_hint(busy_ns: u64, computed: u64, queued: usize, threads: usize) 
     (drain_ns / 1_000_000).clamp(50, 2_000)
 }
 
-/// The `overloaded` refusal: counted, then written in place of the frame.
+/// The `overloaded` line with `queued` cells waiting: the retry hint is
+/// the team's drain estimate for them.
+fn overloaded_line(shared: &Shared, queued: usize, error: String) -> String {
+    reply_line(&OverloadedReply {
+        ok: false,
+        overloaded: true,
+        retry_after_ms: retry_after_hint(
+            shared.metrics.worker_busy_ns.get(),
+            shared.metrics.cells_priced.get(),
+            queued,
+            shared.threads,
+        ),
+        queued,
+        error,
+    })
+}
+
+/// The `overloaded` refusal of a submit: counted, then written in place of
+/// the frame.
 fn refuse_overloaded(
     shared: &Shared,
     queued: usize,
@@ -834,21 +923,39 @@ fn refuse_overloaded(
     writer: &mut impl Write,
 ) -> Result<(), String> {
     shared.metrics.submits_overloaded.incr();
-    write_line(
-        writer,
-        &reply_line(&OverloadedReply {
-            ok: false,
-            overloaded: true,
-            retry_after_ms: retry_after_hint(
-                shared.metrics.worker_busy_ns.get(),
-                shared.metrics.cells_priced.get(),
-                queued,
-                shared.threads,
-            ),
-            queued,
-            error,
-        }),
-    )
+    write_line(writer, &overloaded_line(shared, queued, error))
+}
+
+/// Answers a connection past [`ServerConfig::max_connections`] on the
+/// acceptor, without a thread: one `overloaded` line, then the write side
+/// closes. What the client already sent is read off first (up to
+/// [`REFUSAL_DRAIN_BYTES`], never waiting), so the close reaches it after
+/// the line instead of resetting the connection.
+fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
+    shared.metrics.connections_refused.incr();
+    let line = overloaded_line(
+        shared,
+        shared.queue.len(),
+        format!(
+            "connection limit: {} connections open",
+            shared.max_connections
+        ),
+    ) + "\n";
+    stream.set_write_timeout(Some(READ_POLL)).ok();
+    if stream.write_all(line.as_bytes()).is_ok() {
+        shared.metrics.bytes_written.add(line.len() as u64);
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        let mut drained = 0;
+        while drained < REFUSAL_DRAIN_BYTES {
+            match stream.read(&mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => drained += n,
+            }
+        }
+    }
 }
 
 /// A job the classify pass is assembling: the cells it will carry, their

@@ -1,11 +1,13 @@
 //! End-to-end tests of the campaign service over real TCP on an ephemeral
 //! port: protocol error replies, concurrent clients, the cache-hit
 //! bit-identity property, fetch semantics, offline-equality of streamed
-//! rows, and graceful shutdown (including cold-tier persistence across a
-//! server restart).
+//! rows, graceful shutdown (including cold-tier persistence across a
+//! server restart), and the connection cap and idle limit.
 
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ebird_cluster::WorkloadSpec;
 use ebird_runtime::Pool;
@@ -186,6 +188,46 @@ fn real_kernel_cell_round_trips_through_the_service_cache() {
     let second = submit(&addr, &source, 0).unwrap();
     assert_eq!((second.footer.cached, second.footer.computed), (1, 0));
     assert_eq!(second.rows, first.rows);
+    shutdown_and_join(&addr, handle);
+}
+
+#[test]
+fn an_over_ceiling_metered_cell_is_a_typed_error_line_never_a_row() {
+    // At a second per metered op, every MiniMD sample is past the ≈ 4.29 s
+    // a sample holds: the campaign refuses it, so the cell fails and
+    // nothing of it is cached.
+    use ebird_cluster::{RealKernelParams, WorkloadSpec};
+    let mut matrix = ScenarioMatrix::workload_smoke();
+    matrix.workloads = vec![WorkloadSpec::RealKernel {
+        app: "MiniMD".into(),
+        params: RealKernelParams {
+            ns_per_op: 1.0e9,
+            ..RealKernelParams::default()
+        },
+    }];
+    matrix.strategies = vec![ebird_partcomm::Strategy::EarlyBird];
+    matrix.threads = 4;
+    let offline = run_matrix(&matrix, &Pool::new(1)).unwrap_err();
+    assert!(offline.contains("ceiling"), "{offline}");
+
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 1,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let source = MatrixSource::Inline(matrix);
+    let mut rows = 0;
+    let err = client::submit_with_retry(&addr, &source, 0, &RetryPolicy::none(), |_| rows += 1)
+        .unwrap_err();
+    assert_eq!(rows, 0);
+    assert!(err.starts_with("server error: cell failed: "), "{err}");
+    assert!(
+        err.contains("sample at (trial, rank, iteration, thread) = (0, 0, 0, 0)"),
+        "{err}"
+    );
+    assert!(err.contains("4294967295 ns ceiling"), "{err}");
+    let fetched = client::fetch_streaming(&addr, &source, |_| {}).unwrap_err();
+    assert!(fetched.contains("incomplete: 1 of 1"), "{fetched}");
     shutdown_and_join(&addr, handle);
 }
 
@@ -755,4 +797,101 @@ fn shutdown_closes_the_listener() {
     shutdown_and_join(&addr, handle);
     // After a graceful shutdown nothing listens on the port any more.
     assert!(client::status(&addr).is_err());
+}
+
+/// A client that connects and sends nothing.
+fn idle_client(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Blocks until the server closes `stream` (EOF), returning what it sent.
+fn read_to_close(stream: TcpStream) -> String {
+    let mut text = String::new();
+    BufReader::new(stream)
+        .read_to_string(&mut text)
+        .expect("the server closes the connection");
+    text
+}
+
+#[test]
+fn connections_past_the_cap_get_one_overloaded_line_and_the_drain_joins_the_rest() {
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 1,
+        max_connections: 4,
+        ..ServerConfig::default()
+    });
+    let mut idle: Vec<TcpStream> = (0..4).map(|_| idle_client(&addr)).collect();
+    // Every slot is held by a client that never sends: the next one is
+    // answered with the typed refusal and closed, without a request.
+    let mut refused = String::new();
+    let mut reader = BufReader::new(idle_client(&addr));
+    reader.read_line(&mut refused).unwrap();
+    let reply: ebird_serve::protocol::OverloadedReply =
+        serde_json::from_str(refused.trim_end()).unwrap();
+    assert!(!reply.ok && reply.overloaded, "{refused}");
+    assert!((50..=2_000).contains(&reply.retry_after_ms), "{refused}");
+    assert_eq!(reply.error, "connection limit: 4 connections open");
+    assert_eq!(read_to_close(reader.into_inner()), "");
+    // A request sent into a full server is refused the same way.
+    let line = client::raw_exchange(&addr, "{\"verb\":\"status\"}").unwrap();
+    assert!(
+        line.starts_with("{\"ok\":false,\"overloaded\":true,"),
+        "{line}"
+    );
+
+    // Once one client leaves, a fresh one is served: the built-in client
+    // retries a refusal until its slot is free (the server may not have
+    // seen the close yet, so the count can grow past the two above).
+    drop(idle.pop());
+    let status = client::status(&addr).unwrap();
+    assert_eq!(status.max_connections, 4);
+    assert!(status.connections_refused >= 2, "{status:?}");
+    assert_eq!(status.idle_closed, 0);
+    let m = client::metrics(&addr).unwrap();
+    assert!(m.counter("serve.connections.refused") >= status.connections_refused);
+
+    // Shutdown with three idle clients still connected: the drain joins
+    // their threads, and each of them sees its connection closed.
+    shutdown_and_join(&addr, handle);
+    for stream in idle {
+        assert_eq!(read_to_close(stream), "");
+    }
+}
+
+#[test]
+fn a_client_that_sends_nothing_is_closed_at_the_idle_limit() {
+    let limit = Duration::from_millis(300);
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 1,
+        max_connections: 4,
+        idle_limit: limit,
+        ..ServerConfig::default()
+    });
+    let opened = Instant::now();
+    assert_eq!(read_to_close(idle_client(&addr)), "");
+    let waited = opened.elapsed();
+    assert!(waited >= limit, "closed after {waited:?}");
+    assert!(
+        waited < limit + Duration::from_secs(5),
+        "closed after {waited:?}"
+    );
+    // A client that keeps asking is not idle: the limit runs between
+    // requests, not over a connection's life.
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for _ in 0..3 {
+        std::io::Write::write_all(&mut conn, b"{\"verb\":\"status\"}\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("{\"ok\":true"), "{line}");
+        std::thread::sleep(limit / 2);
+    }
+    drop((conn, reader));
+    let status = client::status(&addr).unwrap();
+    assert_eq!((status.idle_closed, status.connections_refused), (1, 0));
+    shutdown_and_join(&addr, handle);
 }

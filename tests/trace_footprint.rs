@@ -1,4 +1,4 @@
-//! The trace's footprint, as numbers: a sample is one 8-byte word, a trace is
+//! The trace's footprint, as numbers: a sample is one 4-byte word, a trace is
 //! one column of them, and generating a trace writes that column once — no
 //! zero-filled twin that the workers then overwrite, no amortised-growth
 //! reallocation, and on a team only the non-first members' blocks are copied.
@@ -15,8 +15,10 @@ use early_bird::core::ThreadSample;
 use early_bird::runtime::{static_block, Pool};
 
 /// Requests of at least this many bytes are sample storage: nothing else in
-/// generation (scratch rows, fork/join bookkeeping) comes near it.
-const LARGE: usize = 1 << 20;
+/// generation (scratch rows, fork/join bookkeeping) comes near it, and a
+/// three-member team's smallest block (a third of a paper-scale column,
+/// ≈ 1.0 MB) is above it.
+const LARGE: usize = 1 << 19;
 
 /// The system allocator, recording every large request.
 struct Counting;
@@ -80,12 +82,12 @@ fn large_requests<T>(stage: impl FnOnce() -> T) -> (T, [usize; 3]) {
 }
 
 #[test]
-fn a_trace_is_one_eight_byte_column_written_once() {
-    assert_eq!(size_of::<ThreadSample>(), 8);
+fn a_trace_is_one_four_byte_column_written_once() {
+    assert_eq!(size_of::<ThreadSample>(), 4);
 
     let cfg = JobConfig::paper_scale();
     let shape = cfg.shape();
-    let column_bytes = 8 * shape.total_samples();
+    let column_bytes = 4 * shape.total_samples();
     let app = SyntheticApp::minife();
 
     // One member: the block it fills *is* the trace's storage.
@@ -103,7 +105,7 @@ fn a_trace_is_one_eight_byte_column_written_once() {
         .map(|member| static_block(shape.process_iterations(), 3, member).len())
         .sum::<usize>()
         * shape.threads
-        * 8;
+        * 4;
     let (teamed, requests) = large_requests(|| app.generate_parallel(&cfg, 7, &Pool::new(3)));
     assert_eq!(
         requests,

@@ -104,15 +104,17 @@ pub fn generate_campaign_parallel(
         .collect()
 }
 
-/// The modelled cost, in ns, of sorting and testing one group of `n`
-/// samples: a per-group constant plus a per-element term that grows with
-/// log₂ n. Fitted once to the per-element costs of the three levels measured
-/// at one thread (51 / 42 / 71 ns at 48 / 3 840 / 768 000 samples), which it
-/// reproduces to 0.1 ns; a constant, never a run-time measurement, so a cut
-/// made with it stays a function of the shape and the part count.
+/// The modelled cost, in ns, of gathering, sorting and testing one group of
+/// `n` samples: a per-group constant plus a per-element term that grows
+/// with log₂ n. Fitted once to the per-element costs of the three levels at
+/// one thread — the gather, sort and battery `by level` lines of `repro
+/// --scale paper --threads 1 profile`, median of eight runs: 46.9 / 37.5 /
+/// 65.5 ns at 48 / 3 840 / 768 000 samples — which it reproduces to 0.1 ns;
+/// a constant, never a run-time measurement, so a cut made with it stays a
+/// function of the shape and the part count.
 fn group_cost(n: usize) -> usize {
     let n = n as f64;
-    (1620.0 + n * (3.85 * n.log2() - 4.25)) as usize
+    (1600.0 + n * (3.72 * n.log2() - 7.16)) as usize
 }
 
 /// Splits a trace shape's [`SweepTasks`] into `parts` contiguous runs of
@@ -367,17 +369,16 @@ mod tests {
                 }
             }
         }
-        // Paper shape (modelled costs 54.5 ms for the application group,
-        // 32.3 ms for the 200 application-iteration groups, 39.2 ms for the
+        // Paper shape (modelled costs 50.4 ms for the application group,
+        // 28.8 ms for the 200 application-iteration groups, 36.0 ms for the
         // 16 000 process-iteration groups). Two workers: the application
-        // group and 52 application-iteration groups (62.9 ms) against the
-        // rest (63.0 ms); a cut by sample count gave the first 70.7 ms.
-        // Five workers: the application group exceeds a fair share and
-        // gets a worker to itself; the other four split the rest, 17.8–17.9
-        // ms each.
+        // group and 50 application-iteration groups (57.6 ms) against the
+        // rest (57.7 ms). Five workers: the application group exceeds a
+        // fair share and gets a worker to itself; the other four split the
+        // rest, 16.2–16.3 ms each.
         let paper = SweepTasks(TraceShape::new(10, 8, 200, 48).unwrap());
-        assert_eq!(partition_tasks(paper, 2), [1 + 52, 148 + 16_000]);
-        assert_eq!(partition_tasks(paper, 5), [1, 111, 89 + 1423, 7289, 7288]);
+        assert_eq!(partition_tasks(paper, 2), [1 + 50, 150 + 16_000]);
+        assert_eq!(partition_tasks(paper, 5), [1, 112, 88 + 1579, 7210, 7211]);
     }
 
     #[test]

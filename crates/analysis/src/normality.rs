@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use ebird_core::sample::ns_to_ms;
 use ebird_core::view::{fill_group_ms, group_slices, AggregationLevel};
-use ebird_core::{TimingTrace, TraceShape};
+use ebird_core::{ThreadSample, TimingTrace, TraceShape};
 use ebird_obs::{Counter, Histogram, Registry};
 use ebird_stats::normality::{
     battery_sorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
@@ -115,21 +115,25 @@ pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> Normal
 }
 
 /// Observability handles for the normality sweep fast path: weight-cache
-/// hit/miss counters and per-group latency histograms of the kernel's three
-/// layers (gather, sort + convert, battery), all registered on a shared
-/// [`ebird_obs::Registry`] so `repro profile` and the benchmark surface them
-/// next to the span/pool metrics.
+/// hit/miss counters, per-group latency histograms of the kernel's three
+/// layers (gather, sort, battery), and the sweep's slice of the work ledger
+/// — exact counts of the work done, which no host's speed moves — all
+/// registered on a shared [`ebird_obs::Registry`] so `repro profile` and
+/// the benchmark surface them next to the span/pool metrics.
 #[derive(Clone)]
 pub struct SweepObs {
     registry: Arc<Registry>,
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
     gather_ns: Arc<Histogram>,
+    gather_level_ns: [Arc<Histogram>; 3],
     sort_ns: Arc<Histogram>,
     sort_level_ns: [Arc<Histogram>; 3],
     battery_ns: Arc<Histogram>,
     battery_level_ns: [Arc<Histogram>; 3],
     batch_len: Arc<Histogram>,
+    work_elements: [Arc<Counter>; 3],
+    work_phi: Arc<Counter>,
 }
 
 impl SweepObs {
@@ -145,9 +149,18 @@ impl SweepObs {
     /// (within 10 % at `--scale paper --threads 1`; the rest is the clock
     /// reads and the fork/join around the loop).
     pub const GATHER_NS: &'static str = "sweep.gather.ns";
-    /// Histogram name: nanoseconds spent sorting each group's nanosecond
-    /// keys and converting them to milliseconds, before the fused battery
-    /// pass. One entry per group.
+    /// Histogram names: [`Self::GATHER_NS`] split by level, in
+    /// [`SWEEP_LEVELS`] order — with the sort and battery splits, a group's
+    /// whole cost per level, which `engine`'s partition cost model is fitted
+    /// to.
+    pub const GATHER_LEVEL_NS: [&'static str; 3] = [
+        "sweep.gather.process-iteration.ns",
+        "sweep.gather.application-iteration.ns",
+        "sweep.gather.application.ns",
+    ];
+    /// Histogram name: nanoseconds spent sorting each group's `u32`
+    /// nanosecond keys, before the fused battery pass (which reads them as
+    /// milliseconds). One entry per group.
     pub const SORT_NS: &'static str = "sweep.sort.ns";
     /// Histogram names: [`Self::SORT_NS`] split by level, in
     /// [`SWEEP_LEVELS`] order — where a merge of already-sorted children
@@ -158,7 +171,8 @@ impl SweepObs {
         "sweep.sort.application.ns",
     ];
     /// Histogram name: nanoseconds spent in the fused battery kernel (lane
-    /// sums, Φ blocks, the three statistics) per group. One entry per group.
+    /// sums, Φ blocks, the three statistics, and the key-to-millisecond
+    /// conversion wherever it reads a key) per group. One entry per group.
     pub const BATTERY_NS: &'static str = "sweep.battery.ns";
     /// Histogram names: [`Self::BATTERY_NS`] split by level, in
     /// [`SWEEP_LEVELS`] order — whether the three large application groups
@@ -172,6 +186,25 @@ impl SweepObs {
     /// One entry per battery invocation, so `count` is the number of groups
     /// fused and the distribution shows the group sizes the kernel sees.
     pub const BATCH_LEN: &'static str = "sweep.batch.len";
+    /// Counter names, the work ledger: elements gathered (and sorted) per
+    /// level, in [`SWEEP_LEVELS`] order — each level covers the trace once,
+    /// so each reads the trace's sample count. The ledger's other counts are
+    /// the groups per level (the entry counts of [`Self::SORT_LEVEL_NS`]),
+    /// [`Self::WORK_PHI`] and the weight solves ([`Self::CACHE_MISS`]):
+    /// counts, not times, bumped once per group (never per element), so
+    /// they read the same on any host, and all but the weight solves — one
+    /// per distinct group size per worker part — read the same at any pool
+    /// size.
+    pub const WORK_ELEMENTS: [&'static str; 3] = [
+        "sweep.work.process-iteration.elements",
+        "sweep.work.application-iteration.elements",
+        "sweep.work.application.elements",
+    ];
+    /// Counter name, the work ledger: Φ evaluations of the fused battery.
+    /// The kernel evaluates Φ (and 1 − Φ) once per order statistic exactly
+    /// when it computes Anderson–Darling's A², so a group adds its size when
+    /// its A² outcome is present and nothing otherwise.
+    pub const WORK_PHI: &'static str = "sweep.work.phi_evals";
 
     /// Registers the sweep instruments on `registry`.
     pub fn new(registry: &Arc<Registry>) -> Self {
@@ -180,11 +213,14 @@ impl SweepObs {
             cache_hit: registry.counter(Self::CACHE_HIT),
             cache_miss: registry.counter(Self::CACHE_MISS),
             gather_ns: registry.histogram(Self::GATHER_NS),
+            gather_level_ns: Self::GATHER_LEVEL_NS.map(|name| registry.histogram(name)),
             sort_ns: registry.histogram(Self::SORT_NS),
             sort_level_ns: Self::SORT_LEVEL_NS.map(|name| registry.histogram(name)),
             battery_ns: registry.histogram(Self::BATTERY_NS),
             battery_level_ns: Self::BATTERY_LEVEL_NS.map(|name| registry.histogram(name)),
             batch_len: registry.histogram(Self::BATCH_LEN),
+            work_elements: Self::WORK_ELEMENTS.map(|name| registry.counter(name)),
+            work_phi: registry.counter(Self::WORK_PHI),
         }
     }
 
@@ -195,29 +231,37 @@ impl SweepObs {
 
     /// Records one group of `len` samples at `level` from the four
     /// timestamps around its three layers — `[gather start, sort start,
-    /// battery start, end]` — and returns the end, which is the next group's
-    /// gather start. The per-level splits reuse the same differences, so
-    /// they add no clock read and sum exactly to their layer's total.
+    /// battery start, end]` — and its battery `outcome`, and returns the
+    /// end, which is the next group's gather start. The per-level splits
+    /// reuse the same differences, so they add no clock read and sum exactly
+    /// to their layer's total; the work ledger adds two counter bumps.
     pub(crate) fn record_group(
         &self,
         stamps: [u64; 4],
-        len: usize,
         level: AggregationLevel,
+        len: usize,
+        outcome: &[Option<NormalityOutcome>; 3],
     ) -> u64 {
         let [t0, t1, t2, t3] = stamps;
-        self.gather_ns.record(t1.saturating_sub(t0));
-        let sort = t2.saturating_sub(t1);
-        self.sort_ns.record(sort);
         let level_index = match level {
             AggregationLevel::ProcessIteration => 0,
             AggregationLevel::ApplicationIteration => 1,
             AggregationLevel::Application => 2,
         };
+        let gather = t1.saturating_sub(t0);
+        self.gather_ns.record(gather);
+        self.gather_level_ns[level_index].record(gather);
+        let sort = t2.saturating_sub(t1);
+        self.sort_ns.record(sort);
         self.sort_level_ns[level_index].record(sort);
         let battery = t3.saturating_sub(t2);
         self.battery_ns.record(battery);
         self.battery_level_ns[level_index].record(battery);
         self.batch_len.record(len as u64);
+        self.work_elements[level_index].add(len as u64);
+        if outcome[2].is_some() {
+            self.work_phi.add(len as u64);
+        }
         t3
     }
 
@@ -299,22 +343,22 @@ impl SweepTasks {
 /// Runs the contiguous tasks `first..first + out.len()` of `trace`'s
 /// [`SweepTasks`] into `out` — the loop every sweep worker runs (one
 /// worker: the whole list). Every group of every level is an independent
-/// task run by one kernel: gather the group's integer nanosecond compute
-/// times (no float work, no raw copy), sort the integers where they lie,
-/// convert to milliseconds in place, run the fused three-test battery on the
-/// sorted sample.
+/// task run by one kernel: gather the group's `u32` nanosecond compute
+/// times as the trace holds them (no float work), sort the integers where
+/// they lie, and run the fused three-test battery on the sorted keys, which
+/// reads each key as its milliseconds ([`ns_to_ms`]) where it reads it.
 ///
 /// Bit-identity with [`sweep`] holds by construction: a sorted integer
-/// array is unique, so any correct sort yields it; [`ns_to_ms`] is
-/// monotone, so sorting before or after the conversion yields the same
-/// array; and the battery is a function of that sorted array alone — the
-/// same code on the same sorted sample.
+/// array is unique, so any correct sort yields it; `u32 → f64` is exact and
+/// [`ns_to_ms`] is monotone, so the keys read in order are the ascending
+/// milliseconds [`sweep`] sorts; and the battery is a function of that
+/// sorted sample alone — the same code reading the same values in the same
+/// order.
 ///
 /// The group never leaves the keys' buffer: std's unstable sort works in
-/// place, and `u64` and `f64` share size and alignment, so std's in-place
-/// collect turns the sorted `Vec<u64>` into the `Vec<f64>` the battery
-/// reads, and the emptied `Vec<f64>` back into the next group's keys — no
-/// copy of the group, no second buffer, no allocation per group.
+/// place and the battery converts on read, so there is no copy of the
+/// group, no millisecond buffer and no allocation per group — one `u32`
+/// (4 B) per element of the part's largest group.
 ///
 /// That buffer belongs to the call: it is allocated at entry, exactly the
 /// size of the part's first and largest task, and dropped when the loop
@@ -332,7 +376,7 @@ pub(crate) fn run_tasks(
 ) {
     let tasks = SweepTasks(trace.shape());
     // Exactly the part's first and largest group (growth would overshoot).
-    let mut keys: Vec<u64> = Vec::with_capacity(out.first().map_or(0, |_| tasks.get(first).2));
+    let mut keys: Vec<u32> = Vec::with_capacity(out.first().map_or(0, |_| tasks.get(first).2));
     let cache_before = battery.cache_stats();
     // With an observer, each group's layers are timed back to back: the end
     // of one group's battery is the start of the next group's gather.
@@ -341,18 +385,15 @@ pub(crate) fn run_tasks(
         let (level, group, _) = tasks.get(first + offset);
         keys.clear();
         for slice in group_slices(trace, level, group) {
-            keys.extend(slice.iter().map(|s| s.compute_time_ns()));
+            keys.extend(slice.iter().map(ThreadSample::compute_ns));
         }
         let gathered = obs.map(|o| o.now_ns());
         keys.sort_unstable();
-        let mut sorted: Vec<f64> = keys.into_iter().map(ns_to_ms).collect();
         let ordered = obs.map(|o| o.now_ns());
-        *slot = battery_sorted(&sorted, battery);
+        *slot = battery_sorted(&keys, |k: u32| ns_to_ms(k.into()), battery);
         if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
-            started = Some(o.record_group([t0, t1, t2, o.now_ns()], sorted.len(), level));
+            started = Some(o.record_group([t0, t1, t2, o.now_ns()], level, keys.len(), slot));
         }
-        sorted.clear();
-        keys = sorted.into_iter().map(f64::to_bits).collect();
     }
     if let Some(o) = obs {
         o.record_cache_delta(battery, cache_before);
@@ -422,7 +463,6 @@ impl Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebird_core::{ThreadSample, TraceShape};
     use ebird_stats::special::norm_quantile;
 
     /// A trace whose every process-iteration is a perfect normal sample.
@@ -626,14 +666,43 @@ mod tests {
     }
 
     #[test]
-    fn battery_split_by_level_counts_every_group_and_sums_to_the_battery_layer() {
+    fn every_layer_split_by_level_counts_every_group_and_sums_to_its_layer() {
         let registry = Arc::new(Registry::wall());
         let obs = SweepObs::new(&registry);
         sweep_levels(&normal_trace(16), Some(&obs)); // shape (2, 2, 10, 16)
         let snap = registry.snapshot();
-        let by_level = SweepObs::BATTERY_LEVEL_NS.map(|name| snap.histogram(name));
-        assert_eq!(by_level.each_ref().map(|h| h.count()), [40, 10, 1]);
-        let split: u64 = by_level.iter().map(|h| h.total()).sum();
-        assert_eq!(split, snap.histogram(SweepObs::BATTERY_NS).total());
+        for (layer, levels) in [
+            (SweepObs::GATHER_NS, SweepObs::GATHER_LEVEL_NS),
+            (SweepObs::SORT_NS, SweepObs::SORT_LEVEL_NS),
+            (SweepObs::BATTERY_NS, SweepObs::BATTERY_LEVEL_NS),
+        ] {
+            let by_level = levels.map(|name| snap.histogram(name));
+            assert_eq!(
+                by_level.each_ref().map(|h| h.count()),
+                [40, 10, 1],
+                "{layer}"
+            );
+            let split: u64 = by_level.iter().map(|h| h.total()).sum();
+            assert_eq!(split, snap.histogram(layer).total(), "{layer}");
+        }
+    }
+
+    #[test]
+    fn the_work_ledger_counts_groups_elements_and_phi_evaluations() {
+        let registry = Arc::new(Registry::wall());
+        let obs = SweepObs::new(&registry);
+        // Shape (2, 3, 5, 16): 30 process-iterations, 5 application-
+        // iterations, 1 application, 480 samples; one process-iteration is
+        // flat, so A² (and with it Φ) is skipped on its 16 samples.
+        sweep_levels(&mixed_trace(), Some(&obs));
+        let snap = registry.snapshot();
+        let groups = SweepObs::SORT_LEVEL_NS.map(|name| snap.histogram(name).count());
+        assert_eq!(groups, [30, 5, 1]);
+        assert_eq!(
+            SweepObs::WORK_ELEMENTS.map(|name| snap.counter(name)),
+            [480; 3]
+        );
+        assert_eq!(snap.counter(SweepObs::WORK_PHI), 3 * 480 - 16);
+        assert_eq!(snap.counter(SweepObs::CACHE_MISS), 3);
     }
 }

@@ -9,10 +9,14 @@
 //! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
 //! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
 //! [`SweepObs::GATHER_NS`], sort, [`SweepObs::BATTERY_NS`] — as shares of
-//! the stage's busy time, the sort and battery layers split by level
-//! ([`SweepObs::SORT_LEVEL_NS`], [`SweepObs::BATTERY_LEVEL_NS`]), and the
-//! [`SweepObs::BATCH_LEN`] batch-Φ feed sizes) and the pool's
-//! [`PoolObserver::FORK_NS`] fork/join overhead histogram. Each stage row
+//! the stage's busy time, the three layers split by level
+//! ([`SweepObs::GATHER_LEVEL_NS`], [`SweepObs::SORT_LEVEL_NS`],
+//! [`SweepObs::BATTERY_LEVEL_NS`]), and the
+//! [`SweepObs::BATCH_LEN`] batch-Φ feed sizes), the sweep's work ledger
+//! (groups and elements gathered per level, [`SweepObs::WORK_ELEMENTS`];
+//! Shapiro–Wilk weight solves; Φ evaluations, [`SweepObs::WORK_PHI`]) —
+//! counts, which no host's speed blurs — and the
+//! pool's [`PoolObserver::FORK_NS`] fork/join overhead histogram. Each stage row
 //! also states the process's peak resident set once the stage is done
 //! ([`record_peak_rss`]), so the memory a stage leaves resident can be
 //! attributed from the profile alone. Rendering lives in the library
@@ -264,6 +268,7 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         ms(layers)
     );
     for (layer, names) in [
+        ("gather", SweepObs::GATHER_LEVEL_NS),
         ("sort", SweepObs::SORT_LEVEL_NS),
         ("battery", SweepObs::BATTERY_LEVEL_NS),
     ] {
@@ -293,6 +298,36 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         "  batch-phi kernel: {} batteries, {} elements streamed, mean batch {mean_batch:.1}",
         batches.count(),
         batches.total()
+    );
+
+    // The sweep's work ledger: exact counts, bumped once per group under
+    // the observer (the groups are the per-level sort histograms' entries).
+    let gathered: Vec<String> = SWEEP_LEVELS
+        .iter()
+        .zip(SweepObs::SORT_LEVEL_NS.iter().zip(SweepObs::WORK_ELEMENTS))
+        .map(|(level, (groups, elements))| {
+            format!(
+                "{} {} groups / {} elements",
+                level.label(),
+                snap.histogram(groups).count(),
+                snap.counter(elements)
+            )
+        })
+        .collect();
+    let elements: u64 = SweepObs::WORK_ELEMENTS
+        .iter()
+        .map(|name| snap.counter(name))
+        .sum();
+    let _ = writeln!(out, "work:");
+    let _ = writeln!(
+        out,
+        "  sweep gathered: {} ({elements} elements)",
+        gathered.join(", ")
+    );
+    let _ = writeln!(
+        out,
+        "  sweep weight solves: {misses}; phi evaluations: {}",
+        snap.counter(SweepObs::WORK_PHI)
     );
 
     // Fork/join accounting: per-region overhead (spawn + join + skew) the
@@ -371,10 +406,11 @@ mod tests {
                 .histogram(layer)
                 .record(next(&mut sentinels) * 1_000_000);
         }
-        // The per-level sort and battery splits render each level's total
-        // the same way.
-        for level in SweepObs::SORT_LEVEL_NS
+        // The per-level gather, sort and battery splits render each level's
+        // total the same way.
+        for level in SweepObs::GATHER_LEVEL_NS
             .into_iter()
+            .chain(SweepObs::SORT_LEVEL_NS)
             .chain(SweepObs::BATTERY_LEVEL_NS)
         {
             registry
@@ -387,6 +423,13 @@ mod tests {
         let batch_hist = registry.histogram(SweepObs::BATCH_LEN);
         for _ in 0..batch_count {
             batch_hist.record(1);
+        }
+        // The work ledger renders every count as itself.
+        for name in SweepObs::WORK_ELEMENTS
+            .into_iter()
+            .chain([SweepObs::WORK_PHI])
+        {
+            registry.counter(name).add(next(&mut sentinels));
         }
         // Fork overhead histogram: sentinel count of 1 ms forks.
         let fork_count = next(&mut sentinels);
@@ -463,8 +506,11 @@ mod tests {
         assert!(rendered.contains("0 hits / 0 misses (0.0% hit rate)"));
         assert!(rendered.contains("fork/join overhead"));
         assert!(rendered.contains("batch-phi kernel"));
+        assert!(rendered.contains(
+            "work:\n  sweep gathered: process iteration 0 groups / 0 elements, application iteration 0 groups / 0 elements, application 0 groups / 0 elements (0 elements)\n  sweep weight solves: 0; phi evaluations: 0\n"
+        ));
         assert!(rendered.contains("  layers: gather 0.0 ms + sort 0.0 ms + battery 0.0 ms"));
-        for layer in ["sort", "battery"] {
+        for layer in ["gather", "sort", "battery"] {
             assert!(rendered.contains(&format!(
                 "  {layer} by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"
             )));

@@ -217,12 +217,22 @@ impl RealKernelParams {
     /// rejected rather than silently ignored — a misdirected
     /// `minimd_cells` on a MiniFE run is a config mistake, and two specs
     /// differing only in dead knobs must not occupy distinct cache keys
-    /// for byte-identical rows.
+    /// for byte-identical rows. A metered rate at or past
+    /// [`ThreadSample::CEILING_NS`] is refused here too: one operation
+    /// would already charge a sample the runner refuses, so the campaign
+    /// could only fail after running its kernels for a whole iteration.
     fn validate_for(&self, app: &str) -> Result<(), String> {
         if !(self.ns_per_op.is_finite() && self.ns_per_op > 0.0) {
             return Err(format!(
                 "ns_per_op {} must be finite and positive",
                 self.ns_per_op
+            ));
+        }
+        if self.ns_per_op >= ThreadSample::CEILING_NS as f64 {
+            return Err(format!(
+                "ns_per_op {} must be below a sample's ceiling of {} ns",
+                self.ns_per_op,
+                ThreadSample::CEILING_NS
             ));
         }
         for (owner, label, set) in [
@@ -758,6 +768,27 @@ mod tests {
             .run_campaign("MiniFE", &cfg, 1, RealTiming::Wall)
             .unwrap_err();
         assert!(err.contains("minimd_cells applies to MiniMD"), "{err}");
+    }
+
+    #[test]
+    fn a_metered_rate_at_the_sample_ceiling_is_refused_at_resolve() {
+        let spec = |ns_per_op: f64| WorkloadSpec::RealKernel {
+            app: "MiniMD".into(),
+            params: RealKernelParams {
+                ns_per_op,
+                ..RealKernelParams::default()
+            },
+        };
+        let ceiling = ThreadSample::CEILING_NS as f64;
+        let err = spec(ceiling).resolve().unwrap_err();
+        assert!(
+            err.contains("below a sample's ceiling of 4294967295 ns"),
+            "{err}"
+        );
+        assert!(spec(ceiling * 2.0).resolve().is_err());
+        // One nanosecond below, one operation charges a sample the runner
+        // keeps.
+        assert!(spec(ceiling - 1.0).resolve().is_ok());
     }
 
     #[test]

@@ -61,6 +61,14 @@ impl ThreadSample {
         u64::from(self.compute_ns)
     }
 
+    /// The compute time as the sample holds it: a `u32` of nanoseconds,
+    /// at most [`CEILING_NS`](Self::CEILING_NS). The normality sweep sorts
+    /// these as its keys.
+    #[inline]
+    pub fn compute_ns(&self) -> u32 {
+        self.compute_ns
+    }
+
     /// Compute time in milliseconds (the paper's reporting unit).
     #[inline]
     pub fn compute_time_ms(&self) -> f64 {

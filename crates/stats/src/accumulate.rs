@@ -23,18 +23,27 @@ const LANES: usize = 8;
 
 /// Deterministic lane sum of `xs`.
 pub fn sum(xs: &[f64]) -> f64 {
+    sum_by(xs, |x| x)
+}
+
+/// The one body of [`sum`], over any keys the caller reads as `f64`: the
+/// lane sum of `read(k)` for every key in order. A read that returns the
+/// value a slice of floats would have held gives that slice's sum, bit for
+/// bit — the same additions in the same lanes.
+#[inline(always)]
+fn sum_by<K: Copy>(keys: &[K], read: impl Fn(K) -> f64) -> f64 {
     let mut lanes = [0.0f64; LANES];
-    let chunks = xs.chunks_exact(LANES);
+    let chunks = keys.chunks_exact(LANES);
     let rem = chunks.remainder();
     for c in chunks {
-        for (lane, &v) in lanes.iter_mut().zip(c) {
-            *lane += v;
+        for (lane, &k) in lanes.iter_mut().zip(c) {
+            *lane += read(k);
         }
     }
     // Fixed pairwise reduction tree, then the remainder in order.
     let mut acc = reduce(lanes);
-    for &v in rem {
-        acc += v;
+    for &k in rem {
+        acc += read(k);
     }
     acc
 }
@@ -58,7 +67,7 @@ fn reduce(lanes: [f64; LANES]) -> f64 {
 /// # Panics
 /// Panics in debug builds if `xs` is empty.
 pub fn mean_ssq(xs: &[f64]) -> (f64, f64) {
-    let (mean, ssq, _, _) = central_lane_sums::<false>(xs);
+    let (mean, ssq, _, _) = central_lane_sums::<false, _>(xs, |x| x);
     (mean, ssq)
 }
 
@@ -78,21 +87,36 @@ pub fn mean_ssq(xs: &[f64]) -> (f64, f64) {
 /// # Panics
 /// Panics in debug builds if `xs` is empty.
 pub fn central_sums(xs: &[f64]) -> (f64, f64, f64, f64) {
-    central_lane_sums::<true>(xs)
+    central_sums_by(xs, |x| x)
+}
+
+/// [`central_sums`] of `read(k)` over `keys` — the normality battery's route
+/// for a sample it holds as keys and reads as `f64` (the sweep's sorted
+/// integer nanoseconds, read as milliseconds). Bit-identical to
+/// [`central_sums`] of the slice of read values.
+pub(crate) fn central_sums_by<K: Copy>(
+    keys: &[K],
+    read: impl Fn(K) -> f64 + Copy,
+) -> (f64, f64, f64, f64) {
+    central_lane_sums::<true, _>(keys, read)
 }
 
 /// The one body of [`mean_ssq`] (`HIGHER = false`: the third and fourth
-/// sums stay 0 and cost nothing) and [`central_sums`].
+/// sums stay 0 and cost nothing) and [`central_sums_by`], over keys read as
+/// `f64`.
 #[inline(always)]
-fn central_lane_sums<const HIGHER: bool>(xs: &[f64]) -> (f64, f64, f64, f64) {
-    debug_assert!(!xs.is_empty(), "mean of an empty slice");
-    let mean = sum(xs) / xs.len() as f64;
+fn central_lane_sums<const HIGHER: bool, K: Copy>(
+    keys: &[K],
+    read: impl Fn(K) -> f64 + Copy,
+) -> (f64, f64, f64, f64) {
+    debug_assert!(!keys.is_empty(), "mean of an empty slice");
+    let mean = sum_by(keys, read) / keys.len() as f64;
     let (mut l2, mut l3, mut l4) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-    let chunks = xs.chunks_exact(LANES);
+    let chunks = keys.chunks_exact(LANES);
     let rem = chunks.remainder();
     for c in chunks {
-        for (l, &v) in c.iter().enumerate() {
-            let d = v - mean;
+        for (l, &k) in c.iter().enumerate() {
+            let d = read(k) - mean;
             let d2 = d * d;
             l2[l] += d2;
             if HIGHER {
@@ -102,8 +126,8 @@ fn central_lane_sums<const HIGHER: bool>(xs: &[f64]) -> (f64, f64, f64, f64) {
         }
     }
     let (mut s2, mut s3, mut s4) = (reduce(l2), reduce(l3), reduce(l4));
-    for &v in rem {
-        let d = v - mean;
+    for &k in rem {
+        let d = read(k) - mean;
         let d2 = d * d;
         s2 += d2;
         if HIGHER {

@@ -241,17 +241,24 @@ struct PhiBlock {
 }
 
 impl PhiBlock {
-    /// Standardizes `low` then `high` into `z` and batch-evaluates both
-    /// tails; returns `(z, Φ(z), 1 − Φ(z))`. `z = (x − mean) / sd` is the
-    /// exact expression the stand-alone sum feeds to
-    /// [`crate::special::norm_cdf_sf`], and the slice kernel is bit-identical
-    /// to that scalar call per element — wherever the element sits in a
-    /// buffer — so the returned blocks carry exactly the values a
-    /// whole-sample evaluation would.
-    fn fill(&mut self, low: &[f64], high: &[f64], mean: f64, sd: f64) -> [&[f64]; 3] {
+    /// Standardizes `low` then `high` (keys, each read as its value
+    /// `x = read(k)`) into `z` and batch-evaluates both tails; returns
+    /// `(z, Φ(z), 1 − Φ(z))`. `z = (x − mean) / sd` is the exact expression
+    /// the stand-alone sum feeds to [`crate::special::norm_cdf_sf`], and the
+    /// slice kernel is bit-identical to that scalar call per element —
+    /// wherever the element sits in a buffer — so the returned blocks carry
+    /// exactly the values a whole-sample evaluation would.
+    fn fill<K: Copy>(
+        &mut self,
+        low: &[K],
+        high: &[K],
+        mean: f64,
+        sd: f64,
+        read: impl Fn(K) -> f64,
+    ) -> [&[f64]; 3] {
         self.z.clear();
         self.z
-            .extend(low.iter().chain(high).map(|&v| (v - mean) / sd));
+            .extend(low.iter().chain(high).map(|&k| (read(k) - mean) / sd));
         let n = self.z.len();
         self.cdf.resize(n, 0.0);
         self.sf.resize(n, 0.0);
@@ -305,8 +312,17 @@ impl BatteryScratch {
 /// is bit-identical to the per-element `norm_cdf_sf` calls it replaces, and
 /// evaluating those independent calls a block ahead of the loop does not
 /// reorder any accumulator.
-fn fused_battery(
-    sorted: &[f64],
+///
+/// The kernel reads the sample through `read`: `sorted` holds keys in
+/// ascending order of `read(k)`, and every pass converts a key where it
+/// reads it — three passes, the lane mean, the central sums and the paired
+/// traversal, which reads each key twice when A² runs (its Φ block and W's
+/// difference). Each accumulator sees the values a slice of `read(k)` would
+/// hold, in the same order, so the outcomes are those of the `f64` sample,
+/// bit for bit; the identity read is that sample itself.
+fn fused_battery<K: Copy>(
+    sorted: &[K],
+    read: impl Fn(K) -> f64 + Copy,
     cache: &mut WeightCache,
     phi: &mut PhiBlock,
 ) -> [Option<NormalityOutcome>; 3] {
@@ -315,13 +331,13 @@ fn fused_battery(
         // Below every test's minimum sample size.
         return [None; 3];
     }
-    if sorted[n - 1] - sorted[0] <= 0.0 {
+    if read(sorted[n - 1]) - read(sorted[0]) <= 0.0 {
         // ZeroVariance for all three tests (checked on the sorted range,
         // exactly like the standalone paths).
         return [None; 3];
     }
     let entry = cache.entry(n);
-    let (mean, ssq, s3, s4) = accumulate::central_sums(sorted);
+    let (mean, ssq, s3, s4) = accumulate::central_sums_by(sorted, read);
     let nf = n as f64;
     let dag = match dagostino::shape_from_sums(n, ssq, s3, s4) {
         Ok((g1, b2)) if n >= 8 => Some(dagostino::DagostinoK2::from_shape(g1, b2, n).0),
@@ -337,12 +353,12 @@ fn fused_battery(
             let (i0, len) = (block * PHI_BLOCK, ab.len());
             // Pairs i0..i0+len: low elements i0.., high elements ..n−i0.
             let (low, high) = (&sorted[i0..i0 + len], &sorted[n - i0 - len..n - i0]);
-            let [z, cdf, sf] = phi.fill(low, high, mean, sd);
+            let [z, cdf, sf] = phi.fill(low, high, mean, sd, read);
             for (j, &ai) in ab.iter().enumerate() {
                 // Element i = i0 + j sits at j, element r = n−1−i at rj.
                 let (i, rj) = (i0 + j, 2 * len - 1 - j);
                 let r = n - 1 - i;
-                sax += ai * (high[len - 1 - j] - low[j]);
+                sax += ai * (read(high[len - 1 - j]) - read(low[j]));
                 s_ad +=
                     (2 * i + 1) as f64 * anderson_darling::log_term(z[j], cdf[j], z[rj], sf[rj]);
                 s_ad +=
@@ -351,13 +367,13 @@ fn fused_battery(
         }
         if n % 2 == 1 {
             let mid = n / 2;
-            let z = (sorted[mid] - mean) / sd;
+            let z = (read(sorted[mid]) - mean) / sd;
             let (cdf, sf) = norm_cdf_sf(z);
             s_ad += (2 * mid + 1) as f64 * anderson_darling::log_term(z, cdf, z, sf);
         }
     } else {
         for (i, &ai) in a.iter().enumerate() {
-            sax += ai * (sorted[n - 1 - i] - sorted[i]);
+            sax += ai * (read(sorted[n - 1 - i]) - read(sorted[i]));
         }
     }
     let w = ((sax * sax) / ssq).min(1.0);
@@ -400,7 +416,7 @@ pub fn battery_with_scratch(
     sorted.clear();
     sorted.extend_from_slice(sample);
     sort_floats(sorted, &mut SortScratch);
-    fused_battery(sorted, cache, phi)
+    fused_battery(sorted, |x| x, cache, phi)
 }
 
 /// [`battery_with_scratch`] for callers that already hold a sorted copy of
@@ -416,22 +432,26 @@ pub fn battery_presorted(
     if !sample.iter().all(|x| x.is_finite()) {
         return [None; 3];
     }
-    battery_sorted(sorted, scratch)
+    battery_sorted(sorted, |x| x, scratch)
 }
 
-/// The battery on a **finite**, ascending `sorted` sample — the entry for
-/// callers that never hold the sample in any other form (the normality
-/// sweep, which sorts integer keys). Outcomes are bit-identical to
-/// [`battery_with_scratch`] on any permutation of `sorted`.
-pub fn battery_sorted(
-    sorted: &[f64],
+/// The battery on a sample held as keys in ascending order of `read(k)`,
+/// each read as its **finite** `f64` value where the kernel reads it — the
+/// entry for callers that never hold the sample in any other form (the
+/// normality sweep sorts integer nanoseconds and reads them as
+/// milliseconds; `|x| x` reads a sorted `f64` sample as itself). Outcomes
+/// are bit-identical to [`battery_with_scratch`] on any permutation of the
+/// read values: every accumulator sees the same values in the same order.
+pub fn battery_sorted<K: Copy>(
+    sorted: &[K],
+    read: impl Fn(K) -> f64 + Copy,
     scratch: &mut BatteryScratch,
 ) -> [Option<NormalityOutcome>; 3] {
     debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "`sorted` must be finite and sorted ascending"
+        sorted.windows(2).all(|w| read(w[0]) <= read(w[1])),
+        "`sorted` must read finite and ascending"
     );
-    fused_battery(sorted, &mut scratch.cache, &mut scratch.phi)
+    fused_battery(sorted, read, &mut scratch.cache, &mut scratch.phi)
 }
 
 /// The extended battery: the paper's three tests in the order it tabulates

@@ -8,7 +8,7 @@
 
 use ebird_stats::descriptive::Moments;
 use ebird_stats::normality::{
-    anderson_darling::AndersonDarling, battery_sorted, battery_with_scratch,
+    anderson_darling::AndersonDarling, battery_presorted, battery_sorted, battery_with_scratch,
     dagostino::DagostinoK2, jarque_bera::JarqueBera, lilliefors::Lilliefors, shapiro_wilk,
     shapiro_wilk::ShapiroWilk, BatteryScratch, NormalityOutcome, NormalityTest, TestStatistic,
     WeightCache,
@@ -535,13 +535,82 @@ proptest! {
                 };
                 let mut sorted = sample.clone();
                 sort_floats(&mut sorted, &mut SortScratch::new());
-                let fused = battery_sorted(&sorted, &mut scratch);
+                let fused = battery_sorted(&sorted, |x| x, &mut scratch);
                 let direct = [
                     DagostinoK2.test(&sample).ok(),
                     ShapiroWilk.test(&sample).ok(),
                     AndersonDarling.test(&sample).ok(),
                 ];
                 prop_assert_eq!(fused, direct, "n = {}, kind = {}", n, kind);
+            }
+        }
+    }
+}
+
+/// A battery row with its floats as bits, so two rows compare bit for bit.
+type RowBits = [Option<(TestStatistic, u64, u64, bool)>; 3];
+
+fn row_bits(row: [Option<NormalityOutcome>; 3]) -> RowBits {
+    row.map(|o| {
+        o.map(|o| {
+            (
+                o.statistic_kind,
+                o.statistic.to_bits(),
+                o.p_value.to_bits(),
+                o.extrapolated,
+            )
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn the_u32_key_battery_is_bit_identical_to_battery_presorted_on_the_milliseconds(
+        seed in 0u64..u64::MAX,
+    ) {
+        // The sweep's route — sorted `u32` nanosecond keys, each read as its
+        // milliseconds where the kernel reads it — against the benchmark's
+        // `&[f64]` entry on the same keys converted up front. The read is
+        // `ebird_core::sample::ns_to_ms` on a `u32` (exact `u32 → f64`, then
+        // the division). Sizes: below every test's minimum, the smallest
+        // testable sample, the smallest with K² and A², a process-iteration,
+        // and one past Shapiro–Wilk's validity range (odd: a middle term).
+        let to_ms = |k: u32| f64::from(k) / 1.0e6;
+        let mut keyed = BatteryScratch::new();
+        let mut presorted = BatteryScratch::new();
+        let mut next = xorshift(seed);
+        for n in [0usize, 1, 2, 3, 8, 48, 5_001] {
+            for kind in 0..4 {
+                let mut keys: Vec<u32> = (0..n)
+                    .map(|_| {
+                        let r = next();
+                        match kind {
+                            // Zero variance: one key repeated.
+                            0 => (seed >> 32) as u32,
+                            // Ties: microsecond-grained millisecond timings.
+                            1 => 10_000_000 + (r % 4_000) as u32 * 1_000,
+                            // A narrow band: every key within 200 ns.
+                            2 => 3_000_000 + (r % 200) as u32,
+                            // The whole `u32` range, up to `u32::MAX`.
+                            _ => (r >> 32) as u32,
+                        }
+                    })
+                    .collect();
+                if kind == 3 {
+                    for (slot, special) in keys.iter_mut().step_by(3).zip([u32::MAX, 0, u32::MAX - 1]) {
+                        *slot = special;
+                    }
+                }
+                keys.sort_unstable();
+                let ms: Vec<f64> = keys.iter().map(|&k| to_ms(k)).collect();
+                let via_keys = battery_sorted(&keys, to_ms, &mut keyed);
+                let via_ms = battery_presorted(&ms, &ms, &mut presorted);
+                prop_assert_eq!(row_bits(via_keys), row_bits(via_ms), "n = {}, kind = {}", n, kind);
+                if kind == 0 || n < 3 {
+                    prop_assert_eq!(via_keys, [None; 3], "n = {}, kind = {}", n, kind);
+                }
             }
         }
     }

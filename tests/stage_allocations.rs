@@ -5,6 +5,8 @@
 //! the trace holds. The delivery sweep used to break that (one heap cell per
 //! outcome, four per process-iteration). And a warm call leaves nothing
 //! behind: once its result is dropped, live heap bytes are where they were.
+//! And the sweep's one group buffer is 4 B an element: its heap high-water
+//! above its result is the part's largest group as `u32` keys, plus slack.
 //!
 //! The counters are this binary's global allocator, so the file holds
 //! exactly one test: a second one running beside it would be counted too.
@@ -28,30 +30,35 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static PEAK_LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `delta` to the live heap bytes and raises the high-water mark to
+/// the new total.
+fn track(delta: isize) {
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        track(layout.size() as isize);
         // SAFETY: the caller's `alloc` obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        track(layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
+        track(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from this allocator, that is, from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,17 +73,33 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Allocations made while `stage` runs, and the live heap bytes it leaves
-/// behind once its result is dropped.
-fn allocations<T>(stage: impl FnOnce() -> T) -> (usize, isize) {
+/// What one call of `stage` costs the heap.
+struct Cost {
+    /// Allocations made while it runs.
+    made: usize,
+    /// Live heap bytes it leaves behind once its result is dropped.
+    kept: isize,
+    /// Its heap high-water above its result: the most live bytes at any
+    /// point of the call, less those live when it returned.
+    transient: isize,
+}
+
+fn allocations<T>(stage: impl FnOnce() -> T) -> Cost {
     let (before, live_before) = (
         ALLOCATIONS.load(Ordering::Relaxed),
         LIVE_BYTES.load(Ordering::Relaxed),
     );
+    PEAK_LIVE_BYTES.store(live_before, Ordering::Relaxed);
     let result = stage();
     let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let transient = PEAK_LIVE_BYTES.load(Ordering::Relaxed) - LIVE_BYTES.load(Ordering::Relaxed);
     drop(result);
-    (made, LIVE_BYTES.load(Ordering::Relaxed) - live_before)
+    let kept = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    Cost {
+        made,
+        kept,
+        transient,
+    }
 }
 
 /// The three analysis stage entries' allocation counts, and the live heap
@@ -100,8 +123,12 @@ fn stage_allocations(
             )
         }),
     ];
-    (stages.map(|(made, _)| made), stages.map(|(_, kept)| kept))
+    (stages.each_ref().map(|c| c.made), stages.map(|c| c.kept))
 }
+
+/// How far a one-worker sweep call's heap high-water above its result may
+/// sit from its key buffer: fork/join bookkeeping, less the result's labels.
+const SWEEP_SLACK_BYTES: usize = 1024;
 
 #[test]
 fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
@@ -146,6 +173,29 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
                 // grows and no group buffer is kept for the next call.
                 assert_eq!(kept_small, [0, 0, 0], "{what}: live bytes kept");
                 assert_eq!(kept_large, [0, 0, 0], "{what}: live bytes kept");
+                // The sweep's group buffer is one `u32` key per element of
+                // the part's largest group. On the ci-scale traces the level
+                // split's copy of the process-iteration rows sets the call's
+                // high-water, so the key width is read on a trace whose one
+                // application group (8 192 samples, 5 groups in all) dwarfs
+                // its outcome table: there, the heap high-water above the
+                // result is the buffer plus the fork/join bookkeeping.
+                let wide = app.generate(&JobConfig::new(1, 1, 2, 4096), 20230421);
+                let keys = 4 * wide.samples().len() as isize;
+                allocations(|| {
+                    sweep_levels_parallel_with_arenas(&wide, ALPHA, None, &pool, &mut arenas)
+                });
+                let sweep = allocations(|| {
+                    sweep_levels_parallel_with_arenas(&wide, ALPHA, None, &pool, &mut arenas)
+                });
+                // Measured: 32 767 B for 32 768 B of keys (the result's
+                // level labels and the part list net to one byte). Eight-byte
+                // keys read 32 KiB over.
+                assert!(
+                    sweep.transient.abs_diff(keys) <= SWEEP_SLACK_BYTES,
+                    "{what}: sweep high-water {} B above its result, keys {keys} B",
+                    sweep.transient
+                );
             }
             for (stage, made) in ["sweep", "scan", "delivery"].into_iter().zip(on_small) {
                 assert!(

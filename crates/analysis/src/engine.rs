@@ -43,6 +43,19 @@ use crate::unit::UnitOrder;
 /// benchmark's layer table alike.
 pub const STAGES: [&str; 4] = ["generate", "normality-sweep", "trace-scan", "earlybird-sim"];
 
+/// Counter name, the work ledger: process-iterations (units) whose samples
+/// a stage sorted — the sweep's process-iteration groups, the scan's unit
+/// orders and the delivery stage's arrival orders (the canonical strategies
+/// include early-bird, so every unit's arrivals are ordered once), so a
+/// campaign reads three per unit. Booked through the pool's observer, one
+/// add per worker part; an unobserved pool counts nothing.
+pub const WORK_UNIT_SORTS: &str = "work.unit_sorts";
+
+/// Counter name, the work ledger: messages the delivery stage injected into
+/// its network models, summed over the four canonical strategies of every
+/// unit. Booked like [`WORK_UNIT_SORTS`].
+pub const WORK_INJECTIONS: &str = "work.delivery.injections";
+
 /// Long-lived scratch for the whole analysis engine: one scratch value per
 /// pool worker for every stage.
 ///
@@ -166,10 +179,10 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// part (a one-thread pool's single part is the whole list).
 ///
 /// When `obs` is provided, each group's three layers are timed into the
-/// [`SweepObs::GATHER_NS`], [`SweepObs::SORT_NS`] and
-/// [`SweepObs::BATTERY_NS`] histograms (together they cover the workers'
-/// task loops) and the Shapiro–Wilk weight-cache tallies land in the
-/// [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`] counters.
+/// per-level [`SweepObs::GATHER_LEVEL_NS`], [`SweepObs::SORT_LEVEL_NS`] and
+/// [`SweepObs::BATTERY_LEVEL_NS`] histograms (together they cover the
+/// workers' task loops) and the Shapiro–Wilk weight-cache tallies land in
+/// the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`] counters.
 ///
 /// [`sweep`]: crate::normality::sweep
 pub fn sweep_levels_parallel_with_arenas(
@@ -181,6 +194,9 @@ pub fn sweep_levels_parallel_with_arenas(
 ) -> [NormalitySweep; 3] {
     let tasks = SweepTasks(trace.shape());
     let workers = &arenas.sweep_workers;
+    let unit_sorts = pool.observer().map(|o| o.counter(WORK_UNIT_SORTS));
+    // The process-iteration groups are the task list's tail.
+    let first_unit = tasks.len() - trace.shape().process_iterations();
     let mut outcomes = vec![Default::default(); tasks.len()];
     pool.parallel_parts_mut(
         &mut outcomes,
@@ -193,6 +209,9 @@ pub fn sweep_levels_parallel_with_arenas(
                 block,
                 &mut workers.slot(ctx.thread()),
             );
+            if let Some(sorts) = &unit_sorts {
+                sorts.add(range.end.saturating_sub(range.start.max(first_unit)) as u64);
+            }
         },
     );
     tasks.into_levels(outcomes, alpha)
@@ -242,6 +261,9 @@ where
     // One strategy row per call: the partition count is the shape's.
     let strategies = canonical_strategies(threads);
     let sim = &arenas.sim;
+    let ledger = pool
+        .observer()
+        .map(|o| (o.counter(WORK_UNIT_SORTS), o.counter(WORK_INJECTIONS)));
     // Rows are written in place, not staged as `Option`s: a 32-byte outcome
     // has no niche, so a staged row is wider and collecting it reallocates.
     let mut out = vec![[DeliveryOutcome::default(); 4]; shape.process_iterations()];
@@ -261,6 +283,11 @@ where
                 strategies,
                 scratch,
             );
+        }
+        if let Some((sorts, injections)) = &ledger {
+            sorts.add(block.len() as u64);
+            let messages: usize = block.iter().flatten().map(|o| o.messages).sum();
+            injections.add(messages as u64);
         }
     });
     out
@@ -321,7 +348,11 @@ mod tests {
             }
             let snap = registry.snapshot();
             let groups = (tr.shape().process_iterations() + tr.shape().iterations + 1) as u64;
-            assert_eq!(snap.histogram(SweepObs::SORT_NS).count(), groups);
+            let sorted: u64 = SweepObs::SORT_LEVEL_NS
+                .iter()
+                .map(|name| snap.histogram(name).count())
+                .sum();
+            assert_eq!(sorted, groups);
             assert!(snap.counter(SweepObs::CACHE_MISS) > 0);
         }
     }

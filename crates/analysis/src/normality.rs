@@ -116,22 +116,22 @@ pub fn sweep(trace: &TimingTrace, level: AggregationLevel, alpha: f64) -> Normal
 
 /// Observability handles for the normality sweep fast path: weight-cache
 /// hit/miss counters, per-group latency histograms of the kernel's three
-/// layers (gather, sort, battery), and the sweep's slice of the work ledger
+/// layers (gather, sort, battery) per level, and the sweep's slice of the
+/// work ledger
 /// — exact counts of the work done, which no host's speed moves — all
 /// registered on a shared [`ebird_obs::Registry`] so `repro profile` and
-/// the benchmark surface them next to the span/pool metrics.
+/// the benchmark surface them next to the span/pool metrics. Each fact is
+/// recorded once: a layer's total over the levels, the groups and the
+/// elements the battery saw are sums of these, and `repro profile` derives
+/// them.
 #[derive(Clone)]
 pub struct SweepObs {
     registry: Arc<Registry>,
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
-    gather_ns: Arc<Histogram>,
     gather_level_ns: [Arc<Histogram>; 3],
-    sort_ns: Arc<Histogram>,
     sort_level_ns: [Arc<Histogram>; 3],
-    battery_ns: Arc<Histogram>,
     battery_level_ns: [Arc<Histogram>; 3],
-    batch_len: Arc<Histogram>,
     work_elements: [Arc<Counter>; 3],
     work_phi: Arc<Counter>,
 }
@@ -142,50 +142,39 @@ impl SweepObs {
     /// Counter name: Shapiro–Wilk weight-vector cache misses (fresh Blom
     /// score solves).
     pub const CACHE_MISS: &'static str = "sweep.weights.cache_miss";
-    /// Histogram name: nanoseconds spent gathering each group's nanosecond
-    /// keys out of the trace. One entry per group. Together with
-    /// [`Self::SORT_NS`] and [`Self::BATTERY_NS`] this covers a worker's
-    /// whole task loop, so the three totals sum to the stage's busy time
-    /// (within 10 % at `--scale paper --threads 1`; the rest is the clock
-    /// reads and the fork/join around the loop).
-    pub const GATHER_NS: &'static str = "sweep.gather.ns";
-    /// Histogram names: [`Self::GATHER_NS`] split by level, in
-    /// [`SWEEP_LEVELS`] order — with the sort and battery splits, a group's
-    /// whole cost per level, which `engine`'s partition cost model is fitted
-    /// to.
+    /// Histogram names: nanoseconds spent gathering each group's
+    /// nanosecond keys out of the trace, one entry per group, by level in
+    /// [`SWEEP_LEVELS`] order. With the sort and battery splits this covers
+    /// a worker's whole task loop, so the three layers' totals sum to the
+    /// stage's busy time (within 10 % at `--scale paper --threads 1`; the
+    /// rest is the clock reads and the fork/join around the loop), and per
+    /// level they are a group's whole cost, which `engine`'s partition cost
+    /// model is fitted to.
     pub const GATHER_LEVEL_NS: [&'static str; 3] = [
         "sweep.gather.process-iteration.ns",
         "sweep.gather.application-iteration.ns",
         "sweep.gather.application.ns",
     ];
-    /// Histogram name: nanoseconds spent sorting each group's `u32`
+    /// Histogram names: nanoseconds spent sorting each group's `u32`
     /// nanosecond keys, before the fused battery pass (which reads them as
-    /// milliseconds). One entry per group.
-    pub const SORT_NS: &'static str = "sweep.sort.ns";
-    /// Histogram names: [`Self::SORT_NS`] split by level, in
-    /// [`SWEEP_LEVELS`] order — where a merge of already-sorted children
-    /// would have to beat the sort.
+    /// milliseconds), one entry per group, by level in [`SWEEP_LEVELS`]
+    /// order — where a merge of already-sorted children would have to beat
+    /// the sort. Their entry counts are the ledger's groups per level.
     pub const SORT_LEVEL_NS: [&'static str; 3] = [
         "sweep.sort.process-iteration.ns",
         "sweep.sort.application-iteration.ns",
         "sweep.sort.application.ns",
     ];
-    /// Histogram name: nanoseconds spent in the fused battery kernel (lane
+    /// Histogram names: nanoseconds spent in the fused battery kernel (lane
     /// sums, Φ blocks, the three statistics, and the key-to-millisecond
-    /// conversion wherever it reads a key) per group. One entry per group.
-    pub const BATTERY_NS: &'static str = "sweep.battery.ns";
-    /// Histogram names: [`Self::BATTERY_NS`] split by level, in
-    /// [`SWEEP_LEVELS`] order — whether the three large application groups
-    /// or the many small ones are the battery's cost.
+    /// conversion wherever it reads a key), one entry per group, by level
+    /// in [`SWEEP_LEVELS`] order — whether the three large application
+    /// groups or the many small ones are the battery's cost.
     pub const BATTERY_LEVEL_NS: [&'static str; 3] = [
         "sweep.battery.process-iteration.ns",
         "sweep.battery.application-iteration.ns",
         "sweep.battery.application.ns",
     ];
-    /// Histogram name: elements handed to the fused battery kernel per group.
-    /// One entry per battery invocation, so `count` is the number of groups
-    /// fused and the distribution shows the group sizes the kernel sees.
-    pub const BATCH_LEN: &'static str = "sweep.batch.len";
     /// Counter names, the work ledger: elements gathered (and sorted) per
     /// level, in [`SWEEP_LEVELS`] order — each level covers the trace once,
     /// so each reads the trace's sample count. The ledger's other counts are
@@ -212,13 +201,9 @@ impl SweepObs {
             registry: Arc::clone(registry),
             cache_hit: registry.counter(Self::CACHE_HIT),
             cache_miss: registry.counter(Self::CACHE_MISS),
-            gather_ns: registry.histogram(Self::GATHER_NS),
             gather_level_ns: Self::GATHER_LEVEL_NS.map(|name| registry.histogram(name)),
-            sort_ns: registry.histogram(Self::SORT_NS),
             sort_level_ns: Self::SORT_LEVEL_NS.map(|name| registry.histogram(name)),
-            battery_ns: registry.histogram(Self::BATTERY_NS),
             battery_level_ns: Self::BATTERY_LEVEL_NS.map(|name| registry.histogram(name)),
-            batch_len: registry.histogram(Self::BATCH_LEN),
             work_elements: Self::WORK_ELEMENTS.map(|name| registry.counter(name)),
             work_phi: registry.counter(Self::WORK_PHI),
         }
@@ -232,9 +217,8 @@ impl SweepObs {
     /// Records one group of `len` samples at `level` from the four
     /// timestamps around its three layers — `[gather start, sort start,
     /// battery start, end]` — and its battery `outcome`, and returns the
-    /// end, which is the next group's gather start. The per-level splits
-    /// reuse the same differences, so they add no clock read and sum exactly
-    /// to their layer's total; the work ledger adds two counter bumps.
+    /// end, which is the next group's gather start: three histogram entries,
+    /// one per layer at the group's level, and one or two ledger bumps.
     pub(crate) fn record_group(
         &self,
         stamps: [u64; 4],
@@ -248,16 +232,9 @@ impl SweepObs {
             AggregationLevel::ApplicationIteration => 1,
             AggregationLevel::Application => 2,
         };
-        let gather = t1.saturating_sub(t0);
-        self.gather_ns.record(gather);
-        self.gather_level_ns[level_index].record(gather);
-        let sort = t2.saturating_sub(t1);
-        self.sort_ns.record(sort);
-        self.sort_level_ns[level_index].record(sort);
-        let battery = t3.saturating_sub(t2);
-        self.battery_ns.record(battery);
-        self.battery_level_ns[level_index].record(battery);
-        self.batch_len.record(len as u64);
+        self.gather_level_ns[level_index].record(t1.saturating_sub(t0));
+        self.sort_level_ns[level_index].record(t2.saturating_sub(t1));
+        self.battery_level_ns[level_index].record(t3.saturating_sub(t2));
         self.work_elements[level_index].add(len as u64);
         if outcome[2].is_some() {
             self.work_phi.add(len as u64);
@@ -651,40 +628,21 @@ mod tests {
         // every other group reuses a cached vector.
         assert_eq!(snap.counter(SweepObs::CACHE_MISS), 3);
         assert_eq!(snap.counter(SweepObs::CACHE_HIT), 48);
-        // One sort per group: 40 process-iterations, 10 application-
-        // iterations, 1 application.
-        for layer in [SweepObs::GATHER_NS, SweepObs::SORT_NS, SweepObs::BATTERY_NS] {
-            assert_eq!(snap.histogram(layer).count(), 40 + 10 + 1, "{layer}");
-        }
-        let by_level = SweepObs::SORT_LEVEL_NS.map(|name| snap.histogram(name).count());
-        assert_eq!(by_level, [40, 10, 1]);
-        // One fused-battery batch per group; total elements = the group
-        // sizes summed (40×16 + 10×64 + 1×640).
-        let batches = snap.histogram(SweepObs::BATCH_LEN);
-        assert_eq!(batches.count(), 40 + 10 + 1);
-        assert_eq!(batches.total(), 40 * 16 + 10 * 64 + 640);
-    }
-
-    #[test]
-    fn every_layer_split_by_level_counts_every_group_and_sums_to_its_layer() {
-        let registry = Arc::new(Registry::wall());
-        let obs = SweepObs::new(&registry);
-        sweep_levels(&normal_trace(16), Some(&obs)); // shape (2, 2, 10, 16)
-        let snap = registry.snapshot();
-        for (layer, levels) in [
-            (SweepObs::GATHER_NS, SweepObs::GATHER_LEVEL_NS),
-            (SweepObs::SORT_NS, SweepObs::SORT_LEVEL_NS),
-            (SweepObs::BATTERY_NS, SweepObs::BATTERY_LEVEL_NS),
+        // Each layer times every group once, at its level: 40
+        // process-iterations, 10 application-iterations, 1 application.
+        for levels in [
+            SweepObs::GATHER_LEVEL_NS,
+            SweepObs::SORT_LEVEL_NS,
+            SweepObs::BATTERY_LEVEL_NS,
         ] {
-            let by_level = levels.map(|name| snap.histogram(name));
-            assert_eq!(
-                by_level.each_ref().map(|h| h.count()),
-                [40, 10, 1],
-                "{layer}"
-            );
-            let split: u64 = by_level.iter().map(|h| h.total()).sum();
-            assert_eq!(split, snap.histogram(layer).total(), "{layer}");
+            let by_level = levels.map(|name| snap.histogram(name).count());
+            assert_eq!(by_level, [40, 10, 1], "{levels:?}");
         }
+        // The battery saw each level's groups' elements: 40×16, 10×64, 640.
+        assert_eq!(
+            SweepObs::WORK_ELEMENTS.map(|name| snap.counter(name)),
+            [640; 3]
+        );
     }
 
     #[test]

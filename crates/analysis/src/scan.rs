@@ -32,7 +32,7 @@ use ebird_core::{ThreadSample, TimingTrace};
 use ebird_runtime::{static_block, Pool};
 use ebird_stats::Moments;
 
-use crate::engine::EngineArenas;
+use crate::engine::{EngineArenas, WORK_UNIT_SORTS};
 use crate::laggard::{classify_unit, ClassifiedIteration, LaggardCensus};
 use crate::reclaim::{fold_units, unit_reclaim, ReclaimMetrics, UnitReclaim};
 
@@ -95,6 +95,7 @@ pub fn trace_scan_parallel_with_arenas(
         })
         .collect();
     let (unit_order, threads) = (&arenas.unit_order, shape.threads);
+    let unit_sorts = pool.observer().map(|o| o.counter(WORK_UNIT_SORTS));
     // A team-long slice chunks into exactly one element per member.
     pool.parallel_chunks_mut(&mut parts, |part, _, ctx| {
         let part = &mut part[0];
@@ -109,6 +110,9 @@ pub fn trace_scan_parallel_with_arenas(
             for s in samples {
                 part.moments.push(ThreadSample::compute_time_ms(s));
             }
+        }
+        if let Some(sorts) = &unit_sorts {
+            sorts.add(part.iterations.len() as u64);
         }
     });
     let scanned = parts

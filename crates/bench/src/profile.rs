@@ -6,15 +6,15 @@
 //! process-iteration handled ([`units_counter`]) and per-worker busy splits
 //! under a header that states the traces' footprint ([`TRACE_SAMPLES`]),
 //! followed by the normality-sweep fast-path instruments
-//! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], the per-group
-//! [`SweepObs::SORT_NS`] latency histogram, the three kernel layers —
-//! [`SweepObs::GATHER_NS`], sort, [`SweepObs::BATTERY_NS`] — as shares of
-//! the stage's busy time, the three layers split by level
-//! ([`SweepObs::GATHER_LEVEL_NS`], [`SweepObs::SORT_LEVEL_NS`],
-//! [`SweepObs::BATTERY_LEVEL_NS`]), and the
-//! [`SweepObs::BATCH_LEN`] batch-Φ feed sizes), the sweep's work ledger
-//! (groups and elements gathered per level, [`SweepObs::WORK_ELEMENTS`];
-//! Shapiro–Wilk weight solves; Φ evaluations, [`SweepObs::WORK_PHI`]) —
+//! ([`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`], and the kernel's
+//! three layers per level — [`SweepObs::GATHER_LEVEL_NS`],
+//! [`SweepObs::SORT_LEVEL_NS`], [`SweepObs::BATTERY_LEVEL_NS`] — from which
+//! it derives each layer's total and share of the stage's busy time, the
+//! group count, the per-level group-sort quantiles and the batch-Φ feed),
+//! the work ledger (groups and elements gathered per level,
+//! [`SweepObs::WORK_ELEMENTS`]; Shapiro–Wilk weight solves; Φ evaluations,
+//! [`SweepObs::WORK_PHI`]; unit sorts, [`WORK_UNIT_SORTS`]; delivery
+//! injections, [`WORK_INJECTIONS`]) —
 //! counts, which no host's speed blurs — and the
 //! pool's [`PoolObserver::FORK_NS`] fork/join overhead histogram. Each stage row
 //! also states the process's peak resident set once the stage is done
@@ -27,7 +27,7 @@
 //! [`effective_parallelism`] how many of a team's threads the host really
 //! runs at once.
 
-use ebird_analysis::engine::STAGES;
+use ebird_analysis::engine::{STAGES, WORK_INJECTIONS, WORK_UNIT_SORTS};
 use ebird_analysis::normality::{SweepObs, SWEEP_LEVELS};
 use ebird_cluster::calibration::LAGGARD_THRESHOLD_MS;
 use ebird_core::ThreadSample;
@@ -229,29 +229,50 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
     } else {
         100.0 * hits as f64 / lookups as f64
     };
-    let sorts = snap.histogram(SweepObs::SORT_NS);
-    let (p50_lo, p50_hi) = sorts.quantile_bounds(0.5);
-    let (p95_lo, p95_hi) = sorts.quantile_bounds(0.95);
     let _ = writeln!(out, "normality-sweep fast path:");
     let _ = writeln!(
         out,
         "  weight cache: {hits} hits / {misses} misses ({hit_rate:.1}% hit rate)"
     );
+    // Each layer is recorded once, per level; its total and its group count
+    // are the levels' sums.
+    let level_hists = |names: [&str; 3]| names.map(|name| snap.histogram(name));
+    let [gathers, sorts, batteries] = [
+        SweepObs::GATHER_LEVEL_NS,
+        SweepObs::SORT_LEVEL_NS,
+        SweepObs::BATTERY_LEVEL_NS,
+    ]
+    .map(level_hists);
+    let total = |hists: &[ebird_obs::HistogramSnapshot; 3]| -> u64 {
+        hists.iter().map(|h| h.total()).sum()
+    };
+    let groups: u64 = sorts.iter().map(|h| h.count()).sum();
+    let quantiles: Vec<String> = SWEEP_LEVELS
+        .iter()
+        .zip(&sorts)
+        .map(|(level, h)| {
+            let (p50_lo, p50_hi) = h.quantile_bounds(0.5);
+            let (p95_lo, p95_hi) = h.quantile_bounds(0.95);
+            format!(
+                "{} p50 {:.3}-{:.3} ms, p95 {:.3}-{:.3} ms",
+                level.label(),
+                ms(p50_lo),
+                ms(p50_hi),
+                ms(p95_lo),
+                ms(p95_hi)
+            )
+        })
+        .collect();
     let _ = writeln!(
         out,
-        "  group sort: {} groups, {:.1} ms total, p50 {:.3}-{:.3} ms, p95 {:.3}-{:.3} ms",
-        sorts.count(),
-        ms(sorts.total()),
-        ms(p50_lo),
-        ms(p50_hi),
-        ms(p95_lo),
-        ms(p95_hi)
+        "  group sort: {groups} groups, {:.1} ms total; {}",
+        ms(total(&sorts)),
+        quantiles.join("; ")
     );
     // The kernel's three layers cover a worker's whole task loop, so they
     // sum to the stage's busy time (within 10 % at `--scale paper
     // --threads 1`: clock reads and the fork/join are the rest).
-    let [gather, sort, battery] = [SweepObs::GATHER_NS, SweepObs::SORT_NS, SweepObs::BATTERY_NS]
-        .map(|name| snap.histogram(name).total());
+    let [gather, sort, battery] = [&gathers, &sorts, &batteries].map(total);
     let layers = gather + sort + battery;
     let sweep_busy = snap.counter(&PoolObserver::stage_counter(STAGES[1]));
     let share = if sweep_busy == 0 {
@@ -267,16 +288,15 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         ms(battery),
         ms(layers)
     );
-    for (layer, names) in [
-        ("gather", SweepObs::GATHER_LEVEL_NS),
-        ("sort", SweepObs::SORT_LEVEL_NS),
-        ("battery", SweepObs::BATTERY_LEVEL_NS),
+    for (layer, hists) in [
+        ("gather", &gathers),
+        ("sort", &sorts),
+        ("battery", &batteries),
     ] {
         let by_level: Vec<String> = SWEEP_LEVELS
             .iter()
-            .zip(names)
-            .map(|(level, name)| {
-                let h = snap.histogram(name);
+            .zip(hists)
+            .map(|(level, h)| {
                 format!(
                     "{} {:.1} ms / {} groups",
                     level.label(),
@@ -287,37 +307,37 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
             .collect();
         let _ = writeln!(out, "  {layer} by level: {}", by_level.join(", "));
     }
-    let batches = snap.histogram(SweepObs::BATCH_LEN);
-    let mean_batch = if batches.count() == 0 {
-        0.0
-    } else {
-        batches.total() as f64 / batches.count() as f64
-    };
-    let _ = writeln!(
-        out,
-        "  batch-phi kernel: {} batteries, {} elements streamed, mean batch {mean_batch:.1}",
-        batches.count(),
-        batches.total()
-    );
-
-    // The sweep's work ledger: exact counts, bumped once per group under
-    // the observer (the groups are the per-level sort histograms' entries).
-    let gathered: Vec<String> = SWEEP_LEVELS
-        .iter()
-        .zip(SweepObs::SORT_LEVEL_NS.iter().zip(SweepObs::WORK_ELEMENTS))
-        .map(|(level, (groups, elements))| {
-            format!(
-                "{} {} groups / {} elements",
-                level.label(),
-                snap.histogram(groups).count(),
-                snap.counter(elements)
-            )
-        })
-        .collect();
+    // The battery runs once per group over the group's elements: the
+    // ledger's counts.
     let elements: u64 = SweepObs::WORK_ELEMENTS
         .iter()
         .map(|name| snap.counter(name))
         .sum();
+    let mean_batch = if groups == 0 {
+        0.0
+    } else {
+        elements as f64 / groups as f64
+    };
+    let _ = writeln!(
+        out,
+        "  batch-phi kernel: {groups} batteries, {elements} elements streamed, mean batch {mean_batch:.1}"
+    );
+
+    // The work ledger: exact counts, bumped once per group (the sweep's,
+    // whose groups are the per-level sort histograms' entries) or once per
+    // worker part (the unit sorts and injections) under the observer.
+    let gathered: Vec<String> = SWEEP_LEVELS
+        .iter()
+        .zip(sorts.iter().zip(SweepObs::WORK_ELEMENTS))
+        .map(|(level, (groups, elements))| {
+            format!(
+                "{} {} groups / {} elements",
+                level.label(),
+                groups.count(),
+                snap.counter(elements)
+            )
+        })
+        .collect();
     let _ = writeln!(out, "work:");
     let _ = writeln!(
         out,
@@ -328,6 +348,12 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
         out,
         "  sweep weight solves: {misses}; phi evaluations: {}",
         snap.counter(SweepObs::WORK_PHI)
+    );
+    let _ = writeln!(
+        out,
+        "  unit sorts: {}; delivery injections: {}",
+        snap.counter(WORK_UNIT_SORTS),
+        snap.counter(WORK_INJECTIONS)
     );
 
     // Fork/join accounting: per-region overhead (spawn + join + skew) the
@@ -392,22 +418,9 @@ mod tests {
         registry
             .counter(SweepObs::CACHE_MISS)
             .add(next(&mut sentinels));
-        // The sort histogram renders its entry count: record a sentinel
-        // number of 1 ms entries.
-        let count = next(&mut sentinels);
-        let hist = registry.histogram(SweepObs::SORT_NS);
-        for _ in 0..count {
-            hist.record(1_000_000);
-        }
-        // The gather and battery layers render their totals in ms with one
-        // decimal, like the stage cells.
-        for layer in [SweepObs::GATHER_NS, SweepObs::BATTERY_NS] {
-            registry
-                .histogram(layer)
-                .record(next(&mut sentinels) * 1_000_000);
-        }
         // The per-level gather, sort and battery splits render each level's
-        // total the same way.
+        // total in ms with one decimal, like the stage cells (the layer
+        // totals, group counts and quantiles are derived from them).
         for level in SweepObs::GATHER_LEVEL_NS
             .into_iter()
             .chain(SweepObs::SORT_LEVEL_NS)
@@ -417,18 +430,12 @@ mod tests {
                 .histogram(level)
                 .record(next(&mut sentinels) * 1_000_000);
         }
-        // Batch-Φ kernel feed: count and element total are both rendered;
-        // one-element batches make them the same sentinel.
-        let batch_count = next(&mut sentinels);
-        let batch_hist = registry.histogram(SweepObs::BATCH_LEN);
-        for _ in 0..batch_count {
-            batch_hist.record(1);
-        }
         // The work ledger renders every count as itself.
-        for name in SweepObs::WORK_ELEMENTS
-            .into_iter()
-            .chain([SweepObs::WORK_PHI])
-        {
+        for name in SweepObs::WORK_ELEMENTS.into_iter().chain([
+            SweepObs::WORK_PHI,
+            WORK_UNIT_SORTS,
+            WORK_INJECTIONS,
+        ]) {
             registry.counter(name).add(next(&mut sentinels));
         }
         // Fork overhead histogram: sentinel count of 1 ms forks.
@@ -507,9 +514,14 @@ mod tests {
         assert!(rendered.contains("fork/join overhead"));
         assert!(rendered.contains("batch-phi kernel"));
         assert!(rendered.contains(
-            "work:\n  sweep gathered: process iteration 0 groups / 0 elements, application iteration 0 groups / 0 elements, application 0 groups / 0 elements (0 elements)\n  sweep weight solves: 0; phi evaluations: 0\n"
+            "work:\n  sweep gathered: process iteration 0 groups / 0 elements, application iteration 0 groups / 0 elements, application 0 groups / 0 elements (0 elements)\n  sweep weight solves: 0; phi evaluations: 0\n  unit sorts: 0; delivery injections: 0\n"
         ));
         assert!(rendered.contains("  layers: gather 0.0 ms + sort 0.0 ms + battery 0.0 ms"));
+        assert!(rendered.contains(
+            "  group sort: 0 groups, 0.0 ms total; process iteration p50 0.000-0.000 ms, p95 0.000-0.000 ms; "
+        ));
+        assert!(rendered
+            .contains("  batch-phi kernel: 0 batteries, 0 elements streamed, mean batch 0.0\n"));
         for layer in ["gather", "sort", "battery"] {
             assert!(rendered.contains(&format!(
                 "  {layer} by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"

@@ -3,7 +3,7 @@
 //! so findings are always in live, non-test code.
 
 use crate::cleaner;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Crates whose outputs are content-addressed or compared byte-for-byte:
 /// unspecified iteration order anywhere in them is a determinism hazard.
@@ -332,19 +332,11 @@ fn field_name(line: &str) -> Option<&str> {
 /// re-exports and the name a `fn` defines do not count. In the item's own
 /// file, a mention in another `pub` item's header (an enum's or trait's whole
 /// body) or on a `pub` field line counts, since narrowing the item would trip
-/// `private_interfaces`. An inherent method is checked only when its name is
-/// defined once. Returns the violations, then the findings only
+/// `private_interfaces`. Returns the violations, then the findings only
 /// `benchmark/src` names: those are listed, not refused, because the
 /// benchmark may not be edited.
 pub fn no_test_only_pub(files: &[SourceFile]) -> (Vec<Violation>, Vec<Violation>) {
     let referrers: Vec<BTreeSet<&str>> = files.iter().map(referrer_words).collect();
-    let mut fn_defs: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, line) in files.iter().flat_map(SourceFile::live_lines) {
-        let words: Vec<&str> = words(line).collect();
-        for pair in words.windows(2).filter(|pair| pair[0] == "fn") {
-            *fn_defs.entry(pair[1]).or_default() += 1;
-        }
-    }
     let (mut violations, mut benchmark_only) = (Vec::new(), Vec::new());
     for (fi, file) in files.iter().enumerate() {
         if !file.rel_path.starts_with("crates/") {
@@ -361,10 +353,6 @@ pub fn no_test_only_pub(files: &[SourceFile]) -> (Vec<Violation>, Vec<Violation>
             })
             .collect();
         for item in &items {
-            let method = item.kind == "fn" && file.cleaned[item.line].starts_with(' ');
-            if method && fn_defs.get(item.name).copied().unwrap_or(0) > 1 {
-                continue;
-            }
             let in_signature = interface.iter().any(|&i| {
                 !item.interface.contains(&i) && contains_word(&file.cleaned[i], item.name)
             });

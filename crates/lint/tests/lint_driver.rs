@@ -144,7 +144,7 @@ fn test_only_pub_counts_live_uses_in_other_files_only() {
 }
 
 #[test]
-fn a_method_defined_twice_is_not_checked_and_a_definition_is_not_a_use() {
+fn a_method_defined_twice_is_checked_and_a_definition_is_not_a_use() {
     let report = lint_sources(
         &[
             ("core", "crates/core/src/a.rs", METHOD_NAMES),
@@ -153,7 +153,7 @@ fn a_method_defined_twice_is_not_checked_and_a_definition_is_not_a_use() {
         &Config::default(),
     );
     let items: Vec<&str> = report.violations.iter().map(|v| v.item.as_str()).collect();
-    assert_eq!(items, ["probe", "helper"], "{:?}", report.violations);
+    assert_eq!(items, ["new", "probe", "helper"], "{:?}", report.violations);
 }
 
 #[test]

@@ -84,6 +84,13 @@ impl PoolObserver {
         format!("pool.{stage}.busy_ns")
     }
 
+    /// The counter `name` of the observer's registry — for a stage to book
+    /// its own counts under the observer, so an unobserved pool counts
+    /// nothing.
+    pub fn counter(&self, name: &str) -> Arc<ebird_obs::Counter> {
+        self.registry.counter(name)
+    }
+
     fn record(&self, thread: usize, busy_ns: u64) {
         let stage = self.stage.lock().clone();
         self.registry

@@ -13,35 +13,33 @@
 //!   small probationary queue, proven entries live in the main queue, and a
 //!   ghost queue of recently evicted keys routes fast returners straight
 //!   back to main. Unbounded when no budget is set.
-//! * **cold** — an append-only JSON Lines file replayed at startup *and*
-//!   point-readable at runtime: every record's byte offset is indexed, so a
-//!   row evicted from the hot tier is re-read from disk (and re-admitted
-//!   hot) instead of recomputed. Appends are buffered; [`flush`] (and
-//!   graceful shutdown) force them to disk.
+//! * **cold** — a directory of record files, one per persisted cell, each
+//!   named by its key (`DIR/<32 hex digits>`) and written under a temporary
+//!   name of its own, then renamed into place. Opening the tier lists the directory
+//!   and keeps the set of keys stored there; nothing is read until asked
+//!   for. A lookup that misses hot reads a file only for a key in the set,
+//!   and a row read from disk is re-admitted hot. [`ResultCache::insert`]
+//!   persists every row; the server persists only the rows worth reading
+//!   back (see `server::settle`).
 //!
-//! A cold record proves itself or is not used. Replay and every point read
-//! apply one check, [`ColdRecord::parse`]: the line is UTF-8 JSON, its `key`
-//! addresses its `spec`, and its `digest` — the FNV-1a 128-bit hash of its
-//! `row`, as 32 hex digits — addresses its `row`. A record without a
-//! `digest`, as written before the field existed, is trusted on its key
-//! alone. Any other line is skipped, counted (`{prefix}.quarantined`, see
-//! [`CacheMetrics`]) and left out of the index, so its cell recomputes on
-//! demand; the line stays in the file, and every restart counts it again.
-//! FNV-1a detects corruption but does not withstand a forger: whoever can
-//! write the file can write a record that passes. The one edit the tier
-//! makes to the file is cutting the bytes after its last newline, the tail
-//! of an append torn by a crash.
+//! A cold record proves itself or is not used: the file is UTF-8 JSON
+//! `{"spec":…,"row":…,"digest":…}`, its name is the hash of its `spec`, and
+//! `digest` — the FNV-1a 128-bit hash of `row`, as 32 hex digits — addresses
+//! its `row`. A record that fails is quarantined: counted
+//! (`{prefix}.quarantined`, see [`CacheMetrics`]) and dropped from the set,
+//! so its cell recomputes, and the recomputed row's record replaces the
+//! file. A name that is not a key — a temporary file a crash left between
+//! write and rename, or anything else — is never read. FNV-1a detects
+//! corruption but does not withstand a forger: whoever can write the
+//! directory can write a record that passes.
 //!
 //! Hash collisions are guarded, not assumed away: entries store the full
 //! canonical spec, and a lookup whose stored spec differs from the probe's
 //! is treated as a miss.
-//!
-//! [`flush`]: ResultCache::flush
 
-use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -86,7 +84,7 @@ impl ContentKey {
         }
     }
 
-    /// The hash as 32 lowercase hex digits (the cold tier's `key` field).
+    /// The hash as 32 lowercase hex digits (the name of a cold record).
     pub fn hex(&self) -> String {
         hash_hex(self.hash)
     }
@@ -125,31 +123,26 @@ impl CachedRow {
     }
 }
 
-/// The cold tier's on-disk record: one JSON line per cached cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The cold tier's record: the whole content of one file.
+#[derive(Serialize, Deserialize)]
 struct ColdRecord {
-    /// 32-hex-digit content hash of `spec`.
-    key: String,
     /// Canonical spec JSON, embedded as a string.
     spec: String,
     /// Exact row JSON line, embedded as a string.
     row: String,
-    /// 32-hex-digit FNV-1a 128-bit hash of `row`; empty in a record written
-    /// before the field existed.
-    #[serde(default)]
+    /// 32-hex-digit FNV-1a 128-bit hash of `row`.
     digest: String,
 }
 
 impl ColdRecord {
-    /// The record `line` holds and its spec's hash, if the line proves
-    /// itself: it is UTF-8 JSON, its key addresses its spec and its digest,
-    /// when present, addresses its row.
-    fn parse(line: &[u8]) -> Option<(u128, ColdRecord)> {
-        let record: ColdRecord = serde_json::from_str(std::str::from_utf8(line).ok()?).ok()?;
-        let hash = fnv1a_128(record.spec.as_bytes());
-        let row_ok =
-            record.digest.is_empty() || record.digest == hash_hex(fnv1a_128(record.row.as_bytes()));
-        (record.key == hash_hex(hash) && row_ok).then_some((hash, record))
+    /// The record `bytes` hold, if it proves itself as the file named by
+    /// `hash`: it is UTF-8 JSON, its spec hashes to `hash` and its digest
+    /// addresses its row.
+    fn parse(bytes: &[u8], hash: u128) -> Option<ColdRecord> {
+        let record: ColdRecord = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()?;
+        (fnv1a_128(record.spec.as_bytes()) == hash
+            && record.digest == hash_hex(fnv1a_128(record.row.as_bytes())))
+        .then_some(record)
     }
 }
 
@@ -167,10 +160,11 @@ pub struct CacheConfig {
 /// outcome — hot-tier hit, cold-tier point read, or miss — so the
 /// histograms' counts are the cache's tallies: hits are `{prefix}.hit_ns`
 /// plus `{prefix}.cold_read_ns`, cold hits `{prefix}.cold_read_ns`, misses
-/// `{prefix}.miss_ns`. The counter `{prefix}.quarantined` counts the
-/// cold-tier lines that failed the check (see the module doc): those replay
-/// skipped, booked when the cache is observed, and those a point read found.
-/// An unobserved cache counts nothing.
+/// `{prefix}.miss_ns`. The counter `{prefix}.quarantined` counts the cold
+/// records a point read found unproven (see the module doc), and
+/// `{prefix}.row_copies` the copies of a row's bytes the hot hits took,
+/// two a hit (see `ROW_COPIES_PER_HOT_HIT`). An unobserved cache counts
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct CacheMetrics {
     registry: Arc<ebird_obs::Registry>,
@@ -178,12 +172,13 @@ pub struct CacheMetrics {
     cold_read_ns: Arc<ebird_obs::Histogram>,
     miss_ns: Arc<ebird_obs::Histogram>,
     quarantined: Arc<ebird_obs::Counter>,
+    row_copies: Arc<ebird_obs::Counter>,
 }
 
 impl CacheMetrics {
     /// Handles under `prefix`: histograms `{prefix}.hit_ns`,
-    /// `{prefix}.cold_read_ns`, `{prefix}.miss_ns` and the counter
-    /// `{prefix}.quarantined`.
+    /// `{prefix}.cold_read_ns`, `{prefix}.miss_ns` and the counters
+    /// `{prefix}.quarantined` and `{prefix}.row_copies`.
     pub fn new(registry: &Arc<ebird_obs::Registry>, prefix: &str) -> Self {
         CacheMetrics {
             registry: Arc::clone(registry),
@@ -191,9 +186,15 @@ impl CacheMetrics {
             cold_read_ns: registry.histogram(&format!("{prefix}.cold_read_ns")),
             miss_ns: registry.histogram(&format!("{prefix}.miss_ns")),
             quarantined: registry.counter(&format!("{prefix}.quarantined")),
+            row_copies: registry.counter(&format!("{prefix}.row_copies")),
         }
     }
 }
+
+/// Copies of a row's bytes a hot hit takes: the hot tier decodes the entry
+/// into its scratch, and the handle copies the row out of it
+/// ([`CachedRow::new`]).
+const ROW_COPIES_PER_HOT_HIT: u64 = 2;
 
 /// How a lookup was answered, for latency classification.
 enum LookupClass {
@@ -202,85 +203,55 @@ enum LookupClass {
     Miss,
 }
 
-/// The cold tier: one file, appended through a buffer and point-read
-/// through the same handle, and a point-read index.
+/// The cold tier: a directory of record files, one per stored key, and the
+/// set of keys stored there. The set's lock is never held across a file
+/// operation, so a lookup of a key not stored never waits on the disk.
 struct ColdTier {
-    /// Point reads seek and read the buffer's file, so a cold hit (read
-    /// under the single-flight lock) opens nothing.
-    writer: BufWriter<File>,
-    path: PathBuf,
-    /// Content hash → (line offset, line length sans newline).
-    index: HashMap<u128, (u64, u32)>,
-    /// Next append offset (== current logical file length).
-    append_at: u64,
-    /// Whether unflushed appends are buffered (a point read flushes first).
-    dirty: bool,
-    /// Lines replay skipped, for [`ResultCache::observe`] to count.
-    skipped: u64,
+    dir: PathBuf,
+    stored: Mutex<HashSet<u128>>,
 }
 
 impl ColdTier {
-    /// Opens `dir/results.jsonl`, replaying every line that proves itself
-    /// into `hot` and indexing it; later lines win on duplicate keys.
-    fn open(dir: &Path, hot: &mut S3Fifo) -> Result<ColdTier, String> {
+    /// Opens `dir`, creating it if needed: every file named by a key (32
+    /// lowercase hex digits) is stored, and nothing is read.
+    fn open(dir: &Path) -> Result<ColdTier, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
-        let path = dir.join("results.jsonl");
-        let mut file = File::options()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("opening {path:?}: {e}"))?;
-        let mut text = Vec::new();
-        file.read_to_end(&mut text)
-            .map_err(|e| format!("reading {path:?}: {e}"))?;
-        // Bytes after the last newline are a torn append: cut, or the next
-        // append would glue a record onto them.
-        let good_len = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let mut skipped = 0;
-        if good_len < text.len() {
-            file.set_len(good_len as u64)
-                .map_err(|e| format!("truncating {path:?}: {e}"))?;
-            skipped += 1;
-        }
-        let mut index = HashMap::new();
-        let mut offset = 0;
-        for line in text[..good_len].split_inclusive(|&b| b == b'\n') {
-            let len = line.len() - 1;
-            match ColdRecord::parse(&line[..len]) {
-                Some((hash, r)) => {
-                    index.insert(hash, (offset, len as u32));
-                    hot.insert(hash, &HotEntry::new(&r.spec, &r.row));
-                }
-                None => skipped += 1,
-            }
-            offset += line.len() as u64;
-        }
-        if skipped > 0 {
-            eprintln!("ebird-serve: skipped {skipped} unproven line(s) of {path:?}");
+        let mut stored = HashSet::new();
+        for entry in std::fs::read_dir(dir).map_err(|e| format!("listing {dir:?}: {e}"))? {
+            let name = entry
+                .map_err(|e| format!("listing {dir:?}: {e}"))?
+                .file_name();
+            let key = name.to_str().and_then(|name| {
+                let hash = u128::from_str_radix(name, 16).ok()?;
+                (hash_hex(hash) == name).then_some(hash)
+            });
+            stored.extend(key);
         }
         Ok(ColdTier {
-            writer: BufWriter::new(file),
-            path,
-            index,
-            append_at: offset,
-            dirty: false,
-            skipped,
+            dir: dir.to_path_buf(),
+            stored: Mutex::new(stored),
         })
     }
 
-    /// The bytes of the line at `loc`, flushing buffered appends first so
-    /// the read cannot land in unwritten bytes.
-    fn read_at(&mut self, (offset, len): (u64, u32)) -> std::io::Result<Vec<u8>> {
-        if self.dirty {
-            self.writer.flush()?;
-            self.dirty = false;
-        }
-        let mut file = self.writer.get_ref();
-        let mut line = vec![0; len as usize];
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut line)?;
-        Ok(line)
+    /// The record stored under `hash`, if its file reads and proves itself.
+    fn read(&self, hash: u128) -> Option<ColdRecord> {
+        ColdRecord::parse(&std::fs::read(self.dir.join(hash_hex(hash))).ok()?, hash)
+    }
+
+    /// Stores `text` as the record of `hash`: written under a temporary
+    /// name no other write uses (`<key>.<process>-<write>.tmp`), then
+    /// renamed over `<key>`, so a read finds a whole file and two writers of
+    /// one key never share a temporary file.
+    fn write(&self, hash: u128, text: &str) -> std::io::Result<()> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let key = hash_hex(hash);
+        let write = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!("{key}.{}-{write}.tmp", std::process::id()));
+        std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.dir.join(&key)))?;
+        self.stored.lock().insert(hash);
+        Ok(())
     }
 }
 
@@ -288,7 +259,7 @@ impl ColdTier {
 pub struct ResultCache {
     hot: Mutex<S3Fifo>,
     /// `None` for a memory-only cache.
-    cold: Option<Mutex<ColdTier>>,
+    cold: Option<ColdTier>,
     /// Lookup instrumentation; `None` records nothing.
     metrics: Option<CacheMetrics>,
 }
@@ -297,7 +268,7 @@ impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("entries", &self.len())
-            .field("cold", &self.cold.as_ref().map(|c| c.lock().path.clone()))
+            .field("cold", &self.cold.as_ref().map(|c| &c.dir))
             .finish()
     }
 }
@@ -309,7 +280,7 @@ impl ResultCache {
         Self::new(CacheConfig::default()).expect("memory-only cache construction is infallible")
     }
 
-    /// An unbounded cache whose cold tier lives in `dir/results.jsonl`.
+    /// An unbounded cache whose cold tier lives in `dir`.
     ///
     /// # Errors
     /// See [`ResultCache::new`].
@@ -321,47 +292,43 @@ impl ResultCache {
         })
     }
 
-    /// Opens a cache per `config`. With a cold dir, every record that proves
-    /// itself replays into the hot tier (later records win on duplicate
-    /// keys, so a file holding a recomputed duplicate loads cleanly) and has
-    /// its offset indexed for point reads; every other line is skipped and a
-    /// torn tail is cut (see the module doc).
+    /// Opens a cache per `config`. With a cold dir, the keys stored there
+    /// are listed (see the module doc); the hot tier starts empty.
     ///
     /// # Errors
     /// A human-readable description of the I/O failure.
     pub fn new(config: CacheConfig) -> Result<Self, String> {
-        let mut hot = S3Fifo::new(config.hot_budget_bytes);
         let cold = match &config.cold_dir {
             None => None,
-            Some(dir) => Some(Mutex::new(ColdTier::open(dir, &mut hot)?)),
+            Some(dir) => Some(ColdTier::open(dir)?),
         };
         Ok(ResultCache {
-            hot: Mutex::new(hot),
+            hot: Mutex::new(S3Fifo::new(config.hot_budget_bytes)),
             cold,
             metrics: None,
         })
     }
 
     /// Attaches lookup instrumentation (call before sharing the cache
-    /// across threads), counting the lines replay skipped.
+    /// across threads).
     pub fn observe(&mut self, metrics: CacheMetrics) {
-        if let Some(cold) = &self.cold {
-            metrics.quarantined.add(cold.lock().skipped);
-        }
         self.metrics = Some(metrics);
     }
 
     /// Looks `key` up, booking its latency under its outcome when observed.
-    /// A hot-tier miss falls through to a cold-tier point read (the row is
-    /// then re-admitted hot). A hash collision (stored spec ≠ probed spec)
-    /// is a miss in either tier.
+    /// A hot-tier miss falls through to a cold-tier point read when the key
+    /// is stored there (the row is then re-admitted hot). A hash collision
+    /// (stored spec ≠ probed spec) is a miss in either tier.
     pub fn lookup(&self, key: &ContentKey) -> Option<CachedRow> {
         let start = self.metrics.as_ref().map(|m| m.registry.now_ns());
         let (result, class) = self.lookup_classified(key);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             let elapsed = m.registry.now_ns().saturating_sub(start);
             match class {
-                LookupClass::HotHit => m.hit_ns.record(elapsed),
+                LookupClass::HotHit => {
+                    m.hit_ns.record(elapsed);
+                    m.row_copies.add(ROW_COPIES_PER_HOT_HIT);
+                }
                 LookupClass::ColdHit => m.cold_read_ns.record(elapsed),
                 LookupClass::Miss => m.miss_ns.record(elapsed),
             }
@@ -380,25 +347,18 @@ impl ResultCache {
         if let Some(row) = hot {
             return (Some(row), LookupClass::HotHit);
         }
-        if let Some(cold) = &self.cold {
-            let mut tier = cold.lock();
-            if let Some(&loc) = tier.index.get(&key.hash) {
-                match tier
-                    .read_at(loc)
-                    .ok()
-                    .and_then(|line| ColdRecord::parse(&line))
-                {
-                    Some((_, r)) if r.spec == key.content => {
-                        drop(tier);
-                        self.admit(key.hash, &r.spec, &r.row);
-                        return (Some(CachedRow::new(&r.row)), LookupClass::ColdHit);
-                    }
-                    Some(_) => {} // collision on disk: miss
-                    None => {
-                        tier.index.remove(&key.hash);
-                        if let Some(m) = &self.metrics {
-                            m.quarantined.incr();
-                        }
+        let stored = |cold: &&ColdTier| cold.stored.lock().contains(&key.hash);
+        if let Some(cold) = self.cold.as_ref().filter(stored) {
+            match cold.read(key.hash) {
+                Some(r) if r.spec == key.content => {
+                    self.admit(key.hash, &r.spec, &r.row);
+                    return (Some(CachedRow::new(&r.row)), LookupClass::ColdHit);
+                }
+                Some(_) => {} // collision on disk: miss
+                None => {
+                    cold.stored.lock().remove(&key.hash);
+                    if let Some(m) = &self.metrics {
+                        m.quarantined.incr();
                     }
                 }
             }
@@ -406,42 +366,33 @@ impl ResultCache {
         (None, LookupClass::Miss)
     }
 
-    /// Inserts `row` under `key`, appending to the cold tier when present.
-    /// Concurrent duplicate inserts are benign: the content address
+    /// Inserts `row` under `key`, persisting it to the cold tier when
+    /// present. Concurrent duplicate inserts are benign: the content address
     /// guarantees both writers carry identical bytes.
     pub fn insert(&self, key: &ContentKey, row: String) -> CachedRow {
+        self.store(key, row, true)
+    }
+
+    /// Inserts `row` under `key` into the hot tier and, when `persist` and a
+    /// cold tier is present, writes its record there too (replacing any
+    /// record of the key). A failed write is reported and leaves the row
+    /// hot only.
+    pub(crate) fn store(&self, key: &ContentKey, row: String, persist: bool) -> CachedRow {
         // The hot tier copies the bytes into its pages; the returned handle
         // is one exact-size copy, not the serializer's buffer.
         let entry = CachedRow::new(&row);
         self.admit(key.hash, &key.content, &row);
-        if let Some(cold) = &self.cold {
+        if let (true, Some(cold)) = (persist, &self.cold) {
             let record = ColdRecord {
-                key: key.hex(),
                 spec: key.content.clone(),
                 digest: hash_hex(fnv1a_128(row.as_bytes())),
                 row,
             };
-            match serde_json::to_string(&record) {
-                Ok(line) => {
-                    debug_assert!(!line.contains('\n'), "JSON line must stay one line");
-                    let mut tier = cold.lock();
-                    let offset = tier.append_at;
-                    let write = tier
-                        .writer
-                        .write_all(line.as_bytes())
-                        .and_then(|()| tier.writer.write_all(b"\n"));
-                    match write {
-                        Ok(()) => {
-                            tier.index.insert(key.hash, (offset, line.len() as u32));
-                            tier.append_at += line.len() as u64 + 1;
-                            tier.dirty = true;
-                        }
-                        Err(e) => {
-                            eprintln!("ebird-serve: cache append to {:?} failed: {e}", tier.path);
-                        }
-                    }
-                }
-                Err(e) => eprintln!("ebird-serve: serializing cache record failed: {e}"),
+            let written = serde_json::to_string(&record)
+                .map_err(|e| e.to_string())
+                .and_then(|text| cold.write(key.hash, &text).map_err(|e| e.to_string()));
+            if let Err(e) = written {
+                eprintln!("ebird-serve: cold record {} not written: {e}", key.hex());
             }
         }
         entry
@@ -465,18 +416,12 @@ impl ResultCache {
         }
     }
 
-    /// Flushes buffered cold-tier appends to disk (no-op in memory-only mode).
+    /// Does nothing: every cold record is complete on disk when its insert
+    /// returns.
     ///
     /// # Errors
-    /// The underlying I/O failure, rendered.
+    /// Never.
     pub fn flush(&self) -> Result<(), String> {
-        if let Some(cold) = &self.cold {
-            let mut tier = cold.lock();
-            tier.writer
-                .flush()
-                .map_err(|e| format!("flushing {:?}: {e}", tier.path))?;
-            tier.dirty = false;
-        }
         Ok(())
     }
 
@@ -673,19 +618,19 @@ mod tests {
 
     #[test]
     fn cold_tier_roundtrip_survives_restart() {
-        let dir =
-            std::env::temp_dir().join(format!("ebird_serve_cache_test_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch_dir("restart");
         {
             let cache = ResultCache::with_cold_tier(&dir).unwrap();
             cache.insert(&ContentKey::of("spec-1"), "row-1".into());
             cache.insert(&ContentKey::of("spec-2"), "row-2".into());
-            // Duplicate insert: later record must win on reload.
+            // Duplicate insert: the record is replaced, not doubled.
             cache.insert(&ContentKey::of("spec-1"), "row-1".into());
-            cache.flush().unwrap();
         }
+        assert_eq!(record_names(&dir).len(), 2);
+        // Nothing is read at open: the hot tier starts empty, and each row
+        // reads back from its file.
         let reloaded = ResultCache::with_cold_tier(&dir).unwrap();
-        assert_eq!(reloaded.len(), 2);
+        assert_eq!(reloaded.len(), 0);
         let hit = reloaded.lookup(&ContentKey::of("spec-1")).unwrap();
         assert_eq!(hit.row(), "row-1");
         assert_eq!(
@@ -695,61 +640,59 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The names of `dir`'s files, sorted.
+    fn record_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn torn_final_line_is_dropped_not_fatal() {
-        let dir =
-            std::env::temp_dir().join(format!("ebird_serve_cache_torn_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let cache = ResultCache::with_cold_tier(&dir).unwrap();
-            cache.insert(&ContentKey::of("spec-1"), "row-1".into());
-            cache.flush().unwrap();
-        }
-        // Simulate a crash mid-append: a truncated JSON line at the tail.
-        let mut f = File::options()
-            .append(true)
-            .open(dir.join("results.jsonl"))
-            .unwrap();
-        f.write_all(b"{\"key\":\"deadbeef\",\"spec\":\"sp").unwrap();
-        drop(f);
-        let reloaded = ResultCache::with_cold_tier(&dir).unwrap();
-        assert_eq!(reloaded.len(), 1);
-        assert!(reloaded.lookup(&ContentKey::of("spec-1")).is_some());
+    fn a_row_stored_hot_only_never_touches_the_cold_tier() {
+        let dir = scratch_dir("hot_only");
+        let (cache, registry) = observed(CacheConfig {
+            cold_dir: Some(dir.clone()),
+            hot_budget_bytes: Some(1),
+        });
+        let key = ContentKey::of("spec-cheap");
+        cache.store(&key, "row-cheap".into(), false);
+        assert!(record_names(&dir).is_empty());
+        // Evicted at once: the lookup misses without a cold read.
+        assert!(cache.lookup(&key).is_none());
+        assert_eq!(tallies(&registry), (0, 1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn appends_after_a_torn_line_do_not_corrupt_the_file() {
-        // The tear must be truncated at recovery: otherwise the next append
-        // lands on the torn line and the *following* restart reads a corrupt
-        // mid-file record — fatal where the tear itself was benign.
-        let dir = std::env::temp_dir().join(format!(
-            "ebird_serve_cache_torn_append_{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_leftover_temporary_file_is_never_read() {
+        let dir = scratch_dir("leftover");
+        let key = ContentKey::of("spec-1");
         {
             let cache = ResultCache::with_cold_tier(&dir).unwrap();
-            cache.insert(&ContentKey::of("spec-1"), "row-1".into());
-            cache.flush().unwrap();
+            cache.insert(&key, "row-1".into());
         }
-        let mut f = File::options()
-            .append(true)
-            .open(dir.join("results.jsonl"))
-            .unwrap();
-        f.write_all(b"{\"key\":\"deadbeef\",\"spec\":\"sp").unwrap();
-        drop(f);
-        {
-            let recovered = ResultCache::with_cold_tier(&dir).unwrap();
-            recovered.insert(&ContentKey::of("spec-2"), "row-2".into());
-            recovered.flush().unwrap();
-        }
-        let reloaded = ResultCache::with_cold_tier(&dir).unwrap();
-        assert_eq!(reloaded.len(), 2, "both good records load after the tear");
-        assert_eq!(
-            reloaded.lookup(&ContentKey::of("spec-2")).unwrap().row(),
-            "row-2"
-        );
+        // A crash between write and rename leaves a `.tmp` file behind; here
+        // it holds a proven record of another row.
+        let stray = ContentKey::of("spec-2");
+        let record = std::fs::read_to_string(dir.join(key.hex()))
+            .unwrap()
+            .replace("spec-1", "spec-2");
+        std::fs::write(dir.join(format!("{}.tmp", stray.hex())), record).unwrap();
+        let (cache, registry) = observed(CacheConfig {
+            cold_dir: Some(dir.clone()),
+            hot_budget_bytes: None,
+        });
+        assert_eq!(cache.lookup(&key).unwrap().row(), "row-1");
+        assert!(cache.lookup(&stray).is_none());
+        assert_eq!((tallies(&registry), quarantined(&registry)), ((1, 1, 1), 0));
+        // Its key's next write stores the record beside it.
+        cache.insert(&stray, "row-2".into());
+        let mut names = vec![key.hex(), stray.hex(), format!("{}.tmp", stray.hex())];
+        names.sort();
+        assert_eq!(record_names(&dir), names);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -766,72 +709,43 @@ mod tests {
         dir
     }
 
-    /// `line` with the first byte of `field`'s string value XOR 1 (`"row-1"`
-    /// becomes `"sow-1"`, a hex digit another one): the line stays JSON.
-    fn flip_field(line: &str, field: &str) -> Vec<u8> {
-        let at = line.find(&format!("\"{field}\":\"")).unwrap() + field.len() + 4;
-        let mut bytes = line.as_bytes().to_vec();
+    /// `record` with the first byte of `field`'s string value XOR 1
+    /// (`"row-1"` becomes `"sow-1"`, a hex digit another one): the record
+    /// stays JSON.
+    fn flip_field(record: &str, field: &str) -> Vec<u8> {
+        let at = record.find(&format!("\"{field}\":\"")).unwrap() + field.len() + 4;
+        let mut bytes = record.as_bytes().to_vec();
         bytes[at] ^= 1;
         bytes
     }
 
     #[test]
-    fn corruption_before_the_final_line_is_skipped_and_counted() {
-        let dir = scratch_dir("midcorrupt");
+    fn a_quarantined_record_is_recomputed_and_overwritten() {
+        let dir = scratch_dir("overwritten");
+        let key = ContentKey::of("s");
         std::fs::create_dir_all(&dir).unwrap();
-        let good = {
-            let key = ContentKey::of("spec-ok");
-            format!(
-                "{{\"key\":\"{}\",\"spec\":\"spec-ok\",\"row\":\"row-ok\"}}",
-                key.hex()
-            )
-        };
-        std::fs::write(
-            dir.join("results.jsonl"),
-            format!("not json at all\n{good}\n"),
-        )
-        .unwrap();
-        let (cache, registry) = observed(CacheConfig {
-            cold_dir: Some(dir.clone()),
-            hot_budget_bytes: None,
-        });
-        assert_eq!(quarantined(&registry), 1);
-        let hit = cache.lookup(&ContentKey::of("spec-ok")).unwrap();
-        assert_eq!(hit.row(), "row-ok", "a record without a digest is trusted");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_key_off_its_spec_is_skipped_counted_and_recomputed() {
-        let dir = scratch_dir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("results.jsonl"),
-            "{\"key\":\"00000000000000000000000000000000\",\"spec\":\"s\",\"row\":\"r\"}\n",
-        )
-        .unwrap();
+        // Named by its key, but without a digest.
+        std::fs::write(dir.join(key.hex()), "{\"spec\":\"s\",\"row\":\"r\"}").unwrap();
         for restart in 0..2 {
             let (cache, registry) = observed(CacheConfig {
                 cold_dir: Some(dir.clone()),
                 hot_budget_bytes: None,
             });
-            // The line stays in the file: every restart counts it again,
-            // and the recomputed record appended after it loads.
-            assert_eq!(quarantined(&registry), 1, "restart {restart}");
-            let key = ContentKey::of("s");
             if restart == 0 {
                 assert!(cache.lookup(&key).is_none());
+                assert!(cache.lookup(&key).is_none(), "dropped from the set");
+                assert_eq!(quarantined(&registry), 1);
                 cache.insert(&key, "r".into());
-                cache.flush().unwrap();
             } else {
                 assert_eq!(cache.lookup(&key).unwrap().row(), "r");
+                assert_eq!(quarantined(&registry), 0);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn every_unproven_line_is_skipped_counted_once_and_never_served() {
+    fn every_unproven_record_is_quarantined_once_and_never_served() {
         let dir = scratch_dir("unproven");
         let specs = ["spec-0", "spec-1", "spec-2"].map(ContentKey::of);
         {
@@ -839,89 +753,47 @@ mod tests {
             for (i, key) in specs.iter().enumerate() {
                 cache.insert(key, format!("row-{i}"));
             }
-            cache.flush().unwrap();
         }
-        let path = dir.join("results.jsonl");
+        let path = dir.join(specs[1].hex());
         let written = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = written.lines().collect();
-        // Each case rewrites the middle record or adds a line after it:
-        // the file loads, counts one line, and every lookup is either the
-        // row inserted or a miss.
-        let cases: [(&str, Vec<u8>, bool); 6] = [
-            ("key", flip_field(lines[1], "key"), false),
-            ("spec", flip_field(lines[1], "spec"), false),
-            ("row", flip_field(lines[1], "row"), false),
-            ("digest", flip_field(lines[1], "digest"), false),
+        // Each case rewrites the middle record: the lookup of its key
+        // misses and counts one record, the others read back, and so does
+        // the recomputed row's record.
+        let cases: [(&str, Vec<u8>); 6] = [
+            ("spec", flip_field(&written, "spec")),
+            ("row", flip_field(&written, "row")),
+            ("digest", flip_field(&written, "digest")),
             (
-                "non-UTF-8",
-                [lines[1].as_bytes(), b"\n\xff\xfe"].concat(),
-                true,
+                "another key's record",
+                std::fs::read(dir.join(specs[0].hex())).unwrap(),
             ),
-            (
-                "non-JSON",
-                [lines[1], "\nnot json"].concat().into_bytes(),
-                true,
-            ),
+            ("non-UTF-8", [written.as_bytes(), b"\xff\xfe"].concat()),
+            ("non-JSON", written.as_bytes()[..written.len() - 1].to_vec()),
         ];
-        for (case, middle, kept) in cases {
-            let file = [
-                lines[0].as_bytes(),
-                b"\n",
-                &middle,
-                b"\n",
-                lines[2].as_bytes(),
-                b"\n",
-            ]
-            .concat();
-            std::fs::write(&path, file).unwrap();
+        for (case, record) in cases {
+            std::fs::write(&path, record).unwrap();
             let (cache, registry) = observed(CacheConfig {
                 cold_dir: Some(dir.clone()),
-                hot_budget_bytes: None,
+                hot_budget_bytes: Some(1),
             });
-            assert_eq!(quarantined(&registry), 1, "{case}");
+            assert_eq!(quarantined(&registry), 0, "{case}: nothing is read at open");
             for (i, key) in specs.iter().enumerate() {
                 let got = cache.lookup(key).map(|row| row.row().to_string());
-                let want = (i != 1 || kept).then(|| format!("row-{i}"));
+                let want = (i != 1).then(|| format!("row-{i}"));
                 assert_eq!(got, want, "{case}: spec-{i}");
             }
+            assert_eq!(quarantined(&registry), 1, "{case}");
+            cache.insert(&specs[1], "row-1".into());
+            assert_eq!(cache.lookup(&specs[1]).unwrap().row(), "row-1", "{case}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), written, "{case}");
+            assert_eq!(tallies(&registry), (3, 1, 3), "{case}");
         }
-
-        // A point read applies the same check: with nothing resident, a
-        // record corrupted after open misses, counts, and the recomputed
-        // row's record reads back.
-        std::fs::write(&path, &written).unwrap();
-        let (cache, registry) = observed(CacheConfig {
-            cold_dir: Some(dir.clone()),
-            hot_budget_bytes: Some(1),
-        });
-        assert_eq!((cache.len(), quarantined(&registry)), (0, 0));
-        let middle_at = lines[0].len() + 1;
-        let mut file = [
-            &written.as_bytes()[..middle_at],
-            &flip_field(lines[1], "row")[..],
-        ]
-        .concat();
-        file.extend_from_slice(&written.as_bytes()[middle_at + lines[1].len()..]);
-        std::fs::write(&path, file).unwrap();
-        assert!(cache.lookup(&specs[1]).is_none());
-        assert_eq!(quarantined(&registry), 1);
-        assert_eq!(cache.lookup(&specs[0]).unwrap().row(), "row-0");
-        cache.insert(&specs[1], "row-1".into());
-        assert_eq!(cache.lookup(&specs[1]).unwrap().row(), "row-1");
-        assert_eq!(quarantined(&registry), 1);
-        assert_eq!(tallies(&registry), (2, 1, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn unflushed_appends_are_point_readable() {
-        // A cold read between insert and flush must not read past the
-        // buffered bytes: the tier flushes lazily before the read.
-        let dir = std::env::temp_dir().join(format!(
-            "ebird_serve_cache_unflushed_{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_persisted_row_is_point_readable_at_once() {
+        let dir = scratch_dir("at_once");
         let (cache, registry) = observed(CacheConfig {
             cold_dir: Some(dir.clone()),
             // Budget so tight every insert is evicted immediately: each

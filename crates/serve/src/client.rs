@@ -388,6 +388,11 @@ pub fn render_status(addr: &str, s: &StatusReply) -> String {
         "  connections: cap {}; {} refused at the cap; {} closed idle\n",
         s.max_connections, s.connections_refused, s.idle_closed
     ));
+    out.push_str(&format!(
+        "  work: {} row cop(ies) for {} hot hit(s)\n",
+        s.row_copies,
+        s.hits.saturating_sub(s.cold_hits)
+    ));
     out
 }
 
@@ -613,9 +618,10 @@ mod tests {
             max_connections: 120,
             connections_refused: 121,
             idle_closed: 122,
+            row_copies: 123,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
-        for sentinel in 101..=122 {
+        for sentinel in 101..=123 {
             assert!(
                 rendered.contains(&sentinel.to_string()),
                 "field with sentinel value {sentinel} missing from rendered status:\n{rendered}"
@@ -684,6 +690,7 @@ mod tests {
             max_connections: 64,
             connections_refused: 0,
             idle_closed: 0,
+            row_copies: 0,
         };
         let rendered = render_status("127.0.0.1:4750", &s);
         assert_eq!(rendered.matches("unbounded").count(), 2);

@@ -15,8 +15,8 @@
 //!   the work; a row is a pure function of its cell).
 //! * [`cache`] — the content-addressed result cache: key = FNV-1a 128 hash
 //!   of the cell spec's canonical JSON; hot tier in memory under an
-//!   `s3fifo` byte budget, cold tier as an append-only JSON Lines file
-//!   with a point-read index. Equal specs ⇒ bit-identical row bytes, with
+//!   `s3fifo` byte budget, cold tier as one record file per persisted
+//!   cell, named by its key. Equal specs ⇒ bit-identical row bytes, with
 //!   zero recomputation.
 //! * `s3fifo` (crate-private) — the hot tier: small/main/ghost FIFO queues
 //!   (Yang et al., SOSP '23), scan-resistant under one-shot campaign

@@ -338,6 +338,12 @@ pub struct StatusReply {
     /// since start.
     #[serde(default)]
     pub idle_closed: u64,
+    /// Copies of a row's bytes the hot hits took since start (the work
+    /// ledger's row copies per hot hit, over `hits − cold_hits`; its writes
+    /// per reply, `serve.writes` over `serve.requests.total`, is in
+    /// `metrics` only, since it moves with timing).
+    #[serde(default)]
+    pub row_copies: u64,
 }
 
 /// One counter in a [`MetricsReply`].

@@ -769,6 +769,11 @@ impl ResolvedCell {
             && self.ranks == other.ranks
     }
 
+    /// Whether the cell's workload runs a metered real-kernel campaign.
+    pub(crate) fn runs_real_kernel(&self) -> bool {
+        runs_real_kernel(&self.axes.matrix.workloads[self.workload as usize])
+    }
+
     /// The cell's cache address — THE canonical spec-to-key rule: equal
     /// specs must yield equal keys across every verb. The content is the
     /// cell's [`CellSpec`] JSON, its six per-axis fragments laid end to end

@@ -39,8 +39,9 @@
 //! `submit` whose uncached cells would not all fit is refused whole with a
 //! structured `overloaded` reply carrying a retry-after hint (the built-in
 //! client retries with exponential backoff). The hot cache tier runs under
-//! an S3-FIFO byte budget ([`ServerConfig::hot_bytes`]); evicted rows stay
-//! reachable through the cold tier's point-read index.
+//! an S3-FIFO byte budget ([`ServerConfig::hot_bytes`]); an evicted row of a
+//! metered real-kernel cell is read back from the cold tier, any other one
+//! is recomputed.
 //!
 //! Connections are bounded the same way: at most
 //! [`ServerConfig::max_connections`] are served at once, and the next one
@@ -52,7 +53,8 @@
 //! Shutdown is graceful by construction: the `shutdown` verb stops the
 //! acceptor, every open connection finishes its current request, the queue
 //! closes and drains (in-flight jobs complete; their submissions stream to
-//! the end), the worker team joins, and the cache's cold tier is flushed.
+//! the end), and the worker team joins. A cold record is complete on disk
+//! when its row is published, so nothing is left to flush.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -121,8 +123,8 @@ pub struct ServerConfig {
     /// only.
     pub cache_dir: Option<PathBuf>,
     /// Hot-tier byte budget for the result cache (`None` = unbounded).
-    /// Rows evicted under the budget remain reachable through the cold
-    /// tier when one is configured.
+    /// Evicted rows of metered real-kernel cells remain reachable through
+    /// the cold tier when one is configured.
     pub hot_bytes: Option<usize>,
     /// Job-queue admission bound, in cells ([`usize::MAX`] = unbounded). A
     /// `submit` whose uncached, un-coalesced cells would push the queue past
@@ -198,6 +200,10 @@ struct ServeMetrics {
     bytes_read: Arc<Counter>,
     /// Reply bytes written to client sockets (`serve.bytes.written`).
     bytes_written: Arc<Counter>,
+    /// `write` calls on client sockets (`serve.writes`; over
+    /// `serve.requests.total`, the ledger's writes per reply). Not in
+    /// `status`: a reply flushes before each wait, so it moves with timing.
+    writes: Arc<Counter>,
     /// Wall time a worker spends on one job — pricing, encoding and caching
     /// its group's cells (`serve.job.run_ns`, one entry per job).
     job_run_ns: Arc<Histogram>,
@@ -261,6 +267,7 @@ impl ServeMetrics {
             request_ns: VERB_NAMES.map(|v| registry.histogram(&format!("serve.request.{v}.ns"))),
             bytes_read: registry.counter("serve.bytes.read"),
             bytes_written: registry.counter("serve.bytes.written"),
+            writes: registry.counter("serve.writes"),
             job_run_ns: registry.histogram("serve.job.run_ns"),
             worker_busy_ns: registry.counter("serve.worker.busy_ns"),
             cells_total: registry.counter("serve.cells.total"),
@@ -296,18 +303,19 @@ impl ServeMetrics {
     }
 }
 
-/// A [`Write`] adapter that feeds every written byte into a counter, so
-/// handlers keep their plain `&mut impl Write` signatures while
-/// `serve.bytes.written` stays exact.
+/// A [`Write`] adapter that feeds every written byte and every `write`
+/// call into counters, so handlers keep their plain `&mut impl Write`
+/// signatures while `serve.bytes.written` and `serve.writes` stay exact.
 struct CountingWriter<'a, W: Write> {
     inner: W,
-    written: &'a Counter,
+    metrics: &'a ServeMetrics,
 }
 
 impl<W: Write> Write for CountingWriter<'_, W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.metrics.writes.incr();
         let n = self.inner.write(buf)?;
-        self.written.add(n as u64);
+        self.metrics.bytes_written.add(n as u64);
         Ok(n)
     }
 
@@ -335,7 +343,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// The state of a server answering on `addr`, loading the cache's cold
+    /// The state of a server answering on `addr`, opening the cache's cold
     /// tier if configured.
     fn new(config: &ServerConfig, addr: SocketAddr) -> Result<Shared, String> {
         let registry = Arc::new(Registry::wall());
@@ -369,7 +377,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:4750`, or `127.0.0.1:0` for an
-    /// ephemeral port) and prepares the shared state, loading the cache's
+    /// ephemeral port) and prepares the shared state, opening the cache's
     /// cold tier if configured.
     ///
     /// # Errors
@@ -403,11 +411,11 @@ impl Server {
     }
 
     /// Runs the accept loop until a `shutdown` request arrives, then drains:
-    /// joins every connection thread, closes and drains the job queue, joins
-    /// the worker team, and flushes the cache.
+    /// joins every connection thread, closes and drains the job queue, and
+    /// joins the worker team.
     ///
     /// # Errors
-    /// Rendered accept-loop or cache-flush failures.
+    /// A rendered failure to start the worker team.
     pub fn run(self) -> Result<(), String> {
         let Server { listener, shared } = self;
         let scheduler = {
@@ -458,17 +466,18 @@ impl Server {
         }
         shared.queue.close();
         let _ = scheduler.join();
-        shared.cache.flush()?;
         Ok(())
     }
 }
 
-/// Encodes a priced group's rows and makes them durable: one outcome per
-/// key, in order (a pricing failure is every cell's outcome and caches
-/// nothing). Every priced row is a pure function of its spec, so every one
-/// is cached.
+/// Encodes a priced group's rows and caches them: one outcome per key, in
+/// order (a pricing failure is every cell's outcome and caches nothing).
+/// Every row is cached hot; only a group that runs a metered real kernel,
+/// dearer to recompute than to read back, is persisted (a group shares its
+/// workload, so its first cell decides).
 fn settle(
     cache: &ResultCache,
+    cells: &[ResolvedCell],
     keys: &[ContentKey],
     priced: Result<Vec<ScenarioRow>, String>,
 ) -> Vec<Result<CachedRow, String>> {
@@ -476,12 +485,13 @@ fn settle(
         Ok(rows) => rows,
         Err(e) => return vec![Err(e); keys.len()],
     };
+    let persist = cells.first().is_some_and(ResolvedCell::runs_real_kernel);
     keys.iter()
         .zip(&rows)
         .map(|(key, row)| {
             let line =
                 report::json_line(row).map_err(|e| format!("serializing scenario row: {e}"))?;
-            Ok(cache.insert(key, line))
+            Ok(cache.store(key, line, persist))
         })
         .collect()
 }
@@ -509,7 +519,12 @@ fn run_job(shared: &Shared, job: Job) {
         if PANIC_NEXT_PRICING.take() {
             panic!("injected pricing fault");
         }
-        settle(&shared.cache, &job.keys, price_group(&job.cells))
+        settle(
+            &shared.cache,
+            &job.cells,
+            &job.keys,
+            price_group(&job.cells),
+        )
     }))
     .unwrap_or_else(|panic| {
         shared.metrics.recovered.incr();
@@ -520,6 +535,7 @@ fn run_job(shared: &Shared, job: Job) {
             .unwrap_or("no message");
         settle(
             &shared.cache,
+            &job.cells,
             &job.keys,
             Err(format!("pricing panicked: {message}")),
         )
@@ -559,14 +575,9 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<(), String> {
     let server = Server::bind(addr, config)?;
     let budget = server.shared.cache.hot_budget();
     eprintln!(
-        "# ebird-serve listening on {} ({} worker thread(s), cache {}, hot budget {}, queue bound {}, {} connection(s), idle limit {} ms)",
+        "# ebird-serve listening on {} ({} worker thread(s), hot budget {}, queue bound {}, {} connection(s), idle limit {} ms)",
         server.local_addr(),
         server.shared.threads,
-        if server.shared.cache.is_empty() {
-            "empty".to_string()
-        } else {
-            format!("{} entries", server.shared.cache.len())
-        },
         if budget == usize::MAX {
             "unbounded".to_string()
         } else {
@@ -674,10 +685,10 @@ fn flush(writer: &mut impl Write) -> Result<(), String> {
 /// The connection's reply writer: buffered, so a reply reaches the socket in
 /// as few `write`s as it has waits — [`serve_request`] flushes at the end
 /// of each reply and [`handle_submit`] whenever it is about to block. The
-/// counting wrapper keeps `serve.bytes.written` exact without touching any
-/// handler signature.
-fn reply_writer<W: Write>(inner: W, written: &Counter) -> BufWriter<CountingWriter<'_, W>> {
-    BufWriter::new(CountingWriter { inner, written })
+/// counting wrapper keeps `serve.bytes.written` and `serve.writes` exact
+/// without touching any handler signature.
+fn reply_writer<W: Write>(inner: W, metrics: &ServeMetrics) -> BufWriter<CountingWriter<'_, W>> {
+    BufWriter::new(CountingWriter { inner, metrics })
 }
 
 /// One connection: serve requests until EOF, connection error, or shutdown.
@@ -690,7 +701,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = reply_writer(stream, &shared.metrics.bytes_written);
+    let mut writer = reply_writer(stream, &shared.metrics);
     serve_lines(&mut BufReader::new(read_half), &mut writer, shared);
 }
 
@@ -831,6 +842,7 @@ fn status_reply(shared: &Shared) -> StatusReply {
         hot_budget_bytes: wire_bound(shared.cache.hot_budget()) as u64,
         hits: lookups("hit_ns") + cold_hits,
         misses: lookups("miss_ns"),
+        row_copies: snap.counter(&format!("{CACHE_METRICS}.row_copies")),
         evictions: shared.cache.evictions(),
         ghost_hits: shared.cache.ghost_hits(),
         cold_hits,
@@ -1418,7 +1430,7 @@ mod tests {
         let cells = matrix.resolve().unwrap().cells();
         for group in cells.chunk_by(ResolvedCell::same_group) {
             let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
-            settle(&shared.cache, &keys, price_group(group));
+            settle(&shared.cache, group, &keys, price_group(group));
         }
         let fetch = reply_line(&Request::Fetch {
             matrix: MatrixSource::Inline(matrix.clone()),
@@ -1431,7 +1443,7 @@ mod tests {
             ("not json".to_string(), 1),
         ] {
             let tap = WireTap::default();
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&line, &shared, &mut writer).unwrap();
             assert_eq!(tap.flushes(), 1, "{line}");
             let lines = tap.lines();
@@ -1460,7 +1472,7 @@ mod tests {
             (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
         ] {
             let tap = WireTap::default();
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&line, &shared, &mut writer).unwrap();
             let lines = tap.lines();
             assert_eq!(lines.len(), 1, "{lines:?}");
@@ -1487,7 +1499,7 @@ mod tests {
             (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
         ] {
             let tap = WireTap::default();
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&line, &shared, &mut writer).unwrap();
             let lines = tap.lines();
             assert_eq!(lines.len(), 1, "{lines:?}");
@@ -1520,7 +1532,7 @@ mod tests {
             (fits.into_bytes(), "{\"ok\":true,\"queued\":0,"),
         ] {
             let tap = WireTap::default();
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_lines(&mut input.as_slice(), &mut writer, &shared);
             let lines = tap.lines();
             assert_eq!(lines.len(), 1, "{lines:?}");
@@ -1538,7 +1550,7 @@ mod tests {
         let mut input = b"{\"verb\":\"st\xffatus\"}\n".to_vec();
         input.extend(format!("{status}\n").bytes());
         let tap = WireTap::default();
-        let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+        let mut writer = reply_writer(tap.clone(), &shared.metrics);
         serve_lines(&mut input.as_slice(), &mut writer, &shared);
         let lines = tap.lines();
         assert_eq!(lines.len(), 2, "{lines:?}");
@@ -1574,7 +1586,7 @@ mod tests {
             (reply_line(&Request::Status), "\"ok\":true,\"queued\":0,"),
         ] {
             let tap = WireTap::default();
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&line, &shared, &mut writer).unwrap();
             let lines = tap.lines();
             assert_eq!(lines.len(), 1, "{lines:?}");
@@ -1590,7 +1602,7 @@ mod tests {
         let tap = WireTap::default();
         std::thread::scope(|scope| {
             let handler = scope.spawn(|| {
-                let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+                let mut writer = reply_writer(tap.clone(), &shared.metrics);
                 serve_request(&submit_line(&matrix), &shared, &mut writer)
             });
             // This thread is the worker team, one job at a time: the
@@ -1625,7 +1637,7 @@ mod tests {
         let tap = WireTap::default();
         std::thread::scope(|scope| {
             let handler = scope.spawn(|| {
-                let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+                let mut writer = reply_writer(tap.clone(), &shared.metrics);
                 serve_request(&submit_line(&matrix), &shared, &mut writer)
             });
             let mut jobs: Vec<Job> = (0..3).map(|_| shared.queue.pop().unwrap()).collect();
@@ -1666,7 +1678,7 @@ mod tests {
         let shared = Shared::new(&config, "127.0.0.1:0".parse().unwrap()).unwrap();
         let (a, b) = (four_group_matrix(1_000_000), four_group_matrix(2_000_000));
         let submit = |matrix: &ScenarioMatrix, tap: &WireTap| {
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&submit_line(matrix), &shared, &mut writer)
         };
         // Waits for the submission's header, then works its four jobs off.
@@ -1727,7 +1739,7 @@ mod tests {
         let cells = three_group_matrix().resolve().unwrap().cells();
         let group = &cells[..4];
         let keys: Vec<ContentKey> = group.iter().map(ResolvedCell::content_key).collect();
-        let failed = settle(&cache, &keys, Err("workload `x`: boom".into()));
+        let failed = settle(&cache, group, &keys, Err("workload `x`: boom".into()));
         assert!(failed
             .iter()
             .all(|o| o.as_ref().unwrap_err().contains("boom")));
@@ -1735,7 +1747,7 @@ mod tests {
         assert!(cache.is_empty());
 
         // Every priced row lands: one insert route.
-        let outcomes = settle(&cache, &keys, price_group(group));
+        let outcomes = settle(&cache, group, &keys, price_group(group));
         assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 4);
     }
@@ -1749,7 +1761,7 @@ mod tests {
         let shared = shared();
         let matrix = three_group_matrix();
         let submit = |tap: &WireTap| {
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(&submit_line(&matrix), &shared, &mut writer)
         };
         let (faulted, retried) = (WireTap::default(), WireTap::default());
@@ -1812,7 +1824,7 @@ mod tests {
         let shared = shared();
         let matrix = three_group_matrix();
         let serve = |line: &str, tap: &WireTap| {
-            let mut writer = reply_writer(tap.clone(), &shared.metrics.bytes_written);
+            let mut writer = reply_writer(tap.clone(), &shared.metrics);
             serve_request(line, &shared, &mut writer)
         };
         let (cold, warm, fetched) = (WireTap::default(), WireTap::default(), WireTap::default());

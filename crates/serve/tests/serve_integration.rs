@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ebird_cluster::WorkloadSpec;
+use ebird_cluster::{RealKernelParams, WorkloadSpec};
 use ebird_runtime::Pool;
 use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
 use ebird_serve::{client, MatrixSource, RetryPolicy, Server, ServerConfig};
@@ -29,6 +29,19 @@ fn tiny_matrix() -> ScenarioMatrix {
         }
     }
     m.bytes_per_rank = 100_000;
+    m
+}
+
+/// [`tiny_matrix`] over metered real kernels (MiniFE, MiniMD): 16 cells
+/// the server persists to its cold tier.
+fn persisted_matrix() -> ScenarioMatrix {
+    let mut m = tiny_matrix();
+    m.workloads = ["MiniFE", "MiniMD"]
+        .map(|app| WorkloadSpec::RealKernel {
+            app: app.into(),
+            params: RealKernelParams::default(),
+        })
+        .to_vec();
     m
 }
 
@@ -161,7 +174,6 @@ fn real_kernel_cell_round_trips_through_the_service_cache() {
     // streams byte-identically to the offline table (possible only because
     // metered real-kernel timing is deterministic), and a resubmit is one
     // cache hit with zero recomputation.
-    use ebird_cluster::{RealKernelParams, WorkloadSpec};
     let mut matrix = ScenarioMatrix::workload_smoke();
     matrix.workloads = vec![WorkloadSpec::RealKernel {
         app: "MiniMD".into(),
@@ -500,7 +512,7 @@ fn four_concurrent_clients_all_get_correct_streams() {
 fn cold_tier_survives_server_restart() {
     let dir = std::env::temp_dir().join(format!("ebird_serve_restart_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let source = MatrixSource::Inline(tiny_matrix());
+    let source = MatrixSource::Inline(persisted_matrix());
 
     let (addr, handle) = start_server(ServerConfig {
         threads: 2,
@@ -525,26 +537,74 @@ fn cold_tier_survives_server_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A cold record whose row changed on disk is never served: after a
-/// restart its cell is missing (`fetch` is incomplete by one), the line is
-/// counted in `serve.cache.quarantined`, and a resubmit recomputes exactly
-/// that cell, so every row again equals the offline table's.
+/// Cells that run no metered kernel are cheaper to recompute than to read
+/// back, so a cold-dir server keeps them hot only: the directory stays
+/// empty, no lookup reads from disk, and after an eviction or a restart
+/// the cells recompute to the offline table's bytes.
 #[test]
-fn a_cold_row_changed_on_disk_is_quarantined_and_recomputed() {
-    let dir = std::env::temp_dir().join(format!("ebird_serve_flipped_{}", std::process::id()));
+fn a_cheap_matrix_never_reaches_the_cold_tier_and_recomputes_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("ebird_serve_cheap_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let smoke = MatrixSource::Preset("smoke".into());
-    let config = || ServerConfig {
+    let source = MatrixSource::Inline(tiny_matrix());
+    let offline = offline_lines(&tiny_matrix());
+    let config = |hot_bytes| ServerConfig {
         threads: 2,
         cache_dir: Some(dir.clone()),
+        hot_bytes,
         ..ServerConfig::default()
     };
+
+    // A one-byte hot tier evicts every row as it lands.
+    let (addr, handle) = start_server(config(Some(1)));
+    for _ in 0..2 {
+        let outcome = submit(&addr, &source, 0).unwrap();
+        assert_eq!(outcome.footer.computed, 16);
+        assert_eq!(outcome.rows, offline);
+    }
+    let status = client::status(&addr).unwrap();
+    assert!(status.evictions > 0, "{status:?}");
+    let cold_reads = |addr: &str| {
+        let metrics = client::metrics(addr).unwrap();
+        metrics
+            .histogram("serve.cache.cold_read_ns")
+            .map_or(0, |h| h.count)
+    };
+    assert_eq!((status.cold_hits, cold_reads(&addr)), (0, 0));
+    shutdown_and_join(&addr, handle);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+
+    let (addr, handle) = start_server(config(None));
+    let err = client::fetch_streaming(&addr, &source, |_| {}).unwrap_err();
+    assert!(err.contains("incomplete: 16 of 16"), "{err}");
+    let outcome = submit(&addr, &source, 0).unwrap();
+    assert_eq!((outcome.footer.cached, outcome.footer.computed), (0, 16));
+    assert_eq!(outcome.rows, offline);
+    assert_eq!(cold_reads(&addr), 0);
+    shutdown_and_join(&addr, handle);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `matrix`'s offline table, one JSON line a row.
+fn offline_lines(matrix: &ScenarioMatrix) -> Vec<String> {
+    run_matrix(matrix, &Pool::new(2))
+        .unwrap()
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect()
+}
+
+/// Serves [`persisted_matrix`] once from a fresh server over `dir`, then
+/// changes one digit of the `completion_ms` in its first cell's record in
+/// place.
+fn persist_and_change_the_first_record(dir: &std::path::Path, config: impl Fn() -> ServerConfig) {
     let (addr, handle) = start_server(config());
-    assert_eq!(submit(&addr, &smoke, 0).unwrap().footer.computed, 48);
+    let persisted = MatrixSource::Inline(persisted_matrix());
+    assert_eq!(submit(&addr, &persisted, 0).unwrap().footer.computed, 16);
     shutdown_and_join(&addr, handle);
 
-    // One digit of the first record's `completion_ms`, changed in place.
-    let path = dir.join("results.jsonl");
+    let first = persisted_matrix().resolve().unwrap().cells()[0].content_key();
+    let path = dir.join(first.hex());
     let mut bytes = std::fs::read(&path).unwrap();
     let field = b"completion_ms\\\":";
     let at = bytes
@@ -552,7 +612,6 @@ fn a_cold_row_changed_on_disk_is_quarantined_and_recomputed() {
         .position(|w| w == field)
         .expect("the first row has a completion time")
         + field.len();
-    assert!(at < bytes.iter().position(|&b| b == b'\n').unwrap());
     assert!(bytes[at].is_ascii_digit());
     bytes[at] = if bytes[at] == b'9' {
         b'0'
@@ -560,20 +619,62 @@ fn a_cold_row_changed_on_disk_is_quarantined_and_recomputed() {
         bytes[at] + 1
     };
     std::fs::write(&path, bytes).unwrap();
+}
+
+/// A cold record whose row changed on disk is never served: after a
+/// restart its cell is missing (`fetch` is incomplete by one), the record
+/// is counted in `serve.cache.quarantined`, and a resubmit recomputes
+/// exactly that cell, so every row again equals the offline table's.
+#[test]
+fn a_cold_row_changed_on_disk_is_quarantined_and_recomputed() {
+    let dir = std::env::temp_dir().join(format!("ebird_serve_flipped_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let persisted = MatrixSource::Inline(persisted_matrix());
+    let config = || ServerConfig {
+        threads: 2,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    persist_and_change_the_first_record(&dir, config);
 
     let (addr, handle) = start_server(config());
-    let err = client::fetch_streaming(&addr, &smoke, |_| {}).unwrap_err();
-    assert!(err.contains("incomplete: 1 of 48"), "{err}");
+    let err = client::fetch_streaming(&addr, &persisted, |_| {}).unwrap_err();
+    assert!(err.contains("incomplete: 1 of 16"), "{err}");
     let metrics = client::metrics(&addr).unwrap();
     assert_eq!(metrics.counter("serve.cache.quarantined"), 1);
-    let resubmit = submit(&addr, &smoke, 0).unwrap();
-    assert_eq!((resubmit.footer.cached, resubmit.footer.computed), (47, 1));
-    let offline: Vec<String> = run_matrix(&ScenarioMatrix::smoke(), &Pool::new(2))
-        .unwrap()
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    assert_eq!(resubmit.rows, offline, "the changed row is never served");
+    let resubmit = submit(&addr, &persisted, 0).unwrap();
+    assert_eq!((resubmit.footer.cached, resubmit.footer.computed), (15, 1));
+    assert_eq!(
+        resubmit.rows,
+        offline_lines(&persisted_matrix()),
+        "the changed row is never served"
+    );
+    shutdown_and_join(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The recomputed row of a quarantined record replaces the record on disk,
+/// so the restart after it reads every record back and counts none.
+#[test]
+fn a_quarantined_record_is_overwritten_so_the_next_restart_counts_none() {
+    let dir = std::env::temp_dir().join(format!("ebird_serve_overwritten_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let persisted = MatrixSource::Inline(persisted_matrix());
+    let config = || ServerConfig {
+        threads: 2,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    persist_and_change_the_first_record(&dir, config);
+    let (addr, handle) = start_server(config());
+    assert_eq!(submit(&addr, &persisted, 0).unwrap().footer.computed, 1);
+    shutdown_and_join(&addr, handle);
+
+    let (addr, handle) = start_server(config());
+    let fetched = client::fetch_streaming(&addr, &persisted, |_| {}).unwrap();
+    assert_eq!(fetched.rows, offline_lines(&persisted_matrix()));
+    let metrics = client::metrics(&addr).unwrap();
+    assert_eq!(metrics.counter("serve.cache.quarantined"), 0);
     shutdown_and_join(&addr, handle);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -729,8 +830,9 @@ fn metrics_verb_reconciles_with_the_request_history() {
 
 #[test]
 fn status_is_a_view_of_the_metrics_registry() {
-    // A cold tier under a hot budget too small for the 16 rows, so the
-    // warm passes answer from both tiers and every lookup outcome occurs.
+    // A cold tier of persisted rows under a hot budget too small for the 16
+    // of them, so the warm passes answer from both tiers and every lookup
+    // outcome occurs.
     let dir = std::env::temp_dir().join(format!("ebird_serve_status_view_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let (addr, handle) = start_server(ServerConfig {
@@ -739,7 +841,7 @@ fn status_is_a_view_of_the_metrics_registry() {
         hot_bytes: Some(4_000),
         ..ServerConfig::default()
     });
-    let source = MatrixSource::Inline(tiny_matrix());
+    let source = MatrixSource::Inline(persisted_matrix());
     assert_eq!(submit(&addr, &source, 0).unwrap().footer.computed, 16);
     assert_eq!(submit(&addr, &source, 0).unwrap().footer.cached, 16);
     assert_eq!(
@@ -784,6 +886,46 @@ fn status_is_a_view_of_the_metrics_registry() {
     );
     shutdown_and_join(&addr, handle);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The serve slice of the work ledger, as exact counts: a reply that
+/// never waits — a fully cached submit, a fetch, a `metrics` scrape —
+/// reaches the socket in one `write`, and a hot hit copies its row twice
+/// (decoded out of the tier's page, then into the handle the reply
+/// streams).
+#[test]
+fn the_serve_ledger_counts_one_write_per_unwaiting_reply_and_two_copies_per_hot_hit() {
+    let (addr, handle) = start_server(ServerConfig {
+        threads: 2,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let source = MatrixSource::Inline(tiny_matrix());
+    assert_eq!(submit(&addr, &source, 0).unwrap().footer.computed, 16);
+    let before = client::metrics(&addr).unwrap();
+    assert_eq!(submit(&addr, &source, 0).unwrap().footer.cached, 16);
+    assert_eq!(
+        client::fetch_streaming(&addr, &source, |_| {})
+            .unwrap()
+            .footer
+            .cached,
+        16
+    );
+    let after = client::metrics(&addr).unwrap();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    // Counted at dispatch: the resubmit, the fetch and the second scrape;
+    // written since the first snapshot: the first scrape's own reply, the
+    // resubmit's and the fetch's, each under 8 KiB and one write.
+    assert_eq!(delta("serve.requests.total"), 3);
+    assert_eq!(delta("serve.writes"), 3);
+    let hot_hits = |m: &ebird_serve::protocol::MetricsReply| {
+        m.histogram("serve.cache.hit_ns").map_or(0, |h| h.count)
+    };
+    assert_eq!(hot_hits(&after) - hot_hits(&before), 32);
+    assert_eq!(delta("serve.cache.row_copies"), 64);
+    let status = client::status(&addr).unwrap();
+    assert_eq!(status.row_copies, after.counter("serve.cache.row_copies"));
+    shutdown_and_join(&addr, handle);
 }
 
 #[test]

@@ -7,21 +7,21 @@
 //!   cell twice — the server's `computed` counter equals distinct cells.
 //! * **Bounded memory**: the hot cache tier never exceeds its byte budget,
 //!   even mid-burst, and evictions don't change a single served byte
-//!   (evicted rows come back through the cold tier's point-read index).
+//!   (evicted rows of persisted cells come back from the cold tier).
 //! * **Admission control**: a submit that cannot fit the job queue is
 //!   refused with a structured `overloaded` reply instead of queueing
 //!   without bound. (What needs a *held* worker — refusal behind another
 //!   submission's queued jobs, no lost or doubled work — is pinned without
 //!   a socket in `server.rs`'s tests, and the client's backoff against a
 //!   scripted listener in `client.rs`'s.)
-//! * **Crash-tolerant persistence**: a torn cold-tier tail (killed mid
-//!   append) is skipped with a warning on restart, never a startup failure.
+//! * **Crash-tolerant persistence**: a temporary record a crash left
+//!   between write and rename is never served and never stops a restart.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
+use ebird_cluster::{RealKernelParams, WorkloadSpec};
 use ebird_runtime::Pool;
 use ebird_serve::client::{self, RetryPolicy};
 use ebird_serve::scenario::{run_matrix, ScenarioMatrix};
@@ -41,6 +41,19 @@ fn tiny_matrix() -> ScenarioMatrix {
         }
     }
     m.bytes_per_rank = 100_000;
+    m
+}
+
+/// [`tiny_matrix`] over metered real kernels (MiniFE, MiniMD): 16 cells
+/// the server persists to its cold tier.
+fn persisted_matrix() -> ScenarioMatrix {
+    let mut m = tiny_matrix();
+    m.workloads = ["MiniFE", "MiniMD"]
+        .map(|app| WorkloadSpec::RealKernel {
+            app: app.into(),
+            params: RealKernelParams::default(),
+        })
+        .to_vec();
     m
 }
 
@@ -121,8 +134,8 @@ fn two_racing_clients_compute_a_shared_cell_exactly_once() {
 }
 
 /// The tentpole acceptance scenario: concurrent clients with overlapping
-/// matrices against a server with a deliberately tiny hot tier and a cold
-/// tier behind it. Coalescing must hold computes to the distinct-cell
+/// matrices of persisted cells against a server with a deliberately tiny
+/// hot tier and a cold tier behind it. Coalescing must hold computes to the distinct-cell
 /// count, the hot tier must respect its byte budget at every observation
 /// (including mid-burst), and every streamed row must be byte-identical to
 /// the offline `repro scenarios` table even when it was evicted hot and
@@ -140,8 +153,8 @@ fn sustained_overlapping_load_is_coalesced_bounded_and_bit_identical() {
         ..ServerConfig::default()
     });
 
-    let full = tiny_matrix();
-    let mut half = tiny_matrix();
+    let full = persisted_matrix();
+    let mut half = persisted_matrix();
     half.ranks = vec![2]; // 8 of the 16 cells — a strict subset
     let expected_full: Vec<String> = run_matrix(&full, &Pool::new(2))
         .unwrap()
@@ -261,65 +274,65 @@ fn overloaded_reply_reaches_an_unretrying_client_as_a_typed_error() {
     shutdown_and_join(&addr, handle);
 }
 
-/// Crash tolerance end-to-end: a cold-tier file with a torn final line
-/// (server killed mid-append) must not fail the next startup — the torn
-/// tail is dropped with a warning, the intact rows still serve from cache,
-/// and subsequent appends land on a clean line boundary.
+/// Crash tolerance end-to-end: a record a crash left under its temporary
+/// name (killed between write and rename) must not fail the next startup
+/// and is never served — its cell recomputes, and the record written then
+/// serves the restart after it.
 #[test]
-fn server_restarts_over_a_torn_cold_tier_tail() {
-    let dir = std::env::temp_dir().join(format!("ebird_torn_tail_{}", std::process::id()));
+fn a_leftover_temporary_record_is_never_served_and_startup_survives_it() {
+    let dir = std::env::temp_dir().join(format!("ebird_leftover_tmp_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let half_source = {
-        let mut m = tiny_matrix();
+        let mut m = persisted_matrix();
         m.ranks = vec![2];
         MatrixSource::Inline(m)
     };
-    let full_source = MatrixSource::Inline(tiny_matrix());
-
-    let (addr, handle) = start_server(ServerConfig {
+    let full_source = MatrixSource::Inline(persisted_matrix());
+    let config = || ServerConfig {
         threads: 2,
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
-    });
+    };
+
+    let (addr, handle) = start_server(config());
     let first = submit(&addr, &half_source, 0).unwrap();
     assert_eq!(first.footer.computed, 8);
     shutdown_and_join(&addr, handle);
 
-    // Simulate a mid-append kill: an unterminated half-record at the tail.
-    let cold = dir.join("results.jsonl");
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&cold)
-        .unwrap();
-    f.write_all(b"{\"spec\":\"torn mid-append, no newline")
-        .unwrap();
-    drop(f);
+    // Simulate a kill between write and rename: a whole record of a cell
+    // not yet stored (rank count 1), left under its temporary name.
+    let cells = persisted_matrix().resolve().unwrap().cells();
+    let (stored, missing) = (cells[4].content_key(), cells[0].content_key());
+    let record = std::fs::read_to_string(dir.join(stored.hex())).unwrap();
+    std::fs::write(dir.join(format!("{}.tmp", missing.hex())), record).unwrap();
 
-    // Startup must survive, the 8 intact rows must still be cached, and a
-    // fresh submit must append cleanly after the dropped tail.
-    let (addr, handle) = start_server(ServerConfig {
-        threads: 2,
-        cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
-    });
+    // Startup must survive, the 8 stored rows must still be cached, the
+    // leftover must not answer for its cell, and only the 8 genuinely new
+    // cells are computed.
+    let (addr, handle) = start_server(config());
     let fetched = client::fetch_streaming(&addr, &half_source, |_| {}).unwrap();
-    assert_eq!(fetched.footer.computed, 0, "intact rows survive the tear");
+    assert_eq!(fetched.footer.computed, 0, "stored rows survive the crash");
     assert_eq!(fetched.rows, first.rows);
+    let err = client::fetch_streaming(&addr, &full_source, |_| {}).unwrap_err();
+    assert!(err.contains("incomplete: 8 of 16"), "{err}");
     let second = submit(&addr, &full_source, 0).unwrap();
     assert_eq!(
         second.footer.computed, 8,
         "only the 8 genuinely new cells are computed"
     );
+    let expected: Vec<String> = run_matrix(&persisted_matrix(), &Pool::new(2))
+        .unwrap()
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    assert_eq!(second.rows, expected);
+    let metrics = client::metrics(&addr).unwrap();
+    assert_eq!(metrics.counter("serve.cache.quarantined"), 0);
     shutdown_and_join(&addr, handle);
 
-    // Third startup proves the post-tear appends landed on clean line
-    // boundaries (the original bug: appending onto the torn fragment
-    // corrupted a mid-file line fatally for the *next* replay).
-    let (addr, handle) = start_server(ServerConfig {
-        threads: 2,
-        cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
-    });
+    // The third startup reads every record back, the one written over the
+    // leftover's name included.
+    let (addr, handle) = start_server(config());
     let replayed = client::fetch_streaming(&addr, &full_source, |_| {}).unwrap();
     assert_eq!(replayed.footer.computed, 0);
     assert_eq!(replayed.rows, second.rows);

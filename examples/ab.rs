@@ -19,11 +19,19 @@
 //! them lower-is-better — it prints the per-pair ratios (change / base, in
 //! pair order), their median, the pairs the change won, the exact two-sided
 //! sign-test p-value (ties dropped) and the order-statistic interval for the
-//! median ratio at confidence ≥ 1 − α, then a verdict at α: `improved` or
+//! median ratio at confidence ≥ 1 − α, then a verdict: `improved` or
 //! `regressed` when the sign test rejects "either side wins a pair with
-//! probability ½", else `no claim`. At 10 pairs and α = 0.05 a claim needs 9
-//! wins of 10. Wall-time noise on a shared host only widens the interval; it
-//! cannot make a claim more likely than α.
+//! probability ½", else `no claim`. Wall-time noise on a shared host only
+//! widens the interval; it cannot make a claim more likely than α.
+//!
+//! One invocation judges every metric of every workload, so the verdicts
+//! are corrected for their number: Holm–Bonferroni over all m of them holds
+//! the chance of any false claim in the invocation to α. Each verdict is
+//! printed with its raw and its adjusted p, and rejects when the adjusted p
+//! is at most α. With one verdict at 10 pairs and α = 0.05 a claim needs 9
+//! wins of 10; with 16 verdicts (four metrics of four workloads) the least
+//! adjusted p takes 10 of 10 (16 × 2/1024 = 0.031). The median interval
+//! stays at 1 − α per metric.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -135,22 +143,31 @@ struct Judgement {
     median: f64,
     wins: u64,
     losses: u64,
+    /// The sign test's p.
     p: f64,
+    /// `p` corrected for the invocation's other verdicts ([`holm`]); `p`
+    /// itself until then.
+    adjusted: f64,
     interval: Option<(f64, f64)>,
-    verdict: &'static str,
 }
 
-/// Judges lower-is-better `(base, change)` pairs at [`ALPHA`].
+impl Judgement {
+    /// The verdict at [`ALPHA`], read off the adjusted p.
+    fn verdict(&self) -> &'static str {
+        match (self.adjusted <= ALPHA, self.wins.cmp(&self.losses)) {
+            (true, std::cmp::Ordering::Greater) => "improved",
+            (true, std::cmp::Ordering::Less) => "regressed",
+            _ => "no claim",
+        }
+    }
+}
+
+/// Judges lower-is-better `(base, change)` pairs, as the only verdict.
 fn judge(pairs: &[(f64, f64)]) -> Judgement {
     let ratios: Vec<f64> = pairs.iter().map(|&(base, change)| change / base).collect();
     let wins = pairs.iter().filter(|(b, c)| c < b).count() as u64;
     let losses = pairs.iter().filter(|(b, c)| c > b).count() as u64;
     let p = sign_test(wins, losses);
-    let verdict = match (p <= ALPHA, wins.cmp(&losses)) {
-        (true, std::cmp::Ordering::Greater) => "improved",
-        (true, std::cmp::Ordering::Less) => "regressed",
-        _ => "no claim",
-    };
     Judgement {
         median: median(&ratios),
         interval: median_interval(&sorted(&ratios), ALPHA),
@@ -158,7 +175,23 @@ fn judge(pairs: &[(f64, f64)]) -> Judgement {
         wins,
         losses,
         p,
-        verdict,
+        adjusted: p,
+    }
+}
+
+/// Holm–Bonferroni: sets each judgement's adjusted p from the raw p of all
+/// m of them. The i-th smallest p (from 1) is scaled by m − i + 1, capped
+/// at 1, and raised to the largest adjusted p before it, so adjusted p's
+/// keep the raw order and a verdict at α rejects exactly the hypotheses
+/// Holm's step-down procedure does.
+fn holm(judgements: &mut [Judgement]) {
+    let m = judgements.len();
+    let mut order: Vec<usize> = (0..m).collect();
+    order.sort_by(|&a, &b| judgements[a].p.total_cmp(&judgements[b].p));
+    let mut running: f64 = 0.0;
+    for (rank, i) in order.into_iter().enumerate() {
+        running = running.max(((m - rank) as f64 * judgements[i].p).min(1.0));
+        judgements[i].adjusted = running;
     }
 }
 
@@ -293,13 +326,14 @@ fn print_judgement(name: &str, base: &[f64], change: &[f64], j: &Judgement) {
         ratios.join(" ")
     );
     println!(
-        "    median ratio {:.3}, won {}/{} (lost {}), sign-test p = {:.4}, interval {interval} -> {}",
+        "    median ratio {:.3}, won {}/{} (lost {}), sign-test p = {:.4}, Holm-adjusted p = {:.4}, interval {interval} -> {}",
         j.median,
         j.wins,
         j.ratios.len(),
         j.losses,
         j.p,
-        j.verdict
+        j.adjusted,
+        j.verdict()
     );
 }
 
@@ -318,11 +352,10 @@ fn main_result() -> Result<(), String> {
         (build(&base_root)?, base_root.clone()),
         (build(&repo)?, repo.clone()),
     ];
+    // Every verdict of the invocation is judged before any is printed, so
+    // each can be corrected for all of them.
+    let mut results = Vec::new();
     for workload in &opts.workloads {
-        println!(
-            "{workload}: {} pairs of {} s at seed {}, base {} vs the working tree, alpha {ALPHA}",
-            opts.pairs, opts.seconds, opts.seed, opts.rev
-        );
         let mut runs: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
         for pair in 0..opts.pairs {
             let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
@@ -338,24 +371,53 @@ fn main_result() -> Result<(), String> {
                 runs[side].push(run);
             }
         }
-        for (side, runs) in ["base", "change"].iter().zip(&runs) {
-            let failed: u64 = runs.iter().map(|r| r.failed).sum();
-            if failed > 0 {
-                println!("  {side}: {failed} failed operation(s)");
-            }
-        }
+        results.push((workload, runs));
+    }
+    let mut metrics = Vec::new();
+    for (w, (_, runs)) in results.iter().enumerate() {
         for (name, _) in &runs[0][0].metrics {
             let values = |side: &Vec<Run>| -> Option<Vec<f64>> {
                 side.iter()
                     .map(|r| r.metrics.iter().find(|(n, _)| n == name).map(|m| m.1))
                     .collect()
             };
-            let (Some(base), Some(change)) = (values(&runs[0]), values(&runs[1])) else {
-                println!("  {name}: not in every run");
-                continue;
-            };
+            if let (Some(base), Some(change)) = (values(&runs[0]), values(&runs[1])) {
+                metrics.push((w, name, base, change));
+            }
+        }
+    }
+    let mut judgements: Vec<Judgement> = metrics
+        .iter()
+        .map(|(_, _, base, change)| {
             let pairs: Vec<(f64, f64)> = base.iter().copied().zip(change.iter().copied()).collect();
-            print_judgement(name, &base, &change, &judge(&pairs));
+            judge(&pairs)
+        })
+        .collect();
+    holm(&mut judgements);
+    for (w, (workload, runs)) in results.iter().enumerate() {
+        println!(
+            "{workload}: {} pairs of {} s at seed {}, base {} vs the working tree, alpha {ALPHA} over {} verdict(s)",
+            opts.pairs,
+            opts.seconds,
+            opts.seed,
+            opts.rev,
+            judgements.len()
+        );
+        for (side, runs) in ["base", "change"].iter().zip(runs) {
+            let failed: u64 = runs.iter().map(|r| r.failed).sum();
+            if failed > 0 {
+                println!("  {side}: {failed} failed operation(s)");
+            }
+        }
+        for (name, _) in &runs[0][0].metrics {
+            match metrics
+                .iter()
+                .zip(&judgements)
+                .find(|((mw, mname, _, _), _)| *mw == w && *mname == name)
+            {
+                Some(((_, _, base, change), j)) => print_judgement(name, base, change, j),
+                None => println!("  {name}: not in every run"),
+            }
         }
     }
     Ok(())
@@ -399,7 +461,7 @@ mod tests {
                 let pairs: Vec<(f64, f64)> = (0..10)
                     .map(|_| (draws.run(1.0), draws.run(handicap)))
                     .collect();
-                judge(&pairs).verdict
+                judge(&pairs).verdict()
             })
             .collect()
     }
@@ -441,11 +503,60 @@ mod tests {
         assert_eq!(median_interval(&sorted[..5], 0.05), None);
         let j = judge(&[(1.0, 0.5); 10]);
         assert_eq!(
-            (j.wins, j.losses, j.median, j.verdict),
+            (j.wins, j.losses, j.median, j.verdict()),
             (10, 0, 0.5, "improved")
         );
         let j = judge(&[(1.0, 1.0); 10]);
-        assert_eq!((j.wins, j.p, j.verdict), (0, 1.0, "no claim"));
+        assert_eq!((j.wins, j.p, j.verdict()), (0, 1.0, "no claim"));
+    }
+
+    #[test]
+    fn holm_scales_the_ordered_p_values_and_keeps_their_order() {
+        // Every change won every pair; only the raw p's differ.
+        let mut js: Vec<Judgement> = [0.01, 0.04, 0.03, 0.005, 0.5]
+            .into_iter()
+            .map(|p| Judgement {
+                p,
+                adjusted: p,
+                ..judge(&[(1.0, 0.5); 10])
+            })
+            .collect();
+        holm(&mut js);
+        let adjusted: Vec<f64> = js.iter().map(|j| j.adjusted).collect();
+        // Sorted: 0.005 × 5, 0.01 × 4, 0.03 × 3, 0.04 × 2 (raised to 0.09),
+        // 0.5 × 1 (raised to nothing: 0.5 is larger).
+        let want = [0.04, 0.09, 0.09, 0.025, 0.5];
+        for (got, want) in adjusted.iter().zip(want) {
+            assert!((got - want).abs() < 1e-12, "{adjusted:?}");
+        }
+        let verdicts: Vec<&str> = js.iter().map(Judgement::verdict).collect();
+        assert_eq!(
+            verdicts,
+            ["improved", "no claim", "no claim", "improved", "no claim"]
+        );
+    }
+
+    #[test]
+    fn sixteen_verdicts_at_ten_pairs_need_every_pair_won() {
+        let won = |wins: usize| -> Vec<(f64, f64)> {
+            (0..10)
+                .map(|i| (1.0, if i < wins { 0.9 } else { 1.1 }))
+                .collect()
+        };
+        // 15 verdicts with nothing to say beside the one judged.
+        let judged = |wins: usize| {
+            let mut js: Vec<Judgement> = (0..15).map(|_| judge(&[(1.0, 1.0); 10])).collect();
+            js.push(judge(&won(wins)));
+            holm(&mut js);
+            let j = js.pop().unwrap();
+            (j.p, j.adjusted, j.verdict())
+        };
+        let (p, adjusted, verdict) = judged(9);
+        assert_eq!(verdict, "no claim", "alone it would be: p = {p}");
+        assert!((p - 22.0 / 1024.0).abs() < 1e-15 && (adjusted - 16.0 * p).abs() < 1e-12);
+        let (p, adjusted, verdict) = judged(10);
+        assert!((adjusted - 16.0 * p).abs() < 1e-12 && adjusted <= ALPHA);
+        assert_eq!(verdict, "improved");
     }
 
     #[test]

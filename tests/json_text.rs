@@ -27,7 +27,7 @@ const ODD_TEXT: &str = "q\"b\\s n\n r\r t\t c\u{1} é ∞";
 #[test]
 fn json_text_is_pinned() {
     // Every content key and row line of the `full` and `smoke` presets, and
-    // the cold-tier file `smoke` leaves behind.
+    // the cold-tier records `smoke` leaves behind, read in matrix order.
     let dir = std::env::temp_dir().join(format!("json-text-pinned-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::new(CacheConfig {
@@ -36,6 +36,7 @@ fn json_text_is_pinned() {
     })
     .unwrap();
     let mut keys_and_rows = String::new();
+    let mut cold = String::new();
     for matrix in [ScenarioMatrix::full(), ScenarioMatrix::smoke()] {
         let cells = matrix.resolve().unwrap().cells();
         let rows = run_matrix(&matrix, &Pool::new(1)).unwrap();
@@ -47,14 +48,14 @@ fn json_text_is_pinned() {
             keys_and_rows += &format!("\n{}\n{line}\n", key.hex());
             if matrix == ScenarioMatrix::smoke() {
                 cache.insert(&key, line);
+                cold += &std::fs::read_to_string(dir.join(key.hex())).unwrap();
             }
         }
     }
-    cache.flush().unwrap();
-    let cold = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 48);
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(digest(&keys_and_rows), "958a3f3ddbdd7cfd9af76f121477d294");
-    assert_eq!(digest(&cold), "b690c6d1f9771a21e7f0638bc6c9e9b5");
+    assert_eq!(digest(&cold), "b656df770c467d193a9ddb824fba41a8");
 
     // One reply line per request shape.
     let preset = |name: &str| MatrixSource::Preset(name.into());

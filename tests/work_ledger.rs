@@ -1,9 +1,11 @@
-//! The sweep's slice of the work ledger, as exact counts: what `repro
-//! profile`'s `work:` block prints for the normality sweep of the ci-scale
-//! campaign (`--scale ci`, the default seed) — groups and elements gathered
-//! per level, Shapiro–Wilk weight solves and Φ evaluations. Counts do not
-//! move with the host's speed, so a change that adds work to the sweep
-//! fails here on any host, and its re-pinned count says how much.
+//! The pipeline's work ledger, as exact counts: what `repro profile`'s
+//! `work:` block prints for the ci-scale campaign (`--scale ci`, the
+//! default seed) — the sweep's groups and elements gathered per level,
+//! Shapiro–Wilk weight solves and Φ evaluations, then the unit sorts of the
+//! sweep, the scan and the delivery stage and the delivery stage's message
+//! injections. Counts do not move with the host's speed, so a change that
+//! adds work to a stage fails here on any host, and its re-pinned count
+//! says how much.
 //!
 //! Every count is the same on 1 and 3 workers except the weight solves:
 //! each worker solves one weight vector per distinct group size of its own
@@ -12,12 +14,15 @@
 use std::sync::Arc;
 
 use early_bird::analysis::engine::{
-    generate_campaign_parallel, sweep_levels_parallel_with_arenas, EngineArenas,
+    delivery_sweep_parallel_with_arenas, generate_campaign_parallel,
+    sweep_levels_parallel_with_arenas, EngineArenas, WORK_INJECTIONS, WORK_UNIT_SORTS,
 };
 use early_bird::analysis::normality::SweepObs;
-use early_bird::cluster::calibration::ALPHA;
+use early_bird::analysis::scan::trace_scan_parallel_with_arenas;
+use early_bird::cluster::calibration::{ALPHA, LAGGARD_THRESHOLD_MS};
 use early_bird::cluster::{JobConfig, SyntheticApp, Workload};
-use early_bird::runtime::Pool;
+use early_bird::partcomm::{LinkModel, SerialLink};
+use early_bird::runtime::{Pool, PoolObserver};
 use ebird_obs::Registry;
 
 /// `repro`'s default seed.
@@ -68,4 +73,43 @@ fn the_sweep_ledger_is_pinned_and_only_weight_solves_move_with_the_pool() {
     // application-iteration and five process-iterations (1 600, 32, 8),
     // the other two process-iterations only (8 each).
     assert_eq!(solves_3, 5);
+}
+
+/// `(unit sorts, delivery injections)` after `repro profile --scale ci
+/// --threads <workers>`'s sweep, scan and delivery stages on an observed
+/// pool (the delivery stage prices `repro profile`'s 8 MB buffer over
+/// Omni-Path).
+fn pipeline_ledger(workers: usize) -> (u64, u64) {
+    let registry = Arc::new(Registry::wall());
+    let pool = Pool::new(workers).with_observer(PoolObserver::new(&registry));
+    let apps = SyntheticApp::all();
+    let workloads: Vec<&dyn Workload> = apps.iter().map(|a| a as &dyn Workload).collect();
+    let traces = generate_campaign_parallel(&workloads, &JobConfig::ci_scale(), SEED, &pool)
+        .expect("synthetic apps always generate");
+    let mut arenas = EngineArenas::new(workers);
+    let link = LinkModel::omni_path();
+    for trace in &traces {
+        sweep_levels_parallel_with_arenas(trace, ALPHA, None, &pool, &mut arenas);
+        trace_scan_parallel_with_arenas(trace, LAGGARD_THRESHOLD_MS, &pool, &mut arenas);
+        delivery_sweep_parallel_with_arenas(
+            trace,
+            8_000_000,
+            || SerialLink::new(link),
+            &pool,
+            &mut arenas,
+        );
+    }
+    let snap = registry.snapshot();
+    (snap.counter(WORK_UNIT_SORTS), snap.counter(WORK_INJECTIONS))
+}
+
+#[test]
+fn the_pipeline_ledger_sorts_each_unit_once_a_stage_on_any_pool() {
+    // 600 process-iterations (3 apps × 2 trials × 2 ranks × 50
+    // iterations), each sorted by the sweep, the scan and the delivery
+    // stage. The four canonical strategies inject 9 267 messages over them:
+    // 600 bulk, 600 × 8 early-bird, and what the 1 ms flush and the √8
+    // bins make of each unit's arrivals.
+    assert_eq!(pipeline_ledger(1), (3 * 600, 9_267));
+    assert_eq!(pipeline_ledger(3), (3 * 600, 9_267));
 }

@@ -49,10 +49,28 @@ pub trait ProxyApp {
     /// timed compute section's compute times, as `Pool::timed_parts_mut`
     /// returned them. With `None` it reads no clock and returns an empty
     /// vector — the work-metered campaign runner, which derives timing from
-    /// deterministic operation counts, steps that way. Either way the
-    /// computation is the same, and untimed work surrounding the section
-    /// (integration, vector updates, …) runs as part of the same call,
-    /// exactly as in the instrumented originals.
+    /// deterministic operation counts, steps that way, on a one-member
+    /// pool. Either way the computation is the same, and untimed work
+    /// surrounding the section (integration, vector updates, …) runs as
+    /// part of the same call, exactly as in the instrumented originals.
+    ///
+    /// **Contract: the team size moves nothing but the stamps.** The app's
+    /// state after a step, [`verify`](ProxyApp::verify) and
+    /// [`thread_ops`](ProxyApp::thread_ops)`(threads)` are the same bits
+    /// whatever `pool.threads()` the step ran on. The three kernels hold it
+    /// because each member writes whole output elements of its block from
+    /// state no member writes during the section, and no reduction is
+    /// split by member:
+    /// * MiniFE's SpMV computes each row whole from `p`; its dot products
+    ///   run serially after the join;
+    /// * MiniMD's force on an atom is one serial sum over its own neighbor
+    ///   list, read from positions no member moves during the section;
+    /// * MiniQMC's walkers each carry their own seeded RNG and acceptance
+    ///   tallies, so a walker's moves do not depend on which member, or in
+    ///   which order, ran it.
+    ///
+    /// The work-metered runner relies on this to step on one member, and
+    /// `ebird-cluster`'s `team_neutral` proptests check it per app.
     fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample>;
 
     /// Checks an application-specific physical/numerical invariant, returning
@@ -63,11 +81,14 @@ pub trait ProxyApp {
     /// Deterministic per-thread work measure of the timed compute section
     /// executed by the **most recent** step, for a `threads`-way static
     /// partition: element `t` counts the model-specific inner-loop
-    /// operations thread `t` performed (matrix nonzeros visited, neighbor
-    /// pairs evaluated, electron moves proposed). Because every kernel's
-    /// work partitioning and state trajectory are seeded and
-    /// thread-count-neutral, these counts are bit-reproducible across runs
-    /// and hosts — the property the deterministic `RealKernel` workload
-    /// timing relies on.
+    /// operations thread `t` of such a team performs (matrix nonzeros
+    /// visited, neighbor pairs evaluated, electron moves proposed).
+    /// `threads` need not be the size of the pool the step ran on: by the
+    /// [`step`](ProxyApp::step) contract the counts are a function of the
+    /// state alone, so the work-metered runner steps on one member and
+    /// asks for the campaign's `threads`-way counts. Because every kernel's
+    /// state trajectory is seeded, these counts are bit-reproducible across
+    /// runs and hosts — the property the deterministic `RealKernel`
+    /// workload timing relies on.
     fn thread_ops(&self, threads: usize) -> Vec<u64>;
 }

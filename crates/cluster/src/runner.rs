@@ -2,9 +2,15 @@
 //!
 //! [`run_real_campaign`] reproduces the paper's experimental procedure on
 //! live code: for each trial and each rank, build a fresh application
-//! instance, run `iterations` instrumented iterations on a thread pool, and
-//! copy each iteration's per-thread samples into the campaign's
-//! [`TimingTrace`].
+//! instance, run `iterations` instrumented iterations, and copy each
+//! iteration's per-thread samples into the campaign's [`TimingTrace`].
+//!
+//! A [`RealTiming::Wall`] campaign steps on a live team of `threads`
+//! members, because the team is the paper's measurement. A
+//! [`RealTiming::Metered`] campaign steps its kernel on one member: its
+//! samples are the `threads`-way partition's operation counts, which the
+//! team that ran the step does not move (the [`ProxyApp::step`] contract),
+//! so it forks no team.
 //!
 //! Ranks run sequentially inside one process. The measured compute sections
 //! never communicate (the paper's apps only message *between* sections), so
@@ -12,6 +18,8 @@
 //! measurements without changing what is measured.
 //!
 //! Nothing here communicates: scenario pricing needs thread arrivals only.
+//!
+//! [`ProxyApp::step`]: ebird_apps::ProxyApp::step
 
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_runtime::{Pool, TimeSource, WallClock};
@@ -91,7 +99,9 @@ pub enum RealTiming {
     /// The kernels still execute for real (state trajectories, invariant
     /// checks), but the clock is the operation count — so the same seed and
     /// parameters yield a bit-identical [`TimingTrace`] on any host, the
-    /// property the `RealKernel` workload cache relies on.
+    /// property the `RealKernel` workload cache relies on. The kernel runs
+    /// on one member: an operation count of the `threads`-way partition
+    /// does not depend on the team that stepped it, so no team is forked.
     Metered {
         /// Nanoseconds charged per inner-loop operation (must be finite
         /// and positive).
@@ -108,9 +118,10 @@ pub enum RealTiming {
 /// deterministic work-metered clock (see [`RealTiming`]).
 ///
 /// Each iteration yields one per-thread vector — under [`RealTiming::Wall`]
-/// the step's samples, under [`RealTiming::Metered`] its operation counts
-/// priced at `ns_per_op` — whose length is checked once and appended to
-/// the trace's column.
+/// the samples of a step on a `cfg.threads` team, under
+/// [`RealTiming::Metered`] the `cfg.threads`-way operation counts of a step
+/// on one member, priced at `ns_per_op` — whose length is checked once and
+/// appended to the trace's column.
 ///
 /// # Errors
 /// [`RunnerError::Config`] if any campaign dimension is zero (reachable by
@@ -145,16 +156,17 @@ where
             )));
         }
     }
+    // The team is what a wall campaign measures; a metered sample is an
+    // operation count no team size moves (`ProxyApp::step`), so it forks none.
     let wall = WallClock::new();
-    let clock: Option<&dyn TimeSource> = match timing {
-        RealTiming::Wall => Some(&wall),
-        RealTiming::Metered { .. } => None,
+    let (pool, clock): (Pool, Option<&dyn TimeSource>) = match timing {
+        RealTiming::Wall => (Pool::new(cfg.threads), Some(&wall)),
+        RealTiming::Metered { .. } => (Pool::new(1), None),
     };
     // Steps run in trace order (trial, rank, iteration), so each one's
     // per-thread samples are the column's next `threads` entries.
     let mut name = None;
     let mut column = Vec::with_capacity(cfg.shape().total_samples());
-    let pool = Pool::new(cfg.threads);
     for trial in 0..cfg.trials {
         for rank in 0..cfg.ranks {
             let mut app = factory(trial, rank);
@@ -452,6 +464,52 @@ mod tests {
         )
         .unwrap();
         assert_eq!(trace.samples()[9].compute_time_ns(), 4_290_000_000);
+    }
+
+    #[test]
+    fn a_metered_campaign_steps_on_one_member_and_a_wall_campaign_on_the_team() {
+        // Each step checks the team it was given and counts itself.
+        struct Records {
+            team: usize,
+            steps: std::rc::Rc<std::cell::Cell<usize>>,
+        }
+        impl ebird_apps::ProxyApp for Records {
+            fn name(&self) -> &'static str {
+                "Records"
+            }
+            fn step(&mut self, pool: &Pool, clock: Option<&dyn TimeSource>) -> Vec<ThreadSample> {
+                assert_eq!(pool.threads(), self.team);
+                self.steps.set(self.steps.get() + 1);
+                let mut data = vec![0u8; pool.threads()];
+                pool.timed_parts_mut(clock, &mut data, &vec![1; pool.threads()], |_, _, _| {})
+            }
+            fn thread_ops(&self, threads: usize) -> Vec<u64> {
+                vec![1; threads]
+            }
+            fn verify(&self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        let cfg = JobConfig::new(2, 2, 3, 3);
+        for (timing, team) in [
+            (RealTiming::Wall, cfg.threads),
+            (RealTiming::Metered { ns_per_op: 10.0 }, 1),
+        ] {
+            let steps = std::rc::Rc::default();
+            let trace = run_real_campaign(
+                &cfg,
+                |_, _| {
+                    Box::new(Records {
+                        team,
+                        steps: std::rc::Rc::clone(&steps),
+                    })
+                },
+                timing,
+            )
+            .unwrap();
+            assert_eq!(steps.get(), 2 * 2 * 3, "{timing:?}");
+            assert_eq!(trace.shape(), cfg.shape());
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! its `row`. A record that fails is quarantined: counted
 //! (`{prefix}.quarantined`, see [`CacheMetrics`]) and dropped from the set,
 //! so its cell recomputes, and the recomputed row's record replaces the
-//! file. A name that is not a key — a temporary file a crash left between
-//! write and rename, or anything else — is never read. FNV-1a detects
+//! file. A name that is not a key is never read. One server owns a cold
+//! directory at a time, so opening the tier removes the temporary files a
+//! killed writer left between write and rename. FNV-1a detects
 //! corruption but does not withstand a forger: whoever can write the
 //! directory can write a record that passes.
 //!
@@ -213,7 +214,10 @@ struct ColdTier {
 
 impl ColdTier {
     /// Opens `dir`, creating it if needed: every file named by a key (32
-    /// lowercase hex digits) is stored, and nothing is read.
+    /// lowercase hex digits) is stored, and nothing is read. A temporary
+    /// file a killed writer left (`<key>.<process>-<write>.tmp`) is
+    /// removed: one server owns a cold directory at a time, so no live
+    /// write can own it.
     fn open(dir: &Path) -> Result<ColdTier, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
         let mut stored = HashSet::new();
@@ -221,11 +225,13 @@ impl ColdTier {
             let name = entry
                 .map_err(|e| format!("listing {dir:?}: {e}"))?
                 .file_name();
-            let key = name.to_str().and_then(|name| {
-                let hash = u128::from_str_radix(name, 16).ok()?;
-                (hash_hex(hash) == name).then_some(hash)
-            });
-            stored.extend(key);
+            let Some(name) = name.to_str() else { continue };
+            if let Some(hash) = parse_key(name) {
+                stored.insert(hash);
+            } else if is_leftover_write(name) {
+                let path = dir.join(name);
+                std::fs::remove_file(&path).map_err(|e| format!("removing {path:?}: {e}"))?;
+            }
         }
         Ok(ColdTier {
             dir: dir.to_path_buf(),
@@ -253,6 +259,25 @@ impl ColdTier {
         self.stored.lock().insert(hash);
         Ok(())
     }
+}
+
+/// The key a file name addresses: exactly 32 lowercase hex digits.
+fn parse_key(name: &str) -> Option<u128> {
+    let hash = u128::from_str_radix(name, 16).ok()?;
+    (hash_hex(hash) == name).then_some(hash)
+}
+
+/// Whether `name` is a temporary name [`ColdTier::write`] gives a record
+/// (`<key>.<process>-<write>.tmp`).
+fn is_leftover_write(name: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let Some((key, writer)) = name.strip_suffix(".tmp").and_then(|n| n.split_once('.')) else {
+        return false;
+    };
+    let Some((process, write)) = writer.split_once('-') else {
+        return false;
+    };
+    parse_key(key).is_some() && digits(process) && digits(write)
 }
 
 /// The two-tier content-addressed result cache.
@@ -674,26 +699,49 @@ mod tests {
             let cache = ResultCache::with_cold_tier(&dir).unwrap();
             cache.insert(&key, "row-1".into());
         }
-        // A crash between write and rename leaves a `.tmp` file behind; here
-        // it holds a proven record of another row.
+        // A kill between write and rename leaves the temporary file behind;
+        // here it holds a proven record of another row. A name of another
+        // shape is not the tier's to remove.
         let stray = ContentKey::of("spec-2");
         let record = std::fs::read_to_string(dir.join(key.hex()))
             .unwrap()
             .replace("spec-1", "spec-2");
-        std::fs::write(dir.join(format!("{}.tmp", stray.hex())), record).unwrap();
+        let leftover = format!("{}.4242-7.tmp", stray.hex());
+        std::fs::write(dir.join(&leftover), &record).unwrap();
+        std::fs::write(dir.join("notes.tmp"), "").unwrap();
         let (cache, registry) = observed(CacheConfig {
             cold_dir: Some(dir.clone()),
             hot_budget_bytes: None,
         });
+        assert_eq!(record_names(&dir), vec![key.hex(), "notes.tmp".to_string()]);
         assert_eq!(cache.lookup(&key).unwrap().row(), "row-1");
         assert!(cache.lookup(&stray).is_none());
         assert_eq!((tallies(&registry), quarantined(&registry)), ((1, 1, 1), 0));
-        // Its key's next write stores the record beside it.
         cache.insert(&stray, "row-2".into());
-        let mut names = vec![key.hex(), stray.hex(), format!("{}.tmp", stray.hex())];
+        let mut names = vec![key.hex(), stray.hex(), "notes.tmp".to_string()];
         names.sort();
         assert_eq!(record_names(&dir), names);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_the_tiers_own_temporary_names_are_leftovers() {
+        let key = ContentKey::of("spec").hex();
+        assert!(is_leftover_write(&format!("{key}.12-0.tmp")));
+        for name in [
+            key.clone(),
+            format!("{key}.tmp"),
+            format!("{key}.12.tmp"),
+            format!("{key}.12-.tmp"),
+            format!("{key}.-3.tmp"),
+            format!("{key}.1a-3.tmp"),
+            format!("{key}.12-3"),
+            format!("{}.12-3.tmp", key.to_uppercase()),
+            format!("{}.12-3.tmp", &key[1..]),
+            "results.jsonl".to_string(),
+        ] {
+            assert!(!is_leftover_write(&name), "{name}");
+        }
     }
 
     /// The `probe.quarantined` count of `registry`.

@@ -108,7 +108,9 @@ pub struct ScenarioMatrix {
     pub noise: Vec<String>,
     /// Concurrent sending-rank counts to sweep.
     pub ranks: Vec<usize>,
-    /// Threads (= partitions) per rank.
+    /// Partitions per rank: the arrival samples a rank contributes per
+    /// iteration. Never a count of OS threads — a `RealKernel` workload
+    /// runs its kernel on one member and meters this many partitions.
     pub threads: usize,
     /// Buffer bytes each rank delivers.
     pub bytes_per_rank: usize,
@@ -426,6 +428,12 @@ impl ScenarioMatrix {
 
     /// Validates every axis and resolves names into typed handles, so no
     /// lookup — and therefore no panic path — survives past this point.
+    ///
+    /// `threads` is a partition count for every cell: no cell starts OS
+    /// threads because of it (a metered real kernel steps on one member).
+    /// It bounds the cell's samples, the buffer split (one byte a partition
+    /// at least) and `Binned` bins. Its cap, 65 535, is the per-rank message
+    /// count the LogGP parameter bound is argued for.
     ///
     /// # Errors
     /// A human-readable description of the first invalid axis entry.

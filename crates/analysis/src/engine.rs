@@ -29,7 +29,6 @@ use ebird_cluster::{JobConfig, Workload};
 use ebird_core::{ThreadSample, TimingTrace};
 use ebird_partcomm::{run_deliveries, DeliveryOutcome, NetModel, SimScratch, Strategy};
 use ebird_runtime::{Pool, WorkerArenas};
-use ebird_stats::normality::BatteryScratch;
 
 use crate::normality::{run_tasks, NormalitySweep, SweepObs, SweepTasks};
 use crate::unit::UnitOrder;
@@ -56,18 +55,17 @@ pub const WORK_UNIT_SORTS: &str = "work.unit_sorts";
 /// unit. Booked like [`WORK_UNIT_SORTS`].
 pub const WORK_INJECTIONS: &str = "work.delivery.injections";
 
-/// Long-lived scratch for the whole analysis engine: one scratch value per
-/// pool worker for every stage.
+/// Long-lived scratch for the analysis engine: one scratch value per pool
+/// worker for the trace scan and the delivery sweep.
 ///
-/// Built once per campaign, it makes Shapiro–Wilk weight solves a one-off
-/// warm-up: a worker re-entering a region locks its own (uncontended) slot
-/// and finds its weights and unit-sized buffers ready from the previous
-/// call. Nothing group-sized lives here: the sweep's group buffer belongs to
-/// the call ([`crate::normality`]'s task loop), so between calls the arenas
-/// hold only each worker's battery scratch (weight cache and Φ block), unit
-/// order and simulation scratch.
+/// Built once per campaign: a worker re-entering a region locks its own
+/// (uncontended) slot and finds its unit-sized buffers ready from the
+/// previous call. Nothing n-sized lives here: the sweep keeps no arena — its
+/// group buffer and its battery scratch (the Shapiro–Wilk weights and the Φ
+/// block) belong to the call ([`crate::normality`]'s task loop) — so
+/// between calls the arenas hold only each worker's unit order and
+/// simulation scratch.
 pub struct EngineArenas {
-    pub(crate) sweep_workers: WorkerArenas<BatteryScratch>,
     pub(crate) unit_order: WorkerArenas<UnitOrder>,
     pub(crate) sim: WorkerArenas<SimWorker>,
 }
@@ -84,7 +82,6 @@ impl EngineArenas {
     /// Arenas for a team of `workers` (≥ 1).
     pub fn new(workers: usize) -> Self {
         Self {
-            sweep_workers: WorkerArenas::new(workers),
             unit_order: WorkerArenas::new(workers),
             sim: WorkerArenas::new(workers),
         }
@@ -164,15 +161,16 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// Runs all three aggregation levels of the normality sweep on `pool`, in
 /// [`SWEEP_LEVELS`](crate::normality::SWEEP_LEVELS) order — bit-identical to
 /// three per-level [`sweep`] calls for any pool size: the same kernel runs
-/// every group, and no group's result depends on another's. Per-worker
+/// every group, and no group's result depends on another's. Per-part
 /// battery scratches produce bit-identical weights to a shared one because
 /// cached weight vectors are bit-identical to freshly solved ones.
 ///
-/// The caller owns the [`EngineArenas`], so repeated sweeps (one per trace
-/// of a campaign) reuse the per-worker battery scratches: after the first
-/// call on a shape no weight vector is solved again, and a call allocates
-/// its result, its fork/join bookkeeping and one group buffer per worker
-/// part, which it frees before it returns.
+/// The sweep keeps nothing in the [`EngineArenas`] (it takes them so every
+/// stage entry has one shape): each call allocates its result, its
+/// fork/join bookkeeping, and per worker part one group buffer and one
+/// battery scratch, which it frees before it returns. Each call solves the
+/// Shapiro–Wilk weight vector of every distinct group size of each part —
+/// closed-form scores, a few milliseconds at the paper's 768 000 samples.
 ///
 /// The trace's task list is cut into one contiguous part of near-equal
 /// modelled cost per worker and every worker runs the task loop over its
@@ -181,8 +179,10 @@ fn partition_tasks(tasks: SweepTasks, parts: usize) -> Vec<usize> {
 /// When `obs` is provided, each group's three layers are timed into the
 /// per-level [`SweepObs::GATHER_LEVEL_NS`], [`SweepObs::SORT_LEVEL_NS`] and
 /// [`SweepObs::BATTERY_LEVEL_NS`] histograms (together they cover the
-/// workers' task loops) and the Shapiro–Wilk weight-cache tallies land in
-/// the [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`] counters.
+/// workers' task loops), the battery layer is split into the
+/// [`SweepObs::BATTERY_PHASE_NS`] counters, and the Shapiro–Wilk
+/// weight-cache tallies land in the
+/// [`SweepObs::CACHE_HIT`]/[`SweepObs::CACHE_MISS`] counters.
 ///
 /// [`sweep`]: crate::normality::sweep
 pub fn sweep_levels_parallel_with_arenas(
@@ -190,10 +190,9 @@ pub fn sweep_levels_parallel_with_arenas(
     alpha: f64,
     obs: Option<&SweepObs>,
     pool: &Pool,
-    arenas: &mut EngineArenas,
+    _arenas: &mut EngineArenas,
 ) -> [NormalitySweep; 3] {
     let tasks = SweepTasks(trace.shape());
-    let workers = &arenas.sweep_workers;
     let unit_sorts = pool.observer().map(|o| o.counter(WORK_UNIT_SORTS));
     // The process-iteration groups are the task list's tail.
     let first_unit = tasks.len() - trace.shape().process_iterations();
@@ -201,14 +200,8 @@ pub fn sweep_levels_parallel_with_arenas(
     pool.parallel_parts_mut(
         &mut outcomes,
         &partition_tasks(tasks, pool.threads()),
-        |block, range, ctx| {
-            run_tasks(
-                trace,
-                obs,
-                range.start,
-                block,
-                &mut workers.slot(ctx.thread()),
-            );
+        |block, range, _| {
+            run_tasks(trace, obs, range.start, block);
             if let Some(sorts) = &unit_sorts {
                 sorts.add(range.end.saturating_sub(range.start.max(first_unit)) as u64);
             }
@@ -413,48 +406,45 @@ mod tests {
     }
 
     #[test]
-    fn sweep_arenas_hold_only_weights_solved_once_per_group_size_of_the_part() {
-        // A sweep worker's arena is its battery scratch (the group buffer
-        // belongs to the call), so what it keeps between calls is the weight
-        // cache: the first call solves one vector per distinct group size of
-        // the worker's part, and a warm call solves none and finds every
-        // group's vector cached.
+    fn each_sweep_call_solves_one_weight_vector_per_group_size_of_its_parts_and_keeps_none() {
+        // The battery scratch belongs to the call: every call, on warm
+        // arenas or fresh, solves one vector per distinct group size of
+        // each worker's part, and every other lookup hits that part's cache.
         let tr = mixed_trace();
         let tasks = SweepTasks(tr.shape());
         for workers in [1, 3] {
             let pool = Pool::new(workers);
             let mut arenas = EngineArenas::for_pool(&pool);
-            let mut stats = Vec::new();
-            for _ in 0..3 {
-                sweep_levels_parallel_with_arenas(&tr, 0.05, None, &pool, &mut arenas);
-                stats.push(
-                    (0..workers)
-                        .map(|w| arenas.sweep_workers.get_mut(w).cache_stats())
-                        .collect::<Vec<_>>(),
-                );
-            }
             let mut first = 0;
-            for (w, len) in partition_tasks(tasks, workers).into_iter().enumerate() {
-                let sizes: std::collections::BTreeSet<usize> =
-                    (first..first + len).map(|t| tasks.get(t).2).collect();
-                let (hits, misses) = stats[0][w];
-                assert_eq!(misses, sizes.len() as u64, "worker {w}/{workers}");
-                for (call, got) in stats.iter().enumerate() {
-                    let warm_hits = call as u64 * (hits + misses);
-                    assert_eq!(
-                        got[w],
-                        (hits + warm_hits, misses),
-                        "call {call}, worker {w}/{workers}"
-                    );
-                }
-                first += len;
+            let solves: usize = partition_tasks(tasks, workers)
+                .into_iter()
+                .map(|len| {
+                    let part = first..first + len;
+                    first += len;
+                    let sizes: std::collections::BTreeSet<usize> =
+                        part.map(|t| tasks.get(t).2).collect();
+                    sizes.len()
+                })
+                .sum();
+            // Every group but the flat one looks its weights up.
+            let lookups = tasks.len() - 1;
+            for call in 0..3 {
+                let registry = std::sync::Arc::new(ebird_obs::Registry::wall());
+                let obs = SweepObs::new(&registry);
+                sweep_levels_parallel_with_arenas(&tr, 0.05, Some(&obs), &pool, &mut arenas);
+                let snap = registry.snapshot();
+                assert_eq!(
+                    [SweepObs::CACHE_HIT, SweepObs::CACHE_MISS].map(|c| snap.counter(c)),
+                    [(lookups - solves) as u64, solves as u64],
+                    "call {call}, {workers} workers"
+                );
             }
         }
     }
 
     #[test]
     fn arena_reuse_keeps_sweep_and_delivery_bit_identical() {
-        // Warm arenas (cached weights, dirty buffers) must change nothing:
+        // Warm arenas (dirty buffers) must change nothing:
         // run every arena-backed stage twice on shared arenas and compare
         // against runs on fresh ones.
         let tr = mixed_trace();

@@ -20,7 +20,7 @@ use ebird_core::{ThreadSample, TimingTrace, TraceShape};
 use ebird_obs::{Counter, Histogram, Registry};
 use ebird_stats::normality::{
     battery_sorted, battery_with_scratch, BatteryScratch, NormalityOutcome, NormalityTest,
-    TestStatistic,
+    PhaseClock, TestStatistic,
 };
 use ebird_stats::sort::{sort_floats, SortScratch};
 use serde::{Deserialize, Serialize};
@@ -132,6 +132,7 @@ pub struct SweepObs {
     gather_level_ns: [Arc<Histogram>; 3],
     sort_level_ns: [Arc<Histogram>; 3],
     battery_level_ns: [Arc<Histogram>; 3],
+    battery_phase_ns: [Arc<Counter>; 5],
     work_elements: [Arc<Counter>; 3],
     work_phi: Arc<Counter>,
 }
@@ -139,8 +140,8 @@ pub struct SweepObs {
 impl SweepObs {
     /// Counter name: Shapiro–Wilk weight-vector cache hits.
     pub const CACHE_HIT: &'static str = "sweep.weights.cache_hit";
-    /// Counter name: Shapiro–Wilk weight-vector cache misses (fresh Blom
-    /// score solves).
+    /// Counter name: Shapiro–Wilk weight-vector cache misses (weight
+    /// solves: one per distinct group size of each worker part, every call).
     pub const CACHE_MISS: &'static str = "sweep.weights.cache_miss";
     /// Histogram names: nanoseconds spent gathering each group's
     /// nanosecond keys out of the trace, one entry per group, by level in
@@ -175,6 +176,20 @@ impl SweepObs {
         "sweep.battery.application-iteration.ns",
         "sweep.battery.application.ns",
     ];
+    /// Counter names: nanoseconds the fused battery kernel spent in each of
+    /// its phases ([`ebird_stats::normality::BATTERY_PHASES`], in that
+    /// order), over every group. Each group's run is split on the clock
+    /// that times its battery layer, from that layer's start to its end, so
+    /// the five sum to the [`Self::BATTERY_LEVEL_NS`] totals exactly. The
+    /// `weights` phase holds the Shapiro–Wilk weight solves: one per
+    /// distinct group size of each worker part, every call.
+    pub const BATTERY_PHASE_NS: [&'static str; 5] = [
+        "sweep.battery.phase.weights.ns",
+        "sweep.battery.phase.central_sums.ns",
+        "sweep.battery.phase.phi_fill.ns",
+        "sweep.battery.phase.accumulate.ns",
+        "sweep.battery.phase.p_values.ns",
+    ];
     /// Counter names, the work ledger: elements gathered (and sorted) per
     /// level, in [`SWEEP_LEVELS`] order — each level covers the trace once,
     /// so each reads the trace's sample count. The ledger's other counts are
@@ -182,8 +197,8 @@ impl SweepObs {
     /// [`Self::WORK_PHI`] and the weight solves ([`Self::CACHE_MISS`]):
     /// counts, not times, bumped once per group (never per element), so
     /// they read the same on any host, and all but the weight solves — one
-    /// per distinct group size per worker part — read the same at any pool
-    /// size.
+    /// per distinct group size per worker part per call — read the same at
+    /// any pool size.
     pub const WORK_ELEMENTS: [&'static str; 3] = [
         "sweep.work.process-iteration.elements",
         "sweep.work.application-iteration.elements",
@@ -204,6 +219,7 @@ impl SweepObs {
             gather_level_ns: Self::GATHER_LEVEL_NS.map(|name| registry.histogram(name)),
             sort_level_ns: Self::SORT_LEVEL_NS.map(|name| registry.histogram(name)),
             battery_level_ns: Self::BATTERY_LEVEL_NS.map(|name| registry.histogram(name)),
+            battery_phase_ns: Self::BATTERY_PHASE_NS.map(|name| registry.counter(name)),
             work_elements: Self::WORK_ELEMENTS.map(|name| registry.counter(name)),
             work_phi: registry.counter(Self::WORK_PHI),
         }
@@ -242,13 +258,16 @@ impl SweepObs {
         t3
     }
 
-    /// Folds the weight-cache tallies accumulated since `before` (an earlier
-    /// [`BatteryScratch::cache_stats`] reading) into the counters — for
-    /// scratches shared across multiple sweeps.
-    pub(crate) fn record_cache_delta(&self, scratch: &BatteryScratch, before: (u64, u64)) {
+    /// Folds one worker part's totals into the counters once its task loop
+    /// ends: the weight-cache tallies of the part's battery scratch and the
+    /// battery's time by phase.
+    pub(crate) fn record_part(&self, scratch: &BatteryScratch, phase_ns: [u64; 5]) {
         let (hits, misses) = scratch.cache_stats();
-        self.cache_hit.add(hits - before.0);
-        self.cache_miss.add(misses - before.1);
+        self.cache_hit.add(hits);
+        self.cache_miss.add(misses);
+        for (counter, ns) in self.battery_phase_ns.iter().zip(phase_ns) {
+            counter.add(ns);
+        }
     }
 }
 
@@ -339,22 +358,26 @@ impl SweepTasks {
 ///
 /// That buffer belongs to the call: it is allocated at entry, exactly the
 /// size of the part's first and largest task, and dropped when the loop
-/// ends, so nothing group-sized outlives the sweep. What `battery` keeps
-/// across calls is the cached Shapiro–Wilk weight vectors (the
-/// application-level vector alone is hundreds of thousands of Newton
-/// solves) and the Φ block; results do not depend on the reuse: cached
-/// weights are bit-identical to freshly solved ones.
+/// ends, so nothing group-sized outlives the sweep. So does the battery
+/// scratch: the part's weight cache and Φ block are created here and
+/// dropped on return, so the call solves one Shapiro–Wilk weight vector per
+/// distinct group size of its part (one closed-form quantile per score) and
+/// keeps none.
+///
+/// With an observer, each group's battery run is split by phase on the
+/// same clock reads that bound its battery layer.
 pub(crate) fn run_tasks(
     trace: &TimingTrace,
     obs: Option<&SweepObs>,
     first: usize,
     out: &mut [[Option<NormalityOutcome>; 3]],
-    battery: &mut BatteryScratch,
 ) {
     let tasks = SweepTasks(trace.shape());
     // Exactly the part's first and largest group (growth would overshoot).
     let mut keys: Vec<u32> = Vec::with_capacity(out.first().map_or(0, |_| tasks.get(first).2));
-    let cache_before = battery.cache_stats();
+    let mut battery = BatteryScratch::new();
+    let now = obs.map(|o| move || o.now_ns());
+    let mut phase_ns = [0u64; 5];
     // With an observer, each group's layers are timed back to back: the end
     // of one group's battery is the start of the next group's gather.
     let mut started = obs.map(|o| o.now_ns());
@@ -366,14 +389,19 @@ pub(crate) fn run_tasks(
         }
         let gathered = obs.map(|o| o.now_ns());
         keys.sort_unstable();
-        let ordered = obs.map(|o| o.now_ns());
-        *slot = battery_sorted(&keys, |k: u32| ns_to_ms(k.into()), battery);
-        if let (Some(o), Some(t0), Some(t1), Some(t2)) = (obs, started, gathered, ordered) {
-            started = Some(o.record_group([t0, t1, t2, o.now_ns()], level, keys.len(), slot));
+        let mut clock = now.as_ref().map(|now| PhaseClock::start(now));
+        let read = |k: u32| ns_to_ms(k.into());
+        *slot = battery_sorted(&keys, read, &mut battery, clock.as_mut());
+        if let (Some(o), Some(t0), Some(t1), Some(c)) = (obs, started, gathered, clock) {
+            let stamps = [t0, t1, c.started(), c.last()];
+            started = Some(o.record_group(stamps, level, keys.len(), slot));
+            for (total, ns) in phase_ns.iter_mut().zip(c.ns()) {
+                *total += ns;
+            }
         }
     }
     if let Some(o) = obs {
-        o.record_cache_delta(battery, cache_before);
+        o.record_part(&battery, phase_ns);
     }
 }
 
@@ -643,6 +671,32 @@ mod tests {
             SweepObs::WORK_ELEMENTS.map(|name| snap.counter(name)),
             [640; 3]
         );
+    }
+
+    #[test]
+    fn battery_phases_split_the_battery_layer_exactly() {
+        // A clock that ticks once per reading: a phase's total counts the
+        // boundaries that closed it. Shape (2, 2, 10, 16): 51 groups of 16,
+        // 64 and 640 samples, each one Φ block, so each phase closes once
+        // per group; and the five phases sum to the battery layer to the
+        // nanosecond, because they split the same readings.
+        struct Ticking(std::sync::atomic::AtomicU64);
+        impl ebird_obs::TimeSource for Ticking {
+            fn now_ns(&self) -> u64 {
+                1 + self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            }
+        }
+        let registry = Arc::new(Registry::with_time(Arc::new(Ticking(0.into()))));
+        let obs = SweepObs::new(&registry);
+        sweep_levels(&normal_trace(16), Some(&obs));
+        let snap = registry.snapshot();
+        let phases = SweepObs::BATTERY_PHASE_NS.map(|name| snap.counter(name));
+        assert_eq!(phases, [51; 5]);
+        let layer: u64 = SweepObs::BATTERY_LEVEL_NS
+            .iter()
+            .map(|name| snap.histogram(name).total())
+            .sum();
+        assert_eq!(phases.iter().sum::<u64>(), layer);
     }
 
     #[test]

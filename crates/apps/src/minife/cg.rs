@@ -37,7 +37,8 @@ pub struct MiniFe {
     a: CsrMatrix,
     /// Current solution estimate.
     x: Vec<f64>,
-    /// Right-hand side (`A · 1`, so the exact solution is all-ones).
+    /// Right-hand side `A·x*` for the manufactured solution
+    /// [`exact_solution`].
     b: Vec<f64>,
     /// Residual `b − A·x`.
     r: Vec<f64>,
@@ -55,11 +56,12 @@ impl MiniFe {
         let dims = params.dims;
         let a = assemble_stencil(dims);
         let n = dims.nodes();
-        // b = A·1 ⇒ exact solution is the all-ones vector (rows sum to 1,
-        // so b is in fact all-ones too; kept general regardless).
-        let ones = vec![1.0; n];
+        // b = A·x* for a fixed, non-constant x*. (A·1 is all-ones — every
+        // row sums to 1 — an eigenvector, on which CG converges in its
+        // first step and never moves again.)
+        let x_star: Vec<f64> = (0..n).map(exact_solution).collect();
         let mut b = vec![0.0; n];
-        a.spmv(&ones, &mut b);
+        a.spmv(&x_star, &mut b);
         let r = b.clone(); // x₀ = 0 ⇒ r₀ = b
         let p = r.clone();
         let rs_old = dot(&r, &r);
@@ -86,10 +88,14 @@ impl MiniFe {
         self.rs_old.sqrt()
     }
 
-    /// Infinity-norm error against the known all-ones solution.
+    /// Infinity-norm error against the manufactured solution.
     #[cfg(test)]
     fn solution_error(&self) -> f64 {
-        self.x.iter().map(|&v| (v - 1.0).abs()).fold(0.0, f64::max)
+        self.x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v - exact_solution(i)).abs())
+            .fold(0.0, f64::max)
     }
 
     /// Per-thread part lengths (in rows) for the plane-partitioned SpMV:
@@ -100,6 +106,13 @@ impl MiniFe {
             .map(|t| static_block(self.dims.nz, threads, t).len() * plane_rows)
             .collect()
     }
+}
+
+/// Component `i` of the manufactured solution `x*` the right-hand side is
+/// built from: a fixed sawtooth over the row index, 1 to 1.75, so no RNG
+/// and no eigenvector of the stencil.
+fn exact_solution(i: usize) -> f64 {
+    1.0 + 0.25 * (i % 4) as f64
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -190,7 +203,7 @@ mod tests {
     use ebird_runtime::WallClock;
 
     #[test]
-    fn cg_converges_to_ones() {
+    fn cg_converges_to_the_manufactured_solution() {
         let mut fe = MiniFe::new(MiniFeParams::test_scale());
         let pool = Pool::new(2);
         let initial = fe.residual_norm();

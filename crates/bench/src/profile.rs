@@ -10,7 +10,8 @@
 //! three layers per level — [`SweepObs::GATHER_LEVEL_NS`],
 //! [`SweepObs::SORT_LEVEL_NS`], [`SweepObs::BATTERY_LEVEL_NS`] — from which
 //! it derives each layer's total and share of the stage's busy time, the
-//! group count, the per-level group-sort quantiles and the batch-Φ feed),
+//! group count, the per-level group-sort quantiles and the batch-Φ feed —
+//! and the battery layer by phase, [`SweepObs::BATTERY_PHASE_NS`]),
 //! the work ledger (groups and elements gathered per level,
 //! [`SweepObs::WORK_ELEMENTS`]; Shapiro–Wilk weight solves; Φ evaluations,
 //! [`SweepObs::WORK_PHI`]; unit sorts, [`WORK_UNIT_SORTS`]; delivery
@@ -33,6 +34,7 @@ use ebird_cluster::calibration::LAGGARD_THRESHOLD_MS;
 use ebird_core::ThreadSample;
 use ebird_obs::{Registry, Snapshot};
 use ebird_runtime::{Pool, PoolObserver};
+use ebird_stats::normality::BATTERY_PHASES;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -307,6 +309,14 @@ pub fn render_profile(snap: &Snapshot, threads: usize) -> String {
             .collect();
         let _ = writeln!(out, "  {layer} by level: {}", by_level.join(", "));
     }
+    // The battery layer split by the kernel's phases, on the readings that
+    // bound it: the five sum to the layer's total exactly.
+    let by_phase: Vec<String> = BATTERY_PHASES
+        .iter()
+        .zip(SweepObs::BATTERY_PHASE_NS)
+        .map(|(phase, name)| format!("{phase} {:.1} ms", ms(snap.counter(name))))
+        .collect();
+    let _ = writeln!(out, "  battery by phase: {}", by_phase.join(" | "));
     // The battery runs once per group over the group's elements: the
     // ledger's counts.
     let elements: u64 = SweepObs::WORK_ELEMENTS
@@ -430,6 +440,12 @@ mod tests {
                 .histogram(level)
                 .record(next(&mut sentinels) * 1_000_000);
         }
+        // The battery's phases render in ms with one decimal.
+        for phase in SweepObs::BATTERY_PHASE_NS {
+            registry
+                .counter(phase)
+                .add(next(&mut sentinels) * 1_000_000);
+        }
         // The work ledger renders every count as itself.
         for name in SweepObs::WORK_ELEMENTS.into_iter().chain([
             SweepObs::WORK_PHI,
@@ -527,6 +543,9 @@ mod tests {
                 "  {layer} by level: process iteration 0.0 ms / 0 groups, application iteration 0.0 ms / 0 groups, application 0.0 ms / 0 groups"
             )));
         }
+        assert!(rendered.contains(
+            "  battery by phase: weights 0.0 ms | central sums 0.0 ms | Φ fill 0.0 ms | accumulate 0.0 ms | p-values 0.0 ms\n"
+        ));
         // No peak resident set was recorded: every stage row's `peak MiB`
         // cell (stage, wall, busy, util, µs/unit, peak, …) says so.
         for st in STAGES {

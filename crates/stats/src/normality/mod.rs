@@ -145,15 +145,14 @@ fn check_sorted(sorted: &[f64], needed: usize) -> Result<(), StatsError> {
 }
 
 /// A per-`n` cache of everything in the battery that depends **only on the
-/// sample size**: the Shapiro–Wilk weight vector (~n/2 `norm_quantile`
-/// solves), its Royston p-value transform parameters, and the
+/// sample size**: the Shapiro–Wilk weight vector (n/2 closed-form
+/// `norm_quantile`s), its Royston p-value transform parameters, and the
 /// Anderson–Darling small-sample factor.
 ///
-/// Every group at one aggregation level shares the same `n`, so a sweep over
-/// 16,000 process-iteration sets computes the weights once per worker instead
-/// of once per group. A small LRU (the sweep touches at most one `n` per
-/// level, three levels per trace) keeps cross-level reuse cheap without
-/// unbounded growth.
+/// Every group at one aggregation level shares the same `n`, so a sweep
+/// call over 16,000 process-iteration sets computes the weights once per
+/// worker part instead of once per group. A small LRU (the sweep touches at
+/// most one `n` per level, three levels per trace) bounds the cache.
 #[derive(Debug, Clone, Default)]
 pub struct WeightCache {
     entries: Vec<WeightEntry>,
@@ -272,8 +271,8 @@ impl PhiBlock {
 /// stand-alone each sort their own), the per-`n` [`WeightCache`], and the Φ
 /// block the fused kernel works through.
 ///
-/// One scratch per worker thread lets the sweep engine test tens of
-/// thousands of groups with zero allocations after warm-up.
+/// One scratch per sweep worker part tests its thousands of groups with no
+/// allocation after the part's first group of each size.
 #[derive(Debug, Clone, Default)]
 pub struct BatteryScratch {
     sorted: Vec<f64>,
@@ -290,6 +289,80 @@ impl BatteryScratch {
     /// `(hits, misses)` of the embedded weight cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
+    }
+}
+
+/// The fused kernel's phases in the order it runs them, the order of
+/// [`PhaseClock::ns`]: the per-`n` constants (the size checks, the cache
+/// lookup and, on a miss, the Shapiro–Wilk weight solve), the lane pass of
+/// central sums, the Φ blocks, the W and A² sums over each block (and A²'s
+/// middle term at odd `n`), and the three statistics' p-values (K²'s shape
+/// and statistic with them).
+pub const BATTERY_PHASES: [&str; 5] = [
+    "weights",
+    "central sums",
+    "Φ fill",
+    "accumulate",
+    "p-values",
+];
+
+/// A caller's clock split over the fused kernel's [`BATTERY_PHASES`]: each
+/// phase boundary reads `now` once and charges the time since the previous
+/// reading to the phase that ends there, so the phases of a run sum exactly
+/// to [`Self::last`] − [`Self::started`]. The kernel reads no clock when it
+/// is given none.
+pub struct PhaseClock<'c> {
+    now: &'c dyn Fn() -> u64,
+    started: u64,
+    last: u64,
+    ns: [u64; 5],
+}
+
+impl<'c> PhaseClock<'c> {
+    /// Reads `now` once: the start of the run about to be timed.
+    pub fn start(now: &'c dyn Fn() -> u64) -> Self {
+        let started = now();
+        Self {
+            now,
+            started,
+            last: started,
+            ns: [0; 5],
+        }
+    }
+
+    /// The reading taken by [`Self::start`].
+    pub fn started(&self) -> u64 {
+        self.started
+    }
+
+    /// The latest reading: the end of the last phase charged.
+    pub fn last(&self) -> u64 {
+        self.last
+    }
+
+    /// Nanoseconds charged to each phase, in [`BATTERY_PHASES`] order.
+    pub fn ns(&self) -> [u64; 5] {
+        self.ns
+    }
+
+    fn charge(&mut self, phase: usize) {
+        let now = (self.now)();
+        self.ns[phase] += now.saturating_sub(self.last);
+        self.last = now;
+    }
+}
+
+/// Indices into [`BATTERY_PHASES`].
+const WEIGHTS: usize = 0;
+const CENTRAL_SUMS: usize = 1;
+const PHI_FILL: usize = 2;
+const ACCUMULATE: usize = 3;
+const P_VALUES: usize = 4;
+
+/// Ends `phase` on `clock`, if there is one.
+fn charge(clock: &mut Option<&mut PhaseClock<'_>>, phase: usize) {
+    if let Some(clock) = clock {
+        clock.charge(phase);
     }
 }
 
@@ -320,29 +393,30 @@ impl BatteryScratch {
 /// difference). Each accumulator sees the values a slice of `read(k)` would
 /// hold, in the same order, so the outcomes are those of the `f64` sample,
 /// bit for bit; the identity read is that sample itself.
+///
+/// With a `clock`, the kernel charges its run to the [`BATTERY_PHASES`] as
+/// it goes — two readings per Φ block, one at each other boundary — and
+/// computes exactly what it computes without one.
 fn fused_battery<K: Copy>(
     sorted: &[K],
     read: impl Fn(K) -> f64 + Copy,
     cache: &mut WeightCache,
     phi: &mut PhiBlock,
+    mut clock: Option<&mut PhaseClock<'_>>,
 ) -> [Option<NormalityOutcome>; 3] {
     let n = sorted.len();
-    if n < 3 {
-        // Below every test's minimum sample size.
-        return [None; 3];
-    }
-    if read(sorted[n - 1]) - read(sorted[0]) <= 0.0 {
-        // ZeroVariance for all three tests (checked on the sorted range,
-        // exactly like the standalone paths).
+    if n < 3 || read(sorted[n - 1]) - read(sorted[0]) <= 0.0 {
+        // Below every test's minimum sample size, or ZeroVariance for all
+        // three tests (checked on the sorted range, exactly like the
+        // standalone paths).
+        charge(&mut clock, WEIGHTS);
         return [None; 3];
     }
     let entry = cache.entry(n);
+    charge(&mut clock, WEIGHTS);
     let (mean, ssq, s3, s4) = accumulate::central_sums_by(sorted, read);
+    charge(&mut clock, CENTRAL_SUMS);
     let nf = n as f64;
-    let dag = match dagostino::shape_from_sums(n, ssq, s3, s4) {
-        Ok((g1, b2)) if n >= 8 => Some(dagostino::DagostinoK2::from_shape(g1, b2, n).0),
-        _ => None,
-    };
     let sd = (ssq / (nf - 1.0)).sqrt();
     let do_ad = n >= 8 && sd.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
     let a = &entry.weights[..];
@@ -354,6 +428,7 @@ fn fused_battery<K: Copy>(
             // Pairs i0..i0+len: low elements i0.., high elements ..n−i0.
             let (low, high) = (&sorted[i0..i0 + len], &sorted[n - i0 - len..n - i0]);
             let [z, cdf, sf] = phi.fill(low, high, mean, sd, read);
+            charge(&mut clock, PHI_FILL);
             for (j, &ai) in ab.iter().enumerate() {
                 // Element i = i0 + j sits at j, element r = n−1−i at rj.
                 let (i, rj) = (i0 + j, 2 * len - 1 - j);
@@ -364,18 +439,25 @@ fn fused_battery<K: Copy>(
                 s_ad +=
                     (2 * r + 1) as f64 * anderson_darling::log_term(z[rj], cdf[rj], z[j], sf[j]);
             }
+            charge(&mut clock, ACCUMULATE);
         }
         if n % 2 == 1 {
             let mid = n / 2;
             let z = (read(sorted[mid]) - mean) / sd;
             let (cdf, sf) = norm_cdf_sf(z);
             s_ad += (2 * mid + 1) as f64 * anderson_darling::log_term(z, cdf, z, sf);
+            charge(&mut clock, ACCUMULATE);
         }
     } else {
         for (i, &ai) in a.iter().enumerate() {
             sax += ai * (read(sorted[n - 1 - i]) - read(sorted[i]));
         }
+        charge(&mut clock, ACCUMULATE);
     }
+    let dag = match dagostino::shape_from_sums(n, ssq, s3, s4) {
+        Ok((g1, b2)) if n >= 8 => Some(dagostino::DagostinoK2::from_shape(g1, b2, n).0),
+        _ => None,
+    };
     let w = ((sax * sax) / ssq).min(1.0);
     let sw = NormalityOutcome {
         statistic_kind: TestStatistic::ShapiroWilkW,
@@ -392,6 +474,7 @@ fn fused_battery<K: Copy>(
             extrapolated: false,
         }
     });
+    charge(&mut clock, P_VALUES);
     [dag, Some(sw), ad]
 }
 
@@ -416,7 +499,7 @@ pub fn battery_with_scratch(
     sorted.clear();
     sorted.extend_from_slice(sample);
     sort_floats(sorted, &mut SortScratch);
-    fused_battery(sorted, |x| x, cache, phi)
+    fused_battery(sorted, |x| x, cache, phi, None)
 }
 
 /// [`battery_with_scratch`] for callers that already hold a sorted copy of
@@ -432,7 +515,7 @@ pub fn battery_presorted(
     if !sample.iter().all(|x| x.is_finite()) {
         return [None; 3];
     }
-    battery_sorted(sorted, |x| x, scratch)
+    battery_sorted(sorted, |x| x, scratch, None)
 }
 
 /// The battery on a sample held as keys in ascending order of `read(k)`,
@@ -442,16 +525,20 @@ pub fn battery_presorted(
 /// milliseconds; `|x| x` reads a sorted `f64` sample as itself). Outcomes
 /// are bit-identical to [`battery_with_scratch`] on any permutation of the
 /// read values: every accumulator sees the same values in the same order.
+///
+/// With a `clock` the run is timed by phase into it ([`PhaseClock`]); the
+/// outcomes do not depend on it.
 pub fn battery_sorted<K: Copy>(
     sorted: &[K],
     read: impl Fn(K) -> f64 + Copy,
     scratch: &mut BatteryScratch,
+    clock: Option<&mut PhaseClock<'_>>,
 ) -> [Option<NormalityOutcome>; 3] {
     debug_assert!(
         sorted.windows(2).all(|w| read(w[0]) <= read(w[1])),
         "`sorted` must read finite and ascending"
     );
-    fused_battery(sorted, read, &mut scratch.cache, &mut scratch.phi)
+    fused_battery(sorted, read, &mut scratch.cache, &mut scratch.phi, clock)
 }
 
 /// The extended battery: the paper's three tests in the order it tabulates
@@ -563,6 +650,42 @@ mod tests {
             let via_presorted = battery_presorted(&sample, &sorted, &mut presort_scratch);
             let via_scratch = battery_with_scratch(&sample, &mut scratch);
             assert_eq!(via_presorted, via_scratch, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_timed_run_charges_every_phase_boundary_and_computes_the_same() {
+        // A clock that ticks once per reading: each phase's charge counts
+        // the boundaries that close it. n = 48 is one Φ block; n = 2049 is
+        // two blocks (1024 pairs) and A²'s middle term; n = 7 runs no A²;
+        // n = 2 stops at the size check.
+        let ticks = std::cell::Cell::new(0u64);
+        let now = || {
+            ticks.set(ticks.get() + 1);
+            ticks.get()
+        };
+        let mut plain = BatteryScratch::new();
+        let mut timed = BatteryScratch::new();
+        for (n, want) in [
+            (48usize, [1, 1, 1, 1, 1]),
+            (2049, [1, 1, 2, 3, 1]),
+            (7, [1, 1, 0, 1, 1]),
+            (2, [1, 0, 0, 0, 0]),
+        ] {
+            let sorted: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
+            let mut clock = PhaseClock::start(&now);
+            let got = battery_sorted(&sorted, |x| x, &mut timed, Some(&mut clock));
+            assert_eq!(
+                got,
+                battery_sorted(&sorted, |x| x, &mut plain, None),
+                "n={n}"
+            );
+            assert_eq!(clock.ns(), want, "n={n}");
+            assert_eq!(
+                clock.ns().iter().sum::<u64>(),
+                clock.last() - clock.started(),
+                "n={n}"
+            );
         }
     }
 

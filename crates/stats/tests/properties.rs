@@ -535,7 +535,7 @@ proptest! {
                 };
                 let mut sorted = sample.clone();
                 sort_floats(&mut sorted, &mut SortScratch::new());
-                let fused = battery_sorted(&sorted, |x| x, &mut scratch);
+                let fused = battery_sorted(&sorted, |x| x, &mut scratch, None);
                 let direct = [
                     DagostinoK2.test(&sample).ok(),
                     ShapiroWilk.test(&sample).ok(),
@@ -605,7 +605,7 @@ proptest! {
                 }
                 keys.sort_unstable();
                 let ms: Vec<f64> = keys.iter().map(|&k| to_ms(k)).collect();
-                let via_keys = battery_sorted(&keys, to_ms, &mut keyed);
+                let via_keys = battery_sorted(&keys, to_ms, &mut keyed, None);
                 let via_ms = battery_presorted(&ms, &ms, &mut presorted);
                 prop_assert_eq!(row_bits(via_keys), row_bits(via_ms), "n = {}, kind = {}", n, kind);
                 if kind == 0 || n < 3 {

@@ -1,12 +1,13 @@
 //! Allocation discipline of the analysis stages, as numbers: with warm
 //! [`EngineArenas`], a stage entry allocates its result, its fork/join
-//! bookkeeping and (the sweep) one group buffer per worker part — a count
-//! that depends on the team size and **not** on how many process-iterations
-//! the trace holds. The delivery sweep used to break that (one heap cell per
+//! bookkeeping and (the sweep) one group buffer and one battery scratch per
+//! worker part — a count that depends on the team size and **not** on how
+//! many process-iterations the trace holds. The delivery sweep used to break that (one heap cell per
 //! outcome, four per process-iteration). And a warm call leaves nothing
 //! behind: once its result is dropped, live heap bytes are where they were.
 //! And the sweep's one group buffer is 4 B an element: its heap high-water
-//! above its result is the part's largest group as `u32` keys, plus slack.
+//! above its result is the part's largest group as `u32` keys, its weight
+//! vectors and its Φ block, plus slack.
 //!
 //! The counters are this binary's global allocator, so the file holds
 //! exactly one test: a second one running beside it would be counted too.
@@ -127,7 +128,8 @@ fn stage_allocations(
 }
 
 /// How far a one-worker sweep call's heap high-water above its result may
-/// sit from its key buffer: fork/join bookkeeping, less the result's labels.
+/// sit from its key buffer, weight vectors and Φ block: the weight cache's
+/// entry table and the fork/join bookkeeping, less the result's labels.
 const SWEEP_SLACK_BYTES: usize = 1024;
 
 #[test]
@@ -142,8 +144,7 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
         for workers in [1, 3] {
             let pool = Pool::new(workers);
             let mut arenas = EngineArenas::for_pool(&pool);
-            // Warm-up: every buffer reaches its high-water mark, every
-            // Shapiro–Wilk weight vector either trace needs is cached.
+            // Warm-up: every arena buffer reaches its high-water mark.
             stage_allocations(&large, &pool, &mut arenas);
             stage_allocations(&small, &pool, &mut arenas);
 
@@ -154,12 +155,15 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
                 on_small, on_large,
                 "{what}: [sweep, scan, delivery] counts moved with the unit count"
             );
-            // Results plus fork/join bookkeeping: measured 11 / 6 / 4 on one
+            // Results plus fork/join bookkeeping: measured 18 / 6 / 4 on one
             // worker and 20 / 21 / 11 on three for every app (the scan reads
             // 25 under the harness's output capture, which spawned threads
-            // inherit). The sweep's count includes its group buffer: one per
-            // worker part per call, sized to the part's largest group and
-            // freed before the call returns, so warm arenas hold no group.
+            // inherit). The sweep's count includes, per worker part per
+            // call, its group buffer (sized to the part's largest group)
+            // and its battery scratch — one weight vector per distinct group
+            // size (three on one worker), the cache's entry table and the
+            // three Φ block buffers — all freed before the call returns, so
+            // warm arenas hold no group and no weights.
             // With a heap cell per outcome the delivery sweep read 804 and
             // 1604 on one worker. One worker spawns nothing, so its counts
             // are exact: a sweep whose sorted milliseconds took a buffer of
@@ -168,9 +172,10 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
             // 4 on the doubled one: a 32-byte outcome has no niche, so the
             // collect out of the staged rows reallocates).
             if workers == 1 {
-                assert_eq!(on_small, [11, 6, 4], "{what}");
+                assert_eq!(on_small, [18, 6, 4], "{what}");
                 // Nothing a warm call allocates outlives it: no arena buffer
-                // grows and no group buffer is kept for the next call.
+                // grows, and no group buffer or weight vector is kept for
+                // the next call.
                 assert_eq!(kept_small, [0, 0, 0], "{what}: live bytes kept");
                 assert_eq!(kept_large, [0, 0, 0], "{what}: live bytes kept");
                 // The sweep's group buffer is one `u32` key per element of
@@ -179,27 +184,37 @@ fn analysis_stages_allocate_per_call_and_per_worker_never_per_unit() {
                 // high-water, so the key width is read on a trace whose one
                 // application group (8 192 samples, 5 groups in all) dwarfs
                 // its outcome table: there, the heap high-water above the
-                // result is the buffer plus the fork/join bookkeeping.
+                // result is the buffer, the call's two weight vectors (n/2
+                // `f64` for n = 8 192 and 4 096, held together by the cache)
+                // and its Φ block (three `f64` buffers of 2 × 512), plus the
+                // bookkeeping.
                 let wide = app.generate(&JobConfig::new(1, 1, 2, 4096), 20230421);
                 let keys = 4 * wide.samples().len() as isize;
+                let weights = 8 * (8192 / 2 + 4096 / 2);
+                let phi = 3 * 8 * 2 * 512;
                 allocations(|| {
                     sweep_levels_parallel_with_arenas(&wide, ALPHA, None, &pool, &mut arenas)
                 });
                 let sweep = allocations(|| {
                     sweep_levels_parallel_with_arenas(&wide, ALPHA, None, &pool, &mut arenas)
                 });
-                // Measured: 32 767 B for 32 768 B of keys (the result's
-                // level labels and the part list net to one byte). Eight-byte
-                // keys read 32 KiB over.
+                // Eight-byte keys read 32 KiB over.
                 assert!(
-                    sweep.transient.abs_diff(keys) <= SWEEP_SLACK_BYTES,
-                    "{what}: sweep high-water {} B above its result, keys {keys} B",
+                    sweep.transient.abs_diff(keys + weights + phi) <= SWEEP_SLACK_BYTES,
+                    "{what}: sweep high-water {} B above its result; keys {keys} B, \
+                     weights {weights} B, Φ block {phi} B",
                     sweep.transient
                 );
             }
+            // Every stage allocates at most six times a worker beyond its
+            // result; a sweep part also owns its battery scratch, at most
+            // seven more: the three Φ buffers, the weight cache's entry
+            // table and one weight vector per level's group size (37 on
+            // three workers, where the three parts solve five vectors).
             for (stage, made) in ["sweep", "scan", "delivery"].into_iter().zip(on_small) {
+                let scratch = if stage == "sweep" { 7 * workers } else { 0 };
                 assert!(
-                    made <= 10 + 6 * workers,
+                    made <= 10 + 6 * workers + scratch,
                     "{what}: {stage} allocated {made} times"
                 );
             }

@@ -8,8 +8,8 @@
 //! says how much.
 //!
 //! Every count is the same on 1 and 3 workers except the weight solves:
-//! each worker solves one weight vector per distinct group size of its own
-//! part of the task list.
+//! each sweep call solves one weight vector per distinct group size of each
+//! worker's part of the task list, and keeps none for the next call.
 
 use std::sync::Arc;
 
@@ -64,15 +64,17 @@ fn the_sweep_ledger_is_pinned_and_only_weight_solves_move_with_the_pool() {
     // Every ci-scale group has n ≥ 8 and a spread, so A² runs on each and
     // Φ is evaluated once per element of every level.
     assert_eq!(phi, 3 * elements);
-    // One worker solves each of the three group sizes (8, 32, 1 600) once.
-    assert_eq!(solves_1, 3);
+    // One worker solves each of the three group sizes (8, 32, 1 600) once
+    // per trace: three traces, three sweep calls, nine solves.
+    assert_eq!(solves_1, 9);
 
     let (groups_3, gathered_3, solves_3, phi_3) = sweep_ledger(3);
     assert_eq!((groups_3, gathered_3, phi_3), (groups, gathered, phi));
     // Three workers: the first part holds the application group, every
     // application-iteration and five process-iterations (1 600, 32, 8),
-    // the other two process-iterations only (8 each).
-    assert_eq!(solves_3, 5);
+    // the other two process-iterations only (8 each) — five a call, three
+    // calls.
+    assert_eq!(solves_3, 15);
 }
 
 /// `(unit sorts, delivery injections)` after `repro profile --scale ci
